@@ -140,12 +140,12 @@ func BenchmarkDollarCost(b *testing.B) {
 	}
 }
 
-// --- Simulator kernel speed (the BENCH_sim.json trajectory) ---
+// --- Simulator kernel speed (micro-benchmarks; the repo benchmark is benchmark/) ---
 
 // BenchmarkChaosGrid runs the full table 10 chaos grid — the hot-path
-// workload the BENCH_sim.json perf trajectory tracks. ns/op, allocs/op
+// workload benchmark/'s chaos_grid measures end to end. ns/op, allocs/op
 // and B/op here are the simulator's own cost; sim-events/s is the kernel
-// throughput metric the committed baseline pins.
+// throughput.
 func BenchmarkChaosGrid(b *testing.B) {
 	run := func(b *testing.B, workers int) {
 		b.ReportAllocs()
@@ -182,23 +182,6 @@ func BenchmarkSteadyTraining(b *testing.B) {
 		}
 		if !res.Completed {
 			b.Fatal("steady run incomplete")
-		}
-	}
-}
-
-// BenchmarkPerfPoint runs the same measurement cmd/jitbench -bench uses
-// to produce BENCH_sim.json, so a plain `go test -bench PerfPoint` shows
-// the current trajectory point inline.
-func BenchmarkPerfPoint(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report, err := experiments.RunBench(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, name := range []string{"chaos_grid_events_per_sec", "train_allocs_per_iter", "vclock_sleep_cycle_ns"} {
-			if m, ok := report.Metric(name); ok {
-				b.ReportMetric(m.Value, m.Name)
-			}
 		}
 	}
 }

@@ -23,10 +23,6 @@
 //	jitbench -table 4 -trace bench.json   # Chrome trace of every measurement run
 //	jitbench -parallel 0                  # sweep runs across all CPUs
 //	                                      # (results identical to serial)
-//	jitbench -bench BENCH_sim.json        # measure the perf point instead of
-//	                                      # printing tables
-//	jitbench -bench new.json -baseline BENCH_sim.json
-//	                                      # ...and warn on >10% regressions
 //	jitbench -serve-check                 # prove live streaming observability
 //	                                      # leaves tables 12/13 byte-identical
 //
@@ -55,8 +51,6 @@ func main() {
 	mixSpec := flag.String("mix", "", "failure-kind mix for the chaos suite, e.g. \"gpu-hard:0.2,network-hang:0.5\" (empty = paper default)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of every measurement run (one trace pid per run)")
 	parallel := flag.Int("parallel", 1, "worker count for sweep grids (0 = GOMAXPROCS, 1 = serial); results are identical either way")
-	benchOut := flag.String("bench", "", "measure the simulator's performance point and write it as JSON (skips table output)")
-	baseline := flag.String("baseline", "", "prior BENCH_sim.json to compare against (with -bench); warns on >10% regressions")
 	serveCheck := flag.Bool("serve-check", false, "differentially verify the live streaming layer: run a table-12 and table-13 sweep cell post-hoc and streamed; rows must be byte-identical")
 	flag.Parse()
 
@@ -67,14 +61,6 @@ func main() {
 
 	if *serveCheck {
 		if err := runServeCheck(); err != nil {
-			fmt.Fprintf(os.Stderr, "jitbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchOut != "" {
-		if err := runBench(*benchOut, *baseline, workers); err != nil {
 			fmt.Fprintf(os.Stderr, "jitbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -127,46 +113,6 @@ func runServeCheck() error {
 		if !rep.Identical() {
 			return fmt.Errorf("streaming perturbed the %s rows", rep.Table)
 		}
-	}
-	return nil
-}
-
-// runBench measures the performance point, writes it to out, and — when a
-// baseline is given — prints warnings for metrics that regressed >10%.
-// Regressions never fail the run: wall-clock metrics are noisy, and the
-// trajectory file exists to be inspected, not to gate.
-func runBench(out, baselinePath string, workers int) error {
-	fmt.Fprintf(os.Stderr, "jitbench: measuring performance point (workers=%d)...\n", workers)
-	report, err := experiments.RunBench(workers)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := experiments.WriteBench(f, report); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "jitbench: wrote %d metrics to %s\n", len(report.Metrics), out)
-	if baselinePath == "" {
-		return nil
-	}
-	base, err := experiments.ReadBenchFile(baselinePath)
-	if err != nil {
-		return err
-	}
-	warnings := experiments.CompareBench(base, report, 0.10)
-	if len(warnings) == 0 {
-		fmt.Fprintf(os.Stderr, "jitbench: no regressions >10%% vs %s\n", baselinePath)
-		return nil
-	}
-	for _, w := range warnings {
-		fmt.Fprintf(os.Stderr, "jitbench: WARNING: %s\n", w)
 	}
 	return nil
 }

@@ -133,7 +133,7 @@ func main() {
 		cfg.RackSize = *rackSize
 	}
 	if *rsSpec != "" {
-		if !pol.UsesPeerShelter() {
+		if !pol.Info().Peer {
 			fatal(fmt.Errorf("-rs needs a peer-shelter policy (peer, jit+peer or peer+elastic), got %q", *policy))
 		}
 		var k, m int

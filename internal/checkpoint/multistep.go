@@ -137,9 +137,6 @@ func (msw *MultiStep) Count() int { return msw.count }
 // slice staging — the steady-state overhead of the family.
 func (msw *MultiStep) StallTotal() vclock.Time { return msw.stallTotal }
 
-// Draining reports whether background slice writes are still in flight.
-func (msw *MultiStep) Draining() bool { return msw.pending > 0 }
-
 func (msw *MultiStep) due(now vclock.Time) bool {
 	if msw.Interval <= 0 {
 		return false

@@ -255,14 +255,3 @@ func (s *Store) Corrupt(path string) bool {
 // ModelBytes returns the modelled size of the object at path (0 if
 // missing).
 func (s *Store) ModelBytes(path string) int64 { return s.files[path].modelBytes }
-
-// CopyObject duplicates src to dst without timing (used by async drains
-// that account their own time).
-func (s *Store) CopyObject(src, dst string) error {
-	e, ok := s.files[src]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, src)
-	}
-	s.files[dst] = e
-	return nil
-}

@@ -44,220 +44,173 @@ import (
 // Policy selects the failure-handling strategy a job runs under.
 type Policy int
 
+// The policies, in presentation order. What each one does is its row of
+// policyTable; the comments here say why it exists.
 const (
-	// PolicyNone runs with no checkpointing: a failure loses everything.
+	// No checkpointing: a failure loses everything.
 	PolicyNone Policy = iota
-	// PolicyPCDisk is periodic checkpointing to persistent storage in the
-	// critical path.
+	// Periodic checkpointing to persistent storage in the critical path.
 	PolicyPCDisk
-	// PolicyPCMem is periodic checkpointing to tmpfs with async drain.
+	// Periodic checkpointing to tmpfs with async drain.
 	PolicyPCMem
-	// PolicyCheckFreq is overlapped-snapshot periodic checkpointing.
+	// Overlapped-snapshot periodic checkpointing.
 	PolicyCheckFreq
-	// PolicyPCDaily is low-frequency (once-a-day-class) periodic
-	// checkpointing, the optional companion to JIT.
+	// Low-frequency (once-a-day-class) periodic checkpointing, the
+	// optional companion to JIT.
 	PolicyPCDaily
-	// PolicyUserJIT is user-level just-in-time checkpointing (§3).
+	// User-level just-in-time checkpointing (§3).
 	PolicyUserJIT
-	// PolicyTransparentJIT is transparent just-in-time recovery (§4).
+	// Transparent just-in-time recovery (§4).
 	PolicyTransparentJIT
-	// PolicyJITWithDaily combines user-level JIT checkpointing with
-	// low-frequency periodic checkpointing — the paper's recommended
-	// companion configuration (§6.3): JIT handles common failures with
-	// one-minibatch loss; the rare catastrophic failure that destroys
-	// every replica of some position falls back to the most recent
-	// periodic checkpoint.
+	// User-level JIT checkpointing combined with low-frequency periodic
+	// checkpointing — the paper's recommended companion configuration
+	// (§6.3): JIT handles common failures with one-minibatch loss; the rare
+	// catastrophic failure that destroys every replica of some position
+	// falls back to the most recent periodic checkpoint.
 	PolicyJITWithDaily
-	// PolicyPeerShelter replicates every iteration's post-optimizer state
-	// into peer CPU memory in other failure domains (internal/peerckpt),
-	// overlapped with the next minibatch. Failure-time JIT flushes also go
-	// to the shelter instead of disk, so recovery never touches remote
-	// storage and any failure — including one destroying every replica of
-	// a shard — rolls back at most one minibatch.
+	// Every iteration's post-optimizer state replicated into peer CPU
+	// memory in other failure domains (internal/peerckpt), overlapped with
+	// the next minibatch. Failure-time JIT flushes also go to the shelter
+	// instead of disk, so recovery never touches remote storage and any
+	// failure — including one destroying every replica of a shard — rolls
+	// back at most one minibatch.
 	PolicyPeerShelter
-	// PolicyJITWithPeer combines user-level JIT checkpointing to disk
-	// (the common-case path) with per-iteration peer-shelter replication
-	// replacing the daily-disk catastrophic fallback of
-	// PolicyJITWithDaily: when every replica of a position is lost, the
-	// sheltered copy is at most one iteration old, versus up to a day.
+	// User-level JIT checkpointing to disk (the common-case path) with
+	// per-iteration peer-shelter replication replacing the daily-disk
+	// catastrophic fallback of UserJIT+PC_1/day: when every replica of a
+	// position is lost, the sheltered copy is at most one iteration old,
+	// versus up to a day.
 	PolicyJITWithPeer
-	// PolicyElasticJIT is PolicyUserJIT plus elastic degraded-mode
-	// recovery (internal/elastic): when spares run out and no full
-	// placement exists, the job shrinks to the largest viable topology
-	// (dropping only data-parallel replicas, raising gradient accumulation
-	// to preserve the global batch), keeps training, and re-expands once
-	// the failure plan marks nodes repaired.
+	// UserJIT plus elastic degraded-mode recovery (internal/elastic): when
+	// spares run out and no full placement exists, the job shrinks to the
+	// largest viable topology (dropping only data-parallel replicas,
+	// raising gradient accumulation to preserve the global batch), keeps
+	// training, and re-expands once the failure plan marks nodes repaired.
 	PolicyElasticJIT
-	// PolicyElasticPeer is PolicyJITWithPeer plus elastic degraded-mode
-	// recovery: the peer shelter keeps per-iteration replicas while the
-	// job runs degraded, so even a catastrophic loss at reduced width
-	// rolls back at most one iteration.
+	// UserJIT+Peer plus elastic degraded-mode recovery: the peer shelter
+	// keeps per-iteration replicas while the job runs degraded, so even a
+	// catastrophic loss at reduced width rolls back at most one iteration.
 	PolicyElasticPeer
-	// PolicyMultiStepDisk is gradient-reconciled multi-step overlapped disk
-	// checkpointing (GoCkpt-style): one logical snapshot is split into
-	// per-iteration shard slices written concurrently with compute, each
-	// stamped with its capture iteration; restore replays retained gradient
-	// deltas to advance stale slices to the generation's target iteration.
+	// Gradient-reconciled multi-step overlapped disk checkpointing
+	// (GoCkpt-style): one logical snapshot is split into per-iteration
+	// shard slices written concurrently with compute, each stamped with its
+	// capture iteration; restore replays retained gradient deltas to
+	// advance stale slices to the generation's target iteration.
 	PolicyMultiStepDisk
-	// PolicyJITWithMultiStep combines user-level JIT checkpointing (the
-	// common-case, one-minibatch-loss path) with the multi-step overlapped
-	// disk writer as the catastrophic fallback — fresher than PC_1/day at a
-	// fraction of PC_disk's critical-path stall.
+	// User-level JIT checkpointing (the common-case, one-minibatch-loss
+	// path) with the multi-step overlapped disk writer as the catastrophic
+	// fallback — fresher than PC_1/day at a fraction of PC_disk's
+	// critical-path stall.
 	PolicyJITWithMultiStep
-	// PolicyPipeFree is checkpoint-free pipeline-stage recovery
-	// (internal/pipefree): each stage's optimizer redundancy is retained in
-	// neighbor stages' host RAM every iteration, and a lost stage is rebuilt
-	// from a surviving neighbor with zero checkpoint reads. A double fault
-	// that also kills the redundancy neighbor falls back to the multi-step
-	// disk tier's newest valid generation.
+	// Checkpoint-free pipeline-stage recovery (internal/pipefree): each
+	// stage's optimizer redundancy is retained in neighbor stages' host RAM
+	// every iteration, and a lost stage is rebuilt from a surviving
+	// neighbor with zero checkpoint reads. A double fault that also kills
+	// the redundancy neighbor falls back to the multi-step disk tier's
+	// newest valid generation.
 	PolicyPipeFree
 )
 
-// String renders the policy as the paper names it.
-func (p Policy) String() string {
-	switch p {
-	case PolicyNone:
-		return "none"
-	case PolicyPCDisk:
-		return "PC_disk"
-	case PolicyPCMem:
-		return "PC_mem"
-	case PolicyCheckFreq:
-		return "CheckFreq"
-	case PolicyPCDaily:
-		return "PC_1/day"
-	case PolicyUserJIT:
-		return "UserJIT"
-	case PolicyTransparentJIT:
-		return "TransparentJIT"
-	case PolicyJITWithDaily:
-		return "UserJIT+PC_1/day"
-	case PolicyPeerShelter:
-		return "PeerShelter"
-	case PolicyJITWithPeer:
-		return "UserJIT+Peer"
-	case PolicyElasticJIT:
-		return "UserJIT+Elastic"
-	case PolicyElasticPeer:
-		return "UserJIT+Peer+Elastic"
-	case PolicyMultiStepDisk:
-		return "MultiStepDisk"
-	case PolicyJITWithMultiStep:
-		return "UserJIT+MultiStep"
-	case PolicyPipeFree:
-		return "PipeFree"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
+// FlushTarget is where a policy's failure-time user-level JIT flush (§3)
+// lands.
+type FlushTarget int
 
-// PeriodicKind maps a periodic policy to its checkpoint implementation.
-func (p Policy) PeriodicKind() (checkpoint.PeriodicKind, bool) {
-	switch p {
-	case PolicyPCDisk:
-		return checkpoint.PCDisk, true
-	case PolicyPCMem:
-		return checkpoint.PCMem, true
-	case PolicyCheckFreq:
-		return checkpoint.CheckFreq, true
-	case PolicyPCDaily, PolicyJITWithDaily:
-		return checkpoint.PCDaily, true
-	default:
-		return 0, false
-	}
-}
+const (
+	// FlushNone: the policy does not run the user-level JIT library.
+	FlushNone FlushTarget = iota
+	// FlushDisk: healthy replicas flush to persistent storage.
+	FlushDisk
+	// FlushShelter: healthy replicas flush to peer CPU memory, so recovery
+	// never touches remote storage.
+	FlushShelter
+)
 
-// UserLevelJIT reports whether the policy includes the user-level JIT
-// library (§3).
-func (p Policy) UserLevelJIT() bool {
-	return p == PolicyUserJIT || p == PolicyJITWithDaily ||
-		p == PolicyPeerShelter || p == PolicyJITWithPeer ||
-		p == PolicyElasticJIT || p == PolicyElasticPeer ||
-		p == PolicyJITWithMultiStep
-}
-
-// DiskJIT reports whether the policy's failure-time JIT flush targets
-// persistent storage (versus the peer shelter).
-func (p Policy) DiskJIT() bool {
-	return p == PolicyUserJIT || p == PolicyJITWithDaily || p == PolicyJITWithPeer ||
-		p == PolicyElasticJIT || p == PolicyElasticPeer ||
-		p == PolicyJITWithMultiStep
-}
-
-// UsesPeerShelter reports whether the policy runs the peer-to-peer
-// in-memory checkpoint tier (internal/peerckpt).
-func (p Policy) UsesPeerShelter() bool {
-	return p == PolicyPeerShelter || p == PolicyJITWithPeer || p == PolicyElasticPeer
-}
-
-// UsesMultiStep reports whether the policy runs the gradient-reconciled
-// multi-step overlapped disk writer (internal/checkpoint.MultiStep) —
-// either as its primary tier or as the pipe-free family's disk fallback.
-func (p Policy) UsesMultiStep() bool {
-	return p == PolicyMultiStepDisk || p == PolicyJITWithMultiStep || p == PolicyPipeFree
-}
-
-// UsesPipeFree reports whether the policy runs the checkpoint-free
-// pipeline-stage redundancy tier (internal/pipefree).
-func (p Policy) UsesPipeFree() bool {
-	return p == PolicyPipeFree
-}
-
-// Elastic reports whether the policy may shrink the job to a degraded
-// topology when spares run out, and re-expand after repairs.
-func (p Policy) Elastic() bool {
-	return p == PolicyElasticJIT || p == PolicyElasticPeer
-}
-
-// IsJIT reports whether the policy is one of the paper's contributions.
-func (p Policy) IsJIT() bool {
-	return p == PolicyUserJIT || p == PolicyTransparentJIT || p == PolicyJITWithDaily ||
-		p == PolicyPeerShelter || p == PolicyJITWithPeer ||
-		p == PolicyElasticJIT || p == PolicyElasticPeer ||
-		p == PolicyJITWithMultiStep
-}
-
-// PolicyInfo is one row of the shared policy registry: the policy, its
-// presentation name (Policy.String), its canonical CLI key, and any extra
-// accepted spellings. Every front end — jitsim -policy, jitbench
-// -policies, the fleet simulator's job specs, and the golden-trace and
-// stream-diff suites — resolves names through this one table, so a new
-// recovery family added here is immediately runnable everywhere.
+// PolicyInfo is one row of the policy table — the only definition of what
+// a policy is. The first four columns name it (Policy.String, the
+// canonical CLI key, extra accepted spellings); the rest are the tiers it
+// stacks, which the harness reads instead of branching on the constant.
+// Every front end — jitsim -policy, jitbench -policies, the fleet
+// simulator's job specs, and the golden-trace and stream-diff suites —
+// resolves names through this one table, so a new recovery family added
+// here is immediately runnable everywhere.
 type PolicyInfo struct {
 	Policy  Policy
 	Name    string
 	Key     string
 	Aliases []string
+
+	// JITFlush is the failure-time flush target; anything but FlushNone
+	// puts the interception layer, GIL and checkpoint-quorum wait on
+	// every rank.
+	JITFlush FlushTarget
+	// Periodic runs the checkpoint.Periodic saver of the given Kind at
+	// minibatch boundaries and restores from its namespace.
+	Periodic bool
+	Kind     checkpoint.PeriodicKind
+	// Peer replicates every iteration's state into peer CPU memory
+	// (internal/peerckpt); needs at least two nodes.
+	Peer bool
+	// MultiStep runs the gradient-reconciled overlapped disk writer
+	// (checkpoint.MultiStep), as the primary tier or a fallback.
+	MultiStep bool
+	// PipeFree retains stage-redundancy bundles in neighbor stages' host
+	// RAM (internal/pipefree).
+	PipeFree bool
+	// Elastic lets the job shrink to a degraded topology when spares run
+	// out and re-expand after repairs (internal/elastic).
+	Elastic bool
+	// Transparent runs the one-incarnation, coordinator-driven recovery
+	// of §4 instead of the restart loop.
+	Transparent bool
 }
 
-// Policies returns the registry, one entry per runnable policy, in
-// presentation order.
-func Policies() []PolicyInfo {
-	return []PolicyInfo{
-		{PolicyNone, PolicyNone.String(), "none", nil},
-		{PolicyPCDisk, PolicyPCDisk.String(), "pc_disk", nil},
-		{PolicyPCMem, PolicyPCMem.String(), "pc_mem", nil},
-		{PolicyCheckFreq, PolicyCheckFreq.String(), "checkfreq", nil},
-		{PolicyPCDaily, PolicyPCDaily.String(), "pc_daily", nil},
-		{PolicyUserJIT, PolicyUserJIT.String(), "userjit", nil},
-		// "jit" is the historical alias for the paper's headline mode.
-		{PolicyTransparentJIT, PolicyTransparentJIT.String(), "transparent", []string{"jit"}},
-		{PolicyJITWithDaily, PolicyJITWithDaily.String(), "jit+daily", nil},
-		{PolicyPeerShelter, PolicyPeerShelter.String(), "peer", nil},
-		{PolicyJITWithPeer, PolicyJITWithPeer.String(), "jit+peer", nil},
-		{PolicyElasticJIT, PolicyElasticJIT.String(), "jit+elastic", nil},
-		{PolicyElasticPeer, PolicyElasticPeer.String(), "peer+elastic", nil},
-		{PolicyMultiStepDisk, PolicyMultiStepDisk.String(), "multistep", nil},
-		{PolicyJITWithMultiStep, PolicyJITWithMultiStep.String(), "jit+multistep", nil},
-		{PolicyPipeFree, PolicyPipeFree.String(), "pipefree", nil},
+// policyTable is indexed by the Policy constants; "jit" is the historical
+// alias for the paper's headline mode.
+var policyTable = func() []PolicyInfo {
+	t := []PolicyInfo{
+		PolicyNone:             {Name: "none", Key: "none"},
+		PolicyPCDisk:           {Name: "PC_disk", Key: "pc_disk", Periodic: true, Kind: checkpoint.PCDisk},
+		PolicyPCMem:            {Name: "PC_mem", Key: "pc_mem", Periodic: true, Kind: checkpoint.PCMem},
+		PolicyCheckFreq:        {Name: "CheckFreq", Key: "checkfreq", Periodic: true, Kind: checkpoint.CheckFreq},
+		PolicyPCDaily:          {Name: "PC_1/day", Key: "pc_daily", Periodic: true, Kind: checkpoint.PCDaily},
+		PolicyUserJIT:          {Name: "UserJIT", Key: "userjit", JITFlush: FlushDisk},
+		PolicyTransparentJIT:   {Name: "TransparentJIT", Key: "transparent", Aliases: []string{"jit"}, Transparent: true},
+		PolicyJITWithDaily:     {Name: "UserJIT+PC_1/day", Key: "jit+daily", JITFlush: FlushDisk, Periodic: true, Kind: checkpoint.PCDaily},
+		PolicyPeerShelter:      {Name: "PeerShelter", Key: "peer", JITFlush: FlushShelter, Peer: true},
+		PolicyJITWithPeer:      {Name: "UserJIT+Peer", Key: "jit+peer", JITFlush: FlushDisk, Peer: true},
+		PolicyElasticJIT:       {Name: "UserJIT+Elastic", Key: "jit+elastic", JITFlush: FlushDisk, Elastic: true},
+		PolicyElasticPeer:      {Name: "UserJIT+Peer+Elastic", Key: "peer+elastic", JITFlush: FlushDisk, Peer: true, Elastic: true},
+		PolicyMultiStepDisk:    {Name: "MultiStepDisk", Key: "multistep", MultiStep: true},
+		PolicyJITWithMultiStep: {Name: "UserJIT+MultiStep", Key: "jit+multistep", JITFlush: FlushDisk, MultiStep: true},
+		PolicyPipeFree:         {Name: "PipeFree", Key: "pipefree", MultiStep: true, PipeFree: true},
 	}
+	for i := range t {
+		t[i].Policy = Policy(i)
+	}
+	return t
+}()
+
+// Info returns the policy's table row; an out-of-range value gets a row
+// with no tiers and a diagnostic name.
+func (p Policy) Info() PolicyInfo {
+	if p < 0 || int(p) >= len(policyTable) {
+		return PolicyInfo{Policy: p, Name: fmt.Sprintf("Policy(%d)", int(p))}
+	}
+	return policyTable[p]
 }
+
+// String renders the policy as the paper names it.
+func (p Policy) String() string { return p.Info().Name }
+
+// Policies returns the table, one row per runnable policy, in
+// presentation order.
+func Policies() []PolicyInfo { return append([]PolicyInfo(nil), policyTable...) }
 
 // ParsePolicy resolves a policy by presentation name, CLI key, or alias,
 // case-insensitively.
 func ParsePolicy(name string) (Policy, bool) {
 	want := strings.ToLower(strings.TrimSpace(name))
-	for _, pi := range Policies() {
+	for _, pi := range policyTable {
 		if strings.ToLower(pi.Name) == want || pi.Key == want {
 			return pi.Policy, true
 		}
@@ -275,7 +228,7 @@ func ParsePolicy(name string) (Policy, bool) {
 // cluster.ParseJobsSpec.
 func PolicyKeys() map[string]Policy {
 	out := make(map[string]Policy)
-	for _, pi := range Policies() {
+	for _, pi := range policyTable {
 		out[pi.Key] = pi.Policy
 		for _, a := range pi.Aliases {
 			out[a] = pi.Policy

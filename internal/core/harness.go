@@ -42,11 +42,8 @@ type JobConfig struct {
 	// specific phases (forward ≈ 0.1, backward ≈ 0.5, all-reduce ≈ 0.85,
 	// optimizer ≈ 0.95).
 	IterFailures []IterInjection
-	// FailureRatePerGPUDay feeds the optimal-frequency computation for
-	// periodic policies (default: the OPT job's ≈2/day over 992 GPUs).
-	FailureRatePerGPUDay float64
-	// CkptInterval overrides the periodic interval (0 = optimal c*, or
-	// 24 h for PC_1/day).
+	// CkptInterval overrides the periodic interval (0 = optimal c* at
+	// the OPT job's ≈2 failures/day over 992 GPUs, or 24 h for PC_1/day).
 	CkptInterval vclock.Time
 	// SpareNodes adds standby nodes for hard-error migration.
 	SpareNodes int
@@ -96,8 +93,8 @@ type JobConfig struct {
 	// post-hoc log. Streaming never perturbs the run (the differential
 	// suite pins byte-identical trajectories).
 	Stream *tracestream.Stream
-	// Peer overrides the peer-shelter tier's parameters (UsesPeerShelter
-	// policies only; nil = defaults). Setting DataShards/ParityShards
+	// Peer overrides the peer-shelter tier's parameters (policies with the
+	// Peer column only; nil = defaults). Setting DataShards/ParityShards
 	// switches the shelter from whole-entry replication to Reed-Solomon
 	// striping: each rank's state splits into k data + m parity fragments
 	// spread across distinct failure domains, and restore reconstructs
@@ -106,12 +103,9 @@ type JobConfig struct {
 	Peer *peerckpt.Params
 	// MultiStepSlices sets how many per-iteration shard slices the
 	// multi-step overlapped disk writer splits each logical snapshot into
-	// (UsesMultiStep policies only; 0 = 4). The writer's generation
-	// interval is CkptInterval (0 = optimal c*).
+	// (policies with the MultiStep column only; 0 = 4). The writer's
+	// generation interval is CkptInterval (0 = optimal c*).
 	MultiStepSlices int
-	// PipeFree overrides the checkpoint-free stage-redundancy tier's
-	// parameters (PolicyPipeFree only; nil = defaults).
-	PipeFree *pipefree.Params
 	// RackSize overrides the failure-domain width for single-job runs
 	// (nodes n and n' share a rack iff n/RackSize == n'/RackSize;
 	// 0 = the default of 2). Shared (fleet) runs take the cluster's
@@ -133,7 +127,8 @@ type RunResult struct {
 	// Minibatch is the measured steady-state minibatch time.
 	Minibatch vclock.Time
 	// Loss maps iteration to loss on the reference (last-stage, d=0)
-	// rank; re-executed iterations keep the first recorded value.
+	// rank; a re-executed iteration overwrites the doomed attempt's value,
+	// so the curve is the committed trajectory's.
 	Loss map[int]float32
 	// Reports are transparent-recovery episodes.
 	Reports []*RecoveryReport
@@ -151,13 +146,13 @@ type RunResult struct {
 	// ones.
 	ItersExecuted int
 	// Peer summarizes the peer-shelter tier's replication activity
-	// (UsesPeerShelter policies only).
+	// (policies with the Peer column only).
 	Peer peerckpt.Stats
 	// Pipe summarizes the checkpoint-free stage-redundancy tier's activity
-	// (PolicyPipeFree only).
+	// (policies with the PipeFree column only).
 	Pipe pipefree.Stats
 	// MultiStepCommits counts multi-step generations the reference rank
-	// committed (UsesMultiStep policies only).
+	// committed (policies with the MultiStep column only).
 	MultiStepCommits int
 	// CkptReadBytes is the total modelled bytes read from checkpoint
 	// stores (disk, tmpfs, and peer-shelter hosts) during restores — the
@@ -237,9 +232,6 @@ func prepare(cfg *JobConfig) error {
 				i, inj.Kind, inj.Iter, inj.Rank, world)
 		}
 	}
-	if cfg.FailureRatePerGPUDay <= 0 {
-		cfg.FailureRatePerGPUDay = 2.0 / 992
-	}
 	if cfg.HangTimeout <= 0 {
 		cfg.HangTimeout = 10 * vclock.Second
 	}
@@ -251,7 +243,7 @@ func prepare(cfg *JobConfig) error {
 }
 
 func newHarness(cfg JobConfig) *harness {
-	h := &harness{cfg: cfg, shared: cfg.Shared, yieldAt: -1, label: "job"}
+	h := &harness{cfg: cfg, pol: cfg.Policy.Info(), shared: cfg.Shared, yieldAt: -1, label: "job"}
 	if h.shared != nil && h.shared.Label != "" {
 		h.label = h.shared.Label
 	}
@@ -276,6 +268,7 @@ type IterInjection struct {
 // harness holds the run's mutable state.
 type harness struct {
 	cfg     JobConfig
+	pol     PolicyInfo // cfg.Policy's table row: the tiers this run stacks
 	env     *vclock.Env
 	cluster *gpu.Cluster
 	nodes   []*gpu.Node // the node set failure/shelter bookkeeping resolves against
@@ -389,20 +382,20 @@ func (h *harness) setup() error {
 	h.refRank = wl.Topo.Rank(0, wl.Topo.P-1, 0)
 	h.topo = wl.Topo
 	h.accum = maxInt(cfg.Accum, 1)
-	if cfg.Policy.Elastic() {
+	if h.pol.Elastic {
 		h.elastic = elastic.New(wl.Topo, wl.Nodes)
 	}
 
-	if cfg.Policy.UsesPeerShelter() {
+	if h.pol.Peer {
 		if wl.Nodes < 2 {
 			return errors.New("core: peer-shelter policies need at least 2 nodes (no peer failure domain otherwise)")
 		}
-		params := peerckpt.Params{LinkBandwidth: wl.PeerLinkBandwidth()}
+		var params peerckpt.Params
 		if cfg.Peer != nil {
 			params = *cfg.Peer
-			if params.LinkBandwidth == 0 {
-				params.LinkBandwidth = wl.PeerLinkBandwidth()
-			}
+		}
+		if params.LinkBandwidth == 0 {
+			params.LinkBandwidth = wl.PeerLinkBandwidth()
 		}
 		shelter, err := peerckpt.NewShelter(h.env, "job", params, peerckpt.Availability{
 			Nodes:          len(h.nodes),
@@ -422,22 +415,12 @@ func (h *harness) setup() error {
 		})
 	}
 
-	if cfg.Policy.UsesPipeFree() {
-		params := pipefree.DefaultParams()
-		if cfg.PipeFree != nil {
-			params = *cfg.PipeFree
-		}
-		guard, err := pipefree.New(h.env, "job", params, wl.Topo, func(rank int) int {
-			var dev *gpu.Device
-			if h.deviceOf != nil {
-				dev = h.deviceOf(rank)
-			} else {
-				dev = h.placement[rank]
+	if h.pol.PipeFree {
+		guard, err := pipefree.New(h.env, "job", pipefree.DefaultParams(), wl.Topo, func(rank int) int {
+			if dev := h.device(rank); dev != nil {
+				return dev.NodeID
 			}
-			if dev == nil {
-				return -1
-			}
-			return dev.NodeID
+			return -1
 		})
 		if err != nil {
 			return err
@@ -448,12 +431,7 @@ func (h *harness) setup() error {
 	// nodeOf resolves the node currently hosting a rank (for whole-host
 	// failure injection and shelter bookkeeping).
 	nodeOf := func(rank int) *gpu.Node {
-		var dev *gpu.Device
-		if h.deviceOf != nil {
-			dev = h.deviceOf(rank)
-		} else {
-			dev = h.placement[rank]
-		}
+		dev := h.device(rank)
 		if dev == nil {
 			return nil
 		}
@@ -467,14 +445,9 @@ func (h *harness) setup() error {
 
 	// Failure injector resolves targets against the current placement.
 	injector := &failure.Injector{
-		Env: h.env,
-		DeviceOf: func(rank int) *gpu.Device {
-			if h.deviceOf != nil {
-				return h.deviceOf(rank) // live mapping: survives migration
-			}
-			return h.placement[rank]
-		},
-		Engine: h.engine,
+		Env:      h.env,
+		DeviceOf: h.device,
+		Engine:   h.engine,
 		CommKeyOf: func(rank int) string {
 			_, p, t := wl.Topo.Coords(rank)
 			if wl.Topo.FSDP() {
@@ -513,45 +486,27 @@ func (h *harness) setup() error {
 	// writes fail transiently; the writers' bounded retry-with-backoff is
 	// what absorbs it. Chaos-plan write outcomes compose underneath.
 	var storageFaultWindow int
-	var baseChaos func(string) checkpoint.WriteOutcome
-	if cfg.Chaos != nil {
-		baseChaos = cfg.Chaos.DiskChaos
-	}
 	h.disk.SetChaos(func(path string) checkpoint.WriteOutcome {
 		if storageFaultWindow > 0 {
 			storageFaultWindow--
 			return checkpoint.WriteFailTransient
 		}
-		if baseChaos != nil {
-			return baseChaos(path)
+		if cfg.Chaos != nil && cfg.Chaos.DiskChaos != nil {
+			return cfg.Chaos.DiskChaos(path)
 		}
 		return checkpoint.WriteOK
 	})
 	injector.OnStorageFault = func(failure.Injection) { storageFaultWindow += 2 }
-	if h.shelter != nil || h.pipeguard != nil || (h.shared != nil && h.shared.OnInject != nil) {
-		injector.OnInject = func(inj failure.Injection) {
-			if (h.shelter != nil || h.pipeguard != nil) &&
-				(inj.Kind == failure.NodeDown || inj.Kind == failure.RackDown) {
-				// A whole-host failure takes its sheltered entries (and
-				// retained stage-redundancy bundles) with it the instant it
-				// happens — not at incarnation teardown. RackDown fails
-				// several nodes at once, so sweep rather than resolve one
-				// rank.
-				for _, n := range h.nodes {
-					if !n.Failed {
-						continue
-					}
-					if h.shelter != nil {
-						h.shelter.MarkNodeLost(n.ID)
-					}
-					if h.pipeguard != nil {
-						h.pipeguard.MarkNodeLost(n.ID)
-					}
-				}
-			}
-			if h.shared != nil && h.shared.OnInject != nil {
-				h.shared.OnInject(inj)
-			}
+	injector.OnInject = func(inj failure.Injection) {
+		if inj.Kind == failure.NodeDown || inj.Kind == failure.RackDown {
+			// A whole-host failure takes its sheltered entries (and
+			// retained stage-redundancy bundles) with it the instant it
+			// happens — not at incarnation teardown. RackDown fails
+			// several nodes at once, so sweep rather than resolve one rank.
+			h.sweepFailedNodes()
+		}
+		if h.shared != nil && h.shared.OnInject != nil {
+			h.shared.OnInject(inj)
 		}
 	}
 	if h.shelter != nil && cfg.Chaos != nil && cfg.Chaos.ShelterChaos != nil {
@@ -576,25 +531,19 @@ func (h *harness) setup() error {
 			plannedRepairs++
 		}
 	}
-	if plannedRepairs > 0 {
-		injector.NotePlannedRepairs(plannedRepairs)
-	}
+	injector.NotePlannedRepairs(plannedRepairs)
 	injector.Start(cfg.Failures)
 	h.injector = injector
 	if h.shelter != nil {
 		// Stripe encode and parity reconstruction are fault-injection
 		// phases of their own: chaos plans can land failures mid-encode or
 		// mid-reconstruction.
-		h.shelter.NotePhase = func(rank int, ph failure.Phase) {
-			h.injector.NotePhase(rank, ph)
-		}
+		h.shelter.NotePhase = injector.NotePhase
 	}
 	if h.pipeguard != nil {
 		// Stage rebuilds are a fault-injection phase: chaos plans can land
 		// failures mid-reconstruction.
-		h.pipeguard.NotePhase = func(rank int, ph failure.Phase) {
-			h.injector.NotePhase(rank, ph)
-		}
+		h.pipeguard.NotePhase = injector.NotePhase
 	}
 	// Communicator (re-)initialization under a fresh generation is a
 	// recovery phase; generation 0 is initial job setup and is not.
@@ -605,6 +554,36 @@ func (h *harness) setup() error {
 	})
 	h.pendingIter = append([]IterInjection(nil), cfg.IterFailures...)
 	return nil
+}
+
+// device resolves the device currently hosting a rank: through the live
+// rank stacks when the transparent path installed them (a hard-error
+// migration moves ranks), else through the incarnation's placement.
+func (h *harness) device(rank int) *gpu.Device {
+	if h.deviceOf != nil {
+		return h.deviceOf(rank)
+	}
+	return h.placement[rank]
+}
+
+// markNodeLost drops what a dead host took with it: its sheltered entries
+// and retained stage-redundancy bundles.
+func (h *harness) markNodeLost(id int) {
+	if h.shelter != nil {
+		h.shelter.MarkNodeLost(id)
+	}
+	if h.pipeguard != nil {
+		h.pipeguard.MarkNodeLost(id)
+	}
+}
+
+// sweepFailedNodes marks every currently failed node lost.
+func (h *harness) sweepFailedNodes() {
+	for _, n := range h.nodes {
+		if n.Failed {
+			h.markNodeLost(n.ID)
+		}
+	}
 }
 
 // failureDomains counts the distinct racks the run's nodes span
@@ -621,7 +600,7 @@ func (h *harness) failureDomains() int {
 // launch starts the job's simulated processes; the caller (Run or the
 // cluster) drives the environment forward.
 func (h *harness) launch() error {
-	if h.cfg.Policy == PolicyTransparentJIT {
+	if h.pol.Transparent {
 		return h.runTransparent()
 	}
 	return h.runIncarnations()
@@ -651,16 +630,11 @@ func (h *harness) noteRepairCapacity() {
 // their dead devices). Cluster-scoped injections bypass the job's own
 // injector, so its OnInject sweep never sees them.
 func (h *harness) noteNodesLost(nodeIDs []int) {
-	if h.finished || (h.shelter == nil && h.pipeguard == nil) {
+	if h.finished {
 		return
 	}
 	for _, id := range nodeIDs {
-		if h.shelter != nil {
-			h.shelter.MarkNodeLost(id)
-		}
-		if h.pipeguard != nil {
-			h.pipeguard.MarkNodeLost(id)
-		}
+		h.markNodeLost(id)
 	}
 }
 
@@ -731,18 +705,14 @@ func (h *harness) workerConfig(rank int, api cuda.API, gil *vclock.Mutex, layer 
 		tc.Hooks = train.Hooks{StartMinibatch: func(iter int) { h.noteIterStart(rank, iter) }}
 	}
 	if h.cfg.CollectLoss && rank == h.refRank {
-		tc.OnLoss = func(iter int, loss float32) {
-			if _, seen := h.res.Loss[iter]; !seen {
-				h.res.Loss[iter] = loss
-			}
-		}
+		tc.OnLoss = func(iter int, loss float32) { h.res.Loss[iter] = loss }
 	}
 	return tc
 }
 
 // shouldValidate reports whether the §4.1 verification runs at iter.
 func (h *harness) shouldValidate(iter int) bool {
-	if h.cfg.Policy != PolicyTransparentJIT || h.cfg.ValidateAt <= 0 {
+	if !h.pol.Transparent || h.cfg.ValidateAt <= 0 {
 		return false
 	}
 	if iter == h.cfg.ValidateAt {
@@ -922,7 +892,8 @@ func (h *harness) jobDone() {
 // on: every JIT checkpoint and every recovery-then-resume must be
 // anchored to one of these. It also opens a recovery-latency episode:
 // the episode closes at the reference rank's next minibatch start.
-func (h *harness) noteDetected(t vclock.Time, rank int, by string) {
+func (h *harness) noteDetected(rank int, by string) {
+	t := h.env.Now()
 	if !h.recovering {
 		h.recovering = true
 		h.recoverAt = t
@@ -947,14 +918,10 @@ func (h *harness) runTransparent() error {
 		h.env.Go(h.label+".admit", func(p *vclock.Proc) {
 			nodes, err := h.pool.Allocate(wl.Nodes, nil)
 			for err != nil {
-				timeout := h.cfg.Horizon - p.Now()
-				if timeout <= 0 {
+				if !h.awaitCapacity(p, h.shared.AwaitCapacity) {
 					h.jobDone()
 					return
 				}
-				wait0 := p.Now()
-				h.shared.AwaitCapacity(p, timeout)
-				h.waitCap += p.Now() - wait0
 				nodes, err = h.pool.Allocate(wl.Nodes, nil)
 			}
 			if serr := h.startTransparent(nodes); serr != nil {
@@ -1002,8 +969,7 @@ func (h *harness) startTransparent(nodes []*gpu.Node) error {
 		AttemptTimeout: cfg.RecoveryAttemptTimeout,
 	}, ranks)
 	// The injector and coordinator share the generation counter.
-	genRead := func() int { return coord.Generation() }
-	h.genReader = genRead
+	h.genReader = coord.Generation
 
 	for r := 0; r < wl.Topo.World(); r++ {
 		server, err := proxy.NewServer(h.env, placement[r], h.engine, h.kernels, wl.CUDAParams(), proxy.DefaultParams())
@@ -1090,18 +1056,7 @@ const (
 )
 
 func (e incarnationEnd) String() string {
-	switch e {
-	case endCompleted:
-		return "completed"
-	case endFailed:
-		return "failed"
-	case endExpand:
-		return "expand"
-	case endYield:
-		return "yield"
-	default:
-		return "horizon"
-	}
+	return [...]string{"completed", "failed", "horizon", "expand", "yield"}[e]
 }
 
 func (h *harness) runIncarnations() error {
@@ -1127,8 +1082,37 @@ func (h *harness) runIncarnations() error {
 			}
 		}
 	})
-	h.collectReports = func() {}
 	return nil
+}
+
+// awaitCapacity parks p in wait until capacity may have changed or the
+// horizon passes, charging the time to WaitingForCapacity; false means the
+// horizon is already behind.
+func (h *harness) awaitCapacity(p *vclock.Proc, wait func(*vclock.Proc, vclock.Time) bool) bool {
+	timeout := h.cfg.Horizon - p.Now()
+	if timeout <= 0 {
+		return false
+	}
+	t0 := p.Now()
+	wait(p, timeout)
+	h.waitCap += p.Now() - t0
+	return true
+}
+
+// failureRatePerGPUDay feeds the optimal-frequency computation: the OPT
+// job's ≈2 failures/day over 992 GPUs.
+const failureRatePerGPUDay = 2.0 / 992
+
+// ckptInterval resolves the interval a periodic or multi-step saver runs
+// at: the configured one, else 24 h for PC_1/day, else the optimal 1/c*.
+func (h *harness) ckptInterval() vclock.Time {
+	switch {
+	case h.cfg.CkptInterval != 0:
+		return h.cfg.CkptInterval
+	case h.pol.Periodic && h.pol.Kind == checkpoint.PCDaily:
+		return vclock.Day
+	}
+	return OptimalInterval(h.cfg.WL, failureRatePerGPUDay)
 }
 
 func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
@@ -1149,19 +1133,17 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 			plan.Topo.D, plan.Nodes)
 	}
 
-	// Allocate, shrinking — or waiting for a planned repair — when no full
-	// placement exists. Fixed-width policies keep the old behavior (give
-	// up until the horizon); elastic policies degrade instead of dying.
+	// Allocate, shrinking — or waiting for a planned repair or a fleet
+	// capacity change — when no full placement exists. Fixed-width
+	// single-job policies give up until the horizon; elastic policies
+	// degrade instead of dying.
 	wantNodes := wl.Nodes
 	if h.elastic != nil {
 		wantNodes = h.elastic.Plan().Nodes
 	}
 	nodes, err := h.pool.Allocate(wantNodes, nil)
 	for err != nil {
-		if h.elastic == nil && h.shared == nil {
-			h.env.Tracef("harness: allocation failed: %v", err)
-			return endHorizon
-		}
+		var wait func(*vclock.Proc, vclock.Time) bool
 		if h.elastic != nil {
 			minNodes := 0
 			if h.shelter != nil {
@@ -1179,32 +1161,22 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 				continue
 			}
 			if h.injector.RepairsPending() {
-				timeout := cfg.Horizon - p.Now()
-				if timeout <= 0 {
-					return endHorizon
-				}
-				wait0 := p.Now()
-				h.injector.AwaitRepair(p, timeout)
-				h.waitCap += p.Now() - wait0
-				nodes, err = h.pool.Allocate(wantNodes, nil)
-				continue
+				wait = h.injector.AwaitRepair
 			}
 		}
-		if h.shared != nil {
-			// Fleet job: block until cluster capacity may have changed
-			// (a release, repair, or reservation shift), then retry.
-			timeout := cfg.Horizon - p.Now()
-			if timeout <= 0 {
-				return endHorizon
-			}
-			wait0 := p.Now()
-			h.shared.AwaitCapacity(p, timeout)
-			h.waitCap += p.Now() - wait0
-			nodes, err = h.pool.Allocate(wantNodes, nil)
-			continue
+		if wait == nil && h.shared != nil {
+			// Fleet job: block until cluster capacity may have changed (a
+			// release, repair, or reservation shift), then retry.
+			wait = h.shared.AwaitCapacity
 		}
-		h.env.Tracef("harness: allocation failed, no viable shrink, no repairs pending: %v", err)
-		return endHorizon
+		if wait == nil {
+			h.env.Tracef("harness: allocation failed, nothing to shrink to or wait for: %v", err)
+			return endHorizon
+		}
+		if !h.awaitCapacity(p, wait) {
+			return endHorizon
+		}
+		nodes, err = h.pool.Allocate(wantNodes, nil)
 	}
 	// A pending yield is consumed by re-allocation: the job now holds
 	// exactly what the arbiter's reservations allow; a still-unsatisfied
@@ -1258,19 +1230,15 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 	// seconds).
 	h.lastBeat = make(map[int]vclock.Time)
 
-	interval := cfg.CkptInterval
-	if kind, isPeriodic := cfg.Policy.PeriodicKind(); isPeriodic && interval == 0 {
-		if kind == checkpoint.PCDaily {
-			interval = vclock.Day
-		} else {
-			interval = OptimalInterval(wl, cfg.FailureRatePerGPUDay)
-		}
-	}
-	// The multi-step writer paces its generations like a periodic policy
-	// but overlaps the slice writes with compute.
-	msInterval := cfg.CkptInterval
-	if cfg.Policy.UsesMultiStep() && msInterval == 0 {
-		msInterval = OptimalInterval(wl, cfg.FailureRatePerGPUDay)
+	// saveInterval paces the periodic saver or the multi-step writer.
+	// A periodic save legitimately stalls beats for up to its interval, so
+	// the heartbeat threshold below carries it; the multi-step writer
+	// overlaps its writes with compute, and the threshold keeps only the
+	// configured value for it.
+	saveInterval := h.ckptInterval()
+	hbSlack := cfg.CkptInterval
+	if h.pol.Periodic {
+		hbSlack = saveInterval
 	}
 	msSlices := cfg.MultiStepSlices
 	if msSlices <= 0 {
@@ -1288,18 +1256,31 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 		proc   *vclock.Proc
 	}
 	stacks := make([]*rankStack, world)
-	failed := h.env.NewEvent(fmt.Sprintf("job.failed.g%d", h.gen))
-	doneCount := 0
-	allDone := h.env.NewEvent(fmt.Sprintf("job.done.g%d", h.gen))
-	// expandStop fires when every degraded worker has reached the expand
-	// iteration and checkpointed; the next incarnation restarts full-width.
-	expandCount := 0
-	expandStop := h.env.NewEvent(fmt.Sprintf("job.expand.g%d", h.gen))
-	// yieldStop fires when every worker has reached an arbiter-requested
-	// yield iteration and checkpointed; the next incarnation re-allocates
-	// under the arbiter's reservations.
-	yieldCount := 0
-	yieldStop := h.env.NewEvent(fmt.Sprintf("job.yield.g%d", h.gen))
+
+	// One completion event per incarnation. how records why it fired: the
+	// last worker done, every worker at a planned stop (expand or yield)
+	// with its state persisted, or a failure — which overrides the others
+	// for as long as the supervisor has not yet acted on them.
+	ended := h.env.NewEvent(fmt.Sprintf("job.ended.g%d", h.gen))
+	how := endCompleted
+	endWith := func(e incarnationEnd) {
+		if !ended.Triggered() || e == endFailed {
+			how = e
+		}
+		ended.Trigger()
+	}
+	// fail is the one way a rank (or, with rank -1, the heartbeat) ends
+	// the incarnation in failure.
+	fail := func(rank int, by string, err error) {
+		h.noteDetected(rank, by)
+		ev := scheduler.Event{Kind: scheduler.EvFailureDetected, Rank: rank, Err: err}
+		if rank >= 0 {
+			ev.Kind, ev.Iter = scheduler.EvRankExited, stacks[rank].worker.Iter()
+		}
+		h.monitor.Notify(ev)
+		endWith(endFailed)
+	}
+	doneCount, stopCount := 0, 0
 
 	for r := 0; r < world; r++ {
 		drv, err := cuda.NewDriver(placement[r], h.engine, h.kernels, wl.CUDAParams())
@@ -1309,21 +1290,20 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 		st := &rankStack{}
 		var api cuda.API = drv
 		var gil *vclock.Mutex
-		if cfg.Policy.UserLevelJIT() {
+		if h.pol.JITFlush != FlushNone {
 			gil = vclock.NewMutex(h.env, fmt.Sprintf("gil%d", r))
-			layer := intercept.New(h.env, drv, fmt.Sprintf("rank%d", r), intercept.Config{
+			st.layer = intercept.New(h.env, drv, fmt.Sprintf("rank%d", r), intercept.Config{
 				Mode:        intercept.ModeUserLevel,
 				HangTimeout: cfg.HangTimeout,
 			})
-			st.layer = layer
-			api = layer
+			api = st.layer
 		}
 		worker, err := train.NewWorker(h.workerConfig(r, api, gil, st.layer))
 		if err != nil {
 			return endHorizon
 		}
 		st.worker = worker
-		if cfg.Policy.UserLevelJIT() {
+		if st.layer != nil {
 			rr := r
 			st.ujit = &UserLevelRank{
 				Rank: r, Job: "job", Layer: st.layer, Worker: worker, GIL: gil,
@@ -1331,7 +1311,7 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 				StateBytes: wl.StateBytesPerGPU(), SerializeBW: wl.SerializeBW(),
 				NotePhase: func() { h.injector.NotePhase(rr, failure.PhaseCheckpoint) },
 			}
-			if cfg.Policy == PolicyPeerShelter {
+			if h.pol.JITFlush == FlushShelter {
 				// The failure-time JIT flush also goes to peer CPU memory:
 				// recovery never touches remote storage.
 				ownNode := placement[r].NodeID
@@ -1347,22 +1327,20 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 			st.rep = h.shelter.NewReplicator(r, placement[r], h.peerPlan[r],
 				wl.StateBytesPerGPU(), wl.CUDAParams().D2HBandwidth)
 		}
-		if kind, isPeriodic := cfg.Policy.PeriodicKind(); isPeriodic {
-			store := h.disk
-			mem := h.tmpfs
+		if h.pol.Periodic {
 			st.pc = &checkpoint.Periodic{
-				Kind: kind, Interval: interval, Disk: store, Mem: mem,
+				Kind: h.pol.Kind, Interval: saveInterval, Disk: h.disk, Mem: h.tmpfs,
 				HideFraction: 0.5, Job: "job",
 				SerializeBW: wl.SerializeBW(), StateBytes: wl.StateBytesPerGPU(),
 			}
 		}
-		if cfg.Policy.UsesMultiStep() {
+		if h.pol.MultiStep {
 			// The gradient ring must retain enough deltas to reconcile the
 			// oldest slice (staleness up to slices-1 iterations).
 			worker.EnableGradRing(msSlices)
 			rr := r
 			st.msw = &checkpoint.MultiStep{
-				Slices: msSlices, Interval: msInterval, Disk: h.disk, Job: "job",
+				Slices: msSlices, Interval: saveInterval, Disk: h.disk, Job: "job",
 				StateBytes: wl.StateBytesPerGPU(), SerializeBW: wl.SerializeBW(),
 				D2HBandwidth: wl.CUDAParams().D2HBandwidth,
 				NoteSliceWrite: func(p *vclock.Proc) {
@@ -1386,9 +1364,7 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 				st.ujit.MainProc = wp
 			}
 			if err := st.worker.Setup(wp, h.gen); err != nil {
-				h.noteDetected(wp.Now(), r, "setup")
-				h.monitor.Notify(scheduler.Event{Kind: scheduler.EvRankExited, Rank: r, Err: err})
-				failed.Trigger()
+				fail(r, "setup", err)
 				return
 			}
 			// Restore from the newest usable checkpoint, if any.
@@ -1399,58 +1375,43 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 					// loaded (e.g. a fault mid-restore): fail the
 					// incarnation rather than silently restarting this one
 					// rank at iteration 0 while its peers resume at N.
-					h.noteDetected(wp.Now(), r, "restore")
-					h.monitor.Notify(scheduler.Event{Kind: scheduler.EvRankExited, Rank: r, Err: rerr})
-					failed.Trigger()
+					fail(r, "restore", rerr)
 					return
 				}
 				if !restored {
-					// No checkpoint: PolicyNone restarts from scratch.
+					// No checkpoint: restart from scratch.
 					st.worker.SetIter(0)
 				}
 			}
 			for st.worker.Iter() < cfg.Iters {
 				if h.elastic != nil {
-					// Mid-run expand: stop at the scheduled iteration after
-					// persisting state so the full-width restart can restore
-					// it. The per-iteration all-reduce keeps every rank in
-					// lockstep, so all world workers stop at the same iter.
+					// Planned stops: a mid-run expand (degraded workers stop
+					// at the scheduled iteration so the next incarnation can
+					// restart at full width on repaired nodes) or an
+					// arbiter-requested preemption yield (the next
+					// incarnation re-allocates under reservations and
+					// shrinks). Either way every worker persists its state
+					// first; the per-iteration all-reduce keeps ranks in
+					// lockstep, so all of them stop at the same iteration.
+					stop, by := endCompleted, ""
 					if at, ok := h.elastic.ExpandRequested(); ok && st.worker.Iter() >= at {
-						if err := h.elasticSave(wp, st.worker, r); err != nil {
-							h.noteDetected(wp.Now(), r, "elastic-save")
-							h.monitor.Notify(scheduler.Event{Kind: scheduler.EvRankExited, Rank: r, Err: err})
-							failed.Trigger()
-							return
-						}
-						expandCount++
-						if expandCount == world {
-							expandStop.Trigger()
-						}
-						return
+						stop, by = endExpand, "elastic-save"
+					} else if h.yieldAt >= 0 && st.worker.Iter() >= h.yieldAt {
+						stop, by = endYield, "yield-save"
 					}
-					// Arbiter-requested preemption yield: stop cleanly at
-					// the agreed iteration with state persisted, exactly
-					// like a mid-run expand stop but in the other
-					// direction — the next incarnation's allocation runs
-					// under reservations and shrinks.
-					if h.yieldAt >= 0 && st.worker.Iter() >= h.yieldAt {
+					if by != "" {
 						if err := h.elasticSave(wp, st.worker, r); err != nil {
-							h.noteDetected(wp.Now(), r, "yield-save")
-							h.monitor.Notify(scheduler.Event{Kind: scheduler.EvRankExited, Rank: r, Err: err})
-							failed.Trigger()
+							fail(r, by, err)
 							return
 						}
-						yieldCount++
-						if yieldCount == world {
-							yieldStop.Trigger()
+						if stopCount++; stopCount == world {
+							endWith(stop)
 						}
 						return
 					}
 				}
 				if _, err := st.worker.RunIter(wp); err != nil {
-					h.noteDetected(wp.Now(), r, "iter-error")
-					h.monitor.Notify(scheduler.Event{Kind: scheduler.EvRankExited, Rank: r, Iter: st.worker.Iter(), Err: err})
-					failed.Trigger()
+					fail(r, "iter-error", err)
 					return
 				}
 				if st.rep != nil && st.worker.Iter() < cfg.Iters {
@@ -1466,9 +1427,7 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 				if st.msw != nil {
 					stall, err := st.msw.Step(wp, st.worker)
 					if err != nil {
-						h.noteDetected(wp.Now(), r, "ms-checkpoint")
-						h.monitor.Notify(scheduler.Event{Kind: scheduler.EvRankExited, Rank: r, Err: err})
-						failed.Trigger()
+						fail(r, "ms-checkpoint", err)
 						return
 					}
 					if r == h.refRank && stall > 0 {
@@ -1480,9 +1439,7 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 					h.injector.NotePhase(r, failure.PhaseCheckpoint)
 					stall, err := st.pc.Run(wp, st.worker)
 					if err != nil {
-						h.noteDetected(wp.Now(), r, "checkpoint")
-						h.monitor.Notify(scheduler.Event{Kind: scheduler.EvRankExited, Rank: r, Err: err})
-						failed.Trigger()
+						fail(r, "checkpoint", err)
 						return
 					}
 					if r == h.refRank {
@@ -1492,21 +1449,19 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 				}
 			}
 			h.doneRanks[r] = true
-			doneCount++
-			if doneCount == world {
-				allDone.Trigger()
+			if doneCount++; doneCount == world {
+				endWith(endCompleted)
 			}
 		})
 	}
 
 	// Heartbeat watchdog: declares failure when progress stalls (the
 	// periodic baselines have no interception layer to detect hangs).
-	hbStop := h.env.NewEvent(fmt.Sprintf("hb.stop.g%d", h.gen))
 	h.env.Go(fmt.Sprintf("heartbeat.g%d", h.gen), func(hp *vclock.Proc) {
 		// A degraded iteration runs accum microbatches, so heartbeats
 		// legitimately arrive accum× further apart.
 		mbEff := wl.Minibatch * vclock.Time(maxInt(h.accum, 1))
-		threshold := 3*mbEff + cfg.HangTimeout + interval
+		threshold := 3*mbEff + cfg.HangTimeout + hbSlack
 		// Ranks with no beat yet are normally in legitimate setup
 		// (communicator rendezvous, checkpoint restore) and are skipped —
 		// but a fault during setup can wedge or kill every rank before any
@@ -1520,156 +1475,87 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 			4*gpu.TransferTime(wl.StateBytesPerGPU(), wl.CkptStoreParams().ReadBW) +
 			30*vclock.Second
 		incStart := hp.Now()
-		for {
-			if hp.WaitTimeout(hbStop, 2*vclock.Second) {
-				return
-			}
-			if allDone.Triggered() || failed.Triggered() || expandStop.Triggered() || yieldStop.Triggered() {
-				return
-			}
-			stale := false
+		for !hp.WaitTimeout(ended, 2*vclock.Second) {
 			for r := 0; r < world; r++ {
 				if h.doneRanks[r] {
 					continue
 				}
 				beat, started := h.lastBeat[r]
-				if !started {
-					if hp.Now()-incStart > setupGrace {
-						stale = true
-						break
-					}
-					continue
+				if started && hp.Now()-beat > threshold || !started && hp.Now()-incStart > setupGrace {
+					fail(-1, "heartbeat", nil)
+					return
 				}
-				if hp.Now()-beat > threshold {
-					stale = true
-					break
-				}
-			}
-			if stale {
-				h.noteDetected(hp.Now(), -1, "heartbeat")
-				h.monitor.Notify(scheduler.Event{Kind: scheduler.EvFailureDetected, Rank: -1})
-				failed.Trigger()
-				return
 			}
 		}
 	})
 
-	// Supervisor waits for completion or failure.
-	waitDone := h.env.NewEvent(fmt.Sprintf("sup.wait.g%d", h.gen))
-	h.env.Go(fmt.Sprintf("sup.select.g%d", h.gen), func(sp *vclock.Proc) {
-		defer waitDone.Trigger()
-		for !allDone.Triggered() && !failed.Triggered() && !expandStop.Triggered() && !yieldStop.Triggered() {
-			ev := h.env.NewEvent("tick")
-			h.env.Go("sel.done", func(q *vclock.Proc) { q.Wait(allDone); ev.Trigger() })
-			h.env.Go("sel.fail", func(q *vclock.Proc) { q.Wait(failed); ev.Trigger() })
-			h.env.Go("sel.expand", func(q *vclock.Proc) { q.Wait(expandStop); ev.Trigger() })
-			h.env.Go("sel.yield", func(q *vclock.Proc) { q.Wait(yieldStop); ev.Trigger() })
-			sp.Wait(ev)
-		}
-	})
-	p.Wait(waitDone)
+	p.Wait(ended)
 
 	if st := stacks[h.refRank]; st != nil && st.msw != nil {
 		h.res.MultiStepCommits += st.msw.Count()
 	}
-	if allDone.Triggered() {
-		hbStop.Trigger()
-		// Stop the interception watchdogs so their poll timers do not
-		// keep the simulation alive until the horizon.
-		for _, st := range stacks {
-			if st.layer != nil {
-				st.layer.StopWatchdog()
+	if how == endFailed {
+		// For user-level JIT, wait for the checkpoint quorum before killing
+		// the job (§3.3). A catastrophic failure that killed every replica
+		// of some position never forms a quorum; the timeout hands recovery
+		// to the periodic fallback, if configured. With a peer shelter,
+		// positions whose state survives in peer CPU memory count as
+		// covered up front — a catastrophic failure that destroyed every
+		// live replica of a shard needs no fresh JIT checkpoint for it, so
+		// the quorum forms (often instantly) instead of burning the timeout.
+		if h.pol.JITFlush != FlushNone {
+			var pre map[string]bool
+			if h.shelter != nil {
+				pre = h.shelter.CoveredPositions(h.topo)
 			}
+			h.monitor.WaitCheckpointQuorumCovered(p, h.topo, 2*vclock.Minute, pre)
 		}
-		return endCompleted
-	}
-	if expandStop.Triggered() && !failed.Triggered() {
-		// Every degraded worker stopped cleanly at the expand iteration
-		// with its state persisted; restart the next incarnation at full
-		// width (the expand itself happens at the incarnation boundary).
-		hbStop.Trigger()
-		for _, st := range stacks {
-			if st.layer != nil {
-				st.layer.StopWatchdog()
-			}
+		if h.elastic != nil {
+			// A failure mid-expand-window invalidates the scheduled stop: the
+			// incarnation boundary re-evaluates capacity from scratch.
+			h.elastic.CancelExpand()
 		}
-		h.gen++
-		return endExpand
 	}
-	if yieldStop.Triggered() && !failed.Triggered() {
-		// Every worker stopped cleanly at the yield iteration with its
-		// state persisted; the next incarnation re-allocates under the
-		// arbiter's reservations (usually taking the elastic shrink path).
-		hbStop.Trigger()
-		for _, st := range stacks {
-			if st.layer != nil {
-				st.layer.StopWatchdog()
-			}
-		}
-		h.gen++
-		h.yields++
-		trace.Of(h.env).Instant(p.Now(), "elastic", trace.LaneSim, "yield",
-			"world", world, "iter", h.yieldAt)
-		return endYield
-	}
-	// Failure path: for user-level JIT, wait for the checkpoint quorum
-	// before killing the job (§3.3). A catastrophic failure that killed
-	// every replica of some position never forms a quorum; the timeout
-	// hands recovery to the periodic fallback, if configured. With a peer
-	// shelter, positions whose state survives in peer CPU memory count as
-	// covered up front — a catastrophic failure that destroyed every live
-	// replica of a shard needs no fresh JIT checkpoint for it, so the
-	// quorum forms (often instantly) instead of burning the timeout.
-	if cfg.Policy.UserLevelJIT() {
-		var pre map[string]bool
-		if h.shelter != nil {
-			pre = h.shelter.CoveredPositions(h.topo)
-		}
-		h.monitor.WaitCheckpointQuorumCovered(p, h.topo, 2*vclock.Minute, pre)
-	}
-	if h.elastic != nil {
-		// A failure mid-expand-window invalidates the scheduled stop: the
-		// incarnation boundary re-evaluates capacity from scratch.
-		h.elastic.CancelExpand()
-	}
-	hbStop.Trigger()
 	for _, st := range stacks {
+		// Stop the interception watchdogs so their poll timers do not keep
+		// the simulation alive until the horizon.
 		if st.layer != nil {
 			st.layer.StopWatchdog()
 		}
-		if st.ujit != nil && st.ujit.CheckpointDone && st.ujit.SaveDuration > h.res.JITCheckpointTime {
-			h.res.JITCheckpointTime = st.ujit.SaveDuration
-		}
-		st.proc.Kill()
-	}
-	// Exclude nodes whose devices are unhealthy.
-	for r := 0; r < world; r++ {
-		if placement[r].Health() != gpu.Healthy {
-			h.pool.MarkFailed(placement[r].NodeID)
+		if how == endFailed {
+			if st.ujit != nil && st.ujit.CheckpointDone && st.ujit.SaveDuration > h.res.JITCheckpointTime {
+				h.res.JITCheckpointTime = st.ujit.SaveDuration
+			}
+			st.proc.Kill()
 		}
 	}
-	// Whole-host failures take their sheltered entries and retained
-	// stage-redundancy bundles with them (the injector already marked
-	// injection-driven ones; this sweep catches any other path that failed
-	// a node).
-	if h.shelter != nil || h.pipeguard != nil {
-		for _, n := range h.nodes {
-			if !n.Failed {
-				continue
-			}
-			if h.shelter != nil {
-				h.shelter.MarkNodeLost(n.ID)
-			}
-			if h.pipeguard != nil {
-				h.pipeguard.MarkNodeLost(n.ID)
+	switch how {
+	case endCompleted:
+		return how
+	case endYield:
+		h.yields++
+		trace.Of(h.env).Instant(p.Now(), "elastic", trace.LaneSim, "yield",
+			"world", world, "iter", h.yieldAt)
+	case endFailed:
+		// Exclude nodes whose devices are unhealthy.
+		for r := 0; r < world; r++ {
+			if placement[r].Health() != gpu.Healthy {
+				h.pool.MarkFailed(placement[r].NodeID)
 			}
 		}
+		// Whole-host failures take their sheltered entries and retained
+		// stage-redundancy bundles with them (the injector already marked
+		// injection-driven ones; this sweep catches any other path that
+		// failed a node).
+		h.sweepFailedNodes()
+		// A failure supersedes any pending yield: the incarnation boundary
+		// re-allocates from scratch under current reservations anyway.
+		h.yieldAt = -1
 	}
+	// Expand, yield and failure all restart under a fresh generation (the
+	// expand itself happens at the next incarnation's boundary).
 	h.gen++
-	// A failure supersedes any pending yield: the incarnation boundary
-	// re-allocates from scratch under current reservations anyway.
-	h.yieldAt = -1
-	return endFailed
+	return how
 }
 
 // hasCheckpoint reports whether any checkpoint exists for this policy.
@@ -1679,7 +1565,7 @@ func (h *harness) hasCheckpoint(p *vclock.Proc) bool {
 			return true
 		}
 	}
-	if h.cfg.Policy.UsesMultiStep() &&
+	if h.pol.MultiStep &&
 		len(h.disk.List("job/ckpt/"+checkpoint.MultiStepNamespace+"/")) > 0 {
 		return true
 	}
@@ -1695,13 +1581,13 @@ func (h *harness) hasCheckpoint(p *vclock.Proc) bool {
 // will be used"); shelter entries are separate sources (restoreSources).
 func (h *harness) policyNamespaces() []string {
 	var out []string
-	if h.cfg.Policy.DiskJIT() {
+	if h.pol.JITFlush == FlushDisk {
 		out = append(out, JITPolicyName)
 	}
-	if kind, ok := h.cfg.Policy.PeriodicKind(); ok {
-		out = append(out, kind.PolicyName())
+	if h.pol.Periodic {
+		out = append(out, h.pol.Kind.PolicyName())
 	}
-	if h.cfg.Policy.Elastic() {
+	if h.pol.Elastic {
 		out = append(out, ElasticPolicyName)
 	}
 	return out
@@ -1780,7 +1666,7 @@ func (h *harness) restoreRank(p *vclock.Proc, w *train.Worker, rank int) (bool, 
 		// generation on freshness, and loses nothing if it doesn't.
 		extras = append(extras, h.pipeguard.RestoreCandidates()...)
 	}
-	if h.cfg.Policy.UsesMultiStep() {
+	if h.pol.MultiStep {
 		extras = append(extras, checkpoint.MultiStepCandidates(h.disk, "job", checkpoint.MultiStepParams{
 			Opt:         h.cfg.WL.Optimizer(),
 			Scale:       w.GradScale(),

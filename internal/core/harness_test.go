@@ -315,9 +315,6 @@ func TestPolicyStrings(t *testing.T) {
 			t.Errorf("%d = %q want %q", p, p.String(), s)
 		}
 	}
-	if !PolicyUserJIT.IsJIT() || PolicyPCDisk.IsJIT() {
-		t.Error("IsJIT wrong")
-	}
 	if len(Solutions()) != 3 {
 		t.Error("Table 1 should have 3 rows")
 	}

@@ -158,17 +158,43 @@ func TestSemantics3DHardError(t *testing.T) {
 
 // TestSemanticsUserJITPhaseSweep: the user-level solution must also
 // preserve the loss trajectory for failures in any phase.
+//
+// The last two rows are a known reporting gap, kept as its repro: the
+// fault kills the loss-reporting reference rank inside iteration 9's
+// optimizer step. Its replicas finish the step and JIT-checkpoint
+// iteration 10, so iteration 9 is committed and never re-executed — but the
+// worker reads the loss back only after the optimizer step, so the
+// reference rank died before reporting it and RunResult.Loss has no entry
+// for iteration 9 (state and every later loss are bit-identical). Letting
+// the committed re-execution overwrite an earlier attempt's loss does not
+// help: there is no re-execution. Closing it means reading the loss back
+// before the optimizer step, which moves every golden trace.
 func TestSemanticsUserJITPhaseSweep(t *testing.T) {
 	wl := testWL()
 	const iters = 12
 	ref := referenceLoss(t, wl, iters)
-	for _, frac := range []float64{0.1, 0.5, 0.96} {
-		frac := frac
-		t.Run(fmt.Sprintf("frac=%.2f", frac), func(t *testing.T) {
+	const lossGap = "reference rank dies after its replicas commit the iteration but before it reports the loss"
+	for _, c := range []struct {
+		policy     Policy
+		iter, rank int
+		frac       float64
+		skip       string
+	}{
+		{PolicyUserJIT, 6, 1, 0.1, ""},
+		{PolicyUserJIT, 6, 1, 0.5, ""},
+		{PolicyUserJIT, 6, 1, 0.96, ""},
+		{PolicyUserJIT, 9, 0, 0.95, lossGap},
+		{PolicyPeerShelter, 9, 0, 0.95, lossGap},
+	} {
+		c := c
+		t.Run(fmt.Sprintf("%v/iter=%d/rank=%d/frac=%.2f", c.policy, c.iter, c.rank, c.frac), func(t *testing.T) {
+			if c.skip != "" {
+				t.Skip(c.skip)
+			}
 			res := mustRun(t, JobConfig{
-				WL: wl, Policy: PolicyUserJIT, Iters: iters, Seed: 1, CollectLoss: true,
+				WL: wl, Policy: c.policy, Iters: iters, Seed: 1, CollectLoss: true,
 				HangTimeout: 2 * vclock.Second, SpareNodes: 2,
-				IterFailures: []IterInjection{{Iter: 6, Frac: frac, Rank: 1, Kind: failure.GPUHard}},
+				IterFailures: []IterInjection{{Iter: c.iter, Frac: c.frac, Rank: c.rank, Kind: failure.GPUHard}},
 			})
 			if !res.Completed {
 				t.Fatal("user-level job did not complete")

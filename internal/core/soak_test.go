@@ -120,7 +120,7 @@ func TestChaosSoak(t *testing.T) {
 						ShelterChaos: checkpoint.RandomChaos(rand.New(rand.NewSource(seed*29)), 0.12),
 					},
 				}
-				if _, ok := policy.PeriodicKind(); ok {
+				if policy.Info().Periodic {
 					cfg.CkptInterval = 4 * wl.Minibatch
 				}
 				res := mustRun(t, cfg)

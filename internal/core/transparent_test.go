@@ -134,10 +134,11 @@ func TestPolicyNamesIncludeCombined(t *testing.T) {
 	if !strings.Contains(PolicyJITWithDaily.String(), "UserJIT") {
 		t.Fatalf("combined policy name = %q", PolicyJITWithDaily)
 	}
-	if kind, ok := PolicyJITWithDaily.PeriodicKind(); !ok || kind.PolicyName() != "pc_mem" {
+	info := PolicyJITWithDaily.Info()
+	if !info.Periodic || info.Kind.PolicyName() != "pc_mem" {
 		t.Fatal("combined policy must carry a periodic companion")
 	}
-	if !PolicyJITWithDaily.UserLevelJIT() || !PolicyJITWithDaily.IsJIT() {
+	if info.JITFlush != FlushDisk {
 		t.Fatal("combined policy classification wrong")
 	}
 }

@@ -54,9 +54,6 @@ func (c *Codec) DataShards() int { return c.k }
 // ParityShards returns m.
 func (c *Codec) ParityShards() int { return c.m }
 
-// TotalShards returns k+m.
-func (c *Codec) TotalShards() int { return c.k + c.m }
-
 // ShardLen returns the per-shard length used for a payload of dataLen
 // bytes: ceil(dataLen/k), minimum 1 so zero-length payloads still
 // produce well-formed fragments.

@@ -189,9 +189,8 @@ func RunChaos(opt ChaosOptions) ([]ChaosRow, error) {
 			cells = append(cells, cell{policy, seed})
 		}
 	}
-	rows := make([]ChaosRow, len(cells))
-	err = runGrid(len(cells), opt.Workers, opt.Recorder, func(i int, rec *trace.Recorder) error {
-		policy, seed := cells[i].policy, cells[i].seed
+	return sweep(cells, opt.Workers, opt.Recorder, func(c cell, rec *trace.Recorder) (row ChaosRow, err error) {
+		policy, seed := c.policy, c.seed
 		rng := rand.New(rand.NewSource(seed * 131))
 		injections := chaosInjections(rng, wl, opt.Iters, mix)
 		cfg := core.JobConfig{
@@ -204,14 +203,14 @@ func RunChaos(opt ChaosOptions) ([]ChaosRow, error) {
 				ShelterChaos: checkpoint.RandomChaos(rand.New(rand.NewSource(seed*29)), opt.WriteFaultP),
 			},
 		}
-		if _, isPeriodic := policy.PeriodicKind(); isPeriodic {
+		if policy.Info().Periodic {
 			cfg.CkptInterval = 4 * wl.Minibatch
 		}
 		res, err := core.Run(cfg)
 		if err != nil {
-			return err
+			return row, err
 		}
-		row := ChaosRow{
+		row = ChaosRow{
 			Policy:       policy,
 			Seed:         seed,
 			Incarnations: res.Incarnations,
@@ -227,13 +226,8 @@ func RunChaos(opt ChaosOptions) ([]ChaosRow, error) {
 			row.RedoIters = res.ItersExecuted - opt.Iters
 			row.BitIdentical = lossEqual(ref.Loss, res.Loss, opt.Iters)
 		}
-		rows[i] = row
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // lossEqual compares two loss traces bit for bit over [0, iters).

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -40,6 +41,28 @@ func TestRunChaosInvariants(t *testing.T) {
 	for _, p := range ChaosPolicies() {
 		if !strings.Contains(out, p.String()) {
 			t.Errorf("render missing policy %v", p)
+		}
+	}
+}
+
+// TestRunChaosRepeatable pins the input PR 10's benchmark found unstable:
+// chaos seed 1403 under PeerShelter bit-flips a sheltered entry, and while
+// a checkpoint's bytes followed Go's map order, which byte flipped — and so
+// which entries restore found valid, and what it cost — changed run to run.
+func TestRunChaosRepeatable(t *testing.T) {
+	opt := ChaosOptions{Seeds: []int64{1403}, Policies: []core.Policy{core.PolicyPeerShelter}}
+	first, err := RunChaos(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 10; i++ {
+		rows, err := RunChaos(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rows, first) {
+			t.Fatalf("run %d: t=%v %+v, first run t=%v %+v",
+				i, rows[0].SimTime, rows[0].Sim, first[0].SimTime, first[0].Sim)
 		}
 	}
 }

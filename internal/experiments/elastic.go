@@ -137,9 +137,7 @@ func RunElasticSweep(opt ElasticOptions) ([]ElasticRow, error) {
 		degraded         int
 		useful, wait     float64
 	}
-	runs := make([]runResult, len(cells))
-	err := runGrid(len(cells), opt.Workers, opt.Recorder, func(i int, rec *trace.Recorder) error {
-		c := cells[i]
+	runs, err := sweep(cells, opt.Workers, opt.Recorder, func(c cell, rec *trace.Recorder) (r runResult, err error) {
 		rng := rand.New(rand.NewSource(c.seed*211 + int64(c.mtbf/vclock.Millisecond)))
 		// Job-level MTBF m over n GPUs means a per-GPU daily rate of
 		// day/(m·n).
@@ -162,11 +160,11 @@ func RunElasticSweep(opt ElasticOptions) ([]ElasticRow, error) {
 			Recorder: rec,
 		})
 		if err != nil {
-			return fmt.Errorf("elastic sweep %v mtbf=%v spares=%d seed=%d: %w",
+			return r, fmt.Errorf("elastic sweep %v mtbf=%v spares=%d seed=%d: %w",
 				c.policy, c.mtbf, c.spares, c.seed, err)
 		}
 		q := trace.NewQuery(rec)
-		r := runResult{
+		r = runResult{
 			completed: res.Completed,
 			shrinks:   len(q.Instants("elastic", "shrink")) - shrink0,
 			expands:   len(q.Instants("elastic", "expand")) - expand0,
@@ -176,8 +174,7 @@ func RunElasticSweep(opt ElasticOptions) ([]ElasticRow, error) {
 			r.useful = float64(res.Accounting.Useful) / float64(res.WallTime)
 			r.wait = float64(res.Accounting.WaitingForCapacity) / float64(res.WallTime)
 		}
-		runs[i] = r
-		return nil
+		return r, nil
 	})
 	if err != nil {
 		return nil, err

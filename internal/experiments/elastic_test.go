@@ -28,14 +28,14 @@ func TestRunElasticSweep(t *testing.T) {
 			t.Errorf("%v mtbf=%v spares=%d: runs = %d, want %d",
 				r.Policy, r.MTBF, r.Spares, r.Runs, len(opt.Seeds))
 		}
-		if !r.Policy.Elastic() && (r.Shrinks > 0 || r.Expands > 0 || r.DegradedIters > 0) {
+		if !r.Policy.Info().Elastic && (r.Shrinks > 0 || r.Expands > 0 || r.DegradedIters > 0) {
 			t.Errorf("fixed-width %v mtbf=%v spares=%d recorded elastic transitions: %+v",
 				r.Policy, r.MTBF, r.Spares, r)
 		}
 		if r.Expands > 0 && r.Shrinks == 0 {
 			t.Errorf("%v mtbf=%v spares=%d expanded without shrinking", r.Policy, r.MTBF, r.Spares)
 		}
-		if r.Policy.Elastic() && r.Shrinks > 0 {
+		if r.Policy.Info().Elastic && r.Shrinks > 0 {
 			sawShrink = true
 		}
 		if r.Completed > r.Runs || r.FullWidth > r.Completed {

@@ -114,11 +114,9 @@ func RunErasureSweep(schemes []ErasureScheme, opt Options) ([]ErasureRow, error)
 		schemes = ErasureSchemes()
 	}
 	wl := erasureWorkload()
-	rows := make([]ErasureRow, len(schemes))
-	gerr := runGrid(len(schemes), opt.Workers, opt.Recorder, func(i int, rec *trace.Recorder) error {
-		sc := schemes[i]
+	return sweep(schemes, opt.Workers, opt.Recorder, func(sc ErasureScheme, rec *trace.Recorder) (row ErasureRow, err error) {
 		peer := sc.Peer
-		row := ErasureRow{
+		row = ErasureRow{
 			Scheme:     sc.Name,
 			Peer:       peer,
 			Survivable: peer.SurvivableDomains(),
@@ -131,13 +129,13 @@ func RunErasureSweep(schemes []ErasureScheme, opt Options) ([]ErasureRow, error)
 			Recorder: rec,
 		})
 		if err != nil {
-			return err
+			return row, err
 		}
 		if !res.Completed {
-			return fmt.Errorf("experiments: erasure %s steady run incomplete", sc.Name)
+			return row, fmt.Errorf("experiments: erasure %s steady run incomplete", sc.Name)
 		}
 		if res.Peer.BytesProtected == 0 {
-			return fmt.Errorf("experiments: erasure %s sheltered nothing", sc.Name)
+			return row, fmt.Errorf("experiments: erasure %s sheltered nothing", sc.Name)
 		}
 		row.Overhead = float64(res.Peer.BytesSheltered) / float64(res.Peer.BytesProtected)
 
@@ -153,7 +151,7 @@ func RunErasureSweep(schemes []ErasureScheme, opt Options) ([]ErasureRow, error)
 			IterFailures: inj,
 		})
 		if err != nil {
-			return err
+			return row, err
 		}
 		row.Recovered = res.Completed
 		if res.Completed {
@@ -162,13 +160,8 @@ func RunErasureSweep(schemes []ErasureScheme, opt Options) ([]ErasureRow, error)
 		row.Encodes = res.Peer.Encodes
 		row.Decodes = res.Peer.Decodes
 		row.FragErasures = res.Peer.FragErasures
-		rows[i] = row
-		return nil
+		return row, nil
 	})
-	if gerr != nil {
-		return nil, gerr
-	}
-	return rows, nil
 }
 
 // RenderErasureSweep formats the overhead-vs-survivability table.

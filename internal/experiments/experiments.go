@@ -107,20 +107,18 @@ func Table3Models() []string {
 // model (or one/day for PC_1/day). The JIT-C column is the measured
 // increase in minibatch time from interception and replay logging.
 func RunTable3(models []string, opt Options) ([]Table3Row, error) {
-	rows := make([]Table3Row, len(models))
-	err := runGrid(len(models), opt.Workers, opt.Recorder, func(i int, rec *trace.Recorder) error {
-		name := models[i]
+	return sweep(models, opt.Workers, opt.Recorder, func(name string, rec *trace.Recorder) (row Table3Row, err error) {
 		mopt := opt
 		mopt.Recorder = rec
 		wl, err := workload.ByName(name)
 		if err != nil {
-			return err
+			return row, err
 		}
-		row := Table3Row{Model: name}
+		row.Model = name
 
 		base, err := steadyMinibatch(wl, core.PolicyNone, mopt)
 		if err != nil {
-			return err
+			return row, err
 		}
 
 		// Per-checkpoint stall per policy, from a run with one forced
@@ -141,15 +139,15 @@ func RunTable3(models []string, opt Options) ([]Table3Row, error) {
 		}
 		oDisk, err := stall(core.PolicyPCDisk)
 		if err != nil {
-			return err
+			return row, err
 		}
 		oMem, err := stall(core.PolicyPCMem)
 		if err != nil {
-			return err
+			return row, err
 		}
 		oCF, err := stall(core.PolicyCheckFreq)
 		if err != nil {
-			return err
+			return row, err
 		}
 
 		// Overhead fraction = per-checkpoint stall × checkpoint frequency.
@@ -166,20 +164,15 @@ func RunTable3(models []string, opt Options) ([]Table3Row, error) {
 		// JIT steady-state overhead: minibatch delta under interception.
 		jit, err := steadyMinibatch(wl, core.PolicyUserJIT, mopt)
 		if err != nil {
-			return err
+			return row, err
 		}
 		delta := (jit - base).Sec()
 		if delta < 0 {
 			delta = 0
 		}
 		row.JITC = delta / base.Sec()
-		rows[i] = row
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderTable3 formats Table 3 as percentages, like the paper.
@@ -216,18 +209,16 @@ func Table4Models() []string {
 // injected mid-training; the healthy replicas checkpoint just in time and
 // the job restarts from that checkpoint.
 func RunTable4(models []string, opt Options) ([]Table4Row, error) {
-	rows := make([]Table4Row, len(models))
-	err := runGrid(len(models), opt.Workers, opt.Recorder, func(i int, rec *trace.Recorder) error {
-		name := models[i]
+	return sweep(models, opt.Workers, opt.Recorder, func(name string, rec *trace.Recorder) (row Table4Row, err error) {
 		mopt := opt
 		mopt.Recorder = rec
 		wl, err := workload.ByName(name)
 		if err != nil {
-			return err
+			return row, err
 		}
 		base, err := steadyMinibatch(wl, core.PolicyNone, mopt)
 		if err != nil {
-			return err
+			return row, err
 		}
 		res, err := core.Run(core.JobConfig{
 			WL: wl, Policy: core.PolicyUserJIT, Iters: mopt.Iters, Seed: mopt.Seed,
@@ -236,29 +227,24 @@ func RunTable4(models []string, opt Options) ([]Table4Row, error) {
 			IterFailures: []core.IterInjection{{Iter: mopt.Iters / 2, Frac: 0.4, Rank: failTarget(wl), Kind: failure.GPUHard}},
 		})
 		if err != nil {
-			return err
+			return row, err
 		}
 		if !res.Completed || res.Incarnations != 2 {
-			return fmt.Errorf("experiments: %s user-JIT run incomplete (inc=%d)", name, res.Incarnations)
+			return row, fmt.Errorf("experiments: %s user-JIT run incomplete (inc=%d)", name, res.Incarnations)
 		}
 		over := (res.Minibatch - base).Sec()
 		if over < 0 {
 			over = 0
 		}
-		rows[i] = Table4Row{
+		return Table4Row{
 			Model:     name,
 			Ckpt:      res.JITCheckpointTime,
 			Restore:   res.RestoreTime,
 			Recovery:  res.JITCheckpointTime + res.RestoreTime,
 			Minibatch: res.Minibatch,
 			Overhead:  over,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderTable4 formats Table 4.

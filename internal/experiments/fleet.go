@@ -234,12 +234,10 @@ func RunFleetSweep(opt FleetOptions) ([]FleetRow, error) {
 			opt.SpareFracs[len(opt.SpareFracs)-1], opt.HeadlineJobs, iters, opt.Seeds[:1])
 	}
 
-	results := make([]*cluster.Result, len(cells))
-	err := runGrid(len(cells), opt.Workers, opt.Recorder, func(i int, rec *trace.Recorder) error {
-		c := cells[i]
+	results, err := sweep(cells, opt.Workers, opt.Recorder, func(c cell, rec *trace.Recorder) (*cluster.Result, error) {
 		jobs, err := cluster.ParseJobsSpec(fleetSpec(c.mix, c.jobs, c.iters), policies, c.iters)
 		if err != nil {
-			return fmt.Errorf("fleet sweep %s: %w", c.mix.Name, err)
+			return nil, fmt.Errorf("fleet sweep %s: %w", c.mix.Name, err)
 		}
 		// Per-node MTBF m means a per-node daily rate of day/m.
 		fPerNodePerDay := float64(vclock.Day) / float64(c.mtbf)
@@ -256,16 +254,14 @@ func RunFleetSweep(opt FleetOptions) ([]FleetRow, error) {
 			Failures: plan,
 			Recorder: rec,
 		})
+		if err == nil {
+			err = res.Reconcile()
+		}
 		if err != nil {
-			return fmt.Errorf("fleet sweep %s mtbf=%v frac=%.2f seed=%d: %w",
+			return nil, fmt.Errorf("fleet sweep %s mtbf=%v frac=%.2f seed=%d: %w",
 				c.mix.Name, c.mtbf, c.frac, c.seed, err)
 		}
-		if err := res.Reconcile(); err != nil {
-			return fmt.Errorf("fleet sweep %s mtbf=%v frac=%.2f seed=%d: %w",
-				c.mix.Name, c.mtbf, c.frac, c.seed, err)
-		}
-		results[i] = res
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err

@@ -109,24 +109,26 @@ func RunPeerComparison(models []string, policies []core.Policy, opt Options) ([]
 	if len(policies) == 0 {
 		policies = PeerComparisonPolicies()
 	}
-	rows := make([]PeerRow, len(models)*len(policies))
-	gerr := runGrid(len(models), opt.Workers, opt.Recorder, func(mi int, rec *trace.Recorder) error {
-		name := models[mi]
+	// One cell per model: its policies run back to back in one recorder.
+	perModel, err := sweep(models, opt.Workers, opt.Recorder, func(name string, rec *trace.Recorder) (rows []PeerRow, err error) {
 		mopt := opt
 		mopt.Recorder = rec
 		wl, err := workload.ByName(name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		base, err := steadyMinibatch(wl, core.PolicyNone, mopt)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for pi, policy := range policies {
+		for _, policy := range policies {
 			row := PeerRow{Model: name, Policy: policy}
+			info := policy.Info()
+			// A purely periodic policy: no JIT library to take the failure.
+			periodicOnly := info.Periodic && info.JITFlush == core.FlushNone
 
 			// Steady-state overhead, measured failure-free.
-			if _, isPeriodic := policy.PeriodicKind(); isPeriodic && !policy.UserLevelJIT() {
+			if periodicOnly {
 				// Per-checkpoint stall composed with the optimal frequency,
 				// as in Table 3.
 				res, err := core.Run(core.JobConfig{
@@ -135,10 +137,10 @@ func RunPeerComparison(models []string, policies []core.Policy, opt Options) ([]
 					CkptInterval: 4 * wl.Minibatch,
 				})
 				if err != nil {
-					return err
+					return nil, err
 				}
 				if !res.Completed || res.Accounting.Checkpoints == 0 {
-					return fmt.Errorf("experiments: %s %v steady run incomplete", name, policy)
+					return nil, fmt.Errorf("experiments: %s %v steady run incomplete", name, policy)
 				}
 				o := res.Accounting.CkptStall.Sec() / float64(res.Accounting.Checkpoints)
 				p := analysis.Params{O: o, F: analysis.PerDay(FailureRate), N: wl.GPUs()}
@@ -149,17 +151,17 @@ func RunPeerComparison(models []string, policies []core.Policy, opt Options) ([]
 					Recorder: rec,
 				})
 				if err != nil {
-					return err
+					return nil, err
 				}
 				if !res.Completed {
-					return fmt.Errorf("experiments: %s %v steady run incomplete", name, policy)
+					return nil, fmt.Errorf("experiments: %s %v steady run incomplete", name, policy)
 				}
 				delta := (res.Minibatch - base).Sec()
 				if delta < 0 {
 					delta = 0
 				}
 				row.SteadyOverhead = delta / base.Sec()
-				if policy.UsesPeerShelter() && res.Peer.PiggybackBytes > 0 {
+				if info.Peer && res.Peer.PiggybackBytes > 0 {
 					// Replication never stalls the critical path: an offer
 					// arriving while the previous transfer is in flight is
 					// skipped, trading shelter staleness (the redo column)
@@ -179,24 +181,28 @@ func RunPeerComparison(models []string, policies []core.Policy, opt Options) ([]
 				// Three run-lengths away: a scaled stand-in for a 1/day
 				// cadence whose next checkpoint is still far off.
 				cfg.CkptInterval = vclock.Time(3*opt.Iters) * wl.Minibatch
-			} else if _, isPeriodic := policy.PeriodicKind(); isPeriodic && !policy.UserLevelJIT() {
+			} else if periodicOnly {
 				cfg.CkptInterval = 4 * wl.Minibatch
 			}
 			res, err := core.Run(cfg)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			row.Recovered = res.Completed
 			if res.Completed {
 				row.RedoIters = res.ItersExecuted - opt.Iters
 				row.WastedGPUSec = float64(row.RedoIters) * res.Minibatch.Sec() * float64(wl.GPUs())
 			}
-			rows[mi*len(policies)+pi] = row
+			rows = append(rows, row)
 		}
-		return nil
+		return rows, nil
 	})
-	if gerr != nil {
-		return nil, gerr
+	if err != nil {
+		return nil, err
+	}
+	var rows []PeerRow
+	for _, r := range perModel {
+		rows = append(rows, r...)
 	}
 	return rows, nil
 }

@@ -183,9 +183,7 @@ func RunRecoveryFamilies(opt RecoveryFamiliesOptions) ([]RecoveryRow, error) {
 		rebuilds  int
 		commits   int
 	}
-	runs := make([]runResult, len(cells))
-	err := runGrid(len(cells), opt.Workers, opt.Recorder, func(i int, rec *trace.Recorder) error {
-		c := cells[i]
+	runs, err := sweep(cells, opt.Workers, opt.Recorder, func(c cell, rec *trace.Recorder) (r runResult, err error) {
 		wl := recoveryWorkload(c.size)
 		rng := rand.New(rand.NewSource(c.seed*439 + int64(c.mtbf/vclock.Millisecond)))
 		fPerGPUDay := float64(vclock.Day) / (float64(c.mtbf) * float64(wl.GPUs()))
@@ -199,10 +197,10 @@ func RunRecoveryFamilies(opt RecoveryFamiliesOptions) ([]RecoveryRow, error) {
 			Recorder:     rec,
 		})
 		if err != nil {
-			return fmt.Errorf("recovery sweep %v %s mtbf=%v interval=%v seed=%d: %w",
+			return r, fmt.Errorf("recovery sweep %v %s mtbf=%v interval=%v seed=%d: %w",
 				c.policy, c.size.Name, c.mtbf, c.interval, c.seed, err)
 		}
-		r := runResult{
+		r = runResult{
 			completed: res.Completed,
 			readBytes: res.CkptReadBytes,
 			rebuilds:  res.Pipe.Rebuilds,
@@ -211,8 +209,7 @@ func RunRecoveryFamilies(opt RecoveryFamiliesOptions) ([]RecoveryRow, error) {
 		if res.WallTime > 0 {
 			r.wasted = 1 - float64(res.Accounting.Useful)/float64(res.WallTime)
 		}
-		runs[i] = r
-		return nil
+		return r, nil
 	})
 	if err != nil {
 		return nil, err

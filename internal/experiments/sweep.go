@@ -12,6 +12,21 @@ import (
 // "parallel" without a specific number: one per schedulable CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
+// sweep runs one simulation cell per element of cells through runGrid and
+// returns the results in cell order — the one way a table or grid is
+// written: the cell list is the grid, run is one cell.
+func sweep[C, R any](cells []C, workers int, rec *trace.Recorder, run func(C, *trace.Recorder) (R, error)) ([]R, error) {
+	rows := make([]R, len(cells))
+	err := runGrid(len(cells), workers, rec, func(i int, rec *trace.Recorder) (err error) {
+		rows[i], err = run(cells[i], rec)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
 // runGrid executes n independent simulation runs, farming them across up
 // to `workers` goroutines (≤1 means serial, in the caller's goroutine).
 //

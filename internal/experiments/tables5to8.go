@@ -34,18 +34,16 @@ func Table5Models() []string {
 // no GPU state is copied; communicators are re-created and the minibatch
 // replayed.
 func RunTable5(models []string, opt Options) ([]Table5Row, error) {
-	rows := make([]Table5Row, len(models))
-	err := runGrid(len(models), opt.Workers, opt.Recorder, func(i int, rec *trace.Recorder) error {
-		name := models[i]
+	return sweep(models, opt.Workers, opt.Recorder, func(name string, rec *trace.Recorder) (row Table5Row, err error) {
 		mopt := opt
 		mopt.Recorder = rec
 		wl, err := workload.ByName(name)
 		if err != nil {
-			return err
+			return row, err
 		}
 		base, err := steadyMinibatch(wl, core.PolicyNone, mopt)
 		if err != nil {
-			return err
+			return row, err
 		}
 		res, err := core.Run(core.JobConfig{
 			WL: wl, Policy: core.PolicyTransparentJIT, Iters: mopt.Iters, Seed: mopt.Seed,
@@ -53,28 +51,23 @@ func RunTable5(models []string, opt Options) ([]Table5Row, error) {
 			IterFailures: []core.IterInjection{{Iter: mopt.Iters / 2, Frac: 0.4, Rank: failTarget(wl), Kind: failure.NetworkHang}},
 		})
 		if err != nil {
-			return err
+			return row, err
 		}
 		if !res.Completed || len(res.Reports) == 0 {
-			return fmt.Errorf("experiments: %s transient run incomplete (reports=%d)", name, len(res.Reports))
+			return row, fmt.Errorf("experiments: %s transient run incomplete (reports=%d)", name, len(res.Reports))
 		}
 		over := (res.Minibatch - base).Sec()
 		if over < 0 {
 			over = 0
 		}
-		rows[i] = Table5Row{
+		return Table5Row{
 			Model:     name,
 			GPU:       wl.GPU,
 			Recovery:  res.Reports[0].HealthyAvg,
 			Minibatch: res.Minibatch,
 			Overhead:  over,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderTable5 formats Table 5.
@@ -110,12 +103,10 @@ func Table6Models() []string {
 // JIT-checkpoint their GPU state and CRIU-checkpoint, the job migrates,
 // and state is restored from the checkpoint files.
 func RunTable6(models []string, opt Options) ([]Table6Row, error) {
-	rows := make([]Table6Row, len(models))
-	err := runGrid(len(models), opt.Workers, opt.Recorder, func(i int, rec *trace.Recorder) error {
-		name := models[i]
+	return sweep(models, opt.Workers, opt.Recorder, func(name string, rec *trace.Recorder) (row Table6Row, err error) {
 		wl, err := workload.ByName(name)
 		if err != nil {
-			return err
+			return row, err
 		}
 		res, err := core.Run(core.JobConfig{
 			WL: wl, Policy: core.PolicyTransparentJIT, Iters: opt.Iters, Seed: opt.Seed,
@@ -124,24 +115,19 @@ func RunTable6(models []string, opt Options) ([]Table6Row, error) {
 			IterFailures: []core.IterInjection{{Iter: opt.Iters / 2, Frac: 0.4, Rank: failTarget(wl), Kind: failure.GPUHard}},
 		})
 		if err != nil {
-			return err
+			return row, err
 		}
 		if !res.Completed || len(res.Reports) == 0 {
-			return fmt.Errorf("experiments: %s hard run incomplete (reports=%d)", name, len(res.Reports))
+			return row, fmt.Errorf("experiments: %s hard run incomplete (reports=%d)", name, len(res.Reports))
 		}
-		rows[i] = Table6Row{
+		return Table6Row{
 			Model:     name,
 			GPU:       wl.GPU,
 			Healthy:   res.Reports[0].HealthyAvg,
 			Failed:    res.Reports[0].FailedAvg,
 			Minibatch: res.Minibatch,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderTable6 formats Table 6.
@@ -180,12 +166,10 @@ var Table7PhaseLabels = map[string]string{
 // RunTable7 measures the per-step breakdown of transparent transient
 // recovery on one healthy rank worker.
 func RunTable7(models []string, opt Options) ([]Table7Breakdown, error) {
-	out := make([]Table7Breakdown, len(models))
-	err := runGrid(len(models), opt.Workers, opt.Recorder, func(i int, rec *trace.Recorder) error {
-		name := models[i]
+	return sweep(models, opt.Workers, opt.Recorder, func(name string, rec *trace.Recorder) (row Table7Breakdown, err error) {
 		wl, err := workload.ByName(name)
 		if err != nil {
-			return err
+			return row, err
 		}
 		res, err := core.Run(core.JobConfig{
 			WL: wl, Policy: core.PolicyTransparentJIT, Iters: opt.Iters, Seed: opt.Seed,
@@ -193,18 +177,13 @@ func RunTable7(models []string, opt Options) ([]Table7Breakdown, error) {
 			IterFailures: []core.IterInjection{{Iter: opt.Iters / 2, Frac: 0.4, Rank: failTarget(wl), Kind: failure.NetworkHang}},
 		})
 		if err != nil {
-			return err
+			return row, err
 		}
 		if !res.Completed || len(res.Reports) == 0 {
-			return fmt.Errorf("experiments: %s breakdown run incomplete", name)
+			return row, fmt.Errorf("experiments: %s breakdown run incomplete", name)
 		}
-		out[i] = Table7Breakdown{Model: name, Phases: res.Reports[0].Phases}
-		return nil
+		return Table7Breakdown{Model: name, Phases: res.Reports[0].Phases}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // RenderTable7 formats the breakdown with steps as rows and models as

@@ -195,9 +195,6 @@ func (d *Device) PendingOps() int {
 	return n
 }
 
-// MemCap returns the modelled memory capacity in bytes.
-func (d *Device) MemCap() int64 { return d.memCap }
-
 // healthErr maps the current health to the error API calls should return,
 // or nil when the device accepts work.
 func (d *Device) healthErr() error {

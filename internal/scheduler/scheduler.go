@@ -495,13 +495,3 @@ func (c CRIU) Restore(p *vclock.Proc, img Image) []byte {
 	p.Sleep(c.RestoreTime)
 	return append([]byte(nil), img.Payload...)
 }
-
-// SortedNodeIDs is a test/debug helper listing pool node IDs in order.
-func (p *Pool) SortedNodeIDs() []int {
-	ids := make([]int, 0, len(p.nodes))
-	for _, n := range p.nodes {
-		ids = append(ids, n.ID)
-	}
-	sort.Ints(ids)
-	return ids
-}

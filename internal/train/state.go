@@ -138,10 +138,26 @@ func (w *Worker) LoadModelState(p *vclock.Proc, ms *ModelState) error {
 	return nil
 }
 
-// Encode serializes a ModelState for a checkpoint store.
+// wireState is a ModelState as stored: the tensors as a name-ordered list.
+// gob walks a map in Go's randomized iteration order, which would make a
+// checkpoint's bytes — and with them its checksums and the byte a chaos
+// bit-flip lands on — differ from run to run for the same state.
+type wireState struct {
+	Iter    int
+	Rank    int
+	Names   []string
+	Tensors []tensor.Vector
+}
+
+// Encode serializes a ModelState for a checkpoint store. The bytes are a
+// function of the state alone.
 func (ms *ModelState) Encode() ([]byte, error) {
+	ws := wireState{Iter: ms.Iter, Rank: ms.Rank, Names: ms.names()}
+	for _, n := range ws.Names {
+		ws.Tensors = append(ws.Tensors, ms.Tensors[n])
+	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ms); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(ws); err != nil {
 		return nil, fmt.Errorf("train: encode model state: %w", err)
 	}
 	return buf.Bytes(), nil
@@ -149,23 +165,35 @@ func (ms *ModelState) Encode() ([]byte, error) {
 
 // DecodeModelState deserializes a ModelState written by Encode.
 func DecodeModelState(b []byte) (*ModelState, error) {
-	var ms ModelState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&ms); err != nil {
+	var ws wireState
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&ws); err != nil {
 		return nil, fmt.Errorf("train: decode model state: %w", err)
 	}
-	return &ms, nil
+	if len(ws.Names) != len(ws.Tensors) {
+		return nil, fmt.Errorf("train: decode model state: %d names for %d tensors", len(ws.Names), len(ws.Tensors))
+	}
+	ms := &ModelState{Iter: ws.Iter, Rank: ws.Rank, Tensors: make(map[string]tensor.Vector, len(ws.Names))}
+	for i, n := range ws.Names {
+		ms.Tensors[n] = ws.Tensors[i]
+	}
+	return ms, nil
 }
 
-// Checksum returns a content hash of the state, name-ordered, for
-// comparing replicas and validating recovery.
-func (ms *ModelState) Checksum() uint64 {
+// names returns the tensor names in sorted order.
+func (ms *ModelState) names() []string {
 	names := make([]string, 0, len(ms.Tensors))
 	for n := range ms.Tensors {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	return names
+}
+
+// Checksum returns a content hash of the state, name-ordered, for
+// comparing replicas and validating recovery.
+func (ms *ModelState) Checksum() uint64 {
 	var sum uint64 = 1469598103934665603
-	for _, n := range names {
+	for _, n := range ms.names() {
 		sum ^= ms.Tensors[n].Checksum()
 		sum *= 1099511628211
 	}
@@ -188,23 +216,3 @@ type Snapshot struct {
 
 // Snapshot captures the worker's CPU-side state.
 func (w *Worker) Snapshot() Snapshot { return Snapshot{Iter: w.iter, Gen: w.gen} }
-
-// RestoreSnapshot reinstates captured CPU-side state.
-func (w *Worker) RestoreSnapshot(s Snapshot) {
-	w.iter = s.Iter
-	w.gen = s.Gen
-}
-
-// ParamBufs returns the virtual handles of parameter and optimizer
-// buffers, with their tags, for controller-side replica copies (§4.2.2).
-func (w *Worker) ParamBufs() map[string]cuda.Buf {
-	out := make(map[string]cuda.Buf)
-	for _, ls := range w.layers {
-		out[TensorName(fmt.Sprintf("%sL%d.w", TagParamPrefix, ls.global), 0)] = ls.w
-		out[TensorName(fmt.Sprintf("%sL%d.m", TagOptPrefix, ls.global), 0)] = ls.m
-		if ls.v != 0 {
-			out[TensorName(fmt.Sprintf("%sL%d.v", TagOptPrefix, ls.global), 0)] = ls.v
-		}
-	}
-	return out
-}

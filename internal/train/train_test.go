@@ -1,6 +1,7 @@
 package train
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -250,6 +251,17 @@ func TestModelStateEncodeDecode(t *testing.T) {
 	}
 	if got.Checksum() != states[0].Checksum() || got.Iter != states[0].Iter {
 		t.Fatal("model state round trip lost content")
+	}
+	// The bytes are a function of the state: checksums and chaos bit-flips
+	// key on them, so map iteration order must not leak in.
+	for i := 0; i < 20; i++ {
+		again, err := states[0].Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, raw) {
+			t.Fatalf("encoding %d of the same state differs from the first", i+2)
+		}
 	}
 }
 

@@ -52,12 +52,6 @@ const (
 // Seconds converts a floating-point second count to a virtual duration.
 func Seconds(s float64) Time { return Time(s * float64(Second)) }
 
-// Millis converts a floating-point millisecond count to a virtual duration.
-func Millis(ms float64) Time { return Time(ms * float64(Millisecond)) }
-
-// Micros converts a floating-point microsecond count to a virtual duration.
-func Micros(us float64) Time { return Time(us * float64(Microsecond)) }
-
 // Sec reports t as floating-point seconds.
 func (t Time) Sec() float64 { return float64(t) / float64(Second) }
 

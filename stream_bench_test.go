@@ -1,5 +1,5 @@
-// Streaming-overhead measurement: the chaos grid (the BENCH_sim.json
-// headline workload) run traced with and without a live tracestream sink
+// Streaming-overhead measurement: the chaos grid (benchmark/'s chaos_grid
+// workload) run traced with and without a live tracestream sink
 // attached. The delta isolates the streaming layer itself — ring pushes,
 // span finalization, window rollups — from the cost of tracing, which
 // predates it and is paid either way once a recorder is attached.
