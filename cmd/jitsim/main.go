@@ -116,11 +116,11 @@ func main() {
 
 	wl, err := workload.ByName(*wlName)
 	if err != nil {
-		fatal(err)
+		usage(err)
 	}
 	pol, ok := policies[*policy]
 	if !ok {
-		fatal(fmt.Errorf("unknown policy %q", *policy))
+		usage(fmt.Errorf("unknown policy %q", *policy))
 	}
 	cfg := core.JobConfig{
 		WL: wl, Policy: pol, Iters: *iters, Seed: *seed,
@@ -134,11 +134,11 @@ func main() {
 	}
 	if *rsSpec != "" {
 		if !pol.Info().Peer {
-			fatal(fmt.Errorf("-rs needs a peer-shelter policy (peer, jit+peer or peer+elastic), got %q", *policy))
+			usage(fmt.Errorf("-rs needs a peer-shelter policy (peer, jit+peer or peer+elastic), got %q", *policy))
 		}
 		var k, m int
 		if n, err := fmt.Sscanf(*rsSpec, "%d,%d", &k, &m); err != nil || n != 2 {
-			fatal(fmt.Errorf("bad -rs %q (want \"k,m\", e.g. \"2,1\")", *rsSpec))
+			usage(fmt.Errorf("bad -rs %q (want \"k,m\", e.g. \"2,1\")", *rsSpec))
 		}
 		cfg.Peer = &peerckpt.Params{DataShards: k, ParityShards: m}
 	}
@@ -159,7 +159,7 @@ func main() {
 	if *failKind != "" {
 		kind, ok := failure.KindByName(*failKind)
 		if !ok {
-			fatal(fmt.Errorf("unknown failure kind %q", *failKind))
+			usage(fmt.Errorf("unknown failure kind %q", *failKind))
 		}
 		rank := *failRank
 		if rank < 0 {
@@ -170,14 +170,14 @@ func main() {
 	if *failRate > 0 {
 		mix, err := failure.ParseMix(*mixSpec)
 		if err != nil {
-			fatal(err)
+			usage(err)
 		}
 		horizon := vclock.Time(*iters) * wl.Minibatch * 3
 		cfg.Failures = failure.PoissonPlan(rand.New(rand.NewSource(*seed)), wl.GPUs(), *failRate, horizon, mix)
 		fmt.Fprintf(os.Stderr, "jitsim: sampled %d failures over %v (MTBF %v)\n",
 			len(cfg.Failures.Injections), horizon, failure.MTBF(wl.GPUs(), *failRate))
 	} else if *mixSpec != "" {
-		fatal(fmt.Errorf("-mix requires -fail-rate"))
+		usage(fmt.Errorf("-mix requires -fail-rate"))
 	}
 	if *chaos {
 		cfg.Chaos = &core.ChaosConfig{
@@ -256,7 +256,7 @@ type fleetArgs struct {
 func runFleet(a fleetArgs) error {
 	jobs, err := cluster.ParseJobsSpec(a.spec, policies, a.iters)
 	if err != nil {
-		return err
+		usage(err)
 	}
 	nodes := a.nodes
 	if nodes == 0 {
@@ -287,7 +287,7 @@ func runFleet(a fleetArgs) error {
 		var mix map[failure.Kind]float64
 		if a.mixSpec != "" {
 			if mix, err = failure.ParseMix(a.mixSpec); err != nil {
-				return err
+				usage(err)
 			}
 		}
 		plan := failure.PoissonNodePlan(rand.New(rand.NewSource(a.seed)), nodes, a.failRate, horizon, mix)
@@ -298,7 +298,7 @@ func runFleet(a fleetArgs) error {
 		cfg.Failures = plan
 		fmt.Fprintf(os.Stderr, "jitsim: sampled %d cluster faults over %v\n", len(plan.Injections), horizon)
 	} else if a.mixSpec != "" {
-		return fmt.Errorf("-mix requires -fail-rate")
+		usage(fmt.Errorf("-mix requires -fail-rate"))
 	}
 
 	start := time.Now()
@@ -445,4 +445,11 @@ func report(res *core.RunResult, lossTail int) {
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "jitsim: %v\n", err)
 	os.Exit(1)
+}
+
+// usage reports a malformed flag value and exits 2, the status the flag
+// package itself uses for an undefined flag.
+func usage(err error) {
+	fmt.Fprintf(os.Stderr, "jitsim: %v\n", err)
+	os.Exit(2)
 }

@@ -105,6 +105,45 @@ var goldenScenarios = []struct {
 			IterFailures: injectAt(wl, 5.3, 1, failure.NetworkHang),
 		}
 	}},
+	{"transparent_sticky", func() JobConfig {
+		// §4.2 strategy 3, mid-backward: the failed rank's proxy restarts
+		// and its state is copied from a healthy replica's device.
+		wl := testWL()
+		return JobConfig{
+			WL: wl, Policy: PolicyTransparentJIT, Iters: 12, Seed: 1,
+			HangTimeout:  2 * vclock.Second,
+			IterFailures: injectAt(wl, 5.5, 1, failure.GPUSticky),
+		}
+	}},
+	{"transparent_corrupt", func() JobConfig {
+		// §4.2 strategy 2: copy-to-host around a proxy restart.
+		wl := testWL()
+		return JobConfig{
+			WL: wl, Policy: PolicyTransparentJIT, Iters: 12, Seed: 1,
+			HangTimeout:  2 * vclock.Second,
+			IterFailures: injectAt(wl, 5.5, 1, failure.DriverCorrupt),
+		}
+	}},
+	{"transparent_hard", func() JobConfig {
+		// §4.3: JIT checkpoint + CRIU migration onto the one spare node.
+		wl := testWL()
+		return JobConfig{
+			WL: wl, Policy: PolicyTransparentJIT, Iters: 12, Seed: 1,
+			HangTimeout: 2 * vclock.Second, SpareNodes: 1,
+			IterFailures: injectAt(wl, 5.5, 1, failure.GPUHard),
+		}
+	}},
+	{"transparent_rollfwd", func() JobConfig {
+		// §4.2.2: a fault inside the optimizer step rolls the failed rank
+		// forward to next-minibatch state and swallows its remaining
+		// mutations for the current one.
+		wl := testWL()
+		return JobConfig{
+			WL: wl, Policy: PolicyTransparentJIT, Iters: 12, Seed: 1,
+			HangTimeout:  2 * vclock.Second,
+			IterFailures: injectAt(wl, 5.95, 1, failure.GPUSticky),
+		}
+	}},
 	{"elastic", func() JobConfig {
 		// Zero spares: the node failure forces a shrink to half width, the
 		// repair at iteration 9 triggers the mid-run expand back to full.

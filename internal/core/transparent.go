@@ -323,7 +323,7 @@ type rankRecovery struct {
 	// ignoreMut: swallow the host's remaining state-mutating calls for
 	// the current minibatch (§4.2.2 roll-forward).
 	ignoreMut bool
-	tr        *replay.Translator
+	tr        *cuda.Handles
 	saved     map[string]tensor.Vector
 	timer     *metrics.PhaseTimer
 	started   vclock.Time
@@ -452,32 +452,9 @@ func (c *Coordinator) recoverRankTransient(pr *vclock.Proc, rec *rankRecovery, a
 	pr.Sleep(c.cfg.Teardown)
 	rec.timer.Mark("teardown")
 
-	// Rebuild: new default stream, buffers (if lost), GPU handles, then
-	// communicators under the fresh generation.
-	tr := layer.SeedTranslator()
-	rec.tr = tr
-	newDefault, err := client.StreamCreate(pr)
-	if err != nil {
-		return fmt.Errorf("core: rank %d new default stream: %w", r.Rank, err)
+	if err := c.rebuildGPU(pr, rec, rec.strat != 1, newGen); err != nil {
+		return err
 	}
-	tr.Streams[cuda.DefaultStream] = newDefault
-
-	mallocs, handles, comms := splitCreationLog(layer.Log().Creation)
-	if rec.strat != 1 {
-		if err := replay.Apply(pr, client, mallocs, tr, replay.Options{}); err != nil {
-			return fmt.Errorf("core: rank %d buffer realloc: %w", r.Rank, err)
-		}
-	}
-	rec.timer.Mark("reset-buffers")
-	if err := replay.Apply(pr, client, handles, tr, replay.Options{}); err != nil {
-		return fmt.Errorf("core: rank %d handle recreate: %w", r.Rank, err)
-	}
-	rec.timer.Mark("recreate-handles")
-	genFor := func(string, int) int { return newGen }
-	if err := replay.Apply(pr, client, comms, tr, replay.Options{GenFor: genFor}); err != nil {
-		return fmt.Errorf("core: rank %d comm re-init: %w", r.Rank, err)
-	}
-	rec.timer.Mark("comm-init")
 
 	// Restore parameter/optimizer contents. The comm rendezvous above
 	// guarantees every rank has finished re-allocating buffers, so
@@ -489,31 +466,76 @@ func (c *Coordinator) recoverRankTransient(pr *vclock.Proc, rec *rankRecovery, a
 		}
 		rec.timer.Mark("replica-copy")
 	case rec.strat == 2:
-		if err := writeTensors(pr, layer, client, tr, rec.saved, true); err != nil {
+		if err := writeTensors(pr, layer, client, rec.tr, rec.saved, true); err != nil {
 			return fmt.Errorf("core: rank %d restore-from-host: %w", r.Rank, err)
 		}
 		rec.timer.Mark("restore-from-host")
 	}
 
-	// Replay the minibatch's device APIs (§4.2.1), unless the rank's
-	// state is already at the target boundary. A rolled-forward failed
-	// rank additionally swallows the rest of its optimizer step (§4.2.2).
+	src := [4]string{1: "device", 2: "host", 3: "replica"}[rec.strat]
+	return c.replayTail(pr, rec, newGen, layer.Iter(), src)
+}
+
+// rebuildGPU re-creates a rank's GPU objects from the creation log, binding
+// their new physical handles into rec.tr (a clone of the layer's table, so
+// a failed attempt leaves the layer untouched): a fresh default stream —
+// the old one is wedged, or belongs to a driver that no longer exists —
+// then buffers (only when realloc: strategy 1 keeps device memory), GPU
+// handles, and communicators under generation gen.
+func (c *Coordinator) rebuildGPU(pr *vclock.Proc, rec *rankRecovery, realloc bool, gen int) error {
+	r := rec.r
+	tr := r.Layer.Handles().Clone()
+	rec.tr = tr
+	newDefault, err := r.Client.StreamCreate(pr)
+	if err != nil {
+		return fmt.Errorf("core: rank %d new default stream: %w", r.Rank, err)
+	}
+	tr.Streams[cuda.DefaultStream] = newDefault
+
+	mallocs, handles, comms := splitCreationLog(r.Layer.Log().Creation)
+	if realloc {
+		if err := replay.Apply(pr, r.Client, mallocs, tr, replay.Options{}); err != nil {
+			return fmt.Errorf("core: rank %d buffer realloc: %w", r.Rank, err)
+		}
+	}
+	rec.timer.Mark("reset-buffers")
+	if err := replay.Apply(pr, r.Client, handles, tr, replay.Options{}); err != nil {
+		return fmt.Errorf("core: rank %d handle recreate: %w", r.Rank, err)
+	}
+	rec.timer.Mark("recreate-handles")
+	if err := replay.Apply(pr, r.Client, comms, tr, genOption(gen)); err != nil {
+		return fmt.Errorf("core: rank %d comm re-init: %w", r.Rank, err)
+	}
+	rec.timer.Mark("comm-init")
+	return nil
+}
+
+// genOption replays CommInit under generation gen: after a failure,
+// communicators must re-rendezvous under a fresh one.
+func genOption(gen int) replay.Options {
+	return replay.Options{GenFor: func(string, int) int { return gen }}
+}
+
+// replayTail finishes a rank's recovery once its buffers hold the restored
+// state: replay the minibatch's device APIs (§4.2.1) unless the state is
+// already at the target boundary, have a rolled-forward rank swallow the
+// rest of its optimizer step (§4.2.2), and reopen the layer on rec.tr.
+func (c *Coordinator) replayTail(pr *vclock.Proc, rec *rankRecovery, gen, iter int, src string) error {
+	r := rec.r
 	if rec.ignoreMut {
-		layer.IgnoreMutationsUntilNextMinibatch()
+		r.Layer.IgnoreMutationsUntilNextMinibatch()
 	}
 	if !rec.skipReplay {
 		rec.mutated = true
-		c.env.Tracef("rank %d: replaying %d minibatch calls (strat %d)", r.Rank, len(layer.Log().Minibatch), rec.strat)
-		if err := replay.Apply(pr, client, layer.Log().Minibatch, tr, replay.Options{GenFor: genFor}); err != nil {
+		c.env.Tracef("rank %d: replaying %d minibatch calls (strat %d)", r.Rank, len(r.Layer.Log().Minibatch), rec.strat)
+		if err := replay.Apply(pr, r.Client, r.Layer.Log().Minibatch, rec.tr, genOption(gen)); err != nil {
 			return fmt.Errorf("core: rank %d minibatch replay: %w", r.Rank, err)
 		}
 	}
 	rec.timer.Mark("replay")
-
-	src := [4]string{1: "device", 2: "host", 3: "replica"}[rec.strat]
 	trace.Of(c.env).Instant(pr.Now(), "ckpt", trace.Rank(r.Rank), "restore-done",
-		"valid", true, "iter", layer.Iter(), "src", src)
-	layer.EndRecovery(tr)
+		"valid", true, "iter", iter, "src", src)
+	r.Layer.EndRecovery(rec.tr)
 	return nil
 }
 
@@ -522,28 +544,28 @@ func (c *Coordinator) recoverRankTransient(pr *vclock.Proc, rec *rankRecovery, a
 func (c *Coordinator) teardownViaAPI(pr *vclock.Proc, layer *intercept.Layer, client *proxy.Client) {
 	// Destroy in reverse dependency order; errors are non-fatal (objects
 	// may be wedged, which is exactly why we are here).
+	h := layer.Handles()
 	for _, call := range layer.Log().Creation {
-		switch call.Kind {
-		case replay.CallCommInit:
-			if phys, ok := layerCommPhys(layer, call.RComm); ok {
+		if call.Op == cuda.OpCommInit {
+			if phys, ok := h.Comms[cuda.Comm(call.Created)]; ok {
 				client.CommDestroy(pr, phys)
 			}
 		}
 	}
 	for _, call := range layer.Log().Creation {
-		switch call.Kind {
-		case replay.CallStreamCreate:
-			if phys, ok := layer.PhysStream(call.RStream); ok {
+		switch call.Op {
+		case cuda.OpStreamCreate:
+			if phys, ok := h.Streams[cuda.Stream(call.Created)]; ok {
 				client.StreamDestroy(pr, phys)
 			}
-		case replay.CallEventCreate:
-			if phys, ok := layerEventPhys(layer, call.REvent); ok {
+		case cuda.OpEventCreate:
+			if phys, ok := h.Events[cuda.Event(call.Created)]; ok {
 				client.EventDestroy(pr, phys)
 			}
 		}
 	}
 	// The wedged physical default stream is replaced rather than reused.
-	if phys, ok := layer.PhysStream(cuda.DefaultStream); ok && phys == cuda.DefaultStream {
+	if phys, ok := h.Streams[cuda.DefaultStream]; ok && phys == cuda.DefaultStream {
 		client.StreamDestroy(pr, cuda.DefaultStream)
 	}
 }
@@ -597,7 +619,7 @@ func (c *Coordinator) rankWorkTime(rec *rankRecovery) vclock.Time {
 	params := rec.r.Server.Driver().Engine().Params()
 	var bootstrap vclock.Time
 	for _, call := range rec.r.Layer.Log().Creation {
-		if call.Kind == replay.CallCommInit {
+		if call.Op == cuda.OpCommInit {
 			bootstrap += params.CommInitBase + vclock.Time(call.NRanks)*params.CommInitPerRank
 		}
 	}
@@ -651,10 +673,10 @@ func (c *Coordinator) buildReport(recs []*rankRecovery, kind string, advanced bo
 // handle creations, and communicator inits, preserving relative order.
 func splitCreationLog(creation []replay.Call) (mallocs, handles, comms []replay.Call) {
 	for _, call := range creation {
-		switch call.Kind {
-		case replay.CallMalloc:
+		switch call.Op {
+		case cuda.OpMalloc:
 			mallocs = append(mallocs, call)
-		case replay.CallCommInit:
+		case cuda.OpCommInit:
 			comms = append(comms, call)
 		default:
 			handles = append(handles, call)
@@ -667,28 +689,25 @@ func splitCreationLog(creation []replay.Call) (mallocs, handles, comms []replay.
 // the host directly through the proxy server's device context (no streams
 // involved, so it works while the driver is corrupt or streams are
 // wedged), charging PCIe transfer time per buffer.
-func (c *Coordinator) readModelTensors(pr *vclock.Proc, rec *TransparentRank, tr *replay.Translator) (map[string]tensor.Vector, error) {
+func (c *Coordinator) readModelTensors(pr *vclock.Proc, rec *TransparentRank, tr *cuda.Handles) (map[string]tensor.Vector, error) {
 	return c.readTensors(pr, rec, tr, false)
 }
 
 // readTensors is readModelTensors, optionally including every buffer (the
 // strategy-2 full-device copy).
-func (c *Coordinator) readTensors(pr *vclock.Proc, rec *TransparentRank, tr *replay.Translator, all bool) (map[string]tensor.Vector, error) {
+func (c *Coordinator) readTensors(pr *vclock.Proc, rec *TransparentRank, tr *cuda.Handles, all bool) (map[string]tensor.Vector, error) {
 	layer := rec.Layer
+	if tr == nil {
+		tr = layer.Handles()
+	}
 	out := make(map[string]tensor.Vector)
 	for _, info := range layer.VirtualBufs() {
 		if !all && !train.IsModelState(info.Tag) {
 			continue
 		}
-		var phys cuda.Buf
-		if tr != nil {
-			phys = tr.Buf(info.Handle)
-		} else {
-			var ok bool
-			phys, ok = layer.PhysBuf(info.Handle)
-			if !ok {
-				return nil, fmt.Errorf("core: no physical buffer for %v", info.Handle)
-			}
+		phys, ok := tr.Bufs[info.Handle]
+		if !ok {
+			return nil, fmt.Errorf("core: no physical buffer for %v", info.Handle)
 		}
 		data, err := rec.Server.Driver().BufData(phys)
 		if err != nil {
@@ -702,13 +721,13 @@ func (c *Coordinator) readTensors(pr *vclock.Proc, rec *TransparentRank, tr *rep
 
 // writeModelTensors writes host tensors back into a rank's re-created
 // buffers, resolving virtual handles through tr.
-func writeModelTensors(pr *vclock.Proc, layer *intercept.Layer, api cuda.API, tr *replay.Translator, data map[string]tensor.Vector) error {
+func writeModelTensors(pr *vclock.Proc, layer *intercept.Layer, api cuda.API, tr *cuda.Handles, data map[string]tensor.Vector) error {
 	return writeTensors(pr, layer, api, tr, data, false)
 }
 
 // writeTensors is writeModelTensors, optionally covering every buffer.
-func writeTensors(pr *vclock.Proc, layer *intercept.Layer, api cuda.API, tr *replay.Translator, data map[string]tensor.Vector, all bool) error {
-	s := tr.Stream(cuda.DefaultStream)
+func writeTensors(pr *vclock.Proc, layer *intercept.Layer, api cuda.API, tr *cuda.Handles, data map[string]tensor.Vector, all bool) error {
+	s := tr.Streams[cuda.DefaultStream]
 	for _, info := range layer.VirtualBufs() {
 		if !all && !train.IsModelState(info.Tag) {
 			continue
@@ -718,24 +737,11 @@ func writeTensors(pr *vclock.Proc, layer *intercept.Layer, api cuda.API, tr *rep
 		if !ok {
 			return fmt.Errorf("core: replica state missing tensor %s", name)
 		}
-		if err := api.MemcpyH2D(pr, tr.Buf(info.Handle), d, s); err != nil {
+		if err := api.MemcpyH2D(pr, tr.Bufs[info.Handle], d, s); err != nil {
 			return fmt.Errorf("core: write %s: %w", name, err)
 		}
 	}
 	return api.StreamSynchronize(pr, s)
-}
-
-// layerCommPhys and layerEventPhys resolve virtual comm/event handles.
-func layerCommPhys(layer *intercept.Layer, virt cuda.Comm) (cuda.Comm, bool) {
-	tr := layer.SeedTranslator()
-	phys, ok := tr.Comms[virt]
-	return phys, ok
-}
-
-func layerEventPhys(layer *intercept.Layer, virt cuda.Event) (cuda.Event, bool) {
-	tr := layer.SeedTranslator()
-	phys, ok := tr.Events[virt]
-	return phys, ok
 }
 
 // criuPayload is what the CRIU snapshot captures per worker: the worker's
@@ -961,35 +967,11 @@ func (c *Coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 			}
 			rec.timer.Mark("criu-restore")
 
-			// Rebuild all GPU objects from the creation log. The virtual
-			// default stream maps onto a fresh stream of the new server
-			// (prior recoveries may have remapped it to a handle that
-			// does not exist on this driver).
-			tr := rec.r.Layer.SeedTranslator()
-			rec.tr = tr
-			newDefault, err := client.StreamCreate(pr)
-			if err != nil {
-				rec.err = err
+			// Rebuild all GPU objects on the new server from the creation
+			// log.
+			if rec.err = c.rebuildGPU(pr, rec, true, newGen); rec.err != nil {
 				return
 			}
-			tr.Streams[cuda.DefaultStream] = newDefault
-			mallocs, handles, comms := splitCreationLog(rec.r.Layer.Log().Creation)
-			if err := replay.Apply(pr, client, mallocs, tr, replay.Options{}); err != nil {
-				rec.err = err
-				return
-			}
-			rec.timer.Mark("reset-buffers")
-			if err := replay.Apply(pr, client, handles, tr, replay.Options{}); err != nil {
-				rec.err = err
-				return
-			}
-			rec.timer.Mark("recreate-handles")
-			genFor := func(string, int) int { return newGen }
-			if err := replay.Apply(pr, client, comms, tr, replay.Options{GenFor: genFor}); err != nil {
-				rec.err = err
-				return
-			}
-			rec.timer.Mark("comm-init")
 
 			// Restore parameter/optimizer buffers from the assembled
 			// checkpoint (own file, or a replica's for the failed rank).
@@ -998,25 +980,13 @@ func (c *Coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 				rec.err = err
 				return
 			}
-			if err := writeModelTensors(pr, rec.r.Layer, client, tr, ms.Tensors); err != nil {
+			if err := writeModelTensors(pr, rec.r.Layer, client, rec.tr, ms.Tensors); err != nil {
 				rec.err = err
 				return
 			}
 			rec.timer.Mark("restore-state")
 
-			if rec.ignoreMut {
-				rec.r.Layer.IgnoreMutationsUntilNextMinibatch()
-			}
-			if !rec.skipReplay {
-				if err := replay.Apply(pr, client, rec.r.Layer.Log().Minibatch, tr, replay.Options{GenFor: genFor}); err != nil {
-					rec.err = err
-					return
-				}
-			}
-			rec.timer.Mark("replay")
-			trace.Of(c.env).Instant(pr.Now(), "ckpt", trace.Rank(rec.r.Rank), "restore-done",
-				"valid", true, "iter", stateIter, "src", "ckpt")
-			rec.r.Layer.EndRecovery(tr)
+			rec.err = c.replayTail(pr, rec, newGen, stateIter, "ckpt")
 		})
 	}
 	ok := c.awaitRecs(p, recs, deadline, lost)
@@ -1058,13 +1028,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// encodePayloadForTest exposes criuPayload encoding for tests.
-func encodePayloadForTest(pl criuPayload) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(pl); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

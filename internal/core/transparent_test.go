@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 
+	"jitckpt/internal/cuda"
 	"jitckpt/internal/failure"
 	"jitckpt/internal/replay"
 	"jitckpt/internal/train"
@@ -12,18 +15,18 @@ import (
 
 func TestSplitCreationLog(t *testing.T) {
 	calls := []replay.Call{
-		{Kind: replay.CallCommInit, Key: "w"},
-		{Kind: replay.CallStreamCreate, RStream: 1},
-		{Kind: replay.CallMalloc, RBuf: 1},
-		{Kind: replay.CallEventCreate, REvent: 1},
-		{Kind: replay.CallMalloc, RBuf: 2},
-		{Kind: replay.CallCommInit, Key: "dp"},
+		{Call: cuda.Call{Op: cuda.OpCommInit, Key: "w"}},
+		{Call: cuda.Call{Op: cuda.OpStreamCreate}, Created: 1},
+		{Call: cuda.Call{Op: cuda.OpMalloc}, Created: 1},
+		{Call: cuda.Call{Op: cuda.OpEventCreate}, Created: 1},
+		{Call: cuda.Call{Op: cuda.OpMalloc}, Created: 2},
+		{Call: cuda.Call{Op: cuda.OpCommInit, Key: "dp"}},
 	}
 	mallocs, handles, comms := splitCreationLog(calls)
-	if len(mallocs) != 2 || mallocs[0].RBuf != 1 || mallocs[1].RBuf != 2 {
+	if len(mallocs) != 2 || mallocs[0].Created != 1 || mallocs[1].Created != 2 {
 		t.Fatalf("mallocs = %+v", mallocs)
 	}
-	if len(handles) != 2 || handles[0].Kind != replay.CallStreamCreate {
+	if len(handles) != 2 || handles[0].Op != cuda.OpStreamCreate {
 		t.Fatalf("handles = %+v", handles)
 	}
 	if len(comms) != 2 || comms[0].Key != "w" || comms[1].Key != "dp" {
@@ -37,11 +40,11 @@ func TestCRIUPayloadRoundTrip(t *testing.T) {
 		t.Fatal("garbage payload decoded")
 	}
 	pl := criuPayload{Snapshot: train.Snapshot{Iter: 7, Gen: 2}, Log: []byte{1, 2, 3}}
-	enc, err := encodePayloadForTest(pl)
-	if err != nil {
+	var enc bytes.Buffer
+	if err := gob.NewEncoder(&enc).Encode(pl); err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeCRIUPayload(enc)
+	got, err := decodeCRIUPayload(enc.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

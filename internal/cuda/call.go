@@ -1,0 +1,546 @@
+package cuda
+
+import (
+	"fmt"
+	"maps"
+
+	"jitckpt/internal/vclock"
+)
+
+// A device call as data. The transparent stack (§4, Figure 2) is three
+// views of one API call — intercepted, logged for replay (§4.1), forwarded
+// to the device proxy (§4.2) — so the call has one representation: an Op,
+// its row in the op table, a Call/Result value pair, and Invoke, the single
+// switch that turns a Call back into an API method call.
+
+// Op identifies one API method.
+type Op uint8
+
+// One Op per API method, in interface order.
+const (
+	OpMalloc Op = iota
+	OpFree
+	OpMemcpyH2D
+	OpMemcpyD2H
+	OpMemcpyD2D
+	OpStreamCreate
+	OpStreamDestroy
+	OpStreamSynchronize
+	OpStreamWaitEvent
+	OpEventCreate
+	OpEventRecord
+	OpEventQuery
+	OpEventSynchronize
+	OpEventDestroy
+	OpLaunch
+	OpDeviceSynchronize
+	OpGetLastError
+	OpBufList
+	OpBufChecksum
+	OpCommInit
+	OpCommDestroy
+	OpAllReduce
+	OpBroadcast
+	OpAllGather
+	OpReduceScatter
+	OpSend
+	OpRecv
+	OpBarrier
+	numOps
+)
+
+// HandleKind names one of the four handle spaces.
+type HandleKind uint8
+
+// Handle kinds. NoHandle is the zero value: the op creates/destroys nothing.
+const (
+	NoHandle HandleKind = iota
+	BufHandle
+	StreamHandle
+	EventHandle
+	CommHandle
+)
+
+// handleFields is the set of handle-valued Call fields an op reads.
+type handleFields uint8
+
+const (
+	useBuf handleFields = 1 << iota
+	useBuf2
+	useStream
+	useEvent
+	useComm
+	useLaunchBufs
+)
+
+// OpInfo is one row of the op table.
+type OpInfo struct {
+	// Name is the API method name (trace event names, watchdog messages).
+	Name string
+	// Async ops are fire-and-forget on the proxy client: the call returns
+	// once the request is queued and errors surface via GetLastError.
+	Async bool
+	// Tracked ops are watched by the interception layer's watchdog: one
+	// that never returns is a hang (§4.2). CommInit is deliberately not
+	// tracked — rendezvous legitimately blocks until the last rank arrives.
+	Tracked bool
+	// Mutating ops change device state: they are what the replay log
+	// records and what the §4.2.2 ignore window swallows. The rest are
+	// queries, which are not needed to reproduce state.
+	Mutating bool
+	// Creates / Destroys name the handle kind the op gives birth to (in
+	// Result.Handle) or retires (Call.Handle of that kind).
+	Creates, Destroys HandleKind
+
+	uses handleFields
+}
+
+var opTable = [numOps]OpInfo{
+	OpMalloc:            {Name: "Malloc", Tracked: true, Mutating: true, Creates: BufHandle},
+	OpFree:              {Name: "Free", Tracked: true, Mutating: true, Destroys: BufHandle, uses: useBuf},
+	OpMemcpyH2D:         {Name: "MemcpyH2D", Async: true, Mutating: true, uses: useBuf | useStream},
+	OpMemcpyD2H:         {Name: "MemcpyD2H", Tracked: true, uses: useBuf | useStream},
+	OpMemcpyD2D:         {Name: "MemcpyD2D", Async: true, Mutating: true, uses: useBuf | useBuf2 | useStream},
+	OpStreamCreate:      {Name: "StreamCreate", Tracked: true, Mutating: true, Creates: StreamHandle},
+	OpStreamDestroy:     {Name: "StreamDestroy", Tracked: true, Mutating: true, Destroys: StreamHandle, uses: useStream},
+	OpStreamSynchronize: {Name: "StreamSynchronize", Tracked: true, uses: useStream},
+	OpStreamWaitEvent:   {Name: "StreamWaitEvent", Async: true, Mutating: true, uses: useStream | useEvent},
+	OpEventCreate:       {Name: "EventCreate", Tracked: true, Mutating: true, Creates: EventHandle},
+	OpEventRecord:       {Name: "EventRecord", Async: true, Mutating: true, uses: useEvent | useStream},
+	OpEventQuery:        {Name: "EventQuery", uses: useEvent},
+	OpEventSynchronize:  {Name: "EventSynchronize", Tracked: true, uses: useEvent},
+	OpEventDestroy:      {Name: "EventDestroy", Tracked: true, Mutating: true, Destroys: EventHandle, uses: useEvent},
+	OpLaunch:            {Name: "Launch", Async: true, Mutating: true, uses: useStream | useLaunchBufs},
+	OpDeviceSynchronize: {Name: "DeviceSynchronize", Tracked: true},
+	OpGetLastError:      {Name: "GetLastError"},
+	OpBufList:           {Name: "BufList"},
+	OpBufChecksum:       {Name: "BufChecksum", Tracked: true, uses: useBuf},
+	OpCommInit:          {Name: "CommInit", Mutating: true, Creates: CommHandle},
+	OpCommDestroy:       {Name: "CommDestroy", Tracked: true, Mutating: true, Destroys: CommHandle, uses: useComm},
+	OpAllReduce:         {Name: "AllReduce", Async: true, Mutating: true, uses: useComm | useBuf | useStream},
+	OpBroadcast:         {Name: "Broadcast", Async: true, Mutating: true, uses: useComm | useBuf | useStream},
+	OpAllGather:         {Name: "AllGather", Async: true, Mutating: true, uses: useComm | useBuf | useBuf2 | useStream},
+	OpReduceScatter:     {Name: "ReduceScatter", Async: true, Mutating: true, uses: useComm | useBuf | useBuf2 | useStream},
+	OpSend:              {Name: "Send", Async: true, Mutating: true, uses: useComm | useBuf | useStream},
+	OpRecv:              {Name: "Recv", Async: true, Mutating: true, uses: useComm | useBuf | useStream},
+	OpBarrier:           {Name: "Barrier", Async: true, Mutating: true, uses: useComm | useStream},
+}
+
+// Info returns the op's table row; an out-of-range op gets a row with only
+// a name, so it is never async, tracked or recorded.
+func (o Op) Info() OpInfo {
+	if o < numOps {
+		return opTable[o]
+	}
+	return OpInfo{Name: fmt.Sprintf("Op(%d)", uint8(o))}
+}
+
+// String renders the API method name.
+func (o Op) String() string { return o.Info().Name }
+
+// Call is one API invocation's inputs. Fields are a union across ops;
+// unused fields are zero. Everything in it crosses the proxy wire and the
+// replay log.
+type Call struct {
+	Op Op
+
+	Bytes  int64
+	Elems  int
+	Tag    string
+	Buf    Buf
+	Buf2   Buf
+	Stream Stream
+	Event  Event
+	Comm   Comm
+	Data   []float32
+	Launch LaunchParams
+	Key    string
+	Gen    int
+	NRanks int
+	Rank   int
+	Peer   int
+	Root   int
+}
+
+// Handle returns the call's handle of kind k — for a destruction op, the
+// object it retires.
+func (c *Call) Handle(k HandleKind) int {
+	switch k {
+	case BufHandle:
+		return int(c.Buf)
+	case StreamHandle:
+		return int(c.Stream)
+	case EventHandle:
+		return int(c.Event)
+	case CommHandle:
+		return int(c.Comm)
+	}
+	return 0
+}
+
+// Result is one API invocation's outputs, a union like Call. Handle is the
+// new object's handle for creation ops, in the space Op.Info().Creates
+// names.
+type Result struct {
+	Handle int
+	Data   []float32
+	Bool   bool
+	U64    uint64
+	Infos  []BufInfo
+}
+
+// Invoke executes c against api: the one place an Op becomes an API method
+// call. Outputs are returned even alongside an error, as the methods do.
+// c is only read; it comes by pointer because a Call is some 250 bytes and
+// every intercepted, forwarded or replayed call passes through here.
+func Invoke(p *vclock.Proc, api API, c *Call) (Result, error) {
+	var r Result
+	var err error
+	switch c.Op {
+	case OpMalloc:
+		var h Buf
+		h, err = api.Malloc(p, c.Bytes, c.Elems, c.Tag)
+		r.Handle = int(h)
+	case OpFree:
+		err = api.Free(p, c.Buf)
+	case OpMemcpyH2D:
+		err = api.MemcpyH2D(p, c.Buf, c.Data, c.Stream)
+	case OpMemcpyD2H:
+		r.Data, err = api.MemcpyD2H(p, c.Buf, c.Stream)
+	case OpMemcpyD2D:
+		err = api.MemcpyD2D(p, c.Buf, c.Buf2, c.Stream)
+	case OpStreamCreate:
+		var h Stream
+		h, err = api.StreamCreate(p)
+		r.Handle = int(h)
+	case OpStreamDestroy:
+		err = api.StreamDestroy(p, c.Stream)
+	case OpStreamSynchronize:
+		err = api.StreamSynchronize(p, c.Stream)
+	case OpStreamWaitEvent:
+		err = api.StreamWaitEvent(p, c.Stream, c.Event)
+	case OpEventCreate:
+		var h Event
+		h, err = api.EventCreate(p)
+		r.Handle = int(h)
+	case OpEventRecord:
+		err = api.EventRecord(p, c.Event, c.Stream)
+	case OpEventQuery:
+		r.Bool, err = api.EventQuery(p, c.Event)
+	case OpEventSynchronize:
+		err = api.EventSynchronize(p, c.Event)
+	case OpEventDestroy:
+		err = api.EventDestroy(p, c.Event)
+	case OpLaunch:
+		err = api.Launch(p, c.Launch, c.Stream)
+	case OpDeviceSynchronize:
+		err = api.DeviceSynchronize(p)
+	case OpGetLastError:
+		err = api.GetLastError(p)
+	case OpBufList:
+		r.Infos, err = api.BufList(p)
+	case OpBufChecksum:
+		r.U64, err = api.BufChecksum(p, c.Buf)
+	case OpCommInit:
+		var h Comm
+		h, err = api.CommInit(p, c.Key, c.Gen, c.NRanks, c.Rank)
+		r.Handle = int(h)
+	case OpCommDestroy:
+		err = api.CommDestroy(p, c.Comm)
+	case OpAllReduce:
+		err = api.AllReduce(p, c.Comm, c.Buf, c.Stream)
+	case OpBroadcast:
+		err = api.Broadcast(p, c.Comm, c.Buf, c.Root, c.Stream)
+	case OpAllGather:
+		err = api.AllGather(p, c.Comm, c.Buf, c.Buf2, c.Stream)
+	case OpReduceScatter:
+		err = api.ReduceScatter(p, c.Comm, c.Buf, c.Buf2, c.Stream)
+	case OpSend:
+		err = api.Send(p, c.Comm, c.Buf, c.Peer, c.Stream)
+	case OpRecv:
+		err = api.Recv(p, c.Comm, c.Buf, c.Peer, c.Stream)
+	case OpBarrier:
+		err = api.Barrier(p, c.Comm, c.Stream)
+	default:
+		err = fmt.Errorf("cuda: unknown op %v", c.Op)
+	}
+	return r, err
+}
+
+// Handles is a handle table: one map per handle space from the handles a
+// caller holds to the handles the device currently knows. The interception
+// layer's virtual→physical table is one; recovery replays the creation log
+// into a clone of it and the layer adopts the clone (§4.2).
+type Handles struct {
+	Bufs    map[Buf]Buf
+	Streams map[Stream]Stream
+	Events  map[Event]Event
+	Comms   map[Comm]Comm
+}
+
+// NewHandles returns a table holding only the default stream, which always
+// exists and maps to itself.
+func NewHandles() *Handles {
+	return &Handles{
+		Bufs:    make(map[Buf]Buf),
+		Streams: map[Stream]Stream{DefaultStream: DefaultStream},
+		Events:  make(map[Event]Event),
+		Comms:   make(map[Comm]Comm),
+	}
+}
+
+// Clone returns an independent copy of the table.
+func (h *Handles) Clone() *Handles {
+	return &Handles{
+		Bufs:    maps.Clone(h.Bufs),
+		Streams: maps.Clone(h.Streams),
+		Events:  maps.Clone(h.Events),
+		Comms:   maps.Clone(h.Comms),
+	}
+}
+
+// Bind maps handle from to handle to in space k.
+func (h *Handles) Bind(k HandleKind, from, to int) {
+	switch k {
+	case BufHandle:
+		h.Bufs[Buf(from)] = Buf(to)
+	case StreamHandle:
+		h.Streams[Stream(from)] = Stream(to)
+	case EventHandle:
+		h.Events[Event(from)] = Event(to)
+	case CommHandle:
+		h.Comms[Comm(from)] = Comm(to)
+	}
+}
+
+// Unbind removes handle from from space k.
+func (h *Handles) Unbind(k HandleKind, from int) {
+	switch k {
+	case BufHandle:
+		delete(h.Bufs, Buf(from))
+	case StreamHandle:
+		delete(h.Streams, Stream(from))
+	case EventHandle:
+		delete(h.Events, Event(from))
+	case CommHandle:
+		delete(h.Comms, Comm(from))
+	}
+}
+
+// Translate maps, in place, every handle field c's op reads through the
+// table. A handle the table does not hold is an ErrBadHandle, and c is then
+// left partly translated.
+func (h *Handles) Translate(c *Call) error {
+	uses := c.Op.Info().uses
+	var ok bool
+	if uses&useBuf != 0 {
+		b := c.Buf
+		if c.Buf, ok = h.Bufs[b]; !ok {
+			return unmapped("buf", int(b))
+		}
+	}
+	if uses&useBuf2 != 0 {
+		b := c.Buf2
+		if c.Buf2, ok = h.Bufs[b]; !ok {
+			return unmapped("buf", int(b))
+		}
+	}
+	if uses&useStream != 0 {
+		s := c.Stream
+		if c.Stream, ok = h.Streams[s]; !ok {
+			return unmapped("stream", int(s))
+		}
+	}
+	if uses&useEvent != 0 {
+		e := c.Event
+		if c.Event, ok = h.Events[e]; !ok {
+			return unmapped("event", int(e))
+		}
+	}
+	if uses&useComm != 0 {
+		m := c.Comm
+		if c.Comm, ok = h.Comms[m]; !ok {
+			return unmapped("comm", int(m))
+		}
+	}
+	if uses&useLaunchBufs != 0 && len(c.Launch.Bufs) > 0 {
+		// A fresh slice: the one the caller (or the replay log) holds stays
+		// untouched.
+		to := make([]Buf, len(c.Launch.Bufs))
+		for i, b := range c.Launch.Bufs {
+			if to[i], ok = h.Bufs[b]; !ok {
+				return unmapped("buf", int(b))
+			}
+		}
+		c.Launch.Bufs = to
+	}
+	return nil
+}
+
+func unmapped(space string, h int) error {
+	return fmt.Errorf("%w: virtual %s %d", ErrBadHandle, space, h)
+}
+
+// Adapter implements API on top of a single function taking a Call: each
+// method packs its arguments and unpacks the Result. The proxy client and
+// the interception layer embed one and supply only their do.
+type Adapter struct {
+	do func(p *vclock.Proc, c Call) (Result, error)
+}
+
+var _ API = Adapter{}
+
+// Adapt returns an Adapter over do. The Call is handed over by value, so it
+// never escapes to the heap on its way through.
+func Adapt(do func(p *vclock.Proc, c Call) (Result, error)) Adapter { return Adapter{do: do} }
+
+// err runs a call whose only output is its error. c points at the caller's
+// temporary, which saves one copy of the Call on every such call.
+func (a Adapter) err(p *vclock.Proc, c *Call) error {
+	_, err := a.do(p, *c)
+	return err
+}
+
+// Malloc implements API.
+func (a Adapter) Malloc(p *vclock.Proc, bytes int64, elems int, tag string) (Buf, error) {
+	r, err := a.do(p, Call{Op: OpMalloc, Bytes: bytes, Elems: elems, Tag: tag})
+	return Buf(r.Handle), err
+}
+
+// Free implements API.
+func (a Adapter) Free(p *vclock.Proc, b Buf) error { return a.err(p, &Call{Op: OpFree, Buf: b}) }
+
+// MemcpyH2D implements API.
+func (a Adapter) MemcpyH2D(p *vclock.Proc, dst Buf, src []float32, s Stream) error {
+	return a.err(p, &Call{Op: OpMemcpyH2D, Buf: dst, Data: src, Stream: s})
+}
+
+// MemcpyD2H implements API.
+func (a Adapter) MemcpyD2H(p *vclock.Proc, src Buf, s Stream) ([]float32, error) {
+	r, err := a.do(p, Call{Op: OpMemcpyD2H, Buf: src, Stream: s})
+	return r.Data, err
+}
+
+// MemcpyD2D implements API.
+func (a Adapter) MemcpyD2D(p *vclock.Proc, dst, src Buf, s Stream) error {
+	return a.err(p, &Call{Op: OpMemcpyD2D, Buf: dst, Buf2: src, Stream: s})
+}
+
+// StreamCreate implements API.
+func (a Adapter) StreamCreate(p *vclock.Proc) (Stream, error) {
+	r, err := a.do(p, Call{Op: OpStreamCreate})
+	return Stream(r.Handle), err
+}
+
+// StreamDestroy implements API.
+func (a Adapter) StreamDestroy(p *vclock.Proc, s Stream) error {
+	return a.err(p, &Call{Op: OpStreamDestroy, Stream: s})
+}
+
+// StreamSynchronize implements API.
+func (a Adapter) StreamSynchronize(p *vclock.Proc, s Stream) error {
+	return a.err(p, &Call{Op: OpStreamSynchronize, Stream: s})
+}
+
+// StreamWaitEvent implements API.
+func (a Adapter) StreamWaitEvent(p *vclock.Proc, s Stream, ev Event) error {
+	return a.err(p, &Call{Op: OpStreamWaitEvent, Stream: s, Event: ev})
+}
+
+// EventCreate implements API.
+func (a Adapter) EventCreate(p *vclock.Proc) (Event, error) {
+	r, err := a.do(p, Call{Op: OpEventCreate})
+	return Event(r.Handle), err
+}
+
+// EventRecord implements API.
+func (a Adapter) EventRecord(p *vclock.Proc, ev Event, s Stream) error {
+	return a.err(p, &Call{Op: OpEventRecord, Event: ev, Stream: s})
+}
+
+// EventQuery implements API.
+func (a Adapter) EventQuery(p *vclock.Proc, ev Event) (bool, error) {
+	r, err := a.do(p, Call{Op: OpEventQuery, Event: ev})
+	return r.Bool, err
+}
+
+// EventSynchronize implements API.
+func (a Adapter) EventSynchronize(p *vclock.Proc, ev Event) error {
+	return a.err(p, &Call{Op: OpEventSynchronize, Event: ev})
+}
+
+// EventDestroy implements API.
+func (a Adapter) EventDestroy(p *vclock.Proc, ev Event) error {
+	return a.err(p, &Call{Op: OpEventDestroy, Event: ev})
+}
+
+// Launch implements API.
+func (a Adapter) Launch(p *vclock.Proc, lp LaunchParams, s Stream) error {
+	return a.err(p, &Call{Op: OpLaunch, Launch: lp, Stream: s})
+}
+
+// DeviceSynchronize implements API.
+func (a Adapter) DeviceSynchronize(p *vclock.Proc) error {
+	return a.err(p, &Call{Op: OpDeviceSynchronize})
+}
+
+// GetLastError implements API.
+func (a Adapter) GetLastError(p *vclock.Proc) error { return a.err(p, &Call{Op: OpGetLastError}) }
+
+// BufList implements API.
+func (a Adapter) BufList(p *vclock.Proc) ([]BufInfo, error) {
+	r, err := a.do(p, Call{Op: OpBufList})
+	return r.Infos, err
+}
+
+// BufChecksum implements API.
+func (a Adapter) BufChecksum(p *vclock.Proc, b Buf) (uint64, error) {
+	r, err := a.do(p, Call{Op: OpBufChecksum, Buf: b})
+	return r.U64, err
+}
+
+// CommInit implements API.
+func (a Adapter) CommInit(p *vclock.Proc, key string, gen, nranks, rank int) (Comm, error) {
+	r, err := a.do(p, Call{Op: OpCommInit, Key: key, Gen: gen, NRanks: nranks, Rank: rank})
+	return Comm(r.Handle), err
+}
+
+// CommDestroy implements API.
+func (a Adapter) CommDestroy(p *vclock.Proc, c Comm) error {
+	return a.err(p, &Call{Op: OpCommDestroy, Comm: c})
+}
+
+// AllReduce implements API.
+func (a Adapter) AllReduce(p *vclock.Proc, c Comm, b Buf, s Stream) error {
+	return a.err(p, &Call{Op: OpAllReduce, Comm: c, Buf: b, Stream: s})
+}
+
+// Broadcast implements API.
+func (a Adapter) Broadcast(p *vclock.Proc, c Comm, b Buf, root int, s Stream) error {
+	return a.err(p, &Call{Op: OpBroadcast, Comm: c, Buf: b, Root: root, Stream: s})
+}
+
+// AllGather implements API.
+func (a Adapter) AllGather(p *vclock.Proc, c Comm, in, out Buf, s Stream) error {
+	return a.err(p, &Call{Op: OpAllGather, Comm: c, Buf: in, Buf2: out, Stream: s})
+}
+
+// ReduceScatter implements API.
+func (a Adapter) ReduceScatter(p *vclock.Proc, c Comm, in, out Buf, s Stream) error {
+	return a.err(p, &Call{Op: OpReduceScatter, Comm: c, Buf: in, Buf2: out, Stream: s})
+}
+
+// Send implements API.
+func (a Adapter) Send(p *vclock.Proc, c Comm, b Buf, peer int, s Stream) error {
+	return a.err(p, &Call{Op: OpSend, Comm: c, Buf: b, Peer: peer, Stream: s})
+}
+
+// Recv implements API.
+func (a Adapter) Recv(p *vclock.Proc, c Comm, b Buf, peer int, s Stream) error {
+	return a.err(p, &Call{Op: OpRecv, Comm: c, Buf: b, Peer: peer, Stream: s})
+}
+
+// Barrier implements API.
+func (a Adapter) Barrier(p *vclock.Proc, c Comm, s Stream) error {
+	return a.err(p, &Call{Op: OpBarrier, Comm: c, Stream: s})
+}

@@ -1,8 +1,12 @@
 package cuda
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"jitckpt/internal/gpu"
@@ -616,4 +620,319 @@ func TestAsyncErrorPropagation(t *testing.T) {
 			t.Errorf("clean stream sync = %v", err)
 		}
 	})
+}
+
+// wantOps is the op table written out by hand rather than derived from it,
+// so an edit that changes which calls the proxy client waits for (async),
+// the watchdog ages (tracked) or the replay log records (mutating,
+// creates, destroys) has to be made twice. The values are the ones the
+// proxy's, the interception layer's and the replay log's own per-method
+// lists held before the table replaced them.
+var wantOps = []struct {
+	op                       Op
+	name                     string
+	async, tracked, mutating bool
+	creates, destroys        HandleKind
+}{
+	{OpMalloc, "Malloc", false, true, true, BufHandle, NoHandle},
+	{OpFree, "Free", false, true, true, NoHandle, BufHandle},
+	{OpMemcpyH2D, "MemcpyH2D", true, false, true, NoHandle, NoHandle},
+	{OpMemcpyD2H, "MemcpyD2H", false, true, false, NoHandle, NoHandle},
+	{OpMemcpyD2D, "MemcpyD2D", true, false, true, NoHandle, NoHandle},
+	{OpStreamCreate, "StreamCreate", false, true, true, StreamHandle, NoHandle},
+	{OpStreamDestroy, "StreamDestroy", false, true, true, NoHandle, StreamHandle},
+	{OpStreamSynchronize, "StreamSynchronize", false, true, false, NoHandle, NoHandle},
+	{OpStreamWaitEvent, "StreamWaitEvent", true, false, true, NoHandle, NoHandle},
+	{OpEventCreate, "EventCreate", false, true, true, EventHandle, NoHandle},
+	{OpEventRecord, "EventRecord", true, false, true, NoHandle, NoHandle},
+	{OpEventQuery, "EventQuery", false, false, false, NoHandle, NoHandle},
+	{OpEventSynchronize, "EventSynchronize", false, true, false, NoHandle, NoHandle},
+	{OpEventDestroy, "EventDestroy", false, true, true, NoHandle, EventHandle},
+	{OpLaunch, "Launch", true, false, true, NoHandle, NoHandle},
+	{OpDeviceSynchronize, "DeviceSynchronize", false, true, false, NoHandle, NoHandle},
+	{OpGetLastError, "GetLastError", false, false, false, NoHandle, NoHandle},
+	{OpBufList, "BufList", false, false, false, NoHandle, NoHandle},
+	{OpBufChecksum, "BufChecksum", false, true, false, NoHandle, NoHandle},
+	{OpCommInit, "CommInit", false, false, true, CommHandle, NoHandle},
+	{OpCommDestroy, "CommDestroy", false, true, true, NoHandle, CommHandle},
+	{OpAllReduce, "AllReduce", true, false, true, NoHandle, NoHandle},
+	{OpBroadcast, "Broadcast", true, false, true, NoHandle, NoHandle},
+	{OpAllGather, "AllGather", true, false, true, NoHandle, NoHandle},
+	{OpReduceScatter, "ReduceScatter", true, false, true, NoHandle, NoHandle},
+	{OpSend, "Send", true, false, true, NoHandle, NoHandle},
+	{OpRecv, "Recv", true, false, true, NoHandle, NoHandle},
+	{OpBarrier, "Barrier", true, false, true, NoHandle, NoHandle},
+}
+
+func TestOpTableColumns(t *testing.T) {
+	if len(wantOps) != int(numOps) {
+		t.Fatalf("transcribed %d ops, table has %d", len(wantOps), numOps)
+	}
+	for i, w := range wantOps {
+		if int(w.op) != i {
+			t.Fatalf("row %d is %v: rows must follow the Op order", i, w.op)
+		}
+		got := w.op.Info()
+		want := OpInfo{Name: w.name, Async: w.async, Tracked: w.tracked, Mutating: w.mutating,
+			Creates: w.creates, Destroys: w.destroys, uses: got.uses}
+		if got != want {
+			t.Errorf("%v: table row %+v, want %+v", w.op, got, want)
+		}
+		if w.op.String() != w.name {
+			t.Errorf("Op(%d).String() = %q, want %q", i, w.op, w.name)
+		}
+	}
+	bad := Op(200)
+	if bad.String() == "" || bad.Info().Async || bad.Info().Mutating {
+		t.Errorf("out-of-range op: String %q, Info %+v", bad, bad.Info())
+	}
+	r := newRig(t, nil)
+	r.inProc(t, func(p *vclock.Proc) {
+		if _, err := Invoke(p, r.drv, &Call{Op: bad}); err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Errorf("Invoke(out-of-range op) = %v, want an unknown-op error", err)
+		}
+	})
+}
+
+// opStep is one API call of the script TestCallRoundTripMatchesDirectCall
+// runs; h holds the handles earlier steps produced.
+type opStep struct {
+	op   Op
+	call func(p *vclock.Proc, api API, h *opHandles) (any, error)
+}
+
+type opHandles struct {
+	b, b2 Buf
+	s     Stream
+	ev    Event
+	c     Comm
+}
+
+func errOnly(err error) (any, error) { return nil, err }
+
+// opScript exercises every API method at least once, including calls that
+// fail with a sentinel error.
+var opScript = []opStep{
+	{OpMalloc, func(p *vclock.Proc, api API, h *opHandles) (r any, err error) {
+		h.b, err = api.Malloc(p, 64, 2, "w")
+		return h.b, err
+	}},
+	{OpMalloc, func(p *vclock.Proc, api API, h *opHandles) (r any, err error) {
+		h.b2, err = api.Malloc(p, 64, 2, "w2")
+		return h.b2, err
+	}},
+	{OpStreamCreate, func(p *vclock.Proc, api API, h *opHandles) (r any, err error) {
+		h.s, err = api.StreamCreate(p)
+		return h.s, err
+	}},
+	{OpEventCreate, func(p *vclock.Proc, api API, h *opHandles) (r any, err error) {
+		h.ev, err = api.EventCreate(p)
+		return h.ev, err
+	}},
+	{OpCommInit, func(p *vclock.Proc, api API, h *opHandles) (r any, err error) {
+		h.c, err = api.CommInit(p, "dp", 0, 1, 0)
+		return h.c, err
+	}},
+	{OpMemcpyH2D, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.MemcpyH2D(p, h.b, []float32{1, 2}, h.s))
+	}},
+	{OpMemcpyD2D, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.MemcpyD2D(p, h.b2, h.b, h.s))
+	}},
+	{OpLaunch, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		lp := LaunchParams{Kernel: "scale", Dur: vclock.Millisecond, Bufs: []Buf{h.b}, IArgs: []int64{3}, FArgs: []float32{2}}
+		return errOnly(api.Launch(p, lp, h.s))
+	}},
+	{OpLaunch, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.Launch(p, LaunchParams{Kernel: "nope"}, h.s)) // ErrUnknownKernel
+	}},
+	{OpAllReduce, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.AllReduce(p, h.c, h.b, h.s))
+	}},
+	{OpBroadcast, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.Broadcast(p, h.c, h.b, 0, h.s))
+	}},
+	{OpAllGather, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.AllGather(p, h.c, h.b, h.b2, h.s))
+	}},
+	{OpReduceScatter, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.ReduceScatter(p, h.c, h.b, h.b2, h.s))
+	}},
+	{OpSend, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.Send(p, h.c, h.b, 5, h.s)) // nccl.ErrInvalidRank
+	}},
+	{OpRecv, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.Recv(p, h.c, h.b, 5, h.s)) // nccl.ErrInvalidRank
+	}},
+	{OpBarrier, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.Barrier(p, h.c, h.s))
+	}},
+	{OpEventRecord, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.EventRecord(p, h.ev, h.s))
+	}},
+	{OpStreamWaitEvent, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.StreamWaitEvent(p, DefaultStream, h.ev))
+	}},
+	{OpEventQuery, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return api.EventQuery(p, h.ev) // still pending
+	}},
+	{OpStreamSynchronize, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.StreamSynchronize(p, h.s))
+	}},
+	{OpEventSynchronize, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.EventSynchronize(p, h.ev))
+	}},
+	{OpEventQuery, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return api.EventQuery(p, h.ev) // complete
+	}},
+	{OpDeviceSynchronize, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.DeviceSynchronize(p))
+	}},
+	{OpGetLastError, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.GetLastError(p))
+	}},
+	{OpMemcpyD2H, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return api.MemcpyD2H(p, h.b, h.s)
+	}},
+	{OpMemcpyD2H, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return api.MemcpyD2H(p, 99, h.s) // ErrBadHandle
+	}},
+	{OpBufChecksum, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return api.BufChecksum(p, h.b)
+	}},
+	{OpBufList, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return api.BufList(p)
+	}},
+	{OpFree, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.Free(p, h.b2))
+	}},
+	{OpFree, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.Free(p, h.b2)) // ErrBadHandle: already freed
+	}},
+	{OpEventDestroy, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.EventDestroy(p, h.ev))
+	}},
+	{OpStreamDestroy, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.StreamDestroy(p, h.s))
+	}},
+	{OpCommDestroy, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
+		return errOnly(api.CommDestroy(p, h.c))
+	}},
+}
+
+// TestCallRoundTripMatchesDirectCall runs the same script twice on twin
+// drivers: once calling the driver's methods directly, once through the
+// Adapter with every Call gob-encoded, decoded and handed to Invoke — the
+// proxy wire's path. Each step must name the expected Op and return what
+// the direct call returns: equal results, and errors with the same text and
+// the same sentinel identity.
+func TestCallRoundTripMatchesDirectCall(t *testing.T) {
+	kernels := Registry{"scale": func(a KernelArgs) error {
+		for i := range a.Bufs[0] {
+			a.Bufs[0][i] = a.Bufs[0][i]*a.FArgs[0] + float32(a.IArgs[0])
+		}
+		return nil
+	}}
+	sentinels := []error{ErrBadHandle, ErrUnknownKernel, nccl.ErrInvalidRank, nccl.ErrBufSizes}
+	direct, wired := newRig(t, kernels), newRig(t, kernels)
+	type outcome struct {
+		res any
+		err error
+	}
+	var want []outcome
+	direct.inProc(t, func(p *vclock.Proc) {
+		var h opHandles
+		for _, step := range opScript {
+			res, err := step.call(p, direct.drv, &h)
+			want = append(want, outcome{res, err})
+		}
+	})
+	covered := make(map[Op]bool)
+	wired.inProc(t, func(p *vclock.Proc) {
+		var seen Op
+		api := Adapt(func(p *vclock.Proc, c Call) (Result, error) {
+			var wire bytes.Buffer
+			if err := gob.NewEncoder(&wire).Encode(&c); err != nil {
+				return Result{}, fmt.Errorf("encode %v: %w", c.Op, err)
+			}
+			var back Call
+			if err := gob.NewDecoder(&wire).Decode(&back); err != nil {
+				return Result{}, fmt.Errorf("decode %v: %w", c.Op, err)
+			}
+			seen = back.Op
+			return Invoke(p, wired.drv, &back)
+		})
+		var h opHandles
+		for i, step := range opScript {
+			res, err := step.call(p, api, &h)
+			if seen != step.op {
+				t.Errorf("step %d: adapter built a %v call, want %v", i, seen, step.op)
+			}
+			covered[seen] = true
+			if !reflect.DeepEqual(res, want[i].res) {
+				t.Errorf("step %d (%v): result %v, direct call returned %v", i, step.op, res, want[i].res)
+			}
+			if fmt.Sprint(err) != fmt.Sprint(want[i].err) {
+				t.Errorf("step %d (%v): error %v, direct call returned %v", i, step.op, err, want[i].err)
+			}
+			for _, s := range sentinels {
+				if errors.Is(err, s) != errors.Is(want[i].err, s) {
+					t.Errorf("step %d (%v): errors.Is(%v) differs from the direct call", i, step.op, s)
+				}
+			}
+		}
+	})
+	for op := Op(0); op < numOps; op++ {
+		if !covered[op] {
+			t.Errorf("script never calls %v", op)
+		}
+	}
+}
+
+// TestHandlesTranslate: the default stream maps to itself in a new table,
+// bound handles translate in every field the op reads, and a handle the
+// table does not hold is an ErrBadHandle rather than a silent pass-through.
+func TestHandlesTranslate(t *testing.T) {
+	tr := NewHandles()
+	if tr.Streams[DefaultStream] != DefaultStream {
+		t.Fatal("default stream must map to itself")
+	}
+	tr.Bind(BufHandle, 5, 12)
+	tr.Bind(BufHandle, 6, 13)
+	tr.Bind(StreamHandle, 2, 7)
+	tr.Bind(EventHandle, 9, 1)
+	tr.Bind(CommHandle, 2, 4)
+	got := Call{Op: OpAllGather, Comm: 2, Buf: 5, Buf2: 6, Stream: 2, Event: 9}
+	if err := tr.Translate(&got); err != nil {
+		t.Fatal(err)
+	}
+	// AllGather does not read Event: it stays as it was.
+	if got.Comm != 4 || got.Buf != 12 || got.Buf2 != 13 || got.Stream != 7 || got.Event != 9 {
+		t.Errorf("AllGather translated to %+v", got)
+	}
+	held := []Buf{5, 6}
+	got = Call{Op: OpLaunch, Launch: LaunchParams{Bufs: held}}
+	if err := tr.Translate(&got); err != nil || got.Launch.Bufs[0] != 12 || got.Launch.Bufs[1] != 13 {
+		t.Errorf("Launch bufs translated to %v (err %v)", got.Launch.Bufs, err)
+	}
+	if held[0] != 5 {
+		t.Error("Translate wrote through the caller's Bufs slice")
+	}
+	for _, c := range []Call{
+		{Op: OpFree, Buf: 99},
+		{Op: OpStreamSynchronize, Stream: 99},
+		{Op: OpEventQuery, Event: 99},
+		{Op: OpCommDestroy, Comm: 99},
+		{Op: OpLaunch, Launch: LaunchParams{Bufs: []Buf{5, 99}}},
+	} {
+		if err := tr.Translate(&c); !errors.Is(err, ErrBadHandle) {
+			t.Errorf("%v with an unbound handle: err = %v, want ErrBadHandle", c.Op, err)
+		}
+	}
+	clone := tr.Clone()
+	clone.Bind(BufHandle, 5, 40)
+	tr.Unbind(StreamHandle, 2)
+	if tr.Bufs[5] != 12 || clone.Streams[2] != 7 {
+		t.Error("Clone shares maps with its source")
+	}
 }

@@ -113,6 +113,10 @@ type Config struct {
 
 // Layer is the interception layer for one worker rank.
 type Layer struct {
+	// The 28 cuda.API methods, each packing its arguments into a cuda.Call
+	// for do.
+	cuda.Adapter
+
 	env   *vclock.Env
 	inner cuda.API
 	cfg   Config
@@ -120,15 +124,10 @@ type Layer struct {
 
 	log *replay.Log
 
-	// Virtual -> physical handle maps.
-	bufs    map[cuda.Buf]cuda.Buf
-	streams map[cuda.Stream]cuda.Stream
-	events  map[cuda.Event]cuda.Event
-	comms   map[cuda.Comm]cuda.Comm
-	nextBuf cuda.Buf
-	nextStr cuda.Stream
-	nextEvt cuda.Event
-	nextCom cuda.Comm
+	// handles is the virtual -> physical handle table; next holds the next
+	// virtual handle per handle space.
+	handles *cuda.Handles
+	next    [cuda.CommHandle + 1]int
 
 	// Virtual buffer metadata: the layer owns tag sequence numbering so
 	// checkpoint tensor names stay identical across replicas and across
@@ -192,32 +191,24 @@ func New(env *vclock.Env, inner cuda.API, name string, cfg Config) *Layer {
 	if cfg.Mode == ModeTransparent {
 		cfg.LogReplay = true
 	}
-	return &Layer{
+	l := &Layer{
 		env:         env,
 		inner:       inner,
 		cfg:         cfg,
 		name:        name,
 		effTimeout:  cfg.HangTimeout,
 		log:         replay.NewLog(),
-		bufs:        make(map[cuda.Buf]cuda.Buf),
-		streams:     map[cuda.Stream]cuda.Stream{cuda.DefaultStream: cuda.DefaultStream},
-		events:      make(map[cuda.Event]cuda.Event),
-		comms:       make(map[cuda.Comm]cuda.Comm),
-		nextBuf:     1,
-		nextStr:     1,
-		nextEvt:     1,
-		nextCom:     1,
+		handles:     cuda.NewHandles(),
+		next:        [...]int{cuda.BufHandle: 1, cuda.StreamHandle: 1, cuda.EventHandle: 1, cuda.CommHandle: 1},
 		bufMeta:     make(map[cuda.Buf]cuda.BufInfo),
 		tagSeq:      make(map[string]int),
 		ncclStreams: make(map[cuda.Stream]bool),
 		watch:       make(map[cuda.Event]*watchEntry),
 		inflight:    make(map[*vclock.Proc]*inflightCall),
 	}
+	l.Adapter = cuda.Adapt(l.do)
+	return l
 }
-
-// Inner returns the wrapped API (the recovery controller needs it to issue
-// calls that bypass interception).
-func (l *Layer) Inner() cuda.API { return l.inner }
 
 // SetOnFault installs the fault callback after construction (the
 // user-level library wires its handler once the worker objects exist).
@@ -291,7 +282,7 @@ func (l *Layer) BufMeta(b cuda.Buf) (cuda.BufInfo, bool) {
 // VirtualBufs returns all live virtual buffer handles in creation order.
 func (l *Layer) VirtualBufs() []cuda.BufInfo {
 	out := make([]cuda.BufInfo, 0, len(l.bufMeta))
-	for h := cuda.Buf(1); h < l.nextBuf; h++ {
+	for h := cuda.Buf(1); int(h) < l.next[cuda.BufHandle]; h++ {
 		if m, ok := l.bufMeta[h]; ok {
 			out = append(out, m)
 		}
@@ -299,11 +290,10 @@ func (l *Layer) VirtualBufs() []cuda.BufInfo {
 	return out
 }
 
-// PhysBuf resolves a virtual buffer handle (for controller-side copies).
-func (l *Layer) PhysBuf(b cuda.Buf) (cuda.Buf, bool) {
-	pb, ok := l.bufs[b]
-	return pb, ok
-}
+// Handles returns the layer's virtual -> physical handle table. The
+// recovery controller replays into a Clone of it and hands that to
+// EndRecovery, so a failed attempt leaves the layer's mappings untouched.
+func (l *Layer) Handles() *cuda.Handles { return l.handles }
 
 // BufData is the privileged zero-time buffer read, lifted through the
 // interception layer: the virtual handle is translated and the read is
@@ -313,9 +303,9 @@ func (l *Layer) PhysBuf(b cuda.Buf) (cuda.Buf, bool) {
 // state to peer CPU memory can overlap the next minibatch (§3.1's
 // interception transparency extended to the shelter tier).
 func (l *Layer) BufData(b cuda.Buf) (tensor.Vector, error) {
-	pb, ok := l.bufs[b]
+	pb, ok := l.handles.Bufs[b]
 	if !ok {
-		return nil, badVirtual("buf", b)
+		return nil, fmt.Errorf("%w: virtual buf %d", cuda.ErrBadHandle, b)
 	}
 	type peeker interface {
 		BufData(b cuda.Buf) (tensor.Vector, error)
@@ -327,17 +317,11 @@ func (l *Layer) BufData(b cuda.Buf) (tensor.Vector, error) {
 	return in.BufData(pb)
 }
 
-// PhysStream resolves a virtual stream handle.
-func (l *Layer) PhysStream(s cuda.Stream) (cuda.Stream, bool) {
-	ps, ok := l.streams[s]
-	return ps, ok
-}
-
 // NCCLStreams returns the virtual streams identified as carrying
 // collectives.
 func (l *Layer) NCCLStreams() []cuda.Stream {
 	var out []cuda.Stream
-	for s := cuda.Stream(0); s <= l.nextStr; s++ {
+	for s := cuda.Stream(0); int(s) <= l.next[cuda.StreamHandle]; s++ {
 		if l.ncclStreams[s] {
 			out = append(out, s)
 		}
@@ -377,33 +361,11 @@ func (l *Layer) BeginRecovery() {
 	}
 }
 
-// EndRecovery adopts the handle translations produced by recovery replay
-// (virtual handles whose objects were re-created get new physical handles;
-// others keep their old mapping), clears watchdog and fault state, and
-// releases parked threads.
-func (l *Layer) EndRecovery(tr *replay.Translator) {
-	if tr != nil {
-		for virt := range l.bufs {
-			if np, ok := tr.Bufs[virt]; ok {
-				l.bufs[virt] = np
-			}
-		}
-		for virt := range l.streams {
-			if np, ok := tr.Streams[virt]; ok {
-				l.streams[virt] = np
-			}
-		}
-		for virt := range l.events {
-			if np, ok := tr.Events[virt]; ok {
-				l.events[virt] = np
-			}
-		}
-		for virt := range l.comms {
-			if np, ok := tr.Comms[virt]; ok {
-				l.comms[virt] = np
-			}
-		}
-	}
+// EndRecovery adopts tr — a Clone of Handles that recovery replay re-bound
+// to the re-created objects' physical handles — clears watchdog and fault
+// state, and releases parked threads.
+func (l *Layer) EndRecovery(tr *cuda.Handles) {
+	l.handles = tr
 	l.watch = make(map[cuda.Event]*watchEntry)
 	l.inflight = make(map[*vclock.Proc]*inflightCall)
 	l.ckptStream = 0 // private stream may be gone after a proxy restart
@@ -422,47 +384,106 @@ func (l *Layer) parkWhileRecovering(p *vclock.Proc) {
 	}
 }
 
-// guard wraps a call in transparent-mode fault masking: infrastructure
-// errors raise a fault and the thread parks, then retries. In user-level
-// mode errors pass through (the user script sees the exception, §3).
-// While the §4.2.2 ignore window is active, state-mutating calls are
-// swallowed (returning success); read-only calls still execute.
-func (l *Layer) guard(p *vclock.Proc, name string, blocking bool, do func() error) error {
-	return l.guardMut(p, name, blocking, true, do)
-}
-
-// guardRead is guard for read-only calls, which execute even inside the
-// ignore-mutations window.
-func (l *Layer) guardRead(p *vclock.Proc, name string, blocking bool, do func() error) error {
-	return l.guardMut(p, name, blocking, false, do)
-}
-
-func (l *Layer) guardMut(p *vclock.Proc, name string, blocking, mutating bool, do func() error) error {
+// do is the one path every intercepted call takes. Transparent-mode fault
+// masking: an infrastructure error raises a fault, the thread parks until
+// the controller finishes recovery, then the call retries against the
+// recovered state. In user-level mode errors pass through (the user script
+// sees the exception, §3). While the §4.2.2 ignore window is active,
+// mutating calls are swallowed (returning success); queries still execute.
+func (l *Layer) do(p *vclock.Proc, c cuda.Call) (cuda.Result, error) {
+	if c.Op == cuda.OpBufList {
+		// The layer's virtual buffers are the application-visible truth,
+		// stable across recoveries.
+		return cuda.Result{Infos: l.VirtualBufs()}, nil
+	}
+	info := c.Op.Info()
 	for {
 		l.parkWhileRecovering(p)
-		if l.ignoreMut && mutating {
-			return nil
+		if l.ignoreMut && info.Mutating {
+			return cuda.Result{}, nil
 		}
-		if blocking {
-			l.inflight[p] = &inflightCall{name: name, started: p.Now()}
-		}
-		err := do()
-		if blocking {
-			l.finishInflight(p)
-		}
+		res, err := l.issue(p, &c, info)
 		if err == nil || !isInfraFault(err) {
-			return err
-		}
-		if l.cfg.Mode == ModeUserLevel {
-			l.raiseFault(p, FaultError, err)
-			return err
+			return res, err
 		}
 		l.raiseFault(p, FaultError, err)
-		// Park until the controller finishes recovery, then retry the
-		// call against the recovered state.
+		if l.cfg.Mode == ModeUserLevel {
+			return res, err
+		}
 		l.waitRecovered(p)
-		l.env.Tracef("%s: retrying %s after recovery", l.name, name)
+		l.env.Tracef("%s: retrying %s after recovery", l.name, info.Name)
 	}
+}
+
+// issue translates c's virtual handles, runs it against the wrapped API
+// (watchdog-tracked when the op table says so), and on success applies the
+// op's effect on layer state and records it in the replay log.
+func (l *Layer) issue(p *vclock.Proc, c *cuda.Call, info cuda.OpInfo) (cuda.Result, error) {
+	phys := *c
+	if err := l.handles.Translate(&phys); err != nil {
+		return cuda.Result{}, err
+	}
+	if c.Op == cuda.OpMemcpyD2H && l.ckptMode && l.ckptStream != 0 {
+		// §3.2: a checkpoint-time copy must not queue behind a
+		// StreamWaitEvent on a hung collective.
+		phys.Stream = l.ckptStream
+	}
+	if info.Tracked {
+		l.inflight[p] = &inflightCall{name: info.Name, started: p.Now()}
+	}
+	res, err := cuda.Invoke(p, l.inner, &phys)
+	if info.Tracked {
+		l.finishInflight(p)
+	}
+	if err != nil || !info.Mutating {
+		return res, err
+	}
+
+	created := 0 // the virtual handle a creation op hands the application
+	switch {
+	case info.Creates != cuda.NoHandle:
+		created = l.next[info.Creates]
+		l.next[info.Creates]++
+		l.handles.Bind(info.Creates, created, res.Handle)
+		res.Handle = created
+		if c.Op == cuda.OpMalloc {
+			// The layer assigns the (tag, seq) tensor name so it is stable
+			// across replicas and across re-allocations in recovery (§4.3).
+			virt := cuda.Buf(created)
+			l.bufMeta[virt] = cuda.BufInfo{Handle: virt, Bytes: c.Bytes, Elems: c.Elems, Tag: c.Tag, Seq: l.tagSeq[c.Tag]}
+			l.tagSeq[c.Tag]++
+		}
+	case info.Destroys != cuda.NoHandle:
+		l.handles.Unbind(info.Destroys, c.Handle(info.Destroys))
+		switch c.Op {
+		case cuda.OpFree:
+			delete(l.bufMeta, c.Buf)
+		case cuda.OpStreamDestroy:
+			delete(l.ncclStreams, c.Stream)
+		case cuda.OpEventDestroy:
+			delete(l.watch, c.Event)
+		}
+	}
+	if l.cfg.LogReplay && !l.ignoreMut {
+		// The log outlives this call: capture the argument slices, which
+		// callers are free to reuse for their next call.
+		rec := replay.Call{Call: *c, Created: created}
+		rec.Data = append([]float32(nil), c.Data...)
+		rec.Launch.Bufs = append([]cuda.Buf(nil), c.Launch.Bufs...)
+		rec.Launch.IArgs = append([]int64(nil), c.Launch.IArgs...)
+		rec.Launch.FArgs = append([]float32(nil), c.Launch.FArgs...)
+		l.log.Record(rec)
+	}
+	switch c.Op {
+	case cuda.OpStreamWaitEvent:
+		l.noteStreamWaitEvent(c.Event)
+	case cuda.OpEventRecord:
+		l.noteEventRecord(c.Event, c.Stream)
+	case cuda.OpAllReduce, cuda.OpBroadcast, cuda.OpAllGather, cuda.OpReduceScatter,
+		cuda.OpSend, cuda.OpRecv, cuda.OpBarrier:
+		l.ncclStreams[c.Stream] = true // §3.1: collectives identify the NCCL stream
+	}
+	return res, nil
 }
 
 // waitRecovered parks until a recovery that was (or is about to be)
@@ -476,14 +497,4 @@ func (l *Layer) waitRecovered(p *vclock.Proc) {
 		// Fault raised but controller hasn't begun recovery yet: yield.
 		p.Sleep(vclock.Millisecond)
 	}
-}
-
-func (l *Layer) record(c replay.Call) {
-	if l.cfg.LogReplay && !l.ignoreMut {
-		l.log.Record(c)
-	}
-}
-
-func badVirtual(kind string, h any) error {
-	return fmt.Errorf("%w: virtual %s %v", cuda.ErrBadHandle, kind, h)
 }

@@ -3,6 +3,7 @@ package intercept
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -167,6 +168,42 @@ func TestUserLevelModeDoesNotLog(t *testing.T) {
 			t.Errorf("user-level mode logged %d calls", r.layer.Log().Len())
 		}
 	})
+}
+
+// TestUserLevelH2DDoesNotCopyPayload: without replay logging nothing
+// outlives the call, so the layer must not capture the host payload. It
+// used to copy every H2D source for a record call that then dropped it —
+// one payload-sized allocation per copy under every user-level policy.
+func TestUserLevelH2DDoesNotCopyPayload(t *testing.T) {
+	const elems = 1 << 18 // 1 MiB of float32
+	src := make([]float32, elems)
+	h2dAlloc := func(layered bool) uint64 {
+		r := newRig(t, Config{Mode: ModeUserLevel})
+		var api cuda.API = r.drv
+		if layered {
+			api = r.layer
+		}
+		var grew uint64
+		r.run(t, func(p *vclock.Proc) {
+			b, err := api.Malloc(p, 4*elems, elems, "w")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := api.MemcpyH2D(p, b, src, cuda.DefaultStream); err != nil {
+				t.Error(err)
+			}
+			runtime.ReadMemStats(&after)
+			grew = after.TotalAlloc - before.TotalAlloc
+		})
+		return grew
+	}
+	bare, layered := h2dAlloc(false), h2dAlloc(true)
+	if layered >= bare+4*elems {
+		t.Errorf("1 MiB MemcpyH2D allocated %d bytes through the layer vs %d on the bare driver: the payload was copied", layered, bare)
+	}
 }
 
 func TestNCCLStreamDiscoveryAndWatchList(t *testing.T) {
@@ -350,7 +387,7 @@ func TestTransparentModeMasksStickyError(t *testing.T) {
 				return
 			}
 			r.layer.inner = drv2
-			tr := replay.NewTranslator()
+			tr := cuda.NewHandles()
 			if err := replay.Apply(p, drv2, r.layer.Log().Creation, tr, replay.Options{}); err != nil {
 				t.Error(err)
 				return
@@ -543,12 +580,12 @@ func TestEndRecoveryRemapsVirtualHandles(t *testing.T) {
 	r := newRig(t, Config{Mode: ModeTransparent})
 	r.run(t, func(p *vclock.Proc) {
 		b, _ := r.layer.Malloc(p, 64, 2, "w")
-		oldPhys, _ := r.layer.PhysBuf(b)
-		tr := replay.NewTranslator()
+		oldPhys := r.layer.Handles().Bufs[b]
+		tr := r.layer.Handles().Clone()
 		tr.Bufs[b] = oldPhys + 100
 		r.layer.BeginRecovery()
 		r.layer.EndRecovery(tr)
-		newPhys, _ := r.layer.PhysBuf(b)
+		newPhys := r.layer.Handles().Bufs[b]
 		if newPhys != oldPhys+100 {
 			t.Errorf("virtual %v maps to %v, want %v", b, newPhys, oldPhys+100)
 		}
@@ -587,7 +624,7 @@ func TestProxyBackedLayerSurvivesServerRestart(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		tr := replay.NewTranslator()
+		tr := cuda.NewHandles()
 		if err := replay.Apply(p, client, layer.Log().Creation, tr, replay.Options{}); err != nil {
 			t.Error(err)
 			return
@@ -699,7 +736,7 @@ func TestVirtualHandleTableProperty(t *testing.T) {
 					return
 				}
 				for _, b := range live {
-					if _, found := layer.PhysBuf(b); !found {
+					if _, found := layer.Handles().Bufs[b]; !found {
 						ok = false
 						return
 					}

@@ -8,27 +8,6 @@ import (
 	"jitckpt/internal/vclock"
 )
 
-// SeedTranslator returns a translator pre-loaded with the layer's current
-// virtual-to-physical mappings. Recovery replay starts from it: creation
-// calls overwrite the entries for re-created objects, retained objects
-// keep their old physical handles (§4.2 strategy 1).
-func (l *Layer) SeedTranslator() *replay.Translator {
-	tr := replay.NewTranslator()
-	for v, ph := range l.bufs {
-		tr.Bufs[v] = ph
-	}
-	for v, ph := range l.streams {
-		tr.Streams[v] = ph
-	}
-	for v, ph := range l.events {
-		tr.Events[v] = ph
-	}
-	for v, ph := range l.comms {
-		tr.Comms[v] = ph
-	}
-	return tr
-}
-
 // ValidationResult reports the outcome of a replay-log correctness check.
 type ValidationResult struct {
 	OK        bool
@@ -58,7 +37,7 @@ func (l *Layer) Validate(p *vclock.Proc) (ValidationResult, error) {
 	if err := l.DeviceSynchronize(p); err != nil {
 		return res, fmt.Errorf("intercept: pre-validation sync: %w", err)
 	}
-	before := make(map[cuda.Buf]uint64, len(l.bufs))
+	before := make(map[cuda.Buf]uint64, len(l.bufMeta))
 	for _, info := range l.VirtualBufs() {
 		sum, err := l.BufChecksum(p, info.Handle)
 		if err != nil {
@@ -69,9 +48,9 @@ func (l *Layer) Validate(p *vclock.Proc) (ValidationResult, error) {
 	res.Buffers = len(before)
 
 	// Re-execute the minibatch log against the inner API with the current
-	// mappings. The replayed calls are not re-recorded.
-	tr := l.SeedTranslator()
-	if err := replay.Apply(p, l.inner, l.log.Minibatch, tr, replay.Options{}); err != nil {
+	// mappings (a clone: objects the replay re-creates must not rebind the
+	// application's handles). The replayed calls are not re-recorded.
+	if err := replay.Apply(p, l.inner, l.log.Minibatch, l.handles.Clone(), replay.Options{}); err != nil {
 		return res, fmt.Errorf("intercept: validation replay: %w", err)
 	}
 	if err := l.inner.DeviceSynchronize(p); err != nil {

@@ -160,7 +160,7 @@ func (l *Layer) watchdogLoop(p *vclock.Proc) {
 			if !ok {
 				continue
 			}
-			pe, ok := l.events[ev]
+			pe, ok := l.handles.Events[ev]
 			if !ok {
 				delete(l.watch, ev) // event destroyed or remapped away
 				continue

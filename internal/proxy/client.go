@@ -3,21 +3,24 @@ package proxy
 import (
 	"bytes"
 	"encoding/gob"
+	"slices"
 
 	"jitckpt/internal/cuda"
 	"jitckpt/internal/vclock"
 )
 
 // Client is the worker-side half of the device proxy. It implements
-// cuda.API by serializing calls onto the proxy wire. Asynchronous methods
-// return as soon as the request is queued; synchronous methods block the
-// calling process until the server responds (or forever, if the server is
-// wedged or restarted — recovering those callers is the interception
-// layer's job).
+// cuda.API (through the embedded adapter) by serializing calls onto the
+// proxy wire. Ops the cuda op table marks async return as soon as the
+// request is queued; the rest block the calling process until the server
+// responds (or forever, if the server is wedged or restarted — recovering
+// those callers is the interception layer's job).
 //
 // Each calling process is treated as a distinct worker thread: its calls
 // execute on the server in issue order, independently of other threads.
 type Client struct {
+	cuda.Adapter
+
 	env    *vclock.Env
 	server *Server
 	ipc    Params
@@ -46,6 +49,7 @@ func NewClient(env *vclock.Env, server *Server) *Client {
 		threads: make(map[*vclock.Proc]int),
 		pending: make(map[uint64]*pendingCall),
 	}
+	c.Adapter = cuda.Adapt(c.do)
 	env.Go("proxy.client.dispatch", func(p *vclock.Proc) {
 		for {
 			raw := server.respQ.Pop(p)
@@ -73,17 +77,23 @@ func NewClient(env *vclock.Env, server *Server) *Client {
 // AbortPending releases every caller blocked on an in-flight request with
 // ErrProxyDown. The recovery controller uses it when it restarts the proxy
 // server, so worker threads return to the interception layer instead of
-// hanging on responses that will never arrive.
+// hanging on responses that will never arrive. Callers are released in
+// request order: Trigger puts the waiter straight on the run queue, so map
+// order here would make the resume (and trace) order differ run to run.
 func (c *Client) AbortPending() int {
-	n := 0
-	for id, pc := range c.pending {
+	ids := make([]uint64, 0, len(c.pending))
+	for id := range c.pending {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		pc := c.pending[id]
 		pc.resp = Response{ID: id}
 		pc.resp.ErrCode, pc.resp.ErrMsg = encodeErr(ErrProxyDown)
 		pc.done.Trigger()
 		delete(c.pending, id)
-		n++
 	}
-	return n
+	return len(ids)
 }
 
 // Server returns the proxy server this client is connected to.
@@ -99,202 +109,31 @@ func (c *Client) threadID(p *vclock.Proc) int {
 	return id
 }
 
-// send serializes req and pushes it to the server.
-func (c *Client) send(p *vclock.Proc, req *Request) {
-	req.ID = c.nextID
+// do puts one call on the wire and, unless the op is async, blocks until
+// its response arrives. The request is serialized before do first yields,
+// so argument slices are captured at call time and callers may reuse them.
+func (c *Client) do(p *vclock.Proc, call cuda.Call) (cuda.Result, error) {
+	if call.Op == cuda.OpGetLastError && c.asyncErr != nil {
+		// The first failure among fire-and-forget calls comes before the
+		// server's last error.
+		err := c.asyncErr
+		c.asyncErr = nil
+		return cuda.Result{}, err
+	}
+	req := Request{ID: c.nextID, Thread: c.threadID(p), Call: call}
 	c.nextID++
-	req.Thread = c.threadID(p)
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&req); err != nil {
 		panic("proxy: request encode: " + err.Error())
 	}
 	p.Sleep(c.ipc.SendLatency)
 	c.server.reqQ.Push(buf.Bytes())
-}
-
-// callAsync sends a fire-and-forget request.
-func (c *Client) callAsync(p *vclock.Proc, req *Request) error {
-	c.send(p, req)
-	return nil
-}
-
-// callSync sends a request and blocks until its response arrives.
-func (c *Client) callSync(p *vclock.Proc, req *Request) (Response, error) {
-	c.send(p, req)
-	pc := &pendingCall{done: c.env.NewEvent("proxy.call." + req.Method.String())}
+	info := call.Op.Info()
+	if info.Async {
+		return cuda.Result{}, nil
+	}
+	pc := &pendingCall{done: c.env.NewEvent("proxy.call." + info.Name)}
 	c.pending[req.ID] = pc
 	p.Wait(pc.done)
-	return pc.resp, decodeErr(pc.resp.ErrCode, pc.resp.ErrMsg)
-}
-
-// Malloc allocates device memory via the proxy. See cuda.API.
-func (c *Client) Malloc(p *vclock.Proc, bytes int64, elems int, tag string) (cuda.Buf, error) {
-	resp, err := c.callSync(p, &Request{Method: MMalloc, Bytes: bytes, Elems: elems, Tag: tag})
-	return resp.Buf, err
-}
-
-// Free releases device memory via the proxy. See cuda.API.
-func (c *Client) Free(p *vclock.Proc, b cuda.Buf) error {
-	_, err := c.callSync(p, &Request{Method: MFree, Buf: b})
-	return err
-}
-
-// MemcpyH2D is fire-and-forget on the client. See cuda.API.
-func (c *Client) MemcpyH2D(p *vclock.Proc, dst cuda.Buf, src []float32, s cuda.Stream) error {
-	data := append([]float32(nil), src...)
-	return c.callAsync(p, &Request{Method: MMemcpyH2D, Buf: dst, Data: data, Stream: s})
-}
-
-// MemcpyD2H blocks until the copied data arrives. See cuda.API.
-func (c *Client) MemcpyD2H(p *vclock.Proc, src cuda.Buf, s cuda.Stream) ([]float32, error) {
-	resp, err := c.callSync(p, &Request{Method: MMemcpyD2H, Buf: src, Stream: s})
-	return resp.Data, err
-}
-
-// MemcpyD2D is fire-and-forget on the client. See cuda.API.
-func (c *Client) MemcpyD2D(p *vclock.Proc, dst, src cuda.Buf, s cuda.Stream) error {
-	return c.callAsync(p, &Request{Method: MMemcpyD2D, Buf: dst, Buf2: src, Stream: s})
-}
-
-// StreamCreate creates a stream via the proxy. See cuda.API.
-func (c *Client) StreamCreate(p *vclock.Proc) (cuda.Stream, error) {
-	resp, err := c.callSync(p, &Request{Method: MStreamCreate})
-	return resp.Stream, err
-}
-
-// StreamDestroy destroys a stream via the proxy. See cuda.API.
-func (c *Client) StreamDestroy(p *vclock.Proc, s cuda.Stream) error {
-	_, err := c.callSync(p, &Request{Method: MStreamDestroy, Stream: s})
-	return err
-}
-
-// StreamSynchronize blocks until the stream drains server-side. See
-// cuda.API.
-func (c *Client) StreamSynchronize(p *vclock.Proc, s cuda.Stream) error {
-	_, err := c.callSync(p, &Request{Method: MStreamSynchronize, Stream: s})
-	return err
-}
-
-// StreamWaitEvent is fire-and-forget on the client. See cuda.API.
-func (c *Client) StreamWaitEvent(p *vclock.Proc, s cuda.Stream, ev cuda.Event) error {
-	return c.callAsync(p, &Request{Method: MStreamWaitEvent, Stream: s, Event: ev})
-}
-
-// EventCreate creates an event via the proxy. See cuda.API.
-func (c *Client) EventCreate(p *vclock.Proc) (cuda.Event, error) {
-	resp, err := c.callSync(p, &Request{Method: MEventCreate})
-	return resp.Event, err
-}
-
-// EventRecord is fire-and-forget on the client. See cuda.API.
-func (c *Client) EventRecord(p *vclock.Proc, ev cuda.Event, s cuda.Stream) error {
-	return c.callAsync(p, &Request{Method: MEventRecord, Event: ev, Stream: s})
-}
-
-// EventQuery asks the server whether the event completed. See cuda.API.
-func (c *Client) EventQuery(p *vclock.Proc, ev cuda.Event) (bool, error) {
-	resp, err := c.callSync(p, &Request{Method: MEventQuery, Event: ev})
-	return resp.Bool, err
-}
-
-// EventSynchronize blocks until the event completes server-side. See
-// cuda.API.
-func (c *Client) EventSynchronize(p *vclock.Proc, ev cuda.Event) error {
-	_, err := c.callSync(p, &Request{Method: MEventSynchronize, Event: ev})
-	return err
-}
-
-// EventDestroy destroys an event via the proxy. See cuda.API.
-func (c *Client) EventDestroy(p *vclock.Proc, ev cuda.Event) error {
-	_, err := c.callSync(p, &Request{Method: MEventDestroy, Event: ev})
-	return err
-}
-
-// Launch is fire-and-forget on the client. The server dequeues the request
-// later, so the argument slices are captured here — callers may reuse them
-// for their next launch. See cuda.API.
-func (c *Client) Launch(p *vclock.Proc, lp cuda.LaunchParams, s cuda.Stream) error {
-	lp.Bufs = append([]cuda.Buf(nil), lp.Bufs...)
-	lp.IArgs = append([]int64(nil), lp.IArgs...)
-	lp.FArgs = append([]float32(nil), lp.FArgs...)
-	return c.callAsync(p, &Request{Method: MLaunch, Launch: lp, Stream: s})
-}
-
-// DeviceSynchronize blocks until every stream drains server-side. See
-// cuda.API.
-func (c *Client) DeviceSynchronize(p *vclock.Proc) error {
-	_, err := c.callSync(p, &Request{Method: MDeviceSynchronize})
-	return err
-}
-
-// GetLastError returns the first failure among fire-and-forget calls, or
-// the server's last error. See cuda.API.
-func (c *Client) GetLastError(p *vclock.Proc) error {
-	if c.asyncErr != nil {
-		err := c.asyncErr
-		c.asyncErr = nil
-		return err
-	}
-	_, err := c.callSync(p, &Request{Method: MGetLastError})
-	return err
-}
-
-// BufList enumerates live buffers server-side. See cuda.API.
-func (c *Client) BufList(p *vclock.Proc) ([]cuda.BufInfo, error) {
-	resp, err := c.callSync(p, &Request{Method: MBufList})
-	return resp.Infos, err
-}
-
-// BufChecksum hashes a buffer server-side. See cuda.API.
-func (c *Client) BufChecksum(p *vclock.Proc, b cuda.Buf) (uint64, error) {
-	resp, err := c.callSync(p, &Request{Method: MBufChecksum, Buf: b})
-	return resp.U64, err
-}
-
-// CommInit rendezvouses via the proxy; it blocks until all ranks arrive.
-// See cuda.API.
-func (c *Client) CommInit(p *vclock.Proc, key string, gen, nranks, rank int) (cuda.Comm, error) {
-	resp, err := c.callSync(p, &Request{Method: MCommInit, Key: key, Gen: gen, NRanks: nranks, Rank: rank})
-	return resp.Comm, err
-}
-
-// CommDestroy destroys a communicator via the proxy. See cuda.API.
-func (c *Client) CommDestroy(p *vclock.Proc, comm cuda.Comm) error {
-	_, err := c.callSync(p, &Request{Method: MCommDestroy, Comm: comm})
-	return err
-}
-
-// AllReduce is fire-and-forget on the client. See cuda.API.
-func (c *Client) AllReduce(p *vclock.Proc, comm cuda.Comm, b cuda.Buf, s cuda.Stream) error {
-	return c.callAsync(p, &Request{Method: MAllReduce, Comm: comm, Buf: b, Stream: s})
-}
-
-// Broadcast is fire-and-forget on the client. See cuda.API.
-func (c *Client) Broadcast(p *vclock.Proc, comm cuda.Comm, b cuda.Buf, root int, s cuda.Stream) error {
-	return c.callAsync(p, &Request{Method: MBroadcast, Comm: comm, Buf: b, Root: root, Stream: s})
-}
-
-// AllGather is fire-and-forget on the client. See cuda.API.
-func (c *Client) AllGather(p *vclock.Proc, comm cuda.Comm, in, out cuda.Buf, s cuda.Stream) error {
-	return c.callAsync(p, &Request{Method: MAllGather, Comm: comm, Buf: in, Buf2: out, Stream: s})
-}
-
-// ReduceScatter is fire-and-forget on the client. See cuda.API.
-func (c *Client) ReduceScatter(p *vclock.Proc, comm cuda.Comm, in, out cuda.Buf, s cuda.Stream) error {
-	return c.callAsync(p, &Request{Method: MReduceScatter, Comm: comm, Buf: in, Buf2: out, Stream: s})
-}
-
-// Send is fire-and-forget on the client. See cuda.API.
-func (c *Client) Send(p *vclock.Proc, comm cuda.Comm, b cuda.Buf, peer int, s cuda.Stream) error {
-	return c.callAsync(p, &Request{Method: MSend, Comm: comm, Buf: b, Peer: peer, Stream: s})
-}
-
-// Recv is fire-and-forget on the client. See cuda.API.
-func (c *Client) Recv(p *vclock.Proc, comm cuda.Comm, b cuda.Buf, peer int, s cuda.Stream) error {
-	return c.callAsync(p, &Request{Method: MRecv, Comm: comm, Buf: b, Peer: peer, Stream: s})
-}
-
-// Barrier is fire-and-forget on the client. See cuda.API.
-func (c *Client) Barrier(p *vclock.Proc, comm cuda.Comm, s cuda.Stream) error {
-	return c.callAsync(p, &Request{Method: MBarrier, Comm: comm, Stream: s})
+	return pc.resp.Result, decodeErr(pc.resp.ErrCode, pc.resp.ErrMsg)
 }

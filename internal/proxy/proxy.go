@@ -41,99 +41,11 @@ import (
 // ErrProxyDown is returned for calls that raced a proxy server restart.
 var ErrProxyDown = errors.New("proxy: server restarted, call dropped")
 
-// Method identifies an API method on the wire.
-type Method int
-
-// Wire method codes, one per cuda.API method.
-const (
-	MMalloc Method = iota
-	MFree
-	MMemcpyH2D
-	MMemcpyD2H
-	MMemcpyD2D
-	MStreamCreate
-	MStreamDestroy
-	MStreamSynchronize
-	MStreamWaitEvent
-	MEventCreate
-	MEventRecord
-	MEventQuery
-	MEventSynchronize
-	MEventDestroy
-	MLaunch
-	MDeviceSynchronize
-	MGetLastError
-	MBufList
-	MBufChecksum
-	MCommInit
-	MCommDestroy
-	MAllReduce
-	MBroadcast
-	MAllGather
-	MReduceScatter
-	MSend
-	MRecv
-	MBarrier
-)
-
-// methodNames maps wire codes to readable names for traces and logs.
-var methodNames = map[Method]string{
-	MMalloc: "Malloc", MFree: "Free", MMemcpyH2D: "MemcpyH2D",
-	MMemcpyD2H: "MemcpyD2H", MMemcpyD2D: "MemcpyD2D",
-	MStreamCreate: "StreamCreate", MStreamDestroy: "StreamDestroy",
-	MStreamSynchronize: "StreamSynchronize", MStreamWaitEvent: "StreamWaitEvent",
-	MEventCreate: "EventCreate", MEventRecord: "EventRecord",
-	MEventQuery: "EventQuery", MEventSynchronize: "EventSynchronize",
-	MEventDestroy: "EventDestroy", MLaunch: "Launch",
-	MDeviceSynchronize: "DeviceSynchronize", MGetLastError: "GetLastError",
-	MBufList: "BufList", MBufChecksum: "BufChecksum",
-	MCommInit: "CommInit", MCommDestroy: "CommDestroy",
-	MAllReduce: "AllReduce", MBroadcast: "Broadcast", MAllGather: "AllGather",
-	MReduceScatter: "ReduceScatter", MSend: "Send", MRecv: "Recv",
-	MBarrier: "Barrier",
-}
-
-// String renders the method name.
-func (m Method) String() string {
-	if s, ok := methodNames[m]; ok {
-		return s
-	}
-	return fmt.Sprintf("Method(%d)", int(m))
-}
-
-// IsAsync reports whether the method is fire-and-forget on the client.
-func (m Method) IsAsync() bool {
-	switch m {
-	case MMemcpyH2D, MMemcpyD2D, MStreamWaitEvent, MEventRecord, MLaunch,
-		MAllReduce, MBroadcast, MAllGather, MReduceScatter, MSend, MRecv, MBarrier:
-		return true
-	}
-	return false
-}
-
-// Request is one API call on the wire. Fields are a union across methods;
-// unused fields are zero.
+// Request is one API call on the wire.
 type Request struct {
 	ID     uint64
 	Thread int
-	Method Method
-
-	Bytes  int64
-	Elems  int
-	Tag    string
-	Buf    cuda.Buf
-	Buf2   cuda.Buf
-	Stream cuda.Stream
-	Event  cuda.Event
-	Comm   cuda.Comm
-	Data   []float32
-	Launch cuda.LaunchParams
-	Key    string
-	Gen    int
-	NRanks int
-	Rank   int
-	Peer   int
-	Root   int
+	Call   cuda.Call
 }
 
 // Response is one API result on the wire.
@@ -141,14 +53,7 @@ type Response struct {
 	ID      uint64
 	ErrCode int // 0 = nil, -1 = opaque, >0 = wireErrors index+1
 	ErrMsg  string
-	Buf     cuda.Buf
-	Stream  cuda.Stream
-	Event   cuda.Event
-	Comm    cuda.Comm
-	Data    []float32
-	Bool    bool
-	U64     uint64
-	Infos   []cuda.BufInfo
+	Result  cuda.Result
 }
 
 // wireErrors are sentinel errors whose identity survives the wire, so
@@ -360,68 +265,8 @@ func (s *Server) Restart() error {
 
 // execute runs one request against the driver.
 func (s *Server) execute(p *vclock.Proc, req Request) Response {
-	resp := Response{ID: req.ID}
-	var err error
-	switch req.Method {
-	case MMalloc:
-		resp.Buf, err = s.drv.Malloc(p, req.Bytes, req.Elems, req.Tag)
-	case MFree:
-		err = s.drv.Free(p, req.Buf)
-	case MMemcpyH2D:
-		err = s.drv.MemcpyH2D(p, req.Buf, req.Data, req.Stream)
-	case MMemcpyD2H:
-		resp.Data, err = s.drv.MemcpyD2H(p, req.Buf, req.Stream)
-	case MMemcpyD2D:
-		err = s.drv.MemcpyD2D(p, req.Buf, req.Buf2, req.Stream)
-	case MStreamCreate:
-		resp.Stream, err = s.drv.StreamCreate(p)
-	case MStreamDestroy:
-		err = s.drv.StreamDestroy(p, req.Stream)
-	case MStreamSynchronize:
-		err = s.drv.StreamSynchronize(p, req.Stream)
-	case MStreamWaitEvent:
-		err = s.drv.StreamWaitEvent(p, req.Stream, req.Event)
-	case MEventCreate:
-		resp.Event, err = s.drv.EventCreate(p)
-	case MEventRecord:
-		err = s.drv.EventRecord(p, req.Event, req.Stream)
-	case MEventQuery:
-		resp.Bool, err = s.drv.EventQuery(p, req.Event)
-	case MEventSynchronize:
-		err = s.drv.EventSynchronize(p, req.Event)
-	case MEventDestroy:
-		err = s.drv.EventDestroy(p, req.Event)
-	case MLaunch:
-		err = s.drv.Launch(p, req.Launch, req.Stream)
-	case MDeviceSynchronize:
-		err = s.drv.DeviceSynchronize(p)
-	case MGetLastError:
-		err = s.drv.GetLastError(p)
-	case MBufList:
-		resp.Infos, err = s.drv.BufList(p)
-	case MBufChecksum:
-		resp.U64, err = s.drv.BufChecksum(p, req.Buf)
-	case MCommInit:
-		resp.Comm, err = s.drv.CommInit(p, req.Key, req.Gen, req.NRanks, req.Rank)
-	case MCommDestroy:
-		err = s.drv.CommDestroy(p, req.Comm)
-	case MAllReduce:
-		err = s.drv.AllReduce(p, req.Comm, req.Buf, req.Stream)
-	case MBroadcast:
-		err = s.drv.Broadcast(p, req.Comm, req.Buf, req.Root, req.Stream)
-	case MAllGather:
-		err = s.drv.AllGather(p, req.Comm, req.Buf, req.Buf2, req.Stream)
-	case MReduceScatter:
-		err = s.drv.ReduceScatter(p, req.Comm, req.Buf, req.Buf2, req.Stream)
-	case MSend:
-		err = s.drv.Send(p, req.Comm, req.Buf, req.Peer, req.Stream)
-	case MRecv:
-		err = s.drv.Recv(p, req.Comm, req.Buf, req.Peer, req.Stream)
-	case MBarrier:
-		err = s.drv.Barrier(p, req.Comm, req.Stream)
-	default:
-		err = fmt.Errorf("proxy: unknown method %v", req.Method)
-	}
+	res, err := cuda.Invoke(p, s.drv, &req.Call)
+	resp := Response{ID: req.ID, Result: res}
 	resp.ErrCode, resp.ErrMsg = encodeErr(err)
 	return resp
 }

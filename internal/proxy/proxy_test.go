@@ -333,12 +333,38 @@ func TestProxyCollectivesAcrossTwoProxiedRanks(t *testing.T) {
 	}
 }
 
-func TestMethodStringAndAsyncClassification(t *testing.T) {
-	if MLaunch.String() != "Launch" || Method(999).String() == "" {
-		t.Fatal("Method.String broken")
-	}
-	if !MLaunch.IsAsync() || MMemcpyD2H.IsAsync() || MCommInit.IsAsync() {
-		t.Fatal("async classification wrong")
+// TestAbortPendingReleasesInRequestOrder: with several sync calls in flight
+// at a proxy restart (main thread in StreamSynchronize, watchdog thread in
+// EventQuery), the order the callers resume in is the order the trace and
+// every later dispatch inherit, so it must not depend on map iteration.
+func TestAbortPendingReleasesInRequestOrder(t *testing.T) {
+	for run := 0; run < 50; run++ {
+		r := newRig(t, nil)
+		var resumed []int
+		r.env.Go("abort", func(p *vclock.Proc) {
+			// A stopped server never answers: every sync call stays pending.
+			r.server.Stop()
+			for i := 0; i < 3; i++ {
+				i := i
+				r.env.Go(fmt.Sprintf("caller%d", i), func(cp *vclock.Proc) {
+					cp.Sleep(vclock.Time(i) * vclock.Millisecond)
+					if _, err := r.client.EventQuery(cp, 1); !errors.Is(err, ErrProxyDown) {
+						t.Errorf("caller %d: err = %v, want ErrProxyDown", i, err)
+					}
+					resumed = append(resumed, i)
+				})
+			}
+			p.Sleep(vclock.Second)
+			if n := r.client.AbortPending(); n != 3 {
+				t.Errorf("AbortPending released %d callers, want 3", n)
+			}
+		})
+		if err := r.env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(resumed) != "[0 1 2]" {
+			t.Fatalf("run %d: resume order %v, want issue order [0 1 2]", run, resumed)
+		}
 	}
 }
 

@@ -8,8 +8,9 @@
 //   - The creation log: Malloc / StreamCreate / EventCreate / CommInit
 //     calls for every GPU object alive at the start of the current
 //     minibatch. Replaying it after a device reset re-creates those objects
-//     (with new physical handles — the Translator records the mapping the
-//     interception layer uses to back its virtual handles).
+//     (with new physical handles — the cuda.Handles table replay binds
+//     them into is what the interception layer adopts to back its virtual
+//     handles).
 //
 //   - The minibatch log: every mutating call issued since the start of the
 //     current minibatch. It is cleared at each minibatch boundary and
@@ -30,101 +31,16 @@ import (
 	"jitckpt/internal/vclock"
 )
 
-// Kind identifies a recorded call.
-type Kind int
-
-// Recorded call kinds. Only state-mutating calls are recorded; queries
-// (EventQuery, BufList, checksums, synchronizes, D2H reads) do not change
-// device state and are not needed to reproduce it.
-const (
-	CallMalloc Kind = iota
-	CallFree
-	CallMemcpyH2D
-	CallMemcpyD2D
-	CallStreamCreate
-	CallStreamDestroy
-	CallStreamWaitEvent
-	CallEventCreate
-	CallEventRecord
-	CallEventDestroy
-	CallLaunch
-	CallCommInit
-	CallCommDestroy
-	CallAllReduce
-	CallBroadcast
-	CallAllGather
-	CallReduceScatter
-	CallSend
-	CallRecv
-	CallBarrier
-)
-
-var kindNames = map[Kind]string{
-	CallMalloc: "Malloc", CallFree: "Free", CallMemcpyH2D: "MemcpyH2D",
-	CallMemcpyD2D: "MemcpyD2D", CallStreamCreate: "StreamCreate",
-	CallStreamDestroy: "StreamDestroy", CallStreamWaitEvent: "StreamWaitEvent",
-	CallEventCreate: "EventCreate", CallEventRecord: "EventRecord",
-	CallEventDestroy: "EventDestroy", CallLaunch: "Launch",
-	CallCommInit: "CommInit", CallCommDestroy: "CommDestroy",
-	CallAllReduce: "AllReduce", CallBroadcast: "Broadcast",
-	CallAllGather: "AllGather", CallReduceScatter: "ReduceScatter",
-	CallSend: "Send", CallRecv: "Recv", CallBarrier: "Barrier",
-}
-
-// String renders the call kind.
-func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// IsCreation reports whether the call creates a GPU object.
-func (k Kind) IsCreation() bool {
-	switch k {
-	case CallMalloc, CallStreamCreate, CallEventCreate, CallCommInit:
-		return true
-	}
-	return false
-}
-
-// IsDestruction reports whether the call destroys a GPU object.
-func (k Kind) IsDestruction() bool {
-	switch k {
-	case CallFree, CallStreamDestroy, CallEventDestroy, CallCommDestroy:
-		return true
-	}
-	return false
-}
-
 // Call is one recorded device API invocation: its inputs plus, for
 // creation calls, the handle it returned (needed to map old handles to new
-// ones on replay).
+// ones on replay). Only state-mutating ops (cuda.OpInfo.Mutating) are
+// recorded.
 type Call struct {
-	Kind Kind
+	cuda.Call
 	Iter int // minibatch iteration when recorded
-
-	Bytes  int64
-	Elems  int
-	Tag    string
-	Buf    cuda.Buf
-	Buf2   cuda.Buf
-	Stream cuda.Stream
-	Event  cuda.Event
-	Comm   cuda.Comm
-	Data   []float32
-	Launch cuda.LaunchParams
-	Key    string
-	Gen    int
-	NRanks int
-	Rank   int
-	Peer   int
-	Root   int
-
-	RBuf    cuda.Buf
-	RStream cuda.Stream
-	REvent  cuda.Event
-	RComm   cuda.Comm
+	// Created is the handle a creation op returned, in the space
+	// Op.Info().Creates names.
+	Created int
 }
 
 // Log is a device-API replay log for one worker rank.
@@ -146,34 +62,22 @@ func NewLog() *Log { return &Log{} }
 // minibatch log is cleared.
 func (l *Log) StartMinibatch(iter int) {
 	for _, c := range l.Minibatch {
+		info := c.Op.Info()
 		switch {
-		case c.Kind.IsCreation():
+		case info.Creates != cuda.NoHandle:
 			l.Creation = append(l.Creation, c)
-		case c.Kind.IsDestruction():
-			l.removeCreation(c)
+		case info.Destroys != cuda.NoHandle:
+			l.removeCreation(info.Destroys, c.Handle(info.Destroys))
 		}
 	}
 	l.Minibatch = l.Minibatch[:0]
 	l.Iter = iter
 }
 
-// removeCreation deletes the creation record matching a destruction call.
-func (l *Log) removeCreation(d Call) {
-	match := func(c Call) bool {
-		switch d.Kind {
-		case CallFree:
-			return c.Kind == CallMalloc && c.RBuf == d.Buf
-		case CallStreamDestroy:
-			return c.Kind == CallStreamCreate && c.RStream == d.Stream
-		case CallEventDestroy:
-			return c.Kind == CallEventCreate && c.REvent == d.Event
-		case CallCommDestroy:
-			return c.Kind == CallCommInit && c.RComm == d.Comm
-		}
-		return false
-	}
+// removeCreation deletes the creation record of handle h in space k.
+func (l *Log) removeCreation(k cuda.HandleKind, h int) {
 	for i, c := range l.Creation {
-		if match(c) {
+		if c.Op.Info().Creates == k && c.Created == h {
 			l.Creation = append(l.Creation[:i], l.Creation[i+1:]...)
 			return
 		}
@@ -207,59 +111,6 @@ func FromBytes(b []byte) (*Log, error) {
 	return &l, nil
 }
 
-// Translator maps pre-recovery handles to post-recovery handles. The
-// interception layer keeps one per recovery and resolves its virtual
-// handles through it.
-type Translator struct {
-	Bufs    map[cuda.Buf]cuda.Buf
-	Streams map[cuda.Stream]cuda.Stream
-	Events  map[cuda.Event]cuda.Event
-	Comms   map[cuda.Comm]cuda.Comm
-}
-
-// NewTranslator returns an identity-defaulting translator: the default
-// stream always maps to itself.
-func NewTranslator() *Translator {
-	return &Translator{
-		Bufs:    make(map[cuda.Buf]cuda.Buf),
-		Streams: map[cuda.Stream]cuda.Stream{cuda.DefaultStream: cuda.DefaultStream},
-		Events:  make(map[cuda.Event]cuda.Event),
-		Comms:   make(map[cuda.Comm]cuda.Comm),
-	}
-}
-
-// Buf translates a buffer handle; unmapped handles pass through.
-func (t *Translator) Buf(b cuda.Buf) cuda.Buf {
-	if n, ok := t.Bufs[b]; ok {
-		return n
-	}
-	return b
-}
-
-// Stream translates a stream handle; unmapped handles pass through.
-func (t *Translator) Stream(s cuda.Stream) cuda.Stream {
-	if n, ok := t.Streams[s]; ok {
-		return n
-	}
-	return s
-}
-
-// EventH translates an event handle; unmapped handles pass through.
-func (t *Translator) EventH(e cuda.Event) cuda.Event {
-	if n, ok := t.Events[e]; ok {
-		return n
-	}
-	return e
-}
-
-// CommH translates a communicator handle; unmapped handles pass through.
-func (t *Translator) CommH(c cuda.Comm) cuda.Comm {
-	if n, ok := t.Comms[c]; ok {
-		return n
-	}
-	return c
-}
-
 // Options configure a replay.
 type Options struct {
 	// GenFor overrides the generation used when replaying CommInit: after
@@ -272,91 +123,34 @@ type Options struct {
 }
 
 // Apply re-executes calls against api, translating handles through tr and
-// recording new creation handles into it. It stops at the first error.
-func Apply(p *vclock.Proc, api cuda.API, calls []Call, tr *Translator, opts Options) error {
+// binding the handles replayed creations return into it. It stops at the
+// first error.
+func Apply(p *vclock.Proc, api cuda.API, calls []Call, tr *cuda.Handles, opts Options) error {
 	for i := range calls {
 		if err := applyOne(p, api, &calls[i], tr, opts); err != nil {
-			return fmt.Errorf("replay: call %d (%v): %w", i, calls[i].Kind, err)
+			return fmt.Errorf("replay: call %d (%v): %w", i, calls[i].Op, err)
 		}
 	}
 	return nil
 }
 
-func applyOne(p *vclock.Proc, api cuda.API, c *Call, tr *Translator, opts Options) error {
-	switch c.Kind {
-	case CallMalloc:
-		nb, err := api.Malloc(p, c.Bytes, c.Elems, c.Tag)
-		if err != nil {
-			return err
-		}
-		tr.Bufs[c.RBuf] = nb
-	case CallFree:
-		return api.Free(p, tr.Buf(c.Buf))
-	case CallMemcpyH2D:
-		if opts.SkipData {
-			return nil
-		}
-		return api.MemcpyH2D(p, tr.Buf(c.Buf), c.Data, tr.Stream(c.Stream))
-	case CallMemcpyD2D:
-		return api.MemcpyD2D(p, tr.Buf(c.Buf), tr.Buf(c.Buf2), tr.Stream(c.Stream))
-	case CallStreamCreate:
-		ns, err := api.StreamCreate(p)
-		if err != nil {
-			return err
-		}
-		tr.Streams[c.RStream] = ns
-	case CallStreamDestroy:
-		return api.StreamDestroy(p, tr.Stream(c.Stream))
-	case CallStreamWaitEvent:
-		return api.StreamWaitEvent(p, tr.Stream(c.Stream), tr.EventH(c.Event))
-	case CallEventCreate:
-		ne, err := api.EventCreate(p)
-		if err != nil {
-			return err
-		}
-		tr.Events[c.REvent] = ne
-	case CallEventRecord:
-		return api.EventRecord(p, tr.EventH(c.Event), tr.Stream(c.Stream))
-	case CallEventDestroy:
-		return api.EventDestroy(p, tr.EventH(c.Event))
-	case CallLaunch:
-		lp := c.Launch
-		if len(lp.Bufs) > 0 {
-			nb := make([]cuda.Buf, len(lp.Bufs))
-			for i, b := range lp.Bufs {
-				nb[i] = tr.Buf(b)
-			}
-			lp.Bufs = nb
-		}
-		return api.Launch(p, lp, tr.Stream(c.Stream))
-	case CallCommInit:
-		gen := c.Gen
-		if opts.GenFor != nil {
-			gen = opts.GenFor(c.Key, c.Gen)
-		}
-		nc, err := api.CommInit(p, c.Key, gen, c.NRanks, c.Rank)
-		if err != nil {
-			return err
-		}
-		tr.Comms[c.RComm] = nc
-	case CallCommDestroy:
-		return api.CommDestroy(p, tr.CommH(c.Comm))
-	case CallAllReduce:
-		return api.AllReduce(p, tr.CommH(c.Comm), tr.Buf(c.Buf), tr.Stream(c.Stream))
-	case CallBroadcast:
-		return api.Broadcast(p, tr.CommH(c.Comm), tr.Buf(c.Buf), c.Root, tr.Stream(c.Stream))
-	case CallAllGather:
-		return api.AllGather(p, tr.CommH(c.Comm), tr.Buf(c.Buf), tr.Buf(c.Buf2), tr.Stream(c.Stream))
-	case CallReduceScatter:
-		return api.ReduceScatter(p, tr.CommH(c.Comm), tr.Buf(c.Buf), tr.Buf(c.Buf2), tr.Stream(c.Stream))
-	case CallSend:
-		return api.Send(p, tr.CommH(c.Comm), tr.Buf(c.Buf), c.Peer, tr.Stream(c.Stream))
-	case CallRecv:
-		return api.Recv(p, tr.CommH(c.Comm), tr.Buf(c.Buf), c.Peer, tr.Stream(c.Stream))
-	case CallBarrier:
-		return api.Barrier(p, tr.CommH(c.Comm), tr.Stream(c.Stream))
-	default:
-		return fmt.Errorf("unknown call kind %v", c.Kind)
+func applyOne(p *vclock.Proc, api cuda.API, c *Call, tr *cuda.Handles, opts Options) error {
+	call := c.Call
+	switch {
+	case call.Op == cuda.OpMemcpyH2D && opts.SkipData:
+		return nil
+	case call.Op == cuda.OpCommInit && opts.GenFor != nil:
+		call.Gen = opts.GenFor(call.Key, call.Gen)
+	}
+	if err := tr.Translate(&call); err != nil {
+		return err
+	}
+	res, err := cuda.Invoke(p, api, &call)
+	if err != nil {
+		return err
+	}
+	if k := call.Op.Info().Creates; k != cuda.NoHandle {
+		tr.Bind(k, c.Created, res.Handle)
 	}
 	return nil
 }

@@ -13,9 +13,9 @@ import (
 
 func TestStartMinibatchFoldsCreations(t *testing.T) {
 	l := NewLog()
-	l.Record(Call{Kind: CallMalloc, Bytes: 64, RBuf: 1})
-	l.Record(Call{Kind: CallStreamCreate, RStream: 2})
-	l.Record(Call{Kind: CallLaunch, Launch: cuda.LaunchParams{Kernel: "k"}})
+	l.Record(Call{Call: cuda.Call{Op: cuda.OpMalloc, Bytes: 64}, Created: 1})
+	l.Record(Call{Call: cuda.Call{Op: cuda.OpStreamCreate}, Created: 2})
+	l.Record(Call{Call: cuda.Call{Op: cuda.OpLaunch, Launch: cuda.LaunchParams{Kernel: "k"}}})
 	l.StartMinibatch(1)
 	if len(l.Minibatch) != 0 {
 		t.Fatalf("minibatch log not cleared: %d", len(l.Minibatch))
@@ -24,9 +24,9 @@ func TestStartMinibatchFoldsCreations(t *testing.T) {
 		t.Fatalf("creation log = %d entries, want 2", len(l.Creation))
 	}
 	// A destruction inside the next minibatch removes the creation record.
-	l.Record(Call{Kind: CallFree, Buf: 1})
+	l.Record(Call{Call: cuda.Call{Op: cuda.OpFree, Buf: 1}})
 	l.StartMinibatch(2)
-	if len(l.Creation) != 1 || l.Creation[0].Kind != CallStreamCreate {
+	if len(l.Creation) != 1 || l.Creation[0].Op != cuda.OpStreamCreate {
 		t.Fatalf("creation log after free = %+v", l.Creation)
 	}
 }
@@ -34,7 +34,7 @@ func TestStartMinibatchFoldsCreations(t *testing.T) {
 func TestRecordStampsIteration(t *testing.T) {
 	l := NewLog()
 	l.StartMinibatch(7)
-	l.Record(Call{Kind: CallLaunch})
+	l.Record(Call{Call: cuda.Call{Op: cuda.OpLaunch}})
 	if l.Minibatch[0].Iter != 7 {
 		t.Fatalf("iter = %d", l.Minibatch[0].Iter)
 	}
@@ -42,12 +42,12 @@ func TestRecordStampsIteration(t *testing.T) {
 
 func TestSerializationRoundTrip(t *testing.T) {
 	l := NewLog()
-	l.Record(Call{Kind: CallMalloc, Bytes: 128, Elems: 4, Tag: "w", RBuf: 3})
+	l.Record(Call{Call: cuda.Call{Op: cuda.OpMalloc, Bytes: 128, Elems: 4, Tag: "w"}, Created: 3})
 	l.StartMinibatch(1)
-	l.Record(Call{Kind: CallMemcpyH2D, Buf: 3, Data: []float32{1, 2}, Stream: 0})
-	l.Record(Call{Kind: CallLaunch, Launch: cuda.LaunchParams{
+	l.Record(Call{Call: cuda.Call{Op: cuda.OpMemcpyH2D, Buf: 3, Data: []float32{1, 2}, Stream: 0}})
+	l.Record(Call{Call: cuda.Call{Op: cuda.OpLaunch, Launch: cuda.LaunchParams{
 		Kernel: "fwd", Dur: vclock.Millisecond, Bufs: []cuda.Buf{3}, FArgs: []float32{0.5},
-	}})
+	}}})
 	raw, err := l.Bytes()
 	if err != nil {
 		t.Fatal(err)
@@ -61,20 +61,6 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 	if got.Minibatch[1].Launch.Kernel != "fwd" || got.Minibatch[1].Launch.FArgs[0] != 0.5 {
 		t.Fatalf("launch params lost: %+v", got.Minibatch[1].Launch)
-	}
-}
-
-func TestTranslatorDefaults(t *testing.T) {
-	tr := NewTranslator()
-	if tr.Stream(cuda.DefaultStream) != cuda.DefaultStream {
-		t.Fatal("default stream must map to itself")
-	}
-	if tr.Buf(5) != 5 || tr.EventH(9) != 9 || tr.CommH(2) != 2 {
-		t.Fatal("unmapped handles must pass through")
-	}
-	tr.Bufs[5] = 12
-	if tr.Buf(5) != 12 {
-		t.Fatal("mapped handle not translated")
 	}
 }
 
@@ -99,18 +85,18 @@ func TestReplayReproducesState(t *testing.T) {
 	env.Go("record-and-replay", func(p *vclock.Proc) {
 		// --- Original execution, recorded. ---
 		w, _ := drv.Malloc(p, 64, 3, "w")
-		log.Record(Call{Kind: CallMalloc, Bytes: 64, Elems: 3, Tag: "w", RBuf: w})
+		log.Record(Call{Call: cuda.Call{Op: cuda.OpMalloc, Bytes: 64, Elems: 3, Tag: "w"}, Created: int(w)})
 		g, _ := drv.Malloc(p, 64, 3, "g")
-		log.Record(Call{Kind: CallMalloc, Bytes: 64, Elems: 3, Tag: "g", RBuf: g})
+		log.Record(Call{Call: cuda.Call{Op: cuda.OpMalloc, Bytes: 64, Elems: 3, Tag: "g"}, Created: int(g)})
 		log.StartMinibatch(1)
 
 		drv.MemcpyH2D(p, w, []float32{1, 2, 3}, cuda.DefaultStream)
-		log.Record(Call{Kind: CallMemcpyH2D, Buf: w, Data: []float32{1, 2, 3}})
+		log.Record(Call{Call: cuda.Call{Op: cuda.OpMemcpyH2D, Buf: w, Data: []float32{1, 2, 3}}})
 		drv.MemcpyH2D(p, g, []float32{10, 10, 10}, cuda.DefaultStream)
-		log.Record(Call{Kind: CallMemcpyH2D, Buf: g, Data: []float32{10, 10, 10}})
+		log.Record(Call{Call: cuda.Call{Op: cuda.OpMemcpyH2D, Buf: g, Data: []float32{10, 10, 10}}})
 		lp := cuda.LaunchParams{Kernel: "axpy", Dur: vclock.Millisecond, Bufs: []cuda.Buf{w, g}, FArgs: []float32{0.5}}
 		drv.Launch(p, lp, cuda.DefaultStream)
-		log.Record(Call{Kind: CallLaunch, Launch: lp})
+		log.Record(Call{Call: cuda.Call{Op: cuda.OpLaunch, Launch: lp}})
 		drv.StreamSynchronize(p, cuda.DefaultStream)
 		origSum, _ = drv.BufChecksum(p, w)
 
@@ -121,7 +107,7 @@ func TestReplayReproducesState(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		tr := NewTranslator()
+		tr := cuda.NewHandles()
 		if err := Apply(p, drv2, log.Creation, tr, Options{}); err != nil {
 			t.Error(err)
 			return
@@ -131,7 +117,7 @@ func TestReplayReproducesState(t *testing.T) {
 			return
 		}
 		drv2.StreamSynchronize(p, cuda.DefaultStream)
-		replaySum, _ = drv2.BufChecksum(p, tr.Buf(w))
+		replaySum, _ = drv2.BufChecksum(p, tr.Bufs[w])
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -152,17 +138,17 @@ func TestReplayTranslatesStreamsAndEvents(t *testing.T) {
 		// using them; replay must rewire handles.
 		log := NewLog()
 		s, _ := drv.StreamCreate(p)
-		log.Record(Call{Kind: CallStreamCreate, RStream: s})
+		log.Record(Call{Call: cuda.Call{Op: cuda.OpStreamCreate}, Created: int(s)})
 		ev, _ := drv.EventCreate(p)
-		log.Record(Call{Kind: CallEventCreate, REvent: ev})
+		log.Record(Call{Call: cuda.Call{Op: cuda.OpEventCreate}, Created: int(ev)})
 		log.StartMinibatch(1)
-		log.Record(Call{Kind: CallLaunch, Launch: cuda.LaunchParams{Kernel: "nop", Dur: vclock.Millisecond}, Stream: s})
-		log.Record(Call{Kind: CallEventRecord, Event: ev, Stream: s})
-		log.Record(Call{Kind: CallStreamWaitEvent, Stream: cuda.DefaultStream, Event: ev})
+		log.Record(Call{Call: cuda.Call{Op: cuda.OpLaunch, Launch: cuda.LaunchParams{Kernel: "nop", Dur: vclock.Millisecond}, Stream: s}})
+		log.Record(Call{Call: cuda.Call{Op: cuda.OpEventRecord, Event: ev, Stream: s}})
+		log.Record(Call{Call: cuda.Call{Op: cuda.OpStreamWaitEvent, Stream: cuda.DefaultStream, Event: ev}})
 
 		dev2 := gpu.NewDevice(env, 0, 1, 1<<30)
 		drv2, _ := cuda.NewDriver(dev2, engine, kernels, cuda.DefaultParams())
-		tr := NewTranslator()
+		tr := cuda.NewHandles()
 		if err := Apply(p, drv2, log.Creation, tr, Options{}); err != nil {
 			t.Error(err)
 			return
@@ -193,8 +179,8 @@ func TestReplaySkipData(t *testing.T) {
 	drv, _ := cuda.NewDriver(dev, engine, nil, cuda.DefaultParams())
 	env.Go("w", func(p *vclock.Proc) {
 		b, _ := drv.Malloc(p, 64, 2, "w")
-		calls := []Call{{Kind: CallMemcpyH2D, Buf: b, Data: []float32{9, 9}}}
-		tr := NewTranslator()
+		calls := []Call{{Call: cuda.Call{Op: cuda.OpMemcpyH2D, Buf: b, Data: []float32{9, 9}}}}
+		tr := cuda.NewHandles()
 		if err := Apply(p, drv, calls, tr, Options{SkipData: true}); err != nil {
 			t.Error(err)
 			return
@@ -216,15 +202,15 @@ func TestReplayGenOverrideForCommInit(t *testing.T) {
 	dev := gpu.NewDevice(env, 0, 0, 1<<30)
 	drv, _ := cuda.NewDriver(dev, engine, nil, cuda.DefaultParams())
 	env.Go("w", func(p *vclock.Proc) {
-		calls := []Call{{Kind: CallCommInit, Key: "dp", Gen: 0, NRanks: 1, Rank: 0, RComm: 1}}
-		tr := NewTranslator()
+		calls := []Call{{Call: cuda.Call{Op: cuda.OpCommInit, Key: "dp", Gen: 0, NRanks: 1, Rank: 0}, Created: 1}}
+		tr := cuda.NewHandles()
 		err := Apply(p, drv, calls, tr, Options{
 			GenFor: func(key string, recorded int) int { return recorded + 5 },
 		})
 		if err != nil {
 			t.Error(err)
 		}
-		if tr.CommH(1) == 0 {
+		if tr.Comms[1] == 0 {
 			t.Error("comm handle not mapped")
 		}
 	})
@@ -240,10 +226,10 @@ func TestApplyStopsAtFirstError(t *testing.T) {
 	drv, _ := cuda.NewDriver(dev, engine, nil, cuda.DefaultParams())
 	env.Go("w", func(p *vclock.Proc) {
 		calls := []Call{
-			{Kind: CallFree, Buf: 99}, // bad handle
-			{Kind: CallMalloc, Bytes: 64, RBuf: 1},
+			{Call: cuda.Call{Op: cuda.OpFree, Buf: 99}}, // bad handle
+			{Call: cuda.Call{Op: cuda.OpMalloc, Bytes: 64}, Created: 1},
 		}
-		tr := NewTranslator()
+		tr := cuda.NewHandles()
 		if err := Apply(p, drv, calls, tr, Options{}); err == nil {
 			t.Error("expected error from bad free")
 		}
@@ -266,14 +252,14 @@ func TestCreationLogTracksLiveObjectsProperty(t *testing.T) {
 		var order []cuda.Buf
 		for i, create := range ops {
 			if create || len(order) == 0 {
-				l.Record(Call{Kind: CallMalloc, RBuf: next})
+				l.Record(Call{Call: cuda.Call{Op: cuda.OpMalloc}, Created: int(next)})
 				live[next] = true
 				order = append(order, next)
 				next++
 			} else {
 				victim := order[0]
 				order = order[1:]
-				l.Record(Call{Kind: CallFree, Buf: victim})
+				l.Record(Call{Call: cuda.Call{Op: cuda.OpFree, Buf: victim}})
 				delete(live, victim)
 			}
 			if i%3 == 2 {
@@ -285,7 +271,7 @@ func TestCreationLogTracksLiveObjectsProperty(t *testing.T) {
 			return false
 		}
 		for _, c := range l.Creation {
-			if !live[c.RBuf] {
+			if !live[cuda.Buf(c.Created)] {
 				return false
 			}
 		}
@@ -298,7 +284,7 @@ func TestCreationLogTracksLiveObjectsProperty(t *testing.T) {
 
 func BenchmarkRecord(b *testing.B) {
 	l := NewLog()
-	c := Call{Kind: CallLaunch, Launch: cuda.LaunchParams{Kernel: "fwd", Bufs: []cuda.Buf{1, 2, 3}}}
+	c := Call{Call: cuda.Call{Op: cuda.OpLaunch, Launch: cuda.LaunchParams{Kernel: "fwd", Bufs: []cuda.Buf{1, 2, 3}}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Record(c)
@@ -311,7 +297,7 @@ func BenchmarkRecord(b *testing.B) {
 func BenchmarkSerialize(b *testing.B) {
 	l := NewLog()
 	for i := 0; i < 512; i++ {
-		l.Record(Call{Kind: CallLaunch, Launch: cuda.LaunchParams{Kernel: "fwd", Bufs: []cuda.Buf{1, 2}}})
+		l.Record(Call{Call: cuda.Call{Op: cuda.OpLaunch, Launch: cuda.LaunchParams{Kernel: "fwd", Bufs: []cuda.Buf{1, 2}}}})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
