@@ -4,7 +4,7 @@ import "math/rand"
 
 // RandomChaos returns a seeded write-fault hook for SetChaos that fails
 // roughly a fraction p of store writes, split between transient I/O
-// errors (which a RetryPolicy absorbs), torn writes (caught by the
+// errors (which the bounded write retry absorbs), torn writes (caught by the
 // shallow completeness check or the retry that follows the error), and
 // silent bit-flips (caught only by deep validation at restore). It never
 // returns WriteFailNoSpace — exhaustion is a deterministic condition, not

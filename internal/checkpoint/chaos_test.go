@@ -102,10 +102,11 @@ func TestValidDeepDetectsSilentBitFlip(t *testing.T) {
 			t.Fatal(err)
 		}
 		st.SetChaos(nil)
-		// Shallow validation (metadata-last protocol + length) passes;
-		// only the checksum comparison catches the silent corruption.
-		if !Valid(p, st, dir) {
-			t.Error("shallow Valid should pass on a silently-corrupted file")
+		// The shallow checks (metadata-last protocol + length) pass; only
+		// the checksum comparison catches the silent corruption.
+		m, err := ReadMeta(p, st, dir)
+		if n, ok := st.Stat(p, dir+"/model.bin"); err != nil || !ok || n != m.DataLen {
+			t.Error("META and the length check should pass on a silently-corrupted file")
 		}
 		if ValidDeep(p, st, dir) {
 			t.Error("ValidDeep missed the bit-flip")
@@ -140,14 +141,14 @@ func TestAssembleFallsBackToOlderGeneration(t *testing.T) {
 				WriteRank(p, st, RankDir("job", "jit", 8, 0), testState(8, 0, 2), 32)
 				st.SetChaos(nil)
 
-				asm, err := Assemble(p, st, "job", "jit", topo)
+				asm, err := assembleJIT(p, st, nil, topo, topo.World())
 				if err != nil {
 					t.Fatalf("no fallback assembly: %v", err)
 				}
 				if asm.Iter != 5 {
 					t.Fatalf("assembled iter %d, want fallback to 5", asm.Iter)
 				}
-				ms, err := ReadRank(p, st, asm.Dir[0])
+				ms, err := asm.For[0].Load(p)
 				if err != nil || ms.Iter != 5 {
 					t.Fatalf("fallback read: iter %v err %v", ms, err)
 				}
@@ -156,13 +157,12 @@ func TestAssembleFallsBackToOlderGeneration(t *testing.T) {
 	}
 }
 
-func TestRetryPolicyBackoff(t *testing.T) {
+func TestRetryBackoff(t *testing.T) {
 	env := vclock.NewEnv(1)
 	runProc(t, env, func(p *vclock.Proc) {
-		rp := RetryPolicy{Attempts: 3, Backoff: 10 * vclock.Millisecond, Multiplier: 2}
 		calls := 0
 		t0 := p.Now()
-		err := rp.Do(p, func() error {
+		err := retry(p, func() error {
 			calls++
 			if calls < 3 {
 				return ErrTransientIO
@@ -170,7 +170,7 @@ func TestRetryPolicyBackoff(t *testing.T) {
 			return nil
 		})
 		if err != nil || calls != 3 {
-			t.Fatalf("Do: err=%v calls=%d", err, calls)
+			t.Fatalf("retry: err=%v calls=%d", err, calls)
 		}
 		// Two backoffs: 10ms then 20ms.
 		if took := p.Now() - t0; took != 30*vclock.Millisecond {
@@ -179,14 +179,14 @@ func TestRetryPolicyBackoff(t *testing.T) {
 
 		// Non-retryable errors abort immediately.
 		calls = 0
-		err = rp.Do(p, func() error { calls++; return ErrNoSpace })
+		err = retry(p, func() error { calls++; return ErrNoSpace })
 		if !errors.Is(err, ErrNoSpace) || calls != 1 {
 			t.Errorf("no-space: err=%v calls=%d", err, calls)
 		}
 
 		// Attempts exhausted: the last transient error surfaces.
 		calls = 0
-		err = rp.Do(p, func() error { calls++; return ErrTransientIO })
+		err = retry(p, func() error { calls++; return ErrTransientIO })
 		if !errors.Is(err, ErrTransientIO) || calls != 3 {
 			t.Errorf("exhausted: err=%v calls=%d", err, calls)
 		}
@@ -206,7 +206,7 @@ func TestWriteRankRetryAbsorbsTransientFaults(t *testing.T) {
 			return WriteOK
 		})
 		dir := RankDir("job", "jit", 4, 1)
-		if err := WriteRankRetry(p, st, dir, testState(4, 1, 9), 32, DefaultRetry()); err != nil {
+		if err := WriteRankRetry(p, st, dir, testState(4, 1, 9), 32); err != nil {
 			t.Fatalf("retry did not absorb transient faults: %v", err)
 		}
 		st.SetChaos(nil)

@@ -62,7 +62,7 @@ func TestStoreListAndDelete(t *testing.T) {
 			t.Errorf("List = %v", got)
 		}
 		st.Delete("job/a")
-		if st.Exists(p, "job/a") {
+		if _, ok := st.Stat(p, "job/a"); ok {
 			t.Error("deleted object still exists")
 		}
 		if _, err := st.Read(p, "job/a"); !errors.Is(err, ErrNotFound) {
@@ -84,7 +84,7 @@ func TestRankCheckpointRoundTrip(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if !Valid(p, st, dir) {
+		if !ValidDeep(p, st, dir) {
 			t.Error("fresh checkpoint invalid")
 		}
 		got, err := ReadRank(p, st, dir)
@@ -114,12 +114,12 @@ func TestCorruptCheckpointRejected(t *testing.T) {
 		if _, err := ReadRank(p, st, dir); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("ReadRank = %v, want corrupt", err)
 		}
-		// Truncation (torn write): caught by the metadata-level Valid.
+		// Truncation (torn write): caught at metadata cost by the length check.
 		dir2 := RankDir("job", "jit", 2, 0)
 		WriteRank(p, st, dir2, testState(2, 0, 5), 1<<20)
 		raw, _ := st.Read(p, dir2+"/model.bin")
 		st.Write(p, dir2+"/model.bin", raw[:len(raw)/2], 1<<19)
-		if Valid(p, st, dir2) {
+		if ValidDeep(p, st, dir2) {
 			t.Error("truncated checkpoint passed validation")
 		}
 	})
@@ -137,7 +137,7 @@ func TestMissingMetaMeansIncomplete(t *testing.T) {
 		dir := RankDir("job", "jit", 1, 0)
 		data, _ := testState(1, 0, 5).Encode()
 		st.Write(p, dir+"/model.bin", data, 1<<20)
-		if Valid(p, st, dir) {
+		if ValidDeep(p, st, dir) {
 			t.Error("checkpoint without META passed validation")
 		}
 	})
@@ -156,7 +156,7 @@ func TestAssemblePrefersReplicaWhenRankMissing(t *testing.T) {
 		for _, r := range []int{2, 3} {
 			WriteRank(p, st, RankDir("job", "jit", 5, r), testState(5, r, uint64(r)), 1<<20)
 		}
-		asm, err := Assemble(p, st, "job", "jit", topo)
+		asm, err := assembleJIT(p, st, nil, topo, topo.World())
 		if err != nil {
 			t.Error(err)
 			return
@@ -164,12 +164,12 @@ func TestAssemblePrefersReplicaWhenRankMissing(t *testing.T) {
 		if asm.Iter != 5 {
 			t.Errorf("iter = %d", asm.Iter)
 		}
-		// Rank 0 (d0,p0) must restore from rank 2's dir (d1,p0).
-		if asm.Dir[0] != RankDir("job", "jit", 5, 2) {
-			t.Errorf("rank 0 dir = %s", asm.Dir[0])
+		// Rank 0 (d0,p0) must restore from rank 2's entry (d1,p0).
+		if asm.For[0].Rank != 2 {
+			t.Errorf("rank 0 restores from %s", asm.For[0].Desc)
 		}
-		if asm.Dir[1] != RankDir("job", "jit", 5, 3) {
-			t.Errorf("rank 1 dir = %s", asm.Dir[1])
+		if asm.For[1].Rank != 3 {
+			t.Errorf("rank 1 restores from %s", asm.For[1].Desc)
 		}
 	})
 	if err := env.Run(); err != nil {
@@ -191,7 +191,7 @@ func TestAssembleSkipsCorruptAndUsesNewestComplete(t *testing.T) {
 		WriteRank(p, st, RankDir("job", "jit", 4, 0), testState(4, 0, 3), 1<<20)
 		WriteRank(p, st, RankDir("job", "jit", 4, 1), testState(4, 1, 4), 1<<20)
 		st.Delete(RankDir("job", "jit", 4, 0) + "/META")
-		asm, err := Assemble(p, st, "job", "jit", topo)
+		asm, err := assembleJIT(p, st, nil, topo, topo.World())
 		if err != nil {
 			t.Error(err)
 			return
@@ -199,8 +199,8 @@ func TestAssembleSkipsCorruptAndUsesNewestComplete(t *testing.T) {
 		if asm.Iter != 4 {
 			t.Errorf("iter = %d, want 4", asm.Iter)
 		}
-		if asm.Dir[0] != RankDir("job", "jit", 4, 1) {
-			t.Errorf("rank 0 should use replica: %s", asm.Dir[0])
+		if asm.For[0].Rank != 1 {
+			t.Errorf("rank 0 should use replica: %s", asm.For[0].Desc)
 		}
 	})
 	if err := env.Run(); err != nil {
@@ -215,7 +215,7 @@ func TestAssembleFailsWhenPositionUncovered(t *testing.T) {
 	env.Go("w", func(p *vclock.Proc) {
 		// Only stage 0 checkpointed; stage 1 missing entirely.
 		WriteRank(p, st, RankDir("job", "jit", 2, 0), testState(2, 0, 1), 1<<20)
-		if _, err := Assemble(p, st, "job", "jit", topo); !errors.Is(err, ErrUnassembled) {
+		if _, err := assembleJIT(p, st, nil, topo, topo.World()); !errors.Is(err, ErrUnassembled) {
 			t.Errorf("err = %v, want unassembled", err)
 		}
 	})
@@ -232,17 +232,17 @@ func TestAssembleFSDPPositionsIncludeShardSlot(t *testing.T) {
 		// Only group 1 (ranks 2, 3) checkpointed.
 		WriteRank(p, st, RankDir("job", "jit", 9, 2), testState(9, 2, 1), 1<<20)
 		WriteRank(p, st, RankDir("job", "jit", 9, 3), testState(9, 3, 2), 1<<20)
-		asm, err := Assemble(p, st, "job", "jit", topo)
+		asm, err := assembleJIT(p, st, nil, topo, topo.World())
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		// Rank 0 is shard slot 0 -> restore from rank 2 (same slot).
-		if asm.Dir[0] != RankDir("job", "jit", 9, 2) {
-			t.Errorf("rank 0 dir = %s", asm.Dir[0])
+		if asm.For[0].Rank != 2 {
+			t.Errorf("rank 0 restores from %s", asm.For[0].Desc)
 		}
-		if asm.Dir[1] != RankDir("job", "jit", 9, 3) {
-			t.Errorf("rank 1 dir = %s", asm.Dir[1])
+		if asm.For[1].Rank != 3 {
+			t.Errorf("rank 1 restores from %s", asm.For[1].Desc)
 		}
 	})
 	if err := env.Run(); err != nil {
@@ -291,7 +291,7 @@ func runPolicy(t *testing.T, kind PeriodicKind) (stall vclock.Time, wall vclock.
 	r := newPeriodicRig(t)
 	pc := &Periodic{
 		Kind: kind, Interval: vclock.Seconds(1), Disk: r.disk, Mem: r.mem,
-		HideFraction: 0.5, Job: "job",
+		Job: "job",
 	}
 	r.env.Go("worker", func(p *vclock.Proc) {
 		if err := r.w.Setup(p, 0); err != nil {
@@ -458,7 +458,7 @@ func BenchmarkAssemble(b *testing.B) {
 			}
 		}
 		for i := 0; i < b.N; i++ {
-			if _, err := Assemble(p, st, "j", "jit", topo); err != nil {
+			if _, err := AssembleRestore(p, StoreCandidates(st, "j", "jit"), topo, topo.World()); err != nil {
 				b.Fatal(err)
 			}
 		}

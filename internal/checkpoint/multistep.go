@@ -109,14 +109,8 @@ type MultiStep struct {
 	// SerializeBW and D2HBandwidth time the per-slice staging copy.
 	SerializeBW  float64
 	D2HBandwidth float64
-	// HideFraction is the share of the staging copy hidden behind the
-	// next minibatch's compute (CheckFreq-style); only the remainder
-	// stalls the critical path. Zero means the default 0.5.
-	HideFraction float64
 	// Retain bounds committed generations kept per rank (default 2).
 	Retain int
-	// Retry bounds background write retries (zero value = DefaultRetry).
-	Retry RetryPolicy
 	// NoteSliceWrite, when set, fires on the background writer before
 	// each slice write (phase-aware fault injection).
 	NoteSliceWrite func(p *vclock.Proc)
@@ -273,15 +267,9 @@ func (msw *MultiStep) captureSlice(p *vclock.Proc, w *train.Worker) (vclock.Time
 
 	// Critical-path stall: the un-hidden fraction of one slice's staging
 	// (D2H over PCIe plus serialization), CheckFreq-style.
-	hide := msw.HideFraction
-	if hide <= 0 {
-		hide = 0.5
-	}
-	stage := gpu.TransferTime(msw.sliceBytes(), msw.D2HBandwidth)
-	if msw.SerializeBW > 0 {
-		stage += vclock.Time(float64(msw.sliceBytes()) / msw.SerializeBW * float64(vclock.Second))
-	}
-	stall := vclock.Time(float64(stage) * (1 - hide))
+	stage := gpu.TransferTime(msw.sliceBytes(), msw.D2HBandwidth) +
+		gpu.TransferTime(msw.sliceBytes(), msw.SerializeBW)
+	stall := vclock.Time(float64(stage) * (1 - hideFraction))
 	if stall > 0 {
 		p.Sleep(stall)
 	}
@@ -310,14 +298,10 @@ func (msw *MultiStep) enqueue(g *msGen, rank int, objs []msPayload, final bool) 
 	g.objects = append(g.objects, objsOf(objs)...)
 	dir := MultiStepGenDir(msw.Job, g.target(), rank)
 	prev := msw.chain
-	env := procEnvOf(msw.Disk)
+	env := msw.Disk.env
 	done := env.NewEvent(fmt.Sprintf("ms-write.%s.%d", dir, len(g.objects)))
 	msw.chain = done
 	msw.pending++
-	rp := msw.Retry
-	if rp.Attempts == 0 {
-		rp = DefaultRetry()
-	}
 	meta := MSMeta{BaseIter: g.base, TargetIter: g.target(), Slices: len(g.layers), Rank: rank}
 	env.Go("ms-slice-write", func(wp *vclock.Proc) {
 		defer func() {
@@ -334,7 +318,7 @@ func (msw *MultiStep) enqueue(g *msGen, rank int, objs []msPayload, final bool) 
 		}
 		for _, o := range objs {
 			o := o
-			err := rp.Do(wp, func() error {
+			err := retry(wp, func() error {
 				return writeAtomic(wp, msw.Disk, dir+"/"+o.obj.Name, o.data, o.modelBytes)
 			})
 			if err != nil {
@@ -355,7 +339,7 @@ func (msw *MultiStep) enqueue(g *msGen, rank int, objs []msPayload, final bool) 
 		if err := gob.NewEncoder(&mb).Encode(meta); err != nil {
 			return
 		}
-		err := rp.Do(wp, func() error {
+		err := retry(wp, func() error {
 			return writeAtomic(wp, msw.Disk, msMetaPath(dir), mb.Bytes(), 256)
 		})
 		if err != nil {

@@ -140,7 +140,7 @@ func TestMultiStepCommitAndReconciledRestoreBitExact(t *testing.T) {
 	want := oracleState(t, target)
 	env.Go("restore", func(p *vclock.Proc) {
 		cands := MultiStepCandidates(disk2, "job", msTestParams())
-		plan, err := AssembleRestore(p, "job", nil, cands, train.Topology{D: 1, P: 1, T: 1}, 1)
+		plan, err := AssembleRestore(p, cands, train.Topology{D: 1, P: 1, T: 1}, 1)
 		if err != nil {
 			t.Error(err)
 			return
@@ -202,7 +202,7 @@ func TestMultiStepPartialGenerationFallsBack(t *testing.T) {
 			breakIt(st)
 			env.Go("restore", func(p *vclock.Proc) {
 				cands := MultiStepCandidates(st, "job", msTestParams())
-				plan, err := AssembleRestore(p, "job", nil, cands, train.Topology{D: 1, P: 1, T: 1}, 1)
+				plan, err := AssembleRestore(p, cands, train.Topology{D: 1, P: 1, T: 1}, 1)
 				if err != nil {
 					t.Error(err)
 					return

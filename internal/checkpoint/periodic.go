@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"fmt"
 
+	"jitckpt/internal/gpu"
 	"jitckpt/internal/trace"
 	"jitckpt/internal/train"
 	"jitckpt/internal/vclock"
@@ -20,8 +21,7 @@ const (
 	PCMem
 	// CheckFreq overlaps the GPU→CPU snapshot with the next minibatch's
 	// compute, paying only the un-hidden fraction in the critical path
-	// (CheckFreq [23]; its runtime profiling is modelled by the
-	// HideFraction parameter).
+	// (CheckFreq [23]; its runtime profiling is modelled by hideFraction).
 	CheckFreq
 	// PCDaily is PC_mem at a fixed once-per-day cadence — the optional
 	// low-frequency safety net for catastrophic multi-node failures that
@@ -69,22 +69,14 @@ type Periodic struct {
 	// tier (used by PCMem/PCDaily/CheckFreq for the critical-path copy).
 	Disk *Store
 	Mem  *Store
-	// HideFraction is the share of the snapshot copy CheckFreq hides
-	// behind compute (profile-tuned in the real system; default 0.5).
-	HideFraction float64
-	// SerializeBW models the CPU-side serialization throughput
-	// (torch.save-class pickling) in bytes/second; it is paid in the
-	// critical path by PC_disk and PC_mem alike — which is why saving to
-	// tmpfs only shaves ~15% off PC_disk in the paper's Table 3 — and is
-	// part of the hideable copy for CheckFreq. Zero disables it.
+	// SerializeBW models the CPU-side serialization throughput in
+	// bytes/second (see SaveRank); for CheckFreq it is part of the
+	// hideable copy. Zero disables it.
 	SerializeBW float64
 	// StateBytes is the modelled state size serialization applies to.
 	StateBytes int64
 	// Job names the checkpoint namespace.
 	Job string
-	// Retry bounds retries of store writes on transient faults; the zero
-	// value means DefaultRetry.
-	Retry RetryPolicy
 
 	last       vclock.Time
 	everRan    bool
@@ -110,6 +102,12 @@ func (pc *Periodic) Count() int { return pc.count }
 // checkpointing (the steady-state overhead Table 3 reports).
 func (pc *Periodic) StallTotal() vclock.Time { return pc.stallTotal }
 
+// hideFraction is the share of an overlapped snapshot's staging copy (D2H
+// plus serialization) hidden behind the next minibatch's compute — CheckFreq
+// and the multi-step slices alike; only the remainder stalls the critical
+// path. Profile-tuned in the real systems.
+const hideFraction = 0.5
+
 // Run takes one checkpoint of w, returning the critical-path stall
 // attributed to it. The GPU→CPU copy inside SaveModelState is timed by the
 // simulated PCIe link; the store write is timed by the tier. For
@@ -125,46 +123,27 @@ func (pc *Periodic) Run(p *vclock.Proc, w *train.Worker) (vclock.Time, error) {
 		sp.End(p.Now(), "err", err)
 		return 0, err
 	}
-	if pc.SerializeBW > 0 && pc.StateBytes > 0 {
-		p.Sleep(vclock.Time(float64(pc.StateBytes) / pc.SerializeBW * float64(vclock.Second)))
+	// CheckFreq's hideable copy: the D2H just done plus the serialization
+	// SaveRank is about to charge.
+	copyTime := p.Now() - start + gpu.TransferTime(pc.StateBytes, pc.SerializeBW)
+	// PC_disk writes through to the persistent store; every other kind
+	// saves to tmpfs and drains to disk off the critical path.
+	st := pc.Mem
+	if pc.Kind == PCDisk {
+		st = pc.Disk
 	}
-	copyTime := p.Now() - start
 	bytes := w.ModelStateBytes()
 	dir := RankDir(pc.Job, pc.Kind.PolicyName(), ms.Iter, ms.Rank)
-	rp := pc.Retry
-	if rp.Attempts == 0 {
-		rp = DefaultRetry()
+	if err := SaveRank(p, st, dir, ms, pc.SerializeBW, pc.StateBytes, bytes); err != nil {
+		sp.End(p.Now(), "err", err)
+		return 0, err
 	}
-
-	var stall vclock.Time
-	switch pc.Kind {
-	case PCDisk:
-		if err := WriteRankRetry(p, pc.Disk, dir, ms, bytes, rp); err != nil {
-			sp.End(p.Now(), "err", err)
-			return 0, err
-		}
-		stall = p.Now() - start
-	case PCMem, PCDaily:
-		if err := WriteRankRetry(p, pc.Mem, dir, ms, bytes, rp); err != nil {
-			sp.End(p.Now(), "err", err)
-			return 0, err
-		}
-		stall = p.Now() - start
+	stall := p.Now() - start
+	if pc.Kind == CheckFreq {
+		stall -= vclock.Time(float64(copyTime) * hideFraction)
+	}
+	if pc.Kind != PCDisk {
 		pc.drainAsync(dir, bytes)
-	case CheckFreq:
-		if err := WriteRankRetry(p, pc.Mem, dir, ms, bytes, rp); err != nil {
-			sp.End(p.Now(), "err", err)
-			return 0, err
-		}
-		hidden := vclock.Time(float64(copyTime) * pc.HideFraction)
-		stall = p.Now() - start - hidden
-		if stall < 0 {
-			stall = 0
-		}
-		pc.drainAsync(dir, bytes)
-	default:
-		sp.End(p.Now(), "err", "unknown-kind")
-		return 0, fmt.Errorf("checkpoint: unknown periodic kind %v", pc.Kind)
 	}
 	pc.last = p.Now()
 	pc.everRan = true
@@ -180,7 +159,7 @@ func (pc *Periodic) drainAsync(dir string, bytes int64) {
 	if pc.Disk == nil || pc.Mem == nil {
 		return
 	}
-	env := procEnvOf(pc.Mem)
+	env := pc.Mem.env
 	env.Go("ckpt-drain", func(dp *vclock.Proc) {
 		dsp := trace.Of(env).Begin(dp.Now(), "ckpt", trace.LaneSim, "drain", "dir", dir)
 		defer func() { dsp.End(dp.Now()) }()
@@ -199,5 +178,3 @@ func (pc *Periodic) drainAsync(dir string, bytes int64) {
 		}
 	})
 }
-
-func procEnvOf(s *Store) *vclock.Env { return s.env }

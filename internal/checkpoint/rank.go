@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"jitckpt/internal/gpu"
 	"jitckpt/internal/trace"
 	"jitckpt/internal/train"
 	"jitckpt/internal/vclock"
@@ -90,6 +91,37 @@ func WriteRank(p *vclock.Proc, st *Store, dir string, ms *train.ModelState, mode
 	return nil
 }
 
+// Target names where a rank save writes. A *Store is its own target; the
+// peer shelter's failure-time flush target resolves, once serialization is
+// done and the write begins, to a host that is still alive then.
+type Target interface {
+	// SaveStore returns the store to write to, or nil when none is left.
+	SaveStore() *Store
+}
+
+// SaveStore makes every store its own save target.
+func (s *Store) SaveStore() *Store { return s }
+
+// SaveRank is the one whole-rank save path, shared by the periodic
+// baselines, the user-level and transparent JIT saves and the elastic
+// stop: it charges CPU-side serialization (torch.save-class pickling) of
+// serializeBytes at serializeBW bytes/second (zero disables it), then
+// commits ms under dir in to's store META-last with the bounded retry, the
+// write timed by writeBytes. Serialization is paid in the critical path by
+// PC_disk and PC_mem alike — which is why saving to tmpfs only shaves ~15%
+// off PC_disk in the paper's Table 3. The caller supplies ms (its D2H
+// capture differs per tier) and the span around the whole save.
+func SaveRank(p *vclock.Proc, to Target, dir string, ms *train.ModelState, serializeBW float64, serializeBytes, writeBytes int64) error {
+	if d := gpu.TransferTime(serializeBytes, serializeBW); d > 0 {
+		p.Sleep(d)
+	}
+	st := to.SaveStore()
+	if st == nil {
+		return ErrNoTarget
+	}
+	return WriteRankRetry(p, st, dir, ms, writeBytes)
+}
+
 // writeAtomic writes data to path+".tmp" and renames it into place. On a
 // write error the temporary object (possibly torn) is deleted so nothing
 // partial ever becomes visible at path.
@@ -115,26 +147,15 @@ func ReadMeta(p *vclock.Proc, st *Store, dir string) (Meta, error) {
 	return m, nil
 }
 
-// Valid reports whether dir holds a complete rank checkpoint: META
-// present (it is written last, so its existence certifies a clean save)
-// and the data object present with the recorded length. This is the §3.3
-// "discarding corrupted checkpoints" check at metadata cost; the content
-// checksum is verified when the checkpoint is actually read (ReadRank).
-func Valid(p *vclock.Proc, st *Store, dir string) bool {
-	m, err := ReadMeta(p, st, dir)
-	if err != nil {
-		return false
-	}
-	length, ok := st.Stat(p, dataPath(dir))
-	return ok && length == m.DataLen
-}
-
-// ValidDeep is Valid plus an end-to-end content check against the store's
-// object checksum (ContentHash, the etag kept by the storage tier): it
-// catches silent bit-flips that the metadata-only check cannot, at
-// metadata cost rather than a full read. Restore-time assembly uses it so
-// every rank deterministically skips a corrupted entry and the job falls
-// back to the newest generation that is actually intact.
+// ValidDeep reports whether dir holds a complete, intact rank checkpoint,
+// at metadata cost: META present (it is written last, so its existence
+// certifies a clean save — the §3.3 "discarding corrupted checkpoints"
+// check), the data object present with the recorded length, and the
+// store's object checksum (ContentHash, the etag kept by the storage tier)
+// matching META's — which catches the silent bit-flips a length check
+// cannot, without a full read. Restore-time assembly uses it so every rank
+// deterministically skips a corrupted entry and the job falls back to the
+// newest generation that is actually intact.
 func ValidDeep(p *vclock.Proc, st *Store, dir string) bool {
 	m, err := ReadMeta(p, st, dir)
 	if err != nil {
@@ -176,86 +197,6 @@ func ReadRank(p *vclock.Proc, st *Store, dir string) (*train.ModelState, error) 
 	return train.DecodeModelState(data)
 }
 
-// Assembly maps each rank of a job to the checkpoint directory it should
-// restore from — its own if valid, otherwise any valid data-parallel
-// replica's (§3.3, the jit_get_checkpoint_path mechanism).
-type Assembly struct {
-	Iter int
-	// Dir maps rank -> checkpoint directory to load.
-	Dir map[int]string
-}
-
-// Assemble scans the store for the job's checkpoints under policy and
-// builds a consistent restore plan for all ranks. Candidate iterations are
-// examined newest-first; an iteration is usable only if every position
-// (p, t, shard-slot) has at least one valid rank checkpoint. Invalid or
-// torn rank checkpoints are skipped, so a rank that died mid-save is
-// simply ignored in favour of a replica.
-func Assemble(p *vclock.Proc, st *Store, job, policy string, topo train.Topology) (*Assembly, error) {
-	ma, err := AssembleSources(p, job, []Source{{Store: st, Policy: policy}}, topo)
-	if err != nil {
-		return nil, err
-	}
-	asm := &Assembly{Iter: ma.Iter, Dir: make(map[int]string, len(ma.From))}
-	for r, loc := range ma.From {
-		asm.Dir[r] = loc.Dir
-	}
-	return asm, nil
-}
-
-// Source pairs a checkpoint store with the policy namespace to scan inside
-// it. Multi-tier restore paths (JIT disk checkpoints plus peer-sheltered
-// CPU-memory entries) list one Source per tier.
-type Source struct {
-	Store  *Store
-	Policy string
-}
-
-// Located identifies one rank checkpoint within a specific store.
-type Located struct {
-	Store *Store
-	Dir   string
-}
-
-// MultiAssembly maps each rank of a job to the located checkpoint it
-// should restore from, possibly spanning stores of different tiers.
-type MultiAssembly struct {
-	Iter int
-	From map[int]Located
-}
-
-// AssembleSources builds a consistent restore plan across several
-// checkpoint tiers. Because every tier records the same invariant —
-// Iter = N means "state at the start of minibatch N" — entries from
-// different tiers at the same iteration are interchangeable per position,
-// and the newest iteration where every position is covered by *some*
-// valid entry wins. Within an iteration, earlier sources take precedence
-// (callers list the preferred tier first).
-func AssembleSources(p *vclock.Proc, job string, srcs []Source, topo train.Topology) (*MultiAssembly, error) {
-	return AssembleSourcesCross(p, job, srcs, topo, topo.World())
-}
-
-// AssembleSourcesCross is AssembleSources for elastic restores, where the
-// checkpoints may have been written at a different data-parallel width
-// than the topology now being restored. writerWorld bounds the writer
-// ranks admitted as candidates (the largest world size any contributing
-// era ran at). Position keys are width-invariant — (p, t, shard-slot)
-// does not depend on D — so a rank-r checkpoint written at D=4 restores
-// any reader rank at the same position under D=2, and vice versa.
-func AssembleSourcesCross(p *vclock.Proc, job string, srcs []Source, topo train.Topology, writerWorld int) (*MultiAssembly, error) {
-	plan, err := AssembleRestore(p, job, srcs, nil, topo, writerWorld)
-	if err != nil {
-		return nil, err
-	}
-	ma := &MultiAssembly{Iter: plan.Iter, From: make(map[int]Located, len(plan.For))}
-	for r, c := range plan.For {
-		if c.loc != nil {
-			ma.From[r] = *c.loc
-		}
-	}
-	return ma, nil
-}
-
 // Candidate is one restorable rank entry a checkpoint tier offers to the
 // assembler: a writer (iter, rank) pair, a cheap validity probe, and a
 // loader that charges its own I/O — including, for erasure-coded tiers,
@@ -270,12 +211,9 @@ type Candidate struct {
 	// Load reads, verifies and decodes the entry, charging read
 	// bandwidth and any reconstruction latency to virtual time.
 	Load func(p *vclock.Proc) (*train.ModelState, error)
-	// Desc names the entry's source for traces and errors.
+	// Desc names the entry's source for traces and errors, as
+	// "<tier>:<entry>".
 	Desc string
-
-	// loc is set for plain store-backed candidates so the legacy Located
-	// surface (AssembleSourcesCross) keeps working.
-	loc *Located
 }
 
 // RestorePlan maps each reader rank to the candidate it should load.
@@ -284,52 +222,55 @@ type RestorePlan struct {
 	For  map[int]Candidate
 }
 
-// sourceCandidates enumerates the complete rank entries of plain store
-// sources as candidates, in source order (earlier sources win ties).
-func sourceCandidates(job string, srcs []Source) []Candidate {
+// StoreCandidates enumerates the complete-looking rank entries st holds for
+// job under each namespace, as candidates that deep-validate in Probe and
+// read with checksum verification in Load. Entries come out in namespace
+// order, path-sorted within one — the order AssembleRestore breaks ties by.
+func StoreCandidates(st *Store, job string, namespaces ...string) []Candidate {
 	var out []Candidate
-	for si, src := range srcs {
-		prefix := fmt.Sprintf("%s/ckpt/%s/", job, src.Policy)
-		seen := make(map[string]bool)
-		for _, path := range src.Store.List(prefix) {
+	seen := make(map[string]bool)
+	for _, ns := range namespaces {
+		for _, path := range st.List(fmt.Sprintf("%s/ckpt/%s/", job, ns)) {
 			dir := path[:strings.LastIndex(path, "/")]
-			key := fmt.Sprintf("%d|%s", si, dir)
-			if seen[key] {
+			if seen[dir] {
 				continue
 			}
-			seen[key] = true
+			seen[dir] = true
 			iter, rank, ok := ParseRankDir(dir)
 			if !ok {
 				continue
 			}
-			st, d := src.Store, dir
 			out = append(out, Candidate{
 				Iter:  iter,
 				Rank:  rank,
-				Probe: func(p *vclock.Proc) bool { return ValidDeep(p, st, d) },
-				Load:  func(p *vclock.Proc) (*train.ModelState, error) { return ReadRank(p, st, d) },
-				Desc:  st.Name() + ":" + d,
-				loc:   &Located{Store: st, Dir: d},
+				Probe: func(p *vclock.Proc) bool { return ValidDeep(p, st, dir) },
+				Load:  func(p *vclock.Proc) (*train.ModelState, error) { return ReadRank(p, st, dir) },
+				Desc:  st.Name() + ":" + dir,
 			})
 		}
 	}
 	return out
 }
 
-// AssembleRestore builds a consistent restore plan from plain store
-// sources plus extra candidates (reconstructable erasure stripes, or any
-// other tier speaking the Candidate surface). Iterations are examined
-// newest-first; within one, the first probing-valid candidate per
-// position wins, source candidates before extras. The newest iteration
-// where every position of the target topology is covered becomes the
-// plan; writerWorld bounds admitted writer ranks as in
-// AssembleSourcesCross.
-func AssembleRestore(p *vclock.Proc, job string, srcs []Source, extra []Candidate, topo train.Topology, writerWorld int) (*RestorePlan, error) {
+// AssembleRestore builds a consistent restore plan from one ordered
+// candidate list — the jit_get_checkpoint_path mechanism of §3.3, widened
+// to every tier that speaks the Candidate surface. Because every tier
+// records the same invariant — Iter = N means "state at the start of
+// minibatch N" — candidates at the same iteration are interchangeable per
+// position. Iterations are examined newest-first; within one, the first
+// probing-valid candidate per position wins, in list order (callers list
+// the preferred tier first). The newest iteration where every position of
+// topo is covered becomes the plan; a rank that died mid-save is simply
+// passed over in favour of a replica.
+//
+// writerWorld bounds the writer ranks admitted: elastic restores read
+// checkpoints written at a different data-parallel width than topo, and
+// position keys are width-invariant — (p, t, shard-slot) does not depend on
+// D — so a rank-r entry written at D=4 restores any reader rank at the
+// same position under D=2, and vice versa.
+func AssembleRestore(p *vclock.Proc, cands []Candidate, topo train.Topology, writerWorld int) (*RestorePlan, error) {
 	byIter := make(map[int][]Candidate)
-	for _, c := range sourceCandidates(job, srcs) {
-		byIter[c.Iter] = append(byIter[c.Iter], c)
-	}
-	for _, c := range extra {
+	for _, c := range cands {
 		byIter[c.Iter] = append(byIter[c.Iter], c)
 	}
 	iters := make([]int, 0, len(byIter))

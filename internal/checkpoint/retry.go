@@ -8,58 +8,48 @@ import (
 	"jitckpt/internal/vclock"
 )
 
-// RetryPolicy bounds retries of storage operations that fail with a
-// transient error. Backoff grows geometrically between attempts.
-type RetryPolicy struct {
-	// Attempts is the total number of tries (1 = no retry).
-	Attempts int
-	// Backoff is the sleep before the first retry.
-	Backoff vclock.Time
-	// Multiplier scales the backoff after each retry (≥1).
-	Multiplier float64
-}
-
-// DefaultRetry is the policy the JIT save, peer-shelter commit, and
-// periodic-checkpoint paths use: three attempts with 10 ms → 20 ms
-// backoff, enough to ride out a transient store fault without stretching
-// the checkpoint-before-deadline window.
-func DefaultRetry() RetryPolicy {
-	return RetryPolicy{Attempts: 3, Backoff: 10 * vclock.Millisecond, Multiplier: 2}
-}
+// The one retry policy every tier's store writes run under (JIT save,
+// periodic and elastic saves, shelter commits, multi-step slices): three
+// attempts with 10 ms → 20 ms backoff, enough to ride out a transient store
+// fault without stretching the checkpoint-before-deadline window.
+const (
+	retryAttempts = 3
+	retryBackoff  = 10 * vclock.Millisecond
+)
 
 // Retryable reports whether err is worth retrying: transient I/O faults
 // are; ErrNoSpace and everything else are not.
 func Retryable(err error) bool { return errors.Is(err, ErrTransientIO) }
 
-// Do runs op, retrying with backoff while it returns a retryable error.
-// The last error (retryable or not) is returned when attempts run out.
-func (rp RetryPolicy) Do(p *vclock.Proc, op func() error) error {
-	attempts := rp.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	backoff := rp.Backoff
+// retry runs op, retrying with doubling backoff while it returns a
+// retryable error. The last error (retryable or not) is returned when
+// attempts run out.
+func retry(p *vclock.Proc, op func() error) error {
+	backoff := retryBackoff
 	var err error
-	for i := 0; i < attempts; i++ {
+	for i := 1; i <= retryAttempts; i++ {
 		if err = op(); err == nil || !Retryable(err) {
 			return err
 		}
 		trace.Of(p.Env()).Instant(p.Now(), "ckpt", trace.LaneSim, "retry",
-			"attempt", i+1, "of", attempts, "err", err)
-		if i < attempts-1 && backoff > 0 {
+			"attempt", i, "of", retryAttempts, "err", err)
+		if i < retryAttempts {
 			p.Sleep(backoff)
-			if rp.Multiplier > 1 {
-				backoff = vclock.Time(float64(backoff) * rp.Multiplier)
-			}
+			backoff *= 2
 		}
 	}
 	return err
 }
 
-// WriteRankRetry is WriteRank wrapped in a bounded retry: torn writes and
+// WriteRankRetry is WriteRank wrapped in the bounded retry: torn writes and
 // transient store faults are retried (the atomic-rename commit guarantees
 // a failed attempt leaves nothing at the final path), while hard failures
 // surface immediately.
-func WriteRankRetry(p *vclock.Proc, st *Store, dir string, ms *train.ModelState, modelBytes int64, rp RetryPolicy) error {
-	return rp.Do(p, func() error { return WriteRank(p, st, dir, ms, modelBytes) })
+func WriteRankRetry(p *vclock.Proc, st *Store, dir string, ms *train.ModelState, modelBytes int64) error {
+	return retry(p, func() error { return WriteRank(p, st, dir, ms, modelBytes) })
+}
+
+// WriteFragRetry is WriteFrag under the same bounded retry.
+func WriteFragRetry(p *vclock.Proc, st *Store, dir string, fm FragMeta, frag []byte, modelBytes int64) error {
+	return retry(p, func() error { return WriteFrag(p, st, dir, fm, frag, modelBytes) })
 }

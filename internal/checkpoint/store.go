@@ -27,6 +27,8 @@ var (
 	ErrTransientIO = errors.New("checkpoint: transient I/O error")
 	// ErrNoSpace is a non-retryable out-of-capacity write failure.
 	ErrNoSpace = errors.New("checkpoint: no space left on store")
+	// ErrNoTarget means a save's Target resolved to no store.
+	ErrNoTarget = errors.New("checkpoint: no store left to save to")
 )
 
 // WriteOutcome is what a chaos hook decrees for one store write.
@@ -213,16 +215,6 @@ func (s *Store) Stat(p *vclock.Proc, path string) (length int, ok bool) {
 		return 0, false
 	}
 	return len(e.data), true
-}
-
-// Exists reports whether path is stored (a metadata operation: only the
-// fixed latency is charged, and only when p is non-nil).
-func (s *Store) Exists(p *vclock.Proc, path string) bool {
-	if p != nil {
-		p.Sleep(s.params.Latency)
-	}
-	_, ok := s.files[path]
-	return ok
 }
 
 // List returns stored paths with the given prefix, sorted.

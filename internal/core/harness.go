@@ -1314,11 +1314,9 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 			if h.pol.JITFlush == FlushShelter {
 				// The failure-time JIT flush also goes to peer CPU memory:
 				// recovery never touches remote storage.
-				ownNode := placement[r].NodeID
-				hosts := h.peerPlan[r]
 				st.ujit.Namespace = peerckpt.PolicyName
-				st.ujit.PickStore = func() *checkpoint.Store {
-					return h.shelter.FlushStore(ownNode, hosts)
+				st.ujit.Store = peerckpt.FlushTarget{
+					Shelter: h.shelter, OwnNode: placement[r].NodeID, Assigned: h.peerPlan[r],
 				}
 			}
 			st.layer.SetOnFault(st.ujit.Hook())
@@ -1329,8 +1327,7 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 		}
 		if h.pol.Periodic {
 			st.pc = &checkpoint.Periodic{
-				Kind: h.pol.Kind, Interval: saveInterval, Disk: h.disk, Mem: h.tmpfs,
-				HideFraction: 0.5, Job: "job",
+				Kind: h.pol.Kind, Interval: saveInterval, Disk: h.disk, Mem: h.tmpfs, Job: "job",
 				SerializeBW: wl.SerializeBW(), StateBytes: wl.StateBytesPerGPU(),
 			}
 		}
@@ -1578,7 +1575,8 @@ func (h *harness) hasCheckpoint(p *vclock.Proc) bool {
 // policyNamespaces lists the disk checkpoint namespaces the policy may
 // restore from. The combined policies restore from whichever of the JIT
 // and periodic checkpoints is newest (§6.3: "the most recent checkpoint
-// will be used"); shelter entries are separate sources (restoreSources).
+// will be used"); shelter entries follow them in restoreRank's candidate
+// list.
 func (h *harness) policyNamespaces() []string {
 	var out []string
 	if h.pol.JITFlush == FlushDisk {
@@ -1606,32 +1604,14 @@ func (h *harness) elasticSave(p *vclock.Proc, w *train.Worker, rank int) error {
 		sp.End(p.Now(), "err", err)
 		return err
 	}
-	if bw := wl.SerializeBW(); bw > 0 {
-		p.Sleep(vclock.Time(float64(wl.StateBytesPerGPU()) / bw * float64(vclock.Second)))
-	}
 	dir := checkpoint.RankDir("job", ElasticPolicyName, ms.Iter, rank)
-	if err := checkpoint.WriteRankRetry(p, h.disk, dir, ms, wl.StateBytesPerGPU(), checkpoint.DefaultRetry()); err != nil {
+	if err := checkpoint.SaveRank(p, h.disk, dir, ms, wl.SerializeBW(), wl.StateBytesPerGPU(), wl.StateBytesPerGPU()); err != nil {
 		sp.End(p.Now(), "err", err)
 		return err
 	}
 	h.monitor.Notify(scheduler.Event{Kind: scheduler.EvCheckpointDone, Rank: rank, Iter: ms.Iter})
 	sp.End(p.Now(), "iter", ms.Iter)
 	return nil
-}
-
-// restoreSources lists every store the restore path may assemble from:
-// the policy's disk namespaces first, then the surviving peer-shelter
-// hosts. Cross-tier assembly is valid because every tier records the same
-// invariant — ms.Iter = N means "state at the start of minibatch N".
-func (h *harness) restoreSources() []checkpoint.Source {
-	var srcs []checkpoint.Source
-	for _, ns := range h.policyNamespaces() {
-		srcs = append(srcs, checkpoint.Source{Store: h.disk, Policy: ns})
-	}
-	if h.shelter != nil {
-		srcs = append(srcs, h.shelter.Sources()...)
-	}
-	return srcs
 }
 
 // restoreRank loads the newest assembled checkpoint (across the policy's
@@ -1653,21 +1633,24 @@ func (h *harness) restoreRank(p *vclock.Proc, w *train.Worker, rank int) (bool, 
 	if h.cfg.RestoreWriterWorld > 0 {
 		writerWorld = h.cfg.RestoreWriterWorld
 	}
-	// Striped shelters add reconstructable stripes as extra candidates:
-	// the assembler prefers complete replica entries at the same
-	// iteration, but an entry whose only survivors are ≥k fragments is
-	// still restorable — Load decodes parity on the fly.
-	var extras []checkpoint.Candidate
+	// One candidate list, preferred tier first: the policy's disk
+	// namespaces, then the shelter (complete replica entries before
+	// reconstructable stripes — an entry whose only survivors are ≥k
+	// fragments is still restorable, Load decodes parity on the fly), then
+	// pipe-free bundles ahead of multi-step generations (a surviving stage
+	// bundle beats any disk generation on freshness, and loses nothing if
+	// it doesn't). Cross-tier assembly is valid because every tier records
+	// the same invariant — ms.Iter = N means "state at the start of
+	// minibatch N". Order is observable: probes cost virtual time.
+	cands := checkpoint.StoreCandidates(h.disk, "job", h.policyNamespaces()...)
 	if h.shelter != nil {
-		extras = h.shelter.RestoreCandidates()
+		cands = append(cands, h.shelter.RestoreCandidates()...)
 	}
 	if h.pipeguard != nil {
-		// Checkpoint-free first: a surviving stage bundle beats any disk
-		// generation on freshness, and loses nothing if it doesn't.
-		extras = append(extras, h.pipeguard.RestoreCandidates()...)
+		cands = append(cands, h.pipeguard.RestoreCandidates()...)
 	}
 	if h.pol.MultiStep {
-		extras = append(extras, checkpoint.MultiStepCandidates(h.disk, "job", checkpoint.MultiStepParams{
+		cands = append(cands, checkpoint.MultiStepCandidates(h.disk, "job", checkpoint.MultiStepParams{
 			Opt:         h.cfg.WL.Optimizer(),
 			Scale:       w.GradScale(),
 			ReconcileBW: msReconcileBW,
@@ -1676,7 +1659,7 @@ func (h *harness) restoreRank(p *vclock.Proc, w *train.Worker, rank int) (bool, 
 			},
 		})...)
 	}
-	plan, err := checkpoint.AssembleRestore(p, "job", h.restoreSources(), extras, h.topo, writerWorld)
+	plan, err := checkpoint.AssembleRestore(p, cands, h.topo, writerWorld)
 	if err != nil {
 		sp.End(p.Now(), "err", err)
 		return false, nil
@@ -1722,13 +1705,7 @@ const msReconcileBW = 40e9
 func (h *harness) storeReadBytes() int64 {
 	total := h.disk.ReadBytes() + h.tmpfs.ReadBytes()
 	if h.shelter != nil {
-		seen := map[*checkpoint.Store]bool{h.disk: true, h.tmpfs: true}
-		for _, src := range h.shelter.Sources() {
-			if !seen[src.Store] {
-				seen[src.Store] = true
-				total += src.Store.ReadBytes()
-			}
-		}
+		total += h.shelter.ReadBytes()
 	}
 	return total
 }

@@ -853,11 +853,8 @@ func (c *Coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 					return
 				}
 				ms.Tensors = tensors
-				if c.cfg.SerializeBW > 0 {
-					pr.Sleep(vclock.Time(float64(c.cfg.StateBytes) / c.cfg.SerializeBW * float64(vclock.Second)))
-				}
 				dir := checkpoint.RankDir(c.cfg.Job, JITPolicyName, ms.Iter, rec.r.Rank)
-				if err := checkpoint.WriteRankRetry(pr, c.cfg.Store, dir, ms, c.cfg.StateBytes, checkpoint.DefaultRetry()); err != nil {
+				if err := checkpoint.SaveRank(pr, c.cfg.Store, dir, ms, c.cfg.SerializeBW, c.cfg.StateBytes, c.cfg.StateBytes); err != nil {
 					rec.err = err
 					jsp.End(pr.Now(), "err", err)
 					return
@@ -918,18 +915,16 @@ func (c *Coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 	// Phase D–F per rank: restore CPU image on the new host, rebuild GPU
 	// state, restore tensors from checkpoint files, replay.
 	asmDone := c.env.NewEvent("hard.assembly")
-	var asm *checkpoint.Assembly
+	var plan *checkpoint.RestorePlan
 	c.env.Go(c.cfg.Job+".assemble", func(pr *vclock.Proc) {
 		defer asmDone.Trigger()
-		a, err := checkpoint.Assemble(pr, c.cfg.Store, c.cfg.Job, JITPolicyName, c.cfg.Topo)
-		if err != nil {
+		var err error
+		if plan, err = JITCheckpointPath(pr, c.cfg.Store, c.cfg.Job, c.cfg.Topo); err != nil {
 			c.env.Tracef("%s: assemble failed: %v", c.cfg.Job, err)
-			return
 		}
-		asm = a
 	})
 	p.Wait(asmDone)
-	if asm == nil {
+	if plan == nil {
 		rep := c.buildReport(recs, "hard", advanced)
 		rep.Kind = "hard-failed:no-checkpoint-assembly"
 		return rep, false
@@ -975,7 +970,7 @@ func (c *Coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 
 			// Restore parameter/optimizer buffers from the assembled
 			// checkpoint (own file, or a replica's for the failed rank).
-			ms, err := checkpoint.ReadRank(pr, c.cfg.Store, asm.Dir[rec.r.Rank])
+			ms, err := plan.For[rec.r.Rank].Load(pr)
 			if err != nil {
 				rec.err = err
 				return

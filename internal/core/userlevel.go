@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"jitckpt/internal/checkpoint"
@@ -28,16 +29,14 @@ type UserLevelRank struct {
 	Worker *train.Worker
 	// GIL is the interpreter lock the worker holds across device calls.
 	GIL *vclock.Mutex
-	// Store is the shared checkpoint store.
-	Store *checkpoint.Store
+	// Store is where the JIT flush writes: the shared checkpoint store,
+	// or the peer-shelter policy's peerckpt.FlushTarget, which routes the
+	// failure-time flush to a surviving host outside this rank's failure
+	// domain (the save fails when none survives).
+	Store checkpoint.Target
 	// Namespace overrides the checkpoint namespace the JIT flush writes
 	// under; empty means JITPolicyName ("jit").
 	Namespace string
-	// PickStore, when set, selects the flush target at save time instead
-	// of Store — the peer-shelter policy uses it to route the failure-time
-	// flush to a surviving host outside this rank's failure domain. A nil
-	// result means no eligible target survives and the save fails.
-	PickStore func() *checkpoint.Store
 	// Monitor is the scheduler's notification sink.
 	Monitor *scheduler.Monitor
 	// StateBytes is the modelled size of the rank's checkpointable state.
@@ -52,9 +51,6 @@ type UserLevelRank struct {
 	// NotePhase, when set, is invoked as the JIT save begins — the chaos
 	// injector's failure.PhaseCheckpoint entry point.
 	NotePhase func()
-	// Retry bounds retries of the checkpoint store write on transient
-	// faults; zero value means checkpoint.DefaultRetry.
-	Retry checkpoint.RetryPolicy
 
 	// CheckpointDone reports the completed JIT checkpoint, if any.
 	CheckpointDone bool
@@ -130,25 +126,15 @@ func (u *UserLevelRank) saveCheckpoint(p *vclock.Proc) (err error) {
 	if err != nil {
 		return fmt.Errorf("core: rank %d JIT save: %w", u.Rank, err)
 	}
-	if u.SerializeBW > 0 {
-		p.Sleep(vclock.Time(float64(u.StateBytes) / u.SerializeBW * float64(vclock.Second)))
-	}
 	ns := u.Namespace
 	if ns == "" {
 		ns = JITPolicyName
 	}
-	st := u.Store
-	if u.PickStore != nil {
-		if st = u.PickStore(); st == nil {
-			return fmt.Errorf("core: rank %d JIT flush: no surviving peer host", u.Rank)
-		}
-	}
-	rp := u.Retry
-	if rp.Attempts == 0 {
-		rp = checkpoint.DefaultRetry()
-	}
 	dir := checkpoint.RankDir(u.Job, ns, ms.Iter, u.Rank)
-	if err := checkpoint.WriteRankRetry(p, st, dir, ms, u.StateBytes, rp); err != nil {
+	err = checkpoint.SaveRank(p, u.Store, dir, ms, u.SerializeBW, u.StateBytes, u.StateBytes)
+	if errors.Is(err, checkpoint.ErrNoTarget) {
+		return fmt.Errorf("core: rank %d JIT flush: no surviving peer host", u.Rank)
+	} else if err != nil {
 		return fmt.Errorf("core: rank %d JIT write: %w", u.Rank, err)
 	}
 	u.CheckpointDone = true
@@ -158,9 +144,9 @@ func (u *UserLevelRank) saveCheckpoint(p *vclock.Proc) (err error) {
 }
 
 // JITCheckpointPath is the library's jit_get_checkpoint_path (§3.3): it
-// assembles, for every rank of the restarted job, the directory of a valid
-// checkpoint — the rank's own if it saved one, otherwise any healthy
+// assembles, for every rank of the restarted job, a valid checkpoint to
+// load — the rank's own if it saved one, otherwise any healthy
 // data-parallel replica's.
-func JITCheckpointPath(p *vclock.Proc, store *checkpoint.Store, job string, topo train.Topology) (*checkpoint.Assembly, error) {
-	return checkpoint.Assemble(p, store, job, JITPolicyName, topo)
+func JITCheckpointPath(p *vclock.Proc, store *checkpoint.Store, job string, topo train.Topology) (*checkpoint.RestorePlan, error) {
+	return checkpoint.AssembleRestore(p, checkpoint.StoreCandidates(store, job, JITPolicyName), topo, topo.World())
 }

@@ -105,7 +105,7 @@ func TestUserLevelHangCheckpointSequence(t *testing.T) {
 	var ms *train.ModelState
 	r.env.Go("verify", func(p *vclock.Proc) {
 		dir := checkpoint.RankDir("job", JITPolicyName, u0.CheckpointIter, 0)
-		valid = checkpoint.Valid(p, r.store, dir)
+		valid = checkpoint.ValidDeep(p, r.store, dir)
 		ms, _ = checkpoint.ReadRank(p, r.store, dir)
 	})
 	if err := r.env.RunUntil(2 * vclock.Minute); err != nil {
@@ -166,11 +166,11 @@ func TestUserLevelFailingRankDoesNotCheckpoint(t *testing.T) {
 }
 
 // TestJITCheckpointPathAssembly: the library-side jit_get_checkpoint_path
-// resolves the failed rank to its replica's directory.
+// resolves the failed rank to its replica's entry.
 func TestJITCheckpointPathAssembly(t *testing.T) {
 	r := newUserLevelRig(t)
 	topo := train.Topology{D: 2, P: 1, T: 1}
-	var asm *checkpoint.Assembly
+	var asm *checkpoint.RestorePlan
 	r.env.Go("seed-and-assemble", func(p *vclock.Proc) {
 		ms := &train.ModelState{Iter: 9, Rank: 0, Tensors: nil}
 		dir := checkpoint.RankDir("job", JITPolicyName, 9, 0)
@@ -191,7 +191,7 @@ func TestJITCheckpointPathAssembly(t *testing.T) {
 	if asm == nil || asm.Iter != 9 {
 		t.Fatalf("assembly = %+v", asm)
 	}
-	if asm.Dir[1] != checkpoint.RankDir("job", JITPolicyName, 9, 0) {
-		t.Fatalf("rank 1 should restore from rank 0's checkpoint: %s", asm.Dir[1])
+	if want := "shared:" + checkpoint.RankDir("job", JITPolicyName, 9, 0); asm.For[1].Desc != want {
+		t.Fatalf("rank 1 should restore from rank 0's checkpoint: %s", asm.For[1].Desc)
 	}
 }

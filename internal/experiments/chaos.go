@@ -56,14 +56,11 @@ func ChaosPolicies() []core.Policy {
 	return []core.Policy{core.PolicyPCDisk, core.PolicyUserJIT, core.PolicyPeerShelter, core.PolicyJITWithPeer}
 }
 
-// ChaosWorkload returns the chaos suite's job; the root benchmarks reuse
-// it as the standard steady-training measurement subject.
-func ChaosWorkload() workload.Workload { return chaosWorkload() }
-
-// chaosWorkload is a small fast data-parallel job (4 GPUs over 2 nodes)
-// so a full policy×seed sweep stays cheap; the recovery machinery it
-// exercises is the same one the catalogue workloads use.
-func chaosWorkload() workload.Workload {
+// ChaosWorkload is the chaos suite's job: a small fast data-parallel job
+// (4 GPUs over 2 nodes) so a full policy×seed sweep stays cheap; the
+// recovery machinery it exercises is the same one the catalogue workloads
+// use. The benchmarks reuse it as the standard steady-training subject.
+func ChaosWorkload() workload.Workload {
 	return workload.Workload{
 		Name: "chaos-tiny", GPU: "A100-80GB", ParamsB: 0.004, Nodes: 2, PerNode: 2,
 		Topo: train.Topology{D: 4, P: 1, T: 1}, Framework: "chaos",
@@ -169,7 +166,7 @@ func RunChaos(opt ChaosOptions) ([]ChaosRow, error) {
 	if len(mix) == 0 {
 		mix = failure.DefaultMix()
 	}
-	wl := chaosWorkload()
+	wl := ChaosWorkload()
 
 	ref, err := core.Run(core.JobConfig{
 		WL: wl, Policy: core.PolicyNone, Iters: opt.Iters, Seed: 1, CollectLoss: true,

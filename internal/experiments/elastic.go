@@ -112,7 +112,7 @@ func RunElasticSweep(opt ElasticOptions) ([]ElasticRow, error) {
 	if opt.PlanHorizon <= 0 {
 		opt.PlanHorizon = def.PlanHorizon
 	}
-	wl := chaosWorkload()
+	wl := ChaosWorkload()
 	mix := elasticMix()
 
 	type cell struct {

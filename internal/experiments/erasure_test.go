@@ -28,8 +28,13 @@ func TestErasureSweepHeadline(t *testing.T) {
 			t.Errorf("%s: redid %d minibatches, want <=1 (shelter is at most one iteration stale)",
 				r.Scheme, r.RedoIters)
 		}
-		// Measured byte overhead must match the analytic factor.
-		if want := r.Peer.Overhead(); r.Overhead < want*0.99 || r.Overhead > want*1.01 {
+		// Measured byte overhead must match the analytic factor: Copies×
+		// for replication, (k+m)/k× for striping.
+		want := float64(r.Peer.Copies)
+		if r.Peer.Striped() {
+			want = float64(r.Peer.DataShards+r.Peer.ParityShards) / float64(r.Peer.DataShards)
+		}
+		if r.Overhead < want*0.99 || r.Overhead > want*1.01 {
 			t.Errorf("%s: measured overhead %.3fx, analytic %.3fx", r.Scheme, r.Overhead, want)
 		}
 		if r.Peer.Striped() {

@@ -257,8 +257,9 @@ func pickKind(rng *rand.Rand, kinds []Kind, cumWeights []float64) Kind {
 
 // WithRepairs returns a copy of the plan with a NodeRepaired event
 // appended after every node-destroying injection (GPUHard, NodeDown, and
-// two for RackDown — a rack is two nodes in this harness), delayed by an
-// exponentially distributed repair time with the given mean. This models
+// two for RackDown — the default failure-domain width; with a wider
+// RackSize the rest of the rack stays down), delayed by an exponentially
+// distributed repair time with the given mean. This models
 // hardware-replacement turnaround so elastic jobs that shrank under the
 // failures can re-expand when capacity returns.
 func (pl Plan) WithRepairs(rng *rand.Rand, meanDelay vclock.Time) Plan {

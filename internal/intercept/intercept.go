@@ -90,16 +90,6 @@ type Config struct {
 	// HangTimeout is how long a watched event or blocking call may pend
 	// before it is declared hung (default 30 s).
 	HangTimeout vclock.Time
-	// Adaptive enables straggler discrimination: instead of raising a hang
-	// at the fixed HangTimeout, the watchdog first marks the entry suspect
-	// and doubles its deadline (up to HangTimeoutMax). A suspect that
-	// completes is a false positive — counted, and the effective base
-	// timeout escalates so persistent stragglers stop tripping the
-	// watchdog — while a suspect that also misses its extended deadline is
-	// declared a true hang.
-	Adaptive bool
-	// HangTimeoutMax caps the escalated timeout (default 8× HangTimeout).
-	HangTimeoutMax vclock.Time
 	// OnFault is invoked exactly once per fault episode, with the
 	// simulation process that detected the fault (the watchdog process
 	// for hangs, the calling thread for API errors). Transparent-mode
@@ -136,17 +126,12 @@ type Layer struct {
 	tagSeq  map[string]int
 
 	// Watchdog state.
-	ncclStreams  map[cuda.Stream]bool // virtual streams collectives run on
-	eventsOnNCCL map[cuda.Event]bool  // events last recorded on an NCCL stream
-	watch        map[cuda.Event]*watchEntry
+	ncclStreams  map[cuda.Stream]bool       // virtual streams collectives run on
+	eventsOnNCCL map[cuda.Event]bool        // events last recorded on an NCCL stream
+	watch        map[cuda.Event]vclock.Time // virtual event -> when it joined the watch-list
 	watchdogOn   bool
 	watchdogProc *vclock.Proc
-	inflight     map[*vclock.Proc]*inflightCall
-
-	// Adaptive-watchdog state.
-	effTimeout     vclock.Time // current escalated base timeout
-	suspects       int
-	falsePositives int
+	inflight     map[*vclock.Proc]vclock.Time // calling thread -> when its blocking call began
 
 	// Fault/recovery state.
 	faultRaised bool
@@ -161,20 +146,6 @@ type Layer struct {
 	ckptStream cuda.Stream // physical; 0 = not yet created
 }
 
-type watchEntry struct {
-	event     cuda.Event // virtual
-	addedAt   vclock.Time
-	deadline  vclock.Time // adaptive mode: current hang deadline (0 = unset)
-	suspected bool        // adaptive mode: deadline already extended once
-}
-
-type inflightCall struct {
-	name      string
-	started   vclock.Time
-	deadline  vclock.Time
-	suspected bool
-}
-
 var _ cuda.API = (*Layer)(nil)
 
 // New creates an interception layer wrapping inner.
@@ -185,9 +156,6 @@ func New(env *vclock.Env, inner cuda.API, name string, cfg Config) *Layer {
 	if cfg.HangTimeout <= 0 {
 		cfg.HangTimeout = 30 * vclock.Second
 	}
-	if cfg.HangTimeoutMax <= 0 {
-		cfg.HangTimeoutMax = 8 * cfg.HangTimeout
-	}
 	if cfg.Mode == ModeTransparent {
 		cfg.LogReplay = true
 	}
@@ -196,15 +164,14 @@ func New(env *vclock.Env, inner cuda.API, name string, cfg Config) *Layer {
 		inner:       inner,
 		cfg:         cfg,
 		name:        name,
-		effTimeout:  cfg.HangTimeout,
 		log:         replay.NewLog(),
 		handles:     cuda.NewHandles(),
 		next:        [...]int{cuda.BufHandle: 1, cuda.StreamHandle: 1, cuda.EventHandle: 1, cuda.CommHandle: 1},
 		bufMeta:     make(map[cuda.Buf]cuda.BufInfo),
 		tagSeq:      make(map[string]int),
 		ncclStreams: make(map[cuda.Stream]bool),
-		watch:       make(map[cuda.Event]*watchEntry),
-		inflight:    make(map[*vclock.Proc]*inflightCall),
+		watch:       make(map[cuda.Event]vclock.Time),
+		inflight:    make(map[*vclock.Proc]vclock.Time),
 	}
 	l.Adapter = cuda.Adapt(l.do)
 	return l
@@ -225,9 +192,6 @@ func (l *Layer) Log() *replay.Log { return l.log }
 
 // Iter returns the current minibatch iteration.
 func (l *Layer) Iter() int { return l.iter }
-
-// InOptimizerStep reports whether the worker is inside the optimizer step.
-func (l *Layer) InOptimizerStep() bool { return l.inOptimizer }
 
 // StartMinibatch marks a minibatch boundary: the replay log rolls over and
 // any "ignore mutations" state from an optimizer-step recovery ends.
@@ -273,12 +237,6 @@ func (l *Layer) EnterCheckpointMode(p *vclock.Proc) error {
 // ExitCheckpointMode restores normal memcpy routing.
 func (l *Layer) ExitCheckpointMode() { l.ckptMode = false }
 
-// BufMeta returns the layer's metadata for a virtual buffer handle.
-func (l *Layer) BufMeta(b cuda.Buf) (cuda.BufInfo, bool) {
-	m, ok := l.bufMeta[b]
-	return m, ok
-}
-
 // VirtualBufs returns all live virtual buffer handles in creation order.
 func (l *Layer) VirtualBufs() []cuda.BufInfo {
 	out := make([]cuda.BufInfo, 0, len(l.bufMeta))
@@ -315,18 +273,6 @@ func (l *Layer) BufData(b cuda.Buf) (tensor.Vector, error) {
 		return nil, fmt.Errorf("intercept: wrapped API %T has no privileged buffer read", l.inner)
 	}
 	return in.BufData(pb)
-}
-
-// NCCLStreams returns the virtual streams identified as carrying
-// collectives.
-func (l *Layer) NCCLStreams() []cuda.Stream {
-	var out []cuda.Stream
-	for s := cuda.Stream(0); int(s) <= l.next[cuda.StreamHandle]; s++ {
-		if l.ncclStreams[s] {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // isInfraFault classifies errors the transparent mode must mask.
@@ -366,8 +312,8 @@ func (l *Layer) BeginRecovery() {
 // state, and releases parked threads.
 func (l *Layer) EndRecovery(tr *cuda.Handles) {
 	l.handles = tr
-	l.watch = make(map[cuda.Event]*watchEntry)
-	l.inflight = make(map[*vclock.Proc]*inflightCall)
+	l.watch = make(map[cuda.Event]vclock.Time)
+	l.inflight = make(map[*vclock.Proc]vclock.Time)
 	l.ckptStream = 0 // private stream may be gone after a proxy restart
 	l.faultRaised = false
 	l.inRecovery = false
@@ -429,11 +375,11 @@ func (l *Layer) issue(p *vclock.Proc, c *cuda.Call, info cuda.OpInfo) (cuda.Resu
 		phys.Stream = l.ckptStream
 	}
 	if info.Tracked {
-		l.inflight[p] = &inflightCall{name: info.Name, started: p.Now()}
+		l.inflight[p] = p.Now()
 	}
 	res, err := cuda.Invoke(p, l.inner, &phys)
 	if info.Tracked {
-		l.finishInflight(p)
+		delete(l.inflight, p)
 	}
 	if err != nil || !info.Mutating {
 		return res, err

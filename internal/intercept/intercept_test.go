@@ -90,8 +90,7 @@ func TestLayerOwnsTagSequence(t *testing.T) {
 	r.run(t, func(p *vclock.Proc) {
 		a, _ := r.layer.Malloc(p, 8, 1, "layer.w")
 		b, _ := r.layer.Malloc(p, 8, 1, "layer.w")
-		ma, _ := r.layer.BufMeta(a)
-		mb, _ := r.layer.BufMeta(b)
+		ma, mb := r.layer.bufMeta[a], r.layer.bufMeta[b]
 		if ma.Seq != 0 || mb.Seq != 1 {
 			t.Errorf("seqs = %d, %d", ma.Seq, mb.Seq)
 		}
@@ -225,8 +224,8 @@ func TestNCCLStreamDiscoveryAndWatchList(t *testing.T) {
 		grads, _ := r.layer.Malloc(p, 1<<20, 2, "g")
 
 		r.layer.AllReduce(p, comm, grads, comms)
-		if got := r.layer.NCCLStreams(); len(got) != 1 || got[0] != comms {
-			t.Errorf("NCCL streams = %v, want [%v]", got, comms)
+		if got := r.layer.ncclStreams; len(got) != 1 || !got[comms] {
+			t.Errorf("NCCL streams = %v, want only %v", got, comms)
 		}
 		ev, _ := r.layer.EventCreate(p)
 		r.layer.EventRecord(p, ev, comms)
@@ -237,7 +236,7 @@ func TestNCCLStreamDiscoveryAndWatchList(t *testing.T) {
 		if got := r.layer.WatchedEvents(); len(got) != 1 || got[0] != ev {
 			t.Errorf("watch list = %v, want [%v]", got, ev)
 		}
-		if !r.layer.WatchdogRunning() {
+		if !r.layer.watchdogOn {
 			t.Error("watchdog not started at first StreamWaitEvent")
 		}
 	})
@@ -704,7 +703,7 @@ func TestVirtualHandleTableProperty(t *testing.T) {
 						ok = false
 						return
 					}
-					meta, found := layer.BufMeta(b)
+					meta, found := layer.bufMeta[b]
 					if !found {
 						ok = false
 						return
@@ -725,7 +724,7 @@ func TestVirtualHandleTableProperty(t *testing.T) {
 						ok = false
 						return
 					}
-					if _, found := layer.BufMeta(victim); found {
+					if _, found := layer.bufMeta[victim]; found {
 						ok = false // metadata survived the free
 						return
 					}

@@ -57,45 +57,9 @@ func (r *rig) watchedAllReduce(t *testing.T, done *bool) {
 	})
 }
 
-// TestAdaptiveWatchdogToleratesStraggler: a collective that finishes past
-// HangTimeout but inside the doubled suspect window must not raise a hang.
-// The completed suspect is counted as a false positive and the effective
-// timeout escalates so the same straggler stops tripping the watchdog.
-func TestAdaptiveWatchdogToleratesStraggler(t *testing.T) {
-	cfg := Config{
-		Mode:           ModeTransparent,
-		HangTimeout:    vclock.Seconds(5),
-		HangTimeoutMax: vclock.Seconds(40),
-		WatchdogPoll:   vclock.Seconds(1),
-		Adaptive:       true,
-	}
-	r := newRig(t, cfg)
-	r.slowPeer(t, vclock.Seconds(7)) // > HangTimeout, < doubled window
-	var done bool
-	r.watchedAllReduce(t, &done)
-	if err := r.env.RunUntil(vclock.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("straggler collective never completed")
-	}
-	if len(r.faults) != 0 {
-		t.Fatalf("straggler misclassified as hang: %+v", r.faults)
-	}
-	stats := r.layer.Watchdog()
-	if stats.Suspects < 1 || stats.FalsePositives < 1 {
-		t.Errorf("stats = %+v, want at least one suspect and false positive", stats)
-	}
-	if stats.EffectiveTimeout <= cfg.HangTimeout {
-		t.Errorf("effective timeout %v did not escalate past %v", stats.EffectiveTimeout, cfg.HangTimeout)
-	}
-	if stats.EffectiveTimeout > cfg.HangTimeoutMax {
-		t.Errorf("effective timeout %v exceeds cap %v", stats.EffectiveTimeout, cfg.HangTimeoutMax)
-	}
-}
-
-// TestFixedWatchdogTripsOnStraggler pins the behavior adaptive mode fixes:
-// with Adaptive off, the same straggler is declared hung at HangTimeout.
+// TestFixedWatchdogTripsOnStraggler: the watchdog has one fixed timeout, so
+// a collective that finishes late — past HangTimeout — is declared hung
+// just like one that never finishes.
 func TestFixedWatchdogTripsOnStraggler(t *testing.T) {
 	r := newRig(t, Config{
 		Mode:         ModeTransparent,
@@ -109,63 +73,5 @@ func TestFixedWatchdogTripsOnStraggler(t *testing.T) {
 	}
 	if len(r.faults) != 1 || r.faults[0].Kind != FaultHang {
 		t.Fatalf("faults = %+v, want one hang", r.faults)
-	}
-	stats := r.layer.Watchdog()
-	if stats.Suspects != 0 || stats.FalsePositives != 0 {
-		t.Errorf("fixed mode tracked adaptive stats: %+v", stats)
-	}
-}
-
-// TestAdaptiveWatchdogStillDetectsTrueHang: a collective whose peer never
-// arrives must be declared hung even in adaptive mode — the extension is
-// bounded by HangTimeoutMax, not unlimited patience.
-func TestAdaptiveWatchdogStillDetectsTrueHang(t *testing.T) {
-	cfg := Config{
-		Mode:           ModeTransparent,
-		HangTimeout:    vclock.Seconds(5),
-		HangTimeoutMax: vclock.Seconds(20),
-		WatchdogPoll:   vclock.Seconds(1),
-		Adaptive:       true,
-	}
-	r := newRig(t, cfg)
-	r.env.Go("peer", func(p *vclock.Proc) {
-		// Joins the rendezvous, never issues its collective: a true hang.
-		r.engine.CommInitRank(p, "dp", 0, 2, 1, nil)
-	})
-	r.watchedAllReduce(t, nil)
-	if err := r.env.RunUntil(vclock.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.faults) != 1 || r.faults[0].Kind != FaultHang {
-		t.Fatalf("faults = %+v, want one hang", r.faults)
-	}
-	stats := r.layer.Watchdog()
-	if stats.FalsePositives != 0 {
-		t.Errorf("true hang counted as false positive: %+v", stats)
-	}
-}
-
-// TestAdaptiveEscalationLearnsWorkload: repeated stragglers escalate the
-// effective timeout until it absorbs them, capped at HangTimeoutMax.
-func TestAdaptiveEscalationCappedAtMax(t *testing.T) {
-	cfg := Config{
-		Mode:           ModeTransparent,
-		HangTimeout:    vclock.Seconds(4),
-		HangTimeoutMax: vclock.Seconds(10),
-		WatchdogPoll:   vclock.Seconds(1),
-		Adaptive:       true,
-	}
-	r := newRig(t, cfg)
-	// Force several false positives directly; the doubling must saturate
-	// at the cap rather than grow without bound.
-	for i := 0; i < 5; i++ {
-		r.layer.noteFalsePositive()
-	}
-	stats := r.layer.Watchdog()
-	if stats.EffectiveTimeout != cfg.HangTimeoutMax {
-		t.Errorf("effective timeout %v, want saturation at %v", stats.EffectiveTimeout, cfg.HangTimeoutMax)
-	}
-	if stats.FalsePositives != 5 {
-		t.Errorf("false positives = %d, want 5", stats.FalsePositives)
 	}
 }

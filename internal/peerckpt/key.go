@@ -22,9 +22,6 @@ type EntryRef struct {
 // Dir returns the entry's checkpoint directory.
 func (e EntryRef) Dir() string { return checkpoint.RankDir(e.Job, PolicyName, e.Iter, e.Rank) }
 
-// String renders the ref for traces and errors.
-func (e EntryRef) String() string { return fmt.Sprintf("%s@iter%d/rank%d", e.Job, e.Iter, e.Rank) }
-
 // shelterPrefix returns the store prefix of a job's shelter namespace.
 func shelterPrefix(job string) string { return fmt.Sprintf("%s/ckpt/%s/", job, PolicyName) }
 

@@ -19,17 +19,13 @@
 //     the modelled interconnect link, so transfers cost vclock time. Entries
 //     use the same RankDir layout and META-last commit protocol as every
 //     other tier, which is what lets restore mix shelter entries with disk
-//     checkpoints through checkpoint.AssembleSources.
+//     checkpoints in one checkpoint.AssembleRestore candidate list.
 //
-//   - A Replicator per rank offers the state after each RunIter returns
-//     (compute stream synchronized, so buffer contents are exactly the
-//     post-optimizer state and Iter names the next minibatch). The capture
-//     itself is a zero-time privileged read (Worker.PeekModelState); the
-//     D2H staging and link transfer are charged in a background process —
-//     replication overlaps the next minibatch and adds no critical-path
-//     stall. If the previous transfer is still in flight the offer is
-//     skipped (the shelter ages one extra iteration rather than stalling
-//     training — the Checkmate trade).
+//   - A Replicator per rank offers the state after each RunIter returns,
+//     through the shared overlapped-capture driver (checkpoint.Capture):
+//     zero-time peek at the boundary, D2H staging and link transfer charged
+//     in a background process, offer skipped while the previous transfer is
+//     still in flight.
 //
 //   - Shelter entries survive GPU failures (host RAM outlives the device)
 //     but die with their node: the harness calls MarkNodeLost for
@@ -136,15 +132,6 @@ func (p Params) SurvivableDomains() int {
 	return p.Copies
 }
 
-// Overhead returns the sheltered-byte cost factor per protected byte:
-// Copies× for replication, (k+m)/k× for striping.
-func (p Params) Overhead() float64 {
-	if p.Striped() {
-		return float64(p.DataShards+p.ParityShards) / float64(p.DataShards)
-	}
-	return float64(p.Copies)
-}
-
 // Availability describes the cluster a shelter places into, for
 // construction-time validation. Zero fields skip the corresponding check
 // (unit tests and callers that cannot know the cluster shape).
@@ -203,7 +190,6 @@ type Shelter struct {
 	hosts map[int]*checkpoint.Store // node ID -> shelter store
 	lost  map[int]bool
 	chaos func(path string) checkpoint.WriteOutcome
-	retry checkpoint.RetryPolicy
 
 	// NotePhase, when set, is called as ranks enter codec phases
 	// (failure.PhaseEncode / failure.PhaseReconstruct) so phase-armed
@@ -211,19 +197,17 @@ type Shelter struct {
 	NotePhase func(rank int, ph failure.Phase)
 
 	// Stats.
-	offers          int
-	skips           int
-	commits         int
-	bytesSheltered  int64
-	bytesProtected  int64
-	piggybackBytes  int64
-	piggybackWaves  int
-	abortedCaptures int
-	encodes         int
-	decodes         int
-	fragErasures    int
-	encodeTime      vclock.Time
-	decodeTime      vclock.Time
+	captures       checkpoint.CaptureStats
+	commits        int
+	bytesSheltered int64
+	bytesProtected int64
+	piggybackBytes int64
+	piggybackWaves int
+	encodes        int
+	decodes        int
+	fragErasures   int
+	encodeTime     vclock.Time
+	decodeTime     vclock.Time
 }
 
 // NewShelter creates an empty shelter for a job, validating params
@@ -240,7 +224,6 @@ func NewShelter(env *vclock.Env, job string, params Params, avail Availability) 
 		params: params,
 		hosts:  make(map[int]*checkpoint.Store),
 		lost:   make(map[int]bool),
-		retry:  checkpoint.DefaultRetry(),
 	}
 	if params.Striped() {
 		c, err := erasure.New(params.DataShards, params.ParityShards)
@@ -309,14 +292,14 @@ func (s *Shelter) survivingNodes() []int {
 	return out
 }
 
-// Sources lists the surviving shelter stores as restore sources for
-// checkpoint.AssembleSources, in deterministic node order.
-func (s *Shelter) Sources() []checkpoint.Source {
-	var out []checkpoint.Source
-	for _, n := range s.survivingNodes() {
-		out = append(out, checkpoint.Source{Store: s.hosts[n], Policy: PolicyName})
+// ReadBytes sums the modelled bytes the surviving host stores have served
+// to restores.
+func (s *Shelter) ReadBytes() int64 {
+	var total int64
+	for _, st := range s.hosts {
+		total += st.ReadBytes()
 	}
-	return out
+	return total
 }
 
 // commit writes one rank's state into a host node's store with the
@@ -332,7 +315,7 @@ func (s *Shelter) commit(p *vclock.Proc, node int, ms *train.ModelState, stateBy
 	sp := trace.Of(s.env).Begin(p.Now(), "peer", trace.Rank(ms.Rank), "shelter-commit",
 		"node", node, "iter", ms.Iter)
 	dir := checkpoint.RankDir(s.job, PolicyName, ms.Iter, ms.Rank)
-	if err := checkpoint.WriteRankRetry(p, st, dir, ms, stateBytes, s.retry); err != nil {
+	if err := checkpoint.WriteRankRetry(p, st, dir, ms, stateBytes); err != nil {
 		sp.End(p.Now(), "err", err)
 		return err
 	}
@@ -420,20 +403,28 @@ func (s *Shelter) Any() bool {
 	return false
 }
 
-// FlushStore picks the store a failure-time JIT flush should write to for
-// a rank homed on ownNode: a surviving assigned host if any, else any
-// surviving host outside the rank's own failure domain, else (weakest) a
-// fresh store on any live non-own node among those ever seen. It never
-// returns the rank's own node's store; nil means no eligible host
-// survives.
-func (s *Shelter) FlushStore(ownNode int, assigned []int) *checkpoint.Store {
-	for _, n := range assigned {
-		if n != ownNode && !s.lost[n] {
+// FlushTarget is the checkpoint.Target of a failure-time JIT flush for a
+// rank homed on OwnNode with shelter hosts Assigned. It resolves when the
+// write begins — after D2H and serialization — so a host lost in the
+// meantime is never picked.
+type FlushTarget struct {
+	Shelter  *Shelter
+	OwnNode  int
+	Assigned []int
+}
+
+// SaveStore picks a surviving assigned host if any, else any surviving
+// host outside the rank's own node. It never returns the own node's store;
+// nil means no eligible host survives.
+func (t FlushTarget) SaveStore() *checkpoint.Store {
+	s := t.Shelter
+	for _, n := range t.Assigned {
+		if n != t.OwnNode && !s.lost[n] {
 			return s.Host(n)
 		}
 	}
 	for _, n := range s.survivingNodes() {
-		if n != ownNode {
+		if n != t.OwnNode {
 			return s.hosts[n]
 		}
 	}
@@ -480,8 +471,8 @@ type Stats struct {
 // Stats returns the current counters.
 func (s *Shelter) Stats() Stats {
 	return Stats{
-		Offers: s.offers, Skips: s.skips, Commits: s.commits,
-		AbortedCaptures: s.abortedCaptures,
+		Offers: s.captures.Offers, Skips: s.captures.Skips, Commits: s.commits,
+		AbortedCaptures: s.captures.Aborted,
 		BytesSheltered:  s.bytesSheltered,
 		BytesProtected:  s.bytesProtected,
 		PiggybackWaves:  s.piggybackWaves,
@@ -497,15 +488,9 @@ func (s *Shelter) Stats() Stats {
 // Replicator drives one rank's per-iteration replication into its assigned
 // shelter hosts.
 type Replicator struct {
+	checkpoint.Capture
 	shelter *Shelter
-	rank    int
-	dev     *gpu.Device
 	hosts   []int
-	bytes   int64
-	d2hBW   float64
-
-	busy     bool
-	lastIter int
 }
 
 // NewReplicator creates a replicator for one rank. dev may be nil (no
@@ -513,91 +498,46 @@ type Replicator struct {
 // assignment; d2hBW is the PCIe staging bandwidth charged before the link
 // transfer.
 func (s *Shelter) NewReplicator(rank int, dev *gpu.Device, hosts []int, stateBytes int64, d2hBW float64) *Replicator {
-	return &Replicator{
-		shelter:  s,
-		rank:     rank,
-		dev:      dev,
-		hosts:    append([]int(nil), hosts...),
-		bytes:    stateBytes,
-		d2hBW:    d2hBW,
-		lastIter: -1,
+	r := &Replicator{shelter: s, hosts: append([]int(nil), hosts...)}
+	r.Capture = checkpoint.Capture{
+		Env: s.env, Stats: &s.captures, Rank: rank, Dev: dev,
+		Bytes: stateBytes, D2HBW: d2hBW,
+		Cat: "peer", Span: "replicate", Proc: fmt.Sprintf("peerrepl.r%d", rank),
+		Ship: r.ship,
 	}
+	return r
 }
 
-// LastIter returns the newest iteration this replicator has offered
-// (-1 before the first offer).
-func (r *Replicator) LastIter() int { return r.lastIter }
-
-// StatePeeker is the slice of train.Worker the replicator needs: a
-// zero-time privileged read of the current model/optimizer state.
-type StatePeeker interface {
-	PeekModelState() (*train.ModelState, error)
-}
-
-// Offer captures the worker's post-optimizer state and streams it to the
-// assigned shelter hosts in a background process, returning immediately.
-// Call it right after RunIter returns: the compute stream is synchronized,
-// so the zero-time peek sees exactly the post-optimizer image and
-// ms.Iter = N+1 means "state at the start of minibatch N+1" — the same
-// invariant every other checkpoint tier records. If the previous transfer
-// is still in flight, the offer is skipped.
-func (r *Replicator) Offer(w StatePeeker) {
+// Offer streams the worker's post-optimizer state to the assigned shelter
+// hosts in the background (see checkpoint.Capture.Offer); with no assigned
+// host left alive the offer is skipped.
+func (r *Replicator) Offer(w checkpoint.StatePeeker) {
 	s := r.shelter
-	s.offers++
-	if r.busy {
-		s.skips++
-		return
-	}
-	live := false
 	for _, n := range r.hosts {
 		if !s.lost[n] {
-			live = true
-			break
-		}
-	}
-	if !live {
-		s.skips++
-		return
-	}
-	ms, err := w.PeekModelState()
-	if err != nil {
-		s.skips++
-		s.env.Tracef("peerckpt: rank %d peek failed: %v", r.rank, err)
-		return
-	}
-	r.busy = true
-	iter := ms.Iter
-	s.env.Go(fmt.Sprintf("peerrepl.r%d", r.rank), func(p *vclock.Proc) {
-		defer func() { r.busy = false }()
-		sp := trace.Of(s.env).Begin(p.Now(), "peer", trace.Rank(r.rank), "replicate", "iter", iter)
-		defer func() { sp.End(p.Now()) }()
-		// Stage the state through host memory (PCIe D2H), overlapped with
-		// the next minibatch's compute.
-		if r.d2hBW > 0 {
-			p.Sleep(gpu.TransferTime(r.bytes, r.d2hBW))
-		}
-		// If the owner died mid-staging, the image never fully left the
-		// device: abandon it. Once staged, the transfer completes even if
-		// the owner dies — the bytes live in host/peer memory.
-		if r.dev != nil && !r.dev.Accessible() {
-			s.abortedCaptures++
-			trace.Of(s.env).Instant(p.Now(), "peer", trace.Rank(r.rank), "capture-abort", "iter", iter)
+			r.Capture.Offer(w)
 			return
 		}
-		if s.params.Striped() {
-			r.shipStripe(p, ms)
-			r.lastIter = iter
-			return
+	}
+	s.captures.Offers++
+	s.captures.Skips++
+}
+
+// ship commits the staged state to every surviving assigned host — whole
+// entries in replication mode, one fragment each in striped mode.
+func (r *Replicator) ship(p *vclock.Proc, ms *train.ModelState) {
+	s := r.shelter
+	if s.params.Striped() {
+		r.shipStripe(p, ms)
+		return
+	}
+	s.bytesProtected += r.Bytes
+	for _, n := range r.hosts {
+		if s.lost[n] {
+			continue
 		}
-		s.bytesProtected += r.bytes
-		for _, n := range r.hosts {
-			if s.lost[n] {
-				continue
-			}
-			if err := s.commit(p, n, ms, r.bytes); err != nil {
-				s.env.Tracef("peerckpt: rank %d -> node %d: %v", r.rank, n, err)
-			}
+		if err := s.commit(p, n, ms, r.Bytes); err != nil {
+			s.env.Tracef("peerckpt: rank %d -> node %d: %v", r.Rank, n, err)
 		}
-		r.lastIter = iter
-	})
+	}
 }

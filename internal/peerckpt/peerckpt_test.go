@@ -162,8 +162,8 @@ func TestMarkNodeLostRemovesCoverage(t *testing.T) {
 	if !s.Any() {
 		t.Fatal("Any = false with sheltered entries")
 	}
-	if got := len(s.Sources()); got != 2 {
-		t.Fatalf("Sources = %d, want 2", got)
+	if got := len(s.survivingNodes()); got != 2 {
+		t.Fatalf("surviving hosts = %d, want 2", got)
 	}
 	s.MarkNodeLost(5)
 	cov := s.CoveredPositions(topo)
@@ -174,8 +174,8 @@ func TestMarkNodeLostRemovesCoverage(t *testing.T) {
 			t.Errorf("position %s covered=%v, want %v", key, cov[key], want)
 		}
 	}
-	if got := len(s.Sources()); got != 1 {
-		t.Fatalf("Sources after loss = %d, want 1", got)
+	if got := len(s.survivingNodes()); got != 1 {
+		t.Fatalf("surviving hosts after loss = %d, want 1", got)
 	}
 	if s.Host(5) != nil {
 		t.Fatal("lost node still serves a host store")
@@ -192,7 +192,7 @@ func TestMarkNodeLostRemovesCoverage(t *testing.T) {
 	}
 }
 
-func TestFlushStoreNeverOwnNode(t *testing.T) {
+func TestFlushTargetNeverOwnNode(t *testing.T) {
 	env := vclock.NewEnv(1)
 	s := mustShelter(t, env, testParams())
 	// Materialize hosts 0..3.
@@ -201,7 +201,7 @@ func TestFlushStoreNeverOwnNode(t *testing.T) {
 	}
 	for own := 0; own < 4; own++ {
 		for _, assigned := range [][]int{{(own + 1) % 4}, {own}, nil} {
-			st := s.FlushStore(own, assigned)
+			st := FlushTarget{s, own, assigned}.SaveStore()
 			if st == nil {
 				t.Fatalf("own=%d assigned=%v: no store", own, assigned)
 			}
@@ -211,19 +211,19 @@ func TestFlushStoreNeverOwnNode(t *testing.T) {
 		}
 	}
 	// Prefer the assigned host when it survives.
-	if st := s.FlushStore(0, []int{2}); st != s.Host(2) {
+	if st := (FlushTarget{s, 0, []int{2}}).SaveStore(); st != s.Host(2) {
 		t.Fatal("did not prefer surviving assigned host")
 	}
 	// Fall past a lost assigned host.
 	s.MarkNodeLost(2)
-	if st := s.FlushStore(0, []int{2}); st == nil || st == s.Host(0) {
+	if st := (FlushTarget{s, 0, []int{2}}).SaveStore(); st == nil || st == s.Host(0) {
 		t.Fatal("no fallback past lost assigned host")
 	}
 	// All peers lost: only own node remains → nil.
 	s.MarkNodeLost(1)
 	s.MarkNodeLost(3)
-	if st := s.FlushStore(0, []int{1, 2, 3}); st != nil {
-		t.Fatal("FlushStore returned a store with no surviving peer")
+	if st := (FlushTarget{s, 0, []int{1, 2, 3}}).SaveStore(); st != nil {
+		t.Fatal("FlushTarget resolved to a store with no surviving peer")
 	}
 }
 

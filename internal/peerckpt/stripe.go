@@ -30,31 +30,31 @@ func (r *Replicator) shipStripe(p *vclock.Proc, ms *train.ModelState) {
 	s := r.shelter
 	k, m := s.params.DataShards, s.params.ParityShards
 	if s.NotePhase != nil {
-		s.NotePhase(r.rank, failure.PhaseEncode)
+		s.NotePhase(r.Rank, failure.PhaseEncode)
 	}
-	sp := trace.Of(s.env).Begin(p.Now(), "peer", trace.Rank(r.rank), "rs-encode",
+	sp := trace.Of(s.env).Begin(p.Now(), "peer", trace.Rank(r.Rank), "rs-encode",
 		"iter", ms.Iter, "k", k, "m", m)
 	data, err := ms.Encode()
 	if err != nil {
 		sp.End(p.Now(), "err", err)
-		s.env.Tracef("peerckpt: rank %d stripe encode: %v", r.rank, err)
+		s.env.Tracef("peerckpt: rank %d stripe encode: %v", r.Rank, err)
 		return
 	}
 	t0 := p.Now()
 	// Charge the GF(2^8) table-multiply cost over the modelled payload.
-	p.Sleep(gpu.TransferTime(r.bytes, s.params.CodecBandwidth))
+	p.Sleep(gpu.TransferTime(r.Bytes, s.params.CodecBandwidth))
 	frags, err := s.codec.Encode(s.codec.Split(data))
 	if err != nil {
 		sp.End(p.Now(), "err", err)
-		s.env.Tracef("peerckpt: rank %d stripe encode: %v", r.rank, err)
+		s.env.Tracef("peerckpt: rank %d stripe encode: %v", r.Rank, err)
 		return
 	}
 	s.encodes++
 	s.encodeTime += p.Now() - t0
-	s.bytesProtected += r.bytes
+	s.bytesProtected += r.Bytes
 	sp.End(p.Now())
 
-	fragBytes := (r.bytes + int64(k) - 1) / int64(k)
+	fragBytes := (r.Bytes + int64(k) - 1) / int64(k)
 	dataSum := fnvSum(data)
 	for i, n := range r.hosts {
 		if i >= len(frags) {
@@ -68,7 +68,7 @@ func (r *Replicator) shipStripe(p *vclock.Proc, ms *train.ModelState) {
 			DataLen: len(data), DataSum: dataSum,
 		}
 		if err := s.commitFrag(p, n, fm, frags[i], fragBytes); err != nil {
-			s.env.Tracef("peerckpt: rank %d frag %d -> node %d: %v", r.rank, i, n, err)
+			s.env.Tracef("peerckpt: rank %d frag %d -> node %d: %v", r.Rank, i, n, err)
 		}
 	}
 }
@@ -84,9 +84,7 @@ func (s *Shelter) commitFrag(p *vclock.Proc, node int, fm checkpoint.FragMeta, f
 	ref := EntryRef{Job: s.job, Iter: fm.Iter, Rank: fm.Rank}
 	sp := trace.Of(s.env).Begin(p.Now(), "peer", trace.Rank(fm.Rank), "shelter-frag",
 		"node", node, "iter", fm.Iter, "frag", fm.Frag)
-	if err := s.retry.Do(p, func() error {
-		return checkpoint.WriteFrag(p, st, ref.Dir(), fm, frag, fragBytes)
-	}); err != nil {
+	if err := checkpoint.WriteFragRetry(p, st, ref.Dir(), fm, frag, fragBytes); err != nil {
 		sp.End(p.Now(), "err", err)
 		return err
 	}
@@ -125,17 +123,23 @@ func (s *Shelter) fragSets() map[EntryRef]map[int]int {
 	return out
 }
 
-// RestoreCandidates offers every reconstructable stripe to the restore
-// assembler: entries with ≥k surviving fragments, as candidates whose
-// Probe deep-validates the fragment set (per-fragment checksums feed the
-// erasure list) and whose Load gathers k fragments, decodes parity on
-// the fly when data shards are missing — charging the decode to virtual
-// time — and verifies the reassembled payload end-to-end. Replication
-// mode has no stripes and returns nil (complete replica entries already
-// reach the assembler through Sources).
+// RestoreCandidates offers everything the shelter can restore to the
+// assembler, in its fixed order: first the complete replica entries of each
+// surviving host in node order (replication commits, and failure-time JIT
+// flushes — which write whole entries even in striped mode), then, in
+// striped mode, every reconstructable stripe: entries with ≥k surviving
+// fragments, as candidates whose Probe deep-validates the fragment set
+// (per-fragment checksums feed the erasure list) and whose Load gathers k
+// fragments, decodes parity on the fly when data shards are missing —
+// charging the decode to virtual time — and verifies the reassembled
+// payload end-to-end.
 func (s *Shelter) RestoreCandidates() []checkpoint.Candidate {
+	var out []checkpoint.Candidate
+	for _, n := range s.survivingNodes() {
+		out = append(out, checkpoint.StoreCandidates(s.hosts[n], s.job, PolicyName)...)
+	}
 	if !s.params.Striped() {
-		return nil
+		return out
 	}
 	sets := s.fragSets()
 	refs := make([]EntryRef, 0, len(sets))
@@ -148,13 +152,11 @@ func (s *Shelter) RestoreCandidates() []checkpoint.Candidate {
 		}
 		return refs[i].Rank < refs[j].Rank
 	})
-	var out []checkpoint.Candidate
 	for _, ref := range refs {
 		frags := sets[ref]
 		if len(frags) < s.params.DataShards {
 			continue
 		}
-		ref, frags := ref, frags
 		out = append(out, checkpoint.Candidate{
 			Iter: ref.Iter,
 			Rank: ref.Rank,
@@ -242,7 +244,7 @@ func (s *Shelter) loadStripe(p *vclock.Proc, ref EntryRef, frags map[int]int) (*
 	}
 	if have < k || meta == nil {
 		err := fmt.Errorf("%w: stripe %s: %d of %d fragments readable, need %d",
-			checkpoint.ErrCorrupt, ref, have, total, k)
+			checkpoint.ErrCorrupt, ref.Dir(), have, total, k)
 		sp.End(p.Now(), "err", err)
 		return nil, err
 	}
@@ -258,7 +260,7 @@ func (s *Shelter) loadStripe(p *vclock.Proc, ref EntryRef, frags map[int]int) (*
 		p.Sleep(gpu.TransferTime(modelBytes, s.params.CodecBandwidth))
 		if err := s.codec.Reconstruct(shards); err != nil {
 			sp.End(p.Now(), "err", err)
-			return nil, fmt.Errorf("stripe %s: %w", ref, err)
+			return nil, fmt.Errorf("stripe %s: %w", ref.Dir(), err)
 		}
 		s.decodes++
 		s.decodeTime += p.Now() - t0
@@ -270,7 +272,7 @@ func (s *Shelter) loadStripe(p *vclock.Proc, ref EntryRef, frags map[int]int) (*
 	}
 	if fnvSum(data) != meta.DataSum {
 		err := fmt.Errorf("%w: stripe %s fails end-to-end checksum after decode",
-			checkpoint.ErrCorrupt, ref)
+			checkpoint.ErrCorrupt, ref.Dir())
 		sp.End(p.Now(), "err", err)
 		return nil, err
 	}

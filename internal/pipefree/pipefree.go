@@ -114,10 +114,8 @@ type Guard struct {
 	// mid-reconstruction.
 	NotePhase func(rank int, ph failure.Phase)
 
-	offers      int
-	skips       int
+	captures    checkpoint.CaptureStats
 	commits     int
-	aborted     int
 	rebuilds    int
 	selfReloads int
 	bytesKept   int64
@@ -146,9 +144,6 @@ func New(env *vclock.Env, job string, params Params, topo train.Topology, nodeOf
 	}, nil
 }
 
-// Params returns the tier's effective configuration.
-func (g *Guard) Params() Params { return g.params }
-
 // HostRanks returns the neighbor ranks that retain a rank's bundle: the
 // next Redundancy pipeline stages at the same (d, t) coordinates.
 func (g *Guard) HostRanks(rank int) []int {
@@ -170,8 +165,11 @@ func (g *Guard) MarkNodeLost(node int) {
 	g.lost[node] = true
 	dropped := 0
 	for owner, hosts := range g.bundles {
-		if _, ok := hosts[node]; ok {
-			dropped += len(hosts[node])
+		if list, ok := hosts[node]; ok {
+			dropped += len(list)
+			for _, b := range list {
+				g.bytesKept -= b.bytes
+			}
 			delete(hosts, node)
 			if len(hosts) == 0 {
 				delete(g.bundles, owner)
@@ -198,6 +196,7 @@ func (g *Guard) store(b *bundle) {
 	replaced := false
 	for i, old := range list {
 		if old.iter == b.iter {
+			g.bytesKept -= old.bytes
 			list[i] = b
 			replaced = true
 			break
@@ -354,8 +353,8 @@ type Stats struct {
 // Stats returns the current counters.
 func (g *Guard) Stats() Stats {
 	return Stats{
-		Offers: g.offers, Skips: g.skips, Commits: g.commits,
-		AbortedCaptures: g.aborted,
+		Offers: g.captures.Offers, Skips: g.captures.Skips, Commits: g.commits,
+		AbortedCaptures: g.captures.Aborted,
 		Rebuilds:        g.rebuilds,
 		SelfReloads:     g.selfReloads,
 		RebuildTime:     g.rebuildTime,
@@ -363,101 +362,52 @@ func (g *Guard) Stats() Stats {
 	}
 }
 
-// StatePeeker is the slice of train.Worker the keeper needs.
-type StatePeeker interface {
-	PeekModelState() (*train.ModelState, error)
-}
-
 // Keeper drives one rank's per-boundary redundancy offers to its neighbor
-// stages.
+// stages: Offer (checkpoint.Capture's) retains the boundary image in the
+// background, overlapped with the next minibatch.
 type Keeper struct {
+	checkpoint.Capture
 	g     *Guard
-	rank  int
-	dev   *gpu.Device
 	hosts []int
-	bytes int64
-	d2hBW float64
-
-	busy     bool
-	lastIter int
 }
 
 // NewKeeper creates the keeper for one rank. dev may be nil (no
 // owner-death staging check); stateBytes is the bundle's modelled size;
 // d2hBW the PCIe staging bandwidth.
 func (g *Guard) NewKeeper(rank int, dev *gpu.Device, stateBytes int64, d2hBW float64) *Keeper {
-	return &Keeper{
-		g:        g,
-		rank:     rank,
-		dev:      dev,
-		hosts:    g.HostRanks(rank),
-		bytes:    stateBytes,
-		d2hBW:    d2hBW,
-		lastIter: -1,
+	k := &Keeper{g: g, hosts: g.HostRanks(rank)}
+	k.Capture = checkpoint.Capture{
+		Env: g.env, Stats: &g.captures, Rank: rank, Dev: dev,
+		Bytes: stateBytes, D2HBW: d2hBW,
+		Cat: "pipe", Span: "retain", Proc: fmt.Sprintf("pipekeep.r%d", rank),
+		Ship: k.ship,
 	}
+	return k
 }
 
-// LastIter returns the newest iteration this keeper has retained (-1
-// before the first offer).
-func (k *Keeper) LastIter() int { return k.lastIter }
-
-// Offer captures the rank's post-optimizer state and streams it to the
-// neighbor stages' host RAM in a background process, returning immediately
-// — retention overlaps the next minibatch. Call it right after RunIter
-// returns (compute stream synchronized). The capture clones at the
-// boundary so the shipped image is exactly the boundary state even though
-// the transfer overlaps the next minibatch's buffer mutation. If the
-// previous transfer is still in flight the offer is skipped (the bundle
-// ages one iteration rather than stalling training).
-func (k *Keeper) Offer(w StatePeeker) {
+// ship retains the staged image on the owner's own node and streams it to
+// the neighbor stages' host RAM.
+func (k *Keeper) ship(p *vclock.Proc, ms *train.ModelState) {
 	g := k.g
-	g.offers++
-	if k.busy {
-		g.skips++
-		return
+	// Local copy first: survivors of someone else's failure rejoin a
+	// rolled-back restart from this, with no checkpoint read.
+	ownNode := g.nodeOf(k.Rank)
+	if !g.lost[ownNode] {
+		g.store(&bundle{
+			owner: k.Rank, hostRank: k.Rank, hostNode: ownNode,
+			iter: ms.Iter, state: ms, bytes: k.Bytes,
+			self: true, reloadBW: k.D2HBW,
+		})
 	}
-	ms, err := w.PeekModelState()
-	if err != nil {
-		g.skips++
-		g.env.Tracef("pipefree: rank %d peek failed: %v", k.rank, err)
-		return
+	for _, hr := range k.hosts {
+		node := g.nodeOf(hr)
+		if g.lost[node] {
+			continue
+		}
+		p.Sleep(g.params.Latency + gpu.TransferTime(k.Bytes, g.params.LinkBandwidth))
+		g.store(&bundle{
+			owner: k.Rank, hostRank: hr, hostNode: node,
+			iter: ms.Iter, state: ms, bytes: k.Bytes,
+		})
 	}
-	frozen := cloneModelState(ms) // boundary image, immune to next-iter mutation
-	k.busy = true
-	iter := frozen.Iter
-	g.env.Go(fmt.Sprintf("pipekeep.r%d", k.rank), func(p *vclock.Proc) {
-		defer func() { k.busy = false }()
-		sp := trace.Of(g.env).Begin(p.Now(), "pipe", trace.Rank(k.rank), "retain", "iter", iter)
-		defer func() { sp.End(p.Now()) }()
-		if k.d2hBW > 0 {
-			p.Sleep(gpu.TransferTime(k.bytes, k.d2hBW))
-		}
-		if k.dev != nil && !k.dev.Accessible() {
-			g.aborted++
-			trace.Of(g.env).Instant(p.Now(), "pipe", trace.Rank(k.rank), "capture-abort", "iter", iter)
-			return
-		}
-		// Local copy first: survivors of someone else's failure rejoin a
-		// rolled-back restart from this, with no checkpoint read.
-		ownNode := g.nodeOf(k.rank)
-		if !g.lost[ownNode] {
-			g.store(&bundle{
-				owner: k.rank, hostRank: k.rank, hostNode: ownNode,
-				iter: iter, state: frozen, bytes: k.bytes,
-				self: true, reloadBW: k.d2hBW,
-			})
-		}
-		for _, hr := range k.hosts {
-			node := g.nodeOf(hr)
-			if g.lost[node] {
-				continue
-			}
-			p.Sleep(g.params.Latency + gpu.TransferTime(k.bytes, g.params.LinkBandwidth))
-			g.store(&bundle{
-				owner: k.rank, hostRank: hr, hostNode: node,
-				iter: iter, state: frozen, bytes: k.bytes,
-			})
-		}
-		k.lastIter = iter
-	})
 }

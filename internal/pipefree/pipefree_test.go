@@ -113,7 +113,7 @@ func TestRetainRebuildZeroReadsBitExact(t *testing.T) {
 	// Stage 1's node dies: its bundle on node 2 survives and rebuilds it.
 	g.MarkNodeLost(1)
 	env.Go("restore", func(p *vclock.Proc) {
-		plan, err := checkpoint.AssembleRestore(p, "job", nil, g.RestoreCandidates(), pipeTopo, pipeTopo.World())
+		plan, err := checkpoint.AssembleRestore(p, g.RestoreCandidates(), pipeTopo, pipeTopo.World())
 		if err != nil {
 			t.Error(err)
 			return
@@ -169,7 +169,7 @@ func TestDoubleFaultUncoversStage(t *testing.T) {
 		t.Fatal("stage 2 uncovered: its neighbor bundle on node 3 should survive")
 	}
 	env.Go("restore", func(p *vclock.Proc) {
-		_, err := checkpoint.AssembleRestore(p, "job", nil, g.RestoreCandidates(), pipeTopo, pipeTopo.World())
+		_, err := checkpoint.AssembleRestore(p, g.RestoreCandidates(), pipeTopo, pipeTopo.World())
 		if !errors.Is(err, checkpoint.ErrUnassembled) {
 			t.Errorf("assembly over uncovered tier: err = %v, want ErrUnassembled", err)
 		}
@@ -194,7 +194,7 @@ func TestRedundancyTwoSurvivesHostLoss(t *testing.T) {
 		t.Fatal("stage 1 uncovered despite redundancy 2")
 	}
 	env.Go("restore", func(pp *vclock.Proc) {
-		plan, err := checkpoint.AssembleRestore(pp, "job", nil, g.RestoreCandidates(), pipeTopo, pipeTopo.World())
+		plan, err := checkpoint.AssembleRestore(pp, g.RestoreCandidates(), pipeTopo, pipeTopo.World())
 		if err != nil {
 			t.Error(err)
 			return
@@ -291,5 +291,59 @@ func TestOfferSelfOnlyWhenHostsLost(t *testing.T) {
 	}
 	if !g.CoveredPositions(pipeTopo)[pipeTopo.PositionKey(0)] {
 		t.Fatal("stage 0 should stay covered by its self-bundle")
+	}
+}
+
+// heldBytes sums the modelled size of every bundle the guard still holds.
+func heldBytes(g *Guard) int64 {
+	var total int64
+	for _, hosts := range g.bundles {
+		for _, list := range hosts {
+			for _, b := range list {
+				total += b.bytes
+			}
+		}
+	}
+	return total
+}
+
+// TestBytesRetainedTracksHeldBundles: BytesRetained is "the bundle volume
+// currently held" — it must not grow when a restore rewinds the iteration
+// and the same boundaries are offered again (the bundle is replaced, not
+// added), and it must shrink when a host's bundles die with their node.
+func TestBytesRetainedTracksHeldBundles(t *testing.T) {
+	env := vclock.NewEnv(1)
+	g := mustGuard(t, env, testParams())
+	keepers := make([]*Keeper, pipeTopo.World())
+	for r := range keepers {
+		keepers[r] = g.NewKeeper(r, nil, 1e6, 2e9)
+	}
+	check := func(step string) {
+		t.Helper()
+		if got, want := g.Stats().BytesRetained, heldBytes(g); got != want || want == 0 {
+			t.Errorf("%s: BytesRetained = %d, held bundles sum to %d", step, got, want)
+		}
+	}
+	env.Go("drive", func(p *vclock.Proc) {
+		offer := func(it int) {
+			for r, k := range keepers {
+				k.Offer(&fakePeeker{rank: r, iter: it})
+			}
+			p.Sleep(vclock.Second)
+		}
+		for it := 1; it <= 3; it++ {
+			offer(it)
+		}
+		check("after three boundaries")
+		// A restore rewinds to iteration 2: boundaries 2 and 3 run again.
+		offer(2)
+		check("after re-offering iteration 2")
+		offer(3)
+		check("after re-offering iteration 3")
+		g.MarkNodeLost(1)
+		check("after losing node 1")
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
