@@ -308,16 +308,6 @@ const KindNoViablePlacement = "hard-failed:no-viable-placement"
 // fix (no spare capacity, no assemblable checkpoint).
 func (r *RecoveryReport) Terminal() bool { return strings.HasPrefix(r.Kind, "hard-failed:") }
 
-// ElasticEligible reports whether the terminal condition is exactly
-// capacity exhaustion — the one failure class an elastic shrink can
-// convert back into forward progress. Checkpoint-loss terminality
-// (nothing assemblable) is not shrinkable: a narrower job still needs
-// every pipeline/tensor position's state.
-func (r *RecoveryReport) ElasticEligible() bool {
-	return r.Kind == KindNoViablePlacement ||
-		strings.HasPrefix(r.Kind, "hard-failed: scheduler: not enough healthy free nodes")
-}
-
 // Phase returns the duration of a named phase (0 if absent).
 func (r *RecoveryReport) Phase(name string) vclock.Time {
 	for _, ph := range r.Phases {

@@ -149,8 +149,8 @@ func TestTransparentNoViablePlacementEager(t *testing.T) {
 	if last.Kind != KindNoViablePlacement {
 		t.Fatalf("kind = %q, want %q", last.Kind, KindNoViablePlacement)
 	}
-	if !last.Terminal() || !last.ElasticEligible() {
-		t.Fatalf("no-viable-placement must be terminal and elastic-eligible: %+v", last)
+	if !last.Terminal() {
+		t.Fatalf("no-viable-placement must be terminal: %+v", last)
 	}
 	if last.Attempts != 1 {
 		t.Fatalf("attempts = %d, want 1 (eager classification, no retries)", last.Attempts)

@@ -115,17 +115,6 @@ func StartJob(cfg JobConfig) (*JobHandle, error) {
 // Done reports whether the job has finished (result available).
 func (hd *JobHandle) Done() bool { return hd.h.finished }
 
-// Result returns the job's final result, or nil while it is running.
-func (hd *JobHandle) Result() *RunResult {
-	if !hd.h.finished {
-		return nil
-	}
-	return hd.h.res
-}
-
-// Label returns the job's fleet label.
-func (hd *JobHandle) Label() string { return hd.h.label }
-
 // RequestYield asks an elastic job to shrink so a higher-priority tenant
 // can claim its nodes: the job stops cleanly a couple of iterations ahead
 // (persisting state under the elastic namespace) and its next incarnation

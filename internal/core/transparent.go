@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"jitckpt/internal/checkpoint"
@@ -744,34 +742,6 @@ func writeTensors(pr *vclock.Proc, layer *intercept.Layer, api cuda.API, tr *cud
 	return api.StreamSynchronize(pr, s)
 }
 
-// criuPayload is what the CRIU snapshot captures per worker: the worker's
-// CPU state plus its replay log — everything needed to resume on a new
-// host.
-type criuPayload struct {
-	Snapshot train.Snapshot
-	Log      []byte
-}
-
-func encodeCRIUPayload(w *train.Worker, layer *intercept.Layer) ([]byte, error) {
-	logBytes, err := layer.Log().Bytes()
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(criuPayload{Snapshot: w.Snapshot(), Log: logBytes}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeCRIUPayload(raw []byte) (*criuPayload, error) {
-	var pl criuPayload
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&pl); err != nil {
-		return nil, err
-	}
-	return &pl, nil
-}
-
 // recoverHard implements §4.3: healthy ranks JIT-checkpoint, every worker
 // is CRIU-checkpointed, the job migrates to replacement nodes, GPU state
 // is rebuilt from the replay log, and parameter/optimizer buffers are
@@ -863,12 +833,7 @@ func (c *Coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 				c.cfg.Monitor.Notify(scheduler.Event{Kind: scheduler.EvCheckpointDone, Rank: rec.r.Rank, Iter: ms.Iter})
 			}
 			rec.timer.Mark("jit-checkpoint")
-			payload, err := encodeCRIUPayload(rec.r.Worker, rec.r.Layer)
-			if err != nil {
-				rec.err = err
-				return
-			}
-			images[i] = c.cfg.CRIU.Take(pr, rec.r.Rank, payload)
+			images[i] = c.cfg.CRIU.Take(pr, rec.r.Rank, rec.r.Worker.Snapshot())
 			rec.timer.Mark("criu-snapshot")
 		})
 	}
@@ -955,9 +920,7 @@ func (c *Coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 			rec.r.Layer.SetInner(client)
 
 			// CRIU restore: the worker's CPU state arrives intact.
-			payload := c.cfg.CRIU.Restore(pr, images[i])
-			if pl, err := decodeCRIUPayload(payload); err != nil || pl.Snapshot.Iter != rec.r.Worker.Iter() {
-				rec.err = fmt.Errorf("core: rank %d CRIU payload mismatch (err=%v)", rec.r.Rank, err)
+			if rec.err = checkImage(rec.r.Rank, c.cfg.CRIU.Restore(pr, images[i]), rec.r.Worker.Iter()); rec.err != nil {
 				return
 			}
 			rec.timer.Mark("criu-restore")
@@ -1007,6 +970,15 @@ func (c *Coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 		rep.FailedAvg = fSum / vclock.Time(fN)
 	}
 	return rep, ok
+}
+
+// checkImage rejects a restored CRIU image that is not of the minibatch the
+// worker is in: resuming from it would replay against the wrong CPU state.
+func checkImage(rank int, img train.Snapshot, workerIter int) error {
+	if img.Iter != workerIter {
+		return fmt.Errorf("core: rank %d CRIU image is of iteration %d, the worker is at %d", rank, img.Iter, workerIter)
+	}
+	return nil
 }
 
 // nodeCount counts distinct nodes hosting the job's ranks.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"strings"
 	"testing"
 
@@ -34,22 +32,13 @@ func TestSplitCreationLog(t *testing.T) {
 	}
 }
 
-func TestCRIUPayloadRoundTrip(t *testing.T) {
-	raw, err := decodeCRIUPayload([]byte("garbage"))
-	if err == nil || raw != nil {
-		t.Fatal("garbage payload decoded")
+func TestCRIUImageOfWrongIterationIsRejected(t *testing.T) {
+	if err := checkImage(3, train.Snapshot{Iter: 7, Gen: 2}, 7); err != nil {
+		t.Fatalf("matching image rejected: %v", err)
 	}
-	pl := criuPayload{Snapshot: train.Snapshot{Iter: 7, Gen: 2}, Log: []byte{1, 2, 3}}
-	var enc bytes.Buffer
-	if err := gob.NewEncoder(&enc).Encode(pl); err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeCRIUPayload(enc.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Snapshot.Iter != 7 || got.Snapshot.Gen != 2 || len(got.Log) != 3 {
-		t.Fatalf("round trip = %+v", got)
+	err := checkImage(3, train.Snapshot{Iter: 6, Gen: 2}, 7)
+	if err == nil || err.Error() != "core: rank 3 CRIU image is of iteration 6, the worker is at 7" {
+		t.Fatalf("stale image: err = %v, want the rank and both iterations named", err)
 	}
 }
 

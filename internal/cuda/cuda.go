@@ -304,10 +304,6 @@ func NewDriver(dev *gpu.Device, engine *nccl.Engine, kernels Registry, params Pa
 	return d, nil
 }
 
-// Device exposes the underlying device to infrastructure code (recovery
-// paths operate server-side, next to the driver).
-func (d *Driver) Device() *gpu.Device { return d.dev }
-
 // BufData reads a buffer's contents directly from the device context,
 // bypassing streams. It is infrastructure-side only (not part of API): the
 // recovery controller uses it to salvage parameter state from a device

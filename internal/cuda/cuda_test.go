@@ -101,7 +101,9 @@ func TestMemcpyTimingScalesWithModelBytes(t *testing.T) {
 func TestLaunchRunsRegisteredKernel(t *testing.T) {
 	kernels := Registry{
 		"scale": func(a KernelArgs) error {
-			a.Bufs[0].Scale(a.FArgs[0])
+			for i := range a.Bufs[0] {
+				a.Bufs[0][i] *= a.FArgs[0]
+			}
 			return nil
 		},
 	}

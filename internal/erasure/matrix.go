@@ -14,15 +14,6 @@ func newMatrix(rows, cols int) matrix {
 	return m
 }
 
-// identity returns the n×n identity matrix.
-func identity(n int) matrix {
-	m := newMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m[i][i] = 1
-	}
-	return m
-}
-
 // invert returns the inverse of a square matrix via Gauss-Jordan
 // elimination with partial pivoting (row swaps only — every non-zero
 // element of GF(2^8) is a unit, so any non-zero pivot works). It returns

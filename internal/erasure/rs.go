@@ -48,12 +48,6 @@ func New(k, m int) (*Codec, error) {
 	return &Codec{k: k, m: m, gen: gen}, nil
 }
 
-// DataShards returns k.
-func (c *Codec) DataShards() int { return c.k }
-
-// ParityShards returns m.
-func (c *Codec) ParityShards() int { return c.m }
-
 // ShardLen returns the per-shard length used for a payload of dataLen
 // bytes: ceil(dataLen/k), minimum 1 so zero-length payloads still
 // produce well-formed fragments.

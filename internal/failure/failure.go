@@ -91,11 +91,6 @@ func (k Kind) String() string {
 	}
 }
 
-// IsTransient reports whether recovery can reuse the same GPU.
-func (k Kind) IsTransient() bool {
-	return k != GPUHard && k != NodeDown && k != RackDown
-}
-
 // KindByName resolves a fault-kind name as rendered by String. ok is
 // false for unknown names.
 func KindByName(name string) (Kind, bool) {

@@ -180,9 +180,6 @@ func (d *Device) Health() Health { return d.health }
 // Accessible reports whether API calls can reach the device at all.
 func (d *Device) Accessible() bool { return d.health != Hard }
 
-// MemUsed returns the modelled bytes currently allocated.
-func (d *Device) MemUsed() int64 { return d.memUsed }
-
 // PendingOps returns the number of enqueued-but-incomplete operations
 // across all streams. Zero on a healthy device means the GPU has executed
 // everything the host issued — the recovery controller's signal that the
@@ -255,31 +252,6 @@ func (d *Device) Buf(id int) (*Buffer, error) {
 	return b, nil
 }
 
-// Buffers returns all live buffers sorted by ID (deterministic iteration).
-func (d *Device) Buffers() []*Buffer {
-	out := make([]*Buffer, 0, len(d.buffers))
-	for _, b := range d.buffers {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// FreeWhere frees every buffer for which pred returns true and returns the
-// number freed. Recovery strategy 1 (§4.2) uses this to discard activation
-// and gradient buffers while retaining parameter and optimizer state.
-func (d *Device) FreeWhere(pred func(*Buffer) bool) int {
-	n := 0
-	for _, b := range d.Buffers() {
-		if pred(b) {
-			d.memUsed -= b.ModelBytes
-			delete(d.buffers, b.ID)
-			n++
-		}
-	}
-	return n
-}
-
 // NewStream creates an execution stream and starts its process.
 func (d *Device) NewStream() (*Stream, error) {
 	if err := d.healthErr(); err != nil {
@@ -293,15 +265,6 @@ func (d *Device) NewStream() (*Stream, error) {
 	d.nextStream++
 	d.streams[s.ID] = s
 	s.proc = d.env.Go(fmt.Sprintf("%s.s%d", d.Name(), s.ID), s.run)
-	return s, nil
-}
-
-// Stream looks up a stream by ID.
-func (d *Device) Stream(id int) (*Stream, error) {
-	s, ok := d.streams[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoSuchQueue, id)
-	}
 	return s, nil
 }
 
@@ -354,7 +317,7 @@ func (d *Device) InjectDriverCorrupt() {
 
 // Reset clears a non-hard device back to health: all streams are destroyed
 // (queued work is dropped) and sticky/corrupt states are cleared. Buffers
-// are NOT freed; callers choose what survives via Free/FreeWhere. Reset of
+// are NOT freed; callers choose what survives via Free. Reset of
 // a hard-failed device returns ErrDeviceLost — hardware does not come back.
 func (d *Device) Reset() error {
 	if d.health == Hard {
@@ -415,14 +378,11 @@ func (s *Stream) Enqueue(op *Op) *vclock.Event {
 // created, so callers that never wait on the op (kernel launches, async
 // memcpys, collectives whose completion is observed via stream sync) pay
 // no per-op event allocation. Completion is still observable through
-// Pending, DrainEvent, and AsyncErr.
+// DrainEvent and AsyncErr.
 func (s *Stream) EnqueueAsync(op *Op) {
 	s.pending++
 	s.q.Push(op)
 }
-
-// Pending returns the number of enqueued-but-incomplete ops.
-func (s *Stream) Pending() int { return s.pending }
 
 // DrainEvent returns an event that triggers when every op enqueued so far
 // has completed. On an idle stream it is already triggered.
@@ -435,9 +395,6 @@ func (s *Stream) DrainEvent() *vclock.Event {
 	}
 	return s.drain
 }
-
-// Device returns the stream's device.
-func (s *Stream) Device() *Device { return s.dev }
 
 // run is the stream process body: execute ops strictly in order.
 func (s *Stream) run(p *vclock.Proc) {
@@ -505,11 +462,6 @@ func (s *Stream) complete() {
 	}
 }
 
-// SleepOp returns an op that models pure compute time.
-func SleepOp(name string, dur vclock.Time) *Op {
-	return &Op{Name: name, Dur: dur}
-}
-
 // FuncOp returns an op that sleeps dur then applies fn to the device. fn
 // runs at op completion time, which is where kernels mutate buffer contents.
 func FuncOp(name string, dur vclock.Time, fn func(dev *Device) error) *Op {
@@ -527,13 +479,12 @@ type Node struct {
 
 // Cluster is the set of nodes available to a job, plus spares.
 type Cluster struct {
-	env   *vclock.Env
 	Nodes []*Node
 }
 
 // NewCluster builds nodes*gpus devices, each with memCap bytes.
 func NewCluster(env *vclock.Env, nodes, gpusPerNode int, memCap int64) *Cluster {
-	c := &Cluster{env: env}
+	c := &Cluster{}
 	for n := 0; n < nodes; n++ {
 		node := &Node{ID: n}
 		for g := 0; g < gpusPerNode; g++ {
@@ -542,21 +493,6 @@ func NewCluster(env *vclock.Env, nodes, gpusPerNode int, memCap int64) *Cluster 
 		c.Nodes = append(c.Nodes, node)
 	}
 	return c
-}
-
-// Env returns the simulation environment.
-func (c *Cluster) Env() *vclock.Env { return c.env }
-
-// Device returns device g on node n.
-func (c *Cluster) Device(n, g int) *Device { return c.Nodes[n].Devices[g] }
-
-// AllDevices returns every device in node-major order.
-func (c *Cluster) AllDevices() []*Device {
-	var out []*Device
-	for _, n := range c.Nodes {
-		out = append(out, n.Devices...)
-	}
-	return out
 }
 
 // TransferTime returns the virtual time to move bytes at bw bytes/second,

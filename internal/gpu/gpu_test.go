@@ -21,8 +21,8 @@ func TestAllocFreeAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.MemUsed() != 1<<20 {
-		t.Fatalf("MemUsed = %d, want 1MiB", d.MemUsed())
+	if d.memUsed != 1<<20 {
+		t.Fatalf("MemUsed = %d, want 1MiB", d.memUsed)
 	}
 	if len(b.Data) != 16 {
 		t.Fatalf("Data len = %d, want 16", len(b.Data))
@@ -30,8 +30,8 @@ func TestAllocFreeAccounting(t *testing.T) {
 	if err := d.Free(b.ID); err != nil {
 		t.Fatal(err)
 	}
-	if d.MemUsed() != 0 {
-		t.Fatalf("MemUsed after free = %d", d.MemUsed())
+	if d.memUsed != 0 {
+		t.Fatalf("MemUsed after free = %d", d.memUsed)
 	}
 	if err := d.Free(b.ID); !errors.Is(err, ErrNoSuchBuf) {
 		t.Fatalf("double free err = %v", err)
@@ -97,8 +97,8 @@ func TestParallelStreamsOverlap(t *testing.T) {
 	s2, _ := d.NewStream()
 	var finished vclock.Time
 	env.Go("issuer", func(p *vclock.Proc) {
-		e1 := s1.Enqueue(SleepOp("compute", vclock.Seconds(3)))
-		e2 := s2.Enqueue(SleepOp("comm", vclock.Seconds(3)))
+		e1 := s1.Enqueue(&Op{Name: "compute", Dur: vclock.Seconds(3)})
+		e2 := s2.Enqueue(&Op{Name: "comm", Dur: vclock.Seconds(3)})
 		p.Wait(e1)
 		p.Wait(e2)
 		finished = p.Now()
@@ -116,8 +116,8 @@ func TestDrainEvent(t *testing.T) {
 	s, _ := d.NewStream()
 	var syncAt vclock.Time
 	env.Go("issuer", func(p *vclock.Proc) {
-		s.Enqueue(SleepOp("a", vclock.Second))
-		s.Enqueue(SleepOp("b", vclock.Second))
+		s.Enqueue(&Op{Name: "a", Dur: vclock.Second})
+		s.Enqueue(&Op{Name: "b", Dur: vclock.Second})
 		p.Wait(s.DrainEvent())
 		syncAt = p.Now()
 		// Idle stream: drain returns immediately.
@@ -137,8 +137,8 @@ func TestDrainEvent(t *testing.T) {
 func TestStickyErrorFailsQueuedOps(t *testing.T) {
 	env, d := newTestDevice(t)
 	s, _ := d.NewStream()
-	inflight := SleepOp("inflight", vclock.Second)
-	queued := SleepOp("queued", vclock.Second)
+	inflight := &Op{Name: "inflight", Dur: vclock.Second}
+	queued := &Op{Name: "queued", Dur: vclock.Second}
 	var inflightErr, queuedErr error
 	var queuedDoneAt vclock.Time
 	env.Go("issuer", func(p *vclock.Proc) {
@@ -177,7 +177,7 @@ func TestHardFailureHangsOps(t *testing.T) {
 	completed := false
 	detected := false
 	env.Go("issuer", func(p *vclock.Proc) {
-		done := s.Enqueue(SleepOp("kernel", vclock.Seconds(10)))
+		done := s.Enqueue(&Op{Name: "kernel", Dur: vclock.Seconds(10)})
 		if p.WaitTimeout(done, vclock.Seconds(30)) {
 			completed = true
 		} else {
@@ -223,7 +223,7 @@ func TestResetClearsStickyAndKeepsBuffers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewStream after reset: %v", err)
 		}
-		op := SleepOp("post-reset", vclock.Second)
+		op := &Op{Name: "post-reset", Dur: vclock.Second}
 		p.Wait(s.Enqueue(op))
 		if op.Err != nil {
 			t.Errorf("post-reset op err = %v", op.Err)
@@ -231,26 +231,6 @@ func TestResetClearsStickyAndKeepsBuffers(t *testing.T) {
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFreeWhere(t *testing.T) {
-	_, d := newTestDevice(t)
-	d.Alloc(100, 0, "param.w")
-	d.Alloc(100, 0, "opt.m")
-	d.Alloc(100, 0, "activation")
-	d.Alloc(100, 0, "grad")
-	n := d.FreeWhere(func(b *Buffer) bool { return b.Tag == "activation" || b.Tag == "grad" })
-	if n != 2 {
-		t.Fatalf("freed %d, want 2", n)
-	}
-	if d.MemUsed() != 200 {
-		t.Fatalf("MemUsed = %d, want 200", d.MemUsed())
-	}
-	for _, b := range d.Buffers() {
-		if b.Tag != "param.w" && b.Tag != "opt.m" {
-			t.Fatalf("unexpected survivor %q", b.Tag)
-		}
 	}
 }
 
@@ -279,12 +259,12 @@ func TestDestroyStreamDropsWork(t *testing.T) {
 func TestClusterTopology(t *testing.T) {
 	env := vclock.NewEnv(1)
 	c := NewCluster(env, 2, 8, 32<<30)
-	if len(c.AllDevices()) != 16 {
-		t.Fatalf("devices = %d, want 16", len(c.AllDevices()))
+	if len(c.Nodes) != 2 || len(c.Nodes[0].Devices) != 8 || len(c.Nodes[1].Devices) != 8 {
+		t.Fatalf("cluster shape = %d nodes, want 2 × 8 devices", len(c.Nodes))
 	}
-	d := c.Device(1, 3)
+	d := c.Nodes[1].Devices[3]
 	if d.NodeID != 1 || d.Index != 3 {
-		t.Fatalf("Device(1,3) = %s", d.Name())
+		t.Fatalf("Nodes[1].Devices[3] = %s", d.Name())
 	}
 }
 
@@ -326,7 +306,7 @@ func TestMemAccountingProperty(t *testing.T) {
 					return false
 				}
 			}
-			if d.MemUsed() != want || want < 0 {
+			if d.memUsed != want || want < 0 {
 				return false
 			}
 		}
@@ -354,7 +334,7 @@ func TestStreamFIFOTimingProperty(t *testing.T) {
 		env.Go("issuer", func(p *vclock.Proc) {
 			events := make([]*vclock.Event, len(durs))
 			for i, dur := range durs {
-				events[i] = s.Enqueue(SleepOp("op", vclock.Time(dur)*vclock.Millisecond))
+				events[i] = s.Enqueue(&Op{Name: "op", Dur: vclock.Time(dur) * vclock.Millisecond})
 			}
 			for i, ev := range events {
 				p.Wait(ev)
@@ -384,7 +364,7 @@ func BenchmarkStreamOpThroughput(b *testing.B) {
 	s, _ := d.NewStream()
 	env.Go("issuer", func(p *vclock.Proc) {
 		for i := 0; i < b.N; i++ {
-			ev := s.Enqueue(SleepOp("op", vclock.Microsecond))
+			ev := s.Enqueue(&Op{Name: "op", Dur: vclock.Microsecond})
 			p.Wait(ev)
 		}
 	})

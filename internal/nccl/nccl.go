@@ -362,12 +362,6 @@ func (e *Engine) InjectFault(key string, gen int, kind FaultKind) {
 // ncclCommDestroy semantics for a wedged communicator.
 func (c *Comm) Destroy() { c.dead = true }
 
-// Key returns the communicator's rendezvous key.
-func (c *Comm) Key() string { return c.group.key }
-
-// Generation returns the communicator's generation.
-func (c *Comm) Generation() int { return c.group.gen }
-
 // collReq bundles one rank's collective call into a single allocation: the
 // stream op plus everything its Run and lazily-formatted trace name need.
 // The op's name is only materialized when a trace recorder is attached.

@@ -96,9 +96,6 @@ func (c *Client) AbortPending() int {
 	return len(ids)
 }
 
-// Server returns the proxy server this client is connected to.
-func (c *Client) Server() *Server { return c.server }
-
 func (c *Client) threadID(p *vclock.Proc) int {
 	id, ok := c.threads[p]
 	if !ok {

@@ -2,6 +2,12 @@
 // separate server process owns all GPU and network driver state, and the
 // worker talks to it through a byte-level wire protocol.
 //
+// The encoding itself is not charged: Params bills two fixed latencies per
+// message and nothing per byte. What it does for the model is capture a
+// call's argument slices when the call is made and keep either side from
+// aliasing the other's memory (TestCallCapturedAtSend); sentinel errors are
+// re-attached by code on the client so errors.Is survives the bytes.
+//
 // The proxy exists for one reason (§2, §4.2): corrupted GPU or network
 // driver state can be cleared by restarting the proxy server process
 // without touching the worker process, whose CPU state then stays intact
@@ -223,12 +229,6 @@ func (s *Server) Driver() *cuda.Driver { return s.drv }
 
 // Device returns the device this proxy fronts.
 func (s *Server) Device() *gpu.Device { return s.dev }
-
-// Generation returns how many times the server has been (re)started.
-func (s *Server) Generation() int { return s.generation }
-
-// Down reports whether the server is stopped (between Stop and Restart).
-func (s *Server) Down() bool { return s.down }
 
 // Stop kills the server: handler processes die, in-flight requests are
 // never answered, queued requests are dropped. Driver state (handle

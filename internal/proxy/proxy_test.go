@@ -194,6 +194,46 @@ func TestProxyErrorIdentityAcrossWire(t *testing.T) {
 	})
 }
 
+// Arguments are captured when the call is made and results belong to the
+// caller: nothing on either side of the boundary aliases the other.
+func TestCallCapturedAtSend(t *testing.T) {
+	kernels := cuda.Registry{
+		"scale": func(a cuda.KernelArgs) error {
+			for i := range a.Bufs[0] {
+				a.Bufs[0][i] *= a.FArgs[0]
+			}
+			return nil
+		},
+	}
+	r := newRig(t, kernels)
+	r.run(t, func(p *vclock.Proc) {
+		b, _ := r.client.Malloc(p, 64, 3, "x")
+		other, _ := r.client.Malloc(p, 64, 3, "y")
+		r.client.MemcpyH2D(p, other, []float32{5, 5, 5}, cuda.DefaultStream)
+
+		src := []float32{1, 2, 3}
+		r.client.MemcpyH2D(p, b, src, cuda.DefaultStream)
+		src[0] = 99 // the async copy has not run yet
+
+		bufs, fargs := []cuda.Buf{b}, []float32{2}
+		r.client.Launch(p, cuda.LaunchParams{Kernel: "scale", Bufs: bufs, FArgs: fargs}, cuda.DefaultStream)
+		bufs[0], fargs[0] = other, 100
+
+		got, err := r.client.MemcpyD2H(p, b, cuda.DefaultStream)
+		if err != nil || !tensor.Vector(got).Equal(tensor.Vector{2, 4, 6}) {
+			t.Errorf("device saw %v (err %v), want the call-time values [2 4 6]", got, err)
+		}
+		got[0] = 42 // the result is the caller's own copy
+		again, _ := r.client.MemcpyD2H(p, b, cuda.DefaultStream)
+		if !tensor.Vector(again).Equal(tensor.Vector{2, 4, 6}) {
+			t.Errorf("device memory moved with the caller's result: %v", again)
+		}
+		if o, _ := r.client.MemcpyD2H(p, other, cuda.DefaultStream); !tensor.Vector(o).Equal(tensor.Vector{5, 5, 5}) {
+			t.Errorf("launch ran on the overwritten buffer list: other = %v", o)
+		}
+	})
+}
+
 func TestProxyRestartClearsStickyAndKeepsBuffers(t *testing.T) {
 	r := newRig(t, nil)
 	r.run(t, func(p *vclock.Proc) {
@@ -214,9 +254,9 @@ func TestProxyRestartClearsStickyAndKeepsBuffers(t *testing.T) {
 		if r.dev.Health() != gpu.Healthy {
 			t.Errorf("health after restart = %v", r.dev.Health())
 		}
-		bufs := r.dev.Buffers()
-		if len(bufs) != 1 || bufs[0].Data[0] != 3 {
-			t.Errorf("buffers after restart: %v", bufs)
+		// The one allocation so far is device buffer 0.
+		if gb, err := r.dev.Buf(0); err != nil || gb.Data[0] != 3 {
+			t.Errorf("buffer after restart: %v (err %v)", gb, err)
 		}
 		// Old client still talks to the restarted server's fresh driver:
 		// the new driver has no handle for the old buffer (that remapping
@@ -239,7 +279,6 @@ func TestProxyRestartDropsInFlightCalls(t *testing.T) {
 		b, _ := r.client.Malloc(p, 1<<30, 1, "big")
 		// Block the default stream behind a wedged event wait so D2H hangs.
 		peerEv := r.env.NewEvent("never")
-		r.server.Driver().Device() // touch
 		r.client.Launch(p, cuda.LaunchParams{Kernel: "missing"}, cuda.DefaultStream)
 		_ = peerEv
 		// Sync call that will be in flight during restart: use a stream
@@ -277,15 +316,15 @@ func TestProxyRestartDropsInFlightCalls(t *testing.T) {
 
 func TestProxyGenerationCounts(t *testing.T) {
 	r := newRig(t, nil)
-	if r.server.Generation() != 0 {
-		t.Fatalf("gen = %d", r.server.Generation())
+	if r.server.generation != 0 {
+		t.Fatalf("gen = %d", r.server.generation)
 	}
 	r.run(t, func(p *vclock.Proc) {
 		r.server.Restart()
 		r.server.Restart()
 	})
-	if r.server.Generation() != 2 {
-		t.Fatalf("gen after two restarts = %d", r.server.Generation())
+	if r.server.generation != 2 {
+		t.Fatalf("gen after two restarts = %d", r.server.generation)
 	}
 }
 

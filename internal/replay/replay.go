@@ -23,8 +23,6 @@
 package replay
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"jitckpt/internal/cuda"
@@ -88,27 +86,6 @@ func (l *Log) removeCreation(k cuda.HandleKind, h int) {
 func (l *Log) Record(c Call) {
 	c.Iter = l.Iter
 	l.Minibatch = append(l.Minibatch, c)
-}
-
-// Len returns the total number of recorded calls.
-func (l *Log) Len() int { return len(l.Creation) + len(l.Minibatch) }
-
-// Bytes serializes the log (for CRIU-style worker snapshots).
-func (l *Log) Bytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(l); err != nil {
-		return nil, fmt.Errorf("replay: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// FromBytes deserializes a log written by Bytes.
-func FromBytes(b []byte) (*Log, error) {
-	var l Log
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&l); err != nil {
-		return nil, fmt.Errorf("replay: decode: %w", err)
-	}
-	return &l, nil
 }
 
 // Options configure a replay.

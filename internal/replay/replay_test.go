@@ -40,30 +40,6 @@ func TestRecordStampsIteration(t *testing.T) {
 	}
 }
 
-func TestSerializationRoundTrip(t *testing.T) {
-	l := NewLog()
-	l.Record(Call{Call: cuda.Call{Op: cuda.OpMalloc, Bytes: 128, Elems: 4, Tag: "w"}, Created: 3})
-	l.StartMinibatch(1)
-	l.Record(Call{Call: cuda.Call{Op: cuda.OpMemcpyH2D, Buf: 3, Data: []float32{1, 2}, Stream: 0}})
-	l.Record(Call{Call: cuda.Call{Op: cuda.OpLaunch, Launch: cuda.LaunchParams{
-		Kernel: "fwd", Dur: vclock.Millisecond, Bufs: []cuda.Buf{3}, FArgs: []float32{0.5},
-	}}})
-	raw, err := l.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := FromBytes(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Iter != 1 || len(got.Creation) != 1 || len(got.Minibatch) != 2 {
-		t.Fatalf("round trip shape: %+v", got)
-	}
-	if got.Minibatch[1].Launch.Kernel != "fwd" || got.Minibatch[1].Launch.FArgs[0] != 0.5 {
-		t.Fatalf("launch params lost: %+v", got.Minibatch[1].Launch)
-	}
-}
-
 // recordingDriver drives a real local Driver while recording, then replays
 // onto a fresh driver and compares buffer contents.
 func TestReplayReproducesState(t *testing.T) {
@@ -290,19 +266,6 @@ func BenchmarkRecord(b *testing.B) {
 		l.Record(c)
 		if i%1024 == 1023 {
 			l.StartMinibatch(i)
-		}
-	}
-}
-
-func BenchmarkSerialize(b *testing.B) {
-	l := NewLog()
-	for i := 0; i < 512; i++ {
-		l.Record(Call{Call: cuda.Call{Op: cuda.OpLaunch, Launch: cuda.LaunchParams{Kernel: "fwd", Bufs: []cuda.Buf{1, 2}}}})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Bytes(); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -122,7 +122,7 @@ func TestPoolIndexMatchesLinearScan(t *testing.T) {
 			case op < 7: // external whole-node failure (bypasses the pool)
 				c.Nodes[rng.Intn(40)].Failed = true
 			case op < 8: // hard GPU (discovered lazily by Allocate)
-				c.Device(rng.Intn(40), rng.Intn(2)).InjectHard()
+				c.Nodes[rng.Intn(40)].Devices[rng.Intn(2)].InjectHard()
 			case op < 9: // MarkFailed
 				id := rng.Intn(40)
 				pool.MarkFailed(id)

@@ -468,30 +468,29 @@ func (m *Monitor) WaitCheckpointQuorumCovered(p *vclock.Proc, topo train.Topolog
 	}
 }
 
-// CRIU models checkpoint/restore of worker CPU processes. The payload is
-// opaque bytes (in this simulation, the worker's serialized Snapshot plus
-// its replay log); Take and Restore charge the measured process
-// checkpoint costs.
+// CRIU models checkpoint/restore of worker CPU processes: Take and Restore
+// charge the measured process checkpoint costs, which are fixed times, not
+// functions of the image size.
 type CRIU struct {
 	SnapshotTime vclock.Time
 	RestoreTime  vclock.Time
 }
 
-// Image is a captured process image.
+// Image is a captured process image: the worker's CPU state.
 type Image struct {
-	Rank    int
-	Payload []byte
+	Rank int
+	Snap train.Snapshot
 }
 
 // Take checkpoints a process image, charging snapshot time.
-func (c CRIU) Take(p *vclock.Proc, rank int, payload []byte) Image {
+func (c CRIU) Take(p *vclock.Proc, rank int, snap train.Snapshot) Image {
 	p.Sleep(c.SnapshotTime)
-	return Image{Rank: rank, Payload: append([]byte(nil), payload...)}
+	return Image{Rank: rank, Snap: snap}
 }
 
 // Restore restores a process image on (conceptually) a new host, charging
-// restore time, and returns the payload.
-func (c CRIU) Restore(p *vclock.Proc, img Image) []byte {
+// restore time, and returns the worker state it holds.
+func (c CRIU) Restore(p *vclock.Proc, img Image) train.Snapshot {
 	p.Sleep(c.RestoreTime)
-	return append([]byte(nil), img.Payload...)
+	return img.Snap
 }

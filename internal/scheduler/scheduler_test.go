@@ -22,7 +22,7 @@ func TestPoolAllocateExcludesFailedAndBusy(t *testing.T) {
 		t.Fatalf("allocated %v %v", first[0].ID, first[1].ID)
 	}
 	// Node 2 has a hard-failed GPU: it must be skipped.
-	c.Device(2, 0).InjectHard()
+	c.Nodes[2].Devices[0].InjectHard()
 	second, err := pool.Allocate(1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -158,17 +158,17 @@ func TestCRIUChargesTime(t *testing.T) {
 	criu := CRIU{SnapshotTime: 10 * vclock.Second, RestoreTime: 5 * vclock.Second}
 	env.Go("w", func(p *vclock.Proc) {
 		t0 := p.Now()
-		img := criu.Take(p, 3, []byte("worker-state"))
+		img := criu.Take(p, 3, train.Snapshot{Iter: 7, Gen: 2})
 		if p.Now()-t0 != 10*vclock.Second {
 			t.Errorf("snapshot took %v", p.Now()-t0)
 		}
 		t0 = p.Now()
-		payload := criu.Restore(p, img)
+		snap := criu.Restore(p, img)
 		if p.Now()-t0 != 5*vclock.Second {
 			t.Errorf("restore took %v", p.Now()-t0)
 		}
-		if string(payload) != "worker-state" || img.Rank != 3 {
-			t.Error("payload lost")
+		if snap != (train.Snapshot{Iter: 7, Gen: 2}) || img.Rank != 3 {
+			t.Errorf("image lost: rank %d, %+v", img.Rank, snap)
 		}
 	})
 	if err := env.Run(); err != nil {

@@ -1,6 +1,6 @@
-// Package tensor provides the minimal dense float32 linear algebra used by
-// the simulated training framework: vectors, row-major matrices, a
-// deterministic pseudo-random initializer, and content checksums.
+// Package tensor provides the minimal dense float32 arithmetic used by the
+// simulated training framework: vectors, a deterministic pseudo-random
+// initializer, and content checksums.
 //
 // The point of doing real arithmetic (rather than only modelling durations)
 // is that it lets the recovery protocols be validated end to end: after a
@@ -29,13 +29,6 @@ func (v Vector) Clone() Vector {
 	return out
 }
 
-// Fill sets every element to x.
-func (v Vector) Fill(x float32) {
-	for i := range v {
-		v[i] = x
-	}
-}
-
 // AXPY computes v += a*x elementwise. It panics if lengths differ.
 func (v Vector) AXPY(a float32, x Vector) {
 	if len(v) != len(x) {
@@ -46,30 +39,8 @@ func (v Vector) AXPY(a float32, x Vector) {
 	}
 }
 
-// Scale multiplies every element by a.
-func (v Vector) Scale(a float32) {
-	for i := range v {
-		v[i] *= a
-	}
-}
-
 // Add computes v += x elementwise.
 func (v Vector) Add(x Vector) { v.AXPY(1, x) }
-
-// Dot returns the inner product of v and x.
-func (v Vector) Dot(x Vector) float32 {
-	if len(v) != len(x) {
-		panic(fmt.Sprintf("tensor: Dot length mismatch %d vs %d", len(v), len(x)))
-	}
-	var s float32
-	for i := range v {
-		s += v[i] * x[i]
-	}
-	return s
-}
-
-// Norm2 returns the squared L2 norm.
-func (v Vector) Norm2() float32 { return v.Dot(v) }
 
 // Equal reports exact elementwise equality (bitwise, so NaN != NaN).
 func (v Vector) Equal(x Vector) bool {
@@ -84,18 +55,6 @@ func (v Vector) Equal(x Vector) bool {
 	return true
 }
 
-// HasNonFinite reports whether v contains a NaN or Inf. The paper notes
-// that silent data corruption is usually caught by underflow/overflow
-// checks; this is that check.
-func (v Vector) HasNonFinite() bool {
-	for _, x := range v {
-		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
-			return true
-		}
-	}
-	return false
-}
-
 // Checksum returns an FNV-1a hash of the exact bit pattern of v. It is the
 // buffer checksum used by the replay-log validation (§4.1).
 func (v Vector) Checksum() uint64 {
@@ -106,94 +65,6 @@ func (v Vector) Checksum() uint64 {
 		h.Write(buf[:])
 	}
 	return h.Sum64()
-}
-
-// Bytes serializes v as little-endian float32 bits.
-func (v Vector) Bytes() []byte {
-	out := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(x))
-	}
-	return out
-}
-
-// FromBytes deserializes a vector written by Bytes.
-func FromBytes(b []byte) (Vector, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("tensor: byte length %d not a multiple of 4", len(b))
-	}
-	v := make(Vector, len(b)/4)
-	for i := range v {
-		v[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return v, nil
-}
-
-// Matrix is a dense row-major float32 matrix.
-type Matrix struct {
-	Rows, Cols int
-	Data       Vector
-}
-
-// NewMatrix returns a zero matrix of the given shape.
-func NewMatrix(rows, cols int) *Matrix {
-	return &Matrix{Rows: rows, Cols: cols, Data: NewVector(rows * cols)}
-}
-
-// At returns element (r, c).
-func (m *Matrix) At(r, c int) float32 { return m.Data[r*m.Cols+c] }
-
-// Set writes element (r, c).
-func (m *Matrix) Set(r, c int, x float32) { m.Data[r*m.Cols+c] = x }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: m.Data.Clone()}
-}
-
-// MulVec computes out = m * x. It panics on shape mismatch.
-func (m *Matrix) MulVec(x, out Vector) {
-	if len(x) != m.Cols || len(out) != m.Rows {
-		panic(fmt.Sprintf("tensor: MulVec shape mismatch (%dx%d)*%d -> %d", m.Rows, m.Cols, len(x), len(out)))
-	}
-	for r := 0; r < m.Rows; r++ {
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		var s float32
-		for c, xc := range x {
-			s += row[c] * xc
-		}
-		out[r] = s
-	}
-}
-
-// MulVecT computes out = mᵀ * x. It panics on shape mismatch.
-func (m *Matrix) MulVecT(x, out Vector) {
-	if len(x) != m.Rows || len(out) != m.Cols {
-		panic(fmt.Sprintf("tensor: MulVecT shape mismatch (%dx%d)ᵀ*%d -> %d", m.Rows, m.Cols, len(x), len(out)))
-	}
-	out.Fill(0)
-	for r := 0; r < m.Rows; r++ {
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		xr := x[r]
-		for c := range out {
-			out[c] += row[c] * xr
-		}
-	}
-}
-
-// AddOuter accumulates the outer product m += a * (x ⊗ y), the weight
-// gradient of a linear layer.
-func (m *Matrix) AddOuter(a float32, x, y Vector) {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		panic(fmt.Sprintf("tensor: AddOuter shape mismatch (%dx%d) vs %d⊗%d", m.Rows, m.Cols, len(x), len(y)))
-	}
-	for r := 0; r < m.Rows; r++ {
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		ax := a * x[r]
-		for c := range row {
-			row[c] += ax * y[c]
-		}
-	}
 }
 
 // RNG is a deterministic xorshift64* pseudo-random generator. It is
@@ -224,24 +95,6 @@ func (r *RNG) Uint64() uint64 {
 // Float32 returns a uniform float32 in [0, 1).
 func (r *RNG) Float32() float32 {
 	return float32(r.Uint64()>>40) / (1 << 24)
-}
-
-// Intn returns a uniform int in [0, n). It panics if n <= 0.
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("tensor: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
-// Normal returns an approximately standard-normal float32 (Irwin–Hall sum
-// of 12 uniforms; plenty for weight initialization).
-func (r *RNG) Normal() float32 {
-	var s float32
-	for i := 0; i < 12; i++ {
-		s += r.Float32()
-	}
-	return s - 6
 }
 
 // FillUniform fills v with uniforms in [-scale, scale).

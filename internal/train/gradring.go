@@ -51,12 +51,6 @@ func NewGradRing(capacity int) *GradRing {
 	return &GradRing{capacity: capacity}
 }
 
-// Capacity returns the ring's bound.
-func (r *GradRing) Capacity() int { return r.capacity }
-
-// Len returns the number of retained iterations.
-func (r *GradRing) Len() int { return len(r.entries) }
-
 // Push retains the gradients of one minibatch, evicting the oldest entry
 // when full. Re-pushing an iteration already present replaces it (recovery
 // re-executes minibatches deterministically, so the payload is identical).

@@ -128,14 +128,14 @@ func TestGradRingEvictionAndReplace(t *testing.T) {
 	if g, _ := r.GradAt(2); g["g"][0] != 7 {
 		t.Fatal("re-push did not replace")
 	}
-	if r.Len() != 2 || r.Capacity() != 2 {
-		t.Fatalf("len=%d cap=%d", r.Len(), r.Capacity())
+	if len(r.entries) != 2 || r.capacity != 2 {
+		t.Fatalf("len=%d cap=%d", len(r.entries), r.capacity)
 	}
 	r.Reset()
-	if r.Len() != 0 {
+	if len(r.entries) != 0 {
 		t.Fatal("reset did not clear")
 	}
-	if NewGradRing(0).Capacity() != 1 {
+	if NewGradRing(0).capacity != 1 {
 		t.Fatal("capacity floor missing")
 	}
 }

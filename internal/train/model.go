@@ -255,17 +255,9 @@ type Dataset struct {
 	Hidden int
 }
 
-// Sample returns input x and target y for global sample index idx.
-func (ds Dataset) Sample(idx int) (x, y tensor.Vector) {
-	x = tensor.NewVector(ds.Hidden)
-	y = tensor.NewVector(ds.Hidden)
-	ds.SampleInto(idx, x, y)
-	return x, y
-}
-
-// SampleInto writes sample idx into the caller-provided x and y vectors
-// (each of length Hidden), letting steady-state data loading reuse one
-// scratch pair instead of allocating per microbatch.
+// SampleInto writes input x and target y for global sample index idx into
+// the caller-provided vectors (each of length Hidden), letting steady-state
+// data loading reuse one scratch pair instead of allocating per microbatch.
 func (ds Dataset) SampleInto(idx int, x, y tensor.Vector) {
 	rng := tensor.NewRNG(ds.Seed ^ (uint64(idx+1) * 0x9E3779B97F4A7C15))
 	rng.FillUniform(x, 1)

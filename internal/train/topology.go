@@ -112,15 +112,6 @@ func (t Topology) PositionCount() int {
 	return t.P * t.T
 }
 
-// HasReplica reports whether JIT recovery is possible for this topology
-// (at least one data-parallel replica of every rank's state exists).
-func (t Topology) HasReplica() bool {
-	if t.FSDP() {
-		return t.FSDPGroups() >= 2
-	}
-	return t.D >= 2
-}
-
 // String renders the topology in the paper's notation.
 func (t Topology) String() string {
 	var parts []string

@@ -10,6 +10,7 @@ import (
 	"jitckpt/internal/cuda"
 	"jitckpt/internal/gpu"
 	"jitckpt/internal/nccl"
+	"jitckpt/internal/tensor"
 	"jitckpt/internal/vclock"
 )
 
@@ -369,12 +370,17 @@ func TestGILHeldDuringHungIteration(t *testing.T) {
 
 func TestDatasetDeterministicAndDistinct(t *testing.T) {
 	ds := Dataset{Seed: 5, Hidden: 16}
-	x1, y1 := ds.Sample(3)
-	x2, y2 := ds.Sample(3)
+	sample := func(idx int) (x, y tensor.Vector) {
+		x, y = tensor.NewVector(ds.Hidden), tensor.NewVector(ds.Hidden)
+		ds.SampleInto(idx, x, y)
+		return x, y
+	}
+	x1, y1 := sample(3)
+	x2, y2 := sample(3)
 	if !x1.Equal(x2) || !y1.Equal(y2) {
 		t.Fatal("same index produced different samples")
 	}
-	x3, _ := ds.Sample(4)
+	x3, _ := sample(4)
 	if x1.Equal(x3) {
 		t.Fatal("different indices produced identical samples")
 	}
@@ -417,11 +423,8 @@ func TestReplicaRanks(t *testing.T) {
 	if len(reps) != 1 || reps[0] != 3 {
 		t.Fatalf("FSDP replicas = %v, want [3]", reps)
 	}
-	if !fs.HasReplica() {
-		t.Fatal("4-rank 2-shard FSDP has replicas")
-	}
-	if (Topology{D: 2, P: 1, T: 1, FSDPShard: 2}).HasReplica() {
-		t.Fatal("single-group FSDP must report no replicas")
+	if reps := (Topology{D: 2, P: 1, T: 1, FSDPShard: 2}).ReplicaRanks(1); len(reps) != 0 {
+		t.Fatalf("single-group FSDP replicas = %v, want none", reps)
 	}
 }
 

@@ -148,20 +148,11 @@ func NewWorker(cfg Config) (*Worker, error) {
 // Rank returns the worker's global rank.
 func (w *Worker) Rank() int { return w.cfg.Rank }
 
-// Coords returns the worker's (d, p, t) coordinates.
-func (w *Worker) Coords() (d, p, t int) { return w.d, w.p, w.t }
-
 // Iter returns the next minibatch iteration to execute.
 func (w *Worker) Iter() int { return w.iter }
 
 // SetIter overrides the next iteration (restore paths).
 func (w *Worker) SetIter(i int) { w.iter = i }
-
-// Generation returns the communicator generation in use.
-func (w *Worker) Generation() int { return w.gen }
-
-// API returns the device API the worker runs on.
-func (w *Worker) API() cuda.API { return w.cfg.API }
 
 // IsLastStage reports whether this rank computes the loss.
 func (w *Worker) IsLastStage() bool { return w.p == w.cfg.Topo.P-1 }

@@ -88,14 +88,6 @@ func (q *timerQueue) remove(tok *waitToken) bool {
 	return true
 }
 
-func (q *timerQueue) clear() {
-	for i := range q.a {
-		q.a[i].tok.heapIdx = -1
-		q.a[i] = timerEntry{}
-	}
-	q.a = q.a[:0]
-}
-
 func (q *timerQueue) less(i, j int) bool {
 	if q.a[i].deadline != q.a[j].deadline {
 		return q.a[i].deadline < q.a[j].deadline

@@ -159,15 +159,6 @@ func (m *Mutex) Lock(p *Proc) {
 	m.owner = p
 }
 
-// TryLock acquires the mutex if it is free, reporting success.
-func (m *Mutex) TryLock(p *Proc) bool {
-	if m.owner != nil {
-		return false
-	}
-	m.owner = p
-	return true
-}
-
 // Unlock releases the mutex. It panics if p is not the owner.
 func (m *Mutex) Unlock(p *Proc) {
 	if m.owner != p {

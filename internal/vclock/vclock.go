@@ -514,9 +514,6 @@ func (p *Proc) Kill() {
 	}
 }
 
-// Killed reports whether the process has been marked for termination.
-func (p *Proc) Killed() bool { return p.killed }
-
 func (e *Env) addTimer(deadline Time, tok *waitToken) {
 	e.seq++
 	e.timers.push(deadline, e.seq, tok)
@@ -552,6 +549,3 @@ func (ev *Event) Trigger() {
 
 // Triggered reports whether the event has fired.
 func (ev *Event) Triggered() bool { return ev.triggered }
-
-// Name returns the event's diagnostic name.
-func (ev *Event) Name() string { return ev.name }

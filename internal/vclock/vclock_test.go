@@ -364,23 +364,6 @@ func TestMutexForceRelease(t *testing.T) {
 	}
 }
 
-func TestTryLock(t *testing.T) {
-	env := NewEnv(1)
-	m := NewMutex(env, "m")
-	env.Go("p", func(p *Proc) {
-		if !m.TryLock(p) {
-			t.Error("TryLock on free mutex failed")
-		}
-		if m.TryLock(p) {
-			t.Error("TryLock on held mutex succeeded")
-		}
-		m.Unlock(p)
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSleepOrderProperty: for any set of sleep durations, processes wake in
 // nondecreasing deadline order, with FIFO tie-breaking.
 func TestSleepOrderProperty(t *testing.T) {
@@ -542,7 +525,7 @@ func TestQueueFIFOProperty(t *testing.T) {
 func TestEventNameAndTriggerIdempotence(t *testing.T) {
 	env := NewEnv(1)
 	ev := env.NewEvent("named")
-	if ev.Name() != "named" || ev.Triggered() {
+	if ev.name != "named" || ev.Triggered() {
 		t.Fatal("fresh event state wrong")
 	}
 	wakes := 0
