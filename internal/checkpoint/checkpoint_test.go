@@ -403,11 +403,24 @@ func TestCorruptionAlwaysDetectedProperty(t *testing.T) {
 		st := NewStore(env, "d", TmpfsParams())
 		ok := true
 		env.Go("w", func(p *vclock.Proc) {
-			dir := RankDir("j", "jit", 0, 0)
-			WriteRank(p, st, dir, testState(0, 0, seed), 1<<10)
-			st.Corrupt(dir + "/model.bin")
-			if _, err := ReadRank(p, st, dir); !errors.Is(err, ErrCorrupt) {
-				ok = false
+			// A damaged data object and a damaged metadata object are both
+			// ErrCorrupt, for a whole-rank entry and for a stripe fragment.
+			for i, object := range []string{"/model.bin", "/META"} {
+				dir := RankDir("j", "jit", i, 0)
+				WriteRank(p, st, dir, testState(i, 0, seed), 1<<10)
+				st.Corrupt(dir + object)
+				if _, err := ReadRank(p, st, dir); !errors.Is(err, ErrCorrupt) || ValidDeep(p, st, dir) {
+					ok = false
+				}
+			}
+			frag := []byte(fmt.Sprintf("fragment %d", seed))
+			for i, path := range []func(string, int) string{FragPath, FragMetaPath} {
+				dir := RankDir("j", "peer", i, 0)
+				WriteFrag(p, st, dir, FragMeta{Iter: i, Frag: 1, K: 2, M: 1, DataSum: uint32(seed)}, frag, 1<<10)
+				st.Corrupt(path(dir, 1))
+				if _, _, err := ReadFrag(p, st, dir, 1); !errors.Is(err, ErrCorrupt) || ValidFragDeep(p, st, dir, 1) {
+					ok = false
+				}
 			}
 		})
 		if err := env.Run(); err != nil {
@@ -430,13 +443,42 @@ func TestPeriodicKindStrings(t *testing.T) {
 	}
 }
 
+// benchState is a state the size the repo benchmark's rank_io probe
+// writes (4 layers × {param, adam m, adam v} of 128² floats): 768 KiB.
+func benchState() *train.ModelState {
+	v := tensor.NewVector(12 * 128 * 128)
+	tensor.NewRNG(1).FillUniform(v, 1)
+	return &train.ModelState{Iter: 7, Tensors: map[string]tensor.Vector{"param.L0.w#0": v}}
+}
+
+func BenchmarkSum(b *testing.B) {
+	data, err := benchState().Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	var sum uint32
+	for i := 0; i < b.N; i++ {
+		sum ^= Sum(data)
+	}
+	_ = sum
+}
+
+// BenchmarkWriteRank times the whole rank save — encode, Sum, the store's
+// copy, META — over one entry rewritten in place, in payload bytes.
 func BenchmarkWriteRank(b *testing.B) {
 	env := vclock.NewEnv(1)
 	st := NewStore(env, "disk", TmpfsParams())
-	ms := testState(0, 0, 1)
+	ms := benchState()
+	data, err := ms.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
 	env.Go("w", func(p *vclock.Proc) {
 		for i := 0; i < b.N; i++ {
-			if err := WriteRank(p, st, RankDir("j", "jit", i, 0), ms, 1<<20); err != nil {
+			if err := WriteRank(p, st, RankDir("j", "jit", 0, 0), ms, 1<<20); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,8 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"jitckpt/internal/trace"
@@ -26,9 +24,19 @@ type FragMeta struct {
 	ShardLen int
 	// DataLen and DataSum describe the original (pre-split) payload.
 	DataLen int
-	DataSum uint64
-	// FragSum is the FNV-1a checksum of this fragment's bytes.
-	FragSum uint64
+	DataSum uint32
+	// FragSum is the Sum of this fragment's bytes.
+	FragSum uint32
+}
+
+const fragMetaTag = "FGM\x01"
+
+func (fm FragMeta) encode() []byte {
+	b := newRecord(fragMetaTag)
+	b = putInt(b, fm.Iter, fm.Rank, fm.Frag, fm.K, fm.M, fm.ShardLen, fm.DataLen)
+	b = putU32(b, fm.DataSum)
+	b = putU32(b, fm.FragSum)
+	return sealRecord(b)
 }
 
 // FragPath returns the object path of fragment idx inside a rank
@@ -47,17 +55,12 @@ func WriteFrag(p *vclock.Proc, st *Store, dir string, fm FragMeta, frag []byte, 
 	sp := trace.Of(p.Env()).Begin(p.Now(), "ckpt", trace.Rank(fm.Rank), "write-frag",
 		"store", st.name, "iter", fm.Iter, "frag", fm.Frag)
 	fm.ShardLen = len(frag)
-	fm.FragSum = hashBytes(frag)
+	fm.FragSum = Sum(frag)
 	if err := writeAtomic(p, st, FragPath(dir, fm.Frag), frag, modelBytes); err != nil {
 		sp.End(p.Now(), "err", err)
 		return err
 	}
-	var mb bytes.Buffer
-	if err := gob.NewEncoder(&mb).Encode(fm); err != nil {
-		sp.End(p.Now(), "err", err)
-		return err
-	}
-	if err := writeAtomic(p, st, FragMetaPath(dir, fm.Frag), mb.Bytes(), 256); err != nil {
+	if err := writeAtomic(p, st, FragMetaPath(dir, fm.Frag), fm.encode(), 256); err != nil {
 		sp.End(p.Now(), "err", err)
 		return err
 	}
@@ -71,9 +74,11 @@ func ReadFragMeta(p *vclock.Proc, st *Store, dir string, idx int) (FragMeta, err
 	if err != nil {
 		return FragMeta{}, err
 	}
-	var fm FragMeta
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&fm); err != nil {
-		return FragMeta{}, fmt.Errorf("%w: bad FMETA%03d in %s: %v", ErrCorrupt, idx, dir, err)
+	r := openRecord(raw, fragMetaTag)
+	fm := FragMeta{Iter: r.int(), Rank: r.int(), Frag: r.int(), K: r.int(), M: r.int(),
+		ShardLen: r.int(), DataLen: r.int(), DataSum: r.u32(), FragSum: r.u32()}
+	if err := r.end(); err != nil {
+		return FragMeta{}, fmt.Errorf("bad FMETA%03d in %s: %w", idx, dir, err)
 	}
 	return fm, nil
 }
@@ -117,7 +122,7 @@ func ReadFrag(p *vclock.Proc, st *Store, dir string, idx int) (FragMeta, []byte,
 	if err != nil {
 		return FragMeta{}, nil, err
 	}
-	if len(data) != fm.ShardLen || hashBytes(data) != fm.FragSum {
+	if len(data) != fm.ShardLen || Sum(data) != fm.FragSum {
 		return FragMeta{}, nil, fmt.Errorf("%w: %s frag %d fails checksum", ErrCorrupt, dir, idx)
 	}
 	return fm, data, nil

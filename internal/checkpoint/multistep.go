@@ -14,8 +14,6 @@ package checkpoint
 // at the target iteration.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"strconv"
@@ -63,7 +61,7 @@ type MSObject struct {
 	Name     string // object file name within the generation dir
 	Iter     int
 	Layers   []int // global layer indices (slice objects only)
-	Checksum uint64
+	Checksum uint32
 	DataLen  int
 }
 
@@ -78,6 +76,21 @@ type MSMeta struct {
 }
 
 func msMetaPath(dir string) string { return dir + "/META" }
+
+const msMetaTag = "MSM\x01"
+
+func (m MSMeta) encode() []byte {
+	b := newRecord(msMetaTag)
+	b = putInt(b, m.BaseIter, m.TargetIter, m.Slices, m.Rank, len(m.Objects))
+	for _, o := range m.Objects {
+		b = putString(b, o.Name)
+		b = putInt(b, o.Iter)
+		b = putInts(b, o.Layers)
+		b = putU32(b, o.Checksum)
+		b = putInt(b, o.DataLen)
+	}
+	return sealRecord(b)
+}
 
 // msGen tracks one in-flight generation on the capture side.
 type msGen struct {
@@ -238,7 +251,7 @@ func (msw *MultiStep) captureSlice(p *vclock.Proc, w *train.Worker) (vclock.Time
 		// covered layers (state = params + 2x optimizer moments).
 		gradBytes := msw.StateBytes / 3 * int64(covered) / int64(len(w.LayerGlobals()))
 		objs = append(objs, msPayload{
-			obj:        MSObject{Name: fmt.Sprintf("grad%02d.bin", s-1), Iter: boundary - 1, Checksum: hashBytes(data), DataLen: len(data)},
+			obj:        MSObject{Name: fmt.Sprintf("grad%02d.bin", s-1), Iter: boundary - 1, Checksum: Sum(data), DataLen: len(data)},
 			data:       data,
 			modelBytes: gradBytes,
 		})
@@ -260,7 +273,7 @@ func (msw *MultiStep) captureSlice(p *vclock.Proc, w *train.Worker) (vclock.Time
 	}
 	layersCopy := append([]int(nil), g.layers[s]...)
 	objs = append(objs, msPayload{
-		obj:        MSObject{Name: fmt.Sprintf("slice%02d.bin", s), Iter: boundary, Layers: layersCopy, Checksum: hashBytes(data), DataLen: len(data)},
+		obj:        MSObject{Name: fmt.Sprintf("slice%02d.bin", s), Iter: boundary, Layers: layersCopy, Checksum: Sum(data), DataLen: len(data)},
 		data:       data,
 		modelBytes: msw.sliceBytes(),
 	})
@@ -335,12 +348,9 @@ func (msw *MultiStep) enqueue(g *msGen, rank int, objs []msPayload, final bool) 
 			return // partial generation: no META, deep-validation rejects it
 		}
 		meta.Objects = g.objects
-		var mb bytes.Buffer
-		if err := gob.NewEncoder(&mb).Encode(meta); err != nil {
-			return
-		}
+		raw := meta.encode()
 		err := retry(wp, func() error {
-			return writeAtomic(wp, msw.Disk, msMetaPath(dir), mb.Bytes(), 256)
+			return writeAtomic(wp, msw.Disk, msMetaPath(dir), raw, 256)
 		})
 		if err != nil {
 			return
@@ -417,9 +427,15 @@ func readMSMeta(p *vclock.Proc, st *Store, dir string) (MSMeta, error) {
 	if err != nil {
 		return MSMeta{}, err
 	}
-	var m MSMeta
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&m); err != nil {
-		return MSMeta{}, fmt.Errorf("%w: bad multi-step META in %s: %v", ErrCorrupt, dir, err)
+	r := openRecord(raw, msMetaTag)
+	m := MSMeta{BaseIter: r.int(), TargetIter: r.int(), Slices: r.int(), Rank: r.int()}
+	// Every object takes bytes, so a damaged count cannot loop for long.
+	for n := r.int(); n > 0 && !r.bad; n-- {
+		m.Objects = append(m.Objects, MSObject{Name: r.string(), Iter: r.int(), Layers: r.ints(),
+			Checksum: r.u32(), DataLen: r.int()})
+	}
+	if err := r.end(); err != nil {
+		return MSMeta{}, fmt.Errorf("bad multi-step META in %s: %w", dir, err)
 	}
 	return m, nil
 }
@@ -535,7 +551,7 @@ func loadMultiStep(p *vclock.Proc, st *Store, dir string, mp MultiStepParams) (*
 		if err != nil {
 			return nil, err
 		}
-		if len(raw) != o.DataLen || hashBytes(raw) != o.Checksum {
+		if len(raw) != o.DataLen || Sum(raw) != o.Checksum {
 			return nil, fmt.Errorf("%w: %s/%s fails checksum", ErrCorrupt, dir, o.Name)
 		}
 		ms, err := train.DecodeModelState(raw)

@@ -1,10 +1,7 @@
 package checkpoint
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,8 +18,18 @@ import (
 type Meta struct {
 	Iter     int
 	Rank     int
-	Checksum uint64 // FNV-1a over the data object's bytes
+	Checksum uint32 // Sum of the data object's bytes
 	DataLen  int
+}
+
+const metaTag = "RKM\x01"
+
+func (m Meta) encode() []byte {
+	b := newRecord(metaTag)
+	b = putInt(b, m.Iter, m.Rank)
+	b = putU32(b, m.Checksum)
+	b = putInt(b, m.DataLen)
+	return sealRecord(b)
 }
 
 // RankDir builds the rank-dependent checkpoint directory: each rank saves
@@ -51,12 +58,6 @@ func ParseRankDir(dir string) (iter, rank int, ok bool) {
 func dataPath(dir string) string { return dir + "/model.bin" }
 func metaPath(dir string) string { return dir + "/META" }
 
-func hashBytes(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
-
 // WriteRank writes one rank's checkpoint with the two-phase commit
 // protocol: data first, META last — and each object is committed by
 // atomic rename (write to a ".tmp" name, then rename into place), so a
@@ -75,13 +76,8 @@ func WriteRank(p *vclock.Proc, st *Store, dir string, ms *train.ModelState, mode
 		sp.End(p.Now(), "err", err)
 		return err
 	}
-	meta := Meta{Iter: ms.Iter, Rank: ms.Rank, Checksum: hashBytes(data), DataLen: len(data)}
-	var mb bytes.Buffer
-	if err := gob.NewEncoder(&mb).Encode(meta); err != nil {
-		sp.End(p.Now(), "err", err)
-		return err
-	}
-	if err := writeAtomic(p, st, metaPath(dir), mb.Bytes(), 256); err != nil {
+	meta := Meta{Iter: ms.Iter, Rank: ms.Rank, Checksum: Sum(data), DataLen: len(data)}
+	if err := writeAtomic(p, st, metaPath(dir), meta.encode(), 256); err != nil {
 		sp.End(p.Now(), "err", err)
 		return err
 	}
@@ -140,9 +136,10 @@ func ReadMeta(p *vclock.Proc, st *Store, dir string) (Meta, error) {
 	if err != nil {
 		return Meta{}, err
 	}
-	var m Meta
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&m); err != nil {
-		return Meta{}, fmt.Errorf("%w: bad META in %s: %v", ErrCorrupt, dir, err)
+	r := openRecord(raw, metaTag)
+	m := Meta{Iter: r.int(), Rank: r.int(), Checksum: r.u32(), DataLen: r.int()}
+	if err := r.end(); err != nil {
+		return Meta{}, fmt.Errorf("bad META in %s: %w", dir, err)
 	}
 	return m, nil
 }
@@ -191,7 +188,7 @@ func ReadRank(p *vclock.Proc, st *Store, dir string) (*train.ModelState, error) 
 	if err != nil {
 		return nil, err
 	}
-	if len(data) != m.DataLen || hashBytes(data) != m.Checksum {
+	if len(data) != m.DataLen || Sum(data) != m.Checksum {
 		return nil, fmt.Errorf("%w: %s fails checksum", ErrCorrupt, dir)
 	}
 	return train.DecodeModelState(data)

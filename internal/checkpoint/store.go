@@ -172,11 +172,11 @@ func (s *Store) Rename(p *vclock.Proc, src, dst string) error {
 	return nil
 }
 
-// ContentHash returns the store-side FNV-1a checksum of the object at path
-// (the etag an object store keeps alongside each object), and whether the
-// object exists. It is a metadata operation: only the fixed latency is
-// charged, and only when p is non-nil.
-func (s *Store) ContentHash(p *vclock.Proc, path string) (uint64, bool) {
+// ContentHash returns the store-side Sum of the object at path (the CRC-32C
+// etag an object store keeps alongside each object), and whether the object
+// exists. It is a metadata operation: only the fixed latency is charged,
+// and only when p is non-nil.
+func (s *Store) ContentHash(p *vclock.Proc, path string) (uint32, bool) {
 	if p != nil {
 		p.Sleep(s.params.Latency)
 	}
@@ -184,7 +184,7 @@ func (s *Store) ContentHash(p *vclock.Proc, path string) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return hashBytes(e.data), true
+	return Sum(e.data), true
 }
 
 // Read returns the object at path, charging read bandwidth. Every read's

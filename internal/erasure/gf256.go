@@ -12,12 +12,18 @@
 // GF(2^8) applied to any k surviving fragments.
 package erasure
 
+import "encoding/binary"
+
 // gf256 carries the log/exp tables for the field GF(2^8) with the
 // conventional AES-adjacent primitive polynomial x^8+x^4+x^3+x^2+1
 // (0x11d) and generator 2.
 var (
 	gfExp [512]byte // exp table doubled so mul needs no mod
 	gfLog [256]int
+	// gfMulTable[c][b] = c*b: shard-sized multiply-accumulate loops do one
+	// lookup per byte instead of two log lookups and an add, and no caller
+	// builds a constant's row more than once.
+	gfMulTable [256][256]byte
 )
 
 func init() {
@@ -33,15 +39,15 @@ func init() {
 	for i := 255; i < 512; i++ {
 		gfExp[i] = gfExp[i-255]
 	}
+	for c := 1; c < 256; c++ {
+		for b := 1; b < 256; b++ {
+			gfMulTable[c][b] = gfExp[gfLog[c]+gfLog[b]]
+		}
+	}
 }
 
 // gfMul multiplies two field elements.
-func gfMul(a, b byte) byte {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	return gfExp[gfLog[a]+gfLog[b]]
-}
+func gfMul(a, b byte) byte { return gfMulTable[a][b] }
 
 // gfDiv divides a by b (b must be non-zero).
 func gfDiv(a, b byte) byte {
@@ -62,28 +68,24 @@ func gfInv(a byte) byte {
 	return gfExp[255-gfLog[a]]
 }
 
-// mulRowTable returns the 256-entry product table for a constant c, so
-// shard-sized multiply-accumulate loops do one lookup per byte instead of
-// two log lookups and an add.
-func mulRowTable(c byte) *[256]byte {
-	var t [256]byte
-	if c == 0 {
-		return &t
-	}
-	lc := gfLog[c]
-	for b := 1; b < 256; b++ {
-		t[b] = gfExp[lc+gfLog[b]]
-	}
-	return &t
-}
-
-// mulAdd accumulates dst[i] ^= c*src[i] over a shard.
+// mulAdd accumulates dst[i] ^= c*src[i] over a shard. Eight products are
+// looked up and packed into one word, so dst sees one 64-bit load, xor and
+// store per eight bytes instead of eight read-modify-writes. dst must be at
+// least as long as src.
 func mulAdd(dst, src []byte, c byte) {
 	if c == 0 {
 		return
 	}
-	t := mulRowTable(c)
-	for i, s := range src {
-		dst[i] ^= t[s]
+	t := &gfMulTable[c]
+	dst = dst[:len(src)]
+	n := len(src) &^ 7
+	for i := 0; i < n; i += 8 {
+		s, d := src[i:i+8:i+8], dst[i:i+8:i+8]
+		p := uint64(t[s[0]]) | uint64(t[s[1]])<<8 | uint64(t[s[2]])<<16 | uint64(t[s[3]])<<24 |
+			uint64(t[s[4]])<<32 | uint64(t[s[5]])<<40 | uint64(t[s[6]])<<48 | uint64(t[s[7]])<<56
+		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(d)^p)
+	}
+	for i := n; i < len(src); i++ {
+		dst[i] ^= t[src[i]]
 	}
 }

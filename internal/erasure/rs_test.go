@@ -20,15 +20,22 @@ func TestGFFieldAxioms(t *testing.T) {
 			}
 		}
 	}
-	// mulAdd agrees with scalar gfMul.
-	src := []byte{0, 1, 2, 0x53, 0xca, 0xff}
+	// mulAdd agrees with scalar gfMul, over two packed words and a byte
+	// tail, on top of whatever dst already holds.
+	src := []byte{0, 1, 2, 0x53, 0xca, 0xff, 0x80, 0x1d, 0x8e, 7, 0, 0xfe, 0x47, 3, 0xa5, 0x5a, 0x11, 0xd1, 0x9c}
 	for c := 0; c < 256; c++ {
-		dst := make([]byte, len(src))
+		dst := make([]byte, len(src)+1)
+		for i := range dst {
+			dst[i] = byte(31 * i)
+		}
 		mulAdd(dst, src, byte(c))
 		for i, s := range src {
-			if dst[i] != gfMul(byte(c), s) {
-				t.Fatalf("mulAdd c=%d src=%d: got %d want %d", c, s, dst[i], gfMul(byte(c), s))
+			if want := byte(31*i) ^ gfMul(byte(c), s); dst[i] != want {
+				t.Fatalf("mulAdd c=%d src[%d]=%d: got %d want %d", c, i, s, dst[i], want)
 			}
+		}
+		if dst[len(src)] != byte(31*len(src)) {
+			t.Fatalf("mulAdd c=%d wrote past len(src)", c)
 		}
 	}
 }
@@ -204,5 +211,27 @@ func TestEncodeShapeErrors(t *testing.T) {
 	}
 	if err := c.Reconstruct(make([][]byte, 2)); err == nil {
 		t.Error("wrong fragment count accepted")
+	}
+}
+
+// BenchmarkEncodeRS42 is the repo benchmark's erasure probe: RS(4,2) parity
+// over 1 MiB shards, throughput in payload bytes.
+func BenchmarkEncodeRS42(b *testing.B) {
+	const shardLen = 1 << 20
+	c, err := New(4, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, 4*shardLen)
+	for i := range payload {
+		payload[i] = byte(i*7 + i>>9)
+	}
+	data := c.Split(payload)
+	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Encode(data); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package peerckpt
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"jitckpt/internal/checkpoint"
@@ -12,15 +11,6 @@ import (
 	"jitckpt/internal/train"
 	"jitckpt/internal/vclock"
 )
-
-// fnvSum is the same FNV-1a digest the checkpoint tier uses for entry
-// checksums; stripes carry it end-to-end so a decode that produced wrong
-// bytes (it cannot, but trust nothing) would still be rejected.
-func fnvSum(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
 
 // shipStripe encodes one rank's state into k+m fragments and commits
 // fragment i to r.hosts[i]. Called from the replicator's background
@@ -55,7 +45,7 @@ func (r *Replicator) shipStripe(p *vclock.Proc, ms *train.ModelState) {
 	sp.End(p.Now())
 
 	fragBytes := (r.Bytes + int64(k) - 1) / int64(k)
-	dataSum := fnvSum(data)
+	dataSum := checkpoint.Sum(data)
 	for i, n := range r.hosts {
 		if i >= len(frags) {
 			break
@@ -270,7 +260,7 @@ func (s *Shelter) loadStripe(p *vclock.Proc, ref EntryRef, frags map[int]int) (*
 		sp.End(p.Now(), "err", err)
 		return nil, err
 	}
-	if fnvSum(data) != meta.DataSum {
+	if checkpoint.Sum(data) != meta.DataSum {
 		err := fmt.Errorf("%w: stripe %s fails end-to-end checksum after decode",
 			checkpoint.ErrCorrupt, ref.Dir())
 		sp.End(p.Now(), "err", err)

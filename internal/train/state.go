@@ -1,9 +1,10 @@
 package train
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"jitckpt/internal/cuda"
@@ -138,43 +139,94 @@ func (w *Worker) LoadModelState(p *vclock.Proc, ms *ModelState) error {
 	return nil
 }
 
-// wireState is a ModelState as stored: the tensors as a name-ordered list.
-// gob walks a map in Go's randomized iteration order, which would make a
-// checkpoint's bytes — and with them its checksums and the byte a chaos
-// bit-flip lands on — differ from run to run for the same state.
-type wireState struct {
-	Iter    int
-	Rank    int
-	Names   []string
-	Tensors []tensor.Vector
-}
+// stateMagic opens every encoded ModelState: "JMS" plus the layout version.
+const stateMagic = "JMS\x01"
 
-// Encode serializes a ModelState for a checkpoint store. The bytes are a
-// function of the state alone.
+// Encode serializes a ModelState for a checkpoint store. The layout is
+// fixed and little-endian: stateMagic, Iter and Rank as 64-bit two's
+// complement, a 32-bit tensor count, then per tensor in ascending name
+// order a 32-bit name length, the name, a 32-bit element count and each
+// element's IEEE-754 bits in 32 bits. Go's map order never reaches the
+// bytes, so they — and with them a checkpoint's checksums and the byte a
+// chaos bit-flip lands on — are a function of the state alone.
 func (ms *ModelState) Encode() ([]byte, error) {
-	ws := wireState{Iter: ms.Iter, Rank: ms.Rank, Names: ms.names()}
-	for _, n := range ws.Names {
-		ws.Tensors = append(ws.Tensors, ms.Tensors[n])
+	names := ms.names()
+	size := len(stateMagic) + 8 + 8 + 4
+	for _, n := range names {
+		if uint64(len(n)) > math.MaxUint32 || uint64(len(ms.Tensors[n])) > math.MaxUint32 {
+			return nil, fmt.Errorf("train: encode model state: tensor %.40q does not fit the 32-bit layout", n)
+		}
+		size += 4 + len(n) + 4 + 4*len(ms.Tensors[n])
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ws); err != nil {
-		return nil, fmt.Errorf("train: encode model state: %w", err)
+	le := binary.LittleEndian
+	b := make([]byte, 0, size)
+	b = append(b, stateMagic...)
+	b = le.AppendUint64(b, uint64(ms.Iter))
+	b = le.AppendUint64(b, uint64(ms.Rank))
+	b = le.AppendUint32(b, uint32(len(names)))
+	for _, n := range names {
+		v := ms.Tensors[n]
+		b = le.AppendUint32(b, uint32(len(n)))
+		b = append(b, n...)
+		b = le.AppendUint32(b, uint32(len(v)))
+		for _, x := range v {
+			b = le.AppendUint32(b, math.Float32bits(x))
+		}
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
-// DecodeModelState deserializes a ModelState written by Encode.
+// DecodeModelState deserializes a ModelState written by Encode. It accepts
+// exactly what Encode emits — names strictly ascending, no trailing bytes —
+// and bounds every count by the bytes that remain, so damaged input is an
+// error, never a panic or an allocation larger than the input warrants.
 func DecodeModelState(b []byte) (*ModelState, error) {
-	var ws wireState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&ws); err != nil {
-		return nil, fmt.Errorf("train: decode model state: %w", err)
+	le := binary.LittleEndian
+	if len(b) < len(stateMagic)+16 || string(b[:len(stateMagic)]) != stateMagic {
+		return nil, errors.New("train: decode model state: not a version-1 encoded state")
 	}
-	if len(ws.Names) != len(ws.Tensors) {
-		return nil, fmt.Errorf("train: decode model state: %d names for %d tensors", len(ws.Names), len(ws.Tensors))
+	b = b[len(stateMagic):]
+	ms := &ModelState{Iter: int(int64(le.Uint64(b))), Rank: int(int64(le.Uint64(b[8:])))}
+	b = b[16:]
+	// count consumes a 32-bit count of items that take at least size bytes
+	// each, refusing one the bytes that remain cannot hold.
+	count := func(size int) (int, error) {
+		if len(b) < 4 || uint64(le.Uint32(b)) > uint64(len(b)-4)/uint64(size) {
+			return 0, fmt.Errorf("train: decode model state: cut short, or a count too large for the %d bytes left", len(b))
+		}
+		n := int(le.Uint32(b))
+		b = b[4:]
+		return n, nil
 	}
-	ms := &ModelState{Iter: ws.Iter, Rank: ws.Rank, Tensors: make(map[string]tensor.Vector, len(ws.Names))}
-	for i, n := range ws.Names {
-		ms.Tensors[n] = ws.Tensors[i]
+	tensors, err := count(8) // a tensor is at least its two counts
+	if err != nil {
+		return nil, err
+	}
+	ms.Tensors = make(map[string]tensor.Vector, tensors)
+	prev := ""
+	for i := 0; i < tensors; i++ {
+		n, err := count(1)
+		if err != nil {
+			return nil, err
+		}
+		name := string(b[:n])
+		b = b[n:]
+		if i > 0 && name <= prev {
+			return nil, fmt.Errorf("train: decode model state: name %.40q does not sort after %.40q", name, prev)
+		}
+		prev = name
+		if n, err = count(4); err != nil {
+			return nil, err
+		}
+		v := make(tensor.Vector, n)
+		for j := range v {
+			v[j] = math.Float32frombits(le.Uint32(b))
+			b = b[4:]
+		}
+		ms.Tensors[name] = v
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("train: decode model state: %d trailing bytes", len(b))
 	}
 	return ms, nil
 }
