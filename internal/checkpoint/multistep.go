@@ -312,7 +312,7 @@ func (msw *MultiStep) enqueue(g *msGen, rank int, objs []msPayload, final bool) 
 	dir := MultiStepGenDir(msw.Job, g.target(), rank)
 	prev := msw.chain
 	env := msw.Disk.env
-	done := env.NewEvent(fmt.Sprintf("ms-write.%s.%d", dir, len(g.objects)))
+	done := env.NewEvent("ms-write")
 	msw.chain = done
 	msw.pending++
 	meta := MSMeta{BaseIter: g.base, TargetIter: g.target(), Slices: len(g.layers), Rank: rank}

@@ -55,8 +55,6 @@ type CoordinatorConfig struct {
 	Kernels     cuda.Registry
 	CUDAParams  cuda.Params
 	ProxyParams proxy.Params
-	// InitialGen is the communicator generation the job started with.
-	InitialGen int
 	// OnReport observes completed recoveries.
 	OnReport func(*RecoveryReport)
 	// AttemptTimeout bounds one recovery attempt: if any rank's recovery
@@ -65,9 +63,10 @@ type CoordinatorConfig struct {
 	// fresh communicator generation. Zero derives a default from the
 	// modelled state size.
 	AttemptTimeout vclock.Time
-	// MaxAttempts bounds recovery restarts per episode (default 3).
-	MaxAttempts int
 }
+
+// maxRecoveryAttempts bounds recovery restarts per episode.
+const maxRecoveryAttempts = 3
 
 // rankFault is a fault notification from one rank's interception layer.
 type rankFault struct {
@@ -97,7 +96,6 @@ func NewCoordinator(env *vclock.Env, cfg CoordinatorConfig, ranks []*Transparent
 		cfg:    cfg,
 		ranks:  ranks,
 		faultQ: vclock.NewQueue[rankFault](env, cfg.Job+".faults"),
-		gen:    cfg.InitialGen,
 	}
 }
 
@@ -148,10 +146,6 @@ func (c *Coordinator) recover(p *vclock.Proc, first rankFault) *RecoveryReport {
 	detected := p.Now()
 	rsp := trace.Of(c.env).Begin(detected, "core", trace.LaneSim, "recovery",
 		"rank", first.rank, "fault", first.f.Kind)
-	maxAttempts := c.cfg.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 3
-	}
 	var report *RecoveryReport
 	// lost tracks ranks whose device state became suspect during a failed
 	// attempt (buffers re-allocated, restore or replay cut short): on the
@@ -169,7 +163,7 @@ func (c *Coordinator) recover(p *vclock.Proc, first rankFault) *RecoveryReport {
 	for attempt := 1; ; attempt++ {
 		report, ok, cls = c.attemptRecovery(p, first, attempt, lost, cls)
 		report.Attempts = attempt
-		if ok || attempt >= maxAttempts || report.Terminal() {
+		if ok || attempt >= maxRecoveryAttempts || report.Terminal() {
 			if !ok {
 				c.env.Tracef("%s: recovery gave up after %d attempts (%s)", c.cfg.Job, attempt, report.Kind)
 			}
@@ -221,14 +215,9 @@ func (c *Coordinator) attemptRecovery(p *vclock.Proc, first rankFault, attempt i
 	// in-flight proxy calls abort, application threads park at the
 	// interception layer on their next call.
 	p.Sleep(50 * vclock.Millisecond)
-	faults := map[int]intercept.Fault{first.rank: first.f}
 	for {
-		rf, ok := c.faultQ.TryPop()
-		if !ok {
+		if _, ok := c.faultQ.TryPop(); !ok {
 			break
-		}
-		if _, seen := faults[rf.rank]; !seen {
-			faults[rf.rank] = rf.f
 		}
 	}
 	for _, r := range c.ranks {
@@ -236,7 +225,6 @@ func (c *Coordinator) attemptRecovery(p *vclock.Proc, first rankFault, attempt i
 		r.Client.AbortPending()
 	}
 	p.Yield() // let released threads park
-	_ = faults
 
 	// Quiesce: healthy GPUs keep executing already-enqueued work while
 	// the hosts are parked. Give them ~1.5 minibatches to either drain

@@ -367,7 +367,7 @@ func (d *Device) streamIDs() []int {
 // behaves.
 func (s *Stream) Enqueue(op *Op) *vclock.Event {
 	if op.Done == nil {
-		op.Done = s.dev.env.NewEvent("op." + op.Name)
+		op.Done = s.dev.env.NewEvent("op")
 	}
 	s.pending++
 	s.q.Push(op)
@@ -391,7 +391,7 @@ func (s *Stream) DrainEvent() *vclock.Event {
 		return s.dev.env.DoneEvent()
 	}
 	if s.drain == nil || s.drain.Triggered() {
-		s.drain = s.dev.env.NewEvent(fmt.Sprintf("%s.s%d.drain", s.dev.Name(), s.ID))
+		s.drain = s.dev.env.NewEvent("drain")
 	}
 	return s.drain
 }

@@ -129,7 +129,7 @@ func (c *Client) do(p *vclock.Proc, call cuda.Call) (cuda.Result, error) {
 	if info.Async {
 		return cuda.Result{}, nil
 	}
-	pc := &pendingCall{done: c.env.NewEvent("proxy.call." + info.Name)}
+	pc := &pendingCall{done: c.env.NewEvent("proxy.call")}
 	c.pending[req.ID] = pc
 	p.Wait(pc.done)
 	return pc.resp.Result, decodeErr(pc.resp.ErrCode, pc.resp.ErrMsg)

@@ -4,9 +4,10 @@ package vclock
 //
 //   - timerQueue, an indexed 4-ary min-heap of pending virtual-time wakeups
 //     ordered by (deadline, seq). Entries are stored by value, so pushing a
-//     timer allocates nothing beyond amortized slice growth, and each wait
-//     token records its heap index so a timer whose event won the race can
-//     be removed eagerly in O(log n) instead of lingering as a dead entry.
+//     timer allocates nothing beyond amortized slice growth, and each entry's
+//     process records the entry's heap index (a process has at most one
+//     timer) so a timer whose event won the race can be removed eagerly in
+//     O(log n) instead of lingering as a dead entry.
 //
 //   - procRing, a power-of-two ring buffer holding runnable processes in
 //     FIFO order. The previous []*Proc with head slicing re-allocated the
@@ -23,7 +24,7 @@ package vclock
 type timerEntry struct {
 	deadline Time
 	seq      uint64
-	tok      *waitToken
+	p        *Proc
 }
 
 // timerArity is the heap fan-out. A 4-ary heap halves the tree depth of a
@@ -37,9 +38,9 @@ type timerQueue struct {
 
 func (q *timerQueue) len() int { return len(q.a) }
 
-func (q *timerQueue) push(deadline Time, seq uint64, tok *waitToken) {
-	q.a = append(q.a, timerEntry{deadline: deadline, seq: seq, tok: tok})
-	tok.heapIdx = int32(len(q.a) - 1)
+func (q *timerQueue) push(deadline Time, seq uint64, p *Proc) {
+	q.a = append(q.a, timerEntry{deadline: deadline, seq: seq, p: p})
+	p.heapIdx = int32(len(q.a) - 1)
 	q.siftUp(len(q.a) - 1)
 }
 
@@ -50,11 +51,11 @@ func (q *timerQueue) min() *timerEntry { return &q.a[0] }
 // popMin removes and returns the earliest entry. Call only when len() > 0.
 func (q *timerQueue) popMin() timerEntry {
 	e := q.a[0]
-	e.tok.heapIdx = -1
+	e.p.heapIdx = -1
 	last := len(q.a) - 1
 	if last > 0 {
 		q.a[0] = q.a[last]
-		q.a[0].tok.heapIdx = 0
+		q.a[0].p.heapIdx = 0
 	}
 	q.a[last] = timerEntry{}
 	q.a = q.a[:last]
@@ -64,19 +65,18 @@ func (q *timerQueue) popMin() timerEntry {
 	return e
 }
 
-// remove deletes tok's entry, if it has one, without disturbing the
-// relative order of the remaining entries. It reports whether an entry was
-// removed.
-func (q *timerQueue) remove(tok *waitToken) bool {
-	i := int(tok.heapIdx)
+// remove deletes p's entry, if it has one, without disturbing the relative
+// order of the remaining entries. It reports whether an entry was removed.
+func (q *timerQueue) remove(p *Proc) bool {
+	i := int(p.heapIdx)
 	if i < 0 {
 		return false
 	}
-	tok.heapIdx = -1
+	p.heapIdx = -1
 	last := len(q.a) - 1
 	if i != last {
 		q.a[i] = q.a[last]
-		q.a[i].tok.heapIdx = int32(i)
+		q.a[i].p.heapIdx = int32(i)
 	}
 	q.a[last] = timerEntry{}
 	q.a = q.a[:last]
@@ -138,8 +138,8 @@ func (q *timerQueue) siftDown(i int) bool {
 
 func (q *timerQueue) swap(i, j int) {
 	q.a[i], q.a[j] = q.a[j], q.a[i]
-	q.a[i].tok.heapIdx = int32(i)
-	q.a[j].tok.heapIdx = int32(j)
+	q.a[i].p.heapIdx = int32(i)
+	q.a[j].p.heapIdx = int32(j)
 }
 
 // procRing is a FIFO ring buffer of runnable processes. Capacity is always

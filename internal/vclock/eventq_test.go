@@ -10,7 +10,7 @@ import (
 type refEntry struct {
 	deadline Time
 	seq      uint64
-	tok      *waitToken
+	p        *Proc
 }
 
 // refModel is the obviously-correct reference the fuzzer compares the heap
@@ -19,8 +19,8 @@ type refModel struct {
 	entries []refEntry
 }
 
-func (m *refModel) push(deadline Time, seq uint64, tok *waitToken) {
-	m.entries = append(m.entries, refEntry{deadline, seq, tok})
+func (m *refModel) push(deadline Time, seq uint64, p *Proc) {
+	m.entries = append(m.entries, refEntry{deadline, seq, p})
 }
 
 func (m *refModel) popMin() refEntry {
@@ -35,9 +35,9 @@ func (m *refModel) popMin() refEntry {
 	return e
 }
 
-func (m *refModel) remove(tok *waitToken) bool {
+func (m *refModel) remove(p *Proc) bool {
 	for i, e := range m.entries {
-		if e.tok == tok {
+		if e.p == p {
 			m.entries = append(m.entries[:i], m.entries[i+1:]...)
 			return true
 		}
@@ -45,11 +45,11 @@ func (m *refModel) remove(tok *waitToken) bool {
 	return false
 }
 
-// checkIndexed verifies that every live token's heapIdx points back at its
+// checkIndexed verifies that every timer owner's heapIdx points back at its
 // own entry — the invariant remove() depends on for O(log n) deletion.
 func checkIndexed(t interface{ Errorf(string, ...interface{}) }, q *timerQueue) {
 	for i := range q.a {
-		if got := int(q.a[i].tok.heapIdx); got != i {
+		if got := int(q.a[i].p.heapIdx); got != i {
 			t.Errorf("heapIdx broken: entry %d (seq %d) has heapIdx %d", i, q.a[i].seq, got)
 		}
 	}
@@ -64,7 +64,7 @@ func FuzzQueue(f *testing.F) {
 	f.Fuzz(func(t *testing.T, program []byte) {
 		var q timerQueue
 		var ref refModel
-		var live []*waitToken
+		var live []*Proc
 		var seq uint64
 		for i := 0; i+1 < len(program); i += 2 {
 			op, arg := program[i]%3, program[i+1]
@@ -74,34 +74,34 @@ func FuzzQueue(f *testing.F) {
 				// Few distinct deadlines on purpose: ties are where the
 				// (deadline, seq) order can silently break.
 				deadline := Time(arg % 8)
-				tok := &waitToken{heapIdx: -1}
-				q.push(deadline, seq, tok)
-				ref.push(deadline, seq, tok)
-				live = append(live, tok)
+				p := &Proc{heapIdx: -1}
+				q.push(deadline, seq, p)
+				ref.push(deadline, seq, p)
+				live = append(live, p)
 			case 1: // popMin
 				if q.len() == 0 {
 					continue
 				}
 				got, want := q.popMin(), ref.popMin()
-				if got.deadline != want.deadline || got.seq != want.seq || got.tok != want.tok {
+				if got.deadline != want.deadline || got.seq != want.seq || got.p != want.p {
 					t.Fatalf("popMin mismatch: got (%v, %d), want (%v, %d)",
 						got.deadline, got.seq, want.deadline, want.seq)
 				}
-				if got.tok.heapIdx != -1 {
-					t.Fatalf("popped token still has heapIdx %d", got.tok.heapIdx)
+				if got.p.heapIdx != -1 {
+					t.Fatalf("popped timer's owner still has heapIdx %d", got.p.heapIdx)
 				}
-			case 2: // remove an arbitrary live token
+			case 2: // remove an arbitrary owner's timer (popped ones have none)
 				if len(live) == 0 {
 					continue
 				}
 				j := int(arg) % len(live)
-				tok := live[j]
+				p := live[j]
 				live = append(live[:j], live[j+1:]...)
-				if got, want := q.remove(tok), ref.remove(tok); got != want {
+				if got, want := q.remove(p), ref.remove(p); got != want {
 					t.Fatalf("remove reported %v, reference says %v", got, want)
 				}
-				if tok.heapIdx != -1 {
-					t.Fatalf("removed token still has heapIdx %d", tok.heapIdx)
+				if p.heapIdx != -1 {
+					t.Fatalf("removed timer's owner still has heapIdx %d", p.heapIdx)
 				}
 			}
 			if q.len() != len(ref.entries) {
@@ -140,7 +140,7 @@ func TestStaleTimerRemovedEagerly(t *testing.T) {
 				return
 			}
 			// At most the pinger's own sleep timer may be live here; the
-			// waiter's timed-out token must have left the heap with it.
+			// waiter's timeout must have left the heap when the event won.
 			if n := env.timers.len(); n > maxTimers {
 				maxTimers = n
 			}
@@ -198,14 +198,19 @@ func benchDeadline(i int) Time { return Time((i * 2654435761) % 4096) }
 func BenchmarkTimerQueuePushPop(b *testing.B) {
 	b.Run("indexed", func(b *testing.B) {
 		var q timerQueue
-		toks := make([]waitToken, 64)
+		// A process owns at most one timer: owners come from a free list
+		// that each pop refills.
+		free := make([]*Proc, 64)
+		for i := range free {
+			free[i] = &Proc{heapIdx: -1}
+		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tok := &toks[i%len(toks)]
-			tok.heapIdx = -1
-			q.push(benchDeadline(i), uint64(i), tok)
-			if q.len() >= len(toks) {
-				q.popMin()
+			p := free[len(free)-1]
+			free = free[:len(free)-1]
+			q.push(benchDeadline(i), uint64(i), p)
+			if len(free) == 0 {
+				free = append(free, q.popMin().p)
 			}
 		}
 	})
@@ -241,9 +246,9 @@ func BenchmarkSleepCycle(b *testing.B) {
 // kernel's hottest path. A finished Env cannot be resumed (RunUntil kills
 // the remaining processes at its horizon), so the marginal cost per cycle
 // is taken as the difference between a long and a short complete run: the
-// fixed setup cost (Env, goroutine, token) cancels, and what remains is
-// the per-cycle cost — which must be zero, because a sleep cycle reuses
-// its wait token and heap slot.
+// fixed setup cost (Env, Proc, goroutine) cancels, and what remains is the
+// per-cycle cost — which must be zero, because a sleep cycle's wait record
+// is part of the Proc and its heap slot is reused.
 func TestSleepCycleAllocFree(t *testing.T) {
 	measure := func(cycles int) float64 {
 		return testing.AllocsPerRun(10, func() {

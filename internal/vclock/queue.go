@@ -13,8 +13,7 @@ type Queue[T any] struct {
 	head  int
 	name  string
 
-	waiters []*waitToken
-	whead   int
+	waiters waitList
 }
 
 // NewQueue creates an empty queue bound to env.
@@ -25,38 +24,11 @@ func NewQueue[T any](env *Env, name string) *Queue[T] {
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 
-// Push appends v and wakes any processes blocked in Pop.
+// Push appends v and wakes every process blocked in Pop, in registration
+// order; each re-checks the queue when it runs.
 func (q *Queue[T]) Push(v T) {
 	q.items = append(q.items, v)
-	q.wakeAll()
-}
-
-// wakeAll wakes every blocked consumer in registration order, exactly as
-// triggering a shared wake event would.
-func (q *Queue[T]) wakeAll() {
-	if q.whead == len(q.waiters) {
-		return
-	}
-	e := q.env
-	for q.whead < len(q.waiters) {
-		tok := q.waiters[q.whead]
-		q.waiters[q.whead] = nil
-		q.whead++
-		if tok.fired {
-			e.releaseToken(tok)
-			continue
-		}
-		tok.fired = true
-		tok.cause = wakeEvent
-		if tok.heapIdx >= 0 {
-			e.timers.remove(tok)
-			e.releaseToken(tok)
-		}
-		tok.p.token = tok
-		e.runq.push(tok.p)
-	}
-	q.waiters = q.waiters[:0]
-	q.whead = 0
+	q.waiters.wake(q.env, -1)
 }
 
 // popHead removes and returns the head item. Call only when Len() > 0.
@@ -76,12 +48,7 @@ func (q *Queue[T]) popHead() T {
 // empty.
 func (q *Queue[T]) Pop(p *Proc) T {
 	for q.Len() == 0 {
-		if p.killed {
-			panic(killedSentinel{})
-		}
-		tok := q.env.newToken(p, 1)
-		q.waiters = append(q.waiters, tok)
-		p.yield()
+		p.park(&q.waiters, 0)
 	}
 	return q.popHead()
 }
@@ -91,20 +58,9 @@ func (q *Queue[T]) Pop(p *Proc) T {
 func (q *Queue[T]) PopTimeout(p *Proc, d Time) (v T, ok bool) {
 	deadline := p.Now() + d
 	for q.Len() == 0 {
-		if p.killed {
-			panic(killedSentinel{})
-		}
+		p.unwindIfKilled()
 		remain := deadline - p.Now()
-		if remain <= 0 {
-			return v, false
-		}
-		tok := q.env.newToken(p, 2)
-		q.waiters = append(q.waiters, tok)
-		q.env.addTimer(p.Now()+remain, tok)
-		if p.yield() != wakeEvent {
-			if q.Len() > 0 {
-				break
-			}
+		if remain <= 0 || (p.park(&q.waiters, remain) == wakeTimeout && q.Len() == 0) {
 			return v, false
 		}
 	}
@@ -135,8 +91,7 @@ func (q *Queue[T]) Drain() []T {
 type Mutex struct {
 	env     *Env
 	owner   *Proc
-	waiters []*waitToken
-	whead   int
+	waiters waitList
 	name    string
 }
 
@@ -152,9 +107,7 @@ func (m *Mutex) Lock(p *Proc) {
 		panic("vclock: recursive Mutex.Lock by " + p.name)
 	}
 	for m.owner != nil {
-		tok := m.env.newToken(p, 1)
-		m.waiters = append(m.waiters, tok)
-		p.yield()
+		p.park(&m.waiters, 0)
 	}
 	m.owner = p
 }
@@ -182,24 +135,8 @@ func (m *Mutex) ForceRelease() *Proc {
 // Owner returns the current owner, or nil if the mutex is free.
 func (m *Mutex) Owner() *Proc { return m.owner }
 
+// release frees the mutex and wakes the first process still waiting for it.
 func (m *Mutex) release() {
 	m.owner = nil
-	for m.whead < len(m.waiters) {
-		tok := m.waiters[m.whead]
-		m.waiters[m.whead] = nil
-		m.whead++
-		if m.whead == len(m.waiters) {
-			m.waiters = m.waiters[:0]
-			m.whead = 0
-		}
-		if tok.fired {
-			m.env.releaseToken(tok)
-			continue
-		}
-		tok.fired = true
-		tok.cause = wakeEvent
-		tok.p.token = tok
-		m.env.runq.push(tok.p)
-		break
-	}
+	m.waiters.wake(m.env, 1)
 }

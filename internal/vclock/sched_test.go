@@ -1,0 +1,638 @@
+package vclock
+
+import (
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/order.golden")
+
+// procLog is a ProcRecorder writing process start/end into the same log the
+// program's steps go to, so the position of every retirement is pinned too.
+type procLog struct{ sb *strings.Builder }
+
+func (l procLog) ProcStart(t Time, id int, name string) {
+	fmt.Fprintf(l.sb, "%d start %s#%d\n", t, name, id)
+}
+func (l procLog) ProcEnd(t Time, id int, name string) {
+	fmt.Fprintf(l.sb, "%d end %s#%d\n", t, name, id)
+}
+
+func logStats(sb *strings.Builder, env *Env) {
+	s := env.Stats()
+	fmt.Fprintf(sb, "now=%d dispatches=%d timer_fires=%d triggers=%d spawns=%d timers_left=%d\n",
+		env.Now(), s.Dispatches, s.TimerFires, s.Triggers, s.Spawns, env.timers.len())
+}
+
+// orderProgram is a seeded random program over every kernel primitive. Its
+// draws come from its own source, in execution order, so the log is a
+// function of the kernel's scheduling order and nothing else.
+type orderProgram struct {
+	env    *Env
+	rng    *rand.Rand
+	sb     *strings.Builder
+	evs    []*Event
+	q      *Queue[int]
+	m      *Mutex
+	procs  []*Proc
+	pushed int
+}
+
+// orderMaxProcs caps the processes one program spawns.
+const orderMaxProcs = 24
+
+func (o *orderProgram) spawn(name string, steps int) {
+	var self *Proc
+	self = o.env.Go(name, func(p *Proc) {
+		defer func() { fmt.Fprintf(o.sb, "%d %s unwinds\n", p.Now(), name) }()
+		for s := 0; s < steps; s++ {
+			o.step(p, s)
+		}
+	})
+	o.procs = append(o.procs, self)
+}
+
+func (o *orderProgram) step(p *Proc, s int) {
+	r := o.rng
+	say := func(format string, args ...interface{}) {
+		fmt.Fprintf(o.sb, "%d %s %d ", p.Now(), p.Name(), s)
+		fmt.Fprintf(o.sb, format, args...)
+		o.sb.WriteByte('\n')
+	}
+	dur := func() Time { return Time(r.Intn(6)-1) * Microsecond }
+	switch op := r.Intn(24); op {
+	case 0, 1, 2:
+		d := dur()
+		say("sleep %d", d)
+		p.Sleep(d)
+		say("slept")
+	case 3:
+		say("yield")
+		p.Yield()
+		say("yielded")
+	case 4:
+		i := r.Intn(len(o.evs))
+		say("wait e%d", i)
+		p.Wait(o.evs[i])
+		say("waited")
+	case 5, 6, 7:
+		i, d := r.Intn(len(o.evs)), dur()
+		say("waittimeout e%d %d", i, d)
+		say("-> %v", p.WaitTimeout(o.evs[i], d))
+	case 8, 9:
+		i := r.Intn(len(o.evs))
+		rearm := r.Intn(2) == 0
+		say("trigger e%d rearm=%v", i, rearm)
+		o.evs[i].Trigger()
+		if rearm {
+			o.evs[i] = o.env.NewEvent("e")
+		}
+	case 10:
+		victim := o.procs[r.Intn(len(o.procs))]
+		say("kill %s", victim.Name())
+		victim.Kill()
+		if victim == p {
+			// A process that killed itself unwinds at its next blocking
+			// call; make that call here so it never reaches Mutex.Lock,
+			// whose behaviour for a killed caller is a separate test.
+			p.Yield()
+		}
+	case 11:
+		if len(o.procs) < orderMaxProcs {
+			name := fmt.Sprintf("c%d", len(o.procs))
+			say("go %s", name)
+			o.spawn(name, 4+r.Intn(8))
+		}
+	case 12, 13:
+		o.pushed++
+		say("push %d", o.pushed)
+		o.q.Push(o.pushed)
+	case 14:
+		say("pop")
+		say("-> %d", o.q.Pop(p))
+	case 15, 16:
+		d := dur()
+		say("poptimeout %d", d)
+		v, ok := o.q.PopTimeout(p, d)
+		say("-> %d %v", v, ok)
+	case 17:
+		v, ok := o.q.TryPop()
+		say("trypop -> %d %v", v, ok)
+	case 18:
+		if o.m.Owner() == p {
+			say("unlock")
+			o.m.Unlock(p)
+		} else {
+			say("lock")
+			o.m.Lock(p)
+			say("locked")
+		}
+	case 19:
+		say("lock")
+		if o.m.Owner() != p {
+			o.m.Lock(p)
+		}
+		d := dur()
+		say("locked, sleep %d", d)
+		p.Sleep(d)
+		if o.m.Owner() == p { // unless a ForceRelease took it meanwhile
+			say("unlock")
+			o.m.Unlock(p)
+		}
+	case 20:
+		prev := o.m.ForceRelease()
+		name := "nobody"
+		if prev != nil {
+			name = prev.Name()
+		}
+		say("forcerelease from %s", name)
+	default:
+		i, d := r.Intn(len(o.evs)), dur()+Microsecond
+		say("sleep %d, trigger e%d", d, i)
+		p.Sleep(d)
+		o.evs[i].Trigger()
+		o.evs[i] = o.env.NewEvent("e")
+	}
+}
+
+// runOrderProgram runs the program under seed to its horizon, then runs the
+// same Env again to completion: the second run starts from whatever the
+// first run's shutdown left behind (dead processes' timers included).
+func runOrderProgram(sb *strings.Builder, seed int64, horizon Time) error {
+	fmt.Fprintf(sb, "# seed %d horizon %d\n", seed, horizon)
+	env := NewEnv(seed)
+	env.SetRecorder(procLog{sb})
+	o := &orderProgram{env: env, rng: rand.New(rand.NewSource(seed)), sb: sb}
+	for i := 0; i < 5; i++ {
+		o.evs = append(o.evs, env.NewEvent("e"))
+	}
+	o.q = NewQueue[int](env, "q")
+	o.m = NewMutex(env, "m")
+	for i := 0; i < 8; i++ {
+		o.spawn(fmt.Sprintf("p%d", i), 20+o.rng.Intn(10))
+	}
+	// The janitor keeps the program alive: without it most processes end up
+	// parked on an event, an empty queue or a dead owner's mutex.
+	env.Go("janitor", func(p *Proc) {
+		for i := 0; i < 12; i++ {
+			p.Sleep(3 * Microsecond)
+			fmt.Fprintf(sb, "%d janitor %d\n", p.Now(), i)
+			o.m.ForceRelease()
+			o.pushed++
+			o.q.Push(o.pushed)
+			for j, ev := range o.evs {
+				ev.Trigger()
+				o.evs[j] = env.NewEvent("e")
+			}
+		}
+	})
+	if err := env.RunUntil(horizon); err != nil {
+		return err
+	}
+	logStats(sb, env)
+	fmt.Fprintf(sb, "# seed %d second run\n", seed)
+	o.spawn("late", 12)
+	if err := env.Run(); err != nil {
+		return err
+	}
+	logStats(sb, env)
+	return nil
+}
+
+// TestSchedulingOrderGolden compares the (time, process, step) log and the
+// final counters of the random program with testdata/order.golden, which
+// was generated by the kernel this one replaced: the scheduling order — run
+// queue FIFO, timers by (deadline, seq) — and every counter are unchanged.
+func TestSchedulingOrderGolden(t *testing.T) {
+	var sb strings.Builder
+	for _, c := range []struct {
+		seed    int64
+		horizon Time
+	}{{1, -1}, {2, 10 * Microsecond}, {3, 20 * Microsecond}} {
+		if err := runOrderProgram(&sb, c.seed, c.horizon); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join("testdata", "order.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sb.String()
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("scheduling order diverges at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("scheduling log has %d lines, golden %d", len(gl), len(wl))
+}
+
+// raceRig is one kill-race scenario's Env and its log of who did what when.
+type raceRig struct {
+	env *Env
+	log []string
+}
+
+func (r *raceRig) note(format string, args ...interface{}) {
+	r.log = append(r.log, fmt.Sprintf("%v ", r.env.Now())+fmt.Sprintf(format, args...))
+}
+
+func (r *raceRig) ProcStart(Time, int, string)        {}
+func (r *raceRig) ProcEnd(_ Time, _ int, name string) { r.note("%s ends", name) }
+
+// victim runs body, noting whether it got past it and when it unwound.
+func (r *raceRig) victim(name string, body func(p *Proc)) *Proc {
+	return r.env.Go(name, func(p *Proc) {
+		defer r.note("%s unwinds", name)
+		body(p)
+		r.note("%s resumed", name)
+	})
+}
+
+// bystander marks a position in the run queue.
+func (r *raceRig) bystander(d Time) {
+	r.env.Go("b", func(p *Proc) {
+		if d > 0 {
+			p.Sleep(d)
+		}
+		r.note("b runs")
+	})
+}
+
+// TestKillRaces pins the order and the counters of every way a kill can
+// race a wakeup. The expectations were recorded from the kernel this one
+// replaced; "timers=" is the heap size where the scenario reads it.
+func TestKillRaces(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(r *raceRig)
+		want  string
+	}{
+		{"WaitTimeout killed, event triggered in the same step", func(r *raceRig) {
+			ev := r.env.NewEvent("ev")
+			v := r.victim("v", func(p *Proc) { p.WaitTimeout(ev, 10*Second) })
+			r.env.Go("killer", func(p *Proc) {
+				p.Sleep(Second)
+				v.Kill()
+				ev.Trigger()
+				r.note("timers=%d", r.env.timers.len())
+			})
+			r.bystander(Second)
+		}, "1.000s timers=1; 1.000s killer ends; 1.000s v unwinds; 1.000s v ends; 1.000s b runs; 1.000s b ends; end 1.000s {Dispatches:6 TimerFires:2 Triggers:1 Spawns:3} timers=0"},
+		{"WaitTimeout killed, event triggered after the victim unwound", func(r *raceRig) {
+			ev := r.env.NewEvent("ev")
+			v := r.victim("v", func(p *Proc) { p.WaitTimeout(ev, 10*Second) })
+			r.env.Go("killer", func(p *Proc) {
+				p.Sleep(Second)
+				v.Kill()
+				p.Sleep(Second)
+				r.note("timers=%d", r.env.timers.len())
+				ev.Trigger()
+				r.note("timers=%d", r.env.timers.len())
+			})
+		}, "1.000s v unwinds; 1.000s v ends; 2.000s timers=1; 2.000s timers=0; 2.000s killer ends; end 2.000s {Dispatches:5 TimerFires:2 Triggers:1 Spawns:2} timers=0"},
+		{"WaitTimeout killed, event never triggered", func(r *raceRig) {
+			ev := r.env.NewEvent("ev")
+			v := r.victim("v", func(p *Proc) { p.WaitTimeout(ev, 10*Second) })
+			r.env.Go("killer", func(p *Proc) {
+				p.Sleep(Second)
+				v.Kill()
+			})
+		}, "1.000s killer ends; 1.000s v unwinds; 1.000s v ends; end 10.000s {Dispatches:4 TimerFires:2 Triggers:0 Spawns:2} timers=0"},
+		{"queued by Yield", func(r *raceRig) {
+			v := r.victim("v", func(p *Proc) { p.Yield() })
+			r.env.Go("killer", func(p *Proc) {
+				v.Kill() // v sits behind b in the run queue
+				v.Kill()
+			})
+			r.bystander(0)
+		}, "0.000s killer ends; 0.000s b runs; 0.000s b ends; 0.000s v unwinds; 0.000s v ends; end 0.000s {Dispatches:4 TimerFires:0 Triggers:0 Spawns:3} timers=0"},
+		{"woken by an event, not yet run", func(r *raceRig) {
+			ev := r.env.NewEvent("ev")
+			v := r.victim("v", func(p *Proc) { p.Wait(ev) })
+			r.env.Go("killer", func(p *Proc) {
+				p.Sleep(Second)
+				ev.Trigger()
+				v.Kill()
+				v.Kill()
+			})
+			r.bystander(Second)
+		}, "1.000s killer ends; 1.000s v unwinds; 1.000s v ends; 1.000s b runs; 1.000s b ends; end 1.000s {Dispatches:6 TimerFires:2 Triggers:1 Spawns:3} timers=0"},
+		{"woken by a queue push, not yet run", func(r *raceRig) {
+			q := NewQueue[int](r.env, "q")
+			v := r.victim("v", func(p *Proc) { q.PopTimeout(p, 10*Second) })
+			r.env.Go("killer", func(p *Proc) {
+				p.Sleep(Second)
+				q.Push(1)
+				v.Kill()
+				r.note("timers=%d", r.env.timers.len())
+			})
+			r.bystander(Second)
+		}, "1.000s timers=1; 1.000s killer ends; 1.000s v unwinds; 1.000s v ends; 1.000s b runs; 1.000s b ends; end 1.000s {Dispatches:6 TimerFires:2 Triggers:0 Spawns:3} timers=0"},
+		{"woken by a mutex release, not yet run", func(r *raceRig) {
+			m := NewMutex(r.env, "m")
+			var v *Proc
+			r.env.Go("killer", func(p *Proc) {
+				m.Lock(p)
+				p.Sleep(Second)
+				m.Unlock(p)
+				v.Kill()
+			})
+			v = r.victim("v", func(p *Proc) { m.Lock(p) })
+			r.victim("next", func(p *Proc) { m.Lock(p) }) // the wakeup v took is lost
+			r.bystander(Second)
+		}, "1.000s killer ends; 1.000s v unwinds; 1.000s v ends; 1.000s b runs; 1.000s b ends; 1.000s next unwinds; 1.000s next ends; end 1.000s {Dispatches:8 TimerFires:2 Triggers:0 Spawns:4} timers=0"},
+		{"sleeper killed at the instant its own timer is due", func(r *raceRig) {
+			var v *Proc
+			r.env.Go("killer", func(p *Proc) {
+				p.Sleep(Second)
+				v.Kill()
+			})
+			v = r.victim("v", func(p *Proc) { p.Sleep(Second) })
+			r.bystander(Second)
+		}, "1.000s killer ends; 1.000s v unwinds; 1.000s v ends; 1.000s b runs; 1.000s b ends; end 1.000s {Dispatches:6 TimerFires:3 Triggers:0 Spawns:3} timers=0"},
+		{"never started", func(r *raceRig) {
+			r.env.Go("killer", func(p *Proc) {
+				v := r.victim("v", func(p *Proc) {})
+				r.bystander(0)
+				v.Kill()
+			})
+		}, "0.000s killer ends; 0.000s v ends; 0.000s b runs; 0.000s b ends; end 0.000s {Dispatches:3 TimerFires:0 Triggers:0 Spawns:3} timers=0"},
+		{"sleeper, its timer comes due later", func(r *raceRig) {
+			v := r.victim("v", func(p *Proc) { p.Sleep(10 * Second) })
+			r.env.Go("killer", func(p *Proc) {
+				p.Sleep(Second)
+				v.Kill()
+				p.Sleep(Second)
+				r.note("timers=%d", r.env.timers.len())
+			})
+		}, "1.000s v unwinds; 1.000s v ends; 2.000s timers=1; 2.000s killer ends; end 10.000s {Dispatches:5 TimerFires:3 Triggers:0 Spawns:2} timers=0"},
+		{"sleeper, horizon before its dead timer", func(r *raceRig) {
+			v := r.victim("v", func(p *Proc) { p.Sleep(100 * Second) })
+			r.env.Go("killer", func(p *Proc) {
+				p.Sleep(Second)
+				v.Kill()
+			})
+		}, "1.000s killer ends; 1.000s v unwinds; 1.000s v ends; end 1.000s {Dispatches:4 TimerFires:1 Triggers:0 Spawns:2} timers=1"},
+	}
+	for _, c := range cases {
+		r := &raceRig{env: NewEnv(1)}
+		r.env.SetRecorder(r)
+		c.build(r)
+		if err := r.env.RunUntil(50 * Second); err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%s; end %v %+v timers=%d", strings.Join(r.log, "; "), r.env.Now(), r.env.Stats(), r.env.timers.len())
+		if got != c.want {
+			t.Errorf("%s:\n got: %s\nwant: %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestSecondRunAfterShutdownKilledSleepers: a first run ends at its horizon
+// and shutdown kills processes that are asleep; their timers stay in the
+// heap. A second run on the same Env must pass over them — each advances
+// the clock and counts a timer fire, none wakes anything — and finish.
+func TestSecondRunAfterShutdownKilledSleepers(t *testing.T) {
+	env := NewEnv(1)
+	ev := env.NewEvent("never")
+	for i := 0; i < 3; i++ {
+		d := Time(10*(i+1)) * Second
+		env.Go(fmt.Sprintf("sleeper%d", i), func(p *Proc) { p.Sleep(d) })
+	}
+	env.Go("timed-waiter", func(p *Proc) { p.WaitTimeout(ev, 15*Second) })
+	env.Go("hung", func(p *Proc) { p.Wait(ev) })
+	if err := env.RunUntil(5 * Second); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := env.Stats(), (Stats{Dispatches: 10, Spawns: 5}); got != want {
+		t.Fatalf("first run: %+v, want %+v", got, want)
+	}
+	if env.Now() != 0 || env.timers.len() != 4 {
+		t.Fatalf("first run: now=%v timers=%d, want 0s and 4", env.Now(), env.timers.len())
+	}
+	var woke Time
+	env.Go("second", func(p *Proc) {
+		p.Sleep(12 * Second)
+		woke = p.Now()
+	})
+	done := make(chan error, 1)
+	go func() { done <- env.RunUntil(Minute) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("second RunUntil hung on the dead processes' timers")
+	}
+	if woke != 12*Second {
+		t.Errorf("second run's sleeper woke at %v, want 12s", woke)
+	}
+	if got, want := env.Stats(), (Stats{Dispatches: 12, TimerFires: 5, Spawns: 6}); got != want {
+		t.Errorf("second run: %+v, want %+v", got, want)
+	}
+	if env.Now() != 30*Second || env.timers.len() != 0 {
+		t.Errorf("second run: now=%v timers=%d, want 30s and 0", env.Now(), env.timers.len())
+	}
+}
+
+// waitGoroutines polls until the goroutine count is back at base: the last
+// process of a run signals the runner just before its goroutine returns.
+func waitGoroutines(t *testing.T, base int, what string) {
+	t.Helper()
+	var n int
+	for i := 0; i < 2000; i++ {
+		if n = runtime.NumGoroutine(); n <= base {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Errorf("%s: %d goroutines, %d before the run", what, n, base)
+}
+
+// TestEnvOwnsNoGoroutinesAfterRun: whichever way a run ends, every
+// goroutine the Env started is gone when Run returns.
+func TestEnvOwnsNoGoroutinesAfterRun(t *testing.T) {
+	populate := func(env *Env) {
+		ev := env.NewEvent("never")
+		q := NewQueue[int](env, "q")
+		m := NewMutex(env, "m")
+		env.Go("holder", func(p *Proc) { m.Lock(p); p.Wait(ev) })
+		env.Go("locker", func(p *Proc) { m.Lock(p) })
+		env.Go("popper", func(p *Proc) { q.Pop(p) })
+		env.Go("ticker", func(p *Proc) {
+			for i := 0; i < 100; i++ {
+				p.Sleep(Second)
+			}
+		})
+		env.Go("yielder", func(p *Proc) {
+			for i := 0; i < 100; i++ {
+				p.Yield()
+			}
+		})
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"drain", func(t *testing.T) {
+			env := NewEnv(1)
+			populate(env)
+			if err := env.Run(); err != nil {
+				t.Error(err)
+			}
+		}},
+		{"horizon", func(t *testing.T) {
+			env := NewEnv(1)
+			populate(env)
+			if err := env.RunUntil(10 * Second); err != nil {
+				t.Error(err)
+			}
+		}},
+		{"panic", func(t *testing.T) {
+			env := NewEnv(1)
+			populate(env)
+			env.Go("bad", func(p *Proc) { p.Sleep(3 * Second); panic("boom") })
+			if err := env.Run(); err == nil {
+				t.Error("panic not surfaced")
+			}
+		}},
+		{"killed before start", func(t *testing.T) {
+			env := NewEnv(1)
+			populate(env)
+			ran := false
+			for i := 0; i < 10; i++ {
+				env.Go("stillborn", func(p *Proc) { ran = true }).Kill()
+			}
+			env.Go("spawner", func(p *Proc) {
+				p.Sleep(Second)
+				env.Go("stillborn", func(p *Proc) { ran = true }).Kill()
+			})
+			if err := env.Run(); err != nil {
+				t.Error(err)
+			}
+			if ran {
+				t.Error("a process killed before it started ran its body")
+			}
+		}},
+	}
+	for _, c := range cases {
+		base := runtime.NumGoroutine()
+		c.run(t)
+		waitGoroutines(t, base, c.name)
+	}
+}
+
+// TestKilledProcessDoesNotParkOnMutex: a process whose kill flag is set
+// unwinds at Lock like at every other blocking primitive instead of sitting
+// in the waiter list until someone releases the mutex.
+func TestKilledProcessDoesNotParkOnMutex(t *testing.T) {
+	env := NewEnv(1)
+	m := NewMutex(env, "m")
+	var unwoundAt Time = -1
+	env.Go("holder", func(p *Proc) {
+		m.Lock(p)
+		p.Sleep(10 * Second)
+		m.Unlock(p)
+	})
+	env.Go("doomed", func(p *Proc) {
+		defer func() { unwoundAt = p.Now() }()
+		p.Sleep(Second)
+		p.Kill()
+		m.Lock(p)
+		t.Error("killed process acquired the mutex")
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if unwoundAt != Second {
+		t.Errorf("killed process unwound at %v, want 1s (the Lock call)", unwoundAt)
+	}
+}
+
+// TestDispatchCounterContract pins what counts as a dispatch.
+func TestDispatchCounterContract(t *testing.T) {
+	t.Run("a resume without a switch counts", func(t *testing.T) {
+		env := NewEnv(1)
+		env.Go("lone", func(p *Proc) {
+			for i := 0; i < 5; i++ {
+				p.Sleep(Second)
+			}
+			for i := 0; i < 3; i++ {
+				p.Yield()
+			}
+		})
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := env.Stats(), (Stats{Dispatches: 9, TimerFires: 5, Spawns: 1}); got != want {
+			t.Errorf("%+v, want %+v", got, want)
+		}
+	})
+	t.Run("each shutdown kill counts, started or not", func(t *testing.T) {
+		env := NewEnv(1)
+		ev := env.NewEvent("never")
+		for i := 0; i < 4; i++ {
+			env.Go("hung", func(p *Proc) { p.Wait(ev) })
+		}
+		env.Go("spawner", func(p *Proc) {
+			p.Sleep(2 * Second)
+			env.Go("late", func(p *Proc) {}) // queued behind the horizon's shutdown
+			panic("stop here")
+		})
+		if err := env.Run(); err == nil {
+			t.Fatal("panic not surfaced")
+		}
+		// 5 first runs, the spawner's wakeup, then 4 hung + 1 never-started.
+		if got, want := env.Stats(), (Stats{Dispatches: 11, TimerFires: 1, Spawns: 6}); got != want {
+			t.Errorf("%+v, want %+v", got, want)
+		}
+	})
+	t.Run("shutdown takes control back after each kill", func(t *testing.T) {
+		env := NewEnv(1)
+		evA, evB := env.NewEvent("a"), env.NewEvent("b")
+		var log []string
+		env.Go("a", func(p *Proc) {
+			defer func() {
+				log = append(log, "a unwinds")
+				evB.Trigger() // makes b runnable while shutdown is under way
+				env.Go("orphan", func(p *Proc) { log = append(log, "orphan ran") })
+			}()
+			p.Wait(evA)
+		})
+		env.Go("b", func(p *Proc) {
+			defer func() { log = append(log, "b unwinds") }()
+			p.Wait(evB)
+			log = append(log, "b ran past its wait")
+		})
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := strings.Join(log, "; "), "a unwinds; b unwinds"; got != want {
+			t.Errorf("log %q, want %q", got, want)
+		}
+		if got, want := env.Stats(), (Stats{Dispatches: 4, Triggers: 1, Spawns: 3}); got != want {
+			t.Errorf("%+v, want %+v", got, want)
+		}
+	})
+}

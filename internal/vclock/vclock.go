@@ -20,11 +20,14 @@
 // Trigger may be called from any process (or from scheduler callbacks), but
 // never from outside the simulation.
 //
-// The scheduler's hot path is allocation-free in steady state: timers live
-// in a value-typed indexed heap (eventq.go), the run queue is a ring
-// buffer, and wait tokens are recycled through a free list once every
-// reference to them (timer heap, event waiter lists, the woken process)
-// has been dropped.
+// There is no scheduler goroutine. Whichever process blocks or exits runs the
+// scheduling function itself (Env.schedule: the head of the run queue, else
+// the earliest timer, else the run is over) and resumes its successor with
+// one channel send — none when it is its own successor; Run only starts the
+// first process and waits for the last. The hot path allocates nothing:
+// timers live in a value-typed indexed heap (eventq.go), the run queue is a
+// ring buffer, and a blocked process's wait record is three fields of its
+// Proc (DESIGN.md, "Virtual-time kernel").
 package vclock
 
 import (
@@ -62,20 +65,19 @@ func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Sec()) }
 type procState int
 
 const (
-	stateNew procState = iota
-	stateRunnable
-	stateBlocked
+	stateNew     procState = iota // in the run queue, goroutine not started
+	stateQueued                   // in the run queue: woken, yielded or killed
+	stateRunning                  // the one process executing
+	stateBlocked                  // parked on a wait list, a timer, or both
 	stateDead
 )
 
-// wakeCause reports why a blocked process was woken.
+// wakeCause reports why a parked process was woken.
 type wakeCause int
 
 const (
-	wakeRun wakeCause = iota // scheduled to run (new or yielded)
-	wakeEvent
+	wakeEvent wakeCause = iota
 	wakeTimeout
-	wakeKilled
 )
 
 // killedSentinel is panicked inside a killed process to unwind its stack.
@@ -90,25 +92,48 @@ type Proc struct {
 	state  procState
 	killed bool
 
-	resume chan wakeCause
+	resume chan struct{} // made when the goroutine starts
 	body   func(*Proc)
 
-	// token is the wait token for the current block, if any. It lets an
-	// event trigger and a timeout race without double-waking the process.
-	token *waitToken
+	// The wait record. A process blocks in one place at a time, so one
+	// record per process is enough: block numbers the current wait, and a
+	// waitList entry or timer made for an earlier number is stale. Whichever
+	// of a wait list and the timer fires first moves the number on (wake);
+	// a kill does not, it only queues the process, so the record of a
+	// killed process stays armed after it has unwound.
+	block   uint64
+	cause   wakeCause
+	heapIdx int32 // index in the timer heap, -1 when absent
 }
 
-// waitToken resolves the race between an event trigger and a timer for the
-// same blocked process: whichever fires first claims the token. Tokens are
-// pooled: refs counts live references (timer-heap entry, waiter-list
-// entries, and the woken process's token slot), and a token returns to the
-// environment's free list when the count hits zero.
-type waitToken struct {
-	p       *Proc
-	fired   bool
-	cause   wakeCause
-	refs    int32
-	heapIdx int32 // index in the timer heap, -1 when absent
+// waiter is one entry of a waitList: p, parked under block number block.
+type waiter struct {
+	p     *Proc
+	block uint64
+}
+
+// waitList holds the processes parked on one Event, Queue or Mutex, in
+// registration order.
+type waitList struct {
+	w    []waiter
+	head int
+}
+
+// wake wakes the first n processes still parked on the list (all of them
+// when n < 0), dropping the stale entries it passes.
+func (l *waitList) wake(e *Env, n int) {
+	for l.head < len(l.w) && n != 0 {
+		w := l.w[l.head]
+		l.w[l.head] = waiter{}
+		l.head++
+		if w.block == w.p.block {
+			e.wake(w.p, wakeEvent)
+			n--
+		}
+	}
+	if l.head == len(l.w) {
+		l.w, l.head = l.w[:0], 0
+	}
 }
 
 // Event is a one-shot condition processes can wait on. Once triggered it
@@ -116,7 +141,7 @@ type waitToken struct {
 type Event struct {
 	env       *Env
 	triggered bool
-	waiters   []*waitToken
+	waiters   waitList
 	name      string
 }
 
@@ -157,15 +182,19 @@ type Env struct {
 	procs   map[int]*Proc
 	nextID  int
 	rng     *rand.Rand
-	yieldCh chan struct{}
 	failure error
 	running bool
 	tracer  func(t Time, format string, args ...interface{})
 	rec     interface{}
 
-	tokFree []*waitToken
-	doneEv  *Event
-	stats   Stats
+	// idle hands control back to RunUntil: from the process that found the
+	// run over, and from each process shutdown kills.
+	idle     chan struct{}
+	limit    Time // the current run's horizon, < 0 for none
+	stopping bool // shutdown is under way: schedule nothing
+
+	doneEv *Event
+	stats  Stats
 }
 
 // ProcRecorder is implemented by recorders that want process-lifecycle
@@ -179,9 +208,9 @@ type ProcRecorder interface {
 // NewEnv creates an environment whose random source is seeded with seed.
 func NewEnv(seed int64) *Env {
 	return &Env{
-		procs:   make(map[int]*Proc),
-		rng:     rand.New(rand.NewSource(seed)),
-		yieldCh: make(chan struct{}),
+		procs: make(map[int]*Proc),
+		rng:   rand.New(rand.NewSource(seed)),
+		idle:  make(chan struct{}),
 	}
 }
 
@@ -217,40 +246,11 @@ func (e *Env) SetRecorder(r interface{}) { e.rec = r }
 // Recorder returns the attached recorder slot (nil when tracing is off).
 func (e *Env) Recorder() interface{} { return e.rec }
 
-// newToken takes a token from the free list (or allocates one) with the
-// given initial reference count.
-func (e *Env) newToken(p *Proc, refs int32) *waitToken {
-	if n := len(e.tokFree) - 1; n >= 0 {
-		tok := e.tokFree[n]
-		e.tokFree[n] = nil
-		e.tokFree = e.tokFree[:n]
-		tok.p, tok.fired, tok.cause, tok.refs, tok.heapIdx = p, false, 0, refs, -1
-		return tok
-	}
-	return &waitToken{p: p, refs: refs, heapIdx: -1}
-}
-
-// releaseToken drops one reference; the token is recycled when none remain.
-func (e *Env) releaseToken(tok *waitToken) {
-	tok.refs--
-	if tok.refs == 0 {
-		tok.p = nil
-		e.tokFree = append(e.tokFree, tok)
-	}
-}
-
 // Go spawns a new simulation process. It may be called before Run or from
 // inside a running process; the new process is appended to the run queue and
 // will execute at the current virtual time.
 func (e *Env) Go(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		env:    e,
-		id:     e.nextID,
-		name:   name,
-		state:  stateNew,
-		resume: make(chan wakeCause),
-		body:   body,
-	}
+	p := &Proc{env: e, id: e.nextID, name: name, body: body, heapIdx: -1}
 	e.nextID++
 	e.procs[p.id] = p
 	e.runq.push(p)
@@ -277,47 +277,89 @@ func (e *Env) DoneEvent() *Event {
 	return e.doneEv
 }
 
-// start launches the goroutine backing p. Called the first time p is
-// scheduled.
-func (e *Env) start(p *Proc) {
-	go func() {
-		cause := <-p.resume
-		if cause == wakeKilled {
-			p.state = stateDead
-			delete(e.procs, p.id)
-			if pr, ok := e.rec.(ProcRecorder); ok {
-				pr.ProcEnd(e.now, p.id, p.name)
+// run is the goroutine behind a process: the body, then retirement, then
+// one last scheduling decision on behalf of whoever runs next.
+func (p *Proc) run() {
+	e := p.env
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(killedSentinel); !ok && e.failure == nil {
+				e.failure = fmt.Errorf("vclock: process %q panicked: %v\n%s", p.name, r, debug.Stack())
 			}
-			e.yieldCh <- struct{}{}
-			return
 		}
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killedSentinel); !ok && e.failure == nil {
-					e.failure = fmt.Errorf("vclock: process %q panicked: %v\n%s", p.name, r, debug.Stack())
-				}
-			}
-			p.state = stateDead
-			delete(e.procs, p.id)
-			if pr, ok := e.rec.(ProcRecorder); ok {
-				pr.ProcEnd(e.now, p.id, p.name)
-			}
-			e.yieldCh <- struct{}{}
-		}()
-		p.body(p)
+		e.retire(p)
+		e.resume(e.schedule())
 	}()
+	p.body(p)
 }
 
-// dispatch runs p until it blocks or exits, then returns control.
-func (e *Env) dispatch(p *Proc, cause wakeCause) {
-	if p.state == stateNew {
-		p.state = stateRunnable
-		e.start(p)
+// retire marks p dead, whether its body returned, unwound, or never ran.
+func (e *Env) retire(p *Proc) {
+	p.state = stateDead
+	delete(e.procs, p.id)
+	if pr, ok := e.rec.(ProcRecorder); ok {
+		pr.ProcEnd(e.now, p.id, p.name)
 	}
-	p.state = stateRunnable
-	e.stats.Dispatches++
-	p.resume <- cause
-	<-e.yieldCh
+}
+
+// schedule is the one scheduling function. It returns the process to run
+// next — the head of the run queue, else the owner of the earliest timer
+// once the clock has advanced to it — or nil when the run is over: nothing
+// left, the next timer past the horizon, a process panicked, or shutdown is
+// killing what remains. The caller is whoever holds control: the process
+// that just parked or retired, or RunUntil.
+func (e *Env) schedule() *Proc {
+	for e.failure == nil && !e.stopping {
+		if e.runq.len() > 0 {
+			p := e.runq.pop()
+			e.stats.Dispatches++
+			if p.state == stateNew && p.killed {
+				e.retire(p) // killed before it ever ran: no goroutine to unwind
+				continue
+			}
+			return p
+		}
+		if e.timers.len() == 0 || (e.limit >= 0 && e.timers.min().deadline > e.limit) {
+			return nil
+		}
+		ent := e.timers.popMin()
+		e.now = ent.deadline
+		e.stats.TimerFires++
+		// The owner may be dead (killed while it slept): the clock still
+		// advances and the fire still counts, nothing is queued.
+		e.wake(ent.p, wakeTimeout)
+	}
+	return nil
+}
+
+// resume hands control to p, or to RunUntil when p is nil. The caller must
+// not touch kernel state afterwards until it is resumed itself.
+func (e *Env) resume(p *Proc) {
+	switch {
+	case p == nil:
+		e.idle <- struct{}{}
+	case p.state == stateNew:
+		p.state = stateRunning
+		p.resume = make(chan struct{})
+		go p.run()
+	default:
+		p.resume <- struct{}{}
+	}
+}
+
+// wake ends p's current wait: the wait record moves on, so the other half of
+// an event-or-timeout pair goes stale, a still-pending timeout leaves the
+// heap, and p joins the run queue if it is parked. A process that was killed
+// out of this wait is queued or dead already; for it only the record is
+// consumed.
+func (e *Env) wake(p *Proc, cause wakeCause) {
+	p.block++
+	e.timers.remove(p)
+	if p.state == stateBlocked {
+		p.cause = cause
+		p.state = stateQueued
+		e.runq.push(p)
+	}
 }
 
 // Run executes the simulation until no process is runnable and no timers are
@@ -336,66 +378,21 @@ func (e *Env) RunUntil(limit Time) error {
 	e.running = true
 	defer func() { e.running = false }()
 
-	for e.failure == nil {
-		if e.runq.len() > 0 {
-			p := e.runq.pop()
-			if p.state == stateDead {
-				// Stale wakeup of a process that already unwound.
-				if p.token != nil {
-					e.releaseToken(p.token)
-					p.token = nil
-				}
-				continue
-			}
-			cause := wakeRun
-			if p.token != nil {
-				cause = p.token.cause
-				e.releaseToken(p.token)
-				p.token = nil
-			}
-			if p.killed {
-				cause = wakeKilled
-			}
-			e.dispatch(p, cause)
-			continue
-		}
-		// Nothing runnable: advance the clock to the next timer.
-		fired := false
-		for e.timers.len() > 0 {
-			next := e.timers.min()
-			if next.tok.fired {
-				// Fired tokens are removed from the heap eagerly, so this
-				// is defensive only.
-				e.releaseToken(e.timers.popMin().tok)
-				continue
-			}
-			if limit >= 0 && next.deadline > limit {
-				e.shutdown()
-				return e.failure
-			}
-			ent := e.timers.popMin()
-			e.now = ent.deadline
-			tok := ent.tok
-			tok.fired = true
-			tok.cause = wakeTimeout
-			tok.p.token = tok // the heap's reference becomes the token slot's
-			e.runq.push(tok.p)
-			e.stats.TimerFires++
-			fired = true
-			break
-		}
-		if !fired {
-			// No runnable processes and no timers: simulation is done.
-			e.shutdown()
-			return e.failure
-		}
+	e.limit = limit
+	if p := e.schedule(); p != nil {
+		e.resume(p)
+		<-e.idle
 	}
 	e.shutdown()
 	return e.failure
 }
 
-// shutdown kills all remaining processes so their goroutines exit.
+// shutdown kills all remaining processes, in id order, so their goroutines
+// exit. Each one unwinds and hands control straight back (schedule returns
+// nil while stopping is set); whatever its deferred calls queued is dropped.
+// Timers of the killed stay in the heap, like those of any killed process.
 func (e *Env) shutdown() {
+	e.stopping = true
 	ids := make([]int, 0, len(e.procs))
 	for id := range e.procs {
 		ids = append(ids, id)
@@ -403,27 +400,56 @@ func (e *Env) shutdown() {
 	sort.Ints(ids)
 	for _, id := range ids {
 		p := e.procs[id]
-		if p.state == stateDead {
+		p.killed = true
+		e.stats.Dispatches++
+		if p.state == stateNew {
+			e.retire(p)
 			continue
 		}
-		p.killed = true
-		e.dispatch(p, wakeKilled)
+		e.resume(p)
+		<-e.idle
 	}
 	e.runq.clear()
+	e.stopping = false
 }
 
-// yield transfers control back to the scheduler and blocks until this
-// process is woken; it returns the wake cause. If the process was killed
-// while blocked, yield unwinds its stack.
-func (p *Proc) yield() wakeCause {
-	p.state = stateBlocked
-	p.env.yieldCh <- struct{}{}
-	cause := <-p.resume
-	if cause == wakeKilled {
+// yield gives up control until the process is resumed. The caller has
+// already queued itself or registered what will wake it. If the process was
+// killed meanwhile, yield unwinds its stack.
+func (p *Proc) yield() {
+	e := p.env
+	if next := e.schedule(); next != p {
+		e.resume(next)
+		<-p.resume
+	}
+	p.state = stateRunning
+	p.unwindIfKilled()
+}
+
+// unwindIfKilled is the check every blocking primitive makes before it
+// returns early or parks: a killed process gets no further.
+func (p *Proc) unwindIfKilled() {
+	if p.killed {
 		panic(killedSentinel{})
 	}
-	p.state = stateRunnable
-	return cause
+}
+
+// park blocks the process until l wakes it (l may be nil) or, when d > 0,
+// until d has elapsed, and reports which. Every blocking primitive but
+// Yield is a loop or a branch around this.
+func (p *Proc) park(l *waitList, d Time) wakeCause {
+	p.unwindIfKilled()
+	e := p.env
+	if l != nil {
+		l.w = append(l.w, waiter{p, p.block})
+	}
+	if d > 0 {
+		e.seq++
+		e.timers.push(e.now+d, e.seq, p)
+	}
+	p.state = stateBlocked
+	p.yield()
+	return p.cause
 }
 
 // Name returns the process name given at spawn time.
@@ -438,24 +464,18 @@ func (p *Proc) Now() Time { return p.env.now }
 // Sleep blocks the process for d of virtual time. Negative or zero durations
 // yield to other runnable processes at the current time.
 func (p *Proc) Sleep(d Time) {
-	if p.killed {
-		panic(killedSentinel{})
-	}
 	if d <= 0 {
 		p.Yield()
 		return
 	}
-	tok := p.env.newToken(p, 1)
-	p.env.addTimer(p.env.now+d, tok)
-	p.yield()
+	p.park(nil, d)
 }
 
 // Yield places the process at the back of the run queue at the current time,
 // letting other runnable processes execute first.
 func (p *Proc) Yield() {
-	if p.killed {
-		panic(killedSentinel{})
-	}
+	p.unwindIfKilled()
+	p.state = stateQueued
 	p.env.runq.push(p)
 	p.yield()
 }
@@ -463,60 +483,36 @@ func (p *Proc) Yield() {
 // Wait blocks until ev is triggered. Waiting on an already-triggered event
 // returns immediately.
 func (p *Proc) Wait(ev *Event) {
-	if p.killed {
-		panic(killedSentinel{})
+	p.unwindIfKilled()
+	if !ev.triggered {
+		p.park(&ev.waiters, 0)
 	}
-	if ev.triggered {
-		return
-	}
-	tok := p.env.newToken(p, 1)
-	ev.waiters = append(ev.waiters, tok)
-	p.yield()
 }
 
 // WaitTimeout blocks until ev triggers or d elapses. It reports whether the
 // event triggered (true) or the wait timed out (false).
 func (p *Proc) WaitTimeout(ev *Event, d Time) bool {
-	if p.killed {
-		panic(killedSentinel{})
-	}
+	p.unwindIfKilled()
 	if ev.triggered {
 		return true
 	}
-	if d <= 0 {
-		return false
-	}
-	tok := p.env.newToken(p, 2) // referenced by the waiter list and the timer heap
-	ev.waiters = append(ev.waiters, tok)
-	p.env.addTimer(p.env.now+d, tok)
-	cause := p.yield()
-	return cause == wakeEvent
+	return d > 0 && p.park(&ev.waiters, d) == wakeEvent
 }
 
 // Kill marks the process for termination. A blocked or runnable process is
-// unwound the next time it would run; a process killing itself unwinds
-// immediately. Killing a dead process is a no-op.
+// unwound the next time it would run; a process killing itself unwinds at
+// its next blocking call. Killing a dead process is a no-op.
 func (p *Proc) Kill() {
 	if p.state == stateDead {
 		return
 	}
 	p.killed = true
-	if p.token != nil {
-		// Already queued for wake; the kill flag overrides the cause.
-		return
-	}
-	if p.state == stateBlocked || p.state == stateNew {
-		tok := p.env.newToken(p, 1)
-		tok.fired = true
-		tok.cause = wakeKilled
-		p.token = tok
+	if p.state == stateBlocked {
+		// Its wait record stays armed: a later trigger still finds and
+		// removes the timeout, an unremoved timeout still comes due.
+		p.state = stateQueued
 		p.env.runq.push(p)
 	}
-}
-
-func (e *Env) addTimer(deadline Time, tok *waitToken) {
-	e.seq++
-	e.timers.push(deadline, e.seq, tok)
 }
 
 // Trigger fires the event, waking all current waiters in registration order.
@@ -526,25 +522,9 @@ func (ev *Event) Trigger() {
 		return
 	}
 	ev.triggered = true
-	e := ev.env
-	e.stats.Triggers++
-	for _, tok := range ev.waiters {
-		if tok.fired {
-			e.releaseToken(tok)
-			continue
-		}
-		tok.fired = true
-		tok.cause = wakeEvent
-		if tok.heapIdx >= 0 {
-			// The token also has a timeout pending; remove the now-dead
-			// timer eagerly so the heap does not accumulate stale entries.
-			e.timers.remove(tok)
-			e.releaseToken(tok)
-		}
-		tok.p.token = tok // the waiter list's reference becomes the token slot's
-		e.runq.push(tok.p)
-	}
-	ev.waiters = nil
+	ev.env.stats.Triggers++
+	ev.waiters.wake(ev.env, -1)
+	ev.waiters = waitList{} // one-shot: nobody registers again
 }
 
 // Triggered reports whether the event has fired.
