@@ -71,6 +71,21 @@ func policyHelp() string {
 	return strings.Join(keys, "|")
 }
 
+// singleJobFlags and fleetFlags name the flags only one of the two modes
+// reads; every other flag is shared.
+var (
+	singleJobFlags = flagSet("workload policy spares fail fail-iter fail-frac fail-rank rs rack chaos chaos-p loss")
+	fleetFlags     = flagSet("fleet-nodes fleet-rack fleet-horizon repair")
+)
+
+func flagSet(names string) map[string]bool {
+	set := make(map[string]bool)
+	for _, n := range strings.Fields(names) {
+		set[n] = true
+	}
+	return set
+}
+
 func main() {
 	wlName := flag.String("workload", "BERT-B-FT", "workload name (see jitbench -table 2)")
 	policy := flag.String("policy", "transparent", policyHelp())
@@ -99,6 +114,15 @@ func main() {
 	repairSec := flag.Float64("repair", 10, "mean node-repair turnaround in seconds for -fleet -fail-rate faults (0 = nodes stay down)")
 	serveAddr := flag.String("serve", "", "serve live streaming observability (/metrics, /fleet, /jobs/{id}/timeline) on this address, e.g. \":8080\"; keeps serving after the run until interrupted")
 	flag.Parse()
+	// A flag only the other mode reads would be silently ignored: refuse it.
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case *fleetSpec != "" && singleJobFlags[f.Name]:
+			usage(fmt.Errorf("-%s is a single-job flag; -fleet mode does not read it", f.Name))
+		case *fleetSpec == "" && fleetFlags[f.Name]:
+			usage(fmt.Errorf("-%s is a fleet flag; it needs -fleet", f.Name))
+		}
+	})
 
 	if *fleetSpec != "" {
 		err := runFleet(fleetArgs{
@@ -282,15 +306,15 @@ func runFleet(a fleetArgs) error {
 		cfg.Stream, linger = startServe(a.serve)
 	}
 	if a.failRate > 0 {
-		// Empty -mix must stay nil here: PoissonNodePlan substitutes the
-		// node-granular default, not the rank-level paper mix.
-		var mix map[failure.Kind]float64
+		// An empty -mix means the node-granular default here, not the
+		// rank-level paper mix ParseMix substitutes.
+		mix := failure.DefaultNodeMix()
 		if a.mixSpec != "" {
 			if mix, err = failure.ParseMix(a.mixSpec); err != nil {
 				usage(err)
 			}
 		}
-		plan := failure.PoissonNodePlan(rand.New(rand.NewSource(a.seed)), nodes, a.failRate, horizon, mix)
+		plan := failure.PoissonPlan(rand.New(rand.NewSource(a.seed)), nodes, a.failRate, horizon, mix)
 		if a.repairSec > 0 {
 			plan = plan.WithRepairs(rand.New(rand.NewSource(a.seed*31)),
 				vclock.Time(a.repairSec*float64(vclock.Second)), cfg.RackSize)

@@ -17,6 +17,10 @@ func TestCLI(t *testing.T) {
 		{Name: "malformed -rs", Args: "-workload GPT2-8B -policy peer -rs 2x1", Exit: 2, Want: []string{`bad -rs "2x1"`}},
 		{Name: "malformed -mix", Args: "-fail-rate 100 -mix gpu-hard:lots", Exit: 2, Want: []string{`bad weight "lots"`}},
 		{Name: "malformed -fleet", Args: "-fleet 4jit", Exit: 2, Want: []string{`bad jobs group "4jit"`}},
+		{Name: "single-job flag under -fleet", Args: "-fleet 2xuserjit -fail gpu-hard", Exit: 2, Want: []string{"-fail is a single-job flag"}},
+		{Name: "single-job flags under -fleet, first named", Args: "-fleet 2xuserjit -policy warp -workload nope -chaos -rs 9,9", Exit: 2, Want: []string{"-chaos is a single-job flag"}},
+		{Name: "fleet flag without -fleet", Args: "-policy userjit -repair 5", Exit: 2, Want: []string{"-repair is a fleet flag"}},
+		{Name: "fleet geometry without -fleet", Args: "-fleet-rack 2 -fleet-nodes 8", Exit: 2, Want: []string{"-fleet-nodes is a fleet flag"}},
 		{Name: "transparent recovers a sticky error", Args: "-policy transparent -fail gpu-sticky -fail-iter 5 -iters 8", Want: []string{"completed:    true"}},
 		{Name: "userjit recovers a lost GPU", Args: "-policy userjit -fail gpu-hard -fail-iter 5 -iters 8", Want: []string{"completed:    true"}},
 	})

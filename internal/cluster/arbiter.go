@@ -35,10 +35,9 @@ type UtilPoint struct {
 // asks elastic victims to yield, and every ownership transition feeds the
 // exact node-time accounting.
 type arbiter struct {
-	env      *vclock.Env
-	pool     *scheduler.Pool
-	nodes    []*gpu.Node
-	rackSize int
+	env  *vclock.Env
+	pool *scheduler.Pool
+	hw   *gpu.Cluster
 
 	entries []*lease       // admission order (seq = index)
 	owner   map[int]*lease // nodeID -> owning lease
@@ -59,18 +58,18 @@ type arbiter struct {
 	preemptions int // yields honored fleet-wide
 }
 
-func newArbiter(env *vclock.Env, pool *scheduler.Pool, nodes []*gpu.Node, rackSize int) *arbiter {
+func newArbiter(env *vclock.Env, pool *scheduler.Pool, hw *gpu.Cluster) *arbiter {
+	n := len(hw.Nodes)
 	a := &arbiter{
-		env:      env,
-		pool:     pool,
-		nodes:    nodes,
-		rackSize: rackSize,
-		owner:    make(map[int]*lease),
-		state:    make([]uint8, len(nodes)),
-		capEv:    env.NewEvent("cluster.capacity"),
-		idleNow:  len(nodes),
+		env:     env,
+		pool:    pool,
+		hw:      hw,
+		owner:   make(map[int]*lease),
+		state:   make([]uint8, n),
+		capEv:   env.NewEvent("cluster.capacity"),
+		idleNow: n,
 	}
-	a.timeline = append(a.timeline, UtilPoint{At: 0, Idle: len(nodes)})
+	a.timeline = append(a.timeline, UtilPoint{At: 0, Idle: n})
 	return a
 }
 
@@ -240,22 +239,6 @@ func (a *arbiter) freeFor(e *lease) int {
 	return free
 }
 
-// nodeBad reports whether a node being released should be accounted down
-// rather than idle: its host failed, or a device on it is permanently
-// dead (the pool would lazily discover the latter at the next Allocate;
-// the arbiter discovers it eagerly so accounting and FreeHealthy agree).
-func nodeBad(n *gpu.Node) bool {
-	if n.Failed {
-		return true
-	}
-	for _, d := range n.Devices {
-		if d.Health() == gpu.Hard {
-			return true
-		}
-	}
-	return false
-}
-
 // ---------------------------------------------------------------------
 // core.Capacity implementation
 // ---------------------------------------------------------------------
@@ -329,12 +312,13 @@ func (e *lease) release(ids []int) {
 		}
 		delete(a.owner, id)
 		e.ownedCount--
-		if nodeBad(a.nodes[id]) {
+		if a.hw.Nodes[id].Broken() {
 			// Returned broken (a failure the job detected but did not
 			// attribute to this node, or a cluster fault on a leased
-			// node): mark it out eagerly so the pool's free count and the
-			// accounting agree from this instant, not from the pool's
-			// next lazy discovery.
+			// node): account it down, not idle, and mark it out eagerly so
+			// the pool's free count and the accounting agree from this
+			// instant, not from the pool's next lazy discovery of a dead
+			// board.
 			a.pool.MarkFailed(id)
 			a.transition(id, stDown)
 		} else {

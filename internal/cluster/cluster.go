@@ -59,9 +59,10 @@ type Config struct {
 	// Jobs are the tenants, admitted in order.
 	Jobs []JobSpec
 	// Failures is the cluster-scoped injection plan: node-granular faults
-	// against shared hardware, hitting whichever tenant (or spare) holds
-	// the node when they fire.
-	Failures failure.NodePlan
+	// (GPUHard, NodeDown, RackDown, NodeRepaired) whose Target is a node ID
+	// on the shared hardware, hitting whichever tenant (or spare) holds the
+	// node when they fire.
+	Failures failure.Plan
 	// Trace, when set, receives the simulation debug trace.
 	Trace func(at vclock.Time, format string, args ...interface{})
 	// Recorder, when set, receives the structured event trace of the
@@ -189,12 +190,16 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Horizon <= 0 {
 		return nil, errors.New("cluster: Horizon must be positive")
 	}
-	rackSize := cfg.RackSize
-	if rackSize <= 0 {
-		rackSize = 2
-	}
 	if err := cfg.Failures.Validate(cfg.Nodes); err != nil {
 		return nil, err
+	}
+	for i, inj := range cfg.Failures.Injections {
+		switch inj.Kind {
+		case failure.GPUHard, failure.NodeDown, failure.RackDown, failure.NodeRepaired:
+		default:
+			// A rank-level kind has no meaning without a job to target.
+			return nil, fmt.Errorf("cluster: injection %d (at %v) has rank-level kind %v", i, inj.At, inj.Kind)
+		}
 	}
 	for i := range cfg.Jobs {
 		if at := cfg.Jobs[i].StartAt; at < 0 || at >= cfg.Horizon {
@@ -224,8 +229,8 @@ func Run(cfg Config) (*Result, error) {
 			"jobs", len(cfg.Jobs), "nodes", cfg.Nodes, "seed", cfg.Seed)
 	}
 	cl := gpu.NewCluster(env, cfg.Nodes, cfg.PerNode, 1<<40)
-	pool := scheduler.NewPool(env, cl.Nodes)
-	arb := newArbiter(env, pool, cl.Nodes, rackSize)
+	cl.RackSize = cfg.RackSize
+	arb := newArbiter(env, scheduler.NewPool(env, cl.Nodes), cl)
 	inj := &injector{a: arb}
 
 	results := make([]JobResult, len(cfg.Jobs))
@@ -244,10 +249,9 @@ func Run(cfg Config) (*Result, error) {
 		idx := i
 		jc.Shared = &core.SharedSim{
 			Env:           env,
-			Nodes:         cl.Nodes,
+			Cluster:       cl,
 			Capacity:      e,
 			AwaitCapacity: arb.await,
-			RackSize:      rackSize,
 			Label:         name,
 			Stream:        cfg.Stream,
 			OnDone: func(res *core.RunResult) {

@@ -83,12 +83,12 @@ func TestFleetSmoke(t *testing.T) {
 // in admission-priority order, and the cluster accounting still
 // reconciles exactly.
 func TestRackDownFansOut(t *testing.T) {
-	plan := failure.NodePlan{Injections: []failure.NodeInjection{
-		{At: vclock.Second, Node: 0, Kind: failure.RackDown},
+	plan := failure.Plan{Injections: []failure.Injection{
+		{At: vclock.Second, Target: 0, Kind: failure.RackDown},
 	}}
 	for i := 0; i < 6; i++ {
-		plan.Injections = append(plan.Injections, failure.NodeInjection{
-			At: 30*vclock.Second + vclock.Time(i)*vclock.Second, Node: i, Kind: failure.NodeRepaired,
+		plan.Injections = append(plan.Injections, failure.Injection{
+			At: 30*vclock.Second + vclock.Time(i)*vclock.Second, Target: i, Kind: failure.NodeRepaired,
 		})
 	}
 	res, err := Run(Config{
@@ -178,7 +178,7 @@ func TestPreemptionYield(t *testing.T) {
 // Poisson cluster failure plan with repairs.
 func soakConfig(seed int64) Config {
 	rng := rand.New(rand.NewSource(seed))
-	plan := failure.PoissonNodePlan(rng, 10, 400, 2*vclock.Minute, nil).
+	plan := failure.PoissonPlan(rng, 10, 400, 2*vclock.Minute, failure.DefaultNodeMix()).
 		WithRepairs(rand.New(rand.NewSource(seed+100)), 20*vclock.Second, 2)
 	return Config{
 		Nodes: 10, PerNode: 2, Seed: seed, Horizon: 4 * vclock.Minute,

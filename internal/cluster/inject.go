@@ -7,22 +7,22 @@ import (
 	"jitckpt/internal/vclock"
 )
 
-// injector applies a cluster-scoped failure.NodePlan to the shared
-// hardware. Unlike the per-job failure.Injector (which resolves ranks
-// through one job's placement), it targets node IDs directly: a single
-// RackDown fans out to every tenant with ranks in that rack, and failures
-// on unowned spares silently shrink the free pool.
+// injector applies the cluster-scoped failure.Plan to the shared hardware.
+// Unlike the per-job failure.Injector (which resolves a Target rank through
+// one job's placement), it reads Target as a node ID: a single RackDown
+// fans out to every tenant with ranks in that rack, and failures on unowned
+// spares silently shrink the free pool.
 type injector struct {
 	a       *arbiter
 	applied int
 	skipped int
-	// failedFIFO orders injection-failed nodes for repair: NodeRepaired
-	// brings back the oldest still-down casualty first.
-	failedFIFO []int
+	// casualties orders injection-broken nodes for repair: NodeRepaired
+	// brings back the oldest still-broken one first.
+	casualties []*gpu.Node
 }
 
 // start spawns the process that applies the plan on schedule.
-func (in *injector) start(plan failure.NodePlan) {
+func (in *injector) start(plan failure.Plan) {
 	plan.Sort()
 	injections := plan.Injections
 	in.a.env.Go("cluster-injector", func(p *vclock.Proc) {
@@ -35,23 +35,21 @@ func (in *injector) start(plan failure.NodePlan) {
 	})
 }
 
-func (in *injector) apply(inj failure.NodeInjection) {
+func (in *injector) apply(inj failure.Injection) {
 	a := in.a
 	now := a.env.Now()
 	ok := false
 	switch inj.Kind {
 	case failure.GPUHard:
-		ok = in.failBoard(inj.Node)
+		ok = in.failBoard(a.hw.Nodes[inj.Target])
 	case failure.NodeDown:
-		ok = in.failHost(inj.Node)
+		ok = in.failHost(a.hw.Nodes[inj.Target])
 	case failure.RackDown:
-		rack := inj.Node / a.rackSize
-		lo, hi := rack*a.rackSize, (rack+1)*a.rackSize
-		if hi > len(a.nodes) {
-			hi = len(a.nodes)
-		}
-		for id := lo; id < hi; id++ {
-			if in.failHost(id) {
+		// Lands unless every host in the rack is already down (the job
+		// injector skips as soon as the target rank's own host is; DESIGN.md
+		// "Hardware model").
+		for _, node := range a.hw.Rack(inj.Target) {
+			if in.failHost(node) {
 				ok = true
 			}
 		}
@@ -61,13 +59,13 @@ func (in *injector) apply(inj failure.NodeInjection) {
 	if ok {
 		in.applied++
 		trace.Of(a.env).Instant(now, "fail", trace.LaneSim, "cluster-inject",
-			"kind", inj.Kind, "node", inj.Node)
-		a.env.Tracef("cluster: injected %v at node %d", inj.Kind, inj.Node)
+			"kind", inj.Kind, "node", inj.Target)
+		a.env.Tracef("cluster: injected %v at node %d", inj.Kind, inj.Target)
 	} else {
 		in.skipped++
 		trace.Of(a.env).Instant(now, "fail", trace.LaneSim, "cluster-inject-skip",
-			"kind", inj.Kind, "node", inj.Node)
-		a.env.Tracef("cluster: skipped %v at node %d (target already lost)", inj.Kind, inj.Node)
+			"kind", inj.Kind, "node", inj.Target)
+		a.env.Tracef("cluster: skipped %v at node %d (target already lost)", inj.Kind, inj.Target)
 	}
 }
 
@@ -75,33 +73,18 @@ func (in *injector) apply(inj failure.NodeInjection) {
 // Host RAM survives, so peer-sheltered entries on the node do too; an
 // owning tenant discovers the dead device organically through its
 // workers. An unowned node leaves the allocatable pool immediately.
-func (in *injector) failBoard(id int) bool {
-	a := in.a
-	node := a.nodes[id]
+func (in *injector) failBoard(node *gpu.Node) bool {
 	if node.Failed {
 		return false
 	}
-	var dev *gpu.Device
 	for _, d := range node.Devices {
 		if d.Health() == gpu.Healthy {
-			dev = d
-			break
+			d.InjectHard()
+			in.casualty(node)
+			return true
 		}
 	}
-	if dev == nil {
-		return false // every board already dead
-	}
-	dev.InjectHard()
-	in.failedFIFO = append(in.failedFIFO, id)
-	if a.owner[id] == nil {
-		now := a.env.Now()
-		a.advance(now)
-		a.pool.MarkFailed(id)
-		a.transition(id, stDown)
-		a.notePoint(now)
-		a.bump()
-	}
-	return true
+	return false // every board already dead
 }
 
 // failHost takes a whole node down: every GPU dies and the host's CPU
@@ -109,62 +92,45 @@ func (in *injector) failBoard(id int) bool {
 // owning tenant (if any) is told immediately so its shelter bookkeeping
 // matches; its workers fail organically. The node stays accounted to its
 // owner until the owner marks it failed or releases it.
-func (in *injector) failHost(id int) bool {
-	a := in.a
-	node := a.nodes[id]
-	if node.Failed {
+func (in *injector) failHost(node *gpu.Node) bool {
+	if !node.FailHost() {
 		return false
 	}
-	node.Failed = true
-	for _, d := range node.Devices {
-		d.InjectHard()
+	if own := in.a.owner[node.ID]; own != nil && own.handle != nil {
+		own.handle.NoteNodesLost(node.ID)
 	}
-	in.failedFIFO = append(in.failedFIFO, id)
-	if own := a.owner[id]; own != nil {
-		if own.handle != nil {
-			own.handle.NoteNodesLost(id)
-		}
-	} else {
-		now := a.env.Now()
-		a.advance(now)
-		a.pool.MarkFailed(id)
-		a.transition(id, stDown)
-		a.notePoint(now)
-		a.bump()
-	}
+	in.casualty(node)
 	return true
 }
 
-// repairOne replaces the hardware of one down node: the oldest
-// injection-failed node still broken, else any broken node in ID order.
-// Nothing broken means the repair has no target and is skipped.
-func (in *injector) repairOne() bool {
+// casualty queues a freshly broken node for repair and, when no tenant
+// holds it, takes it out of the allocatable pool.
+func (in *injector) casualty(node *gpu.Node) {
 	a := in.a
-	id := -1
-	for _, cand := range in.failedFIFO {
-		if nodeBad(a.nodes[cand]) {
-			id = cand
-			break
-		}
+	in.casualties = append(in.casualties, node)
+	if a.owner[node.ID] == nil {
+		now := a.env.Now()
+		a.advance(now)
+		a.pool.MarkFailed(node.ID)
+		a.transition(node.ID, stDown)
+		a.notePoint(now)
+		a.bump()
 	}
-	if id < 0 {
-		for _, n := range a.nodes {
-			if nodeBad(n) {
-				id = n.ID
-				break
+}
+
+// repairOne replaces the hardware of one broken node: the oldest
+// injection casualty (dead board or dead host alike) still broken, else any
+// broken node in ID order. Nothing broken means the repair has no target
+// and is skipped.
+func (in *injector) repairOne() bool {
+	for _, nodes := range [][]*gpu.Node{in.casualties, in.a.hw.Nodes} {
+		for _, n := range nodes {
+			if n.Broken() {
+				n.Repair()
+				in.a.markRepaired(n.ID)
+				return true
 			}
 		}
 	}
-	if id < 0 {
-		return false
-	}
-	node := a.nodes[id]
-	node.Failed = false
-	for _, d := range node.Devices {
-		if d.Health() != gpu.Healthy {
-			d.Repair()
-		}
-	}
-	a.markRepaired(id)
-	return true
+	return false
 }

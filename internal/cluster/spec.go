@@ -16,15 +16,7 @@ import (
 // exercise every recovery path (4 data-parallel ranks over 2 nodes, so
 // node loss, rack loss and elastic shrink are all meaningful).
 func FleetWorkload() workload.Workload {
-	return workload.Workload{
-		Name: "fleet-tiny", GPU: "A100-80GB", ParamsB: 0.004, Nodes: 2, PerNode: 2,
-		Topo: train.Topology{D: 4, P: 1, T: 1}, Framework: "fleet",
-		Minibatch:  50 * vclock.Millisecond,
-		CkptTarget: vclock.Seconds(0.5), RestoreTarget: vclock.Seconds(1),
-		NCCLInitBase: 200 * vclock.Millisecond, NCCLInitPerRank: 5 * vclock.Millisecond,
-		Teardown: 100 * vclock.Millisecond, CRIU: vclock.Second,
-		Layers: 2, Hidden: 8,
-	}
+	return workload.Tiny("fleet-tiny", "fleet", 2, 2, train.Topology{D: 4, P: 1, T: 1}, 0.004, 2, 8)
 }
 
 // ParseJobsSpec parses a fleet job-mix specification into JobSpecs. The

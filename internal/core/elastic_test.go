@@ -182,9 +182,9 @@ func TestElasticChaosSoakGrid(t *testing.T) {
 	// The three repairs land close together so full capacity returns while
 	// the degraded restart still has iterations left to train through.
 	repairPlan := failure.Plan{Injections: []failure.Injection{
-		{At: 300 * vclock.Second, Rank: 0, Kind: failure.NodeRepaired},
-		{At: 300*vclock.Second + 200*vclock.Millisecond, Rank: 0, Kind: failure.NodeRepaired},
-		{At: 300*vclock.Second + 400*vclock.Millisecond, Rank: 0, Kind: failure.NodeRepaired},
+		{At: 300 * vclock.Second, Target: 0, Kind: failure.NodeRepaired},
+		{At: 300*vclock.Second + 200*vclock.Millisecond, Target: 0, Kind: failure.NodeRepaired},
+		{At: 300*vclock.Second + 400*vclock.Millisecond, Target: 0, Kind: failure.NodeRepaired},
 	}}
 	cases := []struct {
 		name    string

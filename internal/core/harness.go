@@ -106,10 +106,9 @@ type JobConfig struct {
 	// (policies with the MultiStep column only; 0 = 4). The writer's
 	// generation interval is CkptInterval (0 = optimal c*).
 	MultiStepSlices int
-	// RackSize overrides the failure-domain width for single-job runs
-	// (nodes n and n' share a rack iff n/RackSize == n'/RackSize;
-	// 0 = the default of 2). Shared (fleet) runs take the cluster's
-	// value instead.
+	// RackSize is the failure-domain width of a single-job run's private
+	// cluster (gpu.Cluster.RackSize: 0 = the default of 2). Shared (fleet)
+	// runs take the cluster's value instead.
 	RackSize int
 	// Shared, when set, runs the job inside a cluster-owned simulation
 	// (StartJob) instead of a private one: the cluster owns the
@@ -247,13 +246,6 @@ func newHarness(cfg JobConfig) *harness {
 	if h.shared != nil && h.shared.Label != "" {
 		h.label = h.shared.Label
 	}
-	h.rackSize = 2
-	if cfg.RackSize > 0 {
-		h.rackSize = cfg.RackSize
-	}
-	if h.shared != nil && h.shared.RackSize > 0 {
-		h.rackSize = h.shared.RackSize
-	}
 	return h
 }
 
@@ -270,8 +262,7 @@ type harness struct {
 	cfg     JobConfig
 	pol     PolicyInfo // cfg.Policy's table row: the tiers this run stacks
 	env     *vclock.Env
-	cluster *gpu.Cluster
-	nodes   []*gpu.Node // the node set failure/shelter bookkeeping resolves against
+	cluster *gpu.Cluster // private, or the fleet's: failure/shelter bookkeeping resolves against it
 	engine  *nccl.Engine
 	pool    Capacity
 	monitor *scheduler.Monitor
@@ -283,7 +274,6 @@ type harness struct {
 	shared   *SharedSim
 	handle   *JobHandle
 	label    string
-	rackSize int
 	startAt  vclock.Time
 	finished bool
 	yieldAt  int // iteration to stop at for an arbiter-requested yield; -1 if none
@@ -336,7 +326,7 @@ func (h *harness) setup() error {
 	if h.shared != nil {
 		h.env = h.shared.Env
 		h.startAt = h.env.Now()
-		h.nodes = h.shared.Nodes
+		h.cluster = h.shared.Cluster
 		h.pool = h.shared.Capacity
 		h.runSpan = trace.Of(h.env).Begin(h.env.Now(), "core", trace.LaneSim, "run",
 			"job", h.label, "policy", cfg.Policy, "gpus", wl.GPUs(), "iters", cfg.Iters)
@@ -364,7 +354,7 @@ func (h *harness) setup() error {
 		}
 		h.engine = nccl.NewEngine(h.env, wl.NCCLParams())
 		h.cluster = gpu.NewCluster(h.env, wl.Nodes+cfg.SpareNodes, wl.PerNode, 1<<40)
-		h.nodes = h.cluster.Nodes
+		h.cluster.RackSize = cfg.RackSize
 		h.pool = scheduler.NewPool(h.env, h.cluster.Nodes)
 	}
 	h.monitor = scheduler.NewMonitor(h.env)
@@ -398,8 +388,8 @@ func (h *harness) setup() error {
 			params.LinkBandwidth = wl.PeerLinkBandwidth()
 		}
 		shelter, err := peerckpt.NewShelter(h.env, "job", params, peerckpt.Availability{
-			Nodes:          len(h.nodes),
-			FailureDomains: h.failureDomains(),
+			Nodes:          len(h.cluster.Nodes),
+			FailureDomains: h.cluster.Racks(),
 		})
 		if err != nil {
 			return err
@@ -428,24 +418,12 @@ func (h *harness) setup() error {
 		h.pipeguard = guard
 	}
 
-	// nodeOf resolves the node currently hosting a rank (for whole-host
-	// failure injection and shelter bookkeeping).
-	nodeOf := func(rank int) *gpu.Node {
-		dev := h.device(rank)
-		if dev == nil {
-			return nil
-		}
-		for _, n := range h.nodes {
-			if n.ID == dev.NodeID {
-				return n
-			}
-		}
-		return nil
-	}
-
-	// Failure injector resolves targets against the current placement.
+	// Failure injector resolves targets against the current placement and
+	// the cluster's rack geometry: RackDown is precisely the adversary that
+	// breaks the shelter's weaker "distinct nodes suffice" assumption.
 	injector := &failure.Injector{
 		Env:      h.env,
+		Cluster:  h.cluster,
 		DeviceOf: h.device,
 		Engine:   h.engine,
 		CommKeyOf: func(rank int) string {
@@ -462,25 +440,6 @@ func (h *harness) setup() error {
 			}
 			return h.gen
 		},
-		NodeOf: nodeOf,
-	}
-	// Rack affinity: consecutive node groups share a failure domain
-	// (rack = node.ID/rackSize, rackSize=2 unless the cluster says
-	// otherwise), matching the shelter's placement assumption that
-	// distinct nodes suffice; RackDown is precisely the adversary that
-	// breaks the weaker assumption.
-	injector.RackNodesOf = func(rank int) []*gpu.Node {
-		n := nodeOf(rank)
-		if n == nil {
-			return nil
-		}
-		var out []*gpu.Node
-		for _, cand := range h.nodes {
-			if cand.ID/h.rackSize == n.ID/h.rackSize {
-				out = append(out, cand)
-			}
-		}
-		return out
 	}
 	// A StorageFault opens a short window during which shared-store
 	// writes fail transiently; the writers' bounded retry-with-backoff is
@@ -520,7 +479,6 @@ func (h *harness) setup() error {
 	// schedule a mid-run expand: degraded workers stop (and checkpoint) a
 	// couple of iterations ahead, and the next incarnation restarts at
 	// full width.
-	injector.AllNodes = h.nodes
 	injector.OnRepair = func(node *gpu.Node) {
 		h.pool.MarkRepaired(node.ID)
 		h.noteRepairCapacity()
@@ -579,22 +537,11 @@ func (h *harness) markNodeLost(id int) {
 
 // sweepFailedNodes marks every currently failed node lost.
 func (h *harness) sweepFailedNodes() {
-	for _, n := range h.nodes {
+	for _, n := range h.cluster.Nodes {
 		if n.Failed {
 			h.markNodeLost(n.ID)
 		}
 	}
-}
-
-// failureDomains counts the distinct racks the run's nodes span
-// (rack = node.ID / rackSize); the shelter validates stripe geometry
-// against it at construction.
-func (h *harness) failureDomains() int {
-	racks := make(map[int]bool)
-	for _, n := range h.nodes {
-		racks[n.ID/h.rackSize] = true
-	}
-	return len(racks)
 }
 
 // launch starts the job's simulated processes; the caller (Run or the
@@ -751,7 +698,7 @@ func (h *harness) noteIterStart(rank, iter int) {
 				if delay > 0 {
 					p.Sleep(delay)
 				}
-				h.injector.Apply(failure.Injection{At: p.Now(), Rank: inj.Rank, Kind: inj.Kind})
+				h.injector.Apply(failure.Injection{At: p.Now(), Target: inj.Rank, Kind: inj.Kind})
 			})
 		}
 		h.pendingIter = remain
@@ -1208,8 +1155,7 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 		pp := h.shelter.Params()
 		var plan map[int][]int
 		if pp.Striped() {
-			plan, err = scheduler.StripePlan(placement, h.topo, pp.DataShards, pp.ParityShards,
-				func(node int) int { return node / h.rackSize },
+			plan, err = scheduler.StripePlan(placement, h.topo, pp.DataShards, pp.ParityShards, h.cluster.RackOf,
 				func(format string, args ...interface{}) {
 					trace.Of(h.env).Instant(p.Now(), "peer", trace.LaneSim, "stripe-degraded",
 						"msg", fmt.Sprintf(format, args...))

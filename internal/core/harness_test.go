@@ -14,15 +14,7 @@ import (
 // minibatches, aggressive timeouts, so whole failure-recovery episodes
 // complete in a second of virtual time.
 func testWL() workload.Workload {
-	return workload.Workload{
-		Name: "tiny", GPU: "A100-80GB", ParamsB: 0.004, Nodes: 2, PerNode: 2,
-		Topo: train.Topology{D: 4, P: 1, T: 1}, Framework: "test",
-		Minibatch:  50 * vclock.Millisecond,
-		CkptTarget: vclock.Seconds(0.5), RestoreTarget: vclock.Seconds(1),
-		NCCLInitBase: 200 * vclock.Millisecond, NCCLInitPerRank: 5 * vclock.Millisecond,
-		Teardown: 100 * vclock.Millisecond, CRIU: vclock.Second,
-		Layers: 2, Hidden: 8,
-	}
+	return workload.Tiny("tiny", "test", 2, 2, train.Topology{D: 4, P: 1, T: 1}, 0.004, 2, 8)
 }
 
 // testWL3D is an 8-GPU 2D-2P-2T variant.

@@ -45,18 +45,15 @@ type SharedSim struct {
 	// Env is the cluster's simulation environment. The job must not call
 	// RunUntil on it; the cluster drives time.
 	Env *vclock.Env
-	// Nodes is the cluster's node set — the job's failure-injection and
-	// shelter bookkeeping resolve against it.
-	Nodes []*gpu.Node
+	// Cluster is the cluster's hardware — nodes and rack geometry; the
+	// job's failure-injection and shelter bookkeeping resolve against it.
+	Cluster *gpu.Cluster
 	// Capacity is the job's lease on the cluster allocator.
 	Capacity Capacity
 	// AwaitCapacity blocks until cluster capacity may have changed (a
 	// release, repair, or demand change) or the timeout elapses. The
 	// harness calls it instead of giving up when an allocation is denied.
 	AwaitCapacity func(p *vclock.Proc, timeout vclock.Time) bool
-	// RackSize is the failure-domain width in nodes (0 = 2, the
-	// single-job harness convention rack = nodeID/2).
-	RackSize int
 	// Label names the job in traces and debug logs.
 	Label string
 	// OnDone observes the job's final result (called once, inside the
@@ -89,8 +86,8 @@ func StartJob(cfg JobConfig) (*JobHandle, error) {
 		return nil, errors.New("core: StartJob requires JobConfig.Shared (use Run for single-job simulations)")
 	}
 	s := cfg.Shared
-	if s.Env == nil || s.Capacity == nil || len(s.Nodes) == 0 || s.AwaitCapacity == nil {
-		return nil, errors.New("core: SharedSim needs Env, Nodes, Capacity and AwaitCapacity")
+	if s.Env == nil || s.Capacity == nil || s.Cluster == nil || s.AwaitCapacity == nil {
+		return nil, errors.New("core: SharedSim needs Env, Cluster, Capacity and AwaitCapacity")
 	}
 	if s.Stream != nil {
 		if rec := trace.Of(s.Env); rec != nil {

@@ -61,15 +61,7 @@ func ChaosPolicies() []core.Policy {
 // recovery machinery it exercises is the same one the catalogue workloads
 // use. The benchmarks reuse it as the standard steady-training subject.
 func ChaosWorkload() workload.Workload {
-	return workload.Workload{
-		Name: "chaos-tiny", GPU: "A100-80GB", ParamsB: 0.004, Nodes: 2, PerNode: 2,
-		Topo: train.Topology{D: 4, P: 1, T: 1}, Framework: "chaos",
-		Minibatch:  50 * vclock.Millisecond,
-		CkptTarget: vclock.Seconds(0.5), RestoreTarget: vclock.Seconds(1),
-		NCCLInitBase: 200 * vclock.Millisecond, NCCLInitPerRank: 5 * vclock.Millisecond,
-		Teardown: 100 * vclock.Millisecond, CRIU: vclock.Second,
-		Layers: 2, Hidden: 8,
-	}
+	return workload.Tiny("chaos-tiny", "chaos", 2, 2, train.Topology{D: 4, P: 1, T: 1}, 0.004, 2, 8)
 }
 
 // ChaosRow is one policy×seed cell of the chaos suite.

@@ -93,25 +93,6 @@ func ElasticPolicies() []core.Policy {
 // exponentially delayed repairs is run under both the fixed-width and
 // elastic user-level JIT policies.
 func RunElasticSweep(opt ElasticOptions) ([]ElasticRow, error) {
-	def := DefaultElasticOptions()
-	if len(opt.Seeds) == 0 {
-		opt.Seeds = def.Seeds
-	}
-	if opt.Iters <= 0 {
-		opt.Iters = def.Iters
-	}
-	if len(opt.MTBFs) == 0 {
-		opt.MTBFs = def.MTBFs
-	}
-	if len(opt.Spares) == 0 {
-		opt.Spares = def.Spares
-	}
-	if opt.MeanRepair <= 0 {
-		opt.MeanRepair = def.MeanRepair
-	}
-	if opt.PlanHorizon <= 0 {
-		opt.PlanHorizon = def.PlanHorizon
-	}
 	wl := ChaosWorkload()
 	mix := elasticMix()
 
@@ -143,7 +124,7 @@ func RunElasticSweep(opt ElasticOptions) ([]ElasticRow, error) {
 		// day/(m·n).
 		fPerGPUDay := float64(vclock.Day) / (float64(c.mtbf) * float64(wl.GPUs()))
 		plan := failure.PoissonPlan(rng, wl.Topo.World(), fPerGPUDay, opt.PlanHorizon, mix).
-			WithRepairs(rng, opt.MeanRepair)
+			WithRepairs(rng, opt.MeanRepair, 0)
 		// The sweep needs a recorder for the transition counts; a shared
 		// one (serial -trace export) accumulates every run, so count this
 		// run's transitions as deltas.

@@ -9,7 +9,6 @@ import (
 	"jitckpt/internal/peerckpt"
 	"jitckpt/internal/trace"
 	"jitckpt/internal/train"
-	"jitckpt/internal/vclock"
 	"jitckpt/internal/workload"
 )
 
@@ -42,15 +41,7 @@ func ErasureSchemes() []ErasureScheme {
 // count that lets the widest geometry, RS(4,2), place all six fragments
 // of a stripe on distinct non-replica nodes.
 func erasureWorkload() workload.Workload {
-	return workload.Workload{
-		Name: "erasure-tiny", GPU: "A100-80GB", ParamsB: 0.004, Nodes: 8, PerNode: 1,
-		Topo: train.Topology{D: 2, P: 4, T: 1}, Framework: "erasure",
-		Minibatch:  50 * vclock.Millisecond,
-		CkptTarget: vclock.Seconds(0.5), RestoreTarget: vclock.Seconds(1),
-		NCCLInitBase: 200 * vclock.Millisecond, NCCLInitPerRank: 5 * vclock.Millisecond,
-		Teardown: 100 * vclock.Millisecond, CRIU: vclock.Second,
-		Layers: 4, Hidden: 8,
-	}
+	return workload.Tiny("erasure-tiny", "erasure", 8, 1, train.Topology{D: 2, P: 4, T: 1}, 0.004, 4, 8)
 }
 
 // ErasureRow is one scheme of the overhead-vs-survivability table.

@@ -165,34 +165,6 @@ func fleetSpec(mix FleetMix, jobs, iters int) string {
 // the per-cell metrics come from the cluster's exactly reconciled fleet
 // accounting.
 func RunFleetSweep(opt FleetOptions) ([]FleetRow, error) {
-	def := DefaultFleetOptions()
-	if len(opt.Seeds) == 0 {
-		opt.Seeds = def.Seeds
-	}
-	if opt.Jobs <= 0 {
-		opt.Jobs = def.Jobs
-	}
-	if opt.Iters <= 0 {
-		opt.Iters = def.Iters
-	}
-	if len(opt.Mixes) == 0 {
-		opt.Mixes = def.Mixes
-	}
-	if len(opt.MTBFs) == 0 {
-		opt.MTBFs = def.MTBFs
-	}
-	if len(opt.SpareFracs) == 0 {
-		opt.SpareFracs = def.SpareFracs
-	}
-	if opt.MeanRepair <= 0 {
-		opt.MeanRepair = def.MeanRepair
-	}
-	if opt.RackSize <= 0 {
-		opt.RackSize = def.RackSize
-	}
-	if opt.Horizon <= 0 {
-		opt.Horizon = def.Horizon
-	}
 	policies := FleetPolicies()
 	perJob := cluster.FleetWorkload().Nodes
 
@@ -226,12 +198,8 @@ func RunFleetSweep(opt FleetOptions) ([]FleetRow, error) {
 		}
 	}
 	if opt.HeadlineJobs > 0 {
-		iters := opt.HeadlineIters
-		if iters <= 0 {
-			iters = def.HeadlineIters
-		}
 		addCell(opt.Mixes[len(opt.Mixes)-1], opt.MTBFs[0],
-			opt.SpareFracs[len(opt.SpareFracs)-1], opt.HeadlineJobs, iters, opt.Seeds[:1])
+			opt.SpareFracs[len(opt.SpareFracs)-1], opt.HeadlineJobs, opt.HeadlineIters, opt.Seeds[:1])
 	}
 
 	results, err := sweep(cells, opt.Workers, opt.Recorder, func(c cell, rec *trace.Recorder) (*cluster.Result, error) {
@@ -242,7 +210,7 @@ func RunFleetSweep(opt FleetOptions) ([]FleetRow, error) {
 		// Per-node MTBF m means a per-node daily rate of day/m.
 		fPerNodePerDay := float64(vclock.Day) / float64(c.mtbf)
 		rng := rand.New(rand.NewSource(c.seed*127 + int64(c.nodes)))
-		plan := failure.PoissonNodePlan(rng, c.nodes, fPerNodePerDay, opt.Horizon, nil).
+		plan := failure.PoissonPlan(rng, c.nodes, fPerNodePerDay, opt.Horizon, failure.DefaultNodeMix()).
 			WithRepairs(rand.New(rand.NewSource(c.seed*131+int64(c.nodes))), opt.MeanRepair, opt.RackSize)
 		res, err := cluster.Run(cluster.Config{
 			Nodes:    c.nodes,

@@ -85,16 +85,7 @@ func RecoveryFamilyPolicies() []core.Policy {
 // smallest geometry on which every family (including the pipeline-stage
 // redundancy tier) is runnable.
 func recoveryWorkload(sz RecoverySize) workload.Workload {
-	return workload.Workload{
-		Name: "recovery-" + sz.Name, GPU: "A100-80GB", ParamsB: sz.ParamsB,
-		Nodes: 8, PerNode: 1,
-		Topo: train.Topology{D: 2, P: 4, T: 1}, Framework: "recovery",
-		Minibatch:  50 * vclock.Millisecond,
-		CkptTarget: vclock.Seconds(0.5), RestoreTarget: vclock.Seconds(1),
-		NCCLInitBase: 200 * vclock.Millisecond, NCCLInitPerRank: 5 * vclock.Millisecond,
-		Teardown: 100 * vclock.Millisecond, CRIU: vclock.Second,
-		Layers: 4, Hidden: sz.Hidden,
-	}
+	return workload.Tiny("recovery-"+sz.Name, "recovery", 8, 1, train.Topology{D: 2, P: 4, T: 1}, sz.ParamsB, 4, sz.Hidden)
 }
 
 // recoveryMix weights the failure draw toward hardware kinds: the sweep
@@ -133,28 +124,6 @@ type RecoveryRow struct {
 // byte traffic. Cells run independently, so the grid parallelizes with
 // byte-identical output.
 func RunRecoveryFamilies(opt RecoveryFamiliesOptions) ([]RecoveryRow, error) {
-	def := DefaultRecoveryFamiliesOptions()
-	if len(opt.Seeds) == 0 {
-		opt.Seeds = def.Seeds
-	}
-	if opt.Iters <= 0 {
-		opt.Iters = def.Iters
-	}
-	if len(opt.MTBFs) == 0 {
-		opt.MTBFs = def.MTBFs
-	}
-	if len(opt.Intervals) == 0 {
-		opt.Intervals = def.Intervals
-	}
-	if len(opt.Sizes) == 0 {
-		opt.Sizes = def.Sizes
-	}
-	if opt.MeanRepair <= 0 {
-		opt.MeanRepair = def.MeanRepair
-	}
-	if opt.PlanHorizon <= 0 {
-		opt.PlanHorizon = def.PlanHorizon
-	}
 	mix := recoveryMix()
 
 	type cell struct {
@@ -188,7 +157,7 @@ func RunRecoveryFamilies(opt RecoveryFamiliesOptions) ([]RecoveryRow, error) {
 		rng := rand.New(rand.NewSource(c.seed*439 + int64(c.mtbf/vclock.Millisecond)))
 		fPerGPUDay := float64(vclock.Day) / (float64(c.mtbf) * float64(wl.GPUs()))
 		plan := failure.PoissonPlan(rng, wl.Topo.World(), fPerGPUDay, opt.PlanHorizon, mix).
-			WithRepairs(rng, opt.MeanRepair)
+			WithRepairs(rng, opt.MeanRepair, 0)
 		res, err := core.Run(core.JobConfig{
 			WL: wl, Policy: c.policy, Iters: opt.Iters, Seed: 1,
 			HangTimeout: 2 * vclock.Second, SpareNodes: spareNodesFor(wl),

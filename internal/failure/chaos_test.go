@@ -117,29 +117,17 @@ func TestKindByNameRoundTrip(t *testing.T) {
 }
 
 // clusterInjector builds an injector over a small cluster with one rank
-// per device and rack = node.ID/2.
+// per device and the default rack width (rack = node.ID/2).
 func clusterInjector(env *vclock.Env, cluster *gpu.Cluster, perNode int) *Injector {
-	devOf := func(rank int) *gpu.Device {
-		return cluster.Nodes[rank/perNode].Devices[rank%perNode]
+	return &Injector{
+		Env:     env,
+		Cluster: cluster,
+		DeviceOf: func(rank int) *gpu.Device {
+			return cluster.Nodes[rank/perNode].Devices[rank%perNode]
+		},
+		Engine: nccl.NewEngine(env, nccl.DefaultParams()),
+		GenOf:  func(string) int { return 0 },
 	}
-	in := &Injector{
-		Env:      env,
-		DeviceOf: devOf,
-		Engine:   nccl.NewEngine(env, nccl.DefaultParams()),
-		GenOf:    func(string) int { return 0 },
-		NodeOf:   func(rank int) *gpu.Node { return cluster.Nodes[rank/perNode] },
-	}
-	in.RackNodesOf = func(rank int) []*gpu.Node {
-		rack := cluster.Nodes[rank/perNode].ID / 2
-		var out []*gpu.Node
-		for _, n := range cluster.Nodes {
-			if n.ID/2 == rack {
-				out = append(out, n)
-			}
-		}
-		return out
-	}
-	return in
 }
 
 // TestInjectorSkipsAlreadyFailedTarget pins the double-fail fix: an
@@ -151,18 +139,18 @@ func TestInjectorSkipsAlreadyFailedTarget(t *testing.T) {
 	cluster := gpu.NewCluster(env, 2, 2, 1<<30)
 	in := clusterInjector(env, cluster, 2)
 	env.Go("test", func(p *vclock.Proc) {
-		if !in.Apply(Injection{Rank: 0, Kind: NodeDown}) {
+		if !in.Apply(Injection{Target: 0, Kind: NodeDown}) {
 			t.Error("first node-down did not land")
 		}
 		// Rank 1 lives on the same (now failed) node: every further fault
 		// aimed at it must be skipped, not double-applied.
 		for _, k := range []Kind{GPUHard, GPUSticky, DriverCorrupt, NodeDown} {
-			if in.Apply(Injection{Rank: 1, Kind: k}) {
+			if in.Apply(Injection{Target: 1, Kind: k}) {
 				t.Errorf("%v on dead rank landed", k)
 			}
 		}
 		// A rank on the surviving node still takes faults.
-		if !in.Apply(Injection{Rank: 2, Kind: GPUSticky}) {
+		if !in.Apply(Injection{Target: 2, Kind: GPUSticky}) {
 			t.Error("fault on healthy rank skipped")
 		}
 	})
@@ -182,7 +170,7 @@ func TestRackDownFailsWholeFailureDomain(t *testing.T) {
 	cluster := gpu.NewCluster(env, 4, 2, 1<<30)
 	in := clusterInjector(env, cluster, 2)
 	env.Go("test", func(p *vclock.Proc) {
-		if !in.Apply(Injection{Rank: 1, Kind: RackDown}) {
+		if !in.Apply(Injection{Target: 1, Kind: RackDown}) {
 			t.Fatal("rack-down skipped")
 		}
 	})
@@ -204,22 +192,64 @@ func TestRackDownFailsWholeFailureDomain(t *testing.T) {
 	}
 }
 
-func TestRackDownDegradesToNodeDownWithoutResolver(t *testing.T) {
+// TestRackDownSkippedWhenOwnNodeDown pins the job injector's skip rule: a
+// RackDown aimed at a rank whose own host is already down is skipped whole,
+// so its rack-mate stays up. (The cluster injector lands a RackDown while
+// any host in the rack is still up; see TestInjectorRulesKeptApart in
+// internal/cluster.)
+func TestRackDownSkippedWhenOwnNodeDown(t *testing.T) {
 	env := vclock.NewEnv(1)
 	cluster := gpu.NewCluster(env, 4, 2, 1<<30)
 	in := clusterInjector(env, cluster, 2)
-	in.RackNodesOf = nil
 	env.Go("test", func(p *vclock.Proc) {
-		if !in.Apply(Injection{Rank: 1, Kind: RackDown}) {
-			t.Fatal("degraded rack-down skipped")
+		if !in.Apply(Injection{Target: 0, Kind: NodeDown}) {
+			t.Fatal("node-down skipped")
+		}
+		if in.Apply(Injection{Target: 1, Kind: RackDown}) {
+			t.Error("rack-down on a rank whose host is down landed")
 		}
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !cluster.Nodes[0].Failed || cluster.Nodes[1].Failed {
-		t.Errorf("degraded rack-down: node0 %v node1 %v, want only node0 down",
+		t.Errorf("node0 down %v, rack-mate node1 down %v, want true false",
 			cluster.Nodes[0].Failed, cluster.Nodes[1].Failed)
+	}
+	if in.SkippedCount() != 1 {
+		t.Errorf("skipped %d injections, want 1", in.SkippedCount())
+	}
+}
+
+// TestRepairPrefersDownHostOverOlderDeadBoard pins which node a job's
+// NodeRepaired picks: a board died on node 0 first, then host 1 went down;
+// the one repair goes to the host (the oldest host this injector took
+// down), the dead board waits for the next. The cluster injector repairs
+// the oldest casualty of either kind, node 0.
+func TestRepairPrefersDownHostOverOlderDeadBoard(t *testing.T) {
+	env := vclock.NewEnv(1)
+	cluster := gpu.NewCluster(env, 4, 2, 1<<30)
+	in := clusterInjector(env, cluster, 2)
+	var repaired []int
+	in.OnRepair = func(n *gpu.Node) { repaired = append(repaired, n.ID) }
+	env.Go("test", func(p *vclock.Proc) {
+		in.Apply(Injection{Target: 0, Kind: GPUHard})
+		in.Apply(Injection{Target: 2, Kind: NodeDown})
+		in.Apply(Injection{Kind: NodeRepaired})
+		if cluster.Nodes[1].Broken() || !cluster.Nodes[0].DeadBoard() {
+			t.Errorf("after one repair: node1 broken %v, node0 dead board %v, want false true",
+				cluster.Nodes[1].Broken(), cluster.Nodes[0].DeadBoard())
+		}
+		in.Apply(Injection{Kind: NodeRepaired})
+		if in.Apply(Injection{Kind: NodeRepaired}) {
+			t.Error("repair with nothing broken landed")
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(repaired) != 2 || repaired[0] != 1 || repaired[1] != 0 {
+		t.Errorf("repaired nodes %v, want [1 0]", repaired)
 	}
 }
 
@@ -229,12 +259,12 @@ func TestStorageFaultRouting(t *testing.T) {
 	in := clusterInjector(env, cluster, 2)
 	env.Go("test", func(p *vclock.Proc) {
 		// Without a hook the injection is skipped (not silently "applied").
-		if in.Apply(Injection{Rank: 0, Kind: StorageFault}) {
+		if in.Apply(Injection{Target: 0, Kind: StorageFault}) {
 			t.Error("storage fault landed with no hook")
 		}
 		fired := 0
 		in.OnStorageFault = func(Injection) { fired++ }
-		if !in.Apply(Injection{Rank: 0, Kind: StorageFault}) || fired != 1 {
+		if !in.Apply(Injection{Target: 0, Kind: StorageFault}) || fired != 1 {
 			t.Errorf("storage fault hook fired %d times", fired)
 		}
 		// Storage faults do not touch devices.

@@ -104,9 +104,14 @@ func KindByName(name string) (Kind, bool) {
 
 // Injection is one scheduled fault.
 type Injection struct {
-	At   vclock.Time
-	Rank int
-	Kind Kind
+	At vclock.Time
+	// Target is what the fault lands on, read by whoever runs the plan: a
+	// job rank in a job's plan (core.JobConfig.Failures, resolved through
+	// the job's current placement), a node ID in a cluster's
+	// (cluster.Config.Failures), so one plan can hit spares, nodes leased
+	// by any tenant, or a failure domain shared across tenants.
+	Target int
+	Kind   Kind
 	// CommKey targets network faults at a specific communicator; empty
 	// means the injector picks the rank's gradient communicator via its
 	// CommKeyOf hook.
@@ -125,16 +130,17 @@ func (pl *Plan) Sort() {
 	})
 }
 
-// Validate rejects plans referencing ranks outside [0, world). Before
-// this check an out-of-range rank resolved to no device and the injection
-// silently never fired — a misconfigured chaos plan looked like a lucky
-// run. Skips from *legitimate* races (target already destroyed by an
-// earlier fault) remain runtime skips, counted by Injector.SkippedCount.
-func (pl Plan) Validate(world int) error {
+// Validate rejects plans referencing targets outside [0, n) — n ranks for a
+// job's plan, n nodes for a cluster's. Before this check an out-of-range
+// rank resolved to no device and the injection silently never fired — a
+// misconfigured chaos plan looked like a lucky run. Skips from *legitimate*
+// races (target already destroyed by an earlier fault) remain runtime
+// skips, counted by Injector.SkippedCount.
+func (pl Plan) Validate(n int) error {
 	for i, inj := range pl.Injections {
-		if inj.Rank < 0 || inj.Rank >= world {
-			return fmt.Errorf("failure: injection %d (%v at %v) targets rank %d outside world [0,%d)",
-				i, inj.Kind, inj.At, inj.Rank, world)
+		if inj.Target < 0 || inj.Target >= n {
+			return fmt.Errorf("failure: injection %d (%v at %v) targets %d outside [0,%d)",
+				i, inj.Kind, inj.At, inj.Target, n)
 		}
 	}
 	return nil
@@ -159,6 +165,17 @@ func DefaultMix() map[Kind]float64 {
 		// board swaps plus host replacements): a standalone repair with
 		// nothing failed is skipped harmlessly.
 		NodeRepaired: 0.08,
+	}
+}
+
+// DefaultNodeMix is the cluster-scoped analogue of DefaultMix: mostly
+// single-board and single-host losses with a thin tail of rack-level
+// correlated failures.
+func DefaultNodeMix() map[Kind]float64 {
+	return map[Kind]float64{
+		GPUHard:  0.55,
+		NodeDown: 0.35,
+		RackDown: 0.10,
 	}
 }
 
@@ -196,12 +213,13 @@ func ParseMix(spec string) (map[Kind]float64, error) {
 	return mix, nil
 }
 
-// PoissonPlan samples failures over horizon for a job of n ranks with
-// per-GPU failure rate fPerGPUPerDay, mixing kinds by weight. The job
-// failure rate is n×f, as in §5.2.
-func PoissonPlan(rng *rand.Rand, n int, fPerGPUPerDay float64, horizon vclock.Time, mix map[Kind]float64) Plan {
+// PoissonPlan samples failures over horizon for n targets — a job's ranks
+// or a cluster's nodes — each failing at rate perDay, mixing kinds by
+// weight. The total rate is n×f: the job failure rate of §5.2, or the
+// fleet-level quantity an operator provisions spares against.
+func PoissonPlan(rng *rand.Rand, n int, perDay float64, horizon vclock.Time, mix map[Kind]float64) Plan {
 	var plan Plan
-	rate := fPerGPUPerDay * float64(n) / float64(vclock.Day) // events per ns
+	rate := perDay * float64(n) / float64(vclock.Day) // events per ns
 	if rate <= 0 {
 		return plan
 	}
@@ -214,9 +232,9 @@ func PoissonPlan(rng *rand.Rand, n int, fPerGPUPerDay float64, horizon vclock.Ti
 			break
 		}
 		plan.Injections = append(plan.Injections, Injection{
-			At:   t,
-			Rank: rng.Intn(n),
-			Kind: pickKind(rng, kinds, weights),
+			At:     t,
+			Target: rng.Intn(n),
+			Kind:   pickKind(rng, kinds, weights),
 		})
 	}
 	return plan
@@ -251,128 +269,13 @@ func pickKind(rng *rand.Rand, kinds []Kind, cumWeights []float64) Kind {
 }
 
 // WithRepairs returns a copy of the plan with a NodeRepaired event
-// appended after every node-destroying injection (GPUHard, NodeDown, and
-// two for RackDown — the default failure-domain width; with a wider
-// RackSize the rest of the rack stays down), delayed by an exponentially
-// distributed repair time with the given mean. This models
-// hardware-replacement turnaround so elastic jobs that shrank under the
-// failures can re-expand when capacity returns.
-func (pl Plan) WithRepairs(rng *rand.Rand, meanDelay vclock.Time) Plan {
-	out := Plan{Injections: append([]Injection(nil), pl.Injections...)}
-	if meanDelay <= 0 {
-		return out
-	}
-	for _, inj := range pl.Injections {
-		repairs := 0
-		switch inj.Kind {
-		case GPUHard, NodeDown:
-			repairs = 1
-		case RackDown:
-			repairs = 2
-		}
-		for i := 0; i < repairs; i++ {
-			delay := vclock.Time(rng.ExpFloat64() * float64(meanDelay))
-			out.Injections = append(out.Injections, Injection{
-				At: inj.At + delay, Rank: inj.Rank, Kind: NodeRepaired,
-			})
-		}
-	}
-	out.Sort()
-	return out
-}
-
-// NodeInjection is one cluster-scoped scheduled fault: it targets a node
-// ID directly rather than a job rank, so one plan can hit spares, nodes
-// leased by any tenant, or a whole failure domain shared across tenants.
-type NodeInjection struct {
-	At   vclock.Time
-	Node int
-	Kind Kind
-}
-
-// NodePlan is a time-ordered set of cluster-scoped injections. Only the
-// node-granular kinds are meaningful here: GPUHard (one board on the node
-// dies, taking the node out of the allocatable pool), NodeDown, RackDown
-// (the whole failure domain containing Node), and NodeRepaired.
-type NodePlan struct {
-	Injections []NodeInjection
-}
-
-// Sort orders injections by time (stable on equal times).
-func (pl *NodePlan) Sort() {
-	sort.SliceStable(pl.Injections, func(i, j int) bool {
-		return pl.Injections[i].At < pl.Injections[j].At
-	})
-}
-
-// Validate rejects plans referencing node IDs outside [0, nodes) or kinds
-// that are not node-granular (a rank-level kind like NetworkHang has no
-// meaning without a job to target).
-func (pl NodePlan) Validate(nodes int) error {
-	for i, inj := range pl.Injections {
-		switch inj.Kind {
-		case GPUHard, NodeDown, RackDown, NodeRepaired:
-		default:
-			return fmt.Errorf("failure: node injection %d (at %v) has rank-level kind %v",
-				i, inj.At, inj.Kind)
-		}
-		if inj.Node < 0 || inj.Node >= nodes {
-			return fmt.Errorf("failure: node injection %d (%v at %v) targets node %d outside cluster [0,%d)",
-				i, inj.Kind, inj.At, inj.Node, nodes)
-		}
-	}
-	return nil
-}
-
-// DefaultNodeMix is the cluster-scoped analogue of DefaultMix: mostly
-// single-board and single-host losses with a thin tail of rack-level
-// correlated failures.
-func DefaultNodeMix() map[Kind]float64 {
-	return map[Kind]float64{
-		GPUHard:  0.55,
-		NodeDown: 0.35,
-		RackDown: 0.10,
-	}
-}
-
-// PoissonNodePlan samples cluster-scoped failures over horizon for a
-// cluster of n nodes with per-node failure rate fPerNodePerDay, mixing
-// node-granular kinds by weight (nil mix = DefaultNodeMix). The cluster
-// failure rate is n×f — the fleet-level quantity an operator provisions
-// spares against.
-func PoissonNodePlan(rng *rand.Rand, n int, fPerNodePerDay float64, horizon vclock.Time, mix map[Kind]float64) NodePlan {
-	var plan NodePlan
-	rate := fPerNodePerDay * float64(n) / float64(vclock.Day) // events per ns
-	if rate <= 0 {
-		return plan
-	}
-	if mix == nil {
-		mix = DefaultNodeMix()
-	}
-	kinds, weights := flattenMix(mix)
-	t := vclock.Time(0)
-	for {
-		gap := vclock.Time(rng.ExpFloat64() / rate)
-		t += gap
-		if t >= horizon {
-			break
-		}
-		plan.Injections = append(plan.Injections, NodeInjection{
-			At:   t,
-			Node: rng.Intn(n),
-			Kind: pickKind(rng, kinds, weights),
-		})
-	}
-	return plan
-}
-
-// WithRepairs returns a copy of the node plan with a NodeRepaired event
 // appended after every node-destroying injection (one per node lost:
-// rackSize for RackDown), delayed by an exponentially distributed repair
-// time with the given mean — the hardware-replacement turnaround the
-// cluster arbiter re-expands degraded tenants against.
-func (pl NodePlan) WithRepairs(rng *rand.Rand, meanDelay vclock.Time, rackSize int) NodePlan {
-	out := NodePlan{Injections: append([]NodeInjection(nil), pl.Injections...)}
+// GPUHard and NodeDown one, RackDown rackSize, 0 = the default width 2),
+// delayed by an exponentially distributed repair time with the given mean.
+// This models hardware-replacement turnaround so elastic jobs that shrank
+// under the failures can re-expand when capacity returns.
+func (pl Plan) WithRepairs(rng *rand.Rand, meanDelay vclock.Time, rackSize int) Plan {
+	out := Plan{Injections: append([]Injection(nil), pl.Injections...)}
 	if meanDelay <= 0 {
 		return out
 	}
@@ -389,8 +292,8 @@ func (pl NodePlan) WithRepairs(rng *rand.Rand, meanDelay vclock.Time, rackSize i
 		}
 		for i := 0; i < repairs; i++ {
 			delay := vclock.Time(rng.ExpFloat64() * float64(meanDelay))
-			out.Injections = append(out.Injections, NodeInjection{
-				At: inj.At + delay, Node: inj.Node, Kind: NodeRepaired,
+			out.Injections = append(out.Injections, Injection{
+				At: inj.At + delay, Target: inj.Target, Kind: NodeRepaired,
 			})
 		}
 	}
@@ -411,6 +314,10 @@ func MTBF(n int, fPerGPUPerDay float64) vclock.Time {
 // Injector applies a plan to a running job.
 type Injector struct {
 	Env *vclock.Env
+	// Cluster is the hardware the job runs on: the node of a rank is
+	// Cluster.Nodes[DeviceOf(rank).NodeID], RackDown takes that node's rack,
+	// and NodeRepaired searches all of it for something broken.
+	Cluster *gpu.Cluster
 	// DeviceOf resolves the device currently serving a rank.
 	DeviceOf func(rank int) *gpu.Device
 	// Engine is the collective engine for network faults.
@@ -420,23 +327,12 @@ type Injector struct {
 	CommKeyOf func(rank int) string
 	// GenOf resolves the current generation of a communicator key.
 	GenOf func(key string) int
-	// NodeOf resolves the node currently hosting a rank; required for
-	// NodeDown injections (whole-host loss).
-	NodeOf func(rank int) *gpu.Node
-	// RackNodesOf resolves every node in the failure domain (rack/ToR
-	// switch) of the rank's node; required for RackDown injections. Nil
-	// degrades RackDown to NodeDown.
-	RackNodesOf func(rank int) []*gpu.Node
 	// OnStorageFault arms a storage-tier fault (the harness wires it to
 	// the checkpoint store's chaos hook). Nil makes StorageFault
 	// injections no-ops that are skipped, not applied.
 	OnStorageFault func(inj Injection)
 	// OnInject observes applied injections (metrics, test assertions).
 	OnInject func(inj Injection)
-	// AllNodes lists every node in the cluster; required for NodeRepaired
-	// injections to find a repairable node when the FIFO of injected node
-	// failures is empty (e.g. a node excluded for a hard GPU).
-	AllNodes []*gpu.Node
 	// OnRepair observes applied NodeRepaired injections with the node that
 	// came back (the harness un-excludes it from the scheduler pool).
 	OnRepair func(node *gpu.Node)
@@ -469,43 +365,28 @@ func (in *Injector) AwaitRepair(p *vclock.Proc, timeout vclock.Time) bool {
 	return p.WaitTimeout(in.repairWait, timeout)
 }
 
-// repairable returns a node needing repair: the oldest injection-failed
-// node still down, else any failed node, else any node holding a
-// hard-failed device. Nil means nothing needs repair.
+// repairable returns a node needing repair: the oldest node this injector
+// took down that is still down, else any down node, else any node with a
+// dead board, in ID order. Nil means nothing needs repair. (The cluster
+// injector picks the oldest casualty of either kind; DESIGN.md "Hardware
+// model" has the scenario that separates the two.)
 func (in *Injector) repairable() *gpu.Node {
 	for _, n := range in.failedNodes {
 		if n.Failed {
 			return n
 		}
 	}
-	for _, n := range in.AllNodes {
+	for _, n := range in.Cluster.Nodes {
 		if n.Failed {
 			return n
 		}
 	}
-	for _, n := range in.AllNodes {
-		for _, d := range n.Devices {
-			if d.Health() == gpu.Hard {
-				return n
-			}
+	for _, n := range in.Cluster.Nodes {
+		if n.DeadBoard() {
+			return n
 		}
 	}
 	return nil
-}
-
-// repairNode brings a node back: hardware for every unhealthy device is
-// replaced (blank, healthy) and the node rejoins service.
-func (in *Injector) repairNode(node *gpu.Node) {
-	node.Failed = false
-	for _, d := range node.Devices {
-		if d.Health() != gpu.Healthy {
-			d.Repair()
-		}
-	}
-	in.Env.Tracef("failure: node %d repaired", node.ID)
-	if in.OnRepair != nil {
-		in.OnRepair(node)
-	}
 }
 
 // noteRepairProcessed accounts one NodeRepaired event (applied or
@@ -547,16 +428,8 @@ func (in *Injector) targetLost(inj Injection) bool {
 		// fault whose target is already gone).
 		return in.repairable() == nil
 	}
-	if in.NodeOf != nil {
-		if node := in.NodeOf(inj.Rank); node != nil && node.Failed {
-			return true
-		}
-	}
-	if in.DeviceOf != nil {
-		dev := in.DeviceOf(inj.Rank)
-		return dev == nil || !dev.Accessible()
-	}
-	return false
+	dev := in.DeviceOf(inj.Target)
+	return dev == nil || !dev.Accessible() || in.Cluster.Nodes[dev.NodeID].Failed
 }
 
 // Apply performs one injection immediately. It reports whether the
@@ -569,43 +442,37 @@ func (in *Injector) Apply(inj Injection) bool {
 	}
 	if in.targetLost(inj) {
 		in.skipped = append(in.skipped, inj)
-		in.Env.Tracef("failure: skipped %v on rank %d (target already lost)", inj.Kind, inj.Rank)
-		trace.Of(in.Env).Instant(in.Env.Now(), "fail", trace.Rank(inj.Rank), "inject-skip",
+		in.Env.Tracef("failure: skipped %v on rank %d (target already lost)", inj.Kind, inj.Target)
+		trace.Of(in.Env).Instant(in.Env.Now(), "fail", trace.Rank(inj.Target), "inject-skip",
 			"kind", inj.Kind)
 		return false
 	}
 	switch inj.Kind {
 	case GPUHard:
-		in.DeviceOf(inj.Rank).InjectHard()
+		in.DeviceOf(inj.Target).InjectHard()
 	case NodeDown:
-		if in.NodeOf == nil {
-			// Degraded: without a node resolver only the rank's device is
-			// lost.
-			in.DeviceOf(inj.Rank).InjectHard()
-			break
-		}
-		in.failNode(in.NodeOf(inj.Rank))
+		in.failNode(in.Cluster.Nodes[in.DeviceOf(inj.Target).NodeID])
 	case RackDown:
-		if in.RackNodesOf == nil {
-			// Degraded: without a rack resolver only the rank's node is
-			// lost.
-			return in.Apply(Injection{At: inj.At, Rank: inj.Rank, Kind: NodeDown})
-		}
-		for _, node := range in.RackNodesOf(inj.Rank) {
+		for _, node := range in.Cluster.Rack(in.DeviceOf(inj.Target).NodeID) {
 			in.failNode(node)
 		}
 	case GPUSticky:
-		in.DeviceOf(inj.Rank).InjectSticky()
+		in.DeviceOf(inj.Target).InjectSticky()
 	case DriverCorrupt:
-		in.DeviceOf(inj.Rank).InjectDriverCorrupt()
+		in.DeviceOf(inj.Target).InjectDriverCorrupt()
 	case StorageFault:
 		in.OnStorageFault(inj)
 	case NodeRepaired:
-		in.repairNode(in.repairable())
+		node := in.repairable()
+		node.Repair()
+		in.Env.Tracef("failure: node %d repaired", node.ID)
+		if in.OnRepair != nil {
+			in.OnRepair(node)
+		}
 	case NetworkHang, NetworkError:
 		key := inj.CommKey
 		if key == "" && in.CommKeyOf != nil {
-			key = in.CommKeyOf(inj.Rank)
+			key = in.CommKeyOf(inj.Target)
 		}
 		gen := 0
 		if in.GenOf != nil {
@@ -621,21 +488,16 @@ func (in *Injector) Apply(inj Injection) bool {
 	if in.OnInject != nil {
 		in.OnInject(inj)
 	}
-	in.Env.Tracef("failure: injected %v on rank %d", inj.Kind, inj.Rank)
-	trace.Of(in.Env).Instant(in.Env.Now(), "fail", trace.Rank(inj.Rank), "inject", "kind", inj.Kind)
+	in.Env.Tracef("failure: injected %v on rank %d", inj.Kind, inj.Target)
+	trace.Of(in.Env).Instant(in.Env.Now(), "fail", trace.Rank(inj.Target), "inject", "kind", inj.Kind)
 	return true
 }
 
-// failNode marks a node failed and hard-fails every device on it,
-// skipping nodes that are already down.
+// failNode takes a host down and queues it for repair; a host that is
+// already down is left alone.
 func (in *Injector) failNode(node *gpu.Node) {
-	if node == nil || node.Failed {
-		return
-	}
-	node.Failed = true
-	in.failedNodes = append(in.failedNodes, node)
-	for _, d := range node.Devices {
-		d.InjectHard()
+	if node.FailHost() {
+		in.failedNodes = append(in.failedNodes, node)
 	}
 }
 

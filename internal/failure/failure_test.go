@@ -45,7 +45,7 @@ func TestPoissonPlanWithinHorizonAndRanks(t *testing.T) {
 			if inj.At < 0 || inj.At >= 5*vclock.Day {
 				return false
 			}
-			if inj.Rank < 0 || inj.Rank >= n {
+			if inj.Target < 0 || inj.Target >= n {
 				return false
 			}
 		}
@@ -73,10 +73,10 @@ func TestMTBFScalesInverselyWithN(t *testing.T) {
 
 func TestPlanSortIsStableByTime(t *testing.T) {
 	pl := Plan{Injections: []Injection{
-		{At: 5, Rank: 1}, {At: 2, Rank: 2}, {At: 5, Rank: 3},
+		{At: 5, Target: 1}, {At: 2, Target: 2}, {At: 5, Target: 3},
 	}}
 	pl.Sort()
-	if pl.Injections[0].Rank != 2 || pl.Injections[1].Rank != 1 || pl.Injections[2].Rank != 3 {
+	if pl.Injections[0].Target != 2 || pl.Injections[1].Target != 1 || pl.Injections[2].Target != 3 {
 		t.Fatalf("sort wrong: %+v", pl.Injections)
 	}
 }
@@ -84,13 +84,12 @@ func TestPlanSortIsStableByTime(t *testing.T) {
 func TestInjectorAppliesAllKinds(t *testing.T) {
 	env := vclock.NewEnv(1)
 	engine := nccl.NewEngine(env, nccl.DefaultParams())
-	devs := make([]*gpu.Device, 4)
-	for i := range devs {
-		devs[i] = gpu.NewDevice(env, 0, i, 1<<30)
-	}
+	cluster := gpu.NewCluster(env, 1, 4, 1<<30)
+	devs := cluster.Nodes[0].Devices
 	var observed []Kind
 	inj := &Injector{
 		Env:       env,
+		Cluster:   cluster,
 		DeviceOf:  func(r int) *gpu.Device { return devs[r] },
 		Engine:    engine,
 		CommKeyOf: func(r int) string { return "dp" },
@@ -98,10 +97,10 @@ func TestInjectorAppliesAllKinds(t *testing.T) {
 		OnInject:  func(i Injection) { observed = append(observed, i.Kind) },
 	}
 	inj.Start(Plan{Injections: []Injection{
-		{At: vclock.Second, Rank: 0, Kind: GPUHard},
-		{At: 2 * vclock.Second, Rank: 1, Kind: GPUSticky},
-		{At: 3 * vclock.Second, Rank: 2, Kind: DriverCorrupt},
-		{At: 4 * vclock.Second, Rank: 3, Kind: NetworkHang},
+		{At: vclock.Second, Target: 0, Kind: GPUHard},
+		{At: 2 * vclock.Second, Target: 1, Kind: GPUSticky},
+		{At: 3 * vclock.Second, Target: 2, Kind: DriverCorrupt},
+		{At: 4 * vclock.Second, Target: 3, Kind: NetworkHang},
 	}})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -145,7 +144,7 @@ func TestNetworkHangWedgesCollective(t *testing.T) {
 			s, _ := devs[r].NewStream()
 			buf, _ := devs[r].Alloc(64, 1, "g")
 			if r == 0 {
-				inj.Apply(Injection{Rank: 0, Kind: NetworkHang, CommKey: "dp"})
+				inj.Apply(Injection{Target: 0, Kind: NetworkHang, CommKey: "dp"})
 			}
 			op, _ := comm.AllReduce(s, buf)
 			hung[r] = !p.WaitTimeout(op.Done, vclock.Minute)

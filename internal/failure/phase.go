@@ -140,7 +140,7 @@ func (in *Injector) NotePhase(rank int, ph Phase) {
 			if pi.Delay > 0 {
 				p.Sleep(pi.Delay)
 			}
-			in.Apply(Injection{At: p.Now(), Rank: target, Kind: pi.Kind, CommKey: pi.CommKey})
+			in.Apply(Injection{At: p.Now(), Target: target, Kind: pi.Kind, CommKey: pi.CommKey})
 		})
 	}
 }

@@ -10,52 +10,33 @@ import (
 
 func TestPlanValidate(t *testing.T) {
 	ok := Plan{Injections: []Injection{
-		{At: vclock.Second, Rank: 0, Kind: GPUHard},
-		{At: 2 * vclock.Second, Rank: 7, Kind: NetworkHang},
+		{At: vclock.Second, Target: 0, Kind: GPUHard},
+		{At: 2 * vclock.Second, Target: 7, Kind: NetworkHang},
 	}}
 	if err := ok.Validate(8); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
 	}
 	for _, bad := range []Injection{
-		{At: vclock.Second, Rank: 8, Kind: GPUHard},
-		{At: vclock.Second, Rank: -1, Kind: NodeDown},
+		{At: vclock.Second, Target: 8, Kind: GPUHard},
+		{At: vclock.Second, Target: -1, Kind: NodeDown},
 	} {
 		pl := Plan{Injections: []Injection{bad}}
 		err := pl.Validate(8)
 		if err == nil {
-			t.Fatalf("plan with rank %d accepted for world 8", bad.Rank)
+			t.Fatalf("plan with target %d accepted for world 8", bad.Target)
 		}
-		if !strings.Contains(err.Error(), "outside world") {
+		if !strings.Contains(err.Error(), "outside [0,8)") {
 			t.Fatalf("unhelpful error: %v", err)
 		}
 	}
 }
 
-func TestNodePlanValidate(t *testing.T) {
-	ok := NodePlan{Injections: []NodeInjection{
-		{At: vclock.Second, Node: 0, Kind: NodeDown},
-		{At: 2 * vclock.Second, Node: 15, Kind: RackDown},
-		{At: 3 * vclock.Second, Node: 3, Kind: NodeRepaired},
-		{At: 4 * vclock.Second, Node: 9, Kind: GPUHard},
-	}}
-	if err := ok.Validate(16); err != nil {
-		t.Fatalf("valid node plan rejected: %v", err)
-	}
-	if err := (NodePlan{Injections: []NodeInjection{{Node: 16, Kind: NodeDown}}}).Validate(16); err == nil {
-		t.Fatal("out-of-cluster node accepted")
-	}
-	if err := (NodePlan{Injections: []NodeInjection{{Node: -1, Kind: NodeDown}}}).Validate(16); err == nil {
-		t.Fatal("negative node accepted")
-	}
-	if err := (NodePlan{Injections: []NodeInjection{{Node: 2, Kind: NetworkHang}}}).Validate(16); err == nil {
-		t.Fatal("rank-level kind accepted in a node plan")
-	}
-}
-
-func TestPoissonNodePlanDeterministicAndValid(t *testing.T) {
-	gen := func() NodePlan {
+// TestPoissonPlanNodeMixDeterministicAndValid samples the cluster-scoped
+// reading of a plan (targets are node IDs, kinds from DefaultNodeMix).
+func TestPoissonPlanNodeMixDeterministicAndValid(t *testing.T) {
+	gen := func() Plan {
 		rng := rand.New(rand.NewSource(11))
-		return PoissonNodePlan(rng, 32, 0.5, 10*vclock.Day, nil)
+		return PoissonPlan(rng, 32, 0.5, 10*vclock.Day, DefaultNodeMix())
 	}
 	a, b := gen(), gen()
 	if len(a.Injections) == 0 {
@@ -86,12 +67,34 @@ func TestPoissonNodePlanDeterministicAndValid(t *testing.T) {
 	}
 }
 
+// TestWithRepairsFollowsRackWidth: a RackDown takes rackSize hosts, so it
+// schedules rackSize repairs, in a job's plan as in a cluster's; with fewer
+// the rest of a wide rack stays down for good.
+func TestWithRepairsFollowsRackWidth(t *testing.T) {
+	pl := Plan{Injections: []Injection{{At: vclock.Second, Target: 3, Kind: RackDown}}}
+	for _, tc := range []struct{ rackSize, want int }{{0, 2}, {1, 1}, {2, 2}, {4, 4}} {
+		got := pl.WithRepairs(rand.New(rand.NewSource(1)), vclock.Minute, tc.rackSize)
+		repairs := 0
+		for _, inj := range got.Injections {
+			if inj.Kind == NodeRepaired {
+				repairs++
+				if inj.Target != 3 || inj.At < vclock.Second {
+					t.Errorf("rack %d: repair %+v does not follow its fault", tc.rackSize, inj)
+				}
+			}
+		}
+		if repairs != tc.want {
+			t.Errorf("rack width %d: %d repairs scheduled, want %d", tc.rackSize, repairs, tc.want)
+		}
+	}
+}
+
 func TestInjectorSkippedCount(t *testing.T) {
 	env := vclock.NewEnv(1)
 	in := &Injector{Env: env}
 	// No storage hook armed: a StorageFault has no target and is skipped.
 	env.Go("inject", func(p *vclock.Proc) {
-		if in.Apply(Injection{At: p.Now(), Rank: 0, Kind: StorageFault}) {
+		if in.Apply(Injection{At: p.Now(), Target: 0, Kind: StorageFault}) {
 			t.Error("targetless injection reported applied")
 		}
 	})

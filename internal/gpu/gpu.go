@@ -473,13 +473,89 @@ type Node struct {
 	ID      int
 	Devices []*Device
 	// Failed marks whole-host failures (rare per the paper's failure data,
-	// but the control plane handles them by excluding the node).
+	// but the control plane handles them by excluding the node). Only
+	// FailHost and Repair write it.
 	Failed bool
 }
 
-// Cluster is the set of nodes available to a job, plus spares.
+// FailHost takes the whole host down: every GPU dies and the host's CPU
+// memory is gone. It reports false, changing nothing, when the host is
+// already down.
+func (n *Node) FailHost() bool {
+	if n.Failed {
+		return false
+	}
+	n.Failed = true
+	for _, d := range n.Devices {
+		d.InjectHard()
+	}
+	return true
+}
+
+// Repair replaces the node's broken hardware: the host comes back and every
+// unhealthy board is swapped for a blank one. Healthy boards on a host that
+// never went down keep their contents.
+func (n *Node) Repair() {
+	n.Failed = false
+	for _, d := range n.Devices {
+		if d.Health() != Healthy {
+			d.Repair()
+		}
+	}
+}
+
+// DeadBoard reports whether any of the node's GPUs is hard-failed, which
+// makes the node unschedulable even while its host is up.
+func (n *Node) DeadBoard() bool {
+	for _, d := range n.Devices {
+		if d.Health() == Hard {
+			return true
+		}
+	}
+	return false
+}
+
+// Broken reports whether the node needs a repair: its host is down or one
+// of its boards is dead.
+func (n *Node) Broken() bool { return n.Failed || n.DeadBoard() }
+
+// Cluster is the set of nodes available to a job, plus spares, and the
+// failure-domain geometry over them. Node IDs are indices into Nodes.
 type Cluster struct {
 	Nodes []*Node
+	// RackSize is the failure-domain width in nodes (0 = 2): nodes n and n'
+	// share a rack iff RackOf(n) == RackOf(n').
+	RackSize int
+}
+
+// RackOf returns the failure domain of a node ID.
+func (c *Cluster) RackOf(node int) int {
+	rackSize := c.RackSize
+	if rackSize <= 0 {
+		rackSize = 2
+	}
+	return node / rackSize
+}
+
+// Rack returns every node sharing the failure domain of a node ID, in ID
+// order (the last rack of a cluster may be short).
+func (c *Cluster) Rack(node int) []*Node {
+	rack := c.RackOf(node)
+	var out []*Node
+	for _, n := range c.Nodes {
+		if c.RackOf(n.ID) == rack {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// Racks counts the cluster's failure domains.
+func (c *Cluster) Racks() int {
+	if len(c.Nodes) == 0 {
+		return 0
+	}
+	return c.RackOf(len(c.Nodes)-1) + 1
 }
 
 // NewCluster builds nodes*gpus devices, each with memCap bytes.

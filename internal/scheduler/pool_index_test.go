@@ -32,7 +32,7 @@ func (p *refPool) Allocate(n int, exclude map[int]bool) ([]*gpu.Node, error) {
 		if p.inUse[node.ID] || p.failed[node.ID] || exclude[node.ID] || node.Failed {
 			continue
 		}
-		if hasHardDevice(node) {
+		if node.DeadBoard() {
 			p.failed[node.ID] = true
 			continue
 		}

@@ -58,16 +58,6 @@ func NewPool(env *vclock.Env, nodes []*gpu.Node) *Pool {
 	return p
 }
 
-// hasHardDevice reports whether any of the node's GPUs is hard-failed.
-func hasHardDevice(node *gpu.Node) bool {
-	for _, d := range node.Devices {
-		if d.Health() == gpu.Hard {
-			return true
-		}
-	}
-	return false
-}
-
 // compactFree drops entries whose inFree flag was cleared, keeping the
 // index sorted. O(free), allocation-free.
 func (p *Pool) compactFree() {
@@ -112,7 +102,7 @@ func (p *Pool) Allocate(n int, exclude map[int]bool) ([]*gpu.Node, error) {
 		}
 		// A node with any hard-failed GPU is not schedulable: lazy
 		// discovery excludes it permanently (until MarkRepaired).
-		if hasHardDevice(node) {
+		if node.DeadBoard() {
 			p.failed[node.ID] = true
 			p.inFree[idx] = false
 			removed = true
@@ -213,18 +203,29 @@ var ErrNoPeerHost = errors.New("scheduler: no peer host outside the rank's failu
 
 // PeerPlan assigns each rank the nodes that will shelter its peer-replicated
 // checkpoint entries in CPU memory: `copies` hosts per rank, walking the
-// job's nodes ring-wise from the rank's own node. Placement is
-// failure-domain aware at two strengths: a shelter host is *never* the
-// rank's own node (losing one host must not take a rank's state and its
-// shelter copy together), and when enough nodes exist it also avoids every
-// node hosting a data-parallel replica of the rank's position — so a burst
-// of node losses that destroys all replicas of a shard still leaves a
-// sheltered copy elsewhere. It fails with ErrNoPeerHost when the job spans
-// too few nodes to place even the weaker guarantee.
+// job's nodes ring-wise from the rank's own node. It is StripePlan with
+// every node its own rack and no parity, so placement is failure-domain
+// aware at the same two strengths: a shelter host is *never* the rank's own
+// node (losing one host must not take a rank's state and its shelter copy
+// together), and when enough nodes exist it also avoids every node hosting
+// a data-parallel replica of the rank's position — so a burst of node
+// losses that destroys all replicas of a shard still leaves a sheltered
+// copy elsewhere. Unlike a stripe, copies never share a host: it fails with
+// ErrNoPeerHost when the job spans too few nodes for that, which also keeps
+// StripePlan's rack-reuse and node-reuse passes idle.
 func PeerPlan(pl Placement, topo train.Topology, copies int) (map[int][]int, error) {
 	if copies <= 0 {
 		copies = 1
 	}
+	if n := len(jobNodes(pl, topo)); copies >= n {
+		return nil, fmt.Errorf("%w: rank 0 on node %d, %d nodes total", ErrNoPeerHost, pl.NodeOf(0), n)
+	}
+	return StripePlan(pl, topo, copies, 0, func(node int) int { return node }, nil)
+}
+
+// jobNodes lists the distinct nodes a placement puts the topology's ranks
+// on, in ID order.
+func jobNodes(pl Placement, topo train.Topology) []int {
 	nodeSet := make(map[int]bool)
 	for r := 0; r < topo.World(); r++ {
 		nodeSet[pl.NodeOf(r)] = true
@@ -234,40 +235,7 @@ func PeerPlan(pl Placement, topo train.Topology, copies int) (map[int][]int, err
 		nodes = append(nodes, n)
 	}
 	sort.Ints(nodes)
-	idx := make(map[int]int, len(nodes))
-	for i, n := range nodes {
-		idx[n] = i
-	}
-
-	plan := make(map[int][]int, topo.World())
-	for r := 0; r < topo.World(); r++ {
-		own := pl.NodeOf(r)
-		avoid := map[int]bool{own: true}
-		for _, rr := range topo.ReplicaRanks(r) {
-			avoid[pl.NodeOf(rr)] = true
-		}
-		var hosts []int
-		taken := make(map[int]bool)
-		for pass := 0; pass < 2 && len(hosts) < copies; pass++ {
-			for i := 1; i <= len(nodes) && len(hosts) < copies; i++ {
-				n := nodes[(idx[own]+i)%len(nodes)]
-				if n == own || taken[n] {
-					continue
-				}
-				if pass == 0 && avoid[n] {
-					continue
-				}
-				taken[n] = true
-				hosts = append(hosts, n)
-			}
-		}
-		if len(hosts) < copies {
-			return nil, fmt.Errorf("%w: rank %d on node %d, %d nodes total",
-				ErrNoPeerHost, r, own, len(nodes))
-		}
-		plan[r] = hosts
-	}
-	return plan, nil
+	return nodes
 }
 
 // StripePlan assigns each rank the k+m nodes that will host its
@@ -298,15 +266,7 @@ func StripePlan(pl Placement, topo train.Topology, k, m int, rackOf func(node in
 	if warn == nil {
 		warn = func(string, ...any) {}
 	}
-	nodeSet := make(map[int]bool)
-	for r := 0; r < topo.World(); r++ {
-		nodeSet[pl.NodeOf(r)] = true
-	}
-	nodes := make([]int, 0, len(nodeSet))
-	for n := range nodeSet {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
+	nodes := jobNodes(pl, topo)
 	idx := make(map[int]int, len(nodes))
 	for i, n := range nodes {
 		idx[n] = i

@@ -168,12 +168,12 @@ func soakFleetConfig(st *tracestream.Stream) cluster.Config {
 			},
 		}
 	}
-	plan := failure.NodePlan{Injections: []failure.NodeInjection{
-		{At: 1500 * vclock.Millisecond, Node: 0, Kind: failure.RackDown},
+	plan := failure.Plan{Injections: []failure.Injection{
+		{At: 1500 * vclock.Millisecond, Target: 0, Kind: failure.RackDown},
 	}}
 	for i := 0; i < 4; i++ {
-		plan.Injections = append(plan.Injections, failure.NodeInjection{
-			At: 6*vclock.Second + vclock.Time(i)*vclock.Second, Node: i, Kind: failure.NodeRepaired,
+		plan.Injections = append(plan.Injections, failure.Injection{
+			At: 6*vclock.Second + vclock.Time(i)*vclock.Second, Target: i, Kind: failure.NodeRepaired,
 		})
 	}
 	hi := job("hi", core.PolicyPCDisk, 5, 10)

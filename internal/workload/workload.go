@@ -207,6 +207,21 @@ const (
 	ms  = vclock.Millisecond
 )
 
+// Tiny returns a synthetic seconds-scale workload of the given cluster
+// shape and model geometry: 50 ms minibatches, sub-second checkpoints and
+// fast communicator bootstrap, so sweeps, fleets of hundreds of tenants and
+// tests stay cheap while exercising the same recovery machinery the
+// catalogue workloads use.
+func Tiny(name, framework string, nodes, perNode int, topo train.Topology, paramsB float64, layers, hidden int) Workload {
+	return Workload{
+		Name: name, GPU: "A100-80GB", ParamsB: paramsB, Nodes: nodes, PerNode: perNode,
+		Topo: topo, Framework: framework,
+		Minibatch: 50 * ms, CkptTarget: vclock.Seconds(0.5), RestoreTarget: vclock.Seconds(1),
+		NCCLInitBase: 200 * ms, NCCLInitPerRank: 5 * ms, Teardown: 100 * ms,
+		CRIU: sec, Layers: layers, Hidden: hidden,
+	}
+}
+
 // Catalog returns every workload: the ten Table 2 entries plus the
 // GPU-type variants Tables 5–6 measure.
 func Catalog() []Workload {
