@@ -162,10 +162,20 @@ func (o *orderProgram) step(p *Proc, s int) {
 	}
 }
 
+// inline and onFreshGoroutine are the two ways runOrderProgram issues a
+// RunUntil call: on its caller's goroutine, or on one made for that call.
+func inline(run func() error) error { return run() }
+
+func onFreshGoroutine(run func() error) error {
+	done := make(chan error)
+	go func() { done <- run() }()
+	return <-done
+}
+
 // runOrderProgram runs the program under seed to its horizon, then runs the
 // same Env again to completion: the second run starts from whatever the
 // first run's shutdown left behind (dead processes' timers included).
-func runOrderProgram(sb *strings.Builder, seed int64, horizon Time) error {
+func runOrderProgram(sb *strings.Builder, seed int64, horizon Time, call func(run func() error) error) error {
 	fmt.Fprintf(sb, "# seed %d horizon %d\n", seed, horizon)
 	env := NewEnv(seed)
 	env.SetRecorder(procLog{sb})
@@ -193,13 +203,13 @@ func runOrderProgram(sb *strings.Builder, seed int64, horizon Time) error {
 			}
 		}
 	})
-	if err := env.RunUntil(horizon); err != nil {
+	if err := call(func() error { return env.RunUntil(horizon) }); err != nil {
 		return err
 	}
 	logStats(sb, env)
 	fmt.Fprintf(sb, "# seed %d second run\n", seed)
 	o.spawn("late", 12)
-	if err := env.Run(); err != nil {
+	if err := call(env.Run); err != nil {
 		return err
 	}
 	logStats(sb, env)
@@ -216,7 +226,7 @@ func TestSchedulingOrderGolden(t *testing.T) {
 		seed    int64
 		horizon Time
 	}{{1, -1}, {2, 10 * Microsecond}, {3, 20 * Microsecond}} {
-		if err := runOrderProgram(&sb, c.seed, c.horizon); err != nil {
+		if err := runOrderProgram(&sb, c.seed, c.horizon, inline); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -491,6 +501,18 @@ func TestEnvOwnsNoGoroutinesAfterRun(t *testing.T) {
 			}
 		})
 	}
+	// park200 adds 200 processes that start and then sit in a long sleep or
+	// on an event nobody triggers.
+	park200 := func(env *Env) {
+		ev := env.NewEvent("never")
+		for i := 0; i < 200; i++ {
+			if i%2 == 0 {
+				env.Go("sleeper", func(p *Proc) { p.Sleep(Hour) })
+			} else {
+				env.Go("waiter", func(p *Proc) { p.Wait(ev) })
+			}
+		}
+	}
 	cases := []struct {
 		name string
 		run  func(t *testing.T)
@@ -513,6 +535,24 @@ func TestEnvOwnsNoGoroutinesAfterRun(t *testing.T) {
 			env := NewEnv(1)
 			populate(env)
 			env.Go("bad", func(p *Proc) { p.Sleep(3 * Second); panic("boom") })
+			if err := env.Run(); err == nil {
+				t.Error("panic not surfaced")
+			}
+		}},
+		{"horizon cuts 200 started, parked processes", func(t *testing.T) {
+			env := NewEnv(1)
+			park200(env)
+			if err := env.RunUntil(Minute); err != nil {
+				t.Error(err)
+			}
+			if got, want := env.Stats(), (Stats{Dispatches: 400, Spawns: 200}); got != want {
+				t.Errorf("%+v, want %+v", got, want)
+			}
+		}},
+		{"process panics while 200 others are parked", func(t *testing.T) {
+			env := NewEnv(1)
+			park200(env)
+			env.Go("bad", func(p *Proc) { p.Sleep(Second); panic("boom") })
 			if err := env.Run(); err == nil {
 				t.Error("panic not surfaced")
 			}
@@ -635,4 +675,161 @@ func TestDispatchCounterContract(t *testing.T) {
 			t.Errorf("%+v, want %+v", got, want)
 		}
 	})
+}
+
+// TestGoexitInBodyEndsRun: runtime.Goexit in a process body — what a t.Fatal
+// there does — ends the run. The goroutine that called Run exits (its own
+// deferred calls run, Run does not return), and on the way out every other
+// process is killed and unwound, so no goroutine is left behind.
+func TestGoexitInBodyEndsRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	env := NewEnv(1)
+	var log []string
+	env.Go("sleeper", func(p *Proc) {
+		defer func() { log = append(log, "sleeper cleaned up") }()
+		p.Sleep(Hour)
+	})
+	env.Go("quitter", func(p *Proc) {
+		defer func() { log = append(log, "quitter's deferred call ran") }()
+		p.Sleep(Millisecond)
+		runtime.Goexit()
+	})
+	env.Go("stillborn", func(p *Proc) { log = append(log, "stillborn ran") }).Kill()
+	returned, done := false, make(chan struct{})
+	go func() {
+		defer close(done)
+		env.Run()
+		returned = true
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run neither returned nor exited")
+	}
+	if returned {
+		t.Error("Run returned: the Goexit did not reach its caller")
+	}
+	if got, want := strings.Join(log, "; "), "quitter's deferred call ran; sleeper cleaned up"; got != want {
+		t.Errorf("log %q, want %q", got, want)
+	}
+	if env.running || len(env.procs) != 0 || env.Now() != Millisecond {
+		t.Errorf("running=%v procs=%d now=%v, want false, 0 and 0.001s", env.running, len(env.procs), env.Now())
+	}
+	if err := env.Run(); err == nil || !strings.Contains(err.Error(), `process "quitter" called runtime.Goexit`) {
+		t.Errorf("a later Run on the same Env returned %v, want the Goexit as its failure", err)
+	}
+	waitGoroutines(t, base, "goexit in a body")
+
+	fresh := NewEnv(1)
+	var woke Time
+	fresh.Go("p", func(p *Proc) { p.Sleep(Second); woke = p.Now() })
+	if err := fresh.Run(); err != nil || woke != Second {
+		t.Errorf("a later run on a fresh Env: err=%v woke=%v", err, woke)
+	}
+}
+
+// TestConcurrentEnvsMatchSerial is the Workers > 1 sweep shape pinned at the
+// kernel: Envs driven side by side from different goroutines share nothing,
+// so each gives the log and counters of the same program run alone. And a
+// coroutine never outlives the RunUntil call that made it (shutdown finishes
+// what the run left), so successive calls on one Env may come from different
+// goroutines.
+func TestConcurrentEnvsMatchSerial(t *testing.T) {
+	base := runtime.NumGoroutine()
+	horizon := func(i int) Time { return Time(i%3*10-10) * Microsecond } // none, 0, 10µs
+	var serial [8]strings.Builder
+	for i := range serial {
+		if err := runOrderProgram(&serial[i], int64(i+1), horizon(i), inline); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var side [8]strings.Builder
+	errs := make(chan error, len(side))
+	for i := range side {
+		go func() { errs <- runOrderProgram(&side[i], int64(i+1), horizon(i), inline) }()
+	}
+	for range side {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	for i := range side {
+		if side[i].String() != serial[i].String() {
+			t.Errorf("seed %d: log of the Env run beside seven others differs from its serial log", i+1)
+		}
+	}
+
+	for i := range serial {
+		var sb strings.Builder
+		if err := runOrderProgram(&sb, int64(i+1), horizon(i), onFreshGoroutine); err != nil {
+			t.Fatal(err)
+		}
+		if sb.String() != serial[i].String() {
+			t.Errorf("seed %d: two RunUntil calls from two goroutines differ from the same calls from one", i+1)
+		}
+	}
+	waitGoroutines(t, base, "concurrent Envs")
+}
+
+// explode is the frame TestPanicInBodyStillCarriesStack looks for.
+func explode(p *Proc) {
+	p.Sleep(Second)
+	panic("boom")
+}
+
+// TestPanicInBodyStillCarriesStack: the error Run returns for a panicking
+// process names it and carries the stack of the panic, whose outermost
+// frames are now the coroutine's.
+func TestPanicInBodyStillCarriesStack(t *testing.T) {
+	env := NewEnv(1)
+	env.Go("bystander", func(p *Proc) { p.Sleep(Hour) })
+	env.Go("bad", explode)
+	err := env.Run()
+	if err == nil {
+		t.Fatal("panic not surfaced")
+	}
+	for _, want := range []string{`process "bad" panicked: boom`, "vclock.explode", "sched_test.go"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error lacks %q:\n%v", want, err)
+		}
+	}
+}
+
+// TestNestedRun: a process body may build an Env of its own and run it — a
+// coroutine resuming coroutines. The inner run gives what it gives alone and
+// the outer one carries on around it.
+func TestNestedRun(t *testing.T) {
+	var alone, nested strings.Builder
+	if err := runOrderProgram(&alone, 1, 20*Microsecond, inline); err != nil {
+		t.Fatal(err)
+	}
+	outer := NewEnv(7)
+	var ticks []Time
+	outer.Go("ticker", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(Second)
+			ticks = append(ticks, p.Now())
+		}
+	})
+	outer.Go("host", func(p *Proc) {
+		p.Sleep(1500 * Millisecond)
+		if err := runOrderProgram(&nested, 1, 20*Microsecond, inline); err != nil {
+			t.Error(err)
+		}
+		p.Sleep(Second)
+		ticks = append(ticks, p.Now())
+	})
+	if err := outer.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if nested.String() != alone.String() {
+		t.Error("the inner run's log differs from the same run outside a process")
+	}
+	if got, want := fmt.Sprint(ticks), "[1.000s 2.000s 2.500s 3.000s]"; got != want {
+		t.Errorf("outer run: %s, want %s", got, want)
+	}
+	if got, want := outer.Stats(), (Stats{Dispatches: 7, TimerFires: 5, Spawns: 2}); got != want {
+		t.Errorf("outer run: %+v, want %+v", got, want)
+	}
 }

@@ -1,6 +1,16 @@
+//go:build go1.23
+
+// The build line is for the import of iter, which needs language version
+// 1.23, and a file's build line raises that file's language version. The root
+// go.mod stays at go 1.22 because benchmark/go.mod says go 1.22, may not
+// change in a PR that claims a gain, and refuses to build against a root
+// module that says more. When benchmark/ is re-based, bump both go.mod files
+// to 1.23 and drop the line.
+
 // Package vclock implements a deterministic virtual-time simulation kernel.
 //
-// The kernel runs simulation processes (ordinary goroutines) cooperatively:
+// The kernel runs simulation processes (coroutines: each has a goroutine of
+// its own, so a body blocks in the middle of ordinary Go code) cooperatively:
 // exactly one process executes at a time, and the virtual clock advances only
 // when every process is blocked in Sleep, Wait, or WaitTimeout. Given the
 // same seed and the same program, a simulation produces a byte-identical
@@ -20,18 +30,21 @@
 // Trigger may be called from any process (or from scheduler callbacks), but
 // never from outside the simulation.
 //
-// There is no scheduler goroutine. Whichever process blocks or exits runs the
-// scheduling function itself (Env.schedule: the head of the run queue, else
-// the earliest timer, else the run is over) and resumes its successor with
-// one channel send — none when it is its own successor; Run only starts the
-// first process and waits for the last. The hot path allocates nothing:
-// timers live in a value-typed indexed heap (eventq.go), the run queue is a
-// ring buffer, and a blocked process's wait record is three fields of its
-// Proc (DESIGN.md, "Virtual-time kernel").
+// There is no scheduler goroutine and no channel. Whichever process blocks or
+// exits runs the scheduling function itself (Env.schedule: the head of the
+// run queue, else the earliest timer, else the run is over), leaves its
+// successor in Env.succ and suspends — or carries on when it is its own
+// successor. RunUntil is the trampoline that resumes whoever was left there:
+// a coroutine switch hands the thread straight to the target goroutine and
+// never enters the Go scheduler. The hot path allocates nothing: timers live
+// in a value-typed indexed heap (eventq.go), the run queue is a ring buffer,
+// and a blocked process's wait record is three fields of its Proc (DESIGN.md,
+// "Virtual-time kernel").
 package vclock
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"runtime/debug"
 	"sort"
@@ -65,7 +78,7 @@ func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Sec()) }
 type procState int
 
 const (
-	stateNew     procState = iota // in the run queue, goroutine not started
+	stateNew     procState = iota // in the run queue, coroutine not created
 	stateQueued                   // in the run queue: woken, yielded or killed
 	stateRunning                  // the one process executing
 	stateBlocked                  // parked on a wait list, a timer, or both
@@ -92,8 +105,11 @@ type Proc struct {
 	state  procState
 	killed bool
 
-	resume chan struct{} // made when the goroutine starts
-	body   func(*Proc)
+	// The coroutine, made at the first dispatch: RunUntil calls next to
+	// switch to the process, the process calls suspend to switch back.
+	next    func() (struct{}, bool)
+	suspend func(struct{}) bool
+	body    func(*Proc)
 
 	// The wait record. A process blocks in one place at a time, so one
 	// record per process is enough: block numbers the current wait, and a
@@ -187,9 +203,9 @@ type Env struct {
 	tracer  func(t Time, format string, args ...interface{})
 	rec     interface{}
 
-	// idle hands control back to RunUntil: from the process that found the
-	// run over, and from each process shutdown kills.
-	idle     chan struct{}
+	// succ is the process to resume next, nil for none: left for RunUntil by
+	// the process that has just suspended or retired.
+	succ     *Proc
 	limit    Time // the current run's horizon, < 0 for none
 	stopping bool // shutdown is under way: schedule nothing
 
@@ -210,7 +226,6 @@ func NewEnv(seed int64) *Env {
 	return &Env{
 		procs: make(map[int]*Proc),
 		rng:   rand.New(rand.NewSource(seed)),
-		idle:  make(chan struct{}),
 	}
 }
 
@@ -277,25 +292,32 @@ func (e *Env) DoneEvent() *Event {
 	return e.doneEv
 }
 
-// run is the goroutine behind a process: the body, then retirement, then
+// run is the coroutine behind a process: the body, then retirement, then
 // one last scheduling decision on behalf of whoever runs next.
-func (p *Proc) run() {
+func (p *Proc) run(suspend func(struct{}) bool) {
 	e := p.env
+	p.suspend = suspend
+	returned := false
 	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killedSentinel); !ok && e.failure == nil {
-				e.failure = fmt.Errorf("vclock: process %q panicked: %v\n%s", p.name, r, debug.Stack())
-			}
+		switch r := recover(); {
+		case r == killedSentinel{} || e.failure != nil:
+			// unwound by Kill, or not the first to fail
+		case r != nil:
+			e.failure = fmt.Errorf("vclock: process %q panicked: %v\n%s", p.name, r, debug.Stack())
+		case !returned:
+			e.failure = fmt.Errorf("vclock: process %q called runtime.Goexit", p.name)
 		}
 		e.retire(p)
-		e.resume(e.schedule())
+		e.succ = e.schedule()
 	}()
 	p.body(p)
+	returned = true
 }
 
 // retire marks p dead, whether its body returned, unwound, or never ran.
 func (e *Env) retire(p *Proc) {
 	p.state = stateDead
+	p.next, p.suspend, p.body = nil, nil, nil // a kept *Proc pins no closure
 	delete(e.procs, p.id)
 	if pr, ok := e.rec.(ProcRecorder); ok {
 		pr.ProcEnd(e.now, p.id, p.name)
@@ -305,7 +327,7 @@ func (e *Env) retire(p *Proc) {
 // schedule is the one scheduling function. It returns the process to run
 // next — the head of the run queue, else the owner of the earliest timer
 // once the clock has advanced to it — or nil when the run is over: nothing
-// left, the next timer past the horizon, a process panicked, or shutdown is
+// left, the next timer past the horizon, a process failed, or shutdown is
 // killing what remains. The caller is whoever holds control: the process
 // that just parked or retired, or RunUntil.
 func (e *Env) schedule() *Proc {
@@ -332,18 +354,17 @@ func (e *Env) schedule() *Proc {
 	return nil
 }
 
-// resume hands control to p, or to RunUntil when p is nil. The caller must
-// not touch kernel state afterwards until it is resumed itself.
-func (e *Env) resume(p *Proc) {
-	switch {
-	case p == nil:
-		e.idle <- struct{}{}
-	case p.state == stateNew:
-		p.state = stateRunning
-		p.resume = make(chan struct{})
-		go p.run()
-	default:
-		p.resume <- struct{}{}
+// drive is the trampoline: it resumes p, then the successor p left when it
+// suspended or retired, and so on until one of them leaves none. Every
+// process switch of a run is one iteration, on the goroutine that called
+// RunUntil.
+func (e *Env) drive(p *Proc) {
+	for ; p != nil; p = e.succ {
+		if p.state == stateNew {
+			p.state = stateRunning
+			p.next, _ = iter.Pull(p.run)
+		}
+		p.next()
 	}
 }
 
@@ -371,25 +392,30 @@ func (e *Env) Run() error { return e.RunUntil(-1) }
 // RunUntil is Run with a horizon: the simulation stops once the clock would
 // advance past limit (limit < 0 means no horizon). The clock is left at the
 // last executed event time, never past the horizon.
-func (e *Env) RunUntil(limit Time) error {
+//
+// A process body that calls runtime.Goexit (a t.Fatal inside it) ends the
+// run: the exit reaches the goroutine that called RunUntil, which kills what
+// is left on its way out and does not return.
+func (e *Env) RunUntil(limit Time) (err error) {
 	if e.running {
 		return fmt.Errorf("vclock: Run called re-entrantly")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	// Deferred because a Goexit in a body surfaces in drive, from next.
+	defer func() {
+		e.shutdown()
+		e.running = false
+		err = e.failure
+	}()
 
 	e.limit = limit
-	if p := e.schedule(); p != nil {
-		e.resume(p)
-		<-e.idle
-	}
-	e.shutdown()
-	return e.failure
+	e.drive(e.schedule())
+	return nil
 }
 
 // shutdown kills all remaining processes, in id order, so their goroutines
-// exit. Each one unwinds and hands control straight back (schedule returns
-// nil while stopping is set); whatever its deferred calls queued is dropped.
+// exit. Each one unwinds and leaves no successor (schedule returns nil while
+// stopping is set); whatever its deferred calls queued is dropped.
 // Timers of the killed stay in the heap, like those of any killed process.
 func (e *Env) shutdown() {
 	e.stopping = true
@@ -406,8 +432,7 @@ func (e *Env) shutdown() {
 			e.retire(p)
 			continue
 		}
-		e.resume(p)
-		<-e.idle
+		e.drive(p)
 	}
 	e.runq.clear()
 	e.stopping = false
@@ -419,8 +444,8 @@ func (e *Env) shutdown() {
 func (p *Proc) yield() {
 	e := p.env
 	if next := e.schedule(); next != p {
-		e.resume(next)
-		<-p.resume
+		e.succ = next
+		p.suspend(struct{}{})
 	}
 	p.state = stateRunning
 	p.unwindIfKilled()

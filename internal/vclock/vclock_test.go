@@ -476,6 +476,40 @@ func BenchmarkQueueThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkSwitchRing is the fleet-shaped process switch: 2000 processes in
+// a ring, each popping its own queue and pushing the next one's, so every
+// hop lands on a process that last ran 2000 hops ago (a cold goroutine).
+// Creating the processes and killing them at the end are outside the timer.
+func BenchmarkSwitchRing(b *testing.B) {
+	const n = 2000
+	b.ReportAllocs()
+	env := NewEnv(1)
+	qs := make([]*Queue[int], n)
+	for i := range qs {
+		qs[i] = NewQueue[int](env, "q")
+	}
+	for i := range qs {
+		mine, next := qs[i], qs[(i+1)%n]
+		env.Go("node", func(p *Proc) {
+			for {
+				left := mine.Pop(p)
+				if left == 0 {
+					b.StopTimer()
+					return
+				}
+				next.Push(left - 1)
+			}
+		})
+	}
+	env.Go("starter", func(p *Proc) { // runs once every node is parked in Pop
+		b.ResetTimer()
+		qs[0].Push(b.N)
+	})
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // Property: under any interleaving of pushes and pops across two
 // processes, the queue delivers every pushed value exactly once, in FIFO
 // order.
