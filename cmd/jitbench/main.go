@@ -67,6 +67,10 @@ func main() {
 		return
 	}
 
+	if *table < 0 || *table > 14 {
+		fmt.Fprintf(os.Stderr, "jitbench: no table %d: -table takes 1 to 14, or 0 for all\n", *table)
+		os.Exit(2)
+	}
 	policies, err := experiments.ParsePolicies(*policySpec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "jitbench: %v\n", err)

@@ -34,6 +34,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -86,33 +87,38 @@ func flagSet(names string) map[string]bool {
 	return set
 }
 
+// The flags. Those only one of the two modes reads are named in
+// singleJobFlags and fleetFlags below.
+var (
+	wlName       = flag.String("workload", "BERT-B-FT", "workload name (see jitbench -table 2)")
+	policy       = flag.String("policy", "transparent", policyHelp())
+	iters        = flag.Int("iters", 12, "useful minibatches to complete")
+	spares       = flag.Int("spares", -1, "spare nodes in the pool (-1 = nodes+1; 0 with an elastic policy exercises shrink)")
+	seed         = flag.Int64("seed", 1, "simulation seed")
+	failKind     = flag.String("fail", "", "inject failure: gpu-hard|gpu-sticky|driver-corrupt|network-hang|network-error|node-down|storage-fault|rack-down")
+	failIter     = flag.Int("fail-iter", 5, "iteration the failure fires in")
+	failFrac     = flag.Float64("fail-frac", 0.4, "fraction of the minibatch before the failure fires")
+	failRank     = flag.Int("fail-rank", -1, "rank to fail (-1 = last data-parallel replica)")
+	failRate     = flag.Float64("fail-rate", 0, "Poisson failure rate in failures per GPU-day (0 = off); kinds drawn from -mix")
+	mixSpec      = flag.String("mix", "", "failure-kind mix for -fail-rate, e.g. \"gpu-hard:0.2,network-hang:0.5\" (empty = paper default)")
+	rsSpec       = flag.String("rs", "", "Reed-Solomon stripe geometry \"k,m\" for peer-shelter policies (empty = whole-entry replication)")
+	rackSize     = flag.Int("rack", 0, "failure-domain width in nodes for single-job runs (0 = default 2)")
+	chaos        = flag.Bool("chaos", false, "chaos mode: randomly fail/tear/bit-flip checkpoint-store writes (seeded by -seed)")
+	chaosP       = flag.Float64("chaos-p", 0.12, "per-write fault probability in -chaos mode")
+	debug        = flag.Bool("debug", false, "print the debug simulation log to stderr")
+	traceOut     = flag.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)")
+	traceText    = flag.String("trace-text", "", "write the compact deterministic text timeline to a file (\"-\" = stdout)")
+	lossTail     = flag.Int("loss", 5, "loss-trace entries to print")
+	stats        = flag.Bool("stats", false, "print simulation-kernel event counters and wall-clock throughput")
+	fleetSpec    = flag.String("fleet", "", "fleet mode: jobs spec of COUNTxPOLICY[@PRIORITY][:ITERS] groups, e.g. \"6xjit+elastic,3xpc_disk@5:20\"")
+	fleetNodes   = flag.Int("fleet-nodes", 0, "cluster nodes in -fleet mode (0 = 2 per job + 2 spares)")
+	fleetRack    = flag.Int("fleet-rack", 4, "failure-domain width in nodes for -fleet rack-down faults")
+	fleetHorizon = flag.Float64("fleet-horizon", 120, "-fleet simulation horizon in seconds (stragglers are force-finished)")
+	repairSec    = flag.Float64("repair", 10, "mean node-repair turnaround in seconds for -fleet -fail-rate faults (0 = nodes stay down)")
+	serveAddr    = flag.String("serve", "", "serve live streaming observability (/metrics, /fleet, /jobs/{id}/timeline) on this address, e.g. \":8080\"; keeps serving after the run until interrupted")
+)
+
 func main() {
-	wlName := flag.String("workload", "BERT-B-FT", "workload name (see jitbench -table 2)")
-	policy := flag.String("policy", "transparent", policyHelp())
-	iters := flag.Int("iters", 12, "useful minibatches to complete")
-	spares := flag.Int("spares", -1, "spare nodes in the pool (-1 = nodes+1; 0 with an elastic policy exercises shrink)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	failKind := flag.String("fail", "", "inject failure: gpu-hard|gpu-sticky|driver-corrupt|network-hang|network-error|node-down|storage-fault|rack-down")
-	failIter := flag.Int("fail-iter", 5, "iteration the failure fires in")
-	failFrac := flag.Float64("fail-frac", 0.4, "fraction of the minibatch before the failure fires")
-	failRank := flag.Int("fail-rank", -1, "rank to fail (-1 = last data-parallel replica)")
-	failRate := flag.Float64("fail-rate", 0, "Poisson failure rate in failures per GPU-day (0 = off); kinds drawn from -mix")
-	mixSpec := flag.String("mix", "", "failure-kind mix for -fail-rate, e.g. \"gpu-hard:0.2,network-hang:0.5\" (empty = paper default)")
-	rsSpec := flag.String("rs", "", "Reed-Solomon stripe geometry \"k,m\" for peer-shelter policies (empty = whole-entry replication)")
-	rackSize := flag.Int("rack", 0, "failure-domain width in nodes for single-job runs (0 = default 2)")
-	chaos := flag.Bool("chaos", false, "chaos mode: randomly fail/tear/bit-flip checkpoint-store writes (seeded by -seed)")
-	chaosP := flag.Float64("chaos-p", 0.12, "per-write fault probability in -chaos mode")
-	debug := flag.Bool("debug", false, "print the debug simulation log to stderr")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)")
-	traceText := flag.String("trace-text", "", "write the compact deterministic text timeline to a file (\"-\" = stdout)")
-	lossTail := flag.Int("loss", 5, "loss-trace entries to print")
-	stats := flag.Bool("stats", false, "print simulation-kernel event counters and wall-clock throughput")
-	fleetSpec := flag.String("fleet", "", "fleet mode: jobs spec of COUNTxPOLICY[@PRIORITY][:ITERS] groups, e.g. \"6xjit+elastic,3xpc_disk@5:20\"")
-	fleetNodes := flag.Int("fleet-nodes", 0, "cluster nodes in -fleet mode (0 = 2 per job + 2 spares)")
-	fleetRack := flag.Int("fleet-rack", 4, "failure-domain width in nodes for -fleet rack-down faults")
-	fleetHorizon := flag.Float64("fleet-horizon", 120, "-fleet simulation horizon in seconds (stragglers are force-finished)")
-	repairSec := flag.Float64("repair", 10, "mean node-repair turnaround in seconds for -fleet -fail-rate faults (0 = nodes stay down)")
-	serveAddr := flag.String("serve", "", "serve live streaming observability (/metrics, /fleet, /jobs/{id}/timeline) on this address, e.g. \":8080\"; keeps serving after the run until interrupted")
 	flag.Parse()
 	// A flag only the other mode reads would be silently ignored: refuse it.
 	flag.Visit(func(f *flag.Flag) {
@@ -124,15 +130,25 @@ func main() {
 		}
 	})
 
+	// A value outside its range would be ignored, or panic after the run.
+	for _, bad := range []struct {
+		is  bool
+		msg string
+	}{
+		{*lossTail < 0, "-loss must not be negative"},
+		{*chaosP < 0 || *chaosP > 1, "-chaos-p must be within [0,1]"},
+		{*failRate < 0, "-fail-rate must not be negative"},
+		{*rackSize < 0, "-rack must not be negative"},
+		{*failFrac < 0, "-fail-frac must not be negative"},
+		{*failKind != "" && *failIter >= *iters, "-fail-iter must be below -iters, or the failure never fires"},
+	} {
+		if bad.is {
+			usage(errors.New(bad.msg))
+		}
+	}
+
 	if *fleetSpec != "" {
-		err := runFleet(fleetArgs{
-			spec: *fleetSpec, nodes: *fleetNodes, rack: *fleetRack,
-			horizonSec: *fleetHorizon, repairSec: *repairSec,
-			failRate: *failRate, mixSpec: *mixSpec, seed: *seed, iters: *iters,
-			debug: *debug, traceOut: *traceOut, traceText: *traceText, stats: *stats,
-			serve: *serveAddr,
-		})
-		if err != nil {
+		if err := runFleet(); err != nil {
 			fatal(err)
 		}
 		return
@@ -148,13 +164,10 @@ func main() {
 	}
 	cfg := core.JobConfig{
 		WL: wl, Policy: pol, Iters: *iters, Seed: *seed,
-		SpareNodes: wl.Nodes + 1, CollectLoss: true,
+		SpareNodes: wl.Nodes + 1, CollectLoss: true, RackSize: *rackSize,
 	}
 	if *spares >= 0 {
 		cfg.SpareNodes = *spares
-	}
-	if *rackSize > 0 {
-		cfg.RackSize = *rackSize
 	}
 	if *rsSpec != "" {
 		if !pol.Info().Peer {
@@ -167,9 +180,7 @@ func main() {
 		cfg.Peer = &peerckpt.Params{DataShards: k, ParityShards: m}
 	}
 	if *debug {
-		cfg.Trace = func(at vclock.Time, format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, "[%v] %s\n", at, fmt.Sprintf(format, args...))
-		}
+		cfg.Trace = debugLog
 	}
 	var rec *trace.Recorder
 	if *traceOut != "" || *traceText != "" {
@@ -225,12 +236,7 @@ func main() {
 	}
 	report(res, *lossTail)
 	if *stats {
-		s := res.SimStats
-		sec := elapsed.Seconds()
-		fmt.Printf("kernel:       %d dispatches, %d timer fires, %d triggers, %d spawns\n",
-			s.Dispatches, s.TimerFires, s.Triggers, s.Spawns)
-		fmt.Printf("throughput:   %.0f events/s, %.0f sim-s per wall-s (%.1fms wall)\n",
-			float64(s.Events())/sec, res.WallTime.Sec()/sec, 1000*sec)
+		printStats(res.SimStats, res.WallTime, elapsed)
 	}
 	if linger != nil {
 		linger()
@@ -238,6 +244,21 @@ func main() {
 	if !res.Completed {
 		os.Exit(2)
 	}
+}
+
+// printStats is -stats: the simulation kernel's event counters, and how fast
+// the host got through them.
+func printStats(s vclock.Stats, simWall vclock.Time, elapsed time.Duration) {
+	sec := elapsed.Seconds()
+	fmt.Printf("kernel:       %d dispatches, %d timer fires, %d triggers, %d spawns\n",
+		s.Dispatches, s.TimerFires, s.Triggers, s.Spawns)
+	fmt.Printf("throughput:   %.0f events/s, %.0f sim-s per wall-s (%.1fms wall)\n",
+		float64(s.Events())/sec, simWall.Sec()/sec, 1000*sec)
+}
+
+// debugLog is -debug: the simulation's trace lines on stderr.
+func debugLog(at vclock.Time, format string, args ...interface{}) {
+	fmt.Fprintf(os.Stderr, "[%v] %s\n", at, fmt.Sprintf(format, args...))
 }
 
 // startServe attaches a live stream and serves its HTTP endpoints in the
@@ -259,69 +280,52 @@ func startServe(addr string) (*tracestream.Stream, func()) {
 	}
 }
 
-// fleetArgs carries the flag values the fleet mode consumes.
-type fleetArgs struct {
-	spec                  string
-	nodes, rack           int
-	horizonSec, repairSec float64
-	failRate              float64
-	mixSpec               string
-	seed                  int64
-	iters                 int
-	debug                 bool
-	traceOut, traceText   string
-	stats                 bool
-	serve                 string
-}
-
 // runFleet runs many concurrent jobs leasing one arbitrated cluster in a
 // single shared simulation and reports per-tenant outcomes plus the
 // cluster-wide accounting, which must reconcile exactly.
-func runFleet(a fleetArgs) error {
-	jobs, err := cluster.ParseJobsSpec(a.spec, policies, a.iters)
+func runFleet() error {
+	jobs, err := cluster.ParseJobsSpec(*fleetSpec, policies, *iters)
 	if err != nil {
 		usage(err)
 	}
-	nodes := a.nodes
+	nodes := *fleetNodes
 	if nodes == 0 {
 		nodes = len(jobs)*2 + 2
 	}
-	horizon := vclock.Time(a.horizonSec * float64(vclock.Second))
+	horizon := vclock.Time(*fleetHorizon * float64(vclock.Second))
 	cfg := cluster.Config{
-		Nodes: nodes, PerNode: 2, RackSize: a.rack,
-		Seed: a.seed, Horizon: horizon, Jobs: jobs,
+		Nodes: nodes, PerNode: 2, RackSize: *fleetRack,
+		Seed: *seed, Horizon: horizon, Jobs: jobs,
 	}
-	if a.debug {
-		cfg.Trace = func(at vclock.Time, format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, "[%v] %s\n", at, fmt.Sprintf(format, args...))
-		}
+	if *debug {
+		cfg.Trace = debugLog
 	}
 	var rec *trace.Recorder
-	if a.traceOut != "" || a.traceText != "" {
+	if *traceOut != "" || *traceText != "" {
 		rec = trace.New()
 		cfg.Recorder = rec
 	}
 	var linger func()
-	if a.serve != "" {
-		cfg.Stream, linger = startServe(a.serve)
+	if *serveAddr != "" {
+		cfg.Stream, linger = startServe(*serveAddr)
 	}
-	if a.failRate > 0 {
+	if *failRate > 0 {
 		// An empty -mix means the node-granular default here, not the
 		// rank-level paper mix ParseMix substitutes.
 		mix := failure.DefaultNodeMix()
-		if a.mixSpec != "" {
-			if mix, err = failure.ParseMix(a.mixSpec); err != nil {
+		if *mixSpec != "" {
+			if mix, err = failure.ParseMix(*mixSpec); err != nil {
 				usage(err)
 			}
 		}
-		plan := failure.PoissonPlan(rand.New(rand.NewSource(a.seed)), nodes, a.failRate, horizon, mix)
-		if a.repairSec > 0 {
-			plan = plan.WithRepairs(rand.New(rand.NewSource(a.seed*31)),
-				vclock.Time(a.repairSec*float64(vclock.Second)), cfg.RackSize)
+		plan := failure.PoissonPlan(rand.New(rand.NewSource(*seed)), nodes, *failRate, horizon, mix)
+		if *repairSec > 0 {
+			plan = plan.WithRepairs(rand.New(rand.NewSource(*seed*31)),
+				vclock.Time(*repairSec*float64(vclock.Second)), cfg.RackSize)
 		}
 		cfg.Failures = plan
 		fmt.Fprintf(os.Stderr, "jitsim: sampled %d cluster faults over %v\n", len(plan.Injections), horizon)
-	} else if a.mixSpec != "" {
+	} else if *mixSpec != "" {
 		usage(fmt.Errorf("-mix requires -fail-rate"))
 	}
 
@@ -329,7 +333,7 @@ func runFleet(a fleetArgs) error {
 	res, err := cluster.Run(cfg)
 	elapsed := time.Since(start)
 	if rec != nil {
-		if werr := writeTraces(rec, a.traceOut, a.traceText); werr != nil {
+		if werr := writeTraces(rec, *traceOut, *traceText); werr != nil {
 			return werr
 		}
 	}
@@ -340,13 +344,8 @@ func runFleet(a fleetArgs) error {
 		return err
 	}
 	reportFleet(res)
-	if a.stats {
-		s := res.Fleet.SimStats
-		sec := elapsed.Seconds()
-		fmt.Printf("kernel:       %d dispatches, %d timer fires, %d triggers, %d spawns\n",
-			s.Dispatches, s.TimerFires, s.Triggers, s.Spawns)
-		fmt.Printf("throughput:   %.0f events/s, %.0f sim-s per wall-s (%.1fms wall)\n",
-			float64(s.Events())/sec, res.Fleet.Wall.Sec()/sec, 1000*sec)
+	if *stats {
+		printStats(res.Fleet.SimStats, res.Fleet.Wall, elapsed)
 	}
 	if linger != nil {
 		linger()

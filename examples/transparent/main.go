@@ -84,8 +84,19 @@ func main() {
 			API:   layer,
 			Hooks: train.Hooks{
 				StartMinibatch: layer.StartMinibatch,
-				PreOptimizer:   func(*vclock.Proc, int) { layer.PreOptimizerStep() },
-				PostOptimizer:  layer.PostOptimizerStep,
+				PreOptimizer: func(p *vclock.Proc, iter int) {
+					// §4.1: once, on every rank at the same iteration, prove
+					// the replay log captures everything that shapes GPU
+					// state — replay the minibatch, compare buffer checksums.
+					if iter == 2 {
+						res, err := layer.Validate(p)
+						if r == 0 {
+							fmt.Printf("replay-log validation at iter %d: %d buffers, ok=%v err=%v\n", iter, res.Buffers, res.OK, err)
+						}
+					}
+					layer.PreOptimizerStep()
+				},
+				PostOptimizer: layer.PostOptimizerStep,
 			},
 			DataSeed: 99,
 			OnLoss: func(iter int, loss float32) {
@@ -122,7 +133,6 @@ func main() {
 	// The "application": a plain training loop. No checkpoint code, no
 	// failure handling — it cannot even see the device errors.
 	for r := 0; r < world; r++ {
-		r := r
 		env.Go(fmt.Sprintf("app%d", r), func(p *vclock.Proc) {
 			w := ranks[r].Worker
 			if err := w.Setup(p, 0); err != nil {

@@ -46,12 +46,8 @@ type Capture struct {
 	// and codec time on p.
 	Ship func(p *vclock.Proc, ms *train.ModelState)
 
-	busy    bool
-	shipped int // newest iteration shipped, plus one (zero value: none)
+	busy bool
 }
-
-// LastIter returns the newest iteration shipped (-1 before the first).
-func (c *Capture) LastIter() int { return c.shipped - 1 }
 
 // Offer captures w's state and ships it in the background, returning
 // immediately. Call it right after RunIter returns: the compute stream is
@@ -90,6 +86,5 @@ func (c *Capture) Offer(w StatePeeker) {
 			return
 		}
 		c.Ship(p, ms)
-		c.shipped = ms.Iter + 1
 	})
 }

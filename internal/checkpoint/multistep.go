@@ -128,21 +128,16 @@ type MultiStep struct {
 	// each slice write (phase-aware fault injection).
 	NoteSliceWrite func(p *vclock.Proc)
 
-	gen        *msGen
-	chain      *vclock.Event
-	pending    int
-	last       vclock.Time
-	everRan    bool
-	count      int
-	stallTotal vclock.Time
+	gen     *msGen
+	chain   *vclock.Event
+	pending int
+	last    vclock.Time
+	everRan bool
+	count   int
 }
 
 // Count returns how many generations have committed (META written).
 func (msw *MultiStep) Count() int { return msw.count }
-
-// StallTotal returns the accumulated critical-path stall attributed to
-// slice staging — the steady-state overhead of the family.
-func (msw *MultiStep) StallTotal() vclock.Time { return msw.stallTotal }
 
 func (msw *MultiStep) due(now vclock.Time) bool {
 	if msw.Interval <= 0 {
@@ -286,7 +281,6 @@ func (msw *MultiStep) captureSlice(p *vclock.Proc, w *train.Worker) (vclock.Time
 	if stall > 0 {
 		p.Sleep(stall)
 	}
-	msw.stallTotal += stall
 
 	g.captured++
 	final := s == len(g.layers)-1

@@ -41,7 +41,7 @@ func msTestParams() MultiStepParams {
 
 // msTrainRun drives a worker for iters minibatches with a multi-step writer
 // attached, returning the disk store.
-func msTrainRun(t *testing.T, iters, slices int, interval vclock.Time) (*Store, *MultiStep) {
+func msTrainRun(t *testing.T, iters, slices int, interval vclock.Time) (*Store, *MultiStep, vclock.Time) {
 	t.Helper()
 	env := vclock.NewEnv(1)
 	disk := NewStore(env, "disk", DiskParams())
@@ -51,6 +51,7 @@ func msTrainRun(t *testing.T, iters, slices int, interval vclock.Time) (*Store, 
 		Slices: slices, Interval: interval, Disk: disk, Job: "job",
 		StateBytes: msTestStateBytes, SerializeBW: 2e9, D2HBandwidth: 16e9,
 	}
+	var stall vclock.Time // the critical-path stall Step charged, in total
 	env.Go("rank0", func(p *vclock.Proc) {
 		if err := w.Setup(p, 0); err != nil {
 			t.Error(err)
@@ -61,16 +62,18 @@ func msTrainRun(t *testing.T, iters, slices int, interval vclock.Time) (*Store, 
 				t.Error(err)
 				return
 			}
-			if _, err := msw.Step(p, w); err != nil {
+			st, err := msw.Step(p, w)
+			if err != nil {
 				t.Error(err)
 				return
 			}
+			stall += st
 		}
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return disk, msw
+	return disk, msw, stall
 }
 
 // oracleState trains an identical worker for iters minibatches and saves
@@ -121,7 +124,7 @@ func committedGens(st *Store, job string) []string {
 
 func TestMultiStepCommitAndReconciledRestoreBitExact(t *testing.T) {
 	const iters = 30
-	disk, msw := msTrainRun(t, iters, 3, 40*vclock.Millisecond)
+	disk, msw, _ := msTrainRun(t, iters, 3, 40*vclock.Millisecond)
 	if msw.Count() == 0 {
 		t.Fatal("no generation committed")
 	}
@@ -181,7 +184,7 @@ func cloneStoreInto(env *vclock.Env, src *Store) *Store {
 }
 
 func TestMultiStepPartialGenerationFallsBack(t *testing.T) {
-	disk, _ := msTrainRun(t, 40, 3, 40*vclock.Millisecond)
+	disk, _, _ := msTrainRun(t, 40, 3, 40*vclock.Millisecond)
 	gens := committedGens(disk, "job")
 	if len(gens) < 2 {
 		t.Fatalf("want ≥2 committed generations, got %d", len(gens))
@@ -225,7 +228,7 @@ func TestMultiStepPartialGenerationFallsBack(t *testing.T) {
 }
 
 func TestMultiStepStaleBeyondWindowRejected(t *testing.T) {
-	disk, _ := msTrainRun(t, 30, 3, 40*vclock.Millisecond)
+	disk, _, _ := msTrainRun(t, 30, 3, 40*vclock.Millisecond)
 	gens := committedGens(disk, "job")
 	newest := gens[len(gens)-1]
 	env := vclock.NewEnv(1)
@@ -286,7 +289,7 @@ func TestMultiStepStrictlyCheaperThanPCDisk(t *testing.T) {
 	const iters = 30
 	interval := 40 * vclock.Millisecond
 
-	_, msw := msTrainRun(t, iters, 3, interval)
+	_, msw, msStall := msTrainRun(t, iters, 3, interval)
 	if msw.Count() == 0 {
 		t.Fatal("multi-step never committed")
 	}
@@ -298,6 +301,8 @@ func TestMultiStepStrictlyCheaperThanPCDisk(t *testing.T) {
 		Kind: PCDisk, Interval: interval, Disk: disk, Job: "job",
 		SerializeBW: 2e9, StateBytes: msTestStateBytes,
 	}
+	var pcStall vclock.Time
+	pcSaves := 0
 	env.Go("rank0", func(p *vclock.Proc) {
 		if err := w.Setup(p, 0); err != nil {
 			t.Error(err)
@@ -309,21 +314,24 @@ func TestMultiStepStrictlyCheaperThanPCDisk(t *testing.T) {
 				return
 			}
 			if pc.Due(p.Now()) {
-				if _, err := pc.Run(p, w); err != nil {
+				st, err := pc.Run(p, w)
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				pcStall += st
+				pcSaves++
 			}
 		}
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if pc.Count() == 0 {
+	if pcSaves == 0 {
 		t.Fatal("PC_disk never ran")
 	}
-	msPer := float64(msw.StallTotal()) / float64(msw.Count())
-	pcPer := float64(pc.StallTotal()) / float64(pc.Count())
+	msPer := float64(msStall) / float64(msw.Count())
+	pcPer := float64(pcStall) / float64(pcSaves)
 	if !(msPer < pcPer) {
 		t.Fatalf("multi-step stall/ckpt %.3fms not strictly below PC_disk %.3fms",
 			msPer/1e6, pcPer/1e6)
@@ -331,7 +339,7 @@ func TestMultiStepStrictlyCheaperThanPCDisk(t *testing.T) {
 }
 
 func TestMultiStepPruneKeepsRetain(t *testing.T) {
-	disk, msw := msTrainRun(t, 80, 2, 30*vclock.Millisecond)
+	disk, msw, _ := msTrainRun(t, 80, 2, 30*vclock.Millisecond)
 	if msw.Count() < 4 {
 		t.Fatalf("want ≥4 committed generations, got %d", msw.Count())
 	}

@@ -78,10 +78,8 @@ type Periodic struct {
 	// Job names the checkpoint namespace.
 	Job string
 
-	last       vclock.Time
-	everRan    bool
-	count      int
-	stallTotal vclock.Time
+	last    vclock.Time
+	everRan bool
 }
 
 // Due reports whether a checkpoint should be taken at virtual time now.
@@ -94,13 +92,6 @@ func (pc *Periodic) Due(now vclock.Time) bool {
 	}
 	return now-pc.last >= pc.Interval
 }
-
-// Count returns how many checkpoints have been taken.
-func (pc *Periodic) Count() int { return pc.count }
-
-// StallTotal returns the accumulated critical-path stall attributed to
-// checkpointing (the steady-state overhead Table 3 reports).
-func (pc *Periodic) StallTotal() vclock.Time { return pc.stallTotal }
 
 // hideFraction is the share of an overlapped snapshot's staging copy (D2H
 // plus serialization) hidden behind the next minibatch's compute — CheckFreq
@@ -147,8 +138,6 @@ func (pc *Periodic) Run(p *vclock.Proc, w *train.Worker) (vclock.Time, error) {
 	}
 	pc.last = p.Now()
 	pc.everRan = true
-	pc.count++
-	pc.stallTotal += stall
 	sp.End(p.Now(), "iter", ms.Iter, "stall", stall)
 	return stall, nil
 }

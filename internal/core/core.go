@@ -261,10 +261,6 @@ const JITPolicyName = "jit"
 // saves an elastic job takes at shrink/expand boundaries.
 const ElasticPolicyName = "elastic"
 
-// MultiStepPolicyName is the checkpoint-store namespace for multi-step
-// overlapped generations (checkpoint.MultiStepNamespace's policy alias).
-const MultiStepPolicyName = "multistep"
-
 // RecoveryReport records one failure-recovery episode for the evaluation
 // tables.
 type RecoveryReport struct {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 
 	"jitckpt/internal/analysis"
@@ -267,12 +268,18 @@ type harness struct {
 	pool    Capacity
 	monitor *scheduler.Monitor
 	disk    *checkpoint.Store
-	tmpfs   *checkpoint.Store
 	kernels cuda.Registry
+	// The policy row's recovery stack in restore-preference order, and what
+	// buildTiers folded from it: the JIT flush target (nil = no user-level
+	// stack), the narrowest placement every tier works on, and the longest
+	// stall a saver may put between two heartbeats.
+	tiers     []*tier
+	flush     func(rank int) (ns string, to checkpoint.Target)
+	minNodes  int
+	beatSlack vclock.Time
 
 	// Shared-simulation (fleet) state.
 	shared   *SharedSim
-	handle   *JobHandle
 	label    string
 	startAt  vclock.Time
 	finished bool
@@ -280,9 +287,6 @@ type harness struct {
 	yields   int
 
 	placement scheduler.Placement
-	shelter   *peerckpt.Shelter
-	peerPlan  map[int][]int
-	pipeguard *pipefree.Guard
 	gen       int
 
 	// Elastic degraded-mode state: topo/accum are the CURRENT shape every
@@ -330,7 +334,6 @@ func (h *harness) setup() error {
 		h.pool = h.shared.Capacity
 		h.runSpan = trace.Of(h.env).Begin(h.env.Now(), "core", trace.LaneSim, "run",
 			"job", h.label, "policy", cfg.Policy, "gpus", wl.GPUs(), "iters", cfg.Iters)
-		h.engine = nccl.NewEngine(h.env, wl.NCCLParams())
 	} else {
 		h.env = vclock.NewEnv(cfg.Seed)
 		if cfg.Trace != nil {
@@ -352,18 +355,17 @@ func (h *harness) setup() error {
 				"job", h.label, "policy", cfg.Policy, "gpus", wl.GPUs(),
 				"iters", cfg.Iters, "seed", cfg.Seed)
 		}
-		h.engine = nccl.NewEngine(h.env, wl.NCCLParams())
 		h.cluster = gpu.NewCluster(h.env, wl.Nodes+cfg.SpareNodes, wl.PerNode, 1<<40)
 		h.cluster.RackSize = cfg.RackSize
 		h.pool = scheduler.NewPool(h.env, h.cluster.Nodes)
 	}
+	h.engine = nccl.NewEngine(h.env, wl.NCCLParams())
 	h.monitor = scheduler.NewMonitor(h.env)
 	if cfg.DiskStore != nil {
 		h.disk = cfg.DiskStore
 	} else {
 		h.disk = checkpoint.NewStore(h.env, "shared", wl.CkptStoreParams())
 	}
-	h.tmpfs = checkpoint.NewStore(h.env, "tmpfs", checkpoint.TmpfsParams())
 	h.kernels = train.Kernels()
 	h.res = &RunResult{Policy: cfg.Policy, Loss: make(map[int]float32), Disk: h.disk}
 	h.iterStarts = make(map[int]vclock.Time)
@@ -371,57 +373,15 @@ func (h *harness) setup() error {
 	// at every data-parallel width, so it survives elastic shrinks.
 	h.refRank = wl.Topo.Rank(0, wl.Topo.P-1, 0)
 	h.topo = wl.Topo
-	h.accum = maxInt(cfg.Accum, 1)
+	h.accum = max(cfg.Accum, 1)
 	if h.pol.Elastic {
 		h.elastic = elastic.New(wl.Topo, wl.Nodes)
-	}
-
-	if h.pol.Peer {
-		if wl.Nodes < 2 {
-			return errors.New("core: peer-shelter policies need at least 2 nodes (no peer failure domain otherwise)")
-		}
-		var params peerckpt.Params
-		if cfg.Peer != nil {
-			params = *cfg.Peer
-		}
-		if params.LinkBandwidth == 0 {
-			params.LinkBandwidth = wl.PeerLinkBandwidth()
-		}
-		shelter, err := peerckpt.NewShelter(h.env, "job", params, peerckpt.Availability{
-			Nodes:          len(h.cluster.Nodes),
-			FailureDomains: h.cluster.Racks(),
-		})
-		if err != nil {
-			return err
-		}
-		h.shelter = shelter
-		// Peer replication rides along with the gradient all-reduce traffic
-		// (Checkmate-style piggybacking): record each all-reduce window so
-		// the shelter can report its relative bandwidth cost.
-		h.engine.SetObserver(func(cd nccl.CollectiveDone) {
-			if cd.Kind == "allreduce" {
-				h.shelter.NotePiggyback(cd.Bytes)
-			}
-		})
-	}
-
-	if h.pol.PipeFree {
-		guard, err := pipefree.New(h.env, "job", pipefree.DefaultParams(), wl.Topo, func(rank int) int {
-			if dev := h.device(rank); dev != nil {
-				return dev.NodeID
-			}
-			return -1
-		})
-		if err != nil {
-			return err
-		}
-		h.pipeguard = guard
 	}
 
 	// Failure injector resolves targets against the current placement and
 	// the cluster's rack geometry: RackDown is precisely the adversary that
 	// breaks the shelter's weaker "distinct nodes suffice" assumption.
-	injector := &failure.Injector{
+	h.injector = &failure.Injector{
 		Env:      h.env,
 		Cluster:  h.cluster,
 		DeviceOf: h.device,
@@ -429,8 +389,7 @@ func (h *harness) setup() error {
 		CommKeyOf: func(rank int) string {
 			_, p, t := wl.Topo.Coords(rank)
 			if wl.Topo.FSDP() {
-				s := 0
-				return train.FSDPRepCommKey("job", s, p)
+				return train.FSDPRepCommKey("job", 0, p)
 			}
 			return train.DPCommKey("job", p, t)
 		},
@@ -440,6 +399,9 @@ func (h *harness) setup() error {
 			}
 			return h.gen
 		},
+	}
+	if err := h.buildTiers(); err != nil {
+		return err
 	}
 	// A StorageFault opens a short window during which shared-store
 	// writes fail transiently; the writers' bounded retry-with-backoff is
@@ -455,8 +417,8 @@ func (h *harness) setup() error {
 		}
 		return checkpoint.WriteOK
 	})
-	injector.OnStorageFault = func(failure.Injection) { storageFaultWindow += 2 }
-	injector.OnInject = func(inj failure.Injection) {
+	h.injector.OnStorageFault = func(failure.Injection) { storageFaultWindow += 2 }
+	h.injector.OnInject = func(inj failure.Injection) {
 		if inj.Kind == failure.NodeDown || inj.Kind == failure.RackDown {
 			// A whole-host failure takes its sheltered entries (and
 			// retained stage-redundancy bundles) with it the instant it
@@ -468,18 +430,15 @@ func (h *harness) setup() error {
 			h.shared.OnInject(inj)
 		}
 	}
-	if h.shelter != nil && cfg.Chaos != nil && cfg.Chaos.ShelterChaos != nil {
-		h.shelter.SetStoreChaos(cfg.Chaos.ShelterChaos)
-	}
 	if cfg.Chaos != nil {
-		injector.ArmPhase(cfg.Chaos.PhaseInjections...)
+		h.injector.ArmPhase(cfg.Chaos.PhaseInjections...)
 	}
 	// Repair events re-admit failed hardware. When the job is running
 	// degraded and the repaired capacity again covers the full width,
 	// schedule a mid-run expand: degraded workers stop (and checkpoint) a
 	// couple of iterations ahead, and the next incarnation restarts at
 	// full width.
-	injector.OnRepair = func(node *gpu.Node) {
+	h.injector.OnRepair = func(node *gpu.Node) {
 		h.pool.MarkRepaired(node.ID)
 		h.noteRepairCapacity()
 	}
@@ -489,20 +448,8 @@ func (h *harness) setup() error {
 			plannedRepairs++
 		}
 	}
-	injector.NotePlannedRepairs(plannedRepairs)
-	injector.Start(cfg.Failures)
-	h.injector = injector
-	if h.shelter != nil {
-		// Stripe encode and parity reconstruction are fault-injection
-		// phases of their own: chaos plans can land failures mid-encode or
-		// mid-reconstruction.
-		h.shelter.NotePhase = injector.NotePhase
-	}
-	if h.pipeguard != nil {
-		// Stage rebuilds are a fault-injection phase: chaos plans can land
-		// failures mid-reconstruction.
-		h.pipeguard.NotePhase = injector.NotePhase
-	}
+	h.injector.NotePlannedRepairs(plannedRepairs)
+	h.injector.Start(cfg.Failures)
 	// Communicator (re-)initialization under a fresh generation is a
 	// recovery phase; generation 0 is initial job setup and is not.
 	h.engine.SetOnCommInit(func(key string, gen, rank int) {
@@ -527,11 +474,19 @@ func (h *harness) device(rank int) *gpu.Device {
 // markNodeLost drops what a dead host took with it: its sheltered entries
 // and retained stage-redundancy bundles.
 func (h *harness) markNodeLost(id int) {
-	if h.shelter != nil {
-		h.shelter.MarkNodeLost(id)
+	for _, t := range h.tiers {
+		if t.nodeLost != nil {
+			t.nodeLost(id)
+		}
 	}
-	if h.pipeguard != nil {
-		h.pipeguard.MarkNodeLost(id)
+}
+
+// foldTiers moves the tiers' counters into the result.
+func (h *harness) foldTiers() {
+	for _, t := range h.tiers {
+		if t.fold != nil {
+			t.fold(h.res)
+		}
 	}
 }
 
@@ -595,11 +550,7 @@ func (h *harness) requestYield() bool {
 		return false
 	}
 	cur := h.elastic.Plan()
-	minNodes := 1
-	if h.shelter != nil {
-		minNodes = 2
-	}
-	if _, ok := elastic.Shrink(cur.Topo, h.cfg.WL.PerNode, cur.Nodes-1, minNodes); !ok {
+	if _, ok := elastic.Shrink(cur.Topo, h.cfg.WL.PerNode, cur.Nodes-1, h.minNodes); !ok {
 		return false
 	}
 	at := h.maxIter + 2
@@ -692,7 +643,6 @@ func (h *harness) noteIterStart(rank, iter int) {
 				remain = append(remain, inj)
 				continue
 			}
-			inj := inj
 			delay := vclock.Time(inj.Frac * float64(h.cfg.WL.Minibatch))
 			h.env.Go("iter-injector", func(p *vclock.Proc) {
 				if delay > 0 {
@@ -760,28 +710,23 @@ func (h *harness) finish() {
 			res.RecoveryLatencies = append(res.RecoveryLatencies, rep.Total())
 		}
 	}
-	if h.shelter != nil {
-		res.Peer = h.shelter.Stats()
-	}
-	if h.pipeguard != nil {
-		res.Pipe = h.pipeguard.Stats()
-	}
+	h.foldTiers()
 	mb := res.Minibatch
 	acct := metrics.Accounting{N: h.cfg.WL.GPUs()}
 	acct.Checkpoints = h.ckptCount
 	// A degraded iteration runs Accum microbatches and makes the forward
 	// progress of Accum full-width iterations' worth of samples: credit it
 	// with Accum×mb of useful time (DegradedUseful reports the total).
-	useful := vclock.Time(minInt(h.execIters, h.cfg.Iters))*mb +
+	useful := vclock.Time(min(h.execIters, h.cfg.Iters))*mb +
 		vclock.Time(h.degradedExtra)*mb
-	redoIters := h.execIters - minInt(h.execIters, h.cfg.Iters)
+	redoIters := h.execIters - min(h.execIters, h.cfg.Iters)
 	acct.Useful = useful
 	acct.RedoWork = vclock.Time(redoIters) * mb
 	acct.CkptStall = h.ckptStall
 	acct.WaitingForCapacity = h.waitCap
 	acct.DegradedIters = h.degradedIters
 	acct.DegradedUseful = vclock.Time(h.degradedIters+h.degradedExtra) * mb
-	acct.Recoveries = maxInt(res.Incarnations-1, len(res.Reports))
+	acct.Recoveries = max(res.Incarnations-1, len(res.Reports))
 	// Whatever the run spent that no bucket claims is recovery overhead —
 	// for a completed run the fixed recovery costs, for a stalled or
 	// failed one the time burnt before it gave up. Charging it keeps
@@ -857,19 +802,15 @@ func (h *harness) noteDetected(rank int, by string) {
 // ---------------------------------------------------------------------
 
 func (h *harness) runTransparent() error {
-	wl := h.cfg.WL
 	if h.shared != nil {
 		// Fleet admission: wait (in simulated time) until the arbiter's
 		// lease grants the full width, then start. Transparent jobs are
 		// fixed-width, so admission is all-or-nothing.
 		h.env.Go(h.label+".admit", func(p *vclock.Proc) {
-			nodes, err := h.pool.Allocate(wl.Nodes, nil)
-			for err != nil {
-				if !h.awaitCapacity(p, h.shared.AwaitCapacity) {
-					h.jobDone()
-					return
-				}
-				nodes, err = h.pool.Allocate(wl.Nodes, nil)
+			nodes, ok := h.allocate(p)
+			if !ok {
+				h.jobDone()
+				return
 			}
 			if serr := h.startTransparent(nodes); serr != nil {
 				h.env.Tracef("%s: transparent start failed: %v", h.label, serr)
@@ -879,7 +820,7 @@ func (h *harness) runTransparent() error {
 		})
 		return nil
 	}
-	nodes, err := h.pool.Allocate(wl.Nodes, nil)
+	nodes, err := h.pool.Allocate(h.cfg.WL.Nodes, nil)
 	if err != nil {
 		return err
 	}
@@ -941,7 +882,6 @@ func (h *harness) startTransparent(nodes []*gpu.Node) error {
 	h.deviceOf = func(rank int) *gpu.Device { return ranks[rank].Server.Device() }
 
 	for r := 0; r < wl.Topo.World(); r++ {
-		r := r
 		h.env.Go(fmt.Sprintf("worker%d", r), func(p *vclock.Proc) {
 			w := ranks[r].Worker
 			if err := w.Setup(p, 0); err != nil {
@@ -1046,44 +986,12 @@ func (h *harness) awaitCapacity(p *vclock.Proc, wait func(*vclock.Proc, vclock.T
 	return true
 }
 
-// failureRatePerGPUDay feeds the optimal-frequency computation: the OPT
-// job's ≈2 failures/day over 992 GPUs.
-const failureRatePerGPUDay = 2.0 / 992
-
-// ckptInterval resolves the interval a periodic or multi-step saver runs
-// at: the configured one, else 24 h for PC_1/day, else the optimal 1/c*.
-func (h *harness) ckptInterval() vclock.Time {
-	switch {
-	case h.cfg.CkptInterval != 0:
-		return h.cfg.CkptInterval
-	case h.pol.Periodic && h.pol.Kind == checkpoint.PCDaily:
-		return vclock.Day
-	}
-	return OptimalInterval(h.cfg.WL, failureRatePerGPUDay)
-}
-
-func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
-	cfg := h.cfg
-	wl := cfg.WL
-
-	// Elastic re-expand at the incarnation boundary: a degraded job
-	// returns to full width as soon as the repaired capacity exists. The
-	// rejoining ranks bootstrap from the degraded era's checkpoints —
-	// position keys are width-invariant, so cross-world assembly hands
-	// every new rank a surviving replica's state.
-	if h.elastic != nil && h.elastic.Degraded() && h.pool.FreeHealthy() >= h.elastic.Full().Nodes {
-		plan := h.elastic.Expand()
-		h.topo, h.accum = plan.Topo, maxInt(cfg.Accum, 1)
-		trace.Of(h.env).Instant(p.Now(), "elastic", trace.LaneSim, "expand",
-			"world", plan.Topo.World(), "nodes", plan.Nodes)
-		h.env.Tracef("harness: elastic expand back to full width D=%d on %d nodes",
-			plan.Topo.D, plan.Nodes)
-	}
-
-	// Allocate, shrinking — or waiting for a planned repair or a fleet
-	// capacity change — when no full placement exists. Fixed-width
-	// single-job policies give up until the horizon; elastic policies
-	// degrade instead of dying.
+// allocate reserves the incarnation's nodes, shrinking — or waiting for a
+// planned repair or a fleet capacity change — when no full placement
+// exists. Fixed-width single-job policies give up until the horizon
+// (ok=false); elastic policies degrade instead of dying.
+func (h *harness) allocate(p *vclock.Proc) ([]*gpu.Node, bool) {
+	wl := h.cfg.WL
 	wantNodes := wl.Nodes
 	if h.elastic != nil {
 		wantNodes = h.elastic.Plan().Nodes
@@ -1092,13 +1000,9 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 	for err != nil {
 		var wait func(*vclock.Proc, vclock.Time) bool
 		if h.elastic != nil {
-			minNodes := 0
-			if h.shelter != nil {
-				minNodes = 2 // peer shelter needs a second failure domain
-			}
-			if plan, ok := h.elastic.Shrink(wl.PerNode, h.pool.FreeHealthy(), minNodes); ok {
+			if plan, ok := h.elastic.Shrink(wl.PerNode, h.pool.FreeHealthy(), h.minNodes); ok {
 				h.topo = plan.Topo
-				h.accum = plan.Accum * maxInt(cfg.Accum, 1)
+				h.accum = plan.Accum * max(h.cfg.Accum, 1)
 				wantNodes = plan.Nodes
 				trace.Of(h.env).Instant(p.Now(), "elastic", trace.LaneSim, "shrink",
 					"world", plan.Topo.World(), "accum", h.accum, "nodes", plan.Nodes)
@@ -1118,18 +1022,43 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 		}
 		if wait == nil {
 			h.env.Tracef("harness: allocation failed, nothing to shrink to or wait for: %v", err)
-			return endHorizon
+			return nil, false
 		}
 		if !h.awaitCapacity(p, wait) {
-			return endHorizon
+			return nil, false
 		}
 		nodes, err = h.pool.Allocate(wantNodes, nil)
+	}
+	return nodes, true
+}
+
+func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
+	cfg := h.cfg
+	wl := cfg.WL
+
+	// Elastic re-expand at the incarnation boundary: a degraded job
+	// returns to full width as soon as the repaired capacity exists. The
+	// rejoining ranks bootstrap from the degraded era's checkpoints —
+	// position keys are width-invariant, so cross-world assembly hands
+	// every new rank a surviving replica's state.
+	if h.elastic != nil && h.elastic.Degraded() && h.pool.FreeHealthy() >= h.elastic.Full().Nodes {
+		plan := h.elastic.Expand()
+		h.topo, h.accum = plan.Topo, max(cfg.Accum, 1)
+		trace.Of(h.env).Instant(p.Now(), "elastic", trace.LaneSim, "expand",
+			"world", plan.Topo.World(), "nodes", plan.Nodes)
+		h.env.Tracef("harness: elastic expand back to full width D=%d on %d nodes",
+			plan.Topo.D, plan.Nodes)
+	}
+
+	nodes, ok := h.allocate(p)
+	if !ok {
+		return endHorizon
 	}
 	// A pending yield is consumed by re-allocation: the job now holds
 	// exactly what the arbiter's reservations allow; a still-unsatisfied
 	// arbiter will simply request another yield.
 	h.yieldAt = -1
-	h.heldNodes = wantNodes
+	h.heldNodes = len(nodes)
 	defer func() { h.heldNodes = 0 }()
 	defer h.pool.Release(nodes)
 
@@ -1146,29 +1075,14 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 	// Completion is judged against the CURRENT world: stale done-marks
 	// from a wider incarnation must not count.
 	h.doneRanks = make(map[int]bool)
-	if h.shelter != nil {
-		// Failure-domain-aware shelter placement: each rank's state goes to
-		// host nodes outside its own (and, when possible, outside every
-		// data-parallel replica's) failure domain. Striped shelters spread
-		// the k+m fragments across distinct racks instead; re-running the
-		// plan every incarnation means elastic shrinks re-stripe for free.
-		pp := h.shelter.Params()
-		var plan map[int][]int
-		if pp.Striped() {
-			plan, err = scheduler.StripePlan(placement, h.topo, pp.DataShards, pp.ParityShards, h.cluster.RackOf,
-				func(format string, args ...interface{}) {
-					trace.Of(h.env).Instant(p.Now(), "peer", trace.LaneSim, "stripe-degraded",
-						"msg", fmt.Sprintf(format, args...))
-					h.env.Tracef(format, args...)
-				})
-		} else {
-			plan, err = scheduler.PeerPlan(placement, h.topo, pp.Copies)
+	for _, t := range h.tiers {
+		if t.plan == nil {
+			continue
 		}
-		if err != nil {
-			h.env.Tracef("harness: peer plan failed: %v", err)
+		if err := t.plan(p); err != nil {
+			h.env.Tracef("harness: %s plan failed: %v", t.name, err)
 			return endHorizon
 		}
-		h.peerPlan = plan
 	}
 	// lastBeat entries appear when a rank starts its first minibatch;
 	// the heartbeat watchdog ignores ranks still in setup (communicator
@@ -1176,29 +1090,11 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 	// seconds).
 	h.lastBeat = make(map[int]vclock.Time)
 
-	// saveInterval paces the periodic saver or the multi-step writer.
-	// A periodic save legitimately stalls beats for up to its interval, so
-	// the heartbeat threshold below carries it; the multi-step writer
-	// overlaps its writes with compute, and the threshold keeps only the
-	// configured value for it.
-	saveInterval := h.ckptInterval()
-	hbSlack := cfg.CkptInterval
-	if h.pol.Periodic {
-		hbSlack = saveInterval
-	}
-	msSlices := cfg.MultiStepSlices
-	if msSlices <= 0 {
-		msSlices = 4
-	}
-
 	type rankStack struct {
 		worker *train.Worker
 		layer  *intercept.Layer
 		ujit   *UserLevelRank
-		pc     *checkpoint.Periodic
-		rep    *peerckpt.Replicator
-		msw    *checkpoint.MultiStep
-		keeper *pipefree.Keeper
+		savers []rankSaver
 		proc   *vclock.Proc
 	}
 	stacks := make([]*rankStack, world)
@@ -1236,7 +1132,7 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 		st := &rankStack{}
 		var api cuda.API = drv
 		var gil *vclock.Mutex
-		if h.pol.JITFlush != FlushNone {
+		if h.flush != nil {
 			gil = vclock.NewMutex(h.env, fmt.Sprintf("gil%d", r))
 			st.layer = intercept.New(h.env, drv, fmt.Sprintf("rank%d", r), intercept.Config{
 				Mode:        intercept.ModeUserLevel,
@@ -1250,57 +1146,25 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 		}
 		st.worker = worker
 		if st.layer != nil {
-			rr := r
+			ns, to := h.flush(r)
 			st.ujit = &UserLevelRank{
 				Rank: r, Job: "job", Layer: st.layer, Worker: worker, GIL: gil,
-				Store: h.disk, Monitor: h.monitor,
+				Namespace: ns, Store: to, Monitor: h.monitor,
 				StateBytes: wl.StateBytesPerGPU(), SerializeBW: wl.SerializeBW(),
-				NotePhase: func() { h.injector.NotePhase(rr, failure.PhaseCheckpoint) },
-			}
-			if h.pol.JITFlush == FlushShelter {
-				// The failure-time JIT flush also goes to peer CPU memory:
-				// recovery never touches remote storage.
-				st.ujit.Namespace = peerckpt.PolicyName
-				st.ujit.Store = peerckpt.FlushTarget{
-					Shelter: h.shelter, OwnNode: placement[r].NodeID, Assigned: h.peerPlan[r],
-				}
+				NotePhase: func() { h.injector.NotePhase(r, failure.PhaseCheckpoint) },
 			}
 			st.layer.SetOnFault(st.ujit.Hook())
 		}
-		if h.shelter != nil {
-			st.rep = h.shelter.NewReplicator(r, placement[r], h.peerPlan[r],
-				wl.StateBytesPerGPU(), wl.CUDAParams().D2HBandwidth)
-		}
-		if h.pol.Periodic {
-			st.pc = &checkpoint.Periodic{
-				Kind: h.pol.Kind, Interval: saveInterval, Disk: h.disk, Mem: h.tmpfs, Job: "job",
-				SerializeBW: wl.SerializeBW(), StateBytes: wl.StateBytesPerGPU(),
+		for _, t := range h.tiers {
+			if t.saver != nil {
+				st.savers = append(st.savers, rankSaver{t.saveLabel, t.saver(r, worker)})
 			}
-		}
-		if h.pol.MultiStep {
-			// The gradient ring must retain enough deltas to reconcile the
-			// oldest slice (staleness up to slices-1 iterations).
-			worker.EnableGradRing(msSlices)
-			rr := r
-			st.msw = &checkpoint.MultiStep{
-				Slices: msSlices, Interval: saveInterval, Disk: h.disk, Job: "job",
-				StateBytes: wl.StateBytesPerGPU(), SerializeBW: wl.SerializeBW(),
-				D2HBandwidth: wl.CUDAParams().D2HBandwidth,
-				NoteSliceWrite: func(p *vclock.Proc) {
-					h.injector.NotePhase(rr, failure.PhaseSliceWrite)
-				},
-			}
-		}
-		if h.pipeguard != nil {
-			st.keeper = h.pipeguard.NewKeeper(r, placement[r],
-				wl.StateBytesPerGPU(), wl.CUDAParams().D2HBandwidth)
 		}
 		stacks[r] = st
 	}
 
 	// Launch workers.
 	for r := 0; r < world; r++ {
-		r := r
 		st := stacks[r]
 		st.proc = h.env.Go(fmt.Sprintf("worker%d.g%d", r, h.gen), func(wp *vclock.Proc) {
 			if st.ujit != nil {
@@ -1311,7 +1175,7 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 				return
 			}
 			// Restore from the newest usable checkpoint, if any.
-			if h.res.Incarnations > 0 || h.hasCheckpoint(wp) {
+			if h.res.Incarnations > 0 || h.hasCheckpoint() {
 				restored, rerr := h.restoreRank(wp, st.worker, r)
 				if rerr != nil {
 					// A checkpoint was assembled but could not be read or
@@ -1357,35 +1221,13 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 					fail(r, "iter-error", err)
 					return
 				}
-				if st.rep != nil && st.worker.Iter() < cfg.Iters {
-					// Stream the post-optimizer state to the shelter hosts,
-					// overlapped with the next minibatch's compute.
-					st.rep.Offer(st.worker)
-				}
-				if st.keeper != nil && st.worker.Iter() < cfg.Iters {
-					// Retain this stage's redundancy bundle in neighbor
-					// stages' host RAM, overlapped with the next minibatch.
-					st.keeper.Offer(st.worker)
-				}
-				if st.msw != nil {
-					stall, err := st.msw.Step(wp, st.worker)
+				for _, sv := range st.savers {
+					stall, err := sv.save(wp)
 					if err != nil {
-						fail(r, "ms-checkpoint", err)
+						fail(r, sv.label, err)
 						return
 					}
-					if r == h.refRank && stall > 0 {
-						h.ckptStall += stall
-						h.ckptCount++
-					}
-				}
-				if st.pc != nil && st.pc.Due(wp.Now()) {
-					h.injector.NotePhase(r, failure.PhaseCheckpoint)
-					stall, err := st.pc.Run(wp, st.worker)
-					if err != nil {
-						fail(r, "checkpoint", err)
-						return
-					}
-					if r == h.refRank {
+					if stall > 0 && r == h.refRank {
 						h.ckptStall += stall
 						h.ckptCount++
 					}
@@ -1403,8 +1245,12 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 	h.env.Go(fmt.Sprintf("heartbeat.g%d", h.gen), func(hp *vclock.Proc) {
 		// A degraded iteration runs accum microbatches, so heartbeats
 		// legitimately arrive accum× further apart.
-		mbEff := wl.Minibatch * vclock.Time(maxInt(h.accum, 1))
-		threshold := 3*mbEff + cfg.HangTimeout + hbSlack
+		mbEff := wl.Minibatch * vclock.Time(max(h.accum, 1))
+		// A saver that runs in the critical path legitimately stalls beats,
+		// so the threshold carries the longest such stall; an overlapped
+		// writer adds none, and the threshold keeps only the configured
+		// interval for it.
+		threshold := 3*mbEff + cfg.HangTimeout + max(cfg.CkptInterval, h.beatSlack)
 		// Ranks with no beat yet are normally in legitimate setup
 		// (communicator rendezvous, checkpoint restore) and are skipped —
 		// but a fault during setup can wedge or kill every rank before any
@@ -1434,22 +1280,23 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 
 	p.Wait(ended)
 
-	if st := stacks[h.refRank]; st != nil && st.msw != nil {
-		h.res.MultiStepCommits += st.msw.Count()
-	}
+	h.foldTiers()
 	if how == endFailed {
 		// For user-level JIT, wait for the checkpoint quorum before killing
 		// the job (§3.3). A catastrophic failure that killed every replica
 		// of some position never forms a quorum; the timeout hands recovery
-		// to the periodic fallback, if configured. With a peer shelter,
-		// positions whose state survives in peer CPU memory count as
-		// covered up front — a catastrophic failure that destroyed every
-		// live replica of a shard needs no fresh JIT checkpoint for it, so
-		// the quorum forms (often instantly) instead of burning the timeout.
-		if h.pol.JITFlush != FlushNone {
-			var pre map[string]bool
-			if h.shelter != nil {
-				pre = h.shelter.CoveredPositions(h.topo)
+		// to the periodic fallback, if configured. Positions whose state
+		// survives in a tier's memory (peer CPU memory, a neighbor stage's
+		// bundle) count as covered up front — a catastrophic failure that
+		// destroyed every live replica of a shard needs no fresh JIT
+		// checkpoint for it, so the quorum forms (often instantly) instead
+		// of burning the timeout.
+		if h.flush != nil {
+			pre := make(map[string]bool)
+			for _, t := range h.tiers {
+				if t.covered != nil {
+					maps.Copy(pre, t.covered(h.topo))
+				}
 			}
 			h.monitor.WaitCheckpointQuorumCovered(p, h.topo, 2*vclock.Minute, pre)
 		}
@@ -1501,40 +1348,15 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 	return how
 }
 
-// hasCheckpoint reports whether any checkpoint exists for this policy.
-func (h *harness) hasCheckpoint(p *vclock.Proc) bool {
-	for _, ns := range h.policyNamespaces() {
-		if len(h.disk.List(fmt.Sprintf("job/ckpt/%s/", ns))) > 0 {
+// hasCheckpoint reports whether a fresh job finds a predecessor's
+// checkpoints in any of its tiers' disk namespaces.
+func (h *harness) hasCheckpoint() bool {
+	for _, t := range h.tiers {
+		if t.ns != "" && len(h.disk.List(fmt.Sprintf("job/ckpt/%s/", t.ns))) > 0 {
 			return true
 		}
 	}
-	if h.pol.MultiStep &&
-		len(h.disk.List("job/ckpt/"+checkpoint.MultiStepNamespace+"/")) > 0 {
-		return true
-	}
-	if h.pipeguard != nil && h.pipeguard.Any() {
-		return true
-	}
-	return h.shelter != nil && h.shelter.Any()
-}
-
-// policyNamespaces lists the disk checkpoint namespaces the policy may
-// restore from. The combined policies restore from whichever of the JIT
-// and periodic checkpoints is newest (§6.3: "the most recent checkpoint
-// will be used"); shelter entries follow them in restoreRank's candidate
-// list.
-func (h *harness) policyNamespaces() []string {
-	var out []string
-	if h.pol.JITFlush == FlushDisk {
-		out = append(out, JITPolicyName)
-	}
-	if h.pol.Periodic {
-		out = append(out, h.pol.Kind.PolicyName())
-	}
-	if h.pol.Elastic {
-		out = append(out, ElasticPolicyName)
-	}
-	return out
+	return false
 }
 
 // elasticSave persists a degraded worker's state to disk under the
@@ -1575,35 +1397,24 @@ func (h *harness) restoreRank(p *vclock.Proc, w *train.Worker, rank int) (bool, 
 	// (or, for an oracle run, narrower) era than the topology restoring
 	// now; position keys are width-invariant, so bound the writer scan by
 	// the larger of the two worlds.
-	writerWorld := maxInt(h.cfg.WL.Topo.World(), h.topo.World())
+	writerWorld := max(h.cfg.WL.Topo.World(), h.topo.World())
 	if h.cfg.RestoreWriterWorld > 0 {
 		writerWorld = h.cfg.RestoreWriterWorld
 	}
-	// One candidate list, preferred tier first: the policy's disk
-	// namespaces, then the shelter (complete replica entries before
-	// reconstructable stripes — an entry whose only survivors are ≥k
-	// fragments is still restorable, Load decodes parity on the fly), then
-	// pipe-free bundles ahead of multi-step generations (a surviving stage
-	// bundle beats any disk generation on freshness, and loses nothing if
-	// it doesn't). Cross-tier assembly is valid because every tier records
-	// the same invariant — ms.Iter = N means "state at the start of
-	// minibatch N". Order is observable: probes cost virtual time.
-	cands := checkpoint.StoreCandidates(h.disk, "job", h.policyNamespaces()...)
-	if h.shelter != nil {
-		cands = append(cands, h.shelter.RestoreCandidates()...)
-	}
-	if h.pipeguard != nil {
-		cands = append(cands, h.pipeguard.RestoreCandidates()...)
-	}
-	if h.pol.MultiStep {
-		cands = append(cands, checkpoint.MultiStepCandidates(h.disk, "job", checkpoint.MultiStepParams{
-			Opt:         h.cfg.WL.Optimizer(),
-			Scale:       w.GradScale(),
-			ReconcileBW: msReconcileBW,
-			NoteReconcile: func(p *vclock.Proc) {
-				h.injector.NotePhase(rank, failure.PhaseReconcile)
-			},
-		})...)
+	// One candidate list in tier order, preferred tier first: the disk
+	// namespaces — whichever of the JIT and periodic checkpoints is newest
+	// wins (§6.3: "the most recent checkpoint will be used") — then the
+	// shelter, then pipe-free bundles ahead of multi-step generations (a
+	// surviving stage bundle beats any disk generation on freshness, and
+	// loses nothing if it doesn't). Cross-tier assembly is valid because
+	// every tier records the same invariant — ms.Iter = N means "state at
+	// the start of minibatch N". Order is observable: probes cost virtual
+	// time.
+	var cands []checkpoint.Candidate
+	for _, t := range h.tiers {
+		if t.candidates != nil {
+			cands = append(cands, t.candidates(rank, w)...)
+		}
 	}
 	plan, err := checkpoint.AssembleRestore(p, cands, h.topo, writerWorld)
 	if err != nil {
@@ -1640,25 +1451,16 @@ func (h *harness) restoreRank(p *vclock.Proc, w *train.Worker, rank int) (bool, 
 	return true, nil
 }
 
-// msReconcileBW is the modelled gradient-replay throughput during a
-// multi-step reconciled restore (state bytes advanced per second).
-const msReconcileBW = 40e9
-
 // storeReadBytes sums the modelled bytes every checkpoint store involved
-// in this run has served: the shared disk, tmpfs, and any peer-shelter
-// host stores. Diffing it around a restore's Load yields that recovery's
+// in this run has served: the shared disk and the tiers' own stores.
+// Diffing it around a restore's Load yields that recovery's
 // checkpoint-read traffic.
 func (h *harness) storeReadBytes() int64 {
-	total := h.disk.ReadBytes() + h.tmpfs.ReadBytes()
-	if h.shelter != nil {
-		total += h.shelter.ReadBytes()
+	total := h.disk.ReadBytes()
+	for _, t := range h.tiers {
+		if t.readBytes != nil {
+			total += t.readBytes()
+		}
 	}
 	return total
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -102,7 +102,6 @@ func StartJob(cfg JobConfig) (*JobHandle, error) {
 		return nil, err
 	}
 	hd := &JobHandle{h: h}
-	h.handle = hd
 	if err := h.launch(); err != nil {
 		return nil, err
 	}

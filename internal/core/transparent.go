@@ -977,10 +977,3 @@ func nodeCount(ranks []*TransparentRank) int {
 	}
 	return len(seen)
 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -34,8 +34,8 @@ type UserLevelRank struct {
 	// failure-time flush to a surviving host outside this rank's failure
 	// domain (the save fails when none survives).
 	Store checkpoint.Target
-	// Namespace overrides the checkpoint namespace the JIT flush writes
-	// under; empty means JITPolicyName ("jit").
+	// Namespace is the checkpoint namespace the JIT flush writes under
+	// (JITPolicyName on disk, the shelter's own in peer memory).
 	Namespace string
 	// Monitor is the scheduler's notification sink.
 	Monitor *scheduler.Monitor
@@ -126,11 +126,7 @@ func (u *UserLevelRank) saveCheckpoint(p *vclock.Proc) (err error) {
 	if err != nil {
 		return fmt.Errorf("core: rank %d JIT save: %w", u.Rank, err)
 	}
-	ns := u.Namespace
-	if ns == "" {
-		ns = JITPolicyName
-	}
-	dir := checkpoint.RankDir(u.Job, ns, ms.Iter, u.Rank)
+	dir := checkpoint.RankDir(u.Job, u.Namespace, ms.Iter, u.Rank)
 	err = checkpoint.SaveRank(p, u.Store, dir, ms, u.SerializeBW, u.StateBytes, u.StateBytes)
 	if errors.Is(err, checkpoint.ErrNoTarget) {
 		return fmt.Errorf("core: rank %d JIT flush: no surviving peer host", u.Rank)

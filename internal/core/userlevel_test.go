@@ -59,7 +59,7 @@ func newUserLevelRig(t *testing.T) *userLevelRig {
 		r.workers[i] = w
 		r.ranks[i] = &UserLevelRank{
 			Rank: i, Job: "job", Layer: r.layers[i], Worker: w, GIL: r.gils[i],
-			Store: r.store, Monitor: r.monitor, StateBytes: 1 << 21,
+			Namespace: JITPolicyName, Store: r.store, Monitor: r.monitor, StateBytes: 1 << 21,
 		}
 		r.layers[i].SetOnFault(r.ranks[i].Hook())
 	}

@@ -22,7 +22,6 @@ const (
 	OpFree
 	OpMemcpyH2D
 	OpMemcpyD2H
-	OpMemcpyD2D
 	OpStreamCreate
 	OpStreamDestroy
 	OpStreamSynchronize
@@ -30,22 +29,18 @@ const (
 	OpEventCreate
 	OpEventRecord
 	OpEventQuery
-	OpEventSynchronize
 	OpEventDestroy
 	OpLaunch
 	OpDeviceSynchronize
-	OpGetLastError
 	OpBufList
 	OpBufChecksum
 	OpCommInit
 	OpCommDestroy
 	OpAllReduce
-	OpBroadcast
 	OpAllGather
 	OpReduceScatter
 	OpSend
 	OpRecv
-	OpBarrier
 	numOps
 )
 
@@ -78,7 +73,8 @@ type OpInfo struct {
 	// Name is the API method name (trace event names, watchdog messages).
 	Name string
 	// Async ops are fire-and-forget on the proxy client: the call returns
-	// once the request is queued and errors surface via GetLastError.
+	// once the request is queued; a failure poisons its stream and surfaces
+	// at the next synchronizing call on it.
 	Async bool
 	// Tracked ops are watched by the interception layer's watchdog: one
 	// that never returns is a hang (§4.2). CommInit is deliberately not
@@ -100,7 +96,6 @@ var opTable = [numOps]OpInfo{
 	OpFree:              {Name: "Free", Tracked: true, Mutating: true, Destroys: BufHandle, uses: useBuf},
 	OpMemcpyH2D:         {Name: "MemcpyH2D", Async: true, Mutating: true, uses: useBuf | useStream},
 	OpMemcpyD2H:         {Name: "MemcpyD2H", Tracked: true, uses: useBuf | useStream},
-	OpMemcpyD2D:         {Name: "MemcpyD2D", Async: true, Mutating: true, uses: useBuf | useBuf2 | useStream},
 	OpStreamCreate:      {Name: "StreamCreate", Tracked: true, Mutating: true, Creates: StreamHandle},
 	OpStreamDestroy:     {Name: "StreamDestroy", Tracked: true, Mutating: true, Destroys: StreamHandle, uses: useStream},
 	OpStreamSynchronize: {Name: "StreamSynchronize", Tracked: true, uses: useStream},
@@ -108,22 +103,18 @@ var opTable = [numOps]OpInfo{
 	OpEventCreate:       {Name: "EventCreate", Tracked: true, Mutating: true, Creates: EventHandle},
 	OpEventRecord:       {Name: "EventRecord", Async: true, Mutating: true, uses: useEvent | useStream},
 	OpEventQuery:        {Name: "EventQuery", uses: useEvent},
-	OpEventSynchronize:  {Name: "EventSynchronize", Tracked: true, uses: useEvent},
 	OpEventDestroy:      {Name: "EventDestroy", Tracked: true, Mutating: true, Destroys: EventHandle, uses: useEvent},
 	OpLaunch:            {Name: "Launch", Async: true, Mutating: true, uses: useStream | useLaunchBufs},
 	OpDeviceSynchronize: {Name: "DeviceSynchronize", Tracked: true},
-	OpGetLastError:      {Name: "GetLastError"},
 	OpBufList:           {Name: "BufList"},
 	OpBufChecksum:       {Name: "BufChecksum", Tracked: true, uses: useBuf},
 	OpCommInit:          {Name: "CommInit", Mutating: true, Creates: CommHandle},
 	OpCommDestroy:       {Name: "CommDestroy", Tracked: true, Mutating: true, Destroys: CommHandle, uses: useComm},
 	OpAllReduce:         {Name: "AllReduce", Async: true, Mutating: true, uses: useComm | useBuf | useStream},
-	OpBroadcast:         {Name: "Broadcast", Async: true, Mutating: true, uses: useComm | useBuf | useStream},
 	OpAllGather:         {Name: "AllGather", Async: true, Mutating: true, uses: useComm | useBuf | useBuf2 | useStream},
 	OpReduceScatter:     {Name: "ReduceScatter", Async: true, Mutating: true, uses: useComm | useBuf | useBuf2 | useStream},
 	OpSend:              {Name: "Send", Async: true, Mutating: true, uses: useComm | useBuf | useStream},
 	OpRecv:              {Name: "Recv", Async: true, Mutating: true, uses: useComm | useBuf | useStream},
-	OpBarrier:           {Name: "Barrier", Async: true, Mutating: true, uses: useComm | useStream},
 }
 
 // Info returns the op's table row; an out-of-range op gets a row with only
@@ -159,7 +150,6 @@ type Call struct {
 	NRanks int
 	Rank   int
 	Peer   int
-	Root   int
 }
 
 // Handle returns the call's handle of kind k — for a destruction op, the
@@ -207,8 +197,6 @@ func Invoke(p *vclock.Proc, api API, c *Call) (Result, error) {
 		err = api.MemcpyH2D(p, c.Buf, c.Data, c.Stream)
 	case OpMemcpyD2H:
 		r.Data, err = api.MemcpyD2H(p, c.Buf, c.Stream)
-	case OpMemcpyD2D:
-		err = api.MemcpyD2D(p, c.Buf, c.Buf2, c.Stream)
 	case OpStreamCreate:
 		var h Stream
 		h, err = api.StreamCreate(p)
@@ -227,16 +215,12 @@ func Invoke(p *vclock.Proc, api API, c *Call) (Result, error) {
 		err = api.EventRecord(p, c.Event, c.Stream)
 	case OpEventQuery:
 		r.Bool, err = api.EventQuery(p, c.Event)
-	case OpEventSynchronize:
-		err = api.EventSynchronize(p, c.Event)
 	case OpEventDestroy:
 		err = api.EventDestroy(p, c.Event)
 	case OpLaunch:
 		err = api.Launch(p, c.Launch, c.Stream)
 	case OpDeviceSynchronize:
 		err = api.DeviceSynchronize(p)
-	case OpGetLastError:
-		err = api.GetLastError(p)
 	case OpBufList:
 		r.Infos, err = api.BufList(p)
 	case OpBufChecksum:
@@ -249,8 +233,6 @@ func Invoke(p *vclock.Proc, api API, c *Call) (Result, error) {
 		err = api.CommDestroy(p, c.Comm)
 	case OpAllReduce:
 		err = api.AllReduce(p, c.Comm, c.Buf, c.Stream)
-	case OpBroadcast:
-		err = api.Broadcast(p, c.Comm, c.Buf, c.Root, c.Stream)
 	case OpAllGather:
 		err = api.AllGather(p, c.Comm, c.Buf, c.Buf2, c.Stream)
 	case OpReduceScatter:
@@ -259,8 +241,6 @@ func Invoke(p *vclock.Proc, api API, c *Call) (Result, error) {
 		err = api.Send(p, c.Comm, c.Buf, c.Peer, c.Stream)
 	case OpRecv:
 		err = api.Recv(p, c.Comm, c.Buf, c.Peer, c.Stream)
-	case OpBarrier:
-		err = api.Barrier(p, c.Comm, c.Stream)
 	default:
 		err = fmt.Errorf("cuda: unknown op %v", c.Op)
 	}
@@ -421,11 +401,6 @@ func (a Adapter) MemcpyD2H(p *vclock.Proc, src Buf, s Stream) ([]float32, error)
 	return r.Data, err
 }
 
-// MemcpyD2D implements API.
-func (a Adapter) MemcpyD2D(p *vclock.Proc, dst, src Buf, s Stream) error {
-	return a.err(p, &Call{Op: OpMemcpyD2D, Buf: dst, Buf2: src, Stream: s})
-}
-
 // StreamCreate implements API.
 func (a Adapter) StreamCreate(p *vclock.Proc) (Stream, error) {
 	r, err := a.do(p, Call{Op: OpStreamCreate})
@@ -464,11 +439,6 @@ func (a Adapter) EventQuery(p *vclock.Proc, ev Event) (bool, error) {
 	return r.Bool, err
 }
 
-// EventSynchronize implements API.
-func (a Adapter) EventSynchronize(p *vclock.Proc, ev Event) error {
-	return a.err(p, &Call{Op: OpEventSynchronize, Event: ev})
-}
-
 // EventDestroy implements API.
 func (a Adapter) EventDestroy(p *vclock.Proc, ev Event) error {
 	return a.err(p, &Call{Op: OpEventDestroy, Event: ev})
@@ -483,9 +453,6 @@ func (a Adapter) Launch(p *vclock.Proc, lp LaunchParams, s Stream) error {
 func (a Adapter) DeviceSynchronize(p *vclock.Proc) error {
 	return a.err(p, &Call{Op: OpDeviceSynchronize})
 }
-
-// GetLastError implements API.
-func (a Adapter) GetLastError(p *vclock.Proc) error { return a.err(p, &Call{Op: OpGetLastError}) }
 
 // BufList implements API.
 func (a Adapter) BufList(p *vclock.Proc) ([]BufInfo, error) {
@@ -515,11 +482,6 @@ func (a Adapter) AllReduce(p *vclock.Proc, c Comm, b Buf, s Stream) error {
 	return a.err(p, &Call{Op: OpAllReduce, Comm: c, Buf: b, Stream: s})
 }
 
-// Broadcast implements API.
-func (a Adapter) Broadcast(p *vclock.Proc, c Comm, b Buf, root int, s Stream) error {
-	return a.err(p, &Call{Op: OpBroadcast, Comm: c, Buf: b, Root: root, Stream: s})
-}
-
 // AllGather implements API.
 func (a Adapter) AllGather(p *vclock.Proc, c Comm, in, out Buf, s Stream) error {
 	return a.err(p, &Call{Op: OpAllGather, Comm: c, Buf: in, Buf2: out, Stream: s})
@@ -538,9 +500,4 @@ func (a Adapter) Send(p *vclock.Proc, c Comm, b Buf, peer int, s Stream) error {
 // Recv implements API.
 func (a Adapter) Recv(p *vclock.Proc, c Comm, b Buf, peer int, s Stream) error {
 	return a.err(p, &Call{Op: OpRecv, Comm: c, Buf: b, Peer: peer, Stream: s})
-}
-
-// Barrier implements API.
-func (a Adapter) Barrier(p *vclock.Proc, c Comm, s Stream) error {
-	return a.err(p, &Call{Op: OpBarrier, Comm: c, Stream: s})
 }

@@ -106,8 +106,6 @@ type API interface {
 	// MemcpyD2H synchronously copies device data to the host: it completes
 	// only after all prior work on s (cudaMemcpy semantics).
 	MemcpyD2H(p *vclock.Proc, src Buf, s Stream) ([]float32, error)
-	// MemcpyD2D asynchronously copies between device buffers on stream s.
-	MemcpyD2D(p *vclock.Proc, dst, src Buf, s Stream) error
 
 	// Streams and events.
 	StreamCreate(p *vclock.Proc) (Stream, error)
@@ -119,7 +117,6 @@ type API interface {
 	// EventQuery reports whether the event's last recorded work completed;
 	// an unrecorded event reports complete, per CUDA.
 	EventQuery(p *vclock.Proc, ev Event) (bool, error)
-	EventSynchronize(p *vclock.Proc, ev Event) error
 	EventDestroy(p *vclock.Proc, ev Event) error
 
 	// Kernel launch (asynchronous).
@@ -127,7 +124,6 @@ type API interface {
 
 	// Device-wide operations.
 	DeviceSynchronize(p *vclock.Proc) error
-	GetLastError(p *vclock.Proc) error
 	// BufList enumerates live buffers; BufChecksum hashes one buffer's
 	// contents. Both serve the replay-log validation (§4.1) and the
 	// transparent checkpoint path (§4.3).
@@ -139,12 +135,10 @@ type API interface {
 	CommInit(p *vclock.Proc, key string, gen, nranks, rank int) (Comm, error)
 	CommDestroy(p *vclock.Proc, c Comm) error
 	AllReduce(p *vclock.Proc, c Comm, b Buf, s Stream) error
-	Broadcast(p *vclock.Proc, c Comm, b Buf, root int, s Stream) error
 	AllGather(p *vclock.Proc, c Comm, in, out Buf, s Stream) error
 	ReduceScatter(p *vclock.Proc, c Comm, in, out Buf, s Stream) error
 	Send(p *vclock.Proc, c Comm, b Buf, peer int, s Stream) error
 	Recv(p *vclock.Proc, c Comm, b Buf, peer int, s Stream) error
-	Barrier(p *vclock.Proc, c Comm, s Stream) error
 }
 
 // Params models host-side API costs and PCIe bandwidths.
@@ -152,10 +146,9 @@ type Params struct {
 	// CallLatency is the host cost of issuing any API call.
 	CallLatency vclock.Time
 	// H2DBandwidth / D2HBandwidth model the PCIe link (the paper's example:
-	// PCIe gen 4 at 32 GB/s). D2D uses device memory bandwidth.
+	// PCIe gen 4 at 32 GB/s).
 	H2DBandwidth float64
 	D2HBandwidth float64
-	D2DBandwidth float64
 }
 
 // DefaultParams returns parameters for a PCIe gen-4 attached GPU.
@@ -164,7 +157,6 @@ func DefaultParams() Params {
 		CallLatency:  2 * vclock.Microsecond,
 		H2DBandwidth: 25e9,
 		D2HBandwidth: 25e9,
-		D2DBandwidth: 1500e9,
 	}
 }
 
@@ -176,15 +168,6 @@ type eventState struct {
 	op   *gpu.Op
 }
 
-// launchMode distinguishes the op shapes a pooled launchOp can take.
-type launchMode int8
-
-const (
-	launchKernel launchMode = iota
-	launchH2D
-	launchD2D
-)
-
 // launchOp is the pooled per-launch state for the driver's asynchronous
 // fire-and-forget ops (kernel launches and async memcpys). One launchOp is
 // one in-flight op; when the stream finishes it, the op returns itself to
@@ -192,10 +175,10 @@ const (
 // issuer never retains a pointer to it (these ops are enqueued with
 // EnqueueAsync and have no completion event), which is what makes reuse
 // safe. Immediate arguments are copied in at launch time, giving
-// capture-at-call semantics like the wire protocol it models.
+// capture-at-call semantics like the wire protocol it models. An op with no
+// kernel function is an H2D copy of host into bufs[0].
 type launchOp struct {
 	d      *Driver
-	mode   launchMode
 	kernel string
 	fn     KernelFunc
 	bufs   []*gpu.Buffer
@@ -240,12 +223,8 @@ func (lo *launchOp) name() string {
 }
 
 func (lo *launchOp) exec(dev *gpu.Device) error {
-	switch lo.mode {
-	case launchH2D:
+	if lo.fn == nil {
 		copy(lo.bufs[0].Data, lo.host)
-		return nil
-	case launchD2D:
-		copy(lo.bufs[0].Data, lo.bufs[1].Data)
 		return nil
 	}
 	lo.args.Bufs = lo.args.Bufs[:0]
@@ -274,8 +253,6 @@ type Driver struct {
 	nextComm   Comm
 
 	launchFree *launchOp
-
-	lastErr error
 }
 
 var _ API = (*Driver)(nil)
@@ -311,11 +288,8 @@ func NewDriver(dev *gpu.Device, engine *nccl.Engine, kernels Registry, params Pa
 // the transfer time explicitly. It fails when GPU state is not accessible
 // (sticky error) or the device is lost, the §4.2 strategy-3 cases.
 func (d *Driver) BufData(b Buf) (tensor.Vector, error) {
-	switch d.dev.Health() {
-	case gpu.Hard:
-		return nil, gpu.ErrDeviceLost
-	case gpu.Sticky:
-		return nil, gpu.ErrSticky
+	if err := d.healthErr(); err != nil {
+		return nil, err
 	}
 	gb, err := d.buf(b)
 	if err != nil {
@@ -337,18 +311,10 @@ func (d *Driver) call(p *vclock.Proc) error {
 	if d.params.CallLatency > 0 {
 		p.Sleep(d.params.CallLatency)
 	}
-	switch d.dev.Health() {
-	case gpu.Hard:
-		d.lastErr = gpu.ErrDeviceLost
-		return gpu.ErrDeviceLost
-	case gpu.Sticky:
-		d.lastErr = gpu.ErrSticky
-		return gpu.ErrSticky
-	case gpu.DriverCorrupt:
-		d.lastErr = gpu.ErrCorrupt
+	if d.dev.Health() == gpu.DriverCorrupt {
 		return gpu.ErrCorrupt
 	}
-	return nil
+	return d.healthErr()
 }
 
 func (d *Driver) stream(s Stream) (*gpu.Stream, error) {
@@ -374,7 +340,6 @@ func (d *Driver) Malloc(p *vclock.Proc, bytes int64, elems int, tag string) (Buf
 	}
 	gb, err := d.dev.Alloc(bytes, elems, tag)
 	if err != nil {
-		d.lastErr = err
 		return 0, err
 	}
 	h := d.nextBuf
@@ -410,7 +375,6 @@ func (d *Driver) MemcpyH2D(p *vclock.Proc, dst Buf, src []float32, s Stream) err
 		return err
 	}
 	lo := d.getLaunch()
-	lo.mode = launchH2D
 	lo.bufs = append(lo.bufs, gb)
 	lo.host = append(lo.host[:0], src...) // capture at call time
 	lo.op.Name = "memcpyH2D"
@@ -441,36 +405,9 @@ func (d *Driver) MemcpyD2H(p *vclock.Proc, src Buf, s Stream) ([]float32, error)
 	done := gs.Enqueue(op)
 	p.Wait(done) // cudaMemcpy D2H is synchronous: hangs if the stream is wedged
 	if op.Err != nil {
-		d.lastErr = op.Err
 		return nil, op.Err
 	}
 	return out, nil
-}
-
-// MemcpyD2D asynchronously copies between device buffers. See API.
-func (d *Driver) MemcpyD2D(p *vclock.Proc, dst, src Buf, s Stream) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	db, err := d.buf(dst)
-	if err != nil {
-		return err
-	}
-	sb, err := d.buf(src)
-	if err != nil {
-		return err
-	}
-	gs, err := d.stream(s)
-	if err != nil {
-		return err
-	}
-	lo := d.getLaunch()
-	lo.mode = launchD2D
-	lo.bufs = append(lo.bufs, db, sb)
-	lo.op.Name = "memcpyD2D"
-	lo.op.Dur = gpu.TransferTime(sb.ModelBytes, d.params.D2DBandwidth)
-	gs.EnqueueAsync(&lo.op)
-	return nil
 }
 
 // StreamCreate creates a new execution stream. See API.
@@ -480,7 +417,6 @@ func (d *Driver) StreamCreate(p *vclock.Proc) (Stream, error) {
 	}
 	gs, err := d.dev.NewStream()
 	if err != nil {
-		d.lastErr = err
 		return 0, err
 	}
 	h := d.nextStream
@@ -521,7 +457,6 @@ func (d *Driver) StreamSynchronize(p *vclock.Proc, s Stream) error {
 	// waits): the stream is drained but its work did not all succeed.
 	if err := gs.AsyncErr(); err != nil {
 		trace.Of(d.dev.Env()).Instant(p.Now(), "cuda", d.dev.Lane(), "async-err", "err", err)
-		d.lastErr = err
 		return err
 	}
 	return nil
@@ -614,26 +549,6 @@ func (d *Driver) EventQuery(p *vclock.Proc, ev Event) (bool, error) {
 	return true, nil
 }
 
-// EventSynchronize blocks until the event's recorded work completes.
-// See API.
-func (d *Driver) EventSynchronize(p *vclock.Proc, ev Event) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	es, ok := d.events[ev]
-	if !ok {
-		return fmt.Errorf("%w: event %d", ErrBadHandle, ev)
-	}
-	if es.fire == nil {
-		return nil
-	}
-	p.Wait(es.fire)
-	if es.op != nil {
-		return es.op.Err
-	}
-	return nil
-}
-
 // EventDestroy destroys a cudaEvent. See API.
 func (d *Driver) EventDestroy(p *vclock.Proc, ev Event) error {
 	if err := d.call(p); err != nil {
@@ -660,7 +575,6 @@ func (d *Driver) Launch(p *vclock.Proc, lp LaunchParams, s Stream) error {
 		return err
 	}
 	lo := d.getLaunch()
-	lo.mode = launchKernel
 	lo.kernel = lp.Kernel
 	lo.fn = fn
 	for _, bh := range lp.Bufs {
@@ -690,16 +604,6 @@ func (d *Driver) DeviceSynchronize(p *vclock.Proc) error {
 		}
 	}
 	return d.healthErr()
-}
-
-// GetLastError returns and clears the sticky last error. See API.
-func (d *Driver) GetLastError(p *vclock.Proc) error {
-	if err := d.healthErr(); err != nil {
-		return err
-	}
-	err := d.lastErr
-	d.lastErr = nil
-	return err
 }
 
 // BufList enumerates live buffers in handle order. See API.
@@ -748,7 +652,6 @@ func (d *Driver) CommInit(p *vclock.Proc, key string, gen, nranks, rank int) (Co
 	}
 	nc, err := d.engine.CommInitRank(p, key, gen, nranks, rank, d.dev)
 	if err != nil {
-		d.lastErr = err
 		return 0, err
 	}
 	h := d.nextComm
@@ -777,13 +680,9 @@ func (d *Driver) collectiveArgs(c Comm, b Buf, s Stream) (*nccl.Comm, *gpu.Buffe
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("%w: comm %d", ErrBadHandle, c)
 	}
-	var gb *gpu.Buffer
-	if b != 0 {
-		var err error
-		gb, err = d.buf(b)
-		if err != nil {
-			return nil, nil, nil, err
-		}
+	gb, err := d.buf(b)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	gs, err := d.stream(s)
 	if err != nil {
@@ -802,19 +701,6 @@ func (d *Driver) AllReduce(p *vclock.Proc, c Comm, b Buf, s Stream) error {
 		return err
 	}
 	_, err = nc.AllReduce(gs, gb)
-	return err
-}
-
-// Broadcast enqueues a broadcast from root. See API.
-func (d *Driver) Broadcast(p *vclock.Proc, c Comm, b Buf, root int, s Stream) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	nc, gb, gs, err := d.collectiveArgs(c, b, s)
-	if err != nil {
-		return err
-	}
-	_, err = nc.Broadcast(gs, gb, root)
 	return err
 }
 
@@ -878,19 +764,9 @@ func (d *Driver) Recv(p *vclock.Proc, c Comm, b Buf, peer int, s Stream) error {
 	return err
 }
 
-// Barrier enqueues a data-free barrier. See API.
-func (d *Driver) Barrier(p *vclock.Proc, c Comm, s Stream) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	nc, _, gs, err := d.collectiveArgs(c, 0, s)
-	if err != nil {
-		return err
-	}
-	_, err = nc.Barrier(gs)
-	return err
-}
-
+// healthErr maps a lost or sticky device onto its error. A corrupt driver
+// context is not one here: its streams still drain and its memory still
+// reads (§4.2 strategy 2), so only call refuses it.
 func (d *Driver) healthErr() error {
 	switch d.dev.Health() {
 	case gpu.Hard:

@@ -247,23 +247,6 @@ func TestEventQuerySemantics(t *testing.T) {
 	_ = r
 }
 
-func TestEventSynchronize(t *testing.T) {
-	r := newRig(t, Registry{"nop": func(KernelArgs) error { return nil }})
-	r.inProc(t, func(p *vclock.Proc) {
-		s, _ := r.drv.StreamCreate(p)
-		ev, _ := r.drv.EventCreate(p)
-		r.drv.Launch(p, LaunchParams{Kernel: "nop", Dur: vclock.Seconds(3)}, s)
-		r.drv.EventRecord(p, ev, s)
-		t0 := p.Now()
-		if err := r.drv.EventSynchronize(p, ev); err != nil {
-			t.Error(err)
-		}
-		if waited := p.Now() - t0; waited < vclock.Seconds(2.9) || waited > vclock.Seconds(3.1) {
-			t.Errorf("EventSynchronize waited %v, want ~3s", waited)
-		}
-	})
-}
-
 func TestStreamWaitEventOrdersAcrossStreams(t *testing.T) {
 	order := []string{}
 	kernels := Registry{
@@ -297,8 +280,8 @@ func TestStickyErrorSurfacesOnAPICalls(t *testing.T) {
 		if _, err := r.drv.MemcpyD2H(p, b, DefaultStream); !errors.Is(err, gpu.ErrSticky) {
 			t.Errorf("MemcpyD2H err = %v", err)
 		}
-		if err := r.drv.GetLastError(p); !errors.Is(err, gpu.ErrSticky) {
-			t.Errorf("GetLastError = %v", err)
+		if err := r.drv.StreamSynchronize(p, DefaultStream); !errors.Is(err, gpu.ErrSticky) {
+			t.Errorf("StreamSynchronize err = %v", err)
 		}
 	})
 }
@@ -469,7 +452,7 @@ func BenchmarkKernelLaunch(b *testing.B) {
 }
 
 // TestDriverCollectiveSurface drives the remaining collective entry points
-// (Broadcast, AllGather, ReduceScatter, Barrier, Send/Recv) through the
+// (AllGather, ReduceScatter, Send/Recv) through the
 // driver API across two ranks.
 func TestDriverCollectiveSurface(t *testing.T) {
 	env := vclock.NewEnv(1)
@@ -493,14 +476,6 @@ func TestDriverCollectiveSurface(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			// Broadcast root 0's data.
-			b, _ := drv.Malloc(p, 64, 2, "b")
-			if rank == 0 {
-				drv.MemcpyH2D(p, b, []float32{5, 6}, DefaultStream)
-			}
-			if err := drv.Broadcast(p, comm, b, 0, DefaultStream); err != nil {
-				t.Error(err)
-			}
 			// AllGather both ranks' scalars.
 			in, _ := drv.Malloc(p, 32, 1, "in")
 			out, _ := drv.Malloc(p, 64, 2, "out")
@@ -515,10 +490,6 @@ func TestDriverCollectiveSurface(t *testing.T) {
 			if err := drv.ReduceScatter(p, comm, rsIn, rsOut, DefaultStream); err != nil {
 				t.Error(err)
 			}
-			// Barrier.
-			if err := drv.Barrier(p, comm, DefaultStream); err != nil {
-				t.Error(err)
-			}
 			// P2P ping: rank 0 sends, rank 1 receives.
 			pp, _ := drv.Malloc(p, 32, 1, "p2p")
 			if rank == 0 {
@@ -531,23 +502,22 @@ func TestDriverCollectiveSurface(t *testing.T) {
 					t.Error(err)
 				}
 			}
-			bd, _ := drv.MemcpyD2H(p, b, DefaultStream)
 			og, _ := drv.MemcpyD2H(p, out, DefaultStream)
 			rs, _ := drv.MemcpyD2H(p, rsOut, DefaultStream)
 			p2, _ := drv.MemcpyD2H(p, pp, DefaultStream)
-			results[rank] = append(append(append(append([]float32{}, bd...), og...), rs...), p2...)
+			results[rank] = append(append(append([]float32{}, og...), rs...), p2...)
 		})
 	}
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// rank 1: broadcast [5 6], gather [1 2], reduce-scatter chunk1 = 20, p2p 42.
-	want1 := tensor.Vector{5, 6, 1, 2, 20, 42}
+	// rank 1: gather [1 2], reduce-scatter chunk1 = 20, p2p 42.
+	want1 := tensor.Vector{1, 2, 20, 42}
 	if !tensor.Vector(results[1]).Equal(want1) {
 		t.Fatalf("rank 1 results = %v, want %v", results[1], want1)
 	}
 	// rank 0: reduce-scatter chunk0 = 2, p2p buffer holds its own 42.
-	want0 := tensor.Vector{5, 6, 1, 2, 2, 42}
+	want0 := tensor.Vector{1, 2, 2, 42}
 	if !tensor.Vector(results[0]).Equal(want0) {
 		t.Fatalf("rank 0 results = %v, want %v", results[0], want0)
 	}
@@ -610,8 +580,8 @@ func TestAsyncErrorPropagation(t *testing.T) {
 		if err := r.drv.StreamSynchronize(p, sA); !errors.Is(err, boom) {
 			t.Errorf("sync of failed stream = %v, want boom", err)
 		}
-		if err := r.drv.EventSynchronize(p, ev); !errors.Is(err, boom) {
-			t.Errorf("sync of poisoned event = %v, want boom", err)
+		if done, err := r.drv.EventQuery(p, ev); !done || !errors.Is(err, boom) {
+			t.Errorf("query of poisoned event = %v, %v, want done with boom", done, err)
 		}
 		if err := r.drv.StreamSynchronize(p, sB); !errors.Is(err, boom) {
 			t.Errorf("sync of event-poisoned stream = %v, want boom", err)
@@ -640,7 +610,6 @@ var wantOps = []struct {
 	{OpFree, "Free", false, true, true, NoHandle, BufHandle},
 	{OpMemcpyH2D, "MemcpyH2D", true, false, true, NoHandle, NoHandle},
 	{OpMemcpyD2H, "MemcpyD2H", false, true, false, NoHandle, NoHandle},
-	{OpMemcpyD2D, "MemcpyD2D", true, false, true, NoHandle, NoHandle},
 	{OpStreamCreate, "StreamCreate", false, true, true, StreamHandle, NoHandle},
 	{OpStreamDestroy, "StreamDestroy", false, true, true, NoHandle, StreamHandle},
 	{OpStreamSynchronize, "StreamSynchronize", false, true, false, NoHandle, NoHandle},
@@ -648,22 +617,18 @@ var wantOps = []struct {
 	{OpEventCreate, "EventCreate", false, true, true, EventHandle, NoHandle},
 	{OpEventRecord, "EventRecord", true, false, true, NoHandle, NoHandle},
 	{OpEventQuery, "EventQuery", false, false, false, NoHandle, NoHandle},
-	{OpEventSynchronize, "EventSynchronize", false, true, false, NoHandle, NoHandle},
 	{OpEventDestroy, "EventDestroy", false, true, true, NoHandle, EventHandle},
 	{OpLaunch, "Launch", true, false, true, NoHandle, NoHandle},
 	{OpDeviceSynchronize, "DeviceSynchronize", false, true, false, NoHandle, NoHandle},
-	{OpGetLastError, "GetLastError", false, false, false, NoHandle, NoHandle},
 	{OpBufList, "BufList", false, false, false, NoHandle, NoHandle},
 	{OpBufChecksum, "BufChecksum", false, true, false, NoHandle, NoHandle},
 	{OpCommInit, "CommInit", false, false, true, CommHandle, NoHandle},
 	{OpCommDestroy, "CommDestroy", false, true, true, NoHandle, CommHandle},
 	{OpAllReduce, "AllReduce", true, false, true, NoHandle, NoHandle},
-	{OpBroadcast, "Broadcast", true, false, true, NoHandle, NoHandle},
 	{OpAllGather, "AllGather", true, false, true, NoHandle, NoHandle},
 	{OpReduceScatter, "ReduceScatter", true, false, true, NoHandle, NoHandle},
 	{OpSend, "Send", true, false, true, NoHandle, NoHandle},
 	{OpRecv, "Recv", true, false, true, NoHandle, NoHandle},
-	{OpBarrier, "Barrier", true, false, true, NoHandle, NoHandle},
 }
 
 func TestOpTableColumns(t *testing.T) {
@@ -738,9 +703,6 @@ var opScript = []opStep{
 	{OpMemcpyH2D, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
 		return errOnly(api.MemcpyH2D(p, h.b, []float32{1, 2}, h.s))
 	}},
-	{OpMemcpyD2D, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
-		return errOnly(api.MemcpyD2D(p, h.b2, h.b, h.s))
-	}},
 	{OpLaunch, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
 		lp := LaunchParams{Kernel: "scale", Dur: vclock.Millisecond, Bufs: []Buf{h.b}, IArgs: []int64{3}, FArgs: []float32{2}}
 		return errOnly(api.Launch(p, lp, h.s))
@@ -750,9 +712,6 @@ var opScript = []opStep{
 	}},
 	{OpAllReduce, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
 		return errOnly(api.AllReduce(p, h.c, h.b, h.s))
-	}},
-	{OpBroadcast, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
-		return errOnly(api.Broadcast(p, h.c, h.b, 0, h.s))
 	}},
 	{OpAllGather, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
 		return errOnly(api.AllGather(p, h.c, h.b, h.b2, h.s))
@@ -766,9 +725,6 @@ var opScript = []opStep{
 	{OpRecv, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
 		return errOnly(api.Recv(p, h.c, h.b, 5, h.s)) // nccl.ErrInvalidRank
 	}},
-	{OpBarrier, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
-		return errOnly(api.Barrier(p, h.c, h.s))
-	}},
 	{OpEventRecord, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
 		return errOnly(api.EventRecord(p, h.ev, h.s))
 	}},
@@ -781,17 +737,11 @@ var opScript = []opStep{
 	{OpStreamSynchronize, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
 		return errOnly(api.StreamSynchronize(p, h.s))
 	}},
-	{OpEventSynchronize, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
-		return errOnly(api.EventSynchronize(p, h.ev))
-	}},
 	{OpEventQuery, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
 		return api.EventQuery(p, h.ev) // complete
 	}},
 	{OpDeviceSynchronize, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
 		return errOnly(api.DeviceSynchronize(p))
-	}},
-	{OpGetLastError, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
-		return errOnly(api.GetLastError(p))
 	}},
 	{OpMemcpyD2H, func(p *vclock.Proc, api API, h *opHandles) (any, error) {
 		return api.MemcpyD2H(p, h.b, h.s)

@@ -425,8 +425,7 @@ func (l *Layer) issue(p *vclock.Proc, c *cuda.Call, info cuda.OpInfo) (cuda.Resu
 		l.noteStreamWaitEvent(c.Event)
 	case cuda.OpEventRecord:
 		l.noteEventRecord(c.Event, c.Stream)
-	case cuda.OpAllReduce, cuda.OpBroadcast, cuda.OpAllGather, cuda.OpReduceScatter,
-		cuda.OpSend, cuda.OpRecv, cuda.OpBarrier:
+	case cuda.OpAllReduce, cuda.OpAllGather, cuda.OpReduceScatter, cuda.OpSend, cuda.OpRecv:
 		l.ncclStreams[c.Stream] = true // §3.1: collectives identify the NCCL stream
 	}
 	return res, nil

@@ -1,7 +1,7 @@
 // Package nccl implements the collective-communication substrate the
 // training framework runs on: communicators created through a rendezvous,
-// and collectives (AllReduce, Broadcast, AllGather, ReduceScatter, Send,
-// Recv) that execute as stream operations with barrier semantics.
+// and collectives (AllReduce, AllGather, ReduceScatter, Send, Recv) that
+// execute as stream operations with barrier semantics.
 //
 // Two properties of real NCCL are load-bearing for the paper and are
 // reproduced exactly:
@@ -172,7 +172,6 @@ type collState struct {
 	narrived int
 	ready    *vclock.Event
 	err      error
-	root     int
 	sum      []float32 // reduce-scatter scratch, reused across collectives
 	refs     int
 	done     bool
@@ -369,13 +368,12 @@ type collReq struct {
 	g         *commGroup
 	kind      string
 	seq, rank int
-	root      int
 	in, out   *gpu.Buffer
 	op        gpu.Op
 }
 
 func (cr *collReq) run(p *vclock.Proc, dev *gpu.Device) error {
-	return cr.g.arriveColl(p, cr.kind, cr.seq, cr.rank, cr.in, cr.out, cr.root)
+	return cr.g.arriveColl(p, cr.kind, cr.seq, cr.rank, cr.in, cr.out)
 }
 
 func (cr *collReq) name() string {
@@ -391,8 +389,6 @@ func collCost(kind string, b int64, n int) int64 {
 			return 0
 		}
 		return 2 * b * int64(n-1) / int64(n)
-	case "broadcast":
-		return b
 	case "allgather":
 		if n <= 1 {
 			return 0
@@ -403,18 +399,17 @@ func collCost(kind string, b int64, n int) int64 {
 			return 0
 		}
 		return b * int64(n-1) / int64(n)
-	default: // barrier
-		return 0
 	}
+	return 0
 }
 
 // collective enqueues a collective op on stream s. The returned op
 // completes when all ranks have arrived and the transfer time has elapsed.
-func (c *Comm) collective(s *gpu.Stream, kind string, in, out *gpu.Buffer, root int) (*gpu.Op, error) {
+func (c *Comm) collective(s *gpu.Stream, kind string, in, out *gpu.Buffer) (*gpu.Op, error) {
 	if c.dead {
 		return nil, ErrCommDead
 	}
-	cr := &collReq{g: c.group, kind: kind, seq: c.collSeq, rank: c.Rank, root: root, in: in, out: out}
+	cr := &collReq{g: c.group, kind: kind, seq: c.collSeq, rank: c.Rank, in: in, out: out}
 	c.collSeq++
 	cr.op.NameFn = cr.name
 	cr.op.Run = cr.run
@@ -422,18 +417,16 @@ func (c *Comm) collective(s *gpu.Stream, kind string, in, out *gpu.Buffer, root 
 	return &cr.op, nil
 }
 
-func (g *commGroup) arriveColl(p *vclock.Proc, kind string, seq, rank int, in, out *gpu.Buffer, root int) error {
+func (g *commGroup) arriveColl(p *vclock.Proc, kind string, seq, rank int, in, out *gpu.Buffer) error {
 	cs, ok := g.colls[seq]
 	if !ok {
 		cs = g.getColl()
 		cs.kind = kind
-		cs.root = root
 		g.colls[seq] = cs
 	}
 	cs.refs++
-	if cs.kind != kind || cs.root != root {
-		cs.err = fmt.Errorf("%w: rank %d issued %s(root=%d), group expects %s(root=%d)",
-			ErrMismatch, rank, kind, root, cs.kind, cs.root)
+	if cs.kind != kind {
+		cs.err = fmt.Errorf("%w: rank %d issued %s, group expects %s", ErrMismatch, rank, kind, cs.kind)
 		cs.ready.Trigger()
 		err := cs.err
 		g.leaveColl(cs)
@@ -547,18 +540,6 @@ func (cs *collState) apply(nranks int) error {
 			}
 			copy(a.in.Data, first.Data)
 		}
-	case "broadcast":
-		rootArr := &cs.arrived[cs.root]
-		if !rootArr.present || rootArr.in == nil {
-			return fmt.Errorf("%w: broadcast root %d missing", ErrMismatch, cs.root)
-		}
-		for r := 0; r < nranks; r++ {
-			a := &cs.arrived[r]
-			if !a.present || a.in == nil || r == cs.root {
-				continue
-			}
-			copy(a.in.Data, rootArr.in.Data)
-		}
 	case "allgather":
 		// out = concat of in across ranks; each rank's out must hold
 		// nranks*len(in) elements.
@@ -605,8 +586,6 @@ func (cs *collState) apply(nranks int) error {
 			}
 			copy(a.out.Data, sum[r*chunk:(r+1)*chunk])
 		}
-	case "barrier":
-		// No data movement.
 	default:
 		return fmt.Errorf("%w: unknown collective %q", ErrMismatch, cs.kind)
 	}
@@ -616,32 +595,19 @@ func (cs *collState) apply(nranks int) error {
 // AllReduce enqueues a sum-allreduce of buf across all ranks. Every rank's
 // buffer ends up holding the elementwise sum.
 func (c *Comm) AllReduce(s *gpu.Stream, buf *gpu.Buffer) (*gpu.Op, error) {
-	return c.collective(s, "allreduce", buf, nil, 0)
-}
-
-// Broadcast enqueues a broadcast of root's buffer contents to all ranks.
-func (c *Comm) Broadcast(s *gpu.Stream, buf *gpu.Buffer, root int) (*gpu.Op, error) {
-	if root < 0 || root >= c.NRanks {
-		return nil, fmt.Errorf("%w: broadcast root %d", ErrInvalidRank, root)
-	}
-	return c.collective(s, "broadcast", buf, nil, root)
+	return c.collective(s, "allreduce", buf, nil)
 }
 
 // AllGather enqueues an allgather: every rank contributes in and receives
 // the rank-ordered concatenation in out.
 func (c *Comm) AllGather(s *gpu.Stream, in, out *gpu.Buffer) (*gpu.Op, error) {
-	return c.collective(s, "allgather", in, out, 0)
+	return c.collective(s, "allgather", in, out)
 }
 
 // ReduceScatter enqueues a reduce-scatter: inputs are summed and rank r
 // receives chunk r of the sum in out.
 func (c *Comm) ReduceScatter(s *gpu.Stream, in, out *gpu.Buffer) (*gpu.Op, error) {
-	return c.collective(s, "reducescatter", in, out, 0)
-}
-
-// Barrier enqueues a data-free synchronization across all ranks.
-func (c *Comm) Barrier(s *gpu.Stream) (*gpu.Op, error) {
-	return c.collective(s, "barrier", nil, nil, 0)
+	return c.collective(s, "reducescatter", in, out)
 }
 
 // Send enqueues a point-to-point send of buf to peer. It matches the

@@ -143,30 +143,6 @@ func TestAllReduceHangsOnDeadRank(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	h := newHarness(t, 4)
-	bufs := make([]*gpu.Buffer, 4)
-	for r := range bufs {
-		bufs[r] = mkBuf(t, h.devs[r], []float32{float32(r), float32(r)})
-	}
-	h.eachRank(func(p *vclock.Proc, r int, comm *Comm) {
-		op, err := comm.Broadcast(h.streams[r], bufs[r], 2)
-		if err != nil {
-			t.Errorf("rank %d: %v", r, err)
-			return
-		}
-		p.Wait(op.Done)
-	})
-	if err := h.env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for r, b := range bufs {
-		if b.Data[0] != 2 || b.Data[1] != 2 {
-			t.Fatalf("rank %d = %v, want root 2's data", r, b.Data)
-		}
-	}
-}
-
 func TestAllGatherAndReduceScatter(t *testing.T) {
 	h := newHarness(t, 2)
 	ins := make([]*gpu.Buffer, 2)
@@ -417,7 +393,7 @@ func TestMismatchedCollectiveKind(t *testing.T) {
 		if r == 0 {
 			op, _ = comm.AllReduce(h.streams[r], bufs[r])
 		} else {
-			op, _ = comm.Broadcast(h.streams[r], bufs[r], 0)
+			op, _ = comm.AllGather(h.streams[r], bufs[r], bufs[r])
 		}
 		if p.WaitTimeout(op.Done, vclock.Minute) && errors.Is(op.Err, ErrMismatch) {
 			sawMismatch = true

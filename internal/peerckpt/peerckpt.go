@@ -380,29 +380,6 @@ func (s *Shelter) CoveredPositions(topo train.Topology) map[string]bool {
 	return out
 }
 
-// Any reports whether the shelter holds any restorable entry: a complete
-// replica on a surviving host, or (striped mode) a reconstructable
-// fragment quorum.
-func (s *Shelter) Any() bool {
-	for _, n := range s.survivingNodes() {
-		st := s.hosts[n]
-		for _, ref := range entriesIn(st, s.job) {
-			if checkpoint.HasComplete(st, ref.Dir()) {
-				return true
-			}
-		}
-	}
-	if !s.params.Striped() {
-		return false
-	}
-	for _, frags := range s.fragSets() {
-		if len(frags) >= s.params.DataShards {
-			return true
-		}
-	}
-	return false
-}
-
 // FlushTarget is the checkpoint.Target of a failure-time JIT flush for a
 // rank homed on OwnNode with shelter hosts Assigned. It resolves when the
 // write begins — after D2H and serialization — so a host lost in the

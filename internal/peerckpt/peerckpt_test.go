@@ -126,9 +126,6 @@ func TestOfferIsAsyncAndBusySkips(t *testing.T) {
 	if got.Offers != 3 || got.Skips != 1 || got.Commits != 2 {
 		t.Fatalf("stats = %+v, want 3 offers / 1 skip / 2 commits", got)
 	}
-	if rep.LastIter() != 3 {
-		t.Fatalf("LastIter = %d, want 3", rep.LastIter())
-	}
 	// The skipped iteration 2 must not exist; 1 was pruned by retention
 	// (Retain=2 keeps iters > 3-2); 3 must exist.
 	st := s.Host(2)
@@ -158,9 +155,6 @@ func TestMarkNodeLostRemovesCoverage(t *testing.T) {
 	}
 	if cov := s.CoveredPositions(topo); len(cov) != topo.PositionCount() {
 		t.Fatalf("covered %d positions, want %d: %v", len(cov), topo.PositionCount(), cov)
-	}
-	if !s.Any() {
-		t.Fatal("Any = false with sheltered entries")
 	}
 	if got := len(s.survivingNodes()); got != 2 {
 		t.Fatalf("surviving hosts = %d, want 2", got)

@@ -134,9 +134,6 @@ func TestStripedOfferSpreadsFragments(t *testing.T) {
 	if cov := s.CoveredPositions(topo); !cov[topo.PositionKey(0)] {
 		t.Fatal("striped entry not covered")
 	}
-	if !s.Any() {
-		t.Fatal("Any = false with a full stripe")
-	}
 }
 
 // loadVia runs the restore assembler over the shelter's candidates and
@@ -219,9 +216,6 @@ func TestStripeBeyondBudgetUncovered(t *testing.T) {
 	topo := train.Topology{D: 1, P: 1, T: 1}
 	if cov := s.CoveredPositions(topo); cov[topo.PositionKey(0)] {
 		t.Fatal("unreconstructable entry reported covered")
-	}
-	if s.Any() {
-		t.Fatal("Any = true with <k fragments")
 	}
 	for _, c := range s.RestoreCandidates() {
 		if strings.HasPrefix(c.Desc, "peer-stripe:") {

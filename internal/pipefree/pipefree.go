@@ -225,18 +225,6 @@ func (g *Guard) owners() []int {
 	return out
 }
 
-// Any reports whether the tier holds any bundle on a surviving host.
-func (g *Guard) Any() bool {
-	for _, hosts := range g.bundles {
-		for node := range hosts {
-			if !g.lost[node] && len(hosts[node]) > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // CoveredPositions returns the positions a surviving bundle can rebuild,
 // keyed by train.Topology.PositionKey (zero-time scan).
 func (g *Guard) CoveredPositions(topo train.Topology) map[string]bool {

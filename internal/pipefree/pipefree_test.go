@@ -103,9 +103,6 @@ func TestRetainRebuildZeroReadsBitExact(t *testing.T) {
 	if s := g.Stats(); s.Commits != 24 || s.Skips != 0 {
 		t.Fatalf("stats = %+v, want 24 commits / 0 skips", s)
 	}
-	if !g.Any() {
-		t.Fatal("Any() = false after commits")
-	}
 	if cov := g.CoveredPositions(pipeTopo); len(cov) != pipeTopo.PositionCount() {
 		t.Fatalf("covered %d positions, want %d", len(cov), pipeTopo.PositionCount())
 	}
@@ -235,9 +232,6 @@ func TestOfferIsAsyncBusySkipsAndRetention(t *testing.T) {
 	s := g.Stats()
 	if s.Skips != 1 || s.Commits != 10 {
 		t.Fatalf("stats = %+v, want 1 skip / 10 commits (5 offers × self+neighbor)", s)
-	}
-	if k.LastIter() != 6 {
-		t.Fatalf("LastIter = %d, want 6", k.LastIter())
 	}
 	// Retention: only the newest Retain=2 iters remain as candidates.
 	iters := map[int]bool{}

@@ -29,7 +29,6 @@ type Client struct {
 	threads    map[*vclock.Proc]int
 	nextThread int
 	pending    map[uint64]*pendingCall
-	asyncErr   error
 }
 
 type pendingCall struct {
@@ -60,10 +59,8 @@ func NewClient(env *vclock.Env, server *Server) *Client {
 			}
 			pc, ok := c.pending[resp.ID]
 			if !ok {
-				// Response to a fire-and-forget call: remember failures.
-				if err := decodeErr(resp.ErrCode, resp.ErrMsg); err != nil && c.asyncErr == nil {
-					c.asyncErr = err
-				}
+				// Response to a fire-and-forget call: nobody waits for it (a
+				// failed device op surfaces through its poisoned stream).
 				continue
 			}
 			delete(c.pending, resp.ID)
@@ -110,13 +107,6 @@ func (c *Client) threadID(p *vclock.Proc) int {
 // its response arrives. The request is serialized before do first yields,
 // so argument slices are captured at call time and callers may reuse them.
 func (c *Client) do(p *vclock.Proc, call cuda.Call) (cuda.Result, error) {
-	if call.Op == cuda.OpGetLastError && c.asyncErr != nil {
-		// The first failure among fire-and-forget calls comes before the
-		// server's last error.
-		err := c.asyncErr
-		c.asyncErr = nil
-		return cuda.Result{}, err
-	}
 	req := Request{ID: c.nextID, Thread: c.threadID(p), Call: call}
 	c.nextID++
 	var buf bytes.Buffer

@@ -25,7 +25,10 @@
 //
 // Asynchronous device APIs (kernel launches, async memcpys, collective
 // enqueues) are fire-and-forget on the client: the call returns as soon as
-// the request is queued, and any error surfaces later via GetLastError.
+// the request is queued. A failed device op poisons its stream, the poison
+// travels through recorded events, and the caller sees it at the next
+// StreamSynchronize or MemcpyD2H; a request the driver refuses at call time
+// (bad handle, unknown kernel) is answered, and the answer dropped.
 // This is the paper's "device APIs executed asynchronously with respect to
 // the CPU worker thread", and it is why steady-state logging overhead
 // measures near zero (§6.3).

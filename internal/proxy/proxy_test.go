@@ -3,6 +3,7 @@ package proxy
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"jitckpt/internal/cuda"
@@ -92,18 +93,19 @@ func TestProxyAsyncCallsDoNotBlock(t *testing.T) {
 	})
 }
 
-func TestProxyAsyncErrorViaGetLastError(t *testing.T) {
-	r := newRig(t, nil)
+// An async op that fails on the device poisons its stream; over the proxy
+// the caller sees it at the next synchronizing call on that stream (there is
+// no separate last-error readback).
+func TestProxyAsyncErrorSurfacesAtSync(t *testing.T) {
+	boom := errors.New("boom")
+	r := newRig(t, cuda.Registry{"boom": func(cuda.KernelArgs) error { return boom }})
 	r.run(t, func(p *vclock.Proc) {
-		// Launch an unregistered kernel: error comes back asynchronously.
-		r.client.Launch(p, cuda.LaunchParams{Kernel: "nope"}, cuda.DefaultStream)
-		p.Sleep(vclock.Second) // let the response arrive
-		if err := r.client.GetLastError(p); !errors.Is(err, cuda.ErrUnknownKernel) {
-			t.Errorf("GetLastError = %v", err)
+		if err := r.client.Launch(p, cuda.LaunchParams{Kernel: "boom", Dur: vclock.Millisecond}, cuda.DefaultStream); err != nil {
+			t.Fatalf("async launch failed inline: %v", err)
 		}
-		// Cleared after read.
-		if err := r.client.GetLastError(p); err != nil {
-			t.Errorf("second GetLastError = %v", err)
+		err := r.client.StreamSynchronize(p, cuda.DefaultStream)
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Errorf("StreamSynchronize = %v, want the kernel's error", err)
 		}
 	})
 }

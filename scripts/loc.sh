@@ -3,11 +3,16 @@
 # outside benchmark/, per package directory and in total. A line counts as a
 # comment when `//` is the first thing on it (the tree has no block comments).
 #
-# usage: scripts/loc.sh
+# With --check the total is a ratchet like reach.sh's list: the script fails
+# when it is above the number in scripts/loc.max. A PR that shrinks the tree
+# lowers that number to its own total; one that grows it has to raise the
+# number in the same diff, where a reviewer sees it.
+#
+# usage: scripts/loc.sh [--check]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | sort -z |
+out=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | sort -z |
   xargs -0 awk '
     FNR == 1 { dir = FILENAME; sub(/^\.\//, "", dir); if (!sub(/\/[^\/]*$/, "", dir)) dir = "." }
     !/^[[:space:]]*($|\/\/)/ { n[dir]++; total++ }
@@ -15,4 +20,13 @@ find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | sort -
       for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"
       close("sort -k2")
       printf "%6d total\n", total
-    }'
+    }')
+echo "$out"
+
+if [ "${1:-}" = --check ]; then
+  total=$(awk '$2 == "total" { print $1 }' <<< "$out") max=$(cat scripts/loc.max)
+  if [ "$total" -gt "$max" ]; then
+    echo "loc: total $total is above scripts/loc.max ($max)" >&2
+    exit 1
+  fi
+fi
