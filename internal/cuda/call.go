@@ -32,7 +32,6 @@ const (
 	OpEventDestroy
 	OpLaunch
 	OpDeviceSynchronize
-	OpBufList
 	OpBufChecksum
 	OpCommInit
 	OpCommDestroy
@@ -106,7 +105,6 @@ var opTable = [numOps]OpInfo{
 	OpEventDestroy:      {Name: "EventDestroy", Tracked: true, Mutating: true, Destroys: EventHandle, uses: useEvent},
 	OpLaunch:            {Name: "Launch", Async: true, Mutating: true, uses: useStream | useLaunchBufs},
 	OpDeviceSynchronize: {Name: "DeviceSynchronize", Tracked: true},
-	OpBufList:           {Name: "BufList"},
 	OpBufChecksum:       {Name: "BufChecksum", Tracked: true, uses: useBuf},
 	OpCommInit:          {Name: "CommInit", Mutating: true, Creates: CommHandle},
 	OpCommDestroy:       {Name: "CommDestroy", Tracked: true, Mutating: true, Destroys: CommHandle, uses: useComm},
@@ -176,7 +174,6 @@ type Result struct {
 	Data   []float32
 	Bool   bool
 	U64    uint64
-	Infos  []BufInfo
 }
 
 // Invoke executes c against api: the one place an Op becomes an API method
@@ -221,8 +218,6 @@ func Invoke(p *vclock.Proc, api API, c *Call) (Result, error) {
 		err = api.Launch(p, c.Launch, c.Stream)
 	case OpDeviceSynchronize:
 		err = api.DeviceSynchronize(p)
-	case OpBufList:
-		r.Infos, err = api.BufList(p)
 	case OpBufChecksum:
 		r.U64, err = api.BufChecksum(p, c.Buf)
 	case OpCommInit:
@@ -452,12 +447,6 @@ func (a Adapter) Launch(p *vclock.Proc, lp LaunchParams, s Stream) error {
 // DeviceSynchronize implements API.
 func (a Adapter) DeviceSynchronize(p *vclock.Proc) error {
 	return a.err(p, &Call{Op: OpDeviceSynchronize})
-}
-
-// BufList implements API.
-func (a Adapter) BufList(p *vclock.Proc) ([]BufInfo, error) {
-	r, err := a.do(p, Call{Op: OpBufList})
-	return r.Infos, err
 }
 
 // BufChecksum implements API.

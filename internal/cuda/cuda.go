@@ -124,10 +124,8 @@ type API interface {
 
 	// Device-wide operations.
 	DeviceSynchronize(p *vclock.Proc) error
-	// BufList enumerates live buffers; BufChecksum hashes one buffer's
-	// contents. Both serve the replay-log validation (§4.1) and the
-	// transparent checkpoint path (§4.3).
-	BufList(p *vclock.Proc) ([]BufInfo, error)
+	// BufChecksum hashes one buffer's contents, for the replay-log
+	// validation (§4.1).
 	BufChecksum(p *vclock.Proc, b Buf) (uint64, error)
 
 	// Collectives (NCCL). CommInit blocks until all ranks rendezvous;
@@ -162,10 +160,10 @@ func DefaultParams() Params {
 
 // eventState is the device-side state of a cudaEvent.
 type eventState struct {
-	// fire is the completion of the most recent EventRecord, nil if the
-	// event was never recorded.
-	fire *vclock.Event
-	op   *gpu.Op
+	// rec is the op of the most recent EventRecord, nil if the event was
+	// never recorded: its Done is the event's completion, its Err the
+	// event's poison.
+	rec *gpu.Op
 }
 
 // launchOp is the pooled per-launch state for the driver's asynchronous
@@ -194,7 +192,7 @@ func (d *Driver) getLaunch() *launchOp {
 	lo := d.launchFree
 	if lo == nil {
 		lo = &launchOp{d: d}
-		lo.op.NameFn = lo.name
+		lo.op.Namer = lo
 		lo.op.Exec = lo.exec
 		lo.op.Free = lo.release
 		return lo
@@ -216,9 +214,9 @@ func (lo *launchOp) release() {
 	lo.d.launchFree = lo
 }
 
-// name is only called when a trace recorder is attached; memcpy modes set
+// String is only called when a trace recorder is attached; memcpy modes set
 // op.Name statically, so this formats kernel names alone.
-func (lo *launchOp) name() string {
+func (lo *launchOp) String() string {
 	return "kernel." + lo.kernel
 }
 
@@ -476,19 +474,14 @@ func (d *Driver) StreamWaitEvent(p *vclock.Proc, s Stream, ev Event) error {
 	if !ok {
 		return fmt.Errorf("%w: event %d", ErrBadHandle, ev)
 	}
-	fire, rec := es.fire, es.op // capture the record at call time
-	if fire == nil {
+	rec := es.rec // capture the record at call time
+	if rec == nil {
 		return nil
 	}
 	gs.Enqueue(&gpu.Op{
 		Name: "streamWaitEvent",
-		Run: func(pp *vclock.Proc, dev *gpu.Device) error {
-			pp.Wait(fire)
-			if rec != nil && rec.Err != nil {
-				return rec.Err // a poisoned event poisons the waiting stream
-			}
-			return nil
-		},
+		Ev:   rec.Done,
+		Exec: func(*gpu.Device) error { return rec.Err }, // a poisoned event poisons the waiting stream
 	})
 	return nil
 }
@@ -520,10 +513,14 @@ func (d *Driver) EventRecord(p *vclock.Proc, ev Event, s Stream) error {
 	// The record op completes with the stream's accumulated async error:
 	// an event recorded after a failed collective is poisoned, and the
 	// poison travels to whoever synchronizes with (or waits on) it — the
-	// async-error propagation a NCCL watchdog relies on.
-	op := &gpu.Op{Name: "eventRecord", Run: func(*vclock.Proc, *gpu.Device) error { return gs.AsyncErr() }}
-	es.op = op
-	es.fire = gs.Enqueue(op)
+	// async-error propagation a NCCL watchdog relies on. It waits for
+	// nothing: the stream's order is the whole of it.
+	es.rec = &gpu.Op{
+		Name: "eventRecord",
+		Ev:   d.dev.Env().DoneEvent(),
+		Exec: func(*gpu.Device) error { return gs.AsyncErr() },
+	}
+	gs.Enqueue(es.rec)
 	return nil
 }
 
@@ -537,16 +534,10 @@ func (d *Driver) EventQuery(p *vclock.Proc, ev Event) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("%w: event %d", ErrBadHandle, ev)
 	}
-	if es.fire == nil {
+	if es.rec == nil {
 		return true, nil // unrecorded events report complete
 	}
-	if !es.fire.Triggered() {
-		return false, nil
-	}
-	if es.op != nil && es.op.Err != nil {
-		return true, es.op.Err
-	}
-	return true, nil
+	return es.rec.Done.Triggered(), es.rec.Err
 }
 
 // EventDestroy destroys a cudaEvent. See API.
@@ -604,32 +595,6 @@ func (d *Driver) DeviceSynchronize(p *vclock.Proc) error {
 		}
 	}
 	return d.healthErr()
-}
-
-// BufList enumerates live buffers in handle order. See API.
-func (d *Driver) BufList(p *vclock.Proc) ([]BufInfo, error) {
-	if err := d.call(p); err != nil {
-		return nil, err
-	}
-	out := make([]BufInfo, 0, len(d.bufs))
-	for h := Buf(1); h < d.nextBuf; h++ {
-		id, ok := d.bufs[h]
-		if !ok {
-			continue
-		}
-		gb, err := d.dev.Buf(id)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, BufInfo{
-			Handle: h,
-			Bytes:  gb.ModelBytes,
-			Elems:  len(gb.Data),
-			Tag:    gb.Tag,
-			Seq:    gb.Seq,
-		})
-	}
-	return out, nil
 }
 
 // BufChecksum hashes a buffer's contents. See API.

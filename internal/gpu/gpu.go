@@ -14,8 +14,11 @@
 //   - Each stream is a virtual-time process executing enqueued operations
 //     strictly in order. Kernel launches are therefore asynchronous with
 //     respect to the issuing worker, hangs at collectives are real hangs
-//     (the stream process blocks forever), and cudaStreamWaitEvent is an
-//     operation that blocks the stream, not the host.
+//     (the stream process stays parked forever), and cudaStreamWaitEvent is
+//     an operation that blocks the stream, not the host. The process is a
+//     callback one (vclock.GoFunc): a state machine over "no op" and "op
+//     begun, waiting" that owns no goroutine, which is what lets a fleet
+//     have thousands of them.
 package gpu
 
 import (
@@ -77,25 +80,31 @@ type Buffer struct {
 	Seq        int           // per-tag allocation sequence number
 }
 
-// Op is one unit of work on a stream. Run executes in the stream's process:
-// it may sleep to model compute time and may block on events (collectives do
-// both). When Run is nil, the stream sleeps Dur and then calls Exec — the
-// common kernel/memcpy shape, expressible without a wrapper closure. Done
+// Op is one unit of work on a stream, in two phases around one wait. At the
+// head of its stream the op begins, then waits — for Ev when that is set (an
+// already-triggered event, Env.DoneEvent say, is no wait at all), else for
+// Dur of virtual time (zero still yields once, as Proc.Sleep does) — and then
+// Exec, if any, is applied to the device at completion time: the common
+// kernel/memcpy shape is Dur plus Exec, a stream-wait is Ev plus Exec. Done
 // triggers when the op completes (it stays nil for fire-and-forget ops
 // enqueued with EnqueueAsync); Err carries the outcome.
 type Op struct {
 	Name string
-	// NameFn lazily produces the op's trace name when Name is empty. It is
-	// only invoked when a trace recorder is attached, so pooled hot-path
-	// ops skip name formatting entirely on untraced runs.
-	NameFn func() string
-	Run    func(p *vclock.Proc, dev *Device) error
-	// Dur and Exec are the declarative form of Run: sleep Dur, then apply
-	// Exec (which may be nil) to the device at completion time.
-	Dur  vclock.Time
-	Exec func(dev *Device) error
-	Done *vclock.Event
-	Err  error
+	// Namer lazily produces the op's trace name when Name is empty. It is
+	// only asked when a trace recorder is attached, so hot-path ops skip
+	// name formatting entirely on untraced runs. An interface, not a func:
+	// the request struct an op is embedded in names it without allocating.
+	Namer fmt.Stringer
+	// Begin, when set, runs as the op begins, for an op that only learns
+	// there what it waits for (a collective: the barrier or, for the last
+	// arriver, the transfer): it sets Ev or Dur. An error from it completes
+	// the op at once, with no wait and no Exec.
+	Begin func(dev *Device) error
+	Ev    *vclock.Event
+	Dur   vclock.Time
+	Exec  func(dev *Device) error
+	Done  *vclock.Event
+	Err   error
 	// Free, when set, is called by the stream after the op fully completes;
 	// pooled ops use it to return themselves to their owner's free list.
 	// Ops with a Free hook must not be retained or re-read by the issuer.
@@ -107,8 +116,8 @@ func (op *Op) name() string {
 	if op.Name != "" {
 		return op.Name
 	}
-	if op.NameFn != nil {
-		return op.NameFn()
+	if op.Namer != nil {
+		return op.Namer.String()
 	}
 	return "op"
 }
@@ -119,6 +128,8 @@ type Stream struct {
 	dev     *Device
 	q       *vclock.Queue[*Op]
 	proc    *vclock.Proc
+	op      *Op        // begun and waiting, nil between ops
+	sp      trace.Span // its trace span
 	pending int
 	drain   *vclock.Event
 	// asyncErr is the first error any op on this stream completed with.
@@ -264,7 +275,7 @@ func (d *Device) NewStream() (*Stream, error) {
 	}
 	d.nextStream++
 	d.streams[s.ID] = s
-	s.proc = d.env.Go(fmt.Sprintf("%s.s%d", d.Name(), s.ID), s.run)
+	s.proc = d.env.GoFunc(fmt.Sprintf("%s.s%d", d.Name(), s.ID), s.step)
 	return s, nil
 }
 
@@ -396,51 +407,69 @@ func (s *Stream) DrainEvent() *vclock.Event {
 	return s.drain
 }
 
-// run is the stream process body: execute ops strictly in order.
-func (s *Stream) run(p *vclock.Proc) {
+// step is the stream's callback process: execute ops strictly in order,
+// returning wherever a coroutine would block — on the empty queue, or with
+// s.op begun and waiting — to be called again when that wait is over. A
+// killed stream (destroyed, reset, or its device hard-failed) is never
+// called again, so the op it was waiting in never completes.
+func (s *Stream) step(p *vclock.Proc) {
+	dev := s.dev
 	for {
-		op := s.q.Pop(p)
-		rec := trace.Of(s.dev.env)
-		switch s.dev.health {
-		case Hard:
-			// Unreachable in practice (hard failure kills this process),
-			// but guard anyway: hang forever.
-			p.Wait(s.dev.env.NewEvent("dead-device"))
-		case Sticky:
+		op := s.op
+		if op == nil {
+			var ok bool
+			if op, ok = s.q.PopNext(p); !ok {
+				return
+			}
+			rec := trace.Of(dev.env)
+			if dev.health == Sticky {
+				if rec != nil {
+					rec.Instant(p.Now(), "gpu", dev.lane, "sticky-err", "op", op.name())
+				}
+				op.Err = ErrSticky
+				s.finish(op)
+				continue
+			}
 			if rec != nil {
-				rec.Instant(p.Now(), "gpu", s.dev.lane, "sticky-err", "op", op.name())
+				s.sp = rec.Begin(p.Now(), "gpu", dev.lane, op.name())
 			}
-			op.Err = ErrSticky
-			s.finish(op)
-			continue
+			if op.Begin != nil {
+				if err := op.Begin(dev); err != nil {
+					s.end(op, err)
+					continue
+				}
+			}
+			s.op = op
+			if op.Ev == nil {
+				p.SleepNext(op.Dur)
+				return
+			}
+			if p.WaitNext(op.Ev, 0) {
+				return
+			}
 		}
-		var sp trace.Span
-		if rec != nil {
-			sp = rec.Begin(p.Now(), "gpu", s.dev.lane, op.name())
-		}
+		s.op = nil
 		var err error
-		if op.Run != nil {
-			err = op.Run(p, s.dev)
-		} else {
-			p.Sleep(op.Dur)
-			if op.Exec != nil {
-				err = op.Exec(s.dev)
-			}
+		if op.Exec != nil {
+			err = op.Exec(dev)
 		}
-		sp.End(p.Now())
-		if s.dev.health == Hard {
-			// Device died while the op was executing: never complete.
-			p.Wait(s.dev.env.NewEvent("died-mid-op"))
-		}
-		if err == nil && s.dev.health == Sticky {
-			err = ErrSticky
-		}
-		op.Err = err
-		if err != nil && s.asyncErr == nil {
-			s.asyncErr = err
-		}
-		s.finish(op)
+		s.end(op, err)
 	}
+}
+
+// end completes a begun op with err: its span closes, a sticky device or the
+// op's own failure marks the stream, and the op finishes.
+func (s *Stream) end(op *Op, err error) {
+	s.sp.End(s.dev.env.Now())
+	s.sp = trace.Span{}
+	if err == nil && s.dev.health == Sticky {
+		err = ErrSticky
+	}
+	op.Err = err
+	if err != nil && s.asyncErr == nil {
+		s.asyncErr = err
+	}
+	s.finish(op)
 }
 
 // finish triggers the op's completion event (if any), updates stream

@@ -373,3 +373,45 @@ func BenchmarkStreamOpThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkStreamOps is the fleet-shaped stream executor: 2000 streams on
+// 2000 devices, each fed by a process of its own that pushes Dur-only ops
+// and syncs every 16, so an op's start and its end each land on a stream
+// that last ran 2000 ops ago. One op is one b.N. Creating the devices,
+// streams and feeders and killing the streams at the end are outside the
+// timer.
+func BenchmarkStreamOps(b *testing.B) {
+	const n, batch = 2000, 16
+	b.ReportAllocs()
+	env := vclock.NewEnv(1)
+	start := env.NewEvent("start")
+	left, running := b.N, n
+	for i := 0; i < n; i++ {
+		s, err := NewDevice(env, i/8, i%8, 1<<30).NewStream()
+		if err != nil {
+			b.Fatal(err)
+		}
+		ops := make([]Op, batch)
+		env.Go("feeder", func(p *vclock.Proc) {
+			p.Wait(start)
+			for left > 0 {
+				for k := 0; k < batch && left > 0; k++ {
+					left--
+					ops[k] = Op{Dur: vclock.Microsecond}
+					s.EnqueueAsync(&ops[k])
+				}
+				p.Wait(s.DrainEvent())
+			}
+			if running--; running == 0 {
+				b.StopTimer()
+			}
+		})
+	}
+	env.Go("starter", func(p *vclock.Proc) { // runs once every stream and feeder is parked
+		b.ResetTimer()
+		start.Trigger()
+	})
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -237,7 +237,8 @@ func (l *Layer) EnterCheckpointMode(p *vclock.Proc) error {
 // ExitCheckpointMode restores normal memcpy routing.
 func (l *Layer) ExitCheckpointMode() { l.ckptMode = false }
 
-// VirtualBufs returns all live virtual buffer handles in creation order.
+// VirtualBufs returns all live virtual buffer handles in creation order: the
+// application-visible truth, stable across recoveries.
 func (l *Layer) VirtualBufs() []cuda.BufInfo {
 	out := make([]cuda.BufInfo, 0, len(l.bufMeta))
 	for h := cuda.Buf(1); int(h) < l.next[cuda.BufHandle]; h++ {
@@ -337,11 +338,6 @@ func (l *Layer) parkWhileRecovering(p *vclock.Proc) {
 // sees the exception, §3). While the §4.2.2 ignore window is active,
 // mutating calls are swallowed (returning success); queries still execute.
 func (l *Layer) do(p *vclock.Proc, c cuda.Call) (cuda.Result, error) {
-	if c.Op == cuda.OpBufList {
-		// The layer's virtual buffers are the application-visible truth,
-		// stable across recoveries.
-		return cuda.Result{Infos: l.VirtualBufs()}, nil
-	}
 	info := c.Op.Info()
 	for {
 		l.parkWhileRecovering(p)

@@ -97,6 +97,29 @@ func TestLayerOwnsTagSequence(t *testing.T) {
 	})
 }
 
+// TestVirtualBufsListsLiveSet: the layer's buffer list is the live set in
+// creation order under its own names, whatever the driver calls them.
+func TestVirtualBufsListsLiveSet(t *testing.T) {
+	r := newRig(t, Config{Mode: ModeTransparent})
+	r.run(t, func(p *vclock.Proc) {
+		b1, _ := r.layer.Malloc(p, 128, 2, "param.w")
+		r.layer.Malloc(p, 256, 2, "param.w")
+		r.layer.Malloc(p, 64, 1, "act")
+		infos := r.layer.VirtualBufs()
+		if len(infos) != 3 {
+			t.Errorf("VirtualBufs len = %d", len(infos))
+			return
+		}
+		if infos[0].Tag != "param.w" || infos[0].Seq != 0 || infos[1].Seq != 1 || infos[1].Bytes != 256 || infos[2].Elems != 1 {
+			t.Errorf("tag/seq/size wrong: %+v", infos)
+		}
+		r.layer.Free(p, b1)
+		if infos = r.layer.VirtualBufs(); len(infos) != 2 || infos[0].Seq != 1 || infos[1].Tag != "act" {
+			t.Errorf("after a free: %+v", infos)
+		}
+	})
+}
+
 func TestReplayLogRecordsAndRollsOver(t *testing.T) {
 	r := newRig(t, Config{Mode: ModeTransparent})
 	r.run(t, func(p *vclock.Proc) {
@@ -676,7 +699,7 @@ func BenchmarkInterceptedLaunchOverhead(b *testing.B) {
 
 // Property: for any alloc/free interleaving, the layer's virtual handle
 // table stays consistent — live virtual buffers resolve to live physical
-// buffers, BufList reflects exactly the live set, and tag sequence numbers
+// buffers, VirtualBufs reflects exactly the live set, and tag sequence numbers
 // never repeat.
 func TestVirtualHandleTableProperty(t *testing.T) {
 	f := func(ops []bool) bool {
@@ -729,8 +752,7 @@ func TestVirtualHandleTableProperty(t *testing.T) {
 						return
 					}
 				}
-				infos, _ := layer.BufList(p)
-				if len(infos) != len(live) {
+				if infos := layer.VirtualBufs(); len(infos) != len(live) {
 					ok = false
 					return
 				}

@@ -362,21 +362,19 @@ func (e *Engine) InjectFault(key string, gen int, kind FaultKind) {
 func (c *Comm) Destroy() { c.dead = true }
 
 // collReq bundles one rank's collective call into a single allocation: the
-// stream op plus everything its Run and lazily-formatted trace name need.
-// The op's name is only materialized when a trace recorder is attached.
+// stream op plus everything its two halves (arrive at Begin, leave at Exec)
+// and its lazily-formatted trace name need. The op's name is only
+// materialized when a trace recorder is attached.
 type collReq struct {
 	g         *commGroup
 	kind      string
 	seq, rank int
 	in, out   *gpu.Buffer
+	cs        *collState // the match state arrive joined
 	op        gpu.Op
 }
 
-func (cr *collReq) run(p *vclock.Proc, dev *gpu.Device) error {
-	return cr.g.arriveColl(p, cr.kind, cr.seq, cr.rank, cr.in, cr.out)
-}
-
-func (cr *collReq) name() string {
+func (cr *collReq) String() string {
 	return fmt.Sprintf("nccl.%s.%s.g%d.#%d.r%d", cr.kind, cr.g.key, cr.g.gen, cr.seq, cr.rank)
 }
 
@@ -411,13 +409,19 @@ func (c *Comm) collective(s *gpu.Stream, kind string, in, out *gpu.Buffer) (*gpu
 	}
 	cr := &collReq{g: c.group, kind: kind, seq: c.collSeq, rank: c.Rank, in: in, out: out}
 	c.collSeq++
-	cr.op.NameFn = cr.name
-	cr.op.Run = cr.run
+	cr.op.Namer = cr
+	cr.op.Begin = cr.arrive
+	cr.op.Exec = cr.leave
 	s.Enqueue(&cr.op)
 	return &cr.op, nil
 }
 
-func (g *commGroup) arriveColl(p *vclock.Proc, kind string, seq, rank int, in, out *gpu.Buffer) error {
+// arrive is the op's Begin: enter the barrier. A mismatched, twice-arrived
+// or FaultError collective fails here without waiting; the last arriver
+// waits out the transfer; everyone else waits for it (forever, if a rank
+// never arrives or the fault is a hang).
+func (cr *collReq) arrive(*gpu.Device) error {
+	g, kind, seq, rank := cr.g, cr.kind, cr.seq, cr.rank
 	cs, ok := g.colls[seq]
 	if !ok {
 		cs = g.getColl()
@@ -450,35 +454,43 @@ func (g *commGroup) arriveColl(p *vclock.Proc, kind string, seq, rank int, in, o
 		g.leaveColl(cs)
 		return fmt.Errorf("%w: rank %d arrived twice at %s #%d", ErrMismatch, rank, kind, seq)
 	}
-	a.in, a.out, a.present = in, out, true
+	a.in, a.out, a.present = cr.in, cr.out, true
 	cs.narrived++
+	cr.cs = cs
 	if cs.narrived == g.nranks && g.fault != FaultHang {
-		// Last arriver: validate, compute, charge the transfer, release.
+		// Last arriver: validate, compute, charge the transfer.
 		if err := cs.validateSizes(); err != nil {
 			cs.err = err
 		} else {
 			cs.err = cs.apply(g.nranks)
 		}
-		bytes := cs.maxBytes()
-		cost := g.engine.params.BaseLatency +
-			gpu.TransferTime(collCost(kind, bytes, g.nranks), g.engine.params.BusBandwidth)
-		p.Sleep(cost)
-		err := cs.err
+		cs.bytes = cs.maxBytes()
+		cr.op.Dur = g.engine.params.BaseLatency +
+			gpu.TransferTime(collCost(kind, cs.bytes, g.nranks), g.engine.params.BusBandwidth)
+		return nil
+	}
+	cr.op.Ev = cs.ready // barrier: hangs if a rank never arrives or fault==hang
+	return nil
+}
+
+// leave is the op's Exec: the wait is over. The last arriver — the one rank
+// that waited for the transfer, not for the barrier event — releases the
+// others and retires the match state; every rank drops its reference.
+func (cr *collReq) leave(*gpu.Device) error {
+	g, cs := cr.g, cr.cs
+	err := cs.err
+	if cr.op.Ev == nil {
 		if rec := trace.Of(g.engine.env); rec != nil {
-			rec.Instant(p.Now(), "nccl", g.key, "collective",
-				"kind", kind, "gen", g.gen, "seq", seq, "bytes", bytes, "nranks", g.nranks)
+			rec.Instant(g.engine.env.Now(), "nccl", g.key, "collective",
+				"kind", cr.kind, "gen", g.gen, "seq", cr.seq, "bytes", cs.bytes, "nranks", g.nranks)
 		}
 		if err == nil && g.engine.observer != nil {
-			g.engine.observer(CollectiveDone{Key: g.key, Gen: g.gen, Kind: kind, Bytes: bytes, Ranks: g.nranks})
+			g.engine.observer(CollectiveDone{Key: g.key, Gen: g.gen, Kind: cr.kind, Bytes: cs.bytes, Ranks: g.nranks})
 		}
 		cs.ready.Trigger()
-		delete(g.colls, seq)
+		delete(g.colls, cr.seq)
 		cs.done = true
-		g.leaveColl(cs)
-		return err
 	}
-	p.Wait(cs.ready) // barrier: hangs if a rank never arrives or fault==hang
-	err := cs.err
 	g.leaveColl(cs)
 	return err
 }
@@ -622,10 +634,7 @@ func (c *Comm) Send(s *gpu.Stream, buf *gpu.Buffer, peer int) (*gpu.Op, error) {
 	}
 	pr := &p2pReq{g: c.group, src: c.Rank, dst: peer, seq: c.sendSeq[peer], buf: buf, isSend: true}
 	c.sendSeq[peer]++
-	pr.op.NameFn = pr.name
-	pr.op.Run = pr.run
-	s.Enqueue(&pr.op)
-	return &pr.op, nil
+	return pr.enqueue(s), nil
 }
 
 // Recv enqueues a point-to-point receive into buf from peer.
@@ -638,45 +647,51 @@ func (c *Comm) Recv(s *gpu.Stream, buf *gpu.Buffer, peer int) (*gpu.Op, error) {
 	}
 	pr := &p2pReq{g: c.group, src: peer, dst: c.Rank, seq: c.recvSeq[peer], buf: buf, isSend: false}
 	c.recvSeq[peer]++
-	pr.op.NameFn = pr.name
-	pr.op.Run = pr.run
-	s.Enqueue(&pr.op)
-	return &pr.op, nil
+	return pr.enqueue(s), nil
 }
 
 // p2pReq bundles one endpoint's send/recv call into a single allocation,
-// with a lazily-formatted trace name like collReq.
+// with arrive and leave halves and a lazily-formatted trace name like
+// collReq's.
 type p2pReq struct {
 	g             *commGroup
 	src, dst, seq int
 	buf           *gpu.Buffer
 	isSend        bool
+	st            *p2pState // the match state arrive joined
 	op            gpu.Op
 }
 
-func (pr *p2pReq) run(p *vclock.Proc, dev *gpu.Device) error {
-	return pr.g.arriveP2P(p, pr.src, pr.dst, pr.seq, pr.buf, pr.isSend)
+func (pr *p2pReq) enqueue(s *gpu.Stream) *gpu.Op {
+	pr.op.Namer, pr.op.Begin, pr.op.Exec = pr, pr.arrive, pr.leave
+	s.Enqueue(&pr.op)
+	return &pr.op
 }
 
-func (pr *p2pReq) name() string {
+func (pr *p2pReq) String() string {
 	if pr.isSend {
 		return fmt.Sprintf("nccl.send.%s.%d->%d.#%d", pr.g.key, pr.src, pr.dst, pr.seq)
 	}
 	return fmt.Sprintf("nccl.recv.%s.%d<-%d.#%d", pr.g.key, pr.dst, pr.src, pr.seq)
 }
 
-func (g *commGroup) arriveP2P(p *vclock.Proc, src, dst, seq int, buf *gpu.Buffer, isSend bool) error {
+// arrive is the op's Begin: the second endpoint to arrive copies, then
+// waits out the transfer (a size mismatch fails the pair at once instead);
+// the first waits for it.
+func (pr *p2pReq) arrive(dev *gpu.Device) error {
+	g, buf := pr.g, pr.buf
 	if g.fault == FaultError {
 		return ErrNetwork
 	}
-	k := p2pKey{src, dst, seq}
+	k := p2pKey{pr.src, pr.dst, pr.seq}
 	st, ok := g.p2ps[k]
 	if !ok {
 		st = g.getP2P()
 		g.p2ps[k] = st
 	}
 	st.refs++
-	if isSend {
+	pr.st = st
+	if pr.isSend {
 		st.srcBuf = buf
 	} else {
 		st.dstBuf = buf
@@ -688,22 +703,28 @@ func (g *commGroup) arriveP2P(p *vclock.Proc, src, dst, seq int, buf *gpu.Buffer
 		if len(st.srcBuf.Data) > 0 && len(st.dstBuf.Data) > 0 {
 			if len(st.srcBuf.Data) != len(st.dstBuf.Data) {
 				st.failure = ErrBufSizes
-			} else {
-				copy(st.dstBuf.Data, st.srcBuf.Data)
+				return pr.leave(dev)
 			}
+			copy(st.dstBuf.Data, st.srcBuf.Data)
 		}
-		if st.failure == nil {
-			p.Sleep(g.engine.params.BaseLatency + gpu.TransferTime(st.bytes, g.engine.params.BusBandwidth))
-		}
-		err := st.failure
-		st.ready.Trigger()
-		delete(g.p2ps, k)
-		st.done = true
-		g.leaveP2P(st)
-		return err
+		pr.op.Dur = g.engine.params.BaseLatency + gpu.TransferTime(st.bytes, g.engine.params.BusBandwidth)
+		return nil
 	}
-	p.Wait(st.ready) // hangs if the peer never shows up
+	pr.op.Ev = st.ready // hangs if the peer never shows up
+	return nil
+}
+
+// leave is the op's Exec: the second endpoint — the one that did not wait
+// for the pair's event — releases the first and retires the match state;
+// both drop their reference.
+func (pr *p2pReq) leave(*gpu.Device) error {
+	g, st := pr.g, pr.st
 	err := st.failure
+	if pr.op.Ev == nil {
+		st.ready.Trigger()
+		delete(g.p2ps, p2pKey{pr.src, pr.dst, pr.seq})
+		st.done = true
+	}
 	g.leaveP2P(st)
 	return err
 }

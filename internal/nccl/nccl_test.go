@@ -431,6 +431,144 @@ func TestBufferSizeMismatch(t *testing.T) {
 	}
 }
 
+// TestFailuresOnArrivalDoNotWait: a collective or transfer that fails as it
+// arrives — async network error, mismatched kind, a rank arriving twice, a
+// p2p size mismatch found at the match — completes at that instant, charging
+// no latency and no transfer, and releases whoever was already waiting with
+// the same verdict; one whose peer never comes stays parked for good.
+func TestFailuresOnArrivalDoNotWait(t *testing.T) {
+	type outcome struct {
+		at  vclock.Time
+		err error
+	}
+	// Rank 0 issues first, rank 1 two seconds later; both report when their
+	// op completed, relative to the end of the rendezvous.
+	run := func(issue func(h *harness, p *vclock.Proc, r int, comm *Comm) *gpu.Op) (out [2]outcome, h *harness) {
+		h = newHarness(t, 2)
+		h.eachRank(func(p *vclock.Proc, r int, comm *Comm) {
+			t0 := p.Now()
+			p.Sleep(vclock.Time(2*r) * vclock.Second)
+			op := issue(h, p, r, comm)
+			out[r] = outcome{-1, nil}
+			if p.WaitTimeout(op.Done, vclock.Minute) {
+				out[r] = outcome{p.Now() - t0, op.Err}
+			}
+		})
+		if err := h.env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return out, h
+	}
+	bufs := func(h *harness, lens ...int) []*gpu.Buffer {
+		out := make([]*gpu.Buffer, len(lens))
+		for r, n := range lens {
+			out[r] = mkBuf(t, h.devs[r], make([]float32, n))
+		}
+		return out
+	}
+	check := func(name string, out [2]outcome, want error) {
+		t.Helper()
+		for r, o := range out {
+			if o.at != 2*vclock.Second || !errors.Is(o.err, want) {
+				t.Errorf("%s: rank %d done at %v with %v, want at 2s (the second arrival) with %v", name, r, o.at, o.err, want)
+			}
+		}
+	}
+
+	var b []*gpu.Buffer
+	out, _ := run(func(h *harness, p *vclock.Proc, r int, comm *Comm) *gpu.Op {
+		if r == 0 {
+			b = bufs(h, 1, 1)
+		} else {
+			h.engine.InjectFault("world", 0, FaultError) // rank 0 is inside the barrier already
+		}
+		op, _ := comm.AllReduce(h.streams[r], b[r])
+		return op
+	})
+	check("FaultError", out, ErrNetwork)
+
+	out, _ = run(func(h *harness, p *vclock.Proc, r int, comm *Comm) *gpu.Op {
+		if r == 0 {
+			b = bufs(h, 1, 1)
+			op, _ := comm.AllReduce(h.streams[r], b[r])
+			return op
+		}
+		op, _ := comm.AllGather(h.streams[r], b[r], b[r])
+		return op
+	})
+	check("mismatched kind", out, ErrMismatch)
+
+	out, _ = run(func(h *harness, p *vclock.Proc, r int, comm *Comm) *gpu.Op {
+		if r == 0 {
+			b = bufs(h, 2, 1)
+			op, _ := comm.Send(h.streams[r], b[r], 1)
+			return op
+		}
+		op, _ := comm.Recv(h.streams[r], b[r], 0)
+		return op
+	})
+	check("p2p size mismatch", out, ErrBufSizes)
+
+	out, _ = run(func(h *harness, p *vclock.Proc, r int, comm *Comm) *gpu.Op {
+		if r == 0 {
+			b = bufs(h, 1, 1)
+			h.engine.InjectFault("world", 0, FaultError)
+		}
+		op, _ := comm.Send(h.streams[r], b[r], 1-r) // two sends: nobody to match, nothing to wait for
+		return op
+	})
+	for r, o := range out {
+		if o.at != vclock.Time(2*r)*vclock.Second || !errors.Is(o.err, ErrNetwork) {
+			t.Errorf("p2p FaultError: rank %d done at %v with %v, want at once with a network error", r, o.at, o.err)
+		}
+	}
+
+	// Rank 0 arrives twice at collective #0, through a second handle and a
+	// second stream: the duplicate fails at once, the first arrival is still
+	// good and completes with rank 1, one base latency after it.
+	var dupOut outcome
+	out, _ = run(func(h *harness, p *vclock.Proc, r int, comm *Comm) *gpu.Op {
+		if r == 1 {
+			op, _ := comm.AllReduce(h.streams[r], b[r])
+			return op
+		}
+		b = bufs(h, 0, 0)
+		first, _ := comm.AllReduce(h.streams[r], b[r])
+		p.Sleep(vclock.Second)
+		dup, err := h.engine.CommInitRank(p, "world", 0, 2, 0, h.devs[0])
+		if err != nil {
+			t.Error(err)
+			return first
+		}
+		s2, _ := h.devs[0].NewStream()
+		t0 := p.Now()
+		op, _ := dup.AllReduce(s2, b[r])
+		p.Wait(op.Done)
+		dupOut = outcome{p.Now() - t0, op.Err}
+		return first
+	})
+	if dupOut.at != 0 || !errors.Is(dupOut.err, ErrMismatch) {
+		t.Errorf("second arrival of rank 0: done after %v with %v, want at once with a mismatch", dupOut.at, dupOut.err)
+	}
+	if out[1].at != 2*vclock.Second+DefaultParams().BaseLatency || out[1].err != nil || out[0].err != nil {
+		t.Errorf("the collective the duplicate hit: %+v, want rank 1 done one base latency after it arrived, no error", out)
+	}
+
+	// A send whose receiver never posts parks its stream for the whole run.
+	out, h := run(func(h *harness, p *vclock.Proc, r int, comm *Comm) *gpu.Op {
+		if r == 0 {
+			b = bufs(h, 1, 1)
+			op, _ := comm.Send(h.streams[r], b[r], 1)
+			return op
+		}
+		op, _ := comm.AllReduce(h.streams[r], b[r]) // everyone else is elsewhere
+		return op
+	})
+	if out[0].at != -1 || out[1].at != -1 || h.devs[0].PendingOps() != 1 || h.devs[1].PendingOps() != 1 {
+		t.Errorf("unmatched send and lone allreduce: %+v, pending %d and %d; want both still parked", out, h.devs[0].PendingOps(), h.devs[1].PendingOps())
+	}
+}
+
 func TestDeadCommRejectsCalls(t *testing.T) {
 	h := newHarness(t, 1)
 	buf := mkBuf(t, h.devs[0], []float32{1})

@@ -53,6 +53,18 @@ func (q *Queue[T]) Pop(p *Proc) T {
 	return q.popHead()
 }
 
+// PopNext is the callback form of Pop: the head item, or ok false with p
+// parked on the queue, to be called again at p's next dispatch.
+func (q *Queue[T]) PopNext(p *Proc) (v T, ok bool) {
+	if q.Len() > 0 {
+		return q.popHead(), true
+	}
+	if p.parks() {
+		p.arm(&q.waiters, 0)
+	}
+	return v, false
+}
+
 // PopTimeout is Pop with a deadline; ok reports whether an item was
 // obtained before d elapsed.
 func (q *Queue[T]) PopTimeout(p *Proc, d Time) (v T, ok bool) {

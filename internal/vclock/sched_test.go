@@ -31,24 +31,168 @@ func logStats(sb *strings.Builder, env *Env) {
 		env.Now(), s.Dispatches, s.TimerFires, s.Triggers, s.Spawns, env.timers.len())
 }
 
-// orderProgram is a seeded random program over every kernel primitive. Its
-// draws come from its own source, in execution order, so the log is a
-// function of the kernel's scheduling order and nothing else.
-type orderProgram struct {
+// A script is a process body written once and run by two interpreters: as a
+// coroutine that blocks (world.run) and as a callback process that parks and
+// returns (stepper.step). Every expectation about a callback process in this
+// file is the log of the same script under the coroutine interpreter, which
+// runs unchanged on the kernel that had no callbacks.
+type instr struct {
+	op byte // see world.run
+	i  int  // which event
+	d  Time
+}
+
+var instrNames = map[byte]string{'s': "sleep", 'w': "wait", 't': "waittimeout", 'p': "pop", 'T': "trigger", 'P': "push", 'k': "kill self"}
+
+func (in instr) String() string { return fmt.Sprintf("%s e%d %d", instrNames[in.op], in.i, in.d) }
+
+// world is what scripts act on. say logs instruction pc of p: its text
+// before it executes, "done" (or a popped value) after.
+type world struct {
 	env    *Env
-	rng    *rand.Rand
-	sb     *strings.Builder
+	form   form // what spawn makes
 	evs    []*Event
 	q      *Queue[int]
-	m      *Mutex
-	procs  []*Proc
 	pushed int
+	say    func(p *Proc, pc int, text string)
+}
+
+// act executes the instructions that never park.
+func (w *world) act(p *Proc, in instr) {
+	switch in.op {
+	case 'T':
+		w.evs[in.i].Trigger()
+		w.evs[in.i] = w.env.NewEvent("e")
+	case 'P':
+		w.pushed++
+		w.q.Push(w.pushed)
+	case 'k':
+		p.Kill()
+	}
+}
+
+// form is how a script's process is made.
+type form int
+
+const (
+	coroutine form = iota
+	callback
+)
+
+var forms = []form{coroutine, callback}
+
+func (f form) String() string { return [...]string{"coroutine", "callback"}[f] }
+
+// spawn starts a process running script, in the world's form.
+func (w *world) spawn(name string, script []instr) *Proc {
+	if w.form == callback {
+		return w.env.GoFunc(name, (&stepper{w: w, script: script}).step)
+	}
+	return w.env.Go(name, func(p *Proc) { w.run(p, script) })
+}
+
+// run is the coroutine interpreter.
+func (w *world) run(p *Proc, script []instr) {
+	for pc, in := range script {
+		w.say(p, pc, in.String())
+		switch in.op {
+		case 's':
+			p.Sleep(in.d)
+		case 'w':
+			p.Wait(w.evs[in.i])
+		case 't':
+			p.WaitTimeout(w.evs[in.i], in.d)
+		case 'p':
+			w.say(p, pc, fmt.Sprintf("-> %d", w.q.Pop(p)))
+		default:
+			w.act(p, in)
+		}
+		w.say(p, pc, "done")
+	}
+}
+
+// stepper is the callback interpreter: where run blocks, step registers the
+// wake-up, remembers that it did (woken: the next dispatch is the return
+// from that wait) and returns.
+type stepper struct {
+	w      *world
+	script []instr
+	pc     int
+	woken  bool
+}
+
+func (s *stepper) step(p *Proc) {
+	w := s.w
+	for ; s.pc < len(s.script); s.pc++ {
+		in := s.script[s.pc]
+		if !s.woken {
+			w.say(p, s.pc, in.String())
+			parked := false
+			switch in.op {
+			case 's':
+				p.SleepNext(in.d)
+				parked = true
+			case 'w':
+				parked = p.WaitNext(w.evs[in.i], 0)
+			case 't':
+				parked = p.WaitNext(w.evs[in.i], in.d)
+			case 'p':
+			default:
+				w.act(p, in)
+			}
+			if parked {
+				s.woken = true
+				return
+			}
+		}
+		s.woken = false
+		if in.op == 'p' {
+			v, ok := w.q.PopNext(p)
+			if !ok {
+				s.woken = true
+				return
+			}
+			w.say(p, s.pc, fmt.Sprintf("-> %d", v))
+		}
+		w.say(p, s.pc, "done")
+	}
+}
+
+// orderProgram is a seeded random program over every kernel primitive. Its
+// draws come from its own source, in execution order, so the log is a
+// function of the kernel's scheduling order and nothing else. With scripted
+// set, every other process it spawns is a scripted one in that form, drawn
+// from the same source when it is spawned.
+type orderProgram struct {
+	world
+	rng      *rand.Rand
+	sb       *strings.Builder
+	m        *Mutex
+	procs    []*Proc
+	scripted bool
+}
+
+// spawnScripted draws a script of n instructions and starts it.
+func (o *orderProgram) spawnScripted(name string, n int) {
+	r := o.rng
+	script := make([]instr, n)
+	for k := range script {
+		script[k] = instr{op: "ssswwtttppTTPP"[r.Intn(14)], i: r.Intn(len(o.evs)), d: Time(r.Intn(6)-1) * Microsecond}
+		if script[k].op == 't' && script[k].d <= 0 {
+			script[k].d = 5 * Microsecond // WaitNext has no expired-on-arrival form
+		}
+	}
+	o.procs = append(o.procs, o.world.spawn(name, script))
 }
 
 // orderMaxProcs caps the processes one program spawns.
 const orderMaxProcs = 24
 
 func (o *orderProgram) spawn(name string, steps int) {
+	if o.scripted && len(o.procs)%2 == 1 {
+		o.spawnScripted(name, steps)
+		return
+	}
 	var self *Proc
 	self = o.env.Go(name, func(p *Proc) {
 		defer func() { fmt.Fprintf(o.sb, "%d %s unwinds\n", p.Now(), name) }()
@@ -176,10 +320,22 @@ func onFreshGoroutine(run func() error) error {
 // same Env again to completion: the second run starts from whatever the
 // first run's shutdown left behind (dead processes' timers included).
 func runOrderProgram(sb *strings.Builder, seed int64, horizon Time, call func(run func() error) error) error {
+	return runOrderProgramIn(sb, seed, horizon, call, nil)
+}
+
+// runOrderProgramIn is runOrderProgram with every other process scripted, in
+// form *scripted (nil: none, the program order.golden's first three sections
+// were generated from).
+func runOrderProgramIn(sb *strings.Builder, seed int64, horizon Time, call func(run func() error) error, scripted *form) error {
 	fmt.Fprintf(sb, "# seed %d horizon %d\n", seed, horizon)
 	env := NewEnv(seed)
 	env.SetRecorder(procLog{sb})
-	o := &orderProgram{env: env, rng: rand.New(rand.NewSource(seed)), sb: sb}
+	o := &orderProgram{rng: rand.New(rand.NewSource(seed)), sb: sb, scripted: scripted != nil}
+	o.env = env
+	if scripted != nil {
+		o.form = *scripted
+	}
+	o.say = func(p *Proc, pc int, text string) { fmt.Fprintf(sb, "%d %s %d %s\n", p.Now(), p.Name(), pc, text) }
 	for i := 0; i < 5; i++ {
 		o.evs = append(o.evs, env.NewEvent("e"))
 	}
@@ -216,26 +372,40 @@ func runOrderProgram(sb *strings.Builder, seed int64, horizon Time, call func(ru
 	return nil
 }
 
-// TestSchedulingOrderGolden compares the (time, process, step) log and the
-// final counters of the random program with testdata/order.golden, which
-// was generated by the kernel this one replaced: the scheduling order — run
-// queue FIFO, timers by (deadline, seq) — and every counter are unchanged.
-func TestSchedulingOrderGolden(t *testing.T) {
+// orderSections runs the golden's six programs: three of coroutines only,
+// then three with every other process scripted in form f.
+func orderSections(t *testing.T, f form) string {
 	var sb strings.Builder
-	for _, c := range []struct {
+	for i, c := range []struct {
 		seed    int64
 		horizon Time
-	}{{1, -1}, {2, 10 * Microsecond}, {3, 20 * Microsecond}} {
-		if err := runOrderProgram(&sb, c.seed, c.horizon, inline); err != nil {
+	}{{1, -1}, {2, 10 * Microsecond}, {3, 20 * Microsecond}, {4, -1}, {5, 10 * Microsecond}, {6, 20 * Microsecond}} {
+		scripted := &f
+		if i < 3 {
+			scripted = nil
+		}
+		if err := runOrderProgramIn(&sb, c.seed, c.horizon, inline, scripted); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return sb.String()
+}
+
+// TestSchedulingOrderGolden compares the (time, process, step) log and the
+// final counters of the random program with testdata/order.golden. Its first
+// three sections were generated by the first kernel: the scheduling order —
+// run queue FIFO, timers by (deadline, seq) — and every counter are
+// unchanged. The last three, where half the processes are scripted, were
+// generated by the kernel that had no callback process, the scripts run as
+// coroutines: callback processes are scheduled, killed, counted and recorded
+// as those coroutines were.
+func TestSchedulingOrderGolden(t *testing.T) {
 	path := filepath.Join("testdata", "order.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(orderSections(t, coroutine)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,17 +413,19 @@ func TestSchedulingOrderGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := sb.String()
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("scheduling order diverges at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+	for _, f := range forms {
+		got := orderSections(t, f)
+		if got == string(want) {
+			continue
 		}
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("scripts as %v: scheduling order diverges at line %d:\n got: %s\nwant: %s", f, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("scripts as %v: scheduling log has %d lines, golden %d", f, len(gl), len(wl))
 	}
-	t.Fatalf("scheduling log has %d lines, golden %d", len(gl), len(wl))
 }
 
 // raceRig is one kill-race scenario's Env and its log of who did what when.
@@ -418,6 +590,323 @@ func TestKillRaces(t *testing.T) {
 	}
 }
 
+// TestCallbackMatchesCoroutine is the differential test of the callback form:
+// one small program — sleepers, an event ping-pong, a queue consumer and its
+// producer, a zero-duration sleep, a timeout that loses to its event — run
+// with every process a coroutine and with every process a callback gives the
+// same log, the same ProcStart/ProcEnd sequence, the same counters and the
+// same final clock, and the callback run never owns a goroutine.
+func TestCallbackMatchesCoroutine(t *testing.T) {
+	us := func(n int) Time { return Time(n) * Microsecond }
+	program := []struct {
+		name   string
+		script []instr
+	}{
+		{"sleeper1", []instr{{'s', 0, us(3)}, {'s', 0, us(3)}, {'s', 0, us(1)}}},
+		{"sleeper2", []instr{{'s', 0, us(2)}, {'s', 0, 0}, {'s', 0, us(4)}}},
+		{"pong", []instr{{'w', 0, 0}, {'s', 0, us(1)}, {'T', 1, 0}, {'w', 0, 0}, {'T', 1, 0}}},
+		{"ping", []instr{{'T', 0, 0}, {'w', 1, 0}, {'T', 0, 0}, {'w', 1, 0}}},
+		{"consumer", []instr{{'p', 0, 0}, {'p', 0, 0}, {'p', 0, 0}}},
+		{"producer", []instr{{'P', 0, 0}, {'s', 0, us(5)}, {'P', 0, 0}, {'P', 0, 0}}},
+		{"timeout-loses", []instr{{'t', 2, us(9)}, {'s', 0, us(1)}}},
+		{"timeout-wins", []instr{{'t', 3, us(2)}}},
+		{"trigger2", []instr{{'s', 0, us(4)}, {'T', 2, 0}}},
+		{"hung", []instr{{'w', 3, 0}}},
+	}
+	var want string
+	for _, f := range forms {
+		var sb strings.Builder
+		env := NewEnv(1)
+		env.SetRecorder(procLog{&sb})
+		w := &world{env: env, form: f, q: NewQueue[int](env, "q")}
+		for i := 0; i < 4; i++ {
+			w.evs = append(w.evs, env.NewEvent("e"))
+		}
+		peak, base := 0, runtime.NumGoroutine()
+		w.say = func(p *Proc, pc int, text string) {
+			fmt.Fprintf(&sb, "%d %s %d %s\n", p.Now(), p.Name(), pc, text)
+			peak = max(peak, runtime.NumGoroutine())
+		}
+		for _, pr := range program {
+			w.spawn(pr.name, pr.script)
+		}
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		logStats(&sb, env)
+		if f == callback && peak > base {
+			t.Errorf("the callback run had %d goroutines at its peak, %d before it", peak, base)
+		}
+		if want == "" {
+			want = sb.String()
+			for _, line := range []string{"1000 ping 1 done", "1000 end ping#3", "5000 consumer 2 -> 3", "2000 sleeper2 1 done",
+				"4000 timeout-loses 0 done", "2000 timeout-wins 0 done", "7000 end hung#9", "now=7000 dispatches=29 timer_fires=10 triggers=5 spawns=10 timers_left=0"} {
+				if !strings.Contains(want, line+"\n") {
+					t.Errorf("the program does not do what its names say: no %q in\n%s", line, want)
+				}
+			}
+		} else if got := sb.String(); got != want {
+			t.Errorf("processes as %v:\n%s\nas %v:\n%s", f, got, forms[0], want)
+		}
+	}
+}
+
+// TestPanicInStepNamesTheCallback: a callback's step runs on the stack of
+// whoever is scheduling — here the process "host", inside its Sleep — and a
+// panic in it is the run's failure under the callback's name, with the
+// step's frames.
+func TestPanicInStepNamesTheCallback(t *testing.T) {
+	env := NewEnv(1)
+	hostDone := false
+	env.Go("host", func(p *Proc) {
+		defer func() { hostDone = recover() == killedSentinel{} }()
+		p.Sleep(Hour)
+	})
+	calls := 0
+	env.GoFunc("cb", func(p *Proc) {
+		if calls++; calls == 2 {
+			explodeNow()
+		}
+		p.SleepNext(Second)
+	})
+	err := env.Run()
+	if err == nil {
+		t.Fatal("panic not surfaced")
+	}
+	for _, want := range []string{`callback process "cb" panicked: boom`, "vclock.explodeNow", "sched_test.go"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error lacks %q:\n%v", want, err)
+		}
+	}
+	if strings.Contains(err.Error(), `process "host" panicked`) {
+		t.Errorf("the panic is recorded against the process whose stack the step ran on:\n%v", err)
+	}
+	if !hostDone {
+		t.Error("the host was not unwound by the shutdown that followed")
+	}
+	if got, want := env.Stats(), (Stats{Dispatches: 4, TimerFires: 1, Spawns: 2}); got != want || len(env.procs) != 0 {
+		t.Errorf("%+v and %d processes left, want %+v and none", got, len(env.procs), want)
+	}
+}
+
+func explodeNow() { panic("boom") }
+
+// TestGoexitInStepNamesTheCallback: a t.Fatal in a step (an op's Exec, say)
+// ends the run like one in a body does, and the failure the Env keeps names
+// the callback although the exit unwound its host's stack on the way out.
+func TestGoexitInStepNamesTheCallback(t *testing.T) {
+	base := runtime.NumGoroutine()
+	env := NewEnv(1)
+	hostCleanedUp := false
+	env.Go("host", func(p *Proc) {
+		defer func() { hostCleanedUp = true }()
+		p.Sleep(Hour)
+	})
+	env.GoFunc("quitter", func(p *Proc) {
+		if p.Now() > 0 {
+			runtime.Goexit()
+		}
+		p.SleepNext(Second)
+	})
+	returned, done := false, make(chan struct{})
+	go func() {
+		defer close(done)
+		env.Run()
+		returned = true
+	}()
+	<-done
+	if returned || !hostCleanedUp || env.running || len(env.procs) != 0 {
+		t.Errorf("returned=%v hostCleanedUp=%v running=%v procs=%d, want false, true, false, 0", returned, hostCleanedUp, env.running, len(env.procs))
+	}
+	if err := env.Run(); err == nil || !strings.Contains(err.Error(), `callback process "quitter" called runtime.Goexit`) {
+		t.Errorf("a later Run on the same Env returned %v, want the callback's Goexit as its failure", err)
+	}
+	waitGoroutines(t, base, "goexit in a step")
+}
+
+// TestBlockingCallInStepPanics: a step has no stack of its own to block on,
+// so every blocking primitive refuses a callback process, in words.
+func TestBlockingCallInStepPanics(t *testing.T) {
+	for name, call := range map[string]func(p *Proc, ev *Event, q *Queue[int], m *Mutex){
+		"Sleep":       func(p *Proc, _ *Event, _ *Queue[int], _ *Mutex) { p.Sleep(Second) },
+		"Sleep(0)":    func(p *Proc, _ *Event, _ *Queue[int], _ *Mutex) { p.Sleep(0) },
+		"Yield":       func(p *Proc, _ *Event, _ *Queue[int], _ *Mutex) { p.Yield() },
+		"Wait":        func(p *Proc, ev *Event, _ *Queue[int], _ *Mutex) { p.Wait(ev) },
+		"WaitTimeout": func(p *Proc, ev *Event, _ *Queue[int], _ *Mutex) { p.WaitTimeout(ev, Second) },
+		"Pop":         func(p *Proc, _ *Event, q *Queue[int], _ *Mutex) { q.Pop(p) },
+		"PopTimeout":  func(p *Proc, _ *Event, q *Queue[int], _ *Mutex) { q.PopTimeout(p, Second) },
+		"Mutex.Lock":  func(p *Proc, _ *Event, _ *Queue[int], m *Mutex) { m.Lock(p) },
+	} {
+		env := NewEnv(1)
+		ev, q, m := env.NewEvent("never"), NewQueue[int](env, "q"), NewMutex(env, "m")
+		env.Go("holder", func(p *Proc) { m.Lock(p); p.Wait(ev) })
+		got := false
+		env.GoFunc("cb", func(p *Proc) {
+			call(p, ev, q, m)
+			got = true
+		})
+		err := env.Run()
+		if err == nil || got {
+			t.Errorf("%s in a step: err=%v, returned=%v, want a panic", name, err, got)
+			continue
+		}
+		for _, want := range []string{`callback process "cb" panicked`, "a GoFunc step must not block", "SleepNext, WaitNext or PopNext"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s in a step: error lacks %q:\n%v", name, want, err)
+			}
+		}
+	}
+	// The other way round: the callback forms are for steps only, once each.
+	for name, body := range map[string]func(env *Env){
+		"SleepNext in a coroutine": func(env *Env) { env.Go("co", func(p *Proc) { p.SleepNext(Second) }) },
+		"two parks in one step": func(env *Env) {
+			env.GoFunc("cb", func(p *Proc) { p.SleepNext(Second); p.SleepNext(Second) })
+		},
+	} {
+		env := NewEnv(1)
+		body(env)
+		if err := env.Run(); err == nil || !strings.Contains(err.Error(), "parks with SleepNext, WaitNext or PopNext") {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestKillRacesScripted is TestKillRaces with the victim a script, run as a
+// coroutine and as a callback process: killed new, queued, parked on an
+// event, on a timer, on both, by itself inside its step, and by shutdown.
+// Each expectation was recorded from the coroutine form on the kernel that
+// had no callbacks, and both forms must give it — the lingering timer of a
+// killed callback included. "v past N" is the victim getting past
+// instruction N.
+func TestKillRacesScripted(t *testing.T) {
+	sec := func(n int) Time { return Time(n) * Second }
+	cases := []struct {
+		name   string
+		victim []instr
+		build  func(r *raceRig, w *world, v *Proc)
+		want   string
+	}{
+		{"WaitTimeout killed, event triggered in the same step", []instr{{'t', 0, sec(10)}}, func(r *raceRig, w *world, v *Proc) {
+			r.env.Go("killer", func(p *Proc) {
+				p.Sleep(Second)
+				v.Kill()
+				w.evs[0].Trigger()
+				r.note("timers=%d", r.env.timers.len())
+			})
+			r.bystander(Second)
+		}, "1.000s timers=1; 1.000s killer ends; 1.000s v ends; 1.000s b runs; 1.000s b ends; end 1.000s {Dispatches:6 TimerFires:2 Triggers:1 Spawns:3} timers=0"},
+		{"WaitTimeout killed, event triggered after the victim was retired", []instr{{'t', 0, sec(10)}}, func(r *raceRig, w *world, v *Proc) {
+			r.env.Go("killer", func(p *Proc) {
+				p.Sleep(Second)
+				v.Kill()
+				p.Sleep(Second)
+				r.note("timers=%d", r.env.timers.len())
+				w.evs[0].Trigger()
+				r.note("timers=%d", r.env.timers.len())
+			})
+		}, "1.000s v ends; 2.000s timers=1; 2.000s timers=0; 2.000s killer ends; end 2.000s {Dispatches:5 TimerFires:2 Triggers:1 Spawns:2} timers=0"},
+		{"WaitTimeout killed, event never triggered", []instr{{'t', 0, sec(10)}}, func(r *raceRig, w *world, v *Proc) {
+			r.env.Go("killer", func(p *Proc) {
+				p.Sleep(Second)
+				v.Kill()
+			})
+		}, "1.000s killer ends; 1.000s v ends; end 10.000s {Dispatches:4 TimerFires:2 Triggers:0 Spawns:2} timers=0"},
+		{"queued by a zero sleep", []instr{{'s', 0, 0}}, func(r *raceRig, w *world, v *Proc) {
+			r.env.Go("killer", func(p *Proc) {
+				v.Kill() // v sits behind b in the run queue
+				v.Kill()
+			})
+			r.bystander(0)
+		}, "0.000s killer ends; 0.000s b runs; 0.000s b ends; 0.000s v ends; end 0.000s {Dispatches:4 TimerFires:0 Triggers:0 Spawns:3} timers=0"},
+		{"woken by an event, not yet run", []instr{{'w', 0, 0}}, func(r *raceRig, w *world, v *Proc) {
+			r.env.Go("killer", func(p *Proc) {
+				p.Sleep(Second)
+				w.evs[0].Trigger()
+				v.Kill()
+				v.Kill()
+			})
+			r.bystander(Second)
+		}, "1.000s killer ends; 1.000s v ends; 1.000s b runs; 1.000s b ends; end 1.000s {Dispatches:6 TimerFires:2 Triggers:1 Spawns:3} timers=0"},
+		{"woken by a queue push, not yet run", []instr{{'p', 0, 0}}, func(r *raceRig, w *world, v *Proc) {
+			r.env.Go("killer", func(p *Proc) {
+				p.Sleep(Second)
+				w.q.Push(1)
+				v.Kill()
+			})
+			r.bystander(Second)
+		}, "1.000s killer ends; 1.000s v ends; 1.000s b runs; 1.000s b ends; end 1.000s {Dispatches:6 TimerFires:2 Triggers:0 Spawns:3} timers=0"},
+		{"parked on an event nobody triggers", []instr{{'w', 0, 0}}, func(r *raceRig, w *world, v *Proc) {
+			r.env.Go("killer", func(p *Proc) {
+				p.Sleep(Second)
+				v.Kill()
+			})
+			r.bystander(Second)
+		}, "1.000s killer ends; 1.000s v ends; 1.000s b runs; 1.000s b ends; end 1.000s {Dispatches:6 TimerFires:2 Triggers:0 Spawns:3} timers=0"},
+		{"sleeper killed at the instant its own timer is due", []instr{{'s', 0, 0}, {'s', 0, sec(1)}}, func(r *raceRig, w *world, v *Proc) {
+			// v yields first, so the killer's timer is the earlier of the two.
+			r.env.Go("killer", func(p *Proc) {
+				p.Sleep(Second)
+				v.Kill()
+			})
+			r.bystander(Second)
+		}, "0.000s v past 0; 1.000s killer ends; 1.000s v ends; 1.000s b runs; 1.000s b ends; end 1.000s {Dispatches:7 TimerFires:3 Triggers:0 Spawns:3} timers=0"},
+		{"never started", nil, func(r *raceRig, w *world, v *Proc) {
+			r.bystander(0)
+			v.Kill()
+		}, "0.000s v ends; 0.000s b runs; 0.000s b ends; end 0.000s {Dispatches:2 TimerFires:0 Triggers:0 Spawns:2} timers=0"},
+		{"sleeper, its timer comes due later", []instr{{'s', 0, sec(10)}}, func(r *raceRig, w *world, v *Proc) {
+			r.env.Go("killer", func(p *Proc) {
+				p.Sleep(Second)
+				v.Kill()
+				p.Sleep(Second)
+				r.note("timers=%d", r.env.timers.len())
+			})
+		}, "1.000s v ends; 2.000s timers=1; 2.000s killer ends; end 10.000s {Dispatches:5 TimerFires:3 Triggers:0 Spawns:2} timers=0"},
+		{"sleeper, horizon before its dead timer", []instr{{'s', 0, sec(100)}}, func(r *raceRig, w *world, v *Proc) {
+			r.env.Go("killer", func(p *Proc) {
+				p.Sleep(Second)
+				v.Kill()
+			})
+		}, "1.000s killer ends; 1.000s v ends; end 1.000s {Dispatches:4 TimerFires:1 Triggers:0 Spawns:2} timers=1"},
+		{"kills itself, retired at its next park", []instr{{'s', 0, sec(1)}, {'k', 0, 0}, {'P', 0, 0}, {'s', 0, sec(1)}, {'P', 0, 0}}, func(r *raceRig, w *world, v *Proc) {
+			r.bystander(2 * Second)
+		}, "1.000s v past 0; 1.000s v past 1; 1.000s v past 2; 1.000s v ends; 2.000s b runs; 2.000s b ends; end 2.000s {Dispatches:4 TimerFires:2 Triggers:0 Spawns:2} timers=0"},
+		{"kills itself, then returns", []instr{{'k', 0, 0}}, func(r *raceRig, w *world, v *Proc) {
+			r.bystander(0)
+		}, "0.000s v past 0; 0.000s v ends; 0.000s b runs; 0.000s b ends; end 0.000s {Dispatches:2 TimerFires:0 Triggers:0 Spawns:2} timers=0"},
+		{"killed by shutdown: parked on both, on a timer, queued", []instr{{'t', 0, sec(100)}}, func(r *raceRig, w *world, v *Proc) {
+			w.spawn("v2", []instr{{'s', 0, sec(100)}})
+			w.spawn("v3", []instr{{'p', 0, 0}})
+			r.env.Go("failer", func(p *Proc) {
+				p.Sleep(2 * Second)
+				w.q.Push(1) // puts v3 in the run queue
+				panic("stop here")
+			})
+		}, "2.000s failer ends; 2.000s v ends; 2.000s v2 ends; 2.000s v3 ends; end 2.000s {Dispatches:8 TimerFires:1 Triggers:0 Spawns:4} timers=2"},
+	}
+	for _, c := range cases {
+		for _, f := range forms {
+			r := &raceRig{env: NewEnv(1)}
+			r.env.SetRecorder(r)
+			w := &world{env: r.env, form: f, evs: []*Event{r.env.NewEvent("ev")}, q: NewQueue[int](r.env, "q")}
+			w.say = func(p *Proc, pc int, text string) {
+				if text == "done" {
+					r.note("%s past %d", p.Name(), pc)
+				}
+			}
+			c.build(r, w, w.spawn("v", c.victim))
+			err := r.env.RunUntil(50 * Second)
+			if err != nil && !strings.Contains(err.Error(), "stop here") {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("%s; end %v %+v timers=%d", strings.Join(r.log, "; "), r.env.Now(), r.env.Stats(), r.env.timers.len())
+			if got != c.want {
+				t.Errorf("%s, victim as %v:\n got: %s\nwant: %s", c.name, f, got, c.want)
+			}
+		}
+	}
+}
+
 // TestSecondRunAfterShutdownKilledSleepers: a first run ends at its horizon
 // and shutdown kills processes that are asleep; their timers stay in the
 // heap. A second run on the same Env must pass over them — each advances
@@ -555,6 +1044,32 @@ func TestEnvOwnsNoGoroutinesAfterRun(t *testing.T) {
 			env.Go("bad", func(p *Proc) { p.Sleep(Second); panic("boom") })
 			if err := env.Run(); err == nil {
 				t.Error("panic not surfaced")
+			}
+		}},
+		{"2000 callback processes, no goroutine during the run either", func(t *testing.T) {
+			env := NewEnv(1)
+			ev := env.NewEvent("never")
+			peak, base := 0, runtime.NumGoroutine()
+			for i := 0; i < 2000; i++ {
+				n := 0
+				env.GoFunc("cb", func(p *Proc) {
+					peak = max(peak, runtime.NumGoroutine())
+					if n++; n <= 5 {
+						p.SleepNext(Time(i%7) * Millisecond)
+					} else if i%2 == 0 {
+						p.WaitNext(ev, 0)
+					}
+				})
+			}
+			if err := env.RunUntil(Minute); err != nil {
+				t.Error(err)
+			}
+			// 6 dispatches each; the 1000 that parked for good cost shutdown one more.
+			if got, want := env.Stats().Dispatches, uint64(2000*6+1000); got != want {
+				t.Errorf("%d dispatches, want %d", got, want)
+			}
+			if peak > base {
+				t.Errorf("%d goroutines at the peak of the run, %d before it", peak, base)
 			}
 		}},
 		{"killed before start", func(t *testing.T) {

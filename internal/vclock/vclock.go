@@ -30,6 +30,12 @@
 // Trigger may be called from any process (or from scheduler callbacks), but
 // never from outside the simulation.
 //
+// A callback process (GoFunc) is a process without the coroutine: its step
+// function is called at each of its dispatches, on the stack of whoever is
+// scheduling, and parks by registering its next wake-up (SleepNext, WaitNext,
+// Queue.PopNext) and returning. It is queued, woken, killed, counted and
+// recorded exactly like any other process; only the switch is gone.
+//
 // There is no scheduler goroutine and no channel. Whichever process blocks or
 // exits runs the scheduling function itself (Env.schedule: the head of the
 // run queue, else the earliest timer, else the run is over), leaves its
@@ -110,6 +116,8 @@ type Proc struct {
 	next    func() (struct{}, bool)
 	suspend func(struct{}) bool
 	body    func(*Proc)
+	// step replaces all three in a callback process (GoFunc).
+	step func(*Proc)
 
 	// The wait record. A process blocks in one place at a time, so one
 	// record per process is enough: block numbers the current wait, and a
@@ -265,7 +273,22 @@ func (e *Env) Recorder() interface{} { return e.rec }
 // inside a running process; the new process is appended to the run queue and
 // will execute at the current virtual time.
 func (e *Env) Go(name string, body func(p *Proc)) *Proc {
-	p := &Proc{env: e, id: e.nextID, name: name, body: body, heapIdx: -1}
+	return e.spawn(&Proc{name: name, body: body})
+}
+
+// GoFunc spawns a callback process: a process like any other — an id, a
+// name, a place in the run queue, a wait record, a dispatch count — but with
+// no coroutine. step is called at each dispatch, on the stack of whoever is
+// scheduling, and must not block: it parks by registering its next wake-up
+// with SleepNext, WaitNext or Queue.PopNext and returning, and is called
+// again when that wake-up comes. Returning without parking retires the
+// process. A killed one is retired at its dispatch without being called.
+func (e *Env) GoFunc(name string, step func(p *Proc)) *Proc {
+	return e.spawn(&Proc{name: name, step: step})
+}
+
+func (e *Env) spawn(p *Proc) *Proc {
+	p.env, p.id, p.heapIdx = e, e.nextID, -1
 	e.nextID++
 	e.procs[p.id] = p
 	e.runq.push(p)
@@ -317,7 +340,7 @@ func (p *Proc) run(suspend func(struct{}) bool) {
 // retire marks p dead, whether its body returned, unwound, or never ran.
 func (e *Env) retire(p *Proc) {
 	p.state = stateDead
-	p.next, p.suspend, p.body = nil, nil, nil // a kept *Proc pins no closure
+	p.next, p.suspend, p.body, p.step = nil, nil, nil, nil // a kept *Proc pins no closure
 	delete(e.procs, p.id)
 	if pr, ok := e.rec.(ProcRecorder); ok {
 		pr.ProcEnd(e.now, p.id, p.name)
@@ -335,11 +358,15 @@ func (e *Env) schedule() *Proc {
 		if e.runq.len() > 0 {
 			p := e.runq.pop()
 			e.stats.Dispatches++
-			if p.state == stateNew && p.killed {
-				e.retire(p) // killed before it ever ran: no goroutine to unwind
-				continue
+			switch {
+			case p.killed && (p.state == stateNew || p.step != nil):
+				e.retire(p) // never ran, or a callback: no goroutine to unwind
+			case p.step != nil:
+				e.runStep(p)
+			default:
+				return p
 			}
-			return p
+			continue
 		}
 		if e.timers.len() == 0 || (e.limit >= 0 && e.timers.min().deadline > e.limit) {
 			return nil
@@ -352,6 +379,31 @@ func (e *Env) schedule() *Proc {
 		e.wake(ent.p, wakeTimeout)
 	}
 	return nil
+}
+
+// runStep is a callback process's dispatch: its step runs here, inside
+// schedule, on the stack of whichever process (or RunUntil) is looking for a
+// successor. When it returns it has parked or queued itself, or it is done.
+// A panic or a runtime.Goexit in it is the run's failure under the callback's
+// own name, not the name of the process whose stack it borrowed (which a
+// Goexit goes on to unwind, as far as RunUntil).
+func (e *Env) runStep(p *Proc) {
+	p.state = stateRunning
+	returned := false
+	defer func() {
+		switch r := recover(); {
+		case e.failure != nil:
+		case r != nil:
+			e.failure = fmt.Errorf("vclock: callback process %q panicked: %v\n%s", p.name, r, debug.Stack())
+		case !returned:
+			e.failure = fmt.Errorf("vclock: callback process %q called runtime.Goexit", p.name)
+		}
+		if p.state == stateRunning {
+			e.retire(p)
+		}
+	}()
+	p.step(p)
+	returned = true
 }
 
 // drive is the trampoline: it resumes p, then the successor p left when it
@@ -415,7 +467,8 @@ func (e *Env) RunUntil(limit Time) (err error) {
 
 // shutdown kills all remaining processes, in id order, so their goroutines
 // exit. Each one unwinds and leaves no successor (schedule returns nil while
-// stopping is set); whatever its deferred calls queued is dropped.
+// stopping is set); whatever its deferred calls queued is dropped. A callback
+// process has nothing to unwind and is retired in place, like a new one.
 // Timers of the killed stay in the heap, like those of any killed process.
 func (e *Env) shutdown() {
 	e.stopping = true
@@ -428,7 +481,7 @@ func (e *Env) shutdown() {
 		p := e.procs[id]
 		p.killed = true
 		e.stats.Dispatches++
-		if p.state == stateNew {
+		if p.state == stateNew || p.step != nil {
 			e.retire(p)
 			continue
 		}
@@ -452,8 +505,12 @@ func (p *Proc) yield() {
 }
 
 // unwindIfKilled is the check every blocking primitive makes before it
-// returns early or parks: a killed process gets no further.
+// returns early or parks: a killed process gets no further, and a callback
+// process has no stack of its own to block on.
 func (p *Proc) unwindIfKilled() {
+	if p.step != nil {
+		panic(fmt.Sprintf("vclock: blocking call in callback process %q: a GoFunc step must not block, it parks with SleepNext, WaitNext or PopNext and returns", p.name))
+	}
 	if p.killed {
 		panic(killedSentinel{})
 	}
@@ -464,6 +521,14 @@ func (p *Proc) unwindIfKilled() {
 // Yield is a loop or a branch around this.
 func (p *Proc) park(l *waitList, d Time) wakeCause {
 	p.unwindIfKilled()
+	p.arm(l, d)
+	p.yield()
+	return p.cause
+}
+
+// arm fills in p's wait record: parked on l (may be nil), on a timer when
+// d > 0, or both.
+func (p *Proc) arm(l *waitList, d Time) {
 	e := p.env
 	if l != nil {
 		l.w = append(l.w, waiter{p, p.block})
@@ -473,8 +538,43 @@ func (p *Proc) park(l *waitList, d Time) wakeCause {
 		e.timers.push(e.now+d, e.seq, p)
 	}
 	p.state = stateBlocked
-	p.yield()
-	return p.cause
+}
+
+// parks is the entry check of SleepNext, WaitNext and PopNext, the forms a
+// callback process's step parks with: each arms the wait record park arms
+// and returns, and the step returns after it. It reports false for a step
+// that has killed itself: like a coroutine at its next blocking call it gets
+// no further — nothing is registered and it is retired when it returns.
+func (p *Proc) parks() bool {
+	if p.step == nil || p.state != stateRunning {
+		panic(fmt.Sprintf("vclock: %q parks with SleepNext, WaitNext or PopNext: not a callback process inside its step, or parked already", p.name))
+	}
+	return !p.killed
+}
+
+// SleepNext is the callback form of Sleep: p's next dispatch comes after d of
+// virtual time, or for d <= 0 from the back of the run queue at this instant.
+func (p *Proc) SleepNext(d Time) {
+	if !p.parks() {
+		return
+	}
+	if d > 0 {
+		p.arm(nil, d)
+		return
+	}
+	p.state = stateQueued
+	p.env.runq.push(p)
+}
+
+// WaitNext is the callback form of Wait, or of WaitTimeout when d > 0: p's
+// next dispatch comes when ev triggers or d has elapsed (ev.Triggered says
+// which). It reports whether the step must return now; false means ev is
+// already triggered and nothing was registered.
+func (p *Proc) WaitNext(ev *Event, d Time) bool {
+	if p.parks() && !ev.triggered {
+		p.arm(&ev.waiters, d)
+	}
+	return p.killed || p.state == stateBlocked
 }
 
 // Name returns the process name given at spawn time.
