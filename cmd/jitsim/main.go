@@ -273,9 +273,11 @@ func startServe(addr string) (*tracestream.Stream, func()) {
 	go http.Serve(ln, tracestream.NewServer(st))
 	fmt.Fprintf(os.Stderr, "jitsim: serving live metrics on http://%s (endpoints: /metrics /fleet /jobs/{id}/timeline)\n", ln.Addr())
 	return st, func() {
-		fmt.Fprintln(os.Stderr, "jitsim: run finished; still serving final snapshots — interrupt to exit")
+		// Listen for the signal before inviting it: a supervisor that acts on
+		// the line below must find the handler installed.
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		fmt.Fprintln(os.Stderr, "jitsim: run finished; still serving final snapshots — interrupt to exit")
 		<-sig
 	}
 }

@@ -1,10 +1,16 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
+	"net/http"
 	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"jitckpt/internal/clitest"
+	"jitckpt/internal/tracestream"
 )
 
 var jitsimBin string
@@ -33,4 +39,79 @@ func TestCLI(t *testing.T) {
 		{Name: "transparent recovers a sticky error", Args: "-policy transparent -fail gpu-sticky -fail-iter 5 -iters 8", Want: []string{"completed:    true"}},
 		{Name: "userjit recovers a lost GPU", Args: "-policy userjit -fail gpu-hard -fail-iter 5 -iters 8", Want: []string{"completed:    true"}},
 	})
+}
+
+// TestServe drives -serve as an operator would: start the run, take the
+// address from stderr, read every endpoint over loopback once the run has
+// finished, interrupt, and expect a clean exit.
+func TestServe(t *testing.T) {
+	cmd := exec.Command(jitsimBin, strings.Fields("-policy userjit -fail gpu-hard -fail-iter 5 -iters 8 -serve 127.0.0.1:0")...)
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill() // no-op once Wait has reaped it
+	var base string
+	lines := bufio.NewScanner(stderr)
+	for lines.Scan() {
+		if _, rest, ok := strings.Cut(lines.Text(), "serving live metrics on "); ok {
+			base, _, _ = strings.Cut(rest, " ")
+		}
+		if strings.Contains(lines.Text(), "run finished; still serving") {
+			break
+		}
+	}
+	if base == "" {
+		t.Fatalf("no serving address on stderr (scan error: %v)", lines.Err())
+	}
+
+	get := func(path string, wantCode int, into interface{}) {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != wantCode {
+			t.Fatalf("GET %s: %d, want %d", path, resp.StatusCode, wantCode)
+		}
+		if into != nil {
+			if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+				t.Fatalf("GET %s: %v", path, err)
+			}
+		}
+	}
+	var m tracestream.MetricsSnapshot
+	get("/metrics", 200, &m)
+	if m.JobsCompleted != 1 || m.RecoveryEpisodes == 0 {
+		t.Errorf("/metrics: %d jobs completed, %d recovery episodes; want 1 and at least 1", m.JobsCompleted, m.RecoveryEpisodes)
+	}
+	var f tracestream.FleetResponse
+	get("/fleet", 200, &f)
+	if len(f.Jobs) != 1 || f.Jobs[0].ID != "r1.job" || !f.Jobs[0].Done {
+		t.Errorf("/fleet: jobs %+v, want r1.job done", f.Jobs)
+	}
+	var tl tracestream.TimelineResponse
+	get("/jobs/r1.job/timeline", 200, &tl)
+	complete := 0
+	for _, ev := range tl.TraceEvents {
+		if ev.Ph == "X" {
+			complete++
+		}
+	}
+	if complete == 0 {
+		t.Errorf("timeline of r1.job has no complete span among %d events", len(tl.TraceEvents))
+	}
+	get("/jobs/ghost/timeline", 404, nil)
+	get("/jobs/r1.job/timeline?n=0", 400, nil)
+
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("after SIGINT: %v, want exit 0", err)
+	}
 }

@@ -28,22 +28,20 @@ type chromeFile struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChrome writes the full log as Chrome trace-event JSON. Each
-// simulation run becomes one "process" (runs restart virtual time at
-// zero), each lane one named "thread"; paired spans become complete 'X'
-// events, unclosed spans stay open-ended 'B' events, instants become 'i'.
-func WriteChrome(w io.Writer, r *Recorder) error {
-	evs := r.Events()
-
-	// Stable lane -> tid assignment per run, in order of first appearance.
+// ChromeThreads returns the pid/tid assignment every export in this
+// schema shares: one process per run, one thread per lane, numbered in
+// order of first appearance. The returned function maps (run, lane) to its
+// tid and, the first time it sees a run or a lane, appends the
+// process_name / thread_name metadata event naming it to *out — so call it
+// before appending the event that carries the tid.
+func ChromeThreads(out *[]ChromeEvent) func(run int, lane string) int {
 	type laneKey struct {
 		run  int
 		lane string
 	}
 	tids := make(map[laneKey]int)
-	var out []ChromeEvent
 	runSeen := make(map[int]bool)
-	tid := func(run int, lane string) int {
+	return func(run int, lane string) int {
 		k := laneKey{run, lane}
 		if id, ok := tids[k]; ok {
 			return id
@@ -52,17 +50,27 @@ func WriteChrome(w io.Writer, r *Recorder) error {
 		tids[k] = id
 		if !runSeen[run] {
 			runSeen[run] = true
-			out = append(out, ChromeEvent{
+			*out = append(*out, ChromeEvent{
 				Name: "process_name", Ph: "M", PID: run, TID: 0,
 				Args: map[string]string{"name": fmt.Sprintf("run %d", run)},
 			})
 		}
-		out = append(out, ChromeEvent{
+		*out = append(*out, ChromeEvent{
 			Name: "thread_name", Ph: "M", PID: run, TID: id,
 			Args: map[string]string{"name": lane},
 		})
 		return id
 	}
+}
+
+// WriteChrome writes the full log as Chrome trace-event JSON. Each
+// simulation run becomes one "process" (runs restart virtual time at
+// zero), each lane one named "thread"; paired spans become complete 'X'
+// events, unclosed spans stay open-ended 'B' events, instants become 'i'.
+func WriteChrome(w io.Writer, r *Recorder) error {
+	evs := r.Events()
+	var out []ChromeEvent
+	tid := ChromeThreads(&out)
 
 	// Pair span ends with their begins.
 	endOf := make(map[uint64]*Ev, len(evs)/2)

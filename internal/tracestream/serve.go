@@ -43,11 +43,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// ListenAndServe serves on addr until the listener fails.
-func (s *Server) ListenAndServe(addr string) error {
-	return http.ListenAndServe(addr, s)
-}
-
 func (s *Server) index(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
 		http.NotFound(w, r)
@@ -120,32 +115,10 @@ func (s *Server) timeline(w http.ResponseWriter, r *http.Request) {
 }
 
 // chromeEvents renders span views in the Chrome exporter's schema, with
-// the same metadata convention: one process per run, one named thread
-// per lane in order of first appearance.
+// its metadata convention (trace.ChromeThreads).
 func chromeEvents(spans []SpanView) []trace.ChromeEvent {
-	tids := make(map[laneKey]int)
-	runSeen := make(map[int]bool)
 	var out []trace.ChromeEvent
-	tid := func(run int, lane string) int {
-		k := laneKey{run, lane}
-		if id, ok := tids[k]; ok {
-			return id
-		}
-		id := len(tids) + 1
-		tids[k] = id
-		if !runSeen[run] {
-			runSeen[run] = true
-			out = append(out, trace.ChromeEvent{
-				Name: "process_name", Ph: "M", PID: run, TID: 0,
-				Args: map[string]string{"name": fmt.Sprintf("run %d", run)},
-			})
-		}
-		out = append(out, trace.ChromeEvent{
-			Name: "thread_name", Ph: "M", PID: run, TID: id,
-			Args: map[string]string{"name": lane},
-		})
-		return id
-	}
+	tid := trace.ChromeThreads(&out)
 	us := func(t vclock.Time) float64 { return float64(t) / 1e3 }
 	for _, sv := range spans {
 		ce := trace.ChromeEvent{

@@ -3,6 +3,8 @@ package tracestream_test
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -59,6 +61,33 @@ func TestServeMetrics(t *testing.T) {
 	}
 	if m.GoodputEstimate <= 0 || m.GoodputEstimate > 1 {
 		t.Fatalf("goodput estimate %v outside (0,1]", m.GoodputEstimate)
+	}
+}
+
+// TestServeMetricsSchema pins /metrics' exact top-level JSON key set: a
+// field added to or dropped from MetricsSnapshot is a change to what
+// scrapers read, and shows here as one line of this list.
+func TestServeMetricsSchema(t *testing.T) {
+	_, srv := streamedRun(t)
+	_, body := get(t, srv, "/metrics")
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(body, &top); err != nil {
+		t.Fatalf("decode /metrics: %v\n%s", err, body)
+	}
+	got := make([]string, 0, len(top))
+	for k := range top {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	want := []string{
+		"CkptStall", "Current", "DroppedEvents", "Events", "Fleet",
+		"GoodputEstimate", "HavePool", "Jobs", "JobsCompleted", "JobsDone",
+		"LastT", "LiveUsefulGPUTime", "OpenSpans", "Pool",
+		"RecoveryEpisodes", "RecoveryFixed", "RedoWork", "Useful",
+		"WaitingForCapacity", "Window", "WindowWidth",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("/metrics keys changed:\ngot:  %q\nwant: %q", got, want)
 	}
 }
 
@@ -198,7 +227,7 @@ func soakFleetConfig(st *tracestream.Stream) cluster.Config {
 // directly: the race detector sees the same interleavings a TCP listener
 // would produce, without the port.
 func TestServeRaceSoak(t *testing.T) {
-	st := tracestream.New(tracestream.Options{LaneCap: 64, SpanCap: 64})
+	st := tracestream.New(tracestream.Options{})
 	srv := tracestream.NewServer(st)
 
 	done := make(chan struct{})

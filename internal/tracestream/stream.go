@@ -13,28 +13,30 @@
 //	   │                  cats before formatting, via trace.FilteringSink)
 //	   │ staging batch (amortizes the aggregator's cache footprint;
 //	   │                drained by every snapshot, so reads see everything)
-//	   │ per-lane Ring (bounded, drop-oldest, exact dropped count)
-//	   │ span finalizer (open spans close as end events arrive;
-//	   │                 long-running spans surface as in-progress)
+//	   │ span finalizer (open spans close as end events arrive into a
+//	   │                 per-job bounded, drop-oldest ring with an exact
+//	   │                 dropped count; long-running spans surface as
+//	   │                 in-progress)
 //	   └ two-level aggregator
-//	        per-job   : phase sums, windowed rates, and the authoritative
-//	                    final rollup from the run's core/acct instant —
-//	                    exactly metrics.Accounting, never recomputed
-//	        per-fleet : spare-pool level (cluster/pool), recovery
-//	                    episodes, and the final cluster/fleet-acct rollup
-//	                    mirroring cluster.Result
+//	        per-job   : phase sums and the authoritative final rollup
+//	                    from the run's core/acct instant — exactly
+//	                    metrics.Accounting, never recomputed
+//	        per-fleet : windowed rates, spare-pool level (cluster/pool),
+//	                    recovery episodes, and the final cluster/fleet-acct
+//	                    rollup mirroring cluster.Result
 //
-// Memory is bounded on every axis: rings and span history are capped per
-// lane and per job, and Options.RunWindow evicts whole runs' detail as a
-// sweep streams run after run through one Stream — summaries and finals
-// are kept forever, detail only for the recent window, and evicted
-// buffers are recycled so a long-lived stream stops allocating.
+// The stream holds what /metrics, /fleet and /jobs/{id}/timeline serve and
+// nothing else. Detail is bounded: span history is capped per job
+// (spanCap), and only the last runWindow runs keep any as a sweep streams
+// run after run through one Stream — summaries and finals are kept
+// forever, and evicted buffers are recycled so a long-lived stream stops
+// allocating.
 //
 // Two properties make it safe to leave on:
 //
 //   - Zero perturbation: the sink runs synchronously on the simulation
-//     goroutine, never touches the environment, and drops (ring
-//     eviction) rather than blocks when a consumer lags. A streamed run
+//     goroutine, never touches the environment, and drops (span-ring
+//     eviction) rather than blocks when nobody reads. A streamed run
 //     is byte-identical to a plain one (the differential suite in core
 //     and cluster pins this for every golden policy).
 //
@@ -45,7 +47,7 @@
 //     so the aggregator's finals equal the post-hoc numbers exactly.
 //
 // Snapshots are lock-brief: Stream holds one mutex during event ingest
-// (nanoseconds: ring push + a few map updates) and during snapshot
+// (nanoseconds: a few map updates) and during snapshot
 // copies; JSON encoding happens outside the lock.
 package tracestream
 
@@ -59,68 +61,40 @@ import (
 	"jitckpt/internal/vclock"
 )
 
-// Options bound the stream's memory and set the rollup window.
-type Options struct {
-	// LaneCap is each per-lane ring's capacity (default 512).
-	LaneCap int
-	// SpanCap is each job's recent-finalized-span ring capacity
-	// (default 512).
-	SpanCap int
-	// Window is the rollup window width in virtual time (default 1s):
-	// rates are recomputed incrementally per window, not by rescanning.
-	Window vclock.Time
-	// Cats selects the event categories the stream ingests; nil selects
-	// DefaultCats, and a single "*" entry ingests everything. Filtering
-	// happens before the stream's mutex, so excluded events cost one map
-	// probe — this is what keeps the live tap within its overhead budget:
-	// per-kernel gpu/cuda/nccl noise is ~30× the narrative volume and
-	// none of it feeds the rollups (the golden traces filter to the same
-	// narrative for the same reason).
-	Cats []string
-	// RunWindow is how many recent runs keep full timeline detail (lane
-	// rings and finalized-span history); default 2 — the streaming run and
-	// the one before it — and negative keeps every run. When a sweep
-	// streams hundreds of runs through one Stream, the window is what
-	// keeps memory bounded: older runs' detail is evicted (counted in the
-	// dropped totals, like any other truncation) while their job summaries
-	// and authoritative finals are kept forever.
-	RunWindow int
-}
+// Options is empty: nothing ever set a field of it, so the bounds below
+// are constants. The type and New's parameter stay only because benchmark/
+// (frozen, see DESIGN.md "Stale text in benchmark/") spells
+// tracestream.New(tracestream.Options{}); both go when it is re-based.
+type Options struct{}
 
-// DefaultCats is the narrative category set the stream ingests by
-// default: run/recovery structure, training progress, checkpoint
-// activity, failures, and the cluster timeline — everything the
-// aggregator rolls up, nothing the per-kernel simulation spams.
-// Per-rank peer-shelter transport ("peer") is excluded like the other
-// transport noise: its outcome reaches the stream exactly through the
-// final accounting instant, and runs that want the raw spans can opt in
-// with Options.Cats.
-func DefaultCats() []string {
-	return []string{"core", "train", "ckpt", "fail", "phase", "elastic", "cluster"}
-}
+const (
+	// spanCap is each job's recent-finalized-span ring capacity.
+	spanCap = 512
+	// windowWidth is the rollup window in virtual time: rates are
+	// recomputed incrementally per window, not by rescanning.
+	windowWidth = vclock.Second
+	// runWindow is how many recent runs keep timeline detail (open spans
+	// and finalized-span history): the streaming run and the one before it.
+	// When a sweep streams hundreds of runs through one Stream this is what
+	// bounds memory: older runs' detail is evicted (counted as dropped, like
+	// any other truncation) while their job summaries and authoritative
+	// finals are kept forever.
+	runWindow = 2
+)
 
-func (o Options) withDefaults() Options {
-	if o.LaneCap <= 0 {
-		o.LaneCap = 512
-	}
-	if o.SpanCap <= 0 {
-		o.SpanCap = 512
-	}
-	if o.Window <= 0 {
-		o.Window = vclock.Second
-	}
-	if o.RunWindow == 0 {
-		o.RunWindow = 2
-	}
-	if len(o.Cats) == 0 {
-		o.Cats = DefaultCats()
-	}
-	return o
-}
-
-type laneKey struct {
-	run  int
-	lane string
+// narrativeCats is the category set the stream ingests: run/recovery
+// structure, training progress, checkpoint activity, failures, and the
+// cluster timeline — everything the aggregator rolls up, nothing the
+// per-kernel simulation spams (gpu/cuda/nccl noise is ~30× the narrative
+// volume, and the golden traces filter to the same narrative for the same
+// reason). Per-rank peer-shelter transport ("peer") is excluded like the
+// other transport noise: its outcome reaches the stream exactly through
+// the final accounting instant. Filtering happens before the stream's
+// mutex, so an excluded event costs one probe of this never-mutated map —
+// that is what keeps the live tap within its overhead budget.
+var narrativeCats = map[string]bool{
+	"core": true, "train": true, "ckpt": true, "fail": true,
+	"phase": true, "elastic": true, "cluster": true,
 }
 
 type jobKey struct {
@@ -130,12 +104,6 @@ type jobKey struct {
 
 type phaseKey struct {
 	cat, name string
-}
-
-type laneState struct {
-	key  laneKey
-	tid  int // per-run thread id, Chrome-exporter style
-	ring *Ring
 }
 
 type openSpan struct {
@@ -157,8 +125,8 @@ type SpanView struct {
 	EndArgs         []trace.Arg
 }
 
-// window accumulates one rollup window's counters; rolling past the
-// window boundary snapshots it and resets, so rates never rescan.
+// window accumulates one fleet-level rollup window's counters; rolling
+// past the window boundary snapshots it and resets, so rates never rescan.
 type window struct {
 	Start       vclock.Time
 	Events      int
@@ -168,12 +136,12 @@ type window struct {
 	Useful vclock.Time
 }
 
-func (w *window) roll(t, width vclock.Time, last *window) {
-	if t >= w.Start && t < w.Start+width {
+func (w *window) roll(t vclock.Time, last *window) {
+	if t >= w.Start && t < w.Start+windowWidth {
 		return
 	}
 	*last = *w
-	*w = window{Start: t - t%width}
+	*w = window{Start: t - t%windowWidth}
 }
 
 type jobState struct {
@@ -197,7 +165,6 @@ type jobState struct {
 	incarnations int
 	phases       map[phaseKey]*phaseAgg
 	spans        spanRing
-	win, lastWin window
 }
 
 // phaseAgg accumulates one (cat, name) phase's closed-span totals. The
@@ -238,11 +205,7 @@ type FleetFinal struct {
 // Stream is the live aggregator; it implements trace.EventSink and is
 // safe for concurrent snapshotting while the simulation ingests.
 type Stream struct {
-	mu  sync.Mutex
-	opt Options
-	// cats is the ingest filter, immutable after New — reads need no lock.
-	cats map[string]bool
-	all  bool // Cats contained "*": ingest everything
+	mu sync.Mutex
 
 	// stage batches accepted events ahead of aggregation: Event appends
 	// (one contiguous, cache-hot copy) and the map-heavy ingest work runs
@@ -257,15 +220,9 @@ type Stream struct {
 	lastT  vclock.Time
 
 	// Run-detail window: runOrder lists the runs whose timeline detail is
-	// still retained; evicted counts the events whose detail was dropped
-	// when older runs aged out.
+	// still retained.
 	runOrder []int
 	curRun   int
-	evicted  uint64
-
-	lanes     map[laneKey]*laneState
-	laneOrder []*laneState
-	tidPerRun map[int]int
 
 	open map[uint64]openSpan
 
@@ -275,11 +232,10 @@ type Stream struct {
 	soleJob     map[int]*jobState // run -> its only job; nil once a second registers
 	runJobCount map[int]int
 
-	// Recycled buffer storage from evicted runs: a long-lived Stream
-	// reaches ring-buffer steady state after RunWindow runs instead of
-	// re-growing (and garbage-collecting) every run's rings. The pools
-	// only grow when runs are evicted, so they are bounded by the window.
-	freeEv   [][]trace.Ev
+	// Recycled span-ring storage from evicted runs: a long-lived Stream
+	// reaches steady state after runWindow runs instead of re-growing (and
+	// garbage-collecting) every run's rings. The pool only grows when runs
+	// are evicted, so it is bounded by the window.
 	freeSpan [][]SpanView
 
 	pool       PoolLevel
@@ -292,38 +248,22 @@ type Stream struct {
 // New creates an empty Stream; attach it with Recorder.SetSink (or the
 // Stream fields on core.JobConfig / cluster.Config, which do that and
 // keep working when no post-hoc log is retained).
-func New(opt Options) *Stream {
-	s := &Stream{
-		opt:         opt.withDefaults(),
+func New(Options) *Stream {
+	return &Stream{
 		stage:       make([]trace.Ev, 0, stageCap),
-		cats:        make(map[string]bool),
-		lanes:       make(map[laneKey]*laneState),
-		tidPerRun:   make(map[int]int),
 		open:        make(map[uint64]openSpan),
 		jobs:        make(map[jobKey]*jobState),
 		byID:        make(map[string]*jobState),
 		soleJob:     make(map[int]*jobState),
 		runJobCount: make(map[int]int),
 	}
-	for _, c := range s.opt.Cats {
-		if c == "*" {
-			s.all = true
-		}
-		s.cats[c] = true
-	}
-	return s
 }
 
 // SinkCats implements trace.FilteringSink: a retention-free recorder
 // uses the advertised set to elide excluded categories before arg
 // formatting, so the per-kernel noise a live tap ignores costs the
-// simulation almost nothing. The map is built in New and never mutated.
-func (s *Stream) SinkCats() map[string]bool {
-	if s.all {
-		return nil
-	}
-	return s.cats
-}
+// simulation almost nothing.
+func (s *Stream) SinkCats() map[string]bool { return narrativeCats }
 
 // stageCap is the staging batch size: small enough that the parked
 // events (and the arg allocations they reference) are negligible, large
@@ -336,7 +276,7 @@ const stageCap = 256
 func (s *Stream) Event(ev *trace.Ev) {
 	// The category filter runs before the lock: an excluded event costs
 	// one probe of an immutable map and touches no shared state.
-	if !s.all && !s.cats[ev.Cat] {
+	if !narrativeCats[ev.Cat] {
 		return
 	}
 	s.mu.Lock()
@@ -364,16 +304,8 @@ func (s *Stream) ingest(ev *trace.Ev) {
 	if ev.T > s.lastT {
 		s.lastT = ev.T
 	}
-	s.win.roll(ev.T, s.opt.Window, &s.lastWin)
+	s.win.roll(ev.T, &s.lastWin)
 	s.win.Events++
-
-	// The ring keeps the event envelope only: Cat/Lane/Name are static
-	// callsite strings, but Args are per-event heap allocations the
-	// recorder would otherwise let die immediately — retaining them across
-	// ~10^5 ring slots is what turns a cheap tap into GC pressure. Span
-	// args survive where they are served from (openSpan and the per-job
-	// span ring).
-	s.laneOf(ev.Run, ev.Lane).ring.PushStripped(ev)
 
 	switch ev.Ph {
 	case 'B':
@@ -390,8 +322,6 @@ func (s *Stream) ingest(ev *trace.Ev) {
 			if ev.Cat == "core" && ev.Name == "incarnation" {
 				job.incarnations++
 			}
-			s.rollJob(job, ev.T)
-			job.win.Events++
 		}
 	case 'E':
 		os, ok := s.open[ev.Ref]
@@ -418,11 +348,7 @@ func (s *Stream) ingest(ev *trace.Ev) {
 		}
 		pa.dur += dur
 		pa.n++
-		s.rollJob(job, ev.T)
-		job.win.Events++
-		job.win.SpansClosed++
 		if pk == (phaseKey{"train", "iter"}) {
-			job.win.Useful += dur
 			s.win.Useful += dur
 		}
 		if pk == (phaseKey{"core", "recovery"}) {
@@ -455,7 +381,7 @@ func (s *Stream) ingest(ev *trace.Ev) {
 }
 
 // noteRun opens detail tracking for a newly seen run and ages out the
-// oldest runs beyond the RunWindow. The recorder numbers runs
+// oldest runs beyond runWindow. The recorder numbers runs
 // monotonically and records one at a time, so a changed run id marks a
 // run boundary (a repeated id — fleet tenants all share run 1 — is
 // caught by the membership scan and never re-appended).
@@ -467,37 +393,17 @@ func (s *Stream) noteRun(run int) {
 		}
 	}
 	s.runOrder = append(s.runOrder, run)
-	if s.opt.RunWindow < 0 {
-		return
-	}
-	for len(s.runOrder) > s.opt.RunWindow {
+	for len(s.runOrder) > runWindow {
 		s.evictRun(s.runOrder[0])
 		s.runOrder = s.runOrder[1:]
 	}
 }
 
-// evictRun drops one run's timeline detail — lane rings, open spans, and
+// evictRun drops one run's timeline detail — open spans and
 // finalized-span history — while keeping every job summary and
-// authoritative final. Evicted events and spans stay counted in the
-// dropped totals, so a consumer can tell truncated history from a quiet
-// run.
+// authoritative final. Evicted finalized spans stay counted in the dropped
+// totals, so a consumer can tell truncated history from a quiet run.
 func (s *Stream) evictRun(run int) {
-	keep := s.laneOrder[:0]
-	for _, ls := range s.laneOrder {
-		if ls.key.run != run {
-			keep = append(keep, ls)
-			continue
-		}
-		s.evicted += ls.ring.Dropped() + uint64(ls.ring.Len())
-		if buf := ls.ring.recycle(); buf != nil {
-			s.freeEv = append(s.freeEv, buf)
-		}
-		delete(s.lanes, ls.key)
-	}
-	for i := len(keep); i < len(s.laneOrder); i++ {
-		s.laneOrder[i] = nil // release the evicted laneStates
-	}
-	s.laneOrder = keep
 	for seq, os := range s.open {
 		if os.run != run {
 			continue
@@ -515,27 +421,6 @@ func (s *Stream) evictRun(run int) {
 			s.freeSpan = append(s.freeSpan, buf)
 		}
 	}
-}
-
-func (s *Stream) rollJob(j *jobState, t vclock.Time) {
-	j.win.roll(t, s.opt.Window, &j.lastWin)
-}
-
-func (s *Stream) laneOf(run int, lane string) *laneState {
-	k := laneKey{run, lane}
-	if ls := s.lanes[k]; ls != nil {
-		return ls
-	}
-	s.tidPerRun[run]++
-	ls := &laneState{key: k, tid: s.tidPerRun[run], ring: NewRing(s.opt.LaneCap)}
-	if n := len(s.freeEv); n > 0 {
-		ls.ring.adopt(s.freeEv[n-1])
-		s.freeEv[n-1] = nil
-		s.freeEv = s.freeEv[:n-1]
-	}
-	s.lanes[k] = ls
-	s.laneOrder = append(s.laneOrder, ls)
-	return ls
 }
 
 // registerJob creates (or returns) the job a core/run begin announces.
@@ -559,7 +444,6 @@ func (s *Stream) registerJob(ev *trace.Ev) *jobState {
 		iters:  int(argInt(ev.Args, "iters")),
 		phases: make(map[phaseKey]*phaseAgg),
 	}
-	j.spans.cap = s.opt.SpanCap
 	if n := len(s.freeSpan); n > 0 {
 		j.spans.buf = s.freeSpan[n-1]
 		s.freeSpan[n-1] = nil
@@ -775,10 +659,11 @@ func (s *Stream) Timeline(id string, max int) (TimelineSnapshot, bool) {
 type MetricsSnapshot struct {
 	// Ingest counters.
 	Events uint64
-	// DroppedEvents counts timeline truncation: per-lane ring evictions
-	// plus whole-run detail aged out past Options.RunWindow. Monotonic.
+	// DroppedEvents counts what a timeline reader can miss: finalized
+	// spans overwritten in a job's span ring or sealed with a run aged out
+	// past runWindow — Σ TimelineSnapshot.Dropped over all jobs. Monotonic.
+	// (Spans, not events: the name is what benchmark/ reads.)
 	DroppedEvents uint64
-	Lanes         int
 	OpenSpans     int
 	LastT         vclock.Time
 	// Job rollup.
@@ -820,23 +705,19 @@ func (s *Stream) Metrics() MetricsSnapshot {
 	defer s.mu.Unlock()
 	m := MetricsSnapshot{
 		Events:      s.events,
-		Lanes:       len(s.laneOrder),
 		OpenSpans:   len(s.open),
 		LastT:       s.lastT,
 		Jobs:        len(s.jobOrder),
 		HavePool:    s.havePool,
 		Pool:        s.pool,
 		Fleet:       s.fleetFinal,
-		WindowWidth: s.opt.Window,
+		WindowWidth: windowWidth,
 		Window:      s.lastWin,
 		Current:     s.win,
 	}
-	m.DroppedEvents = s.evicted
-	for _, ls := range s.laneOrder {
-		m.DroppedEvents += ls.ring.Dropped()
-	}
 	totGPUs := 0
 	for _, j := range s.jobOrder {
+		m.DroppedEvents += j.spans.dropped
 		totGPUs += j.gpus
 		if j.done {
 			m.JobsDone++
@@ -866,13 +747,17 @@ func (s *Stream) Metrics() MetricsSnapshot {
 	return m
 }
 
-// spanRing is Ring's shape for finalized SpanViews (one per job). A
-// sealed ring (its run's detail was evicted) keeps no history and counts
-// every span — retained or late-arriving — as dropped.
+// spanRing is a job's bounded drop-oldest buffer of finalized SpanViews:
+// the pipeline's backpressure valve. Pushing into a full ring overwrites
+// the oldest span and counts it in dropped — ingestion never blocks and
+// never grows past spanCap, and the exact count lets a consumer tell a
+// quiet job from truncated history. The buffer grows lazily, so a
+// short-lived job never pays for the bound. A sealed ring (its run's
+// detail was evicted) keeps no history and counts every span — retained
+// or late-arriving — as dropped.
 type spanRing struct {
 	buf     []SpanView
-	cap     int
-	start   int
+	start   int // index of the oldest span when full
 	dropped uint64
 	sealed  bool
 }
@@ -893,29 +778,20 @@ func (r *spanRing) seal() []SpanView {
 }
 
 func (r *spanRing) push(sv SpanView) {
-	if r.sealed {
+	switch {
+	case r.sealed:
 		r.dropped++
-		return
-	}
-	if r.cap < 1 {
-		r.cap = 1
-	}
-	if len(r.buf) < r.cap {
+	case len(r.buf) < spanCap:
 		r.buf = append(r.buf, sv)
-		return
+	default:
+		r.buf[r.start] = sv
+		r.start = (r.start + 1) % spanCap
+		r.dropped++
 	}
-	r.buf[r.start] = sv
-	r.start++
-	if r.start == r.cap {
-		r.start = 0
-	}
-	r.dropped++
 }
 
+// snapshot appends the retained spans, oldest first, to dst.
 func (r *spanRing) snapshot(dst []SpanView) []SpanView {
-	if len(r.buf) < r.cap {
-		return append(dst, r.buf...)
-	}
 	dst = append(dst, r.buf[r.start:]...)
 	return append(dst, r.buf[:r.start]...)
 }

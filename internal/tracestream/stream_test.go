@@ -89,29 +89,34 @@ func TestSpanFinalization(t *testing.T) {
 }
 
 func TestTimelineTruncationCountsDropped(t *testing.T) {
-	st := New(Options{SpanCap: 4})
+	st := New(Options{})
 	f := newFeed(st)
 	f.begin(0, "core", "sim", "run", runArgs("j")...)
-	for i := 0; i < 10; i++ {
+	const over = 6
+	for i := 0; i < spanCap+over; i++ {
 		ref := f.begin(vclock.Time(10*i), "train", "r0", "iter")
 		f.end(vclock.Time(10*i+5), ref, "train", "r0", "iter")
 	}
 	snap, _ := st.Timeline("j", 0)
-	// 10 closed spans through a cap-4 ring: 6 evicted, 4 retained (plus
-	// the open run span).
-	if snap.Dropped != 6 {
-		t.Fatalf("Dropped=%d, want 6", snap.Dropped)
+	// spanCap+6 closed spans through the ring: 6 evicted, spanCap retained
+	// (plus the open run span).
+	if snap.Dropped != over {
+		t.Fatalf("Dropped=%d, want %d", snap.Dropped, over)
 	}
-	if len(snap.Spans) != 5 {
-		t.Fatalf("spans=%d, want 4 closed + 1 open", len(snap.Spans))
+	if len(snap.Spans) != spanCap+1 {
+		t.Fatalf("spans=%d, want %d closed + 1 open", len(snap.Spans), spanCap)
 	}
-	if snap.Spans[0].Start != 60 {
-		t.Fatalf("oldest retained span starts at %d, want 60", snap.Spans[0].Start)
+	if snap.Spans[0].Start != 10*over {
+		t.Fatalf("oldest retained span starts at %d, want %d", snap.Spans[0].Start, 10*over)
 	}
-	// An explicit ?n= limit folds the extra truncation into Dropped.
+	// An explicit ?n= limit folds the extra truncation into Dropped...
 	snap, _ = st.Timeline("j", 2)
-	if snap.Dropped != 8 || len(snap.Spans) != 3 {
-		t.Fatalf("limited: Dropped=%d spans=%d, want 8/3", snap.Dropped, len(snap.Spans))
+	if snap.Dropped != spanCap+over-2 || len(snap.Spans) != 3 {
+		t.Fatalf("limited: Dropped=%d spans=%d, want %d/3", snap.Dropped, len(snap.Spans), spanCap+over-2)
+	}
+	// ...of that one reply only: /metrics counts what the ring lost.
+	if m := st.Metrics(); m.DroppedEvents != over {
+		t.Fatalf("DroppedEvents=%d, want the %d overwritten spans", m.DroppedEvents, over)
 	}
 }
 
@@ -130,23 +135,24 @@ func TestDuplicateAndUnmatchedEnds(t *testing.T) {
 }
 
 func TestWindowRollup(t *testing.T) {
-	st := New(Options{Window: 100})
+	const ms = vclock.Millisecond
+	st := New(Options{})
 	f := newFeed(st)
 	f.begin(0, "core", "sim", "run", runArgs("j")...)
-	ref := f.begin(10, "train", "r0", "iter")
-	f.end(50, ref, "train", "r0", "iter")
+	ref := f.begin(100*ms, "train", "r0", "iter")
+	f.end(500*ms, ref, "train", "r0", "iter")
 	// Crossing the window boundary snapshots the completed window.
-	ref = f.begin(120, "train", "r0", "iter")
-	f.end(160, ref, "train", "r0", "iter")
+	ref = f.begin(windowWidth+200*ms, "train", "r0", "iter")
+	f.end(windowWidth+600*ms, ref, "train", "r0", "iter")
 	m := st.Metrics()
-	if m.WindowWidth != 100 {
-		t.Fatalf("window width %d, want 100", m.WindowWidth)
+	if m.WindowWidth != windowWidth {
+		t.Fatalf("window width %d, want %d", m.WindowWidth, windowWidth)
 	}
-	if m.Window.Start != 0 || m.Window.Useful != 40 || m.Window.SpansClosed != 1 {
-		t.Fatalf("last window %+v, want start=0 useful=40 closed=1", m.Window)
+	if m.Window.Start != 0 || m.Window.Useful != 400*ms || m.Window.SpansClosed != 1 {
+		t.Fatalf("last window %+v, want start=0 useful=400ms closed=1", m.Window)
 	}
-	if m.Current.Start != 100 || m.Current.Useful != 40 {
-		t.Fatalf("current window %+v, want start=100 useful=40", m.Current)
+	if m.Current.Start != windowWidth || m.Current.Useful != 400*ms {
+		t.Fatalf("current window %+v, want start=%d useful=400ms", m.Current, windowWidth)
 	}
 }
 
@@ -177,14 +183,14 @@ func TestLookupByLabelAndID(t *testing.T) {
 }
 
 // TestRunWindowEviction pins the bounded-memory contract for multi-run
-// streams: detail (lane rings, span history, open spans) survives only
-// for the last RunWindow runs, evicted detail stays counted in the
-// dropped totals, and job summaries with their authoritative finals are
-// kept forever.
+// streams: detail (span history, open spans) survives only for the last
+// runWindow runs, evicted finalized spans stay counted in the dropped
+// totals, and job summaries with their authoritative finals are kept
+// forever.
 func TestRunWindowEviction(t *testing.T) {
-	st := New(Options{RunWindow: 2})
+	st := New(Options{})
 	f := newFeed(st)
-	const runs = 5
+	const runs = runWindow + 3
 	for r := 1; r <= runs; r++ {
 		f.run = r
 		f.begin(0, "core", "sim", "run", runArgs("j")...)
@@ -196,16 +202,13 @@ func TestRunWindowEviction(t *testing.T) {
 	if m.Jobs != runs {
 		t.Fatalf("jobs=%d, want all %d runs' summaries kept", m.Jobs, runs)
 	}
-	// Each evicted run buffered 4 events in its lanes; spans of retained
-	// runs are still live.
-	if m.DroppedEvents != 3*4 {
-		t.Fatalf("DroppedEvents=%d, want 12 from 3 evicted runs", m.DroppedEvents)
+	// Each evicted run had finalized one span (its open ones are forgotten,
+	// not counted); spans of retained runs are still live.
+	if m.DroppedEvents != 3 {
+		t.Fatalf("DroppedEvents=%d, want 1 sealed span from each of 3 evicted runs", m.DroppedEvents)
 	}
-	if m.OpenSpans != 2*2 {
-		t.Fatalf("OpenSpans=%d, want the last 2 runs' run+recovery spans", m.OpenSpans)
-	}
-	if m.Lanes != 2*2 {
-		t.Fatalf("Lanes=%d, want sim+r0 for the last 2 runs", m.Lanes)
+	if m.OpenSpans != 2*runWindow {
+		t.Fatalf("OpenSpans=%d, want the last %d runs' run+recovery spans", m.OpenSpans, runWindow)
 	}
 	// Evicted run: summary intact, timeline empty but accounted.
 	snap, ok := st.Timeline("r1.j", 0)
@@ -230,40 +233,27 @@ func TestRunWindowEviction(t *testing.T) {
 	}
 }
 
-// TestRunWindowKeepAll verifies the negative (keep-everything) setting.
-func TestRunWindowKeepAll(t *testing.T) {
-	st := New(Options{RunWindow: -1})
-	f := newFeed(st)
-	for r := 1; r <= 6; r++ {
-		f.run = r
-		f.begin(0, "core", "sim", "run", runArgs("j")...)
-	}
-	if m := st.Metrics(); m.Lanes != 6 || m.DroppedEvents != 0 {
-		t.Fatalf("lanes=%d dropped=%d, want 6/0 with eviction disabled", m.Lanes, m.DroppedEvents)
-	}
-}
-
 // TestIngestAllocBudget pins the streaming hot path's allocation cost:
-// once lanes, the job, and its phase keys are warm, ingesting a
-// begin/end pair plus a window-advancing instant must not allocate.
-// This is what makes leaving the sink attached free — the rings and
-// maps reach steady state and every further event is overwrite-only.
+// once the job, its span ring and its phase keys are warm, ingesting a
+// begin/end pair plus an instant must not allocate, window rolls
+// included. This is what makes leaving the sink attached free — the ring
+// and maps reach steady state and every further event is overwrite-only.
 func TestIngestAllocBudget(t *testing.T) {
-	st := New(Options{LaneCap: 64, SpanCap: 64, Window: 1000})
+	st := New(Options{})
 	f := newFeed(st)
 	f.begin(0, "core", "sim", "run", runArgs("j")...)
 	iterArgs := []trace.Arg{{K: "it", V: "0"}}
 
 	var now vclock.Time
 	pair := func() {
-		now += 150
+		now += windowWidth / 4
 		ref := f.begin(now, "train", "r0", "iter", iterArgs...)
-		now += 100
+		now += windowWidth / 8
 		f.end(now, ref, "train", "r0", "iter")
 		f.instant(now, "fail", "sim", "detected", iterArgs...)
 	}
-	for i := 0; i < 200; i++ {
-		pair() // warm: rings fill, maps size, windows roll
+	for i := 0; i < spanCap+stageCap; i++ {
+		pair() // warm: the span ring fills, maps size, windows roll
 	}
 	avg := testing.AllocsPerRun(500, pair)
 	if avg > 0 {

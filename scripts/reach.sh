@@ -63,6 +63,17 @@ sim -policy jit+elastic -fail-rate 2000 -mix node-down:0.6,node-repaired:0.4 -it
 # Hard recovery under a lease: the transparent coordinator releases by node ID.
 run "$bin/jitsim" -fleet "2xtransparent,2xuserjit" -fail-rate 600 -mix gpu-hard:1 -iters 20
 
+# Live observability: -serve lingers after the run, so it runs in the
+# background, is read over loopback once it says the run has finished, and is
+# interrupted — the counters are written on the way out of main.
+"$bin/jitsim" -policy userjit -fail gpu-hard -fail-iter 5 -iters 8 -serve 127.0.0.1:0 >/dev/null 2>"$work/serve.err" &
+serve=$!
+for _ in $(seq 100); do grep -q 'still serving' "$work/serve.err" && break; sleep 0.1; done
+base=$(sed -nE 's|.*serving live metrics on (http://[^ ]+).*|\1|p' "$work/serve.err")
+for path in / /metrics /fleet /jobs/r1.job/timeline; do run curl -sf --max-time 5 "$base$path"; done
+kill -INT $serve
+wait $serve || { echo "reach: jitsim -serve did not exit 0 on SIGINT"; cat "$work/serve.err"; exit 1; }
+
 go tool covdata textfmt -i="$cov" -o "$work/reach.out" || exit 1
 # One `pkg/file.go<TAB>[Recv.]Func` line per 0 % function; cover -func prints
 # no receiver, so it is read off the declaration line.

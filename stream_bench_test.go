@@ -1,7 +1,7 @@
 // Streaming-overhead measurement: the chaos grid (benchmark/'s chaos_grid
 // workload) run traced with and without a live tracestream sink
-// attached. The delta isolates the streaming layer itself — ring pushes,
-// span finalization, window rollups — from the cost of tracing, which
+// attached. The delta isolates the streaming layer itself — category
+// filter, span finalization, window rollups — from the cost of tracing, which
 // predates it and is paid either way once a recorder is attached.
 package jitckpt_test
 
