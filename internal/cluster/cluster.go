@@ -253,7 +253,6 @@ func Run(cfg Config) (*Result, error) {
 			Capacity:      e,
 			AwaitCapacity: arb.await,
 			Label:         name,
-			Stream:        cfg.Stream,
 			OnDone: func(res *core.RunResult) {
 				results[idx].Res = res
 				e.finish()

@@ -11,21 +11,21 @@
 //     stream, and notify the scheduler, which restarts the job from the
 //     just-written checkpoint — losing at most one minibatch.
 //
-//  2. Transparent JIT recovery for recoverable errors (§4.2,
-//     Coordinator): transient network faults, sticky CUDA errors and
-//     driver corruption are repaired underneath the application. GPU
-//     state is reset to the start of the minibatch (retaining buffers, or
-//     restoring them from the host or a replica), communicators are
-//     re-created under a fresh generation, the logged device APIs are
-//     replayed, and the application's parked threads resume as if nothing
-//     happened.
+//  2. Transparent JIT recovery for recoverable errors (§4.2, the
+//     coordinator in transparent.go): transient network faults, sticky
+//     CUDA errors and driver corruption are repaired underneath the
+//     application. GPU state is reset to the start of the minibatch
+//     (retaining buffers, or restoring them from the host or a replica),
+//     communicators are re-created under a fresh generation, the logged
+//     device APIs are replayed, and the application's parked threads
+//     resume as if nothing happened.
 //
-//  3. Transparent JIT recovery for hard errors (§4.3, Coordinator):
-//     healthy ranks JIT-checkpoint their GPU state, every worker's CPU
-//     state is CRIU-checkpointed, the job migrates to replacement nodes,
-//     and GPU state is rebuilt from the replay log plus the checkpoint
-//     files — the failed rank reading its replica's file via the stable
-//     tensor naming.
+//  3. Transparent JIT recovery for hard errors (§4.3, the same
+//     coordinator): healthy ranks JIT-checkpoint their GPU state, every
+//     worker's CPU state is CRIU-checkpointed, the job migrates to
+//     replacement nodes, and GPU state is rebuilt from the replay log plus
+//     the checkpoint files — the failed rank reading its replica's file
+//     via the stable tensor naming.
 //
 // The package also provides the evaluation harness (Run) that executes a
 // Table 2 workload under any checkpointing policy with injected failures
@@ -81,7 +81,7 @@ const (
 	// position is lost, the sheltered copy is at most one iteration old,
 	// versus up to a day.
 	PolicyJITWithPeer
-	// UserJIT plus elastic degraded-mode recovery (internal/elastic): when
+	// UserJIT plus elastic degraded-mode recovery (elastic.go): when
 	// spares run out and no full placement exists, the job shrinks to the
 	// largest viable topology (dropping only data-parallel replicas,
 	// raising gradient accumulation to preserve the global batch), keeps
@@ -157,7 +157,7 @@ type PolicyInfo struct {
 	// RAM (internal/pipefree).
 	PipeFree bool
 	// Elastic lets the job shrink to a degraded topology when spares run
-	// out and re-expand after repairs (internal/elastic).
+	// out and re-expand after repairs (elastic.go).
 	Elastic bool
 	// Transparent runs the one-incarnation, coordinator-driven recovery
 	// of §4 instead of the restart loop.
@@ -293,11 +293,12 @@ type PhaseDur struct {
 // Total returns end-to-end recovery time.
 func (r *RecoveryReport) Total() vclock.Time { return r.CompletedAt - r.DetectedAt }
 
-// KindNoViablePlacement is the report kind for a recovery episode that
-// determined eagerly — before spending JIT-checkpoint, CRIU, or quorum
-// time — that no placement can be assembled from healthy plus spare
-// nodes. It is terminal for fixed-width policies and the trigger for an
-// elastic shrink.
+// KindNoViablePlacement is the report kind for a transparent recovery
+// episode that determined eagerly — before spending JIT-checkpoint, CRIU,
+// or quorum time — that no placement can be assembled from healthy plus
+// spare nodes. Transparent jobs are fixed-width, so it is terminal; elastic
+// shrinks come from the restart loop's allocation (harness.allocate), not
+// from this report.
 const KindNoViablePlacement = "hard-failed:no-viable-placement"
 
 // Terminal reports whether the episode ended in a state retrying cannot

@@ -11,6 +11,60 @@ import (
 	"jitckpt/internal/workload"
 )
 
+// TestElasticShrink pins the shrink planner: the largest divisor D' < D
+// that fits, never fewer pipeline stages or tensor slots, FSDP shard
+// groups kept whole, the minNodes floor, and no plan without capacity.
+func TestElasticShrink(t *testing.T) {
+	type row struct {
+		cur                          train.Topology
+		perNode, freeNodes, minNodes int
+		want                         train.Topology // zero: no viable shape
+		nodes                        int
+	}
+	d4 := train.Topology{D: 4, P: 1, T: 1}
+	d2 := train.Topology{D: 2, P: 1, T: 1}
+	cases := []struct {
+		name string
+		rows []row
+	}{
+		{"PicksLargestDivisor", []row{{d4, 2, 1, 0, d2, 1}}},
+		{"NeverDropsPipelineOrTensor", []row{
+			// 1 node × 4 GPUs holds D'=1's whole P·T=4 group ...
+			{train.Topology{D: 2, P: 2, T: 2}, 4, 1, 0, train.Topology{D: 1, P: 2, T: 2}, 1},
+			// ... 2 GPUs cannot hold even one.
+			{train.Topology{D: 2, P: 2, T: 2}, 2, 1, 0, train.Topology{}, 0},
+		}},
+		{"RespectsFSDPShardGroup", []row{
+			// D'=2 is the only divisor keeping the shard group of 2 whole,
+			// so room for one rank is no room at all.
+			{train.Topology{D: 4, P: 1, T: 1, FSDPShard: 2}, 2, 1, 0, train.Topology{D: 2, P: 1, T: 1, FSDPShard: 2}, 1},
+			{train.Topology{D: 4, P: 1, T: 1, FSDPShard: 2}, 1, 1, 0, train.Topology{}, 0},
+		}},
+		{"MinNodes", []row{
+			// Peer shelter needs two failure domains: the 2-rank plan spans
+			// 2 nodes although it fits on one, and one free node is none.
+			{d4, 2, 2, 2, d2, 2},
+			{d4, 2, 1, 2, train.Topology{}, 0},
+		}},
+		{"NoCapacity", []row{
+			{d4, 0, 1, 0, train.Topology{}, 0},
+			{d4, 2, 0, 0, train.Topology{}, 0},
+			{train.Topology{D: 1, P: 1, T: 1}, 2, 4, 0, train.Topology{}, 0},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, r := range tc.rows {
+				got, nodes, ok := shrink(r.cur, r.perNode, r.freeNodes, r.minNodes)
+				if ok != (r.want != train.Topology{}) || got != r.want || nodes != r.nodes {
+					t.Errorf("shrink(%+v, perNode=%d, free=%d, min=%d) = %+v on %d nodes, ok=%v; want %+v on %d",
+						r.cur, r.perNode, r.freeNodes, r.minNodes, got, nodes, ok, r.want, r.nodes)
+				}
+			}
+		})
+	}
+}
+
 // degradedWL is testWL reshaped to the degraded topology an elastic
 // shrink of testWL produces: half the data-parallel width on one node.
 func degradedWL() workload.Workload {
@@ -131,7 +185,7 @@ func TestElasticExpandAfterRepair(t *testing.T) {
 // exhausted, the transparent hard-error path must classify the episode as
 // no-viable-placement eagerly — before burning JIT-checkpoint, CRIU, and
 // restore time on attempts that can never assemble a placement — and mark
-// it elastic-eligible.
+// it terminal.
 func TestTransparentNoViablePlacementEager(t *testing.T) {
 	wl := testWL()
 	res := mustRun(t, JobConfig{

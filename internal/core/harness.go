@@ -9,7 +9,6 @@ import (
 	"jitckpt/internal/analysis"
 	"jitckpt/internal/checkpoint"
 	"jitckpt/internal/cuda"
-	"jitckpt/internal/elastic"
 	"jitckpt/internal/failure"
 	"jitckpt/internal/gpu"
 	"jitckpt/internal/intercept"
@@ -17,7 +16,6 @@ import (
 	"jitckpt/internal/nccl"
 	"jitckpt/internal/peerckpt"
 	"jitckpt/internal/pipefree"
-	"jitckpt/internal/proxy"
 	"jitckpt/internal/scheduler"
 	"jitckpt/internal/trace"
 	"jitckpt/internal/tracestream"
@@ -243,7 +241,7 @@ func prepare(cfg *JobConfig) error {
 }
 
 func newHarness(cfg JobConfig) *harness {
-	h := &harness{cfg: cfg, pol: cfg.Policy.Info(), shared: cfg.Shared, yieldAt: -1, label: "job"}
+	h := &harness{cfg: cfg, pol: cfg.Policy.Info(), shared: cfg.Shared, yieldAt: -1, expandAt: -1, label: "job"}
 	if h.shared != nil && h.shared.Label != "" {
 		h.label = h.shared.Label
 	}
@@ -284,17 +282,20 @@ type harness struct {
 	startAt  vclock.Time
 	finished bool
 	yieldAt  int // iteration to stop at for an arbiter-requested yield; -1 if none
+	expandAt int // iteration degraded workers stop at for a mid-run expand; -1 if none
 	yields   int
 
 	placement scheduler.Placement
-	gen       int
+	// gen is the communicator generation: the restart loop bumps it per
+	// incarnation, the transparent coordinator per recovery attempt.
+	gen int
 
-	// Elastic degraded-mode state: topo/accum are the CURRENT shape every
-	// incarnation builds workers from (equal to the workload's full shape
-	// unless an elastic shrink narrowed it).
-	elastic       *elastic.Controller
+	// Elastic degraded-mode state (elastic.go): topo/accum/nodes are the
+	// CURRENT shape every incarnation builds workers from and allocates
+	// (the workload's full shape unless an elastic shrink narrowed it).
 	topo          train.Topology
 	accum         int
+	nodes         int
 	heldNodes     int // nodes the running incarnation occupies
 	maxIter       int // highest iteration any rank has started
 	waitCap       vclock.Time
@@ -312,18 +313,16 @@ type harness struct {
 	recovering bool        // a detected failure has not yet been followed by progress
 	recoverAt  vclock.Time // when the current episode was detected
 
-	genReader      func() int
-	collectReports func()
-	injector       *failure.Injector
-	pendingIter    []IterInjection
-	deviceOf       func(rank int) *gpu.Device
-	runSpan        trace.Span
+	injector    *failure.Injector
+	pendingIter []IterInjection
+	deviceOf    func(rank int) *gpu.Device
+	runSpan     trace.Span
 }
 
 // setup builds the job's stacks: environment (private, unless a shared
 // one is supplied), cluster and pool (private, or leased), engine,
-// stores, elastic controller, and the failure injector. It performs no
-// simulated work; launch starts the job's processes.
+// stores, tiers, and the failure injector. It performs no simulated work;
+// launch starts the job's processes.
 func (h *harness) setup() error {
 	cfg := h.cfg
 	wl := cfg.WL
@@ -372,11 +371,7 @@ func (h *harness) setup() error {
 	// The reference rank (d=0, last stage, t=0) has the same rank number
 	// at every data-parallel width, so it survives elastic shrinks.
 	h.refRank = wl.Topo.Rank(0, wl.Topo.P-1, 0)
-	h.topo = wl.Topo
-	h.accum = max(cfg.Accum, 1)
-	if h.pol.Elastic {
-		h.elastic = elastic.New(wl.Topo, wl.Nodes)
-	}
+	h.topo, h.accum, h.nodes = wl.Topo, max(cfg.Accum, 1), wl.Nodes
 
 	// Failure injector resolves targets against the current placement and
 	// the cluster's rack geometry: RackDown is precisely the adversary that
@@ -393,12 +388,7 @@ func (h *harness) setup() error {
 			}
 			return train.DPCommKey("job", p, t)
 		},
-		GenOf: func(string) int {
-			if h.genReader != nil {
-				return h.genReader()
-			}
-			return h.gen
-		},
+		GenOf: func(string) int { return h.gen },
 	}
 	if err := h.buildTiers(); err != nil {
 		return err
@@ -508,25 +498,6 @@ func (h *harness) launch() error {
 	return h.runIncarnations()
 }
 
-// noteRepairCapacity reacts to restored capacity: a job running degraded
-// schedules a mid-run expand when the repaired (or arbiter-granted)
-// capacity again covers the full width — degraded workers stop (and
-// checkpoint) a couple of iterations ahead, and the next incarnation
-// restarts at full width. The single-job injector calls it after every
-// repair; the cluster calls it through the job handle.
-func (h *harness) noteRepairCapacity() {
-	if h.finished || h.elastic == nil || !h.elastic.Degraded() {
-		return
-	}
-	if h.pool.FreeHealthy()+h.heldNodes >= h.elastic.Full().Nodes {
-		at := h.maxIter + 2
-		if at < h.cfg.Iters {
-			h.elastic.RequestExpand(at)
-			h.env.Tracef("harness: repairs restored full capacity; expand scheduled at iter %d", at)
-		}
-	}
-}
-
 // noteNodesLost drops peer-sheltered entries on cluster-destroyed nodes
 // the moment they die (the workers themselves fail organically through
 // their dead devices). Cluster-scoped injections bypass the job's own
@@ -538,29 +509,6 @@ func (h *harness) noteNodesLost(nodeIDs []int) {
 	for _, id := range nodeIDs {
 		h.markNodeLost(id)
 	}
-}
-
-// requestYield asks the job to stop cleanly a couple of iterations ahead
-// so the arbiter can hand its nodes to a higher-priority tenant. Only
-// elastic jobs that can actually run narrower honor it; everyone else
-// (including jobs already yielding or nearly done) reports false and the
-// arbiter moves to the next victim.
-func (h *harness) requestYield() bool {
-	if h.finished || h.elastic == nil || h.yieldAt >= 0 {
-		return false
-	}
-	cur := h.elastic.Plan()
-	if _, ok := elastic.Shrink(cur.Topo, h.cfg.WL.PerNode, cur.Nodes-1, h.minNodes); !ok {
-		return false
-	}
-	at := h.maxIter + 2
-	if at >= h.cfg.Iters {
-		return false // finishing frees the nodes sooner than yielding would
-	}
-	h.yieldAt = at
-	h.elastic.CancelExpand()
-	h.env.Tracef("harness: yield requested; stopping at iter %d", at)
-	return true
 }
 
 // workerConfig builds the common per-rank training configuration.
@@ -692,16 +640,13 @@ func (h *harness) finish() {
 	// The final incarnation's world size: an elastic run that finished in
 	// degraded mode completed with fewer ranks than the full workload.
 	res.Completed = len(h.doneRanks) == h.topo.World()
-	if h.elastic != nil && h.elastic.Degraded() {
+	if h.degraded() {
 		// Trace invariant 6: a run that closes while degraded must say so
 		// explicitly — every shrink is followed by an expand or this.
 		trace.Of(h.env).Instant(h.env.Now(), "elastic", trace.LaneSim, "end-degraded",
 			"world", h.topo.World(), "completed", res.Completed)
 	}
 
-	if h.collectReports != nil {
-		h.collectReports()
-	}
 	// Transparent recovery episodes report their own detection-to-resume
 	// totals; surface them in the same per-episode latency series the
 	// incarnation policies record through noteIterStart.
@@ -798,131 +743,6 @@ func (h *harness) noteDetected(rank int, by string) {
 }
 
 // ---------------------------------------------------------------------
-// Transparent policy: one incarnation, coordinator-driven recovery.
-// ---------------------------------------------------------------------
-
-func (h *harness) runTransparent() error {
-	if h.shared != nil {
-		// Fleet admission: wait (in simulated time) until the arbiter's
-		// lease grants the full width, then start. Transparent jobs are
-		// fixed-width, so admission is all-or-nothing.
-		h.env.Go(h.label+".admit", func(p *vclock.Proc) {
-			nodes, ok := h.allocate(p)
-			if !ok {
-				h.jobDone()
-				return
-			}
-			if serr := h.startTransparent(nodes); serr != nil {
-				h.env.Tracef("%s: transparent start failed: %v", h.label, serr)
-				h.pool.Release(nodes)
-				h.jobDone()
-			}
-		})
-		return nil
-	}
-	nodes, err := h.pool.Allocate(h.cfg.WL.Nodes, nil)
-	if err != nil {
-		return err
-	}
-	return h.startTransparent(nodes)
-}
-
-// startTransparent builds the coordinator and rank stacks on allocated
-// nodes and launches the workers.
-func (h *harness) startTransparent(nodes []*gpu.Node) error {
-	cfg := h.cfg
-	wl := cfg.WL
-	placement, err := scheduler.Place(nodes, wl.Topo.World())
-	if err != nil {
-		return err
-	}
-	h.placement = placement
-	h.doneRanks = make(map[int]bool)
-
-	ranks := make([]*TransparentRank, wl.Topo.World())
-	coord := NewCoordinator(h.env, CoordinatorConfig{
-		Job:            "job",
-		Topo:           wl.Topo,
-		Teardown:       wl.Teardown,
-		Minibatch:      wl.Minibatch,
-		StateBytes:     wl.StateBytesPerGPU(),
-		SerializeBW:    wl.SerializeBW(),
-		Store:          h.disk,
-		Monitor:        h.monitor,
-		Pool:           h.pool,
-		CRIU:           scheduler.CRIU{SnapshotTime: wl.CRIU * 2 / 3, RestoreTime: wl.CRIU / 3},
-		Kernels:        h.kernels,
-		CUDAParams:     wl.CUDAParams(),
-		ProxyParams:    proxy.DefaultParams(),
-		AttemptTimeout: cfg.RecoveryAttemptTimeout,
-	}, ranks)
-	// The injector and coordinator share the generation counter.
-	h.genReader = coord.Generation
-
-	for r := 0; r < wl.Topo.World(); r++ {
-		server, err := proxy.NewServer(h.env, placement[r], h.engine, h.kernels, wl.CUDAParams(), proxy.DefaultParams())
-		if err != nil {
-			return err
-		}
-		client := proxy.NewClient(h.env, server)
-		layer := intercept.New(h.env, client, fmt.Sprintf("rank%d", r), intercept.Config{
-			Mode:        intercept.ModeTransparent,
-			HangTimeout: cfg.HangTimeout,
-			OnFault:     coord.Hook(r),
-		})
-		worker, err := train.NewWorker(h.workerConfig(r, layer, nil, layer))
-		if err != nil {
-			return err
-		}
-		ranks[r] = &TransparentRank{Rank: r, Layer: layer, Client: client, Server: server, Worker: worker}
-	}
-	coord.Start()
-	// Resolve failure targets through the live rank stacks: a hard-error
-	// migration moves ranks to new devices.
-	h.deviceOf = func(rank int) *gpu.Device { return ranks[rank].Server.Device() }
-
-	for r := 0; r < wl.Topo.World(); r++ {
-		h.env.Go(fmt.Sprintf("worker%d", r), func(p *vclock.Proc) {
-			w := ranks[r].Worker
-			if err := w.Setup(p, 0); err != nil {
-				h.env.Tracef("rank %d setup failed: %v", r, err)
-				return
-			}
-			if err := w.RunIters(p, cfg.Iters); err != nil {
-				h.env.Tracef("rank %d training failed: %v", r, err)
-				return
-			}
-			h.doneRanks[r] = true
-			if len(h.doneRanks) == wl.Topo.World() {
-				// Job complete: stop the watchdogs so their poll timers
-				// do not keep the simulation alive until the horizon.
-				for _, tr := range ranks {
-					tr.Layer.StopWatchdog()
-				}
-				if h.shared != nil {
-					// Return the leased nodes (post-migration placements
-					// included: resolve through the live rank stacks) and
-					// close the job's fleet accounting.
-					seen := make(map[int]bool)
-					var ids []int
-					for _, tr := range ranks {
-						if dev := tr.Server.Device(); dev != nil && !seen[dev.NodeID] {
-							seen[dev.NodeID] = true
-							ids = append(ids, dev.NodeID)
-						}
-					}
-					h.pool.ReleaseByID(ids...)
-					h.jobDone()
-				}
-			}
-		})
-	}
-	h.res.Incarnations = 1
-	h.collectReports = func() { h.res.Reports = coord.Reports() }
-	return nil
-}
-
-// ---------------------------------------------------------------------
 // Incarnation-based policies: none, periodic, user-level JIT.
 // ---------------------------------------------------------------------
 
@@ -992,23 +812,20 @@ func (h *harness) awaitCapacity(p *vclock.Proc, wait func(*vclock.Proc, vclock.T
 // (ok=false); elastic policies degrade instead of dying.
 func (h *harness) allocate(p *vclock.Proc) ([]*gpu.Node, bool) {
 	wl := h.cfg.WL
-	wantNodes := wl.Nodes
-	if h.elastic != nil {
-		wantNodes = h.elastic.Plan().Nodes
-	}
-	nodes, err := h.pool.Allocate(wantNodes, nil)
+	nodes, err := h.pool.Allocate(h.nodes, nil)
 	for err != nil {
 		var wait func(*vclock.Proc, vclock.Time) bool
-		if h.elastic != nil {
-			if plan, ok := h.elastic.Shrink(wl.PerNode, h.pool.FreeHealthy(), h.minNodes); ok {
-				h.topo = plan.Topo
-				h.accum = plan.Accum * max(h.cfg.Accum, 1)
-				wantNodes = plan.Nodes
+		if h.pol.Elastic {
+			if topo, n, ok := shrink(h.topo, wl.PerNode, h.pool.FreeHealthy(), h.minNodes); ok {
+				// Accumulation is relative to the FULL width, so nested
+				// shrinks keep the global batch.
+				h.topo, h.nodes, h.expandAt = topo, n, -1
+				h.accum = wl.Topo.D / topo.D * max(h.cfg.Accum, 1)
 				trace.Of(h.env).Instant(p.Now(), "elastic", trace.LaneSim, "shrink",
-					"world", plan.Topo.World(), "accum", h.accum, "nodes", plan.Nodes)
+					"world", topo.World(), "accum", h.accum, "nodes", n)
 				h.env.Tracef("harness: elastic shrink to D=%d accum=%d on %d nodes",
-					plan.Topo.D, h.accum, plan.Nodes)
-				nodes, err = h.pool.Allocate(wantNodes, nil)
+					topo.D, h.accum, n)
+				nodes, err = h.pool.Allocate(n, nil)
 				continue
 			}
 			if h.injector.RepairsPending() {
@@ -1027,7 +844,7 @@ func (h *harness) allocate(p *vclock.Proc) ([]*gpu.Node, bool) {
 		if !h.awaitCapacity(p, wait) {
 			return nil, false
 		}
-		nodes, err = h.pool.Allocate(wantNodes, nil)
+		nodes, err = h.pool.Allocate(h.nodes, nil)
 	}
 	return nodes, true
 }
@@ -1041,13 +858,12 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 	// rejoining ranks bootstrap from the degraded era's checkpoints —
 	// position keys are width-invariant, so cross-world assembly hands
 	// every new rank a surviving replica's state.
-	if h.elastic != nil && h.elastic.Degraded() && h.pool.FreeHealthy() >= h.elastic.Full().Nodes {
-		plan := h.elastic.Expand()
-		h.topo, h.accum = plan.Topo, max(cfg.Accum, 1)
+	if h.degraded() && h.pool.FreeHealthy() >= wl.Nodes {
+		h.topo, h.accum, h.nodes, h.expandAt = wl.Topo, max(cfg.Accum, 1), wl.Nodes, -1
 		trace.Of(h.env).Instant(p.Now(), "elastic", trace.LaneSim, "expand",
-			"world", plan.Topo.World(), "nodes", plan.Nodes)
+			"world", h.topo.World(), "nodes", h.nodes)
 		h.env.Tracef("harness: elastic expand back to full width D=%d on %d nodes",
-			plan.Topo.D, plan.Nodes)
+			h.topo.D, h.nodes)
 	}
 
 	nodes, ok := h.allocate(p)
@@ -1191,31 +1007,30 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 				}
 			}
 			for st.worker.Iter() < cfg.Iters {
-				if h.elastic != nil {
-					// Planned stops: a mid-run expand (degraded workers stop
-					// at the scheduled iteration so the next incarnation can
-					// restart at full width on repaired nodes) or an
-					// arbiter-requested preemption yield (the next
-					// incarnation re-allocates under reservations and
-					// shrinks). Either way every worker persists its state
-					// first; the per-iteration all-reduce keeps ranks in
-					// lockstep, so all of them stop at the same iteration.
-					stop, by := endCompleted, ""
-					if at, ok := h.elastic.ExpandRequested(); ok && st.worker.Iter() >= at {
-						stop, by = endExpand, "elastic-save"
-					} else if h.yieldAt >= 0 && st.worker.Iter() >= h.yieldAt {
-						stop, by = endYield, "yield-save"
-					}
-					if by != "" {
-						if err := h.elasticSave(wp, st.worker, r); err != nil {
-							fail(r, by, err)
-							return
-						}
-						if stopCount++; stopCount == world {
-							endWith(stop)
-						}
+				// Planned stops (elastic jobs only: nothing else sets
+				// expandAt or yieldAt): a mid-run expand (degraded workers
+				// stop at the scheduled iteration so the next incarnation
+				// can restart at full width on repaired nodes) or an
+				// arbiter-requested preemption yield (the next incarnation
+				// re-allocates under reservations and shrinks). Either way
+				// every worker persists its state first; the per-iteration
+				// all-reduce keeps ranks in lockstep, so all of them stop at
+				// the same iteration.
+				stop, by := endCompleted, ""
+				if h.expandAt >= 0 && st.worker.Iter() >= h.expandAt {
+					stop, by = endExpand, "elastic-save"
+				} else if h.yieldAt >= 0 && st.worker.Iter() >= h.yieldAt {
+					stop, by = endYield, "yield-save"
+				}
+				if by != "" {
+					if err := h.elasticSave(wp, st.worker, r); err != nil {
+						fail(r, by, err)
 						return
 					}
+					if stopCount++; stopCount == world {
+						endWith(stop)
+					}
+					return
 				}
 				if _, err := st.worker.RunIter(wp); err != nil {
 					fail(r, "iter-error", err)
@@ -1300,11 +1115,9 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 			}
 			h.monitor.WaitCheckpointQuorumCovered(p, h.topo, 2*vclock.Minute, pre)
 		}
-		if h.elastic != nil {
-			// A failure mid-expand-window invalidates the scheduled stop: the
-			// incarnation boundary re-evaluates capacity from scratch.
-			h.elastic.CancelExpand()
-		}
+		// A failure mid-expand-window invalidates the scheduled stop: the
+		// incarnation boundary re-evaluates capacity from scratch.
+		h.expandAt = -1
 	}
 	for _, st := range stacks {
 		// Stop the interception watchdogs so their poll timers do not keep
@@ -1357,29 +1170,6 @@ func (h *harness) hasCheckpoint() bool {
 		}
 	}
 	return false
-}
-
-// elasticSave persists a degraded worker's state to disk under the
-// elastic namespace so the full-width restart (or an oracle run sharing
-// the store) can restore it. It runs in the worker's own process at a
-// clean iteration boundary — this is a planned, user-level save, not a
-// failure-time JIT flush, so trace invariant 3 does not apply to it.
-func (h *harness) elasticSave(p *vclock.Proc, w *train.Worker, rank int) error {
-	wl := h.cfg.WL
-	sp := trace.Of(h.env).Begin(p.Now(), "ckpt", trace.Rank(rank), "elastic-save", "iter", w.Iter())
-	ms, err := w.SaveModelState(p)
-	if err != nil {
-		sp.End(p.Now(), "err", err)
-		return err
-	}
-	dir := checkpoint.RankDir("job", ElasticPolicyName, ms.Iter, rank)
-	if err := checkpoint.SaveRank(p, h.disk, dir, ms, wl.SerializeBW(), wl.StateBytesPerGPU(), wl.StateBytesPerGPU()); err != nil {
-		sp.End(p.Now(), "err", err)
-		return err
-	}
-	h.monitor.Notify(scheduler.Event{Kind: scheduler.EvCheckpointDone, Rank: rank, Iter: ms.Iter})
-	sp.End(p.Now(), "iter", ms.Iter)
-	return nil
 }
 
 // restoreRank loads the newest assembled checkpoint (across the policy's

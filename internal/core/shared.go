@@ -6,8 +6,6 @@ import (
 	"jitckpt/internal/failure"
 	"jitckpt/internal/gpu"
 	"jitckpt/internal/scheduler"
-	"jitckpt/internal/trace"
-	"jitckpt/internal/tracestream"
 	"jitckpt/internal/vclock"
 )
 
@@ -63,12 +61,6 @@ type SharedSim struct {
 	// cluster account for node state changed behind the allocator's back
 	// (a per-job NodeDown plan fails shared hardware directly).
 	OnInject func(inj failure.Injection)
-	// Stream, when set, serves the shared simulation live: StartJob
-	// attaches it as the environment recorder's streaming sink (idempotent
-	// — cluster.Run already does this when its Config.Stream is set), so
-	// every tenant admitted through this SharedSim is observable over
-	// `jitsim -serve` while the fleet is still running.
-	Stream *tracestream.Stream
 }
 
 // JobHandle is the cluster's control surface for one running fleet job.
@@ -88,11 +80,6 @@ func StartJob(cfg JobConfig) (*JobHandle, error) {
 	s := cfg.Shared
 	if s.Env == nil || s.Capacity == nil || s.Cluster == nil || s.AwaitCapacity == nil {
 		return nil, errors.New("core: SharedSim needs Env, Cluster, Capacity and AwaitCapacity")
-	}
-	if s.Stream != nil {
-		if rec := trace.Of(s.Env); rec != nil {
-			rec.SetSink(s.Stream)
-		}
 	}
 	if err := prepare(&cfg); err != nil {
 		return nil, err

@@ -17,52 +17,121 @@ import (
 	"jitckpt/internal/vclock"
 )
 
-// TransparentRank is one rank's transparent-recovery stack: the
-// application (Worker) programs against Layer, which wraps a proxy Client
-// talking to the Server that owns the device.
-type TransparentRank struct {
+// ---------------------------------------------------------------------
+// Transparent policy: one incarnation, coordinator-driven recovery.
+// ---------------------------------------------------------------------
+
+func (h *harness) runTransparent() error {
+	if h.shared != nil {
+		// Fleet admission: wait (in simulated time) until the arbiter's
+		// lease grants the full width, then start. Transparent jobs are
+		// fixed-width, so admission is all-or-nothing.
+		h.env.Go(h.label+".admit", func(p *vclock.Proc) {
+			nodes, ok := h.allocate(p)
+			if !ok {
+				h.jobDone()
+				return
+			}
+			if serr := h.startTransparent(nodes); serr != nil {
+				h.env.Tracef("%s: transparent start failed: %v", h.label, serr)
+				h.pool.Release(nodes)
+				h.jobDone()
+			}
+		})
+		return nil
+	}
+	nodes, err := h.pool.Allocate(h.cfg.WL.Nodes, nil)
+	if err != nil {
+		return err
+	}
+	return h.startTransparent(nodes)
+}
+
+// startTransparent builds the rank stacks and their coordinator on
+// allocated nodes and launches the workers.
+func (h *harness) startTransparent(nodes []*gpu.Node) error {
+	cfg := h.cfg
+	wl := cfg.WL
+	placement, err := scheduler.Place(nodes, wl.Topo.World())
+	if err != nil {
+		return err
+	}
+	h.placement = placement
+	h.doneRanks = make(map[int]bool)
+
+	ranks := make([]*proxyRank, wl.Topo.World())
+	c := &coordinator{h: h, ranks: ranks, faultQ: vclock.NewQueue[rankFault](h.env, "job.faults")}
+	for r := 0; r < wl.Topo.World(); r++ {
+		server, err := proxy.NewServer(h.env, placement[r], h.engine, h.kernels, wl.CUDAParams(), proxy.DefaultParams())
+		if err != nil {
+			return err
+		}
+		client := proxy.NewClient(h.env, server)
+		layer := intercept.New(h.env, client, fmt.Sprintf("rank%d", r), intercept.Config{
+			Mode:        intercept.ModeTransparent,
+			HangTimeout: cfg.HangTimeout,
+			OnFault:     c.hook(r),
+		})
+		worker, err := train.NewWorker(h.workerConfig(r, layer, nil, layer))
+		if err != nil {
+			return err
+		}
+		ranks[r] = &proxyRank{Rank: r, Layer: layer, Client: client, Server: server, Worker: worker}
+	}
+	h.env.Go("job.coordinator", c.run)
+	// Resolve failure targets through the live rank stacks: a hard-error
+	// migration moves ranks to new devices.
+	h.deviceOf = func(rank int) *gpu.Device { return ranks[rank].Server.Device() }
+
+	for r := 0; r < wl.Topo.World(); r++ {
+		h.env.Go(fmt.Sprintf("worker%d", r), func(p *vclock.Proc) {
+			w := ranks[r].Worker
+			if err := w.Setup(p, 0); err != nil {
+				h.env.Tracef("rank %d setup failed: %v", r, err)
+				return
+			}
+			if err := w.RunIters(p, cfg.Iters); err != nil {
+				h.env.Tracef("rank %d training failed: %v", r, err)
+				return
+			}
+			h.doneRanks[r] = true
+			if len(h.doneRanks) == wl.Topo.World() {
+				// Job complete: stop the watchdogs so their poll timers
+				// do not keep the simulation alive until the horizon.
+				for _, tr := range ranks {
+					tr.Layer.StopWatchdog()
+				}
+				if h.shared != nil {
+					// Return the leased nodes (post-migration placements
+					// included: resolve through the live rank stacks) and
+					// close the job's fleet accounting.
+					seen := make(map[int]bool)
+					var ids []int
+					for _, tr := range ranks {
+						if dev := tr.Server.Device(); dev != nil && !seen[dev.NodeID] {
+							seen[dev.NodeID] = true
+							ids = append(ids, dev.NodeID)
+						}
+					}
+					h.pool.ReleaseByID(ids...)
+					h.jobDone()
+				}
+			}
+		})
+	}
+	h.res.Incarnations = 1
+	return nil
+}
+
+// proxyRank is one rank's transparent-recovery stack: the application
+// (Worker) programs against Layer, which wraps a proxy Client talking to
+// the Server that owns the device.
+type proxyRank struct {
 	Rank   int
 	Layer  *intercept.Layer
 	Client *proxy.Client
 	Server *proxy.Server
 	Worker *train.Worker
-}
-
-// CoordinatorConfig configures the job-level recovery coordinator.
-type CoordinatorConfig struct {
-	Job  string
-	Topo train.Topology
-	// Teardown is the per-rank driver-cleanup cost (Table 7's "delete
-	// communicators and GPU handles").
-	Teardown vclock.Time
-	// Minibatch is the workload's minibatch time; the coordinator lets
-	// healthy GPUs drain in-flight work for ~1.5 minibatches before
-	// classifying the episode.
-	Minibatch vclock.Time
-	// StateBytes is the modelled per-rank parameter+optimizer size.
-	StateBytes int64
-	// SerializeBW is the CPU serialization throughput for checkpoint
-	// writes on the hard-error path.
-	SerializeBW float64
-	// Store is the shared checkpoint store (hard-error path).
-	Store *checkpoint.Store
-	// Monitor receives checkpoint/failure notifications.
-	Monitor *scheduler.Monitor
-	// Pool, CRIU, Kernels, CUDAParams, ProxyParams serve the hard-error
-	// migration path.
-	Pool        Capacity
-	CRIU        scheduler.CRIU
-	Kernels     cuda.Registry
-	CUDAParams  cuda.Params
-	ProxyParams proxy.Params
-	// OnReport observes completed recoveries.
-	OnReport func(*RecoveryReport)
-	// AttemptTimeout bounds one recovery attempt: if any rank's recovery
-	// has not finished by then (a second fault wedged it mid-recovery),
-	// the coordinator kills the stragglers and restarts recovery under a
-	// fresh communicator generation. Zero derives a default from the
-	// modelled state size.
-	AttemptTimeout vclock.Time
 }
 
 // maxRecoveryAttempts bounds recovery restarts per episode.
@@ -74,65 +143,39 @@ type rankFault struct {
 	f    intercept.Fault
 }
 
-// Coordinator is the transparent JIT recovery controller for one job. In
+// coordinator is the transparent JIT recovery controller of one job. In
 // the paper this logic lives in the device-proxy interception layer plus
-// the cluster control plane; here it is one object whose Hook feeds it
-// fault notifications and whose background process drives recoveries.
-type Coordinator struct {
-	env    *vclock.Env
-	cfg    CoordinatorConfig
-	ranks  []*TransparentRank
+// the cluster control plane; here the layers' fault hooks feed it and its
+// process drives recoveries. It owns only the rank stacks and the fault
+// queue: the workload, stores, monitor, capacity, communicator generation
+// (h.gen) and reports (h.res.Reports) are the harness's.
+type coordinator struct {
+	h      *harness
+	ranks  []*proxyRank
 	faultQ *vclock.Queue[rankFault]
-	gen    int
-
-	reports []*RecoveryReport
-	started bool
 }
 
-// NewCoordinator creates a coordinator for the given ranks.
-func NewCoordinator(env *vclock.Env, cfg CoordinatorConfig, ranks []*TransparentRank) *Coordinator {
-	return &Coordinator{
-		env:    env,
-		cfg:    cfg,
-		ranks:  ranks,
-		faultQ: vclock.NewQueue[rankFault](env, cfg.Job+".faults"),
-	}
-}
-
-// Hook returns the OnFault callback for a rank's interception layer. It
+// hook returns the OnFault callback for a rank's interception layer. It
 // only enqueues: recovery runs in the coordinator's process.
-func (c *Coordinator) Hook(rank int) func(p *vclock.Proc, f intercept.Fault) {
+func (c *coordinator) hook(rank int) func(p *vclock.Proc, f intercept.Fault) {
 	return func(_ *vclock.Proc, f intercept.Fault) {
-		trace.Of(c.env).Instant(c.env.Now(), "fail", trace.Rank(rank), "detected",
+		env := c.h.env
+		trace.Of(env).Instant(env.Now(), "fail", trace.Rank(rank), "detected",
 			"by", "intercept", "iter", f.Iter)
 		c.faultQ.Push(rankFault{rank: rank, f: f})
 	}
 }
 
-// Generation returns the current communicator generation.
-func (c *Coordinator) Generation() int { return c.gen }
-
-// Reports returns completed recovery reports.
-func (c *Coordinator) Reports() []*RecoveryReport { return c.reports }
-
-// Start launches the coordinator process.
-func (c *Coordinator) Start() {
-	if c.started {
-		return
+// run is the coordinator's process: one recovery episode per fault that
+// finds it idle.
+func (c *coordinator) run(p *vclock.Proc) {
+	for {
+		first := c.faultQ.Pop(p)
+		report := c.recover(p, first)
+		c.h.res.Reports = append(c.h.res.Reports, report)
+		// Faults raised before or during this recovery are stale.
+		c.faultQ.Drain()
 	}
-	c.started = true
-	c.env.Go(c.cfg.Job+".coordinator", func(p *vclock.Proc) {
-		for {
-			first := c.faultQ.Pop(p)
-			report := c.recover(p, first)
-			c.reports = append(c.reports, report)
-			if c.cfg.OnReport != nil {
-				c.cfg.OnReport(report)
-			}
-			// Faults raised before or during this recovery are stale.
-			c.faultQ.Drain()
-		}
-	})
 }
 
 // recover drives one recovery episode end to end. The episode is
@@ -142,9 +185,10 @@ func (c *Coordinator) Start() {
 // straggling per-rank recovery processes, re-gates every rank, drains the
 // stale fault queue, and restarts recovery from classification under a
 // fresh communicator generation — instead of wedging on an unbounded wait.
-func (c *Coordinator) recover(p *vclock.Proc, first rankFault) *RecoveryReport {
+func (c *coordinator) recover(p *vclock.Proc, first rankFault) *RecoveryReport {
+	env := c.h.env
 	detected := p.Now()
-	rsp := trace.Of(c.env).Begin(detected, "core", trace.LaneSim, "recovery",
+	rsp := trace.Of(env).Begin(detected, "core", trace.LaneSim, "recovery",
 		"rank", first.rank, "fault", first.f.Kind)
 	var report *RecoveryReport
 	// lost tracks ranks whose device state became suspect during a failed
@@ -165,34 +209,34 @@ func (c *Coordinator) recover(p *vclock.Proc, first rankFault) *RecoveryReport {
 		report.Attempts = attempt
 		if ok || attempt >= maxRecoveryAttempts || report.Terminal() {
 			if !ok {
-				c.env.Tracef("%s: recovery gave up after %d attempts (%s)", c.cfg.Job, attempt, report.Kind)
+				env.Tracef("job: recovery gave up after %d attempts (%s)", attempt, report.Kind)
 			}
 			break
 		}
-		c.env.Tracef("%s: recovery attempt %d failed, restarting recovery", c.cfg.Job, attempt)
+		env.Tracef("job: recovery attempt %d failed, restarting recovery", attempt)
 		// Faults raised by the failed attempt itself are stale: the next
 		// attempt re-classifies every rank from current device health.
 		c.faultQ.Drain()
 	}
 	report.DetectedAt = detected
 	report.CompletedAt = p.Now()
-	c.env.Tracef("%s: recovery complete in %v", c.cfg.Job, report.Total())
+	env.Tracef("job: recovery complete in %v", report.Total())
 	rsp.End(p.Now(), "ok", ok, "attempts", report.Attempts, "kind", report.Kind)
 	return report
 }
 
 // attemptTimeout is the per-attempt recovery deadline.
-func (c *Coordinator) attemptTimeout() vclock.Time {
-	if c.cfg.AttemptTimeout > 0 {
-		return c.cfg.AttemptTimeout
+func (c *coordinator) attemptTimeout() vclock.Time {
+	if t := c.h.cfg.RecoveryAttemptTimeout; t > 0 {
+		return t
 	}
 	// Generous default: base coordination slack plus several end-to-end
 	// state copies at a conservative 1 GB/s (covers PCIe copies, store
 	// writes/reads and serialization on the hard path without ever firing
 	// during a healthy recovery).
 	t := 2 * vclock.Minute
-	if c.cfg.StateBytes > 0 {
-		t += 8 * gpu.TransferTime(c.cfg.StateBytes, 1e9)
+	if b := c.h.cfg.WL.StateBytesPerGPU(); b > 0 {
+		t += 8 * gpu.TransferTime(b, 1e9)
 	}
 	return t
 }
@@ -208,8 +252,9 @@ type episodeClass struct {
 // attemptRecovery runs one recovery attempt: gate, quiesce, classify,
 // dispatch. It reports whether every rank recovered, and returns the
 // episode classification for reuse by later attempts.
-func (c *Coordinator) attemptRecovery(p *vclock.Proc, first rankFault, attempt int, lost map[int]bool, cls *episodeClass) (*RecoveryReport, bool, *episodeClass) {
-	c.env.Tracef("%s: recovery attempt %d begins (rank %d, fault %v)", c.cfg.Job, attempt, first.rank, first.f.Kind)
+func (c *coordinator) attemptRecovery(p *vclock.Proc, first rankFault, attempt int, lost map[int]bool, cls *episodeClass) (*RecoveryReport, bool, *episodeClass) {
+	env := c.h.env
+	env.Tracef("job: recovery attempt %d begins (rank %d, fault %v)", attempt, first.rank, first.f.Kind)
 
 	// Let concurrently-detected faults land, then gate every rank:
 	// in-flight proxy calls abort, application threads park at the
@@ -229,8 +274,8 @@ func (c *Coordinator) attemptRecovery(p *vclock.Proc, first rankFault, attempt i
 	// Quiesce: healthy GPUs keep executing already-enqueued work while
 	// the hosts are parked. Give them ~1.5 minibatches to either drain
 	// completely or wedge at the hung collective.
-	if c.cfg.Minibatch > 0 {
-		p.Sleep(c.cfg.Minibatch * 3 / 2)
+	if mb := c.h.cfg.WL.Minibatch; mb > 0 {
+		p.Sleep(mb * 3 / 2)
 	}
 
 	// Classify the episode. A healthy device with zero pending
@@ -267,7 +312,7 @@ func (c *Coordinator) attemptRecovery(p *vclock.Proc, first rankFault, attempt i
 			advanced = true
 		}
 		cls = &episodeClass{advanced: advanced, baseIter: baseIter}
-		c.env.Tracef("%s: episode classified advanced=%v baseIter=%d", c.cfg.Job, advanced, baseIter)
+		env.Tracef("job: episode classified advanced=%v baseIter=%d", advanced, baseIter)
 	}
 
 	var hard []int
@@ -288,7 +333,7 @@ func (c *Coordinator) attemptRecovery(p *vclock.Proc, first rankFault, attempt i
 // 1 = GPU fine, retain buffers; 2 = driver corruption suspected, copy
 // state to host around a proxy restart; 3 = GPU state inaccessible, reset
 // and copy from a replica.
-func strategyOf(r *TransparentRank) int {
+func strategyOf(r *proxyRank) int {
 	switch r.Server.Device().Health() {
 	case gpu.Sticky:
 		return 3
@@ -301,7 +346,7 @@ func strategyOf(r *TransparentRank) int {
 
 // rankRecovery is the per-rank recovery state shared across phases.
 type rankRecovery struct {
-	r     *TransparentRank
+	r     *proxyRank
 	strat int
 	// skipReplay: the rank's device state is already at the target
 	// minibatch boundary; do not re-execute the minibatch log.
@@ -312,7 +357,6 @@ type rankRecovery struct {
 	tr        *cuda.Handles
 	saved     map[string]tensor.Vector
 	timer     *metrics.PhaseTimer
-	started   vclock.Time
 	done      *vclock.Event
 	proc      *vclock.Proc
 	// mutated marks the point of no return within an attempt: the rank's
@@ -329,7 +373,7 @@ type rankRecovery struct {
 // restart. Ranks that failed after mutating their device state are added
 // to lost; ranks that fully recovered are removed from it. It reports
 // whether every rank recovered cleanly.
-func (c *Coordinator) awaitRecs(p *vclock.Proc, recs []*rankRecovery, deadline vclock.Time, lost map[int]bool) bool {
+func (c *coordinator) awaitRecs(p *vclock.Proc, recs []*rankRecovery, deadline vclock.Time, lost map[int]bool) bool {
 	ok := true
 	for _, rec := range recs {
 		remaining := deadline - p.Now()
@@ -340,7 +384,7 @@ func (c *Coordinator) awaitRecs(p *vclock.Proc, recs []*rankRecovery, deadline v
 			if rec.err == nil {
 				rec.err = fmt.Errorf("core: rank %d recovery timed out mid-attempt", rec.r.Rank)
 			}
-			c.env.Tracef("%s: rank %d recovery killed: %v", c.cfg.Job, rec.r.Rank, rec.err)
+			c.h.env.Tracef("job: rank %d recovery killed: %v", rec.r.Rank, rec.err)
 		}
 		if rec.err != nil {
 			ok = false
@@ -357,9 +401,10 @@ func (c *Coordinator) awaitRecs(p *vclock.Proc, recs []*rankRecovery, deadline v
 // recoverTransient implements §4.2 for all ranks concurrently. The
 // communicator re-initialization rendezvous acts as the natural barrier
 // between handle reconstruction and cross-rank state copies.
-func (c *Coordinator) recoverTransient(p *vclock.Proc, advanced bool, baseIter int, lost map[int]bool) (*RecoveryReport, bool) {
-	c.gen++
-	newGen := c.gen
+func (c *coordinator) recoverTransient(p *vclock.Proc, advanced bool, baseIter int, lost map[int]bool) (*RecoveryReport, bool) {
+	env := c.h.env
+	c.h.gen++
+	newGen := c.h.gen
 	deadline := p.Now() + c.attemptTimeout()
 	recs := make([]*rankRecovery, len(c.ranks))
 	for i, r := range c.ranks {
@@ -372,7 +417,7 @@ func (c *Coordinator) recoverTransient(p *vclock.Proc, advanced bool, baseIter i
 		rec := &rankRecovery{
 			r:     r,
 			strat: strat,
-			done:  c.env.NewEvent(fmt.Sprintf("recover.r%d", r.Rank)),
+			done:  env.NewEvent(fmt.Sprintf("recover.r%d", r.Rank)),
 		}
 		if rec.strat == 1 {
 			// Healthy rank: skip replay when its GPU already holds the
@@ -387,13 +432,12 @@ func (c *Coordinator) recoverTransient(p *vclock.Proc, advanced bool, baseIter i
 	}
 	for _, rec := range recs {
 		rec := rec
-		rec.proc = c.env.Go(fmt.Sprintf("%s.recover.r%d", c.cfg.Job, rec.r.Rank), func(pr *vclock.Proc) {
+		rec.proc = env.Go(fmt.Sprintf("job.recover.r%d", rec.r.Rank), func(pr *vclock.Proc) {
 			defer rec.done.Trigger()
-			rec.started = pr.Now()
-			rec.timer = metrics.NewPhaseTimerLane(c.env, trace.Rank(rec.r.Rank))
+			rec.timer = metrics.NewPhaseTimerLane(env, trace.Rank(rec.r.Rank))
 			if err := c.recoverRankTransient(pr, rec, recs, newGen); err != nil {
 				rec.err = err
-				c.env.Tracef("%s: rank %d recovery failed: %v", c.cfg.Job, rec.r.Rank, err)
+				env.Tracef("job: rank %d recovery failed: %v", rec.r.Rank, err)
 			}
 		})
 	}
@@ -401,7 +445,7 @@ func (c *Coordinator) recoverTransient(p *vclock.Proc, advanced bool, baseIter i
 	return c.buildReport(recs, "transient", advanced), ok
 }
 
-func (c *Coordinator) recoverRankTransient(pr *vclock.Proc, rec *rankRecovery, all []*rankRecovery, newGen int) error {
+func (c *coordinator) recoverRankTransient(pr *vclock.Proc, rec *rankRecovery, all []*rankRecovery, newGen int) error {
 	r := rec.r
 	layer := r.Layer
 	client := r.Client
@@ -424,7 +468,7 @@ func (c *Coordinator) recoverRankTransient(pr *vclock.Proc, rec *rankRecovery, a
 		// Abort in-flight server-side operations wedged in hung device
 		// calls, then dismantle handles through the live driver.
 		r.Server.ResetThreads()
-		c.teardownViaAPI(pr, layer, client)
+		teardownViaAPI(pr, layer, client)
 	} else {
 		// Restarting the device proxy server clears corrupted driver and
 		// network state (§4.2); device buffers are lost with the context.
@@ -435,10 +479,10 @@ func (c *Coordinator) recoverRankTransient(pr *vclock.Proc, rec *rankRecovery, a
 			return fmt.Errorf("core: rank %d proxy restart: %w", r.Rank, err)
 		}
 	}
-	pr.Sleep(c.cfg.Teardown)
+	pr.Sleep(c.h.cfg.WL.Teardown)
 	rec.timer.Mark("teardown")
 
-	if err := c.rebuildGPU(pr, rec, rec.strat != 1, newGen); err != nil {
+	if err := rebuildGPU(pr, rec, rec.strat != 1, newGen); err != nil {
 		return err
 	}
 
@@ -468,7 +512,7 @@ func (c *Coordinator) recoverRankTransient(pr *vclock.Proc, rec *rankRecovery, a
 // the old one is wedged, or belongs to a driver that no longer exists —
 // then buffers (only when realloc: strategy 1 keeps device memory), GPU
 // handles, and communicators under generation gen.
-func (c *Coordinator) rebuildGPU(pr *vclock.Proc, rec *rankRecovery, realloc bool, gen int) error {
+func rebuildGPU(pr *vclock.Proc, rec *rankRecovery, realloc bool, gen int) error {
 	r := rec.r
 	tr := r.Layer.Handles().Clone()
 	rec.tr = tr
@@ -489,37 +533,31 @@ func (c *Coordinator) rebuildGPU(pr *vclock.Proc, rec *rankRecovery, realloc boo
 		return fmt.Errorf("core: rank %d handle recreate: %w", r.Rank, err)
 	}
 	rec.timer.Mark("recreate-handles")
-	if err := replay.Apply(pr, r.Client, comms, tr, genOption(gen)); err != nil {
+	if err := replay.Apply(pr, r.Client, comms, tr, replay.Options{Gen: gen}); err != nil {
 		return fmt.Errorf("core: rank %d comm re-init: %w", r.Rank, err)
 	}
 	rec.timer.Mark("comm-init")
 	return nil
 }
 
-// genOption replays CommInit under generation gen: after a failure,
-// communicators must re-rendezvous under a fresh one.
-func genOption(gen int) replay.Options {
-	return replay.Options{GenFor: func(string, int) int { return gen }}
-}
-
 // replayTail finishes a rank's recovery once its buffers hold the restored
 // state: replay the minibatch's device APIs (§4.2.1) unless the state is
 // already at the target boundary, have a rolled-forward rank swallow the
 // rest of its optimizer step (§4.2.2), and reopen the layer on rec.tr.
-func (c *Coordinator) replayTail(pr *vclock.Proc, rec *rankRecovery, gen, iter int, src string) error {
+func (c *coordinator) replayTail(pr *vclock.Proc, rec *rankRecovery, gen, iter int, src string) error {
 	r := rec.r
 	if rec.ignoreMut {
 		r.Layer.IgnoreMutationsUntilNextMinibatch()
 	}
 	if !rec.skipReplay {
 		rec.mutated = true
-		c.env.Tracef("rank %d: replaying %d minibatch calls (strat %d)", r.Rank, len(r.Layer.Log().Minibatch), rec.strat)
-		if err := replay.Apply(pr, r.Client, r.Layer.Log().Minibatch, rec.tr, genOption(gen)); err != nil {
+		c.h.env.Tracef("rank %d: replaying %d minibatch calls (strat %d)", r.Rank, len(r.Layer.Log().Minibatch), rec.strat)
+		if err := replay.Apply(pr, r.Client, r.Layer.Log().Minibatch, rec.tr, replay.Options{Gen: gen}); err != nil {
 			return fmt.Errorf("core: rank %d minibatch replay: %w", r.Rank, err)
 		}
 	}
 	rec.timer.Mark("replay")
-	trace.Of(c.env).Instant(pr.Now(), "ckpt", trace.Rank(r.Rank), "restore-done",
+	trace.Of(c.h.env).Instant(pr.Now(), "ckpt", trace.Rank(r.Rank), "restore-done",
 		"valid", true, "iter", iter, "src", src)
 	r.Layer.EndRecovery(rec.tr)
 	return nil
@@ -527,7 +565,7 @@ func (c *Coordinator) replayTail(pr *vclock.Proc, rec *rankRecovery, gen, iter i
 
 // teardownViaAPI destroys communicators, streams and events through the
 // live driver — strategy 1 keeps the proxy (and device memory) intact.
-func (c *Coordinator) teardownViaAPI(pr *vclock.Proc, layer *intercept.Layer, client *proxy.Client) {
+func teardownViaAPI(pr *vclock.Proc, layer *intercept.Layer, client *proxy.Client) {
 	// Destroy in reverse dependency order; errors are non-fatal (objects
 	// may be wedged, which is exactly why we are here).
 	h := layer.Handles()
@@ -558,26 +596,26 @@ func (c *Coordinator) teardownViaAPI(pr *vclock.Proc, layer *intercept.Layer, cl
 
 // copyFromReplica restores a rank's parameter and optimizer buffers from a
 // healthy data-parallel replica's device memory (§4.2's replica copy).
-func (c *Coordinator) copyFromReplica(pr *vclock.Proc, rec *rankRecovery, all []*rankRecovery) error {
+func (c *coordinator) copyFromReplica(pr *vclock.Proc, rec *rankRecovery, all []*rankRecovery) error {
 	rep := c.pickReplica(rec, all)
 	if rep == nil {
 		return fmt.Errorf("core: rank %d has no healthy replica to recover from", rec.r.Rank)
 	}
 	// Read from the replica's device (its buffers were retained), then
 	// write into this rank's re-allocated buffers.
-	data, err := c.readModelTensors(pr, rep.r, rep.tr)
+	data, err := c.readTensors(pr, rep.r, rep.tr, false)
 	if err != nil {
 		return fmt.Errorf("core: rank %d read replica %d: %w", rec.r.Rank, rep.r.Rank, err)
 	}
-	if err := writeModelTensors(pr, rec.r.Layer, rec.r.Client, rec.tr, data); err != nil {
+	if err := writeTensors(pr, rec.r.Layer, rec.r.Client, rec.tr, data, false); err != nil {
 		return fmt.Errorf("core: rank %d write replica state: %w", rec.r.Rank, err)
 	}
 	return nil
 }
 
 // pickReplica chooses a healthy, buffer-retaining replica of rec.
-func (c *Coordinator) pickReplica(rec *rankRecovery, all []*rankRecovery) *rankRecovery {
-	for _, repRank := range c.cfg.Topo.ReplicaRanks(rec.r.Rank) {
+func (c *coordinator) pickReplica(rec *rankRecovery, all []*rankRecovery) *rankRecovery {
+	for _, repRank := range c.h.cfg.WL.Topo.ReplicaRanks(rec.r.Rank) {
 		for _, cand := range all {
 			if cand.r.Rank == repRank && cand.strat == 1 {
 				return cand
@@ -592,7 +630,7 @@ func (c *Coordinator) pickReplica(rec *rankRecovery, all []*rankRecovery) *rankR
 // rendezvous (the paper's Tables 5–6 exclude "the wait time for ranks to
 // detect errors in other ranks"). The wait is replaced by the analytic
 // bootstrap cost every rank pays after the rendezvous releases.
-func (c *Coordinator) rankWorkTime(rec *rankRecovery) vclock.Time {
+func rankWorkTime(rec *rankRecovery) vclock.Time {
 	if rec.timer == nil {
 		// The recovery proc was killed before it started (failed attempt).
 		return 0
@@ -615,8 +653,11 @@ func (c *Coordinator) rankWorkTime(rec *rankRecovery) vclock.Time {
 	return total
 }
 
-// buildReport assembles the episode report from per-rank recoveries.
-func (c *Coordinator) buildReport(recs []*rankRecovery, kind string, advanced bool) *RecoveryReport {
+// buildReport assembles the episode report from per-rank recoveries. A
+// rank whose strategy is 1 kept its GPU state and counts as healthy; every
+// other one (strategies 2–3, or 4 on the hard path: Table 6's ranks that
+// could not checkpoint) as failed.
+func (c *coordinator) buildReport(recs []*rankRecovery, kind string, advanced bool) *RecoveryReport {
 	if advanced && kind == "transient" {
 		kind = "optimizer-roll-forward"
 	}
@@ -625,7 +666,7 @@ func (c *Coordinator) buildReport(recs []*rankRecovery, kind string, advanced bo
 	var healthyN, failedN int
 	var exemplar *rankRecovery
 	for _, rec := range recs {
-		dur := c.rankWorkTime(rec)
+		dur := rankWorkTime(rec)
 		rep.PerRank[rec.r.Rank] = dur
 		if rec.strat == 1 {
 			healthySum += dur
@@ -671,21 +712,17 @@ func splitCreationLog(creation []replay.Call) (mallocs, handles, comms []replay.
 	return
 }
 
-// readModelTensors reads every parameter/optimizer buffer of a rank to
-// the host directly through the proxy server's device context (no streams
-// involved, so it works while the driver is corrupt or streams are
-// wedged), charging PCIe transfer time per buffer.
-func (c *Coordinator) readModelTensors(pr *vclock.Proc, rec *TransparentRank, tr *cuda.Handles) (map[string]tensor.Vector, error) {
-	return c.readTensors(pr, rec, tr, false)
-}
-
-// readTensors is readModelTensors, optionally including every buffer (the
-// strategy-2 full-device copy).
-func (c *Coordinator) readTensors(pr *vclock.Proc, rec *TransparentRank, tr *cuda.Handles, all bool) (map[string]tensor.Vector, error) {
+// readTensors reads a rank's parameter/optimizer buffers (every buffer
+// when all: the strategy-2 full-device copy) to the host directly through
+// the proxy server's device context — no streams involved, so it works
+// while the driver is corrupt or streams are wedged — charging PCIe
+// transfer time per buffer. A nil tr reads through the layer's handles.
+func (c *coordinator) readTensors(pr *vclock.Proc, rec *proxyRank, tr *cuda.Handles, all bool) (map[string]tensor.Vector, error) {
 	layer := rec.Layer
 	if tr == nil {
 		tr = layer.Handles()
 	}
+	d2h := c.h.cfg.WL.CUDAParams().D2HBandwidth
 	out := make(map[string]tensor.Vector)
 	for _, info := range layer.VirtualBufs() {
 		if !all && !train.IsModelState(info.Tag) {
@@ -699,19 +736,15 @@ func (c *Coordinator) readTensors(pr *vclock.Proc, rec *TransparentRank, tr *cud
 		if err != nil {
 			return nil, fmt.Errorf("core: read %s: %w", info.Tag, err)
 		}
-		pr.Sleep(gpu.TransferTime(info.Bytes, c.cfg.CUDAParams.D2HBandwidth))
+		pr.Sleep(gpu.TransferTime(info.Bytes, d2h))
 		out[train.TensorName(info.Tag, info.Seq)] = data
 	}
 	return out, nil
 }
 
-// writeModelTensors writes host tensors back into a rank's re-created
-// buffers, resolving virtual handles through tr.
-func writeModelTensors(pr *vclock.Proc, layer *intercept.Layer, api cuda.API, tr *cuda.Handles, data map[string]tensor.Vector) error {
-	return writeTensors(pr, layer, api, tr, data, false)
-}
-
-// writeTensors is writeModelTensors, optionally covering every buffer.
+// writeTensors writes host tensors back into a rank's re-created
+// parameter/optimizer buffers (every buffer when all), resolving virtual
+// handles through tr.
 func writeTensors(pr *vclock.Proc, layer *intercept.Layer, api cuda.API, tr *cuda.Handles, data map[string]tensor.Vector, all bool) error {
 	s := tr.Streams[cuda.DefaultStream]
 	for _, info := range layer.VirtualBufs() {
@@ -735,10 +768,13 @@ func writeTensors(pr *vclock.Proc, layer *intercept.Layer, api cuda.API, tr *cud
 // is rebuilt from the replay log, and parameter/optimizer buffers are
 // restored from the checkpoint files — the failed rank reading a
 // replica's file through the stable tensor naming.
-func (c *Coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, baseIter int, lost map[int]bool) (*RecoveryReport, bool) {
-	c.gen++
-	newGen := c.gen
+func (c *coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, baseIter int, lost map[int]bool) (*RecoveryReport, bool) {
+	h := c.h
+	env, wl := h.env, h.cfg.WL
+	h.gen++
+	newGen := h.gen
 	deadline := p.Now() + c.attemptTimeout()
+	criu := scheduler.CRIU{SnapshotTime: wl.CRIU * 2 / 3, RestoreTime: wl.CRIU / 3}
 	hardSet := make(map[int]bool, len(hard))
 	for _, r := range hard {
 		hardSet[r] = true
@@ -754,7 +790,7 @@ func (c *Coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 	for i, r := range c.ranks {
 		rec := &rankRecovery{
 			r: r, strat: 1,
-			done: c.env.NewEvent(fmt.Sprintf("hard.r%d", r.Rank)),
+			done: env.NewEvent(fmt.Sprintf("hard.r%d", r.Rank)),
 		}
 		if hardSet[r.Rank] || r.Server.Device().Health() != gpu.Healthy || lost[r.Rank] {
 			rec.strat = 4 // lost or unusable device, or state corrupted by a failed attempt
@@ -783,10 +819,9 @@ func (c *Coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 			badNodes[nid] = true
 		}
 	}
-	nNodes := nodeCount(c.ranks)
-	if avail := c.cfg.Pool.FreeHealthy() + len(jobNodes) - len(badNodes); avail < nNodes {
-		c.env.Tracef("%s: hard recovery: no viable placement (%d nodes available, need %d)",
-			c.cfg.Job, avail, nNodes)
+	nNodes := len(jobNodes)
+	if avail := h.pool.FreeHealthy() + nNodes - len(badNodes); avail < nNodes {
+		env.Tracef("job: hard recovery: no viable placement (%d nodes available, need %d)", avail, nNodes)
 		rep := c.buildReport(recs, "hard", advanced)
 		rep.Kind = KindNoViablePlacement
 		return rep, false
@@ -796,32 +831,31 @@ func (c *Coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 	images := make([]scheduler.Image, len(recs))
 	for i, rec := range recs {
 		i, rec := i, rec
-		rec.proc = c.env.Go(fmt.Sprintf("%s.hardckpt.r%d", c.cfg.Job, rec.r.Rank), func(pr *vclock.Proc) {
+		rec.proc = env.Go(fmt.Sprintf("job.hardckpt.r%d", rec.r.Rank), func(pr *vclock.Proc) {
 			defer rec.done.Trigger()
-			rec.started = pr.Now()
-			rec.timer = metrics.NewPhaseTimerLane(c.env, trace.Rank(rec.r.Rank))
+			rec.timer = metrics.NewPhaseTimerLane(env, trace.Rank(rec.r.Rank))
 			if rec.strat != 4 {
-				jsp := trace.Of(c.env).Begin(pr.Now(), "ckpt", trace.Rank(rec.r.Rank), "jit-save",
+				jsp := trace.Of(env).Begin(pr.Now(), "ckpt", trace.Rank(rec.r.Rank), "jit-save",
 					"iter", stateIter)
 				ms := &train.ModelState{Iter: stateIter, Rank: rec.r.Rank}
-				tensors, err := c.readModelTensors(pr, rec.r, nil)
+				tensors, err := c.readTensors(pr, rec.r, nil, false)
 				if err != nil {
 					rec.err = err
 					jsp.End(pr.Now(), "err", err)
 					return
 				}
 				ms.Tensors = tensors
-				dir := checkpoint.RankDir(c.cfg.Job, JITPolicyName, ms.Iter, rec.r.Rank)
-				if err := checkpoint.SaveRank(pr, c.cfg.Store, dir, ms, c.cfg.SerializeBW, c.cfg.StateBytes, c.cfg.StateBytes); err != nil {
+				dir := checkpoint.RankDir("job", JITPolicyName, ms.Iter, rec.r.Rank)
+				if err := checkpoint.SaveRank(pr, h.disk, dir, ms, wl.SerializeBW(), wl.StateBytesPerGPU(), wl.StateBytesPerGPU()); err != nil {
 					rec.err = err
 					jsp.End(pr.Now(), "err", err)
 					return
 				}
 				jsp.End(pr.Now())
-				c.cfg.Monitor.Notify(scheduler.Event{Kind: scheduler.EvCheckpointDone, Rank: rec.r.Rank, Iter: ms.Iter})
+				h.monitor.Notify(scheduler.Event{Kind: scheduler.EvCheckpointDone, Rank: rec.r.Rank, Iter: ms.Iter})
 			}
 			rec.timer.Mark("jit-checkpoint")
-			images[i] = c.cfg.CRIU.Take(pr, rec.r.Rank, rec.r.Worker.Snapshot())
+			images[i] = criu.Take(pr, rec.r.Rank, rec.r.Worker.Snapshot())
 			rec.timer.Mark("criu-snapshot")
 		})
 	}
@@ -831,29 +865,29 @@ func (c *Coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 		return c.buildReport(recs, "hard", advanced), false
 	}
 	for _, rec := range recs {
-		rec.done = c.env.NewEvent(fmt.Sprintf("hard2.r%d", rec.r.Rank))
+		rec.done = env.NewEvent(fmt.Sprintf("hard2.r%d", rec.r.Rank))
 		rec.proc = nil
 	}
 
 	// Quorum: at least one replica per position checkpointed (§3.3).
-	if _, ok := c.cfg.Monitor.WaitCheckpointQuorum(p, c.cfg.Topo, vclock.Minute); !ok {
-		c.env.Tracef("%s: WARNING: checkpoint quorum not reached", c.cfg.Job)
+	if _, ok := h.monitor.WaitCheckpointQuorum(p, wl.Topo, vclock.Minute); !ok {
+		env.Tracef("job: WARNING: checkpoint quorum not reached")
 	}
 
 	// Phase C: release the job's current nodes back to the pool, exclude
 	// the failed ones permanently, and allocate a replacement set.
 	for _, rec := range recs {
-		c.cfg.Pool.ReleaseByID(rec.r.Server.Device().NodeID)
+		h.pool.ReleaseByID(rec.r.Server.Device().NodeID)
 	}
 	for _, rec := range recs {
 		if rec.strat == 4 {
-			c.cfg.Pool.MarkFailed(rec.r.Server.Device().NodeID)
+			h.pool.MarkFailed(rec.r.Server.Device().NodeID)
 		}
 	}
-	nodes, err := c.cfg.Pool.Allocate(nNodes, nil)
+	nodes, err := h.pool.Allocate(nNodes, nil)
 	if err != nil {
 		// No spare capacity: recovery cannot proceed transparently.
-		c.env.Tracef("%s: hard recovery failed: %v", c.cfg.Job, err)
+		env.Tracef("job: hard recovery failed: %v", err)
 		rep := c.buildReport(recs, "hard", advanced)
 		rep.Kind = "hard-failed:" + err.Error()
 		return rep, false
@@ -867,13 +901,13 @@ func (c *Coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 
 	// Phase D–F per rank: restore CPU image on the new host, rebuild GPU
 	// state, restore tensors from checkpoint files, replay.
-	asmDone := c.env.NewEvent("hard.assembly")
+	asmDone := env.NewEvent("hard.assembly")
 	var plan *checkpoint.RestorePlan
-	c.env.Go(c.cfg.Job+".assemble", func(pr *vclock.Proc) {
+	env.Go("job.assemble", func(pr *vclock.Proc) {
 		defer asmDone.Trigger()
 		var err error
-		if plan, err = JITCheckpointPath(pr, c.cfg.Store, c.cfg.Job, c.cfg.Topo); err != nil {
-			c.env.Tracef("%s: assemble failed: %v", c.cfg.Job, err)
+		if plan, err = JITCheckpointPath(pr, h.disk, "job", wl.Topo); err != nil {
+			env.Tracef("job: assemble failed: %v", err)
 		}
 	})
 	p.Wait(asmDone)
@@ -885,7 +919,7 @@ func (c *Coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 
 	for i, rec := range recs {
 		i, rec := i, rec
-		rec.proc = c.env.Go(fmt.Sprintf("%s.hardrestore.r%d", c.cfg.Job, rec.r.Rank), func(pr *vclock.Proc) {
+		rec.proc = env.Go(fmt.Sprintf("job.hardrestore.r%d", rec.r.Rank), func(pr *vclock.Proc) {
 			defer rec.done.Trigger()
 			if rec.err != nil {
 				return
@@ -897,25 +931,25 @@ func (c *Coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 			// Attach the worker to its replacement GPU: fresh proxy
 			// server and client on the new device.
 			newDev := placement[rec.r.Rank]
-			server, err := proxy.NewServer(c.env, newDev, rec.r.Server.Driver().Engine(), c.cfg.Kernels, c.cfg.CUDAParams, c.cfg.ProxyParams)
+			server, err := proxy.NewServer(env, newDev, rec.r.Server.Driver().Engine(), h.kernels, wl.CUDAParams(), proxy.DefaultParams())
 			if err != nil {
 				rec.err = err
 				return
 			}
-			client := proxy.NewClient(c.env, server)
+			client := proxy.NewClient(env, server)
 			rec.r.Server = server
 			rec.r.Client = client
 			rec.r.Layer.SetInner(client)
 
 			// CRIU restore: the worker's CPU state arrives intact.
-			if rec.err = checkImage(rec.r.Rank, c.cfg.CRIU.Restore(pr, images[i]), rec.r.Worker.Iter()); rec.err != nil {
+			if rec.err = checkImage(rec.r.Rank, criu.Restore(pr, images[i]), rec.r.Worker.Iter()); rec.err != nil {
 				return
 			}
 			rec.timer.Mark("criu-restore")
 
 			// Rebuild all GPU objects on the new server from the creation
 			// log.
-			if rec.err = c.rebuildGPU(pr, rec, true, newGen); rec.err != nil {
+			if rec.err = rebuildGPU(pr, rec, true, newGen); rec.err != nil {
 				return
 			}
 
@@ -926,7 +960,7 @@ func (c *Coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 				rec.err = err
 				return
 			}
-			if err := writeModelTensors(pr, rec.r.Layer, client, rec.tr, ms.Tensors); err != nil {
+			if err := writeTensors(pr, rec.r.Layer, client, rec.tr, ms.Tensors, false); err != nil {
 				rec.err = err
 				return
 			}
@@ -936,28 +970,7 @@ func (c *Coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 		})
 	}
 	ok := c.awaitRecs(p, recs, deadline, lost)
-
-	rep := c.buildReport(recs, "hard", advanced)
-	// Table 6 semantics: "healthy" ranks checkpointed their GPU state,
-	// "failed" ranks could not.
-	var hSum, fSum vclock.Time
-	var hN, fN int
-	for _, rec := range recs {
-		if rec.strat == 4 {
-			fSum += c.rankWorkTime(rec)
-			fN++
-		} else {
-			hSum += c.rankWorkTime(rec)
-			hN++
-		}
-	}
-	if hN > 0 {
-		rep.HealthyAvg = hSum / vclock.Time(hN)
-	}
-	if fN > 0 {
-		rep.FailedAvg = fSum / vclock.Time(fN)
-	}
-	return rep, ok
+	return c.buildReport(recs, "hard", advanced), ok
 }
 
 // checkImage rejects a restored CRIU image that is not of the minibatch the
@@ -967,13 +980,4 @@ func checkImage(rank int, img train.Snapshot, workerIter int) error {
 		return fmt.Errorf("core: rank %d CRIU image is of iteration %d, the worker is at %d", rank, img.Iter, workerIter)
 	}
 	return nil
-}
-
-// nodeCount counts distinct nodes hosting the job's ranks.
-func nodeCount(ranks []*TransparentRank) int {
-	seen := make(map[int]bool)
-	for _, r := range ranks {
-		seen[r.Server.Device().NodeID] = true
-	}
-	return len(seen)
 }

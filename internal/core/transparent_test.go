@@ -1,12 +1,14 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
 	"jitckpt/internal/cuda"
 	"jitckpt/internal/failure"
 	"jitckpt/internal/replay"
+	"jitckpt/internal/trace"
 	"jitckpt/internal/train"
 	"jitckpt/internal/vclock"
 )
@@ -99,6 +101,7 @@ func TestRecoveryReportPhases(t *testing.T) {
 // a post-recovery initialization.
 func TestCoordinatorGenerationMonotonic(t *testing.T) {
 	wl := testWL()
+	rec := trace.New()
 	res := mustRun(t, JobConfig{
 		WL: wl, Policy: PolicyTransparentJIT, Iters: 16, Seed: 1,
 		HangTimeout: 2 * vclock.Second, SpareNodes: 2,
@@ -106,18 +109,39 @@ func TestCoordinatorGenerationMonotonic(t *testing.T) {
 			{Iter: 4, Frac: 0.4, Rank: 1, Kind: failure.NetworkHang},
 			{Iter: 10, Frac: 0.4, Rank: 2, Kind: failure.NetworkHang},
 		},
+		Recorder: rec,
 	})
 	if !res.Completed || len(res.Reports) != 2 {
 		t.Fatalf("completed=%v reports=%d", res.Completed, len(res.Reports))
 	}
-	// Two distinct successful recoveries imply two distinct generations:
-	// if the generation had been reused, the second rendezvous would have
-	// been satisfied by the first recovery's stale arrivals and the
-	// replayed collectives would have mismatched (caught by the loss
-	// checks elsewhere); here we assert the episodes at least completed
-	// in order.
-	if res.Reports[1].DetectedAt <= res.Reports[0].CompletedAt {
-		t.Fatal("second recovery overlapped the first")
+	// Episode i re-initializes every communicator under generation i; one
+	// (comm, rank) pair seeing a generation twice would let stale
+	// rendezvous arrivals satisfy a post-recovery init.
+	perGen := make(map[string]int)
+	seen := make(map[string]bool)
+	for _, sp := range trace.NewQuery(rec).Spans("nccl", "comm-init") {
+		gen := sp.Args["gen"]
+		if gen == "0" {
+			continue // initial job setup
+		}
+		want := "none"
+		for i, rep := range res.Reports {
+			if sp.Start >= rep.DetectedAt && sp.Start <= rep.CompletedAt {
+				want = strconv.Itoa(i + 1)
+			}
+		}
+		if gen != want {
+			t.Fatalf("comm-init %s rank %s at %v: gen %s, want the episode's %s", sp.Lane, sp.Args["rank"], sp.Start, gen, want)
+		}
+		key := sp.Lane + " rank " + sp.Args["rank"] + " gen " + gen
+		if seen[key] {
+			t.Fatalf("generation reused: %s", key)
+		}
+		seen[key] = true
+		perGen[gen]++
+	}
+	if perGen["1"] == 0 || perGen["2"] == 0 || perGen["1"] != perGen["2"] {
+		t.Fatalf("comm-inits per generation = %v, want the same nonzero count under 1 and 2", perGen)
 	}
 }
 

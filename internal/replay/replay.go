@@ -90,13 +90,11 @@ func (l *Log) Record(c Call) {
 
 // Options configure a replay.
 type Options struct {
-	// GenFor overrides the generation used when replaying CommInit: after
-	// a failure, communicators must re-rendezvous under a fresh generation.
-	// nil keeps the recorded generation.
-	GenFor func(key string, recorded int) int
-	// SkipData, when true, skips MemcpyH2D payload replay (used when
-	// buffer contents are restored from a replica instead).
-	SkipData bool
+	// Gen, when positive, is the generation every replayed CommInit
+	// rendezvouses under: after a failure, communicators must re-initialize
+	// under a fresh one. 0 keeps the recorded generation (recovery
+	// generations start at 1).
+	Gen int
 }
 
 // Apply re-executes calls against api, translating handles through tr and
@@ -113,11 +111,8 @@ func Apply(p *vclock.Proc, api cuda.API, calls []Call, tr *cuda.Handles, opts Op
 
 func applyOne(p *vclock.Proc, api cuda.API, c *Call, tr *cuda.Handles, opts Options) error {
 	call := c.Call
-	switch {
-	case call.Op == cuda.OpMemcpyH2D && opts.SkipData:
-		return nil
-	case call.Op == cuda.OpCommInit && opts.GenFor != nil:
-		call.Gen = opts.GenFor(call.Key, call.Gen)
+	if call.Op == cuda.OpCommInit && opts.Gen > 0 {
+		call.Gen = opts.Gen
 	}
 	if err := tr.Translate(&call); err != nil {
 		return err

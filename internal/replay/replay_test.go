@@ -7,7 +7,6 @@ import (
 	"jitckpt/internal/cuda"
 	"jitckpt/internal/gpu"
 	"jitckpt/internal/nccl"
-	"jitckpt/internal/tensor"
 	"jitckpt/internal/vclock"
 )
 
@@ -148,50 +147,32 @@ func TestReplayTranslatesStreamsAndEvents(t *testing.T) {
 	}
 }
 
-func TestReplaySkipData(t *testing.T) {
-	env := vclock.NewEnv(1)
-	engine := nccl.NewEngine(env, nccl.DefaultParams())
-	dev := gpu.NewDevice(env, 0, 0, 1<<30)
-	drv, _ := cuda.NewDriver(dev, engine, nil, cuda.DefaultParams())
-	env.Go("w", func(p *vclock.Proc) {
-		b, _ := drv.Malloc(p, 64, 2, "w")
-		calls := []Call{{Call: cuda.Call{Op: cuda.OpMemcpyH2D, Buf: b, Data: []float32{9, 9}}}}
-		tr := cuda.NewHandles()
-		if err := Apply(p, drv, calls, tr, Options{SkipData: true}); err != nil {
-			t.Error(err)
-			return
-		}
-		drv.StreamSynchronize(p, cuda.DefaultStream)
-		got, _ := drv.MemcpyD2H(p, b, cuda.DefaultStream)
-		if !tensor.Vector(got).Equal(tensor.Vector{0, 0}) {
-			t.Errorf("SkipData leaked payload: %v", got)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReplayGenOverrideForCommInit(t *testing.T) {
 	env := vclock.NewEnv(1)
 	engine := nccl.NewEngine(env, nccl.DefaultParams())
 	dev := gpu.NewDevice(env, 0, 0, 1<<30)
 	drv, _ := cuda.NewDriver(dev, engine, nil, cuda.DefaultParams())
+	var gens []int
+	engine.SetOnCommInit(func(_ string, gen, _ int) { gens = append(gens, gen) })
 	env.Go("w", func(p *vclock.Proc) {
 		calls := []Call{{Call: cuda.Call{Op: cuda.OpCommInit, Key: "dp", Gen: 0, NRanks: 1, Rank: 0}, Created: 1}}
 		tr := cuda.NewHandles()
-		err := Apply(p, drv, calls, tr, Options{
-			GenFor: func(key string, recorded int) int { return recorded + 5 },
-		})
-		if err != nil {
+		if err := Apply(p, drv, calls, tr, Options{Gen: 5}); err != nil {
 			t.Error(err)
 		}
 		if tr.Comms[1] == 0 {
 			t.Error("comm handle not mapped")
 		}
+		// Gen 0 keeps the recorded generation.
+		if err := Apply(p, drv, calls, cuda.NewHandles(), Options{}); err != nil {
+			t.Error(err)
+		}
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if len(gens) != 2 || gens[0] != 5 || gens[1] != 0 {
+		t.Fatalf("comm-init generations = %v, want [5 0]", gens)
 	}
 }
 
