@@ -7,7 +7,7 @@
 //
 //	jitsim -workload BERT-B-FT -policy transparent -fail network-hang -fail-iter 5
 //	jitsim -workload GPT2-18B -policy userjit -fail gpu-hard -iters 12
-//	jitsim -workload GPT2-S -policy pc_disk -iters 30 -debug
+//	jitsim -workload GPT2-S -policy pc_disk -iters 30 -trace-text -
 //	jitsim -workload BERT-B-FT -policy userjit -chaos -fail gpu-hard
 //	jitsim -policy pc_disk -fail-rate 200 -mix "gpu-hard:0.5,network-hang:0.5"
 //	jitsim -seed 1 -policy jit -trace out.json
@@ -105,7 +105,6 @@ var (
 	rackSize     = flag.Int("rack", 0, "failure-domain width in nodes for single-job runs (0 = default 2)")
 	chaos        = flag.Bool("chaos", false, "chaos mode: randomly fail/tear/bit-flip checkpoint-store writes (seeded by -seed)")
 	chaosP       = flag.Float64("chaos-p", 0.12, "per-write fault probability in -chaos mode")
-	debug        = flag.Bool("debug", false, "print the debug simulation log to stderr")
 	traceOut     = flag.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing or Perfetto)")
 	traceText    = flag.String("trace-text", "", "write the compact deterministic text timeline to a file (\"-\" = stdout)")
 	lossTail     = flag.Int("loss", 5, "loss-trace entries to print")
@@ -179,18 +178,8 @@ func main() {
 		}
 		cfg.Peer = &peerckpt.Params{DataShards: k, ParityShards: m}
 	}
-	if *debug {
-		cfg.Trace = debugLog
-	}
-	var rec *trace.Recorder
-	if *traceOut != "" || *traceText != "" {
-		rec = trace.New()
-		cfg.Recorder = rec
-	}
-	var linger func()
-	if *serveAddr != "" {
-		cfg.Stream, linger = startServe(*serveAddr)
-	}
+	rec := observe()
+	cfg.Recorder = rec
 	if *failKind != "" {
 		kind, ok := failure.KindByName(*failKind)
 		if !ok {
@@ -238,8 +227,8 @@ func main() {
 	if *stats {
 		printStats(res.SimStats, res.WallTime, elapsed)
 	}
-	if linger != nil {
-		linger()
+	if *serveAddr != "" {
+		awaitInterrupt()
 	}
 	if !res.Completed {
 		os.Exit(2)
@@ -256,15 +245,24 @@ func printStats(s vclock.Stats, simWall vclock.Time, elapsed time.Duration) {
 		float64(s.Events())/sec, simWall.Sec()/sec, 1000*sec)
 }
 
-// debugLog is -debug: the simulation's trace lines on stderr.
-func debugLog(at vclock.Time, format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "[%v] %s\n", at, fmt.Sprintf(format, args...))
+// observe builds the run's one observability input: a recorder that
+// retains the log when -trace or -trace-text will export it and feeds a
+// live stream when -serve is set (nil when neither is asked for).
+func observe() *trace.Recorder {
+	export := *traceOut != "" || *traceText != ""
+	if !export && *serveAddr == "" {
+		return nil
+	}
+	rec := trace.New()
+	rec.SetRetain(export)
+	if *serveAddr != "" {
+		rec.SetSink(startServe(*serveAddr))
+	}
+	return rec
 }
 
-// startServe attaches a live stream and serves its HTTP endpoints in the
-// background; the returned function blocks until interrupted, so the
-// snapshots stay inspectable after the simulation finishes.
-func startServe(addr string) (*tracestream.Stream, func()) {
+// startServe serves a live stream's HTTP endpoints in the background.
+func startServe(addr string) *tracestream.Stream {
 	st := tracestream.New(tracestream.Options{})
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -272,14 +270,19 @@ func startServe(addr string) (*tracestream.Stream, func()) {
 	}
 	go http.Serve(ln, tracestream.NewServer(st))
 	fmt.Fprintf(os.Stderr, "jitsim: serving live metrics on http://%s (endpoints: /metrics /fleet /jobs/{id}/timeline)\n", ln.Addr())
-	return st, func() {
-		// Listen for the signal before inviting it: a supervisor that acts on
-		// the line below must find the handler installed.
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		fmt.Fprintln(os.Stderr, "jitsim: run finished; still serving final snapshots — interrupt to exit")
-		<-sig
-	}
+	return st
+}
+
+// awaitInterrupt is -serve's linger after the run: it blocks until
+// interrupted, so the snapshots stay inspectable after the simulation
+// finishes.
+func awaitInterrupt() {
+	// Listen for the signal before inviting it: a supervisor that acts on
+	// the line below must find the handler installed.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	fmt.Fprintln(os.Stderr, "jitsim: run finished; still serving final snapshots — interrupt to exit")
+	<-sig
 }
 
 // runFleet runs many concurrent jobs leasing one arbitrated cluster in a
@@ -299,18 +302,8 @@ func runFleet() error {
 		Nodes: nodes, PerNode: 2, RackSize: *fleetRack,
 		Seed: *seed, Horizon: horizon, Jobs: jobs,
 	}
-	if *debug {
-		cfg.Trace = debugLog
-	}
-	var rec *trace.Recorder
-	if *traceOut != "" || *traceText != "" {
-		rec = trace.New()
-		cfg.Recorder = rec
-	}
-	var linger func()
-	if *serveAddr != "" {
-		cfg.Stream, linger = startServe(*serveAddr)
-	}
+	rec := observe()
+	cfg.Recorder = rec
 	if *failRate > 0 {
 		// An empty -mix means the node-granular default here, not the
 		// rank-level paper mix ParseMix substitutes.
@@ -349,8 +342,8 @@ func runFleet() error {
 	if *stats {
 		printStats(res.Fleet.SimStats, res.Fleet.Wall, elapsed)
 	}
-	if linger != nil {
-		linger()
+	if *serveAddr != "" {
+		awaitInterrupt()
 	}
 	if res.Fleet.JobsCompleted != res.Fleet.JobsTotal {
 		os.Exit(2)

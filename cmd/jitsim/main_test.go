@@ -2,10 +2,12 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -20,6 +22,7 @@ func TestMain(m *testing.M) { os.Exit(clitest.Main(m, &jitsimBin)) }
 func TestCLI(t *testing.T) {
 	clitest.Run(t, jitsimBin, []clitest.Case{
 		{Name: "unknown policy", Args: "-policy warp", Exit: 2, Want: []string{`unknown policy "warp"`}},
+		{Name: "-debug is gone", Args: "-debug", Exit: 2, Want: []string{"flag provided but not defined: -debug"}},
 		{Name: "malformed -rs", Args: "-workload GPT2-8B -policy peer -rs 2x1", Exit: 2, Want: []string{`bad -rs "2x1"`}},
 		{Name: "malformed -mix", Args: "-fail-rate 100 -mix gpu-hard:lots", Exit: 2, Want: []string{`bad weight "lots"`}},
 		{Name: "malformed -fleet", Args: "-fleet 4jit", Exit: 2, Want: []string{`bad jobs group "4jit"`}},
@@ -41,11 +44,12 @@ func TestCLI(t *testing.T) {
 	})
 }
 
-// TestServe drives -serve as an operator would: start the run, take the
-// address from stderr, read every endpoint over loopback once the run has
-// finished, interrupt, and expect a clean exit.
-func TestServe(t *testing.T) {
-	cmd := exec.Command(jitsimBin, strings.Fields("-policy userjit -fail gpu-hard -fail-iter 5 -iters 8 -serve 127.0.0.1:0")...)
+// serve starts jitsim with args plus -serve on a free loopback port and
+// returns the process and the served base URL once the run has finished.
+// The caller interrupts it (stopServing).
+func serve(t *testing.T, args ...string) (*exec.Cmd, string) {
+	t.Helper()
+	cmd := exec.Command(jitsimBin, append(args, "-serve", "127.0.0.1:0")...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +57,7 @@ func TestServe(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cmd.Process.Kill() // no-op once Wait has reaped it
+	t.Cleanup(func() { cmd.Process.Kill() }) // no-op once Wait has reaped it
 	var base string
 	lines := bufio.NewScanner(stderr)
 	for lines.Scan() {
@@ -67,7 +71,25 @@ func TestServe(t *testing.T) {
 	if base == "" {
 		t.Fatalf("no serving address on stderr (scan error: %v)", lines.Err())
 	}
+	return cmd, base
+}
 
+// stopServing interrupts a lingering -serve run and expects a clean exit.
+func stopServing(t *testing.T, cmd *exec.Cmd) {
+	t.Helper()
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("after SIGINT: %v, want exit 0", err)
+	}
+}
+
+// TestServe drives -serve as an operator would: start the run, take the
+// address from stderr, read every endpoint over loopback once the run has
+// finished, interrupt, and expect a clean exit.
+func TestServe(t *testing.T) {
+	cmd, base := serve(t, strings.Fields("-policy userjit -fail gpu-hard -fail-iter 5 -iters 8")...)
 	get := func(path string, wantCode int, into interface{}) {
 		t.Helper()
 		resp, err := http.Get(base + path)
@@ -107,11 +129,32 @@ func TestServe(t *testing.T) {
 	}
 	get("/jobs/ghost/timeline", 404, nil)
 	get("/jobs/r1.job/timeline?n=0", 400, nil)
+	stopServing(t, cmd)
+}
 
-	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+// TestServeKeepsTraceText pins that serving is a view: jitsim wires one
+// recorder that both retains the log for -trace-text and feeds the stream,
+// and the timeline it writes is byte-identical to an unserved run's.
+func TestServeKeepsTraceText(t *testing.T) {
+	dir := t.TempDir()
+	args := func(out string) []string {
+		return append(strings.Fields("-policy transparent -fail gpu-sticky -fail-iter 5 -iters 8 -trace-text"),
+			filepath.Join(dir, out))
+	}
+	if out, err := exec.Command(jitsimBin, args("plain.txt")...).CombinedOutput(); err != nil {
+		t.Fatalf("unserved run: %v\n%s", err, out)
+	}
+	cmd, _ := serve(t, args("served.txt")...)
+	stopServing(t, cmd)
+	plain, err := os.ReadFile(filepath.Join(dir, "plain.txt"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("after SIGINT: %v, want exit 0", err)
+	served, err := os.ReadFile(filepath.Join(dir, "served.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plain) == 0 || !bytes.Equal(plain, served) {
+		t.Fatalf("-serve changed -trace-text: %d bytes unserved, %d served", len(plain), len(served))
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"jitckpt/internal/core"
 	"jitckpt/internal/failure"
+	"jitckpt/internal/trace"
 	"jitckpt/internal/train"
 	"jitckpt/internal/vclock"
 	"jitckpt/internal/workload"
@@ -33,19 +34,19 @@ func main() {
 	const iters = 14
 	const victim = 5 // rank (d1, p0, t1): its replica is rank 1 (d0, p0, t1)
 
-	trace := len(os.Args) > 1 && os.Args[1] == "-trace"
 	cfg := core.JobConfig{
 		WL: wl, Policy: core.PolicyTransparentJIT, Iters: iters, Seed: 3, CollectLoss: true,
 		SpareNodes:   2,
 		HangTimeout:  2 * vclock.Second,
 		IterFailures: []core.IterInjection{{Iter: 7, Frac: 0.5, Rank: victim, Kind: failure.GPUHard}},
 	}
-	if trace {
-		cfg.Trace = func(at vclock.Time, format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, "[%v] %s\n", at, fmt.Sprintf(format, args...))
-		}
+	if len(os.Args) > 1 && os.Args[1] == "-trace" {
+		cfg.Recorder = trace.New()
 	}
 	res, err := core.Run(cfg)
+	if cfg.Recorder != nil {
+		trace.WriteText(os.Stderr, cfg.Recorder, trace.TextOptions{})
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,5 +74,5 @@ func main() {
 		fmt.Printf(" [%d]=%.6f", it, res.Loss[it])
 	}
 	fmt.Println()
-	fmt.Println("\n(run with -trace to watch the full recovery event stream)")
+	fmt.Println("\n(run with -trace to print the recovery's event timeline on stderr)")
 }

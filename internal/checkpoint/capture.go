@@ -64,7 +64,6 @@ func (c *Capture) Offer(w StatePeeker) {
 	ms, err := w.PeekModelState()
 	if err != nil {
 		c.Stats.Skips++
-		c.Env.Tracef("%s: peek failed: %v", c.Proc, err)
 		return
 	}
 	c.busy = true

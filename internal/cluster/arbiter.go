@@ -226,7 +226,6 @@ func (a *arbiter) preempt(demander *lease) {
 		if v.handle.RequestYield() {
 			a.preemptions++
 			need -= v.ownedCount
-			a.env.Tracef("cluster: %s yields %d nodes to %s", v.name, v.ownedCount, demander.name)
 		}
 	}
 }

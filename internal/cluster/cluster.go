@@ -22,7 +22,6 @@ import (
 	"jitckpt/internal/gpu"
 	"jitckpt/internal/scheduler"
 	"jitckpt/internal/trace"
-	"jitckpt/internal/tracestream"
 	"jitckpt/internal/vclock"
 )
 
@@ -63,16 +62,10 @@ type Config struct {
 	// on the shared hardware, hitting whichever tenant (or spare) holds the
 	// node when they fire.
 	Failures failure.Plan
-	// Trace, when set, receives the simulation debug trace.
-	Trace func(at vclock.Time, format string, args ...interface{})
 	// Recorder, when set, receives the structured event trace of the
-	// whole fleet under a single run ID.
+	// whole fleet under a single run ID. To serve the fleet live, give it
+	// a retention-free recorder whose sink is a tracestream.Stream.
 	Recorder *trace.Recorder
-	// Stream, when set, serves the fleet live: the recorder streams every
-	// event into it (creating a retention-free recorder when Recorder is
-	// nil, so a long-serving fleet pays bounded memory) and each tenant's
-	// SharedSim carries it. This is the `jitsim -fleet -serve` path.
-	Stream *tracestream.Stream
 }
 
 // JobResult is one tenant's outcome plus its fleet-side accounting.
@@ -209,20 +202,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	env := vclock.NewEnv(cfg.Seed)
-	if cfg.Trace != nil {
-		env.SetTracer(cfg.Trace)
-	}
-	rec := cfg.Recorder
-	if cfg.Stream != nil && rec == nil {
-		// Live streaming without a post-hoc log: bounded memory.
-		rec = trace.New()
-		rec.SetRetain(false)
-	}
-	if cfg.Stream != nil {
-		rec.SetSink(cfg.Stream)
-	}
 	var fleetSpan trace.Span
-	if rec != nil {
+	if rec := cfg.Recorder; rec != nil {
 		rec.BeginRun(fmt.Sprintf("fleet jobs=%d nodes=%d seed=%d", len(cfg.Jobs), cfg.Nodes, cfg.Seed))
 		trace.Attach(env, rec)
 		fleetSpan = rec.Begin(0, "cluster", trace.LaneSim, "fleet",
@@ -244,7 +225,6 @@ func Run(cfg Config) (*Result, error) {
 		results[i] = JobResult{Name: name, Priority: spec.Priority}
 		jc := spec.Config
 		jc.Horizon = cfg.Horizon
-		jc.Trace = nil
 		jc.Recorder = nil
 		idx := i
 		jc.Shared = &core.SharedSim{
@@ -263,7 +243,6 @@ func Run(cfg Config) (*Result, error) {
 			if err != nil {
 				results[idx].Err = err
 				e.finish()
-				env.Tracef("cluster: job %s rejected: %v", name, err)
 				return
 			}
 			e.handle = h

@@ -60,12 +60,10 @@ func (in *injector) apply(inj failure.Injection) {
 		in.applied++
 		trace.Of(a.env).Instant(now, "fail", trace.LaneSim, "cluster-inject",
 			"kind", inj.Kind, "node", inj.Target)
-		a.env.Tracef("cluster: injected %v at node %d", inj.Kind, inj.Target)
 	} else {
 		in.skipped++
 		trace.Of(a.env).Instant(now, "fail", trace.LaneSim, "cluster-inject-skip",
 			"kind", inj.Kind, "node", inj.Target)
-		a.env.Tracef("cluster: skipped %v at node %d (target already lost)", inj.Kind, inj.Target)
 	}
 }
 

@@ -38,7 +38,7 @@ func TestFleetStreamingDifferential(t *testing.T) {
 	recB := trace.New()
 	cfgB.Recorder = recB
 	st := tracestream.New(tracestream.Options{})
-	cfgB.Stream = st
+	recB.SetSink(st)
 	resB, err := Run(cfgB)
 	if err != nil {
 		t.Fatalf("streaming Run: %v", err)

@@ -79,7 +79,6 @@ func (h *harness) noteRepairCapacity() {
 		at := h.maxIter + 2
 		if at < h.cfg.Iters {
 			h.expandAt = at
-			h.env.Tracef("harness: repairs restored full capacity; expand scheduled at iter %d", at)
 		}
 	}
 }
@@ -102,7 +101,6 @@ func (h *harness) requestYield() bool {
 	}
 	h.yieldAt = at
 	h.expandAt = -1
-	h.env.Tracef("harness: yield requested; stopping at iter %d", at)
 	return true
 }
 

@@ -18,7 +18,6 @@ import (
 	"jitckpt/internal/pipefree"
 	"jitckpt/internal/scheduler"
 	"jitckpt/internal/trace"
-	"jitckpt/internal/tracestream"
 	"jitckpt/internal/train"
 	"jitckpt/internal/vclock"
 	"jitckpt/internal/workload"
@@ -77,21 +76,13 @@ type JobConfig struct {
 	// RecoveryAttemptTimeout bounds one transparent-recovery attempt
 	// before the coordinator restarts it (0 = derived default).
 	RecoveryAttemptTimeout vclock.Time
-	// Trace, when set, receives the simulation trace.
-	Trace func(at vclock.Time, format string, args ...interface{})
 	// Recorder, when set, is attached to the run's environment and
 	// receives the structured event trace (spans and instants from every
-	// instrumented layer). One Recorder may be shared across sequential
-	// Run calls: each run is recorded under a fresh run ID.
+	// instrumented layer); it is the run's one observability input. One
+	// Recorder may be shared across sequential Run calls: each run is
+	// recorded under a fresh run ID. To watch a run live, give it a
+	// retention-free recorder whose sink is a tracestream.Stream.
 	Recorder *trace.Recorder
-	// Stream, when set, receives the event trace live (the tracestream
-	// aggregator behind `jitsim -serve`): the run's recorder streams into
-	// it via trace.Recorder.SetSink. With no Recorder configured, a
-	// retention-free recorder is created internally, so long-running
-	// serving pays only the stream's bounded memory, not an unbounded
-	// post-hoc log. Streaming never perturbs the run (the differential
-	// suite pins byte-identical trajectories).
-	Stream *tracestream.Stream
 	// Peer overrides the peer-shelter tier's parameters (policies with the
 	// Peer column only; nil = defaults). Setting DataShards/ParityShards
 	// switches the shelter from whole-entry replication to Reed-Solomon
@@ -177,6 +168,9 @@ type RunResult struct {
 	// Yields counts arbiter-requested preemption yields the job honored
 	// (elastic fleet jobs only).
 	Yields int
+	// Shrinks and Expands count elastic resizes: one per elastic/shrink and
+	// elastic/expand instant the run emits.
+	Shrinks, Expands int
 }
 
 // OptimalInterval computes the periodic-checkpoint interval 1/c* for a
@@ -335,19 +329,7 @@ func (h *harness) setup() error {
 			"job", h.label, "policy", cfg.Policy, "gpus", wl.GPUs(), "iters", cfg.Iters)
 	} else {
 		h.env = vclock.NewEnv(cfg.Seed)
-		if cfg.Trace != nil {
-			h.env.SetTracer(cfg.Trace)
-		}
-		rec := cfg.Recorder
-		if cfg.Stream != nil && rec == nil {
-			// Live streaming without a post-hoc log: bounded memory.
-			rec = trace.New()
-			rec.SetRetain(false)
-		}
-		if cfg.Stream != nil {
-			rec.SetSink(cfg.Stream)
-		}
-		if rec != nil {
+		if rec := cfg.Recorder; rec != nil {
 			rec.BeginRun(fmt.Sprintf("%v seed=%d", cfg.Policy, cfg.Seed))
 			trace.Attach(h.env, rec)
 			h.runSpan = rec.Begin(0, "core", trace.LaneSim, "run",
@@ -540,7 +522,6 @@ func (h *harness) workerConfig(rank int, api cuda.API, gil *vclock.Mutex, layer 
 						h.res.Validations++
 					} else {
 						h.res.ValidationFailures++
-						h.env.Tracef("rank %d: replay validation FAILED: %+v err=%v", rank, res, err)
 					}
 				}
 				layer.PreOptimizerStep()
@@ -784,7 +765,6 @@ func (h *harness) runIncarnations() error {
 				return
 			}
 			if h.res.Incarnations > 50 {
-				h.env.Tracef("harness: too many incarnations, giving up")
 				return
 			}
 		}
@@ -821,10 +801,9 @@ func (h *harness) allocate(p *vclock.Proc) ([]*gpu.Node, bool) {
 				// shrinks keep the global batch.
 				h.topo, h.nodes, h.expandAt = topo, n, -1
 				h.accum = wl.Topo.D / topo.D * max(h.cfg.Accum, 1)
+				h.res.Shrinks++
 				trace.Of(h.env).Instant(p.Now(), "elastic", trace.LaneSim, "shrink",
 					"world", topo.World(), "accum", h.accum, "nodes", n)
-				h.env.Tracef("harness: elastic shrink to D=%d accum=%d on %d nodes",
-					topo.D, h.accum, n)
 				nodes, err = h.pool.Allocate(n, nil)
 				continue
 			}
@@ -838,7 +817,6 @@ func (h *harness) allocate(p *vclock.Proc) ([]*gpu.Node, bool) {
 			wait = h.shared.AwaitCapacity
 		}
 		if wait == nil {
-			h.env.Tracef("harness: allocation failed, nothing to shrink to or wait for: %v", err)
 			return nil, false
 		}
 		if !h.awaitCapacity(p, wait) {
@@ -860,10 +838,9 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 	// every new rank a surviving replica's state.
 	if h.degraded() && h.pool.FreeHealthy() >= wl.Nodes {
 		h.topo, h.accum, h.nodes, h.expandAt = wl.Topo, max(cfg.Accum, 1), wl.Nodes, -1
+		h.res.Expands++
 		trace.Of(h.env).Instant(p.Now(), "elastic", trace.LaneSim, "expand",
 			"world", h.topo.World(), "nodes", h.nodes)
-		h.env.Tracef("harness: elastic expand back to full width D=%d on %d nodes",
-			h.topo.D, h.nodes)
 	}
 
 	nodes, ok := h.allocate(p)
@@ -896,7 +873,6 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 			continue
 		}
 		if err := t.plan(p); err != nil {
-			h.env.Tracef("harness: %s plan failed: %v", t.name, err)
 			return endHorizon
 		}
 	}

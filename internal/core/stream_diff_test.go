@@ -48,7 +48,7 @@ func TestStreamingDifferential(t *testing.T) {
 			recB := trace.New()
 			cfgB.Recorder = recB
 			st := tracestream.New(tracestream.Options{})
-			cfgB.Stream = st
+			recB.SetSink(st)
 			resB, err := Run(cfgB)
 			if err != nil {
 				t.Fatalf("streaming Run: %v", err)
@@ -101,7 +101,9 @@ func TestStreamingDifferential(t *testing.T) {
 			// long-running -serve configuration) is just as undisturbed.
 			cfgC := sc.cfg()
 			stC := tracestream.New(tracestream.Options{})
-			cfgC.Stream = stC
+			cfgC.Recorder = trace.New()
+			cfgC.Recorder.SetRetain(false)
+			cfgC.Recorder.SetSink(stC)
 			resC, err := Run(cfgC)
 			if err != nil {
 				t.Fatalf("retain-off Run: %v", err)

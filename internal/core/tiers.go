@@ -238,7 +238,6 @@ func (h *harness) peerTier() (*tier, error) {
 				func(format string, args ...interface{}) {
 					trace.Of(h.env).Instant(p.Now(), "peer", trace.LaneSim, "stripe-degraded",
 						"msg", fmt.Sprintf(format, args...))
-					h.env.Tracef(format, args...)
 				})
 			return err
 		},

@@ -33,7 +33,6 @@ func (h *harness) runTransparent() error {
 				return
 			}
 			if serr := h.startTransparent(nodes); serr != nil {
-				h.env.Tracef("%s: transparent start failed: %v", h.label, serr)
 				h.pool.Release(nodes)
 				h.jobDone()
 			}
@@ -87,11 +86,9 @@ func (h *harness) startTransparent(nodes []*gpu.Node) error {
 		h.env.Go(fmt.Sprintf("worker%d", r), func(p *vclock.Proc) {
 			w := ranks[r].Worker
 			if err := w.Setup(p, 0); err != nil {
-				h.env.Tracef("rank %d setup failed: %v", r, err)
 				return
 			}
 			if err := w.RunIters(p, cfg.Iters); err != nil {
-				h.env.Tracef("rank %d training failed: %v", r, err)
 				return
 			}
 			h.doneRanks[r] = true
@@ -205,22 +202,17 @@ func (c *coordinator) recover(p *vclock.Proc, first rankFault) *RecoveryReport {
 	var cls *episodeClass
 	var ok bool
 	for attempt := 1; ; attempt++ {
-		report, ok, cls = c.attemptRecovery(p, first, attempt, lost, cls)
+		report, ok, cls = c.attemptRecovery(p, lost, cls)
 		report.Attempts = attempt
 		if ok || attempt >= maxRecoveryAttempts || report.Terminal() {
-			if !ok {
-				env.Tracef("job: recovery gave up after %d attempts (%s)", attempt, report.Kind)
-			}
 			break
 		}
-		env.Tracef("job: recovery attempt %d failed, restarting recovery", attempt)
 		// Faults raised by the failed attempt itself are stale: the next
 		// attempt re-classifies every rank from current device health.
 		c.faultQ.Drain()
 	}
 	report.DetectedAt = detected
 	report.CompletedAt = p.Now()
-	env.Tracef("job: recovery complete in %v", report.Total())
 	rsp.End(p.Now(), "ok", ok, "attempts", report.Attempts, "kind", report.Kind)
 	return report
 }
@@ -252,10 +244,7 @@ type episodeClass struct {
 // attemptRecovery runs one recovery attempt: gate, quiesce, classify,
 // dispatch. It reports whether every rank recovered, and returns the
 // episode classification for reuse by later attempts.
-func (c *coordinator) attemptRecovery(p *vclock.Proc, first rankFault, attempt int, lost map[int]bool, cls *episodeClass) (*RecoveryReport, bool, *episodeClass) {
-	env := c.h.env
-	env.Tracef("job: recovery attempt %d begins (rank %d, fault %v)", attempt, first.rank, first.f.Kind)
-
+func (c *coordinator) attemptRecovery(p *vclock.Proc, lost map[int]bool, cls *episodeClass) (*RecoveryReport, bool, *episodeClass) {
 	// Let concurrently-detected faults land, then gate every rank:
 	// in-flight proxy calls abort, application threads park at the
 	// interception layer on their next call.
@@ -312,7 +301,6 @@ func (c *coordinator) attemptRecovery(p *vclock.Proc, first rankFault, attempt i
 			advanced = true
 		}
 		cls = &episodeClass{advanced: advanced, baseIter: baseIter}
-		env.Tracef("job: episode classified advanced=%v baseIter=%d", advanced, baseIter)
 	}
 
 	var hard []int
@@ -384,7 +372,6 @@ func (c *coordinator) awaitRecs(p *vclock.Proc, recs []*rankRecovery, deadline v
 			if rec.err == nil {
 				rec.err = fmt.Errorf("core: rank %d recovery timed out mid-attempt", rec.r.Rank)
 			}
-			c.h.env.Tracef("job: rank %d recovery killed: %v", rec.r.Rank, rec.err)
 		}
 		if rec.err != nil {
 			ok = false
@@ -437,7 +424,6 @@ func (c *coordinator) recoverTransient(p *vclock.Proc, advanced bool, baseIter i
 			rec.timer = metrics.NewPhaseTimerLane(env, trace.Rank(rec.r.Rank))
 			if err := c.recoverRankTransient(pr, rec, recs, newGen); err != nil {
 				rec.err = err
-				env.Tracef("job: rank %d recovery failed: %v", rec.r.Rank, err)
 			}
 		})
 	}
@@ -551,7 +537,6 @@ func (c *coordinator) replayTail(pr *vclock.Proc, rec *rankRecovery, gen, iter i
 	}
 	if !rec.skipReplay {
 		rec.mutated = true
-		c.h.env.Tracef("rank %d: replaying %d minibatch calls (strat %d)", r.Rank, len(r.Layer.Log().Minibatch), rec.strat)
 		if err := replay.Apply(pr, r.Client, r.Layer.Log().Minibatch, rec.tr, replay.Options{Gen: gen}); err != nil {
 			return fmt.Errorf("core: rank %d minibatch replay: %w", r.Rank, err)
 		}
@@ -821,7 +806,6 @@ func (c *coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 	}
 	nNodes := len(jobNodes)
 	if avail := h.pool.FreeHealthy() + nNodes - len(badNodes); avail < nNodes {
-		env.Tracef("job: hard recovery: no viable placement (%d nodes available, need %d)", avail, nNodes)
 		rep := c.buildReport(recs, "hard", advanced)
 		rep.Kind = KindNoViablePlacement
 		return rep, false
@@ -870,9 +854,7 @@ func (c *coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 	}
 
 	// Quorum: at least one replica per position checkpointed (§3.3).
-	if _, ok := h.monitor.WaitCheckpointQuorum(p, wl.Topo, vclock.Minute); !ok {
-		env.Tracef("job: WARNING: checkpoint quorum not reached")
-	}
+	h.monitor.WaitCheckpointQuorum(p, wl.Topo, vclock.Minute)
 
 	// Phase C: release the job's current nodes back to the pool, exclude
 	// the failed ones permanently, and allocate a replacement set.
@@ -887,7 +869,6 @@ func (c *coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 	nodes, err := h.pool.Allocate(nNodes, nil)
 	if err != nil {
 		// No spare capacity: recovery cannot proceed transparently.
-		env.Tracef("job: hard recovery failed: %v", err)
 		rep := c.buildReport(recs, "hard", advanced)
 		rep.Kind = "hard-failed:" + err.Error()
 		return rep, false
@@ -905,10 +886,7 @@ func (c *coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, bas
 	var plan *checkpoint.RestorePlan
 	env.Go("job.assemble", func(pr *vclock.Proc) {
 		defer asmDone.Trigger()
-		var err error
-		if plan, err = JITCheckpointPath(pr, h.disk, "job", wl.Topo); err != nil {
-			env.Tracef("job: assemble failed: %v", err)
-		}
+		plan, _ = JITCheckpointPath(pr, h.disk, "job", wl.Topo)
 	})
 	p.Wait(asmDone)
 	if plan == nil {

@@ -125,15 +125,6 @@ func RunElasticSweep(opt ElasticOptions) ([]ElasticRow, error) {
 		fPerGPUDay := float64(vclock.Day) / (float64(c.mtbf) * float64(wl.GPUs()))
 		plan := failure.PoissonPlan(rng, wl.Topo.World(), fPerGPUDay, opt.PlanHorizon, mix).
 			WithRepairs(rng, opt.MeanRepair, 0)
-		// The sweep needs a recorder for the transition counts; a shared
-		// one (serial -trace export) accumulates every run, so count this
-		// run's transitions as deltas.
-		if rec == nil {
-			rec = trace.New()
-		}
-		pre := trace.NewQuery(rec)
-		shrink0 := len(pre.Instants("elastic", "shrink"))
-		expand0 := len(pre.Instants("elastic", "expand"))
 		res, err := core.Run(core.JobConfig{
 			WL: wl, Policy: c.policy, Iters: opt.Iters, Seed: 1,
 			HangTimeout: 2 * vclock.Second, SpareNodes: c.spares,
@@ -144,11 +135,10 @@ func RunElasticSweep(opt ElasticOptions) ([]ElasticRow, error) {
 			return r, fmt.Errorf("elastic sweep %v mtbf=%v spares=%d seed=%d: %w",
 				c.policy, c.mtbf, c.spares, c.seed, err)
 		}
-		q := trace.NewQuery(rec)
 		r = runResult{
 			completed: res.Completed,
-			shrinks:   len(q.Instants("elastic", "shrink")) - shrink0,
-			expands:   len(q.Instants("elastic", "expand")) - expand0,
+			shrinks:   res.Shrinks,
+			expands:   res.Expands,
 			degraded:  res.Accounting.DegradedIters,
 		}
 		if res.WallTime > 0 {

@@ -49,24 +49,24 @@ func TestChaosParallelMatchesSerial(t *testing.T) {
 }
 
 // TestElasticParallelMatchesSerial extends the equivalence to the elastic
-// sweep, whose rows are aggregated across seeds and whose shrink/expand
-// counters are trace-derived — the parallel path counts them against
-// private recorders, the serial path against the shared one.
+// sweep, whose rows are aggregated across seeds, and adds the recorder
+// kinds: table 11 is the same untraced, traced, and under a retention-free
+// recorder (the -serve configuration), whose log is always empty.
 func TestElasticParallelMatchesSerial(t *testing.T) {
-	run := func(workers int) ([]ElasticRow, []byte) {
+	run := func(workers int, rec *trace.Recorder) ([]ElasticRow, []byte) {
 		opt := DefaultElasticOptions()
 		opt.Seeds = opt.Seeds[:2]
 		opt.MTBFs = opt.MTBFs[:1]
 		opt.Workers = workers
-		opt.Recorder = trace.New()
+		opt.Recorder = rec
 		rows, err := RunElasticSweep(opt)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return rows, traceBytes(t, opt.Recorder)
 	}
-	serialRows, serialTrace := run(1)
-	parallelRows, parallelTrace := run(4)
+	serialRows, serialTrace := run(1, trace.New())
+	parallelRows, parallelTrace := run(4, trace.New())
 	if !reflect.DeepEqual(serialRows, parallelRows) {
 		t.Errorf("elastic rows differ between serial and parallel runs:\nserial:   %+v\nparallel: %+v",
 			serialRows, parallelRows)
@@ -74,6 +74,18 @@ func TestElasticParallelMatchesSerial(t *testing.T) {
 	if !bytes.Equal(serialTrace, parallelTrace) {
 		t.Errorf("elastic traces differ: serial %d bytes, parallel %d bytes",
 			len(serialTrace), len(parallelTrace))
+	}
+
+	untraced, _ := run(1, nil)
+	noRetain := trace.New()
+	noRetain.SetRetain(false)
+	streamed, _ := run(1, noRetain)
+	want := RenderElasticSweep(untraced).Render()
+	if got := RenderElasticSweep(serialRows).Render(); got != want {
+		t.Errorf("table 11 traced differs from untraced:\ntraced:\n%s\nuntraced:\n%s", got, want)
+	}
+	if got := RenderElasticSweep(streamed).Render(); got != want {
+		t.Errorf("table 11 under a retention-free recorder differs from untraced:\nretention-free:\n%s\nuntraced:\n%s", got, want)
 	}
 }
 

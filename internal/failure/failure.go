@@ -442,7 +442,6 @@ func (in *Injector) Apply(inj Injection) bool {
 	}
 	if in.targetLost(inj) {
 		in.skipped = append(in.skipped, inj)
-		in.Env.Tracef("failure: skipped %v on rank %d (target already lost)", inj.Kind, inj.Target)
 		trace.Of(in.Env).Instant(in.Env.Now(), "fail", trace.Rank(inj.Target), "inject-skip",
 			"kind", inj.Kind)
 		return false
@@ -465,7 +464,6 @@ func (in *Injector) Apply(inj Injection) bool {
 	case NodeRepaired:
 		node := in.repairable()
 		node.Repair()
-		in.Env.Tracef("failure: node %d repaired", node.ID)
 		if in.OnRepair != nil {
 			in.OnRepair(node)
 		}
@@ -488,7 +486,6 @@ func (in *Injector) Apply(inj Injection) bool {
 	if in.OnInject != nil {
 		in.OnInject(inj)
 	}
-	in.Env.Tracef("failure: injected %v on rank %d", inj.Kind, inj.Target)
 	trace.Of(in.Env).Instant(in.Env.Now(), "fail", trace.Rank(inj.Target), "inject", "kind", inj.Kind)
 	return true
 }

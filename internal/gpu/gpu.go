@@ -298,7 +298,6 @@ func (d *Device) InjectHard() {
 	for _, id := range d.streamIDs() {
 		d.streams[id].proc.Kill()
 	}
-	d.env.Tracef("%s hard failure injected", d.Name())
 	trace.Of(d.env).Instant(d.env.Now(), "gpu", d.lane, "inject-hard")
 }
 
@@ -310,7 +309,6 @@ func (d *Device) InjectSticky() {
 		return
 	}
 	d.health = Sticky
-	d.env.Tracef("%s sticky error injected", d.Name())
 	trace.Of(d.env).Instant(d.env.Now(), "gpu", d.lane, "inject-sticky")
 }
 
@@ -322,7 +320,6 @@ func (d *Device) InjectDriverCorrupt() {
 		return
 	}
 	d.health = DriverCorrupt
-	d.env.Tracef("%s driver corruption injected", d.Name())
 	trace.Of(d.env).Instant(d.env.Now(), "gpu", d.lane, "inject-corrupt")
 }
 
@@ -339,7 +336,6 @@ func (d *Device) Reset() error {
 		delete(d.streams, id)
 	}
 	d.health = Healthy
-	d.env.Tracef("%s reset", d.Name())
 	trace.Of(d.env).Instant(d.env.Now(), "gpu", d.lane, "reset")
 	return nil
 }
@@ -358,7 +354,6 @@ func (d *Device) Repair() {
 	d.tagSeq = make(map[string]int)
 	d.memUsed = 0
 	d.health = Healthy
-	d.env.Tracef("%s repaired (hardware replaced)", d.Name())
 	trace.Of(d.env).Instant(d.env.Now(), "gpu", d.lane, "repair")
 }
 

@@ -291,7 +291,6 @@ func (l *Layer) raiseFault(p *vclock.Proc, kind FaultKind, err error) {
 		return
 	}
 	l.faultRaised = true
-	l.env.Tracef("%s: fault raised: kind=%d err=%v iter=%d opt=%v", l.name, kind, err, l.iter, l.inOptimizer)
 	trace.Of(l.env).Instant(p.Now(), "dog", trace.LaneSim, "fault",
 		"layer", l.name, "kind", int(kind), "err", err, "iter", l.iter, "opt", l.inOptimizer)
 	if l.cfg.OnFault != nil {
@@ -321,7 +320,6 @@ func (l *Layer) EndRecovery(tr *cuda.Handles) {
 	if l.gate != nil {
 		l.gate.Trigger()
 	}
-	l.env.Tracef("%s: recovery ended, threads released", l.name)
 }
 
 // parkWhileRecovering blocks p while a recovery is in progress.
@@ -353,7 +351,6 @@ func (l *Layer) do(p *vclock.Proc, c cuda.Call) (cuda.Result, error) {
 			return res, err
 		}
 		l.waitRecovered(p)
-		l.env.Tracef("%s: retrying %s after recovery", l.name, info.Name)
 	}
 }
 

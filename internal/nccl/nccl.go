@@ -344,7 +344,6 @@ func (e *Engine) InjectFault(key string, gen int, kind FaultKind) {
 	gk := groupKey{key, gen}
 	if g, ok := e.groups[gk]; ok {
 		g.fault = kind
-		e.env.Tracef("nccl: fault %d injected on %s.g%d", kind, key, gen)
 		trace.Of(e.env).Instant(e.env.Now(), "nccl", key, "inject-fault", "gen", gen, "kind", int(kind))
 		return
 	}
@@ -353,7 +352,6 @@ func (e *Engine) InjectFault(key string, gen int, kind FaultKind) {
 	// barrier). Faults during communicator (re-)initialization are exactly
 	// the mid-recovery failures chaos testing needs to land.
 	e.pending[gk] = kind
-	e.env.Tracef("nccl: fault %d pending on bootstrapping %s.g%d", kind, key, gen)
 }
 
 // Destroy invalidates the handle. Pending collectives on other ranks are

@@ -275,10 +275,7 @@ func (s *Shelter) MarkNodeLost(node int) {
 		return
 	}
 	s.lost[node] = true
-	if _, ok := s.hosts[node]; ok {
-		delete(s.hosts, node)
-		s.env.Tracef("peerckpt: node %d lost, sheltered entries gone", node)
-	}
+	delete(s.hosts, node)
 	trace.Of(s.env).Instant(s.env.Now(), "peer", trace.LaneSim, "node-lost", "node", node)
 }
 
@@ -513,8 +510,6 @@ func (r *Replicator) ship(p *vclock.Proc, ms *train.ModelState) {
 		if s.lost[n] {
 			continue
 		}
-		if err := s.commit(p, n, ms, r.Bytes); err != nil {
-			s.env.Tracef("peerckpt: rank %d -> node %d: %v", r.Rank, n, err)
-		}
+		s.commit(p, n, ms, r.Bytes)
 	}
 }

@@ -27,7 +27,6 @@ func (r *Replicator) shipStripe(p *vclock.Proc, ms *train.ModelState) {
 	data, err := ms.Encode()
 	if err != nil {
 		sp.End(p.Now(), "err", err)
-		s.env.Tracef("peerckpt: rank %d stripe encode: %v", r.Rank, err)
 		return
 	}
 	t0 := p.Now()
@@ -36,7 +35,6 @@ func (r *Replicator) shipStripe(p *vclock.Proc, ms *train.ModelState) {
 	frags, err := s.codec.Encode(s.codec.Split(data))
 	if err != nil {
 		sp.End(p.Now(), "err", err)
-		s.env.Tracef("peerckpt: rank %d stripe encode: %v", r.Rank, err)
 		return
 	}
 	s.encodes++
@@ -57,9 +55,7 @@ func (r *Replicator) shipStripe(p *vclock.Proc, ms *train.ModelState) {
 			Iter: ms.Iter, Rank: ms.Rank, Frag: i, K: k, M: m,
 			DataLen: len(data), DataSum: dataSum,
 		}
-		if err := s.commitFrag(p, n, fm, frags[i], fragBytes); err != nil {
-			s.env.Tracef("peerckpt: rank %d frag %d -> node %d: %v", r.Rank, i, n, err)
-		}
+		s.commitFrag(p, n, fm, frags[i], fragBytes)
 	}
 }
 

@@ -176,9 +176,6 @@ func (g *Guard) MarkNodeLost(node int) {
 			}
 		}
 	}
-	if dropped > 0 {
-		g.env.Tracef("pipefree: node %d lost, %d retained bundles gone", node, dropped)
-	}
 	trace.Of(g.env).Instant(g.env.Now(), "pipe", trace.LaneSim, "node-lost",
 		"node", node, "dropped", dropped)
 }

@@ -54,7 +54,6 @@ func NewClient(env *vclock.Env, server *Server) *Client {
 			raw := server.respQ.Pop(p)
 			var resp Response
 			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&resp); err != nil {
-				env.Tracef("proxy client: undecodable response: %v", err)
 				continue
 			}
 			pc, ok := c.pending[resp.ID]

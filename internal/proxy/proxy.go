@@ -169,7 +169,6 @@ func (s *Server) startDriver() error {
 			raw := s.reqQ.Pop(p)
 			var req Request
 			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&req); err != nil {
-				s.env.Tracef("proxy: dropping undecodable request: %v", err)
 				continue
 			}
 			tq, ok := s.threadQs[req.Thread]
@@ -214,7 +213,6 @@ func (s *Server) ResetThreads() {
 		delete(s.threadProcs, t)
 		delete(s.threadQs, t)
 	}
-	s.env.Tracef("proxy server for %s reset handler threads", s.dev.Name())
 }
 
 func (s *Server) send(p *vclock.Proc, resp Response) {
@@ -244,7 +242,6 @@ func (s *Server) Stop() {
 	}
 	s.reqQ.Drain()
 	s.down = true
-	s.env.Tracef("proxy server for %s stopped", s.dev.Name())
 }
 
 // Restart models killing and relaunching the proxy server process to clear
@@ -262,7 +259,6 @@ func (s *Server) Restart() error {
 	if err := s.startDriver(); err != nil {
 		return err
 	}
-	s.env.Tracef("proxy server for %s restarted (gen %d)", s.dev.Name(), s.generation)
 	return nil
 }
 

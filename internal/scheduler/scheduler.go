@@ -149,7 +149,6 @@ func (p *Pool) MarkFailed(nodeID int) {
 		p.inFree[idx] = false
 		p.compactFree()
 	}
-	p.env.Tracef("scheduler: node %d marked failed", nodeID)
 }
 
 // MarkRepaired re-admits a previously failed node after its hardware was
@@ -158,7 +157,6 @@ func (p *Pool) MarkFailed(nodeID int) {
 func (p *Pool) MarkRepaired(nodeID int) {
 	delete(p.failed, nodeID)
 	p.insertFree(nodeID)
-	p.env.Tracef("scheduler: node %d repaired and re-admitted", nodeID)
 }
 
 // FreeHealthy returns how many nodes remain allocatable.
@@ -365,7 +363,6 @@ func NewMonitor(env *vclock.Env) *Monitor {
 func (m *Monitor) Notify(ev Event) {
 	m.log = append(m.log, ev)
 	m.events.Push(ev)
-	m.env.Tracef("scheduler: event kind=%d rank=%d iter=%d err=%v", ev.Kind, ev.Rank, ev.Iter, ev.Err)
 }
 
 // Log returns all events received so far.

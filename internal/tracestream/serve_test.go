@@ -11,9 +11,19 @@ import (
 	"jitckpt/internal/cluster"
 	"jitckpt/internal/core"
 	"jitckpt/internal/failure"
+	"jitckpt/internal/trace"
 	"jitckpt/internal/tracestream"
 	"jitckpt/internal/vclock"
 )
+
+// streamRecorder is how a caller serves a run live: a retention-free
+// recorder whose sink is st.
+func streamRecorder(st *tracestream.Stream) *trace.Recorder {
+	rec := trace.New()
+	rec.SetRetain(false)
+	rec.SetSink(st)
+	return rec
+}
 
 // streamedRun executes one small streamed training run and returns the
 // stream and its server.
@@ -25,7 +35,7 @@ func streamedRun(t *testing.T) (*tracestream.Stream, *tracestream.Server) {
 		WL: wl, Policy: core.PolicyUserJIT, Iters: 10, Seed: 1,
 		HangTimeout: 2 * vclock.Second, SpareNodes: 2,
 		IterFailures: []core.IterInjection{{Iter: 5, Frac: 0.5, Rank: 1, Kind: failure.GPUHard}},
-		Stream:       st,
+		Recorder:     streamRecorder(st),
 	})
 	if err != nil || !res.Completed {
 		t.Fatalf("run failed: %v", err)
@@ -216,7 +226,7 @@ func soakFleetConfig(st *tracestream.Stream) cluster.Config {
 			hi,
 		},
 		Failures: plan,
-		Stream:   st,
+		Recorder: streamRecorder(st),
 	}
 }
 

@@ -245,9 +245,9 @@ type Stream struct {
 	win, lastWin window
 }
 
-// New creates an empty Stream; attach it with Recorder.SetSink (or the
-// Stream fields on core.JobConfig / cluster.Config, which do that and
-// keep working when no post-hoc log is retained).
+// New creates an empty Stream. It attaches to a run as the sink of the
+// run's one recorder (Recorder.SetSink); a caller that serves without
+// exporting a log makes that recorder retention-free (SetRetain(false)).
 func New(Options) *Stream {
 	return &Stream{
 		stage:       make([]trace.Ev, 0, stageCap),

@@ -208,7 +208,6 @@ type Env struct {
 	rng     *rand.Rand
 	failure error
 	running bool
-	tracer  func(t Time, format string, args ...interface{})
 	rec     interface{}
 
 	// succ is the process to resume next, nil for none: left for RunUntil by
@@ -246,19 +245,6 @@ func (e *Env) Stats() Stats { return e.stats }
 // Rand returns the environment's deterministic random source. It must only
 // be used from inside simulation processes (or between Run calls).
 func (e *Env) Rand() *rand.Rand { return e.rng }
-
-// SetTracer installs a trace sink invoked by Tracef. A nil tracer disables
-// tracing.
-func (e *Env) SetTracer(fn func(t Time, format string, args ...interface{})) {
-	e.tracer = fn
-}
-
-// Tracef emits a trace line at the current virtual time if tracing is on.
-func (e *Env) Tracef(format string, args ...interface{}) {
-	if e.tracer != nil {
-		e.tracer(e.now, format, args...)
-	}
-}
 
 // SetRecorder attaches a structured event recorder to the environment.
 // The slot is untyped so vclock stays dependency-free; the trace package

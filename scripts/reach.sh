@@ -48,9 +48,9 @@ for pol in peer jit+peer peer+elastic; do
   sim -policy "$pol" -fail node-down -chaos -trace-text "$work/chaos.txt"
 done
 sim -policy jit+elastic -fail-rate 300 -iters 40 -spares 0
-sim -policy userjit -fail gpu-hard -stats -debug -trace "$work/trace.json" -trace-text "$work/trace.txt"
+sim -policy userjit -fail gpu-hard -stats -trace "$work/trace.json" -trace-text "$work/trace.txt"
 run "$bin/jitsim" -fleet "4xjit+elastic,2xpeer,2xpc_disk@5:20" -fail-rate 300 -iters 30
-run "$bin/jitsim" -fleet "2xuserjit:4000" -fleet-horizon 30 -debug # stragglers force-finished at the horizon
+run "$bin/jitsim" -fleet "2xuserjit:4000" -fleet-horizon 30 # stragglers force-finished at the horizon
 # FSDP (comm keys, ReduceScatter) only runs on the hybrid-sharded workload.
 for pol in transparent userjit; do
   for kind in gpu-hard gpu-sticky; do sim -workload T5-3B -policy "$pol" -fail "$kind"; done
