@@ -506,7 +506,7 @@ func rebuildGPU(pr *vclock.Proc, rec *rankRecovery, realloc bool, gen int) error
 	if err != nil {
 		return fmt.Errorf("core: rank %d new default stream: %w", r.Rank, err)
 	}
-	tr.Streams[cuda.DefaultStream] = newDefault
+	tr.Bind(cuda.StreamHandle, int(cuda.DefaultStream), int(newDefault))
 
 	mallocs, handles, comms := splitCreationLog(r.Layer.Log().Creation)
 	if realloc {
@@ -556,7 +556,7 @@ func teardownViaAPI(pr *vclock.Proc, layer *intercept.Layer, client *proxy.Clien
 	h := layer.Handles()
 	for _, call := range layer.Log().Creation {
 		if call.Op == cuda.OpCommInit {
-			if phys, ok := h.Comms[cuda.Comm(call.Created)]; ok {
+			if phys, ok := cuda.Lookup(h, cuda.CommHandle, cuda.Comm(call.Created)); ok {
 				client.CommDestroy(pr, phys)
 			}
 		}
@@ -564,17 +564,17 @@ func teardownViaAPI(pr *vclock.Proc, layer *intercept.Layer, client *proxy.Clien
 	for _, call := range layer.Log().Creation {
 		switch call.Op {
 		case cuda.OpStreamCreate:
-			if phys, ok := h.Streams[cuda.Stream(call.Created)]; ok {
+			if phys, ok := cuda.Lookup(h, cuda.StreamHandle, cuda.Stream(call.Created)); ok {
 				client.StreamDestroy(pr, phys)
 			}
 		case cuda.OpEventCreate:
-			if phys, ok := h.Events[cuda.Event(call.Created)]; ok {
+			if phys, ok := cuda.Lookup(h, cuda.EventHandle, cuda.Event(call.Created)); ok {
 				client.EventDestroy(pr, phys)
 			}
 		}
 	}
 	// The wedged physical default stream is replaced rather than reused.
-	if phys, ok := h.Streams[cuda.DefaultStream]; ok && phys == cuda.DefaultStream {
+	if phys, ok := cuda.Lookup(h, cuda.StreamHandle, cuda.DefaultStream); ok && phys == cuda.DefaultStream {
 		client.StreamDestroy(pr, cuda.DefaultStream)
 	}
 }
@@ -713,7 +713,7 @@ func (c *coordinator) readTensors(pr *vclock.Proc, rec *proxyRank, tr *cuda.Hand
 		if !all && !train.IsModelState(info.Tag) {
 			continue
 		}
-		phys, ok := tr.Bufs[info.Handle]
+		phys, ok := cuda.Lookup(tr, cuda.BufHandle, info.Handle)
 		if !ok {
 			return nil, fmt.Errorf("core: no physical buffer for %v", info.Handle)
 		}
@@ -731,7 +731,7 @@ func (c *coordinator) readTensors(pr *vclock.Proc, rec *proxyRank, tr *cuda.Hand
 // parameter/optimizer buffers (every buffer when all), resolving virtual
 // handles through tr.
 func writeTensors(pr *vclock.Proc, layer *intercept.Layer, api cuda.API, tr *cuda.Handles, data map[string]tensor.Vector, all bool) error {
-	s := tr.Streams[cuda.DefaultStream]
+	s, _ := cuda.Lookup(tr, cuda.StreamHandle, cuda.DefaultStream)
 	for _, info := range layer.VirtualBufs() {
 		if !all && !train.IsModelState(info.Tag) {
 			continue
@@ -741,7 +741,8 @@ func writeTensors(pr *vclock.Proc, layer *intercept.Layer, api cuda.API, tr *cud
 		if !ok {
 			return fmt.Errorf("core: replica state missing tensor %s", name)
 		}
-		if err := api.MemcpyH2D(pr, tr.Bufs[info.Handle], d, s); err != nil {
+		b, _ := cuda.Lookup(tr, cuda.BufHandle, info.Handle)
+		if err := api.MemcpyH2D(pr, b, d, s); err != nil {
 			return fmt.Errorf("core: write %s: %w", name, err)
 		}
 	}

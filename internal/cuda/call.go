@@ -2,8 +2,8 @@ package cuda
 
 import (
 	"fmt"
-	"maps"
 
+	"jitckpt/internal/dense"
 	"jitckpt/internal/vclock"
 )
 
@@ -242,114 +242,89 @@ func Invoke(p *vclock.Proc, api API, c *Call) (Result, error) {
 	return r, err
 }
 
-// Handles is a handle table: one map per handle space from the handles a
-// caller holds to the handles the device currently knows. The interception
-// layer's virtual→physical table is one; recovery replays the creation log
-// into a clone of it and the layer adopts the clone (§4.2).
+// Handles is a handle table: per handle space, from the handles a caller
+// holds to the handles the device currently knows. The interception layer's
+// virtual→physical table is one; recovery replays the creation log into a
+// clone of it and the layer adopts the clone (§4.2). The caller's handles
+// are dense counters, so each space is a dense.Table.
 type Handles struct {
-	Bufs    map[Buf]Buf
-	Streams map[Stream]Stream
-	Events  map[Event]Event
-	Comms   map[Comm]Comm
+	to [CommHandle + 1]dense.Table[int]
 }
 
 // NewHandles returns a table holding only the default stream, which always
 // exists and maps to itself.
 func NewHandles() *Handles {
-	return &Handles{
-		Bufs:    make(map[Buf]Buf),
-		Streams: map[Stream]Stream{DefaultStream: DefaultStream},
-		Events:  make(map[Event]Event),
-		Comms:   make(map[Comm]Comm),
-	}
+	h := &Handles{}
+	h.Bind(StreamHandle, int(DefaultStream), int(DefaultStream))
+	return h
 }
 
 // Clone returns an independent copy of the table.
 func (h *Handles) Clone() *Handles {
-	return &Handles{
-		Bufs:    maps.Clone(h.Bufs),
-		Streams: maps.Clone(h.Streams),
-		Events:  maps.Clone(h.Events),
-		Comms:   maps.Clone(h.Comms),
+	c := &Handles{}
+	for k := range h.to {
+		c.to[k] = h.to[k].Clone()
 	}
+	return c
+}
+
+// Lookup returns what handle v of space k is bound to in h, as a handle of
+// v's type.
+func Lookup[H ~int](h *Handles, k HandleKind, v H) (H, bool) {
+	to, ok := h.to[k].At(int(v))
+	return H(to), ok
 }
 
 // Bind maps handle from to handle to in space k.
-func (h *Handles) Bind(k HandleKind, from, to int) {
-	switch k {
-	case BufHandle:
-		h.Bufs[Buf(from)] = Buf(to)
-	case StreamHandle:
-		h.Streams[Stream(from)] = Stream(to)
-	case EventHandle:
-		h.Events[Event(from)] = Event(to)
-	case CommHandle:
-		h.Comms[Comm(from)] = Comm(to)
-	}
-}
+func (h *Handles) Bind(k HandleKind, from, to int) { h.to[k].Set(from, to) }
 
 // Unbind removes handle from from space k.
-func (h *Handles) Unbind(k HandleKind, from int) {
-	switch k {
-	case BufHandle:
-		delete(h.Bufs, Buf(from))
-	case StreamHandle:
-		delete(h.Streams, Stream(from))
-	case EventHandle:
-		delete(h.Events, Event(from))
-	case CommHandle:
-		delete(h.Comms, Comm(from))
+func (h *Handles) Unbind(k HandleKind, from int) { h.to[k].Delete(from) }
+
+// translate maps *v through space k in place.
+func translate[H ~int](h *Handles, k HandleKind, space string, v *H) error {
+	to, ok := Lookup(h, k, *v)
+	if !ok {
+		return unmapped(space, int(*v))
 	}
+	*v = to
+	return nil
 }
 
 // Translate maps, in place, every handle field c's op reads through the
-// table. A handle the table does not hold is an ErrBadHandle, and c is then
-// left partly translated.
-func (h *Handles) Translate(c *Call) error {
+// table. A launch's buffers are translated into bufs[:0], grown as needed,
+// never into the slice c held, which stays the caller's: c.Launch.Bufs is
+// that slice afterwards, for the caller to reuse once the call is done. A
+// handle the table does not hold is an ErrBadHandle, and c is then left
+// partly translated.
+func (h *Handles) Translate(c *Call, bufs []Buf) error {
 	uses := c.Op.Info().uses
-	var ok bool
+	var err error
 	if uses&useBuf != 0 {
-		b := c.Buf
-		if c.Buf, ok = h.Bufs[b]; !ok {
-			return unmapped("buf", int(b))
-		}
+		err = translate(h, BufHandle, "buf", &c.Buf)
 	}
-	if uses&useBuf2 != 0 {
-		b := c.Buf2
-		if c.Buf2, ok = h.Bufs[b]; !ok {
-			return unmapped("buf", int(b))
-		}
+	if uses&useBuf2 != 0 && err == nil {
+		err = translate(h, BufHandle, "buf", &c.Buf2)
 	}
-	if uses&useStream != 0 {
-		s := c.Stream
-		if c.Stream, ok = h.Streams[s]; !ok {
-			return unmapped("stream", int(s))
-		}
+	if uses&useStream != 0 && err == nil {
+		err = translate(h, StreamHandle, "stream", &c.Stream)
 	}
-	if uses&useEvent != 0 {
-		e := c.Event
-		if c.Event, ok = h.Events[e]; !ok {
-			return unmapped("event", int(e))
-		}
+	if uses&useEvent != 0 && err == nil {
+		err = translate(h, EventHandle, "event", &c.Event)
 	}
-	if uses&useComm != 0 {
-		m := c.Comm
-		if c.Comm, ok = h.Comms[m]; !ok {
-			return unmapped("comm", int(m))
-		}
+	if uses&useComm != 0 && err == nil {
+		err = translate(h, CommHandle, "comm", &c.Comm)
 	}
-	if uses&useLaunchBufs != 0 && len(c.Launch.Bufs) > 0 {
-		// A fresh slice: the one the caller (or the replay log) holds stays
-		// untouched.
-		to := make([]Buf, len(c.Launch.Bufs))
-		for i, b := range c.Launch.Bufs {
-			if to[i], ok = h.Bufs[b]; !ok {
-				return unmapped("buf", int(b))
+	if uses&useLaunchBufs != 0 && err == nil {
+		bufs = append(bufs[:0], c.Launch.Bufs...)
+		c.Launch.Bufs = bufs
+		for i := range bufs {
+			if err = translate(h, BufHandle, "buf", &bufs[i]); err != nil {
+				break
 			}
 		}
-		c.Launch.Bufs = to
 	}
-	return nil
+	return err
 }
 
 func unmapped(space string, h int) error {

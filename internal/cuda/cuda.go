@@ -23,7 +23,9 @@ package cuda
 import (
 	"errors"
 	"fmt"
+	"slices"
 
+	"jitckpt/internal/dense"
 	"jitckpt/internal/gpu"
 	"jitckpt/internal/nccl"
 	"jitckpt/internal/tensor"
@@ -158,12 +160,49 @@ func DefaultParams() Params {
 	}
 }
 
-// eventState is the device-side state of a cudaEvent.
-type eventState struct {
-	// rec is the op of the most recent EventRecord, nil if the event was
-	// never recorded: its Done is the event's completion, its Err the
-	// event's poison.
-	rec *gpu.Op
+// record is the device-side state of a cudaEvent: the op of its most recent
+// EventRecord, with that op's completion embedded. op.Done is nil while the
+// event was never recorded; otherwise done is the event's completion and
+// op.Err its poison. The event's next EventRecord reuses the record once it
+// has completed and no StreamWaitEvent op still waits on it.
+type record struct {
+	op      gpu.Op
+	done    vclock.Event
+	gs      *gpu.Stream // the stream recorded on: its async error is the record's
+	waiters int
+}
+
+func (r *record) exec(*gpu.Device) error { return r.gs.AsyncErr() }
+
+// waitOp is one StreamWaitEvent's op: its stream waits for rec and takes on
+// rec's error. Pooled like launchOp: the stream returns it at completion.
+type waitOp struct {
+	d    *Driver
+	op   gpu.Op
+	done vclock.Event
+	rec  *record
+}
+
+func (w *waitOp) exec(*gpu.Device) error { return w.rec.op.Err }
+
+func (w *waitOp) release() {
+	w.rec.waiters--
+	w.rec, w.op.Err = nil, nil
+	w.d.waits.Put(w)
+}
+
+// d2hOp is one MemcpyD2H's op, pooled: its caller waits for it, takes the
+// copy and hands it back.
+type d2hOp struct {
+	op   gpu.Op
+	done vclock.Event
+	src  *gpu.Buffer
+	out  []float32
+}
+
+func (o *d2hOp) exec(*gpu.Device) error {
+	o.out = append([]float32(nil), o.src.Data...)
+	return nil
 }
 
 // launchOp is the pooled per-launch state for the driver's asynchronous
@@ -185,33 +224,24 @@ type launchOp struct {
 	host   []float32 // H2D staging copy, captured at call time
 	args   KernelArgs
 	op     gpu.Op
-	next   *launchOp
 }
 
 func (d *Driver) getLaunch() *launchOp {
-	lo := d.launchFree
-	if lo == nil {
-		lo = &launchOp{d: d}
-		lo.op.Namer = lo
-		lo.op.Exec = lo.exec
-		lo.op.Free = lo.release
-		return lo
+	lo, fresh := d.launches.Get()
+	if fresh {
+		lo.d = d
+		lo.op.Namer, lo.op.Exec, lo.op.Free = lo, lo.exec, lo.release
 	}
-	d.launchFree = lo.next
-	lo.next = nil
 	return lo
 }
 
 func (lo *launchOp) release() {
-	for i := range lo.bufs {
-		lo.bufs[i] = nil
-	}
+	clear(lo.bufs)
 	lo.bufs = lo.bufs[:0]
 	lo.fn = nil
 	lo.op.Name = ""
 	lo.op.Err = nil
-	lo.next = lo.d.launchFree
-	lo.d.launchFree = lo
+	lo.d.launches.Put(lo)
 }
 
 // String is only called when a trace recorder is attached; memcpy modes set
@@ -225,7 +255,7 @@ func (lo *launchOp) exec(dev *gpu.Device) error {
 		copy(lo.bufs[0].Data, lo.host)
 		return nil
 	}
-	lo.args.Bufs = lo.args.Bufs[:0]
+	lo.args.Bufs = slices.Grow(lo.args.Bufs[:0], len(lo.bufs))
 	for _, gb := range lo.bufs {
 		lo.args.Bufs = append(lo.args.Bufs, gb.Data)
 	}
@@ -241,41 +271,35 @@ type Driver struct {
 	kernels Registry
 	params  Params
 
-	streams    map[Stream]*gpu.Stream
-	nextStream Stream
-	events     map[Event]*eventState
-	nextEvent  Event
-	bufs       map[Buf]int // handle -> gpu buffer id
-	nextBuf    Buf
-	comms      map[Comm]*nccl.Comm
-	nextComm   Comm
+	// Handle 0 is the default stream and, in every other space, invalid.
+	streams dense.Table[*gpu.Stream]
+	events  dense.Table[*record]
+	bufs    dense.Table[int] // device buffer IDs: the device may have forgotten one
+	comms   dense.Table[*nccl.Comm]
 
-	launchFree *launchOp
+	launches gpu.FreeList[launchOp]
+	waits    gpu.FreeList[waitOp]
+	d2hs     gpu.FreeList[d2hOp]
 }
 
 var _ API = (*Driver)(nil)
 
 // NewDriver creates a driver for dev with the default stream pre-created.
 func NewDriver(dev *gpu.Device, engine *nccl.Engine, kernels Registry, params Params) (*Driver, error) {
-	d := &Driver{
-		dev:        dev,
-		engine:     engine,
-		kernels:    kernels,
-		params:     params,
-		streams:    make(map[Stream]*gpu.Stream),
-		nextStream: 1,
-		events:     make(map[Event]*eventState),
-		nextEvent:  1,
-		bufs:       make(map[Buf]int),
-		nextBuf:    1,
-		comms:      make(map[Comm]*nccl.Comm),
-		nextComm:   1,
-	}
 	gs, err := dev.NewStream()
 	if err != nil {
 		return nil, err
 	}
-	d.streams[DefaultStream] = gs
+	d := &Driver{
+		dev:     dev,
+		engine:  engine,
+		kernels: kernels,
+		params:  params,
+		events:  dense.Start[*record](1),
+		bufs:    dense.Start[int](1),
+		comms:   dense.Start[*nccl.Comm](1),
+	}
+	d.streams.Add(gs)
 	return d, nil
 }
 
@@ -316,19 +340,24 @@ func (d *Driver) call(p *vclock.Proc) error {
 }
 
 func (d *Driver) stream(s Stream) (*gpu.Stream, error) {
-	gs, ok := d.streams[s]
-	if !ok {
-		return nil, fmt.Errorf("%w: stream %d", ErrBadHandle, s)
+	if gs, ok := d.streams.At(int(s)); ok {
+		return gs, nil
 	}
-	return gs, nil
+	return nil, fmt.Errorf("%w: stream %d", ErrBadHandle, s)
 }
 
 func (d *Driver) buf(b Buf) (*gpu.Buffer, error) {
-	id, ok := d.bufs[b]
-	if !ok {
-		return nil, fmt.Errorf("%w: buf %d", ErrBadHandle, b)
+	if id, ok := d.bufs.At(int(b)); ok {
+		return d.dev.Buf(id)
 	}
-	return d.dev.Buf(id)
+	return nil, fmt.Errorf("%w: buf %d", ErrBadHandle, b)
+}
+
+func (d *Driver) event(ev Event) (*record, error) {
+	if r, ok := d.events.At(int(ev)); ok {
+		return r, nil
+	}
+	return nil, fmt.Errorf("%w: event %d", ErrBadHandle, ev)
 }
 
 // Malloc allocates device memory. See API.
@@ -340,10 +369,7 @@ func (d *Driver) Malloc(p *vclock.Proc, bytes int64, elems int, tag string) (Buf
 	if err != nil {
 		return 0, err
 	}
-	h := d.nextBuf
-	d.nextBuf++
-	d.bufs[h] = gb.ID
-	return h, nil
+	return Buf(d.bufs.Add(gb.ID)), nil
 }
 
 // Free releases device memory. See API.
@@ -351,11 +377,11 @@ func (d *Driver) Free(p *vclock.Proc, b Buf) error {
 	if err := d.call(p); err != nil {
 		return err
 	}
-	id, ok := d.bufs[b]
+	id, ok := d.bufs.At(int(b))
 	if !ok {
 		return fmt.Errorf("%w: buf %d", ErrBadHandle, b)
 	}
-	delete(d.bufs, b)
+	d.bufs.Delete(int(b))
 	return d.dev.Free(id)
 }
 
@@ -394,16 +420,20 @@ func (d *Driver) MemcpyD2H(p *vclock.Proc, src Buf, s Stream) ([]float32, error)
 	if err != nil {
 		return nil, err
 	}
-	var out []float32
-	dur := gpu.TransferTime(gb.ModelBytes, d.params.D2HBandwidth)
-	op := gpu.FuncOp("memcpyD2H", dur, func(dev *gpu.Device) error {
-		out = append([]float32(nil), gb.Data...)
-		return nil
-	})
-	done := gs.Enqueue(op)
-	p.Wait(done) // cudaMemcpy D2H is synchronous: hangs if the stream is wedged
-	if op.Err != nil {
-		return nil, op.Err
+	o, fresh := d.d2hs.Get()
+	if fresh {
+		o.op.Name, o.op.Exec = "memcpyD2H", o.exec
+	}
+	o.src, o.op.Dur, o.op.Err = gb, gpu.TransferTime(gb.ModelBytes, d.params.D2HBandwidth), nil
+	d.dev.Env().InitEvent(&o.done, "op")
+	o.op.Done = &o.done
+	gs.Enqueue(&o.op)
+	p.Wait(&o.done) // cudaMemcpy D2H is synchronous: hangs if the stream is wedged
+	out, err := o.out, o.op.Err
+	o.src, o.out = nil, nil
+	d.d2hs.Put(o)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -417,10 +447,7 @@ func (d *Driver) StreamCreate(p *vclock.Proc) (Stream, error) {
 	if err != nil {
 		return 0, err
 	}
-	h := d.nextStream
-	d.nextStream++
-	d.streams[h] = gs
-	return h, nil
+	return Stream(d.streams.Add(gs)), nil
 }
 
 // StreamDestroy destroys a stream, dropping queued work. See API.
@@ -428,11 +455,11 @@ func (d *Driver) StreamDestroy(p *vclock.Proc, s Stream) error {
 	if err := d.call(p); err != nil {
 		return err
 	}
-	gs, ok := d.streams[s]
-	if !ok {
-		return fmt.Errorf("%w: stream %d", ErrBadHandle, s)
+	gs, err := d.stream(s)
+	if err != nil {
+		return err
 	}
-	delete(d.streams, s)
+	d.streams.Delete(int(s))
 	return d.dev.DestroyStream(gs.ID)
 }
 
@@ -470,19 +497,21 @@ func (d *Driver) StreamWaitEvent(p *vclock.Proc, s Stream, ev Event) error {
 	if err != nil {
 		return err
 	}
-	es, ok := d.events[ev]
-	if !ok {
-		return fmt.Errorf("%w: event %d", ErrBadHandle, ev)
+	rec, err := d.event(ev) // the record at call time
+	if err != nil || rec.op.Done == nil {
+		return err
 	}
-	rec := es.rec // capture the record at call time
-	if rec == nil {
-		return nil
+	w, fresh := d.waits.Get()
+	if fresh {
+		w.d = d
+		w.op.Name, w.op.Exec, w.op.Free = "streamWaitEvent", w.exec, w.release
 	}
-	gs.Enqueue(&gpu.Op{
-		Name: "streamWaitEvent",
-		Ev:   rec.Done,
-		Exec: func(*gpu.Device) error { return rec.Err }, // a poisoned event poisons the waiting stream
-	})
+	w.rec = rec
+	rec.waiters++
+	w.op.Ev = &rec.done // a poisoned event poisons the waiting stream
+	d.dev.Env().InitEvent(&w.done, "op")
+	w.op.Done = &w.done
+	gs.Enqueue(&w.op)
 	return nil
 }
 
@@ -491,10 +520,7 @@ func (d *Driver) EventCreate(p *vclock.Proc) (Event, error) {
 	if err := d.call(p); err != nil {
 		return 0, err
 	}
-	h := d.nextEvent
-	d.nextEvent++
-	d.events[h] = &eventState{}
-	return h, nil
+	return Event(d.events.Add(&record{})), nil
 }
 
 // EventRecord captures the current tail of stream s into the event. See API.
@@ -502,25 +528,30 @@ func (d *Driver) EventRecord(p *vclock.Proc, ev Event, s Stream) error {
 	if err := d.call(p); err != nil {
 		return err
 	}
-	es, ok := d.events[ev]
-	if !ok {
-		return fmt.Errorf("%w: event %d", ErrBadHandle, ev)
+	r, err := d.event(ev)
+	if err != nil {
+		return err
 	}
 	gs, err := d.stream(s)
 	if err != nil {
 		return err
+	}
+	if r.op.Done != nil && (!r.done.Triggered() || r.waiters > 0) {
+		r = &record{}
+		d.events.Set(int(ev), r)
 	}
 	// The record op completes with the stream's accumulated async error:
 	// an event recorded after a failed collective is poisoned, and the
 	// poison travels to whoever synchronizes with (or waits on) it — the
 	// async-error propagation a NCCL watchdog relies on. It waits for
 	// nothing: the stream's order is the whole of it.
-	es.rec = &gpu.Op{
-		Name: "eventRecord",
-		Ev:   d.dev.Env().DoneEvent(),
-		Exec: func(*gpu.Device) error { return gs.AsyncErr() },
+	if r.op.Exec == nil {
+		r.op.Name, r.op.Ev, r.op.Exec = "eventRecord", d.dev.Env().DoneEvent(), r.exec
 	}
-	gs.Enqueue(es.rec)
+	r.gs, r.op.Err = gs, nil
+	d.dev.Env().InitEvent(&r.done, "op")
+	r.op.Done = &r.done
+	gs.Enqueue(&r.op)
 	return nil
 }
 
@@ -530,14 +561,11 @@ func (d *Driver) EventQuery(p *vclock.Proc, ev Event) (bool, error) {
 	if err := d.call(p); err != nil {
 		return false, err
 	}
-	es, ok := d.events[ev]
-	if !ok {
-		return false, fmt.Errorf("%w: event %d", ErrBadHandle, ev)
+	r, err := d.event(ev)
+	if err != nil || r.op.Done == nil {
+		return err == nil, err // unrecorded events report complete
 	}
-	if es.rec == nil {
-		return true, nil // unrecorded events report complete
-	}
-	return es.rec.Done.Triggered(), es.rec.Err
+	return r.done.Triggered(), r.op.Err
 }
 
 // EventDestroy destroys a cudaEvent. See API.
@@ -545,10 +573,10 @@ func (d *Driver) EventDestroy(p *vclock.Proc, ev Event) error {
 	if err := d.call(p); err != nil {
 		return err
 	}
-	if _, ok := d.events[ev]; !ok {
-		return fmt.Errorf("%w: event %d", ErrBadHandle, ev)
+	if _, err := d.event(ev); err != nil {
+		return err
 	}
-	delete(d.events, ev)
+	d.events.Delete(int(ev))
 	return nil
 }
 
@@ -568,6 +596,7 @@ func (d *Driver) Launch(p *vclock.Proc, lp LaunchParams, s Stream) error {
 	lo := d.getLaunch()
 	lo.kernel = lp.Kernel
 	lo.fn = fn
+	lo.bufs = slices.Grow(lo.bufs, len(lp.Bufs))
 	for _, bh := range lp.Bufs {
 		gb, err := d.buf(bh)
 		if err != nil {
@@ -589,11 +618,7 @@ func (d *Driver) DeviceSynchronize(p *vclock.Proc) error {
 		return err
 	}
 	// Deterministic order: ascending handle.
-	for h := Stream(0); h < d.nextStream; h++ {
-		if gs, ok := d.streams[h]; ok {
-			p.Wait(gs.DrainEvent())
-		}
-	}
+	d.streams.Each(func(_ int, gs *gpu.Stream) { p.Wait(gs.DrainEvent()) })
 	return d.healthErr()
 }
 
@@ -619,10 +644,7 @@ func (d *Driver) CommInit(p *vclock.Proc, key string, gen, nranks, rank int) (Co
 	if err != nil {
 		return 0, err
 	}
-	h := d.nextComm
-	d.nextComm++
-	d.comms[h] = nc
-	return h, nil
+	return Comm(d.comms.Add(nc)), nil
 }
 
 // CommDestroy invalidates a communicator handle. See API.
@@ -630,18 +652,18 @@ func (d *Driver) CommDestroy(p *vclock.Proc, c Comm) error {
 	if err := d.call(p); err != nil {
 		return err
 	}
-	nc, ok := d.comms[c]
+	nc, ok := d.comms.At(int(c))
 	if !ok {
 		return fmt.Errorf("%w: comm %d", ErrBadHandle, c)
 	}
 	nc.Destroy()
-	delete(d.comms, c)
+	d.comms.Delete(int(c))
 	return nil
 }
 
 // collectiveArgs resolves common collective-call handles.
 func (d *Driver) collectiveArgs(c Comm, b Buf, s Stream) (*nccl.Comm, *gpu.Buffer, *gpu.Stream, error) {
-	nc, ok := d.comms[c]
+	nc, ok := d.comms.At(int(c))
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("%w: comm %d", ErrBadHandle, c)
 	}

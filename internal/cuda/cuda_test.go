@@ -269,6 +269,65 @@ func TestStreamWaitEventOrdersAcrossStreams(t *testing.T) {
 	}
 }
 
+// TestReRecordKeepsWhatAWaitCaptured: an event recorded again while its
+// earlier record is pending, or still waited on, gets a record of its own —
+// EventQuery reads the latest, and a StreamWaitEvent issued before waits for
+// the record it captured — and once nothing holds the old one a record is
+// reused with a fresh completion.
+func TestReRecordKeepsWhatAWaitCaptured(t *testing.T) {
+	r := newRig(t, Registry{"nop": func(KernelArgs) error { return nil }})
+	r.inProc(t, func(p *vclock.Proc) {
+		var s [3]Stream
+		for i := range s {
+			s[i], _ = r.drv.StreamCreate(p)
+		}
+		ev, _ := r.drv.EventCreate(p)
+		busy := func(st Stream, d float64) {
+			r.drv.Launch(p, LaunchParams{Kernel: "nop", Dur: vclock.Seconds(d)}, st)
+		}
+		// Pending, not waited on: the earlier record's completion at 5s is
+		// not the event's, the later one's at 10s is.
+		t0 := p.Now()
+		busy(s[0], 5)
+		r.drv.EventRecord(p, ev, s[0])
+		busy(s[1], 10)
+		r.drv.EventRecord(p, ev, s[1])
+		p.Sleep(t0 + vclock.Seconds(6) - p.Now())
+		if done, _ := r.drv.EventQuery(p, ev); done {
+			t.Error("at 6s the event reads done: its record at 10s was given the one completed at 5s")
+		}
+		r.drv.DeviceSynchronize(p)
+		// Completed, still waited on: a wait op queued behind a 10s kernel
+		// captured the record that completes at 5s; re-recorded at 6s behind
+		// a 20s kernel, the wait must still end at 10s.
+		t0 = p.Now()
+		busy(s[0], 5)
+		r.drv.EventRecord(p, ev, s[0])
+		busy(s[2], 10)
+		r.drv.StreamWaitEvent(p, s[2], ev)
+		p.Sleep(t0 + vclock.Seconds(6) - p.Now())
+		busy(s[1], 20)
+		r.drv.EventRecord(p, ev, s[1])
+		r.drv.StreamSynchronize(p, s[2])
+		if got := p.Now() - t0; got > vclock.Seconds(11) {
+			t.Errorf("the wait ended after %v, not at 10s: it waited for a record issued after it", got)
+		}
+		r.drv.DeviceSynchronize(p)
+		// Nothing holds it: each round reuses the record.
+		for i := 0; i < 2; i++ {
+			busy(s[0], 3)
+			r.drv.EventRecord(p, ev, s[0])
+			if done, _ := r.drv.EventQuery(p, ev); done {
+				t.Errorf("round %d: a record behind a pending kernel reads done", i)
+			}
+			r.drv.StreamSynchronize(p, s[0])
+			if done, err := r.drv.EventQuery(p, ev); !done || err != nil {
+				t.Errorf("round %d: query after the stream drained = %v, %v", i, done, err)
+			}
+		}
+	})
+}
+
 func TestStickyErrorSurfacesOnAPICalls(t *testing.T) {
 	r := newRig(t, nil)
 	r.inProc(t, func(p *vclock.Proc) {
@@ -337,17 +396,54 @@ func TestFreeInvalidatesHandle(t *testing.T) {
 	})
 }
 
+// TestBadHandles: in every handle space a handle never made, negative,
+// destroyed or (but for the default stream) 0 is ErrBadHandle; a buffer
+// handle whose device has since been repaired is the device's ErrNoSuchBuf,
+// and buffers allocated after the repair resolve. The handle tables are
+// slices indexed by handle; these are the answers the maps gave.
 func TestBadHandles(t *testing.T) {
 	r := newRig(t, nil)
 	r.inProc(t, func(p *vclock.Proc) {
-		if err := r.drv.StreamSynchronize(p, Stream(99)); !errors.Is(err, ErrBadHandle) {
-			t.Errorf("stream: %v", err)
+		b, _ := r.drv.Malloc(p, 64, 1, "b")
+		s, _ := r.drv.StreamCreate(p)
+		ev, _ := r.drv.EventCreate(p)
+		r.drv.Free(p, b)
+		r.drv.StreamDestroy(p, s)
+		r.drv.EventDestroy(p, ev)
+		for _, h := range []Buf{0, -1, 99, b} {
+			if _, err := r.drv.BufChecksum(p, h); !errors.Is(err, ErrBadHandle) {
+				t.Errorf("buf %d: %v", h, err)
+			}
 		}
-		if _, err := r.drv.EventQuery(p, Event(99)); !errors.Is(err, ErrBadHandle) {
-			t.Errorf("event: %v", err)
+		for _, h := range []Stream{-1, 99, s} {
+			if err := r.drv.StreamSynchronize(p, h); !errors.Is(err, ErrBadHandle) {
+				t.Errorf("stream %d: %v", h, err)
+			}
 		}
-		if err := r.drv.AllReduce(p, Comm(99), 0, DefaultStream); !errors.Is(err, ErrBadHandle) {
-			t.Errorf("comm: %v", err)
+		for _, h := range []Event{0, -1, 99, ev} {
+			if _, err := r.drv.EventQuery(p, h); !errors.Is(err, ErrBadHandle) {
+				t.Errorf("event %d: %v", h, err)
+			}
+		}
+		for _, h := range []Comm{0, -1, 99} {
+			if err := r.drv.AllReduce(p, h, 0, DefaultStream); !errors.Is(err, ErrBadHandle) {
+				t.Errorf("comm %d: %v", h, err)
+			}
+		}
+		kept, _ := r.drv.Malloc(p, 64, 1, "b")
+		r.dev.Repair()
+		if _, err := r.drv.BufChecksum(p, kept); !errors.Is(err, gpu.ErrNoSuchBuf) {
+			t.Errorf("a buffer the repair took: %v", err)
+		}
+		after, err := r.drv.Malloc(p, 64, 1, "b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.drv.BufChecksum(p, after); err != nil {
+			t.Errorf("a buffer allocated after the repair: %v", err)
+		}
+		if _, err := r.drv.BufChecksum(p, kept); !errors.Is(err, gpu.ErrNoSuchBuf) {
+			t.Errorf("a buffer the repair took, once the device allocates again: %v", err)
 		}
 	})
 }
@@ -828,11 +924,12 @@ func TestCallRoundTripMatchesDirectCall(t *testing.T) {
 }
 
 // TestHandlesTranslate: the default stream maps to itself in a new table,
-// bound handles translate in every field the op reads, and a handle the
-// table does not hold is an ErrBadHandle rather than a silent pass-through.
+// bound handles translate in every field the op reads, launch buffers land
+// in the slice the caller lends, and a handle the table does not hold is an
+// ErrBadHandle rather than a silent pass-through.
 func TestHandlesTranslate(t *testing.T) {
 	tr := NewHandles()
-	if tr.Streams[DefaultStream] != DefaultStream {
+	if s, ok := Lookup(tr, StreamHandle, DefaultStream); !ok || s != DefaultStream {
 		t.Fatal("default stream must map to itself")
 	}
 	tr.Bind(BufHandle, 5, 12)
@@ -841,20 +938,23 @@ func TestHandlesTranslate(t *testing.T) {
 	tr.Bind(EventHandle, 9, 1)
 	tr.Bind(CommHandle, 2, 4)
 	got := Call{Op: OpAllGather, Comm: 2, Buf: 5, Buf2: 6, Stream: 2, Event: 9}
-	if err := tr.Translate(&got); err != nil {
+	if err := tr.Translate(&got, nil); err != nil {
 		t.Fatal(err)
 	}
 	// AllGather does not read Event: it stays as it was.
 	if got.Comm != 4 || got.Buf != 12 || got.Buf2 != 13 || got.Stream != 7 || got.Event != 9 {
 		t.Errorf("AllGather translated to %+v", got)
 	}
-	held := []Buf{5, 6}
+	held, lent := []Buf{5, 6}, make([]Buf, 1, 4)
 	got = Call{Op: OpLaunch, Launch: LaunchParams{Bufs: held}}
-	if err := tr.Translate(&got); err != nil || got.Launch.Bufs[0] != 12 || got.Launch.Bufs[1] != 13 {
+	if err := tr.Translate(&got, lent); err != nil || len(got.Launch.Bufs) != 2 || got.Launch.Bufs[0] != 12 || got.Launch.Bufs[1] != 13 {
 		t.Errorf("Launch bufs translated to %v (err %v)", got.Launch.Bufs, err)
 	}
 	if held[0] != 5 {
 		t.Error("Translate wrote through the caller's Bufs slice")
+	}
+	if &got.Launch.Bufs[0] != &lent[0] {
+		t.Error("Translate did not use the slice it was lent")
 	}
 	for _, c := range []Call{
 		{Op: OpFree, Buf: 99},
@@ -863,14 +963,29 @@ func TestHandlesTranslate(t *testing.T) {
 		{Op: OpCommDestroy, Comm: 99},
 		{Op: OpLaunch, Launch: LaunchParams{Bufs: []Buf{5, 99}}},
 	} {
-		if err := tr.Translate(&c); !errors.Is(err, ErrBadHandle) {
+		if err := tr.Translate(&c, nil); !errors.Is(err, ErrBadHandle) {
 			t.Errorf("%v with an unbound handle: err = %v, want ErrBadHandle", c.Op, err)
 		}
 	}
 	clone := tr.Clone()
 	clone.Bind(BufHandle, 5, 40)
 	tr.Unbind(StreamHandle, 2)
-	if tr.Bufs[5] != 12 || clone.Streams[2] != 7 {
-		t.Error("Clone shares maps with its source")
+	b, _ := Lookup(tr, BufHandle, Buf(5))
+	if s, ok := Lookup(clone, StreamHandle, Stream(2)); b != 12 || !ok || s != 7 {
+		t.Error("Clone shares tables with its source")
+	}
+	// A handle bound to 0 is bound; an unbound, destroyed or negative one is
+	// not.
+	tr.Bind(BufHandle, 3, 0)
+	for _, c := range []struct {
+		from Buf
+		ok   bool
+	}{{3, true}, {4, false}, {2, false}, {-1, false}, {1000, false}} {
+		if _, ok := Lookup(tr, BufHandle, c.from); ok != c.ok {
+			t.Errorf("Lookup of buf %d: bound = %v, want %v", c.from, ok, c.ok)
+		}
+	}
+	if _, ok := Lookup(tr, StreamHandle, Stream(2)); ok {
+		t.Error("an unbound stream still translates")
 	}
 }

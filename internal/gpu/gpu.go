@@ -24,8 +24,8 @@ package gpu
 import (
 	"errors"
 	"fmt"
-	"sort"
 
+	"jitckpt/internal/dense"
 	"jitckpt/internal/tensor"
 	"jitckpt/internal/trace"
 	"jitckpt/internal/vclock"
@@ -106,8 +106,9 @@ type Op struct {
 	Done  *vclock.Event
 	Err   error
 	// Free, when set, is called by the stream after the op fully completes;
-	// pooled ops use it to return themselves to their owner's free list.
-	// Ops with a Free hook must not be retained or re-read by the issuer.
+	// pooled ops use it to return themselves to their owner's free list,
+	// which may hand them out again at the owner's next request: the issuer
+	// re-reads such an op only as long as its owner allows.
 	Free func()
 }
 
@@ -122,6 +123,25 @@ func (op *Op) name() string {
 	return "op"
 }
 
+// FreeList holds reusable objects, the one put back last first out: an
+// op's owner takes the request an op is embedded in from one, and the op's
+// Free hook puts it back.
+type FreeList[T any] struct{ free []*T }
+
+// Get returns an object put back earlier, else a new zero one; fresh
+// reports which, for the caller to set up a new one.
+func (l *FreeList[T]) Get() (x *T, fresh bool) {
+	n := len(l.free)
+	if n == 0 {
+		return new(T), true
+	}
+	x, l.free[n-1], l.free = l.free[n-1], nil, l.free[:n-1]
+	return x, false
+}
+
+// Put makes x the next object Get returns.
+func (l *FreeList[T]) Put(x *T) { l.free = append(l.free, x) }
+
 // Stream is an in-order execution queue on a device.
 type Stream struct {
 	ID      int
@@ -131,7 +151,8 @@ type Stream struct {
 	op      *Op        // begun and waiting, nil between ops
 	sp      trace.Span // its trace span
 	pending int
-	drain   *vclock.Event
+	drain   *vclock.Event // nil, or drainEv: re-armed for each drain waited for
+	drainEv vclock.Event
 	// asyncErr is the first error any op on this stream completed with.
 	// Like NCCL's async communicator errors, it does not interrupt the
 	// stream; it is surfaced when someone synchronizes with the stream
@@ -150,29 +171,27 @@ type Device struct {
 	NodeID int
 	Index  int
 
-	health     Health
-	buffers    map[int]*Buffer
-	nextBufID  int
-	tagSeq     map[string]int
-	streams    map[int]*Stream
-	nextStream int
-	memUsed    int64
-	memCap     int64
-	lane       string
+	health Health
+	// Buffers and streams by ID. A repair forgets every ID handed out so
+	// far, a reset every stream ID; neither is handed out again.
+	buffers dense.Table[*Buffer]
+	streams dense.Table[*Stream]
+	tagSeq  map[string]int
+	memUsed int64
+	memCap  int64
+	lane    string
 }
 
 // NewDevice creates a healthy device with memCap bytes of modelled memory.
 func NewDevice(env *vclock.Env, nodeID, index int, memCap int64) *Device {
 	return &Device{
-		env:     env,
-		NodeID:  nodeID,
-		Index:   index,
-		health:  Healthy,
-		buffers: make(map[int]*Buffer),
-		tagSeq:  make(map[string]int),
-		streams: make(map[int]*Stream),
-		memCap:  memCap,
-		lane:    fmt.Sprintf("n%d.g%d", nodeID, index),
+		env:    env,
+		NodeID: nodeID,
+		Index:  index,
+		health: Healthy,
+		tagSeq: make(map[string]int),
+		memCap: memCap,
+		lane:   fmt.Sprintf("n%d.g%d", nodeID, index),
 	}
 }
 
@@ -197,9 +216,7 @@ func (d *Device) Accessible() bool { return d.health != Hard }
 // device's state is at a minibatch boundary.
 func (d *Device) PendingOps() int {
 	n := 0
-	for _, s := range d.streams {
-		n += s.pending
-	}
+	d.streams.Each(func(_ int, s *Stream) { n += s.pending })
 	return n
 }
 
@@ -227,15 +244,13 @@ func (d *Device) Alloc(modelBytes int64, elems int, tag string) (*Buffer, error)
 		return nil, fmt.Errorf("%w: want %d, used %d of %d", ErrOutOfMemory, modelBytes, d.memUsed, d.memCap)
 	}
 	b := &Buffer{
-		ID:         d.nextBufID,
 		ModelBytes: modelBytes,
 		Data:       tensor.NewVector(elems),
 		Tag:        tag,
 		Seq:        d.tagSeq[tag],
 	}
-	d.nextBufID++
+	b.ID = d.buffers.Add(b)
 	d.tagSeq[tag]++
-	d.buffers[b.ID] = b
 	d.memUsed += modelBytes
 	return b, nil
 }
@@ -245,22 +260,21 @@ func (d *Device) Free(id int) error {
 	if d.health == Hard {
 		return ErrDeviceLost
 	}
-	b, ok := d.buffers[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchBuf, id)
+	b, err := d.Buf(id)
+	if err != nil {
+		return err
 	}
 	d.memUsed -= b.ModelBytes
-	delete(d.buffers, id)
+	d.buffers.Delete(id)
 	return nil
 }
 
 // Buf looks up a buffer by ID.
 func (d *Device) Buf(id int) (*Buffer, error) {
-	b, ok := d.buffers[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoSuchBuf, id)
+	if b, ok := d.buffers.At(id); ok {
+		return b, nil
 	}
-	return b, nil
+	return nil, fmt.Errorf("%w: %d", ErrNoSuchBuf, id)
 }
 
 // NewStream creates an execution stream and starts its process.
@@ -268,25 +282,21 @@ func (d *Device) NewStream() (*Stream, error) {
 	if err := d.healthErr(); err != nil {
 		return nil, err
 	}
-	s := &Stream{
-		ID:  d.nextStream,
-		dev: d,
-		q:   vclock.NewQueue[*Op](d.env, fmt.Sprintf("%s.s%d.q", d.Name(), d.nextStream)),
-	}
-	d.nextStream++
-	d.streams[s.ID] = s
+	s := &Stream{dev: d}
+	s.ID = d.streams.Add(s)
+	s.q = vclock.NewQueue[*Op](d.env, fmt.Sprintf("%s.s%d.q", d.Name(), s.ID))
 	s.proc = d.env.GoFunc(fmt.Sprintf("%s.s%d", d.Name(), s.ID), s.step)
 	return s, nil
 }
 
 // DestroyStream kills a stream's process and forgets it.
 func (d *Device) DestroyStream(id int) error {
-	s, ok := d.streams[id]
+	s, ok := d.streams.At(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchQueue, id)
 	}
 	s.proc.Kill()
-	delete(d.streams, id)
+	d.streams.Delete(id)
 	return nil
 }
 
@@ -295,9 +305,7 @@ func (d *Device) DestroyStream(id int) error {
 // calls return ErrDeviceLost.
 func (d *Device) InjectHard() {
 	d.health = Hard
-	for _, id := range d.streamIDs() {
-		d.streams[id].proc.Kill()
-	}
+	d.killStreams()
 	trace.Of(d.env).Instant(d.env.Now(), "gpu", d.lane, "inject-hard")
 }
 
@@ -331,10 +339,8 @@ func (d *Device) Reset() error {
 	if d.health == Hard {
 		return ErrDeviceLost
 	}
-	for _, id := range d.streamIDs() {
-		d.streams[id].proc.Kill()
-		delete(d.streams, id)
-	}
+	d.killStreams()
+	d.streams.Reset()
 	d.health = Healthy
 	trace.Of(d.env).Instant(d.env.Now(), "gpu", d.lane, "reset")
 	return nil
@@ -346,31 +352,26 @@ func (d *Device) Reset() error {
 // and it clears everything: streams (killed), buffers, tag sequences and
 // memory accounting. Callers restore state from checkpoints afterwards.
 func (d *Device) Repair() {
-	for _, id := range d.streamIDs() {
-		d.streams[id].proc.Kill()
-		delete(d.streams, id)
-	}
-	d.buffers = make(map[int]*Buffer)
+	d.killStreams()
+	d.streams.Reset()
+	d.buffers.Reset()
 	d.tagSeq = make(map[string]int)
 	d.memUsed = 0
 	d.health = Healthy
 	trace.Of(d.env).Instant(d.env.Now(), "gpu", d.lane, "repair")
 }
 
-func (d *Device) streamIDs() []int {
-	ids := make([]int, 0, len(d.streams))
-	for id := range d.streams {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
+// killStreams kills every stream's process, in ascending ID order.
+func (d *Device) killStreams() {
+	d.streams.Each(func(_ int, s *Stream) { s.proc.Kill() })
 }
 
-// Enqueue appends an op to the stream. It returns the op's completion event.
-// Enqueue never blocks the caller: launches are asynchronous, as on real
-// hardware. Enqueueing onto a hard-failed device is permitted (the op will
-// simply never complete), matching how an async launch into a dying context
-// behaves.
+// Enqueue appends an op to the stream. It returns the op's completion event:
+// the one the op brings (embedded in what it completes, so it allocates
+// nothing), else a new one. Enqueue never blocks the caller: launches are
+// asynchronous, as on real hardware. Enqueueing onto a hard-failed device is
+// permitted (the op will simply never complete), matching how an async
+// launch into a dying context behaves.
 func (s *Stream) Enqueue(op *Op) *vclock.Event {
 	if op.Done == nil {
 		op.Done = s.dev.env.NewEvent("op")
@@ -397,7 +398,8 @@ func (s *Stream) DrainEvent() *vclock.Event {
 		return s.dev.env.DoneEvent()
 	}
 	if s.drain == nil || s.drain.Triggered() {
-		s.drain = s.dev.env.NewEvent("drain")
+		s.dev.env.InitEvent(&s.drainEv, "drain")
+		s.drain = &s.drainEv
 	}
 	return s.drain
 }
@@ -484,12 +486,6 @@ func (s *Stream) complete() {
 	if s.pending == 0 && s.drain != nil && !s.drain.Triggered() {
 		s.drain.Trigger()
 	}
-}
-
-// FuncOp returns an op that sleeps dur then applies fn to the device. fn
-// runs at op completion time, which is where kernels mutate buffer contents.
-func FuncOp(name string, dur vclock.Time, fn func(dev *Device) error) *Op {
-	return &Op{Name: name, Dur: dur, Exec: fn}
 }
 
 // Node is a host machine with attached devices.

@@ -9,6 +9,12 @@ import (
 	"jitckpt/internal/vclock"
 )
 
+// funcOp returns an op that sleeps dur then applies fn to the device. fn
+// runs at op completion time, which is where kernels mutate buffer contents.
+func funcOp(name string, dur vclock.Time, fn func(dev *Device) error) *Op {
+	return &Op{Name: name, Dur: dur, Exec: fn}
+}
+
 func newTestDevice(t *testing.T) (*vclock.Env, *Device) {
 	t.Helper()
 	env := vclock.NewEnv(1)
@@ -67,11 +73,11 @@ func TestStreamExecutesInOrder(t *testing.T) {
 	env.Go("issuer", func(p *vclock.Proc) {
 		// Longer op first: in-order execution means the short op still
 		// finishes second.
-		e1 := s.Enqueue(FuncOp("long", vclock.Seconds(2), func(*Device) error {
+		e1 := s.Enqueue(funcOp("long", vclock.Seconds(2), func(*Device) error {
 			order = append(order, "long")
 			return nil
 		}))
-		e2 := s.Enqueue(FuncOp("short", vclock.Millisecond, func(*Device) error {
+		e2 := s.Enqueue(funcOp("short", vclock.Millisecond, func(*Device) error {
 			order = append(order, "short")
 			return nil
 		}))
@@ -239,7 +245,7 @@ func TestDestroyStreamDropsWork(t *testing.T) {
 	s, _ := d.NewStream()
 	ran := false
 	env.Go("w", func(p *vclock.Proc) {
-		s.Enqueue(FuncOp("never", vclock.Seconds(10), func(*Device) error {
+		s.Enqueue(funcOp("never", vclock.Seconds(10), func(*Device) error {
 			ran = true
 			return nil
 		}))

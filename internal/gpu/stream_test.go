@@ -75,7 +75,7 @@ func TestOpWaitsForUntriggeredEvent(t *testing.T) {
 	var waiterAt, behindAt vclock.Time
 	env.Go("issuer", func(p *vclock.Proc) {
 		ew := s.Enqueue(waiter)
-		eb := s.Enqueue(FuncOp("behind", vclock.Second, func(*Device) error { order = append(order, "behind"); return nil }))
+		eb := s.Enqueue(funcOp("behind", vclock.Second, func(*Device) error { order = append(order, "behind"); return nil }))
 		p.Wait(ew)
 		waiterAt = p.Now()
 		p.Wait(eb)
@@ -167,7 +167,7 @@ func TestKilledMidWaitNeverCompletes(t *testing.T) {
 			if onEvent {
 				op.Ev = env.NewEvent("never")
 			}
-			behind := FuncOp("behind", 0, func(*Device) error { touched += "behind "; return nil })
+			behind := funcOp("behind", 0, func(*Device) error { touched += "behind "; return nil })
 			env.Go("w", func(p *vclock.Proc) {
 				s.Enqueue(op)
 				s.Enqueue(behind)

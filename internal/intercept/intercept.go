@@ -103,7 +103,7 @@ type Config struct {
 
 // Layer is the interception layer for one worker rank.
 type Layer struct {
-	// The 28 cuda.API methods, each packing its arguments into a cuda.Call
+	// The 22 cuda.API methods, each packing its arguments into a cuda.Call
 	// for do.
 	cuda.Adapter
 
@@ -115,9 +115,11 @@ type Layer struct {
 	log *replay.Log
 
 	// handles is the virtual -> physical handle table; next holds the next
-	// virtual handle per handle space.
+	// virtual handle per handle space; spare is what a launch's buffers are
+	// translated into, nil while a launch holds it.
 	handles *cuda.Handles
 	next    [cuda.CommHandle + 1]int
+	spare   []cuda.Buf
 
 	// Virtual buffer metadata: the layer owns tag sequence numbering so
 	// checkpoint tensor names stay identical across replicas and across
@@ -129,6 +131,7 @@ type Layer struct {
 	ncclStreams  map[cuda.Stream]bool       // virtual streams collectives run on
 	eventsOnNCCL map[cuda.Event]bool        // events last recorded on an NCCL stream
 	watch        map[cuda.Event]vclock.Time // virtual event -> when it joined the watch-list
+	watched      []cuda.Event               // WatchedEvents' slice
 	watchdogOn   bool
 	watchdogProc *vclock.Proc
 	inflight     map[*vclock.Proc]vclock.Time // calling thread -> when its blocking call began
@@ -262,7 +265,7 @@ func (l *Layer) Handles() *cuda.Handles { return l.handles }
 // state to peer CPU memory can overlap the next minibatch (§3.1's
 // interception transparency extended to the shelter tier).
 func (l *Layer) BufData(b cuda.Buf) (tensor.Vector, error) {
-	pb, ok := l.handles.Bufs[b]
+	pb, ok := cuda.Lookup(l.handles, cuda.BufHandle, b)
 	if !ok {
 		return nil, fmt.Errorf("%w: virtual buf %d", cuda.ErrBadHandle, b)
 	}
@@ -359,7 +362,11 @@ func (l *Layer) do(p *vclock.Proc, c cuda.Call) (cuda.Result, error) {
 // op's effect on layer state and records it in the replay log.
 func (l *Layer) issue(p *vclock.Proc, c *cuda.Call, info cuda.OpInfo) (cuda.Result, error) {
 	phys := *c
-	if err := l.handles.Translate(&phys); err != nil {
+	var spare []cuda.Buf
+	if c.Op == cuda.OpLaunch {
+		spare, l.spare = l.spare, nil // a launch on another thread meanwhile gets its own
+	}
+	if err := l.handles.Translate(&phys, spare); err != nil {
 		return cuda.Result{}, err
 	}
 	if c.Op == cuda.OpMemcpyD2H && l.ckptMode && l.ckptStream != 0 {
@@ -373,6 +380,9 @@ func (l *Layer) issue(p *vclock.Proc, c *cuda.Call, info cuda.OpInfo) (cuda.Resu
 	res, err := cuda.Invoke(p, l.inner, &phys)
 	if info.Tracked {
 		delete(l.inflight, p)
+	}
+	if c.Op == cuda.OpLaunch {
+		l.spare = phys.Launch.Bufs[:0] // the callee has resolved or copied them
 	}
 	if err != nil || !info.Mutating {
 		return res, err

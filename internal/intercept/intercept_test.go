@@ -38,7 +38,7 @@ func defaultKernels() cuda.Registry {
 	}
 }
 
-func newRig(t *testing.T, cfg Config) *rig {
+func newRig(t testing.TB, cfg Config) *rig {
 	t.Helper()
 	env := vclock.NewEnv(1)
 	dev := gpu.NewDevice(env, 0, 0, 1<<34)
@@ -602,12 +602,12 @@ func TestEndRecoveryRemapsVirtualHandles(t *testing.T) {
 	r := newRig(t, Config{Mode: ModeTransparent})
 	r.run(t, func(p *vclock.Proc) {
 		b, _ := r.layer.Malloc(p, 64, 2, "w")
-		oldPhys := r.layer.Handles().Bufs[b]
+		oldPhys, _ := cuda.Lookup(r.layer.Handles(), cuda.BufHandle, b)
 		tr := r.layer.Handles().Clone()
-		tr.Bufs[b] = oldPhys + 100
+		tr.Bind(cuda.BufHandle, int(b), int(oldPhys+100))
 		r.layer.BeginRecovery()
 		r.layer.EndRecovery(tr)
-		newPhys := r.layer.Handles().Bufs[b]
+		newPhys, _ := cuda.Lookup(r.layer.Handles(), cuda.BufHandle, b)
 		if newPhys != oldPhys+100 {
 			t.Errorf("virtual %v maps to %v, want %v", b, newPhys, oldPhys+100)
 		}
@@ -757,7 +757,7 @@ func TestVirtualHandleTableProperty(t *testing.T) {
 					return
 				}
 				for _, b := range live {
-					if _, found := layer.Handles().Bufs[b]; !found {
+					if _, found := cuda.Lookup(layer.Handles(), cuda.BufHandle, b); !found {
 						ok = false
 						return
 					}

@@ -1,7 +1,7 @@
 package intercept
 
 import (
-	"sort"
+	"slices"
 
 	"jitckpt/internal/cuda"
 	"jitckpt/internal/vclock"
@@ -50,14 +50,15 @@ func (l *Layer) StopWatchdog() {
 	}
 }
 
-// WatchedEvents returns the virtual events currently on the watch-list.
+// WatchedEvents returns the virtual events currently on the watch-list, in
+// ascending order, in a slice of the layer's that the next call reuses.
 func (l *Layer) WatchedEvents() []cuda.Event {
-	out := make([]cuda.Event, 0, len(l.watch))
+	l.watched = l.watched[:0]
 	for ev := range l.watch {
-		out = append(out, ev)
+		l.watched = append(l.watched, ev)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(l.watched)
+	return l.watched
 }
 
 // watchdogLoop polls watched events with EventQuery and checks the ages of
@@ -77,7 +78,7 @@ func (l *Layer) watchdogLoop(p *vclock.Proc) {
 			if !ok {
 				continue
 			}
-			pe, ok := l.handles.Events[ev]
+			pe, ok := cuda.Lookup(l.handles, cuda.EventHandle, ev)
 			if !ok {
 				delete(l.watch, ev) // event destroyed or remapped away
 				continue

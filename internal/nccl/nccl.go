@@ -155,27 +155,27 @@ type commGroup struct {
 	colls  map[int]*collState
 	p2ps   map[p2pKey]*p2pState
 
-	collFree *collState
-	p2pFree  *p2pState
+	collFree gpu.FreeList[collState]
+	p2pFree  gpu.FreeList[p2pState]
 }
 
 // collState is the match state for one in-flight collective. States are
-// pooled per group: refs counts the ranks that have entered arriveColl and
-// not yet returned, and the state recycles once every participant has left
-// AND the last arriver has retired it from the match map (done). Ranks
-// that never arrive (hung collectives) simply strand the state, which the
-// garbage collector reclaims as before.
+// pooled per group: refs counts the ranks that have arrived and not yet
+// left, and the state recycles once every participant has left AND the last
+// arriver has retired it from the match map (done) — with its barrier event,
+// whose waiter list keeps its capacity. Ranks that never arrive (hung
+// collectives) simply strand the state, which the garbage collector reclaims
+// as before.
 type collState struct {
 	kind     string
 	bytes    int64
 	arrived  []collArrival // indexed by rank
 	narrived int
-	ready    *vclock.Event
+	ready    vclock.Event
 	err      error
 	sum      []float32 // reduce-scatter scratch, reused across collectives
 	refs     int
 	done     bool
-	next     *collState
 }
 
 type collArrival struct {
@@ -184,13 +184,8 @@ type collArrival struct {
 }
 
 func (g *commGroup) getColl() *collState {
-	cs := g.collFree
-	if cs == nil {
-		cs = &collState{}
-	} else {
-		g.collFree = cs.next
-		*cs = collState{arrived: cs.arrived, sum: cs.sum}
-	}
+	cs, _ := g.collFree.Get()
+	*cs = collState{arrived: cs.arrived, sum: cs.sum, ready: cs.ready}
 	if cap(cs.arrived) < g.nranks {
 		cs.arrived = make([]collArrival, g.nranks)
 	} else {
@@ -199,7 +194,7 @@ func (g *commGroup) getColl() *collState {
 			cs.arrived[i] = collArrival{}
 		}
 	}
-	cs.ready = g.engine.env.NewEvent("nccl.coll")
+	g.engine.env.InitEvent(&cs.ready, "nccl.coll")
 	return cs
 }
 
@@ -208,9 +203,7 @@ func (g *commGroup) getColl() *collState {
 func (g *commGroup) leaveColl(cs *collState) {
 	cs.refs--
 	if cs.refs == 0 && cs.done {
-		cs.ready = nil
-		cs.next = g.collFree
-		g.collFree = cs
+		g.collFree.Put(cs)
 	}
 }
 
@@ -222,32 +215,24 @@ type p2pKey struct {
 // collState (refs counts the two endpoints).
 type p2pState struct {
 	srcBuf, dstBuf *gpu.Buffer
-	ready          *vclock.Event
+	ready          vclock.Event
 	bytes          int64
 	failure        error
 	refs           int
 	done           bool
-	next           *p2pState
 }
 
 func (g *commGroup) getP2P() *p2pState {
-	st := g.p2pFree
-	if st == nil {
-		st = &p2pState{}
-	} else {
-		g.p2pFree = st.next
-		*st = p2pState{}
-	}
-	st.ready = g.engine.env.NewEvent("nccl.p2p")
+	st, _ := g.p2pFree.Get()
+	*st = p2pState{ready: st.ready}
+	g.engine.env.InitEvent(&st.ready, "nccl.p2p")
 	return st
 }
 
 func (g *commGroup) leaveP2P(st *p2pState) {
 	st.refs--
 	if st.refs == 0 && st.done {
-		st.ready = nil
-		st.next = g.p2pFree
-		g.p2pFree = st
+		g.p2pFree.Put(st)
 	}
 }
 
@@ -259,9 +244,10 @@ type Comm struct {
 	NRanks int
 	dead   bool
 
-	collSeq int
-	sendSeq map[int]int
-	recvSeq map[int]int
+	collSeq  int
+	sendSeq  map[int]int
+	recvSeq  map[int]int
+	collFree gpu.FreeList[collReq]
 }
 
 // CommInitRank performs the blocking rendezvous that creates one rank's
@@ -359,21 +345,30 @@ func (e *Engine) InjectFault(key string, gen int, kind FaultKind) {
 // ncclCommDestroy semantics for a wedged communicator.
 func (c *Comm) Destroy() { c.dead = true }
 
-// collReq bundles one rank's collective call into a single allocation: the
-// stream op plus everything its two halves (arrive at Begin, leave at Exec)
-// and its lazily-formatted trace name need. The op's name is only
-// materialized when a trace recorder is attached.
+// collReq is one rank's collective call: the stream op, its completion,
+// and everything the op's two halves (arrive at Begin, leave at Exec) and
+// its lazily-formatted trace name need. The op's name is only materialized
+// when a trace recorder is attached. Requests are pooled per Comm: the
+// stream hands one back when its op completes (Free), so steady-state
+// collectives allocate nothing.
 type collReq struct {
-	g         *commGroup
-	kind      string
-	seq, rank int
-	in, out   *gpu.Buffer
-	cs        *collState // the match state arrive joined
-	op        gpu.Op
+	c       *Comm
+	kind    string
+	seq     int
+	in, out *gpu.Buffer
+	cs      *collState // the match state arrive joined
+	op      gpu.Op
+	done    vclock.Event
+}
+
+func (cr *collReq) release() {
+	cr.in, cr.out, cr.cs = nil, nil, nil
+	cr.c.collFree.Put(cr)
 }
 
 func (cr *collReq) String() string {
-	return fmt.Sprintf("nccl.%s.%s.g%d.#%d.r%d", cr.kind, cr.g.key, cr.g.gen, cr.seq, cr.rank)
+	g := cr.c.group
+	return fmt.Sprintf("nccl.%s.%s.g%d.#%d.r%d", cr.kind, g.key, g.gen, cr.seq, cr.c.Rank)
 }
 
 // collCost returns the modelled wire traffic for one collective of b bytes
@@ -400,16 +395,23 @@ func collCost(kind string, b int64, n int) int64 {
 }
 
 // collective enqueues a collective op on stream s. The returned op
-// completes when all ranks have arrived and the transfer time has elapsed.
+// completes when all ranks have arrived and the transfer time has elapsed;
+// it is the Comm's again once it has completed and stays readable until
+// the next collective on c.
 func (c *Comm) collective(s *gpu.Stream, kind string, in, out *gpu.Buffer) (*gpu.Op, error) {
 	if c.dead {
 		return nil, ErrCommDead
 	}
-	cr := &collReq{g: c.group, kind: kind, seq: c.collSeq, rank: c.Rank, in: in, out: out}
+	cr, fresh := c.collFree.Get()
+	if fresh {
+		cr.c = c
+		cr.op.Namer, cr.op.Begin, cr.op.Exec, cr.op.Free = cr, cr.arrive, cr.leave, cr.release
+	}
+	cr.kind, cr.seq, cr.in, cr.out = kind, c.collSeq, in, out
+	cr.op.Ev, cr.op.Dur, cr.op.Err = nil, 0, nil
+	c.engine.env.InitEvent(&cr.done, "op")
+	cr.op.Done = &cr.done
 	c.collSeq++
-	cr.op.Namer = cr
-	cr.op.Begin = cr.arrive
-	cr.op.Exec = cr.leave
 	s.Enqueue(&cr.op)
 	return &cr.op, nil
 }
@@ -419,7 +421,7 @@ func (c *Comm) collective(s *gpu.Stream, kind string, in, out *gpu.Buffer) (*gpu
 // waits out the transfer; everyone else waits for it (forever, if a rank
 // never arrives or the fault is a hang).
 func (cr *collReq) arrive(*gpu.Device) error {
-	g, kind, seq, rank := cr.g, cr.kind, cr.seq, cr.rank
+	g, kind, seq, rank := cr.c.group, cr.kind, cr.seq, cr.c.Rank
 	cs, ok := g.colls[seq]
 	if !ok {
 		cs = g.getColl()
@@ -467,7 +469,7 @@ func (cr *collReq) arrive(*gpu.Device) error {
 			gpu.TransferTime(collCost(kind, cs.bytes, g.nranks), g.engine.params.BusBandwidth)
 		return nil
 	}
-	cr.op.Ev = cs.ready // barrier: hangs if a rank never arrives or fault==hang
+	cr.op.Ev = &cs.ready // barrier: hangs if a rank never arrives or fault==hang
 	return nil
 }
 
@@ -475,7 +477,7 @@ func (cr *collReq) arrive(*gpu.Device) error {
 // that waited for the transfer, not for the barrier event — releases the
 // others and retires the match state; every rank drops its reference.
 func (cr *collReq) leave(*gpu.Device) error {
-	g, cs := cr.g, cr.cs
+	g, cs := cr.c.group, cr.cs
 	err := cs.err
 	if cr.op.Ev == nil {
 		if rec := trace.Of(g.engine.env); rec != nil {
@@ -708,7 +710,7 @@ func (pr *p2pReq) arrive(dev *gpu.Device) error {
 		pr.op.Dur = g.engine.params.BaseLatency + gpu.TransferTime(st.bytes, g.engine.params.BusBandwidth)
 		return nil
 	}
-	pr.op.Ev = st.ready // hangs if the peer never shows up
+	pr.op.Ev = &st.ready // hangs if the peer never shows up
 	return nil
 }
 

@@ -3,6 +3,7 @@ package nccl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -58,6 +59,49 @@ func mkBuf(t *testing.T, d *gpu.Device, data []float32) *gpu.Buffer {
 	}
 	copy(b.Data, data)
 	return b
+}
+
+// TestRepeatedAllReduceRotatesTheLastArriver: a rank's collectives reuse
+// its request objects, so each round must start from a clean request
+// whichever role — waiting at the barrier, or last and paying the transfer
+// — the same object played the round before. Round i's last arriver is rank
+// i mod 3, one second after the others; every rank completes one transfer
+// after it, with the sum.
+func TestRepeatedAllReduceRotatesTheLastArriver(t *testing.T) {
+	const ranks, rounds = 3, 6
+	h := newHarness(t, ranks)
+	bufs := make([]*gpu.Buffer, ranks)
+	for r := range bufs {
+		bufs[r] = mkBuf(t, h.devs[r], []float32{1})
+	}
+	prm := DefaultParams()
+	transfer := prm.BaseLatency + gpu.TransferTime(collCost("allreduce", 4, ranks), prm.BusBandwidth)
+	h.eachRank(func(p *vclock.Proc, r int, comm *Comm) {
+		for i := 0; i < rounds; i++ {
+			start := p.Now()
+			if r == i%ranks {
+				p.Sleep(vclock.Second)
+			}
+			op, err := comm.AllReduce(h.streams[r], bufs[r])
+			if err != nil {
+				t.Errorf("rank %d round %d: %v", r, i, err)
+				return
+			}
+			if !p.WaitTimeout(op.Done, vclock.Minute) || op.Err != nil {
+				t.Errorf("rank %d round %d: done=%v err=%v", r, i, op.Done.Triggered(), op.Err)
+				return
+			}
+			if got := p.Now() - start; got != vclock.Second+transfer {
+				t.Errorf("rank %d round %d: took %d ns, want %d", r, i, got, vclock.Second+transfer)
+			}
+			if want := float32(math.Pow(ranks, float64(i+1))); bufs[r].Data[0] != want {
+				t.Errorf("rank %d round %d: sum %v, want %v", r, i, bufs[r].Data[0], want)
+			}
+		}
+	})
+	if err := h.env.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestAllReduceSums(t *testing.T) {

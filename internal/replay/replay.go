@@ -114,7 +114,7 @@ func applyOne(p *vclock.Proc, api cuda.API, c *Call, tr *cuda.Handles, opts Opti
 	if call.Op == cuda.OpCommInit && opts.Gen > 0 {
 		call.Gen = opts.Gen
 	}
-	if err := tr.Translate(&call); err != nil {
+	if err := tr.Translate(&call, nil); err != nil {
 		return err
 	}
 	res, err := cuda.Invoke(p, api, &call)

@@ -92,7 +92,8 @@ func TestReplayReproducesState(t *testing.T) {
 			return
 		}
 		drv2.StreamSynchronize(p, cuda.DefaultStream)
-		replaySum, _ = drv2.BufChecksum(p, tr.Bufs[w])
+		pw, _ := cuda.Lookup(tr, cuda.BufHandle, w)
+		replaySum, _ = drv2.BufChecksum(p, pw)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -132,10 +133,10 @@ func TestReplayTranslatesStreamsAndEvents(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if _, ok := tr.Streams[s]; !ok {
+		if _, ok := cuda.Lookup(tr, cuda.StreamHandle, s); !ok {
 			t.Error("stream handle mapping missing after replay")
 		}
-		if _, ok := tr.Events[ev]; !ok {
+		if _, ok := cuda.Lookup(tr, cuda.EventHandle, ev); !ok {
 			t.Error("event handle mapping missing after replay")
 		}
 		if err := drv2.DeviceSynchronize(p); err != nil {
@@ -160,7 +161,7 @@ func TestReplayGenOverrideForCommInit(t *testing.T) {
 		if err := Apply(p, drv, calls, tr, Options{Gen: 5}); err != nil {
 			t.Error(err)
 		}
-		if tr.Comms[1] == 0 {
+		if _, ok := cuda.Lookup(tr, cuda.CommHandle, cuda.Comm(1)); !ok {
 			t.Error("comm handle not mapped")
 		}
 		// Gen 0 keeps the recorded generation.
@@ -190,7 +191,7 @@ func TestApplyStopsAtFirstError(t *testing.T) {
 		if err := Apply(p, drv, calls, tr, Options{}); err == nil {
 			t.Error("expected error from bad free")
 		}
-		if _, ok := tr.Bufs[1]; ok {
+		if _, ok := cuda.Lookup(tr, cuda.BufHandle, cuda.Buf(1)); ok {
 			t.Error("apply continued past failing call")
 		}
 	})

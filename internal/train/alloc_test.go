@@ -38,12 +38,13 @@ func TestIterationAllocBudget(t *testing.T) {
 	const short, long = 20, 120
 	perIter := (measure(long) - measure(short)) / (long - short)
 	t.Logf("%.2f allocs per 2-rank training iteration", perIter)
-	// Measured ~90 for 2 ranks (forward + backward + allreduce +
-	// optimizer across 2 layers): collective/launch request objects and
-	// op completion events. Down from thousands before launch-parameter
-	// prebuilding; the guard catches regressions back in that direction.
-	const budget = 120.0
+	// Measured 2.12 for 2 ranks (forward + backward + allreduce +
+	// optimizer across 2 layers): each rank's loss read-back, whose copy is
+	// the caller's. Launch parameters are prebuilt, and request objects,
+	// completion events and waiter lists are pooled or embedded, so nothing
+	// else is made per iteration; the budget is the measurement plus 10 %.
+	const budget = 2.4
 	if perIter > budget {
-		t.Errorf("one 2-rank training iteration allocates %.2f objects, budget is %.0f", perIter, budget)
+		t.Errorf("one 2-rank training iteration allocates %.2f objects, budget is %.1f", perIter, budget)
 	}
 }

@@ -23,16 +23,21 @@ func (m *refModel) push(deadline Time, seq uint64, p *Proc) {
 	m.entries = append(m.entries, refEntry{deadline, seq, p})
 }
 
-func (m *refModel) popMin() refEntry {
+// popMin removes the earliest entry, unless there is none or it is due
+// after limit (limit < 0: no limit).
+func (m *refModel) popMin(limit Time) (refEntry, bool) {
 	sort.Slice(m.entries, func(i, j int) bool {
 		if m.entries[i].deadline != m.entries[j].deadline {
 			return m.entries[i].deadline < m.entries[j].deadline
 		}
 		return m.entries[i].seq < m.entries[j].seq
 	})
+	if len(m.entries) == 0 || (limit >= 0 && m.entries[0].deadline > limit) {
+		return refEntry{}, false
+	}
 	e := m.entries[0]
 	m.entries = m.entries[1:]
-	return e
+	return e, true
 }
 
 func (m *refModel) remove(p *Proc) bool {
@@ -45,121 +50,234 @@ func (m *refModel) remove(p *Proc) bool {
 	return false
 }
 
-// checkIndexed verifies that every timer owner's heapIdx points back at its
-// own entry — the invariant remove() depends on for O(log n) deletion.
-func checkIndexed(t interface{ Errorf(string, ...interface{}) }, q *timerQueue) {
+// checkIndexed verifies that every timer owner's timerIdx and timerLane point
+// back at its own entry — the invariant remove() depends on — that a lane in
+// use starts with a live timer, that the live entries of a lane are in
+// (deadline, seq) order, and that a lane's holes are counted and never
+// outnumber its live timers. It returns how many live timers it saw.
+func checkIndexed(t interface{ Errorf(string, ...interface{}) }, q *timerQueue) int {
 	for i := range q.a {
-		if got := int(q.a[i].p.heapIdx); got != i {
-			t.Errorf("heapIdx broken: entry %d (seq %d) has heapIdx %d", i, q.a[i].seq, got)
+		if p := q.a[i].p; int(p.timerIdx) != i || p.timerLane != 0 {
+			t.Errorf("heap entry %d (seq %d) says it is at %d in lane %d", i, q.a[i].seq, p.timerIdx, p.timerLane)
 		}
 	}
+	n := len(q.a)
+	for k := range q.lanes {
+		l := &q.lanes[k]
+		if l.n > 0 && l.ring[l.head].p == nil {
+			t.Errorf("lane %d (delay %d) starts with a hole", k, l.delay)
+		}
+		var prev *timerEntry
+		holes := 0
+		for j := 0; j < l.n; j++ {
+			i := (l.head + j) & (len(l.ring) - 1)
+			e := &l.ring[i]
+			if e.p == nil {
+				holes++
+				continue
+			}
+			n++
+			if int(e.p.timerIdx) != i || int(e.p.timerLane) != k+1 {
+				t.Errorf("lane %d slot %d (seq %d) says it is at %d in lane %d", k, i, e.seq, e.p.timerIdx, e.p.timerLane)
+			}
+			if prev != nil && !prev.before(e) {
+				t.Errorf("lane %d (delay %d) out of order: seq %d at %d after seq %d at %d", k, l.delay, e.seq, e.deadline, prev.seq, prev.deadline)
+			}
+			prev = e
+		}
+		if holes != l.holes || 2*holes > l.n {
+			t.Errorf("lane %d (delay %d) holds %d holes in %d slots, counts %d", k, l.delay, holes, l.n, l.holes)
+		}
+	}
+	return n
 }
 
-// FuzzQueue drives timerQueue with a random push/pop/remove program and
-// checks every observable against the sorted-slice reference model.
+// stored counts the slots the queue keeps: heap entries and every lane's
+// slots in use, holes included.
+func stored(q *timerQueue) int {
+	n := len(q.a)
+	for k := range q.lanes {
+		n += q.lanes[k].n
+	}
+	return n
+}
+
+// FuzzQueue drives timerQueue the way the kernel does — a clock that moves
+// to each popped deadline, a push due a delay after it — with a random
+// program of pushes, pops up to a horizon, removals of heap and lane timers,
+// and kills, whose owners' timers are left behind to come due, and checks
+// every observable against the sorted-slice reference model. Twelve delays
+// for eight lanes: lanes fill, empty and pass to other delays, and the
+// overflow shares the heap with them.
 func FuzzQueue(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 5, 0, 3, 2, 0, 1, 1, 1, 9})
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 2, 1, 2, 0, 1, 1})
 	f.Add([]byte{0, 200, 0, 200, 0, 200, 1, 1, 1})
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 0, 9, 0, 10, 0, 11, 0, 0, 0, 8, 3, 1, 4, 0, 2, 5, 1, 0, 1, 3, 0, 1, 1, 0})
+	// A killed owner's timer lingers at a lane's head while the timers
+	// pushed behind it are removed: holes the lane must compact.
+	f.Add([]byte{0, 11, 4, 0, 0, 11, 0, 11, 2, 0, 0, 11, 2, 1, 0, 11, 2, 0, 0, 11, 2, 1, 0, 11, 2, 0, 1, 0, 1, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		var q timerQueue
 		var ref refModel
-		var live []*Proc
+		var now Time
+		var pending, idle []*Proc // owners with a timer to remove, and without one
 		var seq uint64
+		take := func(from *[]*Proc, j int) *Proc {
+			j %= len(*from)
+			p := (*from)[j]
+			*from = append((*from)[:j], (*from)[j+1:]...)
+			return p
+		}
 		for i := 0; i+1 < len(program); i += 2 {
-			op, arg := program[i]%3, program[i+1]
+			op, arg := program[i]%5, program[i+1]
 			switch op {
-			case 0: // push
+			case 0: // push, by an idle owner or a new one
 				seq++
-				// Few distinct deadlines on purpose: ties are where the
-				// (deadline, seq) order can silently break.
-				deadline := Time(arg % 8)
-				p := &Proc{heapIdx: -1}
-				q.push(deadline, seq, p)
-				ref.push(deadline, seq, p)
-				live = append(live, p)
-			case 1: // popMin
-				if q.len() == 0 {
+				p := &Proc{timerIdx: -1}
+				if len(idle) > 0 {
+					p = take(&idle, int(arg/16))
+				}
+				d := Time(1 + arg%12)
+				q.push(now, d, seq, p)
+				ref.push(now+d, seq, p)
+				pending = append(pending, p)
+			case 1: // popMin, every third one up to a horizon
+				limit := Time(-1)
+				if arg%3 == 0 {
+					limit = now + Time(arg%5)
+				}
+				got, gok := q.popMin(limit)
+				want, wok := ref.popMin(limit)
+				if gok != wok || got.deadline != want.deadline || got.seq != want.seq || got.p != want.p {
+					t.Fatalf("popMin(%d) at %d: got (%d, %d, %v), want (%d, %d, %v)",
+						limit, now, got.deadline, got.seq, gok, want.deadline, want.seq, wok)
+				}
+				if !gok {
 					continue
 				}
-				got, want := q.popMin(), ref.popMin()
-				if got.deadline != want.deadline || got.seq != want.seq || got.p != want.p {
-					t.Fatalf("popMin mismatch: got (%v, %d), want (%v, %d)",
-						got.deadline, got.seq, want.deadline, want.seq)
+				if got.p.timerIdx != -1 {
+					t.Fatalf("popped timer's owner still has timerIdx %d", got.p.timerIdx)
 				}
-				if got.p.heapIdx != -1 {
-					t.Fatalf("popped timer's owner still has heapIdx %d", got.p.heapIdx)
+				now = got.deadline
+				for j, p := range pending {
+					if p == got.p { // a killed owner's timer is in no list
+						idle = append(idle, take(&pending, j))
+						break
+					}
 				}
-			case 2: // remove an arbitrary owner's timer (popped ones have none)
-				if len(live) == 0 {
+			case 2, 3: // remove an arbitrary timer; 3: one in the heap
+				from := pending
+				if op == 3 {
+					from = nil
+					for _, p := range pending {
+						if p.timerLane == 0 {
+							from = append(from, p)
+						}
+					}
+				}
+				if len(from) == 0 {
 					continue
 				}
-				j := int(arg) % len(live)
-				p := live[j]
-				live = append(live[:j], live[j+1:]...)
+				p := from[int(arg)%len(from)]
+				for j := range pending {
+					if pending[j] == p {
+						take(&pending, j)
+						break
+					}
+				}
 				if got, want := q.remove(p), ref.remove(p); got != want {
 					t.Fatalf("remove reported %v, reference says %v", got, want)
 				}
-				if p.heapIdx != -1 {
-					t.Fatalf("removed timer's owner still has heapIdx %d", p.heapIdx)
+				if p.timerIdx != -1 {
+					t.Fatalf("removed timer's owner still has timerIdx %d", p.timerIdx)
+				}
+				idle = append(idle, p)
+			case 4: // kill: the owner never removes its timer, nor pushes again
+				if len(pending) > 0 {
+					take(&pending, int(arg))
 				}
 			}
-			if q.len() != len(ref.entries) {
-				t.Fatalf("len mismatch: heap %d, reference %d", q.len(), len(ref.entries))
+			if q.n != len(ref.entries) {
+				t.Fatalf("len mismatch: queue %d, reference %d", q.n, len(ref.entries))
 			}
-			checkIndexed(t, &q)
+			if n := checkIndexed(t, &q); n != q.n {
+				t.Fatalf("%d live entries in the heap and lanes, len says %d", n, q.n)
+			}
 		}
 		// Drain: the remaining pop order must equal the reference's.
-		for q.len() > 0 {
-			got, want := q.popMin(), ref.popMin()
+		for q.n > 0 {
+			got, _ := q.popMin(-1)
+			want, _ := ref.popMin(-1)
 			if got.deadline != want.deadline || got.seq != want.seq {
-				t.Fatalf("drain mismatch: got (%v, %d), want (%v, %d)",
+				t.Fatalf("drain mismatch: got (%d, %d), want (%d, %d)",
 					got.deadline, got.seq, want.deadline, want.seq)
 			}
+		}
+		if _, ok := q.popMin(-1); ok {
+			t.Fatal("popMin found a timer in an empty queue")
 		}
 	})
 }
 
 // TestStaleTimerRemovedEagerly pins the fix for the dead-entry leak: when an
-// event wins the race against a WaitTimeout timer, the loser's heap entry is
+// event wins the race against a WaitTimeout timer, the loser's entry is
 // removed immediately instead of lingering until its deadline. Before the
 // fix, each event-win cycle left one dead entry behind, so a hot
-// signal-before-deadline loop grew the heap without bound.
+// signal-before-deadline loop grew the queue without bound. It counts the
+// slots the queue stores, holes included, not its live timers. In the
+// second case a timer of the waiter's own delay stays live at the head of
+// that delay's lane for the whole loop, so every removal behind it leaves a
+// hole until the lane compacts.
 func TestStaleTimerRemovedEagerly(t *testing.T) {
-	env := NewEnv(1)
-	const cycles = 1000
-	evs := make([]*Event, cycles)
-	for i := range evs {
-		evs[i] = env.NewEvent("ping")
-	}
-	maxTimers := 0
-	env.Go("waiter", func(p *Proc) {
-		for i := 0; i < cycles; i++ {
-			if !p.WaitTimeout(evs[i], Second) {
-				t.Errorf("cycle %d: timer fired before the trigger", i)
-				return
+	for _, tc := range []struct {
+		name     string
+		lingerer bool
+		max      int
+	}{
+		// The waiter's timeout and the pinger's sleep.
+		{"alone", false, 2},
+		// The pinger's sleep, the lingering timer and, in its lane, at
+		// most as many holes as live timers: one. Without compaction a
+		// hole per cycle piles up behind the lingering timer.
+		{"behind a lingering timer", true, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := NewEnv(1)
+			const cycles = 1000
+			evs := make([]*Event, cycles)
+			for i := range evs {
+				evs[i] = env.NewEvent("ping")
 			}
-			// At most the pinger's own sleep timer may be live here; the
-			// waiter's timeout must have left the heap when the event won.
-			if n := env.timers.len(); n > maxTimers {
-				maxTimers = n
+			if tc.lingerer {
+				env.Go("lingerer", func(p *Proc) { p.WaitTimeout(env.NewEvent("never"), Second) })
 			}
-		}
-	})
-	env.Go("pinger", func(p *Proc) {
-		for i := 0; i < cycles; i++ {
-			p.Sleep(Microsecond)
-			evs[i].Trigger()
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxTimers > 2 {
-		t.Errorf("timer heap grew to %d entries over %d event-win cycles; stale timers are leaking", maxTimers, cycles)
-	}
-	if n := env.timers.len(); n != 0 {
-		t.Errorf("%d timer entries left after the simulation drained", n)
+			maxStored := 0
+			env.Go("waiter", func(p *Proc) {
+				for i := 0; i < cycles; i++ {
+					if !p.WaitTimeout(evs[i], Second) {
+						t.Errorf("cycle %d: timer fired before the trigger", i)
+						return
+					}
+					maxStored = max(maxStored, stored(&env.timers))
+				}
+			})
+			env.Go("pinger", func(p *Proc) {
+				for i := 0; i < cycles; i++ {
+					p.Sleep(Microsecond)
+					evs[i].Trigger()
+				}
+			})
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if maxStored > tc.max {
+				t.Errorf("timer queue grew to %d stored entries over %d event-win cycles, want at most %d; stale timers are leaking", maxStored, cycles, tc.max)
+			}
+			if n := stored(&env.timers); n != 0 {
+				t.Errorf("%d timer entries left after the simulation drained", n)
+			}
+		})
 	}
 }
 
@@ -202,15 +320,16 @@ func BenchmarkTimerQueuePushPop(b *testing.B) {
 		// that each pop refills.
 		free := make([]*Proc, 64)
 		for i := range free {
-			free[i] = &Proc{heapIdx: -1}
+			free[i] = &Proc{timerIdx: -1}
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			p := free[len(free)-1]
 			free = free[:len(free)-1]
-			q.push(benchDeadline(i), uint64(i), p)
+			q.push(0, benchDeadline(i), uint64(i), p)
 			if len(free) == 0 {
-				free = append(free, q.popMin().p)
+				ent, _ := q.popMin(-1)
+				free = append(free, ent.p)
 			}
 		}
 	})

@@ -43,9 +43,10 @@
 // successor. RunUntil is the trampoline that resumes whoever was left there:
 // a coroutine switch hands the thread straight to the target goroutine and
 // never enters the Go scheduler. The hot path allocates nothing: timers live
-// in a value-typed indexed heap (eventq.go), the run queue is a ring buffer,
-// and a blocked process's wait record is three fields of its Proc (DESIGN.md,
-// "Virtual-time kernel").
+// by value in delay lanes and an indexed heap (eventq.go), the run queue is a
+// ring buffer, a wait list holds its first waiter inline, and a blocked
+// process's wait record is four fields of its Proc (DESIGN.md, "Virtual-time
+// kernel").
 package vclock
 
 import (
@@ -125,9 +126,10 @@ type Proc struct {
 	// of a wait list and the timer fires first moves the number on (wake);
 	// a kill does not, it only queues the process, so the record of a
 	// killed process stays armed after it has unwound.
-	block   uint64
-	cause   wakeCause
-	heapIdx int32 // index in the timer heap, -1 when absent
+	block     uint64
+	cause     wakeCause
+	timerIdx  int32 // where the timer is in the heap or its lane, -1 when absent
+	timerLane int8  // 0: the heap, k: lane k-1
 }
 
 // waiter is one entry of a waitList: p, parked under block number block.
@@ -137,26 +139,43 @@ type waiter struct {
 }
 
 // waitList holds the processes parked on one Event, Queue or Mutex, in
-// registration order.
+// registration order. The first entry of an empty list is held inline, so
+// the common list — one waiter on a fresh event — allocates nothing.
 type waitList struct {
-	w    []waiter
-	head int
+	first waiter // empty unless it precedes everything in rest
+	rest  []waiter
+	head  int
+}
+
+func (l *waitList) add(w waiter) {
+	if l.first.p == nil && l.head == len(l.rest) {
+		l.first = w
+	} else {
+		l.rest = append(l.rest, w)
+	}
 }
 
 // wake wakes the first n processes still parked on the list (all of them
 // when n < 0), dropping the stale entries it passes.
 func (l *waitList) wake(e *Env, n int) {
-	for l.head < len(l.w) && n != 0 {
-		w := l.w[l.head]
-		l.w[l.head] = waiter{}
-		l.head++
+	for n != 0 {
+		w := l.first
+		if w.p != nil {
+			l.first = waiter{}
+		} else if l.head < len(l.rest) {
+			w = l.rest[l.head]
+			l.rest[l.head] = waiter{}
+			l.head++
+		} else {
+			break
+		}
 		if w.block == w.p.block {
 			e.wake(w.p, wakeEvent)
 			n--
 		}
 	}
-	if l.head == len(l.w) {
-		l.w, l.head = l.w[:0], 0
+	if l.head == len(l.rest) {
+		l.rest, l.head = l.rest[:0], 0
 	}
 }
 
@@ -274,7 +293,7 @@ func (e *Env) GoFunc(name string, step func(p *Proc)) *Proc {
 }
 
 func (e *Env) spawn(p *Proc) *Proc {
-	p.env, p.id, p.heapIdx = e, e.nextID, -1
+	p.env, p.id, p.timerIdx = e, e.nextID, -1
 	e.nextID++
 	e.procs[p.id] = p
 	e.runq.push(p)
@@ -288,6 +307,13 @@ func (e *Env) spawn(p *Proc) *Proc {
 // NewEvent creates an untriggered event.
 func (e *Env) NewEvent(name string) *Event {
 	return &Event{env: e, name: name}
+}
+
+// InitEvent makes ev an untriggered event of e: NewEvent in place, for an
+// event embedded in what it completes and reused with it. Nobody may still
+// wait on ev, or hold it to wait later: it is a new event.
+func (e *Env) InitEvent(ev *Event, name string) {
+	*ev = Event{env: e, name: name, waiters: waitList{rest: ev.waiters.rest[:0]}}
 }
 
 // DoneEvent returns a shared, permanently-triggered event. Waiting on it
@@ -354,10 +380,10 @@ func (e *Env) schedule() *Proc {
 			}
 			continue
 		}
-		if e.timers.len() == 0 || (e.limit >= 0 && e.timers.min().deadline > e.limit) {
+		ent, ok := e.timers.popMin(e.limit)
+		if !ok {
 			return nil
 		}
-		ent := e.timers.popMin()
 		e.now = ent.deadline
 		e.stats.TimerFires++
 		// The owner may be dead (killed while it slept): the clock still
@@ -517,11 +543,11 @@ func (p *Proc) park(l *waitList, d Time) wakeCause {
 func (p *Proc) arm(l *waitList, d Time) {
 	e := p.env
 	if l != nil {
-		l.w = append(l.w, waiter{p, p.block})
+		l.add(waiter{p, p.block})
 	}
 	if d > 0 {
 		e.seq++
-		e.timers.push(e.now+d, e.seq, p)
+		e.timers.push(e.now, d, e.seq, p)
 	}
 	p.state = stateBlocked
 }
@@ -635,7 +661,6 @@ func (ev *Event) Trigger() {
 	ev.triggered = true
 	ev.env.stats.Triggers++
 	ev.waiters.wake(ev.env, -1)
-	ev.waiters = waitList{} // one-shot: nobody registers again
 }
 
 // Triggered reports whether the event has fired.
