@@ -10,8 +10,9 @@ import (
 // A device call as data. The transparent stack (§4, Figure 2) is three
 // views of one API call — intercepted, logged for replay (§4.1), forwarded
 // to the device proxy (§4.2) — so the call has one representation: an Op,
-// its row in the op table, a Call/Result value pair, and Invoke, the single
-// switch that turns a Call back into an API method call.
+// its row in the op table and a Call/Result value pair. An Adapter packs a
+// typed API call into a Call once; every layer below hands the Call on
+// through API.Do, and Driver.Do is the single switch that executes one.
 
 // Op identifies one API method.
 type Op uint8
@@ -55,7 +56,9 @@ const (
 	CommHandle
 )
 
-// handleFields is the set of handle-valued Call fields an op reads.
+// handleFields is the set of Call fields naming a device object that an op
+// reads: its handles, and a launch's kernel. Handles.Translate maps the
+// handles; Driver.resolve looks all of them up.
 type handleFields uint8
 
 const (
@@ -65,6 +68,7 @@ const (
 	useEvent
 	useComm
 	useLaunchBufs
+	useKernel
 )
 
 // OpInfo is one row of the op table.
@@ -103,7 +107,7 @@ var opTable = [numOps]OpInfo{
 	OpEventRecord:       {Name: "EventRecord", Async: true, Mutating: true, uses: useEvent | useStream},
 	OpEventQuery:        {Name: "EventQuery", uses: useEvent},
 	OpEventDestroy:      {Name: "EventDestroy", Tracked: true, Mutating: true, Destroys: EventHandle, uses: useEvent},
-	OpLaunch:            {Name: "Launch", Async: true, Mutating: true, uses: useStream | useLaunchBufs},
+	OpLaunch:            {Name: "Launch", Async: true, Mutating: true, uses: useKernel | useStream | useLaunchBufs},
 	OpDeviceSynchronize: {Name: "DeviceSynchronize", Tracked: true},
 	OpBufChecksum:       {Name: "BufChecksum", Tracked: true, uses: useBuf},
 	OpCommInit:          {Name: "CommInit", Mutating: true, Creates: CommHandle},
@@ -176,72 +180,6 @@ type Result struct {
 	U64    uint64
 }
 
-// Invoke executes c against api: the one place an Op becomes an API method
-// call. Outputs are returned even alongside an error, as the methods do.
-// c is only read; it comes by pointer because a Call is some 250 bytes and
-// every intercepted, forwarded or replayed call passes through here.
-func Invoke(p *vclock.Proc, api API, c *Call) (Result, error) {
-	var r Result
-	var err error
-	switch c.Op {
-	case OpMalloc:
-		var h Buf
-		h, err = api.Malloc(p, c.Bytes, c.Elems, c.Tag)
-		r.Handle = int(h)
-	case OpFree:
-		err = api.Free(p, c.Buf)
-	case OpMemcpyH2D:
-		err = api.MemcpyH2D(p, c.Buf, c.Data, c.Stream)
-	case OpMemcpyD2H:
-		r.Data, err = api.MemcpyD2H(p, c.Buf, c.Stream)
-	case OpStreamCreate:
-		var h Stream
-		h, err = api.StreamCreate(p)
-		r.Handle = int(h)
-	case OpStreamDestroy:
-		err = api.StreamDestroy(p, c.Stream)
-	case OpStreamSynchronize:
-		err = api.StreamSynchronize(p, c.Stream)
-	case OpStreamWaitEvent:
-		err = api.StreamWaitEvent(p, c.Stream, c.Event)
-	case OpEventCreate:
-		var h Event
-		h, err = api.EventCreate(p)
-		r.Handle = int(h)
-	case OpEventRecord:
-		err = api.EventRecord(p, c.Event, c.Stream)
-	case OpEventQuery:
-		r.Bool, err = api.EventQuery(p, c.Event)
-	case OpEventDestroy:
-		err = api.EventDestroy(p, c.Event)
-	case OpLaunch:
-		err = api.Launch(p, c.Launch, c.Stream)
-	case OpDeviceSynchronize:
-		err = api.DeviceSynchronize(p)
-	case OpBufChecksum:
-		r.U64, err = api.BufChecksum(p, c.Buf)
-	case OpCommInit:
-		var h Comm
-		h, err = api.CommInit(p, c.Key, c.Gen, c.NRanks, c.Rank)
-		r.Handle = int(h)
-	case OpCommDestroy:
-		err = api.CommDestroy(p, c.Comm)
-	case OpAllReduce:
-		err = api.AllReduce(p, c.Comm, c.Buf, c.Stream)
-	case OpAllGather:
-		err = api.AllGather(p, c.Comm, c.Buf, c.Buf2, c.Stream)
-	case OpReduceScatter:
-		err = api.ReduceScatter(p, c.Comm, c.Buf, c.Buf2, c.Stream)
-	case OpSend:
-		err = api.Send(p, c.Comm, c.Buf, c.Peer, c.Stream)
-	case OpRecv:
-		err = api.Recv(p, c.Comm, c.Buf, c.Peer, c.Stream)
-	default:
-		err = fmt.Errorf("cuda: unknown op %v", c.Op)
-	}
-	return r, err
-}
-
 // Handles is a handle table: per handle space, from the handles a caller
 // holds to the handles the device currently knows. The interception layer's
 // virtual→physical table is one; recovery replays the creation log into a
@@ -283,12 +221,11 @@ func (h *Handles) Unbind(k HandleKind, from int) { h.to[k].Delete(from) }
 
 // translate maps *v through space k in place.
 func translate[H ~int](h *Handles, k HandleKind, space string, v *H) error {
-	to, ok := Lookup(h, k, *v)
-	if !ok {
-		return unmapped(space, int(*v))
+	to, err := lookup(&h.to[k], space, int(*v))
+	if err == nil {
+		*v = H(to)
 	}
-	*v = to
-	return nil
+	return err
 }
 
 // Translate maps, in place, every handle field c's op reads through the
@@ -301,25 +238,25 @@ func (h *Handles) Translate(c *Call, bufs []Buf) error {
 	uses := c.Op.Info().uses
 	var err error
 	if uses&useBuf != 0 {
-		err = translate(h, BufHandle, "buf", &c.Buf)
+		err = translate(h, BufHandle, "virtual buf", &c.Buf)
 	}
 	if uses&useBuf2 != 0 && err == nil {
-		err = translate(h, BufHandle, "buf", &c.Buf2)
+		err = translate(h, BufHandle, "virtual buf", &c.Buf2)
 	}
 	if uses&useStream != 0 && err == nil {
-		err = translate(h, StreamHandle, "stream", &c.Stream)
+		err = translate(h, StreamHandle, "virtual stream", &c.Stream)
 	}
 	if uses&useEvent != 0 && err == nil {
-		err = translate(h, EventHandle, "event", &c.Event)
+		err = translate(h, EventHandle, "virtual event", &c.Event)
 	}
 	if uses&useComm != 0 && err == nil {
-		err = translate(h, CommHandle, "comm", &c.Comm)
+		err = translate(h, CommHandle, "virtual comm", &c.Comm)
 	}
 	if uses&useLaunchBufs != 0 && err == nil {
 		bufs = append(bufs[:0], c.Launch.Bufs...)
 		c.Launch.Bufs = bufs
 		for i := range bufs {
-			if err = translate(h, BufHandle, "buf", &bufs[i]); err != nil {
+			if err = translate(h, BufHandle, "virtual buf", &bufs[i]); err != nil {
 				break
 			}
 		}
@@ -327,33 +264,41 @@ func (h *Handles) Translate(c *Call, bufs []Buf) error {
 	return err
 }
 
+// lookup returns what handle h names in t; a handle t does not hold is an
+// ErrBadHandle in the named space.
+func lookup[T any](t *dense.Table[T], space string, h int) (T, error) {
+	v, ok := t.At(h)
+	if !ok {
+		return v, unmapped(space, h)
+	}
+	return v, nil
+}
+
 func unmapped(space string, h int) error {
-	return fmt.Errorf("%w: virtual %s %d", ErrBadHandle, space, h)
+	return fmt.Errorf("%w: %s %d", ErrBadHandle, space, h)
 }
 
-// Adapter implements API on top of a single function taking a Call: each
-// method packs its arguments and unpacks the Result. The proxy client and
-// the interception layer embed one and supply only their do.
+// Adapter implements API's typed methods on top of a Doer: each method packs
+// its arguments into a Call and unpacks the Result. The interception layer,
+// the proxy client and the driver embed one over themselves and write only
+// their Do, so an API implementation is its Do.
 type Adapter struct {
-	do func(p *vclock.Proc, c Call) (Result, error)
+	next Doer
 }
 
-var _ API = Adapter{}
+// Adapt returns an Adapter over next. The Call is handed over by value, so
+// it never escapes to the heap on its way through.
+func Adapt(next Doer) Adapter { return Adapter{next: next} }
 
-// Adapt returns an Adapter over do. The Call is handed over by value, so it
-// never escapes to the heap on its way through.
-func Adapt(do func(p *vclock.Proc, c Call) (Result, error)) Adapter { return Adapter{do: do} }
-
-// err runs a call whose only output is its error. c points at the caller's
-// temporary, which saves one copy of the Call on every such call.
+// err runs a call whose only output is its error.
 func (a Adapter) err(p *vclock.Proc, c *Call) error {
-	_, err := a.do(p, *c)
+	_, err := a.next.Do(p, *c)
 	return err
 }
 
 // Malloc implements API.
 func (a Adapter) Malloc(p *vclock.Proc, bytes int64, elems int, tag string) (Buf, error) {
-	r, err := a.do(p, Call{Op: OpMalloc, Bytes: bytes, Elems: elems, Tag: tag})
+	r, err := a.next.Do(p, Call{Op: OpMalloc, Bytes: bytes, Elems: elems, Tag: tag})
 	return Buf(r.Handle), err
 }
 
@@ -367,13 +312,13 @@ func (a Adapter) MemcpyH2D(p *vclock.Proc, dst Buf, src []float32, s Stream) err
 
 // MemcpyD2H implements API.
 func (a Adapter) MemcpyD2H(p *vclock.Proc, src Buf, s Stream) ([]float32, error) {
-	r, err := a.do(p, Call{Op: OpMemcpyD2H, Buf: src, Stream: s})
+	r, err := a.next.Do(p, Call{Op: OpMemcpyD2H, Buf: src, Stream: s})
 	return r.Data, err
 }
 
 // StreamCreate implements API.
 func (a Adapter) StreamCreate(p *vclock.Proc) (Stream, error) {
-	r, err := a.do(p, Call{Op: OpStreamCreate})
+	r, err := a.next.Do(p, Call{Op: OpStreamCreate})
 	return Stream(r.Handle), err
 }
 
@@ -394,7 +339,7 @@ func (a Adapter) StreamWaitEvent(p *vclock.Proc, s Stream, ev Event) error {
 
 // EventCreate implements API.
 func (a Adapter) EventCreate(p *vclock.Proc) (Event, error) {
-	r, err := a.do(p, Call{Op: OpEventCreate})
+	r, err := a.next.Do(p, Call{Op: OpEventCreate})
 	return Event(r.Handle), err
 }
 
@@ -405,7 +350,7 @@ func (a Adapter) EventRecord(p *vclock.Proc, ev Event, s Stream) error {
 
 // EventQuery implements API.
 func (a Adapter) EventQuery(p *vclock.Proc, ev Event) (bool, error) {
-	r, err := a.do(p, Call{Op: OpEventQuery, Event: ev})
+	r, err := a.next.Do(p, Call{Op: OpEventQuery, Event: ev})
 	return r.Bool, err
 }
 
@@ -426,13 +371,13 @@ func (a Adapter) DeviceSynchronize(p *vclock.Proc) error {
 
 // BufChecksum implements API.
 func (a Adapter) BufChecksum(p *vclock.Proc, b Buf) (uint64, error) {
-	r, err := a.do(p, Call{Op: OpBufChecksum, Buf: b})
+	r, err := a.next.Do(p, Call{Op: OpBufChecksum, Buf: b})
 	return r.U64, err
 }
 
 // CommInit implements API.
 func (a Adapter) CommInit(p *vclock.Proc, key string, gen, nranks, rank int) (Comm, error) {
-	r, err := a.do(p, Call{Op: OpCommInit, Key: key, Gen: gen, NRanks: nranks, Rank: rank})
+	r, err := a.next.Do(p, Call{Op: OpCommInit, Key: key, Gen: gen, NRanks: nranks, Rank: rank})
 	return Comm(r.Handle), err
 }
 

@@ -139,6 +139,17 @@ type API interface {
 	ReduceScatter(p *vclock.Proc, c Comm, in, out Buf, s Stream) error
 	Send(p *vclock.Proc, c Comm, b Buf, peer int, s Stream) error
 	Recv(p *vclock.Proc, c Comm, b Buf, peer int, s Stream) error
+
+	Doer
+}
+
+// Doer runs calls held as data. Its Do runs c as the API method c.Op names
+// would: how the interception layer, replay and the proxy server hand a
+// call on, and what an Adapter packs the typed methods' calls for. The Call
+// goes by value: a pointer handed to an interface method would move every
+// caller's Call to the heap.
+type Doer interface {
+	Do(p *vclock.Proc, c Call) (Result, error)
 }
 
 // Params models host-side API costs and PCIe bandwidths.
@@ -265,7 +276,10 @@ func (lo *launchOp) exec(dev *gpu.Device) error {
 }
 
 // Driver is the local (non-proxied) implementation of API for one device.
+// Its typed API methods are the embedded Adapter's, all over Do.
 type Driver struct {
+	Adapter
+
 	dev     *gpu.Device
 	engine  *nccl.Engine
 	kernels Registry
@@ -280,6 +294,8 @@ type Driver struct {
 	launches gpu.FreeList[launchOp]
 	waits    gpu.FreeList[waitOp]
 	d2hs     gpu.FreeList[d2hOp]
+
+	launchBufs []*gpu.Buffer // resolve's scratch for a launch's buffers
 }
 
 var _ API = (*Driver)(nil)
@@ -299,6 +315,7 @@ func NewDriver(dev *gpu.Device, engine *nccl.Engine, kernels Registry, params Pa
 		bufs:    dense.Start[int](1),
 		comms:   dense.Start[*nccl.Comm](1),
 	}
+	d.Adapter = Adapt(d)
 	d.streams.Add(gs)
 	return d, nil
 }
@@ -313,7 +330,7 @@ func (d *Driver) BufData(b Buf) (tensor.Vector, error) {
 	if err := d.healthErr(); err != nil {
 		return nil, err
 	}
-	gb, err := d.buf(b)
+	gb, err := d.buffer(b)
 	if err != nil {
 		return nil, err
 	}
@@ -323,437 +340,226 @@ func (d *Driver) BufData(b Buf) (tensor.Vector, error) {
 // Engine exposes the collective engine.
 func (d *Driver) Engine() *nccl.Engine { return d.engine }
 
-// call charges the fixed host API latency and maps device health onto API
-// errors. Both sticky errors and driver corruption poison every subsequent
-// API call, as in real CUDA; the difference the recovery paths exploit is
-// that a corrupt context's device *memory* remains readable through the
-// proxy server's privileged BufData path (§4.2 strategy 2: "the GPU is
-// still accessible"), while a sticky context's is not (strategy 3).
-func (d *Driver) call(p *vclock.Proc) error {
+// buffer resolves a buffer handle: the driver's table names a device buffer
+// ID, which the device may have forgotten since (a repair: ErrNoSuchBuf).
+func (d *Driver) buffer(b Buf) (*gpu.Buffer, error) {
+	id, err := lookup(&d.bufs, "buf", int(b))
+	if err != nil {
+		return nil, err
+	}
+	return d.dev.Buf(id)
+}
+
+// objs are the device objects a call's fields name.
+type objs struct {
+	buf, buf2 *gpu.Buffer
+	gs        *gpu.Stream
+	rec       *record
+	nc        *nccl.Comm
+	fn        KernelFunc
+	bufs      []*gpu.Buffer // a launch's, in the driver's scratch slice
+}
+
+// resolve looks up the device object behind every field of c that its op
+// reads, as the op table's uses column names them, in Handles.Translate's
+// order after a launch's kernel. It stops at the first miss.
+func (d *Driver) resolve(c *Call) (o objs, err error) {
+	uses := c.Op.Info().uses
+	if uses&useKernel != 0 {
+		var ok bool
+		if o.fn, ok = d.kernels[c.Launch.Kernel]; !ok {
+			return o, fmt.Errorf("%w: %q", ErrUnknownKernel, c.Launch.Kernel)
+		}
+	}
+	if uses&useBuf != 0 {
+		o.buf, err = d.buffer(c.Buf)
+	}
+	if uses&useBuf2 != 0 && err == nil {
+		o.buf2, err = d.buffer(c.Buf2)
+	}
+	if uses&useStream != 0 && err == nil {
+		o.gs, err = lookup(&d.streams, "stream", int(c.Stream))
+	}
+	if uses&useEvent != 0 && err == nil {
+		o.rec, err = lookup(&d.events, "event", int(c.Event))
+	}
+	if uses&useComm != 0 && err == nil {
+		o.nc, err = lookup(&d.comms, "comm", int(c.Comm))
+	}
+	if uses&useLaunchBufs != 0 && err == nil {
+		o.bufs = d.launchBufs[:0]
+		for _, b := range c.Launch.Bufs {
+			var gb *gpu.Buffer
+			if gb, err = d.buffer(b); err != nil {
+				clear(o.bufs) // the scratch keeps no buffer reachable
+				break
+			}
+			o.bufs = append(o.bufs, gb)
+		}
+		d.launchBufs = o.bufs
+	}
+	return o, err
+}
+
+// Do implements API: it runs one call. It charges the fixed host API
+// latency and maps device health onto API errors: both sticky errors and
+// driver corruption poison every subsequent API call, as in real CUDA; the
+// difference the recovery paths exploit is that a corrupt context's device
+// *memory* remains readable through the proxy server's privileged BufData
+// path (§4.2 strategy 2: "the GPU is still accessible"), while a sticky
+// context's is not (strategy 3). It then resolves the objects the call
+// names and executes the op. Outputs are returned even alongside an error.
+func (d *Driver) Do(p *vclock.Proc, c Call) (r Result, err error) {
 	if d.params.CallLatency > 0 {
 		p.Sleep(d.params.CallLatency)
 	}
 	if d.dev.Health() == gpu.DriverCorrupt {
-		return gpu.ErrCorrupt
+		return r, gpu.ErrCorrupt
 	}
-	return d.healthErr()
-}
-
-func (d *Driver) stream(s Stream) (*gpu.Stream, error) {
-	if gs, ok := d.streams.At(int(s)); ok {
-		return gs, nil
+	if err = d.healthErr(); err != nil {
+		return r, err
 	}
-	return nil, fmt.Errorf("%w: stream %d", ErrBadHandle, s)
-}
-
-func (d *Driver) buf(b Buf) (*gpu.Buffer, error) {
-	if id, ok := d.bufs.At(int(b)); ok {
-		return d.dev.Buf(id)
-	}
-	return nil, fmt.Errorf("%w: buf %d", ErrBadHandle, b)
-}
-
-func (d *Driver) event(ev Event) (*record, error) {
-	if r, ok := d.events.At(int(ev)); ok {
-		return r, nil
-	}
-	return nil, fmt.Errorf("%w: event %d", ErrBadHandle, ev)
-}
-
-// Malloc allocates device memory. See API.
-func (d *Driver) Malloc(p *vclock.Proc, bytes int64, elems int, tag string) (Buf, error) {
-	if err := d.call(p); err != nil {
-		return 0, err
-	}
-	gb, err := d.dev.Alloc(bytes, elems, tag)
+	o, err := d.resolve(&c)
 	if err != nil {
-		return 0, err
+		return r, err
 	}
-	return Buf(d.bufs.Add(gb.ID)), nil
-}
-
-// Free releases device memory. See API.
-func (d *Driver) Free(p *vclock.Proc, b Buf) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	id, ok := d.bufs.At(int(b))
-	if !ok {
-		return fmt.Errorf("%w: buf %d", ErrBadHandle, b)
-	}
-	d.bufs.Delete(int(b))
-	return d.dev.Free(id)
-}
-
-// MemcpyH2D asynchronously copies host data to a device buffer. See API.
-func (d *Driver) MemcpyH2D(p *vclock.Proc, dst Buf, src []float32, s Stream) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	gb, err := d.buf(dst)
-	if err != nil {
-		return err
-	}
-	gs, err := d.stream(s)
-	if err != nil {
-		return err
-	}
-	lo := d.getLaunch()
-	lo.bufs = append(lo.bufs, gb)
-	lo.host = append(lo.host[:0], src...) // capture at call time
-	lo.op.Name = "memcpyH2D"
-	lo.op.Dur = gpu.TransferTime(gb.ModelBytes, d.params.H2DBandwidth)
-	gs.EnqueueAsync(&lo.op)
-	return nil
-}
-
-// MemcpyD2H synchronously copies a device buffer to the host. See API.
-func (d *Driver) MemcpyD2H(p *vclock.Proc, src Buf, s Stream) ([]float32, error) {
-	if err := d.call(p); err != nil {
-		return nil, err
-	}
-	gb, err := d.buf(src)
-	if err != nil {
-		return nil, err
-	}
-	gs, err := d.stream(s)
-	if err != nil {
-		return nil, err
-	}
-	o, fresh := d.d2hs.Get()
-	if fresh {
-		o.op.Name, o.op.Exec = "memcpyD2H", o.exec
-	}
-	o.src, o.op.Dur, o.op.Err = gb, gpu.TransferTime(gb.ModelBytes, d.params.D2HBandwidth), nil
-	d.dev.Env().InitEvent(&o.done, "op")
-	o.op.Done = &o.done
-	gs.Enqueue(&o.op)
-	p.Wait(&o.done) // cudaMemcpy D2H is synchronous: hangs if the stream is wedged
-	out, err := o.out, o.op.Err
-	o.src, o.out = nil, nil
-	d.d2hs.Put(o)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// StreamCreate creates a new execution stream. See API.
-func (d *Driver) StreamCreate(p *vclock.Proc) (Stream, error) {
-	if err := d.call(p); err != nil {
-		return 0, err
-	}
-	gs, err := d.dev.NewStream()
-	if err != nil {
-		return 0, err
-	}
-	return Stream(d.streams.Add(gs)), nil
-}
-
-// StreamDestroy destroys a stream, dropping queued work. See API.
-func (d *Driver) StreamDestroy(p *vclock.Proc, s Stream) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	gs, err := d.stream(s)
-	if err != nil {
-		return err
-	}
-	d.streams.Delete(int(s))
-	return d.dev.DestroyStream(gs.ID)
-}
-
-// StreamSynchronize blocks until all work queued on s completes. See API.
-func (d *Driver) StreamSynchronize(p *vclock.Proc, s Stream) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	gs, err := d.stream(s)
-	if err != nil {
-		return err
-	}
-	sp := trace.Of(d.dev.Env()).Begin(p.Now(), "cuda", d.dev.Lane(), "stream-sync", "stream", int(s))
-	p.Wait(gs.DrainEvent()) // hangs if the stream is wedged at a collective
-	sp.End(p.Now())
-	if err := d.healthErr(); err != nil {
-		return err
-	}
-	// Surface async op failures (failed collectives, poisoned event
-	// waits): the stream is drained but its work did not all succeed.
-	if err := gs.AsyncErr(); err != nil {
-		trace.Of(d.dev.Env()).Instant(p.Now(), "cuda", d.dev.Lane(), "async-err", "err", err)
-		return err
-	}
-	return nil
-}
-
-// StreamWaitEvent makes all future work on s wait for the event's most
-// recent record. Waiting on a never-recorded event is a no-op, per CUDA.
-func (d *Driver) StreamWaitEvent(p *vclock.Proc, s Stream, ev Event) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	gs, err := d.stream(s)
-	if err != nil {
-		return err
-	}
-	rec, err := d.event(ev) // the record at call time
-	if err != nil || rec.op.Done == nil {
-		return err
-	}
-	w, fresh := d.waits.Get()
-	if fresh {
-		w.d = d
-		w.op.Name, w.op.Exec, w.op.Free = "streamWaitEvent", w.exec, w.release
-	}
-	w.rec = rec
-	rec.waiters++
-	w.op.Ev = &rec.done // a poisoned event poisons the waiting stream
-	d.dev.Env().InitEvent(&w.done, "op")
-	w.op.Done = &w.done
-	gs.Enqueue(&w.op)
-	return nil
-}
-
-// EventCreate creates a cudaEvent. See API.
-func (d *Driver) EventCreate(p *vclock.Proc) (Event, error) {
-	if err := d.call(p); err != nil {
-		return 0, err
-	}
-	return Event(d.events.Add(&record{})), nil
-}
-
-// EventRecord captures the current tail of stream s into the event. See API.
-func (d *Driver) EventRecord(p *vclock.Proc, ev Event, s Stream) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	r, err := d.event(ev)
-	if err != nil {
-		return err
-	}
-	gs, err := d.stream(s)
-	if err != nil {
-		return err
-	}
-	if r.op.Done != nil && (!r.done.Triggered() || r.waiters > 0) {
-		r = &record{}
-		d.events.Set(int(ev), r)
-	}
-	// The record op completes with the stream's accumulated async error:
-	// an event recorded after a failed collective is poisoned, and the
-	// poison travels to whoever synchronizes with (or waits on) it — the
-	// async-error propagation a NCCL watchdog relies on. It waits for
-	// nothing: the stream's order is the whole of it.
-	if r.op.Exec == nil {
-		r.op.Name, r.op.Ev, r.op.Exec = "eventRecord", d.dev.Env().DoneEvent(), r.exec
-	}
-	r.gs, r.op.Err = gs, nil
-	d.dev.Env().InitEvent(&r.done, "op")
-	r.op.Done = &r.done
-	gs.Enqueue(&r.op)
-	return nil
-}
-
-// EventQuery reports whether the event's recorded work has completed.
-// See API.
-func (d *Driver) EventQuery(p *vclock.Proc, ev Event) (bool, error) {
-	if err := d.call(p); err != nil {
-		return false, err
-	}
-	r, err := d.event(ev)
-	if err != nil || r.op.Done == nil {
-		return err == nil, err // unrecorded events report complete
-	}
-	return r.done.Triggered(), r.op.Err
-}
-
-// EventDestroy destroys a cudaEvent. See API.
-func (d *Driver) EventDestroy(p *vclock.Proc, ev Event) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	if _, err := d.event(ev); err != nil {
-		return err
-	}
-	d.events.Delete(int(ev))
-	return nil
-}
-
-// Launch asynchronously enqueues a kernel. See API.
-func (d *Driver) Launch(p *vclock.Proc, lp LaunchParams, s Stream) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	fn, ok := d.kernels[lp.Kernel]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownKernel, lp.Kernel)
-	}
-	gs, err := d.stream(s)
-	if err != nil {
-		return err
-	}
-	lo := d.getLaunch()
-	lo.kernel = lp.Kernel
-	lo.fn = fn
-	lo.bufs = slices.Grow(lo.bufs, len(lp.Bufs))
-	for _, bh := range lp.Bufs {
-		gb, err := d.buf(bh)
-		if err != nil {
-			lo.release()
-			return err
+	switch c.Op {
+	case OpMalloc:
+		var gb *gpu.Buffer
+		if gb, err = d.dev.Alloc(c.Bytes, c.Elems, c.Tag); err == nil {
+			r.Handle = d.bufs.Add(gb.ID)
 		}
-		lo.bufs = append(lo.bufs, gb)
+	case OpFree:
+		d.bufs.Delete(int(c.Buf))
+		err = d.dev.Free(o.buf.ID)
+	case OpMemcpyH2D:
+		lo := d.getLaunch()
+		lo.bufs = append(lo.bufs, o.buf)
+		lo.host = append(lo.host[:0], c.Data...) // capture at call time
+		lo.op.Name = "memcpyH2D"
+		lo.op.Dur = gpu.TransferTime(o.buf.ModelBytes, d.params.H2DBandwidth)
+		o.gs.EnqueueAsync(&lo.op)
+	case OpMemcpyD2H:
+		od, fresh := d.d2hs.Get()
+		if fresh {
+			od.op.Name, od.op.Exec = "memcpyD2H", od.exec
+		}
+		od.src, od.op.Dur, od.op.Err = o.buf, gpu.TransferTime(o.buf.ModelBytes, d.params.D2HBandwidth), nil
+		d.dev.Env().InitEvent(&od.done, "op")
+		od.op.Done = &od.done
+		o.gs.Enqueue(&od.op)
+		p.Wait(&od.done) // cudaMemcpy D2H is synchronous: hangs if the stream is wedged
+		if err = od.op.Err; err == nil {
+			r.Data = od.out
+		}
+		od.src, od.out = nil, nil
+		d.d2hs.Put(od)
+	case OpStreamCreate:
+		var gs *gpu.Stream
+		if gs, err = d.dev.NewStream(); err == nil {
+			r.Handle = d.streams.Add(gs)
+		}
+	case OpStreamDestroy: // drops queued work
+		d.streams.Delete(int(c.Stream))
+		err = d.dev.DestroyStream(o.gs.ID)
+	case OpStreamSynchronize:
+		sp := trace.Of(d.dev.Env()).Begin(p.Now(), "cuda", d.dev.Lane(), "stream-sync", "stream", int(c.Stream))
+		p.Wait(o.gs.DrainEvent()) // hangs if the stream is wedged at a collective
+		sp.End(p.Now())
+		// Surface async op failures (failed collectives, poisoned event
+		// waits): the stream is drained but its work did not all succeed.
+		if err = d.healthErr(); err == nil {
+			if err = o.gs.AsyncErr(); err != nil {
+				trace.Of(d.dev.Env()).Instant(p.Now(), "cuda", d.dev.Lane(), "async-err", "err", err)
+			}
+		}
+	case OpStreamWaitEvent:
+		// Future work on the stream waits for the event's record at call
+		// time; a never-recorded event is no wait, per CUDA.
+		if o.rec.op.Done == nil {
+			break
+		}
+		w, fresh := d.waits.Get()
+		if fresh {
+			w.d = d
+			w.op.Name, w.op.Exec, w.op.Free = "streamWaitEvent", w.exec, w.release
+		}
+		w.rec = o.rec
+		o.rec.waiters++
+		w.op.Ev = &o.rec.done // a poisoned event poisons the waiting stream
+		d.dev.Env().InitEvent(&w.done, "op")
+		w.op.Done = &w.done
+		o.gs.Enqueue(&w.op)
+	case OpEventCreate:
+		r.Handle = d.events.Add(&record{})
+	case OpEventRecord:
+		rec := o.rec
+		if rec.op.Done != nil && (!rec.done.Triggered() || rec.waiters > 0) {
+			rec = &record{}
+			d.events.Set(int(c.Event), rec)
+		}
+		// The record op completes with the stream's accumulated async error:
+		// an event recorded after a failed collective is poisoned, and the
+		// poison travels to whoever synchronizes with (or waits on) it — the
+		// async-error propagation a NCCL watchdog relies on. It waits for
+		// nothing: the stream's order is the whole of it.
+		if rec.op.Exec == nil {
+			rec.op.Name, rec.op.Ev, rec.op.Exec = "eventRecord", d.dev.Env().DoneEvent(), rec.exec
+		}
+		rec.gs, rec.op.Err = o.gs, nil
+		d.dev.Env().InitEvent(&rec.done, "op")
+		rec.op.Done = &rec.done
+		o.gs.Enqueue(&rec.op)
+	case OpEventQuery:
+		r.Bool = true // an unrecorded event reports complete
+		if o.rec.op.Done != nil {
+			r.Bool, err = o.rec.done.Triggered(), o.rec.op.Err
+		}
+	case OpEventDestroy:
+		d.events.Delete(int(c.Event))
+	case OpLaunch:
+		lo := d.getLaunch()
+		lo.kernel = c.Launch.Kernel
+		lo.fn = o.fn
+		lo.bufs = append(lo.bufs, o.bufs...)
+		clear(o.bufs)
+		lo.iargs = append(lo.iargs[:0], c.Launch.IArgs...)
+		lo.fargs = append(lo.fargs[:0], c.Launch.FArgs...)
+		lo.op.Dur = c.Launch.Dur
+		o.gs.EnqueueAsync(&lo.op)
+	case OpDeviceSynchronize:
+		// Deterministic order: ascending handle.
+		d.streams.Each(func(_ int, gs *gpu.Stream) { p.Wait(gs.DrainEvent()) })
+		err = d.healthErr()
+	case OpBufChecksum:
+		r.U64 = o.buf.Data.Checksum()
+	case OpCommInit: // rendezvouses with the other ranks
+		var nc *nccl.Comm
+		if nc, err = d.engine.CommInitRank(p, c.Key, c.Gen, c.NRanks, c.Rank, d.dev); err == nil {
+			r.Handle = d.comms.Add(nc)
+		}
+	case OpCommDestroy:
+		o.nc.Destroy()
+		d.comms.Delete(int(c.Comm))
+	case OpAllReduce:
+		_, err = o.nc.AllReduce(o.gs, o.buf)
+	case OpAllGather:
+		_, err = o.nc.AllGather(o.gs, o.buf, o.buf2)
+	case OpReduceScatter:
+		_, err = o.nc.ReduceScatter(o.gs, o.buf, o.buf2)
+	case OpSend:
+		_, err = o.nc.Send(o.gs, o.buf, c.Peer)
+	case OpRecv:
+		_, err = o.nc.Recv(o.gs, o.buf, c.Peer)
+	default:
+		err = fmt.Errorf("cuda: unknown op %v", c.Op)
 	}
-	lo.iargs = append(lo.iargs[:0], lp.IArgs...)
-	lo.fargs = append(lo.fargs[:0], lp.FArgs...)
-	lo.op.Dur = lp.Dur
-	gs.EnqueueAsync(&lo.op)
-	return nil
-}
-
-// DeviceSynchronize blocks until every stream drains. See API.
-func (d *Driver) DeviceSynchronize(p *vclock.Proc) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	// Deterministic order: ascending handle.
-	d.streams.Each(func(_ int, gs *gpu.Stream) { p.Wait(gs.DrainEvent()) })
-	return d.healthErr()
-}
-
-// BufChecksum hashes a buffer's contents. See API.
-func (d *Driver) BufChecksum(p *vclock.Proc, b Buf) (uint64, error) {
-	if err := d.call(p); err != nil {
-		return 0, err
-	}
-	gb, err := d.buf(b)
-	if err != nil {
-		return 0, err
-	}
-	return gb.Data.Checksum(), nil
-}
-
-// CommInit rendezvouses with the other ranks and returns a communicator
-// handle. See API.
-func (d *Driver) CommInit(p *vclock.Proc, key string, gen, nranks, rank int) (Comm, error) {
-	if err := d.call(p); err != nil {
-		return 0, err
-	}
-	nc, err := d.engine.CommInitRank(p, key, gen, nranks, rank, d.dev)
-	if err != nil {
-		return 0, err
-	}
-	return Comm(d.comms.Add(nc)), nil
-}
-
-// CommDestroy invalidates a communicator handle. See API.
-func (d *Driver) CommDestroy(p *vclock.Proc, c Comm) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	nc, ok := d.comms.At(int(c))
-	if !ok {
-		return fmt.Errorf("%w: comm %d", ErrBadHandle, c)
-	}
-	nc.Destroy()
-	d.comms.Delete(int(c))
-	return nil
-}
-
-// collectiveArgs resolves common collective-call handles.
-func (d *Driver) collectiveArgs(c Comm, b Buf, s Stream) (*nccl.Comm, *gpu.Buffer, *gpu.Stream, error) {
-	nc, ok := d.comms.At(int(c))
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("%w: comm %d", ErrBadHandle, c)
-	}
-	gb, err := d.buf(b)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	gs, err := d.stream(s)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return nc, gb, gs, nil
-}
-
-// AllReduce enqueues a sum-allreduce. See API.
-func (d *Driver) AllReduce(p *vclock.Proc, c Comm, b Buf, s Stream) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	nc, gb, gs, err := d.collectiveArgs(c, b, s)
-	if err != nil {
-		return err
-	}
-	_, err = nc.AllReduce(gs, gb)
-	return err
-}
-
-// AllGather enqueues an allgather. See API.
-func (d *Driver) AllGather(p *vclock.Proc, c Comm, in, out Buf, s Stream) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	nc, inBuf, gs, err := d.collectiveArgs(c, in, s)
-	if err != nil {
-		return err
-	}
-	outBuf, err := d.buf(out)
-	if err != nil {
-		return err
-	}
-	_, err = nc.AllGather(gs, inBuf, outBuf)
-	return err
-}
-
-// ReduceScatter enqueues a reduce-scatter. See API.
-func (d *Driver) ReduceScatter(p *vclock.Proc, c Comm, in, out Buf, s Stream) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	nc, inBuf, gs, err := d.collectiveArgs(c, in, s)
-	if err != nil {
-		return err
-	}
-	outBuf, err := d.buf(out)
-	if err != nil {
-		return err
-	}
-	_, err = nc.ReduceScatter(gs, inBuf, outBuf)
-	return err
-}
-
-// Send enqueues a point-to-point send. See API.
-func (d *Driver) Send(p *vclock.Proc, c Comm, b Buf, peer int, s Stream) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	nc, gb, gs, err := d.collectiveArgs(c, b, s)
-	if err != nil {
-		return err
-	}
-	_, err = nc.Send(gs, gb, peer)
-	return err
-}
-
-// Recv enqueues a point-to-point receive. See API.
-func (d *Driver) Recv(p *vclock.Proc, c Comm, b Buf, peer int, s Stream) error {
-	if err := d.call(p); err != nil {
-		return err
-	}
-	nc, gb, gs, err := d.collectiveArgs(c, b, s)
-	if err != nil {
-		return err
-	}
-	_, err = nc.Recv(gs, gb, peer)
-	return err
+	return r, err
 }
 
 // healthErr maps a lost or sticky device onto its error. A corrupt driver
 // context is not one here: its streams still drain and its memory still
-// reads (§4.2 strategy 2), so only call refuses it.
+// reads (§4.2 strategy 2), so only Do refuses it.
 func (d *Driver) healthErr() error {
 	switch d.dev.Health() {
 	case gpu.Hard:

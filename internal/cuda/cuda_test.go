@@ -448,6 +448,141 @@ func TestBadHandles(t *testing.T) {
 	})
 }
 
+// opFixture holds one live object in every handle space of a driver.
+type opFixture struct {
+	b, b2 Buf
+	s     Stream
+	ev    Event
+	c     Comm
+}
+
+// newOpFixture makes them: two two-element buffers, a stream, an event
+// recorded on it, a one-rank communicator, all drained.
+func newOpFixture(p *vclock.Proc, drv *Driver) (f opFixture) {
+	f.b, _ = drv.Malloc(p, 64, 2, "b")
+	f.b2, _ = drv.Malloc(p, 64, 2, "b2")
+	f.s, _ = drv.StreamCreate(p)
+	f.ev, _ = drv.EventCreate(p)
+	drv.EventRecord(p, f.ev, f.s)
+	f.c, _ = drv.CommInit(p, "fixture", 0, 1, 0)
+	drv.DeviceSynchronize(p)
+	return f
+}
+
+// call builds a call of op that names f's objects in the fields the op
+// table says op reads. Every other object-naming field is zero, or with
+// junk set names nothing the driver made.
+func (f opFixture) call(op Op, junk bool) Call {
+	c := Call{Op: op, Bytes: 64, Elems: 2, Tag: "t", Data: []float32{1, 2}, Key: "k", NRanks: 1}
+	if junk {
+		c.Buf, c.Buf2, c.Stream, c.Event, c.Comm = 77, 77, 77, 77, 77
+		c.Launch = LaunchParams{Kernel: "junk", Bufs: []Buf{77}}
+	}
+	uses := op.Info().uses
+	if uses&useBuf != 0 {
+		c.Buf = f.b
+	}
+	if uses&useBuf2 != 0 {
+		c.Buf2 = f.b2
+	}
+	if uses&useStream != 0 {
+		c.Stream = f.s
+	}
+	if uses&useEvent != 0 {
+		c.Event = f.ev
+	}
+	if uses&useComm != 0 {
+		c.Comm = f.c
+	}
+	if uses&useKernel != 0 {
+		c.Launch.Kernel, c.Launch.Dur = "nop", vclock.Millisecond
+	}
+	if uses&useLaunchBufs != 0 {
+		c.Launch.Bufs = []Buf{f.b, f.b2}
+	}
+	return c
+}
+
+// unmade returns c with the handle field bit names set to a handle no call
+// made: for a launch's buffers, one of two.
+func unmade(c Call, bit handleFields) Call {
+	switch bit {
+	case useBuf:
+		c.Buf = 99
+	case useBuf2:
+		c.Buf2 = 99
+	case useStream:
+		c.Stream = 99
+	case useEvent:
+		c.Event = 99
+	case useComm:
+		c.Comm = 99
+	case useLaunchBufs:
+		c.Launch.Bufs = []Buf{c.Launch.Bufs[0], 99}
+	}
+	return c
+}
+
+// opOutcome is what one Driver.Do left behind: its outputs, the ops still
+// queued on the device right after it returned, and the virtual time it took.
+type opOutcome struct {
+	res     Result
+	err     string
+	pending int
+	took    vclock.Time
+}
+
+func doOp(p *vclock.Proc, drv *Driver, c Call) opOutcome {
+	t0 := p.Now()
+	res, err := drv.Do(p, c)
+	return opOutcome{res, fmt.Sprint(err), drv.dev.PendingOps(), p.Now() - t0}
+}
+
+// TestDriverReadsWhatTheOpTableSays: for every op, the driver looks up
+// exactly the fields the op table's uses column names. A handle no call
+// made in any one of them is an ErrBadHandle that costs the call latency
+// and enqueues nothing; junk in every field the op does not read changes
+// nothing the call returns, queues or takes.
+func TestDriverReadsWhatTheOpTableSays(t *testing.T) {
+	kernels := Registry{"nop": func(KernelArgs) error { return nil }}
+	latency := DefaultParams().CallLatency
+	for op := Op(0); op < numOps; op++ {
+		t.Run(op.String(), func(t *testing.T) {
+			var clean, junk opOutcome
+			a, b := newRig(t, kernels), newRig(t, kernels)
+			a.inProc(t, func(p *vclock.Proc) {
+				f := newOpFixture(p, a.drv)
+				for bit := useBuf; bit <= useLaunchBufs; bit <<= 1 {
+					if op.Info().uses&bit == 0 {
+						continue
+					}
+					t0 := p.Now()
+					_, err := a.drv.Do(p, unmade(f.call(op, false), bit))
+					if !errors.Is(err, ErrBadHandle) {
+						t.Errorf("field %#x never made: err = %v, want ErrBadHandle", bit, err)
+					}
+					if n, took := a.dev.PendingOps(), p.Now()-t0; n != 0 || took != latency {
+						t.Errorf("field %#x never made: %d ops queued after %v, want none after %v", bit, n, took, latency)
+					}
+				}
+				clean = doOp(p, a.drv, f.call(op, false))
+			})
+			b.inProc(t, func(p *vclock.Proc) {
+				junk = doOp(p, b.drv, newOpFixture(p, b.drv).call(op, true))
+			})
+			if !reflect.DeepEqual(junk, clean) {
+				t.Errorf("junk in unread fields: %+v, want %+v", junk, clean)
+			}
+			if clean.err != "<nil>" {
+				t.Errorf("a call naming live objects failed: %s", clean.err)
+			}
+			if op.Info().Async && clean.pending == 0 {
+				t.Error("an async call queued nothing: the enqueue probe sees nothing")
+			}
+		})
+	}
+}
+
 func TestCheckpointDeadlockScenario(t *testing.T) {
 	// §3.2: the default stream is blocked by a StreamWaitEvent on a hung
 	// collective. A D2H memcpy on the default stream deadlocks; the same
@@ -740,8 +875,8 @@ func TestOpTableColumns(t *testing.T) {
 	}
 	r := newRig(t, nil)
 	r.inProc(t, func(p *vclock.Proc) {
-		if _, err := Invoke(p, r.drv, &Call{Op: bad}); err == nil || !strings.Contains(err.Error(), "unknown op") {
-			t.Errorf("Invoke(out-of-range op) = %v, want an unknown-op error", err)
+		if _, err := r.drv.Do(p, Call{Op: bad}); err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Errorf("Driver.Do(out-of-range op) = %v, want an unknown-op error", err)
 		}
 	})
 }
@@ -854,12 +989,17 @@ var opScript = []opStep{
 	}},
 }
 
+// doFunc is a Doer that is a function.
+type doFunc func(p *vclock.Proc, c Call) (Result, error)
+
+func (f doFunc) Do(p *vclock.Proc, c Call) (Result, error) { return f(p, c) }
+
 // TestCallRoundTripMatchesDirectCall runs the same script twice on twin
-// drivers: once calling the driver's methods directly, once through the
-// Adapter with every Call gob-encoded, decoded and handed to Invoke — the
-// proxy wire's path. Each step must name the expected Op and return what
-// the direct call returns: equal results, and errors with the same text and
-// the same sentinel identity.
+// drivers: once through the driver's own typed methods, once through a
+// separate Adapter with every Call gob-encoded, decoded and handed to
+// Driver.Do — the proxy wire's path. Each step must name the expected Op
+// and return what the typed call returns: equal results, and errors with
+// the same text and the same sentinel identity.
 func TestCallRoundTripMatchesDirectCall(t *testing.T) {
 	kernels := Registry{"scale": func(a KernelArgs) error {
 		for i := range a.Bufs[0] {
@@ -884,7 +1024,7 @@ func TestCallRoundTripMatchesDirectCall(t *testing.T) {
 	covered := make(map[Op]bool)
 	wired.inProc(t, func(p *vclock.Proc) {
 		var seen Op
-		api := Adapt(func(p *vclock.Proc, c Call) (Result, error) {
+		overWire := doFunc(func(p *vclock.Proc, c Call) (Result, error) {
 			var wire bytes.Buffer
 			if err := gob.NewEncoder(&wire).Encode(&c); err != nil {
 				return Result{}, fmt.Errorf("encode %v: %w", c.Op, err)
@@ -894,8 +1034,12 @@ func TestCallRoundTripMatchesDirectCall(t *testing.T) {
 				return Result{}, fmt.Errorf("decode %v: %w", c.Op, err)
 			}
 			seen = back.Op
-			return Invoke(p, wired.drv, &back)
+			return wired.drv.Do(p, back)
 		})
+		api := struct {
+			Adapter
+			doFunc
+		}{Adapt(overWire), overWire}
 		var h opHandles
 		for i, step := range opScript {
 			res, err := step.call(p, api, &h)

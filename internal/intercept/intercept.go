@@ -85,8 +85,6 @@ type Fault struct {
 // Config configures an interception layer.
 type Config struct {
 	Mode Mode
-	// WatchdogPoll is the EventQuery polling period (default 50 ms).
-	WatchdogPoll vclock.Time
 	// HangTimeout is how long a watched event or blocking call may pend
 	// before it is declared hung (default 30 s).
 	HangTimeout vclock.Time
@@ -103,8 +101,8 @@ type Config struct {
 
 // Layer is the interception layer for one worker rank.
 type Layer struct {
-	// The 22 cuda.API methods, each packing its arguments into a cuda.Call
-	// for do.
+	// The 22 typed cuda.API methods, each packing its arguments into a
+	// cuda.Call for Do.
 	cuda.Adapter
 
 	env   *vclock.Env
@@ -153,9 +151,6 @@ var _ cuda.API = (*Layer)(nil)
 
 // New creates an interception layer wrapping inner.
 func New(env *vclock.Env, inner cuda.API, name string, cfg Config) *Layer {
-	if cfg.WatchdogPoll <= 0 {
-		cfg.WatchdogPoll = 50 * vclock.Millisecond
-	}
 	if cfg.HangTimeout <= 0 {
 		cfg.HangTimeout = 30 * vclock.Second
 	}
@@ -176,7 +171,7 @@ func New(env *vclock.Env, inner cuda.API, name string, cfg Config) *Layer {
 		watch:       make(map[cuda.Event]vclock.Time),
 		inflight:    make(map[*vclock.Proc]vclock.Time),
 	}
-	l.Adapter = cuda.Adapt(l.do)
+	l.Adapter = cuda.Adapt(l)
 	return l
 }
 
@@ -332,13 +327,14 @@ func (l *Layer) parkWhileRecovering(p *vclock.Proc) {
 	}
 }
 
-// do is the one path every intercepted call takes. Transparent-mode fault
-// masking: an infrastructure error raises a fault, the thread parks until
-// the controller finishes recovery, then the call retries against the
-// recovered state. In user-level mode errors pass through (the user script
-// sees the exception, §3). While the §4.2.2 ignore window is active,
-// mutating calls are swallowed (returning success); queries still execute.
-func (l *Layer) do(p *vclock.Proc, c cuda.Call) (cuda.Result, error) {
+// Do implements cuda.API: the one path every intercepted call takes.
+// Transparent-mode fault masking: an infrastructure error raises a fault,
+// the thread parks until the controller finishes recovery, then the call
+// retries against the recovered state. In user-level mode errors pass
+// through (the user script sees the exception, §3). While the §4.2.2
+// ignore window is active, mutating calls are swallowed (returning
+// success); queries still execute.
+func (l *Layer) Do(p *vclock.Proc, c cuda.Call) (cuda.Result, error) {
 	info := c.Op.Info()
 	for {
 		l.parkWhileRecovering(p)
@@ -377,7 +373,7 @@ func (l *Layer) issue(p *vclock.Proc, c *cuda.Call, info cuda.OpInfo) (cuda.Resu
 	if info.Tracked {
 		l.inflight[p] = p.Now()
 	}
-	res, err := cuda.Invoke(p, l.inner, &phys)
+	res, err := l.inner.Do(p, phys)
 	if info.Tracked {
 		delete(l.inflight, p)
 	}

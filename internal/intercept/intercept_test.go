@@ -281,7 +281,7 @@ func TestEventsOnComputeStreamNotWatched(t *testing.T) {
 }
 
 func TestWatchdogDetectsCollectiveHang(t *testing.T) {
-	r := newRig(t, Config{Mode: ModeTransparent, HangTimeout: vclock.Seconds(10), WatchdogPoll: vclock.Seconds(1)})
+	r := newRig(t, Config{Mode: ModeTransparent, HangTimeout: vclock.Seconds(10)})
 	r.env.Go("peer", func(p *vclock.Proc) {
 		// Joins the rendezvous, never issues its collective.
 		r.engine.CommInitRank(p, "dp", 0, 2, 1, nil)
@@ -309,7 +309,7 @@ func TestWatchdogDetectsCollectiveHang(t *testing.T) {
 }
 
 func TestWatchdogQuietWhenCollectivesComplete(t *testing.T) {
-	r := newRig(t, Config{Mode: ModeTransparent, HangTimeout: vclock.Seconds(5), WatchdogPoll: vclock.Seconds(1)})
+	r := newRig(t, Config{Mode: ModeTransparent, HangTimeout: vclock.Seconds(5)})
 	var done [2]bool
 	for rank := 0; rank < 2; rank++ {
 		rank := rank
@@ -360,7 +360,7 @@ func TestWatchdogQuietWhenCollectivesComplete(t *testing.T) {
 }
 
 func TestWatchdogDetectsHungBlockingCall(t *testing.T) {
-	r := newRig(t, Config{Mode: ModeTransparent, HangTimeout: vclock.Seconds(10), WatchdogPoll: vclock.Seconds(1)})
+	r := newRig(t, Config{Mode: ModeTransparent, HangTimeout: vclock.Seconds(10)})
 	r.env.Go("peer", func(p *vclock.Proc) {
 		r.engine.CommInitRank(p, "dp", 0, 2, 1, nil)
 	})

@@ -61,13 +61,16 @@ func (l *Layer) WatchedEvents() []cuda.Event {
 	return l.watched
 }
 
+// watchdogPoll is the watchdog's EventQuery polling period.
+const watchdogPoll = 50 * vclock.Millisecond
+
 // watchdogLoop polls watched events with EventQuery and checks the ages of
 // in-flight blocking calls. Completed events leave the watch-list; an
 // event or blocking call pending longer than HangTimeout raises a hang
 // fault (§3.1, §4.2). The watchdog idles during recovery.
 func (l *Layer) watchdogLoop(p *vclock.Proc) {
 	for {
-		p.Sleep(l.cfg.WatchdogPoll)
+		p.Sleep(watchdogPoll)
 		if l.inRecovery || l.faultRaised {
 			continue
 		}

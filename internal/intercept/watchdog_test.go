@@ -61,11 +61,7 @@ func (r *rig) watchedAllReduce(t *testing.T, done *bool) {
 // a collective that finishes late — past HangTimeout — is declared hung
 // just like one that never finishes.
 func TestFixedWatchdogTripsOnStraggler(t *testing.T) {
-	r := newRig(t, Config{
-		Mode:         ModeTransparent,
-		HangTimeout:  vclock.Seconds(5),
-		WatchdogPoll: vclock.Seconds(1),
-	})
+	r := newRig(t, Config{Mode: ModeTransparent, HangTimeout: vclock.Seconds(5)})
 	r.slowPeer(t, vclock.Seconds(7))
 	r.watchedAllReduce(t, nil)
 	if err := r.env.RunUntil(vclock.Minute); err != nil {

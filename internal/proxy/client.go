@@ -48,13 +48,13 @@ func NewClient(env *vclock.Env, server *Server) *Client {
 		threads: make(map[*vclock.Proc]int),
 		pending: make(map[uint64]*pendingCall),
 	}
-	c.Adapter = cuda.Adapt(c.do)
+	c.Adapter = cuda.Adapt(c)
 	env.Go("proxy.client.dispatch", func(p *vclock.Proc) {
 		for {
 			raw := server.respQ.Pop(p)
 			var resp Response
 			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&resp); err != nil {
-				continue
+				panic("proxy: response decode: " + err.Error()) // as the server's request decode
 			}
 			pc, ok := c.pending[resp.ID]
 			if !ok {
@@ -102,10 +102,11 @@ func (c *Client) threadID(p *vclock.Proc) int {
 	return id
 }
 
-// do puts one call on the wire and, unless the op is async, blocks until
-// its response arrives. The request is serialized before do first yields,
-// so argument slices are captured at call time and callers may reuse them.
-func (c *Client) do(p *vclock.Proc, call cuda.Call) (cuda.Result, error) {
+// Do implements cuda.API: it puts one call on the wire and, unless the op
+// is async, blocks until its response arrives. The request is serialized
+// before Do first yields, so argument slices are captured at call time and
+// callers may reuse them.
+func (c *Client) Do(p *vclock.Proc, call cuda.Call) (cuda.Result, error) {
 	req := Request{ID: c.nextID, Thread: c.threadID(p), Call: call}
 	c.nextID++
 	var buf bytes.Buffer

@@ -6,7 +6,9 @@
 // message and nothing per byte. What it does for the model is capture a
 // call's argument slices when the call is made and keep either side from
 // aliasing the other's memory (TestCallCapturedAtSend); sentinel errors are
-// re-attached by code on the client so errors.Is survives the bytes.
+// re-attached by code on the client so errors.Is survives the bytes. A
+// message either side cannot encode or decode is a simulator bug and ends
+// the run.
 //
 // The proxy exists for one reason (§2, §4.2): corrupted GPU or network
 // driver state can be cleared by restarting the proxy server process
@@ -169,7 +171,10 @@ func (s *Server) startDriver() error {
 			raw := s.reqQ.Pop(p)
 			var req Request
 			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&req); err != nil {
-				continue
+				// A frame the wire cannot read is a simulator bug: skipping
+				// it would leave its caller parked until the watchdog
+				// reports a device hang.
+				panic(fmt.Sprintf("proxy: request decode: %v", err))
 			}
 			tq, ok := s.threadQs[req.Thread]
 			if !ok {
@@ -264,7 +269,7 @@ func (s *Server) Restart() error {
 
 // execute runs one request against the driver.
 func (s *Server) execute(p *vclock.Proc, req Request) Response {
-	res, err := cuda.Invoke(p, s.drv, &req.Call)
+	res, err := s.drv.Do(p, req.Call)
 	resp := Response{ID: req.ID, Result: res}
 	resp.ErrCode, resp.ErrMsg = encodeErr(err)
 	return resp

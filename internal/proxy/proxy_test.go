@@ -61,6 +61,30 @@ func TestProxyMemcpyRoundTrip(t *testing.T) {
 	})
 }
 
+// TestUndecodableFrameEndsTheRun: a frame gob cannot read, on either queue,
+// ends the run with an error that names the dispatcher which read it. A
+// skipped frame would park a synchronous caller until its watchdog
+// reported a device hang.
+func TestUndecodableFrameEndsTheRun(t *testing.T) {
+	for _, tc := range []struct {
+		frame, proc string
+		queue       func(s *Server) *vclock.Queue[[]byte]
+	}{
+		{"request", "gpu[n0.g0].proxy.dispatch.g0", func(s *Server) *vclock.Queue[[]byte] { return s.reqQ }},
+		{"response", "proxy.client.dispatch", func(s *Server) *vclock.Queue[[]byte] { return s.respQ }},
+	} {
+		t.Run(tc.frame, func(t *testing.T) {
+			r := newRig(t, nil)
+			r.env.Go("garbage", func(p *vclock.Proc) { tc.queue(r.server).Push([]byte("not gob")) })
+			err := r.env.Run()
+			want := fmt.Sprintf("process %q panicked: proxy: %s decode", tc.proc, tc.frame)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Run = %v, want an error containing %q", err, want)
+			}
+		})
+	}
+}
+
 func TestProxyKernelLaunchByName(t *testing.T) {
 	kernels := cuda.Registry{
 		"add1": func(a cuda.KernelArgs) error {

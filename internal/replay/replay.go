@@ -117,7 +117,7 @@ func applyOne(p *vclock.Proc, api cuda.API, c *Call, tr *cuda.Handles, opts Opti
 	if err := tr.Translate(&call, nil); err != nil {
 		return err
 	}
-	res, err := cuda.Invoke(p, api, &call)
+	res, err := api.Do(p, call)
 	if err != nil {
 		return err
 	}
