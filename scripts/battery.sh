@@ -23,7 +23,10 @@
 # `kernel:` counter line. Only the `throughput:` line is dropped, which is
 # host time. A non-zero exit (2: an incomplete run or rejected flags, 1: a
 # runtime error) is data, identical on both sides or a diff: over half of
-# the single-job fault-plan runs are storms no policy finishes under.
+# the single-job fault-plan runs are storms no policy finishes under. Under
+# each differing scenario's command line it prints the first line (kernel:
+# aside) where the two outputs part, one per side, and both kernel: lines,
+# so what a change moved reads from one run.
 # Four and a half to five minutes on two cores, over three of them the
 # fault-plan grid. To make that grid cheaper shorten its -iters and
 # -fleet-horizon, not its axes: the transparent tenants already run `:20`
@@ -82,7 +85,21 @@ plans() { # the fault-plan grid: one scenario per line
   plans
 } > "$work/scenarios"
 
-# one <n> <flags>: run scenario n on both builds, print its flags if they differ.
+# first <parent-out> <child-out>: the first line, kernel: lines aside, at
+# which the two outputs differ, one per side ("(end)" for a side that ran
+# out first), then both kernel: lines.
+first() {
+  awk -v other="$2" '
+    function next_other() { do r = (getline l < other) > 0; while (r && l ~ /^kernel:/); return r }
+    /^kernel:/ { next }
+    { if (!next_other() || l != $0) { print "  parent: " $0; print "  child:  " (r ? l : "(end)"); done = 1; exit } }
+    END { if (!done && next_other()) { print "  parent: (end)"; print "  child:  " l } }' "$1"
+  sed -n 's/^kernel: */  parent kernel: /p' "$1"
+  sed -n 's/^kernel: */  child kernel:  /p' "$2"
+}
+
+# one <n> <flags>: run scenario n on both builds; when they differ, list its
+# flags and keep what first says about it.
 one() {
   local n=$1 side
   shift
@@ -90,14 +107,20 @@ one() {
     { "$work/jitsim.$side" $* -stats -trace-text - 2>&1; echo "exit $?"; } |
       grep -v '^throughput:' > "$work/$n.$side"
   done
-  cmp -s "$work/$n.parent" "$work/$n.child" || echo "jitsim $*"
+  if ! cmp -s "$work/$n.parent" "$work/$n.child"; then
+    first "$work/$n.parent" "$work/$n.child" > "$work/$n.first"
+    printf 'jitsim %s\t%s\n' "$*" "$n"
+  fi
   rm -f "$work/$n.parent" "$work/$n.child"
 }
-export -f one
+export -f first one
 export work
 
 nl -w1 -s' ' "$work/scenarios" | xargs -P "$(nproc)" -L1 bash -c 'one $0 "$@"' > "$work/diffs"
 n=$(wc -l < "$work/scenarios") d=$(wc -l < "$work/diffs")
 echo "$n scenarios, $d diffs"
-sort "$work/diffs"
+sort "$work/diffs" | while IFS=$'\t' read -r cmd i; do
+  echo "$cmd"
+  cat "$work/$i.first"
+done
 [ "$d" -eq 0 ]
