@@ -7,9 +7,10 @@
 //     that can change code register a save-checkpoint function; on any
 //     rank's failure, the healthy data-parallel replicas detect the hang
 //     through the interception watchdog, steal the interpreter lock from
-//     the wedged main thread, checkpoint their GPU state through a fresh
-//     stream, and notify the scheduler, which restarts the job from the
-//     just-written checkpoint — losing at most one minibatch.
+//     the wedged main thread and checkpoint their GPU state through a fresh
+//     stream; once one replica of every position has saved (the §3.3
+//     quorum), the job restarts from the just-written checkpoint — losing
+//     at most one minibatch.
 //
 //  2. Transparent JIT recovery for recoverable errors (§4.2, the
 //     coordinator in transparent.go): transient network faults, sticky
@@ -302,15 +303,6 @@ func (r *RecoveryReport) Total() vclock.Time { return r.CompletedAt - r.Detected
 const KindNoViablePlacement = "hard-failed:no-viable-placement"
 
 // Terminal reports whether the episode ended in a state retrying cannot
-// fix (no spare capacity, no assemblable checkpoint).
+// fix (no spare capacity, no assemblable checkpoint of the episode's
+// iteration).
 func (r *RecoveryReport) Terminal() bool { return strings.HasPrefix(r.Kind, "hard-failed:") }
-
-// Phase returns the duration of a named phase (0 if absent).
-func (r *RecoveryReport) Phase(name string) vclock.Time {
-	for _, ph := range r.Phases {
-		if ph.Name == name {
-			return ph.Dur
-		}
-	}
-	return 0
-}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"jitckpt/internal/checkpoint"
-	"jitckpt/internal/scheduler"
 	"jitckpt/internal/trace"
 	"jitckpt/internal/train"
 	"jitckpt/internal/vclock"
@@ -106,23 +104,21 @@ func (h *harness) requestYield() bool {
 
 // elasticSave persists a degraded worker's state to disk under the
 // elastic namespace so the full-width restart (or an oracle run sharing
-// the store) can restore it. It runs in the worker's own process at a
-// clean iteration boundary — this is a planned, user-level save, not a
-// failure-time JIT flush, so trace invariant 3 does not apply to it.
-func (h *harness) elasticSave(p *vclock.Proc, w *train.Worker, rank int) error {
-	wl := h.cfg.WL
+// the store) can restore it, counting it toward the incarnation's quorum
+// q. It runs in the worker's own process at a clean iteration boundary —
+// this is a planned, user-level save, not a failure-time JIT flush, so
+// trace invariant 3 does not apply to it.
+func (h *harness) elasticSave(p *vclock.Proc, w *train.Worker, q *quorum) error {
+	rank := w.Rank()
 	sp := trace.Of(h.env).Begin(p.Now(), "ckpt", trace.Rank(rank), "elastic-save", "iter", w.Iter())
 	ms, err := w.SaveModelState(p)
+	if err == nil {
+		err = h.saveRank(p, h.disk, ElasticPolicyName, ms, q)
+	}
 	if err != nil {
 		sp.End(p.Now(), "err", err)
 		return err
 	}
-	dir := checkpoint.RankDir("job", ElasticPolicyName, ms.Iter, rank)
-	if err := checkpoint.SaveRank(p, h.disk, dir, ms, wl.SerializeBW(), wl.StateBytesPerGPU(), wl.StateBytesPerGPU()); err != nil {
-		sp.End(p.Now(), "err", err)
-		return err
-	}
-	h.monitor.Notify(scheduler.Event{Kind: scheduler.EvCheckpointDone, Rank: rank, Iter: ms.Iter})
 	sp.End(p.Now(), "iter", ms.Iter)
 	return nil
 }

@@ -122,8 +122,9 @@ func TestTransparentNetworkHangRecovery(t *testing.T) {
 		t.Fatal("loss trace diverged after network-hang recovery")
 	}
 	// Table 7 structure: comm re-init dominates.
-	if rep.Phase("comm-init") <= rep.Phase("replay") {
-		t.Fatalf("comm-init (%v) should dominate replay (%v)", rep.Phase("comm-init"), rep.Phase("replay"))
+	phases := phaseDurs(rep)
+	if phases["comm-init"] <= phases["replay"] {
+		t.Fatalf("comm-init (%v) should dominate replay (%v)", phases["comm-init"], phases["replay"])
 	}
 }
 

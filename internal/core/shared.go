@@ -37,7 +37,7 @@ var _ Capacity = (*scheduler.Pool)(nil)
 // private one. The ownership inversion of the fleet model lives here:
 // the cluster owns the vclock environment, the nodes and the allocator;
 // the job merely leases capacity through it. Everything else a job needs
-// (collective engine, checkpoint stores, monitor, failure injector)
+// (collective engine, checkpoint stores, failure injector)
 // remains private per job.
 type SharedSim struct {
 	// Env is the cluster's simulation environment. The job must not call

@@ -6,7 +6,6 @@ import (
 
 	"jitckpt/internal/checkpoint"
 	"jitckpt/internal/intercept"
-	"jitckpt/internal/scheduler"
 	"jitckpt/internal/trace"
 	"jitckpt/internal/train"
 	"jitckpt/internal/vclock"
@@ -21,29 +20,19 @@ import (
 type UserLevelRank struct {
 	// Rank is this worker's global rank.
 	Rank int
-	// Job names the checkpoint namespace.
-	Job string
 	// Layer is the rank's interception layer (ModeUserLevel).
 	Layer *intercept.Layer
 	// Worker is the training worker whose state gets checkpointed.
 	Worker *train.Worker
 	// GIL is the interpreter lock the worker holds across device calls.
 	GIL *vclock.Mutex
-	// Store is where the JIT flush writes: the shared checkpoint store,
-	// or the peer-shelter policy's peerckpt.FlushTarget, which routes the
+	// Save persists the captured state: the harness's saveRank into the
+	// incarnation's flush target — the shared checkpoint store, or the
+	// peer-shelter policy's peerckpt.FlushTarget, which routes the
 	// failure-time flush to a surviving host outside this rank's failure
-	// domain (the save fails when none survives).
-	Store checkpoint.Target
-	// Namespace is the checkpoint namespace the JIT flush writes under
-	// (JITPolicyName on disk, the shelter's own in peer memory).
-	Namespace string
-	// Monitor is the scheduler's notification sink.
-	Monitor *scheduler.Monitor
-	// StateBytes is the modelled size of the rank's checkpointable state.
-	StateBytes int64
-	// SerializeBW is the CPU serialization throughput charged before the
-	// store write (torch.save-class pickling).
-	SerializeBW float64
+	// domain (the save fails with checkpoint.ErrNoTarget when none
+	// survives) — counting toward the incarnation's checkpoint quorum.
+	Save func(p *vclock.Proc, ms *train.ModelState) error
 	// MainProc is the worker's main process; the checkpoint handler kills
 	// it after a successful save ("the watchdog thread exits the process
 	// immediately after the checkpoint", §3.2).
@@ -58,34 +47,30 @@ type UserLevelRank struct {
 	// SaveDuration is how long the JIT checkpoint took (Table 4's
 	// "Checkpoint" column).
 	SaveDuration vclock.Time
-	// SaveErr records a failed save attempt.
-	SaveErr error
 }
 
 // Hook returns the OnFault callback to install in the interception layer.
 //
 // On an API error (the failing rank itself): the error is surfaced to the
-// training script, which will crash; the handler only notifies the
-// scheduler. On a hang (a healthy replica): the handler performs the §3.2
+// training script, which will crash; the handler only traces the
+// detection. On a hang (a healthy replica): the handler performs the §3.2
 // sequence in the watchdog's thread — signal-release the GIL held by the
 // wedged main thread, take it, enter checkpoint mode so device-to-host
-// copies avoid the blocked default stream, save, commit the rank
-// checkpoint with the metadata-last protocol, notify the scheduler, and
-// kill the worker process.
+// copies avoid the blocked default stream, capture the state, hand it to
+// Save (which commits the rank checkpoint with the metadata-last protocol
+// and counts it toward the restart's quorum), and kill the worker process.
 func (u *UserLevelRank) Hook() func(p *vclock.Proc, f intercept.Fault) {
 	return func(p *vclock.Proc, f intercept.Fault) {
 		trace.Of(p.Env()).Instant(p.Now(), "fail", trace.Rank(u.Rank), "detected",
 			"by", "intercept", "iter", f.Iter)
-		u.Monitor.Notify(scheduler.Event{Kind: scheduler.EvFailureDetected, Rank: u.Rank, Iter: f.Iter, Err: f.Err})
 		if f.Kind == intercept.FaultError {
 			// This rank's own GPU failed: it cannot save state; its
 			// replicas will. The error propagates to the script.
 			return
 		}
-		if err := u.saveCheckpoint(p); err != nil {
-			u.SaveErr = err
-			u.Monitor.Notify(scheduler.Event{Kind: scheduler.EvRankExited, Rank: u.Rank, Err: err})
-		}
+		// A failed save ends its span with the error; the restart's
+		// quorum counts only the saves that committed.
+		_ = u.saveCheckpoint(p)
 		if u.MainProc != nil {
 			u.MainProc.Kill()
 		}
@@ -126,8 +111,7 @@ func (u *UserLevelRank) saveCheckpoint(p *vclock.Proc) (err error) {
 	if err != nil {
 		return fmt.Errorf("core: rank %d JIT save: %w", u.Rank, err)
 	}
-	dir := checkpoint.RankDir(u.Job, u.Namespace, ms.Iter, u.Rank)
-	err = checkpoint.SaveRank(p, u.Store, dir, ms, u.SerializeBW, u.StateBytes, u.StateBytes)
+	err = u.Save(p, ms)
 	if errors.Is(err, checkpoint.ErrNoTarget) {
 		return fmt.Errorf("core: rank %d JIT flush: no surviving peer host", u.Rank)
 	} else if err != nil {
@@ -135,7 +119,6 @@ func (u *UserLevelRank) saveCheckpoint(p *vclock.Proc) (err error) {
 	}
 	u.CheckpointDone = true
 	u.CheckpointIter = ms.Iter
-	u.Monitor.Notify(scheduler.Event{Kind: scheduler.EvCheckpointDone, Rank: u.Rank, Iter: ms.Iter})
 	return nil
 }
 

@@ -9,7 +9,7 @@ import (
 	"jitckpt/internal/gpu"
 	"jitckpt/internal/intercept"
 	"jitckpt/internal/nccl"
-	"jitckpt/internal/scheduler"
+	"jitckpt/internal/trace"
 	"jitckpt/internal/train"
 	"jitckpt/internal/vclock"
 )
@@ -25,7 +25,8 @@ type userLevelRig struct {
 	gils    [2]*vclock.Mutex
 	ranks   [2]*UserLevelRank
 	store   *checkpoint.Store
-	monitor *scheduler.Monitor
+	rec     *trace.Recorder
+	saved   []int // ranks whose Save committed, in order
 }
 
 func newUserLevelRig(t *testing.T) *userLevelRig {
@@ -33,7 +34,8 @@ func newUserLevelRig(t *testing.T) *userLevelRig {
 	r := &userLevelRig{env: vclock.NewEnv(1)}
 	r.engine = nccl.NewEngine(r.env, nccl.DefaultParams())
 	r.store = checkpoint.NewStore(r.env, "shared", checkpoint.TmpfsParams())
-	r.monitor = scheduler.NewMonitor(r.env)
+	r.rec = trace.New()
+	trace.Attach(r.env, r.rec)
 	topo := train.Topology{D: 2, P: 1, T: 1}
 	for i := 0; i < 2; i++ {
 		r.devs[i] = gpu.NewDevice(r.env, 0, i, 1<<34)
@@ -58,8 +60,15 @@ func newUserLevelRig(t *testing.T) *userLevelRig {
 		}
 		r.workers[i] = w
 		r.ranks[i] = &UserLevelRank{
-			Rank: i, Job: "job", Layer: r.layers[i], Worker: w, GIL: r.gils[i],
-			Namespace: JITPolicyName, Store: r.store, Monitor: r.monitor, StateBytes: 1 << 21,
+			Rank: i, Layer: r.layers[i], Worker: w, GIL: r.gils[i],
+			Save: func(p *vclock.Proc, ms *train.ModelState) error {
+				dir := checkpoint.RankDir("job", JITPolicyName, ms.Iter, ms.Rank)
+				if err := checkpoint.SaveRank(p, r.store, dir, ms, 0, 1<<21, 1<<21); err != nil {
+					return err
+				}
+				r.saved = append(r.saved, ms.Rank)
+				return nil
+			},
 		}
 		r.layers[i].SetOnFault(r.ranks[i].Hook())
 	}
@@ -70,7 +79,7 @@ func newUserLevelRig(t *testing.T) *userLevelRig {
 // components: rank 1's GPU dies hard mid-minibatch; rank 0's watchdog
 // detects the hung all-reduce while rank 0's main thread is blocked in a
 // device call *holding the GIL*; the handler steals the GIL, saves through
-// checkpoint mode, commits with metadata, notifies the scheduler, and
+// checkpoint mode, commits with metadata through the save function, and
 // kills the main process.
 func TestUserLevelHangCheckpointSequence(t *testing.T) {
 	r := newUserLevelRig(t)
@@ -95,7 +104,7 @@ func TestUserLevelHangCheckpointSequence(t *testing.T) {
 
 	u0 := r.ranks[0]
 	if !u0.CheckpointDone {
-		t.Fatalf("healthy rank did not checkpoint (err=%v)", u0.SaveErr)
+		t.Fatalf("healthy rank did not checkpoint (saves %+v)", trace.NewQuery(r.rec).Spans("ckpt", "jit-save"))
 	}
 	if u0.SaveDuration <= 0 {
 		t.Fatal("save duration not measured")
@@ -117,18 +126,12 @@ func TestUserLevelHangCheckpointSequence(t *testing.T) {
 	if ms.Iter != u0.CheckpointIter {
 		t.Fatalf("checkpoint iter %d != recorded %d", ms.Iter, u0.CheckpointIter)
 	}
-	// Scheduler saw failure detection and checkpoint completion.
-	var sawFail, sawCkpt bool
-	for _, ev := range r.monitor.Log() {
-		switch ev.Kind {
-		case scheduler.EvFailureDetected:
-			sawFail = true
-		case scheduler.EvCheckpointDone:
-			sawCkpt = true
-		}
-	}
+	// The failure was detected, and the checkpoint committed through the
+	// save function, which is what counts it toward the restart's quorum.
+	sawFail := len(trace.NewQuery(r.rec).Instants("fail", "detected")) > 0
+	sawCkpt := len(r.saved) > 0 && r.saved[0] == 0
 	if !sawFail || !sawCkpt {
-		t.Fatalf("monitor events incomplete: fail=%v ckpt=%v", sawFail, sawCkpt)
+		t.Fatalf("detection or checkpoint missing: fail=%v ckpt=%v (saved %v)", sawFail, sawCkpt, r.saved)
 	}
 	// The GIL ends up free (the handler released it after stealing).
 	if r.gils[0].Owner() != nil {
@@ -137,7 +140,7 @@ func TestUserLevelHangCheckpointSequence(t *testing.T) {
 }
 
 // TestUserLevelFailingRankDoesNotCheckpoint: the rank whose own GPU died
-// must not attempt a save; it only notifies.
+// must not attempt a save; it only traces the detection.
 func TestUserLevelFailingRankDoesNotCheckpoint(t *testing.T) {
 	r := newUserLevelRig(t)
 	for i := 0; i < 2; i++ {
@@ -161,7 +164,7 @@ func TestUserLevelFailingRankDoesNotCheckpoint(t *testing.T) {
 		t.Fatal("failing rank checkpointed despite a dead GPU")
 	}
 	if !r.ranks[0].CheckpointDone {
-		t.Fatalf("healthy rank did not checkpoint (err=%v)", r.ranks[0].SaveErr)
+		t.Fatalf("healthy rank did not checkpoint (saves %+v)", trace.NewQuery(r.rec).Spans("ckpt", "jit-save"))
 	}
 }
 

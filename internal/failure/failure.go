@@ -337,8 +337,7 @@ type Injector struct {
 	// came back (the harness un-excludes it from the scheduler pool).
 	OnRepair func(node *gpu.Node)
 
-	applied        []Injection
-	skipped        []Injection
+	skipped        int
 	phased         []*phaseState
 	failedNodes    []*gpu.Node // FIFO of injection-failed nodes awaiting repair
 	pendingRepairs int
@@ -401,18 +400,11 @@ func (in *Injector) noteRepairProcessed() {
 	}
 }
 
-// Applied returns the injections performed so far.
-func (in *Injector) Applied() []Injection { return in.applied }
-
-// Skipped returns injections that were dropped because their target was
-// already lost (device dead, node failed) when they came due.
-func (in *Injector) Skipped() []Injection { return in.skipped }
-
 // SkippedCount is the counted SkippedInjections stat: how many planned
 // injections never fired because their target was already gone. A
 // non-zero count on a supposedly failure-heavy run is the tell that the
 // plan and the simulated cluster disagree.
-func (in *Injector) SkippedCount() int { return len(in.skipped) }
+func (in *Injector) SkippedCount() int { return in.skipped }
 
 // targetLost reports whether the injection's target has already been
 // destroyed by an earlier fault, in which case re-injecting would
@@ -434,14 +426,15 @@ func (in *Injector) targetLost(inj Injection) bool {
 
 // Apply performs one injection immediately. It reports whether the
 // injection landed: an injection whose target is already dead (its device
-// lost or its node failed by an earlier fault) is skipped — recorded in
-// Skipped, not Applied — so double-failing cannot corrupt accounting.
+// lost or its node failed by an earlier fault) is skipped — counted in
+// SkippedCount, not passed to OnInject — so double-failing cannot corrupt
+// accounting.
 func (in *Injector) Apply(inj Injection) bool {
 	if inj.Kind == NodeRepaired {
 		defer in.noteRepairProcessed()
 	}
 	if in.targetLost(inj) {
-		in.skipped = append(in.skipped, inj)
+		in.skipped++
 		trace.Of(in.Env).Instant(in.Env.Now(), "fail", trace.Rank(inj.Target), "inject-skip",
 			"kind", inj.Kind)
 		return false
@@ -482,7 +475,6 @@ func (in *Injector) Apply(inj Injection) bool {
 		}
 		in.Engine.InjectFault(key, gen, fk)
 	}
-	in.applied = append(in.applied, inj)
 	if in.OnInject != nil {
 		in.OnInject(inj)
 	}

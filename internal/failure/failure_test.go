@@ -106,7 +106,7 @@ func TestInjectorAppliesAllKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(observed) != 4 {
-		t.Fatalf("observed %d injections", len(observed))
+		t.Fatalf("observed %d applied injections, want 4", len(observed))
 	}
 	if devs[0].Health() != gpu.Hard {
 		t.Errorf("rank 0 health = %v", devs[0].Health())
@@ -116,9 +116,6 @@ func TestInjectorAppliesAllKinds(t *testing.T) {
 	}
 	if devs[2].Health() != gpu.DriverCorrupt {
 		t.Errorf("rank 2 health = %v", devs[2].Health())
-	}
-	if len(inj.Applied()) != 4 {
-		t.Errorf("Applied = %d", len(inj.Applied()))
 	}
 }
 

@@ -58,11 +58,6 @@ func (a *Accounting) WastedFraction() float64 {
 	return float64(a.Wasted()) / float64(total)
 }
 
-// WastedGPUHours returns wasted time summed across GPUs, in hours.
-func (a *Accounting) WastedGPUHours() float64 {
-	return a.Wasted().Sec() / 3600 * float64(a.N)
-}
-
 // String summarizes the accounting.
 func (a *Accounting) String() string {
 	s := fmt.Sprintf("useful=%v ckpt=%v fixed=%v redo=%v wait=%v (wf=%.3f%%, %d recoveries, %d ckpts)",
@@ -92,13 +87,9 @@ type PhaseTimer struct {
 	phases []Phase
 }
 
-// NewPhaseTimer starts a timer at the current virtual time.
-func NewPhaseTimer(env *vclock.Env) *PhaseTimer {
-	return NewPhaseTimerLane(env, trace.LaneSim)
-}
-
-// NewPhaseTimerLane starts a timer whose traced phase spans land on the
-// given lane (e.g. a per-rank lane for recovery breakdowns).
+// NewPhaseTimerLane starts a timer at the current virtual time whose traced
+// phase spans land on the given lane (e.g. a per-rank lane for recovery
+// breakdowns).
 func NewPhaseTimerLane(env *vclock.Env, lane string) *PhaseTimer {
 	return &PhaseTimer{env: env, lane: lane, start: env.Now(), last: env.Now()}
 }

@@ -72,7 +72,7 @@ func TestTableRowFormatting(t *testing.T) {
 func TestPhaseTimerSkip(t *testing.T) {
 	env := vclock.NewEnv(1)
 	env.Go("w", func(p *vclock.Proc) {
-		pt := NewPhaseTimer(env)
+		pt := NewPhaseTimerLane(env, trace.LaneSim)
 		p.Sleep(vclock.Second)
 		pt.Skip() // barrier: not a phase
 		p.Sleep(2 * vclock.Second)
@@ -97,7 +97,7 @@ func TestPhaseTimerSkip(t *testing.T) {
 func TestPhaseTimerZeroMarks(t *testing.T) {
 	env := vclock.NewEnv(1)
 	env.Go("w", func(p *vclock.Proc) {
-		pt := NewPhaseTimer(env)
+		pt := NewPhaseTimerLane(env, trace.LaneSim)
 		p.Sleep(vclock.Second)
 		if pt.Sum() != 0 || pt.Total() != 0 || len(pt.Phases()) != 0 || pt.Get("x") != 0 {
 			t.Errorf("fresh timer not empty: sum=%v total=%v", pt.Sum(), pt.Total())

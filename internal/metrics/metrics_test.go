@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"jitckpt/internal/trace"
 	"jitckpt/internal/vclock"
 )
 
@@ -16,10 +17,11 @@ func TestAccountingFractions(t *testing.T) {
 	if wf := a.WastedFraction(); wf < 0.099 || wf > 0.101 {
 		t.Fatalf("wf = %v, want 0.1", wf)
 	}
-	gpuHours := a.WastedGPUHours()
+	// The §5 headline unit is wasted time summed across the N GPUs.
+	gpuHours := a.Wasted().Sec() / 3600 * float64(a.N)
 	want := 10.0 / 3600 * 8
 	if gpuHours < want*0.99 || gpuHours > want*1.01 {
-		t.Fatalf("WastedGPUHours = %v, want %v", gpuHours, want)
+		t.Fatalf("wasted GPU-hours = %v, want %v", gpuHours, want)
 	}
 }
 
@@ -35,7 +37,7 @@ func TestPhaseTimer(t *testing.T) {
 	var phases []Phase
 	var total vclock.Time
 	env.Go("w", func(p *vclock.Proc) {
-		pt := NewPhaseTimer(env)
+		pt := NewPhaseTimerLane(env, trace.LaneSim)
 		p.Sleep(vclock.Second)
 		pt.Mark("teardown")
 		p.Sleep(2 * vclock.Second)

@@ -1,10 +1,8 @@
 // Package scheduler models the cluster control plane the paper's recovery
-// flows lean on: a node pool with spares and failure exclusion, rank
-// placement, the monitor that healthy ranks notify after JIT checkpoints
-// (§3.3: the scheduler waits for at least one data-parallel replica of
-// every pipeline stage and model-parallel partition before restarting),
-// and the CRIU-style process checkpoint used to migrate worker CPU state
-// to replacement nodes (§4.3).
+// flows lean on: a node pool with spares and failure exclusion, rank and
+// shelter placement, and the CRIU-style process checkpoint used to migrate
+// worker CPU state to replacement nodes (§4.3). The §3.3 checkpoint quorum
+// a restart waits for belongs to the recovery episode, in internal/core.
 package scheduler
 
 import (
@@ -325,104 +323,6 @@ func StripePlan(pl Placement, topo train.Topology, k, m int, rackOf func(node in
 		plan[r] = hosts
 	}
 	return plan, nil
-}
-
-// EventKind classifies monitor notifications.
-type EventKind int
-
-const (
-	// EvFailureDetected: a rank's watchdog detected a failure.
-	EvFailureDetected EventKind = iota
-	// EvCheckpointDone: a rank completed its JIT checkpoint at Iter.
-	EvCheckpointDone
-	// EvRankExited: a rank's process exited (crash or kill).
-	EvRankExited
-)
-
-// Event is one monitor notification.
-type Event struct {
-	Kind EventKind
-	Rank int
-	Iter int
-	Err  error
-}
-
-// Monitor is the scheduler's notification sink.
-type Monitor struct {
-	env    *vclock.Env
-	events *vclock.Queue[Event]
-	log    []Event
-}
-
-// NewMonitor creates a monitor.
-func NewMonitor(env *vclock.Env) *Monitor {
-	return &Monitor{env: env, events: vclock.NewQueue[Event](env, "sched.monitor")}
-}
-
-// Notify records an event and wakes waiters.
-func (m *Monitor) Notify(ev Event) {
-	m.log = append(m.log, ev)
-	m.events.Push(ev)
-}
-
-// Log returns all events received so far.
-func (m *Monitor) Log() []Event { return m.log }
-
-// WaitCheckpointQuorum blocks until, for some iteration, at least one
-// replica of every position (pipeline stage × tensor partition × shard
-// slot) has reported EvCheckpointDone — the §3.3 restart precondition. It
-// returns the quorum iteration, or ok=false on timeout.
-func (m *Monitor) WaitCheckpointQuorum(p *vclock.Proc, topo train.Topology, timeout vclock.Time) (iter int, ok bool) {
-	return m.WaitCheckpointQuorumCovered(p, topo, timeout, nil)
-}
-
-// WaitCheckpointQuorumCovered is WaitCheckpointQuorum with a set of
-// positions that count as already covered at every iteration — positions
-// whose state is held by a surviving peer-shelter entry and therefore
-// needs no fresh JIT checkpoint. When the pre-covered set alone spans all
-// positions the wait returns immediately.
-func (m *Monitor) WaitCheckpointQuorumCovered(p *vclock.Proc, topo train.Topology, timeout vclock.Time, pre map[string]bool) (iter int, ok bool) {
-	need := topo.PositionCount()
-	if len(pre) >= need {
-		return 0, true
-	}
-	cover := make(map[int]map[string]bool) // iter -> positions covered
-	check := func(ev Event) (int, bool) {
-		if ev.Kind != EvCheckpointDone {
-			return 0, false
-		}
-		if cover[ev.Iter] == nil {
-			cover[ev.Iter] = make(map[string]bool)
-			for pos := range pre {
-				cover[ev.Iter][pos] = true
-			}
-		}
-		cover[ev.Iter][topo.PositionKey(ev.Rank)] = true
-		if len(cover[ev.Iter]) == need {
-			return ev.Iter, true
-		}
-		return 0, false
-	}
-	// Replay anything already logged, then wait for fresh events.
-	for _, ev := range m.log {
-		if it, done := check(ev); done {
-			return it, true
-		}
-	}
-	deadline := p.Now() + timeout
-	for {
-		remain := deadline - p.Now()
-		if remain <= 0 {
-			return 0, false
-		}
-		ev, got := m.events.PopTimeout(p, remain)
-		if !got {
-			return 0, false
-		}
-		if it, done := check(ev); done {
-			return it, true
-		}
-	}
 }
 
 // CRIU models checkpoint/restore of worker CPU processes: Take and Restore

@@ -67,92 +67,6 @@ func TestPlacement(t *testing.T) {
 	}
 }
 
-func TestWaitCheckpointQuorum(t *testing.T) {
-	// 2D-2P job: quorum needs one checkpoint per pipeline stage, from any
-	// replica. Rank 0 (d0,p0) and rank 3 (d1,p1) suffice.
-	env := vclock.NewEnv(1)
-	topo := train.Topology{D: 2, P: 2, T: 1}
-	m := NewMonitor(env)
-	var iter int
-	var ok bool
-	env.Go("scheduler", func(p *vclock.Proc) {
-		iter, ok = m.WaitCheckpointQuorum(p, topo, vclock.Minute)
-	})
-	env.Go("ranks", func(p *vclock.Proc) {
-		p.Sleep(vclock.Second)
-		m.Notify(Event{Kind: EvFailureDetected, Rank: 1})
-		m.Notify(Event{Kind: EvCheckpointDone, Rank: 0, Iter: 7})
-		p.Sleep(vclock.Second)
-		m.Notify(Event{Kind: EvCheckpointDone, Rank: 3, Iter: 7})
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok || iter != 7 {
-		t.Fatalf("quorum = %v iter %d, want iter 7", ok, iter)
-	}
-}
-
-func TestQuorumRequiresMatchingIteration(t *testing.T) {
-	env := vclock.NewEnv(1)
-	topo := train.Topology{D: 2, P: 2, T: 1}
-	m := NewMonitor(env)
-	var ok bool
-	env.Go("scheduler", func(p *vclock.Proc) {
-		_, ok = m.WaitCheckpointQuorum(p, topo, vclock.Seconds(10))
-	})
-	env.Go("ranks", func(p *vclock.Proc) {
-		// Stage 0 checkpoints iter 7, stage 1 checkpoints iter 8: torn —
-		// no quorum forms at either iteration.
-		m.Notify(Event{Kind: EvCheckpointDone, Rank: 0, Iter: 7})
-		m.Notify(Event{Kind: EvCheckpointDone, Rank: 3, Iter: 8})
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("quorum formed from mismatched iterations")
-	}
-}
-
-func TestQuorumSeesEventsLoggedBeforeWait(t *testing.T) {
-	env := vclock.NewEnv(1)
-	topo := train.Topology{D: 2, P: 1, T: 1}
-	m := NewMonitor(env)
-	m.Notify(Event{Kind: EvCheckpointDone, Rank: 1, Iter: 3})
-	var ok bool
-	env.Go("late-scheduler", func(p *vclock.Proc) {
-		_, ok = m.WaitCheckpointQuorum(p, topo, vclock.Second)
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("pre-logged checkpoint not counted toward quorum")
-	}
-}
-
-func TestQuorumFSDPNeedsEveryShardSlot(t *testing.T) {
-	env := vclock.NewEnv(1)
-	topo := train.Topology{D: 4, P: 1, T: 1, FSDPShard: 2}
-	m := NewMonitor(env)
-	var ok bool
-	env.Go("scheduler", func(p *vclock.Proc) {
-		_, ok = m.WaitCheckpointQuorum(p, topo, vclock.Seconds(5))
-	})
-	env.Go("ranks", func(p *vclock.Proc) {
-		// Ranks 0 and 2 are both shard slot 0: slot 1 never reports.
-		m.Notify(Event{Kind: EvCheckpointDone, Rank: 0, Iter: 1})
-		m.Notify(Event{Kind: EvCheckpointDone, Rank: 2, Iter: 1})
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("quorum must require every shard slot")
-	}
-}
-
 func TestCRIUChargesTime(t *testing.T) {
 	env := vclock.NewEnv(1)
 	criu := CRIU{SnapshotTime: 10 * vclock.Second, RestoreTime: 5 * vclock.Second}

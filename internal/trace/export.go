@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // ChromeEvent is one entry of the Chrome trace-event JSON array
@@ -183,18 +182,4 @@ func WriteText(w io.Writer, r *Recorder, opt TextOptions) error {
 		}
 	}
 	return nil
-}
-
-// Lanes returns every lane present in the log, sorted.
-func (r *Recorder) Lanes() []string {
-	seen := make(map[string]bool)
-	for _, ev := range r.Events() {
-		seen[ev.Lane] = true
-	}
-	out := make([]string, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
 }

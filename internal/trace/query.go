@@ -96,9 +96,6 @@ func NewQuery(r *Recorder) *Query {
 // Runs returns the number of simulation runs in the log.
 func (q *Query) Runs() int { return q.runs }
 
-// WallTime returns the latest event time in the log.
-func (q *Query) WallTime() vclock.Time { return q.last }
-
 // Spans returns spans matching category and name ("" matches any).
 func (q *Query) Spans(cat, name string) []SpanRec {
 	var out []SpanRec

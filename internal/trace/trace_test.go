@@ -3,7 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"sort"
+	"slices"
 	"testing"
 
 	"jitckpt/internal/vclock"
@@ -70,8 +70,8 @@ func TestSpanPairingAndArgs(t *testing.T) {
 	if got := q.Instants("fail", "detected"); len(got) != 1 || got[0].Args["by"] != "heartbeat" {
 		t.Fatalf("instants: %+v", got)
 	}
-	if q.WallTime() != 20 {
-		t.Fatalf("wall = %v", q.WallTime())
+	if q.last != 20 {
+		t.Fatalf("wall = %v", q.last)
 	}
 }
 
@@ -200,14 +200,32 @@ func TestWriteTextFilterAndMultiRunPrefix(t *testing.T) {
 	}
 }
 
-func TestLanesSorted(t *testing.T) {
+// TestChromeThreadPerLane: an export names one thread per lane, in order of
+// first appearance.
+func TestChromeThreadPerLane(t *testing.T) {
 	r := New()
 	r.Instant(0, "c", "rank2", "x")
 	r.Instant(0, "c", "n0.g1", "x")
 	r.Instant(0, "c", LaneSim, "x")
-	lanes := r.Lanes()
-	if !sort.StringsAreSorted(lanes) || len(lanes) != 3 {
-		t.Fatalf("lanes: %v", lanes)
+	r.Instant(1, "c", "rank2", "y")
+	var b bytes.Buffer
+	if err := WriteChrome(&b, r); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []ChromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var lanes []string
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "thread_name" {
+			lanes = append(lanes, ev.Args["name"])
+		}
+	}
+	if want := []string{"rank2", "n0.g1", LaneSim}; !slices.Equal(lanes, want) {
+		t.Fatalf("lanes: %v, want %v", lanes, want)
 	}
 }
 
