@@ -8,7 +8,8 @@ import (
 )
 
 // StatePeeker is the slice of train.Worker an overlapped capture needs: a
-// zero-time privileged read of the current model/optimizer state.
+// zero-time privileged read of the current model/optimizer state, whose
+// tensors are a view of device memory valid until the caller next yields.
 type StatePeeker interface {
 	PeekModelState() (*train.ModelState, error)
 }
@@ -42,19 +43,22 @@ type Capture struct {
 	// Cat and Span name the trace span around one capture; Proc names its
 	// background process.
 	Cat, Span, Proc string
-	// Ship moves the staged image into the tier, charging its own link
-	// and codec time on p.
-	Ship func(p *vclock.Proc, ms *train.ModelState)
+	// Take runs at the peek, in zero time and before anything yields, while
+	// ms's tensors are still a view of device memory: it encodes or copies
+	// what the tier keeps and returns the ship that moves that into the
+	// tier once staged, charging its own link and codec time on p. A nil
+	// ship skips the offer.
+	Take func(ms *train.ModelState) (ship func(p *vclock.Proc))
 
 	busy bool
 }
 
 // Offer captures w's state and ships it in the background, returning
 // immediately. Call it right after RunIter returns: the compute stream is
-// synchronized, so the peek sees exactly the post-optimizer image — a
-// private copy, immune to the next minibatch's buffer mutation — and
-// ms.Iter = N+1 means "state at the start of minibatch N+1", the invariant
-// every checkpoint tier records.
+// synchronized, so the peek sees exactly the post-optimizer image, which
+// Take turns into the tier's own bytes before the next minibatch can
+// change it; ms.Iter = N+1 means "state at the start of minibatch N+1",
+// the invariant every checkpoint tier records.
 func (c *Capture) Offer(w StatePeeker) {
 	c.Stats.Offers++
 	if c.busy {
@@ -62,14 +66,19 @@ func (c *Capture) Offer(w StatePeeker) {
 		return
 	}
 	ms, err := w.PeekModelState()
-	if err != nil {
+	var ship func(p *vclock.Proc)
+	if err == nil {
+		ship = c.Take(ms)
+	}
+	if ship == nil {
 		c.Stats.Skips++
 		return
 	}
+	iter := ms.Iter
 	c.busy = true
 	c.Env.Go(c.Proc, func(p *vclock.Proc) {
 		defer func() { c.busy = false }()
-		sp := trace.Of(c.Env).Begin(p.Now(), c.Cat, trace.Rank(c.Rank), c.Span, "iter", ms.Iter)
+		sp := trace.Of(c.Env).Begin(p.Now(), c.Cat, trace.Rank(c.Rank), c.Span, "iter", iter)
 		defer func() { sp.End(p.Now()) }()
 		// Stage the state through host memory (PCIe D2H), overlapped with
 		// the next minibatch's compute.
@@ -81,9 +90,9 @@ func (c *Capture) Offer(w StatePeeker) {
 		// the owner dies — the bytes live in host memory.
 		if c.Dev != nil && !c.Dev.Accessible() {
 			c.Stats.Aborted++
-			trace.Of(c.Env).Instant(p.Now(), c.Cat, trace.Rank(c.Rank), "capture-abort", "iter", ms.Iter)
+			trace.Of(c.Env).Instant(p.Now(), c.Cat, trace.Rank(c.Rank), "capture-abort", "iter", iter)
 			return
 		}
-		c.Ship(p, ms)
+		ship(p)
 	})
 }

@@ -193,6 +193,7 @@ func TestRetryBackoff(t *testing.T) {
 	})
 }
 
+// TestWriteRankRetryAbsorbsTransientFaults checks WriteRank's bounded retry.
 func TestWriteRankRetryAbsorbsTransientFaults(t *testing.T) {
 	env := vclock.NewEnv(1)
 	st := NewStore(env, "disk", TmpfsParams())
@@ -206,7 +207,7 @@ func TestWriteRankRetryAbsorbsTransientFaults(t *testing.T) {
 			return WriteOK
 		})
 		dir := RankDir("job", "jit", 4, 1)
-		if err := WriteRankRetry(p, st, dir, testState(4, 1, 9), 32); err != nil {
+		if err := WriteRank(p, st, dir, testState(4, 1, 9), 32); err != nil {
 			t.Fatalf("retry did not absorb transient faults: %v", err)
 		}
 		st.SetChaos(nil)

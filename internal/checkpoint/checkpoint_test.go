@@ -469,8 +469,9 @@ func BenchmarkSum(b *testing.B) {
 	_ = sum
 }
 
-// BenchmarkWriteRank times the whole rank save — encode, Sum, the store's
-// copy, META — over one entry rewritten in place, in payload bytes.
+// BenchmarkWriteRank times the whole rank save — encode, Sum, META; the
+// store keeps the encoding as written — over one entry rewritten in place,
+// in payload bytes.
 func BenchmarkWriteRank(b *testing.B) {
 	env := vclock.NewEnv(1)
 	st := NewStore(env, "disk", TmpfsParams())

@@ -199,12 +199,14 @@ func (msw *MultiStep) startGen(p *vclock.Proc, w *train.Worker) {
 
 // captureSlice captures the next slice (and, from the second boundary on,
 // the previous minibatch's gradient for all already-captured slices) and
-// enqueues their background writes.
+// enqueues their background writes. The slice is encoded straight from the
+// peek's device view, before the stall yields, so its encoding is the only
+// copy of it.
 func (msw *MultiStep) captureSlice(p *vclock.Proc, w *train.Worker) (vclock.Time, error) {
 	g := msw.gen
 	s := g.captured
 	boundary := w.Iter()
-	full, err := w.PeekModelState()
+	view, err := w.PeekModelState()
 	if err != nil {
 		msw.gen = nil
 		return 0, err
@@ -256,8 +258,8 @@ func (msw *MultiStep) captureSlice(p *vclock.Proc, w *train.Worker) (vclock.Time
 	ss := &train.ModelState{Iter: boundary, Rank: w.Rank(), Tensors: make(map[string]tensor.Vector)}
 	for _, l := range g.layers[s] {
 		for _, name := range []string{train.ParamTensorName(l), train.OptMTensorName(l), train.OptVTensorName(l)} {
-			if v, ok := full.Tensors[name]; ok {
-				ss.Tensors[name] = v.Clone() // device buffers mutate next iter
+			if v, ok := view.Tensors[name]; ok {
+				ss.Tensors[name] = v
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -15,6 +16,12 @@ const msTestStateBytes = 3 << 20
 
 func msTestWorker(t *testing.T, env *vclock.Env) *train.Worker {
 	t.Helper()
+	return msWorker(t, env, 8)
+}
+
+// msWorker builds a one-rank, four-layer worker of the given width.
+func msWorker(t *testing.T, env *vclock.Env, hidden int) *train.Worker {
+	t.Helper()
 	engine := nccl.NewEngine(env, nccl.DefaultParams())
 	dev := gpu.NewDevice(env, 0, 0, 1<<34)
 	drv, err := cuda.NewDriver(dev, engine, train.Kernels(), cuda.DefaultParams())
@@ -24,7 +31,7 @@ func msTestWorker(t *testing.T, env *vclock.Env) *train.Worker {
 	w, err := train.NewWorker(train.Config{
 		Name: "w0", JobKey: "job", Rank: 0,
 		Topo:  train.Topology{D: 1, P: 1, T: 1},
-		Model: train.ModelSpec{Layers: 4, Hidden: 8, Seed: 42, ParamBytesPerGPU: 1 << 20, OptBytesPerGPU: 1 << 21},
+		Model: train.ModelSpec{Layers: 4, Hidden: hidden, Seed: 42, ParamBytesPerGPU: 1 << 20, OptBytesPerGPU: 1 << 21},
 		Opt:   train.DefaultOptimizer(),
 		Step:  train.Uniform(10*vclock.Millisecond, 4),
 		API:   drv, DataSeed: 7,
@@ -335,6 +342,62 @@ func TestMultiStepStrictlyCheaperThanPCDisk(t *testing.T) {
 	if !(msPer < pcPer) {
 		t.Fatalf("multi-step stall/ckpt %.3fms not strictly below PC_disk %.3fms",
 			msPer/1e6, pcPer/1e6)
+	}
+}
+
+// TestCaptureSliceAllocatesOnlyItsObjects pins the multi-step capture's
+// byte path, as runtime.MemStats.TotalAlloc deltas: each boundary encodes
+// its slice straight from the peek's device view and its gradient object
+// from the ring, so it allocates those encodings and a little bookkeeping —
+// no clone of the rank's state, nor of the slice.
+func TestCaptureSliceAllocatesOnlyItsObjects(t *testing.T) {
+	env := vclock.NewEnv(1)
+	w := msWorker(t, env, 128)
+	w.EnableGradRing(4)
+	msw := &MultiStep{
+		Slices: 4, Interval: vclock.Millisecond, Disk: NewStore(env, "disk", DiskParams()), Job: "job",
+		StateBytes: msTestStateBytes, SerializeBW: 2e9, D2HBandwidth: 16e9,
+	}
+	env.Go("rank0", func(p *vclock.Proc) {
+		if err := w.Setup(p, 0); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := w.RunIter(p); err != nil {
+			t.Error(err)
+			return
+		}
+		msw.startGen(p, w)
+		g := msw.gen
+		for s := 0; s < 4; s++ {
+			n := len(g.objects)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if _, err := msw.captureSlice(p, w); err != nil {
+				t.Error(err)
+				return
+			}
+			runtime.ReadMemStats(&m1)
+			var kept uint64
+			for _, o := range g.objects[n:] {
+				kept += uint64(o.DataLen)
+			}
+			alloc := m1.TotalAlloc - m0.TotalAlloc
+			t.Logf("boundary %d: %d bytes allocated for %d bytes of objects", s, alloc, kept)
+			if limit := kept*11/10 + 4<<10; alloc > limit {
+				t.Errorf("boundary %d allocates %d bytes for %d bytes of objects, limit is 1.1× + 4 KiB = %d", s, alloc, kept, limit)
+			}
+			if _, err := w.RunIter(p); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if msw.Count() != 1 {
+		t.Fatalf("%d generations committed, want 1", msw.Count())
 	}
 }
 

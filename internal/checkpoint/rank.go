@@ -58,31 +58,43 @@ func ParseRankDir(dir string) (iter, rank int, ok bool) {
 func dataPath(dir string) string { return dir + "/model.bin" }
 func metaPath(dir string) string { return dir + "/META" }
 
-// WriteRank writes one rank's checkpoint with the two-phase commit
-// protocol: data first, META last — and each object is committed by
-// atomic rename (write to a ".tmp" name, then rename into place), so a
-// write that tears or fails mid-transfer never leaves a partial object at
-// the final path. modelBytes is the modelled state size that drives write
-// timing.
+// RankImage is one rank's state as train.ModelState.Encode lays it out,
+// with the (iter, rank) it holds. A store keeps the bytes it is given, so one
+// image serves every retry of a save and every store it is written to; Data
+// may not change once written.
+type RankImage struct {
+	Iter, Rank int
+	Data       []byte
+}
+
+// WriteRank encodes ms once and commits it under dir (WriteImage).
+// modelBytes is the modelled state size that drives write timing.
 func WriteRank(p *vclock.Proc, st *Store, dir string, ms *train.ModelState, modelBytes int64) error {
-	sp := trace.Of(p.Env()).Begin(p.Now(), "ckpt", trace.Rank(ms.Rank), "write-rank",
-		"store", st.name, "iter", ms.Iter)
 	data, err := ms.Encode()
 	if err != nil {
+		return err
+	}
+	return WriteImage(p, st, dir, RankImage{Iter: ms.Iter, Rank: ms.Rank, Data: data}, modelBytes)
+}
+
+// writeImage is one attempt at a rank checkpoint's two-phase commit: data
+// first, META last — and each object is committed by atomic rename (write to
+// a ".tmp" name, then rename into place), so a write that tears or fails
+// mid-transfer never leaves a partial object at the final path.
+func writeImage(p *vclock.Proc, st *Store, dir string, img RankImage, modelBytes int64) error {
+	sp := trace.Of(p.Env()).Begin(p.Now(), "ckpt", trace.Rank(img.Rank), "write-rank",
+		"store", st.name, "iter", img.Iter)
+	if err := writeAtomic(p, st, dataPath(dir), img.Data, modelBytes); err != nil {
 		sp.End(p.Now(), "err", err)
 		return err
 	}
-	if err := writeAtomic(p, st, dataPath(dir), data, modelBytes); err != nil {
-		sp.End(p.Now(), "err", err)
-		return err
-	}
-	meta := Meta{Iter: ms.Iter, Rank: ms.Rank, Checksum: Sum(data), DataLen: len(data)}
+	meta := Meta{Iter: img.Iter, Rank: img.Rank, Checksum: Sum(img.Data), DataLen: len(img.Data)}
 	if err := writeAtomic(p, st, metaPath(dir), meta.encode(), 256); err != nil {
 		sp.End(p.Now(), "err", err)
 		return err
 	}
-	trace.Of(p.Env()).Instant(p.Now(), "ckpt", trace.Rank(ms.Rank), "commit",
-		"store", st.name, "iter", ms.Iter)
+	trace.Of(p.Env()).Instant(p.Now(), "ckpt", trace.Rank(img.Rank), "commit",
+		"store", st.name, "iter", img.Iter)
 	sp.End(p.Now())
 	return nil
 }
@@ -102,10 +114,10 @@ func (s *Store) SaveStore() *Store { return s }
 // baselines, the user-level and transparent JIT saves and the elastic
 // stop: it charges CPU-side serialization (torch.save-class pickling) of
 // serializeBytes at serializeBW bytes/second (zero disables it), then
-// commits ms under dir in to's store META-last with the bounded retry, the
-// write timed by writeBytes. Serialization is paid in the critical path by
-// PC_disk and PC_mem alike — which is why saving to tmpfs only shaves ~15%
-// off PC_disk in the paper's Table 3. The caller supplies ms (its D2H
+// commits ms under dir in to's store (WriteRank), the write timed by
+// writeBytes. Serialization is paid in the critical path by PC_disk and
+// PC_mem alike — which is why saving to tmpfs only shaves ~15% off PC_disk
+// in the paper's Table 3. The caller supplies ms (its D2H
 // capture differs per tier) and the span around the whole save.
 func SaveRank(p *vclock.Proc, to Target, dir string, ms *train.ModelState, serializeBW float64, serializeBytes, writeBytes int64) error {
 	if d := gpu.TransferTime(serializeBytes, serializeBW); d > 0 {
@@ -115,7 +127,7 @@ func SaveRank(p *vclock.Proc, to Target, dir string, ms *train.ModelState, seria
 	if st == nil {
 		return ErrNoTarget
 	}
-	return WriteRankRetry(p, st, dir, ms, writeBytes)
+	return WriteRank(p, st, dir, ms, writeBytes)
 }
 
 // writeAtomic writes data to path+".tmp" and renames it into place. On a

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"jitckpt/internal/trace"
-	"jitckpt/internal/train"
 	"jitckpt/internal/vclock"
 )
 
@@ -41,12 +40,13 @@ func retry(p *vclock.Proc, op func() error) error {
 	return err
 }
 
-// WriteRankRetry is WriteRank wrapped in the bounded retry: torn writes and
-// transient store faults are retried (the atomic-rename commit guarantees
-// a failed attempt leaves nothing at the final path), while hard failures
-// surface immediately.
-func WriteRankRetry(p *vclock.Proc, st *Store, dir string, ms *train.ModelState, modelBytes int64) error {
-	return retry(p, func() error { return WriteRank(p, st, dir, ms, modelBytes) })
+// WriteImage commits an encoded rank checkpoint META-last (writeImage)
+// under the bounded retry: torn writes and transient store faults are
+// retried (the atomic-rename commit guarantees a failed attempt leaves
+// nothing at the final path), while hard failures surface immediately.
+// Every attempt writes the same bytes.
+func WriteImage(p *vclock.Proc, st *Store, dir string, img RankImage, modelBytes int64) error {
+	return retry(p, func() error { return writeImage(p, st, dir, img, modelBytes) })
 }
 
 // WriteFragRetry is WriteFrag under the same bounded retry.

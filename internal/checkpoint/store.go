@@ -9,6 +9,7 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -91,7 +92,8 @@ func TmpfsParams() StoreParams {
 }
 
 // entry is one stored object: real bytes plus the modelled size that
-// drives transfer timing.
+// drives transfer timing. Its bytes are never written to: a store object
+// is immutable, so one buffer may back several objects and several stores.
 type entry struct {
 	data       []byte
 	modelBytes int64
@@ -100,6 +102,12 @@ type entry struct {
 // Store is a simulated shared file/object store with virtual-time I/O
 // costs. Contents are real bytes, so everything written can be read back
 // and verified; timing follows the modelled payload size.
+//
+// Objects are kept as written: Write holds on to the caller's slice instead
+// of copying it, and nothing in the store ever changes an object's bytes in
+// place. Damage (a chaos bit-flip, Corrupt) lands on a private copy, and Read
+// hands out a copy, so neither the writer's buffer nor any other object that
+// shares it can see it.
 type Store struct {
 	env       *vclock.Env
 	name      string
@@ -114,6 +122,15 @@ func NewStore(env *vclock.Env, name string, params StoreParams) *Store {
 	return &Store{env: env, name: name, params: params, files: make(map[string]entry)}
 }
 
+// flipped returns a private copy of data with mask XORed into its middle
+// byte: the damage an object takes without reaching the buffer it was
+// written from.
+func flipped(data []byte, mask byte) []byte {
+	out := slices.Clone(data)
+	out[len(out)/2] ^= mask
+	return out
+}
+
 // Name returns the store's diagnostic name.
 func (s *Store) Name() string { return s.name }
 
@@ -122,7 +139,9 @@ func (s *Store) Name() string { return s.name }
 func (s *Store) SetChaos(fn func(path string) WriteOutcome) { s.chaos = fn }
 
 // Write stores data under path, charging modelBytes of write bandwidth.
-// An installed chaos hook may tear, corrupt, or fail the write.
+// The store keeps data itself: the caller hands the buffer over and may not
+// change it afterwards, which every writer meets by passing freshly encoded
+// bytes. An installed chaos hook may tear, corrupt, or fail the write.
 func (s *Store) Write(p *vclock.Proc, path string, data []byte, modelBytes int64) error {
 	outcome := WriteOK
 	if s.chaos != nil {
@@ -141,18 +160,18 @@ func (s *Store) Write(p *vclock.Proc, path string, data []byte, modelBytes int64
 		return fmt.Errorf("%w: write %s on %s", ErrNoSpace, path, s.name)
 	case WriteTorn:
 		// The connection drops halfway: half the bandwidth is spent and a
-		// partial object is left behind.
+		// partial object is left behind, a prefix whose capacity ends with
+		// it, so nothing can reach the rest of data through it.
 		p.Sleep(s.params.Latency + gpu.TransferTime(modelBytes/2, s.params.WriteBW))
-		torn := append([]byte(nil), data[:len(data)/2]...)
-		s.files[path] = entry{data: torn, modelBytes: modelBytes / 2}
+		n := len(data) / 2
+		s.files[path] = entry{data: data[:n:n], modelBytes: modelBytes / 2}
 		return fmt.Errorf("%w: torn write %s on %s", ErrTransientIO, path, s.name)
 	}
 	p.Sleep(s.params.Latency + gpu.TransferTime(modelBytes, s.params.WriteBW))
-	stored := append([]byte(nil), data...)
-	if outcome == WriteBitFlip && len(stored) > 0 {
-		stored[len(stored)/2] ^= 0x01 // silent corruption: write "succeeds"
+	if outcome == WriteBitFlip && len(data) > 0 {
+		data = flipped(data, 0x01) // silent corruption: write "succeeds"
 	}
-	s.files[path] = entry{data: stored, modelBytes: modelBytes}
+	s.files[path] = entry{data: data, modelBytes: modelBytes}
 	return nil
 }
 
@@ -187,10 +206,11 @@ func (s *Store) ContentHash(p *vclock.Proc, path string) (uint32, bool) {
 	return Sum(e.data), true
 }
 
-// Read returns the object at path, charging read bandwidth. Every read's
-// modelled payload is added to the store's read-byte counter, which is how
-// the harness accounts checkpoint-read traffic per recovery (the pipe-free
-// family's "zero checkpoint reads" claim is audited against it).
+// Read returns a private copy of the object at path, charging read
+// bandwidth. Every read's modelled payload is added to the store's
+// read-byte counter, which is how the harness accounts checkpoint-read
+// traffic per recovery (the pipe-free family's "zero checkpoint reads"
+// claim is audited against it).
 func (s *Store) Read(p *vclock.Proc, path string) ([]byte, error) {
 	e, ok := s.files[path]
 	if !ok {
@@ -198,7 +218,7 @@ func (s *Store) Read(p *vclock.Proc, path string) ([]byte, error) {
 	}
 	p.Sleep(s.params.Latency + gpu.TransferTime(e.modelBytes, s.params.ReadBW))
 	s.readBytes += e.modelBytes
-	return append([]byte(nil), e.data...), nil
+	return slices.Clone(e.data), nil
 }
 
 // ReadBytes returns the cumulative modelled bytes served by Read.
@@ -233,13 +253,14 @@ func (s *Store) List(prefix string) []string {
 func (s *Store) Delete(path string) { delete(s.files, path) }
 
 // Corrupt flips a byte of the object at path (failure injection for the
-// metadata-validation tests). It reports whether the object existed.
+// metadata-validation tests), in a private copy that replaces it. It
+// reports whether the object existed.
 func (s *Store) Corrupt(path string) bool {
 	e, ok := s.files[path]
 	if !ok || len(e.data) == 0 {
 		return false
 	}
-	e.data[len(e.data)/2] ^= 0xFF
+	e.data = flipped(e.data, 0xFF)
 	s.files[path] = e
 	return true
 }

@@ -701,7 +701,8 @@ func splitCreationLog(creation []replay.Call) (mallocs, handles, comms []replay.
 // when all: the strategy-2 full-device copy) to the host directly through
 // the proxy server's device context — no streams involved, so it works
 // while the driver is corrupt or streams are wedged — charging PCIe
-// transfer time per buffer. A nil tr reads through the layer's handles.
+// transfer time per buffer. Each buffer is copied off its BufData view
+// before the transfer sleeps. A nil tr reads through the layer's handles.
 func (c *coordinator) readTensors(pr *vclock.Proc, rec *proxyRank, tr *cuda.Handles, all bool) (map[string]tensor.Vector, error) {
 	layer := rec.Layer
 	if tr == nil {
@@ -717,12 +718,12 @@ func (c *coordinator) readTensors(pr *vclock.Proc, rec *proxyRank, tr *cuda.Hand
 		if !ok {
 			return nil, fmt.Errorf("core: no physical buffer for %v", info.Handle)
 		}
-		data, err := rec.Server.Driver().BufData(phys)
+		view, err := rec.Server.Driver().BufData(phys)
 		if err != nil {
 			return nil, fmt.Errorf("core: read %s: %w", info.Tag, err)
 		}
+		out[train.TensorName(info.Tag, info.Seq)] = view.Clone()
 		pr.Sleep(gpu.TransferTime(info.Bytes, d2h))
-		out[train.TensorName(info.Tag, info.Seq)] = data
 	}
 	return out, nil
 }

@@ -326,6 +326,11 @@ func NewDriver(dev *gpu.Device, engine *nccl.Engine, kernels Registry, params Pa
 // whose driver is corrupt or whose streams are wedged — the caller charges
 // the transfer time explicitly. It fails when GPU state is not accessible
 // (sticky error) or the device is lost, the §4.2 strategy-3 cases.
+//
+// The result is a view of device memory, not a copy: it holds the buffer's
+// contents until the caller next yields, after which kernels, copies and a
+// repair may change or drop it. A caller that only encodes the contents
+// does so before yielding; one that keeps them copies them.
 func (d *Driver) BufData(b Buf) (tensor.Vector, error) {
 	if err := d.healthErr(); err != nil {
 		return nil, err
@@ -334,7 +339,7 @@ func (d *Driver) BufData(b Buf) (tensor.Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	return gb.Data.Clone(), nil
+	return gb.Data, nil
 }
 
 // Engine exposes the collective engine.

@@ -3,6 +3,7 @@ package erasure
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrTooManyErasures is returned by Reconstruct when fewer than k
@@ -59,17 +60,20 @@ func (c *Codec) ShardLen(dataLen int) int {
 	return n
 }
 
-// Split pads data to k equal shards of ShardLen(len(data)) bytes. The
-// shards copy the input; mutating data afterwards is safe.
+// Split pads data to k equal shards of ShardLen(len(data)) bytes and
+// returns them as consecutive slices of one padded buffer: data's own
+// backing array when its capacity holds k·ShardLen bytes, else one new
+// buffer with data copied in. The padding is zeroed, so the caller's spare
+// capacity may hold anything. The shards alias the buffer (each capped at
+// its own end), so neither data nor a shard may change while the other is
+// in use.
 func (c *Codec) Split(data []byte) [][]byte {
 	shardLen := c.ShardLen(len(data))
+	padded := slices.Grow(data, c.k*shardLen-len(data))[:c.k*shardLen]
+	clear(padded[len(data):])
 	shards := make([][]byte, c.k)
 	for i := range shards {
-		shards[i] = make([]byte, shardLen)
-		lo := i * shardLen
-		if lo < len(data) {
-			copy(shards[i], data[lo:])
-		}
+		shards[i] = padded[i*shardLen : (i+1)*shardLen : (i+1)*shardLen]
 	}
 	return shards
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func TestGFFieldAxioms(t *testing.T) {
@@ -130,9 +131,21 @@ func TestReconstructAllErasurePatterns(t *testing.T) {
 		}
 		data := make([]byte, 1+rng.Intn(200))
 		rng.Read(data)
-		frags, err := c.Encode(c.Split(data))
+		tight, roomy := payloads(c, data)
+		frags, err := c.Encode(c.Split(tight))
 		if err != nil {
 			t.Fatal(err)
+		}
+		// A payload whose capacity holds the padding stripes to the same
+		// fragments, without a copy.
+		inPlace, err := c.Encode(c.Split(roomy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range frags {
+			if !bytes.Equal(inPlace[i], frags[i]) {
+				t.Fatalf("k=%d m=%d: fragment %d differs between a tight and a roomy payload", k, m, i)
+			}
 		}
 		for _, erase := range eraseSubsets(k+m, m) {
 			work := make([][]byte, len(frags))
@@ -181,22 +194,75 @@ func TestReconstructBeyondBudgetFails(t *testing.T) {
 	}
 }
 
-func TestSplitJoinRoundTrip(t *testing.T) {
-	c, err := New(4, 0)
+// payloads returns data in the two shapes Split sees: a tight copy (no spare
+// capacity) and a roomy one whose spare capacity holds the k-shard padding,
+// filled with junk that Split must zero.
+func payloads(c *Codec, data []byte) (tight, roomy []byte) {
+	tight = append(make([]byte, 0, len(data)), data...)
+	roomy = make([]byte, len(data), c.k*c.ShardLen(len(data)))
+	copy(roomy, data)
+	for i := len(roomy); i < cap(roomy); i++ {
+		roomy[:cap(roomy)][i] = 0xee
+	}
+	return tight, roomy
+}
+
+// checkSplit asserts Split's contract for one payload: k shards of
+// ShardLen bytes laid end to end in one buffer, that buffer being the
+// payload's own when its capacity holds the padding, zero padding, and
+// Join(Split(x)) == x.
+func checkSplit(t *testing.T, c *Codec, payload []byte) {
+	t.Helper()
+	want := append([]byte(nil), payload...)
+	roomy := cap(payload) >= c.k*c.ShardLen(len(payload))
+	shards := c.Split(payload)
+	if len(shards) != c.k {
+		t.Fatalf("Split gave %d shards, want %d", len(shards), c.k)
+	}
+	shardLen := c.ShardLen(len(want))
+	padded := unsafe.Slice(unsafe.SliceData(shards[0]), c.k*shardLen)
+	for i, s := range shards {
+		if len(s) != shardLen || cap(s) != shardLen {
+			t.Fatalf("shard %d has len %d cap %d, want both %d", i, len(s), cap(s), shardLen)
+		}
+		if &s[0] != &padded[i*shardLen] {
+			t.Fatalf("shard %d does not follow shard %d in one buffer", i, i-1)
+		}
+	}
+	if aliased := &padded[0] == unsafe.SliceData(payload); aliased != roomy {
+		t.Fatalf("len %d cap %d: shards alias the payload = %v, want %v", len(payload), cap(payload), aliased, roomy)
+	}
+	if !bytes.Equal(padded[:len(want)], want) {
+		t.Fatal("the padded buffer does not start with the payload")
+	}
+	for i, b := range padded[len(want):] {
+		if b != 0 {
+			t.Fatalf("padding byte %d is %#x, want 0", i, b)
+		}
+	}
+	got, err := c.Join(shards, len(want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{0, 1, 3, 4, 5, 16, 17, 1023} {
-		data := make([]byte, n)
-		for i := range data {
-			data[i] = byte(i * 31)
-		}
-		got, err := c.Join(c.Split(data), n)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("len %d: Join(Split(x)) differs from x", len(want))
+	}
+}
+
+func TestSplitJoinRoundTrip(t *testing.T) {
+	for _, k := range []int{1, 3, 4} {
+		c, err := New(k, 0)
 		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("n=%d: round trip differs", n)
+		for _, n := range []int{0, 1, 3, 4, 5, 16, 17, 1023} {
+			data := make([]byte, n)
+			for i := range data {
+				data[i] = byte(i * 31)
+			}
+			tight, roomy := payloads(c, data)
+			checkSplit(t, c, tight)
+			checkSplit(t, c, roomy)
 		}
 	}
 }

@@ -258,7 +258,9 @@ func (l *Layer) Handles() *cuda.Handles { return l.handles }
 // The peer-replication path uses it to capture post-optimizer state at a
 // minibatch boundary without issuing stream work, so the streaming of that
 // state to peer CPU memory can overlap the next minibatch (§3.1's
-// interception transparency extended to the shelter tier).
+// interception transparency extended to the shelter tier). Like
+// cuda.Driver.BufData it returns a view of device memory, valid until the
+// caller next yields.
 func (l *Layer) BufData(b cuda.Buf) (tensor.Vector, error) {
 	pb, ok := cuda.Lookup(l.handles, cuda.BufHandle, b)
 	if !ok {

@@ -299,27 +299,43 @@ func (s *Shelter) ReadBytes() int64 {
 	return total
 }
 
-// commit writes one rank's state into a host node's store with the
+// encode lays a peeked state out once, in a buffer with room for the
+// stripe's padding so erasure.Codec.Split can slice it in place; replication
+// writes the same bytes to every host.
+func (s *Shelter) encode(ms *train.ModelState) (checkpoint.RankImage, error) {
+	n, err := ms.EncodedLen()
+	if err != nil {
+		return checkpoint.RankImage{}, err
+	}
+	room := n
+	if s.codec != nil {
+		room = s.params.DataShards * s.codec.ShardLen(n)
+	}
+	data, err := ms.AppendEncode(make([]byte, 0, room))
+	return checkpoint.RankImage{Iter: ms.Iter, Rank: ms.Rank, Data: data}, err
+}
+
+// commit writes one rank's encoded state into a host node's store with the
 // META-last protocol — retrying transient store faults with bounded
 // backoff — then prunes that rank's old iterations beyond the retention
 // window. It is called from the replicator's background process, which
 // owns the timing.
-func (s *Shelter) commit(p *vclock.Proc, node int, ms *train.ModelState, stateBytes int64) error {
+func (s *Shelter) commit(p *vclock.Proc, node int, img checkpoint.RankImage, stateBytes int64) error {
 	st := s.Host(node)
 	if st == nil {
 		return fmt.Errorf("peerckpt: host node %d is lost", node)
 	}
-	sp := trace.Of(s.env).Begin(p.Now(), "peer", trace.Rank(ms.Rank), "shelter-commit",
-		"node", node, "iter", ms.Iter)
-	dir := checkpoint.RankDir(s.job, PolicyName, ms.Iter, ms.Rank)
-	if err := checkpoint.WriteRankRetry(p, st, dir, ms, stateBytes); err != nil {
+	sp := trace.Of(s.env).Begin(p.Now(), "peer", trace.Rank(img.Rank), "shelter-commit",
+		"node", node, "iter", img.Iter)
+	dir := checkpoint.RankDir(s.job, PolicyName, img.Iter, img.Rank)
+	if err := checkpoint.WriteImage(p, st, dir, img, stateBytes); err != nil {
 		sp.End(p.Now(), "err", err)
 		return err
 	}
 	sp.End(p.Now())
 	s.commits++
 	s.bytesSheltered += stateBytes
-	s.pruneRank(st, ms.Rank, ms.Iter)
+	s.pruneRank(st, img.Rank, img.Iter)
 	return nil
 }
 
@@ -477,9 +493,18 @@ func (s *Shelter) NewReplicator(rank int, dev *gpu.Device, hosts []int, stateByt
 		Env: s.env, Stats: &s.captures, Rank: rank, Dev: dev,
 		Bytes: stateBytes, D2HBW: d2hBW,
 		Cat: "peer", Span: "replicate", Proc: fmt.Sprintf("peerrepl.r%d", rank),
-		Ship: r.ship,
+		Take: r.take,
 	}
 	return r
+}
+
+// take encodes the peeked state (Shelter.encode) for the ship that follows.
+func (r *Replicator) take(ms *train.ModelState) func(p *vclock.Proc) {
+	img, err := r.shelter.encode(ms)
+	if err != nil {
+		return nil
+	}
+	return func(p *vclock.Proc) { r.ship(p, img) }
 }
 
 // Offer streams the worker's post-optimizer state to the assigned shelter
@@ -497,12 +522,12 @@ func (r *Replicator) Offer(w checkpoint.StatePeeker) {
 	s.captures.Skips++
 }
 
-// ship commits the staged state to every surviving assigned host — whole
+// ship commits the staged image to every surviving assigned host — whole
 // entries in replication mode, one fragment each in striped mode.
-func (r *Replicator) ship(p *vclock.Proc, ms *train.ModelState) {
+func (r *Replicator) ship(p *vclock.Proc, img checkpoint.RankImage) {
 	s := r.shelter
 	if s.params.Striped() {
-		r.shipStripe(p, ms)
+		r.shipStripe(p, img)
 		return
 	}
 	s.bytesProtected += r.Bytes
@@ -510,6 +535,6 @@ func (r *Replicator) ship(p *vclock.Proc, ms *train.ModelState) {
 		if s.lost[n] {
 			continue
 		}
-		s.commit(p, n, ms, r.Bytes)
+		s.commit(p, n, img, r.Bytes)
 	}
 }

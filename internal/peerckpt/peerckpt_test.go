@@ -20,6 +20,15 @@ func testState(iter, rank int) *train.ModelState {
 	}
 }
 
+func testImage(t *testing.T, iter, rank int) checkpoint.RankImage {
+	t.Helper()
+	data, err := testState(iter, rank).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return checkpoint.RankImage{Iter: iter, Rank: rank, Data: data}
+}
+
 // fakePeeker serves successive iterations' states for one rank.
 type fakePeeker struct {
 	rank int
@@ -145,7 +154,7 @@ func TestMarkNodeLostRemovesCoverage(t *testing.T) {
 		// Shelter ranks 0..3 split across nodes 5 and 6.
 		for rank := 0; rank < 4; rank++ {
 			node := 5 + rank%2
-			if err := s.commit(p, node, testState(7, rank), 1e6); err != nil {
+			if err := s.commit(p, node, testImage(t, 7, rank), 1e6); err != nil {
 				t.Errorf("commit rank %d: %v", rank, err)
 			}
 		}
@@ -177,7 +186,7 @@ func TestMarkNodeLostRemovesCoverage(t *testing.T) {
 	// Commits routed at a lost node must fail, and the shelter must not
 	// resurrect it.
 	env.Go("w2", func(p *vclock.Proc) {
-		if err := s.commit(p, 5, testState(8, 0), 1e6); err == nil {
+		if err := s.commit(p, 5, testImage(t, 8, 0), 1e6); err == nil {
 			t.Error("commit to lost node succeeded")
 		}
 	})

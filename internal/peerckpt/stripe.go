@@ -12,27 +12,24 @@ import (
 	"jitckpt/internal/vclock"
 )
 
-// shipStripe encodes one rank's state into k+m fragments and commits
-// fragment i to r.hosts[i]. Called from the replicator's background
+// shipStripe stripes one rank's encoded state into k+m fragments and
+// commits fragment i to r.hosts[i]. Called from the replicator's background
 // process after D2H staging; the encode cost is charged here, overlapped
-// with the next minibatch like the transfers themselves.
-func (r *Replicator) shipStripe(p *vclock.Proc, ms *train.ModelState) {
+// with the next minibatch like the transfers themselves. The data
+// fragments are slices of img.Data, whose capacity already holds the
+// padding; only the parity is new.
+func (r *Replicator) shipStripe(p *vclock.Proc, img checkpoint.RankImage) {
 	s := r.shelter
 	k, m := s.params.DataShards, s.params.ParityShards
 	if s.NotePhase != nil {
 		s.NotePhase(r.Rank, failure.PhaseEncode)
 	}
 	sp := trace.Of(s.env).Begin(p.Now(), "peer", trace.Rank(r.Rank), "rs-encode",
-		"iter", ms.Iter, "k", k, "m", m)
-	data, err := ms.Encode()
-	if err != nil {
-		sp.End(p.Now(), "err", err)
-		return
-	}
+		"iter", img.Iter, "k", k, "m", m)
 	t0 := p.Now()
 	// Charge the GF(2^8) table-multiply cost over the modelled payload.
 	p.Sleep(gpu.TransferTime(r.Bytes, s.params.CodecBandwidth))
-	frags, err := s.codec.Encode(s.codec.Split(data))
+	frags, err := s.codec.Encode(s.codec.Split(img.Data))
 	if err != nil {
 		sp.End(p.Now(), "err", err)
 		return
@@ -43,7 +40,7 @@ func (r *Replicator) shipStripe(p *vclock.Proc, ms *train.ModelState) {
 	sp.End(p.Now())
 
 	fragBytes := (r.Bytes + int64(k) - 1) / int64(k)
-	dataSum := checkpoint.Sum(data)
+	dataSum := checkpoint.Sum(img.Data)
 	for i, n := range r.hosts {
 		if i >= len(frags) {
 			break
@@ -52,8 +49,8 @@ func (r *Replicator) shipStripe(p *vclock.Proc, ms *train.ModelState) {
 			continue
 		}
 		fm := checkpoint.FragMeta{
-			Iter: ms.Iter, Rank: ms.Rank, Frag: i, K: k, M: m,
-			DataLen: len(data), DataSum: dataSum,
+			Iter: img.Iter, Rank: img.Rank, Frag: i, K: k, M: m,
+			DataLen: len(img.Data), DataSum: dataSum,
 		}
 		s.commitFrag(p, n, fm, frags[i], fragBytes)
 	}

@@ -365,9 +365,16 @@ func (g *Guard) NewKeeper(rank int, dev *gpu.Device, stateBytes int64, d2hBW flo
 		Env: g.env, Stats: &g.captures, Rank: rank, Dev: dev,
 		Bytes: stateBytes, D2HBW: d2hBW,
 		Cat: "pipe", Span: "retain", Proc: fmt.Sprintf("pipekeep.r%d", rank),
-		Ship: k.ship,
+		Take: k.take,
 	}
 	return k
+}
+
+// take copies the peeked state off its device view, once: the bundles keep
+// it past the next minibatch.
+func (k *Keeper) take(ms *train.ModelState) func(p *vclock.Proc) {
+	own := cloneModelState(ms)
+	return func(p *vclock.Proc) { k.ship(p, own) }
 }
 
 // ship retains the staged image on the owner's own node and streams it to

@@ -2,6 +2,7 @@ package train
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"jitckpt/internal/vclock"
@@ -46,5 +47,52 @@ func TestIterationAllocBudget(t *testing.T) {
 	const budget = 2.4
 	if perIter > budget {
 		t.Errorf("one 2-rank training iteration allocates %.2f objects, budget is %.1f", perIter, budget)
+	}
+}
+
+// TestBoundaryReadsCopyOnce pins what the privileged boundary reads cost in
+// bytes, as runtime.MemStats.TotalAlloc deltas: PeekModelState hands out
+// device views (a map and names, no tensor bytes), and pushGradRing copies
+// the gradients the ring keeps exactly once.
+func TestBoundaryReadsCopyOnce(t *testing.T) {
+	model := ModelSpec{Layers: 4, Hidden: 128, Seed: 42, ParamBytesPerGPU: 1 << 24, OptBytesPerGPU: 1 << 25}
+	j := newJob(t, Topology{D: 1, P: 1, T: 1}, model, DefaultOptimizer())
+	w := j.workers[0]
+	w.EnableGradRing(2)
+	j.env.Go("rank0", func(p *vclock.Proc) {
+		if err := w.Setup(p, 0); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := w.RunIters(p, 3); err != nil { // fills the ring
+			t.Error(err)
+			return
+		}
+		var m0, m1, m2 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		ms, err := w.PeekModelState()
+		runtime.ReadMemStats(&m1)
+		w.pushGradRing(w.iter)
+		runtime.ReadMemStats(&m2)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		tensorBytes := uint64(4 * len(ms.Tensors[ParamTensorName(0)]))
+		t.Logf("peek: %d bytes (one tensor is %d); ring push: %d bytes", m1.TotalAlloc-m0.TotalAlloc, tensorBytes, m2.TotalAlloc-m1.TotalAlloc)
+		if peek := m1.TotalAlloc - m0.TotalAlloc; peek > 4<<10 {
+			t.Errorf("PeekModelState allocates %d bytes; one tensor is %d, so it copied device memory", peek, tensorBytes)
+		}
+		kept, _ := w.gradRing.GradAt(w.iter)
+		var gradBytes uint64
+		for _, g := range kept {
+			gradBytes += uint64(4 * len(g))
+		}
+		if push := m2.TotalAlloc - m1.TotalAlloc; push > gradBytes+4<<10 {
+			t.Errorf("pushGradRing allocates %d bytes to keep %d bytes of gradients", push, gradBytes)
+		}
+	})
+	if err := j.env.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -100,10 +100,11 @@ func (w *Worker) GradScale() float32 {
 	return float32(1) / float32(w.cfg.Topo.D*w.accumFactor())
 }
 
-// pushGradRing clones the synchronized gradient shards of the minibatch
-// that just retired into the ring. Runs at the minibatch boundary, after
-// the compute stream synchronized, so ls.g holds the all-reduced gradient
-// the optimizer consumed.
+// pushGradRing copies the synchronized gradient shards of the minibatch
+// that just retired into the ring, once each: BufData's views die when the
+// worker next yields, and the ring keeps them for several minibatches. Runs
+// at the minibatch boundary, after the compute stream synchronized, so ls.g
+// holds the all-reduced gradient the optimizer consumed.
 func (w *Worker) pushGradRing(iter int) {
 	pk, ok := w.cfg.API.(statePeeker)
 	if !ok {
@@ -111,11 +112,11 @@ func (w *Worker) pushGradRing(iter int) {
 	}
 	grads := make(map[string]tensor.Vector, len(w.layers))
 	for _, ls := range w.layers {
-		data, err := pk.BufData(ls.g)
+		view, err := pk.BufData(ls.g)
 		if err != nil {
 			return
 		}
-		grads[ParamTensorName(ls.global)] = data.Clone()
+		grads[ParamTensorName(ls.global)] = view.Clone()
 	}
 	w.gradRing.Push(iter, grads)
 }

@@ -60,9 +60,10 @@ func (w *Worker) SaveModelState(p *vclock.Proc) (*ModelState, error) {
 
 // statePeeker is the privileged zero-time buffer read some device APIs
 // expose outside the cuda.API interface (cuda.Driver.BufData, and the
-// interception layer's virtual-handle passthrough). The peer-replication
-// path uses it to capture state at a minibatch boundary without touching
-// the worker's streams; the caller charges transfer time separately.
+// interception layer's virtual-handle passthrough). The in-memory tiers use
+// it to capture state at a minibatch boundary without touching the worker's
+// streams; the caller charges transfer time separately. What it returns is
+// a view of device memory, valid until the caller next yields.
 type statePeeker interface {
 	BufData(b cuda.Buf) (tensor.Vector, error)
 }
@@ -74,6 +75,11 @@ type statePeeker interface {
 // are the post-optimizer state of the iteration just finished and Iter
 // names the next minibatch). Callers model the actual D2H staging cost
 // themselves — that is what lets replication overlap the next minibatch.
+//
+// The tensors are views of the device buffers, not copies: they hold the
+// boundary's state only until the caller next yields, when the next
+// minibatch may start writing them. A caller that only encodes them does so
+// before yielding; one that keeps them copies them.
 func (w *Worker) PeekModelState() (*ModelState, error) {
 	pk, ok := w.cfg.API.(statePeeker)
 	if !ok {
@@ -149,17 +155,39 @@ const stateMagic = "JMS\x01"
 // element's IEEE-754 bits in 32 bits. Go's map order never reaches the
 // bytes, so they — and with them a checkpoint's checksums and the byte a
 // chaos bit-flip lands on — are a function of the state alone.
-func (ms *ModelState) Encode() ([]byte, error) {
-	names := ms.names()
-	size := len(stateMagic) + 8 + 8 + 4
+func (ms *ModelState) Encode() ([]byte, error) { return ms.AppendEncode(nil) }
+
+// EncodedLen returns the length of ms's encoding, or the error Encode
+// would return.
+func (ms *ModelState) EncodedLen() (int, error) {
+	_, size, err := ms.layout()
+	return size, err
+}
+
+// layout returns the tensor names in encoding order and the encoded size.
+func (ms *ModelState) layout() (names []string, size int, err error) {
+	names = ms.names()
+	size = len(stateMagic) + 8 + 8 + 4
 	for _, n := range names {
 		if uint64(len(n)) > math.MaxUint32 || uint64(len(ms.Tensors[n])) > math.MaxUint32 {
-			return nil, fmt.Errorf("train: encode model state: tensor %.40q does not fit the 32-bit layout", n)
+			return nil, 0, fmt.Errorf("train: encode model state: tensor %.40q does not fit the 32-bit layout", n)
 		}
 		size += 4 + len(n) + 4 + 4*len(ms.Tensors[n])
 	}
+	return names, size, nil
+}
+
+// AppendEncode appends ms's encoding (see Encode) to b, growing it at most
+// once: a b with room for EncodedLen more bytes is filled in place.
+func (ms *ModelState) AppendEncode(b []byte) ([]byte, error) {
+	names, size, err := ms.layout()
+	if err != nil {
+		return nil, err
+	}
 	le := binary.LittleEndian
-	b := make([]byte, 0, size)
+	if cap(b)-len(b) < size {
+		b = append(make([]byte, 0, len(b)+size), b...)
+	}
 	b = append(b, stateMagic...)
 	b = le.AppendUint64(b, uint64(ms.Iter))
 	b = le.AppendUint64(b, uint64(ms.Rank))
