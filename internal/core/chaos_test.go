@@ -132,9 +132,8 @@ func TestTransparentReentrantRecovery(t *testing.T) {
 	ref := referenceLoss(t, wl, iters)
 	res := mustRun(t, JobConfig{
 		WL: wl, Policy: PolicyTransparentJIT, Iters: iters, Seed: 1, CollectLoss: true,
-		HangTimeout:            2 * vclock.Second,
-		RecoveryAttemptTimeout: 10 * vclock.Second,
-		IterFailures:           injectAt(wl, 5.3, 1, failure.NetworkHang),
+		HangTimeout:  2 * vclock.Second,
+		IterFailures: injectAt(wl, 5.3, 1, failure.NetworkHang),
 		Chaos: &ChaosConfig{
 			PhaseInjections: []failure.PhaseInjection{{
 				Phase:      failure.PhaseCommInit,

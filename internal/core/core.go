@@ -112,8 +112,7 @@ const (
 	PolicyPipeFree
 )
 
-// FlushTarget is where a policy's failure-time user-level JIT flush (§3)
-// lands.
+// FlushTarget is where a policy's failure-time JIT save (§3, §4.3) lands.
 type FlushTarget int
 
 const (
@@ -140,9 +139,10 @@ type PolicyInfo struct {
 	Key     string
 	Aliases []string
 
-	// JITFlush is the failure-time flush target; anything but FlushNone
-	// puts the interception layer, GIL and checkpoint-quorum wait on
-	// every rank.
+	// JITFlush is where the healthy replicas' failure-time save lands. In
+	// the restart loop anything but FlushNone puts the interception layer,
+	// GIL and checkpoint-quorum wait on every rank; the transparent hard
+	// path (§4.3) saves there from the proxy side.
 	JITFlush FlushTarget
 	// Periodic runs the checkpoint.Periodic saver of the given Kind at
 	// minibatch boundaries and restores from its namespace.
@@ -175,7 +175,7 @@ var policyTable = func() []PolicyInfo {
 		PolicyCheckFreq:        {Name: "CheckFreq", Key: "checkfreq", Periodic: true, Kind: checkpoint.CheckFreq},
 		PolicyPCDaily:          {Name: "PC_1/day", Key: "pc_daily", Periodic: true, Kind: checkpoint.PCDaily},
 		PolicyUserJIT:          {Name: "UserJIT", Key: "userjit", JITFlush: FlushDisk},
-		PolicyTransparentJIT:   {Name: "TransparentJIT", Key: "transparent", Aliases: []string{"jit"}, Transparent: true},
+		PolicyTransparentJIT:   {Name: "TransparentJIT", Key: "transparent", Aliases: []string{"jit"}, JITFlush: FlushDisk, Transparent: true},
 		PolicyJITWithDaily:     {Name: "UserJIT+PC_1/day", Key: "jit+daily", JITFlush: FlushDisk, Periodic: true, Kind: checkpoint.PCDaily},
 		PolicyPeerShelter:      {Name: "PeerShelter", Key: "peer", JITFlush: FlushShelter, Peer: true},
 		PolicyJITWithPeer:      {Name: "UserJIT+Peer", Key: "jit+peer", JITFlush: FlushDisk, Peer: true},

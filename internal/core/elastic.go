@@ -104,16 +104,16 @@ func (h *harness) requestYield() bool {
 
 // elasticSave persists a degraded worker's state to disk under the
 // elastic namespace so the full-width restart (or an oracle run sharing
-// the store) can restore it, counting it toward the incarnation's quorum
-// q. It runs in the worker's own process at a clean iteration boundary —
+// the store) can restore it, counting it toward the incarnation's episode
+// e. It runs in the worker's own process at a clean iteration boundary —
 // this is a planned, user-level save, not a failure-time JIT flush, so
 // trace invariant 3 does not apply to it.
-func (h *harness) elasticSave(p *vclock.Proc, w *train.Worker, q *quorum) error {
+func (h *harness) elasticSave(p *vclock.Proc, w *train.Worker, e *episode) error {
 	rank := w.Rank()
 	sp := trace.Of(h.env).Begin(p.Now(), "ckpt", trace.Rank(rank), "elastic-save", "iter", w.Iter())
 	ms, err := w.SaveModelState(p)
 	if err == nil {
-		err = h.saveRank(p, h.disk, ElasticPolicyName, ms, q)
+		err = e.saveTo(p, h.disk, ElasticPolicyName, ms)
 	}
 	if err != nil {
 		sp.End(p.Now(), "err", err)

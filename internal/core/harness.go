@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"strings"
 
 	"jitckpt/internal/analysis"
 	"jitckpt/internal/checkpoint"
@@ -73,9 +71,6 @@ type JobConfig struct {
 	// Chaos configures storage-fault and recovery-phase fault injection
 	// (nil = none).
 	Chaos *ChaosConfig
-	// RecoveryAttemptTimeout bounds one transparent-recovery attempt
-	// before the coordinator restarts it (0 = derived default).
-	RecoveryAttemptTimeout vclock.Time
 	// Recorder, when set, is attached to the run's environment and
 	// receives the structured event trace (spans and instants from every
 	// instrumented layer); it is the run's one observability input. One
@@ -192,6 +187,23 @@ func Run(cfg JobConfig) (*RunResult, error) {
 	if cfg.Shared != nil {
 		return nil, errors.New("core: Run with JobConfig.Shared set; use StartJob")
 	}
+	h, err := start(cfg)
+	if h == nil {
+		return nil, err
+	}
+	if err == nil {
+		err = h.env.RunUntil(h.cfg.Horizon)
+	}
+	if err == nil {
+		h.finish()
+	}
+	return h.res, err
+}
+
+// start validates cfg, applies its defaults, builds the job's harness and
+// launches its processes. A harness comes back with an error only when the
+// launch failed.
+func start(cfg JobConfig) (*harness, error) {
 	if err := prepare(&cfg); err != nil {
 		return nil, err
 	}
@@ -199,14 +211,7 @@ func Run(cfg JobConfig) (*RunResult, error) {
 	if err := h.setup(); err != nil {
 		return nil, err
 	}
-	if err := h.launch(); err != nil {
-		return h.res, err
-	}
-	if err := h.env.RunUntil(h.cfg.Horizon); err != nil {
-		return h.res, err
-	}
-	h.finish()
-	return h.res, nil
+	return h, h.launch()
 }
 
 // prepare validates the config and applies defaults.
@@ -719,511 +724,4 @@ func (h *harness) noteDetected(rank int, by string) {
 		lane = trace.Rank(rank)
 	}
 	trace.Of(h.env).Instant(t, "fail", lane, "detected", "by", by)
-}
-
-// ---------------------------------------------------------------------
-// Incarnation-based policies: none, periodic, user-level JIT.
-// ---------------------------------------------------------------------
-
-// incarnation runs one job incarnation; it reports how it ended.
-type incarnationEnd int
-
-const (
-	endCompleted incarnationEnd = iota
-	endFailed
-	endHorizon
-	// endExpand: degraded workers stopped and checkpointed so the next
-	// incarnation can restart at full width on repaired nodes.
-	endExpand
-	// endYield: workers stopped and checkpointed for an arbiter-requested
-	// preemption; the next incarnation re-allocates under the arbiter's
-	// reservations (and typically takes the elastic shrink path).
-	endYield
-)
-
-func (e incarnationEnd) String() string {
-	return [...]string{"completed", "failed", "horizon", "expand", "yield"}[e]
-}
-
-func (h *harness) runIncarnations() error {
-	// The whole incarnation loop runs inside a supervisor process.
-	h.doneRanks = make(map[int]bool)
-	name := "supervisor"
-	if h.shared != nil {
-		name = h.label + ".supervisor"
-	}
-	h.env.Go(name, func(p *vclock.Proc) {
-		if h.shared != nil {
-			defer h.jobDone()
-		}
-		for {
-			end := h.runOneIncarnation(p)
-			h.res.Incarnations++
-			if end == endCompleted || end == endHorizon {
-				return
-			}
-			if h.res.Incarnations > 50 {
-				return
-			}
-		}
-	})
-	return nil
-}
-
-// awaitCapacity parks p in wait until capacity may have changed or the
-// horizon passes, charging the time to WaitingForCapacity; false means the
-// horizon is already behind.
-func (h *harness) awaitCapacity(p *vclock.Proc, wait func(*vclock.Proc, vclock.Time) bool) bool {
-	timeout := h.cfg.Horizon - p.Now()
-	if timeout <= 0 {
-		return false
-	}
-	t0 := p.Now()
-	wait(p, timeout)
-	h.waitCap += p.Now() - t0
-	return true
-}
-
-// allocate reserves the incarnation's nodes, shrinking — or waiting for a
-// planned repair or a fleet capacity change — when no full placement
-// exists. Fixed-width single-job policies give up until the horizon
-// (ok=false); elastic policies degrade instead of dying.
-func (h *harness) allocate(p *vclock.Proc) ([]*gpu.Node, bool) {
-	wl := h.cfg.WL
-	nodes, err := h.pool.Allocate(h.nodes, nil)
-	for err != nil {
-		var wait func(*vclock.Proc, vclock.Time) bool
-		if h.pol.Elastic {
-			if topo, n, ok := shrink(h.topo, wl.PerNode, h.pool.FreeHealthy(), h.minNodes); ok {
-				// Accumulation is relative to the FULL width, so nested
-				// shrinks keep the global batch.
-				h.topo, h.nodes, h.expandAt = topo, n, -1
-				h.accum = wl.Topo.D / topo.D * max(h.cfg.Accum, 1)
-				h.res.Shrinks++
-				trace.Of(h.env).Instant(p.Now(), "elastic", trace.LaneSim, "shrink",
-					"world", topo.World(), "accum", h.accum, "nodes", n)
-				nodes, err = h.pool.Allocate(n, nil)
-				continue
-			}
-			if h.injector.RepairsPending() {
-				wait = h.injector.AwaitRepair
-			}
-		}
-		if wait == nil && h.shared != nil {
-			// Fleet job: block until cluster capacity may have changed (a
-			// release, repair, or reservation shift), then retry.
-			wait = h.shared.AwaitCapacity
-		}
-		if wait == nil {
-			return nil, false
-		}
-		if !h.awaitCapacity(p, wait) {
-			return nil, false
-		}
-		nodes, err = h.pool.Allocate(h.nodes, nil)
-	}
-	return nodes, true
-}
-
-func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
-	cfg := h.cfg
-	wl := cfg.WL
-
-	// Elastic re-expand at the incarnation boundary: a degraded job
-	// returns to full width as soon as the repaired capacity exists. The
-	// rejoining ranks bootstrap from the degraded era's checkpoints —
-	// position keys are width-invariant, so cross-world assembly hands
-	// every new rank a surviving replica's state.
-	if h.degraded() && h.pool.FreeHealthy() >= wl.Nodes {
-		h.topo, h.accum, h.nodes, h.expandAt = wl.Topo, max(cfg.Accum, 1), wl.Nodes, -1
-		h.res.Expands++
-		trace.Of(h.env).Instant(p.Now(), "elastic", trace.LaneSim, "expand",
-			"world", h.topo.World(), "nodes", h.nodes)
-	}
-
-	nodes, ok := h.allocate(p)
-	if !ok {
-		return endHorizon
-	}
-	// A pending yield is consumed by re-allocation: the job now holds
-	// exactly what the arbiter's reservations allow; a still-unsatisfied
-	// arbiter will simply request another yield.
-	h.yieldAt = -1
-	h.heldNodes = len(nodes)
-	defer func() { h.heldNodes = 0 }()
-	defer h.pool.Release(nodes)
-
-	world := h.topo.World()
-	isp := trace.Of(h.env).Begin(p.Now(), "core", trace.LaneSim, "incarnation",
-		"gen", h.gen, "world", world)
-	defer func() { isp.End(p.Now(), "end", end) }()
-
-	placement, err := scheduler.Place(nodes, world)
-	if err != nil {
-		return endHorizon
-	}
-	h.placement = placement
-	// Completion is judged against the CURRENT world: stale done-marks
-	// from a wider incarnation must not count.
-	h.doneRanks = make(map[int]bool)
-	for _, t := range h.tiers {
-		if t.plan == nil {
-			continue
-		}
-		if err := t.plan(p); err != nil {
-			return endHorizon
-		}
-	}
-	// lastBeat entries appear when a rank starts its first minibatch;
-	// the heartbeat watchdog ignores ranks still in setup (communicator
-	// rendezvous and checkpoint restore legitimately take tens of
-	// seconds).
-	h.lastBeat = make(map[int]vclock.Time)
-	// The checkpoint quorum belongs to this incarnation: saves an earlier
-	// episode noted must not satisfy this one's restart.
-	q := newQuorum(h.topo)
-
-	type rankStack struct {
-		worker *train.Worker
-		layer  *intercept.Layer
-		ujit   *UserLevelRank
-		savers []rankSaver
-		proc   *vclock.Proc
-	}
-	stacks := make([]*rankStack, world)
-
-	// One completion event per incarnation. how records why it fired: the
-	// last worker done, every worker at a planned stop (expand or yield)
-	// with its state persisted, or a failure — which overrides the others
-	// for as long as the supervisor has not yet acted on them.
-	ended := h.env.NewEvent(fmt.Sprintf("job.ended.g%d", h.gen))
-	how := endCompleted
-	endWith := func(e incarnationEnd) {
-		if !ended.Triggered() || e == endFailed {
-			how = e
-		}
-		ended.Trigger()
-	}
-	// fail is the one way a rank (or, with rank -1, the heartbeat) ends
-	// the incarnation in failure.
-	fail := func(rank int, by string) {
-		h.noteDetected(rank, by)
-		endWith(endFailed)
-	}
-	doneCount, stopCount := 0, 0
-
-	for r := 0; r < world; r++ {
-		drv, err := cuda.NewDriver(placement[r], h.engine, h.kernels, wl.CUDAParams())
-		if err != nil {
-			return endHorizon
-		}
-		st := &rankStack{}
-		var api cuda.API = drv
-		var gil *vclock.Mutex
-		if h.flush != nil {
-			gil = vclock.NewMutex(h.env, fmt.Sprintf("gil%d", r))
-			st.layer = intercept.New(h.env, drv, fmt.Sprintf("rank%d", r), intercept.Config{
-				Mode:        intercept.ModeUserLevel,
-				HangTimeout: cfg.HangTimeout,
-			})
-			api = st.layer
-		}
-		worker, err := train.NewWorker(h.workerConfig(r, api, gil, st.layer))
-		if err != nil {
-			return endHorizon
-		}
-		st.worker = worker
-		if st.layer != nil {
-			ns, to := h.flush(r)
-			st.ujit = &UserLevelRank{
-				Rank: r, Layer: st.layer, Worker: worker, GIL: gil,
-				Save: func(p *vclock.Proc, ms *train.ModelState) error {
-					return h.saveRank(p, to, ns, ms, q)
-				},
-				NotePhase: func() { h.injector.NotePhase(r, failure.PhaseCheckpoint) },
-			}
-			st.layer.SetOnFault(st.ujit.Hook())
-		}
-		for _, t := range h.tiers {
-			if t.saver != nil {
-				st.savers = append(st.savers, rankSaver{t.saveLabel, t.saver(r, worker)})
-			}
-		}
-		stacks[r] = st
-	}
-
-	// Launch workers.
-	for r := 0; r < world; r++ {
-		st := stacks[r]
-		st.proc = h.env.Go(fmt.Sprintf("worker%d.g%d", r, h.gen), func(wp *vclock.Proc) {
-			if st.ujit != nil {
-				st.ujit.MainProc = wp
-			}
-			if err := st.worker.Setup(wp, h.gen); err != nil {
-				fail(r, "setup")
-				return
-			}
-			// Restore from the newest usable checkpoint, if any.
-			if h.res.Incarnations > 0 || h.hasCheckpoint() {
-				restored, rerr := h.restoreRank(wp, st.worker, r)
-				if rerr != nil {
-					// A checkpoint was assembled but could not be read or
-					// loaded (e.g. a fault mid-restore): fail the
-					// incarnation rather than silently restarting this one
-					// rank at iteration 0 while its peers resume at N.
-					fail(r, "restore")
-					return
-				}
-				if !restored {
-					// No checkpoint: restart from scratch.
-					st.worker.SetIter(0)
-				}
-			}
-			for st.worker.Iter() < cfg.Iters {
-				// Planned stops (elastic jobs only: nothing else sets
-				// expandAt or yieldAt): a mid-run expand (degraded workers
-				// stop at the scheduled iteration so the next incarnation
-				// can restart at full width on repaired nodes) or an
-				// arbiter-requested preemption yield (the next incarnation
-				// re-allocates under reservations and shrinks). Either way
-				// every worker persists its state first; the per-iteration
-				// all-reduce keeps ranks in lockstep, so all of them stop at
-				// the same iteration.
-				stop, by := endCompleted, ""
-				if h.expandAt >= 0 && st.worker.Iter() >= h.expandAt {
-					stop, by = endExpand, "elastic-save"
-				} else if h.yieldAt >= 0 && st.worker.Iter() >= h.yieldAt {
-					stop, by = endYield, "yield-save"
-				}
-				if by != "" {
-					if err := h.elasticSave(wp, st.worker, q); err != nil {
-						fail(r, by)
-						return
-					}
-					if stopCount++; stopCount == world {
-						endWith(stop)
-					}
-					return
-				}
-				if _, err := st.worker.RunIter(wp); err != nil {
-					fail(r, "iter-error")
-					return
-				}
-				for _, sv := range st.savers {
-					stall, err := sv.save(wp)
-					if err != nil {
-						fail(r, sv.label)
-						return
-					}
-					if stall > 0 && r == h.refRank {
-						h.ckptStall += stall
-						h.ckptCount++
-					}
-				}
-			}
-			h.doneRanks[r] = true
-			if doneCount++; doneCount == world {
-				endWith(endCompleted)
-			}
-		})
-	}
-
-	// Heartbeat watchdog: declares failure when progress stalls (the
-	// periodic baselines have no interception layer to detect hangs).
-	h.env.Go(fmt.Sprintf("heartbeat.g%d", h.gen), func(hp *vclock.Proc) {
-		// A degraded iteration runs accum microbatches, so heartbeats
-		// legitimately arrive accum× further apart.
-		mbEff := wl.Minibatch * vclock.Time(max(h.accum, 1))
-		// A saver that runs in the critical path legitimately stalls beats,
-		// so the threshold carries the longest such stall; an overlapped
-		// writer adds none, and the threshold keeps only the configured
-		// interval for it.
-		threshold := 3*mbEff + cfg.HangTimeout + max(cfg.CkptInterval, h.beatSlack)
-		// Ranks with no beat yet are normally in legitimate setup
-		// (communicator rendezvous, checkpoint restore) and are skipped —
-		// but a fault during setup can wedge or kill every rank before any
-		// first beat, in which case the per-rank staleness check would
-		// never fire and the incarnation would hang until the horizon.
-		// Bound setup by a grace period generous enough for rendezvous
-		// plus restore at the modelled bandwidths.
-		np := wl.NCCLParams()
-		setupGrace := threshold + wl.RestoreInit() +
-			np.CommInitBase + vclock.Time(world)*np.CommInitPerRank +
-			4*gpu.TransferTime(wl.StateBytesPerGPU(), wl.CkptStoreParams().ReadBW) +
-			30*vclock.Second
-		incStart := hp.Now()
-		for !hp.WaitTimeout(ended, 2*vclock.Second) {
-			for r := 0; r < world; r++ {
-				if h.doneRanks[r] {
-					continue
-				}
-				beat, started := h.lastBeat[r]
-				if started && hp.Now()-beat > threshold || !started && hp.Now()-incStart > setupGrace {
-					fail(-1, "heartbeat")
-					return
-				}
-			}
-		}
-	})
-
-	p.Wait(ended)
-
-	h.foldTiers()
-	if how == endFailed {
-		// For user-level JIT, wait for the checkpoint quorum before killing
-		// the job (§3.3). A catastrophic failure that killed every replica
-		// of some position never forms a quorum; the timeout hands recovery
-		// to the periodic fallback, if configured. Positions whose state
-		// survives in a tier's memory (peer CPU memory, a neighbor stage's
-		// bundle) count as covered up front — a catastrophic failure that
-		// destroyed every live replica of a shard needs no fresh JIT
-		// checkpoint for it, so the quorum forms (often instantly) instead
-		// of burning the timeout.
-		if h.flush != nil {
-			pre := make(map[string]bool)
-			for _, t := range h.tiers {
-				if t.covered != nil {
-					maps.Copy(pre, t.covered(h.topo))
-				}
-			}
-			q.wait(p, 2*vclock.Minute, pre)
-		}
-		// A failure mid-expand-window invalidates the scheduled stop: the
-		// incarnation boundary re-evaluates capacity from scratch.
-		h.expandAt = -1
-	}
-	for _, st := range stacks {
-		// Stop the interception watchdogs so their poll timers do not keep
-		// the simulation alive until the horizon.
-		if st.layer != nil {
-			st.layer.StopWatchdog()
-		}
-		if how == endFailed {
-			if st.ujit != nil && st.ujit.CheckpointDone && st.ujit.SaveDuration > h.res.JITCheckpointTime {
-				h.res.JITCheckpointTime = st.ujit.SaveDuration
-			}
-			st.proc.Kill()
-		}
-	}
-	switch how {
-	case endCompleted:
-		return how
-	case endYield:
-		h.yields++
-		trace.Of(h.env).Instant(p.Now(), "elastic", trace.LaneSim, "yield",
-			"world", world, "iter", h.yieldAt)
-	case endFailed:
-		// Exclude nodes whose devices are unhealthy.
-		for r := 0; r < world; r++ {
-			if placement[r].Health() != gpu.Healthy {
-				h.pool.MarkFailed(placement[r].NodeID)
-			}
-		}
-		// Whole-host failures take their sheltered entries and retained
-		// stage-redundancy bundles with them (the injector already marked
-		// injection-driven ones; this sweep catches any other path that
-		// failed a node).
-		h.sweepFailedNodes()
-		// A failure supersedes any pending yield: the incarnation boundary
-		// re-allocates from scratch under current reservations anyway.
-		h.yieldAt = -1
-	}
-	// Expand, yield and failure all restart under a fresh generation (the
-	// expand itself happens at the next incarnation's boundary).
-	h.gen++
-	return how
-}
-
-// hasCheckpoint reports whether a fresh job finds a predecessor's
-// checkpoints in any of its tiers' disk namespaces.
-func (h *harness) hasCheckpoint() bool {
-	for _, t := range h.tiers {
-		if t.ns != "" && len(h.disk.List(fmt.Sprintf("job/ckpt/%s/", t.ns))) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// restoreRank loads the newest assembled checkpoint (across the policy's
-// disk namespaces and any surviving peer-shelter hosts) into a worker and
-// charges the fixed job-initialization cost. restored=false with a nil
-// error means there is nothing to restore from (fresh start); a non-nil
-// error means a checkpoint was assembled but this rank failed to load it —
-// restarting at iteration 0 would diverge from its peers, so the caller
-// must fail the incarnation instead.
-func (h *harness) restoreRank(p *vclock.Proc, w *train.Worker, rank int) (bool, error) {
-	h.injector.NotePhase(rank, failure.PhaseRestore)
-	t0 := p.Now()
-	sp := trace.Of(h.env).Begin(t0, "ckpt", trace.Rank(rank), "restore")
-	// Cross-width assembly: checkpoints may have been written by a wider
-	// (or, for an oracle run, narrower) era than the topology restoring
-	// now; position keys are width-invariant, so bound the writer scan by
-	// the larger of the two worlds.
-	writerWorld := max(h.cfg.WL.Topo.World(), h.topo.World())
-	if h.cfg.RestoreWriterWorld > 0 {
-		writerWorld = h.cfg.RestoreWriterWorld
-	}
-	// One candidate list in tier order, preferred tier first: the disk
-	// namespaces — whichever of the JIT and periodic checkpoints is newest
-	// wins (§6.3: "the most recent checkpoint will be used") — then the
-	// shelter, then pipe-free bundles ahead of multi-step generations (a
-	// surviving stage bundle beats any disk generation on freshness, and
-	// loses nothing if it doesn't). Cross-tier assembly is valid because
-	// every tier records the same invariant — ms.Iter = N means "state at
-	// the start of minibatch N". Order is observable: probes cost virtual
-	// time.
-	var cands []checkpoint.Candidate
-	for _, t := range h.tiers {
-		if t.candidates != nil {
-			cands = append(cands, t.candidates(rank, w)...)
-		}
-	}
-	plan, err := checkpoint.AssembleRestore(p, cands, h.topo, writerWorld)
-	if err != nil {
-		sp.End(p.Now(), "err", err)
-		return false, nil
-	}
-	cand := plan.For[rank]
-	readBefore := h.storeReadBytes()
-	ms, err := cand.Load(p)
-	if err != nil {
-		sp.End(p.Now(), "err", err)
-		return false, fmt.Errorf("core: rank %d restore read: %w", rank, err)
-	}
-	readBytes := h.storeReadBytes() - readBefore
-	h.res.CkptReadBytes += readBytes
-	p.Sleep(h.cfg.WL.RestoreInit())
-	if err := w.LoadModelState(p, ms); err != nil {
-		sp.End(p.Now(), "err", err)
-		return false, fmt.Errorf("core: rank %d restore load: %w", rank, err)
-	}
-	w.SetIter(plan.Iter)
-	if rank == h.refRank && h.res.RestoreTime == 0 {
-		h.res.RestoreTime = p.Now() - t0
-	}
-	// Desc is "<tier>:<dir>"; the trace pins just the tier so the label
-	// stays stable across iteration renumbering.
-	src := cand.Desc
-	if i := strings.IndexByte(src, ':'); i >= 0 {
-		src = src[:i]
-	}
-	trace.Of(h.env).Instant(p.Now(), "ckpt", trace.Rank(rank), "restore-done",
-		"valid", true, "iter", plan.Iter, "src", src, "read_bytes", readBytes)
-	sp.End(p.Now(), "iter", plan.Iter)
-	return true, nil
-}
-
-// storeReadBytes sums the modelled bytes every checkpoint store involved
-// in this run has served: the shared disk and the tiers' own stores.
-// Diffing it around a restore's Load yields that recovery's
-// checkpoint-read traffic.
-func (h *harness) storeReadBytes() int64 {
-	total := h.disk.ReadBytes()
-	for _, t := range h.tiers {
-		if t.readBytes != nil {
-			total += t.readBytes()
-		}
-	}
-	return total
 }

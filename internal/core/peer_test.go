@@ -117,7 +117,7 @@ func TestJITWithPeerBeatsDailyFallback(t *testing.T) {
 		// so — as with a real 24 h cadence early in the day — no periodic
 		// checkpoint exists when the catastrophe strikes. (The true 1-day
 		// interval would also push the heartbeat watchdog's stall threshold
-		// past the horizon; see runOneIncarnation.)
+		// past the horizon; see incarnation.heartbeat.)
 		CkptInterval: vclock.Time(3 * iters * int(wl.Minibatch)),
 		IterFailures: killBothReplicasOfStage0(),
 	})

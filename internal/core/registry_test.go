@@ -90,7 +90,7 @@ func TestPolicyTableColumns(t *testing.T) {
 		PolicyCheckFreq:        {name: "CheckFreq", key: "checkfreq", periodic: "CheckFreq"},
 		PolicyPCDaily:          {name: "PC_1/day", key: "pc_daily", periodic: "PC_1/day"},
 		PolicyUserJIT:          {name: "UserJIT", key: "userjit", flush: FlushDisk},
-		PolicyTransparentJIT:   {name: "TransparentJIT", key: "transparent", transp: true},
+		PolicyTransparentJIT:   {name: "TransparentJIT", key: "transparent", flush: FlushDisk, transp: true},
 		PolicyJITWithDaily:     {name: "UserJIT+PC_1/day", key: "jit+daily", flush: FlushDisk, periodic: "PC_1/day"},
 		PolicyPeerShelter:      {name: "PeerShelter", key: "peer", flush: FlushShelter, peer: true},
 		PolicyJITWithPeer:      {name: "UserJIT+Peer", key: "jit+peer", flush: FlushDisk, peer: true},

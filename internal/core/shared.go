@@ -81,18 +81,11 @@ func StartJob(cfg JobConfig) (*JobHandle, error) {
 	if s.Env == nil || s.Capacity == nil || s.Cluster == nil || s.AwaitCapacity == nil {
 		return nil, errors.New("core: SharedSim needs Env, Cluster, Capacity and AwaitCapacity")
 	}
-	if err := prepare(&cfg); err != nil {
+	h, err := start(cfg)
+	if err != nil {
 		return nil, err
 	}
-	h := newHarness(cfg)
-	if err := h.setup(); err != nil {
-		return nil, err
-	}
-	hd := &JobHandle{h: h}
-	if err := h.launch(); err != nil {
-		return nil, err
-	}
-	return hd, nil
+	return &JobHandle{h: h}, nil
 }
 
 // Done reports whether the job has finished (result available).

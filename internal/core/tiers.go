@@ -41,10 +41,11 @@ type tier struct {
 	// plan runs once per incarnation, after placement and before any rank
 	// stack is built; an error ends the run.
 	plan func(p *vclock.Proc) error
-	// flush makes the tier the target of the §3 failure-time JIT flush: the
-	// namespace and store a rank's UserLevelRank writes to. The first tier
-	// with one wins, and having one is what puts the user-level stack
-	// (interception layer, GIL, §3.3 quorum wait) on every rank.
+	// flush makes the tier the target of the failure-time JIT save: the
+	// namespace and store episode.save writes a rank's state to. The first
+	// tier with one wins. In the restart loop, having one is what puts the
+	// user-level stack (interception layer, GIL, §3.3 quorum wait) on every
+	// rank; the transparent hard path saves there from the proxy side.
 	flush func(rank int) (ns string, to checkpoint.Target)
 	// saver builds a rank's after-iteration hook for this incarnation.
 	saver func(rank int, w *train.Worker) saveFn
@@ -87,7 +88,9 @@ func (h *harness) buildTiers() error {
 	}{
 		{h.pol.JITFlush == FlushDisk, h.jitTier},
 		{h.pol.Periodic, h.periodicTier},
-		{h.pol.Elastic, h.elasticTier},
+		// The elastic namespace holds the saves elasticSave takes at planned
+		// expand and yield stops.
+		{h.pol.Elastic, func() (*tier, error) { return h.namespaceTier("elastic", ElasticPolicyName), nil }},
 		{h.pol.Peer, h.peerTier},
 		{h.pol.PipeFree, h.pipeFreeTier},
 		{h.pol.MultiStep, h.multiStepTier},
@@ -122,12 +125,6 @@ func (h *harness) jitTier() (*tier, error) {
 	t := h.namespaceTier("jit", JITPolicyName)
 	t.flush = func(int) (string, checkpoint.Target) { return JITPolicyName, h.disk }
 	return t, nil
-}
-
-// elasticTier restores from the saves elasticSave takes at planned expand
-// and yield stops.
-func (h *harness) elasticTier() (*tier, error) {
-	return h.namespaceTier("elastic", ElasticPolicyName), nil
 }
 
 // failureRatePerGPUDay feeds the optimal-frequency computation: the OPT

@@ -20,7 +20,7 @@ func TestPolicyTableTiers(t *testing.T) {
 		PolicyCheckFreq:        "periodic",
 		PolicyPCDaily:          "periodic",
 		PolicyUserJIT:          "jit",
-		PolicyTransparentJIT:   "",
+		PolicyTransparentJIT:   "jit",
 		PolicyJITWithDaily:     "jit periodic",
 		PolicyPeerShelter:      "peer",
 		PolicyJITWithPeer:      "jit peer",

@@ -199,9 +199,8 @@ func TestTraceInvariantsMidRecovery(t *testing.T) {
 		}},
 		{"transparent-reentrant-recovery", JobConfig{
 			WL: wl, Policy: PolicyTransparentJIT, Iters: iters, Seed: 1,
-			HangTimeout:            2 * vclock.Second,
-			RecoveryAttemptTimeout: 10 * vclock.Second,
-			IterFailures:           injectAt(wl, 5.3, 1, failure.NetworkHang),
+			HangTimeout:  2 * vclock.Second,
+			IterFailures: injectAt(wl, 5.3, 1, failure.NetworkHang),
 			Chaos: &ChaosConfig{
 				PhaseInjections: []failure.PhaseInjection{{
 					Phase:      failure.PhaseCommInit,

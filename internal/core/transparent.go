@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"jitckpt/internal/checkpoint"
@@ -183,9 +184,8 @@ func (c *coordinator) run(p *vclock.Proc) {
 // stale fault queue, and restarts recovery from classification under a
 // fresh communicator generation — instead of wedging on an unbounded wait.
 func (c *coordinator) recover(p *vclock.Proc, first rankFault) *RecoveryReport {
-	env := c.h.env
 	detected := p.Now()
-	rsp := trace.Of(env).Begin(detected, "core", trace.LaneSim, "recovery",
+	rsp := trace.Of(c.h.env).Begin(detected, "core", trace.LaneSim, "recovery",
 		"rank", first.rank, "fault", first.f.Kind)
 	var report *RecoveryReport
 	// lost tracks ranks whose device state became suspect during a failed
@@ -219,13 +219,10 @@ func (c *coordinator) recover(p *vclock.Proc, first rankFault) *RecoveryReport {
 
 // attemptTimeout is the per-attempt recovery deadline.
 func (c *coordinator) attemptTimeout() vclock.Time {
-	if t := c.h.cfg.RecoveryAttemptTimeout; t > 0 {
-		return t
-	}
-	// Generous default: base coordination slack plus several end-to-end
-	// state copies at a conservative 1 GB/s (covers PCIe copies, store
-	// writes/reads and serialization on the hard path without ever firing
-	// during a healthy recovery).
+	// Base coordination slack plus several end-to-end state copies at a
+	// conservative 1 GB/s (covers PCIe copies, store writes/reads and
+	// serialization on the hard path without ever firing during a healthy
+	// recovery).
 	t := 2 * vclock.Minute
 	if b := c.h.cfg.WL.StateBytesPerGPU(); b > 0 {
 		t += 8 * gpu.TransferTime(b, 1e9)
@@ -279,39 +276,26 @@ func (c *coordinator) attemptRecovery(p *vclock.Proc, lost map[int]bool, cls *ep
 	// iteration skew — a host past baseIter proves the world barrier of
 	// baseIter completed.
 	if cls == nil {
-		advanced := false
-		baseIter := -1
+		cls = &episodeClass{baseIter: -1}
 		maxIter := -1
 		for _, r := range c.ranks {
 			it := r.Layer.Iter()
-			if baseIter < 0 || it < baseIter {
-				baseIter = it
+			if cls.baseIter < 0 || it < cls.baseIter {
+				cls.baseIter = it
 			}
-			if it > maxIter {
-				maxIter = it
-			}
-		}
-		for _, r := range c.ranks {
-			d := r.Server.Device()
-			if d.Health() == gpu.Healthy && d.PendingOps() == 0 {
-				advanced = true
+			maxIter = max(maxIter, it)
+			if d := r.Server.Device(); d.Health() == gpu.Healthy && d.PendingOps() == 0 {
+				cls.advanced = true
 			}
 		}
-		if maxIter > baseIter {
-			advanced = true
-		}
-		cls = &episodeClass{advanced: advanced, baseIter: baseIter}
+		cls.advanced = cls.advanced || maxIter > cls.baseIter
 	}
 
-	var hard []int
 	for _, r := range c.ranks {
 		if r.Server.Device().Health() == gpu.Hard {
-			hard = append(hard, r.Rank)
+			rep, ok := c.recoverHard(p, cls.advanced, cls.baseIter, lost)
+			return rep, ok, cls
 		}
-	}
-	if len(hard) > 0 {
-		rep, ok := c.recoverHard(p, hard, cls.advanced, cls.baseIter, lost)
-		return rep, ok, cls
 	}
 	rep, ok := c.recoverTransient(p, cls.advanced, cls.baseIter, lost)
 	return rep, ok, cls
@@ -320,16 +304,39 @@ func (c *coordinator) attemptRecovery(p *vclock.Proc, lost map[int]bool, cls *ep
 // strategyOf classifies a rank's transient recovery strategy per §4.2:
 // 1 = GPU fine, retain buffers; 2 = driver corruption suspected, copy
 // state to host around a proxy restart; 3 = GPU state inaccessible, reset
-// and copy from a replica.
-func strategyOf(r *proxyRank) int {
+// and copy from a replica — also for a rank in lost, whose state a prior
+// attempt corrupted even though its device is healthy.
+func strategyOf(r *proxyRank, lost map[int]bool) int {
 	switch r.Server.Device().Health() {
 	case gpu.Sticky:
 		return 3
 	case gpu.DriverCorrupt:
 		return 2
-	default:
-		return 1
 	}
+	if lost[r.Rank] {
+		return 3
+	}
+	return 1
+}
+
+// recsFor builds every rank's recovery under its strategy strat(r). A rank
+// that kept its GPU state (strategy 1) skips replay when its GPU already
+// holds the target boundary state (host still inside minibatch baseIter);
+// a host that advanced into the next one replays its partial log. Every
+// other rank's state is restored at the boundary: when advanced, it skips
+// replay and swallows the rest of its optimizer step (§4.2.2).
+func (c *coordinator) recsFor(advanced bool, baseIter int, strat func(*proxyRank) int) []*rankRecovery {
+	recs := make([]*rankRecovery, len(c.ranks))
+	for i, r := range c.ranks {
+		rec := &rankRecovery{r: r, strat: strat(r)}
+		if rec.strat == 1 {
+			rec.skipReplay = advanced && r.Layer.Iter() == baseIter
+		} else {
+			rec.skipReplay, rec.ignoreMut = advanced, advanced
+		}
+		recs[i] = rec
+	}
+	return recs
 }
 
 // rankRecovery is the per-rank recovery state shared across phases.
@@ -355,20 +362,29 @@ type rankRecovery struct {
 	err     error
 }
 
-// awaitRecs waits for every per-rank recovery to finish, bounded by the
-// attempt deadline. A recovery that misses the deadline (wedged by a fault
-// injected mid-recovery) is killed and marked errored so the episode can
-// restart. Ranks that failed after mutating their device state are added
-// to lost; ranks that fully recovered are removed from it. It reports
-// whether every rank recovered cleanly.
-func (c *coordinator) awaitRecs(p *vclock.Proc, recs []*rankRecovery, deadline vclock.Time, lost map[int]bool) bool {
+// fanOut runs body as every rank's recovery process, name.r<rank>, each
+// with a fresh done event; body's error is the rank's. It waits for them
+// all, bounded by the attempt deadline: a recovery that
+// misses it (wedged by a fault injected mid-recovery) is killed and marked
+// errored so the episode can restart. Ranks that failed after mutating
+// their device state are added to lost; ranks that fully recovered are
+// removed from it. It reports whether every rank recovered cleanly.
+func (c *coordinator) fanOut(p *vclock.Proc, recs []*rankRecovery, name string, deadline vclock.Time, lost map[int]bool,
+	body func(pr *vclock.Proc, rec *rankRecovery) error) bool {
+	env := c.h.env
+	for _, rec := range recs {
+		rec.done = env.NewEvent(fmt.Sprintf("%s.r%d", name, rec.r.Rank))
+	}
+	for _, rec := range recs {
+		rec.proc = env.Go(fmt.Sprintf("%s.r%d", name, rec.r.Rank), func(pr *vclock.Proc) {
+			defer rec.done.Trigger()
+			rec.err = body(pr, rec)
+		})
+	}
 	ok := true
 	for _, rec := range recs {
-		remaining := deadline - p.Now()
-		if remaining <= 0 || !p.WaitTimeout(rec.done, remaining) {
-			if rec.proc != nil {
-				rec.proc.Kill()
-			}
+		if remaining := deadline - p.Now(); remaining <= 0 || !p.WaitTimeout(rec.done, remaining) {
+			rec.proc.Kill()
 			if rec.err == nil {
 				rec.err = fmt.Errorf("core: rank %d recovery timed out mid-attempt", rec.r.Rank)
 			}
@@ -389,50 +405,19 @@ func (c *coordinator) awaitRecs(p *vclock.Proc, recs []*rankRecovery, deadline v
 // communicator re-initialization rendezvous acts as the natural barrier
 // between handle reconstruction and cross-rank state copies.
 func (c *coordinator) recoverTransient(p *vclock.Proc, advanced bool, baseIter int, lost map[int]bool) (*RecoveryReport, bool) {
-	env := c.h.env
 	c.h.gen++
 	newGen := c.h.gen
 	deadline := p.Now() + c.attemptTimeout()
-	recs := make([]*rankRecovery, len(c.ranks))
-	for i, r := range c.ranks {
-		strat := strategyOf(r)
-		if lost[r.Rank] && strat == 1 {
-			// A prior attempt corrupted this rank's state even though its
-			// device is healthy: reset and copy from a replica.
-			strat = 3
-		}
-		rec := &rankRecovery{
-			r:     r,
-			strat: strat,
-			done:  env.NewEvent(fmt.Sprintf("recover.r%d", r.Rank)),
-		}
-		if rec.strat == 1 {
-			// Healthy rank: skip replay when its GPU already holds the
-			// target boundary state (host still inside minibatch i);
-			// a host that advanced into i+1 replays its partial log.
-			rec.skipReplay = advanced && r.Layer.Iter() == baseIter
-		} else {
-			rec.skipReplay = advanced
-			rec.ignoreMut = advanced
-		}
-		recs[i] = rec
-	}
-	for _, rec := range recs {
-		rec := rec
-		rec.proc = env.Go(fmt.Sprintf("job.recover.r%d", rec.r.Rank), func(pr *vclock.Proc) {
-			defer rec.done.Trigger()
-			rec.timer = metrics.NewPhaseTimerLane(env, trace.Rank(rec.r.Rank))
-			if err := c.recoverRankTransient(pr, rec, recs, newGen); err != nil {
-				rec.err = err
-			}
-		})
-	}
-	ok := c.awaitRecs(p, recs, deadline, lost)
+	recs := c.recsFor(advanced, baseIter, func(r *proxyRank) int { return strategyOf(r, lost) })
+	ok := c.fanOut(p, recs, "job.recover", deadline, lost, func(pr *vclock.Proc, rec *rankRecovery) error {
+		return c.recoverRankTransient(pr, rec, recs, newGen)
+	})
 	return c.buildReport(recs, "transient", advanced), ok
 }
 
 func (c *coordinator) recoverRankTransient(pr *vclock.Proc, rec *rankRecovery, all []*rankRecovery, newGen int) error {
 	r := rec.r
+	rec.timer = metrics.NewPhaseTimerLane(c.h.env, trace.Rank(r.Rank))
 	layer := r.Layer
 	client := r.Client
 
@@ -638,10 +623,11 @@ func rankWorkTime(rec *rankRecovery) vclock.Time {
 	return total
 }
 
-// buildReport assembles the episode report from per-rank recoveries. A
-// rank whose strategy is 1 kept its GPU state and counts as healthy; every
-// other one (strategies 2–3, or 4 on the hard path: Table 6's ranks that
-// could not checkpoint) as failed.
+// buildReport assembles the episode report of the given kind (a terminal
+// kind as it stands) from per-rank recoveries. A rank whose strategy is 1
+// kept its GPU state and counts as healthy; every other one (strategies
+// 2–3, or 4 on the hard path: Table 6's ranks that could not checkpoint)
+// as failed.
 func (c *coordinator) buildReport(recs []*rankRecovery, kind string, advanced bool) *RecoveryReport {
 	if advanced && kind == "transient" {
 		kind = "optimizer-roll-forward"
@@ -750,215 +736,193 @@ func writeTensors(pr *vclock.Proc, layer *intercept.Layer, api cuda.API, tr *cud
 	return api.StreamSynchronize(pr, s)
 }
 
-// recoverHard implements §4.3: healthy ranks JIT-checkpoint, every worker
-// is CRIU-checkpointed, the job migrates to replacement nodes, GPU state
-// is rebuilt from the replay log, and parameter/optimizer buffers are
-// restored from the checkpoint files — the failed rank reading a
-// replica's file through the stable tensor naming.
-func (c *coordinator) recoverHard(p *vclock.Proc, hard []int, advanced bool, baseIter int, lost map[int]bool) (*RecoveryReport, bool) {
+// recoverHard implements §4.3 as one recovery episode in three phases
+// (hardAttempt): save, migrate and restore.
+func (c *coordinator) recoverHard(p *vclock.Proc, advanced bool, baseIter int, lost map[int]bool) (*RecoveryReport, bool) {
 	h := c.h
-	env, wl := h.env, h.cfg.WL
+	wl := h.cfg.WL
 	h.gen++
-	newGen := h.gen
-	deadline := p.Now() + c.attemptTimeout()
-	// The checkpoint quorum belongs to this attempt: an earlier episode's
-	// saves must not let this one migrate.
-	q := newQuorum(wl.Topo)
-	criu := scheduler.CRIU{SnapshotTime: wl.CRIU * 2 / 3, RestoreTime: wl.CRIU / 3}
-	hardSet := make(map[int]bool, len(hard))
-	for _, r := range hard {
-		hardSet[r] = true
-	}
-	// stateIter labels the checkpoint files: the iteration whose start
-	// the surviving GPU state corresponds to.
+	// The episode restores the iteration whose start the surviving GPU
+	// state corresponds to, the one its saves label their files with.
 	stateIter := baseIter
 	if advanced {
 		stateIter = baseIter + 1
 	}
-
-	recs := make([]*rankRecovery, len(c.ranks))
-	for i, r := range c.ranks {
-		rec := &rankRecovery{
-			r: r, strat: 1,
-			done: env.NewEvent(fmt.Sprintf("hard.r%d", r.Rank)),
-		}
-		if hardSet[r.Rank] || r.Server.Device().Health() != gpu.Healthy || lost[r.Rank] {
-			rec.strat = 4 // lost or unusable device, or state corrupted by a failed attempt
-			rec.skipReplay = advanced
-			rec.ignoreMut = advanced
-		} else {
-			rec.skipReplay = advanced && r.Layer.Iter() == baseIter
-		}
-		recs[i] = rec
+	a := &hardAttempt{
+		c: c, gen: h.gen, deadline: p.Now() + c.attemptTimeout(), lost: lost,
+		// The episode belongs to this attempt: an earlier episode's saves
+		// must not let this one migrate.
+		ep: h.newEpisode(stateIter),
+		recs: c.recsFor(advanced, baseIter, func(r *proxyRank) int {
+			if r.Server.Device().Health() != gpu.Healthy || lost[r.Rank] {
+				return 4 // lost or unusable device, or state corrupted by a failed attempt
+			}
+			return 1
+		}),
+		criu:   scheduler.CRIU{SnapshotTime: wl.CRIU * 2 / 3, RestoreTime: wl.CRIU / 3},
+		images: make([]scheduler.Image, len(c.ranks)),
 	}
-
-	// Eager no-viable-placement check, before any Phase A+B expense: if
-	// the job's surviving nodes plus free spares cannot host it, no amount
-	// of JIT checkpointing, CRIU snapshotting, or quorum waiting changes
-	// the outcome — the episode is terminal now. (Without this, the
-	// coordinator burned its bounded recovery attempts re-running the full
-	// hard path against an allocation that can never succeed.) A node is
-	// reusable only if none of its ranks is strategy-4: Phase C marks any
-	// node hosting a lost/unusable rank permanently failed.
-	jobNodes := make(map[int]bool)
-	badNodes := make(map[int]bool)
-	for _, rec := range recs {
+	// Eager no-viable-placement check, before any save or snapshot
+	// expense: if the job's surviving nodes plus free spares cannot host
+	// it, no amount of JIT checkpointing, CRIU snapshotting or quorum
+	// waiting changes the outcome. (Without it the coordinator burned its
+	// bounded attempts re-running the whole hard path against an
+	// allocation that can never succeed.) A node is reusable only if none
+	// of its ranks is strategy 4: migrate marks any node hosting one
+	// failed, so free spares must replace every such node.
+	jobNodes, badNodes := make(map[int]bool), make(map[int]bool)
+	for _, rec := range a.recs {
 		nid := rec.r.Server.Device().NodeID
 		jobNodes[nid] = true
 		if rec.strat == 4 {
 			badNodes[nid] = true
 		}
 	}
-	nNodes := len(jobNodes)
-	if avail := h.pool.FreeHealthy() + nNodes - len(badNodes); avail < nNodes {
-		rep := c.buildReport(recs, "hard", advanced)
-		rep.Kind = KindNoViablePlacement
-		return rep, false
+	if h.pool.FreeHealthy() < len(badNodes) {
+		return c.buildReport(a.recs, KindNoViablePlacement, advanced), false
 	}
-
-	// Phase A+B per rank: JIT checkpoint (healthy only) + CRIU snapshot.
-	images := make([]scheduler.Image, len(recs))
-	for i, rec := range recs {
-		i, rec := i, rec
-		rec.proc = env.Go(fmt.Sprintf("job.hardckpt.r%d", rec.r.Rank), func(pr *vclock.Proc) {
-			defer rec.done.Trigger()
-			rec.timer = metrics.NewPhaseTimerLane(env, trace.Rank(rec.r.Rank))
-			if rec.strat != 4 {
-				jsp := trace.Of(env).Begin(pr.Now(), "ckpt", trace.Rank(rec.r.Rank), "jit-save",
-					"iter", stateIter)
-				ms := &train.ModelState{Iter: stateIter, Rank: rec.r.Rank}
-				tensors, err := c.readTensors(pr, rec.r, nil, false)
-				if err != nil {
-					rec.err = err
-					jsp.End(pr.Now(), "err", err)
-					return
-				}
-				ms.Tensors = tensors
-				if err := h.saveRank(pr, h.disk, JITPolicyName, ms, q); err != nil {
-					rec.err = err
-					jsp.End(pr.Now(), "err", err)
-					return
-				}
-				jsp.End(pr.Now())
-			}
-			rec.timer.Mark("jit-checkpoint")
-			images[i] = criu.Take(pr, rec.r.Rank, rec.r.Worker.Snapshot())
-			rec.timer.Mark("criu-snapshot")
-		})
-	}
-	if !c.awaitRecs(p, recs, deadline, lost) {
-		// A checkpoint/snapshot wedged or errored (e.g. a device dying
+	if !a.save(p) {
+		// A save or snapshot wedged or errored (e.g. a device dying
 		// mid-read): restart the episode before any node churn happens.
-		return c.buildReport(recs, "hard", advanced), false
+		return c.buildReport(a.recs, "hard", advanced), false
 	}
-	for _, rec := range recs {
-		rec.done = env.NewEvent(fmt.Sprintf("hard2.r%d", rec.r.Rank))
-		rec.proc = nil
+	// Quorum: at least one replica per position saved (§3.3), 1 min here.
+	a.ep.wait(p, vclock.Minute)
+	placement, plan, kind := a.migrate(p, len(jobNodes))
+	if kind != "" {
+		return c.buildReport(a.recs, kind, advanced), false
 	}
+	ok := a.restore(p, placement, plan)
+	return c.buildReport(a.recs, "hard", advanced), ok
+}
 
-	// Quorum: at least one replica per position checkpointed (§3.3).
-	q.wait(p, vclock.Minute, nil)
+// hardAttempt is one attempt at §4.3's hard-error recovery: healthy ranks
+// JIT-save through the attempt's episode while every worker is
+// CRIU-snapshotted, the job migrates to replacement nodes once the quorum
+// forms and a plan of the episode's iteration assembles, and every rank is
+// rebuilt from the replay log and its tensors loaded from that plan — the
+// failed rank reading a replica's file through the stable tensor naming.
+type hardAttempt struct {
+	c        *coordinator
+	ep       *episode
+	recs     []*rankRecovery
+	criu     scheduler.CRIU
+	images   []scheduler.Image // per rank, from save
+	gen      int
+	deadline vclock.Time
+	lost     map[int]bool
+}
 
-	// Phase C: release the job's current nodes back to the pool, exclude
-	// the failed ones permanently, and allocate a replacement set.
-	for _, rec := range recs {
+// save is Phase A+B on every rank: a JIT save of the surviving GPU state
+// (strategy-1 ranks only), then a CRIU snapshot.
+func (a *hardAttempt) save(p *vclock.Proc) bool {
+	return a.c.fanOut(p, a.recs, "job.hardckpt", a.deadline, a.lost, func(pr *vclock.Proc, rec *rankRecovery) error {
+		rec.timer = metrics.NewPhaseTimerLane(a.c.h.env, trace.Rank(rec.r.Rank))
+		if rec.strat != 4 {
+			if err := a.jitSave(pr, rec.r); err != nil {
+				return err
+			}
+		}
+		rec.timer.Mark("jit-checkpoint")
+		a.images[rec.r.Rank] = a.criu.Take(pr, rec.r.Rank, rec.r.Worker.Snapshot())
+		rec.timer.Mark("criu-snapshot")
+		return nil
+	})
+}
+
+// jitSave reads r's parameter and optimizer buffers through the proxy and
+// saves them through the episode as r's checkpoint of its target.
+func (a *hardAttempt) jitSave(pr *vclock.Proc, r *proxyRank) error {
+	iter := a.ep.target
+	jsp := trace.Of(a.c.h.env).Begin(pr.Now(), "ckpt", trace.Rank(r.Rank), "jit-save", "iter", iter)
+	tensors, err := a.c.readTensors(pr, r, nil, false)
+	if err == nil {
+		err = a.ep.save(pr, &train.ModelState{Iter: iter, Rank: r.Rank, Tensors: tensors})
+	}
+	if err != nil {
+		jsp.End(pr.Now(), "err", err)
+		return err
+	}
+	jsp.End(pr.Now())
+	return nil
+}
+
+// migrate is Phase C: release the job's current nodes back to the pool,
+// exclude the failed ones permanently, allocate and place a replacement
+// set, and assemble the episode's plan. A non-empty kind is the terminal
+// report kind the episode ends with instead.
+func (a *hardAttempt) migrate(p *vclock.Proc, nNodes int) (scheduler.Placement, *checkpoint.RestorePlan, string) {
+	h := a.c.h
+	for _, rec := range a.recs {
 		h.pool.ReleaseByID(rec.r.Server.Device().NodeID)
 	}
-	for _, rec := range recs {
+	for _, rec := range a.recs {
 		if rec.strat == 4 {
 			h.pool.MarkFailed(rec.r.Server.Device().NodeID)
 		}
 	}
+	// No spare capacity: recovery cannot proceed transparently.
 	nodes, err := h.pool.Allocate(nNodes, nil)
-	if err != nil {
-		// No spare capacity: recovery cannot proceed transparently.
-		rep := c.buildReport(recs, "hard", advanced)
-		rep.Kind = "hard-failed:" + err.Error()
-		return rep, false
+	var placement scheduler.Placement
+	if err == nil {
+		placement, err = scheduler.Place(nodes, len(a.recs))
 	}
-	placement, err := scheduler.Place(nodes, len(c.ranks))
 	if err != nil {
-		rep := c.buildReport(recs, "hard", advanced)
-		rep.Kind = "hard-failed:" + err.Error()
-		return rep, false
+		return nil, nil, "hard-failed:" + err.Error()
 	}
-
-	// Phase D–F per rank: restore CPU image on the new host, rebuild GPU
-	// state, restore tensors from checkpoint files, replay.
-	asmDone := env.NewEvent("hard.assembly")
+	asmDone := h.env.NewEvent("hard.assembly")
 	var plan *checkpoint.RestorePlan
-	env.Go("job.assemble", func(pr *vclock.Proc) {
+	h.env.Go("job.assemble", func(pr *vclock.Proc) {
 		defer asmDone.Trigger()
-		plan, _ = JITCheckpointPath(pr, h.disk, "job", wl.Topo)
+		// One plan serves every rank; rank 0 asks for it.
+		plan, err = a.ep.assemble(pr, 0, a.recs[0].r.Worker)
 	})
 	p.Wait(asmDone)
-	if plan == nil {
-		rep := c.buildReport(recs, "hard", advanced)
-		rep.Kind = "hard-failed:no-checkpoint-assembly"
-		return rep, false
+	switch {
+	case errors.Is(err, checkpoint.ErrUnassembled):
+		return nil, nil, "hard-failed:no-checkpoint-assembly"
+	case err != nil: // errStaleCheckpoint
+		return nil, nil, "hard-failed:" + err.Error()
 	}
-	if plan.Iter != stateIter {
-		// No replica of some position survived to save stateIter: its
-		// tensors would come from an older iteration than the CRIU images.
-		rep := c.buildReport(recs, "hard", advanced)
-		rep.Kind = fmt.Sprintf("hard-failed:checkpoint-at-iter-%d-not-%d", plan.Iter, stateIter)
-		return rep, false
-	}
+	return placement, plan, ""
+}
 
-	for i, rec := range recs {
-		i, rec := i, rec
-		rec.proc = env.Go(fmt.Sprintf("job.hardrestore.r%d", rec.r.Rank), func(pr *vclock.Proc) {
-			defer rec.done.Trigger()
-			if rec.err != nil {
-				return
-			}
-			// The rank is about to be re-attached to a new device and
-			// rebuilt; dying partway leaves its state suspect.
-			rec.mutated = true
-			rec.timer.Skip() // exclude the coordination barrier
-			// Attach the worker to its replacement GPU: fresh proxy
-			// server and client on the new device.
-			newDev := placement[rec.r.Rank]
-			server, err := proxy.NewServer(env, newDev, rec.r.Server.Driver().Engine(), h.kernels, wl.CUDAParams(), proxy.DefaultParams())
-			if err != nil {
-				rec.err = err
-				return
-			}
-			client := proxy.NewClient(env, server)
-			rec.r.Server = server
-			rec.r.Client = client
-			rec.r.Layer.SetInner(client)
-
-			// CRIU restore: the worker's CPU state arrives intact.
-			if rec.err = checkImage(rec.r.Rank, criu.Restore(pr, images[i]), rec.r.Worker.Iter()); rec.err != nil {
-				return
-			}
-			rec.timer.Mark("criu-restore")
-
-			// Rebuild all GPU objects on the new server from the creation
-			// log.
-			if rec.err = rebuildGPU(pr, rec, true, newGen); rec.err != nil {
-				return
-			}
-
-			// Restore parameter/optimizer buffers from the assembled
-			// checkpoint (own file, or a replica's for the failed rank).
-			ms, err := plan.For[rec.r.Rank].Load(pr)
-			if err != nil {
-				rec.err = err
-				return
-			}
-			if err := writeTensors(pr, rec.r.Layer, client, rec.tr, ms.Tensors, false); err != nil {
-				rec.err = err
-				return
-			}
-			rec.timer.Mark("restore-state")
-
-			rec.err = c.replayTail(pr, rec, newGen, stateIter, "ckpt")
-		})
-	}
-	ok := c.awaitRecs(p, recs, deadline, lost)
-	return c.buildReport(recs, "hard", advanced), ok
+// restore is Phase D–F on every rank: attach the worker to its replacement
+// GPU, restore its CRIU image, rebuild GPU state from the creation log,
+// write the plan's tensors (its own file, or a replica's for the failed
+// rank) and replay.
+func (a *hardAttempt) restore(p *vclock.Proc, placement scheduler.Placement, plan *checkpoint.RestorePlan) bool {
+	h := a.c.h
+	return a.c.fanOut(p, a.recs, "job.hardrestore", a.deadline, a.lost, func(pr *vclock.Proc, rec *rankRecovery) error {
+		r := rec.r
+		// The rank is about to be re-attached to a new device and rebuilt;
+		// dying partway leaves its state suspect.
+		rec.mutated = true
+		rec.timer.Skip() // exclude the coordination barrier
+		server, err := proxy.NewServer(h.env, placement[r.Rank], r.Server.Driver().Engine(), h.kernels, h.cfg.WL.CUDAParams(), proxy.DefaultParams())
+		if err != nil {
+			return err
+		}
+		r.Server, r.Client = server, proxy.NewClient(h.env, server)
+		r.Layer.SetInner(r.Client)
+		// CRIU restore: the worker's CPU state arrives intact.
+		if err := checkImage(r.Rank, a.criu.Restore(pr, a.images[r.Rank]), r.Worker.Iter()); err != nil {
+			return err
+		}
+		rec.timer.Mark("criu-restore")
+		if err := rebuildGPU(pr, rec, true, a.gen); err != nil {
+			return err
+		}
+		ms, err := plan.For[r.Rank].Load(pr)
+		if err != nil {
+			return err
+		}
+		if err := writeTensors(pr, r.Layer, r.Client, rec.tr, ms.Tensors, false); err != nil {
+			return err
+		}
+		rec.timer.Mark("restore-state")
+		return a.c.replayTail(pr, rec, a.gen, a.ep.target, "ckpt")
+	})
 }
 
 // checkImage rejects a restored CRIU image that is not of the minibatch the

@@ -26,8 +26,8 @@ type UserLevelRank struct {
 	Worker *train.Worker
 	// GIL is the interpreter lock the worker holds across device calls.
 	GIL *vclock.Mutex
-	// Save persists the captured state: the harness's saveRank into the
-	// incarnation's flush target — the shared checkpoint store, or the
+	// Save persists the captured state: the incarnation episode's save into
+	// the policy row's flush target — the shared checkpoint store, or the
 	// peer-shelter policy's peerckpt.FlushTarget, which routes the
 	// failure-time flush to a surviving host outside this rank's failure
 	// domain (the save fails with checkpoint.ErrNoTarget when none
@@ -120,12 +120,4 @@ func (u *UserLevelRank) saveCheckpoint(p *vclock.Proc) (err error) {
 	u.CheckpointDone = true
 	u.CheckpointIter = ms.Iter
 	return nil
-}
-
-// JITCheckpointPath is the library's jit_get_checkpoint_path (§3.3): it
-// assembles, for every rank of the restarted job, a valid checkpoint to
-// load — the rank's own if it saved one, otherwise any healthy
-// data-parallel replica's.
-func JITCheckpointPath(p *vclock.Proc, store *checkpoint.Store, job string, topo train.Topology) (*checkpoint.RestorePlan, error) {
-	return checkpoint.AssembleRestore(p, checkpoint.StoreCandidates(store, job, JITPolicyName), topo, topo.World())
 }

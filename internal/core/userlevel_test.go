@@ -167,34 +167,3 @@ func TestUserLevelFailingRankDoesNotCheckpoint(t *testing.T) {
 		t.Fatalf("healthy rank did not checkpoint (saves %+v)", trace.NewQuery(r.rec).Spans("ckpt", "jit-save"))
 	}
 }
-
-// TestJITCheckpointPathAssembly: the library-side jit_get_checkpoint_path
-// resolves the failed rank to its replica's entry.
-func TestJITCheckpointPathAssembly(t *testing.T) {
-	r := newUserLevelRig(t)
-	topo := train.Topology{D: 2, P: 1, T: 1}
-	var asm *checkpoint.RestorePlan
-	r.env.Go("seed-and-assemble", func(p *vclock.Proc) {
-		ms := &train.ModelState{Iter: 9, Rank: 0, Tensors: nil}
-		dir := checkpoint.RankDir("job", JITPolicyName, 9, 0)
-		if err := checkpoint.WriteRank(p, r.store, dir, ms, 1<<20); err != nil {
-			t.Error(err)
-			return
-		}
-		a, err := JITCheckpointPath(p, r.store, "job", topo)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		asm = a
-	})
-	if err := r.env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if asm == nil || asm.Iter != 9 {
-		t.Fatalf("assembly = %+v", asm)
-	}
-	if want := "shared:" + checkpoint.RankDir("job", JITPolicyName, 9, 0); asm.For[1].Desc != want {
-		t.Fatalf("rank 1 should restore from rank 0's checkpoint: %s", asm.For[1].Desc)
-	}
-}
