@@ -412,7 +412,7 @@ func writeTraces(rec *trace.Recorder, chromePath, textPath string) error {
 			defer f.Close()
 			w = f
 		}
-		if err := trace.WriteText(w, rec, trace.TextOptions{}); err != nil {
+		if err := trace.WriteText(w, rec); err != nil {
 			return err
 		}
 	}

@@ -45,7 +45,7 @@ func main() {
 	}
 	res, err := core.Run(cfg)
 	if cfg.Recorder != nil {
-		trace.WriteText(os.Stderr, cfg.Recorder, trace.TextOptions{})
+		trace.WriteText(os.Stderr, cfg.Recorder)
 	}
 	if err != nil {
 		log.Fatal(err)

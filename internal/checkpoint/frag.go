@@ -88,11 +88,7 @@ func ReadFragMeta(p *vclock.Proc, st *Store, dir string, idx int) (FragMeta, err
 // Coverage scans use it where charging latency per probe would distort
 // timing.
 func HasFrag(st *Store, dir string, idx int) bool {
-	if n, ok := st.Stat(nil, FragMetaPath(dir, idx)); !ok || n == 0 {
-		return false
-	}
-	_, ok := st.Stat(nil, FragPath(dir, idx))
-	return ok
+	return committed(st, FragMetaPath(dir, idx), FragPath(dir, idx))
 }
 
 // ValidFragDeep checks fragment idx end-to-end at metadata cost: FMETA
@@ -101,15 +97,7 @@ func HasFrag(st *Store, dir string, idx int) bool {
 // entry for the decoder's erasure list.
 func ValidFragDeep(p *vclock.Proc, st *Store, dir string, idx int) bool {
 	fm, err := ReadFragMeta(p, st, dir, idx)
-	if err != nil {
-		return false
-	}
-	length, ok := st.Stat(p, FragPath(dir, idx))
-	if !ok || length != fm.ShardLen {
-		return false
-	}
-	sum, ok := st.ContentHash(p, FragPath(dir, idx))
-	return ok && sum == fm.FragSum
+	return err == nil && intact(p, st, FragPath(dir, idx), fm.ShardLen, fm.FragSum)
 }
 
 // ReadFrag reads and verifies fragment idx, charging read bandwidth.
@@ -118,12 +106,9 @@ func ReadFrag(p *vclock.Proc, st *Store, dir string, idx int) (FragMeta, []byte,
 	if err != nil {
 		return FragMeta{}, nil, err
 	}
-	data, err := st.Read(p, FragPath(dir, idx))
+	data, err := readVerified(p, st, FragPath(dir, idx), fm.ShardLen, fm.FragSum, fmt.Sprintf("%s frag %d", dir, idx))
 	if err != nil {
 		return FragMeta{}, nil, err
-	}
-	if len(data) != fm.ShardLen || Sum(data) != fm.FragSum {
-		return FragMeta{}, nil, fmt.Errorf("%w: %s frag %d fails checksum", ErrCorrupt, dir, idx)
 	}
 	return fm, data, nil
 }

@@ -15,9 +15,6 @@ package checkpoint
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
 	"jitckpt/internal/gpu"
 	"jitckpt/internal/tensor"
@@ -27,9 +24,9 @@ import (
 )
 
 // MultiStepNamespace is the store-path component of the multi-step family.
-// Its generation directories (gen%08d/rank%04d) deliberately do not parse
-// as RankDirs, so the plain-source assembler never mistakes a slice object
-// for a single-shot rank checkpoint.
+// Its generation directories (gen%08d/rank%04d) are walked with the word
+// "gen", so no rank-entry walk ever mistakes a slice object for a
+// single-shot rank checkpoint.
 const MultiStepNamespace = "multistep"
 
 // MultiStepGenDir builds a generation's per-rank directory; the generation
@@ -38,20 +35,8 @@ func MultiStepGenDir(job string, target, rank int) string {
 	return fmt.Sprintf("%s/ckpt/%s/gen%08d/rank%04d", job, MultiStepNamespace, target, rank)
 }
 
-// parseMSGenDir extracts (target, rank) from a MultiStepGenDir path.
-func parseMSGenDir(dir string) (target, rank int, ok bool) {
-	parts := strings.Split(dir, "/")
-	if len(parts) < 2 {
-		return 0, 0, false
-	}
-	g, r := parts[len(parts)-2], parts[len(parts)-1]
-	if !strings.HasPrefix(g, "gen") || !strings.HasPrefix(r, "rank") {
-		return 0, 0, false
-	}
-	gi, err1 := strconv.Atoi(strings.TrimPrefix(g, "gen"))
-	ri, err2 := strconv.Atoi(strings.TrimPrefix(r, "rank"))
-	return gi, ri, err1 == nil && err2 == nil
-}
+// msRetain is how many committed generations a rank keeps.
+const msRetain = 2
 
 // MSObject records one committed object of a generation in its META:
 // either a state slice (Layers non-empty, Iter = capture iteration) or a
@@ -122,8 +107,6 @@ type MultiStep struct {
 	// SerializeBW and D2HBandwidth time the per-slice staging copy.
 	SerializeBW  float64
 	D2HBandwidth float64
-	// Retain bounds committed generations kept per rank (default 2).
-	Retain int
 	// NoteSliceWrite, when set, fires on the background writer before
 	// each slice write (phase-aware fault injection).
 	NoteSliceWrite func(p *vclock.Proc)
@@ -366,13 +349,9 @@ func objsOf(ps []msPayload) []MSObject {
 	return out
 }
 
-// prune deletes this rank's oldest committed generations beyond Retain,
+// prune deletes this rank's oldest committed generations beyond msRetain,
 // plus any abandoned (uncommitted) generation older than the newest commit.
 func (msw *MultiStep) prune(rank int) {
-	retain := msw.Retain
-	if retain < 1 {
-		retain = 2
-	}
 	dirs := msw.rankGenDirs(rank)
 	committed := 0
 	newestCommit := -1
@@ -382,7 +361,7 @@ func (msw *MultiStep) prune(rank int) {
 			if newestCommit < 0 {
 				newestCommit = i
 			}
-			if committed > retain {
+			if committed > msRetain {
 				msw.deleteGen(dirs[i])
 			}
 		} else if newestCommit >= 0 {
@@ -394,20 +373,12 @@ func (msw *MultiStep) prune(rank int) {
 
 // rankGenDirs lists this rank's generation directories, oldest first.
 func (msw *MultiStep) rankGenDirs(rank int) []string {
-	prefix := fmt.Sprintf("%s/ckpt/%s/", msw.Job, MultiStepNamespace)
-	seen := make(map[string]bool)
 	var dirs []string
-	for _, path := range msw.Disk.List(prefix) {
-		dir := path[:strings.LastIndex(path, "/")]
-		if seen[dir] {
-			continue
-		}
-		seen[dir] = true
-		if _, r, ok := parseMSGenDir(dir); ok && r == rank {
-			dirs = append(dirs, dir)
+	for _, e := range Entries(msw.Disk, nsPrefix(msw.Job, MultiStepNamespace), "gen") {
+		if e.Rank == rank {
+			dirs = append(dirs, e.Dir)
 		}
 	}
-	sort.Strings(dirs)
 	return dirs
 }
 
@@ -451,12 +422,7 @@ func msValidDeep(p *vclock.Proc, st *Store, dir string) bool {
 	gradIters := make(map[int]bool)
 	slices := 0
 	for _, o := range m.Objects {
-		length, ok := st.Stat(p, dir+"/"+o.Name)
-		if !ok || length != o.DataLen {
-			return false
-		}
-		sum, ok := st.ContentHash(p, dir+"/"+o.Name)
-		if !ok || sum != o.Checksum {
+		if !intact(p, st, dir+"/"+o.Name, o.DataLen, o.Checksum) {
 			return false
 		}
 		if o.Layers == nil {
@@ -502,23 +468,12 @@ type MultiStepParams struct {
 // replays retained gradients to advance stale slices to the target
 // iteration — charging the host replay to virtual time.
 func MultiStepCandidates(st *Store, job string, mp MultiStepParams) []Candidate {
-	prefix := fmt.Sprintf("%s/ckpt/%s/", job, MultiStepNamespace)
-	seen := make(map[string]bool)
 	var out []Candidate
-	for _, path := range st.List(prefix) {
-		dir := path[:strings.LastIndex(path, "/")]
-		if seen[dir] {
-			continue
-		}
-		seen[dir] = true
-		target, rank, ok := parseMSGenDir(dir)
-		if !ok {
-			continue
-		}
-		d := dir
+	for _, e := range Entries(st, nsPrefix(job, MultiStepNamespace), "gen") {
+		d := e.Dir
 		out = append(out, Candidate{
-			Iter:  target,
-			Rank:  rank,
+			Iter:  e.Iter,
+			Rank:  e.Rank,
 			Probe: func(p *vclock.Proc) bool { return msValidDeep(p, st, d) },
 			Load:  func(p *vclock.Proc) (*train.ModelState, error) { return loadMultiStep(p, st, d, mp) },
 			Desc:  MultiStepNamespace + ":" + d,
@@ -543,12 +498,10 @@ func loadMultiStep(p *vclock.Proc, st *Store, dir string, mp MultiStepParams) (*
 	var stale []staleSlice
 	var staleBytes int64
 	for _, o := range m.Objects {
-		raw, err := st.Read(p, dir+"/"+o.Name)
+		path := dir + "/" + o.Name
+		raw, err := readVerified(p, st, path, o.DataLen, o.Checksum, path)
 		if err != nil {
 			return nil, err
-		}
-		if len(raw) != o.DataLen || Sum(raw) != o.Checksum {
-			return nil, fmt.Errorf("%w: %s/%s fails checksum", ErrCorrupt, dir, o.Name)
 		}
 		ms, err := train.DecodeModelState(raw)
 		if err != nil {
@@ -563,7 +516,7 @@ func loadMultiStep(p *vclock.Proc, st *Store, dir string, mp MultiStepParams) (*
 		}
 		if o.Iter < m.TargetIter {
 			stale = append(stale, staleSlice{layers: o.Layers, from: o.Iter})
-			staleBytes += int64(m.TargetIter-o.Iter) * st.ModelBytes(dir+"/"+o.Name)
+			staleBytes += int64(m.TargetIter-o.Iter) * st.ModelBytes(path)
 		}
 	}
 	if len(stale) > 0 {

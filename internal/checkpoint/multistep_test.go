@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 
 	"jitckpt/internal/cuda"
@@ -111,19 +110,13 @@ func oracleState(t *testing.T, iters int) *train.ModelState {
 	return ms
 }
 
-// committedGens returns the committed generation dirs (META present),
-// oldest first.
-func committedGens(st *Store, job string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, path := range st.List(job + "/ckpt/" + MultiStepNamespace + "/") {
-		dir := path[:strings.LastIndex(path, "/")]
-		if seen[dir] {
-			continue
-		}
-		seen[dir] = true
-		if _, ok := st.Stat(nil, msMetaPath(dir)); ok {
-			out = append(out, dir)
+// committedGens returns the committed generations (META present), oldest
+// first.
+func committedGens(st *Store, job string) []Entry {
+	var out []Entry
+	for _, e := range Entries(st, nsPrefix(job, MultiStepNamespace), "gen") {
+		if _, ok := st.Stat(nil, msMetaPath(e.Dir)); ok {
+			out = append(out, e)
 		}
 	}
 	return out
@@ -140,9 +133,9 @@ func TestMultiStepCommitAndReconciledRestoreBitExact(t *testing.T) {
 		t.Fatal("no committed generation on disk")
 	}
 	newest := gens[len(gens)-1]
-	target, rank, ok := parseMSGenDir(newest)
-	if !ok || rank != 0 {
-		t.Fatalf("bad gen dir %s", newest)
+	target := newest.Iter
+	if newest.Rank != 0 {
+		t.Fatalf("bad gen dir %s", newest.Dir)
 	}
 
 	env := vclock.NewEnv(1)
@@ -196,9 +189,8 @@ func TestMultiStepPartialGenerationFallsBack(t *testing.T) {
 	if len(gens) < 2 {
 		t.Fatalf("want ≥2 committed generations, got %d", len(gens))
 	}
-	newest, older := gens[len(gens)-1], gens[len(gens)-2]
-	newestTarget, _, _ := parseMSGenDir(newest)
-	olderTarget, _, _ := parseMSGenDir(older)
+	newest, newestTarget := gens[len(gens)-1].Dir, gens[len(gens)-1].Iter
+	olderTarget := gens[len(gens)-2].Iter
 
 	cases := map[string]func(st *Store){
 		"missing-slice": func(st *Store) { st.Delete(newest + "/slice01.bin") },
@@ -237,7 +229,7 @@ func TestMultiStepPartialGenerationFallsBack(t *testing.T) {
 func TestMultiStepStaleBeyondWindowRejected(t *testing.T) {
 	disk, _, _ := msTrainRun(t, 30, 3, 40*vclock.Millisecond)
 	gens := committedGens(disk, "job")
-	newest := gens[len(gens)-1]
+	newest := gens[len(gens)-1].Dir
 	env := vclock.NewEnv(1)
 	st := cloneStoreInto(env, disk)
 	// Forge a META whose slice is captured before the generation's gradient

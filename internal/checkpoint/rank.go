@@ -3,8 +3,6 @@ package checkpoint
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"jitckpt/internal/gpu"
 	"jitckpt/internal/trace"
@@ -36,23 +34,6 @@ func (m Meta) encode() []byte {
 // into its own directory so simultaneous JIT checkpoints cannot collide.
 func RankDir(job, policy string, iter, rank int) string {
 	return fmt.Sprintf("%s/ckpt/%s/iter%08d/rank%04d", job, policy, iter, rank)
-}
-
-// ParseRankDir extracts (iter, rank) from a RankDir path. The peer-shelter
-// tier uses it to enumerate sheltered entries and prune old iterations.
-func ParseRankDir(dir string) (iter, rank int, ok bool) {
-	parts := strings.Split(dir, "/")
-	if len(parts) < 2 {
-		return 0, 0, false
-	}
-	it := parts[len(parts)-2]
-	rk := parts[len(parts)-1]
-	if !strings.HasPrefix(it, "iter") || !strings.HasPrefix(rk, "rank") {
-		return 0, 0, false
-	}
-	i, err1 := strconv.Atoi(strings.TrimPrefix(it, "iter"))
-	r, err2 := strconv.Atoi(strings.TrimPrefix(rk, "rank"))
-	return i, r, err1 == nil && err2 == nil
 }
 
 func dataPath(dir string) string { return dir + "/model.bin" }
@@ -167,28 +148,14 @@ func ReadMeta(p *vclock.Proc, st *Store, dir string) (Meta, error) {
 // newest generation that is actually intact.
 func ValidDeep(p *vclock.Proc, st *Store, dir string) bool {
 	m, err := ReadMeta(p, st, dir)
-	if err != nil {
-		return false
-	}
-	length, ok := st.Stat(p, dataPath(dir))
-	if !ok || length != m.DataLen {
-		return false
-	}
-	sum, ok := st.ContentHash(p, dataPath(dir))
-	return ok && sum == m.Checksum
+	return err == nil && intact(p, st, dataPath(dir), m.DataLen, m.Checksum)
 }
 
 // HasComplete reports whether dir holds a complete rank checkpoint using
 // only zero-time metadata lookups (META written last certifies the commit,
 // and the data object must exist). Scheduler-side coverage scans use it
 // where charging store latency per probed entry would distort timing.
-func HasComplete(st *Store, dir string) bool {
-	if n, ok := st.Stat(nil, metaPath(dir)); !ok || n == 0 {
-		return false
-	}
-	_, ok := st.Stat(nil, dataPath(dir))
-	return ok
-}
+func HasComplete(st *Store, dir string) bool { return committed(st, metaPath(dir), dataPath(dir)) }
 
 // ReadRank reads and validates one rank's checkpoint.
 func ReadRank(p *vclock.Proc, st *Store, dir string) (*train.ModelState, error) {
@@ -196,12 +163,9 @@ func ReadRank(p *vclock.Proc, st *Store, dir string) (*train.ModelState, error) 
 	if err != nil {
 		return nil, err
 	}
-	data, err := st.Read(p, dataPath(dir))
+	data, err := readVerified(p, st, dataPath(dir), m.DataLen, m.Checksum, dir)
 	if err != nil {
 		return nil, err
-	}
-	if len(data) != m.DataLen || Sum(data) != m.Checksum {
-		return nil, fmt.Errorf("%w: %s fails checksum", ErrCorrupt, dir)
 	}
 	return train.DecodeModelState(data)
 }
@@ -231,32 +195,21 @@ type RestorePlan struct {
 	For  map[int]Candidate
 }
 
-// StoreCandidates enumerates the complete-looking rank entries st holds for
-// job under each namespace, as candidates that deep-validate in Probe and
-// read with checksum verification in Load. Entries come out in namespace
-// order, path-sorted within one — the order AssembleRestore breaks ties by.
-func StoreCandidates(st *Store, job string, namespaces ...string) []Candidate {
+// StoreCandidates enumerates the rank entries st holds for job under
+// namespace ns (Entries), as candidates that deep-validate in Probe and read
+// with checksum verification in Load. Entries come out in path order — the
+// order AssembleRestore breaks ties by.
+func StoreCandidates(st *Store, job, ns string) []Candidate {
 	var out []Candidate
-	seen := make(map[string]bool)
-	for _, ns := range namespaces {
-		for _, path := range st.List(fmt.Sprintf("%s/ckpt/%s/", job, ns)) {
-			dir := path[:strings.LastIndex(path, "/")]
-			if seen[dir] {
-				continue
-			}
-			seen[dir] = true
-			iter, rank, ok := ParseRankDir(dir)
-			if !ok {
-				continue
-			}
-			out = append(out, Candidate{
-				Iter:  iter,
-				Rank:  rank,
-				Probe: func(p *vclock.Proc) bool { return ValidDeep(p, st, dir) },
-				Load:  func(p *vclock.Proc) (*train.ModelState, error) { return ReadRank(p, st, dir) },
-				Desc:  st.Name() + ":" + dir,
-			})
-		}
+	for _, e := range Entries(st, nsPrefix(job, ns), "iter") {
+		dir := e.Dir
+		out = append(out, Candidate{
+			Iter:  e.Iter,
+			Rank:  e.Rank,
+			Probe: func(p *vclock.Proc) bool { return ValidDeep(p, st, dir) },
+			Load:  func(p *vclock.Proc) (*train.ModelState, error) { return ReadRank(p, st, dir) },
+			Desc:  st.Name() + ":" + dir,
+		})
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"jitckpt/internal/core"
@@ -60,20 +61,32 @@ func tracedFleetRun(t *testing.T, cfg Config) (*Result, *trace.Recorder, []byte)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := trace.WriteText(&buf, rec, trace.TextOptions{Cats: fleetGoldenCats}); err != nil {
-		t.Fatalf("WriteText: %v", err)
-	}
-	return res, rec, buf.Bytes()
+	return res, rec, keepCats(fullText(t, rec), fleetGoldenCats)
 }
 
 func fullText(t *testing.T, rec *trace.Recorder) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := trace.WriteText(&buf, rec, trace.TextOptions{}); err != nil {
+	if err := trace.WriteText(&buf, rec); err != nil {
 		t.Fatalf("WriteText: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// keepCats keeps the timeline lines whose category — the third field, after
+// any multi-run "rN" prefix — is one of cats.
+func keepCats(text []byte, cats []string) []byte {
+	var out []byte
+	for _, ln := range bytes.SplitAfter(text, []byte("\n")) {
+		f := bytes.Fields(ln)
+		if len(f) > 0 && f[0][0] == 'r' {
+			f = f[1:]
+		}
+		if len(f) > 2 && slices.Contains(cats, string(f[2])) {
+			out = append(out, ln...)
+		}
+	}
+	return out
 }
 
 // TestGoldenFleetTrace runs the pinned fleet scenario twice in-process

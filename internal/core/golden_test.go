@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"jitckpt/internal/failure"
@@ -170,21 +171,33 @@ func tracedRun(t *testing.T, cfg JobConfig) (*trace.Recorder, []byte) {
 	if !res.Completed {
 		t.Fatalf("run did not complete: %+v", res.Accounting)
 	}
-	var buf bytes.Buffer
-	if err := trace.WriteText(&buf, rec, trace.TextOptions{Cats: goldenCats}); err != nil {
-		t.Fatalf("WriteText: %v", err)
-	}
-	return rec, buf.Bytes()
+	return rec, keepCats(fullText(t, rec), goldenCats)
 }
 
 // fullText renders the unfiltered timeline (every category).
 func fullText(t *testing.T, rec *trace.Recorder) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := trace.WriteText(&buf, rec, trace.TextOptions{}); err != nil {
+	if err := trace.WriteText(&buf, rec); err != nil {
 		t.Fatalf("WriteText: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// keepCats keeps the timeline lines whose category — the third field, after
+// any multi-run "rN" prefix — is one of cats.
+func keepCats(text []byte, cats []string) []byte {
+	var out []byte
+	for _, ln := range bytes.SplitAfter(text, []byte("\n")) {
+		f := bytes.Fields(ln)
+		if len(f) > 0 && f[0][0] == 'r' {
+			f = f[1:]
+		}
+		if len(f) > 2 && slices.Contains(cats, string(f[2])) {
+			out = append(out, ln...)
+		}
+	}
+	return out
 }
 
 // TestGoldenTraces runs each pinned scenario twice in-process and

@@ -263,7 +263,7 @@ func (h *harness) peerTier() (*tier, error) {
 // from a surviving neighbor with zero checkpoint reads.
 func (h *harness) pipeFreeTier() (*tier, error) {
 	wl := h.cfg.WL
-	guard, err := pipefree.New(h.env, "job", pipefree.DefaultParams(), wl.Topo, func(rank int) int {
+	guard, err := pipefree.New(h.env, "job", wl.Topo, func(rank int) int {
 		if dev := h.device(rank); dev != nil {
 			return dev.NodeID
 		}

@@ -13,7 +13,7 @@ import (
 func traceBytes(t *testing.T, rec *trace.Recorder) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := trace.WriteText(&buf, rec, trace.TextOptions{}); err != nil {
+	if err := trace.WriteText(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -49,19 +49,25 @@ import (
 // PolicyName is the checkpoint-store namespace for peer-sheltered entries.
 const PolicyName = "peer"
 
+// The shelter's fixed costs and window: a fixed per-transfer latency, how
+// many iterations of entries each host keeps per rank (two, so a torn
+// in-flight write never leaves a rank uncovered), and the table-driven
+// GF(2^8) codec's throughput in payload bytes/second — encode charged in the
+// background replication process, decode on the restore path.
+const (
+	shelterLatency = 200 * vclock.Microsecond
+	shelterRetain  = 2
+	codecBandwidth = 10e9
+)
+
 // Params model the shelter tier.
 type Params struct {
 	// LinkBandwidth is the rank→peer-CPU-memory streaming bandwidth,
 	// bytes/second.
 	LinkBandwidth float64
-	// Latency is the fixed per-transfer cost.
-	Latency vclock.Time
 	// Copies is how many peer hosts shelter each rank's state in
 	// replication mode (ignored when striping is enabled).
 	Copies int
-	// Retain is how many iterations of entries each host keeps per rank
-	// (≥ 2, so a torn in-flight write never leaves a rank uncovered).
-	Retain int
 	// DataShards (k) and ParityShards (m) switch the shelter from full
 	// replication to Reed-Solomon striping: each rank's state is split
 	// into k data shards extended with m parity fragments, spread over
@@ -71,23 +77,12 @@ type Params struct {
 	// DataShards (the default) keeps replication mode.
 	DataShards   int
 	ParityShards int
-	// CodecBandwidth is the Reed-Solomon encode/decode throughput in
-	// payload bytes/second; encode is charged in the background
-	// replication process, decode on the restore path.
-	CodecBandwidth float64
 }
 
 // DefaultParams returns the standard shelter configuration: one copy per
-// rank over a 100 Gb/s-class link, retaining two iterations, with a
-// table-driven GF(2^8) codec worth ~10 GB/s when striping is enabled.
+// rank over a 100 Gb/s-class link.
 func DefaultParams() Params {
-	return Params{
-		LinkBandwidth:  12.5e9,
-		Latency:        200 * vclock.Microsecond,
-		Copies:         1,
-		Retain:         2,
-		CodecBandwidth: 10e9,
-	}
+	return Params{LinkBandwidth: 12.5e9, Copies: 1}
 }
 
 func (p Params) withDefaults() Params {
@@ -95,17 +90,8 @@ func (p Params) withDefaults() Params {
 	if p.LinkBandwidth <= 0 {
 		p.LinkBandwidth = d.LinkBandwidth
 	}
-	if p.Latency <= 0 {
-		p.Latency = d.Latency
-	}
 	if p.Copies <= 0 {
 		p.Copies = d.Copies
-	}
-	if p.Retain < 2 {
-		p.Retain = d.Retain
-	}
-	if p.CodecBandwidth <= 0 {
-		p.CodecBandwidth = d.CodecBandwidth
 	}
 	return p
 }
@@ -259,7 +245,7 @@ func (s *Shelter) Host(node int) *checkpoint.Store {
 		st = checkpoint.NewStore(s.env, fmt.Sprintf("peer.n%d", node), checkpoint.StoreParams{
 			WriteBW: s.params.LinkBandwidth,
 			ReadBW:  s.params.LinkBandwidth,
-			Latency: s.params.Latency,
+			Latency: shelterLatency,
 		})
 		st.SetChaos(s.chaos)
 		s.hosts[node] = st
@@ -339,17 +325,20 @@ func (s *Shelter) commit(p *vclock.Proc, node int, img checkpoint.RankImage, sta
 	return nil
 }
 
+// entries lists the shelter entries one host store holds for the job
+// (checkpoint.Entries): replica objects and erasure fragments under one
+// entry directory are one entry.
+func (s *Shelter) entries(st *checkpoint.Store) []checkpoint.Entry {
+	return checkpoint.Entries(st, fmt.Sprintf("%s/ckpt/%s/", s.job, PolicyName), "iter")
+}
+
 // pruneRank deletes a rank's entries older than the retention window in
-// one host store (a metadata operation; no time charged). Entry
-// enumeration goes through the typed key helper, so replica objects and
-// erasure fragments under the same entry directory prune together.
+// one host store (a metadata operation; no time charged), replica objects
+// and erasure fragments together.
 func (s *Shelter) pruneRank(st *checkpoint.Store, rank, newest int) {
-	for _, ref := range entriesIn(st, s.job) {
-		if ref.Rank != rank {
-			continue
-		}
-		if ref.Iter <= newest-s.params.Retain {
-			for _, obj := range st.List(ref.Dir() + "/") {
+	for _, e := range s.entries(st) {
+		if e.Rank == rank && e.Iter <= newest-shelterRetain {
+			for _, obj := range st.List(e.Dir + "/") {
 				st.Delete(obj)
 			}
 		}
@@ -370,24 +359,18 @@ func (s *Shelter) CoveredPositions(topo train.Topology) map[string]bool {
 	// flushes (which write whole entries even in striped mode).
 	for _, n := range s.survivingNodes() {
 		st := s.hosts[n]
-		for _, ref := range entriesIn(st, s.job) {
-			if ref.Rank >= topo.World() {
-				continue
-			}
-			if checkpoint.HasComplete(st, ref.Dir()) {
-				out[topo.PositionKey(ref.Rank)] = true
+		for _, e := range s.entries(st) {
+			if e.Rank < topo.World() && checkpoint.HasComplete(st, e.Dir) {
+				out[topo.PositionKey(e.Rank)] = true
 			}
 		}
 	}
 	if !s.params.Striped() {
 		return out
 	}
-	for ref, frags := range s.fragSets() {
-		if ref.Rank >= topo.World() {
-			continue
-		}
-		if len(frags) >= s.params.DataShards {
-			out[topo.PositionKey(ref.Rank)] = true
+	for e, frags := range s.fragSets() {
+		if e.Rank < topo.World() && len(frags) >= s.params.DataShards {
+			out[topo.PositionKey(e.Rank)] = true
 		}
 	}
 	return out

@@ -1,7 +1,6 @@
 package peerckpt
 
 import (
-	"fmt"
 	"testing"
 
 	"jitckpt/internal/checkpoint"
@@ -40,7 +39,7 @@ func (f *fakePeeker) PeekModelState() (*train.ModelState, error) {
 }
 
 func testParams() Params {
-	return Params{LinkBandwidth: 1e9, Latency: vclock.Millisecond, Copies: 1, Retain: 2}
+	return Params{LinkBandwidth: 1e9, Copies: 1}
 }
 
 // mustShelter builds a shelter without availability checks, failing the
@@ -77,7 +76,7 @@ func TestCommitValidityAndRetention(t *testing.T) {
 	if got := s.Stats(); got.Commits != 5 || got.Skips != 0 {
 		t.Fatalf("stats = %+v, want 5 commits / 0 skips", got)
 	}
-	// Retention keeps only the newest Retain=2 iterations for the rank.
+	// Retention keeps only the newest two iterations for the rank.
 	for it := 1; it <= 5; it++ {
 		dir := checkpoint.RankDir("job", PolicyName, it, 3)
 		has := checkpoint.HasComplete(st, dir)
@@ -136,7 +135,7 @@ func TestOfferIsAsyncAndBusySkips(t *testing.T) {
 		t.Fatalf("stats = %+v, want 3 offers / 1 skip / 2 commits", got)
 	}
 	// The skipped iteration 2 must not exist; 1 was pruned by retention
-	// (Retain=2 keeps iters > 3-2); 3 must exist.
+	// (two kept: iters > 3-2); 3 must exist.
 	st := s.Host(2)
 	for it, want := range map[int]bool{1: false, 2: false, 3: true} {
 		dir := checkpoint.RankDir("job", PolicyName, it, 0)
@@ -272,7 +271,7 @@ func TestParamsDefaults(t *testing.T) {
 	if s.Params() != DefaultParams() {
 		t.Fatalf("zero params resolved to %+v", s.Params())
 	}
-	if fmt.Sprintf("%v", s.Params().Retain) != "2" {
-		t.Fatal("default Retain != 2")
+	if got := s.Params(); got.Copies != 1 || got.Striped() {
+		t.Fatalf("default shelter %+v, want one replicated copy", got)
 	}
 }

@@ -28,7 +28,7 @@ func (r *Replicator) shipStripe(p *vclock.Proc, img checkpoint.RankImage) {
 		"iter", img.Iter, "k", k, "m", m)
 	t0 := p.Now()
 	// Charge the GF(2^8) table-multiply cost over the modelled payload.
-	p.Sleep(gpu.TransferTime(r.Bytes, s.params.CodecBandwidth))
+	p.Sleep(gpu.TransferTime(r.Bytes, codecBandwidth))
 	frags, err := s.codec.Encode(s.codec.Split(img.Data))
 	if err != nil {
 		sp.End(p.Now(), "err", err)
@@ -64,10 +64,10 @@ func (s *Shelter) commitFrag(p *vclock.Proc, node int, fm checkpoint.FragMeta, f
 	if st == nil {
 		return fmt.Errorf("peerckpt: host node %d is lost", node)
 	}
-	ref := EntryRef{Job: s.job, Iter: fm.Iter, Rank: fm.Rank}
+	dir := checkpoint.RankDir(s.job, PolicyName, fm.Iter, fm.Rank)
 	sp := trace.Of(s.env).Begin(p.Now(), "peer", trace.Rank(fm.Rank), "shelter-frag",
 		"node", node, "iter", fm.Iter, "frag", fm.Frag)
-	if err := checkpoint.WriteFragRetry(p, st, ref.Dir(), fm, frag, fragBytes); err != nil {
+	if err := checkpoint.WriteFragRetry(p, st, dir, fm, frag, fragBytes); err != nil {
 		sp.End(p.Now(), "err", err)
 		return err
 	}
@@ -82,20 +82,20 @@ func (s *Shelter) commitFrag(p *vclock.Proc, node int, fm checkpoint.FragMeta, f
 // metadata lookups — and returns, per entry, which fragment indices
 // survive and on which node (first surviving host in node order wins a
 // duplicate index).
-func (s *Shelter) fragSets() map[EntryRef]map[int]int {
-	out := make(map[EntryRef]map[int]int)
+func (s *Shelter) fragSets() map[checkpoint.Entry]map[int]int {
+	out := make(map[checkpoint.Entry]map[int]int)
 	total := s.params.Fragments()
 	for _, n := range s.survivingNodes() {
 		st := s.hosts[n]
-		for _, ref := range entriesIn(st, s.job) {
+		for _, e := range s.entries(st) {
 			for idx := 0; idx < total; idx++ {
-				if !checkpoint.HasFrag(st, ref.Dir(), idx) {
+				if !checkpoint.HasFrag(st, e.Dir, idx) {
 					continue
 				}
-				frags, ok := out[ref]
+				frags, ok := out[e]
 				if !ok {
 					frags = make(map[int]int)
-					out[ref] = frags
+					out[e] = frags
 				}
 				if _, dup := frags[idx]; !dup {
 					frags[idx] = n
@@ -125,31 +125,31 @@ func (s *Shelter) RestoreCandidates() []checkpoint.Candidate {
 		return out
 	}
 	sets := s.fragSets()
-	refs := make([]EntryRef, 0, len(sets))
-	for ref := range sets {
-		refs = append(refs, ref)
+	stripes := make([]checkpoint.Entry, 0, len(sets))
+	for e := range sets {
+		stripes = append(stripes, e)
 	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].Iter != refs[j].Iter {
-			return refs[i].Iter > refs[j].Iter
+	sort.Slice(stripes, func(i, j int) bool {
+		if stripes[i].Iter != stripes[j].Iter {
+			return stripes[i].Iter > stripes[j].Iter
 		}
-		return refs[i].Rank < refs[j].Rank
+		return stripes[i].Rank < stripes[j].Rank
 	})
-	for _, ref := range refs {
-		frags := sets[ref]
+	for _, e := range stripes {
+		frags := sets[e]
 		if len(frags) < s.params.DataShards {
 			continue
 		}
 		out = append(out, checkpoint.Candidate{
-			Iter: ref.Iter,
-			Rank: ref.Rank,
+			Iter: e.Iter,
+			Rank: e.Rank,
 			Probe: func(p *vclock.Proc) bool {
-				return s.probeStripe(p, ref, frags)
+				return s.probeStripe(p, e, frags)
 			},
 			Load: func(p *vclock.Proc) (*train.ModelState, error) {
-				return s.loadStripe(p, ref, frags)
+				return s.loadStripe(p, e, frags)
 			},
-			Desc: fmt.Sprintf("peer-stripe:%s", ref.Dir()),
+			Desc: "peer-stripe:" + e.Dir,
 		})
 	}
 	return out
@@ -159,7 +159,7 @@ func (s *Shelter) RestoreCandidates() []checkpoint.Candidate {
 // fragments whose per-fragment checksum still matches and reports
 // whether at least k survive. A fragment corrupted in place since the
 // zero-time scan fails its checksum here and drops out of the count.
-func (s *Shelter) probeStripe(p *vclock.Proc, ref EntryRef, frags map[int]int) bool {
+func (s *Shelter) probeStripe(p *vclock.Proc, e checkpoint.Entry, frags map[int]int) bool {
 	valid := 0
 	total := s.params.Fragments()
 	for idx := 0; idx < total; idx++ {
@@ -171,7 +171,7 @@ func (s *Shelter) probeStripe(p *vclock.Proc, ref EntryRef, frags map[int]int) b
 		if st == nil {
 			continue
 		}
-		if checkpoint.ValidFragDeep(p, st, ref.Dir(), idx) {
+		if checkpoint.ValidFragDeep(p, st, e.Dir, idx) {
 			valid++
 		}
 	}
@@ -183,14 +183,14 @@ func (s *Shelter) probeStripe(p *vclock.Proc, ref EntryRef, frags map[int]int) b
 // shards from parity when needed (decode latency charged via the codec
 // bandwidth), reassembles the payload, and verifies it end-to-end
 // against the stripe's recorded checksum.
-func (s *Shelter) loadStripe(p *vclock.Proc, ref EntryRef, frags map[int]int) (*train.ModelState, error) {
+func (s *Shelter) loadStripe(p *vclock.Proc, e checkpoint.Entry, frags map[int]int) (*train.ModelState, error) {
 	if s.NotePhase != nil {
-		s.NotePhase(ref.Rank, failure.PhaseReconstruct)
+		s.NotePhase(e.Rank, failure.PhaseReconstruct)
 	}
 	k := s.params.DataShards
 	total := s.params.Fragments()
-	sp := trace.Of(s.env).Begin(p.Now(), "peer", trace.Rank(ref.Rank), "reconstruct",
-		"iter", ref.Iter)
+	sp := trace.Of(s.env).Begin(p.Now(), "peer", trace.Rank(e.Rank), "reconstruct",
+		"iter", e.Iter)
 	shards := make([][]byte, total)
 	var meta *checkpoint.FragMeta
 	var modelBytes int64
@@ -204,13 +204,13 @@ func (s *Shelter) loadStripe(p *vclock.Proc, ref EntryRef, frags map[int]int) (*
 		if st == nil {
 			continue
 		}
-		fm, data, err := checkpoint.ReadFrag(p, st, ref.Dir(), idx)
+		fm, data, err := checkpoint.ReadFrag(p, st, e.Dir, idx)
 		if err != nil {
 			// Corrupt or vanished since the probe: erase it and let
 			// parity make up the difference.
 			s.fragErasures++
-			trace.Of(s.env).Instant(p.Now(), "peer", trace.Rank(ref.Rank), "frag-erased",
-				"iter", ref.Iter, "frag", idx, "err", err)
+			trace.Of(s.env).Instant(p.Now(), "peer", trace.Rank(e.Rank), "frag-erased",
+				"iter", e.Iter, "frag", idx, "err", err)
 			continue
 		}
 		if meta == nil {
@@ -222,12 +222,12 @@ func (s *Shelter) loadStripe(p *vclock.Proc, ref EntryRef, frags map[int]int) (*
 			continue
 		}
 		shards[idx] = data
-		modelBytes += st.ModelBytes(checkpoint.FragPath(ref.Dir(), idx))
+		modelBytes += st.ModelBytes(checkpoint.FragPath(e.Dir, idx))
 		have++
 	}
 	if have < k || meta == nil {
 		err := fmt.Errorf("%w: stripe %s: %d of %d fragments readable, need %d",
-			checkpoint.ErrCorrupt, ref.Dir(), have, total, k)
+			checkpoint.ErrCorrupt, e.Dir, have, total, k)
 		sp.End(p.Now(), "err", err)
 		return nil, err
 	}
@@ -240,10 +240,10 @@ func (s *Shelter) loadStripe(p *vclock.Proc, ref EntryRef, frags map[int]int) (*
 	}
 	if decoded {
 		t0 := p.Now()
-		p.Sleep(gpu.TransferTime(modelBytes, s.params.CodecBandwidth))
+		p.Sleep(gpu.TransferTime(modelBytes, codecBandwidth))
 		if err := s.codec.Reconstruct(shards); err != nil {
 			sp.End(p.Now(), "err", err)
-			return nil, fmt.Errorf("stripe %s: %w", ref.Dir(), err)
+			return nil, fmt.Errorf("stripe %s: %w", e.Dir, err)
 		}
 		s.decodes++
 		s.decodeTime += p.Now() - t0
@@ -255,7 +255,7 @@ func (s *Shelter) loadStripe(p *vclock.Proc, ref EntryRef, frags map[int]int) (*
 	}
 	if checkpoint.Sum(data) != meta.DataSum {
 		err := fmt.Errorf("%w: stripe %s fails end-to-end checksum after decode",
-			checkpoint.ErrCorrupt, ref.Dir())
+			checkpoint.ErrCorrupt, e.Dir)
 		sp.End(p.Now(), "err", err)
 		return nil, err
 	}

@@ -9,53 +9,67 @@ import (
 	"jitckpt/internal/vclock"
 )
 
+// TestEntryRefKeyHelper checks the shelter's entry key: every object kind
+// under one entry directory, stored alone on a host, lists as that one
+// (iter, rank) entry, and an object outside the shelter's entry directories
+// lists as none.
 func TestEntryRefKeyHelper(t *testing.T) {
-	ref := EntryRef{Job: "job", Iter: 5, Rank: 2}
-	dir := ref.Dir()
-	if dir != checkpoint.RankDir("job", PolicyName, 5, 2) {
-		t.Fatalf("Dir = %q", dir)
-	}
-	// Every object kind under an entry dir — replica objects, erasure
-	// fragments, and their staging names — must resolve to the same ref.
-	for _, obj := range []string{
+	env := vclock.NewEnv(1)
+	s := mustShelter(t, env, testParams())
+	dir := checkpoint.RankDir("job", PolicyName, 5, 2)
+	objs := []string{
 		dir + "/model.bin", dir + "/META", dir + "/model.bin.tmp",
 		checkpoint.FragPath(dir, 0), checkpoint.FragMetaPath(dir, 7),
 		checkpoint.FragPath(dir, 12) + ".tmp",
-	} {
-		got, ok := parseEntryPath(obj)
-		if !ok || got != ref {
-			t.Errorf("parseEntryPath(%q) = %+v ok=%v", obj, got, ok)
+	}
+	bad := []string{
+		"model.bin", "job/oops", "job/ckpt/other/iter00000005/rank0002/META",
+		"job/ckpt/peer/iter00000005/META", "job/ckpt/peer/iter5/rank0002/META",
+	}
+	env.Go("w", func(p *vclock.Proc) {
+		for i, obj := range append(objs, bad...) {
+			s.Host(i).Write(p, obj, []byte("x"), 1)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := checkpoint.Entry{Iter: 5, Rank: 2, Dir: dir}
+	for i, obj := range objs {
+		if got := s.entries(s.Host(i)); len(got) != 1 || got[0] != want {
+			t.Errorf("entries with only %q = %+v, want [%+v]", obj, got, want)
 		}
 	}
-	for _, bad := range []string{"", "model.bin", "job/ckpt/other/iter00000005/rank0002/META", "job/oops"} {
-		if _, ok := parseEntryPath(bad); ok {
-			t.Errorf("parseEntryPath(%q) accepted", bad)
+	for i, obj := range bad {
+		if got := s.entries(s.Host(len(objs) + i)); len(got) != 0 {
+			t.Errorf("entries with only %q = %+v, want none", obj, got)
 		}
 	}
 }
 
+// TestEntriesInDedupsAcrossObjectKinds checks that replica objects and
+// erasure fragments under one entry directory list as one entry, and that
+// entries come out in (iter, rank) order.
 func TestEntriesInDedupsAcrossObjectKinds(t *testing.T) {
 	env := vclock.NewEnv(1)
 	s := mustShelter(t, env, testParams())
 	st := s.Host(1)
+	dir := checkpoint.RankDir("job", PolicyName, 3, 0)
+	other := checkpoint.RankDir("job", PolicyName, 4, 1)
 	env.Go("w", func(p *vclock.Proc) {
-		dir := EntryRef{Job: "job", Iter: 3, Rank: 0}.Dir()
 		st.Write(p, dir+"/model.bin", []byte("x"), 1)
 		st.Write(p, dir+"/META", []byte("m"), 1)
 		st.Write(p, checkpoint.FragPath(dir, 0), []byte("f"), 1)
 		st.Write(p, checkpoint.FragMetaPath(dir, 0), []byte("fm"), 1)
-		other := EntryRef{Job: "job", Iter: 4, Rank: 1}.Dir()
 		st.Write(p, checkpoint.FragPath(other, 2), []byte("g"), 1)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	refs := entriesIn(st, "job")
-	if len(refs) != 2 {
-		t.Fatalf("entriesIn = %v, want 2 distinct entries", refs)
-	}
-	if refs[0] != (EntryRef{Job: "job", Iter: 3, Rank: 0}) || refs[1] != (EntryRef{Job: "job", Iter: 4, Rank: 1}) {
-		t.Fatalf("entriesIn = %v", refs)
+	got := s.entries(st)
+	want := []checkpoint.Entry{{Iter: 3, Rank: 0, Dir: dir}, {Iter: 4, Rank: 1, Dir: other}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("entries = %+v, want %+v", got, want)
 	}
 }
 
@@ -94,7 +108,6 @@ func stripedParams() Params {
 	p := testParams()
 	p.DataShards = 2
 	p.ParityShards = 1
-	p.CodecBandwidth = 4e9
 	return p
 }
 
@@ -116,7 +129,7 @@ func TestStripedOfferSpreadsFragments(t *testing.T) {
 	env := vclock.NewEnv(1)
 	s := mustShelter(t, env, stripedParams())
 	driveStripe(t, env, s, 0, 4, []int{1, 2, 3})
-	dir := EntryRef{Job: "job", Iter: 4, Rank: 0}.Dir()
+	dir := checkpoint.RankDir("job", PolicyName, 4, 0)
 	for i, n := range []int{1, 2, 3} {
 		if !checkpoint.HasFrag(s.Host(n), dir, i) {
 			t.Errorf("fragment %d missing on node %d", i, n)
@@ -192,7 +205,7 @@ func TestStripeCorruptFragmentFeedsErasureList(t *testing.T) {
 	driveStripe(t, env, s, 0, 4, []int{1, 2, 3})
 	// Bit-flip data fragment 1 in place: the per-fragment checksum must
 	// route it to the erasure list, and parity makes up the difference.
-	dir := EntryRef{Job: "job", Iter: 4, Rank: 0}.Dir()
+	dir := checkpoint.RankDir("job", PolicyName, 4, 0)
 	if !s.Host(2).Corrupt(checkpoint.FragPath(dir, 1)) {
 		t.Fatal("corrupt failed")
 	}
@@ -226,7 +239,7 @@ func TestStripeBeyondBudgetUncovered(t *testing.T) {
 
 func TestStripedRetentionPrunesFragments(t *testing.T) {
 	env := vclock.NewEnv(1)
-	s := mustShelter(t, env, stripedParams()) // Retain = 2
+	s := mustShelter(t, env, stripedParams()) // keeps two iterations
 	pk := &fakePeeker{rank: 0}
 	rep := s.NewReplicator(0, nil, []int{1, 2, 3}, 1e6, 2e9)
 	env.Go("drive", func(p *vclock.Proc) {
@@ -240,7 +253,7 @@ func TestStripedRetentionPrunesFragments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for it := 1; it <= 5; it++ {
-		dir := EntryRef{Job: "job", Iter: it, Rank: 0}.Dir()
+		dir := checkpoint.RankDir("job", PolicyName, it, 0)
 		has := checkpoint.HasFrag(s.Host(1), dir, 0)
 		want := it >= 4
 		if has != want {

@@ -1,8 +1,8 @@
 // Package pipefree implements checkpoint-free pipeline-stage recovery
 // ("All is Not Lost"-style): each pipeline stage continuously retains a
 // redundancy bundle — its optimizer state plus the boundary activations
-// needed to rebuild its weights — in the CPU memory of the next
-// Redundancy stages' host nodes (same data/tensor coordinates). When a
+// needed to rebuild its weights — in the CPU memory of the next stage's
+// host node (same data/tensor coordinates). When a
 // stage's node dies, the harness rebuilds that stage's weights and
 // optimizer state from a surviving neighbor's bundle: the neighbor streams
 // the optimizer redundancy back over the interconnect and the stage
@@ -29,56 +29,18 @@ import (
 	"jitckpt/internal/vclock"
 )
 
-// Params model the stage-redundancy tier.
-type Params struct {
-	// Redundancy is how many downstream neighbor stages retain each
-	// stage's bundle (default 1).
-	Redundancy int
-	// LinkBandwidth is the stage→neighbor-CPU-memory streaming bandwidth,
-	// bytes/second; Latency the fixed per-transfer cost.
-	LinkBandwidth float64
-	Latency       vclock.Time
-	// RebuildBW is the modelled reconstruction throughput — how fast a
-	// stage's weights re-materialize from retained activations plus the
-	// streamed optimizer redundancy, in state bytes/second.
-	RebuildBW float64
-	// Retain is how many iterations of bundles each neighbor keeps per
-	// stage (≥2, so an in-flight offer never leaves a stage uncovered).
-	Retain int
-}
-
-// DefaultParams returns the standard configuration: one redundancy
-// neighbor over a 100 Gb/s-class link, rebuild at 25 GB/s, two retained
-// iterations.
-func DefaultParams() Params {
-	return Params{
-		Redundancy:    1,
-		LinkBandwidth: 12.5e9,
-		Latency:       200 * vclock.Microsecond,
-		RebuildBW:     25e9,
-		Retain:        2,
-	}
-}
-
-func (p Params) withDefaults() Params {
-	d := DefaultParams()
-	if p.Redundancy <= 0 {
-		p.Redundancy = d.Redundancy
-	}
-	if p.LinkBandwidth <= 0 {
-		p.LinkBandwidth = d.LinkBandwidth
-	}
-	if p.Latency <= 0 {
-		p.Latency = d.Latency
-	}
-	if p.RebuildBW <= 0 {
-		p.RebuildBW = d.RebuildBW
-	}
-	if p.Retain < 2 {
-		p.Retain = d.Retain
-	}
-	return p
-}
+// The tier's fixed costs and window: the stage→neighbor-CPU-memory link
+// (a 100 Gb/s-class interconnect) and its per-transfer latency, the
+// reconstruction throughput — how fast a stage's weights re-materialize from
+// retained activations plus the streamed optimizer redundancy, in state
+// bytes/second — and how many iterations of bundles each host keeps per
+// stage (two, so an in-flight offer never leaves a stage uncovered).
+const (
+	linkBandwidth = 12.5e9
+	linkLatency   = 200 * vclock.Microsecond
+	rebuildBW     = 25e9
+	retain        = 2
+)
 
 // bundle is one retained stage-redundancy image: an owner rank's cloned
 // model/optimizer state held in a neighbor stage's host RAM, or — when
@@ -87,7 +49,6 @@ func (p Params) withDefaults() Params {
 // checkpoint read; reload is an H2D copy, not a reconstruction).
 type bundle struct {
 	owner    int
-	hostRank int
 	hostNode int
 	iter     int
 	state    *train.ModelState
@@ -101,7 +62,6 @@ type bundle struct {
 type Guard struct {
 	env    *vclock.Env
 	job    string
-	params Params
 	topo   train.Topology
 	nodeOf func(rank int) int
 	lost   map[int]bool
@@ -125,18 +85,13 @@ type Guard struct {
 // New creates the tier for a job. nodeOf maps a rank to its hosting node
 // (the harness's placement); topo must have at least two pipeline stages —
 // a single-stage job has no neighbor to retain redundancy.
-func New(env *vclock.Env, job string, params Params, topo train.Topology, nodeOf func(rank int) int) (*Guard, error) {
+func New(env *vclock.Env, job string, topo train.Topology, nodeOf func(rank int) int) (*Guard, error) {
 	if topo.P < 2 {
 		return nil, fmt.Errorf("pipefree: needs ≥2 pipeline stages, topology has %d", topo.P)
-	}
-	params = params.withDefaults()
-	if params.Redundancy > topo.P-1 {
-		return nil, fmt.Errorf("pipefree: redundancy %d exceeds the %d neighbor stages available", params.Redundancy, topo.P-1)
 	}
 	return &Guard{
 		env:     env,
 		job:     job,
-		params:  params,
 		topo:    topo,
 		nodeOf:  nodeOf,
 		lost:    make(map[int]bool),
@@ -144,15 +99,11 @@ func New(env *vclock.Env, job string, params Params, topo train.Topology, nodeOf
 	}, nil
 }
 
-// HostRanks returns the neighbor ranks that retain a rank's bundle: the
-// next Redundancy pipeline stages at the same (d, t) coordinates.
-func (g *Guard) HostRanks(rank int) []int {
+// HostRank returns the neighbor rank that retains a rank's bundle: the next
+// pipeline stage (wrapping around) at the same (d, t) coordinates.
+func (g *Guard) HostRank(rank int) int {
 	d, p, t := g.topo.Coords(rank)
-	out := make([]int, 0, g.params.Redundancy)
-	for i := 1; i <= g.params.Redundancy; i++ {
-		out = append(out, g.topo.Rank(d, (p+i)%g.topo.P, t))
-	}
-	return out
+	return g.topo.Rank(d, (p+1)%g.topo.P, t)
 }
 
 // MarkNodeLost drops every bundle hosted on a node: a whole-host failure
@@ -203,7 +154,7 @@ func (g *Guard) store(b *bundle) {
 		list = append(list, b)
 		sort.Slice(list, func(i, j int) bool { return list[i].iter < list[j].iter })
 	}
-	for len(list) > g.params.Retain {
+	for len(list) > retain {
 		g.bytesKept -= list[0].bytes
 		list = list[1:]
 	}
@@ -293,7 +244,7 @@ func (g *Guard) rebuild(p *vclock.Proc, b *bundle) (*train.ModelState, error) {
 	start := p.Now()
 	if b.self {
 		sp := trace.Of(g.env).Begin(start, "pipe", trace.Rank(b.owner), "self-reload", "iter", b.iter)
-		p.Sleep(g.params.Latency + gpu.TransferTime(b.bytes, b.reloadBW))
+		p.Sleep(linkLatency + gpu.TransferTime(b.bytes, b.reloadBW))
 		g.selfReloads++
 		sp.End(p.Now())
 		return cloneModelState(b.state), nil
@@ -303,8 +254,8 @@ func (g *Guard) rebuild(p *vclock.Proc, b *bundle) (*train.ModelState, error) {
 	}
 	sp := trace.Of(g.env).Begin(start, "pipe", trace.Rank(b.owner), "stage-rebuild",
 		"host", b.hostNode, "iter", b.iter)
-	p.Sleep(g.params.Latency + gpu.TransferTime(b.bytes, g.params.LinkBandwidth))
-	p.Sleep(gpu.TransferTime(b.bytes, g.params.RebuildBW))
+	p.Sleep(linkLatency + gpu.TransferTime(b.bytes, linkBandwidth))
+	p.Sleep(gpu.TransferTime(b.bytes, rebuildBW))
 	g.rebuilds++
 	g.rebuildTime += p.Now() - start
 	sp.End(p.Now())
@@ -348,19 +299,19 @@ func (g *Guard) Stats() Stats {
 }
 
 // Keeper drives one rank's per-boundary redundancy offers to its neighbor
-// stages: Offer (checkpoint.Capture's) retains the boundary image in the
+// stage: Offer (checkpoint.Capture's) retains the boundary image in the
 // background, overlapped with the next minibatch.
 type Keeper struct {
 	checkpoint.Capture
-	g     *Guard
-	hosts []int
+	g    *Guard
+	host int
 }
 
 // NewKeeper creates the keeper for one rank. dev may be nil (no
 // owner-death staging check); stateBytes is the bundle's modelled size;
 // d2hBW the PCIe staging bandwidth.
 func (g *Guard) NewKeeper(rank int, dev *gpu.Device, stateBytes int64, d2hBW float64) *Keeper {
-	k := &Keeper{g: g, hosts: g.HostRanks(rank)}
+	k := &Keeper{g: g, host: g.HostRank(rank)}
 	k.Capture = checkpoint.Capture{
 		Env: g.env, Stats: &g.captures, Rank: rank, Dev: dev,
 		Bytes: stateBytes, D2HBW: d2hBW,
@@ -378,7 +329,7 @@ func (k *Keeper) take(ms *train.ModelState) func(p *vclock.Proc) {
 }
 
 // ship retains the staged image on the owner's own node and streams it to
-// the neighbor stages' host RAM.
+// the neighbor stage's host RAM.
 func (k *Keeper) ship(p *vclock.Proc, ms *train.ModelState) {
 	g := k.g
 	// Local copy first: survivors of someone else's failure rejoin a
@@ -386,19 +337,15 @@ func (k *Keeper) ship(p *vclock.Proc, ms *train.ModelState) {
 	ownNode := g.nodeOf(k.Rank)
 	if !g.lost[ownNode] {
 		g.store(&bundle{
-			owner: k.Rank, hostRank: k.Rank, hostNode: ownNode,
+			owner: k.Rank, hostNode: ownNode,
 			iter: ms.Iter, state: ms, bytes: k.Bytes,
 			self: true, reloadBW: k.D2HBW,
 		})
 	}
-	for _, hr := range k.hosts {
-		node := g.nodeOf(hr)
-		if g.lost[node] {
-			continue
-		}
-		p.Sleep(g.params.Latency + gpu.TransferTime(k.Bytes, g.params.LinkBandwidth))
+	if node := g.nodeOf(k.host); !g.lost[node] {
+		p.Sleep(linkLatency + gpu.TransferTime(k.Bytes, linkBandwidth))
 		g.store(&bundle{
-			owner: k.Rank, hostRank: hr, hostNode: node,
+			owner: k.Rank, hostNode: node,
 			iter: ms.Iter, state: ms, bytes: k.Bytes,
 		})
 	}

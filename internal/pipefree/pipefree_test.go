@@ -35,14 +35,10 @@ func (f *fakePeeker) PeekModelState() (*train.ModelState, error) {
 	return testState(f.iter, f.rank), nil
 }
 
-func testParams() Params {
-	return Params{Redundancy: 1, LinkBandwidth: 1e9, Latency: vclock.Millisecond, RebuildBW: 2e9, Retain: 2}
-}
-
 // mustGuard builds the tier over pipeTopo with rank == node placement.
-func mustGuard(t *testing.T, env *vclock.Env, params Params) *Guard {
+func mustGuard(t *testing.T, env *vclock.Env) *Guard {
 	t.Helper()
-	g, err := New(env, "job", params, pipeTopo, func(rank int) int { return rank })
+	g, err := New(env, "job", pipeTopo, func(rank int) int { return rank })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,30 +69,33 @@ func offerAll(t *testing.T, env *vclock.Env, g *Guard, iters int) []*Keeper {
 
 func TestValidation(t *testing.T) {
 	env := vclock.NewEnv(1)
-	if _, err := New(env, "job", testParams(), train.Topology{D: 2, P: 1, T: 1}, func(int) int { return 0 }); err == nil {
+	if _, err := New(env, "job", train.Topology{D: 2, P: 1, T: 1}, func(int) int { return 0 }); err == nil {
 		t.Error("single-stage topology must be rejected")
-	}
-	p := testParams()
-	p.Redundancy = 4 // only 3 neighbor stages exist
-	if _, err := New(env, "job", p, pipeTopo, func(int) int { return 0 }); err == nil {
-		t.Error("redundancy beyond neighbor count must be rejected")
 	}
 }
 
+// TestHostRanksWrapAround: each stage's bundle goes to the next stage at the
+// same (d, t) coordinates, and the last stage's to the first.
 func TestHostRanksWrapAround(t *testing.T) {
-	env := vclock.NewEnv(1)
-	p := testParams()
-	p.Redundancy = 2
-	g := mustGuard(t, env, p)
-	got := g.HostRanks(3)
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("HostRanks(3) = %v, want [0 1]", got)
+	topo := train.Topology{D: 2, P: 4, T: 1}
+	g, err := New(vclock.NewEnv(1), "job", topo, func(rank int) int { return rank })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < topo.World(); r++ {
+		d, p, tt := topo.Coords(r)
+		if got, want := g.HostRank(r), topo.Rank(d, (p+1)%topo.P, tt); got != want {
+			t.Errorf("HostRank(%d) = %d, want %d", r, got, want)
+		}
+	}
+	if got, want := g.HostRank(topo.Rank(1, 3, 0)), topo.Rank(1, 0, 0); got != want {
+		t.Errorf("last stage's host = %d, want the first stage's %d", got, want)
 	}
 }
 
 func TestRetainRebuildZeroReadsBitExact(t *testing.T) {
 	env := vclock.NewEnv(1)
-	g := mustGuard(t, env, testParams())
+	g := mustGuard(t, env)
 	st := checkpoint.NewStore(env, "disk", checkpoint.DiskParams())
 	offerAll(t, env, g, 3)
 	// Each offer commits a self-bundle plus one neighbor bundle.
@@ -154,7 +153,7 @@ func TestRetainRebuildZeroReadsBitExact(t *testing.T) {
 // the harness must fall back to disk.
 func TestDoubleFaultUncoversStage(t *testing.T) {
 	env := vclock.NewEnv(1)
-	g := mustGuard(t, env, testParams())
+	g := mustGuard(t, env)
 	offerAll(t, env, g, 2)
 	g.MarkNodeLost(1) // stage 1 dies...
 	g.MarkNodeLost(2) // ...and so does the node hosting its bundle
@@ -176,41 +175,10 @@ func TestDoubleFaultUncoversStage(t *testing.T) {
 	}
 }
 
-// TestRedundancyTwoSurvivesHostLoss shows the configurable redundancy
-// factor working: with two hosting neighbors, losing one still leaves the
-// stage recoverable.
-func TestRedundancyTwoSurvivesHostLoss(t *testing.T) {
-	env := vclock.NewEnv(1)
-	p := testParams()
-	p.Redundancy = 2
-	g := mustGuard(t, env, p)
-	offerAll(t, env, g, 2)
-	g.MarkNodeLost(1)
-	g.MarkNodeLost(2) // first host of stage 1 — bundle on node 3 remains
-	if !g.CoveredPositions(pipeTopo)[pipeTopo.PositionKey(1)] {
-		t.Fatal("stage 1 uncovered despite redundancy 2")
-	}
-	env.Go("restore", func(pp *vclock.Proc) {
-		plan, err := checkpoint.AssembleRestore(pp, g.RestoreCandidates(), pipeTopo, pipeTopo.World())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := plan.For[1].Load(pp); err != nil {
-			t.Errorf("rebuild from second host: %v", err)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOfferIsAsyncBusySkipsAndRetention(t *testing.T) {
 	env := vclock.NewEnv(1)
-	p := testParams()
-	p.LinkBandwidth = 1e9
-	g := mustGuard(t, env, p)
-	// 1 GB bundle over a 1 GB/s link: ~1 s in flight.
+	g := mustGuard(t, env)
+	// A 1 GB bundle stages over 2 GB/s D2H: 500 ms in flight before the link.
 	k := g.NewKeeper(0, nil, 1e9, 2e9)
 	env.Go("drive", func(pp *vclock.Proc) {
 		t0 := pp.Now()
@@ -233,7 +201,7 @@ func TestOfferIsAsyncBusySkipsAndRetention(t *testing.T) {
 	if s.Skips != 1 || s.Commits != 10 {
 		t.Fatalf("stats = %+v, want 1 skip / 10 commits (5 offers × self+neighbor)", s)
 	}
-	// Retention: only the newest Retain=2 iters remain as candidates.
+	// Retention: only the newest two iters remain as candidates.
 	iters := map[int]bool{}
 	for _, c := range g.RestoreCandidates() {
 		iters[c.Iter] = true
@@ -248,7 +216,7 @@ func TestOfferIsAsyncBusySkipsAndRetention(t *testing.T) {
 
 func TestCaptureAbortsWhenDeviceDies(t *testing.T) {
 	env := vclock.NewEnv(1)
-	g := mustGuard(t, env, testParams())
+	g := mustGuard(t, env)
 	dev := gpu.NewDevice(env, 0, 0, 1<<30)
 	// 1 GB at 2 GB/s D2H: 500 ms staging — the device dies at 100 ms.
 	k := g.NewKeeper(0, dev, 1e9, 2e9)
@@ -271,7 +239,7 @@ func TestCaptureAbortsWhenDeviceDies(t *testing.T) {
 // its own node) but nothing ships over the link.
 func TestOfferSelfOnlyWhenHostsLost(t *testing.T) {
 	env := vclock.NewEnv(1)
-	g := mustGuard(t, env, testParams())
+	g := mustGuard(t, env)
 	g.MarkNodeLost(1) // rank 0's only neighbor host (redundancy 1)
 	k := g.NewKeeper(0, nil, 1e6, 2e9)
 	env.Go("drive", func(p *vclock.Proc) {
@@ -307,7 +275,7 @@ func heldBytes(g *Guard) int64 {
 // added), and it must shrink when a host's bundles die with their node.
 func TestBytesRetainedTracksHeldBundles(t *testing.T) {
 	env := vclock.NewEnv(1)
-	g := mustGuard(t, env, testParams())
+	g := mustGuard(t, env)
 	keepers := make([]*Keeper, pipeTopo.World())
 	for r := range keepers {
 		keepers[r] = g.NewKeeper(r, nil, 1e6, 2e9)

@@ -130,12 +130,6 @@ func argMap(args []Arg) map[string]string {
 	return m
 }
 
-// TextOptions filter the compact text timeline.
-type TextOptions struct {
-	// Cats restricts output to the listed categories (nil = all).
-	Cats []string
-}
-
 // WriteText writes the compact deterministic text timeline: one line per
 // event, in record order, fixed-width virtual-time prefix. The format is
 // stable — goldens and docs depend on it:
@@ -143,14 +137,7 @@ type TextOptions struct {
 //	0.000000000 i core  sim    run label=x
 //	1.250000000 B ckpt  rank0  pc-save iter=5
 //	1.310000000 E ckpt  rank0  pc-save
-func WriteText(w io.Writer, r *Recorder, opt TextOptions) error {
-	var want map[string]bool
-	if len(opt.Cats) > 0 {
-		want = make(map[string]bool, len(opt.Cats))
-		for _, c := range opt.Cats {
-			want[c] = true
-		}
-	}
+func WriteText(w io.Writer, r *Recorder) error {
 	multi := false
 	evs := r.Events()
 	for i := range evs {
@@ -161,9 +148,6 @@ func WriteText(w io.Writer, r *Recorder, opt TextOptions) error {
 	}
 	for i := range evs {
 		ev := &evs[i]
-		if want != nil && !want[ev.Cat] {
-			continue
-		}
 		if multi {
 			if _, err := fmt.Fprintf(w, "r%d ", ev.Run); err != nil {
 				return err

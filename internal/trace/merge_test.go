@@ -113,10 +113,10 @@ func TestMergeWithOpenSpansMatchesSerial(t *testing.T) {
 	merged.Merge(priv)
 
 	var a, b bytes.Buffer
-	if err := WriteText(&a, serial, TextOptions{}); err != nil {
+	if err := WriteText(&a, serial); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteText(&b, merged, TextOptions{}); err != nil {
+	if err := WriteText(&b, merged); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

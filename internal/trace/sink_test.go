@@ -85,7 +85,7 @@ func TestRetainOffStreamsWithoutLog(t *testing.T) {
 		t.Fatalf("span pairing broke without a log: %+v vs begin %+v", end, sink.evs[1])
 	}
 	var buf bytes.Buffer
-	if err := WriteText(&buf, r, TextOptions{}); err != nil || buf.Len() != 0 {
+	if err := WriteText(&buf, r); err != nil || buf.Len() != 0 {
 		t.Fatalf("retain-off export should be empty, got %q err %v", buf.String(), err)
 	}
 }

@@ -170,12 +170,11 @@ func TestWriteChromeValidAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestWriteTextFilterAndMultiRunPrefix(t *testing.T) {
+func TestWriteTextMultiRunPrefix(t *testing.T) {
 	r := New()
 	r.Instant(vclock.Second, "ckpt", Rank(0), "commit", "gen", 1)
-	r.Instant(vclock.Second, "gpu", "n0.g0", "kernel")
 	var single bytes.Buffer
-	if err := WriteText(&single, r, TextOptions{Cats: []string{"ckpt"}}); err != nil {
+	if err := WriteText(&single, r); err != nil {
 		t.Fatal(err)
 	}
 	want := "1.000000000 i ckpt  rank0  commit gen=1\n"
@@ -186,7 +185,7 @@ func TestWriteTextFilterAndMultiRunPrefix(t *testing.T) {
 	r.BeginRun("again")
 	r.Instant(0, "ckpt", Rank(1), "commit")
 	var multi bytes.Buffer
-	if err := WriteText(&multi, r, TextOptions{Cats: []string{"ckpt", "core"}}); err != nil {
+	if err := WriteText(&multi, r); err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimRight(multi.Bytes(), "\n"), []byte("\n"))
