@@ -24,6 +24,11 @@ var (
 	// lookup per byte instead of two log lookups and an add, and no caller
 	// builds a constant's row more than once.
 	gfMulTable [256][256]byte
+	// gfNibbles[c] is c's product with every low nibble (bytes 0–15) and
+	// every high nibble (bytes 16–31): c*b = lo[b&15] ^ hi[b>>4], since the
+	// product distributes over xor. mulAddWide looks both up sixteen bytes
+	// at a time with PSHUFB.
+	gfNibbles [256][32]byte
 )
 
 func init() {
@@ -42,6 +47,10 @@ func init() {
 	for c := 1; c < 256; c++ {
 		for b := 1; b < 256; b++ {
 			gfMulTable[c][b] = gfExp[gfLog[c]+gfLog[b]]
+		}
+		for i := 0; i < 16; i++ {
+			gfNibbles[c][i] = gfMulTable[c][i]
+			gfNibbles[c][16+i] = gfMulTable[c][i<<4]
 		}
 	}
 }
@@ -68,14 +77,26 @@ func gfInv(a byte) byte {
 	return gfExp[255-gfLog[a]]
 }
 
-// mulAdd accumulates dst[i] ^= c*src[i] over a shard. Eight products are
-// looked up and packed into one word, so dst sees one 64-bit load, xor and
-// store per eight bytes instead of eight read-modify-writes. dst must be at
-// least as long as src.
+// mulAdd accumulates dst[i] ^= c*src[i] over a shard. dst must be at least
+// as long as src. Where the CPU has SSSE3 the first len(src) &^ 15 bytes go
+// sixteen at a time through mulAddWide (gf256_amd64.s); mulAddGo does the
+// rest, or all of it.
 func mulAdd(dst, src []byte, c byte) {
 	if c == 0 {
 		return
 	}
+	dst = dst[:len(src)]
+	n := 0
+	if hasSSSE3 {
+		n = mulAddWide(dst, src, &gfNibbles[c])
+	}
+	mulAddGo(dst[n:], src[n:], c)
+}
+
+// mulAddGo is mulAdd in Go. Eight products are looked up and packed into one
+// word, so dst sees one 64-bit load, xor and store per eight bytes instead of
+// eight read-modify-writes.
+func mulAddGo(dst, src []byte, c byte) {
 	t := &gfMulTable[c]
 	dst = dst[:len(src)]
 	n := len(src) &^ 7

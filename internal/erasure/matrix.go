@@ -64,15 +64,12 @@ func (m matrix) invert() (matrix, error) {
 
 // mulVec computes dst = m · shards, where shards is a column of byte
 // slices (one per matrix column) and dst has one slice per matrix row.
-// All slices must share a length.
+// All slices must share a length, and dst must be zero: the products are
+// xored into it.
 func (m matrix) mulVec(dst, shards [][]byte) {
 	for i, row := range m {
-		d := dst[i]
-		for j := range d {
-			d[j] = 0
-		}
 		for j, c := range row {
-			mulAdd(d, shards[j], c)
+			mulAdd(dst[i], shards[j], c)
 		}
 	}
 }

@@ -101,7 +101,8 @@ func (c *Codec) Join(shards [][]byte, dataLen int) ([]byte, error) {
 
 // Encode computes the full fragment set (k data + m parity) from k data
 // shards of equal length. The returned slice aliases the input data
-// shards in positions 0..k-1 and holds fresh parity in k..k+m-1.
+// shards in positions 0..k-1 and holds fresh parity in k..k+m-1, the m
+// parity shards cut from one allocation, each capped at its own end.
 func (c *Codec) Encode(data [][]byte) ([][]byte, error) {
 	if len(data) != c.k {
 		return nil, fmt.Errorf("erasure: Encode wants %d data shards, got %d", c.k, len(data))
@@ -114,12 +115,11 @@ func (c *Codec) Encode(data [][]byte) ([][]byte, error) {
 	}
 	frags := make([][]byte, c.k+c.m)
 	copy(frags, data)
-	parity := make([][]byte, c.m)
-	for i := range parity {
-		parity[i] = make([]byte, shardLen)
+	parity := make([]byte, c.m*shardLen)
+	for i := range c.m {
+		frags[c.k+i] = parity[i*shardLen : (i+1)*shardLen : (i+1)*shardLen]
 	}
-	c.gen[c.k:].mulVec(parity, data)
-	copy(frags[c.k:], parity)
+	c.gen[c.k:].mulVec(frags[c.k:], data)
 	return frags, nil
 }
 

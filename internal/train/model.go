@@ -110,28 +110,28 @@ func Uniform(minibatch vclock.Time, layers int) StepTime {
 // Kernels returns the kernel registry shared by client and device-proxy
 // server: every mathematical operation the training loop launches.
 // All kernels are deterministic and write (rather than accumulate) their
-// outputs, so a §4.1 validation replay is idempotent.
+// outputs, so a §4.1 validation replay is idempotent. Each checks its
+// launch's shape before touching memory: a buffer that does not hold exactly
+// the elements the launch reads is an error, never a panic.
 func Kernels() cuda.Registry {
 	return cuda.Registry{
 		// linear.fwd: z[r] = W(r×c) · h(c). IArgs: rows, cols.
 		"linear.fwd": func(a cuda.KernelArgs) error {
-			w, h, z := a.Bufs[0], a.Bufs[1], a.Bufs[2]
+			if err := arity("linear.fwd", a, 3, 2, 0); err != nil {
+				return err
+			}
 			rows, cols := int(a.IArgs[0]), int(a.IArgs[1])
-			if len(w) < rows*cols || len(h) < cols || len(z) < rows {
-				return fmt.Errorf("linear.fwd: shape mismatch w=%d h=%d z=%d r=%d c=%d", len(w), len(h), len(z), rows, cols)
+			if err := lens("linear.fwd", a.Bufs, rows*cols, cols, rows); err != nil {
+				return err
 			}
-			for r := 0; r < rows; r++ {
-				var s float32
-				row := w[r*cols : (r+1)*cols]
-				for c := 0; c < cols; c++ {
-					s += row[c] * h[c]
-				}
-				z[r] = s
-			}
+			linearFwd(a.Bufs[0], a.Bufs[1], a.Bufs[2])
 			return nil
 		},
 		// tanh.fwd: h[i] = tanh(z[i]).
 		"tanh.fwd": func(a cuda.KernelArgs) error {
+			if err := elementwise("tanh.fwd", a, 2, 0, 0); err != nil {
+				return err
+			}
 			z, h := a.Bufs[0], a.Bufs[1]
 			for i := range z {
 				h[i] = tensor.Tanh(z[i])
@@ -140,6 +140,9 @@ func Kernels() cuda.Registry {
 		},
 		// tanh.bwd: dz[i] = dh[i] * (1 - h[i]^2).
 		"tanh.bwd": func(a cuda.KernelArgs) error {
+			if err := elementwise("tanh.bwd", a, 3, 0, 0); err != nil {
+				return err
+			}
 			dh, h, dz := a.Bufs[0], a.Bufs[1], a.Bufs[2]
 			for i := range dz {
 				dz[i] = dh[i] * tensor.TanhPrime(h[i])
@@ -147,56 +150,76 @@ func Kernels() cuda.Registry {
 			return nil
 		},
 		// linear.bwd.dw: dW(r×c) = dz(r) ⊗ h(c) (write, not accumulate).
+		// IArgs: rows, cols.
 		"linear.bwd.dw": func(a cuda.KernelArgs) error {
-			dz, h, dw := a.Bufs[0], a.Bufs[1], a.Bufs[2]
+			if err := arity("linear.bwd.dw", a, 3, 2, 0); err != nil {
+				return err
+			}
 			rows, cols := int(a.IArgs[0]), int(a.IArgs[1])
-			for r := 0; r < rows; r++ {
-				out := dw[r*cols : (r+1)*cols]
-				dzr := dz[r]
-				for c := 0; c < cols; c++ {
-					out[c] = dzr * h[c]
-				}
+			if err := lens("linear.bwd.dw", a.Bufs, rows, cols, rows*cols); err != nil {
+				return err
+			}
+			dz, h, dw := a.Bufs[0], a.Bufs[1], a.Bufs[2]
+			for r, dzr := range dz {
+				scaleInto(dw[r*cols:(r+1)*cols], h, dzr)
 			}
 			return nil
 		},
-		// linear.bwd.dx: dhIn(c) = W(r×c)ᵀ · dz(r).
+		// linear.bwd.dx: dhIn(c) = W(r×c)ᵀ · dz(r), summed over r in order.
+		// IArgs: rows, cols.
 		"linear.bwd.dx": func(a cuda.KernelArgs) error {
-			w, dz, dhIn := a.Bufs[0], a.Bufs[1], a.Bufs[2]
-			rows, cols := int(a.IArgs[0]), int(a.IArgs[1])
-			for c := 0; c < cols; c++ {
-				dhIn[c] = 0
+			if err := arity("linear.bwd.dx", a, 3, 2, 0); err != nil {
+				return err
 			}
-			for r := 0; r < rows; r++ {
-				row := w[r*cols : (r+1)*cols]
-				dzr := dz[r]
-				for c := 0; c < cols; c++ {
-					dhIn[c] += row[c] * dzr
-				}
+			rows, cols := int(a.IArgs[0]), int(a.IArgs[1])
+			if err := lens("linear.bwd.dx", a.Bufs, rows*cols, rows, cols); err != nil {
+				return err
+			}
+			w, dz, dhIn := a.Bufs[0], a.Bufs[1], a.Bufs[2]
+			clear(dhIn)
+			for r, dzr := range dz {
+				axpy(dhIn, w[r*cols:(r+1)*cols], dzr)
 			}
 			return nil
 		},
 		// mse.loss: loss[0] = mean((h-y)^2); dh[i] = 2(h[i]-y[i])/n.
 		"mse.loss": func(a cuda.KernelArgs) error {
+			if err := arity("mse.loss", a, 4, 0, 0); err != nil {
+				return err
+			}
+			n := len(a.Bufs[0])
+			if err := lens("mse.loss", a.Bufs, n, n, n, 1); err != nil {
+				return err
+			}
 			h, y, dh, loss := a.Bufs[0], a.Bufs[1], a.Bufs[2], a.Bufs[3]
-			n := float32(len(h))
+			fn := float32(n)
 			var sum float32
 			for i := range h {
 				d := h[i] - y[i]
 				sum += d * d
-				dh[i] = 2 * d / n
+				dh[i] = 2 * d / fn
 			}
-			loss[0] = sum / n
+			loss[0] = sum / fn
 			return nil
 		},
 		// slice.copy: part = full[off : off+len(part)]. IArgs: off.
 		"slice.copy": func(a cuda.KernelArgs) error {
+			if err := arity("slice.copy", a, 2, 1, 0); err != nil {
+				return err
+			}
 			full, part := a.Bufs[0], a.Bufs[1]
-			off := int(a.IArgs[0])
-			copy(part, full[off:off+len(part)])
+			off := a.IArgs[0]
+			if off < 0 || off > int64(len(full)-len(part)) {
+				return fmt.Errorf("slice.copy: %d elements at offset %d do not fit a buffer of %d", len(part), off, len(full))
+			}
+			copy(part, full[off:])
 			return nil
 		},
 		// sgd.step: m = β·m + g·scale; w -= lr·m. FArgs: lr, β, scale.
 		"sgd.step": func(a cuda.KernelArgs) error {
+			if err := elementwise("sgd.step", a, 3, 0, 3); err != nil {
+				return err
+			}
 			w, g, m := a.Bufs[0], a.Bufs[1], a.Bufs[2]
 			lr, beta, scale := a.FArgs[0], a.FArgs[1], a.FArgs[2]
 			for i := range w {
@@ -208,19 +231,19 @@ func Kernels() cuda.Registry {
 		// adam.step: standard Adam with bias correction.
 		// FArgs: lr, β1, β2, eps, scale. IArgs: t (1-based step).
 		"adam.step": func(a cuda.KernelArgs) error {
-			w, g, m, v := a.Bufs[0], a.Bufs[1], a.Bufs[2], a.Bufs[3]
+			if err := elementwise("adam.step", a, 4, 1, 5); err != nil {
+				return err
+			}
 			lr, b1, b2, eps, scale := a.FArgs[0], a.FArgs[1], a.FArgs[2], a.FArgs[3], a.FArgs[4]
 			t := float64(a.IArgs[0])
-			c1 := float32(1 - math.Pow(float64(b1), t))
-			c2 := float32(1 - math.Pow(float64(b2), t))
-			for i := range w {
-				gi := g[i] * scale
-				m[i] = b1*m[i] + (1-b1)*gi
-				v[i] = b2*v[i] + (1-b2)*gi*gi
-				mh := m[i] / c1
-				vh := v[i] / c2
-				w[i] -= lr * mh / (float32(math.Sqrt(float64(vh))) + eps)
+			k := adamConsts{
+				scale: scale, b1: b1, omb1: 1 - b1, b2: b2, omb2: 1 - b2,
+				c1: float32(1 - math.Pow(float64(b1), t)),
+				c2: float32(1 - math.Pow(float64(b2), t)),
+				lr: lr, eps: eps,
 			}
+			w, g, m, v := a.Bufs[0], a.Bufs[1], a.Bufs[2], a.Bufs[3]
+			adamGo(w, g, m, v, &k, adamWide(w, g, m, v, &k))
 			return nil
 		},
 		// acc.add: dst[i] += src[i]. Gradient accumulation across
@@ -230,6 +253,9 @@ func Kernels() cuda.Registry {
 		// user-level JIT checkpointing, never the transparent replay path,
 		// so §4.1 validation idempotence is unaffected.
 		"acc.add": func(a cuda.KernelArgs) error {
+			if err := elementwise("acc.add", a, 2, 0, 0); err != nil {
+				return err
+			}
 			dst, src := a.Bufs[0], a.Bufs[1]
 			for i := range dst {
 				dst[i] += src[i]
@@ -238,12 +264,47 @@ func Kernels() cuda.Registry {
 		},
 		// zero: fill with zeros.
 		"zero": func(a cuda.KernelArgs) error {
-			for i := range a.Bufs[0] {
-				a.Bufs[0][i] = 0
+			if err := arity("zero", a, 1, 0, 0); err != nil {
+				return err
 			}
+			clear(a.Bufs[0])
 			return nil
 		},
 	}
+}
+
+// arity refuses a launch that carries fewer buffers, int or float arguments
+// than its kernel reads.
+func arity(kernel string, a cuda.KernelArgs, bufs, iargs, fargs int) error {
+	if len(a.Bufs) < bufs || len(a.IArgs) < iargs || len(a.FArgs) < fargs {
+		return fmt.Errorf("%s: launched with %d buffers, %d int and %d float arguments; it reads %d, %d and %d",
+			kernel, len(a.Bufs), len(a.IArgs), len(a.FArgs), bufs, iargs, fargs)
+	}
+	return nil
+}
+
+// lens refuses a launch unless bufs[i] holds exactly want[i] elements.
+func lens(kernel string, bufs []tensor.Vector, want ...int) error {
+	for i, n := range want {
+		if len(bufs[i]) != n {
+			return fmt.Errorf("%s: buffer %d holds %d elements, the launch reads %d", kernel, i, len(bufs[i]), n)
+		}
+	}
+	return nil
+}
+
+// elementwise checks an elementwise kernel's launch: its arguments, and the
+// buffers it reads all as long as the first.
+func elementwise(kernel string, a cuda.KernelArgs, bufs, iargs, fargs int) error {
+	if err := arity(kernel, a, bufs, iargs, fargs); err != nil {
+		return err
+	}
+	for i, b := range a.Bufs[1:bufs] {
+		if len(b) != len(a.Bufs[0]) {
+			return fmt.Errorf("%s: buffer %d holds %d elements, buffer 0 holds %d", kernel, i+1, len(b), len(a.Bufs[0]))
+		}
+	}
+	return nil
 }
 
 // Dataset is the deterministic synthetic data pipeline: sample i is a pure

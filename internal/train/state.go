@@ -197,9 +197,8 @@ func (ms *ModelState) AppendEncode(b []byte) ([]byte, error) {
 		b = le.AppendUint32(b, uint32(len(n)))
 		b = append(b, n...)
 		b = le.AppendUint32(b, uint32(len(v)))
-		for _, x := range v {
-			b = le.AppendUint32(b, math.Float32bits(x))
-		}
+		putFloats(b[len(b):len(b)+4*len(v)], v)
+		b = b[:len(b)+4*len(v)]
 	}
 	return b, nil
 }
@@ -247,16 +246,47 @@ func DecodeModelState(b []byte) (*ModelState, error) {
 			return nil, err
 		}
 		v := make(tensor.Vector, n)
-		for j := range v {
-			v[j] = math.Float32frombits(le.Uint32(b))
-			b = b[4:]
-		}
+		getFloats(v, b[:4*n])
+		b = b[4*n:]
 		ms.Tensors[name] = v
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("train: decode model state: %d trailing bytes", len(b))
 	}
 	return ms, nil
+}
+
+// putFloats writes v's IEEE-754 bits into w, 4*len(v) bytes, little-endian.
+// Four elements go per trip through a window cut once per tensor, which
+// lets the compiler drop the per-element bounds checks and length updates
+// that appending each element costs.
+func putFloats(w []byte, v []float32) {
+	le := binary.LittleEndian
+	for len(v) >= 4 && len(w) >= 16 {
+		le.PutUint32(w[0:], math.Float32bits(v[0]))
+		le.PutUint32(w[4:], math.Float32bits(v[1]))
+		le.PutUint32(w[8:], math.Float32bits(v[2]))
+		le.PutUint32(w[12:], math.Float32bits(v[3]))
+		v, w = v[4:], w[16:]
+	}
+	for i, x := range v {
+		le.PutUint32(w[4*i:], math.Float32bits(x))
+	}
+}
+
+// getFloats is putFloats' inverse: it fills v from 4*len(v) bytes of w.
+func getFloats(v []float32, w []byte) {
+	le := binary.LittleEndian
+	for len(v) >= 4 && len(w) >= 16 {
+		v[0] = math.Float32frombits(le.Uint32(w[0:]))
+		v[1] = math.Float32frombits(le.Uint32(w[4:]))
+		v[2] = math.Float32frombits(le.Uint32(w[8:]))
+		v[3] = math.Float32frombits(le.Uint32(w[12:]))
+		v, w = v[4:], w[16:]
+	}
+	for i := range v {
+		v[i] = math.Float32frombits(le.Uint32(w[4*i:]))
+	}
 }
 
 // names returns the tensor names in sorted order.
