@@ -420,7 +420,7 @@ func TestCorruptionAlwaysDetectedProperty(t *testing.T) {
 			frag := []byte(fmt.Sprintf("fragment %d", seed))
 			for i, path := range []func(string, int) string{FragPath, FragMetaPath} {
 				dir := RankDir("j", "peer", i, 0)
-				WriteFrag(p, st, dir, FragMeta{Iter: i, Frag: 1, K: 2, M: 1, DataSum: uint32(seed)}, frag, 1<<10)
+				WriteFrag(p, st, dir, FragMeta{Iter: i, Frag: 1, K: 2, M: 1, DataSum: uint32(seed), FragSum: Sum(frag)}, frag, 1<<10)
 				st.Corrupt(path(dir, 1))
 				if _, _, err := ReadFrag(p, st, dir, 1); !errors.Is(err, ErrCorrupt) || ValidFragDeep(p, st, dir, 1) {
 					ok = false

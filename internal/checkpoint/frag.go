@@ -50,12 +50,13 @@ func FragMetaPath(dir string, idx int) string { return fmt.Sprintf("%s/FMETA%03d
 // WriteRank: fragment bytes first, FMETA last, each by atomic rename —
 // so a torn transfer never leaves a fragment that looks committed.
 // modelBytes is the modelled fragment size driving write timing
-// (stateBytes/K for a striped state). fm.FragSum is computed here.
+// (stateBytes/K for a striped state). fm.FragSum is the caller's Sum of
+// frag (the shelter computes it beside the simulation with the parity);
+// fm.ShardLen is set here.
 func WriteFrag(p *vclock.Proc, st *Store, dir string, fm FragMeta, frag []byte, modelBytes int64) error {
 	sp := trace.Of(p.Env()).Begin(p.Now(), "ckpt", trace.Rank(fm.Rank), "write-frag",
 		"store", st.name, "iter", fm.Iter, "frag", fm.Frag)
 	fm.ShardLen = len(frag)
-	fm.FragSum = Sum(frag)
 	if err := writeAtomic(p, st, FragPath(dir, fm.Frag), frag, modelBytes); err != nil {
 		sp.End(p.Now(), "err", err)
 		return err

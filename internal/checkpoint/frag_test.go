@@ -12,8 +12,8 @@ func TestFragCommitProtocol(t *testing.T) {
 	st := NewStore(env, "peer", TmpfsParams())
 	dir := RankDir("job", "peer", 5, 2)
 	env.Go("w", func(p *vclock.Proc) {
-		fm := FragMeta{Iter: 5, Rank: 2, Frag: 1, K: 2, M: 1, DataLen: 9, DataSum: 42}
 		frag := []byte("abcd")
+		fm := FragMeta{Iter: 5, Rank: 2, Frag: 1, K: 2, M: 1, DataLen: 9, DataSum: 42, FragSum: Sum(frag)}
 		if err := WriteFrag(p, st, dir, fm, frag, 1024); err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestFragTornWriteNeverCommits(t *testing.T) {
 		return WriteOK
 	})
 	env.Go("w", func(p *vclock.Proc) {
-		err := WriteFrag(p, st, dir, FragMeta{Iter: 1, Frag: 0, K: 1, M: 0}, []byte("xyzw"), 64)
+		err := WriteFrag(p, st, dir, FragMeta{Iter: 1, Frag: 0, K: 1, M: 0, FragSum: Sum([]byte("xyzw"))}, []byte("xyzw"), 64)
 		if !errors.Is(err, ErrTransientIO) {
 			t.Fatalf("torn write: %v", err)
 		}

@@ -53,7 +53,7 @@ func TestEveryMetadataBitFlipIsCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 		fragDir := RankDir("job", "peer", 300, 6)
-		fm := FragMeta{Iter: 300, Rank: 6, Frag: 2, K: 2, M: 1, DataLen: 7, DataSum: Sum([]byte("payload"))}
+		fm := FragMeta{Iter: 300, Rank: 6, Frag: 2, K: 2, M: 1, DataLen: 7, DataSum: Sum([]byte("payload")), FragSum: Sum([]byte("load"))}
 		if err := WriteFrag(p, st, fragDir, fm, []byte("load"), 1<<10); err != nil {
 			t.Fatal(err)
 		}

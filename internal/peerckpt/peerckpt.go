@@ -481,11 +481,16 @@ func (s *Shelter) NewReplicator(rank int, dev *gpu.Device, hosts []int, stateByt
 	return r
 }
 
-// take encodes the peeked state (Shelter.encode) for the ship that follows.
+// take encodes the peeked state (Shelter.encode) for the ship that follows;
+// in striped mode it also starts the stripe's byte work (encodeStripe).
 func (r *Replicator) take(ms *train.ModelState) func(p *vclock.Proc) {
 	img, err := r.shelter.encode(ms)
 	if err != nil {
 		return nil
+	}
+	if r.shelter.params.Striped() {
+		work := r.shelter.encodeStripe(img.Data)
+		return func(p *vclock.Proc) { r.shipStripe(p, img, work) }
 	}
 	return func(p *vclock.Proc) { r.ship(p, img) }
 }
@@ -505,14 +510,10 @@ func (r *Replicator) Offer(w checkpoint.StatePeeker) {
 	s.captures.Skips++
 }
 
-// ship commits the staged image to every surviving assigned host — whole
-// entries in replication mode, one fragment each in striped mode.
+// ship commits the staged image whole to every surviving assigned host, in
+// replication mode.
 func (r *Replicator) ship(p *vclock.Proc, img checkpoint.RankImage) {
 	s := r.shelter
-	if s.params.Striped() {
-		r.shipStripe(p, img)
-		return
-	}
 	s.bytesProtected += r.Bytes
 	for _, n := range r.hosts {
 		if s.lost[n] {

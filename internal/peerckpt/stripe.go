@@ -12,13 +12,47 @@ import (
 	"jitckpt/internal/vclock"
 )
 
-// shipStripe stripes one rank's encoded state into k+m fragments and
-// commits fragment i to r.hosts[i]. Called from the replicator's background
-// process after D2H staging; the encode cost is charged here, overlapped
-// with the next minibatch like the transfers themselves. The data
-// fragments are slices of img.Data, whose capacity already holds the
-// padding; only the parity is new.
-func (r *Replicator) shipStripe(p *vclock.Proc, img checkpoint.RankImage) {
+// stripe is a ship's byte work: the k+m fragments of one encoded payload
+// and the checksums their FMETAs record.
+type stripe struct {
+	frags    [][]byte
+	dataSum  uint32
+	fragSums []uint32
+	err      error
+}
+
+// encodeStripe starts a ship's byte work on a goroutine of its own, beside
+// the simulation, once take has encoded the payload: the padding, parity
+// and checksums are a pure function of data, which nothing else touches
+// from here on. The goroutine touches nothing but data and its result,
+// never the clock, the trace, a store or the shelter's counters, so the
+// host's parallelism cannot move a simulated value. shipStripe joins it
+// after the virtual sleep that models the codec; a ship that never runs
+// leaves it to finish into the buffered channel.
+func (s *Shelter) encodeStripe(data []byte) <-chan stripe {
+	codec := s.codec
+	done := make(chan stripe, 1)
+	go func() {
+		st := stripe{dataSum: checkpoint.Sum(data)}
+		st.frags, st.err = codec.Encode(codec.Split(data))
+		if st.err == nil {
+			st.fragSums = make([]uint32, len(st.frags))
+			for i, f := range st.frags {
+				st.fragSums[i] = checkpoint.Sum(f)
+			}
+		}
+		done <- st
+	}()
+	return done
+}
+
+// shipStripe commits fragment i of one rank's stripe to r.hosts[i]. Called
+// from the replicator's background process after D2H staging; the codec
+// time is charged here, overlapped with the next minibatch like the
+// transfers themselves, and the stripe is taken from work once that time
+// has passed. The data fragments are slices of img.Data, whose capacity
+// already holds the padding; only the parity is new.
+func (r *Replicator) shipStripe(p *vclock.Proc, img checkpoint.RankImage, work <-chan stripe) {
 	s := r.shelter
 	k, m := s.params.DataShards, s.params.ParityShards
 	if s.NotePhase != nil {
@@ -29,9 +63,9 @@ func (r *Replicator) shipStripe(p *vclock.Proc, img checkpoint.RankImage) {
 	t0 := p.Now()
 	// Charge the GF(2^8) table-multiply cost over the modelled payload.
 	p.Sleep(gpu.TransferTime(r.Bytes, codecBandwidth))
-	frags, err := s.codec.Encode(s.codec.Split(img.Data))
-	if err != nil {
-		sp.End(p.Now(), "err", err)
+	st := <-work
+	if st.err != nil {
+		sp.End(p.Now(), "err", st.err)
 		return
 	}
 	s.encodes++
@@ -40,9 +74,8 @@ func (r *Replicator) shipStripe(p *vclock.Proc, img checkpoint.RankImage) {
 	sp.End(p.Now())
 
 	fragBytes := (r.Bytes + int64(k) - 1) / int64(k)
-	dataSum := checkpoint.Sum(img.Data)
 	for i, n := range r.hosts {
-		if i >= len(frags) {
+		if i >= len(st.frags) {
 			break
 		}
 		if s.lost[n] {
@@ -50,9 +83,9 @@ func (r *Replicator) shipStripe(p *vclock.Proc, img checkpoint.RankImage) {
 		}
 		fm := checkpoint.FragMeta{
 			Iter: img.Iter, Rank: img.Rank, Frag: i, K: k, M: m,
-			DataLen: len(img.Data), DataSum: dataSum,
+			DataLen: len(img.Data), DataSum: st.dataSum, FragSum: st.fragSums[i],
 		}
-		s.commitFrag(p, n, fm, frags[i], fragBytes)
+		s.commitFrag(p, n, fm, st.frags[i], fragBytes)
 	}
 }
 

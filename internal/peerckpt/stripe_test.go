@@ -261,3 +261,54 @@ func TestStripedRetentionPrunesFragments(t *testing.T) {
 		}
 	}
 }
+
+// TestShipStripeSumsMatchStoredBytes: the checksums a ship computes beside
+// the simulation describe the bytes the hosts keep. After an RS(4,2) ship
+// every FMETA's FragSum is the Sum of the fragment its host store holds,
+// and its DataSum the Sum of the state's encoding.
+func TestShipStripeSumsMatchStoredBytes(t *testing.T) {
+	env := vclock.NewEnv(1)
+	params := testParams()
+	params.DataShards, params.ParityShards = 4, 2
+	s := mustShelter(t, env, params)
+	pk := bigView(0)
+	pk.ms.Iter = 3
+	payload, err := pk.ms.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := []int{1, 2, 3, 4, 5, 6}
+	rep := s.NewReplicator(0, nil, hosts, 1e6, 2e9)
+	dir := checkpoint.RankDir("job", PolicyName, 3, 0)
+	env.Go("drive", func(p *vclock.Proc) {
+		rep.Offer(pk)
+		p.Sleep(vclock.Second)
+		for i, n := range hosts {
+			st := s.Host(n)
+			fm, err := checkpoint.ReadFragMeta(p, st, dir, i)
+			if err != nil {
+				t.Errorf("fragment %d: %v", i, err)
+				continue
+			}
+			frag, err := st.Read(p, checkpoint.FragPath(dir, i))
+			if err != nil {
+				t.Errorf("fragment %d: %v", i, err)
+				continue
+			}
+			if got := checkpoint.Sum(frag); fm.FragSum != got || fm.ShardLen != len(frag) {
+				t.Errorf("fragment %d: FMETA records FragSum %#08x over %d bytes, host holds %d bytes summing to %#08x",
+					i, fm.FragSum, fm.ShardLen, len(frag), got)
+			}
+			if want := checkpoint.Sum(payload); fm.DataSum != want || fm.DataLen != len(payload) {
+				t.Errorf("fragment %d: FMETA records DataSum %#08x over %d bytes, the encoding is %d bytes summing to %#08x",
+					i, fm.DataSum, fm.DataLen, len(payload), want)
+			}
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Encodes != 1 || st.Commits != len(hosts) {
+		t.Fatalf("stats = %+v, want one encode and %d commits", st, len(hosts))
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 
 	"jitckpt/internal/cuda"
 	"jitckpt/internal/tensor"
@@ -256,11 +257,26 @@ func DecodeModelState(b []byte) (*ModelState, error) {
 	return ms, nil
 }
 
+// nativeLE reports whether the host keeps a float32's bits in the layout's
+// byte order, little-endian. Then a tensor's encoding is its memory, and
+// putFloats and getFloats copy it in one move; a big-endian host converts
+// element by element. Tests force it false to run the loops here too.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// floatBytes is v's memory as 4*len(v) bytes.
+func floatBytes(v []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
+}
+
 // putFloats writes v's IEEE-754 bits into w, 4*len(v) bytes, little-endian.
-// Four elements go per trip through a window cut once per tensor, which
-// lets the compiler drop the per-element bounds checks and length updates
-// that appending each element costs.
+// Without nativeLE, four elements go per trip through a window cut once per
+// tensor, which lets the compiler drop the per-element bounds checks and
+// length updates that appending each element costs.
 func putFloats(w []byte, v []float32) {
+	if nativeLE {
+		copy(w[:4*len(v)], floatBytes(v))
+		return
+	}
 	le := binary.LittleEndian
 	for len(v) >= 4 && len(w) >= 16 {
 		le.PutUint32(w[0:], math.Float32bits(v[0]))
@@ -276,6 +292,10 @@ func putFloats(w []byte, v []float32) {
 
 // getFloats is putFloats' inverse: it fills v from 4*len(v) bytes of w.
 func getFloats(v []float32, w []byte) {
+	if nativeLE {
+		copy(floatBytes(v), w[:4*len(v)])
+		return
+	}
 	le := binary.LittleEndian
 	for len(v) >= 4 && len(w) >= 16 {
 		v[0] = math.Float32frombits(le.Uint32(w[0:]))

@@ -197,6 +197,59 @@ func FuzzDecodeModelState(f *testing.F) {
 	})
 }
 
+// TestFloatCodecPathsAgree holds putFloats and getFloats to the layout's
+// per-element definition at every length from 0 to 67, with the one-copy
+// path off and, on a little-endian host, on: each element's IEEE-754 bits
+// land little-endian, nothing past 4*len(v) bytes is written, and decoding
+// gives back the same bits, NaN payloads, signed zeros, infinities and
+// subnormals included.
+func TestFloatCodecPathsAgree(t *testing.T) {
+	defer func(had bool) { nativeLE = had }(nativeLE)
+	special := []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x7f800000, 0xff800000, // ±Inf
+		0x7fc12345, 0xffc00001, 0x7f800001, 0xff912345, // quiet and signalling NaNs with payloads
+		0x00000001, 0x807fffff, 0x00400000, // subnormals
+		0x3f800000, 0xc0000000, 0x7f7fffff, 0x00800000,
+	}
+	for _, native := range []bool{false, nativeLE} {
+		nativeLE = native
+		for n := 0; n <= 67; n++ {
+			v := make([]float32, n)
+			for i := range v {
+				bits := special[(i*7+n)%len(special)]
+				if i%3 == 2 {
+					bits = uint32(i*2654435761 + n)
+				}
+				v[i] = math.Float32frombits(bits)
+			}
+			want := make([]byte, 4*n+4)
+			for i, x := range v {
+				binary.LittleEndian.PutUint32(want[4*i:], math.Float32bits(x))
+			}
+			copy(want[4*n:], "tail")
+			w := make([]byte, 4*n+4)
+			copy(w[4*n:], "tail")
+			putFloats(w, v)
+			if !bytes.Equal(w, want) {
+				t.Fatalf("native %v, %d floats: putFloats wrote\n%x\nwant\n%x", native, n, w, want)
+			}
+			got := make([]float32, n+1)
+			got[n] = 42
+			getFloats(got[:n], w)
+			for i, x := range v {
+				if math.Float32bits(got[i]) != math.Float32bits(x) {
+					t.Fatalf("native %v, %d floats: getFloats[%d] = %#08x, want %#08x",
+						native, n, i, math.Float32bits(got[i]), math.Float32bits(x))
+				}
+			}
+			if got[n] != 42 {
+				t.Fatalf("native %v, %d floats: getFloats wrote past its %d elements", native, n, n)
+			}
+		}
+	}
+}
+
 func BenchmarkStateEncode(b *testing.B) {
 	ms := probeState(4, 128)
 	raw, _ := ms.Encode()
