@@ -283,6 +283,9 @@ type harness struct {
 	expandAt int // iteration degraded workers stop at for a mid-run expand; -1 if none
 	yields   int
 
+	// placement is where each rank runs now, for both drivers: the
+	// incarnation's, or the transparent job's, which a hard-error migration
+	// rewrites rank by rank as it moves them.
 	placement scheduler.Placement
 	// gen is the communicator generation: the restart loop bumps it per
 	// incarnation, the transparent coordinator per recovery attempt.
@@ -313,7 +316,6 @@ type harness struct {
 
 	injector    *failure.Injector
 	pendingIter []IterInjection
-	deviceOf    func(rank int) *gpu.Device
 	runSpan     trace.Span
 }
 
@@ -364,7 +366,7 @@ func (h *harness) setup() error {
 	h.injector = &failure.Injector{
 		Env:      h.env,
 		Cluster:  h.cluster,
-		DeviceOf: h.device,
+		DeviceOf: func(rank int) *gpu.Device { return h.placement[rank] },
 		Engine:   h.engine,
 		CommKeyOf: func(rank int) string {
 			_, p, t := wl.Topo.Coords(rank)
@@ -434,16 +436,6 @@ func (h *harness) setup() error {
 	})
 	h.pendingIter = append([]IterInjection(nil), cfg.IterFailures...)
 	return nil
-}
-
-// device resolves the device currently hosting a rank: through the live
-// rank stacks when the transparent path installed them (a hard-error
-// migration moves ranks), else through the incarnation's placement.
-func (h *harness) device(rank int) *gpu.Device {
-	if h.deviceOf != nil {
-		return h.deviceOf(rank)
-	}
-	return h.placement[rank]
 }
 
 // markNodeLost drops what a dead host took with it: its sheltered entries
@@ -629,15 +621,6 @@ func (h *harness) finish() {
 		// explicitly — every shrink is followed by an expand or this.
 		trace.Of(h.env).Instant(h.env.Now(), "elastic", trace.LaneSim, "end-degraded",
 			"world", h.topo.World(), "completed", res.Completed)
-	}
-
-	// Transparent recovery episodes report their own detection-to-resume
-	// totals; surface them in the same per-episode latency series the
-	// incarnation policies record through noteIterStart.
-	if len(res.Reports) > 0 && len(res.RecoveryLatencies) == 0 {
-		for _, rep := range res.Reports {
-			res.RecoveryLatencies = append(res.RecoveryLatencies, rep.Total())
-		}
 	}
 	h.foldTiers()
 	mb := res.Minibatch

@@ -191,6 +191,36 @@ func TestTransparentHardErrorMigration(t *testing.T) {
 	}
 }
 
+// TestTransparentFaultAfterMigrationHitsNewDevice: a hard-error migration
+// moves rank 1 to a spare, so a later fault aimed at rank 1 must land on
+// the device it runs on now. Aimed at the old, dead device it would be
+// skipped, and the job would see one episode instead of two.
+func TestTransparentFaultAfterMigrationHitsNewDevice(t *testing.T) {
+	wl := testWL()
+	const iters = 14
+	ref := referenceLoss(t, wl, iters)
+	res := mustRun(t, JobConfig{
+		WL: wl, Policy: PolicyTransparentJIT, Iters: iters, Seed: 1, CollectLoss: true,
+		HangTimeout: 2 * vclock.Second, SpareNodes: 2,
+		IterFailures: []IterInjection{
+			{Iter: 5, Frac: 0.3, Rank: 1, Kind: failure.GPUHard},
+			{Iter: 9, Frac: 0.3, Rank: 1, Kind: failure.GPUSticky},
+		},
+	})
+	if res.SkippedInjections != 0 {
+		t.Fatalf("%d injections skipped: the second fault resolved rank 1 to its pre-migration device", res.SkippedInjections)
+	}
+	if !res.Completed {
+		t.Fatalf("job did not complete; reports=%+v", res.Reports)
+	}
+	if len(res.Reports) != 2 || res.Reports[0].Kind != "hard" || res.Reports[1].FailedAvg == 0 {
+		t.Fatalf("reports = %+v, want a migration, then an episode in which rank 1 recovers as failed", res.Reports)
+	}
+	if !lossTracesEqual(t, ref, res.Loss, iters) {
+		t.Fatal("loss trace diverged after a fault on the migrated rank")
+	}
+}
+
 func TestUserJITRecoversFromHardError(t *testing.T) {
 	wl := testWL()
 	const iters = 12

@@ -8,6 +8,7 @@ import (
 	"jitckpt/internal/failure"
 	"jitckpt/internal/gpu"
 	"jitckpt/internal/intercept"
+	"jitckpt/internal/proxy"
 	"jitckpt/internal/scheduler"
 	"jitckpt/internal/trace"
 	"jitckpt/internal/train"
@@ -199,13 +200,34 @@ type incarnation struct {
 	doneCount, stopCount int
 }
 
-// rankStack is one rank's stack in an incarnation.
+// rankStack is one rank's stack: its worker and the process running it,
+// under an interception layer when the row has one. The restart loop adds
+// the user-level JIT stack and the tiers' savers; the transparent driver
+// has the worker's device calls cross a proxy client to the server that
+// owns the device.
 type rankStack struct {
+	rank   int
 	worker *train.Worker
 	layer  *intercept.Layer
 	ujit   *UserLevelRank
 	savers []rankSaver
+	client *proxy.Client
+	server *proxy.Server
 	proc   *vclock.Proc
+}
+
+// endStacks ends a set of rank stacks: each layer's watchdog stops, so its
+// poll timer does not keep the simulation alive until the horizon, and
+// each worker is killed when kill is set.
+func endStacks(stacks []*rankStack, kill bool) {
+	for _, st := range stacks {
+		if st.layer != nil {
+			st.layer.StopWatchdog()
+		}
+		if kill {
+			st.proc.Kill()
+		}
+	}
 }
 
 func (inc *incarnation) endWith(e incarnationEnd) {
@@ -235,7 +257,7 @@ func (inc *incarnation) buildStacks() bool {
 		if err != nil {
 			return false
 		}
-		st := &rankStack{}
+		st := &rankStack{rank: r}
 		var api cuda.API = drv
 		var gil *vclock.Mutex
 		if h.flush != nil {
@@ -400,19 +422,14 @@ func (inc *incarnation) teardown(p *vclock.Proc) incarnationEnd {
 		// incarnation boundary re-evaluates capacity from scratch.
 		h.expandAt = -1
 	}
-	for _, st := range inc.stacks {
-		// Stop the interception watchdogs so their poll timers do not keep
-		// the simulation alive until the horizon.
-		if st.layer != nil {
-			st.layer.StopWatchdog()
-		}
-		if inc.how == endFailed {
+	if inc.how == endFailed {
+		for _, st := range inc.stacks {
 			if st.ujit != nil && st.ujit.CheckpointDone && st.ujit.SaveDuration > h.res.JITCheckpointTime {
 				h.res.JITCheckpointTime = st.ujit.SaveDuration
 			}
-			st.proc.Kill()
 		}
 	}
+	endStacks(inc.stacks, inc.how == endFailed)
 	switch inc.how {
 	case endCompleted:
 		return inc.how

@@ -264,7 +264,7 @@ func (h *harness) peerTier() (*tier, error) {
 func (h *harness) pipeFreeTier() (*tier, error) {
 	wl := h.cfg.WL
 	guard, err := pipefree.New(h.env, "job", wl.Topo, func(rank int) int {
-		if dev := h.device(rank); dev != nil {
+		if dev := h.placement[rank]; dev != nil {
 			return dev.NodeID
 		}
 		return -1

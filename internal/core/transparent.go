@@ -59,9 +59,8 @@ func (h *harness) startTransparent(nodes []*gpu.Node) error {
 	h.placement = placement
 	h.doneRanks = make(map[int]bool)
 
-	ranks := make([]*proxyRank, wl.Topo.World())
-	c := &coordinator{h: h, ranks: ranks, faultQ: vclock.NewQueue[rankFault](h.env, "job.faults")}
-	for r := 0; r < wl.Topo.World(); r++ {
+	c := &coordinator{h: h, stacks: make([]*rankStack, wl.Topo.World()), faultQ: vclock.NewQueue[rankFault](h.env, "job.faults")}
+	for r := range c.stacks {
 		server, err := proxy.NewServer(h.env, placement[r], h.engine, h.kernels, wl.CUDAParams(), proxy.DefaultParams())
 		if err != nil {
 			return err
@@ -76,60 +75,25 @@ func (h *harness) startTransparent(nodes []*gpu.Node) error {
 		if err != nil {
 			return err
 		}
-		ranks[r] = &proxyRank{Rank: r, Layer: layer, Client: client, Server: server, Worker: worker}
+		c.stacks[r] = &rankStack{rank: r, layer: layer, client: client, server: server, worker: worker}
 	}
 	h.env.Go("job.coordinator", c.run)
-	// Resolve failure targets through the live rank stacks: a hard-error
-	// migration moves ranks to new devices.
-	h.deviceOf = func(rank int) *gpu.Device { return ranks[rank].Server.Device() }
-
-	for r := 0; r < wl.Topo.World(); r++ {
-		h.env.Go(fmt.Sprintf("worker%d", r), func(p *vclock.Proc) {
-			w := ranks[r].Worker
-			if err := w.Setup(p, 0); err != nil {
+	for r, st := range c.stacks {
+		st.proc = h.env.Go(fmt.Sprintf("worker%d", r), func(p *vclock.Proc) {
+			if err := st.worker.Setup(p, 0); err != nil {
 				return
 			}
-			if err := w.RunIters(p, cfg.Iters); err != nil {
+			if err := st.worker.RunIters(p, cfg.Iters); err != nil {
 				return
 			}
 			h.doneRanks[r] = true
-			if len(h.doneRanks) == wl.Topo.World() {
-				// Job complete: stop the watchdogs so their poll timers
-				// do not keep the simulation alive until the horizon.
-				for _, tr := range ranks {
-					tr.Layer.StopWatchdog()
-				}
-				if h.shared != nil {
-					// Return the leased nodes (post-migration placements
-					// included: resolve through the live rank stacks) and
-					// close the job's fleet accounting.
-					seen := make(map[int]bool)
-					var ids []int
-					for _, tr := range ranks {
-						if dev := tr.Server.Device(); dev != nil && !seen[dev.NodeID] {
-							seen[dev.NodeID] = true
-							ids = append(ids, dev.NodeID)
-						}
-					}
-					h.pool.ReleaseByID(ids...)
-					h.jobDone()
-				}
+			if len(h.doneRanks) == len(c.stacks) {
+				c.end(false)
 			}
 		})
 	}
 	h.res.Incarnations = 1
 	return nil
-}
-
-// proxyRank is one rank's transparent-recovery stack: the application
-// (Worker) programs against Layer, which wraps a proxy Client talking to
-// the Server that owns the device.
-type proxyRank struct {
-	Rank   int
-	Layer  *intercept.Layer
-	Client *proxy.Client
-	Server *proxy.Server
-	Worker *train.Worker
 }
 
 // maxRecoveryAttempts bounds recovery restarts per episode.
@@ -145,12 +109,33 @@ type rankFault struct {
 // the paper this logic lives in the device-proxy interception layer plus
 // the cluster control plane; here the layers' fault hooks feed it and its
 // process drives recoveries. It owns only the rank stacks and the fault
-// queue: the workload, stores, capacity, communicator generation
-// (h.gen) and reports (h.res.Reports) are the harness's.
+// queue: the workload, stores, capacity, placement, communicator
+// generation (h.gen) and reports (h.res.Reports) are the harness's.
 type coordinator struct {
 	h      *harness
-	ranks  []*proxyRank
+	stacks []*rankStack
 	faultQ *vclock.Queue[rankFault]
+}
+
+// end closes the job: its rank stacks end (workers killed when kill), and
+// in a fleet the nodes the ranks now run on go back to the pool and the
+// job's accounting closes.
+func (c *coordinator) end(kill bool) {
+	h := c.h
+	endStacks(c.stacks, kill)
+	if h.shared == nil {
+		return
+	}
+	seen := make(map[int]bool)
+	var ids []int
+	for r := range c.stacks {
+		if dev := h.placement[r]; dev != nil && !seen[dev.NodeID] {
+			seen[dev.NodeID] = true
+			ids = append(ids, dev.NodeID)
+		}
+	}
+	h.pool.ReleaseByID(ids...)
+	h.jobDone()
 }
 
 // hook returns the OnFault callback for a rank's interception layer. It
@@ -171,6 +156,7 @@ func (c *coordinator) run(p *vclock.Proc) {
 		first := c.faultQ.Pop(p)
 		report := c.recover(p, first)
 		c.h.res.Reports = append(c.h.res.Reports, report)
+		c.h.res.RecoveryLatencies = append(c.h.res.RecoveryLatencies, report.Total())
 		// Faults raised before or during this recovery are stale.
 		c.faultQ.Drain()
 	}
@@ -251,9 +237,9 @@ func (c *coordinator) attemptRecovery(p *vclock.Proc, lost map[int]bool, cls *ep
 			break
 		}
 	}
-	for _, r := range c.ranks {
-		r.Layer.BeginRecovery()
-		r.Client.AbortPending()
+	for _, r := range c.stacks {
+		r.layer.BeginRecovery()
+		r.client.AbortPending()
 	}
 	p.Yield() // let released threads park
 
@@ -278,21 +264,21 @@ func (c *coordinator) attemptRecovery(p *vclock.Proc, lost map[int]bool, cls *ep
 	if cls == nil {
 		cls = &episodeClass{baseIter: -1}
 		maxIter := -1
-		for _, r := range c.ranks {
-			it := r.Layer.Iter()
+		for _, r := range c.stacks {
+			it := r.layer.Iter()
 			if cls.baseIter < 0 || it < cls.baseIter {
 				cls.baseIter = it
 			}
 			maxIter = max(maxIter, it)
-			if d := r.Server.Device(); d.Health() == gpu.Healthy && d.PendingOps() == 0 {
+			if d := r.server.Device(); d.Health() == gpu.Healthy && d.PendingOps() == 0 {
 				cls.advanced = true
 			}
 		}
 		cls.advanced = cls.advanced || maxIter > cls.baseIter
 	}
 
-	for _, r := range c.ranks {
-		if r.Server.Device().Health() == gpu.Hard {
+	for _, r := range c.stacks {
+		if r.server.Device().Health() == gpu.Hard {
 			rep, ok := c.recoverHard(p, cls.advanced, cls.baseIter, lost)
 			return rep, ok, cls
 		}
@@ -306,14 +292,14 @@ func (c *coordinator) attemptRecovery(p *vclock.Proc, lost map[int]bool, cls *ep
 // state to host around a proxy restart; 3 = GPU state inaccessible, reset
 // and copy from a replica — also for a rank in lost, whose state a prior
 // attempt corrupted even though its device is healthy.
-func strategyOf(r *proxyRank, lost map[int]bool) int {
-	switch r.Server.Device().Health() {
+func strategyOf(r *rankStack, lost map[int]bool) int {
+	switch r.server.Device().Health() {
 	case gpu.Sticky:
 		return 3
 	case gpu.DriverCorrupt:
 		return 2
 	}
-	if lost[r.Rank] {
+	if lost[r.rank] {
 		return 3
 	}
 	return 1
@@ -325,12 +311,12 @@ func strategyOf(r *proxyRank, lost map[int]bool) int {
 // a host that advanced into the next one replays its partial log. Every
 // other rank's state is restored at the boundary: when advanced, it skips
 // replay and swallows the rest of its optimizer step (§4.2.2).
-func (c *coordinator) recsFor(advanced bool, baseIter int, strat func(*proxyRank) int) []*rankRecovery {
-	recs := make([]*rankRecovery, len(c.ranks))
-	for i, r := range c.ranks {
+func (c *coordinator) recsFor(advanced bool, baseIter int, strat func(*rankStack) int) []*rankRecovery {
+	recs := make([]*rankRecovery, len(c.stacks))
+	for i, r := range c.stacks {
 		rec := &rankRecovery{r: r, strat: strat(r)}
 		if rec.strat == 1 {
-			rec.skipReplay = advanced && r.Layer.Iter() == baseIter
+			rec.skipReplay = advanced && r.layer.Iter() == baseIter
 		} else {
 			rec.skipReplay, rec.ignoreMut = advanced, advanced
 		}
@@ -341,7 +327,7 @@ func (c *coordinator) recsFor(advanced bool, baseIter int, strat func(*proxyRank
 
 // rankRecovery is the per-rank recovery state shared across phases.
 type rankRecovery struct {
-	r     *proxyRank
+	r     *rankStack
 	strat int
 	// skipReplay: the rank's device state is already at the target
 	// minibatch boundary; do not re-execute the minibatch log.
@@ -373,10 +359,10 @@ func (c *coordinator) fanOut(p *vclock.Proc, recs []*rankRecovery, name string, 
 	body func(pr *vclock.Proc, rec *rankRecovery) error) bool {
 	env := c.h.env
 	for _, rec := range recs {
-		rec.done = env.NewEvent(fmt.Sprintf("%s.r%d", name, rec.r.Rank))
+		rec.done = env.NewEvent(fmt.Sprintf("%s.r%d", name, rec.r.rank))
 	}
 	for _, rec := range recs {
-		rec.proc = env.Go(fmt.Sprintf("%s.r%d", name, rec.r.Rank), func(pr *vclock.Proc) {
+		rec.proc = env.Go(fmt.Sprintf("%s.r%d", name, rec.r.rank), func(pr *vclock.Proc) {
 			defer rec.done.Trigger()
 			rec.err = body(pr, rec)
 		})
@@ -386,16 +372,16 @@ func (c *coordinator) fanOut(p *vclock.Proc, recs []*rankRecovery, name string, 
 		if remaining := deadline - p.Now(); remaining <= 0 || !p.WaitTimeout(rec.done, remaining) {
 			rec.proc.Kill()
 			if rec.err == nil {
-				rec.err = fmt.Errorf("core: rank %d recovery timed out mid-attempt", rec.r.Rank)
+				rec.err = fmt.Errorf("core: rank %d recovery timed out mid-attempt", rec.r.rank)
 			}
 		}
 		if rec.err != nil {
 			ok = false
 			if rec.mutated {
-				lost[rec.r.Rank] = true
+				lost[rec.r.rank] = true
 			}
 		} else {
-			delete(lost, rec.r.Rank)
+			delete(lost, rec.r.rank)
 		}
 	}
 	return ok
@@ -408,7 +394,7 @@ func (c *coordinator) recoverTransient(p *vclock.Proc, advanced bool, baseIter i
 	c.h.gen++
 	newGen := c.h.gen
 	deadline := p.Now() + c.attemptTimeout()
-	recs := c.recsFor(advanced, baseIter, func(r *proxyRank) int { return strategyOf(r, lost) })
+	recs := c.recsFor(advanced, baseIter, func(r *rankStack) int { return strategyOf(r, lost) })
 	ok := c.fanOut(p, recs, "job.recover", deadline, lost, func(pr *vclock.Proc, rec *rankRecovery) error {
 		return c.recoverRankTransient(pr, rec, recs, newGen)
 	})
@@ -417,9 +403,9 @@ func (c *coordinator) recoverTransient(p *vclock.Proc, advanced bool, baseIter i
 
 func (c *coordinator) recoverRankTransient(pr *vclock.Proc, rec *rankRecovery, all []*rankRecovery, newGen int) error {
 	r := rec.r
-	rec.timer = metrics.NewPhaseTimerLane(c.h.env, trace.Rank(r.Rank))
-	layer := r.Layer
-	client := r.Client
+	rec.timer = metrics.NewPhaseTimerLane(c.h.env, trace.Rank(r.rank))
+	layer := r.layer
+	client := r.client
 
 	// Strategy 2 first reads GPU state to the host through the proxy
 	// server's context, which still serves reads while the driver is
@@ -428,7 +414,7 @@ func (c *coordinator) recoverRankTransient(pr *vclock.Proc, rec *rankRecovery, a
 	if rec.strat == 2 {
 		saved, err := c.readTensors(pr, rec.r, nil, true)
 		if err != nil {
-			return fmt.Errorf("core: rank %d copy-to-host: %w", r.Rank, err)
+			return fmt.Errorf("core: rank %d copy-to-host: %w", r.rank, err)
 		}
 		rec.saved = saved
 		rec.timer.Mark("copy-to-host")
@@ -438,16 +424,16 @@ func (c *coordinator) recoverRankTransient(pr *vclock.Proc, rec *rankRecovery, a
 	if rec.strat == 1 {
 		// Abort in-flight server-side operations wedged in hung device
 		// calls, then dismantle handles through the live driver.
-		r.Server.ResetThreads()
+		r.server.ResetThreads()
 		teardownViaAPI(pr, layer, client)
 	} else {
 		// Restarting the device proxy server clears corrupted driver and
 		// network state (§4.2); device buffers are lost with the context.
 		rec.mutated = true
-		r.Server.Stop()
+		r.server.Stop()
 		client.AbortPending()
-		if err := r.Server.Restart(); err != nil {
-			return fmt.Errorf("core: rank %d proxy restart: %w", r.Rank, err)
+		if err := r.server.Restart(); err != nil {
+			return fmt.Errorf("core: rank %d proxy restart: %w", r.rank, err)
 		}
 	}
 	pr.Sleep(c.h.cfg.WL.Teardown)
@@ -468,7 +454,7 @@ func (c *coordinator) recoverRankTransient(pr *vclock.Proc, rec *rankRecovery, a
 		rec.timer.Mark("replica-copy")
 	case rec.strat == 2:
 		if err := writeTensors(pr, layer, client, rec.tr, rec.saved, true); err != nil {
-			return fmt.Errorf("core: rank %d restore-from-host: %w", r.Rank, err)
+			return fmt.Errorf("core: rank %d restore-from-host: %w", r.rank, err)
 		}
 		rec.timer.Mark("restore-from-host")
 	}
@@ -485,27 +471,27 @@ func (c *coordinator) recoverRankTransient(pr *vclock.Proc, rec *rankRecovery, a
 // handles, and communicators under generation gen.
 func rebuildGPU(pr *vclock.Proc, rec *rankRecovery, realloc bool, gen int) error {
 	r := rec.r
-	tr := r.Layer.Handles().Clone()
+	tr := r.layer.Handles().Clone()
 	rec.tr = tr
-	newDefault, err := r.Client.StreamCreate(pr)
+	newDefault, err := r.client.StreamCreate(pr)
 	if err != nil {
-		return fmt.Errorf("core: rank %d new default stream: %w", r.Rank, err)
+		return fmt.Errorf("core: rank %d new default stream: %w", r.rank, err)
 	}
 	tr.Bind(cuda.StreamHandle, int(cuda.DefaultStream), int(newDefault))
 
-	mallocs, handles, comms := splitCreationLog(r.Layer.Log().Creation)
+	mallocs, handles, comms := splitCreationLog(r.layer.Log().Creation)
 	if realloc {
-		if err := replay.Apply(pr, r.Client, mallocs, tr, replay.Options{}); err != nil {
-			return fmt.Errorf("core: rank %d buffer realloc: %w", r.Rank, err)
+		if err := replay.Apply(pr, r.client, mallocs, tr, replay.Options{}); err != nil {
+			return fmt.Errorf("core: rank %d buffer realloc: %w", r.rank, err)
 		}
 	}
 	rec.timer.Mark("reset-buffers")
-	if err := replay.Apply(pr, r.Client, handles, tr, replay.Options{}); err != nil {
-		return fmt.Errorf("core: rank %d handle recreate: %w", r.Rank, err)
+	if err := replay.Apply(pr, r.client, handles, tr, replay.Options{}); err != nil {
+		return fmt.Errorf("core: rank %d handle recreate: %w", r.rank, err)
 	}
 	rec.timer.Mark("recreate-handles")
-	if err := replay.Apply(pr, r.Client, comms, tr, replay.Options{Gen: gen}); err != nil {
-		return fmt.Errorf("core: rank %d comm re-init: %w", r.Rank, err)
+	if err := replay.Apply(pr, r.client, comms, tr, replay.Options{Gen: gen}); err != nil {
+		return fmt.Errorf("core: rank %d comm re-init: %w", r.rank, err)
 	}
 	rec.timer.Mark("comm-init")
 	return nil
@@ -518,18 +504,18 @@ func rebuildGPU(pr *vclock.Proc, rec *rankRecovery, realloc bool, gen int) error
 func (c *coordinator) replayTail(pr *vclock.Proc, rec *rankRecovery, gen, iter int, src string) error {
 	r := rec.r
 	if rec.ignoreMut {
-		r.Layer.IgnoreMutationsUntilNextMinibatch()
+		r.layer.IgnoreMutationsUntilNextMinibatch()
 	}
 	if !rec.skipReplay {
 		rec.mutated = true
-		if err := replay.Apply(pr, r.Client, r.Layer.Log().Minibatch, rec.tr, replay.Options{Gen: gen}); err != nil {
-			return fmt.Errorf("core: rank %d minibatch replay: %w", r.Rank, err)
+		if err := replay.Apply(pr, r.client, r.layer.Log().Minibatch, rec.tr, replay.Options{Gen: gen}); err != nil {
+			return fmt.Errorf("core: rank %d minibatch replay: %w", r.rank, err)
 		}
 	}
 	rec.timer.Mark("replay")
-	trace.Of(c.h.env).Instant(pr.Now(), "ckpt", trace.Rank(r.Rank), "restore-done",
+	trace.Of(c.h.env).Instant(pr.Now(), "ckpt", trace.Rank(r.rank), "restore-done",
 		"valid", true, "iter", iter, "src", src)
-	r.Layer.EndRecovery(rec.tr)
+	r.layer.EndRecovery(rec.tr)
 	return nil
 }
 
@@ -569,25 +555,25 @@ func teardownViaAPI(pr *vclock.Proc, layer *intercept.Layer, client *proxy.Clien
 func (c *coordinator) copyFromReplica(pr *vclock.Proc, rec *rankRecovery, all []*rankRecovery) error {
 	rep := c.pickReplica(rec, all)
 	if rep == nil {
-		return fmt.Errorf("core: rank %d has no healthy replica to recover from", rec.r.Rank)
+		return fmt.Errorf("core: rank %d has no healthy replica to recover from", rec.r.rank)
 	}
 	// Read from the replica's device (its buffers were retained), then
 	// write into this rank's re-allocated buffers.
 	data, err := c.readTensors(pr, rep.r, rep.tr, false)
 	if err != nil {
-		return fmt.Errorf("core: rank %d read replica %d: %w", rec.r.Rank, rep.r.Rank, err)
+		return fmt.Errorf("core: rank %d read replica %d: %w", rec.r.rank, rep.r.rank, err)
 	}
-	if err := writeTensors(pr, rec.r.Layer, rec.r.Client, rec.tr, data, false); err != nil {
-		return fmt.Errorf("core: rank %d write replica state: %w", rec.r.Rank, err)
+	if err := writeTensors(pr, rec.r.layer, rec.r.client, rec.tr, data, false); err != nil {
+		return fmt.Errorf("core: rank %d write replica state: %w", rec.r.rank, err)
 	}
 	return nil
 }
 
 // pickReplica chooses a healthy, buffer-retaining replica of rec.
 func (c *coordinator) pickReplica(rec *rankRecovery, all []*rankRecovery) *rankRecovery {
-	for _, repRank := range c.h.cfg.WL.Topo.ReplicaRanks(rec.r.Rank) {
+	for _, repRank := range c.h.cfg.WL.Topo.ReplicaRanks(rec.r.rank) {
 		for _, cand := range all {
-			if cand.r.Rank == repRank && cand.strat == 1 {
+			if cand.r.rank == repRank && cand.strat == 1 {
 				return cand
 			}
 		}
@@ -610,9 +596,9 @@ func rankWorkTime(rec *rankRecovery) vclock.Time {
 	if commPhase == 0 {
 		return total
 	}
-	params := rec.r.Server.Driver().Engine().Params()
+	params := rec.r.server.Driver().Engine().Params()
 	var bootstrap vclock.Time
-	for _, call := range rec.r.Layer.Log().Creation {
+	for _, call := range rec.r.layer.Log().Creation {
 		if call.Op == cuda.OpCommInit {
 			bootstrap += params.CommInitBase + vclock.Time(call.NRanks)*params.CommInitPerRank
 		}
@@ -638,7 +624,7 @@ func (c *coordinator) buildReport(recs []*rankRecovery, kind string, advanced bo
 	var exemplar *rankRecovery
 	for _, rec := range recs {
 		dur := rankWorkTime(rec)
-		rep.PerRank[rec.r.Rank] = dur
+		rep.PerRank[rec.r.rank] = dur
 		if rec.strat == 1 {
 			healthySum += dur
 			healthyN++
@@ -689,8 +675,8 @@ func splitCreationLog(creation []replay.Call) (mallocs, handles, comms []replay.
 // while the driver is corrupt or streams are wedged — charging PCIe
 // transfer time per buffer. Each buffer is copied off its BufData view
 // before the transfer sleeps. A nil tr reads through the layer's handles.
-func (c *coordinator) readTensors(pr *vclock.Proc, rec *proxyRank, tr *cuda.Handles, all bool) (map[string]tensor.Vector, error) {
-	layer := rec.Layer
+func (c *coordinator) readTensors(pr *vclock.Proc, rec *rankStack, tr *cuda.Handles, all bool) (map[string]tensor.Vector, error) {
+	layer := rec.layer
 	if tr == nil {
 		tr = layer.Handles()
 	}
@@ -704,7 +690,7 @@ func (c *coordinator) readTensors(pr *vclock.Proc, rec *proxyRank, tr *cuda.Hand
 		if !ok {
 			return nil, fmt.Errorf("core: no physical buffer for %v", info.Handle)
 		}
-		view, err := rec.Server.Driver().BufData(phys)
+		view, err := rec.server.Driver().BufData(phys)
 		if err != nil {
 			return nil, fmt.Errorf("core: read %s: %w", info.Tag, err)
 		}
@@ -753,14 +739,14 @@ func (c *coordinator) recoverHard(p *vclock.Proc, advanced bool, baseIter int, l
 		// The episode belongs to this attempt: an earlier episode's saves
 		// must not let this one migrate.
 		ep: h.newEpisode(stateIter),
-		recs: c.recsFor(advanced, baseIter, func(r *proxyRank) int {
-			if r.Server.Device().Health() != gpu.Healthy || lost[r.Rank] {
+		recs: c.recsFor(advanced, baseIter, func(r *rankStack) int {
+			if r.server.Device().Health() != gpu.Healthy || lost[r.rank] {
 				return 4 // lost or unusable device, or state corrupted by a failed attempt
 			}
 			return 1
 		}),
 		criu:   scheduler.CRIU{SnapshotTime: wl.CRIU * 2 / 3, RestoreTime: wl.CRIU / 3},
-		images: make([]scheduler.Image, len(c.ranks)),
+		images: make([]scheduler.Image, len(c.stacks)),
 	}
 	// Eager no-viable-placement check, before any save or snapshot
 	// expense: if the job's surviving nodes plus free spares cannot host
@@ -772,7 +758,7 @@ func (c *coordinator) recoverHard(p *vclock.Proc, advanced bool, baseIter int, l
 	// failed, so free spares must replace every such node.
 	jobNodes, badNodes := make(map[int]bool), make(map[int]bool)
 	for _, rec := range a.recs {
-		nid := rec.r.Server.Device().NodeID
+		nid := rec.r.server.Device().NodeID
 		jobNodes[nid] = true
 		if rec.strat == 4 {
 			badNodes[nid] = true
@@ -817,14 +803,14 @@ type hardAttempt struct {
 // (strategy-1 ranks only), then a CRIU snapshot.
 func (a *hardAttempt) save(p *vclock.Proc) bool {
 	return a.c.fanOut(p, a.recs, "job.hardckpt", a.deadline, a.lost, func(pr *vclock.Proc, rec *rankRecovery) error {
-		rec.timer = metrics.NewPhaseTimerLane(a.c.h.env, trace.Rank(rec.r.Rank))
+		rec.timer = metrics.NewPhaseTimerLane(a.c.h.env, trace.Rank(rec.r.rank))
 		if rec.strat != 4 {
 			if err := a.jitSave(pr, rec.r); err != nil {
 				return err
 			}
 		}
 		rec.timer.Mark("jit-checkpoint")
-		a.images[rec.r.Rank] = a.criu.Take(pr, rec.r.Rank, rec.r.Worker.Snapshot())
+		a.images[rec.r.rank] = a.criu.Take(pr, rec.r.rank, rec.r.worker.Snapshot())
 		rec.timer.Mark("criu-snapshot")
 		return nil
 	})
@@ -832,12 +818,12 @@ func (a *hardAttempt) save(p *vclock.Proc) bool {
 
 // jitSave reads r's parameter and optimizer buffers through the proxy and
 // saves them through the episode as r's checkpoint of its target.
-func (a *hardAttempt) jitSave(pr *vclock.Proc, r *proxyRank) error {
+func (a *hardAttempt) jitSave(pr *vclock.Proc, r *rankStack) error {
 	iter := a.ep.target
-	jsp := trace.Of(a.c.h.env).Begin(pr.Now(), "ckpt", trace.Rank(r.Rank), "jit-save", "iter", iter)
+	jsp := trace.Of(a.c.h.env).Begin(pr.Now(), "ckpt", trace.Rank(r.rank), "jit-save", "iter", iter)
 	tensors, err := a.c.readTensors(pr, r, nil, false)
 	if err == nil {
-		err = a.ep.save(pr, &train.ModelState{Iter: iter, Rank: r.Rank, Tensors: tensors})
+		err = a.ep.save(pr, &train.ModelState{Iter: iter, Rank: r.rank, Tensors: tensors})
 	}
 	if err != nil {
 		jsp.End(pr.Now(), "err", err)
@@ -854,11 +840,11 @@ func (a *hardAttempt) jitSave(pr *vclock.Proc, r *proxyRank) error {
 func (a *hardAttempt) migrate(p *vclock.Proc, nNodes int) (scheduler.Placement, *checkpoint.RestorePlan, string) {
 	h := a.c.h
 	for _, rec := range a.recs {
-		h.pool.ReleaseByID(rec.r.Server.Device().NodeID)
+		h.pool.ReleaseByID(rec.r.server.Device().NodeID)
 	}
 	for _, rec := range a.recs {
 		if rec.strat == 4 {
-			h.pool.MarkFailed(rec.r.Server.Device().NodeID)
+			h.pool.MarkFailed(rec.r.server.Device().NodeID)
 		}
 	}
 	// No spare capacity: recovery cannot proceed transparently.
@@ -875,7 +861,7 @@ func (a *hardAttempt) migrate(p *vclock.Proc, nNodes int) (scheduler.Placement, 
 	h.env.Go("job.assemble", func(pr *vclock.Proc) {
 		defer asmDone.Trigger()
 		// One plan serves every rank; rank 0 asks for it.
-		plan, err = a.ep.assemble(pr, 0, a.recs[0].r.Worker)
+		plan, err = a.ep.assemble(pr, 0, a.recs[0].r.worker)
 	})
 	p.Wait(asmDone)
 	switch {
@@ -899,25 +885,26 @@ func (a *hardAttempt) restore(p *vclock.Proc, placement scheduler.Placement, pla
 		// dying partway leaves its state suspect.
 		rec.mutated = true
 		rec.timer.Skip() // exclude the coordination barrier
-		server, err := proxy.NewServer(h.env, placement[r.Rank], r.Server.Driver().Engine(), h.kernels, h.cfg.WL.CUDAParams(), proxy.DefaultParams())
+		server, err := proxy.NewServer(h.env, placement[r.rank], r.server.Driver().Engine(), h.kernels, h.cfg.WL.CUDAParams(), proxy.DefaultParams())
 		if err != nil {
 			return err
 		}
-		r.Server, r.Client = server, proxy.NewClient(h.env, server)
-		r.Layer.SetInner(r.Client)
+		r.server, r.client = server, proxy.NewClient(h.env, server)
+		h.placement[r.rank] = placement[r.rank]
+		r.layer.SetInner(r.client)
 		// CRIU restore: the worker's CPU state arrives intact.
-		if err := checkImage(r.Rank, a.criu.Restore(pr, a.images[r.Rank]), r.Worker.Iter()); err != nil {
+		if err := checkImage(r.rank, a.criu.Restore(pr, a.images[r.rank]), r.worker.Iter()); err != nil {
 			return err
 		}
 		rec.timer.Mark("criu-restore")
 		if err := rebuildGPU(pr, rec, true, a.gen); err != nil {
 			return err
 		}
-		ms, err := plan.For[r.Rank].Load(pr)
+		ms, err := plan.For[r.rank].Load(pr)
 		if err != nil {
 			return err
 		}
-		if err := writeTensors(pr, r.Layer, r.Client, rec.tr, ms.Tensors, false); err != nil {
+		if err := writeTensors(pr, r.layer, r.client, rec.tr, ms.Tensors, false); err != nil {
 			return err
 		}
 		rec.timer.Mark("restore-state")
