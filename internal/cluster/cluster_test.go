@@ -7,7 +7,9 @@ import (
 
 	"jitckpt/internal/core"
 	"jitckpt/internal/failure"
+	"jitckpt/internal/train"
 	"jitckpt/internal/vclock"
+	"jitckpt/internal/workload"
 )
 
 // fleetJob builds one tenant with the fleet test workload.
@@ -261,4 +263,41 @@ func TestParseJobsSpec(t *testing.T) {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
+}
+
+// TestTransparentGiveUpReleasesNodes: a transparent tenant loses a node
+// with no spare left in the fleet, so its recovery gives up (no viable
+// placement) while it still leases both nodes. It must finish at the
+// give-up rather than at the horizon, and its surviving node must go to a
+// tenant waiting for capacity.
+func TestTransparentGiveUpReleasesNodes(t *testing.T) {
+	tp := fleetJob("tp", core.PolicyTransparentJIT, 0, 12)
+	tp.Config.IterFailures = []core.IterInjection{{Iter: 5, Frac: 0.3, Rank: 1, Kind: failure.NodeDown}}
+	waiter := fleetJob("waiter", core.PolicyPCDisk, 0, 10)
+	waiter.Config.WL = workload.Tiny("fleet-1n", "fleet", 1, 2, train.Topology{D: 2, P: 1, T: 1}, 0.004, 2, 8)
+	res, err := Run(Config{
+		Nodes: 2, PerNode: 2, Seed: 1, Horizon: 2 * vclock.Minute,
+		Jobs: []JobSpec{tp, waiter},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := res.Jobs[0].Res
+	if tr == nil || tr.Completed || len(tr.Reports) == 0 {
+		t.Fatalf("transparent tenant: %+v, want an incomplete run with a recovery report", tr)
+	}
+	last := tr.Reports[len(tr.Reports)-1]
+	if last.Kind != core.KindNoViablePlacement {
+		t.Fatalf("last report kind %q, want %q", last.Kind, core.KindNoViablePlacement)
+	}
+	if tr.WallTime != last.CompletedAt {
+		t.Fatalf("transparent tenant finished at %v, want the give-up at %v", tr.WallTime, last.CompletedAt)
+	}
+	if w := res.Jobs[1].Res; w == nil || !w.Completed {
+		t.Fatalf("waiting tenant did not complete on the released node: %+v", w)
+	}
+	if err := res.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	checkTimeline(t, res)
 }

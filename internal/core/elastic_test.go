@@ -184,22 +184,16 @@ func TestElasticExpandAfterRepair(t *testing.T) {
 // TestTransparentNoViablePlacementEager is the satellite fix: with spares
 // exhausted, the transparent hard-error path must classify the episode as
 // no-viable-placement eagerly — before burning JIT-checkpoint, CRIU, and
-// restore time on attempts that can never assemble a placement — and mark
-// it terminal.
+// restore time on attempts that can never assemble a placement — mark it
+// terminal, and end the run there.
 func TestTransparentNoViablePlacementEager(t *testing.T) {
 	wl := testWL()
-	res := mustRun(t, JobConfig{
+	res, q := checkedRun(t, JobConfig{
 		WL: wl, Policy: PolicyTransparentJIT, Iters: 12, Seed: 1,
 		HangTimeout: 2 * vclock.Second, SpareNodes: 0,
 		IterFailures: injectAt(wl, 5.3, 1, failure.NodeDown),
 	})
-	if res.Completed {
-		t.Fatal("job completed despite an unrecoverable capacity loss")
-	}
-	if len(res.Reports) == 0 {
-		t.Fatal("no recovery reports")
-	}
-	last := res.Reports[len(res.Reports)-1]
+	last := checkEndedAtGiveUp(t, res, q)
 	if last.Kind != KindNoViablePlacement {
 		t.Fatalf("kind = %q, want %q", last.Kind, KindNoViablePlacement)
 	}

@@ -279,10 +279,11 @@ func TestTransparentSecondHardErrorWithoutReplicaFailsLoudly(t *testing.T) {
 
 // TestTransparentHardErrorOnEveryReplicaFindsNoCheckpoint: a first hard
 // error on every replica leaves no JIT save at all, so the migration has
-// nothing to assemble and the episode ends terminal with that kind.
+// nothing to assemble and the episode ends terminal with that kind, and the
+// run with it.
 func TestTransparentHardErrorOnEveryReplicaFindsNoCheckpoint(t *testing.T) {
 	wl := workload.Tiny("tiny-d2", "test", 2, 1, train.Topology{D: 2, P: 1, T: 1}, 0.004, 2, 8)
-	res := mustRun(t, JobConfig{
+	res, q := checkedRun(t, JobConfig{
 		WL: wl, Policy: PolicyTransparentJIT, Iters: 16, Seed: 1,
 		HangTimeout: 2 * vclock.Second, SpareNodes: 3,
 		IterFailures: []IterInjection{
@@ -290,9 +291,7 @@ func TestTransparentHardErrorOnEveryReplicaFindsNoCheckpoint(t *testing.T) {
 			{Iter: 4, Frac: 0.4, Rank: 1, Kind: failure.GPUHard},
 		},
 	})
-	if res.Completed {
-		t.Fatal("run completed although no replica survived to checkpoint")
-	}
+	checkEndedAtGiveUp(t, res, q)
 	if n := len(res.Reports); n != 1 || res.Reports[0].Kind != "hard-failed:no-checkpoint-assembly" {
 		t.Fatalf("reports = %+v, want one ending hard-failed:no-checkpoint-assembly", res.Reports)
 	}

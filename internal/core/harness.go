@@ -680,7 +680,7 @@ func (h *harness) finish() {
 // jobDone finalizes a fleet job exactly once: accounting closes at the
 // current virtual time and the cluster's OnDone observer fires. Single-job
 // runs finalize through Run; fleet jobs through their supervisor exit,
-// transparent completion, or ForceFinish at the cluster horizon.
+// the transparent coordinator's end, or ForceFinish at the cluster horizon.
 func (h *harness) jobDone() {
 	if h.finished {
 		return

@@ -217,8 +217,8 @@ type rankStack struct {
 }
 
 // endStacks ends a set of rank stacks: each layer's watchdog stops, so its
-// poll timer does not keep the simulation alive until the horizon, and
-// each worker is killed when kill is set.
+// polling does not keep the simulation alive until the horizon, and each
+// worker is killed when kill is set.
 func endStacks(stacks []*rankStack, kill bool) {
 	for _, st := range stacks {
 		if st.layer != nil {

@@ -150,13 +150,18 @@ func (c *coordinator) hook(rank int) func(p *vclock.Proc, f intercept.Fault) {
 }
 
 // run is the coordinator's process: one recovery episode per fault that
-// finds it idle.
+// finds it idle. An episode that gives up ends the job with its workers
+// killed, since nothing is left to release them from recovery.
 func (c *coordinator) run(p *vclock.Proc) {
 	for {
 		first := c.faultQ.Pop(p)
-		report := c.recover(p, first)
+		report, ok := c.recover(p, first)
 		c.h.res.Reports = append(c.h.res.Reports, report)
 		c.h.res.RecoveryLatencies = append(c.h.res.RecoveryLatencies, report.Total())
+		if !ok {
+			c.end(true)
+			return
+		}
 		// Faults raised before or during this recovery are stale.
 		c.faultQ.Drain()
 	}
@@ -169,7 +174,8 @@ func (c *coordinator) run(p *vclock.Proc) {
 // straggling per-rank recovery processes, re-gates every rank, drains the
 // stale fault queue, and restarts recovery from classification under a
 // fresh communicator generation — instead of wedging on an unbounded wait.
-func (c *coordinator) recover(p *vclock.Proc, first rankFault) *RecoveryReport {
+// ok=false means it gave up: the episode is terminal or out of attempts.
+func (c *coordinator) recover(p *vclock.Proc, first rankFault) (*RecoveryReport, bool) {
 	detected := p.Now()
 	rsp := trace.Of(c.h.env).Begin(detected, "core", trace.LaneSim, "recovery",
 		"rank", first.rank, "fault", first.f.Kind)
@@ -200,7 +206,7 @@ func (c *coordinator) recover(p *vclock.Proc, first rankFault) *RecoveryReport {
 	report.DetectedAt = detected
 	report.CompletedAt = p.Now()
 	rsp.End(p.Now(), "ok", ok, "attempts", report.Attempts, "kind", report.Kind)
-	return report
+	return report, ok
 }
 
 // attemptTimeout is the per-attempt recovery deadline.

@@ -168,3 +168,64 @@ func TestPolicyNamesIncludeCombined(t *testing.T) {
 		t.Fatal("combined policy classification wrong")
 	}
 }
+
+// watchdogPoll is the interception watchdog's polling period. A stopped
+// watchdog's last poll timer still comes due, as every killed process's
+// does, so a run that ends by stopping watchdogs runs on for up to one poll.
+const watchdogPoll = 50 * vclock.Millisecond
+
+// checkEndedAtGiveUp asserts that a transparent run whose last recovery
+// gave up ended there: no worker process outlives the last report, and the
+// run's wall time stops within one watchdog poll of that report's
+// CompletedAt (callers' plans schedule nothing later). It returns the last
+// report.
+func checkEndedAtGiveUp(t *testing.T, res *RunResult, q *trace.Query) *RecoveryReport {
+	t.Helper()
+	if res.Completed || len(res.Reports) == 0 {
+		t.Fatalf("completed=%v with %d reports, want an incomplete run that recovered at least once", res.Completed, len(res.Reports))
+	}
+	last := res.Reports[len(res.Reports)-1]
+	alive := make(map[string]bool) // worker proc ids
+	for _, in := range q.Instants("sched", "proc-start") {
+		if strings.HasPrefix(in.Args["proc"], "worker") {
+			alive[in.Args["id"]] = true
+		}
+	}
+	for _, in := range q.Instants("sched", "proc-end") {
+		if in.T <= last.CompletedAt {
+			delete(alive, in.Args["id"])
+		}
+	}
+	if len(alive) > 0 {
+		t.Errorf("%d worker processes still alive after the give-up at %v", len(alive), last.CompletedAt)
+	}
+	if res.WallTime < last.CompletedAt || res.WallTime > last.CompletedAt+watchdogPoll {
+		t.Errorf("wall time %v, want the give-up instant %v plus at most one watchdog poll", res.WallTime, last.CompletedAt)
+	}
+	return last
+}
+
+// TestTransparentGivesUpAfterThreeAttempts: a network hang at the first
+// communicator re-init of every attempt fails all three transient
+// attempts. The run ends at the give-up, with its invariants and
+// accounting intact.
+func TestTransparentGivesUpAfterThreeAttempts(t *testing.T) {
+	wl := testWL()
+	var hangs []failure.PhaseInjection
+	for a := 0; a < maxRecoveryAttempts; a++ {
+		// Rank 0 initializes two communicators per attempt.
+		hangs = append(hangs, failure.PhaseInjection{
+			Phase: failure.PhaseCommInit, Rank: 0, Occurrence: 2*a + 1, Target: -1, Kind: failure.NetworkHang,
+		})
+	}
+	res, q := reconciled(t, JobConfig{
+		WL: wl, Policy: PolicyTransparentJIT, Iters: 12, Seed: 1,
+		HangTimeout:  2 * vclock.Second,
+		IterFailures: injectAt(wl, 5.3, 1, failure.NetworkHang),
+		Chaos:        &ChaosConfig{PhaseInjections: hangs},
+	})
+	last := checkEndedAtGiveUp(t, res, q)
+	if len(res.Reports) != 1 || last.Attempts != maxRecoveryAttempts || last.Terminal() {
+		t.Fatalf("reports = %+v, want one non-terminal episode out of its %d attempts", res.Reports, maxRecoveryAttempts)
+	}
+}

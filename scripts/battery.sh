@@ -27,13 +27,13 @@
 # each differing scenario's command line it prints the first line (kernel:
 # aside) where the two outputs part, one per side, and both kernel: lines,
 # so what a change moved reads from one run.
-# Four and a half to five minutes on two cores, over three of them the
-# fault-plan grid. To make that grid cheaper shorten its -iters and
-# -fleet-horizon, not its axes: the transparent tenants already run `:20`
-# iterations, because each of theirs costs some twenty of anyone else's (the
-# proxy's gob wire) and a fleet fault rarely finds them either way. The
-# parent is unpacked with `git archive` into a temp dir, so nothing is
-# registered in .git the way a worktree would be.
+# About seven and a half minutes on two cores. To make the fault-plan grid
+# cheaper shorten its -iters and -fleet-horizon, not its axes: the
+# transparent tenants already run `:20` iterations, because each of theirs
+# costs some twenty of anyone else's (the proxy's gob wire) and a fleet
+# fault rarely finds them either way. The parent is unpacked with `git
+# archive` into a temp dir, so nothing is registered in .git the way a
+# worktree would be.
 #
 # usage: scripts/battery.sh <parent-ref>
 set -euo pipefail
@@ -55,7 +55,8 @@ grid() { # grid "<policies>" [extra flags]: one scenario per line
   local pols=$1 pol kind frac wl
   shift
   for pol in $pols; do for kind in $kinds; do for frac in 0.1 0.4 0.7 0.95; do for wl in GPT2-8B T5-3B; do
-    echo "-workload $wl -policy $pol -iters 8 -fail-iter 4 -fail $kind -fail-frac $frac $*"
+    # No trailing blank: xargs -L joins a line that ends in one to the next.
+    echo "-workload $wl -policy $pol -iters 8 -fail-iter 4 -fail $kind -fail-frac $frac${*:+ $*}"
   done; done; done; done
 }
 plans() { # the fault-plan grid: one scenario per line
