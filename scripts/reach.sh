@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Reach ratchet: which internal/ code do the shipped commands actually run?
 #
-# Builds every cmd/* and examples/* main cover-instrumented, runs the
-# command battery, merges the counters and lists every internal/ function no
-# command reached (0.0 %). Tests are deliberately not part of it: a function
+# Builds every cmd/* main and examples/transparent (the one command that
+# turns on §4.1 replay validation) cover-instrumented, runs the command
+# battery, merges the counters and lists every internal/ function no command
+# reached (0.0 %). Tests are deliberately not part of it: a function
 # only tests reach is a candidate for deletion, not evidence of use.
 #
 # The list is checked against scripts/reach.allow, one
@@ -23,7 +24,7 @@ export GOCOVERDIR=$cov
 
 # One build per main: a single multi-package `go build -cover -o dir/`
 # with -coverpkg=./internal/... wrote no counters when this was set up.
-for main in cmd/* examples/*; do
+for main in cmd/* examples/transparent; do
   go build -cover -coverpkg=jitckpt/... -o "$bin/$(basename "$main")" "./$main" || exit 1
 done
 
@@ -35,7 +36,7 @@ run "$bin/jitbench" -serve-check
 run "$bin/jitbench" -quick -table 9 -policies UserJIT,UserJIT+Peer -parallel 0
 run "$bin/jitbench" -quick -table 5 -parallel 2 -trace "$work/bench.json"
 run "$bin/costmodel"
-for ex in comparison harderror quickstart transparent; do run "$bin/$ex"; done
+run "$bin/transparent"
 
 sim() { run "$bin/jitsim" -workload GPT2-8B -iters 8 -fail-iter 4 "$@"; }
 policies="none pc_disk pc_mem checkfreq pc_daily userjit transparent jit+daily peer jit+peer jit+elastic peer+elastic multistep jit+multistep pipefree"
