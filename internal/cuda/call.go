@@ -133,7 +133,7 @@ func (o Op) String() string { return o.Info().Name }
 
 // Call is one API invocation's inputs. Fields are a union across ops;
 // unused fields are zero. Everything in it crosses the proxy wire and the
-// replay log.
+// replay log, each of which keeps a Clone.
 type Call struct {
 	Op Op
 
@@ -152,6 +152,19 @@ type Call struct {
 	NRanks int
 	Rank   int
 	Peer   int
+}
+
+// Clone returns c with its argument slices copied — Data, Launch.Bufs,
+// Launch.IArgs and Launch.FArgs — so it owns nothing the caller may reuse
+// once the call returns: the proxy wire captures a call this way when it is
+// made (§4.2), the replay log when it records one (§4.1). An empty slice
+// comes back nil and costs nothing.
+func (c Call) Clone() Call {
+	c.Data = append([]float32(nil), c.Data...)
+	c.Launch.Bufs = append([]Buf(nil), c.Launch.Bufs...)
+	c.Launch.IArgs = append([]int64(nil), c.Launch.IArgs...)
+	c.Launch.FArgs = append([]float32(nil), c.Launch.FArgs...)
+	return c
 }
 
 // Handle returns the call's handle of kind k — for a destruction op, the

@@ -8,8 +8,8 @@
 // (Figure 3), cudaEventQuery for the watchdog's hang detection (§3.1), and
 // collective calls that enqueue barrier operations (§4).
 //
-// All handles (Buf, Stream, Event, Comm) are plain integers so that calls
-// can be serialized over the device-proxy wire (§4, Figure 2) and so the
+// All handles (Buf, Stream, Event, Comm) are plain integers so that a call
+// is plain data that can cross the device-proxy wire (§4, Figure 2) and so the
 // interception layer can hand out *virtual* handles and remap them to new
 // physical handles after recovery re-creates GPU objects.
 //
@@ -71,8 +71,8 @@ type KernelFunc func(a KernelArgs) error
 // between client and device-proxy server, like CUDA modules.
 type Registry map[string]KernelFunc
 
-// LaunchParams describes one kernel launch. Everything in it is
-// wire-serializable.
+// LaunchParams describes one kernel launch. Everything in it is plain
+// data; Call.Clone copies its slices.
 type LaunchParams struct {
 	Kernel string
 	// Dur is the modelled execution time of the kernel.

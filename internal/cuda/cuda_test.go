@@ -1,8 +1,6 @@
 package cuda
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
@@ -996,10 +994,11 @@ func (f doFunc) Do(p *vclock.Proc, c Call) (Result, error) { return f(p, c) }
 
 // TestCallRoundTripMatchesDirectCall runs the same script twice on twin
 // drivers: once through the driver's own typed methods, once through a
-// separate Adapter with every Call gob-encoded, decoded and handed to
-// Driver.Do — the proxy wire's path. Each step must name the expected Op
-// and return what the typed call returns: equal results, and errors with
-// the same text and the same sentinel identity.
+// separate Adapter that hands Driver.Do a Clone of every Call and then
+// overwrites the caller's argument slices — the proxy wire's path. Each
+// step must name the expected Op and return what the typed call returns:
+// equal results, and errors with the same text and the same sentinel
+// identity.
 func TestCallRoundTripMatchesDirectCall(t *testing.T) {
 	kernels := Registry{"scale": func(a KernelArgs) error {
 		for i := range a.Bufs[0] {
@@ -1025,14 +1024,8 @@ func TestCallRoundTripMatchesDirectCall(t *testing.T) {
 	wired.inProc(t, func(p *vclock.Proc) {
 		var seen Op
 		overWire := doFunc(func(p *vclock.Proc, c Call) (Result, error) {
-			var wire bytes.Buffer
-			if err := gob.NewEncoder(&wire).Encode(&c); err != nil {
-				return Result{}, fmt.Errorf("encode %v: %w", c.Op, err)
-			}
-			var back Call
-			if err := gob.NewDecoder(&wire).Decode(&back); err != nil {
-				return Result{}, fmt.Errorf("decode %v: %w", c.Op, err)
-			}
+			back := c.Clone()
+			scribble(c)
 			seen = back.Op
 			return wired.drv.Do(p, back)
 		})
@@ -1063,6 +1056,71 @@ func TestCallRoundTripMatchesDirectCall(t *testing.T) {
 	for op := Op(0); op < numOps; op++ {
 		if !covered[op] {
 			t.Errorf("script never calls %v", op)
+		}
+	}
+}
+
+// scribble overwrites every element of c's argument slices, as a caller
+// reusing them for its next call would.
+func scribble(c Call) {
+	for i := range c.Data {
+		c.Data[i] = -1
+	}
+	for i := range c.Launch.Bufs {
+		c.Launch.Bufs[i] = 99
+	}
+	for i := range c.Launch.IArgs {
+		c.Launch.IArgs[i] = -7
+	}
+	for i := range c.Launch.FArgs {
+		c.Launch.FArgs[i] = -3
+	}
+}
+
+// sliceFields appends the slice fields of struct v, nested structs
+// included, to out by name. A field that would share memory some other way
+// (map, pointer, interface) is an error: Clone could not capture it.
+func sliceFields(t *testing.T, v reflect.Value, path string, out map[string]reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), path+v.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Struct:
+			sliceFields(t, f, name+".", out)
+		case reflect.Slice:
+			out[name] = f
+		case reflect.Map, reflect.Pointer, reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("Call.%s is a %v: a Clone would share it", name, f.Kind())
+		}
+	}
+}
+
+// TestCallCloneCopiesEverySlice walks Call, LaunchParams included, by
+// reflection: it fills every slice field with [0 1], clones, then writes 7
+// over the original, and every slice of the clone must still read [0 1]. A
+// slice field Clone does not copy, including one added to Call later, fails
+// here.
+func TestCallCloneCopiesEverySlice(t *testing.T) {
+	var orig Call
+	fields := map[string]reflect.Value{}
+	sliceFields(t, reflect.ValueOf(&orig).Elem(), "", fields)
+	if len(fields) < 4 {
+		t.Fatalf("found %d slice fields, want Data and Launch's three at least", len(fields))
+	}
+	elem := func(f reflect.Value, x int) reflect.Value { return reflect.ValueOf(x).Convert(f.Type().Elem()) }
+	for _, f := range fields {
+		f.Set(reflect.MakeSlice(f.Type(), 2, 2))
+		f.Index(1).Set(elem(f, 1))
+	}
+	clone := orig.Clone()
+	for _, f := range fields {
+		f.Index(0).Set(elem(f, 7))
+		f.Index(1).Set(elem(f, 7))
+	}
+	cloned := map[string]reflect.Value{}
+	sliceFields(t, reflect.ValueOf(&clone).Elem(), "", cloned)
+	for name, f := range cloned {
+		if f.Len() != 2 || !f.Index(0).Equal(elem(f, 0)) || !f.Index(1).Equal(elem(f, 1)) {
+			t.Errorf("clone's %s = %v after writing the original, want [0 1]", name, f.Interface())
 		}
 	}
 }

@@ -414,12 +414,7 @@ func (l *Layer) issue(p *vclock.Proc, c *cuda.Call, info cuda.OpInfo) (cuda.Resu
 	if l.cfg.LogReplay && !l.ignoreMut {
 		// The log outlives this call: capture the argument slices, which
 		// callers are free to reuse for their next call.
-		rec := replay.Call{Call: *c, Created: created}
-		rec.Data = append([]float32(nil), c.Data...)
-		rec.Launch.Bufs = append([]cuda.Buf(nil), c.Launch.Bufs...)
-		rec.Launch.IArgs = append([]int64(nil), c.Launch.IArgs...)
-		rec.Launch.FArgs = append([]float32(nil), c.Launch.FArgs...)
-		l.log.Record(rec)
+		l.log.Record(replay.Call{Call: c.Clone(), Created: created})
 	}
 	switch c.Op {
 	case cuda.OpStreamWaitEvent:

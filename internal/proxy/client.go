@@ -1,8 +1,7 @@
 package proxy
 
 import (
-	"bytes"
-	"encoding/gob"
+	"cmp"
 	"slices"
 
 	"jitckpt/internal/cuda"
@@ -10,11 +9,11 @@ import (
 )
 
 // Client is the worker-side half of the device proxy. It implements
-// cuda.API (through the embedded adapter) by serializing calls onto the
-// proxy wire. Ops the cuda op table marks async return as soon as the
-// request is queued; the rest block the calling process until the server
-// responds (or forever, if the server is wedged or restarted — recovering
-// those callers is the interception layer's job).
+// cuda.API (through the embedded adapter) by putting calls on the proxy
+// wire. Ops the cuda op table marks async return as soon as the request is
+// queued; the rest block the calling process until the server responds (or
+// forever, if the server is wedged or restarted — recovering those callers
+// is the interception layer's job).
 //
 // Each calling process is treated as a distinct worker thread: its calls
 // execute on the server in issue order, independently of other threads.
@@ -25,15 +24,20 @@ type Client struct {
 	server *Server
 	ipc    Params
 
-	nextID     uint64
-	threads    map[*vclock.Proc]int
-	nextThread int
-	pending    map[uint64]*pendingCall
+	nextID  uint64
+	threads map[*vclock.Proc]*thread
+	byID    []*thread // threads by thread id, the Response's address
 }
 
-type pendingCall struct {
-	done *vclock.Event
-	resp Response
+// thread is one worker thread's slot on the client. A thread blocks on at
+// most one call at a time, so one embedded event, re-armed per call, and
+// one response are all the waiting it needs.
+type thread struct {
+	id      int
+	waiting bool   // a blocking call is in flight
+	req     uint64 // its request id
+	done    vclock.Event
+	resp    Response
 }
 
 var _ cuda.API = (*Client)(nil)
@@ -45,82 +49,76 @@ func NewClient(env *vclock.Env, server *Server) *Client {
 		env:     env,
 		server:  server,
 		ipc:     server.ipc,
-		threads: make(map[*vclock.Proc]int),
-		pending: make(map[uint64]*pendingCall),
+		threads: make(map[*vclock.Proc]*thread),
 	}
 	c.Adapter = cuda.Adapt(c)
 	env.Go("proxy.client.dispatch", func(p *vclock.Proc) {
 		for {
-			raw := server.respQ.Pop(p)
-			var resp Response
-			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&resp); err != nil {
-				panic("proxy: response decode: " + err.Error()) // as the server's request decode
-			}
-			pc, ok := c.pending[resp.ID]
-			if !ok {
+			resp := server.respQ.Pop(p)
+			th := c.byID[resp.Thread]
+			if !th.waiting || th.req != resp.ID {
 				// Response to a fire-and-forget call: nobody waits for it (a
 				// failed device op surfaces through its poisoned stream).
 				continue
 			}
-			delete(c.pending, resp.ID)
-			pc.resp = resp
-			pc.done.Trigger()
+			th.release(resp)
 		}
 	})
 	return c
+}
+
+func (th *thread) release(resp Response) {
+	th.waiting = false
+	th.resp = resp
+	th.done.Trigger()
 }
 
 // AbortPending releases every caller blocked on an in-flight request with
 // ErrProxyDown. The recovery controller uses it when it restarts the proxy
 // server, so worker threads return to the interception layer instead of
 // hanging on responses that will never arrive. Callers are released in
-// request order: Trigger puts the waiter straight on the run queue, so map
-// order here would make the resume (and trace) order differ run to run.
+// request order: Trigger puts the waiter straight on the run queue, so
+// thread order here would make the resume (and trace) order differ from
+// the order the calls were made.
 func (c *Client) AbortPending() int {
-	ids := make([]uint64, 0, len(c.pending))
-	for id := range c.pending {
-		ids = append(ids, id)
+	var waiting []*thread
+	for _, th := range c.byID {
+		if th.waiting {
+			waiting = append(waiting, th)
+		}
 	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		pc := c.pending[id]
-		pc.resp = Response{ID: id}
-		pc.resp.ErrCode, pc.resp.ErrMsg = encodeErr(ErrProxyDown)
-		pc.done.Trigger()
-		delete(c.pending, id)
+	slices.SortFunc(waiting, func(a, b *thread) int { return cmp.Compare(a.req, b.req) })
+	for _, th := range waiting {
+		th.release(Response{ID: th.req, Thread: th.id, Err: ErrProxyDown})
 	}
-	return len(ids)
+	return len(waiting)
 }
 
-func (c *Client) threadID(p *vclock.Proc) int {
-	id, ok := c.threads[p]
+func (c *Client) threadOf(p *vclock.Proc) *thread {
+	th, ok := c.threads[p]
 	if !ok {
-		id = c.nextThread
-		c.nextThread++
-		c.threads[p] = id
+		th = &thread{id: len(c.byID)}
+		c.threads[p] = th
+		c.byID = append(c.byID, th)
 	}
-	return id
+	return th
 }
 
 // Do implements cuda.API: it puts one call on the wire and, unless the op
-// is async, blocks until its response arrives. The request is serialized
-// before Do first yields, so argument slices are captured at call time and
-// callers may reuse them.
+// is async, blocks until its response arrives. The call is cloned before Do
+// first yields, so argument slices are captured at call time and callers
+// may reuse them.
 func (c *Client) Do(p *vclock.Proc, call cuda.Call) (cuda.Result, error) {
-	req := Request{ID: c.nextID, Thread: c.threadID(p), Call: call}
+	th := c.threadOf(p)
+	req := Request{ID: c.nextID, Thread: th.id, Call: call.Clone()}
 	c.nextID++
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&req); err != nil {
-		panic("proxy: request encode: " + err.Error())
-	}
 	p.Sleep(c.ipc.SendLatency)
-	c.server.reqQ.Push(buf.Bytes())
-	info := call.Op.Info()
-	if info.Async {
+	c.server.reqQ.Push(req)
+	if call.Op.Info().Async {
 		return cuda.Result{}, nil
 	}
-	pc := &pendingCall{done: c.env.NewEvent("proxy.call")}
-	c.pending[req.ID] = pc
-	p.Wait(pc.done)
-	return pc.resp.Result, decodeErr(pc.resp.ErrCode, pc.resp.ErrMsg)
+	th.waiting, th.req = true, req.ID
+	c.env.InitEvent(&th.done, "proxy.call")
+	p.Wait(&th.done)
+	return th.resp.Result, th.resp.Err
 }

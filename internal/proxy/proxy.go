@@ -1,14 +1,13 @@
 // Package proxy implements the device proxy of the paper's Figure 2: a
 // separate server process owns all GPU and network driver state, and the
-// worker talks to it through a byte-level wire protocol.
+// worker talks to it through a pair of request and response queues.
 //
-// The encoding itself is not charged: Params bills two fixed latencies per
-// message and nothing per byte. What it does for the model is capture a
-// call's argument slices when the call is made and keep either side from
-// aliasing the other's memory (TestCallCapturedAtSend); sentinel errors are
-// re-attached by code on the client so errors.Is survives the bytes. A
-// message either side cannot encode or decode is a simulator bug and ends
-// the run.
+// A call crosses as a value, and the transport itself is not charged:
+// Params bills two fixed latencies per message and nothing per byte. What
+// the wire does for the model is capture a call's argument slices when the
+// call is made (cuda.Call.Clone), so the caller may reuse them at once and
+// neither side aliases the other's memory (TestCallCapturedAtSend). Errors
+// cross unchanged: errors.Is and the error text are what the driver gave.
 //
 // The proxy exists for one reason (§2, §4.2): corrupted GPU or network
 // driver state can be cleared by restarting the proxy server process
@@ -37,8 +36,6 @@
 package proxy
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
@@ -59,50 +56,13 @@ type Request struct {
 	Call   cuda.Call
 }
 
-// Response is one API result on the wire.
+// Response is one API result on the wire, addressed to the thread that
+// made the call.
 type Response struct {
-	ID      uint64
-	ErrCode int // 0 = nil, -1 = opaque, >0 = wireErrors index+1
-	ErrMsg  string
-	Result  cuda.Result
-}
-
-// wireErrors are sentinel errors whose identity survives the wire, so
-// errors.Is works on the client exactly as it does against a local driver.
-var wireErrors = []error{
-	gpu.ErrDeviceLost, gpu.ErrSticky, gpu.ErrCorrupt, gpu.ErrOutOfMemory,
-	gpu.ErrNoSuchBuf, gpu.ErrNoSuchQueue,
-	cuda.ErrBadHandle, cuda.ErrUnknownKernel,
-	nccl.ErrNetwork, nccl.ErrCommDead, nccl.ErrMismatch, nccl.ErrBufSizes,
-	nccl.ErrInvalidRank, nccl.ErrDeviceFailed,
-	ErrProxyDown,
-}
-
-func encodeErr(err error) (int, string) {
-	if err == nil {
-		return 0, ""
-	}
-	for i, sentinel := range wireErrors {
-		if errors.Is(err, sentinel) {
-			return i + 1, err.Error()
-		}
-	}
-	return -1, err.Error()
-}
-
-func decodeErr(code int, msg string) error {
-	switch {
-	case code == 0:
-		return nil
-	case code > 0 && code <= len(wireErrors):
-		sentinel := wireErrors[code-1]
-		if msg == sentinel.Error() {
-			return sentinel
-		}
-		return fmt.Errorf("%w: %s", sentinel, msg)
-	default:
-		return errors.New(msg)
-	}
+	ID     uint64
+	Thread int
+	Result cuda.Result
+	Err    error
 }
 
 // Params models IPC costs of the proxy transport.
@@ -129,8 +89,8 @@ type Server struct {
 	ipc        Params
 
 	drv         *cuda.Driver
-	reqQ        *vclock.Queue[[]byte]
-	respQ       *vclock.Queue[[]byte]
+	reqQ        *vclock.Queue[Request]
+	respQ       *vclock.Queue[Response]
 	threadQs    map[int]*vclock.Queue[Request]
 	threadProcs map[int]*vclock.Proc
 	dispatcher  *vclock.Proc
@@ -147,8 +107,8 @@ func NewServer(env *vclock.Env, dev *gpu.Device, engine *nccl.Engine, kernels cu
 		kernels:    kernels,
 		cudaParams: cudaParams,
 		ipc:        ipc,
-		reqQ:       vclock.NewQueue[[]byte](env, "proxy.req"),
-		respQ:      vclock.NewQueue[[]byte](env, "proxy.resp"),
+		reqQ:       vclock.NewQueue[Request](env, "proxy.req"),
+		respQ:      vclock.NewQueue[Response](env, "proxy.resp"),
 	}
 	if err := s.startDriver(); err != nil {
 		return nil, err
@@ -168,14 +128,7 @@ func (s *Server) startDriver() error {
 	gen := s.generation
 	s.dispatcher = s.env.Go(fmt.Sprintf("%s.proxy.dispatch.g%d", s.dev.Name(), gen), func(p *vclock.Proc) {
 		for {
-			raw := s.reqQ.Pop(p)
-			var req Request
-			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&req); err != nil {
-				// A frame the wire cannot read is a simulator bug: skipping
-				// it would leave its caller parked until the watchdog
-				// reports a device hang.
-				panic(fmt.Sprintf("proxy: request decode: %v", err))
-			}
+			req := s.reqQ.Pop(p)
 			tq, ok := s.threadQs[req.Thread]
 			if !ok {
 				tq = vclock.NewQueue[Request](s.env, fmt.Sprintf("proxy.t%d", req.Thread))
@@ -193,8 +146,9 @@ func (s *Server) startHandler(thread int, tq *vclock.Queue[Request]) {
 		for {
 			r := tq.Pop(hp)
 			hp.Sleep(s.ipc.HandleLatency)
-			resp := s.execute(hp, r)
-			s.send(hp, resp)
+			res, err := s.drv.Do(hp, r.Call)
+			hp.Sleep(s.ipc.SendLatency)
+			s.respQ.Push(Response{ID: r.ID, Thread: r.Thread, Result: res, Err: err})
 		}
 	})
 	s.threadProcs[thread] = handler
@@ -218,15 +172,6 @@ func (s *Server) ResetThreads() {
 		delete(s.threadProcs, t)
 		delete(s.threadQs, t)
 	}
-}
-
-func (s *Server) send(p *vclock.Proc, resp Response) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
-		panic(fmt.Sprintf("proxy: response encode: %v", err))
-	}
-	p.Sleep(s.ipc.SendLatency)
-	s.respQ.Push(buf.Bytes())
 }
 
 // Driver exposes the server-side driver to infrastructure code (the
@@ -265,12 +210,4 @@ func (s *Server) Restart() error {
 		return err
 	}
 	return nil
-}
-
-// execute runs one request against the driver.
-func (s *Server) execute(p *vclock.Proc, req Request) Response {
-	res, err := s.drv.Do(p, req.Call)
-	resp := Response{ID: req.ID, Result: res}
-	resp.ErrCode, resp.ErrMsg = encodeErr(err)
-	return resp
 }

@@ -61,30 +61,6 @@ func TestProxyMemcpyRoundTrip(t *testing.T) {
 	})
 }
 
-// TestUndecodableFrameEndsTheRun: a frame gob cannot read, on either queue,
-// ends the run with an error that names the dispatcher which read it. A
-// skipped frame would park a synchronous caller until its watchdog
-// reported a device hang.
-func TestUndecodableFrameEndsTheRun(t *testing.T) {
-	for _, tc := range []struct {
-		frame, proc string
-		queue       func(s *Server) *vclock.Queue[[]byte]
-	}{
-		{"request", "gpu[n0.g0].proxy.dispatch.g0", func(s *Server) *vclock.Queue[[]byte] { return s.reqQ }},
-		{"response", "proxy.client.dispatch", func(s *Server) *vclock.Queue[[]byte] { return s.respQ }},
-	} {
-		t.Run(tc.frame, func(t *testing.T) {
-			r := newRig(t, nil)
-			r.env.Go("garbage", func(p *vclock.Proc) { tc.queue(r.server).Push([]byte("not gob")) })
-			err := r.env.Run()
-			want := fmt.Sprintf("process %q panicked: proxy: %s decode", tc.proc, tc.frame)
-			if err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("Run = %v, want an error containing %q", err, want)
-			}
-		})
-	}
-}
-
 func TestProxyKernelLaunchByName(t *testing.T) {
 	kernels := cuda.Registry{
 		"add1": func(a cuda.KernelArgs) error {
@@ -218,6 +194,63 @@ func TestProxyErrorIdentityAcrossWire(t *testing.T) {
 			t.Errorf("sticky: %v", err)
 		}
 	})
+	// A call the server will never answer is released by AbortPending.
+	r.server.Stop()
+	released := false
+	r.run(t, func(p *vclock.Proc) {
+		r.env.Go("abort", func(ap *vclock.Proc) {
+			ap.Sleep(vclock.Second)
+			if n := r.client.AbortPending(); n != 1 {
+				t.Errorf("AbortPending released %d callers, want 1", n)
+			}
+		})
+		_, err := r.client.EventQuery(p, 1)
+		if err != ErrProxyDown {
+			t.Errorf("aborted call: %v, want ErrProxyDown itself", err)
+		}
+		released = true
+	})
+	if !released {
+		t.Error("the aborted call never returned")
+	}
+}
+
+// TestProxyErrorsMatchDirectDriver: an error crosses the wire unchanged.
+// For each sentinel a device call can fail with, a kernel fails wrapping it,
+// and StreamSynchronize over the proxy returns what it returns straight
+// from a cuda.Driver: the same text, and errors.Is still finds the sentinel.
+func TestProxyErrorsMatchDirectDriver(t *testing.T) {
+	for _, sentinel := range []error{
+		gpu.ErrDeviceLost, gpu.ErrSticky, gpu.ErrCorrupt, gpu.ErrOutOfMemory,
+		gpu.ErrNoSuchBuf, gpu.ErrNoSuchQueue,
+		cuda.ErrBadHandle, cuda.ErrUnknownKernel,
+		nccl.ErrNetwork, nccl.ErrCommDead, nccl.ErrMismatch, nccl.ErrBufSizes,
+		nccl.ErrInvalidRank, nccl.ErrDeviceFailed,
+		ErrProxyDown,
+	} {
+		kernels := cuda.Registry{"fail": func(cuda.KernelArgs) error { return fmt.Errorf("ctx: %w", sentinel) }}
+		failAndSync := func(p *vclock.Proc, api cuda.API) error {
+			if err := api.Launch(p, cuda.LaunchParams{Kernel: "fail", Dur: vclock.Millisecond}, cuda.DefaultStream); err != nil {
+				t.Errorf("%v: launch failed inline: %v", sentinel, err)
+			}
+			return api.StreamSynchronize(p, cuda.DefaultStream)
+		}
+		var direct, proxied error
+		r := newRig(t, kernels)
+		drv, err := cuda.NewDriver(r.dev, r.engine, kernels, cuda.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.run(t, func(p *vclock.Proc) { direct = failAndSync(p, drv) })
+		r = newRig(t, kernels)
+		r.run(t, func(p *vclock.Proc) { proxied = failAndSync(p, r.client) })
+		if direct == nil || proxied == nil || proxied.Error() != direct.Error() {
+			t.Errorf("%v: proxied error %q, direct %q", sentinel, proxied, direct)
+		}
+		if !errors.Is(direct, sentinel) || !errors.Is(proxied, sentinel) {
+			t.Errorf("%v: errors.Is direct %v, proxied %v", sentinel, errors.Is(direct, sentinel), errors.Is(proxied, sentinel))
+		}
+	}
 }
 
 // Arguments are captured when the call is made and results belong to the
@@ -433,25 +466,57 @@ func TestAbortPendingReleasesInRequestOrder(t *testing.T) {
 	}
 }
 
-func TestWireErrorCodec(t *testing.T) {
-	for _, sentinel := range wireErrors {
-		code, msg := encodeErr(sentinel)
-		if got := decodeErr(code, msg); !errors.Is(got, sentinel) {
-			t.Fatalf("codec lost identity of %v", sentinel)
+// proxiedAllocs is what one round of calls on a steady-state client
+// allocates: long minus short complete runs, so the fixed setup cancels.
+// round is handed the client, an event and a launch of a no-op kernel on a
+// buffer, made once in the setup, so the caller reuses its slices.
+func proxiedAllocs(t *testing.T, round func(p *vclock.Proc, c *Client, ev cuda.Event, lp cuda.LaunchParams)) float64 {
+	measure := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			r := newRig(t, cuda.Registry{"nop": func(cuda.KernelArgs) error { return nil }})
+			r.run(t, func(p *vclock.Proc) {
+				defer r.server.Stop()
+				ev, _ := r.client.EventCreate(p)
+				b, _ := r.client.Malloc(p, 64, 2, "w")
+				lp := cuda.LaunchParams{Kernel: "nop", Dur: vclock.Microsecond, Bufs: []cuda.Buf{b}, IArgs: []int64{1}}
+				for i := 0; i < n; i++ {
+					round(p, r.client, ev, lp)
+				}
+			})
+		})
+	}
+	const short, long = 50, 250
+	return (measure(long) - measure(short)) / (long - short)
+}
+
+// TestProxiedCallAllocBudget pins what a call costs the simulator on the
+// proxy wire, the way intercept.TestInterceptedLaunchAllocFree pins the
+// direct path: a blocking round trip allocates nothing (its thread's slot
+// holds the event and the response), and an async launch allocates only
+// the argument slices it captures at call time.
+func TestProxiedCallAllocBudget(t *testing.T) {
+	query := proxiedAllocs(t, func(p *vclock.Proc, c *Client, ev cuda.Event, _ cuda.LaunchParams) {
+		if _, err := c.EventQuery(p, ev); err != nil {
+			t.Error(err)
 		}
+	})
+	t.Logf("%.3f allocs per proxied EventQuery", query)
+	if query > 0.05 {
+		t.Errorf("a proxied EventQuery allocates %.3f objects, want 0", query)
 	}
-	wrapped := fmt.Errorf("context: %w", gpu.ErrOutOfMemory)
-	code, msg := encodeErr(wrapped)
-	got := decodeErr(code, msg)
-	if !errors.Is(got, gpu.ErrOutOfMemory) {
-		t.Fatalf("wrapped error lost identity: %v", got)
-	}
-	if decodeErr(0, "") != nil {
-		t.Fatal("nil should round trip")
-	}
-	opaque := decodeErr(encodeErr(errors.New("weird")))
-	if opaque == nil || opaque.Error() != "weird" {
-		t.Fatalf("opaque error = %v", opaque)
+	// Bufs and IArgs are captured, FArgs is empty; the synchronize that
+	// keeps the stream short costs nothing, as the query above.
+	launch := proxiedAllocs(t, func(p *vclock.Proc, c *Client, _ cuda.Event, lp cuda.LaunchParams) {
+		if err := c.Launch(p, lp, cuda.DefaultStream); err != nil {
+			t.Error(err)
+		}
+		if err := c.StreamSynchronize(p, cuda.DefaultStream); err != nil {
+			t.Error(err)
+		}
+	})
+	t.Logf("%.3f allocs per proxied Launch + StreamSynchronize", launch)
+	if launch > 2.05 {
+		t.Errorf("a proxied Launch + StreamSynchronize allocates %.3f objects, want 2 (its captured Bufs and IArgs)", launch)
 	}
 }
 
@@ -464,6 +529,7 @@ func BenchmarkProxySyncCall(b *testing.B) {
 		b.Fatal(err)
 	}
 	client := NewClient(env, server)
+	b.ReportAllocs()
 	env.Go("worker", func(p *vclock.Proc) {
 		ev, _ := client.EventCreate(p)
 		for i := 0; i < b.N; i++ {

@@ -29,9 +29,8 @@
 # so what a change moved reads from one run.
 # About seven and a half minutes on two cores. To make the fault-plan grid
 # cheaper shorten its -iters and -fleet-horizon, not its axes: the
-# transparent tenants already run `:20` iterations, because each of theirs
-# costs some twenty of anyone else's (the proxy's gob wire) and a fleet
-# fault rarely finds them either way. The parent is unpacked with `git
+# transparent tenants already run `:20` iterations, because a fleet fault
+# rarely finds them either way. The parent is unpacked with `git
 # archive` into a temp dir, so nothing is registered in .git the way a
 # worktree would be.
 #
