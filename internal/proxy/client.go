@@ -57,8 +57,9 @@ func NewClient(env *vclock.Env, server *Server) *Client {
 			resp := server.respQ.Pop(p)
 			th := c.byID[resp.Thread]
 			if !th.waiting || th.req != resp.ID {
-				// Response to a fire-and-forget call: nobody waits for it (a
-				// failed device op surfaces through its poisoned stream).
+				// Response to a fire-and-forget call, or to one AbortPending
+				// already released: nobody waits for it (a failed device op
+				// surfaces through its poisoned stream).
 				continue
 			}
 			th.release(resp)
@@ -89,7 +90,7 @@ func (c *Client) AbortPending() int {
 	}
 	slices.SortFunc(waiting, func(a, b *thread) int { return cmp.Compare(a.req, b.req) })
 	for _, th := range waiting {
-		th.release(Response{ID: th.req, Thread: th.id, Err: ErrProxyDown})
+		th.release(Response{Err: ErrProxyDown})
 	}
 	return len(waiting)
 }
