@@ -1,15 +1,13 @@
-// Package jitckpt's root benchmarks regenerate every table and figure of
-// the paper's evaluation (§5–§6). Each BenchmarkTableN drives the same
-// experiment code as cmd/jitbench and reports the headline measured
-// quantity via b.ReportMetric, so `go test -bench . -benchmem` doubles as
-// the reproduction run. Absolute times are virtual (simulated) seconds;
-// the ns/op column measures only the simulator's own speed.
+// Package jitckpt's root benchmarks run every table of the evaluation
+// through the same registry as cmd/jitbench (BenchmarkTables), the
+// paper's Figure 1 scenario, and the simulator's kernel and ablation
+// benchmarks. Absolute times in reported metrics are virtual (simulated)
+// seconds; the ns/op column measures only the simulator's own speed.
 package jitckpt_test
 
 import (
 	"testing"
 
-	"jitckpt/internal/analysis"
 	"jitckpt/internal/core"
 	"jitckpt/internal/experiments"
 	"jitckpt/internal/failure"
@@ -17,95 +15,19 @@ import (
 	"jitckpt/internal/workload"
 )
 
-// BenchmarkTable3Overheads measures steady-state checkpointing overhead at
-// the optimal frequency (Table 3) for a representative small and large
-// model, reporting the PC_disk and JIT overhead fractions.
-func BenchmarkTable3Overheads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable3([]string{"BERT-B-FT", "GPT2-XL"}, experiments.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*rows[0].PCDisk, "BERT-PCdisk-%")
-		b.ReportMetric(100*rows[1].PCDisk, "GPT2XL-PCdisk-%")
-		b.ReportMetric(100*rows[0].JITC, "BERT-JIT-%")
-	}
-}
-
-// BenchmarkTable4UserJIT measures user-level JIT checkpoint and restore
-// times (Table 4).
-func BenchmarkTable4UserJIT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable4([]string{"BERT-L-PT", "GPT2-XL"}, experiments.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].Ckpt.Sec(), "BERT-ckpt-s")
-		b.ReportMetric(rows[0].Restore.Sec(), "BERT-restore-s")
-		b.ReportMetric(rows[1].Recovery.Sec(), "GPT2XL-recovery-s")
-	}
-}
-
-// BenchmarkTable5Transient measures transparent transient-error recovery
-// (Table 5).
-func BenchmarkTable5Transient(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable5([]string{"BERT-B-FT/V100x8", "GPT2-S/V100x8"}, experiments.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].Recovery.Sec(), "BERT-recovery-s")
-		b.ReportMetric(rows[1].Recovery.Sec(), "GPT2S-recovery-s")
-	}
-}
-
-// BenchmarkTable6Hard measures transparent hard-error recovery (Table 6),
-// split by healthy vs failed GPU ranks.
-func BenchmarkTable6Hard(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable6([]string{"BERT-B-FT/V100x8"}, experiments.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].Healthy.Sec(), "healthy-s")
-		b.ReportMetric(rows[0].Failed.Sec(), "failed-s")
-	}
-}
-
-// BenchmarkTable7Breakdown measures the transient-recovery step breakdown
-// (Table 7), reporting the dominant communicator re-initialization step.
-func BenchmarkTable7Breakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable7([]string{"GPT2-S/V100x8"}, experiments.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, ph := range rows[0].Phases {
-			if ph.Name == "comm-init" {
-				b.ReportMetric(ph.Dur.Sec(), "comm-init-s")
+// BenchmarkTables runs every entry of the table registry under -quick,
+// one sub-benchmark each. The values the tables print are pinned by
+// experiments.TestJitbenchOutput; ns/op is the simulator's own speed.
+func BenchmarkTables(b *testing.B) {
+	for _, e := range experiments.Tables() {
+		b.Run(e.Title, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(experiments.TableRun{Options: experiments.DefaultOptions(), Quick: true}); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if ph.Name == "teardown" {
-				b.ReportMetric(ph.Dur.Sec(), "teardown-s")
-			}
-		}
+		})
 	}
-}
-
-// BenchmarkTable8Scaling evaluates the §5 analytical scaling (Table 8) at
-// N = 1024, reporting the wasted-time fractions whose gap is the paper's
-// headline claim.
-func BenchmarkTable8Scaling(b *testing.B) {
-	base := analysis.Params{O: 5, F: analysis.PerDay(experiments.FailureRate), R: 9.9, M: 0.418}
-	for i := 0; i < b.N; i++ {
-		rows := analysis.ScaleModel(base, []int{4, 1024, 8192})
-		b.ReportMetric(100*rows[1].WfPeriodic, "wf-periodic-1024-%")
-		b.ReportMetric(100*analysis.WastedFraction(analysis.WastedUserJIT(withN(base, 1024))), "wf-userjit-1024-%")
-	}
-}
-
-func withN(p analysis.Params, n int) analysis.Params {
-	p.N = n
-	return p
 }
 
 // BenchmarkFig1EndToEnd is the paper's Figure 1 scenario end to end: a
@@ -129,14 +51,6 @@ func BenchmarkFig1EndToEnd(b *testing.B) {
 		}
 		b.ReportMetric(float64(res.ItersExecuted-iters), "redone-minibatches")
 		b.ReportMetric(res.JITCheckpointTime.Sec(), "jit-ckpt-s")
-	}
-}
-
-// BenchmarkDollarCost evaluates the §5.1 cost estimator.
-func BenchmarkDollarCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		c := analysis.DollarCost(10000, 10, 0.25, 4)
-		b.ReportMetric(c/1e6, "10kGPU-$M-per-month")
 	}
 }
 

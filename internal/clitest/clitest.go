@@ -30,13 +30,14 @@ func Main(m *testing.M, bin *string) int {
 	return m.Run()
 }
 
-// Case is one invocation: the argument line, the exit code it must end with
-// and substrings its combined stdout+stderr must contain.
+// Case is one invocation: the argument line, the exit code it must end with,
+// and substrings its combined stdout+stderr must and must not contain.
 type Case struct {
 	Name string
 	Args string
 	Exit int
 	Want []string
+	Not  []string
 }
 
 // Run executes every case against bin as a subtest.
@@ -57,6 +58,11 @@ func Run(t *testing.T, bin string, cases []Case) {
 			for _, want := range tc.Want {
 				if !strings.Contains(string(out), want) {
 					t.Errorf("%s: output lacks %q\n%s", tc.Args, want, out)
+				}
+			}
+			for _, not := range tc.Not {
+				if strings.Contains(string(out), not) {
+					t.Errorf("%s: output has %q\n%s", tc.Args, not, out)
 				}
 			}
 		})

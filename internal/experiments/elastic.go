@@ -21,13 +21,6 @@ type ElasticOptions struct {
 	// MTBFs are the job-level mean-time-between-failure points swept
 	// (short, to land several failures inside a seconds-long run).
 	MTBFs []vclock.Time
-	// Spares are the spare-node counts swept.
-	Spares []int
-	// MeanRepair is the mean hardware-replacement turnaround appended
-	// after every node-destroying failure (failure.Plan.WithRepairs).
-	MeanRepair vclock.Time
-	// PlanHorizon bounds the failure plan (not the simulation).
-	PlanHorizon vclock.Time
 	// Recorder, when set, collects the structured event trace of every
 	// sweep run (each under its own run ID).
 	Recorder *trace.Recorder
@@ -40,14 +33,23 @@ type ElasticOptions struct {
 // DefaultElasticOptions returns the standard sweep configuration.
 func DefaultElasticOptions() ElasticOptions {
 	return ElasticOptions{
-		Seeds:       []int64{3, 7, 11},
-		Iters:       200,
-		MTBFs:       []vclock.Time{2 * vclock.Second, 3 * vclock.Second, 12 * vclock.Second},
-		Spares:      []int{0, 1},
-		MeanRepair:  3 * vclock.Second,
-		PlanHorizon: 10 * vclock.Second,
+		Seeds: []int64{3, 7, 11},
+		Iters: 200,
+		MTBFs: []vclock.Time{2 * vclock.Second, 3 * vclock.Second, 12 * vclock.Second},
 	}
 }
+
+const (
+	// elasticMaxSpares ends table 11's spare-node axis, which starts at 0.
+	elasticMaxSpares = 1
+	// jobMeanRepair is the mean hardware-replacement turnaround tables 11
+	// and 14 append after every node-destroying failure
+	// (failure.Plan.WithRepairs).
+	jobMeanRepair = 3 * vclock.Second
+	// jobPlanHorizon bounds those tables' failure plans (not the
+	// simulation).
+	jobPlanHorizon = 10 * vclock.Second
+)
 
 // elasticMix weights the failure draw toward node-destroying kinds: the
 // sweep exists to exhaust the spare pool, which network blips never do.
@@ -104,7 +106,7 @@ func RunElasticSweep(opt ElasticOptions) ([]ElasticRow, error) {
 	}
 	var cells []cell
 	for _, mtbf := range opt.MTBFs {
-		for _, spares := range opt.Spares {
+		for spares := 0; spares <= elasticMaxSpares; spares++ {
 			for _, policy := range ElasticPolicies() {
 				for _, seed := range opt.Seeds {
 					cells = append(cells, cell{mtbf, spares, policy, seed})
@@ -123,8 +125,8 @@ func RunElasticSweep(opt ElasticOptions) ([]ElasticRow, error) {
 		// Job-level MTBF m over n GPUs means a per-GPU daily rate of
 		// day/(m·n).
 		fPerGPUDay := float64(vclock.Day) / (float64(c.mtbf) * float64(wl.GPUs()))
-		plan := failure.PoissonPlan(rng, wl.Topo.World(), fPerGPUDay, opt.PlanHorizon, mix).
-			WithRepairs(rng, opt.MeanRepair, 0)
+		plan := failure.PoissonPlan(rng, wl.Topo.World(), fPerGPUDay, jobPlanHorizon, mix).
+			WithRepairs(rng, jobMeanRepair, 0)
 		res, err := core.Run(core.JobConfig{
 			WL: wl, Policy: c.policy, Iters: opt.Iters, Seed: 1,
 			HangTimeout: 2 * vclock.Second, SpareNodes: c.spares,

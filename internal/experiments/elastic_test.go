@@ -19,7 +19,7 @@ func TestRunElasticSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(opt.MTBFs) * len(opt.Spares) * len(ElasticPolicies()); len(rows) != want {
+	if want := len(opt.MTBFs) * (elasticMaxSpares + 1) * len(ElasticPolicies()); len(rows) != want {
 		t.Fatalf("rows = %d, want %d", len(rows), want)
 	}
 	sawShrink := false

@@ -65,10 +65,6 @@ type FleetOptions struct {
 	// HeadlineJobs sizes one extra cell — the mixed fleet at scale, run
 	// once on the first MTBF and last spare fraction (0 = skip it).
 	HeadlineJobs int
-	// HeadlineIters is the per-tenant iteration count of the headline
-	// cell, kept short so scale (tenant count) rather than per-tenant
-	// work dominates its cost.
-	HeadlineIters int
 	// Iters is the per-tenant useful-minibatch count.
 	Iters int
 	// Mixes is the job-mix axis.
@@ -78,11 +74,6 @@ type FleetOptions struct {
 	// SpareFracs is the spare-capacity axis: the cluster is sized at
 	// aggregate demand × (1 + frac).
 	SpareFracs []float64
-	// MeanRepair is the mean hardware-replacement turnaround appended
-	// after every node-destroying failure.
-	MeanRepair vclock.Time
-	// RackSize is the shared failure-domain width in nodes.
-	RackSize int
 	// Horizon bounds each fleet simulation.
 	Horizon vclock.Time
 	// Recorder, when set, collects the structured event trace of every
@@ -100,19 +91,28 @@ type FleetOptions struct {
 // at 500 concurrent tenants.
 func DefaultFleetOptions() FleetOptions {
 	return FleetOptions{
-		Seeds:         []int64{3, 7},
-		Jobs:          12,
-		HeadlineJobs:  500,
-		HeadlineIters: 50,
-		Iters:         400,
-		Mixes:         DefaultFleetMixes(),
-		MTBFs:         []vclock.Time{20 * vclock.Second, 90 * vclock.Second},
-		SpareFracs:    []float64{0, 0.25},
-		MeanRepair:    10 * vclock.Second,
-		RackSize:      4,
-		Horizon:       40 * vclock.Second,
+		Seeds:        []int64{3, 7},
+		Jobs:         12,
+		HeadlineJobs: 500,
+		Iters:        400,
+		Mixes:        DefaultFleetMixes(),
+		MTBFs:        []vclock.Time{20 * vclock.Second, 90 * vclock.Second},
+		SpareFracs:   []float64{0, 0.25},
+		Horizon:      40 * vclock.Second,
 	}
 }
+
+const (
+	// fleetHeadlineIters is the per-tenant iteration count of the headline
+	// cell, kept short so scale (tenant count) rather than per-tenant work
+	// dominates its cost.
+	fleetHeadlineIters = 50
+	// fleetMeanRepair is the mean hardware-replacement turnaround appended
+	// after every node-destroying failure.
+	fleetMeanRepair = 10 * vclock.Second
+	// fleetRackSize is the shared failure-domain width in nodes.
+	fleetRackSize = 4
+)
 
 // FleetRow is one (mix, MTBF, spare fraction) cell aggregated over seeds.
 type FleetRow struct {
@@ -199,7 +199,7 @@ func RunFleetSweep(opt FleetOptions) ([]FleetRow, error) {
 	}
 	if opt.HeadlineJobs > 0 {
 		addCell(opt.Mixes[len(opt.Mixes)-1], opt.MTBFs[0],
-			opt.SpareFracs[len(opt.SpareFracs)-1], opt.HeadlineJobs, opt.HeadlineIters, opt.Seeds[:1])
+			opt.SpareFracs[len(opt.SpareFracs)-1], opt.HeadlineJobs, fleetHeadlineIters, opt.Seeds[:1])
 	}
 
 	results, err := sweep(cells, opt.Workers, opt.Recorder, func(c cell, rec *trace.Recorder) (*cluster.Result, error) {
@@ -211,11 +211,11 @@ func RunFleetSweep(opt FleetOptions) ([]FleetRow, error) {
 		fPerNodePerDay := float64(vclock.Day) / float64(c.mtbf)
 		rng := rand.New(rand.NewSource(c.seed*127 + int64(c.nodes)))
 		plan := failure.PoissonPlan(rng, c.nodes, fPerNodePerDay, opt.Horizon, failure.DefaultNodeMix()).
-			WithRepairs(rand.New(rand.NewSource(c.seed*131+int64(c.nodes))), opt.MeanRepair, opt.RackSize)
+			WithRepairs(rand.New(rand.NewSource(c.seed*131+int64(c.nodes))), fleetMeanRepair, fleetRackSize)
 		res, err := cluster.Run(cluster.Config{
 			Nodes:    c.nodes,
 			PerNode:  cluster.FleetWorkload().PerNode,
-			RackSize: opt.RackSize,
+			RackSize: fleetRackSize,
 			Seed:     c.seed,
 			Horizon:  opt.Horizon,
 			Jobs:     jobs,

@@ -13,10 +13,6 @@ import (
 	"jitckpt/internal/workload"
 )
 
-// Policy re-exports core.Policy so jitbench can pass parsed policy
-// filters without importing internal/core directly.
-type Policy = core.Policy
-
 // PeerComparisonPolicies lists the policies the peer-shelter comparison
 // covers, in presentation order: the classical periodic baseline, the
 // paper's recommended JIT-plus-daily combination, and the two
@@ -156,11 +152,7 @@ func RunPeerComparison(models []string, policies []core.Policy, opt Options) ([]
 				if !res.Completed {
 					return nil, fmt.Errorf("experiments: %s %v steady run incomplete", name, policy)
 				}
-				delta := (res.Minibatch - base).Sec()
-				if delta < 0 {
-					delta = 0
-				}
-				row.SteadyOverhead = delta / base.Sec()
+				row.SteadyOverhead = max((res.Minibatch-base).Sec(), 0) / base.Sec()
 				if info.Peer && res.Peer.PiggybackBytes > 0 {
 					// Replication never stalls the critical path: an offer
 					// arriving while the previous transfer is in flight is

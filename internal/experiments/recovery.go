@@ -37,11 +37,6 @@ type RecoveryFamiliesOptions struct {
 	Intervals []vclock.Time
 	// Sizes is the model-size axis.
 	Sizes []RecoverySize
-	// MeanRepair is the mean hardware-replacement turnaround appended
-	// after node-destroying failures.
-	MeanRepair vclock.Time
-	// PlanHorizon bounds the failure plan (not the simulation).
-	PlanHorizon vclock.Time
 	// Recorder, when set, collects the structured event trace of every
 	// sweep run; Workers caps sweep concurrency (byte-identical to
 	// serial at any setting).
@@ -63,8 +58,6 @@ func DefaultRecoveryFamiliesOptions() RecoveryFamiliesOptions {
 			{"small", 0.004, 8},
 			{"large", 0.016, 16},
 		},
-		MeanRepair:  3 * vclock.Second,
-		PlanHorizon: 10 * vclock.Second,
 	}
 }
 
@@ -156,8 +149,8 @@ func RunRecoveryFamilies(opt RecoveryFamiliesOptions) ([]RecoveryRow, error) {
 		wl := recoveryWorkload(c.size)
 		rng := rand.New(rand.NewSource(c.seed*439 + int64(c.mtbf/vclock.Millisecond)))
 		fPerGPUDay := float64(vclock.Day) / (float64(c.mtbf) * float64(wl.GPUs()))
-		plan := failure.PoissonPlan(rng, wl.Topo.World(), fPerGPUDay, opt.PlanHorizon, mix).
-			WithRepairs(rng, opt.MeanRepair, 0)
+		plan := failure.PoissonPlan(rng, wl.Topo.World(), fPerGPUDay, jobPlanHorizon, mix).
+			WithRepairs(rng, jobMeanRepair, 0)
 		res, err := core.Run(core.JobConfig{
 			WL: wl, Policy: c.policy, Iters: opt.Iters, Seed: 1,
 			HangTimeout: 2 * vclock.Second, SpareNodes: spareNodesFor(wl),

@@ -35,37 +35,16 @@ func Table5Models() []string {
 // replayed.
 func RunTable5(models []string, opt Options) ([]Table5Row, error) {
 	return sweep(models, opt.Workers, opt.Recorder, func(name string, rec *trace.Recorder) (row Table5Row, err error) {
-		mopt := opt
-		mopt.Recorder = rec
-		wl, err := workload.ByName(name)
+		f, err := oneFault(name, core.PolicyTransparentJIT, failure.NetworkHang, true, opt, rec)
 		if err != nil {
 			return row, err
-		}
-		base, err := steadyMinibatch(wl, core.PolicyNone, mopt)
-		if err != nil {
-			return row, err
-		}
-		res, err := core.Run(core.JobConfig{
-			WL: wl, Policy: core.PolicyTransparentJIT, Iters: mopt.Iters, Seed: mopt.Seed,
-			Recorder:     rec,
-			IterFailures: []core.IterInjection{{Iter: mopt.Iters / 2, Frac: 0.4, Rank: failTarget(wl), Kind: failure.NetworkHang}},
-		})
-		if err != nil {
-			return row, err
-		}
-		if !res.Completed || len(res.Reports) == 0 {
-			return row, fmt.Errorf("experiments: %s transient run incomplete (reports=%d)", name, len(res.Reports))
-		}
-		over := (res.Minibatch - base).Sec()
-		if over < 0 {
-			over = 0
 		}
 		return Table5Row{
 			Model:     name,
-			GPU:       wl.GPU,
-			Recovery:  res.Reports[0].HealthyAvg,
-			Minibatch: res.Minibatch,
-			Overhead:  over,
+			GPU:       f.wl.GPU,
+			Recovery:  f.res.Reports[0].HealthyAvg,
+			Minibatch: f.res.Minibatch,
+			Overhead:  f.over,
 		}, nil
 	})
 }
@@ -104,28 +83,16 @@ func Table6Models() []string {
 // and state is restored from the checkpoint files.
 func RunTable6(models []string, opt Options) ([]Table6Row, error) {
 	return sweep(models, opt.Workers, opt.Recorder, func(name string, rec *trace.Recorder) (row Table6Row, err error) {
-		wl, err := workload.ByName(name)
+		f, err := oneFault(name, core.PolicyTransparentJIT, failure.GPUHard, false, opt, rec)
 		if err != nil {
 			return row, err
-		}
-		res, err := core.Run(core.JobConfig{
-			WL: wl, Policy: core.PolicyTransparentJIT, Iters: opt.Iters, Seed: opt.Seed,
-			Recorder:     rec,
-			SpareNodes:   spareNodesFor(wl),
-			IterFailures: []core.IterInjection{{Iter: opt.Iters / 2, Frac: 0.4, Rank: failTarget(wl), Kind: failure.GPUHard}},
-		})
-		if err != nil {
-			return row, err
-		}
-		if !res.Completed || len(res.Reports) == 0 {
-			return row, fmt.Errorf("experiments: %s hard run incomplete (reports=%d)", name, len(res.Reports))
 		}
 		return Table6Row{
 			Model:     name,
-			GPU:       wl.GPU,
-			Healthy:   res.Reports[0].HealthyAvg,
-			Failed:    res.Reports[0].FailedAvg,
-			Minibatch: res.Minibatch,
+			GPU:       f.wl.GPU,
+			Healthy:   f.res.Reports[0].HealthyAvg,
+			Failed:    f.res.Reports[0].FailedAvg,
+			Minibatch: f.res.Minibatch,
 		}, nil
 	})
 }
@@ -167,22 +134,11 @@ var Table7PhaseLabels = map[string]string{
 // recovery on one healthy rank worker.
 func RunTable7(models []string, opt Options) ([]Table7Breakdown, error) {
 	return sweep(models, opt.Workers, opt.Recorder, func(name string, rec *trace.Recorder) (row Table7Breakdown, err error) {
-		wl, err := workload.ByName(name)
+		f, err := oneFault(name, core.PolicyTransparentJIT, failure.NetworkHang, false, opt, rec)
 		if err != nil {
 			return row, err
 		}
-		res, err := core.Run(core.JobConfig{
-			WL: wl, Policy: core.PolicyTransparentJIT, Iters: opt.Iters, Seed: opt.Seed,
-			Recorder:     rec,
-			IterFailures: []core.IterInjection{{Iter: opt.Iters / 2, Frac: 0.4, Rank: failTarget(wl), Kind: failure.NetworkHang}},
-		})
-		if err != nil {
-			return row, err
-		}
-		if !res.Completed || len(res.Reports) == 0 {
-			return row, fmt.Errorf("experiments: %s breakdown run incomplete", name)
-		}
-		return Table7Breakdown{Model: name, Phases: res.Reports[0].Phases}, nil
+		return Table7Breakdown{Model: name, Phases: f.res.Reports[0].Phases}, nil
 	})
 }
 
