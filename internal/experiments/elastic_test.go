@@ -12,7 +12,9 @@ import (
 func TestRunElasticSweep(t *testing.T) {
 	opt := DefaultElasticOptions()
 	if testing.Short() {
-		opt.Seeds = opt.Seeds[:1]
+		// One cell that shrinks: at table 11's 2 s MTBF only seed 11 drains
+		// the spare pool (seeds 3 and 7 never shrink there).
+		opt.Seeds = []int64{11}
 		opt.MTBFs = opt.MTBFs[:1]
 	}
 	rows, err := RunElasticSweep(opt)

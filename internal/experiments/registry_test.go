@@ -59,6 +59,17 @@ func TestJitbenchOutput(t *testing.T) {
 	}
 }
 
+// paperTable3 is the paper's Table 3 as printed: PC_disk, PC_mem,
+// CheckFreq, PC_1/day and JIT-C overheads in percent.
+var paperTable3 = map[string][5]string{
+	"GPT2-S":    {"0.042", "0.042", "0.024", "0.004", "0.0024"},
+	"GPT2-XL":   {"0.093", "0.078", "0.047", "0.007", "0"},
+	"GPT2-8B":   {"0.216", "0.186", "0.111", "0.02", "0"},
+	"GPT2-18B":  {"0.330", "0.275", "0.166", "0.02", "0"},
+	"BERT-L-PT": {"0.070", "0.068", "0.031", "0.005", "0.0076"},
+	"BERT-B-FT": {"0.039", "0.036", "0.026", "0.0016", "0"},
+}
+
 // paperTable4 is the paper's Table 4 as printed: checkpoint, restore and
 // JIT recovery in seconds.
 var paperTable4 = map[string][3]string{
@@ -96,14 +107,52 @@ type claim[R any] struct {
 	check func([]R) error
 }
 
+// Table 3's claims. In the ordering, a ≫ b means a is at least
+// muchGreater times b: CheckFreq ÷ PC_1/day is 6.6 at its lowest (GPT2-8B),
+// and JIT-C measures zero. The magnitudes: every PC_disk, PC_mem, CheckFreq
+// and PC_1/day cell within table3Tol of the paper, except CheckFreq on
+// BERT-L-PT, which must be 40–50% high (it measures 0.0455 against 0.031).
+const (
+	muchGreater = 5
+	table3Tol   = 0.17
+)
+
+var table3Claims = []claim[Table3Row]{
+	{"PC_disk ≥ PC_mem > CheckFreq ≫ PC_1/day ≫ JIT-C on every model", func(rows []Table3Row) error {
+		for _, r := range rows {
+			if !(r.PCDisk >= r.PCMem && r.PCMem > r.CheckFreq &&
+				r.CheckFreq >= muchGreater*r.PCDaily && r.PCDaily >= muchGreater*r.JITC) {
+				return fmt.Errorf("%s: %.4g, %.4g, %.4g, %.4g, %.4g", r.Model, r.PCDisk, r.PCMem, r.CheckFreq, r.PCDaily, r.JITC)
+			}
+		}
+		return nil
+	}},
+	{fmt.Sprintf("within %.0f%% of the paper but CheckFreq on BERT-L-PT", 100*table3Tol), func(rows []Table3Row) error {
+		for _, r := range rows {
+			p := paperTable3[r.Model]
+			for i, ours := range []float64{r.PCDisk, r.PCMem, r.CheckFreq, r.PCDaily} {
+				off := 100*ours/paperVal(p[i]) - 1
+				lo, hi := -table3Tol, table3Tol
+				if r.Model == "BERT-L-PT" && i == 2 {
+					lo, hi = 0.40, 0.50
+				}
+				if off < lo || off > hi {
+					return fmt.Errorf("%s column %d: %.4g%% is %+.0f%% off the paper's %s%%", r.Model, i+1, 100*ours, 100*off, p[i])
+				}
+			}
+		}
+		return nil
+	}},
+}
+
 var table4Claims = []claim[Table4Row]{
 	{"checkpoint and restore within 0.1 s of the paper", func(rows []Table4Row) error {
 		for _, r := range rows {
 			p := paperTable4[r.Model]
-			if d := math.Abs(r.Ckpt.Sec() - paperSec(p[0])); d > 0.1 {
+			if d := math.Abs(r.Ckpt.Sec() - paperVal(p[0])); d > 0.1 {
 				return fmt.Errorf("%s checkpoint %.2f is %.2f s off %s", r.Model, r.Ckpt.Sec(), d, p[0])
 			}
-			if d := math.Abs(r.Restore.Sec() - paperSec(p[1])); d > 0.1 {
+			if d := math.Abs(r.Restore.Sec() - paperVal(p[1])); d > 0.1 {
 				return fmt.Errorf("%s restore %.2f is %.2f s off %s", r.Model, r.Restore.Sec(), d, p[1])
 			}
 		}
@@ -112,7 +161,7 @@ var table4Claims = []claim[Table4Row]{
 	{"recovery within 1 s of the paper", func(rows []Table4Row) error {
 		for _, r := range rows {
 			p := paperTable4[r.Model]
-			if d := math.Abs(r.Recovery.Sec() - paperSec(p[2])); d > 1 {
+			if d := math.Abs(r.Recovery.Sec() - paperVal(p[2])); d > 1 {
 				return fmt.Errorf("%s recovery %.2f is %.2f s off %s", r.Model, r.Recovery.Sec(), d, p[2])
 			}
 		}
@@ -172,7 +221,8 @@ func checkClaims[R any](t *testing.T, claims []claim[R], rows []R) {
 	}
 }
 
-func paperSec(s string) float64 {
+// paperVal parses a figure as the paper prints it.
+func paperVal(s string) float64 {
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		panic(err)
@@ -181,12 +231,16 @@ func paperSec(s string) float64 {
 }
 
 // TestExperimentsDoc regenerates the paper → ours blocks under
-// EXPERIMENTS.md's Table 4 and Table 8 headings from the paper's digits
-// and the rows the registry measures, fails if the checked-in file
+// EXPERIMENTS.md's Table 3, Table 4 and Table 8 headings from the paper's
+// digits and the rows the registry measures, fails if the checked-in file
 // differs, and checks each shape claim the prose makes. Regenerate with
 //
 //	go test ./internal/experiments -run TestExperimentsDoc -update
 func TestExperimentsDoc(t *testing.T) {
+	t3, err := RunTable3(Table3Models(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	t4, err := RunTable4(Table4Models(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -195,6 +249,7 @@ func TestExperimentsDoc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkClaims(t, table3Claims, t3)
 	checkClaims(t, table4Claims, t4)
 	checkClaims(t, table8Claims, t8)
 
@@ -204,6 +259,7 @@ func TestExperimentsDoc(t *testing.T) {
 	}
 	doc := string(b)
 	for _, blk := range []struct{ heading, body string }{
+		{"## Table 3", table3Block(t3)},
 		{"## Table 4", table4Block(t4)},
 		{"## Table 8", table8Block(t8)},
 	} {
@@ -219,6 +275,13 @@ func TestExperimentsDoc(t *testing.T) {
 	if *updateDocs {
 		if err := os.WriteFile(experimentsDoc, []byte(doc), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+	// The prose quotes what table3Claims checks: the meaning of ≫ and the
+	// magnitude tolerance.
+	for _, f := range []string{fmt.Sprintf("≫: at least %d×", muchGreater), fmt.Sprintf("within %.0f%%", 100*table3Tol)} {
+		if !strings.Contains(doc, f) {
+			t.Errorf("%s does not quote Table 3's checked %q", experimentsDoc, f)
 		}
 	}
 	// The prose quotes the factor ranges table8Claims checks.
@@ -253,6 +316,17 @@ func tableBlock(t *testing.T, doc, heading string) (start, end int) {
 	return start, end
 }
 
+func table3Block(rows []Table3Row) string {
+	var b strings.Builder
+	b.WriteString("| Model | PC_disk paper → ours | PC_mem | CheckFreq | PC_1/day | JIT-C |\n|---|---|---|---|---|---|\n")
+	for _, r := range rows {
+		p := paperTable3[r.Model]
+		fmt.Fprintf(&b, "| %s | %s → %.3f | %s → %.3f | %s → %.3f | %s → %.4f | %s → %.4f |\n",
+			r.Model, p[0], 100*r.PCDisk, p[1], 100*r.PCMem, p[2], 100*r.CheckFreq, p[3], 100*r.PCDaily, p[4], 100*r.JITC)
+	}
+	return b.String()
+}
+
 func table4Block(rows []Table4Row) string {
 	var b strings.Builder
 	b.WriteString("| Model | Ckpt paper → ours | Restore paper → ours | JIT Recovery paper → ours |\n|---|---|---|---|\n")
@@ -285,6 +359,29 @@ func table8Block(rows []Table8Row) string {
 // TestClaimsCatchBrokenRows feeds every claim one row that breaks it, so
 // a predicate that cannot fail fails here.
 func TestClaimsCatchBrokenRows(t *testing.T) {
+	// good3 is BERT-L-PT at the paper's digits, but CheckFreq 45% high.
+	good3 := Table3Row{Model: "BERT-L-PT", PCDisk: 0.070e-2, PCMem: 0.068e-2, CheckFreq: 1.45 * 0.031e-2, PCDaily: 0.005e-2}
+	for _, c := range table3Claims {
+		if err := c.check([]Table3Row{good3}); err != nil {
+			t.Errorf("claim %q rejects a row that keeps it: %v", c.name, err)
+		}
+		broken := 0
+		for _, mutate := range []func(*Table3Row){
+			func(r *Table3Row) { r.PCMem = 1.1 * r.PCDisk },      // PC_mem above PC_disk
+			func(r *Table3Row) { r.JITC = r.PCDaily / 2 },        // PC_1/day only twice JIT-C
+			func(r *Table3Row) { r.PCDisk *= 1.3 },               // 30% off the paper
+			func(r *Table3Row) { r.CheckFreq = 0.031e-2 * 1.05 }, // the outlier back near the paper
+		} {
+			bad := good3
+			mutate(&bad)
+			if c.check([]Table3Row{good3, bad}) != nil {
+				broken++
+			}
+		}
+		if broken == 0 {
+			t.Errorf("claim %q accepts every broken row", c.name)
+		}
+	}
 	good4 := Table4Row{Model: "BERT-L-PT", Ckpt: 5e9, Restore: 99e8, Recovery: 148e8}
 	for _, c := range table4Claims {
 		bad := good4

@@ -96,3 +96,44 @@ func TestBoundaryReadsCopyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPeekModelStateAllocBudget pins what PeekModelState allocates in
+// objects: the ModelState and its map, whatever the layer count. The peer
+// replicator and the pipe-free keeper peek at every minibatch boundary, so
+// a name built per tensor there would cost every boundary of every rank;
+// the names are built once, with the model-state list, at Setup.
+func TestPeekModelStateAllocBudget(t *testing.T) {
+	for _, layers := range []int{2, 32} {
+		model := defaultModel()
+		model.Layers = layers
+		j := newJob(t, Topology{D: 1, P: 1, T: 1}, model, DefaultOptimizer())
+		w := j.workers[0]
+		var allocs float64
+		j.env.Go("rank0", func(p *vclock.Proc) {
+			if err := w.Setup(p, 0); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := w.RunIters(p, 1); err != nil {
+				t.Error(err)
+				return
+			}
+			allocs = testing.AllocsPerRun(20, func() {
+				if _, err := w.PeekModelState(); err != nil {
+					t.Error(err)
+				}
+			})
+		})
+		if err := j.env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%d layers, %d tensors: PeekModelState allocates %.0f objects", layers, 3*layers, allocs)
+		// Measured 3 at 2 layers and 5 at 32: the ModelState, and a map
+		// whose size hint outgrows one group. Building each name at the
+		// peek, six strings a layer, costs 21 and 300.
+		const budget = 6
+		if allocs > budget {
+			t.Errorf("%d layers: PeekModelState allocates %.0f objects, budget is %d whatever the layer count", layers, allocs, budget)
+		}
+	}
+}

@@ -2,27 +2,20 @@ package train
 
 import (
 	"fmt"
-	"math"
 
 	"jitckpt/internal/tensor"
 )
 
 // ParamTensorName returns the checkpoint name of a layer's weight shard.
-func ParamTensorName(layer int) string {
-	return TensorName(fmt.Sprintf("%sL%d.w", TagParamPrefix, layer), 0)
-}
+func ParamTensorName(layer int) string { return TensorName(layerTag(TagParamPrefix, layer, "w"), 0) }
 
 // OptMTensorName returns the checkpoint name of a layer's first-moment
 // (momentum) optimizer shard.
-func OptMTensorName(layer int) string {
-	return TensorName(fmt.Sprintf("%sL%d.m", TagOptPrefix, layer), 0)
-}
+func OptMTensorName(layer int) string { return TensorName(layerTag(TagOptPrefix, layer, "m"), 0) }
 
 // OptVTensorName returns the checkpoint name of a layer's second-moment
 // optimizer shard (Adam only).
-func OptVTensorName(layer int) string {
-	return TensorName(fmt.Sprintf("%sL%d.v", TagOptPrefix, layer), 0)
-}
+func OptVTensorName(layer int) string { return TensorName(layerTag(TagOptPrefix, layer, "v"), 0) }
 
 // GradRing is a bounded host-side ring of synchronized minibatch gradients.
 // Entry i holds the post-all-reduce (summed, unscaled) gradient shards of
@@ -101,22 +94,26 @@ func (w *Worker) GradScale() float32 {
 }
 
 // pushGradRing copies the synchronized gradient shards of the minibatch
-// that just retired into the ring, once each: BufData's views die when the
-// worker next yields, and the ring keeps them for several minibatches. Runs
-// at the minibatch boundary, after the compute stream synchronized, so ls.g
-// holds the all-reduced gradient the optimizer consumed.
+// that just retired into the ring, once each, keyed by their weights' names:
+// BufData's views die when the worker next yields, and the ring keeps them
+// for several minibatches. Runs at the minibatch boundary, after the compute
+// stream synchronized, so each gradient holds the all-reduced sum the
+// optimizer consumed.
 func (w *Worker) pushGradRing(iter int) {
 	pk, ok := w.cfg.API.(statePeeker)
 	if !ok {
 		return
 	}
 	grads := make(map[string]tensor.Vector, len(w.layers))
-	for _, ls := range w.layers {
-		view, err := pk.BufData(ls.g)
+	for _, s := range w.state {
+		if s.grad == 0 {
+			continue
+		}
+		view, err := pk.BufData(s.grad)
 		if err != nil {
 			return
 		}
-		grads[ParamTensorName(ls.global)] = view.Clone()
+		grads[s.name] = view.Clone()
 	}
 	w.gradRing.Push(iter, grads)
 }
@@ -133,13 +130,14 @@ func (w *Worker) LayerGlobals() []int {
 
 // ReconcileTensors advances the parameter/optimizer tensors of the given
 // global layers inside ms from fromIter to targetIter by replaying retained
-// gradients through the exact optimizer update the device kernels run —
-// the same float32 operation order, so the reconciled state is bit-exact
-// against a run that never went stale. grads(iter) must return the
-// synchronized (summed, unscaled) gradient map of that minibatch, keyed by
-// parameter tensor name; scale is the worker's GradScale. The tensors are
-// mutated in place, so callers pass an owned (cloned/decoded) ModelState.
-// It errors cleanly when a needed iteration fell out of the ring.
+// gradients through the optimizer kernels' own update (optimizerUpdate),
+// so the reconciled state is bit-exact against a run that never went stale.
+// grads(iter) must return the synchronized (summed, unscaled) gradient map
+// of that minibatch, keyed by parameter tensor name; scale is the worker's
+// GradScale. The tensors are mutated in place, so callers pass an owned
+// (cloned/decoded) ModelState. It errors cleanly when a needed iteration
+// fell out of the ring, and when a tensor is shorter or longer than its
+// layer's weight.
 func ReconcileTensors(ms *ModelState, layers []int, fromIter, targetIter int,
 	opt OptimizerSpec, scale float32,
 	grads func(iter int) (map[string]tensor.Vector, bool)) error {
@@ -163,33 +161,19 @@ func ReconcileTensors(ms *ModelState, layers []int, fromIter, targetIter int,
 			if w == nil || m == nil {
 				return fmt.Errorf("train: reconcile: state missing layer %d tensors", l)
 			}
-			switch opt.Kind {
-			case Adam:
-				v := ms.Tensors[OptVTensorName(l)]
-				if v == nil {
+			var v tensor.Vector
+			if opt.Kind == Adam {
+				if v = ms.Tensors[OptVTensorName(l)]; v == nil {
 					return fmt.Errorf("train: reconcile: state missing layer %d Adam second moment", l)
 				}
-				// Mirror the adam.step kernel bit for bit (1-based step count).
-				b1, b2, eps := opt.Momentum, opt.Beta2, opt.Eps
-				tt := float64(t + 1)
-				c1 := float32(1 - math.Pow(float64(b1), tt))
-				c2 := float32(1 - math.Pow(float64(b2), tt))
-				for i := range w {
-					gi := g[i] * scale
-					m[i] = b1*m[i] + (1-b1)*gi
-					v[i] = b2*v[i] + (1-b2)*gi*gi
-					mh := m[i] / c1
-					vh := v[i] / c2
-					w[i] -= lr * mh / (float32(math.Sqrt(float64(vh))) + eps)
-				}
-			default:
-				// Mirror the sgd.step kernel bit for bit.
-				beta := opt.Momentum
-				for i := range w {
-					m[i] = beta*m[i] + g[i]*scale
-					w[i] -= lr * m[i]
-				}
 			}
+			// The update reads g, m and v as far as w reaches, and a restored
+			// state is input from a store: refuse any that falls short.
+			if len(g) != len(w) || len(m) != len(w) || opt.Kind == Adam && len(v) != len(w) {
+				return fmt.Errorf("train: reconcile: layer %d gradient, first and second moment hold %d, %d and %d elements, its weight %d",
+					l, len(g), len(m), len(v), len(w))
+			}
+			optimizerUpdate(opt, lr, scale, int64(t+1), w, g, m, v)
 		}
 	}
 	return nil

@@ -139,3 +139,47 @@ func TestGradRingEvictionAndReplace(t *testing.T) {
 		t.Fatal("capacity floor missing")
 	}
 }
+
+// TestReconcileRefusesShortTensors gives ReconcileTensors a state or a
+// retained gradient with one tensor shorter than its weight. A restored
+// state is input from a store, and the update reads the gradient and both
+// moments as far as the weight reaches, so the mismatch must be an error,
+// never a panic or a read out of range.
+func TestReconcileRefusesShortTensors(t *testing.T) {
+	const n = 8
+	opts := map[string]OptimizerSpec{
+		"adam": DefaultOptimizer(),
+		"sgd":  {Kind: SGDMomentum, LR: 0.05, Momentum: 0.9},
+	}
+	for name, opt := range opts {
+		for _, short := range []string{"gradient", OptMTensorName(0), OptVTensorName(0)} {
+			if short == OptVTensorName(0) && opt.Kind != Adam {
+				continue
+			}
+			t.Run(name+"/"+short, func(t *testing.T) {
+				ms := &ModelState{Tensors: map[string]tensor.Vector{
+					ParamTensorName(0): tensor.NewVector(n),
+					OptMTensorName(0):  tensor.NewVector(n),
+					OptVTensorName(0):  tensor.NewVector(n),
+				}}
+				grads := map[string]tensor.Vector{ParamTensorName(0): tensor.NewVector(n)}
+				if short == "gradient" {
+					grads[ParamTensorName(0)] = tensor.NewVector(n - 3)
+				} else {
+					ms.Tensors[short] = tensor.NewVector(n - 3)
+				}
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked instead of refusing: %v", r)
+					}
+				}()
+				err := ReconcileTensors(ms, []int{0}, 0, 1, opt, 1,
+					func(int) (map[string]tensor.Vector, bool) { return grads, true })
+				if err == nil {
+					t.Fatal("reconciled a state with a short tensor")
+				}
+				t.Log(err)
+			})
+		}
+	}
+}

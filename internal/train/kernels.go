@@ -51,8 +51,32 @@ type adamConsts struct {
 	scale, b1, omb1, b2, omb2, c1, c2, lr, eps float32
 }
 
+// optimizerUpdate applies one step of opt to w at learning rate lr, with m
+// and, under Adam, v its moments and g·scale its gradient. It is the one copy
+// of each update rule: the sgd.step and adam.step kernels and
+// ReconcileTensors all run it. SGD with momentum: m = β·m + g·scale;
+// w -= lr·m. Adam: bias-corrected at 1-based step t, adamWide then adamGo.
+// g, m and v must be as long as w, since adamWide reads w's length only.
+func optimizerUpdate(opt OptimizerSpec, lr, scale float32, t int64, w, g, m, v []float32) {
+	if opt.Kind != Adam {
+		for i := range w {
+			m[i] = opt.Momentum*m[i] + g[i]*scale
+			w[i] -= lr * m[i]
+		}
+		return
+	}
+	b1, b2 := opt.Momentum, opt.Beta2
+	k := adamConsts{
+		scale: scale, b1: b1, omb1: 1 - b1, b2: b2, omb2: 1 - b2,
+		c1: float32(1 - math.Pow(float64(b1), float64(t))),
+		c2: float32(1 - math.Pow(float64(b2), float64(t))),
+		lr: lr, eps: opt.Eps,
+	}
+	adamGo(w, g, m, v, &k, adamWide(w, g, m, v, &k))
+}
+
 // adamGo applies one Adam update to w[from:], with m and v its moments:
-// adam.step runs it from where adamWide stopped.
+// optimizerUpdate runs it from where adamWide stopped.
 func adamGo(w, g, m, v []float32, k *adamConsts, from int) {
 	for i := from; i < len(w); i++ {
 		gi := g[i] * k.scale

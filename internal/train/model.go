@@ -220,12 +220,8 @@ func Kernels() cuda.Registry {
 			if err := elementwise("sgd.step", a, 3, 0, 3); err != nil {
 				return err
 			}
-			w, g, m := a.Bufs[0], a.Bufs[1], a.Bufs[2]
-			lr, beta, scale := a.FArgs[0], a.FArgs[1], a.FArgs[2]
-			for i := range w {
-				m[i] = beta*m[i] + g[i]*scale
-				w[i] -= lr * m[i]
-			}
+			optimizerUpdate(OptimizerSpec{Kind: SGDMomentum, Momentum: a.FArgs[1]},
+				a.FArgs[0], a.FArgs[2], 0, a.Bufs[0], a.Bufs[1], a.Bufs[2], nil)
 			return nil
 		},
 		// adam.step: standard Adam with bias correction.
@@ -234,16 +230,8 @@ func Kernels() cuda.Registry {
 			if err := elementwise("adam.step", a, 4, 1, 5); err != nil {
 				return err
 			}
-			lr, b1, b2, eps, scale := a.FArgs[0], a.FArgs[1], a.FArgs[2], a.FArgs[3], a.FArgs[4]
-			t := float64(a.IArgs[0])
-			k := adamConsts{
-				scale: scale, b1: b1, omb1: 1 - b1, b2: b2, omb2: 1 - b2,
-				c1: float32(1 - math.Pow(float64(b1), t)),
-				c2: float32(1 - math.Pow(float64(b2), t)),
-				lr: lr, eps: eps,
-			}
-			w, g, m, v := a.Bufs[0], a.Bufs[1], a.Bufs[2], a.Bufs[3]
-			adamGo(w, g, m, v, &k, adamWide(w, g, m, v, &k))
+			optimizerUpdate(OptimizerSpec{Kind: Adam, Momentum: a.FArgs[1], Beta2: a.FArgs[2], Eps: a.FArgs[3]},
+				a.FArgs[0], a.FArgs[4], a.IArgs[0], a.Bufs[0], a.Bufs[1], a.Bufs[2], a.Bufs[3])
 			return nil
 		},
 		// acc.add: dst[i] += src[i]. Gradient accumulation across

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"unsafe"
 
 	"jitckpt/internal/cuda"
@@ -29,32 +30,31 @@ type ModelState struct {
 // and across re-allocations (§4.3's call-stack-hash naming).
 func TensorName(tag string, seq int) string { return fmt.Sprintf("%s#%d", tag, seq) }
 
+// stateBuf is one entry of the worker's model-state list: a parameter or
+// optimizer buffer under its checkpoint name, TensorName(tag, 0). The list
+// holds, per local layer, the weight, the first moment and, under Adam, the
+// second moment, in allocation order.
+type stateBuf struct {
+	name string
+	buf  cuda.Buf
+	grad cuda.Buf // a weight's gradient, which the gradient ring keeps; 0 for a moment
+}
+
+// tag returns the allocation tag the entry's name was built from, as a prefix
+// of the name: the device keeps it, and error texts quote it.
+func (s stateBuf) tag() string { return s.name[:strings.LastIndexByte(s.name, '#')] }
+
 // SaveModelState copies every parameter and optimizer buffer to the host.
 // It uses only D2H memcpys — deliberately no collectives, per §3.2's rule
 // for checkpoint functions called during failure handling.
 func (w *Worker) SaveModelState(p *vclock.Proc) (*ModelState, error) {
-	ms := &ModelState{Iter: w.iter, Rank: w.cfg.Rank, Tensors: make(map[string]tensor.Vector)}
-	save := func(b cuda.Buf, tag string) error {
-		if b == 0 {
-			return nil
-		}
-		data, err := w.cfg.API.MemcpyD2H(p, b, w.compute)
+	ms := &ModelState{Iter: w.iter, Rank: w.cfg.Rank, Tensors: make(map[string]tensor.Vector, len(w.state))}
+	for _, s := range w.state {
+		data, err := w.cfg.API.MemcpyD2H(p, s.buf, w.compute)
 		if err != nil {
-			return fmt.Errorf("train: save %s: %w", tag, err)
+			return nil, fmt.Errorf("train: save %s: %w", s.tag(), err)
 		}
-		ms.Tensors[TensorName(tag, 0)] = data
-		return nil
-	}
-	for _, ls := range w.layers {
-		if err := save(ls.w, fmt.Sprintf("%sL%d.w", TagParamPrefix, ls.global)); err != nil {
-			return nil, err
-		}
-		if err := save(ls.m, fmt.Sprintf("%sL%d.m", TagOptPrefix, ls.global)); err != nil {
-			return nil, err
-		}
-		if err := save(ls.v, fmt.Sprintf("%sL%d.v", TagOptPrefix, ls.global)); err != nil {
-			return nil, err
-		}
+		ms.Tensors[s.name] = data
 	}
 	return ms, nil
 }
@@ -86,28 +86,13 @@ func (w *Worker) PeekModelState() (*ModelState, error) {
 	if !ok {
 		return nil, fmt.Errorf("train: device API %T has no privileged buffer read", w.cfg.API)
 	}
-	ms := &ModelState{Iter: w.iter, Rank: w.cfg.Rank, Tensors: make(map[string]tensor.Vector)}
-	peek := func(b cuda.Buf, tag string) error {
-		if b == 0 {
-			return nil
-		}
-		data, err := pk.BufData(b)
+	ms := &ModelState{Iter: w.iter, Rank: w.cfg.Rank, Tensors: make(map[string]tensor.Vector, len(w.state))}
+	for _, s := range w.state {
+		data, err := pk.BufData(s.buf)
 		if err != nil {
-			return fmt.Errorf("train: peek %s: %w", tag, err)
+			return nil, fmt.Errorf("train: peek %s: %w", s.tag(), err)
 		}
-		ms.Tensors[TensorName(tag, 0)] = data
-		return nil
-	}
-	for _, ls := range w.layers {
-		if err := peek(ls.w, fmt.Sprintf("%sL%d.w", TagParamPrefix, ls.global)); err != nil {
-			return nil, err
-		}
-		if err := peek(ls.m, fmt.Sprintf("%sL%d.m", TagOptPrefix, ls.global)); err != nil {
-			return nil, err
-		}
-		if err := peek(ls.v, fmt.Sprintf("%sL%d.v", TagOptPrefix, ls.global)); err != nil {
-			return nil, err
-		}
+		ms.Tensors[s.name] = data
 	}
 	return ms, nil
 }
@@ -115,24 +100,12 @@ func (w *Worker) PeekModelState() (*ModelState, error) {
 // LoadModelState restores parameter and optimizer buffers from a saved
 // state (typically a replica's) and fast-forwards the iteration counter.
 func (w *Worker) LoadModelState(p *vclock.Proc, ms *ModelState) error {
-	load := func(b cuda.Buf, tag string) error {
-		if b == 0 {
-			return nil
-		}
-		data, ok := ms.Tensors[TensorName(tag, 0)]
+	for _, s := range w.state {
+		data, ok := ms.Tensors[s.name]
 		if !ok {
-			return fmt.Errorf("train: checkpoint missing tensor %s", tag)
+			return fmt.Errorf("train: checkpoint missing tensor %s", s.tag())
 		}
-		return w.cfg.API.MemcpyH2D(p, b, data, w.compute)
-	}
-	for _, ls := range w.layers {
-		if err := load(ls.w, fmt.Sprintf("%sL%d.w", TagParamPrefix, ls.global)); err != nil {
-			return err
-		}
-		if err := load(ls.m, fmt.Sprintf("%sL%d.m", TagOptPrefix, ls.global)); err != nil {
-			return err
-		}
-		if err := load(ls.v, fmt.Sprintf("%sL%d.v", TagOptPrefix, ls.global)); err != nil {
+		if err := w.cfg.API.MemcpyH2D(p, s.buf, data, w.compute); err != nil {
 			return err
 		}
 	}

@@ -157,6 +157,10 @@ const (
 	TagIOPrefix    = "io."
 )
 
+// layerTag is the allocation tag of one of layer l's buffers: a tag prefix,
+// the layer, and the buffer's role, as in "param.L0.w".
+func layerTag(pre string, l int, role string) string { return fmt.Sprintf("%sL%d.%s", pre, l, role) }
+
 // IsModelState reports whether a buffer tag is parameter or optimizer
 // state — the state JIT checkpoints save and recovery must preserve.
 func IsModelState(tag string) bool {

@@ -89,6 +89,7 @@ type Worker struct {
 	d, p, t int
 
 	layers []*layerState
+	state  []stateBuf // the model-state list, built once by allocBuffers
 	acts   []cuda.Buf // activation chain, len(layers)+1
 	dacts  []cuda.Buf
 	yBuf   cuda.Buf
@@ -279,48 +280,65 @@ func (w *Worker) allocBuffers(p *vclock.Proc) error {
 		return b, nil
 	}
 
+	// state allocates a model-state buffer and appends it to w.state under
+	// its checkpoint name, TensorName(tag, 0). The device keeps the tag as a
+	// prefix of that name, so an entry costs one string.
+	state := func(bytes int64, elems int, tag string) (cuda.Buf, error) {
+		s := stateBuf{name: TensorName(tag, 0)}
+		b, err := alloc(bytes, elems, s.tag())
+		s.buf = b
+		w.state = append(w.state, s)
+		return b, err
+	}
+	perLayer := 2
+	if cfg.Opt.Kind == Adam {
+		perLayer = 3
+	}
+	w.state = make([]stateBuf, 0, perLayer*n)
+
 	for li := 0; li < n; li++ {
 		gl := w.p*n + li
 		ls := &layerState{global: gl, rows: rows, rowOff: rowOff}
 		var err error
-		if ls.w, err = alloc(paramBytes, rows*h, fmt.Sprintf("%sL%d.w", TagParamPrefix, gl)); err != nil {
+		if ls.w, err = state(paramBytes, rows*h, layerTag(TagParamPrefix, gl, "w")); err != nil {
 			return err
 		}
-		if ls.g, err = alloc(paramBytes, rows*h, fmt.Sprintf("%sL%d.dw", TagGradPrefix, gl)); err != nil {
+		if ls.g, err = alloc(paramBytes, rows*h, layerTag(TagGradPrefix, gl, "dw")); err != nil {
 			return err
 		}
+		w.state[len(w.state)-1].grad = ls.g
 		if cfg.Accum > 1 {
-			if ls.gacc, err = alloc(paramBytes, rows*h, fmt.Sprintf("%sL%d.dwacc", TagGradPrefix, gl)); err != nil {
+			if ls.gacc, err = alloc(paramBytes, rows*h, layerTag(TagGradPrefix, gl, "dwacc")); err != nil {
 				return err
 			}
 		}
-		if ls.m, err = alloc(optBytes, rows*h, fmt.Sprintf("%sL%d.m", TagOptPrefix, gl)); err != nil {
+		if ls.m, err = state(optBytes, rows*h, layerTag(TagOptPrefix, gl, "m")); err != nil {
 			return err
 		}
 		if cfg.Opt.Kind == Adam {
-			if ls.v, err = alloc(optBytes, rows*h, fmt.Sprintf("%sL%d.v", TagOptPrefix, gl)); err != nil {
+			if ls.v, err = state(optBytes, rows*h, layerTag(TagOptPrefix, gl, "v")); err != nil {
 				return err
 			}
 		}
-		if ls.zFull, err = alloc(actBytes, h, fmt.Sprintf("%sL%d.z", TagActPrefix, gl)); err != nil {
+		if ls.zFull, err = alloc(actBytes, h, layerTag(TagActPrefix, gl, "z")); err != nil {
 			return err
 		}
-		if ls.dzFull, err = alloc(actBytes, h, fmt.Sprintf("%sL%d.dz", TagGradPrefix, gl)); err != nil {
+		if ls.dzFull, err = alloc(actBytes, h, layerTag(TagGradPrefix, gl, "dz")); err != nil {
 			return err
 		}
 		if cfg.Topo.T > 1 {
-			if ls.zPart, err = alloc(actBytes, rows, fmt.Sprintf("%sL%d.zp", TagActPrefix, gl)); err != nil {
+			if ls.zPart, err = alloc(actBytes, rows, layerTag(TagActPrefix, gl, "zp")); err != nil {
 				return err
 			}
-			if ls.dzPart, err = alloc(actBytes, rows, fmt.Sprintf("%sL%d.dzp", TagGradPrefix, gl)); err != nil {
+			if ls.dzPart, err = alloc(actBytes, rows, layerTag(TagGradPrefix, gl, "dzp")); err != nil {
 				return err
 			}
 		}
 		if cfg.Topo.FSDP() {
-			if ls.wFull, err = alloc(paramBytes*int64(cfg.Topo.FSDPShard), h*h, fmt.Sprintf("%sL%d.wfull", TagActPrefix, gl)); err != nil {
+			if ls.wFull, err = alloc(paramBytes*int64(cfg.Topo.FSDPShard), h*h, layerTag(TagActPrefix, gl, "wfull")); err != nil {
 				return err
 			}
-			if ls.gFull, err = alloc(paramBytes*int64(cfg.Topo.FSDPShard), h*h, fmt.Sprintf("%sL%d.gfull", TagGradPrefix, gl)); err != nil {
+			if ls.gFull, err = alloc(paramBytes*int64(cfg.Topo.FSDPShard), h*h, layerTag(TagGradPrefix, gl, "gfull")); err != nil {
 				return err
 			}
 		}
@@ -365,50 +383,32 @@ func (w *Worker) buildLaunchParams() {
 
 	for li, ls := range w.layers {
 		in, out := w.acts[li], w.acts[li+1]
+		// The linear layer's buffers under this rank's layout: FSDP runs on
+		// the gathered weight into the full gradient, TP on its row slice of
+		// the pre-activation, plain DP on the layer's own buffers.
+		lw, lg, z, dz, rows := ls.w, ls.g, ls.zFull, ls.dzFull, h
 		switch {
 		case cfg.Topo.FSDP():
-			ls.fwdLin = cuda.LaunchParams{
-				Kernel: "linear.fwd", Dur: st.FwdPerLayer * 7 / 10,
-				Bufs: []cuda.Buf{ls.wFull, in, ls.zFull}, IArgs: []int64{int64(h), int64(h)},
-			}
-			ls.bwdDw = cuda.LaunchParams{
-				Kernel: "linear.bwd.dw", Dur: st.BwdPerLayer * 45 / 100,
-				Bufs: []cuda.Buf{ls.dzFull, in, ls.gFull}, IArgs: []int64{int64(h), int64(h)},
-			}
-			ls.bwdDx = cuda.LaunchParams{
-				Kernel: "linear.bwd.dx", Dur: st.BwdPerLayer * 45 / 100,
-				Bufs: []cuda.Buf{ls.wFull, ls.dzFull, w.dacts[li]}, IArgs: []int64{int64(h), int64(h)},
-			}
+			lw, lg = ls.wFull, ls.gFull
 		case cfg.Topo.T > 1:
-			ls.fwdLin = cuda.LaunchParams{
-				Kernel: "linear.fwd", Dur: st.FwdPerLayer * 7 / 10,
-				Bufs: []cuda.Buf{ls.w, in, ls.zPart}, IArgs: []int64{int64(ls.rows), int64(h)},
-			}
+			z, dz, rows = ls.zPart, ls.dzPart, ls.rows
 			ls.bwdSlice = cuda.LaunchParams{
 				Kernel: "slice.copy", Dur: st.BwdPerLayer / 20,
 				Bufs: []cuda.Buf{ls.dzFull, ls.dzPart}, IArgs: []int64{int64(ls.rowOff)},
 			}
-			ls.bwdDw = cuda.LaunchParams{
-				Kernel: "linear.bwd.dw", Dur: st.BwdPerLayer * 45 / 100,
-				Bufs: []cuda.Buf{ls.dzPart, in, ls.g}, IArgs: []int64{int64(ls.rows), int64(h)},
-			}
-			ls.bwdDx = cuda.LaunchParams{
-				Kernel: "linear.bwd.dx", Dur: st.BwdPerLayer * 45 / 100,
-				Bufs: []cuda.Buf{ls.w, ls.dzPart, w.dacts[li]}, IArgs: []int64{int64(ls.rows), int64(h)},
-			}
-		default:
-			ls.fwdLin = cuda.LaunchParams{
-				Kernel: "linear.fwd", Dur: st.FwdPerLayer * 7 / 10,
-				Bufs: []cuda.Buf{ls.w, in, ls.zFull}, IArgs: []int64{int64(h), int64(h)},
-			}
-			ls.bwdDw = cuda.LaunchParams{
-				Kernel: "linear.bwd.dw", Dur: st.BwdPerLayer * 45 / 100,
-				Bufs: []cuda.Buf{ls.dzFull, in, ls.g}, IArgs: []int64{int64(h), int64(h)},
-			}
-			ls.bwdDx = cuda.LaunchParams{
-				Kernel: "linear.bwd.dx", Dur: st.BwdPerLayer * 45 / 100,
-				Bufs: []cuda.Buf{ls.w, ls.dzFull, w.dacts[li]}, IArgs: []int64{int64(h), int64(h)},
-			}
+		}
+		dims := []int64{int64(rows), int64(h)}
+		ls.fwdLin = cuda.LaunchParams{
+			Kernel: "linear.fwd", Dur: st.FwdPerLayer * 7 / 10,
+			Bufs: []cuda.Buf{lw, in, z}, IArgs: dims,
+		}
+		ls.bwdDw = cuda.LaunchParams{
+			Kernel: "linear.bwd.dw", Dur: st.BwdPerLayer * 45 / 100,
+			Bufs: []cuda.Buf{dz, in, lg}, IArgs: dims,
+		}
+		ls.bwdDx = cuda.LaunchParams{
+			Kernel: "linear.bwd.dx", Dur: st.BwdPerLayer * 45 / 100,
+			Bufs: []cuda.Buf{lw, dz, w.dacts[li]}, IArgs: dims,
 		}
 		ls.fwdAct = cuda.LaunchParams{
 			Kernel: "tanh.fwd", Dur: st.FwdPerLayer * 1 / 10,
@@ -621,23 +621,16 @@ func (w *Worker) forward(p *vclock.Proc) error {
 		}
 	}
 	for _, ls := range w.layers {
-		switch {
-		case cfg.Topo.FSDP():
+		if cfg.Topo.FSDP() {
 			if err := api.AllGather(p, w.fsComm, ls.w, ls.wFull, w.compute); err != nil {
 				return err
 			}
-			if err := api.Launch(p, ls.fwdLin, w.compute); err != nil {
-				return err
-			}
-		case cfg.Topo.T > 1:
-			if err := api.Launch(p, ls.fwdLin, w.compute); err != nil {
-				return err
-			}
+		}
+		if err := api.Launch(p, ls.fwdLin, w.compute); err != nil {
+			return err
+		}
+		if cfg.Topo.T > 1 {
 			if err := api.AllGather(p, w.tpComm, ls.zPart, ls.zFull, w.compute); err != nil {
-				return err
-			}
-		default:
-			if err := api.Launch(p, ls.fwdLin, w.compute); err != nil {
 				return err
 			}
 		}
@@ -676,36 +669,25 @@ func (w *Worker) lossAndBackward(p *vclock.Proc) error {
 		if err := api.Launch(p, ls.bwdAct, w.compute); err != nil {
 			return err
 		}
+		if cfg.Topo.T > 1 {
+			if err := api.Launch(p, ls.bwdSlice, w.compute); err != nil {
+				return err
+			}
+		}
+		if err := api.Launch(p, ls.bwdDw, w.compute); err != nil {
+			return err
+		}
+		if err := api.Launch(p, ls.bwdDx, w.compute); err != nil {
+			return err
+		}
 		switch {
 		case cfg.Topo.FSDP():
-			if err := api.Launch(p, ls.bwdDw, w.compute); err != nil {
-				return err
-			}
-			if err := api.Launch(p, ls.bwdDx, w.compute); err != nil {
-				return err
-			}
 			if err := api.ReduceScatter(p, w.fsComm, ls.gFull, ls.g, w.compute); err != nil {
 				return err
 			}
 		case cfg.Topo.T > 1:
-			if err := api.Launch(p, ls.bwdSlice, w.compute); err != nil {
-				return err
-			}
-			if err := api.Launch(p, ls.bwdDw, w.compute); err != nil {
-				return err
-			}
-			if err := api.Launch(p, ls.bwdDx, w.compute); err != nil {
-				return err
-			}
 			// Each TP rank computed a partial input gradient: sum them.
 			if err := api.AllReduce(p, w.tpComm, w.dacts[li], w.compute); err != nil {
-				return err
-			}
-		default:
-			if err := api.Launch(p, ls.bwdDw, w.compute); err != nil {
-				return err
-			}
-			if err := api.Launch(p, ls.bwdDx, w.compute); err != nil {
 				return err
 			}
 		}
