@@ -244,6 +244,43 @@ func TestGoldenTraces(t *testing.T) {
 	}
 }
 
+// TestGoldenKernelCounters pins each golden scenario's kernel counters
+// (vclock.Stats: dispatches, timer fires, triggers, spawns) in one file,
+// testdata/kernel.counters. The golden timelines keep only the recovery
+// narrative, so a change that moves scheduling alone (a process more, a
+// wake-up less) fails here, and not only in the parent-vs-child battery.
+// Regenerate it with the goldens:
+//
+//	go test ./internal/core -run 'TestGoldenTraces|TestGoldenKernelCounters' -update
+func TestGoldenKernelCounters(t *testing.T) {
+	var got bytes.Buffer
+	for _, sc := range goldenScenarios {
+		res, err := Run(sc.cfg())
+		if err != nil {
+			t.Fatalf("%s: Run: %v", sc.name, err)
+		}
+		s := res.SimStats
+		fmt.Fprintf(&got, "%-20s dispatches=%d timer_fires=%d triggers=%d spawns=%d\n",
+			sc.name, s.Dispatches, s.TimerFires, s.Triggers, s.Spawns)
+	}
+	golden := filepath.Join("testdata", "kernel.counters")
+	if *updateGolden {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", golden)
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing %s (run with -update to create): %v", golden, err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("kernel counters differ from %s (re-run with -update if the change is intentional):\n%s",
+			golden, firstDiff(want, got.Bytes()))
+	}
+}
+
 // firstDiff reports the first differing line between two timelines.
 func firstDiff(a, b []byte) string {
 	al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))

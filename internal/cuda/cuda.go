@@ -413,30 +413,79 @@ func (d *Driver) resolve(c *Call) (o objs, err error) {
 // *memory* remains readable through the proxy server's privileged BufData
 // path (§4.2 strategy 2: "the GPU is still accessible"), while a sticky
 // context's is not (strategy 3). It then resolves the objects the call
-// names and executes the op. Outputs are returned even alongside an error.
-func (d *Driver) Do(p *vclock.Proc, c Call) (r Result, err error) {
+// names and executes the op: Do is the coroutine loop over the steps a
+// Pending takes, blocking where they wait. Outputs are returned even
+// alongside an error.
+func (d *Driver) Do(p *vclock.Proc, c Call) (Result, error) {
 	if d.params.CallLatency > 0 {
 		p.Sleep(d.params.CallLatency)
 	}
+	var k Pending
+	for d.start(p, &c, &k, true); k.waits; k.Resume(p) {
+		p.Await(k.until)
+	}
+	return k.r, k.err
+}
+
+// Pending is one driver call in progress, for a caller that runs it in
+// steps because it has no stack to block on: a device proxy handler, which
+// is a callback process. Start runs the call up to its first wait; while
+// Waits reports one, the caller waits for it and calls Resume. Four ops
+// wait: MemcpyD2H for its copy, StreamSynchronize for its stream's drain,
+// DeviceSynchronize for each stream's drain in ascending handle order, and
+// CommInit for the rendezvous and the bootstrap (nccl.Init). Do runs the
+// same steps, so each op body is written once.
+type Pending struct {
+	d     *Driver
+	op    Op
+	waits bool
+	until vclock.Until
+	r     Result
+	err   error
+
+	od  *d2hOp      // MemcpyD2H's copy
+	gs  *gpu.Stream // StreamSynchronize's stream,
+	sp  trace.Span  // and its span
+	pos int         // DeviceSynchronize: the stream-table position waited on
+	ci  nccl.Init   // CommInit's rendezvous
+}
+
+// Start runs c on d into k, up to its first wait. The call latency comes
+// before it, and is the caller's to charge, as Do does.
+func (d *Driver) Start(p *vclock.Proc, c *Call, k *Pending) { d.start(p, c, k, false) }
+
+// Waits reports whether the call is stopped at a wait, and what for.
+func (k *Pending) Waits() (vclock.Until, bool) { return k.until, k.waits }
+
+// Result returns the finished call's outputs, which come even alongside an
+// error.
+func (k *Pending) Result() (Result, error) { return k.r, k.err }
+
+// start is Start; co says the caller is a coroutine, which runs a
+// rendezvous through nccl's own loop over its steps.
+func (d *Driver) start(p *vclock.Proc, c *Call, k *Pending, co bool) {
+	k.d, k.op, k.waits, k.r, k.err = d, c.Op, false, Result{}, nil
 	if d.dev.Health() == gpu.DriverCorrupt {
-		return r, gpu.ErrCorrupt
+		k.err = gpu.ErrCorrupt
+		return
 	}
-	if err = d.healthErr(); err != nil {
-		return r, err
+	if k.err = d.healthErr(); k.err != nil {
+		return
 	}
-	o, err := d.resolve(&c)
-	if err != nil {
-		return r, err
+	o, err := d.resolve(c)
+	if k.err = err; err != nil {
+		return
 	}
+	r := &k.r
 	switch c.Op {
 	case OpMalloc:
 		var gb *gpu.Buffer
-		if gb, err = d.dev.Alloc(c.Bytes, c.Elems, c.Tag); err == nil {
+		if gb, k.err = d.dev.Alloc(c.Bytes, c.Elems, c.Tag); k.err == nil {
 			r.Handle = d.bufs.Add(gb.ID)
 		}
 	case OpFree:
 		d.bufs.Delete(int(c.Buf))
-		err = d.dev.Free(o.buf.ID)
+		k.err = d.dev.Free(o.buf.ID)
 	case OpMemcpyH2D:
 		lo := d.getLaunch()
 		lo.bufs = append(lo.bufs, o.buf)
@@ -453,31 +502,20 @@ func (d *Driver) Do(p *vclock.Proc, c Call) (r Result, err error) {
 		d.dev.Env().InitEvent(&od.done, "op")
 		od.op.Done = &od.done
 		o.gs.Enqueue(&od.op)
-		p.Wait(&od.done) // cudaMemcpy D2H is synchronous: hangs if the stream is wedged
-		if err = od.op.Err; err == nil {
-			r.Data = od.out
-		}
-		od.src, od.out = nil, nil
-		d.d2hs.Put(od)
+		k.od = od
+		k.wait(&od.done) // cudaMemcpy D2H is synchronous: hangs if the stream is wedged
 	case OpStreamCreate:
 		var gs *gpu.Stream
-		if gs, err = d.dev.NewStream(); err == nil {
+		if gs, k.err = d.dev.NewStream(); k.err == nil {
 			r.Handle = d.streams.Add(gs)
 		}
 	case OpStreamDestroy: // drops queued work
 		d.streams.Delete(int(c.Stream))
-		err = d.dev.DestroyStream(o.gs.ID)
+		k.err = d.dev.DestroyStream(o.gs.ID)
 	case OpStreamSynchronize:
-		sp := trace.Of(d.dev.Env()).Begin(p.Now(), "cuda", d.dev.Lane(), "stream-sync", "stream", int(c.Stream))
-		p.Wait(o.gs.DrainEvent()) // hangs if the stream is wedged at a collective
-		sp.End(p.Now())
-		// Surface async op failures (failed collectives, poisoned event
-		// waits): the stream is drained but its work did not all succeed.
-		if err = d.healthErr(); err == nil {
-			if err = o.gs.AsyncErr(); err != nil {
-				trace.Of(d.dev.Env()).Instant(p.Now(), "cuda", d.dev.Lane(), "async-err", "err", err)
-			}
-		}
+		k.gs = o.gs
+		k.sp = trace.Of(d.dev.Env()).Begin(p.Now(), "cuda", d.dev.Lane(), "stream-sync", "stream", int(c.Stream))
+		k.wait(o.gs.DrainEvent()) // hangs if the stream is wedged at a collective
 	case OpStreamWaitEvent:
 		// Future work on the stream waits for the event's record at call
 		// time; a never-recorded event is no wait, per CUDA.
@@ -518,7 +556,7 @@ func (d *Driver) Do(p *vclock.Proc, c Call) (r Result, err error) {
 	case OpEventQuery:
 		r.Bool = true // an unrecorded event reports complete
 		if o.rec.op.Done != nil {
-			r.Bool, err = o.rec.done.Triggered(), o.rec.op.Err
+			r.Bool, k.err = o.rec.done.Triggered(), o.rec.op.Err
 		}
 	case OpEventDestroy:
 		d.events.Delete(int(c.Event))
@@ -533,38 +571,87 @@ func (d *Driver) Do(p *vclock.Proc, c Call) (r Result, err error) {
 		lo.op.Dur = c.Launch.Dur
 		o.gs.EnqueueAsync(&lo.op)
 	case OpDeviceSynchronize:
-		// Deterministic order: ascending handle.
-		d.streams.Each(func(_ int, gs *gpu.Stream) { p.Wait(gs.DrainEvent()) })
-		err = d.healthErr()
+		k.pos = -1
+		k.Resume(p)
 	case OpBufChecksum:
 		r.U64 = o.buf.Data.Checksum()
 	case OpCommInit: // rendezvouses with the other ranks
-		var nc *nccl.Comm
-		if nc, err = d.engine.CommInitRank(p, c.Key, c.Gen, c.NRanks, c.Rank, d.dev); err == nil {
-			r.Handle = d.comms.Add(nc)
+		if co {
+			k.ci.Comm, k.ci.Err = d.engine.CommInitRank(p, c.Key, c.Gen, c.NRanks, c.Rank, d.dev)
+			k.initStep(false)
+		} else {
+			k.initStep(d.engine.StartInit(&k.ci, c.Key, c.Gen, c.NRanks, c.Rank, d.dev))
 		}
 	case OpCommDestroy:
 		o.nc.Destroy()
 		d.comms.Delete(int(c.Comm))
 	case OpAllReduce:
-		_, err = o.nc.AllReduce(o.gs, o.buf)
+		_, k.err = o.nc.AllReduce(o.gs, o.buf)
 	case OpAllGather:
-		_, err = o.nc.AllGather(o.gs, o.buf, o.buf2)
+		_, k.err = o.nc.AllGather(o.gs, o.buf, o.buf2)
 	case OpReduceScatter:
-		_, err = o.nc.ReduceScatter(o.gs, o.buf, o.buf2)
+		_, k.err = o.nc.ReduceScatter(o.gs, o.buf, o.buf2)
 	case OpSend:
-		_, err = o.nc.Send(o.gs, o.buf, c.Peer)
+		_, k.err = o.nc.Send(o.gs, o.buf, c.Peer)
 	case OpRecv:
-		_, err = o.nc.Recv(o.gs, o.buf, c.Peer)
+		_, k.err = o.nc.Recv(o.gs, o.buf, c.Peer)
 	default:
-		err = fmt.Errorf("cuda: unknown op %v", c.Op)
+		k.err = fmt.Errorf("cuda: unknown op %v", c.Op)
 	}
-	return r, err
+}
+
+// Resume runs the call on from the wait it stopped at, to its next wait or
+// its end.
+func (k *Pending) Resume(p *vclock.Proc) {
+	d := k.d
+	k.waits = false
+	switch k.op {
+	case OpMemcpyD2H:
+		od := k.od
+		if k.err = od.op.Err; k.err == nil {
+			k.r.Data = od.out
+		}
+		od.src, od.out = nil, nil
+		d.d2hs.Put(od)
+	case OpStreamSynchronize:
+		k.sp.End(p.Now())
+		// Surface async op failures (failed collectives, poisoned event
+		// waits): the stream is drained but its work did not all succeed.
+		if k.err = d.healthErr(); k.err == nil {
+			if k.err = k.gs.AsyncErr(); k.err != nil {
+				trace.Of(d.dev.Env()).Instant(p.Now(), "cuda", d.dev.Lane(), "async-err", "err", k.err)
+			}
+		}
+	case OpDeviceSynchronize:
+		// Each stream's drain in ascending handle order, as dense.Table.Each
+		// visits them: a stream made during an earlier wait is waited for
+		// too. Past the last one the call is done.
+		pos, gs, ok := d.streams.Next(k.pos + 1)
+		if !ok {
+			k.err = d.healthErr()
+			break
+		}
+		k.pos = pos
+		k.wait(gs.DrainEvent())
+	case OpCommInit:
+		k.initStep(k.ci.Step())
+	}
+}
+
+func (k *Pending) wait(ev *vclock.Event) { k.waits, k.until = true, vclock.Until{Ev: ev} }
+
+// initStep takes a CommInit on from a step of its rendezvous.
+func (k *Pending) initStep(waits bool) {
+	if k.waits, k.until = waits, k.ci.Until; !waits {
+		if k.err = k.ci.Err; k.err == nil {
+			k.r.Handle = k.d.comms.Add(k.ci.Comm)
+		}
+	}
 }
 
 // healthErr maps a lost or sticky device onto its error. A corrupt driver
 // context is not one here: its streams still drain and its memory still
-// reads (§4.2 strategy 2), so only Do refuses it.
+// reads (§4.2 strategy 2), so only a call's start refuses it.
 func (d *Driver) healthErr() error {
 	switch d.dev.Health() {
 	case gpu.Hard:

@@ -54,11 +54,22 @@ func (t *Table[T]) Delete(h int) {
 // Each calls f with every handle that holds a value, in ascending order,
 // including handles f itself adds.
 func (t *Table[T]) Each(f func(h int, v T)) {
-	for i := 0; i < len(t.s); i++ {
+	for i, v, ok := t.Next(0); ok; i, v, ok = t.Next(i + 1) {
+		f(t.base+i, v)
+	}
+}
+
+// Next returns the first position at or after i that holds a value, and the
+// value: Each's walk one step at a time, for a caller that stops inside it.
+// A position counts from the oldest handle not yet forgotten, so a walk that
+// resumes at pos+1 after a Reset goes on where Each would.
+func (t *Table[T]) Next(i int) (pos int, v T, ok bool) {
+	for ; i < len(t.s); i++ {
 		if e := t.s[i]; e.ok {
-			f(t.base+i, e.v)
+			return i, e.v, true
 		}
 	}
+	return i, v, false
 }
 
 // Reset forgets every handle handed out so far; Add continues after them.

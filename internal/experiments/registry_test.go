@@ -8,6 +8,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"jitckpt/internal/core"
+	"jitckpt/internal/vclock"
 )
 
 var updateDocs = flag.Bool("update", false, "rewrite docs/jitbench_output.txt and EXPERIMENTS.md's generated tables")
@@ -92,6 +95,35 @@ var paperTable8 = map[string][]string{
 	"GPT2-8B":   {"0.17", "0.18%", "2.85", "2.96%", "8.08", "8.24%"},
 }
 
+// paperTable5 is the paper's Table 5 as printed: transient recovery in
+// seconds.
+var paperTable5 = map[string]string{
+	"BERT-B-FT/V100x8": "2.1", "GPT2-S/V100x8": "9.1", "GPT2-S-3D": "16.4", "PyramidNet/V100x8": "1.9",
+	"BERT-B-FT/A100x4": "2.6", "GPT2-S/A100x4": "11.8",
+}
+
+// paperTable6 is the paper's Table 6 as printed: healthy-rank and
+// failed-rank recovery in seconds.
+var paperTable6 = map[string][2]string{
+	"BERT-B-FT/V100x8":  {"25.72", "21.02"},
+	"GPT2-S/V100x8":     {"23.97", "20.85"},
+	"GPT2-S-3D":         {"23.07", "18.11"},
+	"PyramidNet/V100x8": {"38.42", "30.34"},
+	"BERT-B-FT/A100x4":  {"17.19", "9.09"},
+	"GPT2-S/A100x4":     {"14.68", "8.55"},
+	"PyramidNet/A100x4": {"28.79", "17.56"},
+}
+
+// paperTable7 is the paper's Table 7 as printed: one rank's transient
+// recovery steps in seconds, by phase, in Table7Models' order.
+var paperTable7 = map[string][4]string{
+	"teardown":         {"1.013", "0.779", "0.831", "0.850"},
+	"reset-buffers":    {"0.001", "0.001", "0.001", "0.002"},
+	"recreate-handles": {"0.006", "0.004", "0.004", "0.027"},
+	"comm-init":        {"1.054", "8.340", "15.54", "1.038"},
+	"replay":           {"0.006", "0.004", "0.002", "0.004"},
+}
+
 // Factor ranges of EXPERIMENTS.md's and README.md's Table 8 claim: at the
 // largest N, optimal-frequency periodic wastes this many times what user
 // JIT and transparent JIT waste.
@@ -169,6 +201,62 @@ var table4Claims = []claim[Table4Row]{
 	}},
 }
 
+var table5Claims = []claim[Table5Row]{
+	{"steady-state overhead ≤10 µs per minibatch", func(rows []Table5Row) error {
+		for _, r := range rows {
+			if r.Overhead > 10e-6 {
+				return fmt.Errorf("%s: %.1f µs per minibatch", r.Model, 1e6*r.Overhead)
+			}
+		}
+		return nil
+	}},
+}
+
+// table6HealthyTol bounds Table 6's healthy-rank times on the V100 node
+// against the paper's, in seconds.
+const table6HealthyTol = 0.5
+
+var table6Claims = []claim[Table6Row]{
+	{"healthy > failed on every row", func(rows []Table6Row) error {
+		for _, r := range rows {
+			if r.Healthy <= r.Failed {
+				return fmt.Errorf("%s: healthy %.2f ≤ failed %.2f", r.Model, r.Healthy.Sec(), r.Failed.Sec())
+			}
+		}
+		return nil
+	}},
+	{fmt.Sprintf("healthy within %.1f s of the paper on the V100 rows", table6HealthyTol), func(rows []Table6Row) error {
+		for _, r := range rows {
+			p := paperTable6[r.Model][0]
+			if d := math.Abs(r.Healthy.Sec() - paperVal(p)); strings.HasPrefix(r.GPU, "V100") && d > table6HealthyTol {
+				return fmt.Errorf("%s healthy %.2f is %.2f s off %s", r.Model, r.Healthy.Sec(), d, p)
+			}
+		}
+		return nil
+	}},
+}
+
+var table7Claims = []claim[Table7Breakdown]{
+	{"communicator re-initialization is the largest step", func(rows []Table7Breakdown) error {
+		for _, b := range rows {
+			for _, ph := range Table7PhaseOrder {
+				if ph != "comm-init" && step(b, ph) >= step(b, "comm-init") {
+					return fmt.Errorf("%s: %s %.3f ≥ comm-init %.3f", b.Model, ph, step(b, ph).Sec(), step(b, "comm-init").Sec())
+				}
+			}
+		}
+		return nil
+	}},
+	{"replay takes under 10 ms", func(rows []Table7Breakdown) error {
+		for _, b := range rows {
+			if d := step(b, "replay"); d >= 10*vclock.Millisecond {
+				return fmt.Errorf("%s: replay %.4f s", b.Model, d.Sec())
+			}
+		}
+		return nil
+	}},
+}
+
 var table8Claims = []claim[Table8Row]{
 	{"user JIT wastes less than periodic at every N", func(rows []Table8Row) error {
 		for _, r := range rows {
@@ -231,7 +319,7 @@ func paperVal(s string) float64 {
 }
 
 // TestExperimentsDoc regenerates the paper → ours blocks under
-// EXPERIMENTS.md's Table 3, Table 4 and Table 8 headings from the paper's
+// EXPERIMENTS.md's Table 3 to Table 8 headings from the paper's
 // digits and the rows the registry measures, fails if the checked-in file
 // differs, and checks each shape claim the prose makes. Regenerate with
 //
@@ -245,12 +333,27 @@ func TestExperimentsDoc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t5, err := RunTable5(Table5Models(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t6, err := RunTable6(Table6Models(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t7, err := RunTable7(Table7Models(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	t8, err := measureTable8(Table8Models(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkClaims(t, table3Claims, t3)
 	checkClaims(t, table4Claims, t4)
+	checkClaims(t, table5Claims, t5)
+	checkClaims(t, table6Claims, t6)
+	checkClaims(t, table7Claims, t7)
 	checkClaims(t, table8Claims, t8)
 
 	b, err := os.ReadFile(experimentsDoc)
@@ -261,6 +364,9 @@ func TestExperimentsDoc(t *testing.T) {
 	for _, blk := range []struct{ heading, body string }{
 		{"## Table 3", table3Block(t3)},
 		{"## Table 4", table4Block(t4)},
+		{"## Table 5", table5Block(t5)},
+		{"## Table 6", table6Block(t6)},
+		{"## Table 7", table7Block(t7)},
 		{"## Table 8", table8Block(t8)},
 	} {
 		start, end := tableBlock(t, doc, blk.heading)
@@ -277,9 +383,11 @@ func TestExperimentsDoc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The prose quotes what table3Claims checks: the meaning of ≫ and the
-	// magnitude tolerance.
-	for _, f := range []string{fmt.Sprintf("≫: at least %d×", muchGreater), fmt.Sprintf("within %.0f%%", 100*table3Tol)} {
+	// The prose quotes what the claims check: the meaning of ≫ and the
+	// magnitude tolerance (Table 3), the overhead bound (Table 5), the
+	// healthy-rank tolerance (Table 6) and the replay bound (Table 7).
+	for _, f := range []string{fmt.Sprintf("≫: at least %d×", muchGreater), fmt.Sprintf("within %.0f%%", 100*table3Tol),
+		"≤10 µs per minibatch", fmt.Sprintf("within %.1f s", table6HealthyTol), "replay under 10 ms"} {
 		if !strings.Contains(doc, f) {
 			t.Errorf("%s does not quote Table 3's checked %q", experimentsDoc, f)
 		}
@@ -338,6 +446,65 @@ func table4Block(rows []Table4Row) string {
 	return b.String()
 }
 
+// step returns the time b spent in phase, summed as RenderTable7 sums it.
+func step(b Table7Breakdown, phase string) vclock.Time {
+	var d vclock.Time
+	for _, ph := range b.Phases {
+		if ph.Name == phase {
+			d += ph.Dur
+		}
+	}
+	return d
+}
+
+// docModel names a Tables 5–7 model as EXPERIMENTS.md does:
+// "GPT2-S/A100x4" is "GPT2-S (4×A100)", and GPT2-S-3D runs on the V100 node.
+func docModel(name string) string {
+	m, node, ok := strings.Cut(name, "/")
+	if !ok {
+		node = "V100x8"
+	}
+	gpu, n, _ := strings.Cut(node, "x")
+	return fmt.Sprintf("%s (%s×%s)", m, n, gpu)
+}
+
+func table5Block(rows []Table5Row) string {
+	var b strings.Builder
+	b.WriteString("| Model (node) | paper → ours |\n|---|---|\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "| %s | %s → %.2f |\n", docModel(r.Model), paperTable5[r.Model], r.Recovery.Sec())
+	}
+	return b.String()
+}
+
+func table6Block(rows []Table6Row) string {
+	var b strings.Builder
+	b.WriteString("| Model (node) | Healthy paper → ours | Failed paper → ours |\n|---|---|---|\n")
+	for _, r := range rows {
+		p := paperTable6[r.Model]
+		fmt.Fprintf(&b, "| %s | %s → %.2f | %s → %.2f |\n", docModel(r.Model), p[0], r.Healthy.Sec(), p[1], r.Failed.Sec())
+	}
+	return b.String()
+}
+
+func table7Block(rows []Table7Breakdown) string {
+	var b strings.Builder
+	b.WriteString("| Step |")
+	for _, r := range rows {
+		m, _, _ := strings.Cut(r.Model, "/")
+		fmt.Fprintf(&b, " %s |", m)
+	}
+	b.WriteString("\n|---|" + strings.Repeat("---|", len(rows)) + "\n")
+	for _, ph := range Table7PhaseOrder {
+		fmt.Fprintf(&b, "| %s |", Table7PhaseLabels[ph])
+		for i, r := range rows {
+			fmt.Fprintf(&b, " %s → %.3f |", paperTable7[ph][i], step(r, ph).Sec())
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
 func table8Block(rows []Table8Row) string {
 	var b strings.Builder
 	b.WriteString("| Model |")
@@ -392,6 +559,57 @@ func TestClaimsCatchBrokenRows(t *testing.T) {
 		}
 		if c.check([]Table4Row{good4, bad}) == nil {
 			t.Errorf("claim %q accepts a row 2 s off the paper", c.name)
+		}
+	}
+	for _, c := range table5Claims {
+		good, bad := Table5Row{Model: "GPT2-S/V100x8", Overhead: 6e-6}, Table5Row{Model: "GPT2-S/A100x4", Overhead: 11e-6}
+		if err := c.check([]Table5Row{good}); err != nil {
+			t.Errorf("claim %q rejects a row that keeps it: %v", c.name, err)
+		}
+		if c.check([]Table5Row{good, bad}) == nil {
+			t.Errorf("claim %q accepts 11 µs", c.name)
+		}
+	}
+	good6 := Table6Row{Model: "GPT2-S/V100x8", GPU: "V100-32GB", Healthy: 2397e7, Failed: 2085e7}
+	for _, c := range table6Claims {
+		if err := c.check([]Table6Row{good6}); err != nil {
+			t.Errorf("claim %q rejects a row matching the paper: %v", c.name, err)
+		}
+		broken := 0
+		for _, mutate := range []func(*Table6Row){
+			func(r *Table6Row) { r.Failed = r.Healthy },           // failed no faster
+			func(r *Table6Row) { r.Healthy += 6e8; r.Failed = 0 }, // 0.6 s off the paper
+		} {
+			bad := good6
+			mutate(&bad)
+			if c.check([]Table6Row{good6, bad}) != nil {
+				broken++
+			}
+		}
+		if broken == 0 {
+			t.Errorf("claim %q accepts every broken row", c.name)
+		}
+	}
+	good7 := Table7Breakdown{Model: "GPT2-S/V100x8", Phases: []core.PhaseDur{
+		{Name: "teardown", Dur: 779 * vclock.Millisecond}, {Name: "comm-init", Dur: 8340 * vclock.Millisecond},
+		{Name: "replay", Dur: 4 * vclock.Millisecond}}}
+	for _, c := range table7Claims {
+		if err := c.check([]Table7Breakdown{good7}); err != nil {
+			t.Errorf("claim %q rejects a breakdown matching the paper: %v", c.name, err)
+		}
+		broken := 0
+		for _, extra := range []core.PhaseDur{
+			{Name: "teardown", Dur: 8 * vclock.Second},    // teardown now the largest
+			{Name: "replay", Dur: 6 * vclock.Millisecond}, // replay 10 ms in all
+		} {
+			bad := good7
+			bad.Phases = append(append([]core.PhaseDur(nil), good7.Phases...), extra)
+			if c.check([]Table7Breakdown{good7, bad}) != nil {
+				broken++
+			}
+		}
+		if broken == 0 {
+			t.Errorf("claim %q accepts every broken breakdown", c.name)
 		}
 	}
 	last := Table8Ns[len(Table8Ns)-1]

@@ -138,9 +138,11 @@ func (e *Engine) Params() Params { return e.params }
 // time; nil uninstalls.
 func (e *Engine) SetObserver(fn func(CollectiveDone)) { e.observer = fn }
 
-// SetOnCommInit installs a callback invoked at every CommInitRank entry
-// (in the arriving rank's process, before the rendezvous barrier). The
-// chaos harness uses it to land faults inside the communicator
+// SetOnCommInit installs a callback invoked at every rank's arrival at a
+// rendezvous (StartInit, so also CommInitRank's entry), in the arriving
+// rank's process and before the barrier. Under the device proxy that
+// process is a handler, a callback process: fn must not block. The chaos
+// harness uses it to land faults inside the communicator
 // re-initialization window. One at a time; nil uninstalls.
 func (e *Engine) SetOnCommInit(fn func(key string, gen, rank int)) { e.onCommInit = fn }
 
@@ -256,18 +258,49 @@ type Comm struct {
 // if a rank never does — the paper's "rendezvous synchronization point"),
 // then charges the bootstrap cost. gen distinguishes re-initializations
 // after recovery: stale arrivals from an aborted attempt can never satisfy
-// a new generation's rendezvous.
+// a new generation's rendezvous. It is the coroutine loop over Init's steps.
 func (e *Engine) CommInitRank(p *vclock.Proc, key string, gen, nranks, rank int, dev *gpu.Device) (*Comm, error) {
-	if rank < 0 || rank >= nranks {
-		return nil, fmt.Errorf("%w: %d of %d", ErrInvalidRank, rank, nranks)
+	var in Init
+	for waits := e.StartInit(&in, key, gen, nranks, rank, dev); waits; waits = in.Step() {
+		p.Await(in.Until)
 	}
-	if dev != nil && !dev.Accessible() {
-		return nil, ErrDeviceFailed
+	return in.Comm, in.Err
+}
+
+// Init is one rank's CommInitRank in steps, for a caller with no stack to
+// block on (a device proxy handler, which is a callback process).
+// StartInit runs it up to its first wait; while a step reports that it
+// waits, the caller waits for Until and calls Step. The waits are the
+// rendezvous, the bootstrap sleep (taken even when it is zero) and, under a
+// pending FaultHang, an event that never fires.
+type Init struct {
+	Until vclock.Until // what the rank waits for before its next Step
+	Comm  *Comm        // the result once no wait is left
+	Err   error
+
+	e                 *Engine
+	key               string
+	gen, nranks, rank int
+	sp                trace.Span
+}
+
+// StartInit starts one rank's CommInitRank in in: it arrives at the
+// rendezvous and reports whether it waits, which it does unless the call
+// failed at once.
+func (e *Engine) StartInit(in *Init, key string, gen, nranks, rank int, dev *gpu.Device) bool {
+	*in = Init{e: e, key: key, gen: gen, nranks: nranks, rank: rank}
+	if rank < 0 || rank >= nranks {
+		in.Err = fmt.Errorf("%w: %d of %d", ErrInvalidRank, rank, nranks)
+	} else if dev != nil && !dev.Accessible() {
+		in.Err = ErrDeviceFailed
+	}
+	if in.Err != nil {
+		return false
 	}
 	if e.onCommInit != nil {
 		e.onCommInit(key, gen, rank)
 	}
-	sp := trace.Of(e.env).Begin(p.Now(), "nccl", key, "comm-init", "gen", gen, "rank", rank)
+	in.sp = trace.Of(e.env).Begin(e.env.Now(), "nccl", key, "comm-init", "gen", gen, "rank", rank)
 	ik := initKey{key, gen}
 	st, ok := e.inits[ik]
 	if !ok {
@@ -279,47 +312,59 @@ func (e *Engine) CommInitRank(p *vclock.Proc, key string, gen, nranks, rank int,
 	}
 	st.arrived[rank] = true
 	if len(st.arrived) == nranks {
-		st.ready.Trigger()
-	} else {
-		p.Wait(st.ready) // hangs if some rank never arrives
+		st.ready.Trigger() // the last arriver's wait is over before it starts
 	}
-	// Bootstrap cost: every rank pays it after the barrier.
-	p.Sleep(e.params.CommInitBase + vclock.Time(nranks)*e.params.CommInitPerRank)
-	sp.End(p.Now())
+	in.Until = vclock.Until{Ev: st.ready} // hangs if some rank never arrives
+	return true
+}
 
-	gk := groupKey{key, gen}
+// Step runs the rank on from the wait it stopped at and reports whether it
+// waits again.
+func (in *Init) Step() bool {
+	e := in.e
+	if in.Until.Ev != nil { // the rendezvous is over
+		// Bootstrap cost: every rank pays it after the barrier.
+		in.Until = vclock.Until{D: e.params.CommInitBase + vclock.Time(in.nranks)*e.params.CommInitPerRank}
+		return true
+	}
+	now := e.env.Now()
+	in.sp.End(now)
+	gk := groupKey{in.key, in.gen}
 	// A fault injected while this generation was still bootstrapping lands
 	// here: a hang wedges the init (the rank never returns — the wedged
 	// bootstrap the watchdog/heartbeat must detect), an async error fails
 	// it. The generation is burned either way; re-initializing under a new
 	// generation is unaffected.
 	if fk, faulted := e.pending[gk]; faulted {
-		trace.Of(e.env).Instant(p.Now(), "nccl", key, "init-fault", "gen", gen, "rank", rank, "kind", int(fk))
+		trace.Of(e.env).Instant(now, "nccl", in.key, "init-fault", "gen", in.gen, "rank", in.rank, "kind", int(fk))
 		if fk == FaultHang {
-			p.Wait(e.env.NewEvent(fmt.Sprintf("nccl.init.hang.%s.g%d", key, gen)))
+			in.Until = vclock.Until{Ev: e.env.NewEvent(fmt.Sprintf("nccl.init.hang.%s.g%d", in.key, in.gen))}
+			return true
 		}
-		return nil, ErrNetwork
+		in.Err = ErrNetwork
+		return false
 	}
 	g, ok := e.groups[gk]
 	if !ok {
 		g = &commGroup{
 			engine: e,
-			key:    key,
-			gen:    gen,
-			nranks: nranks,
+			key:    in.key,
+			gen:    in.gen,
+			nranks: in.nranks,
 			colls:  make(map[int]*collState),
 			p2ps:   make(map[p2pKey]*p2pState),
 		}
 		e.groups[gk] = g
 	}
-	return &Comm{
+	in.Comm = &Comm{
 		engine:  e,
 		group:   g,
-		Rank:    rank,
-		NRanks:  nranks,
+		Rank:    in.rank,
+		NRanks:  in.nranks,
 		sendSeq: make(map[int]int),
 		recvSeq: make(map[int]int),
-	}, nil
+	}
+	return false
 }
 
 // InjectFault sets the fault mode for the current generation of the
@@ -334,8 +379,8 @@ func (e *Engine) InjectFault(key string, gen int, kind FaultKind) {
 		return
 	}
 	// The generation has not finished bootstrapping: record the fault so it
-	// lands on the rendezvous itself (CommInitRank checks it after the
-	// barrier). Faults during communicator (re-)initialization are exactly
+	// lands on the rendezvous itself (Init.Step checks it after the
+	// bootstrap). Faults during communicator (re-)initialization are exactly
 	// the mid-recovery failures chaos testing needs to land.
 	e.pending[gk] = kind
 }

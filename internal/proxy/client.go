@@ -52,9 +52,8 @@ func NewClient(env *vclock.Env, server *Server) *Client {
 		threads: make(map[*vclock.Proc]*thread),
 	}
 	c.Adapter = cuda.Adapt(c)
-	env.Go("proxy.client.dispatch", func(p *vclock.Proc) {
-		for {
-			resp := server.respQ.Pop(p)
+	env.GoFunc("proxy.client.dispatch", func(p *vclock.Proc) {
+		for resp, ok := server.respQ.PopNext(p); ok; resp, ok = server.respQ.PopNext(p) {
 			th := c.byID[resp.Thread]
 			if !th.waiting || th.req != resp.ID {
 				// Response to a fire-and-forget call, or to one AbortPending

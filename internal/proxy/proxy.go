@@ -19,10 +19,13 @@
 // reset in this model just as parameters survive a proxy restart in the
 // paper's strategy 2.
 //
-// Requests from one worker thread are executed in issue order by a
-// dedicated handler process per thread; different threads proceed
-// independently — which is what keeps the watchdog thread's EventQuery
-// calls responsive while the main thread is wedged in a hung collective.
+// Requests from one worker thread are executed in issue order by a handler
+// of that thread's own; different threads proceed independently — which is
+// what keeps the watchdog thread's EventQuery calls responsive while the
+// main thread is wedged in a hung collective. The server's processes — its
+// dispatcher and the handlers — and the client's response dispatcher are
+// callback processes (vclock.Env.GoFunc): a handler runs its call as a
+// cuda.Pending, parking at each wait a coroutine would block in.
 //
 // Asynchronous device APIs (kernel launches, async memcpys, collective
 // enqueues) are fire-and-forget on the client: the call returns as soon as
@@ -88,14 +91,13 @@ type Server struct {
 	cudaParams cuda.Params
 	ipc        Params
 
-	drv         *cuda.Driver
-	reqQ        *vclock.Queue[Request]
-	respQ       *vclock.Queue[Response]
-	threadQs    map[int]*vclock.Queue[Request]
-	threadProcs map[int]*vclock.Proc
-	dispatcher  *vclock.Proc
-	generation  int
-	down        bool
+	drv        *cuda.Driver
+	reqQ       *vclock.Queue[Request]
+	respQ      *vclock.Queue[Response]
+	handlers   map[int]*handler // by worker thread
+	dispatcher *vclock.Proc
+	generation int
+	down       bool
 }
 
 // NewServer creates a proxy server for dev and starts its dispatcher.
@@ -122,36 +124,86 @@ func (s *Server) startDriver() error {
 		return err
 	}
 	s.drv = drv
-	s.threadQs = make(map[int]*vclock.Queue[Request])
-	s.threadProcs = make(map[int]*vclock.Proc)
+	s.handlers = make(map[int]*handler)
 	s.down = false
-	gen := s.generation
-	s.dispatcher = s.env.Go(fmt.Sprintf("%s.proxy.dispatch.g%d", s.dev.Name(), gen), func(p *vclock.Proc) {
-		for {
-			req := s.reqQ.Pop(p)
-			tq, ok := s.threadQs[req.Thread]
-			if !ok {
-				tq = vclock.NewQueue[Request](s.env, fmt.Sprintf("proxy.t%d", req.Thread))
-				s.threadQs[req.Thread] = tq
-				s.startHandler(req.Thread, tq)
+	s.dispatcher = s.env.GoFunc(fmt.Sprintf("%s.proxy.dispatch.g%d", s.dev.Name(), s.generation), func(p *vclock.Proc) {
+		for req, ok := s.reqQ.PopNext(p); ok; req, ok = s.reqQ.PopNext(p) {
+			h, known := s.handlers[req.Thread]
+			if !known {
+				h = &handler{s: s, tq: vclock.NewQueue[Request](s.env, fmt.Sprintf("proxy.t%d", req.Thread))}
+				h.proc = s.env.GoFunc(fmt.Sprintf("%s.proxy.t%d.g%d", s.dev.Name(), req.Thread, s.generation), h.step)
+				s.handlers[req.Thread] = h
 			}
-			tq.Push(req)
+			h.tq.Push(req)
 		}
 	})
 	return nil
 }
 
-func (s *Server) startHandler(thread int, tq *vclock.Queue[Request]) {
-	handler := s.env.Go(fmt.Sprintf("%s.proxy.t%d.g%d", s.dev.Name(), thread, s.generation), func(hp *vclock.Proc) {
-		for {
-			r := tq.Pop(hp)
-			hp.Sleep(s.ipc.HandleLatency)
-			res, err := s.drv.Do(hp, r.Call)
-			hp.Sleep(s.ipc.SendLatency)
-			s.respQ.Push(Response{ID: r.ID, Thread: r.Thread, Result: res, Err: err})
+// handler is one worker thread's request handler: a callback process that
+// takes each request in turn, sleeps the handling latency, runs the call on
+// the server's driver as a cuda.Pending — parking at each of its waits —
+// sleeps the send latency and answers. at is where its next dispatch
+// resumes; the request and the call in progress are all it keeps.
+type handler struct {
+	s    *Server
+	tq   *vclock.Queue[Request]
+	proc *vclock.Proc
+	at   handlerAt
+	req  Request
+	drv  *cuda.Driver // the server's driver when the call started: the call runs on it to the end
+	k    cuda.Pending
+}
+
+type handlerAt uint8
+
+const (
+	idle     handlerAt = iota // take the next request
+	handling                  // the handling latency is over: the call starts
+	calling                   // the call latency is over: the op runs
+	waiting                   // a wait of the call is over
+	sending                   // the send latency is over: answer
+)
+
+func (h *handler) step(p *vclock.Proc) {
+	for {
+		switch h.at {
+		case idle:
+			var ok bool
+			if h.req, ok = h.tq.PopNext(p); !ok {
+				return
+			}
+			h.at = handling
+			p.SleepNext(h.s.ipc.HandleLatency)
+			return
+		case handling:
+			if h.drv, h.at = h.s.drv, calling; h.s.cudaParams.CallLatency > 0 {
+				p.SleepNext(h.s.cudaParams.CallLatency)
+				return
+			}
+			continue
+		case calling:
+			h.drv.Start(p, &h.req.Call, &h.k)
+		case waiting:
+			h.k.Resume(p)
+		case sending:
+			res, err := h.k.Result()
+			h.s.respQ.Push(Response{ID: h.req.ID, Thread: h.req.Thread, Result: res, Err: err})
+			h.req, h.at = Request{}, idle
+			continue
 		}
-	})
-	s.threadProcs[thread] = handler
+		// The call ran on from Start or from a wait: it waits again (at
+		// once, if what it waits for has fired), or it has returned.
+		u, waits := h.k.Waits()
+		if !waits {
+			h.at = sending
+			p.SleepNext(h.s.ipc.SendLatency)
+			return
+		}
+		if h.at = waiting; p.AwaitNext(u) {
+			return
+		}
+	}
 }
 
 // ResetThreads aborts all in-flight request handling: every per-thread
@@ -162,15 +214,14 @@ func (s *Server) startHandler(thread int, tq *vclock.Queue[Request]) {
 func (s *Server) ResetThreads() {
 	// Kill in thread order: map iteration order would make the kill (and
 	// the traced proc-end) sequence nondeterministic.
-	threads := make([]int, 0, len(s.threadProcs))
-	for t := range s.threadProcs {
+	threads := make([]int, 0, len(s.handlers))
+	for t := range s.handlers {
 		threads = append(threads, t)
 	}
 	sort.Ints(threads)
 	for _, t := range threads {
-		s.threadProcs[t].Kill()
-		delete(s.threadProcs, t)
-		delete(s.threadQs, t)
+		s.handlers[t].proc.Kill()
+		delete(s.handlers, t)
 	}
 }
 

@@ -478,6 +478,7 @@ func proxiedAllocs(t *testing.T, round func(p *vclock.Proc, c *Client, ev cuda.E
 				defer r.server.Stop()
 				ev, _ := r.client.EventCreate(p)
 				b, _ := r.client.Malloc(p, 64, 2, "w")
+				r.client.StreamCreate(p) // stream 1
 				lp := cuda.LaunchParams{Kernel: "nop", Dur: vclock.Microsecond, Bufs: []cuda.Buf{b}, IArgs: []int64{1}}
 				for i := 0; i < n; i++ {
 					round(p, r.client, ev, lp)
@@ -517,6 +518,34 @@ func TestProxiedCallAllocBudget(t *testing.T) {
 	t.Logf("%.3f allocs per proxied Launch + StreamSynchronize", launch)
 	if launch > 2.05 {
 		t.Errorf("a proxied Launch + StreamSynchronize allocates %.3f objects, want 2 (its captured Bufs and IArgs)", launch)
+	}
+	// The blocking calls park their handler at each wait. The handler holds
+	// the call in progress itself, so a wait costs nothing: two launches
+	// with no argument slices (nothing to capture) keep two streams busy,
+	// and the DeviceSynchronize waits for both; the copy a MemcpyD2H
+	// returns is all it allocates.
+	devSync := proxiedAllocs(t, func(p *vclock.Proc, c *Client, _ cuda.Event, _ cuda.LaunchParams) {
+		for _, s := range []cuda.Stream{cuda.DefaultStream, 1} {
+			if err := c.Launch(p, cuda.LaunchParams{Kernel: "nop", Dur: vclock.Microsecond}, s); err != nil {
+				t.Error(err)
+			}
+		}
+		if err := c.DeviceSynchronize(p); err != nil {
+			t.Error(err)
+		}
+	})
+	t.Logf("%.3f allocs per proxied DeviceSynchronize over two busy streams", devSync)
+	if devSync > 0.05 {
+		t.Errorf("a proxied DeviceSynchronize allocates %.3f objects, want 0", devSync)
+	}
+	d2h := proxiedAllocs(t, func(p *vclock.Proc, c *Client, _ cuda.Event, lp cuda.LaunchParams) {
+		if _, err := c.MemcpyD2H(p, lp.Bufs[0], cuda.DefaultStream); err != nil {
+			t.Error(err)
+		}
+	})
+	t.Logf("%.3f allocs per proxied MemcpyD2H", d2h)
+	if d2h > 1.05 {
+		t.Errorf("a proxied MemcpyD2H allocates %.3f objects, want 1 (the copy it returns)", d2h)
 	}
 }
 

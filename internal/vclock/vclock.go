@@ -589,6 +589,34 @@ func (p *Proc) WaitNext(ev *Event, d Time) bool {
 	return p.killed || p.state == stateBlocked
 }
 
+// Until is what a call written as steps waits for before its next step:
+// the event Ev, or, when Ev is nil, a sleep of D. A coroutine waits for it
+// with Await, a callback's step with AwaitNext, so one set of steps serves
+// both kinds of caller.
+type Until struct {
+	Ev *Event
+	D  Time
+}
+
+// Await blocks p until u: Wait(u.Ev), or Sleep(u.D) when u.Ev is nil.
+func (p *Proc) Await(u Until) {
+	if u.Ev != nil {
+		p.Wait(u.Ev)
+	} else {
+		p.Sleep(u.D)
+	}
+}
+
+// AwaitNext is the callback form of Await: WaitNext(u.Ev, 0), or
+// SleepNext(u.D) when u.Ev is nil. It reports whether the step must return
+// now; false means u.Ev has already triggered and nothing was registered.
+func (p *Proc) AwaitNext(u Until) bool {
+	if u.Ev == nil {
+		p.SleepNext(u.D)
+	}
+	return u.Ev == nil || p.WaitNext(u.Ev, 0)
+}
+
 // Name returns the process name given at spawn time.
 func (p *Proc) Name() string { return p.name }
 
