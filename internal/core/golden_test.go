@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"testing"
 
@@ -246,22 +247,36 @@ func TestGoldenTraces(t *testing.T) {
 
 // TestGoldenKernelCounters pins each golden scenario's kernel counters
 // (vclock.Stats: dispatches, timer fires, triggers, spawns) in one file,
-// testdata/kernel.counters. The golden timelines keep only the recovery
+// testdata/kernel.counters, and under each scenario its dispatch census:
+// per process name, digits folded to '#', the dispatches it took as a
+// callback and as a coroutine. The golden timelines keep only the recovery
 // narrative, so a change that moves scheduling alone (a process more, a
-// wake-up less) fails here, and not only in the parent-vs-child battery.
-// Regenerate it with the goldens:
+// wake-up less, a process that changes form) fails here, and not only in
+// the parent-vs-child battery. Regenerate it with the goldens:
 //
 //	go test ./internal/core -run 'TestGoldenTraces|TestGoldenKernelCounters' -update
 func TestGoldenKernelCounters(t *testing.T) {
 	var got bytes.Buffer
 	for _, sc := range goldenScenarios {
-		res, err := Run(sc.cfg())
+		cfg, c := sc.cfg(), census{}
+		cfg.Recorder = trace.New()
+		cfg.Recorder.SetRetain(false)
+		cfg.Recorder.SetSink(c)
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: Run: %v", sc.name, err)
 		}
 		s := res.SimStats
 		fmt.Fprintf(&got, "%-20s dispatches=%d timer_fires=%d triggers=%d spawns=%d\n",
 			sc.name, s.Dispatches, s.TimerFires, s.Triggers, s.Spawns)
+		names := make([]string, 0, len(c))
+		for name := range c {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		for _, name := range names {
+			fmt.Fprintf(&got, "  %-32s callback=%d coroutine=%d\n", name, c[name][0], c[name][1])
+		}
 	}
 	golden := filepath.Join("testdata", "kernel.counters")
 	if *updateGolden {
@@ -279,6 +294,24 @@ func TestGoldenKernelCounters(t *testing.T) {
 		t.Errorf("kernel counters differ from %s (re-run with -update if the change is intentional):\n%s",
 			golden, firstDiff(want, got.Bytes()))
 	}
+}
+
+// census is a trace sink that keeps only the dispatch census
+// (vclock.DispatchRecorder), keyed by process name with each run of digits
+// folded to one '#': [callback, coroutine].
+type census map[string]*[2]uint64
+
+var digitRuns = regexp.MustCompile(`[0-9]+`)
+
+func (census) Event(*trace.Ev) {}
+
+func (c census) ProcDispatches(_ int, name string, callback, coroutine uint64) {
+	key := digitRuns.ReplaceAllString(name, "#")
+	if c[key] == nil {
+		c[key] = new([2]uint64)
+	}
+	c[key][0] += callback
+	c[key][1] += coroutine
 }
 
 // firstDiff reports the first differing line between two timelines.

@@ -349,6 +349,17 @@ func (r *Recorder) ProcEnd(t vclock.Time, id int, name string) {
 	r.emit(t, 'i', "sched", LaneSim, "proc-end", []Arg{{"id", strconv.Itoa(id)}, {"proc", name}})
 }
 
+// ProcDispatches implements vclock.DispatchRecorder: it records nothing and
+// hands the count on to the sink, when the sink is a DispatchRecorder too.
+func (r *Recorder) ProcDispatches(id int, name string, callback, coroutine uint64) {
+	if r == nil {
+		return
+	}
+	if dr, ok := r.sink.(vclock.DispatchRecorder); ok {
+		dr.ProcDispatches(id, name, callback, coroutine)
+	}
+}
+
 // Of returns the Recorder attached to env, or nil (an inert recorder)
 // when tracing is off or env is nil.
 func Of(env *vclock.Env) *Recorder {

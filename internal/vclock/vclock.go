@@ -130,6 +130,10 @@ type Proc struct {
 	cause     wakeCause
 	timerIdx  int32 // where the timer is in the heap or its lane, -1 when absent
 	timerLane int8  // 0: the heap, k: lane k-1
+
+	// The process's dispatches as a callback and as a coroutine, reported
+	// at retirement to a DispatchRecorder.
+	callbacks, coroutines uint64
 }
 
 // waiter is one entry of a waitList: p, parked under block number block.
@@ -247,6 +251,13 @@ type ProcRecorder interface {
 	ProcEnd(t Time, id int, name string)
 }
 
+// DispatchRecorder is implemented by recorders that want each process's
+// dispatch count when it retires, split by the form it was dispatched in:
+// callback (a GoFunc step) or coroutine. Like ProcRecorder it is optional.
+type DispatchRecorder interface {
+	ProcDispatches(id int, name string, callback, coroutine uint64)
+}
+
 // NewEnv creates an environment whose random source is seeded with seed.
 func NewEnv(seed int64) *Env {
 	return &Env{
@@ -357,6 +368,20 @@ func (e *Env) retire(p *Proc) {
 	if pr, ok := e.rec.(ProcRecorder); ok {
 		pr.ProcEnd(e.now, p.id, p.name)
 	}
+	if dr, ok := e.rec.(DispatchRecorder); ok {
+		dr.ProcDispatches(p.id, p.name, p.callbacks, p.coroutines)
+	}
+}
+
+// dispatch counts one dispatch of p: in the run's Stats and, by the form p
+// has now, in its own census.
+func (e *Env) dispatch(p *Proc) {
+	e.stats.Dispatches++
+	if p.step != nil {
+		p.callbacks++
+	} else {
+		p.coroutines++
+	}
 }
 
 // schedule is the one scheduling function. It returns the process to run
@@ -369,7 +394,7 @@ func (e *Env) schedule() *Proc {
 	for e.failure == nil && !e.stopping {
 		if e.runq.len() > 0 {
 			p := e.runq.pop()
-			e.stats.Dispatches++
+			e.dispatch(p)
 			switch {
 			case p.killed && (p.state == stateNew || p.step != nil):
 				e.retire(p) // never ran, or a callback: no goroutine to unwind
@@ -492,7 +517,7 @@ func (e *Env) shutdown() {
 	for _, id := range ids {
 		p := e.procs[id]
 		p.killed = true
-		e.stats.Dispatches++
+		e.dispatch(p)
 		if p.state == stateNew || p.step != nil {
 			e.retire(p)
 			continue
