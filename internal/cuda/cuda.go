@@ -427,6 +427,22 @@ func (d *Driver) Do(p *vclock.Proc, c Call) (Result, error) {
 	return k.r, k.err
 }
 
+// Step runs c, a call that never waits, in steps, for a caller with no
+// stack to block on: the interception layer's watchdog, a callback process,
+// and its EventQuery. Step 0 is the call latency Do charges, when there is
+// one; the next step runs the call. Each reports the wait before the step
+// after it or, when there is none, the call's outputs.
+func (d *Driver) Step(p *vclock.Proc, c *Call, n int) (vclock.Until, bool, Result, error) {
+	if n == 0 && d.params.CallLatency > 0 {
+		return vclock.Until{D: d.params.CallLatency}, true, Result{}, nil
+	}
+	var k Pending
+	if d.Start(p, c, &k); k.waits {
+		panic(fmt.Sprintf("cuda: Driver.Step runs only calls that never wait, not %v", c.Op))
+	}
+	return vclock.Until{}, false, k.r, k.err
+}
+
 // Pending is one driver call in progress, for a caller that runs it in
 // steps because it has no stack to block on: a device proxy handler, which
 // is a callback process. Start runs the call up to its first wait; while

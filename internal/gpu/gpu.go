@@ -179,11 +179,13 @@ type Device struct {
 	tagSeq  map[string]int
 	memUsed int64
 	memCap  int64
-	lane    string
+	lane    string // "n0.g1"
+	name    string // "gpu[n0.g1]"
 }
 
 // NewDevice creates a healthy device with memCap bytes of modelled memory.
 func NewDevice(env *vclock.Env, nodeID, index int, memCap int64) *Device {
+	lane := fmt.Sprintf("n%d.g%d", nodeID, index)
 	return &Device{
 		env:    env,
 		NodeID: nodeID,
@@ -191,12 +193,13 @@ func NewDevice(env *vclock.Env, nodeID, index int, memCap int64) *Device {
 		health: Healthy,
 		tagSeq: make(map[string]int),
 		memCap: memCap,
-		lane:   fmt.Sprintf("n%d.g%d", nodeID, index),
+		lane:   lane,
+		name:   "gpu[" + lane + "]",
 	}
 }
 
-// Name returns a stable diagnostic identifier.
-func (d *Device) Name() string { return fmt.Sprintf("gpu[n%d.g%d]", d.NodeID, d.Index) }
+// Name returns a stable diagnostic identifier ("gpu[n0.g1]").
+func (d *Device) Name() string { return d.name }
 
 // Lane returns the device's trace-lane name ("n0.g1").
 func (d *Device) Lane() string { return d.lane }

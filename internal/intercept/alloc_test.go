@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"jitckpt/internal/cuda"
+	"jitckpt/internal/nccl"
 	"jitckpt/internal/vclock"
 )
 
@@ -75,8 +76,30 @@ func TestDriverLaunchAllocFree(t *testing.T) {
 	}
 }
 
-// TestWatchedEventsAllocFree: the watchdog lists its watch-list on every
-// poll of every rank, into a slice the layer keeps.
+// pollRig builds a user-level layer over the driver, or over a proxy client
+// when proxied, whose watchdog polls three watched events that stay pending
+// (a hung collective's), far inside the hang timeout, from well before the
+// first virtual second on.
+func pollRig(tb testing.TB, proxied bool) (*vclock.Env, *Layer) {
+	tb.Helper()
+	cfg := Config{Mode: ModeUserLevel, HangTimeout: 100 * vclock.Hour, OnFault: func(*vclock.Proc, Fault) { tb.Error("a fault") }}
+	var env *vclock.Env
+	var engine *nccl.Engine
+	var layer *Layer
+	if proxied {
+		env, engine, layer = proxiedRig(tb, cfg)
+	} else {
+		r := newRig(tb, cfg)
+		env, engine, layer = r.env, r.engine, r.layer
+	}
+	hang := hungCollective(env, engine, layer, 3)
+	env.Go("worker", func(p *vclock.Proc) { hang(p) })
+	return env, layer
+}
+
+// TestWatchedEventsAllocFree: one poll of the watchdog — WatchedEvents into
+// a slice the layer keeps, then an EventQuery per watched event, stepped
+// through the driver or the proxy wire — allocates nothing.
 func TestWatchedEventsAllocFree(t *testing.T) {
 	r := newRig(t, Config{Mode: ModeUserLevel})
 	for _, ev := range []cuda.Event{9, 3, 7} {
@@ -87,6 +110,48 @@ func TestWatchedEventsAllocFree(t *testing.T) {
 	}
 	if got := r.layer.WatchedEvents(); len(got) != 3 || got[0] != 3 || got[1] != 7 || got[2] != 9 {
 		t.Errorf("WatchedEvents = %v, want [3 7 9]", got)
+	}
+	for _, proxied := range []bool{false, true} {
+		// Runs of 50 and 250 polls, so what the setup allocates cancels.
+		measure := func(polls int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				env, layer := pollRig(t, proxied)
+				if err := env.RunUntil(vclock.Time(polls) * watchdogPoll); err != nil {
+					t.Fatal(err)
+				}
+				if n := len(layer.WatchedEvents()); n != 3 {
+					t.Fatalf("%d watched events, want 3", n)
+				}
+			})
+		}
+		const short, long = 50, 250
+		perPoll := (measure(long) - measure(short)) / (long - short)
+		t.Logf("proxied=%v: %.3f allocs per poll of 3 events", proxied, perPoll)
+		if perPoll > 0.05 {
+			t.Errorf("proxied=%v: a watchdog poll of 3 events allocates %.3f objects, want 0", proxied, perPoll)
+		}
+	}
+}
+
+// BenchmarkWatchdogPoll times one watchdog poll of three pending watched
+// events, host cost and allocations included: straight into the driver,
+// and over the proxy wire.
+func BenchmarkWatchdogPoll(b *testing.B) {
+	for _, proxied := range []bool{false, true} {
+		b.Run(map[bool]string{false: "direct", true: "proxied"}[proxied], func(b *testing.B) {
+			env, layer := pollRig(b, proxied)
+			b.ReportAllocs()
+			env.Go("timer", func(p *vclock.Proc) {
+				p.Sleep(vclock.Second) // the rig is set up
+				b.ResetTimer()
+			})
+			if err := env.RunUntil(vclock.Second + vclock.Time(b.N)*watchdogPoll); err != nil {
+				b.Fatal(err)
+			}
+			if n := len(layer.WatchedEvents()); n != 3 {
+				b.Fatalf("%d watched events, want 3", n)
+			}
+		})
 	}
 }
 

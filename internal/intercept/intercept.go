@@ -90,10 +90,14 @@ type Config struct {
 	HangTimeout vclock.Time
 	// OnFault is invoked exactly once per fault episode, with the
 	// simulation process that detected the fault (the watchdog process
-	// for hangs, the calling thread for API errors). Transparent-mode
-	// controllers should signal a recovery process and return quickly;
-	// the user-level handler may block in p to take its checkpoint (§3.2
-	// runs the save inside the watchdog thread).
+	// for hangs, the calling thread for API errors). What it may do
+	// depends on the mode. In transparent mode it must not block: it
+	// signals the recovery controller and returns, and for a watchdog
+	// fault it runs inside the watchdog's callback step (vclock.Env.GoFunc),
+	// where a blocking call panics naming the process. In user-level mode
+	// it may block in p to take its checkpoint (§3.2 runs the save inside
+	// the watchdog thread): the watchdog becomes a coroutine first
+	// (vclock.Proc.Become).
 	OnFault func(p *vclock.Proc, f Fault)
 	// LogReplay enables replay logging (defaults on in transparent mode).
 	LogReplay bool

@@ -37,7 +37,8 @@ func (l *Layer) startWatchdog() {
 		return
 	}
 	l.watchdogOn = true
-	l.watchdogProc = l.env.Go(l.name+".watchdog", l.watchdogLoop)
+	w := &watchdog{l: l, call: cuda.Call{Op: cuda.OpEventQuery}}
+	l.watchdogProc = l.env.GoFunc(l.name+".watchdog", w.next)
 }
 
 // StopWatchdog kills the watchdog process. The job-restart path uses it
@@ -64,20 +65,106 @@ func (l *Layer) WatchedEvents() []cuda.Event {
 // watchdogPoll is the watchdog's EventQuery polling period.
 const watchdogPoll = 50 * vclock.Millisecond
 
-// watchdogLoop polls watched events with EventQuery and checks the ages of
+// stepper is an inner API that runs a call in steps for a process with no
+// stack to block on: cuda.Driver and proxy.Client. Step runs step n (from
+// 0) of p's call *c and reports the wait before the step after it or, when
+// there is none, the call's outputs. The watchdog's EventQuery goes
+// through it.
+type stepper interface {
+	Step(p *vclock.Proc, c *cuda.Call, n int) (vclock.Until, bool, cuda.Result, error)
+}
+
+// watchdog polls the watched events with EventQuery and checks the ages of
 // in-flight blocking calls. Completed events leave the watch-list; an
 // event or blocking call pending longer than HangTimeout raises a hang
-// fault (§3.1, §4.2). The watchdog idles during recovery.
-func (l *Layer) watchdogLoop(p *vclock.Proc) {
-	for {
-		p.Sleep(watchdogPoll)
-		if l.inRecovery || l.faultRaised {
-			continue
-		}
-		now := p.Now()
+// fault (§3.1, §4.2). It idles during recovery.
+//
+// The poll is written once, as steps (step). The process is a callback
+// (next) that parks at each wait with AwaitNext. A user-level OnFault
+// blocks: it takes the §3.2 save on the watchdog's own thread. So before
+// raising a fault that calls one, the callback hands the process to a
+// coroutine (run, through Proc.Become), which drives the same steps with
+// Await from there on. A transparent-mode OnFault only signals the
+// recovery controller and runs inside the step.
+type watchdog struct {
+	l  *Layer
+	at dogAt
+	co bool // the process is a coroutine now
 
-		for _, ev := range l.WatchedEvents() {
-			addedAt, ok := l.watch[ev]
+	now   vclock.Time  // the poll's time
+	evs   []cuda.Event // the poll's snapshot of the watch-list
+	i     int          // the next event of evs to poll
+	ev    cuda.Event   // the event being queried, since added
+	since vclock.Time
+
+	// The query in progress: the inner API it started on (a SetInner
+	// meanwhile does not redirect it), the EventQuery, and its next step.
+	api  stepper
+	call cuda.Call
+	n    int
+
+	kind FaultKind // the fault to raise
+	err  error
+}
+
+type dogAt uint8
+
+const (
+	dogSleep    dogAt = iota // the poll period starts
+	dogPoll                  // it is over: poll
+	dogEvent                 // poll the next event
+	dogQuery                 // the query's next step
+	dogRaise                 // raise the fault
+	dogInflight              // check the in-flight blocking calls
+)
+
+// next is the watchdog's step as a callback process.
+func (w *watchdog) next(p *vclock.Proc) {
+	for {
+		u, ok := w.step(p)
+		if !ok {
+			p.Become(w.run)
+			return
+		}
+		if p.AwaitNext(u) {
+			return
+		}
+	}
+}
+
+// run is the watchdog as a coroutine, from the step that raises a fault
+// whose OnFault blocks.
+func (w *watchdog) run(p *vclock.Proc) {
+	w.co = true
+	for {
+		u, _ := w.step(p)
+		p.Await(u)
+	}
+}
+
+// step runs the poll on from where its last wait left it to its next wait.
+// It reports false instead, with nothing done, at a fault whose OnFault
+// blocks while the process is still a callback.
+func (w *watchdog) step(p *vclock.Proc) (vclock.Until, bool) {
+	l := w.l
+	for {
+		switch w.at {
+		case dogSleep:
+			w.at = dogPoll
+			return vclock.Until{D: watchdogPoll}, true
+		case dogPoll:
+			if l.inRecovery || l.faultRaised {
+				return vclock.Until{D: watchdogPoll}, true
+			}
+			w.now, w.evs, w.i, w.at = p.Now(), l.WatchedEvents(), 0, dogEvent
+		case dogEvent:
+			if w.i == len(w.evs) {
+				w.at = dogInflight
+				continue
+			}
+			ev := w.evs[w.i]
+			w.i++
+			since, ok := l.watch[ev]
 			if !ok {
 				continue
 			}
@@ -86,34 +173,40 @@ func (l *Layer) watchdogLoop(p *vclock.Proc) {
 				delete(l.watch, ev) // event destroyed or remapped away
 				continue
 			}
-			done, err := l.inner.EventQuery(p, pe)
-			if err != nil {
-				if isInfraFault(err) {
-					l.raiseFault(p, FaultError, err)
+			w.ev, w.since = ev, since
+			w.api, w.call.Event, w.n, w.at = l.inner.(stepper), pe, 0, dogQuery
+		case dogQuery:
+			u, waits, res, err := w.api.Step(p, &w.call, w.n)
+			if w.n++; waits {
+				return u, true
+			}
+			w.at = dogEvent
+			switch {
+			case err != nil && isInfraFault(err):
+				w.kind, w.err, w.at = FaultError, err, dogRaise
+			case err != nil || res.Bool:
+				delete(l.watch, w.ev)
+			case w.now-w.since > l.cfg.HangTimeout:
+				w.kind, w.at = FaultHang, dogRaise
+			}
+		case dogRaise:
+			if !w.co && !l.faultRaised && l.cfg.OnFault != nil && l.cfg.Mode == ModeUserLevel {
+				return vclock.Until{}, false
+			}
+			l.raiseFault(p, w.kind, w.err)
+			w.err, w.at = nil, dogInflight
+		case dogInflight:
+			// Blocking device calls that never return are the other hang
+			// signal (§4.2: "detect hangs when device APIs never return").
+			w.at = dogSleep
+			if l.faultRaised {
+				continue
+			}
+			for _, started := range l.inflight {
+				if w.now-started > l.cfg.HangTimeout {
+					w.kind, w.at = FaultHang, dogRaise
 					break
 				}
-				delete(l.watch, ev)
-				continue
-			}
-			if done {
-				delete(l.watch, ev)
-				continue
-			}
-			if now-addedAt > l.cfg.HangTimeout {
-				l.raiseFault(p, FaultHang, nil)
-				break
-			}
-		}
-		if l.faultRaised {
-			continue
-		}
-
-		// Blocking device calls that never return are the other hang
-		// signal (§4.2: "detect hangs when device APIs never return").
-		for _, started := range l.inflight {
-			if now-started > l.cfg.HangTimeout {
-				l.raiseFault(p, FaultHang, nil)
-				break
 			}
 		}
 	}

@@ -35,7 +35,7 @@ type Client struct {
 type thread struct {
 	id      int
 	waiting bool   // a blocking call is in flight
-	req     uint64 // its request id
+	req     uint64 // the request id of the thread's latest call
 	done    vclock.Event
 	resp    Response
 }
@@ -107,18 +107,43 @@ func (c *Client) threadOf(p *vclock.Proc) *thread {
 // Do implements cuda.API: it puts one call on the wire and, unless the op
 // is async, blocks until its response arrives. The call is cloned before Do
 // first yields, so argument slices are captured at call time and callers
-// may reuse them.
+// may reuse them. Do is the coroutine loop over the steps Step takes.
 func (c *Client) Do(p *vclock.Proc, call cuda.Call) (cuda.Result, error) {
 	th := c.threadOf(p)
-	req := Request{ID: c.nextID, Thread: th.id, Call: call.Clone()}
-	c.nextID++
-	p.Sleep(c.ipc.SendLatency)
-	c.server.reqQ.Push(req)
-	if call.Op.Info().Async {
-		return cuda.Result{}, nil
+	for n := 0; ; n++ {
+		u, waits, res, err := c.step(th, &call, n)
+		if !waits {
+			return res, err
+		}
+		p.Await(u)
 	}
-	th.waiting, th.req = true, req.ID
-	c.env.InitEvent(&th.done, "proxy.call")
-	p.Wait(&th.done)
-	return th.resp.Result, th.resp.Err
+}
+
+// Step runs step n (from 0) of p's call *call in steps, for a caller with
+// no stack to block on: the interception layer's watchdog, a callback
+// process. Step 0 takes the request id and captures the call (*call becomes
+// its Clone), and the send latency follows; step 1 puts the request on the
+// wire and, unless the op is async, waits on the thread's event for the
+// response; step 2 reads it. Each reports the wait before the step after
+// it or, when there is none, the call's outputs.
+func (c *Client) Step(p *vclock.Proc, call *cuda.Call, n int) (vclock.Until, bool, cuda.Result, error) {
+	return c.step(c.threadOf(p), call, n)
+}
+
+func (c *Client) step(th *thread, call *cuda.Call, n int) (vclock.Until, bool, cuda.Result, error) {
+	switch n {
+	case 0:
+		th.req, *call = c.nextID, call.Clone()
+		c.nextID++
+		return vclock.Until{D: c.ipc.SendLatency}, true, cuda.Result{}, nil
+	case 1:
+		c.server.reqQ.Push(Request{ID: th.req, Thread: th.id, Call: *call})
+		if call.Op.Info().Async {
+			return vclock.Until{}, false, cuda.Result{}, nil
+		}
+		th.waiting = true
+		c.env.InitEvent(&th.done, "proxy.call")
+		return vclock.Until{Ev: &th.done}, true, cuda.Result{}, nil
+	}
+	return vclock.Until{}, false, th.resp.Result, th.resp.Err
 }

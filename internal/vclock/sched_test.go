@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +24,21 @@ func (l procLog) ProcStart(t Time, id int, name string) {
 }
 func (l procLog) ProcEnd(t Time, id int, name string) {
 	fmt.Fprintf(l.sb, "%d end %s#%d\n", t, name, id)
+}
+
+// censusLog is procLog that also logs each process's dispatch total when it
+// retires (DispatchRecorder) and counts the processes dispatched in both
+// forms: those that became coroutines after a dispatch as a callback.
+type censusLog struct {
+	procLog
+	switched *int
+}
+
+func (l censusLog) ProcDispatches(id int, name string, callback, coroutine uint64) {
+	fmt.Fprintf(l.sb, "dispatches %s#%d %d\n", name, id, callback+coroutine)
+	if callback > 0 && coroutine > 0 {
+		*l.switched++
+	}
 }
 
 func logStats(sb *strings.Builder, env *Env) {
@@ -42,7 +58,7 @@ type instr struct {
 	d  Time
 }
 
-var instrNames = map[byte]string{'s': "sleep", 'w': "wait", 't': "waittimeout", 'p': "pop", 'T': "trigger", 'P': "push", 'k': "kill self"}
+var instrNames = map[byte]string{'s': "sleep", 'w': "wait", 't': "waittimeout", 'p': "pop", 'T': "trigger", 'P': "push", 'k': "kill self", 'c': "become a coroutine"}
 
 func (in instr) String() string { return fmt.Sprintf("%s e%d %d", instrNames[in.op], in.i, in.d) }
 
@@ -88,12 +104,14 @@ func (w *world) spawn(name string, script []instr) *Proc {
 	if w.form == callback {
 		return w.env.GoFunc(name, (&stepper{w: w, script: script}).step)
 	}
-	return w.env.Go(name, func(p *Proc) { w.run(p, script) })
+	return w.env.Go(name, func(p *Proc) { w.run(p, script, 0) })
 }
 
-// run is the coroutine interpreter.
-func (w *world) run(p *Proc, script []instr) {
-	for pc, in := range script {
+// run is the coroutine interpreter, from instruction pc on. To it "become a
+// coroutine" is a no-op.
+func (w *world) run(p *Proc, script []instr, pc int) {
+	for ; pc < len(script); pc++ {
+		in := script[pc]
 		w.say(p, pc, in.String())
 		switch in.op {
 		case 's':
@@ -113,7 +131,8 @@ func (w *world) run(p *Proc, script []instr) {
 
 // stepper is the callback interpreter: where run blocks, step registers the
 // wake-up, remembers that it did (woken: the next dispatch is the return
-// from that wait) and returns.
+// from that wait) and returns. At "become a coroutine" it hands the rest of
+// the script to run (Proc.Become).
 type stepper struct {
 	w      *world
 	script []instr
@@ -137,6 +156,11 @@ func (s *stepper) step(p *Proc) {
 			case 't':
 				parked = p.WaitNext(w.evs[in.i], in.d)
 			case 'p':
+			case 'c':
+				w.say(p, s.pc, "done")
+				rest := s.pc + 1
+				p.Become(func(p *Proc) { w.run(p, s.script, rest) })
+				return
 			default:
 				w.act(p, in)
 			}
@@ -170,6 +194,7 @@ type orderProgram struct {
 	m        *Mutex
 	procs    []*Proc
 	scripted bool
+	become   bool // each script becomes a coroutine at a drawn instruction
 }
 
 // spawnScripted draws a script of n instructions and starts it.
@@ -181,6 +206,9 @@ func (o *orderProgram) spawnScripted(name string, n int) {
 		if script[k].op == 't' && script[k].d <= 0 {
 			script[k].d = 5 * Microsecond // WaitNext has no expired-on-arrival form
 		}
+	}
+	if o.become {
+		script = slices.Insert(script, r.Intn(n+1), instr{op: 'c'})
 	}
 	o.procs = append(o.procs, o.world.spawn(name, script))
 }
@@ -320,17 +348,23 @@ func onFreshGoroutine(run func() error) error {
 // same Env again to completion: the second run starts from whatever the
 // first run's shutdown left behind (dead processes' timers included).
 func runOrderProgram(sb *strings.Builder, seed int64, horizon Time, call func(run func() error) error) error {
-	return runOrderProgramIn(sb, seed, horizon, call, nil)
+	return runOrderProgramIn(sb, seed, horizon, call, nil, nil)
 }
 
 // runOrderProgramIn is runOrderProgram with every other process scripted, in
 // form *scripted (nil: none, the program order.golden's first three sections
-// were generated from).
-func runOrderProgramIn(sb *strings.Builder, seed int64, horizon Time, call func(run func() error) error, scripted *form) error {
+// were generated from). With switched set, each script becomes a coroutine
+// at a drawn instruction, each process's dispatches are logged when it
+// retires, and *switched counts the processes that switched form.
+func runOrderProgramIn(sb *strings.Builder, seed int64, horizon Time, call func(run func() error) error, scripted *form, switched *int) error {
+	become := switched != nil
 	fmt.Fprintf(sb, "# seed %d horizon %d\n", seed, horizon)
 	env := NewEnv(seed)
 	env.SetRecorder(procLog{sb})
-	o := &orderProgram{rng: rand.New(rand.NewSource(seed)), sb: sb, scripted: scripted != nil}
+	if become {
+		env.SetRecorder(censusLog{procLog{sb}, switched})
+	}
+	o := &orderProgram{rng: rand.New(rand.NewSource(seed)), sb: sb, scripted: scripted != nil, become: become}
 	o.env = env
 	if scripted != nil {
 		o.form = *scripted
@@ -384,7 +418,7 @@ func orderSections(t *testing.T, f form) string {
 		if i < 3 {
 			scripted = nil
 		}
-		if err := runOrderProgramIn(&sb, c.seed, c.horizon, inline, scripted); err != nil {
+		if err := runOrderProgramIn(&sb, c.seed, c.horizon, inline, scripted, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -671,6 +705,44 @@ func TestCallbackMatchesCoroutine(t *testing.T) {
 	}
 }
 
+// TestBecomeMatchesCoroutine is the differential test of Proc.Become: the
+// random program, every other process a script that becomes a coroutine at
+// a drawn instruction, run with the scripts as callbacks, which switch
+// there, and as coroutines, to which the instruction is a no-op. Both give
+// the same log (every step, every ProcStart and ProcEnd, each process's
+// dispatch total at its retirement), the same counters and the same clock.
+func TestBecomeMatchesCoroutine(t *testing.T) {
+	switchedAll := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		horizon := [...]Time{-1, 10 * Microsecond, 20 * Microsecond}[seed%3]
+		var logs [2]string
+		for _, f := range forms {
+			var sb strings.Builder
+			switched := 0
+			if err := runOrderProgramIn(&sb, seed, horizon, inline, &f, &switched); err != nil {
+				t.Fatal(err)
+			}
+			logs[f] = sb.String()
+			if f == callback {
+				switchedAll += switched
+			}
+		}
+		if logs[callback] == logs[coroutine] {
+			continue
+		}
+		gl, wl := strings.Split(logs[callback], "\n"), strings.Split(logs[coroutine], "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("seed %d: the run whose scripts switch diverges at line %d:\n got: %s\nwant: %s", seed, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("seed %d: the run whose scripts switch logs %d lines, the coroutine run %d", seed, len(gl), len(wl))
+	}
+	if switchedAll == 0 {
+		t.Error("no script became a coroutine after a dispatch as a callback")
+	}
+}
+
 // TestPanicInStepNamesTheCallback: a callback's step runs on the stack of
 // whoever is scheduling — here the process "host", inside its Sleep — and a
 // panic in it is the run's failure under the callback's name, with the
@@ -782,10 +854,14 @@ func TestBlockingCallInStepPanics(t *testing.T) {
 		"two parks in one step": func(env *Env) {
 			env.GoFunc("cb", func(p *Proc) { p.SleepNext(Second); p.SleepNext(Second) })
 		},
+		"Become in a coroutine": func(env *Env) { env.Go("co", func(p *Proc) { p.Become(func(*Proc) {}) }) },
+		"Become after a park": func(env *Env) {
+			env.GoFunc("cb", func(p *Proc) { p.SleepNext(Second); p.Become(func(*Proc) {}) })
+		},
 	} {
 		env := NewEnv(1)
 		body(env)
-		if err := env.Run(); err == nil || !strings.Contains(err.Error(), "parks with SleepNext, WaitNext or PopNext") {
+		if err := env.Run(); err == nil || !strings.Contains(err.Error(), "not a callback process inside its step, or parked already") {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -894,6 +970,19 @@ func TestKillRacesScripted(t *testing.T) {
 		{"kills itself, then returns", []instr{{'k', 0, 0}}, func(r *raceRig, w *world, v *Proc) {
 			r.bystander(0)
 		}, "0.000s v past 0; 0.000s v ends; 0.000s b runs; 0.000s b ends; end 0.000s {Dispatches:2 TimerFires:0 Triggers:0 Spawns:2} timers=0"},
+		{"kills itself in the step that becomes a coroutine", []instr{{'k', 0, 0}, {'c', 0, 0}, {'P', 0, 0}, {'s', 0, sec(1)}, {'P', 0, 0}}, func(r *raceRig, w *world, v *Proc) {
+			r.bystander(0)
+		}, "0.000s v past 0; 0.000s v past 1; 0.000s v past 2; 0.000s v ends; 0.000s b runs; 0.000s b ends; end 0.000s {Dispatches:2 TimerFires:0 Triggers:0 Spawns:2} timers=0"},
+		{"became a coroutine, killed while parked", []instr{{'s', 0, sec(1)}, {'c', 0, 0}, {'w', 0, 0}}, func(r *raceRig, w *world, v *Proc) {
+			r.env.Go("killer", func(p *Proc) {
+				p.Sleep(2 * Second)
+				v.Kill()
+			})
+			r.bystander(2 * Second)
+		}, "1.000s v past 0; 1.000s v past 1; 2.000s killer ends; 2.000s v ends; 2.000s b runs; 2.000s b ends; end 2.000s {Dispatches:7 TimerFires:3 Triggers:0 Spawns:3} timers=0"},
+		{"became a coroutine, killed by shutdown", []instr{{'c', 0, 0}, {'s', 0, sec(100)}}, func(r *raceRig, w *world, v *Proc) {
+			r.bystander(Second)
+		}, "0.000s v past 0; 1.000s b runs; 1.000s b ends; 1.000s v ends; end 1.000s {Dispatches:4 TimerFires:1 Triggers:0 Spawns:2} timers=1"},
 		{"killed by shutdown: parked on both, on a timer, queued", []instr{{'t', 0, sec(100)}}, func(r *raceRig, w *world, v *Proc) {
 			w.spawn("v2", []instr{{'s', 0, sec(100)}})
 			w.spawn("v3", []instr{{'p', 0, 0}})

@@ -34,7 +34,9 @@
 // function is called at each of its dispatches, on the stack of whoever is
 // scheduling, and parks by registering its next wake-up (SleepNext, WaitNext,
 // Queue.PopNext) and returning. It is queued, woken, killed, counted and
-// recorded exactly like any other process; only the switch is gone.
+// recorded exactly like any other process; only the switch is gone. A step
+// that reaches a call it cannot make without blocking hands the rest of the
+// process's life to a coroutine body (Proc.Become).
 //
 // There is no scheduler goroutine and no channel. Whichever process blocks or
 // exits runs the scheduling function itself (Env.schedule: the head of the
@@ -298,7 +300,8 @@ func (e *Env) Go(name string, body func(p *Proc)) *Proc {
 // scheduling, and must not block: it parks by registering its next wake-up
 // with SleepNext, WaitNext or Queue.PopNext and returning, and is called
 // again when that wake-up comes. Returning without parking retires the
-// process. A killed one is retired at its dispatch without being called.
+// process, and Become turns it into a coroutine. A killed one is retired at
+// its dispatch without being called.
 func (e *Env) GoFunc(name string, step func(p *Proc)) *Proc {
 	return e.spawn(&Proc{name: name, step: step})
 }
@@ -399,7 +402,9 @@ func (e *Env) schedule() *Proc {
 			case p.killed && (p.state == stateNew || p.step != nil):
 				e.retire(p) // never ran, or a callback: no goroutine to unwind
 			case p.step != nil:
-				e.runStep(p)
+				if e.runStep(p); p.state == stateNew && e.failure == nil {
+					return p // the step became a coroutine: its body runs now
+				}
 			default:
 				return p
 			}
@@ -612,6 +617,20 @@ func (p *Proc) WaitNext(ev *Event, d Time) bool {
 		p.arm(&ev.waiters, d)
 	}
 	return p.killed || p.state == stateBlocked
+}
+
+// Become hands the rest of a callback process's life to body, run as a
+// coroutine: the way out for a step that reaches a call it cannot make
+// without blocking. The step calls it and returns at once. body starts in
+// the same dispatch, before anything else runs, as the same process (id,
+// name and wait record); the switch adds no dispatch and records no
+// ProcStart or ProcEnd. A process that killed itself in the step switches
+// too, and unwinds at body's first blocking call, as a coroutine would.
+func (p *Proc) Become(body func(*Proc)) {
+	if p.step == nil || p.state != stateRunning {
+		panic(fmt.Sprintf("vclock: %q calls Become: not a callback process inside its step, or parked already", p.name))
+	}
+	p.step, p.body, p.state = nil, body, stateNew
 }
 
 // Until is what a call written as steps waits for before its next step:
