@@ -98,7 +98,8 @@ type watchdog struct {
 	since vclock.Time
 
 	// The query in progress: the inner API it started on (a SetInner
-	// meanwhile does not redirect it), the EventQuery, and its next step.
+	// meanwhile does not redirect it), the EventQuery (each query sets its
+	// Event), and its next step.
 	api  stepper
 	call cuda.Call
 	n    int

@@ -83,11 +83,12 @@ func (c dispatchCensus) ProcDispatches(_ int, name string, callback, coroutine u
 	c[name] = [2]uint64{c[name][0] + callback, c[name][1] + coroutine}
 }
 
-// hungCollective starts rank 1 of a two-rank communicator that joins and
-// then never issues its collective, and returns what rank 0 does through
-// api: the same communicator, an AllReduce that therefore never finishes,
-// and n events recorded after it, each waited on by the compute stream. It
-// returns the events: n watched events that stay pending.
+// hungCollective starts rank 1 of a two-rank communicator, which joins and
+// then never issues its collective, and returns rank 0's part, run through
+// api: the communicator, an AllReduce that therefore never finishes, and n
+// events recorded after it on the same stream, each waited on by the
+// compute stream. Those n watched events stay pending; the part returns
+// them.
 func hungCollective(env *vclock.Env, engine *nccl.Engine, api cuda.API, n int) func(p *vclock.Proc) []cuda.Event {
 	env.Go("peer", func(p *vclock.Proc) { engine.CommInitRank(p, "dp", 0, 2, 1, nil) })
 	return func(p *vclock.Proc) []cuda.Event {

@@ -360,9 +360,10 @@ func runOrderProgramIn(sb *strings.Builder, seed int64, horizon Time, call func(
 	become := switched != nil
 	fmt.Fprintf(sb, "# seed %d horizon %d\n", seed, horizon)
 	env := NewEnv(seed)
-	env.SetRecorder(procLog{sb})
 	if become {
 		env.SetRecorder(censusLog{procLog{sb}, switched})
+	} else {
+		env.SetRecorder(procLog{sb})
 	}
 	o := &orderProgram{rng: rand.New(rand.NewSource(seed)), sb: sb, scripted: scripted != nil, become: become}
 	o.env = env
