@@ -421,7 +421,7 @@ func (d *Driver) Do(p *vclock.Proc, c Call) (Result, error) {
 		p.Sleep(d.params.CallLatency)
 	}
 	var k Pending
-	for d.start(p, &c, &k, true); k.waits; k.Resume(p) {
+	for d.Start(p, &c, &k); k.waits; k.Resume(p) {
 		p.Await(k.until)
 	}
 	return k.r, k.err
@@ -466,10 +466,6 @@ type Pending struct {
 	ci  nccl.Init   // CommInit's rendezvous
 }
 
-// Start runs c on d into k, up to its first wait. The call latency comes
-// before it, and is the caller's to charge, as Do does.
-func (d *Driver) Start(p *vclock.Proc, c *Call, k *Pending) { d.start(p, c, k, false) }
-
 // Waits reports whether the call is stopped at a wait, and what for.
 func (k *Pending) Waits() (vclock.Until, bool) { return k.until, k.waits }
 
@@ -477,9 +473,9 @@ func (k *Pending) Waits() (vclock.Until, bool) { return k.until, k.waits }
 // error.
 func (k *Pending) Result() (Result, error) { return k.r, k.err }
 
-// start is Start; co says the caller is a coroutine, which runs a
-// rendezvous through nccl's own loop over its steps.
-func (d *Driver) start(p *vclock.Proc, c *Call, k *Pending, co bool) {
+// Start runs c on d into k, up to its first wait. The call latency comes
+// before it, and is the caller's to charge, as Do does.
+func (d *Driver) Start(p *vclock.Proc, c *Call, k *Pending) {
 	k.d, k.op, k.waits, k.r, k.err = d, c.Op, false, Result{}, nil
 	if d.dev.Health() == gpu.DriverCorrupt {
 		k.err = gpu.ErrCorrupt
@@ -592,12 +588,7 @@ func (d *Driver) start(p *vclock.Proc, c *Call, k *Pending, co bool) {
 	case OpBufChecksum:
 		r.U64 = o.buf.Data.Checksum()
 	case OpCommInit: // rendezvouses with the other ranks
-		if co {
-			k.ci.Comm, k.ci.Err = d.engine.CommInitRank(p, c.Key, c.Gen, c.NRanks, c.Rank, d.dev)
-			k.initStep(false)
-		} else {
-			k.initStep(d.engine.StartInit(&k.ci, c.Key, c.Gen, c.NRanks, c.Rank, d.dev))
-		}
+		k.initStep(d.engine.StartInit(&k.ci, c.Key, c.Gen, c.NRanks, c.Rank, d.dev))
 	case OpCommDestroy:
 		o.nc.Destroy()
 		d.comms.Delete(int(c.Comm))

@@ -134,7 +134,6 @@ type Layer struct {
 	eventsOnNCCL map[cuda.Event]bool        // events last recorded on an NCCL stream
 	watch        map[cuda.Event]vclock.Time // virtual event -> when it joined the watch-list
 	watched      []cuda.Event               // WatchedEvents' slice
-	watchdogOn   bool
 	watchdogProc *vclock.Proc
 	inflight     map[*vclock.Proc]vclock.Time // calling thread -> when its blocking call began
 

@@ -259,7 +259,7 @@ func TestNCCLStreamDiscoveryAndWatchList(t *testing.T) {
 		if got := r.layer.WatchedEvents(); len(got) != 1 || got[0] != ev {
 			t.Errorf("watch list = %v, want [%v]", got, ev)
 		}
-		if !r.layer.watchdogOn {
+		if r.layer.watchdogProc == nil {
 			t.Error("watchdog not started at first StreamWaitEvent")
 		}
 	})

@@ -33,10 +33,9 @@ func (l *Layer) noteStreamWaitEvent(ev cuda.Event) {
 
 // startWatchdog launches the watchdog process once.
 func (l *Layer) startWatchdog() {
-	if l.watchdogOn {
+	if l.watchdogProc != nil {
 		return
 	}
-	l.watchdogOn = true
 	w := &watchdog{l: l, call: cuda.Call{Op: cuda.OpEventQuery}}
 	l.watchdogProc = l.env.GoFunc(l.name+".watchdog", w.next)
 }
@@ -47,7 +46,6 @@ func (l *Layer) StopWatchdog() {
 	if l.watchdogProc != nil {
 		l.watchdogProc.Kill()
 		l.watchdogProc = nil
-		l.watchdogOn = false
 	}
 }
 

@@ -258,7 +258,10 @@ type Comm struct {
 // if a rank never does — the paper's "rendezvous synchronization point"),
 // then charges the bootstrap cost. gen distinguishes re-initializations
 // after recovery: stale arrivals from an aborted attempt can never satisfy
-// a new generation's rendezvous. It is the coroutine loop over Init's steps.
+// a new generation's rendezvous. It is the coroutine loop over Init's steps,
+// for a caller that holds a communicator without a driver: benchmark/'s
+// probes and the package tests. A rank's CommInit through cuda.Driver.Do
+// steps the same Init in the driver's own loop.
 func (e *Engine) CommInitRank(p *vclock.Proc, key string, gen, nranks, rank int, dev *gpu.Device) (*Comm, error) {
 	var in Init
 	for waits := e.StartInit(&in, key, gen, nranks, rank, dev); waits; waits = in.Step() {
