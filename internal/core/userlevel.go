@@ -59,6 +59,7 @@ type UserLevelRank struct {
 // copies avoid the blocked default stream, capture the state, hand it to
 // Save (which commits the rank checkpoint with the metadata-last protocol
 // and counts it toward the restart's quorum), and kill the worker process.
+// The watchdog process ends when the handler returns.
 func (u *UserLevelRank) Hook() func(p *vclock.Proc, f intercept.Fault) {
 	return func(p *vclock.Proc, f intercept.Fault) {
 		trace.Of(p.Env()).Instant(p.Now(), "fail", trace.Rank(u.Rank), "detected",

@@ -96,8 +96,10 @@ type Config struct {
 	// fault it runs inside the watchdog's callback step (vclock.Env.GoFunc),
 	// where a blocking call panics naming the process. In user-level mode
 	// it may block in p to take its checkpoint (§3.2 runs the save inside
-	// the watchdog thread): the watchdog becomes a coroutine first
-	// (vclock.Proc.Become).
+	// the watchdog thread): the watchdog becomes a coroutine for it
+	// (vclock.Proc.Become) and ends when it returns. A user-level
+	// watchdog ends at its layer's fault either way: after an API error's
+	// OnFault, at its next poll.
 	OnFault func(p *vclock.Proc, f Fault)
 	// LogReplay enables replay logging (defaults on in transparent mode).
 	LogReplay bool

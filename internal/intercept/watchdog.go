@@ -75,19 +75,21 @@ type stepper interface {
 // watchdog polls the watched events with EventQuery and checks the ages of
 // in-flight blocking calls. Completed events leave the watch-list; an
 // event or blocking call pending longer than HangTimeout raises a hang
-// fault (§3.1, §4.2). It idles during recovery.
+// fault (§3.1, §4.2).
 //
-// The poll is written once, as steps (step). The process is a callback
-// (next) that parks at each wait with AwaitNext. A user-level OnFault
-// blocks: it takes the §3.2 save on the watchdog's own thread. So before
-// raising a fault that calls one, the callback hands the process to a
-// coroutine (run, through Proc.Become), which drives the same steps with
-// Await from there on. A transparent-mode OnFault only signals the
-// recovery controller and runs inside the step.
+// The poll is written as steps (step), and the process is a callback
+// (next) that parks at each wait with AwaitNext. A transparent-mode
+// OnFault only signals the recovery controller and runs inside the step;
+// the watchdog idles during recovery and polls on after it. In user-level
+// mode the watchdog ends at its layer's fault, as §3.2's "exits the
+// process immediately after the checkpoint": the OnFault it raises takes
+// the save on the watchdog's own thread and blocks, so the callback hands
+// the process to a coroutine that only raises the fault (Proc.Become), and
+// the process retires when OnFault returns. A fault a worker's call raised
+// ends it at its next poll.
 type watchdog struct {
 	l  *Layer
 	at dogAt
-	co bool // the process is a coroutine now
 
 	now   vclock.Time  // the poll's time
 	evs   []cuda.Event // the poll's snapshot of the watch-list
@@ -121,37 +123,31 @@ const (
 func (w *watchdog) next(p *vclock.Proc) {
 	for {
 		u, ok := w.step(p)
-		if !ok {
-			p.Become(w.run)
-			return
-		}
-		if p.AwaitNext(u) {
+		if !ok || p.AwaitNext(u) {
 			return
 		}
 	}
 }
 
-// run is the watchdog as a coroutine, from the step that raises a fault
-// whose OnFault blocks.
-func (w *watchdog) run(p *vclock.Proc) {
-	w.co = true
-	for {
-		u, _ := w.step(p)
-		p.Await(u)
-	}
-}
+// raise is the user-level watchdog's last step, as a coroutine: the fault
+// and its OnFault.
+func (w *watchdog) raise(p *vclock.Proc) { w.l.raiseFault(p, w.kind, w.err) }
 
 // step runs the poll on from where its last wait left it to its next wait.
-// It reports false instead, with nothing done, at a fault whose OnFault
-// blocks while the process is still a callback.
+// It reports false instead when a user-level watchdog is over: its layer's
+// fault is raised, or the process has become raise.
 func (w *watchdog) step(p *vclock.Proc) (vclock.Until, bool) {
 	l := w.l
+	userLevel := l.cfg.Mode == ModeUserLevel
 	for {
 		switch w.at {
 		case dogSleep:
 			w.at = dogPoll
 			return vclock.Until{D: watchdogPoll}, true
 		case dogPoll:
+			if userLevel && l.faultRaised {
+				return vclock.Until{}, false
+			}
 			if l.inRecovery || l.faultRaised {
 				return vclock.Until{D: watchdogPoll}, true
 			}
@@ -189,7 +185,8 @@ func (w *watchdog) step(p *vclock.Proc) (vclock.Until, bool) {
 				w.kind, w.at = FaultHang, dogRaise
 			}
 		case dogRaise:
-			if !w.co && !l.faultRaised && l.cfg.OnFault != nil && l.cfg.Mode == ModeUserLevel {
+			if userLevel && !l.faultRaised {
+				p.Become(w.raise)
 				return vclock.Until{}, false
 			}
 			l.raiseFault(p, w.kind, w.err)

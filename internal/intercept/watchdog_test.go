@@ -1,6 +1,7 @@
 package intercept
 
 import (
+	"errors"
 	"testing"
 
 	"jitckpt/internal/cuda"
@@ -108,12 +109,26 @@ func hungCollective(env *vclock.Env, engine *nccl.Engine, api cuda.API, n int) f
 	}
 }
 
+// lifeCensus is a dispatchCensus that also keeps when each process ended
+// (vclock.ProcRecorder).
+type lifeCensus struct {
+	dispatchCensus
+	ended map[string]vclock.Time
+}
+
+func newLifeCensus() lifeCensus { return lifeCensus{dispatchCensus{}, map[string]vclock.Time{}} }
+
+func (lifeCensus) ProcStart(vclock.Time, int, string) {}
+
+func (c lifeCensus) ProcEnd(t vclock.Time, _ int, name string) { c.ended[name] = t }
+
 // TestUserLevelOnFaultBlocksOnWatchdog: a user-level OnFault takes the §3.2
 // save on the watchdog's own thread and blocks there: a sleep, a contended
 // mutex, a D2H through the layer in checkpoint mode. The watchdog, a
-// callback process until then, becomes a coroutine for it, the save
-// completes, and the same process keeps polling afterwards: once the fault
-// is cleared it finds a second hang, as a coroutine.
+// callback process until then, becomes a coroutine for the save and ends
+// when OnFault returns (§3.2: the watchdog "exits the process immediately
+// after the checkpoint"): its coroutine dispatches are the save's, and a
+// later StreamWaitEvent starts no second watchdog.
 func TestUserLevelOnFaultBlocksOnWatchdog(t *testing.T) {
 	type save struct {
 		by         string
@@ -142,7 +157,7 @@ func TestUserLevelOnFaultBlocksOnWatchdog(t *testing.T) {
 		s.end = p.Now()
 		saves = append(saves, s)
 	}})
-	census := dispatchCensus{}
+	census := newLifeCensus()
 	r.env.SetRecorder(census)
 	gil = vclock.NewMutex(r.env, "gil")
 	r.env.Go("holder", func(p *vclock.Proc) {
@@ -158,36 +173,65 @@ func TestUserLevelOnFaultBlocksOnWatchdog(t *testing.T) {
 		r.layer.StreamSynchronize(p, cuda.DefaultStream)
 		evs = hang(p)
 	})
-	// The fault cleared, a new wait on the hung collective's event.
+	// A new wait on the hung collective's event, long after the save.
 	r.env.Go("again", func(p *vclock.Proc) {
 		p.Sleep(30 * vclock.Second)
-		r.layer.EndRecovery(r.layer.Handles())
 		s, _ := r.layer.StreamCreate(p)
 		r.layer.StreamWaitEvent(p, s, evs[0])
 	})
 	if err := r.env.RunUntil(vclock.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if len(saves) != 2 {
-		t.Fatalf("%d saves, want 2: %+v", len(saves), saves)
+	if len(saves) != 1 {
+		t.Fatalf("%d saves, want 1: %+v", len(saves), saves)
 	}
-	for i, s := range saves {
-		if s.by != "rank0.watchdog" || !tensor.Vector(s.data).Equal(tensor.Vector{8, 9}) {
-			t.Errorf("save %d by %q read %v, want the watchdog's and [8 9]", i, s.by, s.data)
+	s := saves[0]
+	if s.by != "rank0.watchdog" || !tensor.Vector(s.data).Equal(tensor.Vector{8, 9}) {
+		t.Errorf("save by %q read %v, want the watchdog's and [8 9]", s.by, s.data)
+	}
+	// The save waits for the holder's unlock at 15 s.
+	if s.start < 10*vclock.Second || s.end < 15*vclock.Second || s.end > 15*vclock.Second+vclock.Millisecond {
+		t.Errorf("save %v to %v, want from past 10 s to just past 15 s", s.start, s.end)
+	}
+	// About 200 polls to the fault as a callback, the save's few waits as
+	// a coroutine, and nothing after it.
+	if end, ok := census.ended["rank0.watchdog"]; !ok || end != s.end {
+		t.Errorf("watchdog ended at %v (ended: %v), want at the save's end, %v", end, ok, s.end)
+	}
+	if c := census.dispatchCensus["rank0.watchdog"]; c[0] < 150 || c[1] == 0 || c[1] > 10 {
+		t.Errorf("watchdog dispatches %v (callback, coroutine), want the polls before the fault as a callback and only the save's as a coroutine", c)
+	}
+}
+
+// TestWorkerFaultEndsUserLevelWatchdog: a fault a worker's own call raises
+// (Layer.Do's FaultError path) ends a user-level watchdog too: the callback
+// retires at its next poll, without becoming a coroutine.
+func TestWorkerFaultEndsUserLevelWatchdog(t *testing.T) {
+	r := newRig(t, Config{Mode: ModeUserLevel})
+	census := newLifeCensus()
+	r.env.SetRecorder(census)
+	var faultAt vclock.Time
+	r.run(t, func(p *vclock.Proc) {
+		s, _ := r.layer.StreamCreate(p)
+		ev, _ := r.layer.EventCreate(p)
+		r.layer.EventRecord(p, ev, s)
+		r.layer.StreamWaitEvent(p, cuda.DefaultStream, ev) // starts the watchdog
+		p.Sleep(2 * vclock.Second)
+		r.dev.InjectSticky()
+		faultAt = p.Now()
+		if _, err := r.layer.Malloc(p, 64, 1, "x"); !errors.Is(err, gpu.ErrSticky) {
+			t.Errorf("err = %v, want sticky", err)
 		}
+	})
+	if len(r.faults) != 1 || r.faults[0].Kind != FaultError {
+		t.Fatalf("faults = %+v, want one FaultError", r.faults)
 	}
-	// The first save waits for the holder's unlock at 15 s, the second for
-	// its own 1 s sleep and nothing else.
-	if s := saves[0]; s.start < 10*vclock.Second || s.end < 15*vclock.Second || s.end > 15*vclock.Second+vclock.Millisecond {
-		t.Errorf("first save %v to %v, want from past 10 s to just past 15 s", s.start, s.end)
+	end, ok := census.ended["rank0.watchdog"]
+	if !ok || end <= faultAt || end > faultAt+watchdogPoll+vclock.Millisecond {
+		t.Errorf("watchdog ended at %v (ended: %v), want within a poll of the fault at %v", end, ok, faultAt)
 	}
-	if s := saves[1]; s.start < 40*vclock.Second || s.end-s.start < vclock.Second || s.end-s.start > vclock.Second+vclock.Millisecond {
-		t.Errorf("second save %v to %v, want from past 40 s for just over 1 s", s.start, s.end)
-	}
-	// About 200 polls to the first fault as a callback, 1000 to the end of
-	// the minute as a coroutine.
-	if c := census["rank0.watchdog"]; c[0] < 150 || c[1] < 900 {
-		t.Errorf("watchdog dispatches %v (callback, coroutine), want the polls before the first fault as a callback and the rest as a coroutine", c)
+	if c := census.dispatchCensus["rank0.watchdog"]; c[0] < 30 || c[1] != 0 {
+		t.Errorf("watchdog dispatches %v (callback, coroutine), want every one as a callback", c)
 	}
 }
 
