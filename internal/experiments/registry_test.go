@@ -282,6 +282,105 @@ var table8Claims = []claim[Table8Row]{
 	}},
 }
 
+// fleetSpare is one of Table 12's spare-effect claims as EXPERIMENTS.md
+// quotes it: on the periodic rows at mtbf, going from no spares to the
+// largest spare fraction, the completions (none quoted when empty) and the
+// worst p95 recovery latency in seconds, to the digits quoted.
+type fleetSpare struct {
+	mtbf      vclock.Time
+	completed [2]string
+	p95       [2]string
+}
+
+var (
+	fleetSpare20 = fleetSpare{20 * vclock.Second, [2]string{"3/24", "5/24"}, [2]string{"27", "3.8"}}
+	fleetSpare90 = fleetSpare{90 * vclock.Second, [2]string{}, [2]string{"14", "1.4"}}
+)
+
+// Table 12's other quoted figures: the completion range at 90 s MTBF, and
+// the preemptions at the failure-heavy corner (the mixed fleet at the
+// shortest MTBF with no spares).
+const (
+	fleetCompleted90       = "17–24/24"
+	fleetCornerPreemptions = 9
+)
+
+// prose is how the documents quote the claim.
+func (f fleetSpare) prose() string { return fmt.Sprintf("≈%s s → ≈%s s", f.p95[0], f.p95[1]) }
+
+// check holds the claim over rows.
+func (f fleetSpare) check(rows []FleetRow) error {
+	fracs := DefaultFleetOptions().SpareFracs
+	for i, frac := range []float64{fracs[0], fracs[len(fracs)-1]} {
+		r, err := fleetRow(rows, "periodic", f.mtbf, frac)
+		if err != nil {
+			return err
+		}
+		if got := fmt.Sprintf("%d/%d", r.Completed, r.Jobs*r.Runs); f.completed[i] != "" && got != f.completed[i] {
+			return fmt.Errorf("periodic at %v, %.0f%% spare: %s completed, not %s", f.mtbf, 100*frac, got, f.completed[i])
+		}
+		digits := 0
+		if _, frac, ok := strings.Cut(f.p95[i], "."); ok {
+			digits = len(frac)
+		}
+		if got := fmt.Sprintf("%.*f", digits, r.P95Latency.Sec()); got != f.p95[i] {
+			return fmt.Errorf("periodic at %v, %.0f%% spare: p95 %v is not ≈%s s", f.mtbf, 100*frac, r.P95Latency, f.p95[i])
+		}
+	}
+	return nil
+}
+
+// fleetRow finds the sweep's row for one cell of the 12-tenant grid.
+func fleetRow(rows []FleetRow, mix string, mtbf vclock.Time, frac float64) (FleetRow, error) {
+	for _, r := range rows {
+		if r.Mix == mix && r.MTBF == mtbf && r.SpareFrac == frac && r.Jobs == DefaultFleetOptions().Jobs {
+			return r, nil
+		}
+	}
+	return FleetRow{}, fmt.Errorf("no %s row at %v, %.0f%% spare", mix, mtbf, 100*frac)
+}
+
+var table12Claims = []claim[FleetRow]{
+	{fmt.Sprintf("at 20 s MTBF spares take periodic completions from %s to %s and the p95 from %s",
+		fleetSpare20.completed[0], fleetSpare20.completed[1], fleetSpare20.prose()), fleetSpare20.check},
+	{fmt.Sprintf("at 90 s MTBF completions are %s and spares take the periodic p95 from %s", fleetCompleted90, fleetSpare90.prose()), func(rows []FleetRow) error {
+		lo, hi := math.MaxInt, 0
+		var total int
+		for _, r := range rows {
+			if r.MTBF == fleetSpare90.mtbf && r.Jobs == DefaultFleetOptions().Jobs {
+				lo, hi, total = min(lo, r.Completed), max(hi, r.Completed), r.Jobs*r.Runs
+			}
+		}
+		if got := fmt.Sprintf("%d–%d/%d", lo, hi, total); got != fleetCompleted90 {
+			return fmt.Errorf("completions at %v span %s", fleetSpare90.mtbf, got)
+		}
+		return fleetSpare90.check(rows)
+	}},
+	{"preemptions appear only in the mixed rows", func(rows []FleetRow) error {
+		mixed := 0
+		for _, r := range rows {
+			if r.Mix != "mixed" && r.Preemptions > 0 {
+				return fmt.Errorf("%s at %v, %.0f%% spare: %d preemptions", r.Mix, r.MTBF, 100*r.SpareFrac, r.Preemptions)
+			}
+			if r.Mix == "mixed" {
+				mixed += r.Preemptions
+			}
+		}
+		if mixed == 0 {
+			return fmt.Errorf("no preemption in any mixed row")
+		}
+		return nil
+	}},
+	{fmt.Sprintf("%d preemptions at the failure-heavy corner", fleetCornerPreemptions), func(rows []FleetRow) error {
+		opt := DefaultFleetOptions()
+		r, err := fleetRow(rows, "mixed", opt.MTBFs[0], opt.SpareFracs[0])
+		if err == nil && r.Preemptions != fleetCornerPreemptions {
+			err = fmt.Errorf("mixed at %v, no spares: %d preemptions", r.MTBF, r.Preemptions)
+		}
+		return err
+	}},
+}
+
 // factorRange spells a claimed factor range as the documents do.
 func factorRange(lo, hi int) string { return fmt.Sprintf("%d–%d×", lo, hi) }
 
@@ -349,12 +448,21 @@ func TestExperimentsDoc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Table 12's 12-tenant grid, the rows its claims are about (the
+	// 500-tenant headline cell is TestJitbenchOutput's).
+	fleetOpt := DefaultFleetOptions()
+	fleetOpt.HeadlineJobs, fleetOpt.Workers = 0, 2
+	t12, err := RunFleetSweep(fleetOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	checkClaims(t, table3Claims, t3)
 	checkClaims(t, table4Claims, t4)
 	checkClaims(t, table5Claims, t5)
 	checkClaims(t, table6Claims, t6)
 	checkClaims(t, table7Claims, t7)
 	checkClaims(t, table8Claims, t8)
+	checkClaims(t, table12Claims, t12)
 
 	b, err := os.ReadFile(experimentsDoc)
 	if err != nil {
@@ -390,6 +498,13 @@ func TestExperimentsDoc(t *testing.T) {
 		"≤10 µs per minibatch", fmt.Sprintf("within %.1f s", table6HealthyTol), "replay under 10 ms"} {
 		if !strings.Contains(doc, f) {
 			t.Errorf("%s does not quote Table 3's checked %q", experimentsDoc, f)
+		}
+	}
+	// The fleet sweep's prose quotes the figures table12Claims checks.
+	for _, f := range []string{fleetSpare20.completed[0], fleetSpare20.completed[1], fleetSpare20.prose(),
+		fleetCompleted90, fleetSpare90.prose(), fmt.Sprintf("%d at the failure-heavy corner", fleetCornerPreemptions)} {
+		if !strings.Contains(doc, f) {
+			t.Errorf("%s does not quote Table 12's checked %q", experimentsDoc, f)
 		}
 	}
 	// The prose quotes the factor ranges table8Claims checks.
@@ -632,6 +747,38 @@ func TestClaimsCatchBrokenRows(t *testing.T) {
 		}
 		if broken == 0 {
 			t.Errorf("claim %q accepts every broken row", c.name)
+		}
+	}
+	// good12 holds the cells the Table 12 claims read, at the reference
+	// run's figures; each mutation breaks the claim at its index.
+	opt := DefaultFleetOptions()
+	cell := func(mix string, mtbf vclock.Time, frac float64, done, preempt int, p95 float64) FleetRow {
+		return FleetRow{Mix: mix, MTBF: mtbf, SpareFrac: frac, Jobs: opt.Jobs, Runs: len(opt.Seeds), Completed: done,
+			Preemptions: preempt, P95Latency: vclock.Seconds(p95)}
+	}
+	m20, m90, spare := opt.MTBFs[0], opt.MTBFs[1], opt.SpareFracs[1]
+	good12 := []FleetRow{
+		cell("periodic", m20, 0, 3, 0, 26.919), cell("periodic", m20, spare, 5, 0, 3.781),
+		cell("periodic", m90, 0, 17, 0, 14.183), cell("periodic", m90, spare, 22, 0, 1.446),
+		cell("jit", m90, spare, 24, 0, 1.446), cell("mixed", m20, 0, 5, 9, 24.462),
+	}
+	broken12 := []func([]FleetRow){
+		func(rows []FleetRow) { rows[1].Completed = 4 },                  // spares gain one completion less
+		func(rows []FleetRow) { rows[3].P95Latency = vclock.Seconds(2) }, // 2 s is not ≈1.4 s
+		func(rows []FleetRow) { rows[4].Preemptions = 1 },                // a jit fleet preempts
+		func(rows []FleetRow) { rows[5].Preemptions = 10 },               // the corner's count moved
+	}
+	if len(broken12) != len(table12Claims) {
+		t.Fatalf("%d broken Table 12 rows for %d claims", len(broken12), len(table12Claims))
+	}
+	for i, c := range table12Claims {
+		if err := c.check(good12); err != nil {
+			t.Errorf("claim %q rejects rows that keep it: %v", c.name, err)
+		}
+		bad := append([]FleetRow(nil), good12...)
+		broken12[i](bad)
+		if c.check(bad) == nil {
+			t.Errorf("claim %q accepts its broken row", c.name)
 		}
 	}
 }

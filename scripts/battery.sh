@@ -26,7 +26,14 @@
 # the single-job fault-plan runs are storms no policy finishes under. Under
 # each differing scenario's command line it prints the first line (kernel:
 # aside) where the two outputs part, one per side, and both kernel: lines,
-# so what a change moved reads from one run.
+# so what a change moved reads from one run. Last comes a census of every
+# differing line over all scenarios (a diff's removed lines count on the
+# parent side, its added lines on the child side), keyed by category and
+# name with digit runs folded to `#`: a trace line by its category, event
+# name and, for a `sched` line, its process (`sched proc-end
+# rank#.watchdog`, `core acct`); a summary line by its label (`wall time`);
+# `kernel` and `exit`. Each key shows the scenarios it differs in and its
+# line count per side, so a stated signature checks against one run.
 # About seven and a half minutes on two cores. To make the fault-plan grid
 # cheaper shorten its -iters and -fleet-horizon, not its axes: the
 # transparent tenants already run `:20` iterations, because a fleet fault
@@ -98,8 +105,27 @@ first() {
   sed -n 's/^kernel: */  child kernel:  /p' "$2"
 }
 
+# census <parent-out> <child-out>: one line per key of the differing lines,
+# "<key>\t<parent lines>\t<child lines>".
+census() {
+  diff "$1" "$2" | awk '
+    /^[<>] / {
+      line = substr($0, 3)
+      split(line, f, " ")
+      if (f[1] ~ /^[0-9]+[.][0-9]+$/) {
+        key = f[3] " " f[5]
+        if (f[3] == "sched") for (i = 6; i in f; i++) if (f[i] ~ /^proc=/) key = key " " substr(f[i], 6)
+      } else if (line ~ /^[a-z][a-z -]*:/) key = substr(line, 1, index(line, ":") - 1)
+      else key = f[1]
+      gsub(/[0-9]+/, "#", key)
+      if (/^</) np[key]++; else nc[key]++
+      keys[key] = 1
+    }
+    END { for (k in keys) print k "\t" np[k] + 0 "\t" nc[k] + 0 }'
+}
+
 # one <n> <flags>: run scenario n on both builds; when they differ, list its
-# flags and keep what first says about it.
+# flags and keep what first and census say about it.
 one() {
   local n=$1 side
   shift
@@ -109,11 +135,12 @@ one() {
   done
   if ! cmp -s "$work/$n.parent" "$work/$n.child"; then
     first "$work/$n.parent" "$work/$n.child" > "$work/$n.first"
+    census "$work/$n.parent" "$work/$n.child" > "$work/$n.census"
     printf 'jitsim %s\t%s\n' "$*" "$n"
   fi
   rm -f "$work/$n.parent" "$work/$n.child"
 }
-export -f first one
+export -f first census one
 export work
 
 nl -w1 -s' ' "$work/scenarios" | xargs -P "$(nproc)" -L1 bash -c 'one $0 "$@"' > "$work/diffs"
@@ -123,4 +150,10 @@ sort "$work/diffs" | while IFS=$'\t' read -r cmd i; do
   echo "$cmd"
   cat "$work/$i.first"
 done
+if [ "$d" -gt 0 ]; then
+  echo "census of differing lines: scenarios, parent lines, child lines, key"
+  cut -f2 "$work/diffs" | while read -r i; do cat "$work/$i.census"; done | awk -F'\t' '
+    { s[$1]++; np[$1] += $2; nc[$1] += $3 }
+    END { for (k in s) printf "%9d %7d %7d  %s\n", s[k], np[k], nc[k], k }' | sort -k1,1nr -k4
+fi
 [ "$d" -eq 0 ]
