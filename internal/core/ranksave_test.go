@@ -38,7 +38,7 @@ func TestRankSaveChargesOnce(t *testing.T) {
 		{"UserJIT", JobConfig{
 			WL: wl, Policy: PolicyUserJIT, Iters: 8, Seed: 1, SpareNodes: 2,
 			IterFailures: []IterInjection{{Iter: 4, Frac: 0.4, Rank: 15, Kind: failure.GPUHard}},
-		}, "jit-save", 15, 18804008999, 282058794985, 0},
+		}, "jit-save", 15, 18804008999, 282058804985, 0},
 		{"elastic-stop", JobConfig{
 			WL: wl, Policy: PolicyElasticJIT, Iters: 12, Seed: 1, SpareNodes: 0,
 			IterFailures: []IterInjection{

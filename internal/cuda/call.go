@@ -77,7 +77,8 @@ type OpInfo struct {
 	Name string
 	// Async ops are fire-and-forget on the proxy client: the call returns
 	// once the request is queued; a failure poisons its stream and surfaces
-	// at the next synchronizing call on it.
+	// at the next synchronizing call on it. Their call latency is owed, not
+	// slept (Driver.Latency).
 	Async bool
 	// Tracked ops are watched by the interception layer's watchdog: one
 	// that never returns is a hang (§4.2). CommInit is deliberately not

@@ -154,7 +154,9 @@ type Doer interface {
 
 // Params models host-side API costs and PCIe bandwidths.
 type Params struct {
-	// CallLatency is the host cost of issuing any API call.
+	// CallLatency is the host cost of issuing any API call. The caller
+	// pays it as Driver.Latency says: an async call's is owed, and paid at
+	// the caller's next synchronising call.
 	CallLatency vclock.Time
 	// H2DBandwidth / D2HBandwidth model the PCIe link (the paper's example:
 	// PCIe gen 4 at 32 GB/s).
@@ -296,6 +298,7 @@ type Driver struct {
 	d2hs     gpu.FreeList[d2hOp]
 
 	launchBufs []*gpu.Buffer // resolve's scratch for a launch's buffers
+	step       Pending       // Step's: its calls never wait, so it is free again when Step returns
 }
 
 var _ API = (*Driver)(nil)
@@ -406,19 +409,35 @@ func (d *Driver) resolve(c *Call) (o objs, err error) {
 	return o, err
 }
 
-// Do implements API: it runs one call. It charges the fixed host API
-// latency and maps device health onto API errors: both sticky errors and
-// driver corruption poison every subsequent API call, as in real CUDA; the
-// difference the recovery paths exploit is that a corrupt context's device
-// *memory* remains readable through the proxy server's privileged BufData
-// path (§4.2 strategy 2: "the GPU is still accessible"), while a sticky
-// context's is not (strategy 3). It then resolves the objects the call
-// names and executes the op: Do is the coroutine loop over the steps a
+// Latency is the call-latency rule, the one every caller of the driver
+// follows before Start: it returns what the caller p sleeps before a call of
+// op. An async op (the op table's Async column: launches, H2D copies, event
+// records and waits, collectives) returns once queued, as the device runs
+// it behind the host's back, so its CallLatency is added to p's clock debt
+// and it sleeps nothing. Any other op synchronises: p sleeps its debt and
+// its own CallLatency, once. The debt is p's own, never the driver's: two
+// processes calling one driver never pay each other's.
+func (d *Driver) Latency(p *vclock.Proc, op Op) vclock.Time {
+	if op.Info().Async {
+		p.Owe(d.params.CallLatency)
+		return 0
+	}
+	return p.Settle() + d.params.CallLatency
+}
+
+// Do implements API: it runs one call. It charges the host API latency as
+// Latency says and maps device health onto API errors: both sticky errors
+// and driver corruption poison every subsequent API call, as in real CUDA;
+// the difference the recovery paths exploit is that a corrupt context's
+// device *memory* remains readable through the proxy server's privileged
+// BufData path (§4.2 strategy 2: "the GPU is still accessible"), while a
+// sticky context's is not (strategy 3). It then resolves the objects the
+// call names and executes the op: Do is the coroutine loop over the steps a
 // Pending takes, blocking where they wait. Outputs are returned even
 // alongside an error.
 func (d *Driver) Do(p *vclock.Proc, c Call) (Result, error) {
-	if d.params.CallLatency > 0 {
-		p.Sleep(d.params.CallLatency)
+	if lat := d.Latency(p, c.Op); lat > 0 {
+		p.Sleep(lat)
 	}
 	var k Pending
 	for d.Start(p, &c, &k); k.waits; k.Resume(p) {
@@ -429,15 +448,17 @@ func (d *Driver) Do(p *vclock.Proc, c Call) (Result, error) {
 
 // Step runs c, a call that never waits, in steps, for a caller with no
 // stack to block on: the interception layer's watchdog, a callback process,
-// and its EventQuery. Step 0 is the call latency Do charges, when there is
-// one; the next step runs the call. Each reports the wait before the step
-// after it or, when there is none, the call's outputs.
+// and its EventQuery. Step 0 sleeps the latency Latency gives, when there
+// is one; the next step runs the call. Each reports the wait before the
+// step after it or, when there is none, the call's outputs.
 func (d *Driver) Step(p *vclock.Proc, c *Call, n int) (vclock.Until, bool, Result, error) {
-	if n == 0 && d.params.CallLatency > 0 {
-		return vclock.Until{D: d.params.CallLatency}, true, Result{}, nil
+	if n == 0 {
+		if lat := d.Latency(p, c.Op); lat > 0 {
+			return vclock.Until{D: lat}, true, Result{}, nil
+		}
 	}
-	var k Pending
-	if d.Start(p, c, &k); k.waits {
+	k := &d.step
+	if d.Start(p, c, k); k.waits {
 		panic(fmt.Sprintf("cuda: Driver.Step runs only calls that never wait, not %v", c.Op))
 	}
 	return vclock.Until{}, false, k.r, k.err
@@ -474,7 +495,7 @@ func (k *Pending) Waits() (vclock.Until, bool) { return k.until, k.waits }
 func (k *Pending) Result() (Result, error) { return k.r, k.err }
 
 // Start runs c on d into k, up to its first wait. The call latency comes
-// before it, and is the caller's to charge, as Do does.
+// before it, and is the caller's to charge by Latency, as Do does.
 func (d *Driver) Start(p *vclock.Proc, c *Call, k *Pending) {
 	k.d, k.op, k.waits, k.r, k.err = d, c.Op, false, Result{}, nil
 	if d.dev.Health() == gpu.DriverCorrupt {

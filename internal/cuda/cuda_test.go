@@ -538,15 +538,20 @@ func doOp(p *vclock.Proc, drv *Driver, c Call) opOutcome {
 
 // TestDriverReadsWhatTheOpTableSays: for every op, the driver looks up
 // exactly the fields the op table's uses column names. A handle no call
-// made in any one of them is an ErrBadHandle that costs the call latency
-// and enqueues nothing; junk in every field the op does not read changes
-// nothing the call returns, queues or takes.
+// made in any one of them is an ErrBadHandle that enqueues nothing and
+// costs the call latency: slept by a synchronising op, owed by an async
+// one. Junk in every field the op does not read changes nothing the call
+// returns, queues or takes.
 func TestDriverReadsWhatTheOpTableSays(t *testing.T) {
 	kernels := Registry{"nop": func(KernelArgs) error { return nil }}
 	latency := DefaultParams().CallLatency
 	for op := Op(0); op < numOps; op++ {
 		t.Run(op.String(), func(t *testing.T) {
 			var clean, junk opOutcome
+			slept, owed := latency, vclock.Time(0)
+			if op.Info().Async {
+				slept, owed = 0, latency
+			}
 			a, b := newRig(t, kernels), newRig(t, kernels)
 			a.inProc(t, func(p *vclock.Proc) {
 				f := newOpFixture(p, a.drv)
@@ -559,8 +564,11 @@ func TestDriverReadsWhatTheOpTableSays(t *testing.T) {
 					if !errors.Is(err, ErrBadHandle) {
 						t.Errorf("field %#x never made: err = %v, want ErrBadHandle", bit, err)
 					}
-					if n, took := a.dev.PendingOps(), p.Now()-t0; n != 0 || took != latency {
-						t.Errorf("field %#x never made: %d ops queued after %v, want none after %v", bit, n, took, latency)
+					if n, took := a.dev.PendingOps(), p.Now()-t0; n != 0 || took != slept {
+						t.Errorf("field %#x never made: %d ops queued after %v, want none after %v", bit, n, took, slept)
+					}
+					if debt := p.Settle(); debt != owed {
+						t.Errorf("field %#x never made: %v owed, want %v", bit, debt, owed)
 					}
 				}
 				clean = doOp(p, a.drv, f.call(op, false))

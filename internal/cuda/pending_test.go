@@ -67,7 +67,10 @@ func resumableScript() []scriptCall {
 		{call: Call{Op: OpMemcpyH2D, Buf: 1, Data: []float32{1, 2}}},
 		{call: Call{Op: OpMemcpyD2H, Buf: 1}},
 		{call: Call{Op: OpStreamCreate}}, // stream 1
+		// An async burst: its latency is owed, and paid by the sync after it.
 		{call: spin(1, 5*vclock.Millisecond)},
+		{call: spin(1, vclock.Microsecond)},
+		{call: spin(DefaultStream, vclock.Microsecond)},
 		{call: Call{Op: OpStreamSynchronize, Stream: 1}}, // busy
 		{call: Call{Op: OpLaunch, Stream: 1, Launch: LaunchParams{Kernel: "fail"}}},
 		{call: Call{Op: OpStreamSynchronize, Stream: 1}}, // its async error
@@ -95,7 +98,8 @@ func resumableScript() []scriptCall {
 
 // runScript runs the script from one process: a coroutine calling Do, or a
 // callback process stepping each call as a device proxy handler does —
-// the call latency, Start, then AwaitNext and Resume while it waits. It
+// the call latency by Driver.Latency, Start, then AwaitNext and Resume
+// while it waits. It
 // returns the log, the unfiltered trace text and the kernel counters.
 func runScript(t *testing.T, stepped bool, cp Params, np nccl.Params) string {
 	t.Helper()
@@ -138,8 +142,9 @@ func runScript(t *testing.T, stepped bool, cp Params, np nccl.Params) string {
 					if sc.before != nil {
 						sc.before(w)
 					}
-					if at = 1; cp.CallLatency > 0 {
-						p.SleepNext(cp.CallLatency)
+					at = 1
+					if lat := w.drv.Latency(p, sc.call.Op); lat > 0 {
+						p.SleepNext(lat)
 						return
 					}
 				case 1:

@@ -496,14 +496,14 @@ func TestExperimentsDoc(t *testing.T) {
 	// healthy-rank tolerance (Table 6) and the replay bound (Table 7).
 	for _, f := range []string{fmt.Sprintf("≫: at least %d×", muchGreater), fmt.Sprintf("within %.0f%%", 100*table3Tol),
 		"≤10 µs per minibatch", fmt.Sprintf("within %.1f s", table6HealthyTol), "replay under 10 ms"} {
-		if !strings.Contains(doc, f) {
+		if !quotes(doc, f) {
 			t.Errorf("%s does not quote Table 3's checked %q", experimentsDoc, f)
 		}
 	}
 	// The fleet sweep's prose quotes the figures table12Claims checks.
 	for _, f := range []string{fleetSpare20.completed[0], fleetSpare20.completed[1], fleetSpare20.prose(),
 		fleetCompleted90, fleetSpare90.prose(), fmt.Sprintf("%d at the failure-heavy corner", fleetCornerPreemptions)} {
-		if !strings.Contains(doc, f) {
+		if !quotes(doc, f) {
 			t.Errorf("%s does not quote Table 12's checked %q", experimentsDoc, f)
 		}
 	}
@@ -514,9 +514,35 @@ func TestExperimentsDoc(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, f := range []string{factorRange(userJITFactorLo, userJITFactorHi), factorRange(transparentFactorLo, transparentFactorHi)} {
-			if !strings.Contains(string(b), f) {
+			if !quotes(string(b), f) {
 				t.Errorf("%s does not quote Table 8's checked factor %s", file, f)
 			}
+		}
+	}
+}
+
+// quotes reports whether prose says figure, where a run of whitespace in
+// either reads as one space: a figure the text wraps across a line break
+// is still quoted.
+func quotes(prose, figure string) bool {
+	fold := func(s string) string { return strings.Join(strings.Fields(s), " ") }
+	return strings.Contains(fold(prose), fold(figure))
+}
+
+func TestQuotesFoldsWhitespace(t *testing.T) {
+	prose := "Preemptions reach 9 at the\n  failure-heavy corner, and\tnone elsewhere."
+	for _, tc := range []struct {
+		figure string
+		want   bool
+	}{
+		{"9 at the failure-heavy corner", true}, // wrapped across a line break
+		{"9 at  the failure-heavy corner", true},
+		{"and none elsewhere", true},
+		{"10 at the failure-heavy corner", false}, // not in the prose
+		{"9 at the failure heavy corner", false},
+	} {
+		if got := quotes(prose, tc.figure); got != tc.want {
+			t.Errorf("quotes(%q, %q) = %v, want %v", prose, tc.figure, got, tc.want)
 		}
 	}
 }

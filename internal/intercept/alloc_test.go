@@ -103,7 +103,7 @@ func pollRig(tb testing.TB, proxied bool) (*vclock.Env, *Layer) {
 func TestWatchedEventsAllocFree(t *testing.T) {
 	r := newRig(t, Config{Mode: ModeUserLevel})
 	for _, ev := range []cuda.Event{9, 3, 7} {
-		r.layer.watch[ev] = 0
+		r.layer.watch.Set(int(ev), 0)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { r.layer.WatchedEvents() }); allocs != 0 {
 		t.Errorf("WatchedEvents allocates %v objects a call, want 0", allocs)

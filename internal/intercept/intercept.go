@@ -38,6 +38,7 @@ import (
 	"fmt"
 
 	"jitckpt/internal/cuda"
+	"jitckpt/internal/dense"
 	"jitckpt/internal/gpu"
 	"jitckpt/internal/nccl"
 	"jitckpt/internal/proxy"
@@ -132,10 +133,10 @@ type Layer struct {
 	tagSeq  map[string]int
 
 	// Watchdog state.
-	ncclStreams  map[cuda.Stream]bool       // virtual streams collectives run on
-	eventsOnNCCL map[cuda.Event]bool        // events last recorded on an NCCL stream
-	watch        map[cuda.Event]vclock.Time // virtual event -> when it joined the watch-list
-	watched      []cuda.Event               // WatchedEvents' slice
+	ncclStreams  map[cuda.Stream]bool     // virtual streams collectives run on
+	eventsOnNCCL map[cuda.Event]bool      // events last recorded on an NCCL stream
+	watch        dense.Table[vclock.Time] // the watch-list: virtual event -> when it joined
+	watched      []cuda.Event             // WatchedEvents' slice
 	watchdogProc *vclock.Proc
 	inflight     map[*vclock.Proc]vclock.Time // calling thread -> when its blocking call began
 
@@ -163,18 +164,18 @@ func New(env *vclock.Env, inner cuda.API, name string, cfg Config) *Layer {
 		cfg.LogReplay = true
 	}
 	l := &Layer{
-		env:         env,
-		inner:       inner,
-		cfg:         cfg,
-		name:        name,
-		log:         replay.NewLog(),
-		handles:     cuda.NewHandles(),
-		next:        [...]int{cuda.BufHandle: 1, cuda.StreamHandle: 1, cuda.EventHandle: 1, cuda.CommHandle: 1},
-		bufMeta:     make(map[cuda.Buf]cuda.BufInfo),
-		tagSeq:      make(map[string]int),
-		ncclStreams: make(map[cuda.Stream]bool),
-		watch:       make(map[cuda.Event]vclock.Time),
-		inflight:    make(map[*vclock.Proc]vclock.Time),
+		env:          env,
+		inner:        inner,
+		cfg:          cfg,
+		name:         name,
+		log:          replay.NewLog(),
+		handles:      cuda.NewHandles(),
+		next:         [...]int{cuda.BufHandle: 1, cuda.StreamHandle: 1, cuda.EventHandle: 1, cuda.CommHandle: 1},
+		bufMeta:      make(map[cuda.Buf]cuda.BufInfo),
+		tagSeq:       make(map[string]int),
+		ncclStreams:  make(map[cuda.Stream]bool),
+		eventsOnNCCL: make(map[cuda.Event]bool),
+		inflight:     make(map[*vclock.Proc]vclock.Time),
 	}
 	l.Adapter = cuda.Adapt(l)
 	return l
@@ -317,7 +318,7 @@ func (l *Layer) BeginRecovery() {
 // state, and releases parked threads.
 func (l *Layer) EndRecovery(tr *cuda.Handles) {
 	l.handles = tr
-	l.watch = make(map[cuda.Event]vclock.Time)
+	l.watch = dense.Table[vclock.Time]{}
 	l.inflight = make(map[*vclock.Proc]vclock.Time)
 	l.ckptStream = 0 // private stream may be gone after a proxy restart
 	l.faultRaised = false
@@ -413,7 +414,7 @@ func (l *Layer) issue(p *vclock.Proc, c *cuda.Call, info cuda.OpInfo) (cuda.Resu
 		case cuda.OpStreamDestroy:
 			delete(l.ncclStreams, c.Stream)
 		case cuda.OpEventDestroy:
-			delete(l.watch, c.Event)
+			l.watch.Delete(int(c.Event))
 		}
 	}
 	if l.cfg.LogReplay && !l.ignoreMut {

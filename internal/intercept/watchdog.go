@@ -1,8 +1,6 @@
 package intercept
 
 import (
-	"slices"
-
 	"jitckpt/internal/cuda"
 	"jitckpt/internal/vclock"
 )
@@ -11,9 +9,6 @@ import (
 // NCCL stream. Only those events become watch-list candidates: they
 // trigger exactly when the collectives ahead of them complete (§3.1).
 func (l *Layer) noteEventRecord(ev cuda.Event, s cuda.Stream) {
-	if l.eventsOnNCCL == nil {
-		l.eventsOnNCCL = make(map[cuda.Event]bool)
-	}
 	l.eventsOnNCCL[ev] = l.ncclStreams[s]
 }
 
@@ -26,8 +21,8 @@ func (l *Layer) noteStreamWaitEvent(ev cuda.Event) {
 	if !l.eventsOnNCCL[ev] {
 		return
 	}
-	if _, ok := l.watch[ev]; !ok {
-		l.watch[ev] = l.env.Now()
+	if _, ok := l.watch.At(int(ev)); !ok {
+		l.watch.Set(int(ev), l.env.Now())
 	}
 }
 
@@ -53,10 +48,7 @@ func (l *Layer) StopWatchdog() {
 // ascending order, in a slice of the layer's that the next call reuses.
 func (l *Layer) WatchedEvents() []cuda.Event {
 	l.watched = l.watched[:0]
-	for ev := range l.watch {
-		l.watched = append(l.watched, ev)
-	}
-	slices.Sort(l.watched)
+	l.watch.Each(func(ev int, _ vclock.Time) { l.watched = append(l.watched, cuda.Event(ev)) })
 	return l.watched
 }
 
@@ -159,13 +151,13 @@ func (w *watchdog) step(p *vclock.Proc) (vclock.Until, bool) {
 			}
 			ev := w.evs[w.i]
 			w.i++
-			since, ok := l.watch[ev]
+			since, ok := l.watch.At(int(ev))
 			if !ok {
 				continue
 			}
 			pe, ok := cuda.Lookup(l.handles, cuda.EventHandle, ev)
 			if !ok {
-				delete(l.watch, ev) // event destroyed or remapped away
+				l.watch.Delete(int(ev)) // event destroyed or remapped away
 				continue
 			}
 			w.ev, w.since = ev, since
@@ -180,7 +172,7 @@ func (w *watchdog) step(p *vclock.Proc) (vclock.Until, bool) {
 			case err != nil && isInfraFault(err):
 				w.kind, w.err, w.at = FaultError, err, dogRaise
 			case err != nil || res.Bool:
-				delete(l.watch, w.ev)
+				l.watch.Delete(int(w.ev))
 			case w.now-w.since > l.cfg.HangTimeout:
 				w.kind, w.at = FaultHang, dogRaise
 			}

@@ -27,6 +27,11 @@ type Client struct {
 	nextID  uint64
 	threads map[*vclock.Proc]*thread
 	byID    []*thread // threads by thread id, the Response's address
+
+	// The process whose call Step last began, and its thread: a call looks
+	// its thread up at its first step only.
+	stepP  *vclock.Proc
+	stepTh *thread
 }
 
 // thread is one worker thread's slot on the client. A thread blocks on at
@@ -94,24 +99,13 @@ func (c *Client) AbortPending() int {
 	return len(waiting)
 }
 
-func (c *Client) threadOf(p *vclock.Proc) *thread {
-	th, ok := c.threads[p]
-	if !ok {
-		th = &thread{id: len(c.byID)}
-		c.threads[p] = th
-		c.byID = append(c.byID, th)
-	}
-	return th
-}
-
 // Do implements cuda.API: it puts one call on the wire and, unless the op
 // is async, blocks until its response arrives. The call is cloned before Do
 // first yields, so argument slices are captured at call time and callers
 // may reuse them. Do is the coroutine loop over the steps Step takes.
 func (c *Client) Do(p *vclock.Proc, call cuda.Call) (cuda.Result, error) {
-	th := c.threadOf(p)
 	for n := 0; ; n++ {
-		u, waits, res, err := c.step(th, &call, n)
+		u, waits, res, err := c.Step(p, &call, n)
 		if !waits {
 			return res, err
 		}
@@ -127,10 +121,16 @@ func (c *Client) Do(p *vclock.Proc, call cuda.Call) (cuda.Result, error) {
 // response; step 2 reads it. Each reports the wait before the step after
 // it or, when there is none, the call's outputs.
 func (c *Client) Step(p *vclock.Proc, call *cuda.Call, n int) (vclock.Until, bool, cuda.Result, error) {
-	return c.step(c.threadOf(p), call, n)
-}
-
-func (c *Client) step(th *thread, call *cuda.Call, n int) (vclock.Until, bool, cuda.Result, error) {
+	if n == 0 || p != c.stepP {
+		th, ok := c.threads[p]
+		if !ok {
+			th = &thread{id: len(c.byID)}
+			c.threads[p] = th
+			c.byID = append(c.byID, th)
+		}
+		c.stepP, c.stepTh = p, th
+	}
+	th := c.stepTh
 	switch n {
 	case 0:
 		th.req, *call = c.nextID, call.Clone()

@@ -41,9 +41,9 @@ package proxy
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"jitckpt/internal/cuda"
+	"jitckpt/internal/dense"
 	"jitckpt/internal/gpu"
 	"jitckpt/internal/nccl"
 	"jitckpt/internal/vclock"
@@ -94,7 +94,7 @@ type Server struct {
 	drv        *cuda.Driver
 	reqQ       *vclock.Queue[Request]
 	respQ      *vclock.Queue[Response]
-	handlers   map[int]*handler // by worker thread
+	handlers   dense.Table[*handler] // by worker thread
 	dispatcher *vclock.Proc
 	generation int
 	down       bool
@@ -124,15 +124,15 @@ func (s *Server) startDriver() error {
 		return err
 	}
 	s.drv = drv
-	s.handlers = make(map[int]*handler)
+	s.handlers = dense.Table[*handler]{}
 	s.down = false
 	s.dispatcher = s.env.GoFunc(fmt.Sprintf("%s.proxy.dispatch.g%d", s.dev.Name(), s.generation), func(p *vclock.Proc) {
 		for req, ok := s.reqQ.PopNext(p); ok; req, ok = s.reqQ.PopNext(p) {
-			h, known := s.handlers[req.Thread]
+			h, known := s.handlers.At(req.Thread)
 			if !known {
 				h = &handler{s: s, tq: vclock.NewQueue[Request](s.env, fmt.Sprintf("proxy.t%d", req.Thread))}
 				h.proc = s.env.GoFunc(fmt.Sprintf("%s.proxy.t%d.g%d", s.dev.Name(), req.Thread, s.generation), h.step)
-				s.handlers[req.Thread] = h
+				s.handlers.Set(req.Thread, h)
 			}
 			h.tq.Push(req)
 		}
@@ -141,8 +141,10 @@ func (s *Server) startDriver() error {
 }
 
 // handler is one worker thread's request handler: a callback process that
-// takes each request in turn, sleeps the handling latency, runs the call on
-// the server's driver as a cuda.Pending — parking at each of its waits —
+// takes each request in turn, sleeps the handling latency, sleeps the call
+// latency the driver's rule gives (Driver.Latency: the handler owes an async
+// call's, and pays its debt at its next synchronising call), runs the call
+// on the server's driver as a cuda.Pending — parking at each of its waits —
 // sleeps the send latency and answers. at is where its next dispatch
 // resumes; the request and the call in progress are all it keeps.
 type handler struct {
@@ -177,8 +179,9 @@ func (h *handler) step(p *vclock.Proc) {
 			p.SleepNext(h.s.ipc.HandleLatency)
 			return
 		case handling:
-			if h.drv, h.at = h.s.drv, calling; h.s.cudaParams.CallLatency > 0 {
-				p.SleepNext(h.s.cudaParams.CallLatency)
+			h.drv, h.at = h.s.drv, calling
+			if lat := h.drv.Latency(p, h.req.Call.Op); lat > 0 {
+				p.SleepNext(lat)
 				return
 			}
 			continue
@@ -212,17 +215,10 @@ func (h *handler) step(p *vclock.Proc) {
 // This is the §4.2 "watchdog thread aborts all in-flight operations" for
 // recoveries that keep the proxy server (and device memory) alive.
 func (s *Server) ResetThreads() {
-	// Kill in thread order: map iteration order would make the kill (and
-	// the traced proc-end) sequence nondeterministic.
-	threads := make([]int, 0, len(s.handlers))
-	for t := range s.handlers {
-		threads = append(threads, t)
-	}
-	sort.Ints(threads)
-	for _, t := range threads {
-		s.handlers[t].proc.Kill()
-		delete(s.handlers, t)
-	}
+	// Kill in thread order, so the traced proc-end sequence is the same on
+	// every run.
+	s.handlers.Each(func(_ int, h *handler) { h.proc.Kill() })
+	s.handlers = dense.Table[*handler]{}
 }
 
 // Driver exposes the server-side driver to infrastructure code (the

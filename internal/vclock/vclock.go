@@ -136,6 +136,10 @@ type Proc struct {
 	// The process's dispatches as a callback and as a coroutine, reported
 	// at retirement to a DispatchRecorder.
 	callbacks, coroutines uint64
+
+	// debt is virtual time the process has spent but not yet slept: the
+	// host cost of calls it made without parking (Owe, Settle).
+	debt Time
 }
 
 // waiter is one entry of a waitList: p, parked under block number block.
@@ -660,6 +664,14 @@ func (p *Proc) AwaitNext(u Until) bool {
 	}
 	return u.Ev == nil || p.WaitNext(u.Ev, 0)
 }
+
+// Owe adds d to p's clock debt: host time p has spent without sleeping it,
+// to be slept by whoever next settles. The debt is p's alone; one left
+// when p ends or is killed is dropped.
+func (p *Proc) Owe(d Time) { p.debt += d }
+
+// Settle returns p's clock debt and clears it: the caller sleeps it.
+func (p *Proc) Settle() (d Time) { d, p.debt = p.debt, 0; return d }
 
 // Name returns the process name given at spawn time.
 func (p *Proc) Name() string { return p.name }
