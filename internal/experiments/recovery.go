@@ -31,9 +31,9 @@ type RecoveryFamiliesOptions struct {
 	Iters int
 	// MTBFs are the job-level mean-time-between-failure points swept.
 	MTBFs []vclock.Time
-	// Intervals are the checkpoint-interval points swept. Policies with
-	// no periodic writer (user-level and transparent JIT, peer shelter)
-	// ignore the axis; their rows demonstrate the invariance.
+	// Intervals are the checkpoint-interval points swept. Of the policies
+	// with no periodic writer only transparent JIT ignores the axis: the
+	// others run a heartbeat whose stall threshold carries the interval.
 	Intervals []vclock.Time
 	// Sizes is the model-size axis.
 	Sizes []RecoverySize

@@ -381,6 +381,45 @@ var table12Claims = []claim[FleetRow]{
 	}},
 }
 
+// table14Claims are Table 14's shape claims. The first is which families
+// the checkpoint-interval axis leaves alone: of the four with no periodic
+// writer only TransparentJIT, the one family with no heartbeat, whose
+// stall threshold carries the configured interval.
+var table14Claims = []claim[RecoveryRow]{
+	{"only TransparentJIT's rows are the same at both intervals", func(rows []RecoveryRow) error {
+		for _, p := range []core.Policy{core.PolicyUserJIT, core.PolicyTransparentJIT, core.PolicyPeerShelter, core.PolicyElasticJIT} {
+			if same := intervalInvariant(rows, p); same != (p == core.PolicyTransparentJIT) {
+				return fmt.Errorf("%v: rows the same at every interval: %v", p, same)
+			}
+		}
+		return nil
+	}},
+}
+
+// intervalInvariant reports whether p's rows agree at every interval, in
+// each (size, MTBF) cell.
+func intervalInvariant(rows []RecoveryRow, p core.Policy) bool {
+	type cell struct {
+		size string
+		mtbf vclock.Time
+	}
+	first := map[cell]RecoveryRow{}
+	for _, r := range rows {
+		if r.Policy != p {
+			continue
+		}
+		f, ok := first[cell{r.Size, r.MTBF}]
+		if !ok {
+			first[cell{r.Size, r.MTBF}] = r
+			continue
+		}
+		if f.Interval = r.Interval; f != r {
+			return false
+		}
+	}
+	return true
+}
+
 // factorRange spells a claimed factor range as the documents do.
 func factorRange(lo, hi int) string { return fmt.Sprintf("%d–%d×", lo, hi) }
 
@@ -456,6 +495,12 @@ func TestExperimentsDoc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	recOpt := DefaultRecoveryFamiliesOptions()
+	recOpt.Workers = 2
+	t14, err := RunRecoveryFamilies(recOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	checkClaims(t, table3Claims, t3)
 	checkClaims(t, table4Claims, t4)
 	checkClaims(t, table5Claims, t5)
@@ -463,6 +508,7 @@ func TestExperimentsDoc(t *testing.T) {
 	checkClaims(t, table7Claims, t7)
 	checkClaims(t, table8Claims, t8)
 	checkClaims(t, table12Claims, t12)
+	checkClaims(t, table14Claims, t14)
 
 	b, err := os.ReadFile(experimentsDoc)
 	if err != nil {
@@ -805,6 +851,42 @@ func TestClaimsCatchBrokenRows(t *testing.T) {
 		broken12[i](bad)
 		if c.check(bad) == nil {
 			t.Errorf("claim %q accepts its broken row", c.name)
+		}
+	}
+	// good14 is the small, 12 s cell at the reference run's figures; every
+	// mutation at a claim's index breaks that claim.
+	var good14 []RecoveryRow
+	for _, r := range []struct {
+		p      core.Policy
+		wasted [2]float64 // at 0.2 s, 0.6 s
+	}{
+		{core.PolicyUserJIT, [2]float64{0.370, 0.411}}, {core.PolicyTransparentJIT, [2]float64{0.579, 0.579}},
+		{core.PolicyPeerShelter, [2]float64{0.363, 0.406}}, {core.PolicyElasticJIT, [2]float64{0.370, 0.411}},
+	} {
+		for i, interval := range DefaultRecoveryFamiliesOptions().Intervals {
+			good14 = append(good14, RecoveryRow{Size: "small", MTBF: 12 * vclock.Second, Interval: interval, Policy: r.p,
+				Runs: 2, Completed: 2, WastedFrac: r.wasted[i]})
+		}
+	}
+	broken14 := [][]func([]RecoveryRow){
+		{
+			func(rows []RecoveryRow) { rows[3].WastedFrac = 0.6 },                // TransparentJIT moves with the interval
+			func(rows []RecoveryRow) { rows[1].WastedFrac = rows[0].WastedFrac }, // UserJIT does not
+		},
+	}
+	if len(broken14) != len(table14Claims) {
+		t.Fatalf("%d broken Table 14 row sets for %d claims", len(broken14), len(table14Claims))
+	}
+	for i, c := range table14Claims {
+		if err := c.check(good14); err != nil {
+			t.Errorf("claim %q rejects rows that keep it: %v", c.name, err)
+		}
+		for j, mutate := range broken14[i] {
+			bad := append([]RecoveryRow(nil), good14...)
+			mutate(bad)
+			if c.check(bad) == nil {
+				t.Errorf("claim %q accepts its broken row %d", c.name, j)
+			}
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package proxy implements the device proxy of the paper's Figure 2: a
 // separate server process owns all GPU and network driver state, and the
-// worker talks to it through a pair of request and response queues.
+// worker's calls reach it over a wire.
 //
 // A call crosses as a value, and the transport itself is not charged:
 // Params bills two fixed latencies per message and nothing per byte. What
@@ -17,25 +17,33 @@
 // (their callers are recovered by the interception layer's watchdog), and
 // device buffers survive, because device memory outlives a driver context
 // reset in this model just as parameters survive a proxy restart in the
-// paper's strategy 2.
+// paper's strategy 2. A request sent while the server is down is held, and
+// runs after Restart.
 //
 // Requests from one worker thread are executed in issue order by a handler
 // of that thread's own; different threads proceed independently — which is
 // what keeps the watchdog thread's EventQuery calls responsive while the
-// main thread is wedged in a hung collective. The server's processes — its
-// dispatcher and the handlers — and the client's response dispatcher are
-// callback processes (vclock.Env.GoFunc): a handler runs its call as a
-// cuda.Pending, parking at each wait a coroutine would block in.
+// main thread is wedged in a hung collective. The wire has no relay
+// processes: the client puts a request straight on its thread's handler
+// queue (the server spawns the handler on demand), and the handler answers
+// by releasing the waiting thread itself, so a call costs the server only
+// dispatches of that handler. A handler is a callback process
+// (vclock.Env.GoFunc) that runs its call as a cuda.Pending, parking at each
+// wait a coroutine would block in.
 //
 // Asynchronous device APIs (kernel launches, async memcpys, collective
-// enqueues) are fire-and-forget on the client: the call returns as soon as
-// the request is queued. A failed device op poisons its stream, the poison
-// travels through recorded events, and the caller sees it at the next
-// StreamSynchronize or MemcpyD2H; a request the driver refuses at call time
-// (bad handle, unknown kernel) is answered, and the answer dropped.
-// This is the paper's "device APIs executed asynchronously with respect to
-// the CPU worker thread", and it is why steady-state logging overhead
-// measures near zero (§6.3).
+// enqueues) are fire-and-forget on both legs, under the clock-debt rule of
+// cuda.Driver.Latency. The client submits the request at once and adds its
+// SendLatency to the calling process's debt (vclock.Proc.Owe); the caller's
+// next synchronising call sleeps that debt with its own SendLatency, once.
+// The handler sends no answer to an async call, not even for one the driver
+// refuses at call time (bad handle, unknown kernel): it owes the SendLatency
+// the answer would have cost, and pays it at its next synchronising call. A
+// failed device op poisons its stream, the poison travels through recorded
+// events, and the caller sees it at the next StreamSynchronize or
+// MemcpyD2H. This is the paper's "device APIs executed asynchronously with
+// respect to the CPU worker thread", and it is why steady-state logging
+// overhead measures near zero (§6.3).
 package proxy
 
 import (
@@ -52,25 +60,19 @@ import (
 // ErrProxyDown is returned for calls that raced a proxy server restart.
 var ErrProxyDown = errors.New("proxy: server restarted, call dropped")
 
-// Request is one API call on the wire.
+// Request is one API call on the wire. The client clones the call into it
+// once, and the handler runs it in place; a finished request goes back to
+// the server's free list.
 type Request struct {
-	ID     uint64
-	Thread int
-	Call   cuda.Call
-}
-
-// Response is one API result on the wire, addressed to the thread that
-// made the call.
-type Response struct {
-	ID     uint64
-	Thread int
-	Result cuda.Result
-	Err    error
+	ID   uint64
+	Call cuda.Call
+	from *thread // the client thread that made the call: its handler, the answer's address
 }
 
 // Params models IPC costs of the proxy transport.
 type Params struct {
-	// SendLatency is charged to the sender per message.
+	// SendLatency is charged to the sender per message: owed for an async
+	// call's request, and slept for a synchronising call's and its answer.
 	SendLatency vclock.Time
 	// HandleLatency is charged by the server per request.
 	HandleLatency vclock.Time
@@ -92,15 +94,14 @@ type Server struct {
 	ipc        Params
 
 	drv        *cuda.Driver
-	reqQ       *vclock.Queue[Request]
-	respQ      *vclock.Queue[Response]
 	handlers   dense.Table[*handler] // by worker thread
-	dispatcher *vclock.Proc
+	free       gpu.FreeList[Request] // finished requests, for the client to reuse
+	held       []*Request            // sent while the server is down, in order
 	generation int
 	down       bool
 }
 
-// NewServer creates a proxy server for dev and starts its dispatcher.
+// NewServer creates a proxy server for dev and starts its driver.
 func NewServer(env *vclock.Env, dev *gpu.Device, engine *nccl.Engine, kernels cuda.Registry, cudaParams cuda.Params, ipc Params) (*Server, error) {
 	s := &Server{
 		env:        env,
@@ -109,8 +110,6 @@ func NewServer(env *vclock.Env, dev *gpu.Device, engine *nccl.Engine, kernels cu
 		kernels:    kernels,
 		cudaParams: cudaParams,
 		ipc:        ipc,
-		reqQ:       vclock.NewQueue[Request](env, "proxy.req"),
-		respQ:      vclock.NewQueue[Response](env, "proxy.resp"),
 	}
 	if err := s.startDriver(); err != nil {
 		return nil, err
@@ -118,41 +117,54 @@ func NewServer(env *vclock.Env, dev *gpu.Device, engine *nccl.Engine, kernels cu
 	return s, nil
 }
 
+// startDriver starts a fresh driver and hands it the requests held while
+// the server was down.
 func (s *Server) startDriver() error {
 	drv, err := cuda.NewDriver(s.dev, s.engine, s.kernels, s.cudaParams)
 	if err != nil {
 		return err
 	}
-	s.drv = drv
-	s.handlers = dense.Table[*handler]{}
-	s.down = false
-	s.dispatcher = s.env.GoFunc(fmt.Sprintf("%s.proxy.dispatch.g%d", s.dev.Name(), s.generation), func(p *vclock.Proc) {
-		for req, ok := s.reqQ.PopNext(p); ok; req, ok = s.reqQ.PopNext(p) {
-			h, known := s.handlers.At(req.Thread)
-			if !known {
-				h = &handler{s: s, tq: vclock.NewQueue[Request](s.env, fmt.Sprintf("proxy.t%d", req.Thread))}
-				h.proc = s.env.GoFunc(fmt.Sprintf("%s.proxy.t%d.g%d", s.dev.Name(), req.Thread, s.generation), h.step)
-				s.handlers.Set(req.Thread, h)
-			}
-			h.tq.Push(req)
-		}
-	})
+	s.drv, s.down = drv, false
+	for _, r := range s.held {
+		s.submit(r)
+	}
+	s.held = nil
 	return nil
 }
 
+// submit puts r on its thread's handler queue, spawning the handler on
+// demand, or holds it while the server is down.
+func (s *Server) submit(r *Request) {
+	if s.down {
+		s.held = append(s.held, r)
+		return
+	}
+	th := r.from.id
+	h, ok := s.handlers.At(th)
+	if !ok {
+		h = &handler{s: s, tq: vclock.NewQueue[*Request](s.env, fmt.Sprintf("proxy.t%d", th))}
+		h.proc = s.env.GoFunc(fmt.Sprintf("%s.proxy.t%d.g%d", s.dev.Name(), th, s.generation), h.step)
+		s.handlers.Set(th, h)
+	}
+	h.tq.Push(r)
+}
+
 // handler is one worker thread's request handler: a callback process that
-// takes each request in turn, sleeps the handling latency, sleeps the call
-// latency the driver's rule gives (Driver.Latency: the handler owes an async
-// call's, and pays its debt at its next synchronising call), runs the call
-// on the server's driver as a cuda.Pending — parking at each of its waits —
-// sleeps the send latency and answers. at is where its next dispatch
-// resumes; the request and the call in progress are all it keeps.
+// takes each request in turn and sleeps the handling latency together with
+// the call latency the driver's rule gives (Driver.Latency: the handler
+// owes an async call's, and pays its debt at its next synchronising call).
+// It then runs the call on the server's driver as a cuda.Pending, parking
+// at each of its waits. A synchronising call's answer costs the send
+// latency, after which the handler releases the waiting thread; an async
+// call gets no answer, and the handler owes the send latency instead. at
+// is where its next dispatch resumes; the request and the call in progress
+// are all it keeps.
 type handler struct {
 	s    *Server
-	tq   *vclock.Queue[Request]
+	tq   *vclock.Queue[*Request]
 	proc *vclock.Proc
 	at   handlerAt
-	req  Request
+	req  *Request
 	drv  *cuda.Driver // the server's driver when the call started: the call runs on it to the end
 	k    cuda.Pending
 }
@@ -160,27 +172,22 @@ type handler struct {
 type handlerAt uint8
 
 const (
-	idle     handlerAt = iota // take the next request
-	handling                  // the handling latency is over: the call starts
-	calling                   // the call latency is over: the op runs
-	waiting                   // a wait of the call is over
-	sending                   // the send latency is over: answer
+	idle    handlerAt = iota // take the next request
+	calling                  // the handling and call latencies are over: the op runs
+	waiting                  // a wait of the call is over
+	sending                  // the send latency is over: answer
 )
 
 func (h *handler) step(p *vclock.Proc) {
 	for {
 		switch h.at {
 		case idle:
-			var ok bool
-			if h.req, ok = h.tq.PopNext(p); !ok {
+			r, ok := h.tq.PopNext(p)
+			if !ok {
 				return
 			}
-			h.at = handling
-			p.SleepNext(h.s.ipc.HandleLatency)
-			return
-		case handling:
-			h.drv, h.at = h.s.drv, calling
-			if lat := h.drv.Latency(p, h.req.Call.Op); lat > 0 {
+			h.req, h.drv, h.at = r, h.s.drv, calling
+			if lat := h.s.ipc.HandleLatency + h.drv.Latency(p, r.Call.Op); lat > 0 {
 				p.SleepNext(lat)
 				return
 			}
@@ -190,15 +197,21 @@ func (h *handler) step(p *vclock.Proc) {
 		case waiting:
 			h.k.Resume(p)
 		case sending:
-			res, err := h.k.Result()
-			h.s.respQ.Push(Response{ID: h.req.ID, Thread: h.req.Thread, Result: res, Err: err})
-			h.req, h.at = Request{}, idle
+			if th := h.req.from; th.waiting && th.req == h.req.ID {
+				th.release(h.k.Result())
+			}
+			h.done()
 			continue
 		}
 		// The call ran on from Start or from a wait: it waits again (at
 		// once, if what it waits for has fired), or it has returned.
 		u, waits := h.k.Waits()
 		if !waits {
+			if h.req.Call.Op.Info().Async {
+				p.Owe(h.s.ipc.SendLatency)
+				h.done()
+				continue
+			}
 			h.at = sending
 			p.SleepNext(h.s.ipc.SendLatency)
 			return
@@ -207,6 +220,14 @@ func (h *handler) step(p *vclock.Proc) {
 			return
 		}
 	}
+}
+
+// done ends the request in progress: it goes back to the server's free
+// list, its captured slices dropped.
+func (h *handler) done() {
+	*h.req = Request{}
+	h.s.free.Put(h.req)
+	h.req, h.at = nil, idle
 }
 
 // ResetThreads aborts all in-flight request handling: every per-thread
@@ -229,15 +250,11 @@ func (s *Server) Driver() *cuda.Driver { return s.drv }
 func (s *Server) Device() *gpu.Device { return s.dev }
 
 // Stop kills the server: handler processes die, in-flight requests are
-// never answered, queued requests are dropped. Driver state (handle
-// tables, streams, events, comms) is lost; device buffers survive.
+// never answered, queued requests are dropped, and requests sent from now
+// on are held until Restart. Driver state (handle tables, streams, events,
+// comms) is lost; device buffers survive.
 func (s *Server) Stop() {
 	s.ResetThreads()
-	if s.dispatcher != nil {
-		s.dispatcher.Kill()
-		s.dispatcher = nil
-	}
-	s.reqQ.Drain()
 	s.down = true
 }
 
@@ -253,8 +270,5 @@ func (s *Server) Restart() error {
 		return err
 	}
 	s.generation++
-	if err := s.startDriver(); err != nil {
-		return err
-	}
-	return nil
+	return s.startDriver()
 }
