@@ -178,7 +178,7 @@ func TestMultiStepCommitAndReconciledRestoreBitExact(t *testing.T) {
 func cloneStoreInto(env *vclock.Env, src *Store) *Store {
 	dst := NewStore(env, src.name, src.params)
 	for k, e := range src.files {
-		dst.files[k] = e
+		dst.put(k, e)
 	}
 	return dst
 }

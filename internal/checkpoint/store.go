@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"jitckpt/internal/gpu"
@@ -113,6 +112,7 @@ type Store struct {
 	name      string
 	params    StoreParams
 	files     map[string]entry
+	paths     []string // the keys of files, sorted
 	chaos     func(path string) WriteOutcome
 	readBytes int64
 }
@@ -164,15 +164,23 @@ func (s *Store) Write(p *vclock.Proc, path string, data []byte, modelBytes int64
 		// it, so nothing can reach the rest of data through it.
 		p.Sleep(s.params.Latency + gpu.TransferTime(modelBytes/2, s.params.WriteBW))
 		n := len(data) / 2
-		s.files[path] = entry{data: data[:n:n], modelBytes: modelBytes / 2}
+		s.put(path, entry{data: data[:n:n], modelBytes: modelBytes / 2})
 		return fmt.Errorf("%w: torn write %s on %s", ErrTransientIO, path, s.name)
 	}
 	p.Sleep(s.params.Latency + gpu.TransferTime(modelBytes, s.params.WriteBW))
 	if outcome == WriteBitFlip && len(data) > 0 {
 		data = flipped(data, 0x01) // silent corruption: write "succeeds"
 	}
-	s.files[path] = entry{data: data, modelBytes: modelBytes}
+	s.put(path, entry{data: data, modelBytes: modelBytes})
 	return nil
+}
+
+// put stores e at path, keeping paths sorted.
+func (s *Store) put(path string, e entry) {
+	if i, ok := slices.BinarySearch(s.paths, path); !ok {
+		s.paths = slices.Insert(s.paths, i, path)
+	}
+	s.files[path] = e
 }
 
 // Rename moves the object at src to dst — the atomic commit step. It is a
@@ -186,8 +194,8 @@ func (s *Store) Rename(p *vclock.Proc, src, dst string) error {
 	if !ok {
 		return fmt.Errorf("%w: rename %s", ErrNotFound, src)
 	}
-	delete(s.files, src)
-	s.files[dst] = e
+	s.Delete(src)
+	s.put(dst, e)
 	return nil
 }
 
@@ -239,18 +247,37 @@ func (s *Store) Stat(p *vclock.Proc, path string) (length int, ok bool) {
 
 // List returns stored paths with the given prefix, sorted.
 func (s *Store) List(prefix string) []string {
+	i, _ := slices.BinarySearch(s.paths, prefix)
+	j := i
+	for j < len(s.paths) && strings.HasPrefix(s.paths[j], prefix) {
+		j++
+	}
+	return append([]string(nil), s.paths[i:j]...)
+}
+
+// Dirs returns the directories directly below prefix (which ends in '/')
+// that hold objects, sorted, each with its trailing '/'. It costs a binary
+// search per directory, not a walk of what they hold.
+func (s *Store) Dirs(prefix string) []string {
 	var out []string
-	for k := range s.files {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
+	for i, _ := slices.BinarySearch(s.paths, prefix); i < len(s.paths) && strings.HasPrefix(s.paths[i], prefix); {
+		if k := strings.IndexByte(s.paths[i][len(prefix):], '/'); k < 0 {
+			i++
+		} else {
+			out = append(out, s.paths[i][:len(prefix)+k+1])
+			i, _ = slices.BinarySearch(s.paths, s.paths[i][:len(prefix)+k]+"0") // '0' follows '/'
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Delete removes an object; deleting a missing object is a no-op.
-func (s *Store) Delete(path string) { delete(s.files, path) }
+func (s *Store) Delete(path string) {
+	if i, ok := slices.BinarySearch(s.paths, path); ok {
+		s.paths = slices.Delete(s.paths, i, i+1)
+		delete(s.files, path)
+	}
+}
 
 // Corrupt flips a byte of the object at path (failure injection for the
 // metadata-validation tests), in a private copy that replaces it. It

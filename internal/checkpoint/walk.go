@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -38,6 +39,22 @@ func Entries(st *Store, prefix, word string) []Entry {
 		dir := path[:i]
 		seen[dir] = true
 		if e, ok := parseEntry(dir, word); ok {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// RankEntries is Entries for one rank, in a store that holds its entries
+// one directory below prefix, as RankDir lays them out: it looks in each
+// <word> directory for the rank's own, so its cost follows those
+// directories and the rank's objects, not everything under prefix.
+func RankEntries(st *Store, prefix, word string, rank int) []Entry {
+	var out []Entry
+	for _, d := range st.Dirs(prefix) {
+		dir := d + fmt.Sprintf("rank%04d", rank)
+		direct := func(path string) bool { return !strings.Contains(path[len(dir)+1:], "/") }
+		if e, ok := parseEntry(dir, word); ok && slices.ContainsFunc(st.List(dir+"/"), direct) {
 			out = append(out, e)
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // putPaths stores an empty object at each path, at no virtual cost.
 func putPaths(st *Store, paths ...string) {
 	for _, path := range paths {
-		st.files[path] = entry{}
+		st.put(path, entry{})
 	}
 }
 
@@ -80,6 +80,35 @@ func TestEntries(t *testing.T) {
 		if got := Entries(st, c.prefix, c.word); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: Entries(%q, %q) = %v, want %v", c.name, c.prefix, c.word, got, c.want)
 		}
+		checkRankEntries(t, st, c.prefix, c.word)
+	}
+	want := []string{"job/ckpt/jit/ITER00000004/", "job/ckpt/jit/gen00000005/", "job/ckpt/jit/iter+0000004/",
+		"job/ckpt/jit/iter-0000004/", "job/ckpt/jit/iter000000004/", "job/ckpt/jit/iter00000003/",
+		"job/ckpt/jit/iter00000004/", "job/ckpt/jit/iter00000012/", "job/ckpt/jit/iter123456789/", "job/ckpt/jit/iter4/"}
+	if got := st.Dirs("job/ckpt/jit/"); !reflect.DeepEqual(got, want) {
+		t.Errorf("Dirs = %q\nwant %q", got, want)
+	}
+}
+
+// checkRankEntries holds RankEntries, for every rank Entries lists and one
+// it does not, to Entries' entries of that rank one directory below prefix.
+func checkRankEntries(t *testing.T, st *Store, prefix, word string) {
+	t.Helper()
+	all := Entries(st, prefix, word)
+	ranks := map[int]bool{-1: true}
+	for _, e := range all {
+		ranks[e.Rank] = true
+	}
+	for rank := range ranks {
+		var want []Entry
+		for _, e := range all {
+			if e.Rank == rank && strings.Count(e.Dir[len(prefix):], "/") == 1 {
+				want = append(want, e)
+			}
+		}
+		if got := RankEntries(st, prefix, word, rank); !reflect.DeepEqual(got, want) {
+			t.Errorf("RankEntries(%q, %q, %d) = %v, want %v", prefix, word, rank, got, want)
+		}
 	}
 }
 
@@ -96,6 +125,7 @@ func FuzzEntries(f *testing.F) {
 		paths := strings.Split(in, "\n")
 		putPaths(st, paths...)
 		for _, word := range []string{"iter", "gen"} {
+			checkRankEntries(t, st, "", word)
 			seen := make(map[string]bool)
 			for _, e := range Entries(st, "", word) {
 				tail := fmt.Sprintf("%s%08d/rank%04d", word, e.Iter, e.Rank)

@@ -333,7 +333,8 @@ func NewDriver(dev *gpu.Device, engine *nccl.Engine, kernels Registry, params Pa
 // The result is a view of device memory, not a copy: it holds the buffer's
 // contents until the caller next yields, after which kernels, copies and a
 // repair may change or drop it. A caller that only encodes the contents
-// does so before yielding; one that keeps them copies them.
+// does so before yielding; one that keeps them copies them. It settles the
+// device first (gpu.Device.Settle), so every op completed before now shows.
 func (d *Driver) BufData(b Buf) (tensor.Vector, error) {
 	if err := d.healthErr(); err != nil {
 		return nil, err
@@ -342,6 +343,7 @@ func (d *Driver) BufData(b Buf) (tensor.Vector, error) {
 	if err != nil {
 		return nil, err
 	}
+	d.dev.Settle()
 	return gb.Data, nil
 }
 
@@ -607,6 +609,7 @@ func (d *Driver) Start(p *vclock.Proc, c *Call, k *Pending) {
 		k.pos = -1
 		k.Resume(p)
 	case OpBufChecksum:
+		d.dev.Settle()
 		r.U64 = o.buf.Data.Checksum()
 	case OpCommInit: // rendezvouses with the other ranks
 		k.initStep(d.engine.StartInit(&k.ci, c.Key, c.Gen, c.NRanks, c.Rank, d.dev))

@@ -1,6 +1,7 @@
 package cuda
 
 import (
+	"fmt"
 	"testing"
 
 	"jitckpt/internal/gpu"
@@ -121,6 +122,33 @@ func TestZeroCallLatencyOwesNothing(t *testing.T) {
 		}
 		if now, d := p.Now(), env.Stats().Dispatches; now != t0 || d != d0 {
 			t.Errorf("three launches and a Malloc took %v and %d dispatches, want none", now-t0, d-d0)
+		}
+	})
+}
+
+// TestBufDataSettlesTheStream: a privileged read mid-run sees the launches
+// that completed before now and none after, though the stream applies
+// them only when the run ends.
+func TestBufDataSettlesTheStream(t *testing.T) {
+	r := newRig(t, Registry{"inc": func(a KernelArgs) error { a.Bufs[0][0]++; return nil }})
+	r.inProc(t, func(p *vclock.Proc) {
+		b, _ := r.drv.Malloc(p, 4, 1, "x")
+		for i := 0; i < 4; i++ {
+			if err := r.drv.Launch(p, LaunchParams{Kernel: "inc", Bufs: []Buf{b}, Dur: vclock.Second}, DefaultStream); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []float32
+		for _, at := range []vclock.Time{vclock.Seconds(0.5), vclock.Seconds(2.5), vclock.Seconds(5)} {
+			p.Sleep(at - p.Now())
+			data, err := r.drv.BufData(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, data[0])
+		}
+		if fmt.Sprint(got) != "[0 2 4]" {
+			t.Errorf("BufData at 0.5s, 2.5s and 5s read %v, want [0 2 4]", got)
 		}
 	})
 }

@@ -16,9 +16,16 @@
 //     respect to the issuing worker, hangs at collectives are real hangs
 //     (the stream process stays parked forever), and cudaStreamWaitEvent is
 //     an operation that blocks the stream, not the host. The process is a
-//     callback one (vclock.GoFunc): a state machine over "no op" and "op
-//     begun, waiting" that owns no goroutine, which is what lets a fleet
-//     have thousands of them.
+//     callback one (vclock.GoFunc) that owns no goroutine, which is what
+//     lets a fleet have thousands of them. It waits once per op that the
+//     stream must see begin (a collective, an event wait or record, a copy
+//     someone waits for), but once per *run* of fire-and-forget ops
+//     (launches, H2D copies): it sleeps for the run's total duration and,
+//     when it wakes, applies each op in order at the op's own completion
+//     time. Nothing outside the stream can see a kernel finish before
+//     then except by reading the device, and every such read (BufData,
+//     PendingOps, a fault, a reset) first settles the stream: it applies
+//     the ops of the run that completed before now.
 package gpu
 
 import (
@@ -87,7 +94,8 @@ type Buffer struct {
 // Exec, if any, is applied to the device at completion time: the common
 // kernel/memcpy shape is Dur plus Exec, a stream-wait is Ev plus Exec. Done
 // triggers when the op completes (it stays nil for fire-and-forget ops
-// enqueued with EnqueueAsync); Err carries the outcome.
+// enqueued with EnqueueAsync); Err carries the outcome. Fire-and-forget ops
+// with neither Begin nor Ev that follow each other share one wait, a run.
 type Op struct {
 	Name string
 	// Namer lazily produces the op's trace name when Name is empty. It is
@@ -144,12 +152,17 @@ func (l *FreeList[T]) Put(x *T) { l.free = append(l.free, x) }
 
 // Stream is an in-order execution queue on a device.
 type Stream struct {
-	ID      int
-	dev     *Device
-	q       *vclock.Queue[*Op]
-	proc    *vclock.Proc
-	op      *Op        // begun and waiting, nil between ops
-	sp      trace.Span // its trace span
+	ID   int
+	dev  *Device
+	q    *vclock.Queue[*Op]
+	proc *vclock.Proc
+	op   *Op        // begun and waiting, nil between ops
+	sp   trace.Span // its trace span
+	// run > 0 is a run of fire-and-forget ops waited for in one sleep: the
+	// first run ops of q, the first of which began at runAt. Each of them
+	// completes at runAt plus the durations up to its own.
+	run     int
+	runAt   vclock.Time
 	pending int
 	drain   *vclock.Event // nil, or drainEv: re-armed for each drain waited for
 	drainEv vclock.Event
@@ -218,6 +231,7 @@ func (d *Device) Accessible() bool { return d.health != Hard }
 // everything the host issued — the recovery controller's signal that the
 // device's state is at a minibatch boundary.
 func (d *Device) PendingOps() int {
+	d.Settle()
 	n := 0
 	d.streams.Each(func(_ int, s *Stream) { n += s.pending })
 	return n
@@ -298,9 +312,20 @@ func (d *Device) DestroyStream(id int) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchQueue, id)
 	}
-	s.proc.Kill()
+	s.kill()
 	d.streams.Delete(id)
 	return nil
+}
+
+// Settle applies, on every stream, each op of a run that completed before
+// now, in order. Whatever reads device state from outside the streams calls
+// it first, so it sees every op that has completed; an op completing at
+// this very instant is left to its stream.
+func (d *Device) Settle() {
+	now := d.env.Now()
+	for i, s, ok := d.streams.Next(0); ok; i, s, ok = d.streams.Next(i + 1) {
+		s.settle(now)
+	}
 }
 
 // InjectHard makes the device fail hard: every stream process is killed so
@@ -314,12 +339,17 @@ func (d *Device) InjectHard() {
 
 // InjectSticky puts the device in the CUDA sticky-error state: queued and
 // future operations complete immediately with ErrSticky and API calls fail
-// until the device is reset.
+// until the device is reset. An op in flight still runs to its end, where it
+// fails, so a stream in a run cuts it after that op and wakes at its end.
 func (d *Device) InjectSticky() {
 	if d.health == Hard {
 		return
 	}
+	d.Settle()
 	d.health = Sticky
+	for i, s, ok := d.streams.Next(0); ok; i, s, ok = d.streams.Next(i + 1) {
+		s.cut()
+	}
 	trace.Of(d.env).Instant(d.env.Now(), "gpu", d.lane, "inject-sticky")
 }
 
@@ -330,6 +360,7 @@ func (d *Device) InjectDriverCorrupt() {
 	if d.health == Hard {
 		return
 	}
+	d.Settle()
 	d.health = DriverCorrupt
 	trace.Of(d.env).Instant(d.env.Now(), "gpu", d.lane, "inject-corrupt")
 }
@@ -366,7 +397,7 @@ func (d *Device) Repair() {
 
 // killStreams kills every stream's process, in ascending ID order.
 func (d *Device) killStreams() {
-	d.streams.Each(func(_ int, s *Stream) { s.proc.Kill() })
+	d.streams.Each(func(_ int, s *Stream) { s.kill() })
 }
 
 // Enqueue appends an op to the stream. It returns the op's completion event:
@@ -408,15 +439,20 @@ func (s *Stream) DrainEvent() *vclock.Event {
 }
 
 // step is the stream's callback process: execute ops strictly in order,
-// returning wherever a coroutine would block — on the empty queue, or with
-// s.op begun and waiting — to be called again when that wait is over. A
-// killed stream (destroyed, reset, or its device hard-failed) is never
-// called again, so the op it was waiting in never completes.
+// returning wherever a coroutine would block — on the empty queue, with s.op
+// begun and waiting, or asleep through a run — to be called again when that
+// wait is over. A killed stream (destroyed, reset, or its device
+// hard-failed) is never called again, so the op it was waiting in never
+// completes.
 func (s *Stream) step(p *vclock.Proc) {
 	dev := s.dev
+	s.settle(p.Now() + 1) // a run has ended by its wake
 	for {
 		op := s.op
 		if op == nil {
+			if dev.health != Sticky && s.takeRun(p) {
+				return
+			}
 			var ok bool
 			if op, ok = s.q.PopNext(p); !ok {
 				return
@@ -435,7 +471,7 @@ func (s *Stream) step(p *vclock.Proc) {
 			}
 			if op.Begin != nil {
 				if err := op.Begin(dev); err != nil {
-					s.end(op, err)
+					s.end(op, err, p.Now())
 					continue
 				}
 			}
@@ -449,18 +485,91 @@ func (s *Stream) step(p *vclock.Proc) {
 			}
 		}
 		s.op = nil
-		var err error
-		if op.Exec != nil {
-			err = op.Exec(dev)
-		}
-		s.end(op, err)
+		s.apply(op, p.Now())
 	}
 }
 
-// end completes a begun op with err: its span closes, a sticky device or the
-// op's own failure marks the stream, and the op finishes.
-func (s *Stream) end(op *Op, err error) {
-	s.sp.End(s.dev.env.Now())
+// fireAndForget reports whether op needs nothing from the stream but its
+// place in the order: no Begin, no event to wait for, nobody waiting on it.
+func fireAndForget(op *Op) bool { return op.Begin == nil && op.Ev == nil && op.Done == nil }
+
+// takeRun starts a run, when the queue begins with fire-and-forget ops: the
+// stream sleeps once, for all of them.
+func (s *Stream) takeRun(p *vclock.Proc) bool {
+	var d vclock.Time
+	for s.run < s.q.Len() && fireAndForget(s.q.At(s.run)) {
+		d += s.q.At(s.run).Dur
+		s.run++
+	}
+	if s.run == 0 {
+		return false
+	}
+	s.runAt = p.Now()
+	p.SleepNext(d)
+	return true
+}
+
+// settle applies, in order, each op of the run that completed before t, at
+// the times it began and completed.
+func (s *Stream) settle(t vclock.Time) {
+	for s.run > 0 {
+		op := s.q.At(0)
+		end := s.runAt + op.Dur
+		if end >= t {
+			return
+		}
+		s.q.TryPop()
+		if rec := trace.Of(s.dev.env); rec != nil {
+			s.sp = rec.Begin(s.runAt, "gpu", s.dev.lane, op.name())
+		}
+		s.run--
+		s.runAt = end
+		s.apply(op, end)
+	}
+}
+
+// cut ends a settled run after its op in flight, and moves the stream's
+// wake to that op's end: a sticky error lets that op complete and fails the
+// ops behind it there, and a killed stream's timer lingers until then, as
+// the op's own would.
+func (s *Stream) cut() {
+	for i := 1; i < s.run; i++ {
+		if s.q.At(i).Dur > 0 {
+			s.proc.Rewake(s.runAt + s.q.At(0).Dur)
+			break
+		}
+	}
+	s.run = min(s.run, 1)
+}
+
+// kill ends the stream's process after settling it. The op in flight keeps
+// the begin of its span, as it would have recorded at its begin; the rest of
+// the run is dropped, and nothing settles the stream again.
+func (s *Stream) kill() {
+	s.settle(s.dev.env.Now())
+	if s.run > 0 {
+		if rec := trace.Of(s.dev.env); rec != nil {
+			rec.Begin(s.runAt, "gpu", s.dev.lane, s.q.At(0).name())
+		}
+		s.cut()
+		s.run = 0
+	}
+	s.proc.Kill()
+}
+
+// apply runs a begun op's Exec and completes it at time at.
+func (s *Stream) apply(op *Op, at vclock.Time) {
+	var err error
+	if op.Exec != nil {
+		err = op.Exec(s.dev)
+	}
+	s.end(op, err, at)
+}
+
+// end completes a begun op with err at time at: its span closes, a sticky
+// device or the op's own failure marks the stream, and the op finishes.
+func (s *Stream) end(op *Op, err error, at vclock.Time) {
+	s.sp.End(at)
 	s.sp = trace.Span{}
 	if err == nil && s.dev.health == Sticky {
 		err = ErrSticky

@@ -329,15 +329,18 @@ func (s *Shelter) commit(p *vclock.Proc, node int, img checkpoint.RankImage, sta
 // (checkpoint.Entries): replica objects and erasure fragments under one
 // entry directory are one entry.
 func (s *Shelter) entries(st *checkpoint.Store) []checkpoint.Entry {
-	return checkpoint.Entries(st, fmt.Sprintf("%s/ckpt/%s/", s.job, PolicyName), "iter")
+	return checkpoint.Entries(st, s.prefix(), "iter")
 }
+
+// prefix is where the job's shelter entries live in a host store.
+func (s *Shelter) prefix() string { return fmt.Sprintf("%s/ckpt/%s/", s.job, PolicyName) }
 
 // pruneRank deletes a rank's entries older than the retention window in
 // one host store (a metadata operation; no time charged), replica objects
-// and erasure fragments together.
+// and erasure fragments together. It walks only the rank's own entries.
 func (s *Shelter) pruneRank(st *checkpoint.Store, rank, newest int) {
-	for _, e := range s.entries(st) {
-		if e.Rank == rank && e.Iter <= newest-shelterRetain {
+	for _, e := range checkpoint.RankEntries(st, s.prefix(), "iter", rank) {
+		if e.Iter <= newest-shelterRetain {
 			for _, obj := range st.List(e.Dir + "/") {
 				st.Delete(obj)
 			}

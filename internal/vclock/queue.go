@@ -31,6 +31,10 @@ func (q *Queue[T]) Push(v T) {
 	q.waiters.wake(q.env, -1)
 }
 
+// At returns the item i places behind the head, without removing it. Call
+// only when i < Len().
+func (q *Queue[T]) At(i int) T { return q.items[q.head+i] }
+
 // popHead removes and returns the head item. Call only when Len() > 0.
 func (q *Queue[T]) popHead() T {
 	v := q.items[q.head]

@@ -1458,3 +1458,61 @@ func TestNestedRun(t *testing.T) {
 		t.Errorf("outer run: %+v, want %+v", got, want)
 	}
 }
+
+// TestRewakeOrder holds Proc.Rewake to the order contract: a moved timer
+// pops by (deadline, seq) with the seq of the move, as if it had been armed
+// at that instant, and the old deadline is gone, so it neither fires nor
+// advances the clock. Whatever else the process waits for still wakes it,
+// and a process with no timer is left as it is.
+func TestRewakeOrder(t *testing.T) {
+	env := NewEnv(1)
+	var log []string
+	note := func(p *Proc, what string) { log = append(log, fmt.Sprintf("%s %s@%v", p.Name(), what, p.Now())) }
+	// Both armed at 0: "early" due at 5s, "moved" at 10s. At 1s "moved" is
+	// rewoken at 5s, and "late" arms a timer for 5s after the move.
+	early := env.Go("early", func(p *Proc) { p.Sleep(5 * Second); note(p, "woke") })
+	moved := env.GoFunc("moved", func(p *Proc) {
+		if p.Now() == 0 {
+			p.SleepNext(10 * Second)
+			return
+		}
+		note(p, "woke")
+	})
+	// "waiter" waits for an event with a 10s timeout, rewoken at 3s: it
+	// times out there. "fired" does the same, but the event comes first.
+	ev, ev2 := env.NewEvent("never"), env.NewEvent("soon")
+	waiter := env.Go("waiter", func(p *Proc) { note(p, fmt.Sprint("wait=", p.WaitTimeout(ev, 10*Second))) })
+	fired := env.Go("fired", func(p *Proc) { note(p, fmt.Sprint("wait=", p.WaitTimeout(ev2, 10*Second))) })
+	env.Go("mover", func(p *Proc) {
+		p.Sleep(Second)
+		for _, c := range []struct {
+			p  *Proc
+			at Time
+		}{{moved, 5 * Second}, {waiter, 3 * Second}, {fired, 4 * Second}} {
+			if !c.p.Rewake(c.at) {
+				t.Errorf("Rewake(%s) found no timer", c.p.Name())
+			}
+		}
+		if p.Rewake(2 * Second) {
+			t.Error("Rewake of the running process moved a timer")
+		}
+		env.Go("late", func(p *Proc) { p.Sleep(4 * Second); note(p, "woke") })
+		p.Sleep(Second)
+		ev2.Trigger()
+		if early.Rewake(5*Second) != true {
+			t.Error("Rewake to the same deadline found no timer")
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// "early" was rewoken at 2s to its own deadline: it now comes due
+	// after "moved" and "late", both armed for 5s before that.
+	want := "fired wait=true@2.000s waiter wait=false@3.000s moved woke@5.000s late woke@5.000s early woke@5.000s"
+	if got := strings.Join(log, " "); got != want || env.Now() != 5*Second {
+		t.Errorf("got %q, run ended at %v\nwant %q, at 5s", got, env.Now(), want)
+	}
+	if got := env.Stats().TimerFires; got != 6 {
+		t.Errorf("%d timer fires, want 6: the mover's two, waiter, and three at 5s", got)
+	}
+}

@@ -623,6 +623,23 @@ func (p *Proc) WaitNext(ev *Event, d Time) bool {
 	return p.killed || p.state == stateBlocked
 }
 
+// Rewake moves the timer p is parked on so that it comes due at t (not
+// before now) instead: the timer leaves the queue and is pushed again, with
+// a new seq, as if p had armed it now. Whatever else p waits for is
+// unchanged. It reports false, changing nothing, when p has no timer.
+func (p *Proc) Rewake(t Time) bool {
+	e := p.env
+	if t < e.now {
+		panic(fmt.Sprintf("vclock: %q rewoken at %v, before now (%v)", p.name, t, e.now))
+	}
+	if !e.timers.remove(p) {
+		return false
+	}
+	e.seq++
+	e.timers.push(e.now, t-e.now, e.seq, p)
+	return true
+}
+
 // Become hands the rest of a callback process's life to body, run as a
 // coroutine: the way out for a step that reaches a call it cannot make
 // without blocking. The step calls it and returns at once. body starts in
