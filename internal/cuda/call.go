@@ -134,7 +134,7 @@ func (o Op) String() string { return o.Info().Name }
 
 // Call is one API invocation's inputs. Fields are a union across ops;
 // unused fields are zero. Everything in it crosses the proxy wire and the
-// replay log, each of which keeps a Clone.
+// replay log, each of which keeps a clone (CloneInto).
 type Call struct {
 	Op Op
 
@@ -155,17 +155,17 @@ type Call struct {
 	Peer   int
 }
 
-// Clone returns c with its argument slices copied — Data, Launch.Bufs,
-// Launch.IArgs and Launch.FArgs — so it owns nothing the caller may reuse
-// once the call returns: the proxy wire captures a call this way when it is
-// made (§4.2), the replay log when it records one (§4.1). An empty slice
-// comes back nil and costs nothing.
-func (c Call) Clone() Call {
-	c.Data = append([]float32(nil), c.Data...)
-	c.Launch.Bufs = append([]Buf(nil), c.Launch.Bufs...)
-	c.Launch.IArgs = append([]int64(nil), c.Launch.IArgs...)
-	c.Launch.FArgs = append([]float32(nil), c.Launch.FArgs...)
-	return c
+// CloneInto sets *dst to c with its argument slices copied — Data,
+// Launch.Bufs, Launch.IArgs and Launch.FArgs — so dst owns nothing the caller
+// may reuse once the call returns: the proxy wire captures a call this way
+// when it is made (§4.2), the replay log when it records one (§4.1). An empty
+// slice comes out nil and costs nothing.
+func (c *Call) CloneInto(dst *Call) {
+	*dst = *c
+	dst.Data = append([]float32(nil), c.Data...)
+	dst.Launch.Bufs = append([]Buf(nil), c.Launch.Bufs...)
+	dst.Launch.IArgs = append([]int64(nil), c.Launch.IArgs...)
+	dst.Launch.FArgs = append([]float32(nil), c.Launch.FArgs...)
 }
 
 // Handle returns the call's handle of kind k — for a destruction op, the

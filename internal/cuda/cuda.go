@@ -72,7 +72,7 @@ type KernelFunc func(a KernelArgs) error
 type Registry map[string]KernelFunc
 
 // LaunchParams describes one kernel launch. Everything in it is plain
-// data; Call.Clone copies its slices.
+// data; Call.CloneInto copies its slices.
 type LaunchParams struct {
 	Kernel string
 	// Dur is the modelled execution time of the kernel.

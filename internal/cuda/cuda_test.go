@@ -1002,7 +1002,7 @@ func (f doFunc) Do(p *vclock.Proc, c Call) (Result, error) { return f(p, c) }
 
 // TestCallRoundTripMatchesDirectCall runs the same script twice on twin
 // drivers: once through the driver's own typed methods, once through a
-// separate Adapter that hands Driver.Do a Clone of every Call and then
+// separate Adapter that hands Driver.Do a clone of every Call and then
 // overwrites the caller's argument slices — the proxy wire's path. Each
 // step must name the expected Op and return what the typed call returns:
 // equal results, and errors with the same text and the same sentinel
@@ -1032,7 +1032,8 @@ func TestCallRoundTripMatchesDirectCall(t *testing.T) {
 	wired.inProc(t, func(p *vclock.Proc) {
 		var seen Op
 		overWire := doFunc(func(p *vclock.Proc, c Call) (Result, error) {
-			back := c.Clone()
+			var back Call
+			c.CloneInto(&back)
 			scribble(c)
 			seen = back.Op
 			return wired.drv.Do(p, back)
@@ -1087,7 +1088,7 @@ func scribble(c Call) {
 
 // sliceFields appends the slice fields of struct v, nested structs
 // included, to out by name. A field that would share memory some other way
-// (map, pointer, interface) is an error: Clone could not capture it.
+// (map, pointer, interface) is an error: CloneInto could not capture it.
 func sliceFields(t *testing.T, v reflect.Value, path string, out map[string]reflect.Value) {
 	for i := 0; i < v.NumField(); i++ {
 		f, name := v.Field(i), path+v.Type().Field(i).Name
@@ -1097,7 +1098,7 @@ func sliceFields(t *testing.T, v reflect.Value, path string, out map[string]refl
 		case reflect.Slice:
 			out[name] = f
 		case reflect.Map, reflect.Pointer, reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
-			t.Errorf("Call.%s is a %v: a Clone would share it", name, f.Kind())
+			t.Errorf("Call.%s is a %v: a clone would share it", name, f.Kind())
 		}
 	}
 }
@@ -1105,7 +1106,7 @@ func sliceFields(t *testing.T, v reflect.Value, path string, out map[string]refl
 // TestCallCloneCopiesEverySlice walks Call, LaunchParams included, by
 // reflection: it fills every slice field with [0 1], clones, then writes 7
 // over the original, and every slice of the clone must still read [0 1]. A
-// slice field Clone does not copy, including one added to Call later, fails
+// slice field CloneInto does not copy, including one added to Call later, fails
 // here.
 func TestCallCloneCopiesEverySlice(t *testing.T) {
 	var orig Call
@@ -1119,7 +1120,8 @@ func TestCallCloneCopiesEverySlice(t *testing.T) {
 		f.Set(reflect.MakeSlice(f.Type(), 2, 2))
 		f.Index(1).Set(elem(f, 1))
 	}
-	clone := orig.Clone()
+	var clone Call
+	orig.CloneInto(&clone)
 	for _, f := range fields {
 		f.Index(0).Set(elem(f, 7))
 		f.Index(1).Set(elem(f, 7))

@@ -420,7 +420,7 @@ func (l *Layer) issue(p *vclock.Proc, c *cuda.Call, info cuda.OpInfo) (cuda.Resu
 	if l.cfg.LogReplay && !l.ignoreMut {
 		// The log outlives this call: capture the argument slices, which
 		// callers are free to reuse for their next call.
-		l.log.Record(replay.Call{Call: c.Clone(), Created: created})
+		l.log.Record(c, created)
 	}
 	switch c.Op {
 	case cuda.OpStreamWaitEvent:

@@ -119,7 +119,7 @@ func (c *Client) Step(p *vclock.Proc, call *cuda.Call, n int) (vclock.Until, boo
 		r, _ := c.server.free.Get()
 		c.nextID++
 		r.ID, r.from, th.req = c.nextID, th, c.nextID
-		r.Call = call.Clone()
+		call.CloneInto(&r.Call)
 		if call.Op.Info().Async {
 			p.Owe(c.server.ipc.SendLatency)
 			c.server.submit(r)

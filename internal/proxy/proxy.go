@@ -5,7 +5,7 @@
 // A call crosses as a value, and the transport itself is not charged:
 // Params bills two fixed latencies per message and nothing per byte. What
 // the wire does for the model is capture a call's argument slices when the
-// call is made (cuda.Call.Clone), so the caller may reuse them at once and
+// call is made (cuda.Call.CloneInto), so the caller may reuse them at once and
 // neither side aliases the other's memory (TestCallCapturedAtSend). Errors
 // cross unchanged: errors.Is and the error text are what the driver gave.
 //

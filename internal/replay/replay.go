@@ -24,6 +24,7 @@ package replay
 
 import (
 	"fmt"
+	"slices"
 
 	"jitckpt/internal/cuda"
 	"jitckpt/internal/vclock"
@@ -82,10 +83,14 @@ func (l *Log) removeCreation(k cuda.HandleKind, h int) {
 	}
 }
 
-// Record appends a call to the minibatch log.
-func (l *Log) Record(c Call) {
-	c.Iter = l.Iter
-	l.Minibatch = append(l.Minibatch, c)
+// Record appends a clone of c (cuda.Call.CloneInto) to the minibatch log,
+// with created, the handle a creation call returned (0 for any other).
+func (l *Log) Record(c *cuda.Call, created int) {
+	n := len(l.Minibatch)
+	l.Minibatch = slices.Grow(l.Minibatch, 1)[:n+1]
+	r := &l.Minibatch[n]
+	c.CloneInto(&r.Call)
+	r.Iter, r.Created = l.Iter, created
 }
 
 // Options configure a replay.

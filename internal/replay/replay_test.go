@@ -12,9 +12,9 @@ import (
 
 func TestStartMinibatchFoldsCreations(t *testing.T) {
 	l := NewLog()
-	l.Record(Call{Call: cuda.Call{Op: cuda.OpMalloc, Bytes: 64}, Created: 1})
-	l.Record(Call{Call: cuda.Call{Op: cuda.OpStreamCreate}, Created: 2})
-	l.Record(Call{Call: cuda.Call{Op: cuda.OpLaunch, Launch: cuda.LaunchParams{Kernel: "k"}}})
+	l.Record(&cuda.Call{Op: cuda.OpMalloc, Bytes: 64}, 1)
+	l.Record(&cuda.Call{Op: cuda.OpStreamCreate}, 2)
+	l.Record(&cuda.Call{Op: cuda.OpLaunch, Launch: cuda.LaunchParams{Kernel: "k"}}, 0)
 	l.StartMinibatch(1)
 	if len(l.Minibatch) != 0 {
 		t.Fatalf("minibatch log not cleared: %d", len(l.Minibatch))
@@ -23,7 +23,7 @@ func TestStartMinibatchFoldsCreations(t *testing.T) {
 		t.Fatalf("creation log = %d entries, want 2", len(l.Creation))
 	}
 	// A destruction inside the next minibatch removes the creation record.
-	l.Record(Call{Call: cuda.Call{Op: cuda.OpFree, Buf: 1}})
+	l.Record(&cuda.Call{Op: cuda.OpFree, Buf: 1}, 0)
 	l.StartMinibatch(2)
 	if len(l.Creation) != 1 || l.Creation[0].Op != cuda.OpStreamCreate {
 		t.Fatalf("creation log after free = %+v", l.Creation)
@@ -33,7 +33,7 @@ func TestStartMinibatchFoldsCreations(t *testing.T) {
 func TestRecordStampsIteration(t *testing.T) {
 	l := NewLog()
 	l.StartMinibatch(7)
-	l.Record(Call{Call: cuda.Call{Op: cuda.OpLaunch}})
+	l.Record(&cuda.Call{Op: cuda.OpLaunch}, 0)
 	if l.Minibatch[0].Iter != 7 {
 		t.Fatalf("iter = %d", l.Minibatch[0].Iter)
 	}
@@ -60,18 +60,18 @@ func TestReplayReproducesState(t *testing.T) {
 	env.Go("record-and-replay", func(p *vclock.Proc) {
 		// --- Original execution, recorded. ---
 		w, _ := drv.Malloc(p, 64, 3, "w")
-		log.Record(Call{Call: cuda.Call{Op: cuda.OpMalloc, Bytes: 64, Elems: 3, Tag: "w"}, Created: int(w)})
+		log.Record(&cuda.Call{Op: cuda.OpMalloc, Bytes: 64, Elems: 3, Tag: "w"}, int(w))
 		g, _ := drv.Malloc(p, 64, 3, "g")
-		log.Record(Call{Call: cuda.Call{Op: cuda.OpMalloc, Bytes: 64, Elems: 3, Tag: "g"}, Created: int(g)})
+		log.Record(&cuda.Call{Op: cuda.OpMalloc, Bytes: 64, Elems: 3, Tag: "g"}, int(g))
 		log.StartMinibatch(1)
 
 		drv.MemcpyH2D(p, w, []float32{1, 2, 3}, cuda.DefaultStream)
-		log.Record(Call{Call: cuda.Call{Op: cuda.OpMemcpyH2D, Buf: w, Data: []float32{1, 2, 3}}})
+		log.Record(&cuda.Call{Op: cuda.OpMemcpyH2D, Buf: w, Data: []float32{1, 2, 3}}, 0)
 		drv.MemcpyH2D(p, g, []float32{10, 10, 10}, cuda.DefaultStream)
-		log.Record(Call{Call: cuda.Call{Op: cuda.OpMemcpyH2D, Buf: g, Data: []float32{10, 10, 10}}})
+		log.Record(&cuda.Call{Op: cuda.OpMemcpyH2D, Buf: g, Data: []float32{10, 10, 10}}, 0)
 		lp := cuda.LaunchParams{Kernel: "axpy", Dur: vclock.Millisecond, Bufs: []cuda.Buf{w, g}, FArgs: []float32{0.5}}
 		drv.Launch(p, lp, cuda.DefaultStream)
-		log.Record(Call{Call: cuda.Call{Op: cuda.OpLaunch, Launch: lp}})
+		log.Record(&cuda.Call{Op: cuda.OpLaunch, Launch: lp}, 0)
 		drv.StreamSynchronize(p, cuda.DefaultStream)
 		origSum, _ = drv.BufChecksum(p, w)
 
@@ -114,13 +114,13 @@ func TestReplayTranslatesStreamsAndEvents(t *testing.T) {
 		// using them; replay must rewire handles.
 		log := NewLog()
 		s, _ := drv.StreamCreate(p)
-		log.Record(Call{Call: cuda.Call{Op: cuda.OpStreamCreate}, Created: int(s)})
+		log.Record(&cuda.Call{Op: cuda.OpStreamCreate}, int(s))
 		ev, _ := drv.EventCreate(p)
-		log.Record(Call{Call: cuda.Call{Op: cuda.OpEventCreate}, Created: int(ev)})
+		log.Record(&cuda.Call{Op: cuda.OpEventCreate}, int(ev))
 		log.StartMinibatch(1)
-		log.Record(Call{Call: cuda.Call{Op: cuda.OpLaunch, Launch: cuda.LaunchParams{Kernel: "nop", Dur: vclock.Millisecond}, Stream: s}})
-		log.Record(Call{Call: cuda.Call{Op: cuda.OpEventRecord, Event: ev, Stream: s}})
-		log.Record(Call{Call: cuda.Call{Op: cuda.OpStreamWaitEvent, Stream: cuda.DefaultStream, Event: ev}})
+		log.Record(&cuda.Call{Op: cuda.OpLaunch, Launch: cuda.LaunchParams{Kernel: "nop", Dur: vclock.Millisecond}, Stream: s}, 0)
+		log.Record(&cuda.Call{Op: cuda.OpEventRecord, Event: ev, Stream: s}, 0)
+		log.Record(&cuda.Call{Op: cuda.OpStreamWaitEvent, Stream: cuda.DefaultStream, Event: ev}, 0)
 
 		dev2 := gpu.NewDevice(env, 0, 1, 1<<30)
 		drv2, _ := cuda.NewDriver(dev2, engine, kernels, cuda.DefaultParams())
@@ -210,14 +210,14 @@ func TestCreationLogTracksLiveObjectsProperty(t *testing.T) {
 		var order []cuda.Buf
 		for i, create := range ops {
 			if create || len(order) == 0 {
-				l.Record(Call{Call: cuda.Call{Op: cuda.OpMalloc}, Created: int(next)})
+				l.Record(&cuda.Call{Op: cuda.OpMalloc}, int(next))
 				live[next] = true
 				order = append(order, next)
 				next++
 			} else {
 				victim := order[0]
 				order = order[1:]
-				l.Record(Call{Call: cuda.Call{Op: cuda.OpFree, Buf: victim}})
+				l.Record(&cuda.Call{Op: cuda.OpFree, Buf: victim}, 0)
 				delete(live, victim)
 			}
 			if i%3 == 2 {
@@ -242,10 +242,10 @@ func TestCreationLogTracksLiveObjectsProperty(t *testing.T) {
 
 func BenchmarkRecord(b *testing.B) {
 	l := NewLog()
-	c := Call{Call: cuda.Call{Op: cuda.OpLaunch, Launch: cuda.LaunchParams{Kernel: "fwd", Bufs: []cuda.Buf{1, 2, 3}}}}
+	c := cuda.Call{Op: cuda.OpLaunch, Launch: cuda.LaunchParams{Kernel: "fwd", Bufs: []cuda.Buf{1, 2, 3}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Record(c)
+		l.Record(&c, 0)
 		if i%1024 == 1023 {
 			l.StartMinibatch(i)
 		}

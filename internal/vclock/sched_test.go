@@ -1182,6 +1182,41 @@ func TestEnvOwnsNoGoroutinesAfterRun(t *testing.T) {
 				t.Errorf("%d goroutines at the peak of the run, %d before it", peak, base)
 			}
 		}},
+		{"idle carriers left at shutdown", func(t *testing.T) {
+			env := NewEnv(1)
+			ev := env.NewEvent("never")
+			idle := 0
+			// 50 processes alive at once, then 40 of them end: their
+			// carriers wait idle while the last 10 hang past the horizon.
+			for i := 0; i < 50; i++ {
+				env.Go("worker", func(p *Proc) {
+					p.Sleep(Time(i+1) * Millisecond)
+					if i < 40 {
+						return
+					}
+					idle = max(idle, len(env.idle))
+					p.Wait(ev)
+				})
+			}
+			if err := env.RunUntil(Second); err != nil {
+				t.Error(err)
+			}
+			if idle != 40 || len(env.idle) != 0 {
+				t.Errorf("%d carriers idle before shutdown and %d after, want 40 and 0", idle, len(env.idle))
+			}
+		}},
+		{"second RunUntil on the same Env", func(t *testing.T) {
+			env := NewEnv(1)
+			populate(env)
+			if err := env.RunUntil(10 * Second); err != nil {
+				t.Error(err)
+			}
+			populate(env)
+			park200(env)
+			if err := env.RunUntil(Hour); err != nil {
+				t.Error(err)
+			}
+		}},
 		{"killed before start", func(t *testing.T) {
 			env := NewEnv(1)
 			populate(env)

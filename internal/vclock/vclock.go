@@ -9,8 +9,10 @@
 
 // Package vclock implements a deterministic virtual-time simulation kernel.
 //
-// The kernel runs simulation processes (coroutines: each has a goroutine of
-// its own, so a body blocks in the middle of ordinary Go code) cooperatively:
+// The kernel runs simulation processes (coroutines: each runs on a goroutine
+// of its own while it lives, so a body blocks in the middle of ordinary Go
+// code; the Env hands a retired process's goroutine to the next process it
+// starts) cooperatively:
 // exactly one process executes at a time, and the virtual clock advances only
 // when every process is blocked in Sleep, Wait, or WaitTimeout. Given the
 // same seed and the same program, a simulation produces a byte-identical
@@ -114,12 +116,11 @@ type Proc struct {
 	state  procState
 	killed bool
 
-	// The coroutine, made at the first dispatch: RunUntil calls next to
-	// switch to the process, the process calls suspend to switch back.
-	next    func() (struct{}, bool)
-	suspend func(struct{}) bool
-	body    func(*Proc)
-	// step replaces all three in a callback process (GoFunc).
+	// The carrier, taken at the first dispatch: drive resumes it to switch
+	// to the process, the process suspends it to switch back.
+	c    *carrier
+	body func(*Proc)
+	// step replaces both in a callback process (GoFunc).
 	step func(*Proc)
 
 	// The wait record. A process blocks in one place at a time, so one
@@ -242,8 +243,9 @@ type Env struct {
 	// succ is the process to resume next, nil for none: left for RunUntil by
 	// the process that has just suspended or retired.
 	succ     *Proc
-	limit    Time // the current run's horizon, < 0 for none
-	stopping bool // shutdown is under way: schedule nothing
+	limit    Time       // the current run's horizon, < 0 for none
+	stopping bool       // shutdown is under way: schedule nothing
+	idle     []*carrier // carriers waiting for a process, the last idled last
 
 	doneEv *Event
 	stats  Stats
@@ -331,7 +333,8 @@ func (e *Env) NewEvent(name string) *Event {
 // event embedded in what it completes and reused with it. Nobody may still
 // wait on ev, or hold it to wait later: it is a new event.
 func (e *Env) InitEvent(ev *Event, name string) {
-	*ev = Event{env: e, name: name, waiters: waitList{rest: ev.waiters.rest[:0]}}
+	ev.env, ev.triggered, ev.name = e, false, name
+	ev.waiters.first, ev.waiters.rest, ev.waiters.head = waiter{}, ev.waiters.rest[:0], 0
 }
 
 // DoneEvent returns a shared, permanently-triggered event. Waiting on it
@@ -345,11 +348,42 @@ func (e *Env) DoneEvent() *Event {
 	return e.doneEv
 }
 
-// run is the coroutine behind a process: the body, then retirement, then
-// one last scheduling decision on behalf of whoever runs next.
-func (p *Proc) run(suspend func(struct{}) bool) {
+// carrier is the goroutine behind coroutine processes, made by iter.Pull. It
+// runs one process's body at a time and outlives it: between two processes
+// it waits on its Env's idle list, so the next process starts on a stack that
+// is grown already. The idle list holds no more carriers than the Env ever
+// had coroutines alive at once.
+type carrier struct {
+	p       *Proc // the process it runs, nil while idle
+	next    func() (struct{}, bool)
+	stop    func()
+	suspend func(struct{}) bool
+}
+
+// loop is a carrier's life: run its process, then wait idle until drive
+// hands it another or shutdown stops it. A carrier whose process was killed
+// by shutdown ends at once instead of going idle. A Goexit in a body unwinds
+// loop too, so that carrier is never reused.
+func (c *carrier) loop(suspend func(struct{}) bool) {
+	c.suspend = suspend
+	for {
+		e := c.p.env
+		c.p.run()
+		if c.p = nil; e.stopping {
+			return
+		}
+		e.idle = append(e.idle, c)
+		if !suspend(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run is a process's coroutine half, on its carrier: the body, then
+// retirement, then one last scheduling decision on behalf of whoever runs
+// next.
+func (p *Proc) run() {
 	e := p.env
-	p.suspend = suspend
 	returned := false
 	defer func() {
 		switch r := recover(); {
@@ -370,7 +404,7 @@ func (p *Proc) run(suspend func(struct{}) bool) {
 // retire marks p dead, whether its body returned, unwound, or never ran.
 func (e *Env) retire(p *Proc) {
 	p.state = stateDead
-	p.next, p.suspend, p.body, p.step = nil, nil, nil, nil // a kept *Proc pins no closure
+	p.c, p.body, p.step = nil, nil, nil // a kept *Proc pins no closure and no goroutine
 	delete(e.procs, p.id)
 	if pr, ok := e.rec.(ProcRecorder); ok {
 		pr.ProcEnd(e.now, p.id, p.name)
@@ -455,14 +489,21 @@ func (e *Env) runStep(p *Proc) {
 // drive is the trampoline: it resumes p, then the successor p left when it
 // suspended or retired, and so on until one of them leaves none. Every
 // process switch of a run is one iteration, on the goroutine that called
-// RunUntil.
+// RunUntil. A new process takes the carrier that went idle last, or a new
+// one.
 func (e *Env) drive(p *Proc) {
 	for ; p != nil; p = e.succ {
 		if p.state == stateNew {
 			p.state = stateRunning
-			p.next, _ = iter.Pull(p.run)
+			if n := len(e.idle); n > 0 {
+				p.c, e.idle = e.idle[n-1], e.idle[:n-1]
+			} else {
+				p.c = &carrier{}
+				p.c.next, p.c.stop = iter.Pull(p.c.loop)
+			}
+			p.c.p = p
 		}
-		p.next()
+		p.c.next()
 	}
 }
 
@@ -511,11 +552,12 @@ func (e *Env) RunUntil(limit Time) (err error) {
 	return nil
 }
 
-// shutdown kills all remaining processes, in id order, so their goroutines
+// shutdown kills all remaining processes, in id order, so their carriers
 // exit. Each one unwinds and leaves no successor (schedule returns nil while
 // stopping is set); whatever its deferred calls queued is dropped. A callback
 // process has nothing to unwind and is retired in place, like a new one.
 // Timers of the killed stay in the heap, like those of any killed process.
+// Then the idle carriers are stopped, so the Env owns no goroutine.
 func (e *Env) shutdown() {
 	e.stopping = true
 	ids := make([]int, 0, len(e.procs))
@@ -533,6 +575,10 @@ func (e *Env) shutdown() {
 		}
 		e.drive(p)
 	}
+	for _, c := range e.idle {
+		c.stop()
+	}
+	e.idle = nil
 	e.runq.clear()
 	e.stopping = false
 }
@@ -544,7 +590,7 @@ func (p *Proc) yield() {
 	e := p.env
 	if next := e.schedule(); next != p {
 		e.succ = next
-		p.suspend(struct{}{})
+		p.c.suspend(struct{}{})
 	}
 	p.state = stateRunning
 	p.unwindIfKilled()
