@@ -43,17 +43,6 @@ func OptimalFrequency(p Params) float64 {
 	return math.Sqrt(float64(p.N) * p.F / (2 * p.O))
 }
 
-// WastedPeriodicAt returns the wasted GPU time per GPU per unit useful
-// time for periodic checkpointing at frequency c (eq. 1 divided by N·t):
-// w(c) = c·o + N·f·r + N·f/(2c).
-func WastedPeriodicAt(p Params, c float64) float64 {
-	if c <= 0 {
-		return math.Inf(1)
-	}
-	nf := float64(p.N) * p.F
-	return c*p.O + nf*p.R + nf/(2*c)
-}
-
 // WastedPeriodicOptimal returns w* at the optimal frequency (eq. 5):
 // w* = sqrt(N·f·o/2) + N·f·r + sqrt(N·f·o/2).
 func WastedPeriodicOptimal(p Params) float64 {
@@ -85,139 +74,6 @@ func WastedUserJIT(p Params) float64 {
 // survives, and no checkpoint copy happens at all.
 func WastedTransparentJIT(p Params) float64 {
 	return p.OJit + float64(p.N)*p.F*p.M/2
-}
-
-// FallbackParams extend the §5.2 model to the catastrophic failures JIT
-// checkpointing cannot handle by itself: failures that destroy every
-// healthy replica of some position simultaneously, so no JIT checkpoint
-// of it can be taken and recovery falls back to a second tier.
-type FallbackParams struct {
-	// FCat is the rate of catastrophic (all-replica-loss) failures for
-	// the whole job, per second. It is a small fraction of N·f: most
-	// failures hit a single GPU or node.
-	FCat float64
-	// MeanRollback is the expected work redone per catastrophic failure,
-	// seconds: half the fallback tier's checkpoint interval for a daily
-	// disk checkpoint (43200 s), versus at most one minibatch m for a
-	// per-iteration peer shelter.
-	MeanRollback float64
-}
-
-// DailyFallback returns the fallback term for a 1/day periodic disk
-// companion: mean rollback is half a day.
-func DailyFallback(fCat float64) FallbackParams {
-	return FallbackParams{FCat: fCat, MeanRollback: 43200}
-}
-
-// PeerFallback returns the fallback term for a per-iteration peer
-// shelter: mean rollback is at most one minibatch (the previous
-// iteration's replication may still be in flight, so the sheltered state
-// is at most one iteration old).
-func PeerFallback(fCat float64, p Params) FallbackParams {
-	return FallbackParams{FCat: fCat, MeanRollback: p.M}
-}
-
-// WastedJITWithFallback returns wasted time per GPU per unit useful time
-// for user-level JIT checkpointing combined with a catastrophic fallback
-// tier: eq. 7's terms plus f_cat·(rollback + r) — each catastrophic
-// failure redoes the expected rollback and pays the fixed recovery cost
-// once more.
-func WastedJITWithFallback(p Params, fb FallbackParams) float64 {
-	return WastedUserJIT(p) + fb.FCat*(fb.MeanRollback+p.R)
-}
-
-// PeerReplicationOverhead returns the critical-path overhead per unit
-// useful time of streaming `bytes` of post-optimizer state at `linkBW`
-// bytes/second every minibatch of length m seconds. Replication overlaps
-// the next minibatch's compute, so the overhead is zero while the
-// transfer fits inside a minibatch; only the excess, if any, stalls
-// training. (The bandwidth itself rides along with the gradient
-// all-reduce window — Checkmate-style piggybacking.)
-func PeerReplicationOverhead(bytes int64, linkBW, m float64) float64 {
-	if linkBW <= 0 || m <= 0 {
-		return math.Inf(1)
-	}
-	repl := float64(bytes) / linkBW
-	if repl <= m {
-		return 0
-	}
-	return (repl - m) / m
-}
-
-// MultiStepParams extend the §5.2 model to gradient-reconciled multi-step
-// overlapped disk checkpointing: one logical generation is split into
-// per-iteration shard slices whose serialization largely overlaps compute,
-// and restore replays retained gradient deltas to advance stale slices to
-// the generation target.
-type MultiStepParams struct {
-	// Slices is the number of per-iteration shard slices one generation
-	// is split into (≥1; 1 degenerates to plain periodic checkpointing).
-	Slices int
-	// Hide is the fraction of each slice's serialization hidden behind
-	// the next minibatch's compute, in [0,1). The simulator's writer
-	// defaults to 0.5.
-	Hide float64
-	// RReconcile is the extra per-failure recovery cost of replaying the
-	// retained gradient ring over the generation's stale slices, seconds
-	// per GPU.
-	RReconcile float64
-}
-
-// WastedMultiStepAt returns wasted time per GPU per unit useful time for
-// multi-step overlapped checkpointing at generation frequency c:
-//
-//	w(c) = c·o·(1−hide) + N·f·(r + r_rec) + N·f/(2c)
-//
-// The rollback term is unchanged from eq. 1 — reconciliation restores the
-// generation to its target iteration, so a multi-step generation loses no
-// freshness to its slicing. Relative to WastedPeriodicAt at the same c,
-// the overhead term shrinks by c·o·hide at the price of N·f·r_rec; the
-// former dominates whenever c·o·hide > N·f·r_rec, which holds for any
-// realistic failure rate (failures are rare, checkpoints are not).
-func WastedMultiStepAt(p Params, ms MultiStepParams, c float64) float64 {
-	if c <= 0 {
-		return math.Inf(1)
-	}
-	hide := ms.Hide
-	if ms.Slices <= 1 {
-		hide = 0 // a single slice has no next-slice compute to hide behind
-	}
-	nf := float64(p.N) * p.F
-	return c*p.O*(1-hide) + nf*(p.R+ms.RReconcile) + nf/(2*c)
-}
-
-// PipeFreeParams model checkpoint-free pipeline-stage recovery: each
-// stage's state is retained in a neighbor stage's host memory every
-// iteration, and a lost stage is rebuilt from that bundle with zero
-// checkpoint reads.
-type PipeFreeParams struct {
-	// ORetain is the steady-state critical-path overhead of retention per
-	// GPU per unit useful time (dimensionless; zero while the bundle
-	// transfer fits inside a minibatch, like PeerReplicationOverhead).
-	ORetain float64
-	// RRebuild is the per-failure cost of rebuilding the lost stage from
-	// a neighbor's bundle (link transfer + rebuild compute), seconds.
-	RRebuild float64
-	// FUncovered is the rate of double faults that kill a stage together
-	// with every neighbor hosting its bundle, per second — the only case
-	// that touches the disk fallback.
-	FUncovered float64
-	// FallbackRollback is the expected work redone per uncovered double
-	// fault, seconds (half the fallback tier's checkpoint interval).
-	FallbackRollback float64
-}
-
-// WastedPipeFree returns wasted time per GPU per unit useful time for
-// checkpoint-free pipeline recovery:
-//
-//	w = o_retain + N·f·(r + r_rebuild + m/2) + f_unc·(rollback + r)
-//
-// There is no checkpoint-write term at all — nothing is ever written to
-// storage in the common path — and rollback for a covered failure is at
-// most one minibatch, because bundles are refreshed every iteration.
-func WastedPipeFree(p Params, pf PipeFreeParams) float64 {
-	nf := float64(p.N) * p.F
-	return pf.ORetain + nf*(p.R+pf.RRebuild+p.M/2) + pf.FUncovered*(pf.FallbackRollback+p.R)
 }
 
 // DollarCost estimates the monthly cost of failure-wasted GPU time under

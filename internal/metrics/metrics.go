@@ -82,7 +82,6 @@ type Phase struct {
 type PhaseTimer struct {
 	env    *vclock.Env
 	lane   string
-	start  vclock.Time
 	last   vclock.Time
 	phases []Phase
 }
@@ -91,7 +90,7 @@ type PhaseTimer struct {
 // phase spans land on the given lane (e.g. a per-rank lane for recovery
 // breakdowns).
 func NewPhaseTimerLane(env *vclock.Env, lane string) *PhaseTimer {
-	return &PhaseTimer{env: env, lane: lane, start: env.Now(), last: env.Now()}
+	return &PhaseTimer{env: env, lane: lane, last: env.Now()}
 }
 
 // Mark closes the current phase under name.
@@ -120,9 +119,6 @@ func (t *PhaseTimer) Sum() vclock.Time {
 
 // Phases returns the recorded phases in order.
 func (t *PhaseTimer) Phases() []Phase { return t.phases }
-
-// Total returns time from construction to the last mark.
-func (t *PhaseTimer) Total() vclock.Time { return t.last - t.start }
 
 // Get returns the duration of a named phase (0 if absent); if the name
 // repeats, durations sum.
@@ -163,9 +159,6 @@ func (t *Table) Row(cells ...interface{}) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
 
 // Render returns the table as aligned text.
 func (t *Table) Render() string {

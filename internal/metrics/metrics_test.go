@@ -35,7 +35,7 @@ func TestAccountingEmpty(t *testing.T) {
 func TestPhaseTimer(t *testing.T) {
 	env := vclock.NewEnv(1)
 	var phases []Phase
-	var total vclock.Time
+	var sum vclock.Time
 	env.Go("w", func(p *vclock.Proc) {
 		pt := NewPhaseTimerLane(env, trace.LaneSim)
 		p.Sleep(vclock.Second)
@@ -45,7 +45,7 @@ func TestPhaseTimer(t *testing.T) {
 		p.Sleep(500 * vclock.Millisecond)
 		pt.Mark("teardown") // repeated names sum in Get
 		phases = pt.Phases()
-		total = pt.Total()
+		sum = pt.Sum()
 		if pt.Get("teardown") != 1500*vclock.Millisecond {
 			t.Errorf("Get(teardown) = %v", pt.Get("teardown"))
 		}
@@ -59,8 +59,8 @@ func TestPhaseTimer(t *testing.T) {
 	if len(phases) != 3 || phases[1].Dur != 2*vclock.Second {
 		t.Fatalf("phases = %+v", phases)
 	}
-	if total != 3500*vclock.Millisecond {
-		t.Fatalf("total = %v", total)
+	if sum != 3500*vclock.Millisecond {
+		t.Fatalf("sum = %v", sum)
 	}
 }
 
@@ -78,8 +78,5 @@ func TestTableRender(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 5 { // title, header, separator, 2 rows
 		t.Fatalf("line count = %d:\n%s", len(lines), out)
-	}
-	if tb.Rows() != 2 {
-		t.Fatalf("Rows = %d", tb.Rows())
 	}
 }

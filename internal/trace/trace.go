@@ -104,7 +104,7 @@ type Recorder struct {
 	sinkCats map[string]bool // FilteringSink's category set (nil = all)
 	sinkMay  [256]bool       // first bytes of sinkCats keys: pre-filter before hashing
 	noRetain bool            // stream-only: count and forward events, keep no log
-	nonEmpty bool            // at least one event recorded since New/Reset
+	nonEmpty bool            // at least one event recorded since New
 	scratch  Ev              // stream-only staging slot, avoids per-event heap escapes
 }
 
@@ -203,17 +203,6 @@ func (r *Recorder) Merge(src *Recorder) {
 	}
 	r.seq += src.seq
 	r.run = runOff + src.run
-}
-
-// Reset clears the log, keeping allocated capacity.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.evs = r.evs[:0]
-	r.seq = 0
-	r.run = 1
-	r.nonEmpty = false
 }
 
 // record is the single funnel for every event: appends (unless retention

@@ -17,7 +17,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	r.Instant(3, "cat", LaneSim, "inst")
 	r.ProcStart(0, 1, "p")
 	r.ProcEnd(1, 1, "p")
-	r.Reset()
 	if r.Len() != 0 || r.Events() != nil {
 		t.Fatal("nil recorder recorded something")
 	}
@@ -101,13 +100,13 @@ func TestBeginRunSeparatesRuns(t *testing.T) {
 	if evs[0].Run != 1 || evs[len(evs)-1].Run != 2 {
 		t.Fatalf("run stamping wrong: %+v", evs)
 	}
-	r.Reset()
+	r = New()
 	if r.Len() != 0 {
-		t.Fatal("reset kept events")
+		t.Fatal("a fresh recorder holds events")
 	}
 	r.Instant(1, "c", LaneSim, "x")
 	if r.Events()[0].Run != 1 {
-		t.Fatal("reset did not restart run numbering")
+		t.Fatal("a fresh recorder does not start at run 1")
 	}
 }
 

@@ -69,20 +69,6 @@ func (q *Queue[T]) PopNext(p *Proc) (v T, ok bool) {
 	return v, false
 }
 
-// PopTimeout is Pop with a deadline; ok reports whether an item was
-// obtained before d elapsed.
-func (q *Queue[T]) PopTimeout(p *Proc, d Time) (v T, ok bool) {
-	deadline := p.Now() + d
-	for q.Len() == 0 {
-		p.unwindIfKilled()
-		remain := deadline - p.Now()
-		if remain <= 0 || (p.park(&q.waiters, remain) == wakeTimeout && q.Len() == 0) {
-			return v, false
-		}
-	}
-	return q.popHead(), true
-}
-
 // TryPop removes the head item without blocking; ok reports success.
 func (q *Queue[T]) TryPop() (v T, ok bool) {
 	if q.Len() == 0 {

@@ -77,68 +77,6 @@ func TestQueueSimultaneousWakeupPopOrdering(t *testing.T) {
 	}
 }
 
-// TestQueuePopTimeoutExpiresEmpty: PopTimeout on a queue that never
-// fills returns ok=false exactly at the deadline.
-func TestQueuePopTimeoutExpiresEmpty(t *testing.T) {
-	env := NewEnv(1)
-	q := NewQueue[int](env, "q")
-	env.Go("c", func(p *Proc) {
-		start := p.Now()
-		if _, ok := q.PopTimeout(p, 3*Second); ok {
-			t.Error("PopTimeout succeeded on an empty queue")
-		}
-		if waited := p.Now() - start; waited != 3*Second {
-			t.Errorf("waited %v, want 3s", waited)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQueuePopTimeoutZeroDeadline: a non-positive deadline on an empty
-// queue fails immediately, but an already-queued item is still taken.
-func TestQueuePopTimeoutZeroDeadline(t *testing.T) {
-	env := NewEnv(1)
-	q := NewQueue[int](env, "q")
-	env.Go("c", func(p *Proc) {
-		if _, ok := q.PopTimeout(p, 0); ok {
-			t.Error("zero-deadline PopTimeout on empty queue succeeded")
-		}
-		q.Push(7)
-		if v, ok := q.PopTimeout(p, 0); !ok || v != 7 {
-			t.Errorf("queued item not taken: %v,%v", v, ok)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQueuePushWhileTimedOutConsumerWaits: an item pushed before the
-// deadline is delivered and PopTimeout reports the true wait time.
-func TestQueuePushWhileTimedOutConsumerWaits(t *testing.T) {
-	env := NewEnv(1)
-	q := NewQueue[int](env, "q")
-	env.Go("producer", func(p *Proc) {
-		p.Sleep(Second)
-		q.Push(42)
-	})
-	env.Go("c", func(p *Proc) {
-		start := p.Now()
-		v, ok := q.PopTimeout(p, 5*Second)
-		if !ok || v != 42 {
-			t.Errorf("PopTimeout = %v,%v", v, ok)
-		}
-		if waited := p.Now() - start; waited != Second {
-			t.Errorf("waited %v, want 1s", waited)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQueueZeroValueClearedOnPop: popped slots are zeroed so drained
 // backing arrays do not retain references (pointer payloads).
 func TestQueueZeroValueClearedOnPop(t *testing.T) {

@@ -213,6 +213,22 @@ func (o *orderProgram) spawnScripted(name string, n int) {
 	o.procs = append(o.procs, o.world.spawn(name, script))
 }
 
+// popTimeout is Pop with a deadline: a timed park on the queue's waiter
+// list, the one park that a timer and a wake-all Push can both end, and where
+// a wake can find the queue emptied again. No command pops with a deadline;
+// the order program and TestKillRaces drive the kernel through it.
+func popTimeout[T any](q *Queue[T], p *Proc, d Time) (v T, ok bool) {
+	deadline := p.Now() + d
+	for q.Len() == 0 {
+		p.unwindIfKilled()
+		remain := deadline - p.Now()
+		if remain <= 0 || (p.park(&q.waiters, remain) == wakeTimeout && q.Len() == 0) {
+			return v, false
+		}
+	}
+	return q.popHead(), true
+}
+
 // orderMaxProcs caps the processes one program spawns.
 const orderMaxProcs = 24
 
@@ -292,7 +308,7 @@ func (o *orderProgram) step(p *Proc, s int) {
 	case 15, 16:
 		d := dur()
 		say("poptimeout %d", d)
-		v, ok := o.q.PopTimeout(p, d)
+		v, ok := popTimeout(o.q, p, d)
 		say("-> %d %v", v, ok)
 	case 17:
 		v, ok := o.q.TryPop()
@@ -557,7 +573,7 @@ func TestKillRaces(t *testing.T) {
 		}, "1.000s killer ends; 1.000s v unwinds; 1.000s v ends; 1.000s b runs; 1.000s b ends; end 1.000s {Dispatches:6 TimerFires:2 Triggers:1 Spawns:3} timers=0"},
 		{"woken by a queue push, not yet run", func(r *raceRig) {
 			q := NewQueue[int](r.env, "q")
-			v := r.victim("v", func(p *Proc) { q.PopTimeout(p, 10*Second) })
+			v := r.victim("v", func(p *Proc) { popTimeout(q, p, 10*Second) })
 			r.env.Go("killer", func(p *Proc) {
 				p.Sleep(Second)
 				q.Push(1)
@@ -827,7 +843,6 @@ func TestBlockingCallInStepPanics(t *testing.T) {
 		"Wait":        func(p *Proc, ev *Event, _ *Queue[int], _ *Mutex) { p.Wait(ev) },
 		"WaitTimeout": func(p *Proc, ev *Event, _ *Queue[int], _ *Mutex) { p.WaitTimeout(ev, Second) },
 		"Pop":         func(p *Proc, _ *Event, q *Queue[int], _ *Mutex) { q.Pop(p) },
-		"PopTimeout":  func(p *Proc, _ *Event, q *Queue[int], _ *Mutex) { q.PopTimeout(p, Second) },
 		"Mutex.Lock":  func(p *Proc, _ *Event, _ *Queue[int], m *Mutex) { m.Lock(p) },
 	} {
 		env := NewEnv(1)

@@ -266,30 +266,6 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
-func TestQueuePopTimeout(t *testing.T) {
-	env := NewEnv(1)
-	q := NewQueue[string](env, "q")
-	var ok1, ok2 bool
-	var v2 string
-	env.Go("consumer", func(p *Proc) {
-		_, ok1 = q.PopTimeout(p, Second)      // nothing arrives: timeout
-		v2, ok2 = q.PopTimeout(p, Seconds(5)) // arrives at t=3s
-	})
-	env.Go("producer", func(p *Proc) {
-		p.Sleep(Seconds(3))
-		q.Push("hello")
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ok1 {
-		t.Fatal("first pop should have timed out")
-	}
-	if !ok2 || v2 != "hello" {
-		t.Fatalf("second pop = %q, %v", v2, ok2)
-	}
-}
-
 func TestQueueMultipleConsumers(t *testing.T) {
 	env := NewEnv(1)
 	q := NewQueue[int](env, "q")

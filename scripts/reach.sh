@@ -10,12 +10,27 @@
 # The list is checked against scripts/reach.allow, one
 # `pkg/file.go<TAB>[Recv.]Func<TAB>reason` line per function that is allowed
 # to stay unreached. The script exits 1 when an unreached function is not on
-# the list (delete it, reach it from the battery, or add it with a reason)
-# and when an entry is stale (the function is reached now, or gone).
+# the list (delete it, reach it from the battery, or add it with a reason),
+# when an entry is stale (the function is reached now, or gone), and when the
+# list holds more than maxAllow entries: it may only shrink, so a PR that
+# empties a line lowers maxAllow to the new count.
 #
 # usage: scripts/reach.sh [workdir]      (default: a fresh mktemp -d)
 set -uo pipefail
 cd "$(dirname "$0")/.."
+
+# maxAllow caps scripts/reach.allow: the list may only shrink.
+maxAllow=31
+
+allow=scripts/reach.allow
+if bad=$(grep -vE '^(#|$)' "$allow" | grep -vP '^[^\t]+\t[^\t]+\t[^\t]*\S'); [ -n "$bad" ]; then
+  printf 'reach: %s entries need file<TAB>Func<TAB>reason:\n%s\n' "$allow" "$bad"
+  exit 1
+fi
+if n=$(grep -cvE '^(#|$)' "$allow"); [ "$n" -gt "$maxAllow" ]; then
+  printf 'reach: %s has %d entries, above maxAllow (%d): the list may only shrink\n' "$allow" "$n" "$maxAllow"
+  exit 1
+fi
 
 work=${1:-$(mktemp -d)}
 bin=$work/bin cov=$work/cov
@@ -91,11 +106,6 @@ awk 'NR == 1 || $1 ~ /^jitckpt\/internal\//' "$work/reach.out" > "$work/reach.in
 go tool cover -func="$work/reach.internal.out" | awk '/^total:/ { print "internal/ statements reached: " $NF }'
 echo "profile: $work/reach.out"
 
-allow=scripts/reach.allow
-if bad=$(grep -vE '^(#|$)' "$allow" | grep -vP '^[^\t]+\t[^\t]+\t[^\t]*\S'); [ -n "$bad" ]; then
-  printf 'reach: %s entries need file<TAB>Func<TAB>reason:\n%s\n' "$allow" "$bad"
-  exit 1
-fi
 grep -vE '^(#|$)' "$allow" | cut -f1,2 | sort -u > "$work/allowed.txt"
 new=$(comm -23 "$work/unreached.txt" "$work/allowed.txt")
 stale=$(comm -13 "$work/unreached.txt" "$work/allowed.txt")
