@@ -112,7 +112,7 @@ var (
 	fleetSpec    = flag.String("fleet", "", "fleet mode: jobs spec of COUNTxPOLICY[@PRIORITY][:ITERS] groups, e.g. \"6xjit+elastic,3xpc_disk@5:20\"")
 	fleetNodes   = flag.Int("fleet-nodes", 0, "cluster nodes in -fleet mode (0 = 2 per job + 2 spares)")
 	fleetRack    = flag.Int("fleet-rack", 4, "failure-domain width in nodes for -fleet rack-down faults")
-	fleetHorizon = flag.Float64("fleet-horizon", 120, "-fleet simulation horizon in seconds (stragglers are force-finished)")
+	fleetHorizon = flag.Float64("fleet-horizon", 120, "-fleet simulation horizon in seconds (jobs still running end there)")
 	repairSec    = flag.Float64("repair", 10, "mean node-repair turnaround in seconds for -fleet -fail-rate faults (0 = nodes stay down)")
 	serveAddr    = flag.String("serve", "", "serve live streaming observability (/metrics, /fleet, /jobs/{id}/timeline) on this address, e.g. \":8080\"; keeps serving after the run until interrupted")
 )
@@ -380,8 +380,8 @@ func reportFleet(res *cluster.Result) {
 			continue
 		}
 		r := j.Res
-		fmt.Printf("  %-10s pri=%d %-16v completed=%-5v wall=%-9v useful=%-9v recoveries=%d node-time=%v\n",
-			j.Name, j.Priority, r.Policy, r.Completed, r.WallTime,
+		fmt.Printf("  %-10s pri=%d %-16v end=%-9v wall=%-9v useful=%-9v recoveries=%d node-time=%v\n",
+			j.Name, j.Priority, r.Policy, r.End, r.WallTime,
 			r.Accounting.Useful, len(r.RecoveryLatencies), j.NodeTime)
 	}
 }
@@ -422,6 +422,7 @@ func writeTraces(rec *trace.Recorder, chromePath, textPath string) error {
 func report(res *core.RunResult, lossTail int) {
 	fmt.Printf("policy:       %v\n", res.Policy)
 	fmt.Printf("completed:    %v\n", res.Completed)
+	fmt.Printf("end:          %v\n", res.End)
 	fmt.Printf("wall time:    %v\n", res.WallTime)
 	fmt.Printf("minibatch:    %v\n", res.Minibatch)
 	fmt.Printf("iterations:   %d executed (incl. redone)\n", res.ItersExecuted)

@@ -40,7 +40,9 @@ func TestCLI(t *testing.T) {
 		{Name: "-fail-iter at -iters", Args: "-fail gpu-hard -fail-iter 8 -iters 8", Exit: 2, Want: []string{"-fail-iter must be below -iters"}},
 		{Name: "-fail-iter beyond -iters without -fail", Args: "-policy userjit -fail-iter 99 -iters 4", Want: []string{"completed:    true"}},
 		{Name: "transparent recovers a sticky error", Args: "-policy transparent -fail gpu-sticky -fail-iter 5 -iters 8", Want: []string{"completed:    true"}},
-		{Name: "userjit recovers a lost GPU", Args: "-policy userjit -fail gpu-hard -fail-iter 5 -iters 8", Want: []string{"completed:    true"}},
+		{Name: "userjit recovers a lost GPU", Args: "-policy userjit -fail gpu-hard -fail-iter 5 -iters 8", Want: []string{"completed:    true", "end:          completed"}},
+		{Name: "fleet cut at its horizon", Args: "-fleet 2xuserjit:4000 -fleet-horizon 30", Exit: 2, Want: []string{
+			"wall 30.000s", "userjit.p0.0 pri=0 UserJIT          end=horizon ", "userjit.p0.1 pri=0 UserJIT          end=horizon "}},
 	})
 }
 

@@ -122,9 +122,8 @@ func BertExample(n int) (cStarPerHour, wStar float64) {
 }
 
 // CrossoverN finds the smallest N (by doubling then bisection) at which
-// user-level JIT's wasted fraction beats optimal periodic checkpointing.
-// It returns 0 if JIT already wins at n=1, and -1 if it never wins below
-// the limit.
+// user-level JIT's wasted fraction beats optimal periodic checkpointing:
+// 1 if JIT already wins at one GPU, -1 if it never wins below the limit.
 func CrossoverN(base Params, limit int) int {
 	wins := func(n int) bool {
 		p := base
@@ -132,7 +131,7 @@ func CrossoverN(base Params, limit int) int {
 		return WastedUserJIT(p) < WastedPeriodicOptimal(p)
 	}
 	if wins(1) {
-		return 0
+		return 1
 	}
 	lo, hi := 1, 2
 	for !wins(hi) {

@@ -158,6 +158,16 @@ func TestCrossover(t *testing.T) {
 	if WastedUserJIT(p) >= WastedPeriodicOptimal(p) {
 		t.Fatalf("JIT does not win just past crossover %d", n)
 	}
+	// With no steady-state JIT overhead (costmodel's defaults), JIT already
+	// wins at one GPU, and the crossover is that first GPU count.
+	base.OJit = 0
+	p = base
+	if p.N = 1; WastedUserJIT(p) >= WastedPeriodicOptimal(p) {
+		t.Fatal("JIT does not win at one GPU")
+	}
+	if n := CrossoverN(base, 1<<20); n != 1 {
+		t.Fatalf("crossover at N=%d where JIT wins at one GPU, want 1", n)
+	}
 }
 
 func TestDegenerateParams(t *testing.T) {

@@ -56,6 +56,15 @@ type arbiter struct {
 	timeline []UtilPoint
 
 	preemptions int // yields honored fleet-wide
+
+	// The fleet's end: live counts the tenants that have not ended,
+	// lastEnd is when the last one did, plan is the cluster's failure plan,
+	// killed then, and cut, once set, is the horizon the run stopped at:
+	// the arbiter's clock while the cluster ends the tenants it cut.
+	live    int
+	lastEnd vclock.Time
+	plan    *vclock.Proc
+	cut     vclock.Time
 }
 
 func newArbiter(env *vclock.Env, pool *scheduler.Pool, hw *gpu.Cluster) *arbiter {
@@ -98,6 +107,15 @@ func (a *arbiter) addJob(name string, pri int) *lease {
 	e := &lease{a: a, name: name, pri: pri, seq: len(a.entries)}
 	a.entries = append(a.entries, e)
 	return e
+}
+
+// now is the arbiter's clock: the environment's, or the horizon once the
+// run stopped there.
+func (a *arbiter) now() vclock.Time {
+	if a.cut > 0 {
+		return a.cut
+	}
+	return a.env.Now()
 }
 
 // advance integrates node-time up to now. Called before every state
@@ -254,7 +272,7 @@ func (e *lease) Allocate(n int, exclude map[int]bool) ([]*gpu.Node, error) {
 		e.setDemand(n)
 		return nil, err
 	}
-	now := a.env.Now()
+	now := a.now()
 	a.advance(now)
 	e.advance(now)
 	for _, node := range nodes {
@@ -291,18 +309,12 @@ func (e *lease) Release(nodes []*gpu.Node) {
 	e.a.bump()
 }
 
-func (e *lease) ReleaseByID(ids ...int) {
-	e.release(ids)
-	e.a.pool.ReleaseByID(ids...)
-	e.a.bump()
-}
-
 // release runs the accounting side of a return: only nodes this lease
 // still owns transition (a node already MarkFailed went used->down then;
 // the pool-level release of it is a guarded no-op).
 func (e *lease) release(ids []int) {
 	a := e.a
-	now := a.env.Now()
+	now := a.now()
 	a.advance(now)
 	e.advance(now)
 	for _, id := range ids {
@@ -329,7 +341,7 @@ func (e *lease) release(ids []int) {
 
 func (e *lease) MarkFailed(nodeID int) {
 	a := e.a
-	now := a.env.Now()
+	now := a.now()
 	a.advance(now)
 	e.advance(now)
 	if own := a.owner[nodeID]; own == e {
@@ -351,7 +363,7 @@ func (e *lease) MarkRepaired(nodeID int) { e.a.markRepaired(nodeID) }
 // own NodeRepaired plan entries act on cluster hardware) and the
 // cluster-scoped injector.
 func (a *arbiter) markRepaired(nodeID int) {
-	now := a.env.Now()
+	now := a.now()
 	a.advance(now)
 	if a.owner[nodeID] == nil && a.state[nodeID] == stDown {
 		a.transition(nodeID, stIdle)
@@ -385,20 +397,20 @@ func (a *arbiter) notifyRepair() {
 
 func (e *lease) FreeHealthy() int { return e.a.freeFor(e) }
 
-// finish closes the lease when its job is done: outstanding demand stops
-// reserving capacity and waiters re-evaluate.
+// finish closes the lease when its job has ended: outstanding demand stops
+// reserving capacity and waiters re-evaluate. When the last tenant ends,
+// so does the fleet: the cluster's failure plan is killed.
 func (e *lease) finish() {
-	if e.done {
-		return
+	a := e.a
+	e.done, e.demand = true, 0
+	if a.live--; a.live == 0 {
+		a.lastEnd = a.now()
+		a.plan.Kill()
 	}
-	e.done = true
-	if e.demand != 0 {
-		e.demand = 0
-	}
-	e.a.bump()
+	a.bump()
 }
 
-// close advances every integral to the horizon and seals the timeline.
+// close advances every integral to the fleet's wall and seals the timeline.
 func (a *arbiter) close(now vclock.Time) {
 	a.advance(now)
 	for _, e := range a.entries {

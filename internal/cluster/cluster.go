@@ -52,8 +52,8 @@ type Config struct {
 	RackSize int
 	// Seed drives the single shared environment.
 	Seed int64
-	// Horizon bounds the whole simulation; jobs still running are
-	// force-finished (accounting closes exactly) at this time.
+	// Horizon bounds the whole simulation: jobs still running then end
+	// there (core.EndHorizon), and so does the fleet.
 	Horizon vclock.Time
 	// Jobs are the tenants, admitted in order.
 	Jobs []JobSpec
@@ -212,7 +212,9 @@ func Run(cfg Config) (*Result, error) {
 	cl := gpu.NewCluster(env, cfg.Nodes, cfg.PerNode, 1<<40)
 	cl.RackSize = cfg.RackSize
 	arb := newArbiter(env, scheduler.NewPool(env, cl.Nodes), cl)
+	arb.live = len(cfg.Jobs)
 	inj := &injector{a: arb}
+	arb.plan = failure.Play(env, "cluster-injector", cfg.Failures, inj.apply)
 
 	results := make([]JobResult, len(cfg.Jobs))
 	for i := range cfg.Jobs {
@@ -257,26 +259,26 @@ func Run(cfg Config) (*Result, error) {
 			submit()
 		}
 	}
-	inj.start(cfg.Failures)
 
 	if err := env.RunUntil(cfg.Horizon); err != nil {
 		return nil, err
 	}
-	// Horizon: close out stragglers in admission order so their
-	// accounting ends exactly at the cluster wall time.
+	// A tenant still alive was cut by the horizon: it ends there, and so
+	// does the fleet. Otherwise the fleet ended with its last tenant.
+	wall := arb.lastEnd
 	for _, e := range arb.entries {
-		if e.handle != nil && !e.handle.Done() {
+		if !e.done {
+			wall, arb.cut = cfg.Horizon, cfg.Horizon
 			e.handle.ForceFinish()
 		}
-		e.finish()
 	}
-	arb.close(env.Now())
+	arb.close(wall)
 
 	res := &Result{Jobs: results}
 	f := &res.Fleet
 	f.Nodes = cfg.Nodes
 	f.GPUs = cfg.Nodes * cfg.PerNode
-	f.Wall = env.Now()
+	f.Wall = wall
 	f.UsedNodeTime, f.IdleNodeTime, f.DownNodeTime = arb.used, arb.idle, arb.down
 	f.Timeline = arb.timeline
 	f.JobsTotal = len(cfg.Jobs)
@@ -308,7 +310,7 @@ func Run(cfg Config) (*Result, error) {
 	// are parsed from these args, so live and post-hoc numbers agree
 	// exactly. Durations are integer nanoseconds; goodput's %v formatting
 	// is the shortest representation that round-trips the float64.
-	trace.Of(env).Instant(env.Now(), "cluster", trace.LaneSim, "fleet-acct",
+	trace.Of(env).Instant(wall, "cluster", trace.LaneSim, "fleet-acct",
 		"nodes", f.Nodes, "gpus", f.GPUs, "wall", int64(f.Wall),
 		"used", int64(f.UsedNodeTime), "idle", int64(f.IdleNodeTime),
 		"down", int64(f.DownNodeTime), "goodput", f.Goodput,
@@ -320,7 +322,7 @@ func Run(cfg Config) (*Result, error) {
 		"lat_p50", int64(f.RecoveryLatency.P50),
 		"lat_p95", int64(f.RecoveryLatency.P95),
 		"lat_max", int64(f.RecoveryLatency.Max))
-	fleetSpan.End(env.Now(), "completed", f.JobsCompleted, "of", f.JobsTotal)
+	fleetSpan.End(wall, "completed", f.JobsCompleted, "of", f.JobsTotal)
 	return res, nil
 }
 

@@ -47,7 +47,7 @@ func TestFleetSmoke(t *testing.T) {
 		Jobs: []JobSpec{
 			fleetJob("a", core.PolicyPCDisk, 0, 10),
 			fleetJob("b", core.PolicyUserJIT, 0, 10),
-			fleetJob("c", core.PolicyElasticJIT, 0, 10),
+			fleetJob("c", core.PolicyElasticJIT, 0, 20),
 		},
 	})
 	if err != nil {
@@ -90,7 +90,7 @@ func TestRackDownFansOut(t *testing.T) {
 	}}
 	for i := 0; i < 6; i++ {
 		plan.Injections = append(plan.Injections, failure.Injection{
-			At: 30*vclock.Second + vclock.Time(i)*vclock.Second, Target: i, Kind: failure.NodeRepaired,
+			At: 5*vclock.Second + vclock.Time(i)*vclock.Second, Target: i, Kind: failure.NodeRepaired,
 		})
 	}
 	res, err := Run(Config{
@@ -263,6 +263,39 @@ func TestParseJobsSpec(t *testing.T) {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
+}
+
+// TestFleetEndsAtHorizon: a fleet whose restart-loop and transparent
+// tenants are both still training at the horizon ends there, and so do
+// both tenants, each holding its nodes to the horizon.
+func TestFleetEndsAtHorizon(t *testing.T) {
+	const horizon = 3 * vclock.Second
+	res, err := Run(Config{
+		Nodes: 4, PerNode: 2, Seed: 1, Horizon: horizon,
+		Jobs: []JobSpec{
+			fleetJob("loop", core.PolicyUserJIT, 0, 4000),
+			fleetJob("tp", core.PolicyTransparentJIT, 0, 4000),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fleet.Wall != horizon {
+		t.Errorf("fleet wall %v, want the horizon %v", res.Fleet.Wall, horizon)
+	}
+	for _, j := range res.Jobs {
+		r := j.Res
+		if r == nil || r.End != core.EndHorizon || r.WallTime != horizon {
+			t.Fatalf("tenant %s: %+v, want one ended at the horizon", j.Name, r)
+		}
+		if want := vclock.Time(FleetWorkload().Nodes) * horizon; j.NodeTime != want {
+			t.Errorf("tenant %s leased %v of node-time, want its nodes to the horizon, %v", j.Name, j.NodeTime, want)
+		}
+	}
+	if err := res.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	checkTimeline(t, res)
 }
 
 // TestTransparentGiveUpReleasesNodes: a transparent tenant loses a node

@@ -4,7 +4,6 @@ import (
 	"jitckpt/internal/failure"
 	"jitckpt/internal/gpu"
 	"jitckpt/internal/trace"
-	"jitckpt/internal/vclock"
 )
 
 // injector applies the cluster-scoped failure.Plan to the shared hardware.
@@ -19,20 +18,6 @@ type injector struct {
 	// casualties orders injection-broken nodes for repair: NodeRepaired
 	// brings back the oldest still-broken one first.
 	casualties []*gpu.Node
-}
-
-// start spawns the process that applies the plan on schedule.
-func (in *injector) start(plan failure.Plan) {
-	plan.Sort()
-	injections := plan.Injections
-	in.a.env.Go("cluster-injector", func(p *vclock.Proc) {
-		for _, inj := range injections {
-			if d := inj.At - p.Now(); d > 0 {
-				p.Sleep(d)
-			}
-			in.apply(inj)
-		}
-	})
 }
 
 func (in *injector) apply(inj failure.Injection) {
@@ -107,7 +92,7 @@ func (in *injector) casualty(node *gpu.Node) {
 	a := in.a
 	in.casualties = append(in.casualties, node)
 	if a.owner[node.ID] == nil {
-		now := a.env.Now()
+		now := a.now()
 		a.advance(now)
 		a.pool.MarkFailed(node.ID)
 		a.transition(node.ID, stDown)

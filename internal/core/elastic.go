@@ -73,7 +73,7 @@ func (h *harness) noteRepairCapacity() {
 	if h.finished || !h.degraded() {
 		return
 	}
-	if h.pool.FreeHealthy()+h.heldNodes >= h.cfg.WL.Nodes {
+	if h.pool.FreeHealthy()+len(h.held) >= h.cfg.WL.Nodes {
 		at := h.maxIter + 2
 		if at < h.cfg.Iters {
 			h.expandAt = at

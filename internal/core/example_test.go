@@ -139,7 +139,7 @@ func ExampleRun_hardError() {
 	//   comm-init          1.340s
 	//   restore-state      0.419s
 	//   replay             0.000s
-	// completed 14 minibatches in 8.246s; loss tail: 0.175231 0.184259 0.117124
+	// completed 14 minibatches in 8.228s; loss tail: 0.175231 0.184259 0.117124
 }
 
 // Just-in-time against periodic checkpointing, two ways: the same GPU
@@ -190,14 +190,14 @@ func ExampleRun_comparison() {
 			fmt.Sprintf("%.1fx", sc.WfPeriodic/sc.WfUserJIT))
 	}
 	printTable(at)
-	fmt.Println("user-level JIT beats optimally tuned periodic checkpointing from N =", max(analysis.CrossoverN(base, 1<<22), 1))
+	fmt.Println("user-level JIT beats optimally tuned periodic checkpointing from N =", analysis.CrossoverN(base, 1<<22))
 	// Output:
 	// Policy            Completed  Minibatches redone  Restarts  Wall time
 	// ----------------  ---------  ------------------  --------  ---------
 	// PC_disk           true       11                  1         9.81
-	// UserJIT           true       1                   1         8.05
-	// UserJIT+PC_1/day  true       1                   1         8.55
-	// TransparentJIT    true       0                   0         4.84
+	// UserJIT           true       1                   1         8.01
+	// UserJIT+PC_1/day  true       1                   1         8.52
+	// TransparentJIT    true       0                   0         4.80
 	//
 	// N      c* interval  wf Periodic  wf UserJIT  wf TransparentJIT  Periodic/JIT
 	// -----  -----------  -----------  ----------  -----------------  ------------

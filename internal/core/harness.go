@@ -104,8 +104,11 @@ type JobConfig struct {
 
 // RunResult reports what the job did.
 type RunResult struct {
-	Policy     Policy
-	Completed  bool
+	Policy Policy
+	// End says why the run ended; Completed is End == EndCompleted.
+	End       End
+	Completed bool
+	// WallTime runs from the job's start to the instant it ended.
 	WallTime   vclock.Time
 	Accounting metrics.Accounting
 	// Minibatch is the measured steady-state minibatch time.
@@ -168,6 +171,42 @@ type RunResult struct {
 	Shrinks, Expands int
 }
 
+// End says why a run ended, and inside the restart loop why one of its
+// incarnations did: RunResult.End holds one of the five exported values,
+// while an incarnation that failed or stopped for an expand or a yield hands
+// the run on to the next.
+type End int
+
+const (
+	// EndCompleted: every rank finished the last iteration.
+	EndCompleted End = iota
+	// EndHorizon: the job was still running at its horizon.
+	EndHorizon
+	// EndNoViablePlacement: no placement could host the job, and there was
+	// nothing to wait for that would change that.
+	EndNoViablePlacement
+	// EndGaveUp: the transparent coordinator gave up on a recovery episode;
+	// the last RecoveryReport's Kind says how.
+	EndGaveUp
+	// EndIncarnationCap: the restart loop spent its maxRestarts restarts.
+	EndIncarnationCap
+	endFailed
+	// endExpand: degraded workers stopped and checkpointed so the next
+	// incarnation can restart at full width on repaired nodes.
+	endExpand
+	// endYield: workers stopped and checkpointed for an arbiter-requested
+	// preemption; the next incarnation re-allocates under the arbiter's
+	// reservations (and typically takes the elastic shrink path).
+	endYield
+)
+
+func (e End) String() string {
+	return [...]string{"completed", "horizon", "no-viable-placement", "gave-up", "incarnation-cap", "failed", "expand", "yield"}[e]
+}
+
+// final reports whether the run ends with e.
+func (e End) final() bool { return e < endFailed }
+
 // OptimalInterval computes the periodic-checkpoint interval 1/c* for a
 // workload from the §5.2 model, using the measured checkpoint cost.
 func OptimalInterval(wl workload.Workload, fPerGPUDay float64) vclock.Time {
@@ -194,8 +233,8 @@ func Run(cfg JobConfig) (*RunResult, error) {
 	if err == nil {
 		err = h.env.RunUntil(h.cfg.Horizon)
 	}
-	if err == nil {
-		h.finish()
+	if err == nil && !h.finished {
+		h.end(h.cfg.Horizon, EndHorizon)
 	}
 	return h.res, err
 }
@@ -274,7 +313,7 @@ type harness struct {
 	minNodes  int
 	beatSlack vclock.Time
 
-	// Shared-simulation (fleet) state.
+	// Shared-simulation (fleet) state, and the job's end.
 	shared   *SharedSim
 	label    string
 	startAt  vclock.Time
@@ -297,11 +336,15 @@ type harness struct {
 	topo          train.Topology
 	accum         int
 	nodes         int
-	heldNodes     int // nodes the running incarnation occupies
 	maxIter       int // highest iteration any rank has started
 	waitCap       vclock.Time
 	degradedIters int
 	degradedExtra int // sum of (accum-1) over degraded iteration starts
+
+	// held is the nodes the job holds, the running incarnation's or the
+	// transparent job's; incSpan is the running incarnation's span.
+	held    []*gpu.Node
+	incSpan trace.Span
 
 	res        *RunResult
 	iterStarts map[int]vclock.Time // reference rank's StartMinibatch times
@@ -402,9 +445,6 @@ func (h *harness) setup() error {
 			// happens — not at incarnation teardown. RackDown fails
 			// several nodes at once, so sweep rather than resolve one rank.
 			h.sweepFailedNodes()
-		}
-		if h.shared != nil && h.shared.OnInject != nil {
-			h.shared.OnInject(inj)
 		}
 	}
 	if cfg.Chaos != nil {
@@ -567,13 +607,8 @@ func (h *harness) noteIterStart(rank, iter int) {
 				remain = append(remain, inj)
 				continue
 			}
-			delay := vclock.Time(inj.Frac * float64(h.cfg.WL.Minibatch))
-			h.env.Go("iter-injector", func(p *vclock.Proc) {
-				if delay > 0 {
-					p.Sleep(delay)
-				}
-				h.injector.Apply(failure.Injection{At: p.Now(), Target: inj.Rank, Kind: inj.Kind})
-			})
+			h.injector.After("iter-injector", vclock.Time(inj.Frac*float64(h.cfg.WL.Minibatch)),
+				failure.Injection{Target: inj.Rank, Kind: inj.Kind})
 		}
 		h.pendingIter = remain
 	}
@@ -604,41 +639,53 @@ func (h *harness) measuredMinibatch() vclock.Time {
 	return best
 }
 
-// finish computes the accounting from the run's observations.
-func (h *harness) finish() {
+// end closes the job at at, why being the reason: the one way a run ends,
+// exactly once. The restart loop's supervisor calls it when its loop
+// returns, the transparent coordinator when the job completes or gives up,
+// a fleet admission that failed when it fails, and Run or the cluster for a
+// job still alive at its horizon, with at the horizon. The wall is
+// at − startAt. Whatever the job still owns that could fire — its failure
+// plan, its pending iteration and phase injectors — is killed, so nothing
+// lands after the end; in a fleet the job's nodes go back and OnDone fires.
+func (h *harness) end(at vclock.Time, why End) {
+	if h.finished {
+		panic(fmt.Sprintf("core: job %s ended twice (%v, then %v)", h.label, h.res.End, why))
+	}
+	h.finished = true
+	h.injector.Stop()
+	if h.held != nil {
+		h.closeIncarnation(at, why)
+	}
 	res := h.res
-	res.WallTime = h.env.Now() - h.startAt
+	res.End, res.Completed = why, why == EndCompleted
+	res.WallTime = at - h.startAt
 	res.SimStats = h.env.Stats()
 	res.Minibatch = h.measuredMinibatch()
 	res.ItersExecuted = h.execIters
 	res.SkippedInjections = h.injector.SkippedCount()
 	res.Yields = h.yields
-	// The final incarnation's world size: an elastic run that finished in
-	// degraded mode completed with fewer ranks than the full workload.
-	res.Completed = len(h.doneRanks) == h.topo.World()
 	if h.degraded() {
 		// Trace invariant 6: a run that closes while degraded must say so
 		// explicitly — every shrink is followed by an expand or this.
-		trace.Of(h.env).Instant(h.env.Now(), "elastic", trace.LaneSim, "end-degraded",
+		trace.Of(h.env).Instant(at, "elastic", trace.LaneSim, "end-degraded",
 			"world", h.topo.World(), "completed", res.Completed)
 	}
 	h.foldTiers()
-	mb := res.Minibatch
-	acct := metrics.Accounting{N: h.cfg.WL.GPUs()}
-	acct.Checkpoints = h.ckptCount
-	// A degraded iteration runs Accum microbatches and makes the forward
-	// progress of Accum full-width iterations' worth of samples: credit it
-	// with Accum×mb of useful time (DegradedUseful reports the total).
-	useful := vclock.Time(min(h.execIters, h.cfg.Iters))*mb +
-		vclock.Time(h.degradedExtra)*mb
-	redoIters := h.execIters - min(h.execIters, h.cfg.Iters)
-	acct.Useful = useful
-	acct.RedoWork = vclock.Time(redoIters) * mb
-	acct.CkptStall = h.ckptStall
-	acct.WaitingForCapacity = h.waitCap
-	acct.DegradedIters = h.degradedIters
-	acct.DegradedUseful = vclock.Time(h.degradedIters+h.degradedExtra) * mb
-	acct.Recoveries = max(res.Incarnations-1, len(res.Reports))
+	mb, done := res.Minibatch, min(h.execIters, h.cfg.Iters)
+	acct := metrics.Accounting{
+		N: h.cfg.WL.GPUs(),
+		// A degraded iteration runs Accum microbatches and makes the forward
+		// progress of Accum full-width iterations' worth of samples: credit
+		// it with Accum×mb of useful time (DegradedUseful reports the total).
+		Useful:             vclock.Time(done+h.degradedExtra) * mb,
+		RedoWork:           vclock.Time(h.execIters-done) * mb,
+		CkptStall:          h.ckptStall,
+		WaitingForCapacity: h.waitCap,
+		Recoveries:         max(res.Incarnations-1, len(res.Reports)),
+		Checkpoints:        h.ckptCount,
+		DegradedIters:      h.degradedIters,
+		DegradedUseful:     vclock.Time(h.degradedIters+h.degradedExtra) * mb,
+	}
 	// Whatever the run spent that no bucket claims is recovery overhead —
 	// for a completed run the fixed recovery costs, for a stalled or
 	// failed one the time burnt before it gave up. Charging it keeps
@@ -658,7 +705,7 @@ func (h *harness) finish() {
 	// diverge (streaming is a view, never a second source of truth).
 	// Durations are integer nanoseconds: %v's "1.500s" formatting would
 	// lose the exactness the differential suite asserts.
-	trace.Of(h.env).Instant(h.env.Now(), "core", trace.LaneSim, "acct",
+	trace.Of(h.env).Instant(at, "core", trace.LaneSim, "acct",
 		"job", h.label, "n", acct.N,
 		"useful", int64(acct.Useful),
 		"ckpt_stall", int64(acct.CkptStall),
@@ -673,22 +720,10 @@ func (h *harness) finish() {
 		"completed", res.Completed,
 		"incarnations", res.Incarnations,
 		"episodes", len(res.RecoveryLatencies))
-	h.runSpan.End(h.env.Now(), "completed", res.Completed,
+	h.runSpan.End(at, "completed", res.Completed,
 		"incarnations", res.Incarnations, "recoveries", acct.Recoveries)
-}
-
-// jobDone finalizes a fleet job exactly once: accounting closes at the
-// current virtual time and the cluster's OnDone observer fires. Single-job
-// runs finalize through Run; fleet jobs through their supervisor exit,
-// the transparent coordinator's end, or ForceFinish at the cluster horizon.
-func (h *harness) jobDone() {
-	if h.finished {
-		return
-	}
-	h.finished = true
-	h.finish()
 	if h.shared != nil && h.shared.OnDone != nil {
-		h.shared.OnDone(h.res)
+		h.shared.OnDone(res)
 	}
 }
 

@@ -19,41 +19,26 @@ import (
 // Incarnation-based policies: none, periodic, user-level JIT.
 // ---------------------------------------------------------------------
 
-// incarnationEnd reports how one job incarnation ended.
-type incarnationEnd int
-
-const (
-	endCompleted incarnationEnd = iota
-	endFailed
-	endHorizon
-	// endExpand: degraded workers stopped and checkpointed so the next
-	// incarnation can restart at full width on repaired nodes.
-	endExpand
-	// endYield: workers stopped and checkpointed for an arbiter-requested
-	// preemption; the next incarnation re-allocates under the arbiter's
-	// reservations (and typically takes the elastic shrink path).
-	endYield
-)
-
-func (e incarnationEnd) String() string {
-	return [...]string{"completed", "failed", "horizon", "expand", "yield"}[e]
-}
+// maxRestarts is the incarnation cap: the restart loop gives up after this
+// many restarts (EndIncarnationCap).
+const maxRestarts = 50
 
 func (h *harness) runIncarnations() error {
-	// The whole incarnation loop runs inside a supervisor process.
+	// The whole incarnation loop runs inside a supervisor process, which
+	// ends the job when the loop returns.
 	h.doneRanks = make(map[int]bool)
 	name := "supervisor"
 	if h.shared != nil {
 		name = h.label + ".supervisor"
 	}
 	h.env.Go(name, func(p *vclock.Proc) {
-		if h.shared != nil {
-			defer h.jobDone()
-		}
 		for {
-			end := h.runOneIncarnation(p)
-			h.res.Incarnations++
-			if end == endCompleted || end == endHorizon || h.res.Incarnations > 50 {
+			why := h.runOneIncarnation(p)
+			if h.res.Incarnations++; !why.final() && h.res.Incarnations > maxRestarts {
+				why = EndIncarnationCap
+			}
+			if why.final() {
+				h.end(p.Now(), why)
 				return
 			}
 		}
@@ -61,26 +46,13 @@ func (h *harness) runIncarnations() error {
 	return nil
 }
 
-// awaitCapacity parks p in wait until capacity may have changed or the
-// horizon passes, charging the time to WaitingForCapacity; false means
-// there is nothing to wait for (a nil wait) or the horizon is already
-// behind.
-func (h *harness) awaitCapacity(p *vclock.Proc, wait func(*vclock.Proc, vclock.Time) bool) bool {
-	timeout := h.cfg.Horizon - p.Now()
-	if wait == nil || timeout <= 0 {
-		return false
-	}
-	t0 := p.Now()
-	wait(p, timeout)
-	h.waitCap += p.Now() - t0
-	return true
-}
-
 // allocate reserves the incarnation's nodes, shrinking — or waiting for a
 // planned repair or a fleet capacity change — when no full placement
-// exists. Fixed-width single-job policies give up until the horizon
-// (ok=false); elastic policies degrade instead of dying.
-func (h *harness) allocate(p *vclock.Proc) ([]*gpu.Node, bool) {
+// exists; the wait is charged to WaitingForCapacity. Elastic policies
+// degrade instead of dying. No nodes come back with the reason the job
+// ends instead: EndHorizon once the horizon has come, or
+// EndNoViablePlacement when there is nothing to wait for.
+func (h *harness) allocate(p *vclock.Proc) ([]*gpu.Node, End) {
 	wl := h.cfg.WL
 	nodes, err := h.pool.Allocate(h.nodes, nil)
 	for err != nil {
@@ -106,16 +78,23 @@ func (h *harness) allocate(p *vclock.Proc) ([]*gpu.Node, bool) {
 			// release, repair, or reservation shift), then retry.
 			wait = h.shared.AwaitCapacity
 		}
-		if !h.awaitCapacity(p, wait) {
-			return nil, false
+		timeout := h.cfg.Horizon - p.Now()
+		switch {
+		case timeout <= 0:
+			return nil, EndHorizon
+		case wait == nil:
+			return nil, EndNoViablePlacement
 		}
+		t0 := p.Now()
+		wait(p, timeout)
+		h.waitCap += p.Now() - t0
 		nodes, err = h.pool.Allocate(h.nodes, nil)
 	}
-	return nodes, true
+	return nodes, 0
 }
 
 // runOneIncarnation runs one job incarnation and reports how it ended.
-func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
+func (h *harness) runOneIncarnation(p *vclock.Proc) End {
 	wl := h.cfg.WL
 
 	// Elastic re-expand at the incarnation boundary: a degraded job
@@ -130,26 +109,37 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 			"world", h.topo.World(), "nodes", h.nodes)
 	}
 
-	nodes, ok := h.allocate(p)
-	if !ok {
-		return endHorizon
+	nodes, why := h.allocate(p)
+	if nodes == nil {
+		return why
 	}
 	// A pending yield is consumed by re-allocation: the job now holds
 	// exactly what the arbiter's reservations allow; a still-unsatisfied
 	// arbiter will simply request another yield.
 	h.yieldAt = -1
-	h.heldNodes = len(nodes)
-	defer func() { h.heldNodes = 0 }()
-	defer h.pool.Release(nodes)
+	h.held = nodes
+	h.incSpan = trace.Of(h.env).Begin(p.Now(), "core", trace.LaneSim, "incarnation",
+		"gen", h.gen, "world", h.topo.World())
+	how := h.incarnate(p)
+	h.closeIncarnation(p.Now(), how)
+	return how
+}
 
+// closeIncarnation ends the running incarnation's span at at with how (a
+// transparent job has none) and gives back the nodes the job holds.
+func (h *harness) closeIncarnation(at vclock.Time, how End) {
+	h.incSpan.End(at, "end", how)
+	h.pool.Release(h.held)
+	h.held = nil
+}
+
+// incarnate places the incarnation on h.held, runs its ranks until it ends,
+// and tears it down.
+func (h *harness) incarnate(p *vclock.Proc) End {
 	world := h.topo.World()
-	isp := trace.Of(h.env).Begin(p.Now(), "core", trace.LaneSim, "incarnation",
-		"gen", h.gen, "world", world)
-	defer func() { isp.End(p.Now(), "end", end) }()
-
-	placement, err := scheduler.Place(nodes, world)
+	placement, err := scheduler.Place(h.held, world)
 	if err != nil {
-		return endHorizon
+		return EndNoViablePlacement
 	}
 	h.placement = placement
 	// Completion is judged against the CURRENT world: stale done-marks
@@ -157,7 +147,7 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 	h.doneRanks = make(map[int]bool)
 	for _, t := range h.tiers {
 		if t.plan != nil && t.plan(p) != nil {
-			return endHorizon
+			return EndNoViablePlacement
 		}
 	}
 	// lastBeat entries appear when a rank starts its first minibatch;
@@ -173,7 +163,7 @@ func (h *harness) runOneIncarnation(p *vclock.Proc) (end incarnationEnd) {
 		ended: h.env.NewEvent(fmt.Sprintf("job.ended.g%d", h.gen)),
 	}
 	if !inc.buildStacks() {
-		return endHorizon
+		return EndNoViablePlacement
 	}
 	for r, st := range inc.stacks {
 		st.proc = h.env.Go(fmt.Sprintf("worker%d.g%d", r, h.gen), func(wp *vclock.Proc) { inc.runRank(wp, r) })
@@ -196,7 +186,7 @@ type incarnation struct {
 	// persisted, or a failure — which overrides the others for as long as
 	// the supervisor has not yet acted on them.
 	ended                *vclock.Event
-	how                  incarnationEnd
+	how                  End
 	doneCount, stopCount int
 }
 
@@ -230,7 +220,7 @@ func endStacks(stacks []*rankStack, kill bool) {
 	}
 }
 
-func (inc *incarnation) endWith(e incarnationEnd) {
+func (inc *incarnation) endWith(e End) {
 	if !inc.ended.Triggered() || e == endFailed {
 		inc.how = e
 	}
@@ -327,7 +317,7 @@ func (inc *incarnation) runRank(wp *vclock.Proc, r int) {
 		// way every worker persists its state first; the per-iteration
 		// all-reduce keeps ranks in lockstep, so all of them stop at the
 		// same iteration.
-		stop, by := endCompleted, ""
+		stop, by := EndCompleted, ""
 		if h.expandAt >= 0 && st.worker.Iter() >= h.expandAt {
 			stop, by = endExpand, "elastic-save"
 		} else if h.yieldAt >= 0 && st.worker.Iter() >= h.yieldAt {
@@ -361,7 +351,7 @@ func (inc *incarnation) runRank(wp *vclock.Proc, r int) {
 	}
 	h.doneRanks[r] = true
 	if inc.doneCount++; inc.doneCount == inc.world {
-		inc.endWith(endCompleted)
+		inc.endWith(EndCompleted)
 	}
 }
 
@@ -411,7 +401,7 @@ func (inc *incarnation) heartbeat(hp *vclock.Proc) {
 // before killing the ranks (§3.3) — 2 min here, after which recovery falls
 // to whatever older checkpoint a tier holds — and takes the failed nodes
 // out of the pool.
-func (inc *incarnation) teardown(p *vclock.Proc) incarnationEnd {
+func (inc *incarnation) teardown(p *vclock.Proc) End {
 	h := inc.h
 	h.foldTiers()
 	if inc.how == endFailed {
@@ -431,7 +421,7 @@ func (inc *incarnation) teardown(p *vclock.Proc) incarnationEnd {
 	}
 	endStacks(inc.stacks, inc.how == endFailed)
 	switch inc.how {
-	case endCompleted:
+	case EndCompleted:
 		return inc.how
 	case endYield:
 		h.yields++

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 
-	"jitckpt/internal/failure"
 	"jitckpt/internal/gpu"
 	"jitckpt/internal/scheduler"
 	"jitckpt/internal/vclock"
@@ -20,8 +19,6 @@ type Capacity interface {
 	Allocate(n int, exclude map[int]bool) ([]*gpu.Node, error)
 	// Release returns nodes to the free pool.
 	Release(nodes []*gpu.Node)
-	// ReleaseByID returns nodes by ID (migration paths hold IDs).
-	ReleaseByID(ids ...int)
 	// MarkFailed permanently excludes a node (until repaired).
 	MarkFailed(nodeID int)
 	// MarkRepaired re-admits a previously failed node.
@@ -54,13 +51,9 @@ type SharedSim struct {
 	AwaitCapacity func(p *vclock.Proc, timeout vclock.Time) bool
 	// Label names the job in traces and debug logs.
 	Label string
-	// OnDone observes the job's final result (called once, inside the
-	// simulation, at the virtual time the job finished or gave up).
+	// OnDone observes the job's final result, once, when it ends: inside
+	// the simulation, or after the run for a job the horizon cut.
 	OnDone func(res *RunResult)
-	// OnInject observes the job's applied failure injections, letting the
-	// cluster account for node state changed behind the allocator's back
-	// (a per-job NodeDown plan fails shared hardware directly).
-	OnInject func(inj failure.Injection)
 }
 
 // JobHandle is the cluster's control surface for one running fleet job.
@@ -72,7 +65,7 @@ type JobHandle struct {
 // StartJob launches a job inside a shared cluster simulation and returns
 // its handle. The job runs concurrently with every other job in the
 // cluster; its result becomes available (and Shared.OnDone fires) when it
-// completes, gives up, or ForceFinish is called at the cluster horizon.
+// ends, or ForceFinish is called for it at the cluster horizon.
 func StartJob(cfg JobConfig) (*JobHandle, error) {
 	if cfg.Shared == nil {
 		return nil, errors.New("core: StartJob requires JobConfig.Shared (use Run for single-job simulations)")
@@ -87,9 +80,6 @@ func StartJob(cfg JobConfig) (*JobHandle, error) {
 	}
 	return &JobHandle{h: h}, nil
 }
-
-// Done reports whether the job has finished (result available).
-func (hd *JobHandle) Done() bool { return hd.h.finished }
 
 // RequestYield asks an elastic job to shrink so a higher-priority tenant
 // can claim its nodes: the job stops cleanly a couple of iterations ahead
@@ -112,7 +102,7 @@ func (hd *JobHandle) NoteRepairCapacity() { hd.h.noteRepairCapacity() }
 // The workers themselves notice organically (their devices are dead).
 func (hd *JobHandle) NoteNodesLost(nodeIDs ...int) { hd.h.noteNodesLost(nodeIDs) }
 
-// ForceFinish finalizes a job that is still running at the cluster
-// horizon (accounting closes exactly at the current virtual time, with
-// Completed=false). No-op on a finished job.
-func (hd *JobHandle) ForceFinish() { hd.h.jobDone() }
+// ForceFinish ends a job still running when the cluster's run stops at
+// its horizon: the job ends at the horizon (EndHorizon). The cluster calls
+// it after the run, for each tenant it cut.
+func (hd *JobHandle) ForceFinish() { hd.h.end(hd.h.cfg.Horizon, EndHorizon) }

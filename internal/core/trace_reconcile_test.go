@@ -26,6 +26,49 @@ func reconciled(t *testing.T, cfg JobConfig) (*RunResult, *trace.Query) {
 	return res, q
 }
 
+// TestEndAtCompletionWhenPlanOutlivesRun: a run whose failure plan still
+// holds a fault when it completes ends at its completion, the end of its
+// last incarnation, and the fault never lands.
+func TestEndAtCompletionWhenPlanOutlivesRun(t *testing.T) {
+	wl := testWL()
+	res, q := reconciled(t, JobConfig{
+		WL: wl, Policy: PolicyUserJIT, Iters: 12, Seed: 1,
+		HangTimeout: 2 * vclock.Second, SpareNodes: 2,
+		IterFailures: injectAt(wl, 5.3, 1, failure.GPUHard),
+		Failures:     failure.Plan{Injections: []failure.Injection{{At: 10 * vclock.Minute, Target: 0, Kind: failure.GPUHard}}},
+	})
+	if !res.Completed || res.End != EndCompleted {
+		t.Fatalf("completed=%v end=%v, want a completed run", res.Completed, res.End)
+	}
+	incs := q.Spans("core", "incarnation")
+	if last := incs[len(incs)-1]; last.Args["end"] != "completed" || res.WallTime != last.End {
+		t.Errorf("wall %v, want the completed incarnation's end (%v, end=%s)", res.WallTime, last.End, last.Args["end"])
+	}
+	for _, name := range []string{"inject", "inject-skip"} {
+		for _, in := range q.Instants("fail", name) {
+			if in.T > res.WallTime {
+				t.Errorf("fail/%s %s at %v, after the run ended at %v", name, in.Args["kind"], in.T, res.WallTime)
+			}
+		}
+	}
+}
+
+// TestEndAtHorizon: a private run still training at its horizon ends
+// there, its incarnation closed at the horizon too, with exact accounting.
+func TestEndAtHorizon(t *testing.T) {
+	const horizon = 2 * vclock.Second
+	res, q := reconciled(t, JobConfig{
+		WL: testWL(), Policy: PolicyUserJIT, Iters: 1000, Seed: 1, Horizon: horizon,
+	})
+	if res.Completed || res.End != EndHorizon || res.WallTime != horizon {
+		t.Fatalf("completed=%v end=%v wall=%v, want a run cut at its horizon %v", res.Completed, res.End, res.WallTime, horizon)
+	}
+	incs := q.Spans("core", "incarnation")
+	if last := incs[len(incs)-1]; last.Open || last.End != horizon || last.Args["end"] != "horizon" {
+		t.Errorf("last incarnation ends at %v with end=%s (open %v), want the horizon", last.End, last.Args["end"], last.Open)
+	}
+}
+
 // TestAccountingReconcilesWithTrace checks, for one representative
 // scenario per policy family, that the run's wasted-work accounting is
 // exactly the traced wall time minus useful time — nothing is counted

@@ -28,14 +28,13 @@ func (h *harness) runTransparent() error {
 		// lease grants the full width, then start. Transparent jobs are
 		// fixed-width, so admission is all-or-nothing.
 		h.env.Go(h.label+".admit", func(p *vclock.Proc) {
-			nodes, ok := h.allocate(p)
-			if !ok {
-				h.jobDone()
+			nodes, why := h.allocate(p)
+			if nodes == nil {
+				h.end(p.Now(), why)
 				return
 			}
 			if serr := h.startTransparent(nodes); serr != nil {
-				h.pool.Release(nodes)
-				h.jobDone()
+				h.end(p.Now(), EndNoViablePlacement)
 			}
 		})
 		return nil
@@ -52,11 +51,11 @@ func (h *harness) runTransparent() error {
 func (h *harness) startTransparent(nodes []*gpu.Node) error {
 	cfg := h.cfg
 	wl := cfg.WL
+	h.held = nodes
 	placement, err := scheduler.Place(nodes, wl.Topo.World())
 	if err != nil {
 		return err
 	}
-	h.placement = placement
 	h.doneRanks = make(map[int]bool)
 
 	c := &coordinator{h: h, stacks: make([]*rankStack, wl.Topo.World()), faultQ: vclock.NewQueue[rankFault](h.env, "job.faults")}
@@ -77,7 +76,8 @@ func (h *harness) startTransparent(nodes []*gpu.Node) error {
 		}
 		c.stacks[r] = &rankStack{rank: r, layer: layer, client: client, server: server, worker: worker}
 	}
-	h.env.Go("job.coordinator", c.run)
+	h.placement = placement
+	c.proc = h.env.Go("job.coordinator", c.run)
 	for r, st := range c.stacks {
 		st.proc = h.env.Go(fmt.Sprintf("worker%d", r), func(p *vclock.Proc) {
 			if err := st.worker.Setup(p, 0); err != nil {
@@ -88,7 +88,7 @@ func (h *harness) startTransparent(nodes []*gpu.Node) error {
 			}
 			h.doneRanks[r] = true
 			if len(h.doneRanks) == len(c.stacks) {
-				c.end(false)
+				c.end(p, EndCompleted)
 			}
 		})
 	}
@@ -115,27 +115,16 @@ type coordinator struct {
 	h      *harness
 	stacks []*rankStack
 	faultQ *vclock.Queue[rankFault]
+	proc   *vclock.Proc // run's
 }
 
-// end closes the job: its rank stacks end (workers killed when kill), and
-// in a fleet the nodes the ranks now run on go back to the pool and the
-// job's accounting closes.
-func (c *coordinator) end(kill bool) {
-	h := c.h
-	endStacks(c.stacks, kill)
-	if h.shared == nil {
-		return
-	}
-	seen := make(map[int]bool)
-	var ids []int
-	for r := range c.stacks {
-		if dev := h.placement[r]; dev != nil && !seen[dev.NodeID] {
-			seen[dev.NodeID] = true
-			ids = append(ids, dev.NodeID)
-		}
-	}
-	h.pool.ReleaseByID(ids...)
-	h.jobDone()
+// end ends the job, from p: its rank stacks end (the workers killed when
+// the job gave up), the coordinator's process is killed, so no recovery
+// outlives the job, and the job closes.
+func (c *coordinator) end(p *vclock.Proc, why End) {
+	endStacks(c.stacks, why == EndGaveUp)
+	c.proc.Kill()
+	c.h.end(p.Now(), why)
 }
 
 // hook returns the OnFault callback for a rank's interception layer. It
@@ -159,7 +148,7 @@ func (c *coordinator) run(p *vclock.Proc) {
 		c.h.res.Reports = append(c.h.res.Reports, report)
 		c.h.res.RecoveryLatencies = append(c.h.res.RecoveryLatencies, report.Total())
 		if !ok {
-			c.end(true)
+			c.end(p, EndGaveUp)
 			return
 		}
 		// Faults raised before or during this recovery are stale.
@@ -845,9 +834,7 @@ func (a *hardAttempt) jitSave(pr *vclock.Proc, r *rankStack) error {
 // report kind the episode ends with instead.
 func (a *hardAttempt) migrate(p *vclock.Proc, nNodes int) (scheduler.Placement, *checkpoint.RestorePlan, string) {
 	h := a.c.h
-	for _, rec := range a.recs {
-		h.pool.ReleaseByID(rec.r.server.Device().NodeID)
-	}
+	h.pool.Release(h.held)
 	for _, rec := range a.recs {
 		if rec.strat == 4 {
 			h.pool.MarkFailed(rec.r.server.Device().NodeID)
@@ -855,6 +842,7 @@ func (a *hardAttempt) migrate(p *vclock.Proc, nNodes int) (scheduler.Placement, 
 	}
 	// No spare capacity: recovery cannot proceed transparently.
 	nodes, err := h.pool.Allocate(nNodes, nil)
+	h.held = nodes
 	var placement scheduler.Placement
 	if err == nil {
 		placement, err = scheduler.Place(nodes, len(a.recs))

@@ -169,20 +169,14 @@ func TestPolicyNamesIncludeCombined(t *testing.T) {
 	}
 }
 
-// watchdogPoll is the interception watchdog's polling period. A stopped
-// watchdog's last poll timer still comes due, as every killed process's
-// does, so a run that ends by stopping watchdogs runs on for up to one poll.
-const watchdogPoll = 50 * vclock.Millisecond
-
 // checkEndedAtGiveUp asserts that a transparent run whose last recovery
 // gave up ended there: no worker process outlives the last report, and the
-// run's wall time stops within one watchdog poll of that report's
-// CompletedAt (callers' plans schedule nothing later). It returns the last
-// report.
+// run's wall time is that report's CompletedAt. It returns the last report.
 func checkEndedAtGiveUp(t *testing.T, res *RunResult, q *trace.Query) *RecoveryReport {
 	t.Helper()
-	if res.Completed || len(res.Reports) == 0 {
-		t.Fatalf("completed=%v with %d reports, want an incomplete run that recovered at least once", res.Completed, len(res.Reports))
+	if res.Completed || res.End != EndGaveUp || len(res.Reports) == 0 {
+		t.Fatalf("completed=%v end=%v with %d reports, want a run that gave up after recovering at least once",
+			res.Completed, res.End, len(res.Reports))
 	}
 	last := res.Reports[len(res.Reports)-1]
 	alive := make(map[string]bool) // worker proc ids
@@ -199,8 +193,8 @@ func checkEndedAtGiveUp(t *testing.T, res *RunResult, q *trace.Query) *RecoveryR
 	if len(alive) > 0 {
 		t.Errorf("%d worker processes still alive after the give-up at %v", len(alive), last.CompletedAt)
 	}
-	if res.WallTime < last.CompletedAt || res.WallTime > last.CompletedAt+watchdogPoll {
-		t.Errorf("wall time %v, want the give-up instant %v plus at most one watchdog poll", res.WallTime, last.CompletedAt)
+	if res.WallTime != last.CompletedAt {
+		t.Errorf("wall time %v, want the give-up instant %v", res.WallTime, last.CompletedAt)
 	}
 	return last
 }

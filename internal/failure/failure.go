@@ -338,6 +338,7 @@ type Injector struct {
 	OnRepair func(node *gpu.Node)
 
 	skipped        int
+	procs          []*vclock.Proc // what Start and After spawned
 	phased         []*phaseState
 	failedNodes    []*gpu.Node // FIFO of injection-failed nodes awaiting repair
 	pendingRepairs int
@@ -490,21 +491,46 @@ func (in *Injector) failNode(node *gpu.Node) {
 	}
 }
 
-// Start spawns a process that applies the plan on schedule.
+// Start spawns the process that applies the plan on schedule.
 func (in *Injector) Start(plan Plan) {
-	plan.Sort()
-	injections := plan.Injections
-	for _, inj := range injections {
+	for _, inj := range plan.Injections {
 		if inj.Kind == NodeRepaired {
 			in.pendingRepairs++
 		}
 	}
-	in.Env.Go("failure-injector", func(p *vclock.Proc) {
+	in.play("failure-injector", plan)
+}
+
+// After spawns name, a process that applies inj delay from now.
+func (in *Injector) After(name string, delay vclock.Time, inj Injection) {
+	inj.At = in.Env.Now() + delay
+	in.play(name, Plan{Injections: []Injection{inj}})
+}
+
+func (in *Injector) play(name string, plan Plan) {
+	in.procs = append(in.procs, Play(in.Env, name, plan, func(inj Injection) { in.Apply(inj) }))
+}
+
+// Stop kills every process Start and After spawned: the job they target has
+// ended, so nothing of its plan may land.
+func (in *Injector) Stop() {
+	for _, p := range in.procs {
+		p.Kill()
+	}
+}
+
+// Play spawns name, the process that applies the plan's injections through
+// apply at their times, and returns it. Its owner, a job or a fleet, kills
+// it when it ends, so nothing fires into what is over.
+func Play(env *vclock.Env, name string, plan Plan, apply func(Injection)) *vclock.Proc {
+	plan.Sort()
+	injections := plan.Injections
+	return env.Go(name, func(p *vclock.Proc) {
 		for _, inj := range injections {
 			if d := inj.At - p.Now(); d > 0 {
 				p.Sleep(d)
 			}
-			in.Apply(inj)
+			apply(inj)
 		}
 	})
 }

@@ -135,12 +135,7 @@ func (in *Injector) NotePhase(rank int, ph Phase) {
 		if target < 0 {
 			target = rank
 		}
-		pi := st.inj
-		in.Env.Go(fmt.Sprintf("phase-injector-%v", ph), func(p *vclock.Proc) {
-			if pi.Delay > 0 {
-				p.Sleep(pi.Delay)
-			}
-			in.Apply(Injection{At: p.Now(), Target: target, Kind: pi.Kind, CommKey: pi.CommKey})
-		})
+		in.After(fmt.Sprintf("phase-injector-%v", ph), st.inj.Delay,
+			Injection{Target: target, Kind: st.inj.Kind, CommKey: st.inj.CommKey})
 	}
 }

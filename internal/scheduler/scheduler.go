@@ -130,15 +130,6 @@ func (p *Pool) Release(nodes []*gpu.Node) {
 	}
 }
 
-// ReleaseByID returns nodes to the free pool by ID (migration paths hold
-// node IDs, not node pointers).
-func (p *Pool) ReleaseByID(ids ...int) {
-	for _, id := range ids {
-		delete(p.inUse, id)
-		p.insertFree(id)
-	}
-}
-
 // MarkFailed permanently excludes a node.
 func (p *Pool) MarkFailed(nodeID int) {
 	p.failed[nodeID] = true
