@@ -291,6 +291,10 @@ func TestFleetEndsAtHorizon(t *testing.T) {
 		if want := vclock.Time(FleetWorkload().Nodes) * horizon; j.NodeTime != want {
 			t.Errorf("tenant %s leased %v of node-time, want its nodes to the horizon, %v", j.Name, j.NodeTime, want)
 		}
+		// Each tenant was cut in its first incarnation, which counts.
+		if r.Incarnations != 1 {
+			t.Errorf("tenant %s: %d incarnations, want the running one, 1", j.Name, r.Incarnations)
+		}
 	}
 	if err := res.Reconcile(); err != nil {
 		t.Fatal(err)

@@ -654,6 +654,11 @@ func (h *harness) end(at vclock.Time, why End) {
 	h.finished = true
 	h.injector.Stop()
 	if h.held != nil {
+		if !h.pol.Transparent {
+			// The restart loop counts an incarnation when it returns; the
+			// one the horizon cut never does.
+			h.res.Incarnations++
+		}
 		h.closeIncarnation(at, why)
 	}
 	res := h.res
