@@ -139,7 +139,7 @@ func ExampleRun_hardError() {
 	//   comm-init          1.340s
 	//   restore-state      0.419s
 	//   replay             0.000s
-	// completed 14 minibatches in 8.228s; loss tail: 0.175231 0.184259 0.117124
+	// completed 14 minibatches in 8.227s; loss tail: 0.175231 0.184259 0.117124
 }
 
 // Just-in-time against periodic checkpointing, two ways: the same GPU

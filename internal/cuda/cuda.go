@@ -187,6 +187,33 @@ type record struct {
 
 func (r *record) exec(*gpu.Device) error { return r.gs.AsyncErr() }
 
+// state is what an EventQuery of the record answers: whether its work
+// completed, and the error it completed with. An unrecorded event reports
+// complete.
+func (r *record) state() (bool, error) {
+	if r.op.Done == nil {
+		return true, nil
+	}
+	return r.done.Triggered(), r.op.Err
+}
+
+// EventState is EventQuery's answer for ev now, in zero time and without the
+// call: the interception layer's watchdog reads its watched events with it
+// at each poll's tick.
+func (d *Driver) EventState(ev Event) (bool, error) {
+	if d.dev.Health() == gpu.DriverCorrupt {
+		return false, gpu.ErrCorrupt
+	}
+	if err := d.healthErr(); err != nil {
+		return false, err
+	}
+	rec, err := lookup(&d.events, "event", int(ev))
+	if err != nil {
+		return false, err
+	}
+	return rec.state()
+}
+
 // waitOp is one StreamWaitEvent's op: its stream waits for rec and takes on
 // rec's error. Pooled like launchOp: the stream returns it at completion.
 type waitOp struct {
@@ -589,10 +616,7 @@ func (d *Driver) Start(p *vclock.Proc, c *Call, k *Pending) {
 		rec.op.Done = &rec.done
 		o.gs.Enqueue(&rec.op)
 	case OpEventQuery:
-		r.Bool = true // an unrecorded event reports complete
-		if o.rec.op.Done != nil {
-			r.Bool, k.err = o.rec.done.Triggered(), o.rec.op.Err
-		}
+		r.Bool, k.err = o.rec.state()
 	case OpEventDestroy:
 		d.events.Delete(int(c.Event))
 	case OpLaunch:

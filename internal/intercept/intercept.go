@@ -189,7 +189,10 @@ func (l *Layer) SetOnFault(fn func(p *vclock.Proc, f Fault)) { l.cfg.OnFault = f
 // migration path uses it after attaching the worker to a replacement GPU
 // (§4.3): parked application threads retry their calls against the new
 // API. Only call between BeginRecovery and EndRecovery.
-func (l *Layer) SetInner(api cuda.API) { l.inner = api }
+func (l *Layer) SetInner(api cuda.API) {
+	l.inner = api
+	l.pinWatchdog()
+}
 
 // Log returns the replay log.
 func (l *Layer) Log() *replay.Log { return l.log }

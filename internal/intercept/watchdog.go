@@ -1,7 +1,10 @@
 package intercept
 
 import (
+	"errors"
+
 	"jitckpt/internal/cuda"
+	"jitckpt/internal/proxy"
 	"jitckpt/internal/vclock"
 )
 
@@ -26,19 +29,32 @@ func (l *Layer) noteStreamWaitEvent(ev cuda.Event) {
 	}
 }
 
-// startWatchdog launches the watchdog process once.
+// startWatchdog launches the watchdog process once. Its polls fall on the
+// ticks of its start, and over a device proxy its thread is a standing one
+// (proxy.Client.Pin).
 func (l *Layer) startWatchdog() {
 	if l.watchdogProc != nil {
 		return
 	}
-	w := &watchdog{l: l, call: cuda.Call{Op: cuda.OpEventQuery}}
+	w := &watchdog{l: l, start: l.env.Now(), call: cuda.Call{Op: cuda.OpEventQuery}}
 	l.watchdogProc = l.env.GoFunc(l.name+".watchdog", w.next)
+	l.watchdogProc.RunLast()
+	l.pinWatchdog()
 }
 
-// StopWatchdog kills the watchdog process. The job-restart path uses it
-// when an incarnation's processes are torn down.
+// pinWatchdog makes the watchdog a standing thread of a proxied inner API.
+func (l *Layer) pinWatchdog() {
+	if pn, ok := l.inner.(interface{ Pin(*vclock.Proc) }); ok && l.watchdogProc != nil {
+		pn.Pin(l.watchdogProc)
+	}
+}
+
+// StopWatchdog kills the watchdog process, leaving no timer of its behind.
+// The job-restart path uses it when an incarnation's processes are torn
+// down.
 func (l *Layer) StopWatchdog() {
 	if l.watchdogProc != nil {
+		l.watchdogProc.Disarm()
 		l.watchdogProc.Kill()
 		l.watchdogProc = nil
 	}
@@ -52,22 +68,37 @@ func (l *Layer) WatchedEvents() []cuda.Event {
 	return l.watched
 }
 
-// watchdogPoll is the watchdog's EventQuery polling period.
+// watchdogPoll is the watchdog's EventQuery polling period: its polls fall
+// on the ticks start + k·watchdogPoll (k ≥ 1) of the watchdog's start.
 const watchdogPoll = 50 * vclock.Millisecond
 
 // stepper is an inner API that runs a call in steps for a process with no
 // stack to block on: cuda.Driver and proxy.Client. Step runs step n (from
 // 0) of p's call *c and reports the wait before the step after it or, when
 // there is none, the call's outputs. The watchdog's EventQuery goes
-// through it.
+// through it. EventState is the EventQuery answer now, in zero time: what
+// the watchdog reads at its ticks.
 type stepper interface {
 	Step(p *vclock.Proc, c *cuda.Call, n int) (vclock.Until, bool, cuda.Result, error)
+	EventState(ev cuda.Event) (bool, error)
 }
 
 // watchdog polls the watched events with EventQuery and checks the ages of
 // in-flight blocking calls. Completed events leave the watch-list; an
 // event or blocking call pending longer than HangTimeout raises a hang
 // fault (§3.1, §4.2).
+//
+// A poll is a function of the layer's and device's state at its tick (DESIGN.md
+// "The watchdog's poll grid"). The watchdog runs last at its instants
+// (vclock.Proc.RunLast), so at a tick it sees everything else that happened
+// then, and reads there, in zero time, what each watched event's EventQuery
+// answers (stepper.EventState): a finished event leaves the watch-list at
+// once, and the first event that raises, if any, is noted. Then it pays for
+// the queries, in watch-list order, as real EventQuery calls, up to the one
+// that raises, and raises its fault when that query returns. An answer lost
+// to a proxy stop (proxy.ErrProxyDown) ends the poll. With no event raising,
+// a blocking call older than HangTimeout at the tick raises a hang after the
+// last query.
 //
 // The poll is written as steps (step), and the process is a callback
 // (next) that parks at each wait with AwaitNext. A transparent-mode
@@ -78,16 +109,17 @@ type stepper interface {
 // the save on the watchdog's own thread and blocks, so the callback hands
 // the process to a coroutine that only raises the fault (Proc.Become), and
 // the process retires when OnFault returns. A fault a worker's call raised
-// ends it at its next poll.
+// ends it at its next tick.
 type watchdog struct {
-	l  *Layer
-	at dogAt
+	l     *Layer
+	at    dogAt
+	start vclock.Time // the tick grid's origin
 
-	now   vclock.Time  // the poll's time
-	evs   []cuda.Event // the poll's snapshot of the watch-list
-	i     int          // the next event of evs to poll
-	ev    cuda.Event   // the event being queried, since added
-	since vclock.Time
+	now  vclock.Time  // the poll's tick
+	evs  []cuda.Event // the poll's snapshot of the watch-list
+	i    int          // the next event of evs to query
+	stop int          // the event of evs that raises, else len(evs)
+	hung bool         // a blocking call was older than HangTimeout at the tick
 
 	// The query in progress: the inner API it started on (a SetInner
 	// meanwhile does not redirect it), the EventQuery (each query sets its
@@ -103,12 +135,12 @@ type watchdog struct {
 type dogAt uint8
 
 const (
-	dogSleep    dogAt = iota // the poll period starts
-	dogPoll                  // it is over: poll
-	dogEvent                 // poll the next event
+	dogSleep    dogAt = iota // sleep to the next tick
+	dogPoll                  // a tick: look
+	dogEvent                 // query the next event
 	dogQuery                 // the query's next step
 	dogRaise                 // raise the fault
-	dogInflight              // check the in-flight blocking calls
+	dogInflight              // the queries are done: an in-flight hang?
 )
 
 // next is the watchdog's step as a callback process.
@@ -125,6 +157,54 @@ func (w *watchdog) next(p *vclock.Proc) {
 // and its OnFault.
 func (w *watchdog) raise(p *vclock.Proc) { w.l.raiseFault(p, w.kind, w.err) }
 
+// nextTick returns the first tick after t.
+func (w *watchdog) nextTick(t vclock.Time) vclock.Time {
+	return w.start + ((t-w.start)/watchdogPoll+1)*watchdogPoll
+}
+
+// look reads the watch-list and the in-flight calls at the tick: finished
+// events leave the list, and the first event that raises stops the poll's
+// queries there.
+func (w *watchdog) look() {
+	l := w.l
+	w.now, w.evs, w.i, w.hung = l.env.Now(), l.WatchedEvents(), 0, false
+	w.stop = len(w.evs)
+	for j, ev := range w.evs {
+		del, raise, kind, err := l.verdict(ev, w.now)
+		if del {
+			l.watch.Delete(int(ev))
+		}
+		if raise && w.stop == len(w.evs) {
+			w.stop, w.kind, w.err = j, kind, err
+		}
+	}
+	for _, started := range l.inflight {
+		if w.now-started > l.cfg.HangTimeout {
+			w.hung = true
+		}
+	}
+}
+
+// verdict is what a poll at tick now decides for watched event ev: leave
+// the watch-list (del), or raise a fault of kind with err.
+func (l *Layer) verdict(ev cuda.Event, now vclock.Time) (del, raise bool, kind FaultKind, err error) {
+	since, _ := l.watch.At(int(ev))
+	pe, ok := cuda.Lookup(l.handles, cuda.EventHandle, ev)
+	if !ok {
+		return true, false, 0, nil // event destroyed or remapped away
+	}
+	done, err := l.inner.(stepper).EventState(pe)
+	switch {
+	case err != nil && isInfraFault(err):
+		return false, true, FaultError, err
+	case err != nil || done:
+		return true, false, 0, nil
+	case now-since > l.cfg.HangTimeout:
+		return false, true, FaultHang, nil
+	}
+	return false, false, 0, nil
+}
+
 // step runs the poll on from where its last wait left it to its next wait.
 // It reports false instead when a user-level watchdog is over: its layer's
 // fault is raised, or the process has become raise.
@@ -135,46 +215,38 @@ func (w *watchdog) step(p *vclock.Proc) (vclock.Until, bool) {
 		switch w.at {
 		case dogSleep:
 			w.at = dogPoll
-			return vclock.Until{D: watchdogPoll}, true
+			return vclock.Until{D: w.nextTick(p.Now()) - p.Now()}, true
 		case dogPoll:
 			if userLevel && l.faultRaised {
 				return vclock.Until{}, false
 			}
-			if l.inRecovery || l.faultRaised {
-				return vclock.Until{D: watchdogPoll}, true
+			w.at = dogSleep
+			if !l.inRecovery && !l.faultRaised {
+				w.look()
+				w.at = dogEvent
 			}
-			w.now, w.evs, w.i, w.at = p.Now(), l.WatchedEvents(), 0, dogEvent
 		case dogEvent:
-			if w.i == len(w.evs) {
+			switch {
+			case w.i > w.stop, w.i == w.stop && errors.Is(w.err, proxy.ErrProxyDown):
+				w.at = dogRaise // past the raising query; to a down server none goes
+				continue
+			case w.i == len(w.evs):
 				w.at = dogInflight
 				continue
 			}
-			ev := w.evs[w.i]
-			w.i++
-			since, ok := l.watch.At(int(ev))
-			if !ok {
-				continue
+			pe, ok := cuda.Lookup(l.handles, cuda.EventHandle, w.evs[w.i])
+			if w.i++; !ok {
+				continue // no handle left to query
 			}
-			pe, ok := cuda.Lookup(l.handles, cuda.EventHandle, ev)
-			if !ok {
-				l.watch.Delete(int(ev)) // event destroyed or remapped away
-				continue
-			}
-			w.ev, w.since = ev, since
 			w.api, w.call.Event, w.n, w.at = l.inner.(stepper), pe, 0, dogQuery
 		case dogQuery:
-			u, waits, res, err := w.api.Step(p, &w.call, w.n)
+			u, waits, _, err := w.api.Step(p, &w.call, w.n)
 			if w.n++; waits {
 				return u, true
 			}
 			w.at = dogEvent
-			switch {
-			case err != nil && isInfraFault(err):
-				w.kind, w.err, w.at = FaultError, err, dogRaise
-			case err != nil || res.Bool:
-				l.watch.Delete(int(w.ev))
-			case w.now-w.since > l.cfg.HangTimeout:
-				w.kind, w.at = FaultHang, dogRaise
+			if errors.Is(err, proxy.ErrProxyDown) {
+				w.at = dogSleep // the answer was lost to a proxy stop
 			}
 		case dogRaise:
 			if userLevel && !l.faultRaised {
@@ -182,19 +254,13 @@ func (w *watchdog) step(p *vclock.Proc) (vclock.Until, bool) {
 				return vclock.Until{}, false
 			}
 			l.raiseFault(p, w.kind, w.err)
-			w.err, w.at = nil, dogInflight
+			w.err, w.at = nil, dogSleep
 		case dogInflight:
 			// Blocking device calls that never return are the other hang
 			// signal (§4.2: "detect hangs when device APIs never return").
 			w.at = dogSleep
-			if l.faultRaised {
-				continue
-			}
-			for _, started := range l.inflight {
-				if w.now-started > l.cfg.HangTimeout {
-					w.kind, w.at = FaultHang, dogRaise
-					break
-				}
+			if w.hung && !l.faultRaised {
+				w.kind, w.at = FaultHang, dogRaise
 			}
 		}
 	}

@@ -35,6 +35,7 @@ type Client struct {
 // one answer are all the waiting it needs.
 type thread struct {
 	id      int
+	pinned  bool     // a standing thread (Client.Pin)
 	waiting bool     // a blocking call is in flight
 	req     uint64   // the request id of the thread's latest call
 	out     *Request // the request of the thread's latest synchronising call
@@ -51,6 +52,41 @@ func NewClient(env *vclock.Env, server *Server) *Client {
 	c := &Client{server: server, threads: make(map[*vclock.Proc]*thread)}
 	c.Adapter = cuda.Adapt(c)
 	return c
+}
+
+// thread returns p's thread, making it on p's first call.
+func (c *Client) thread(p *vclock.Proc) *thread {
+	th, ok := c.threads[p]
+	if !ok {
+		th = &thread{id: len(c.byID)}
+		c.threads[p] = th
+		c.byID = append(c.byID, th)
+	}
+	return th
+}
+
+// Pin makes p a standing thread: the server keeps a handler for it from now
+// on, spawned now and again whenever a reset or restart has killed it, instead
+// of on demand. A stop or reset releases the call it has in flight with
+// ErrProxyDown, and while the server is down its calls fail at once with
+// ErrProxyDown instead of being held. The interception layer pins its
+// watchdog, so that neither its thread's id nor its handler's life depends on
+// which of its polls send queries.
+func (c *Client) Pin(p *vclock.Proc) {
+	if th := c.thread(p); !th.pinned {
+		th.pinned = true
+		c.server.pin(th)
+	}
+}
+
+// EventState is EventQuery's answer for ev now, in zero time and without the
+// wire: the server driver's (cuda.Driver.EventState), or ErrProxyDown while
+// the server is down.
+func (c *Client) EventState(ev cuda.Event) (bool, error) {
+	if c.server.down {
+		return false, ErrProxyDown
+	}
+	return c.server.drv.EventState(ev)
 }
 
 // release answers th's blocking call and wakes the thread.
@@ -105,13 +141,7 @@ func (c *Client) Do(p *vclock.Proc, call cuda.Call) (cuda.Result, error) {
 // wait before the step after it or, when there is none, the call's outputs.
 func (c *Client) Step(p *vclock.Proc, call *cuda.Call, n int) (vclock.Until, bool, cuda.Result, error) {
 	if n == 0 || p != c.stepP {
-		th, ok := c.threads[p]
-		if !ok {
-			th = &thread{id: len(c.byID)}
-			c.threads[p] = th
-			c.byID = append(c.byID, th)
-		}
-		c.stepP, c.stepTh = p, th
+		c.stepP, c.stepTh = p, c.thread(p)
 	}
 	th := c.stepTh
 	switch n {

@@ -97,6 +97,7 @@ type Server struct {
 	handlers   dense.Table[*handler] // by worker thread
 	free       gpu.FreeList[Request] // finished requests, for the client to reuse
 	held       []*Request            // sent while the server is down, in order
+	pinned     []*thread             // standing threads (Client.Pin), in pin order
 	generation int
 	down       bool
 }
@@ -125,6 +126,7 @@ func (s *Server) startDriver() error {
 		return err
 	}
 	s.drv, s.down = drv, false
+	s.spawnPinned()
 	for _, r := range s.held {
 		s.submit(r)
 	}
@@ -133,20 +135,47 @@ func (s *Server) startDriver() error {
 }
 
 // submit puts r on its thread's handler queue, spawning the handler on
-// demand, or holds it while the server is down.
+// demand, or holds it while the server is down. A standing thread's call is
+// not held: it fails at once.
 func (s *Server) submit(r *Request) {
 	if s.down {
+		if th := r.from; th.pinned {
+			*r = Request{}
+			s.free.Put(r)
+			th.release(cuda.Result{}, ErrProxyDown)
+			return
+		}
 		s.held = append(s.held, r)
 		return
 	}
-	th := r.from.id
+	s.handler(r.from.id).tq.Push(r)
+}
+
+// handler returns thread th's handler, spawning it when there is none.
+func (s *Server) handler(th int) *handler {
 	h, ok := s.handlers.At(th)
 	if !ok {
 		h = &handler{s: s, tq: vclock.NewQueue[*Request](s.env, fmt.Sprintf("proxy.t%d", th))}
 		h.proc = s.env.GoFunc(fmt.Sprintf("%s.proxy.t%d.g%d", s.dev.Name(), th, s.generation), h.step)
 		s.handlers.Set(th, h)
 	}
-	h.tq.Push(r)
+	return h
+}
+
+// pin makes th a standing thread, its handler spawned at once unless the
+// server is down.
+func (s *Server) pin(th *thread) {
+	s.pinned = append(s.pinned, th)
+	if !s.down {
+		s.handler(th.id)
+	}
+}
+
+// spawnPinned spawns the standing threads' handlers, in pin order.
+func (s *Server) spawnPinned() {
+	for _, th := range s.pinned {
+		s.handler(th.id)
+	}
 }
 
 // handler is one worker thread's request handler: a callback process that
@@ -240,6 +269,16 @@ func (s *Server) ResetThreads() {
 	// every run.
 	s.handlers.Each(func(_ int, h *handler) { h.proc.Kill() })
 	s.handlers = dense.Table[*handler]{}
+	// A standing thread's call in flight is released rather than left
+	// hanging, and its handler comes back at once.
+	for _, th := range s.pinned {
+		if th.waiting {
+			th.release(cuda.Result{}, ErrProxyDown)
+		}
+	}
+	if !s.down {
+		s.spawnPinned()
+	}
 }
 
 // Driver exposes the server-side driver to infrastructure code (the
@@ -250,12 +289,13 @@ func (s *Server) Driver() *cuda.Driver { return s.drv }
 func (s *Server) Device() *gpu.Device { return s.dev }
 
 // Stop kills the server: handler processes die, in-flight requests are
-// never answered, queued requests are dropped, and requests sent from now
-// on are held until Restart. Driver state (handle tables, streams, events,
+// never answered (a standing thread's is released with ErrProxyDown, see
+// Client.Pin), queued requests are dropped, and requests sent from now on
+// are held until Restart. Driver state (handle tables, streams, events,
 // comms) is lost; device buffers survive.
 func (s *Server) Stop() {
-	s.ResetThreads()
 	s.down = true
+	s.ResetThreads()
 }
 
 // Restart models killing and relaunching the proxy server process to clear

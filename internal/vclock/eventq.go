@@ -69,10 +69,21 @@ type timerLane struct {
 	head, n, holes int          // n counts the slots in use from head, holes included
 }
 
-// push adds p's timer, due d after now.
+// lastKey is the order key of a last-at-its-instant process's timers: above
+// every seq, and by process id among themselves, however late each was armed.
+const lastKey = 1 << 63
+
+// push adds p's timer, due d after now. The timer of a process that runs
+// last at its instant (Proc.RunLast) takes p's id for its seq and goes to the
+// heap: a lane holds timers in the order they were pushed.
 func (q *timerQueue) push(now, d Time, seq uint64, p *Proc) {
 	q.n++
 	ent := timerEntry{deadline: now + d, seq: seq, p: p}
+	if p.last {
+		ent.seq = lastKey | uint64(p.id)
+		q.pushHeap(ent)
+		return
+	}
 	k := -1 // d's lane, else the first free one
 	for i := range q.lanes {
 		if l := &q.lanes[i]; l.delay == d || (k < 0 && l.n == 0) {
@@ -87,8 +98,12 @@ func (q *timerQueue) push(now, d Time, seq uint64, p *Proc) {
 		p.timerLane = int8(k + 1)
 		return
 	}
+	q.pushHeap(ent)
+}
+
+func (q *timerQueue) pushHeap(ent timerEntry) {
 	q.a = append(q.a, ent)
-	p.timerIdx, p.timerLane = int32(len(q.a)-1), 0
+	ent.p.timerIdx, ent.p.timerLane = int32(len(q.a)-1), 0
 	q.siftUp(len(q.a) - 1)
 }
 

@@ -141,6 +141,10 @@ type Proc struct {
 	// debt is virtual time the process has spent but not yet slept: the
 	// host cost of calls it made without parking (Owe, Settle).
 	debt Time
+
+	// last: the process's timers come due after everything else due at
+	// their instant (RunLast).
+	last bool
 }
 
 // waiter is one entry of a waitList: p, parked under block number block.
@@ -685,6 +689,18 @@ func (p *Proc) Rewake(t Time) bool {
 	e.timers.push(e.now, t-e.now, e.seq, p)
 	return true
 }
+
+// Disarm removes the timer p is parked on, as if it had never been armed,
+// and reports whether there was one. Whatever else p waits for is unchanged.
+// A process about to be killed is disarmed so that no timer of its lingers.
+func (p *Proc) Disarm() bool { return p.env.timers.remove(p) }
+
+// RunLast makes p's timers come due last at their instant: after the run
+// queue has drained and every other timer due then has fired, ordered among
+// such processes by id, however late each was armed. A process woken by one
+// therefore sees everything else that happened at that instant, whatever
+// order it happened in. Only what it causes itself runs after it.
+func (p *Proc) RunLast() { p.last = true }
 
 // Become hands the rest of a callback process's life to body, run as a
 // coroutine: the way out for a step that reaches a call it cannot make
