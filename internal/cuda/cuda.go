@@ -183,9 +183,21 @@ type record struct {
 	done    vclock.Event
 	gs      *gpu.Stream // the stream recorded on: its async error is the record's
 	waiters int
+	d       *Driver
+	ev      Event // the event whose record this is, or was
 }
 
 func (r *record) exec(*gpu.Device) error { return r.gs.AsyncErr() }
+
+// finished tells the driver's watcher that the record completed, while it is
+// still its event's.
+func (r *record) finished() {
+	if w := r.d.watch; w != nil {
+		if cur, _ := r.d.events.At(int(r.ev)); cur == r {
+			w.EventDone(r.ev)
+		}
+	}
+}
 
 // state is what an EventQuery of the record answers: whether its work
 // completed, and the error it completed with. An unrecorded event reports
@@ -326,6 +338,33 @@ type Driver struct {
 
 	launchBufs []*gpu.Buffer // resolve's scratch for a launch's buffers
 	step       Pending       // Step's: its calls never wait, so it is free again when Step returns
+
+	watch Watcher // told what moves an EventQuery's answer; nil: nobody
+}
+
+// A Watcher is told, in zero time, of each change that can move an
+// EventQuery's answer (EventState): the interception layer's watchdog sleeps
+// until one of them could matter to a poll. Each is called at the instant
+// of its change, from whatever process made it, and must not block.
+type Watcher interface {
+	// EventDone: ev's record, the one EventQuery reads, completed now.
+	EventDone(ev Event)
+	// EventRecorded: ev was recorded again now, so its record is pending.
+	EventRecorded(ev Event)
+	// HealthChanged: the device's health changed now or, over the device
+	// proxy, the server went down.
+	HealthChanged()
+}
+
+// Watch makes w the driver's watcher (nil: none), for its events and its
+// device's health.
+func (d *Driver) Watch(w Watcher) {
+	d.watch = w
+	var fn func()
+	if w != nil {
+		fn = w.HealthChanged
+	}
+	d.dev.OnHealth(fn)
 }
 
 var _ API = (*Driver)(nil)
@@ -596,11 +635,13 @@ func (d *Driver) Start(p *vclock.Proc, c *Call, k *Pending) {
 		w.op.Done = &w.done
 		o.gs.Enqueue(&w.op)
 	case OpEventCreate:
-		r.Handle = d.events.Add(&record{})
+		rec := &record{d: d}
+		r.Handle = d.events.Add(rec)
+		rec.ev = Event(r.Handle)
 	case OpEventRecord:
 		rec := o.rec
 		if rec.op.Done != nil && (!rec.done.Triggered() || rec.waiters > 0) {
-			rec = &record{}
+			rec = &record{d: d, ev: c.Event}
 			d.events.Set(int(c.Event), rec)
 		}
 		// The record op completes with the stream's accumulated async error:
@@ -609,12 +650,15 @@ func (d *Driver) Start(p *vclock.Proc, c *Call, k *Pending) {
 		// async-error propagation a NCCL watchdog relies on. It waits for
 		// nothing: the stream's order is the whole of it.
 		if rec.op.Exec == nil {
-			rec.op.Name, rec.op.Ev, rec.op.Exec = "eventRecord", d.dev.Env().DoneEvent(), rec.exec
+			rec.op.Name, rec.op.Ev, rec.op.Exec, rec.op.Free = "eventRecord", d.dev.Env().DoneEvent(), rec.exec, rec.finished
 		}
 		rec.gs, rec.op.Err = o.gs, nil
 		d.dev.Env().InitEvent(&rec.done, "op")
 		rec.op.Done = &rec.done
 		o.gs.Enqueue(&rec.op)
+		if d.watch != nil {
+			d.watch.EventRecorded(c.Event)
+		}
 	case OpEventQuery:
 		r.Bool, k.err = o.rec.state()
 	case OpEventDestroy:

@@ -194,6 +194,8 @@ type Device struct {
 	memCap  int64
 	lane    string // "n0.g1"
 	name    string // "gpu[n0.g1]"
+	// onHealth, when set, is called at each health change (OnHealth).
+	onHealth func()
 }
 
 // NewDevice creates a healthy device with memCap bytes of modelled memory.
@@ -222,6 +224,18 @@ func (d *Device) Env() *vclock.Env { return d.env }
 
 // Health returns the current health state.
 func (d *Device) Health() Health { return d.health }
+
+// OnHealth makes fn the device's health hook (nil: none): it is called, in
+// zero time and from whatever process made the change, after each injection,
+// reset and repair. A cuda.Driver sets it for its watcher.
+func (d *Device) OnHealth(fn func()) { d.onHealth = fn }
+
+// healthChanged calls the health hook.
+func (d *Device) healthChanged() {
+	if d.onHealth != nil {
+		d.onHealth()
+	}
+}
 
 // Accessible reports whether API calls can reach the device at all.
 func (d *Device) Accessible() bool { return d.health != Hard }
@@ -335,6 +349,7 @@ func (d *Device) InjectHard() {
 	d.health = Hard
 	d.killStreams()
 	trace.Of(d.env).Instant(d.env.Now(), "gpu", d.lane, "inject-hard")
+	d.healthChanged()
 }
 
 // InjectSticky puts the device in the CUDA sticky-error state: queued and
@@ -351,6 +366,7 @@ func (d *Device) InjectSticky() {
 		s.cut()
 	}
 	trace.Of(d.env).Instant(d.env.Now(), "gpu", d.lane, "inject-sticky")
+	d.healthChanged()
 }
 
 // InjectDriverCorrupt marks driver state as suspect: operations still
@@ -363,6 +379,7 @@ func (d *Device) InjectDriverCorrupt() {
 	d.Settle()
 	d.health = DriverCorrupt
 	trace.Of(d.env).Instant(d.env.Now(), "gpu", d.lane, "inject-corrupt")
+	d.healthChanged()
 }
 
 // Reset clears a non-hard device back to health: all streams are destroyed
@@ -377,6 +394,7 @@ func (d *Device) Reset() error {
 	d.streams.Reset()
 	d.health = Healthy
 	trace.Of(d.env).Instant(d.env.Now(), "gpu", d.lane, "reset")
+	d.healthChanged()
 	return nil
 }
 
@@ -393,6 +411,7 @@ func (d *Device) Repair() {
 	d.memUsed = 0
 	d.health = Healthy
 	trace.Of(d.env).Instant(d.env.Now(), "gpu", d.lane, "repair")
+	d.healthChanged()
 }
 
 // killStreams kills every stream's process, in ascending ID order.

@@ -79,7 +79,9 @@ func TestDriverLaunchAllocFree(t *testing.T) {
 // pollRig builds a user-level layer over the driver, or over a proxy client
 // when proxied, whose watchdog polls three watched events that stay pending
 // (a hung collective's), far inside the hang timeout, from well before the
-// first virtual second on.
+// first virtual second on. Such a poll can find nothing, so the watchdog
+// would sleep through it: a poller process brings each tick's poll forward
+// (watchdog.schedule), the way a change the poll could see does.
 func pollRig(tb testing.TB, proxied bool) (*vclock.Env, *Layer) {
 	tb.Helper()
 	cfg := Config{Mode: ModeUserLevel, HangTimeout: 100 * vclock.Hour, OnFault: func(*vclock.Proc, Fault) { tb.Error("a fault") }}
@@ -94,6 +96,14 @@ func pollRig(tb testing.TB, proxied bool) (*vclock.Env, *Layer) {
 	}
 	hang := hungCollective(env, engine, layer, 3)
 	env.Go("worker", func(p *vclock.Proc) { hang(p) })
+	env.Go("poller", func(p *vclock.Proc) {
+		for {
+			p.Sleep(watchdogPoll)
+			if w := layer.dog; w != nil {
+				w.schedule(w.tick(p.Now()))
+			}
+		}
+	})
 	return env, layer
 }
 
@@ -103,7 +113,7 @@ func pollRig(tb testing.TB, proxied bool) (*vclock.Env, *Layer) {
 func TestWatchedEventsAllocFree(t *testing.T) {
 	r := newRig(t, Config{Mode: ModeUserLevel})
 	for _, ev := range []cuda.Event{9, 3, 7} {
-		r.layer.watch.Set(int(ev), 0)
+		r.layer.watch.Set(int(ev), watchEntry{done: -1})
 	}
 	if allocs := testing.AllocsPerRun(100, func() { r.layer.WatchedEvents() }); allocs != 0 {
 		t.Errorf("WatchedEvents allocates %v objects a call, want 0", allocs)

@@ -135,14 +135,17 @@ type Layer struct {
 	// Watchdog state.
 	ncclStreams  map[cuda.Stream]bool     // virtual streams collectives run on
 	eventsOnNCCL map[cuda.Event]bool      // events last recorded on an NCCL stream
-	watch        dense.Table[vclock.Time] // the watch-list: virtual event -> when it joined
-	watched      []cuda.Event             // WatchedEvents' slice
+	watch        dense.Table[watchEntry] // the watch-list, by virtual event
+	watched      []cuda.Event            // WatchedEvents' slice
 	watchdogProc *vclock.Proc
+	dog          *watchdog                    // the running watchdog's state, nil when none
 	inflight     map[*vclock.Proc]vclock.Time // calling thread -> when its blocking call began
 
-	// Fault/recovery state.
+	// Fault/recovery state. idleAt is when the layer last began to idle
+	// (a fault raised or a recovery begun), while it does.
 	faultRaised bool
 	inRecovery  bool
+	idleAt      vclock.Time
 	gate        *vclock.Event
 	iter        int
 	inOptimizer bool
@@ -178,6 +181,7 @@ func New(env *vclock.Env, inner cuda.API, name string, cfg Config) *Layer {
 		inflight:     make(map[*vclock.Proc]vclock.Time),
 	}
 	l.Adapter = cuda.Adapt(l)
+	inner.(stepper).Watch(l.watcher())
 	return l
 }
 
@@ -190,7 +194,9 @@ func (l *Layer) SetOnFault(fn func(p *vclock.Proc, f Fault)) { l.cfg.OnFault = f
 // (§4.3): parked application threads retry their calls against the new
 // API. Only call between BeginRecovery and EndRecovery.
 func (l *Layer) SetInner(api cuda.API) {
+	l.inner.(stepper).Watch(nil)
 	l.inner = api
+	api.(stepper).Watch(l.watcher())
 	l.pinWatchdog()
 }
 
@@ -299,7 +305,11 @@ func (l *Layer) raiseFault(p *vclock.Proc, kind FaultKind, err error) {
 	if l.faultRaised {
 		return
 	}
+	l.idle()
 	l.faultRaised = true
+	if l.cfg.Mode == ModeUserLevel && l.dog != nil {
+		l.dog.schedule(l.dog.tick(p.Now())) // it ends at its next tick
+	}
 	trace.Of(l.env).Instant(p.Now(), "dog", trace.LaneSim, "fault",
 		"layer", l.name, "kind", int(kind), "err", err, "iter", l.iter, "opt", l.inOptimizer)
 	if l.cfg.OnFault != nil {
@@ -310,6 +320,7 @@ func (l *Layer) raiseFault(p *vclock.Proc, kind FaultKind, err error) {
 // BeginRecovery closes the gate: application threads entering (or
 // retrying) calls park until EndRecovery.
 func (l *Layer) BeginRecovery() {
+	l.idle()
 	l.inRecovery = true
 	if l.gate == nil || l.gate.Triggered() {
 		l.gate = l.env.NewEvent(l.name + ".recovery-gate")
@@ -321,7 +332,7 @@ func (l *Layer) BeginRecovery() {
 // state, and releases parked threads.
 func (l *Layer) EndRecovery(tr *cuda.Handles) {
 	l.handles = tr
-	l.watch = dense.Table[vclock.Time]{}
+	l.watch = dense.Table[watchEntry]{}
 	l.inflight = make(map[*vclock.Proc]vclock.Time)
 	l.ckptStream = 0 // private stream may be gone after a proxy restart
 	l.faultRaised = false
@@ -383,6 +394,9 @@ func (l *Layer) issue(p *vclock.Proc, c *cuda.Call, info cuda.OpInfo) (cuda.Resu
 	}
 	if info.Tracked {
 		l.inflight[p] = p.Now()
+		if l.dog != nil {
+			l.dog.schedule(l.dog.tick(p.Now() + l.cfg.HangTimeout + 1))
+		}
 	}
 	res, err := l.inner.Do(p, phys)
 	if info.Tracked {

@@ -24,8 +24,117 @@ func (l *Layer) noteStreamWaitEvent(ev cuda.Event) {
 	if !l.eventsOnNCCL[ev] {
 		return
 	}
-	if _, ok := l.watch.At(int(ev)); !ok {
-		l.watch.Set(int(ev), l.env.Now())
+	l.settleWatch()
+	if _, ok := l.watch.At(int(ev)); ok {
+		return
+	}
+	e := watchEntry{since: l.env.Now(), done: -1}
+	if pe, ok := cuda.Lookup(l.handles, cuda.EventHandle, ev); ok {
+		if done, _ := l.inner.(stepper).EventState(pe); done {
+			e.done = e.since
+		}
+	}
+	l.watch.Set(int(ev), e)
+	if l.dog != nil {
+		if t, due := l.dog.entryTick(int(ev), e); due {
+			l.dog.schedule(t)
+		}
+	}
+}
+
+// watchEntry is one watched event: when it joined the watch-list, and when
+// the record EventQuery reads completed, -1 while that record is pending.
+type watchEntry struct{ since, done vclock.Time }
+
+// settleWatch drops each watched event that a poll the watchdog slept
+// through dropped: one whose record had completed at a tick that has passed
+// and at which the layer was not idling. The watchdog wakes for no such
+// poll; the watch-list is settled wherever it is read or its entries'
+// since matter.
+func (l *Layer) settleWatch() {
+	w := l.dog
+	if w == nil {
+		return
+	}
+	now := l.env.Now()
+	for ev, e, ok := l.watch.Next(0); ok; ev, e, ok = l.watch.Next(ev + 1) {
+		if e.done < 0 {
+			continue
+		}
+		if t := w.tickAt(max(e.done, e.since)); t < now && (!l.idling() || t < l.idleAt) {
+			l.watch.Delete(ev)
+		}
+	}
+}
+
+// idle notes that the layer begins to idle, unless it already does.
+func (l *Layer) idle() {
+	if !l.idling() {
+		l.idleAt = l.env.Now()
+	}
+}
+
+// idling reports whether polls idle: a fault is raised or a recovery runs.
+func (l *Layer) idling() bool { return l.faultRaised || l.inRecovery }
+
+// watchedAs returns the watched event whose physical handle is pe.
+func (l *Layer) watchedAs(pe cuda.Event) (int, watchEntry, bool) {
+	for ev, e, ok := l.watch.Next(0); ok; ev, e, ok = l.watch.Next(ev + 1) {
+		if p, mapped := cuda.Lookup(l.handles, cuda.EventHandle, cuda.Event(ev)); mapped && p == pe {
+			return ev, e, true
+		}
+	}
+	return 0, watchEntry{}, false
+}
+
+// layerWatcher is the layer as its inner API's cuda.Watcher: what moves an
+// EventQuery's answer moves the watchdog's next poll.
+type layerWatcher Layer
+
+func (l *Layer) watcher() cuda.Watcher { return (*layerWatcher)(l) }
+
+// EventDone notes when a watched event's record completed: a poll drops the
+// event without waking for it, unless the record carries an infrastructure
+// error, which a poll must raise.
+func (lw *layerWatcher) EventDone(pe cuda.Event) {
+	l := (*Layer)(lw)
+	if ev, e, ok := l.watchedAs(pe); ok {
+		e.done = l.env.Now()
+		l.watch.Set(ev, e)
+		l.reschedule(ev, e)
+	}
+}
+
+// EventRecorded notes that a watched event's record is pending again,
+// after settling what a poll the watchdog slept through did with the old
+// one.
+func (lw *layerWatcher) EventRecorded(pe cuda.Event) {
+	l := (*Layer)(lw)
+	l.settleWatch()
+	if ev, e, ok := l.watchedAs(pe); ok {
+		e.done = -1
+		l.watch.Set(ev, e)
+		l.reschedule(ev, e)
+	}
+}
+
+// HealthChanged moves the next poll to where the device's new health, or
+// the proxy's stop, is seen.
+func (lw *layerWatcher) HealthChanged() {
+	if w := lw.dog; w != nil {
+		if t, ok := w.nextPoll(); ok {
+			w.schedule(t)
+		}
+	}
+}
+
+// reschedule brings the next poll forward to where watched event ev must be
+// read.
+func (l *Layer) reschedule(ev int, e watchEntry) {
+	if l.dog != nil {
+		if t, due := l.dog.entryTick(ev, e); due {
+			l.dog.schedule(t)
+		}
 	}
 }
 
@@ -36,7 +145,8 @@ func (l *Layer) startWatchdog() {
 	if l.watchdogProc != nil {
 		return
 	}
-	w := &watchdog{l: l, start: l.env.Now(), call: cuda.Call{Op: cuda.OpEventQuery}}
+	w := &watchdog{l: l, start: l.env.Now(), handled: l.env.Now(), call: cuda.Call{Op: cuda.OpEventQuery}}
+	l.dog = w
 	l.watchdogProc = l.env.GoFunc(l.name+".watchdog", w.next)
 	l.watchdogProc.RunLast()
 	l.pinWatchdog()
@@ -53,6 +163,8 @@ func (l *Layer) pinWatchdog() {
 // The job-restart path uses it when an incarnation's processes are torn
 // down.
 func (l *Layer) StopWatchdog() {
+	l.settleWatch()
+	l.dog = nil
 	if l.watchdogProc != nil {
 		l.watchdogProc.Disarm()
 		l.watchdogProc.Kill()
@@ -63,8 +175,11 @@ func (l *Layer) StopWatchdog() {
 // WatchedEvents returns the virtual events currently on the watch-list, in
 // ascending order, in a slice of the layer's that the next call reuses.
 func (l *Layer) WatchedEvents() []cuda.Event {
+	l.settleWatch()
 	l.watched = l.watched[:0]
-	l.watch.Each(func(ev int, _ vclock.Time) { l.watched = append(l.watched, cuda.Event(ev)) })
+	for ev, _, ok := l.watch.Next(0); ok; ev, _, ok = l.watch.Next(ev + 1) {
+		l.watched = append(l.watched, cuda.Event(ev))
+	}
 	return l.watched
 }
 
@@ -81,6 +196,7 @@ const watchdogPoll = 50 * vclock.Millisecond
 type stepper interface {
 	Step(p *vclock.Proc, c *cuda.Call, n int) (vclock.Until, bool, cuda.Result, error)
 	EventState(ev cuda.Event) (bool, error)
+	Watch(w cuda.Watcher)
 }
 
 // watchdog polls the watched events with EventQuery and checks the ages of
@@ -111,9 +227,12 @@ type stepper interface {
 // the process retires when OnFault returns. A fault a worker's call raised
 // ends it at its next tick.
 type watchdog struct {
-	l     *Layer
-	at    dogAt
-	start vclock.Time // the tick grid's origin
+	l       *Layer
+	at      dogAt
+	start   vclock.Time  // the tick grid's origin
+	handled vclock.Time  // the last tick it woke at, at first start
+	due     vclock.Time  // the tick its timer is set for, while at dogPoll
+	wake    vclock.Event // what it waits for at dogWake
 
 	now  vclock.Time  // the poll's tick
 	evs  []cuda.Event // the poll's snapshot of the watch-list
@@ -135,12 +254,14 @@ type watchdog struct {
 type dogAt uint8
 
 const (
-	dogSleep    dogAt = iota // sleep to the next tick
+	dogSleep    dogAt = iota // sleep to the next poll
+	dogWake                  // no poll is due: a change woke it
 	dogPoll                  // a tick: look
 	dogEvent                 // query the next event
 	dogQuery                 // the query's next step
 	dogRaise                 // raise the fault
 	dogInflight              // the queries are done: an in-flight hang?
+	dogDone                  // a user-level watchdog's end
 )
 
 // next is the watchdog's step as a callback process.
@@ -157,9 +278,78 @@ func (w *watchdog) next(p *vclock.Proc) {
 // and its OnFault.
 func (w *watchdog) raise(p *vclock.Proc) { w.l.raiseFault(p, w.kind, w.err) }
 
-// nextTick returns the first tick after t.
-func (w *watchdog) nextTick(t vclock.Time) vclock.Time {
-	return w.start + ((t-w.start)/watchdogPoll+1)*watchdogPoll
+// tickAt returns the first tick at or after t that the watchdog has not
+// yet woken at.
+func (w *watchdog) tickAt(t vclock.Time) vclock.Time {
+	t = max(t, w.handled+1)
+	return w.start + (t-w.start+watchdogPoll-1)/watchdogPoll*watchdogPoll
+}
+
+// tick returns the first tick at or after t still to come.
+func (w *watchdog) tick(t vclock.Time) vclock.Time { return w.tickAt(max(t, w.l.env.Now())) }
+
+// nextPoll returns the first tick at which a poll could change something,
+// false when none could until something changes: a user-level watchdog's
+// end after its layer's fault; a watched event that raises (an
+// infrastructure error: the device's health, the proxy down, a record's
+// network error) or that could be older than HangTimeout; an event a poll
+// must drop for another reason than a completed record; a blocking call
+// that could be older than HangTimeout. An idling layer needs none.
+func (w *watchdog) nextPoll() (t vclock.Time, ok bool) {
+	l := w.l
+	if l.cfg.Mode == ModeUserLevel && l.faultRaised {
+		return w.tick(0), true
+	}
+	if l.idling() {
+		return 0, false
+	}
+	l.settleWatch()
+	for ev, e, more := l.watch.Next(0); more; ev, e, more = l.watch.Next(ev + 1) {
+		if u, due := w.entryTick(ev, e); due && (!ok || u < t) {
+			t, ok = u, true
+		}
+	}
+	for _, started := range l.inflight {
+		if u := w.tick(started + l.cfg.HangTimeout + 1); !ok || u < t {
+			t, ok = u, true
+		}
+	}
+	return t, ok
+}
+
+// entryTick is the first tick at which a poll must read watched event ev,
+// false when none need: its record completed, and a poll drops it whenever
+// one looks (settleWatch).
+func (w *watchdog) entryTick(ev int, e watchEntry) (vclock.Time, bool) {
+	l := w.l
+	pe, ok := cuda.Lookup(l.handles, cuda.EventHandle, cuda.Event(ev))
+	if !ok {
+		return w.tick(e.since), true
+	}
+	done, err := l.inner.(stepper).EventState(pe)
+	switch {
+	case err != nil && isInfraFault(err), (err != nil || done) && e.done < 0:
+		return w.tick(e.since), true
+	case err != nil || done:
+		return 0, false
+	}
+	return w.tick(e.since + l.cfg.HangTimeout + 1), true
+}
+
+// schedule brings the next poll forward to tick t, when t is earlier: the
+// timer of a watchdog parked for a tick moves (vclock.Proc.Rewake), and one
+// parked with no poll due is woken to reschedule. A poll in progress
+// reschedules when it ends.
+func (w *watchdog) schedule(t vclock.Time) {
+	switch w.at {
+	case dogPoll:
+		if t < w.due {
+			w.due = t
+			w.l.watchdogProc.Rewake(t)
+		}
+	case dogWake:
+		w.wake.Trigger()
+	}
 }
 
 // look reads the watch-list and the in-flight calls at the tick: finished
@@ -188,7 +378,7 @@ func (w *watchdog) look() {
 // verdict is what a poll at tick now decides for watched event ev: leave
 // the watch-list (del), or raise a fault of kind with err.
 func (l *Layer) verdict(ev cuda.Event, now vclock.Time) (del, raise bool, kind FaultKind, err error) {
-	since, _ := l.watch.At(int(ev))
+	e, _ := l.watch.At(int(ev))
 	pe, ok := cuda.Lookup(l.handles, cuda.EventHandle, ev)
 	if !ok {
 		return true, false, 0, nil // event destroyed or remapped away
@@ -199,7 +389,7 @@ func (l *Layer) verdict(ev cuda.Event, now vclock.Time) (del, raise bool, kind F
 		return false, true, FaultError, err
 	case err != nil || done:
 		return true, false, 0, nil
-	case now-since > l.cfg.HangTimeout:
+	case now-e.since > l.cfg.HangTimeout:
 		return false, true, FaultHang, nil
 	}
 	return false, false, 0, nil
@@ -214,14 +404,25 @@ func (w *watchdog) step(p *vclock.Proc) (vclock.Until, bool) {
 	for {
 		switch w.at {
 		case dogSleep:
-			w.at = dogPoll
-			return vclock.Until{D: w.nextTick(p.Now()) - p.Now()}, true
+			t, ok := w.nextPoll()
+			if !ok {
+				w.at = dogWake
+				l.env.InitEvent(&w.wake, "watchdog.wake")
+				return vclock.Until{Ev: &w.wake}, true
+			}
+			w.at, w.due = dogPoll, t
+			return vclock.Until{D: t - p.Now()}, true
+		case dogWake:
+			w.at = dogSleep
 		case dogPoll:
+			l.settleWatch() // what the ticks slept through dropped
+			w.handled = p.Now()
 			if userLevel && l.faultRaised {
+				w.at = dogDone
 				return vclock.Until{}, false
 			}
 			w.at = dogSleep
-			if !l.inRecovery && !l.faultRaised {
+			if !l.idling() {
 				w.look()
 				w.at = dogEvent
 			}
@@ -250,6 +451,7 @@ func (w *watchdog) step(p *vclock.Proc) (vclock.Until, bool) {
 			}
 		case dogRaise:
 			if userLevel && !l.faultRaised {
+				w.at = dogDone
 				p.Become(w.raise)
 				return vclock.Until{}, false
 			}

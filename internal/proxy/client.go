@@ -79,6 +79,14 @@ func (c *Client) Pin(p *vclock.Proc) {
 	}
 }
 
+// Watch makes w the watcher (cuda.Watcher) of the server's driver, and of
+// every driver a restart starts; w also hears of each stop, as a health
+// change. nil: none.
+func (c *Client) Watch(w cuda.Watcher) {
+	c.server.watch = w
+	c.server.drv.Watch(w)
+}
+
 // EventState is EventQuery's answer for ev now, in zero time and without the
 // wire: the server driver's (cuda.Driver.EventState), or ErrProxyDown while
 // the server is down.

@@ -98,6 +98,7 @@ type Server struct {
 	free       gpu.FreeList[Request] // finished requests, for the client to reuse
 	held       []*Request            // sent while the server is down, in order
 	pinned     []*thread             // standing threads (Client.Pin), in pin order
+	watch      cuda.Watcher          // Client.Watch's, on each driver the server starts
 	generation int
 	down       bool
 }
@@ -126,6 +127,9 @@ func (s *Server) startDriver() error {
 		return err
 	}
 	s.drv, s.down = drv, false
+	if s.watch != nil {
+		drv.Watch(s.watch)
+	}
 	s.spawnPinned()
 	for _, r := range s.held {
 		s.submit(r)
@@ -296,6 +300,9 @@ func (s *Server) Device() *gpu.Device { return s.dev }
 func (s *Server) Stop() {
 	s.down = true
 	s.ResetThreads()
+	if s.watch != nil {
+		s.watch.HealthChanged()
+	}
 }
 
 // Restart models killing and relaunching the proxy server process to clear

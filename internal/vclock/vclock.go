@@ -649,13 +649,21 @@ func (p *Proc) parks() bool {
 }
 
 // SleepNext is the callback form of Sleep: p's next dispatch comes after d of
-// virtual time, or for d <= 0 from the back of the run queue at this instant.
+// virtual time, or for d <= 0 from the back of the run queue at this instant;
+// for a process that runs last (RunLast), at the end of this instant.
 func (p *Proc) SleepNext(d Time) {
 	if !p.parks() {
 		return
 	}
 	if d > 0 {
 		p.arm(nil, d)
+		return
+	}
+	if p.last {
+		e := p.env
+		e.seq++
+		e.timers.push(e.now, 0, e.seq, p)
+		p.state = stateBlocked
 		return
 	}
 	p.state = stateQueued
