@@ -42,6 +42,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"regexp"
 	"sort"
 	"strings"
 	"syscall"
@@ -178,7 +179,7 @@ func main() {
 		}
 		cfg.Peer = &peerckpt.Params{DataShards: k, ParityShards: m}
 	}
-	rec := observe()
+	rec, census := observe()
 	cfg.Recorder = rec
 	if *failKind != "" {
 		kind, ok := failure.KindByName(*failKind)
@@ -225,7 +226,7 @@ func main() {
 	}
 	report(res, *lossTail)
 	if *stats {
-		printStats(res.SimStats, res.WallTime, elapsed)
+		printStats(res.SimStats, census, res.WallTime, elapsed)
 	}
 	if *serveAddr != "" {
 		awaitInterrupt()
@@ -235,30 +236,81 @@ func main() {
 	}
 }
 
-// printStats is -stats: the simulation kernel's event counters, and how fast
-// the host got through them.
-func printStats(s vclock.Stats, simWall vclock.Time, elapsed time.Duration) {
+// printStats is -stats: the simulation kernel's event counters, the
+// dispatch census by process kind, and how fast the host got through them.
+func printStats(s vclock.Stats, c dispatchCensus, simWall vclock.Time, elapsed time.Duration) {
 	sec := elapsed.Seconds()
 	fmt.Printf("kernel:       %d dispatches, %d timer fires, %d triggers, %d spawns\n",
 		s.Dispatches, s.TimerFires, s.Triggers, s.Spawns)
+	kinds := make([]string, 0, len(c.kinds))
+	for k := range c.kinds {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	for _, k := range kinds {
+		fmt.Printf("kernel:         %-30s callback=%d coroutine=%d\n", k, c.kinds[k][0], c.kinds[k][1])
+	}
 	fmt.Printf("throughput:   %.0f events/s, %.0f sim-s per wall-s (%.1fms wall)\n",
 		float64(s.Events())/sec, simWall.Sec()/sec, 1000*sec)
 }
 
 // observe builds the run's one observability input: a recorder that
-// retains the log when -trace or -trace-text will export it and feeds a
-// live stream when -serve is set (nil when neither is asked for).
-func observe() *trace.Recorder {
+// retains the log when -trace or -trace-text will export it, feeds a live
+// stream when -serve is set, and under -stats takes the dispatch census
+// (nil when none is asked for).
+func observe() (*trace.Recorder, dispatchCensus) {
 	export := *traceOut != "" || *traceText != ""
-	if !export && *serveAddr == "" {
-		return nil
+	c := dispatchCensus{kinds: map[string]*[2]uint64{}}
+	if !export && *serveAddr == "" && !*stats {
+		return nil, c
 	}
 	rec := trace.New()
 	rec.SetRetain(export)
 	if *serveAddr != "" {
-		rec.SetSink(startServe(*serveAddr))
+		c.next = startServe(*serveAddr)
 	}
-	return rec
+	if *stats {
+		rec.SetSink(c)
+	} else if c.next != nil {
+		rec.SetSink(c.next)
+	}
+	return rec, c
+}
+
+// dispatchCensus is -stats' sink: per process kind (its name with each run
+// of digits folded to '#'), the dispatches its processes took as a callback
+// and as a coroutine (vclock.DispatchRecorder). It consumes no trace
+// category, so a recorder that keeps no log formats no event for it; under
+// -serve it hands every event on to the live stream.
+type dispatchCensus struct {
+	next  *tracestream.Stream
+	kinds map[string]*[2]uint64
+}
+
+var digitRuns = regexp.MustCompile(`[0-9]+`)
+
+func (c dispatchCensus) Event(ev *trace.Ev) {
+	if c.next != nil {
+		c.next.Event(ev)
+	}
+}
+
+// SinkCats implements trace.FilteringSink: the live stream's categories, or
+// none.
+func (c dispatchCensus) SinkCats() map[string]bool {
+	if c.next != nil {
+		return c.next.SinkCats()
+	}
+	return map[string]bool{}
+}
+
+func (c dispatchCensus) ProcDispatches(_ int, name string, callback, coroutine uint64) {
+	k := digitRuns.ReplaceAllString(name, "#")
+	if c.kinds[k] == nil {
+		c.kinds[k] = new([2]uint64)
+	}
+	c.kinds[k][0] += callback
+	c.kinds[k][1] += coroutine
 }
 
 // startServe serves a live stream's HTTP endpoints in the background.
@@ -302,7 +354,7 @@ func runFleet() error {
 		Nodes: nodes, PerNode: 2, RackSize: *fleetRack,
 		Seed: *seed, Horizon: horizon, Jobs: jobs,
 	}
-	rec := observe()
+	rec, census := observe()
 	cfg.Recorder = rec
 	if *failRate > 0 {
 		// An empty -mix means the node-granular default here, not the
@@ -340,7 +392,7 @@ func runFleet() error {
 	}
 	reportFleet(res)
 	if *stats {
-		printStats(res.Fleet.SimStats, res.Fleet.Wall, elapsed)
+		printStats(res.Fleet.SimStats, census, res.Fleet.Wall, elapsed)
 	}
 	if *serveAddr != "" {
 		awaitInterrupt()

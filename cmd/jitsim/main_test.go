@@ -41,6 +41,11 @@ func TestCLI(t *testing.T) {
 		{Name: "-fail-iter beyond -iters without -fail", Args: "-policy userjit -fail-iter 99 -iters 4", Want: []string{"completed:    true"}},
 		{Name: "transparent recovers a sticky error", Args: "-policy transparent -fail gpu-sticky -fail-iter 5 -iters 8", Want: []string{"completed:    true"}},
 		{Name: "userjit recovers a lost GPU", Args: "-policy userjit -fail gpu-hard -fail-iter 5 -iters 8", Want: []string{"completed:    true", "end:          completed"}},
+		{Name: "-stats prints the dispatch census", Args: "-policy transparent -fail gpu-sticky -fail-iter 5 -iters 8 -stats", Want: []string{
+			"kernel:       5364 dispatches, 3469 timer fires, 1141 triggers, 116 spawns",
+			"kernel:         gpu[n#.g#].proxy.t#.g#         callback=3398 coroutine=0",
+			"kernel:         rank#.watchdog                 callback=21 coroutine=0",
+			"kernel:         worker#                        callback=0 coroutine=778"}},
 		{Name: "fleet cut at its horizon", Args: "-fleet 2xuserjit:4000 -fleet-horizon 30", Exit: 2, Want: []string{
 			"wall 30.000s", "userjit.p0.0 pri=0 UserJIT          end=horizon ", "userjit.p0.1 pri=0 UserJIT          end=horizon "}},
 	})
