@@ -133,8 +133,8 @@ type Layer struct {
 	tagSeq  map[string]int
 
 	// Watchdog state.
-	ncclStreams  map[cuda.Stream]bool     // virtual streams collectives run on
-	eventsOnNCCL map[cuda.Event]bool      // events last recorded on an NCCL stream
+	ncclStreams  map[cuda.Stream]bool    // virtual streams collectives run on
+	eventsOnNCCL map[cuda.Event]bool     // events last recorded on an NCCL stream
 	watch        dense.Table[watchEntry] // the watch-list, by virtual event
 	watched      []cuda.Event            // WatchedEvents' slice
 	watchdogProc *vclock.Proc

@@ -35,11 +35,7 @@ func (l *Layer) noteStreamWaitEvent(ev cuda.Event) {
 		}
 	}
 	l.watch.Set(int(ev), e)
-	if l.dog != nil {
-		if t, due := l.dog.entryTick(int(ev), e); due {
-			l.dog.schedule(t)
-		}
-	}
+	l.reschedule(int(ev), e)
 }
 
 // watchEntry is one watched event: when it joined the watch-list, and when
@@ -110,6 +106,9 @@ func (lw *layerWatcher) EventDone(pe cuda.Event) {
 // one.
 func (lw *layerWatcher) EventRecorded(pe cuda.Event) {
 	l := (*Layer)(lw)
+	if _, _, ok := l.watchedAs(pe); !ok {
+		return
+	}
 	l.settleWatch()
 	if ev, e, ok := l.watchedAs(pe); ok {
 		e.done = -1
@@ -261,7 +260,6 @@ const (
 	dogQuery                 // the query's next step
 	dogRaise                 // raise the fault
 	dogInflight              // the queries are done: an in-flight hang?
-	dogDone                  // a user-level watchdog's end
 )
 
 // next is the watchdog's step as a callback process.
@@ -418,7 +416,6 @@ func (w *watchdog) step(p *vclock.Proc) (vclock.Until, bool) {
 			l.settleWatch() // what the ticks slept through dropped
 			w.handled = p.Now()
 			if userLevel && l.faultRaised {
-				w.at = dogDone
 				return vclock.Until{}, false
 			}
 			w.at = dogSleep
@@ -451,7 +448,6 @@ func (w *watchdog) step(p *vclock.Proc) (vclock.Until, bool) {
 			}
 		case dogRaise:
 			if userLevel && !l.faultRaised {
-				w.at = dogDone
 				p.Become(w.raise)
 				return vclock.Until{}, false
 			}
